@@ -3,7 +3,7 @@
 set -eux
 
 cargo build --release
-cargo test -q
+cargo test -q --workspace
 cargo clippy --workspace -- -D warnings
 cargo fmt --check
 cargo run --release -p cedar-analyze --bin cedar-lint -- --workspace
@@ -41,6 +41,10 @@ fi
 cargo run --release -p cedar-bench --bin saturation -- --smoke
 # Asserts scheduled submission never regresses above the in-order baseline.
 cargo run --release -p cedar-bench --bin io_sched -- --smoke
+# The full run is deterministic and takes seconds: the file it writes
+# must be the one checked in.
+cargo run --release -p cedar-bench --bin io_sched
+git diff --exit-code BENCH_io_sched.json
 # Fault-injection campaign (reduced grid): every scenario must recover
 # to a commit boundary, every escalation rung must be exercised, and
 # the corrupt-block's rotten images must scavenge to a verifying tree.

@@ -36,8 +36,8 @@ pub struct StructDef {
 pub struct FieldDef {
     /// Field name.
     pub name: String,
-    /// Type as a flat token-text list (`Mutex < Signal >` →
-    /// `["Mutex", "<", "Signal", ">"]`) — enough to classify the leading
+    /// Type as a flat token-text list (`Mutex < Inbox >` →
+    /// `["Mutex", "<", "Inbox", ">"]`) — enough to classify the leading
     /// wrapper and search for embedded sync types.
     pub ty: Vec<String>,
     /// Line of the field name.

@@ -398,11 +398,8 @@ impl Config {
             lock_acquire_fns: vec!["plock"],
             lock_root_segs: vec!["self", "shared"],
             shared_structs: vec![
-                // `cfg` is written once in `start()` before the writer
-                // thread spawns and is read-only after that.
-                ("crates/fsd/src/engine.rs", "EngineShared", vec!["cfg"]),
+                ("crates/fsd/src/engine.rs", "EngineShared", vec![]),
                 ("crates/fsd/src/engine.rs", "Slot", vec![]),
-                ("crates/fsd/src/engine.rs", "ClientQueue", vec![]),
                 ("crates/fsd/src/engine.rs", "FsdEngine", vec![]),
                 // `cfg` is written once before the shipper thread spawns
                 // and read-only after that (mode, retry policy).
@@ -415,8 +412,7 @@ impl Config {
                 // again; reads from any thread see the same value.
                 ("crates/disk/src/scan.rs", "ScanChannel", vec!["capacity"]),
             ],
-            // `Pacer` serializes itself on an internal `Mutex<Instant>`.
-            sync_types: vec!["Condvar", "Pacer"],
+            sync_types: vec!["Condvar"],
             publish_atomics: vec!["epoch"],
             owned_types: vec!["FsdVolume"],
             client_entry_owners: vec![

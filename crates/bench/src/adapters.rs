@@ -1,11 +1,4 @@
-//! Backend access for the benchmark binaries.
-//!
-//! Historically this module defined `CfsBench` / `FsdBench` /
-//! `FfsBench` — wrapper structs adapting each backend's bespoke
-//! signatures to a string-erroring `Workbench` shim. That shim has been
-//! promoted to the first-class [`FileSystem`] trait in `cedar-vol`,
-//! implemented by every backend directly (`fs_impl.rs` in each crate),
-//! so the adapters are gone and this module is a prelude: the trait,
+//! Backend prelude for the benchmark binaries: the [`FileSystem`] trait,
 //! its error type, and the three volume types, one `use` away for the
 //! `src/bin/` table generators.
 

@@ -120,7 +120,6 @@ fn mt_run_for(threads: usize) -> ThreadedRun {
             vol,
             EngineConfig {
                 pace_scale: Some(PACE_SCALE),
-                ..Default::default()
             },
         )
         .expect("start engine"),

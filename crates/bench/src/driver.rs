@@ -45,8 +45,8 @@ pub fn drive_clients(
     scripts: &[ClientScript],
 ) -> Result<(FsdVolume, MultiClientRun), CedarFsError> {
     let vol = populate_setup(vol, scripts)?;
-    let shared = cedar_fsd::SharedScheduler::new(CommitScheduler::new(vol, cfg));
-    let base = shared.now();
+    let mut fs = SyncFs::new(CommitScheduler::new(vol, cfg));
+    let base = fs.get_mut().now();
     let mut cursor = vec![0usize; scripts.len()];
     let mut ready_at: Vec<Micros> = scripts
         .iter()
@@ -60,22 +60,19 @@ pub fn drive_clients(
             .filter(|&i| cursor[i] < scripts[i].steps.len())
             .min_by_key(|&i| ready_at[i]);
         let Some(i) = next else { break };
-        shared.advance_to(ready_at[i])?;
-        run_step(
-            &scripts[i].steps[cursor[i]].step,
-            &shared.handle(scripts[i].id),
-            &mut stats,
-        )?;
+        fs.get_mut().advance_to(ready_at[i])?;
+        run_step(&scripts[i].steps[cursor[i]].step, &fs, &mut stats)?;
         cursor[i] += 1;
         if let Some(t) = scripts[i].steps.get(cursor[i]) {
-            ready_at[i] = shared.now() + t.think_us;
+            ready_at[i] = fs.get_mut().now() + t.think_us;
         }
     }
-    shared.drain().map_err(CedarFsError::from)?;
-    let report = shared.report();
-    let duration_us = shared.now() - base;
+    let mut sched = fs.into_inner();
+    sched.drain()?;
+    let report = sched.report();
+    let duration_us = sched.now() - base;
     Ok((
-        shared.into_volume().map_err(CedarFsError::from)?,
+        sched.into_volume()?,
         MultiClientRun {
             stats,
             report,

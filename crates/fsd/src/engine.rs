@@ -1,6 +1,5 @@
-//! The concurrent FSD service: per-client op queues, a dedicated
-//! log-writer thread, and group-commit epochs formed **across OS
-//! threads**.
+//! The concurrent FSD service: one FIFO inbox, a dedicated log-writer
+//! thread, and group-commit epochs formed **across OS threads**.
 //!
 //! §5.4's group commit is a concurrency optimization: "all of the
 //! transactions that were committing during this period are written to
@@ -15,15 +14,15 @@
 //!  client threads                    log-writer thread
 //!  ─────────────                     ─────────────────
 //!  create/write/delete ─┐
-//!  sync ────────────────┼─► per-client queues ─► batch ─► apply ─► force
-//!  read (cache miss) ───┘        (one per ThreadId)          │       │
-//!                                                            ▼       ▼
-//!  open/list ──► COW name index ◄──── epoch publish ◄── index+cache update
+//!  sync ────────────────┼─► inbox (FIFO) ─► batch ─► apply ─► force
+//!  read (cache miss) ───┘                               │       │
+//!                                                       ▼       ▼
+//!  open/list ──► COW name index ◄── epoch publish ◄── index+cache update
 //!  read (hit) ─► sharded content cache ◄┘
 //! ```
 //!
 //! * **Mutating operations** (`create`, `write`, `delete`) and `sync`
-//!   markers enqueue on the calling thread's queue and **block until
+//!   markers enqueue on the engine's single inbox and **block until
 //!   the epoch containing them is forced** — commit-on-return, which is
 //!   exactly the paper's group commit: every thread that arrives while
 //!   an epoch is being applied or forced joins the *next* epoch, and
@@ -60,7 +59,7 @@
 use crate::repl::replica::Replica;
 use crate::repl::shipper::{shipper_loop, ReplHandle, ShipperConfig, ShipperShared};
 use crate::sync::atomic::{AtomicU64, Ordering};
-use crate::sync::thread::{JoinHandle, ThreadId};
+use crate::sync::thread::JoinHandle;
 use crate::sync::{Condvar, Mutex, MutexGuard, RwLock};
 use crate::volume::{CommitStats, FsdVolume};
 use cedar_disk::Micros;
@@ -69,34 +68,24 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+/// Largest number of operations applied per epoch (backpressure bound,
+/// the engine's counterpart of `SchedConfig::max_batch_ops`).
+const MAX_BATCH_OPS: usize = 256;
+/// Content-cache shards (readers hash names across them).
+const CACHE_SHARDS: usize = 16;
+/// Bound on cached files per shard; a full shard is reset rather than
+/// LRU-tracked (the cache is a performance device, not state).
+const CACHE_ENTRIES_PER_SHARD: usize = 1024;
+
 /// Engine tuning.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct EngineConfig {
-    /// Largest number of operations applied per epoch (backpressure
-    /// bound, mirroring `SchedConfig::max_batch_ops`).
-    pub max_batch_ops: usize,
-    /// Number of content-cache shards (readers hash names across them).
-    pub shards: usize,
-    /// Bound on cached files per shard; a full shard is reset rather
-    /// than LRU-tracked (the cache is a performance device, not state).
-    pub cache_entries_per_shard: usize,
     /// Real-time pacing: seconds of wall time per second of simulated
     /// disk time. `None` runs the simulation at full speed;
     /// `Some(0.05)` makes an 80 ms simulated force occupy 4 ms of wall
     /// time, so the saturation bench can measure when the *disk* —
     /// not a lock — becomes the bottleneck.
     pub pace_scale: Option<f64>,
-}
-
-impl Default for EngineConfig {
-    fn default() -> Self {
-        Self {
-            max_batch_ops: 256,
-            shards: 16,
-            cache_entries_per_shard: 1024,
-            pace_scale: None,
-        }
-    }
 }
 
 /// Aggregate counters for an engine run.
@@ -185,30 +174,17 @@ struct OpReq {
     slot: Arc<Slot>,
 }
 
-/// One client thread's submission queue.
-struct ClientQueue {
-    state: Mutex<QueueState>,
-}
-
+/// The engine's one submission queue: every client thread appends, the
+/// log-writer drains in arrival order.
 #[derive(Default)]
-struct QueueState {
+struct Inbox {
     ops: VecDeque<OpReq>,
-    /// Set by the log-writer during shutdown, under this lock: once
-    /// closed, no op can slip in after the final drain.
-    closed: bool,
-}
-
-struct Registry {
-    queues: Vec<Arc<ClientQueue>>,
-    by_thread: HashMap<ThreadId, usize>,
-    /// Round-robin sweep position, so no queue starves under
-    /// backpressure.
-    next: usize,
-}
-
-struct Signal {
-    pending: usize,
+    /// Shutdown requested: the writer drains what is queued, then closes.
     stop: bool,
+    /// Set by the log-writer, under this lock, when it finds the inbox
+    /// empty after `stop`: once closed, no op can slip in after the
+    /// final drain.
+    closed: bool,
 }
 
 /// Locks a mutex, recovering from poison (a panicked peer does not
@@ -226,41 +202,37 @@ fn plock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 /// Real-time pacing of simulated disk time (see
-/// [`EngineConfig::pace_scale`]).
+/// [`EngineConfig::pace_scale`]). Owned by the log-writer.
 struct Pacer {
     scale: f64,
-    free_at: Mutex<Instant>,
+    free_at: Instant,
+    /// Simulated clock at the end of the last paced epoch.
+    last_sim_us: Micros,
 }
 
 impl Pacer {
-    fn new(scale: f64) -> Self {
-        Self {
-            scale,
-            free_at: Mutex::new(Instant::now()),
+    /// Blocks until the simulated time elapsed since the previous call
+    /// has been "spent" at the configured scale, measured from when the
+    /// previous spend ended.
+    fn pace_to(&mut self, sim_now: Micros) {
+        let delta = sim_now.saturating_sub(self.last_sim_us);
+        self.last_sim_us = sim_now;
+        if delta == 0 {
+            return;
         }
-    }
-
-    /// Blocks until `sim_us` of simulated time has been "spent" at the
-    /// configured scale, measured from when the previous spend ended.
-    fn pace(&self, sim_us: Micros) {
-        let target = {
-            let mut free_at = plock(&self.free_at);
-            let base = (*free_at).max(Instant::now());
-            *free_at = base + Duration::from_secs_f64(sim_us as f64 * self.scale / 1e6);
-            *free_at
-        };
+        let base = self.free_at.max(Instant::now());
+        self.free_at = base + Duration::from_secs_f64(delta as f64 * self.scale / 1e6);
         let now = Instant::now();
-        if target > now {
-            std::thread::sleep(target - now);
+        if self.free_at > now {
+            std::thread::sleep(self.free_at - now);
         }
     }
 }
 
 struct EngineShared {
-    cfg: EngineConfig,
-    signal: Mutex<Signal>,
+    inbox: Mutex<Inbox>,
+    /// Signalled (under the `inbox` lock) on every submit and on stop.
     wake: Condvar,
-    registry: Mutex<Registry>,
     /// Copy-on-write name index: name → newest version's info, as of
     /// the last committed epoch. Readers clone the `Arc` and never hold
     /// the `RwLock` past the clone.
@@ -274,13 +246,34 @@ struct EngineShared {
     epoch: AtomicU64,
     ops: AtomicU64,
     read_hits: AtomicU64,
-    pacer: Option<Pacer>,
     /// When replicated: the shipper rendezvous the log-writer submits
     /// sealed frames to after each force (see `repl::shipper`).
     repl: Option<Arc<ShipperShared>>,
 }
 
 impl EngineShared {
+    fn new(
+        index: BTreeMap<String, FileInfo>,
+        stats: FsStats,
+        repl: Option<Arc<ShipperShared>>,
+    ) -> Self {
+        Self {
+            inbox: Mutex::new(Inbox::default()),
+            wake: Condvar::new(),
+            index: RwLock::new(Arc::new(index)),
+            cache: (0..CACHE_SHARDS)
+                .map(|_| RwLock::new(HashMap::new()))
+                .collect(),
+            stats: Mutex::new(stats),
+            engine_stats: Mutex::new(EngineStats::default()),
+            poison: Mutex::new(None),
+            epoch: AtomicU64::new(0),
+            ops: AtomicU64::new(0),
+            read_hits: AtomicU64::new(0),
+            repl,
+        }
+    }
+
     fn shard(&self, name: &str) -> &RwLock<HashMap<String, Arc<Vec<u8>>>> {
         let h = name.bytes().fold(0xcbf29ce484222325u64, |h, b| {
             (h ^ b as u64).wrapping_mul(0x100000001b3)
@@ -310,7 +303,7 @@ impl EngineShared {
             Ok(g) => g,
             Err(p) => p.into_inner(),
         };
-        if map.len() >= self.cfg.cache_entries_per_shard && !map.contains_key(name) {
+        if map.len() >= CACHE_ENTRIES_PER_SHARD && !map.contains_key(name) {
             map.clear();
         }
         map.insert(name.to_string(), data);
@@ -336,52 +329,51 @@ impl EngineShared {
         }
     }
 
-    /// The calling thread's queue, created on first use.
-    fn my_queue(&self) -> Result<Arc<ClientQueue>, CedarFsError> {
-        let tid = crate::sync::thread::current().id();
-        let mut reg = plock(&self.registry);
-        if let Some(&i) = reg.by_thread.get(&tid) {
-            return Ok(Arc::clone(&reg.queues[i]));
-        }
-        if plock(&self.signal).stop {
-            return Err(CedarFsError::Busy("engine shutting down".into()));
-        }
-        let q = Arc::new(ClientQueue {
-            state: Mutex::new(QueueState::default()),
-        });
-        let slot_index = reg.queues.len();
-        reg.by_thread.insert(tid, slot_index);
-        reg.queues.push(Arc::clone(&q));
-        Ok(q)
-    }
-
     /// Enqueues an op and blocks until the log-writer completes it.
     fn submit(&self, op: Op) -> OpResult {
         if let Some(e) = self.poisoned() {
             return Err(e);
         }
-        let queue = self.my_queue()?;
         let slot = Slot::new();
         {
-            let mut q = plock(&queue.state);
-            if q.closed {
+            let mut inbox = plock(&self.inbox);
+            if inbox.closed {
                 return Err(self
                     .poisoned()
                     .unwrap_or_else(|| CedarFsError::Busy("engine shutting down".into())));
             }
-            q.ops.push_back(OpReq {
+            inbox.ops.push_back(OpReq {
                 op,
                 slot: Arc::clone(&slot),
             });
-        }
-        {
-            let mut sig = plock(&self.signal);
-            sig.pending += 1;
             self.wake.notify_all();
         }
         let result = slot.wait();
         self.ops.fetch_add(1, Ordering::Relaxed);
         result
+    }
+
+    /// The log-writer's side of the inbox: blocks until there is work
+    /// or a stop request and takes up to [`MAX_BATCH_OPS`] ops in
+    /// arrival order. `None` ends the writer loop: stop was requested
+    /// and nothing is left, and the inbox is closed under the same lock
+    /// that found it empty.
+    fn next_batch(&self) -> Option<Vec<OpReq>> {
+        let mut inbox = plock(&self.inbox);
+        loop {
+            if !inbox.ops.is_empty() {
+                let n = inbox.ops.len().min(MAX_BATCH_OPS);
+                return Some(inbox.ops.drain(..n).collect());
+            }
+            if inbox.stop {
+                inbox.closed = true;
+                return None;
+            }
+            inbox = match self.wake.wait(inbox) {
+                Ok(g) => g,
+                Err(p) => p.into_inner(),
+            };
+        }
     }
 
     fn count_hit(&self) {
@@ -404,7 +396,6 @@ impl FsdEngine {
     /// serving. The volume's own interval commit daemon is disabled:
     /// from here on, the log-writer does all forcing.
     pub fn start(vol: FsdVolume, cfg: EngineConfig) -> Result<Self, CedarFsError> {
-        Self::validate_cfg(&cfg)?;
         Self::start_inner(vol, cfg, None, None)
     }
 
@@ -421,9 +412,6 @@ impl FsdEngine {
         config: crate::FsdConfig,
         ship: ShipperConfig,
     ) -> Result<Self, CedarFsError> {
-        // Validate before spawning anything so no thread leaks on a
-        // refused start.
-        Self::validate_cfg(&cfg)?;
         let replica = Replica::install(&mut vol, config).map_err(CedarFsError::from)?;
         let shared_ship = Arc::new(ShipperShared::new(ship));
         let ship_shared = Arc::clone(&shared_ship);
@@ -432,23 +420,6 @@ impl FsdEngine {
             .spawn(move || shipper_loop(ship_shared, replica))
             .map_err(|e| CedarFsError::Busy(format!("cannot spawn shipper: {e}")))?;
         Self::start_inner(vol, cfg, Some(shared_ship), Some(handle))
-    }
-
-    fn validate_cfg(cfg: &EngineConfig) -> Result<(), CedarFsError> {
-        // Config errors are the caller's to handle, not a panic: the
-        // engine refuses to start rather than dividing by a zero shard
-        // count or spinning on an empty batch bound later.
-        if cfg.max_batch_ops < 1 {
-            return Err(CedarFsError::Busy(
-                "engine config: max_batch_ops must admit at least one op".into(),
-            ));
-        }
-        if cfg.shards < 1 {
-            return Err(CedarFsError::Busy(
-                "engine config: need at least one cache shard".into(),
-            ));
-        }
-        Ok(())
     }
 
     fn start_inner(
@@ -480,35 +451,11 @@ impl FsdEngine {
         }
         let stats = FsBackend::stats(&vol);
         let baseline = vol.commit_stats();
-        let shared = Arc::new(EngineShared {
-            signal: Mutex::new(Signal {
-                pending: 0,
-                stop: false,
-            }),
-            wake: Condvar::new(),
-            registry: Mutex::new(Registry {
-                queues: Vec::new(),
-                by_thread: HashMap::new(),
-                next: 0,
-            }),
-            index: RwLock::new(Arc::new(index)),
-            cache: (0..cfg.shards)
-                .map(|_| RwLock::new(HashMap::new()))
-                .collect(),
-            stats: Mutex::new(stats),
-            engine_stats: Mutex::new(EngineStats::default()),
-            poison: Mutex::new(None),
-            epoch: AtomicU64::new(0),
-            ops: AtomicU64::new(0),
-            read_hits: AtomicU64::new(0),
-            pacer: cfg.pace_scale.map(Pacer::new),
-            repl,
-            cfg,
-        });
+        let shared = Arc::new(EngineShared::new(index, stats, repl));
         let writer_shared = Arc::clone(&shared);
         let handle = match crate::sync::thread::Builder::new()
             .name("fsd-log-writer".into())
-            .spawn(move || writer_loop(vol, writer_shared, baseline))
+            .spawn(move || writer_loop(vol, writer_shared, baseline, cfg.pace_scale))
         {
             Ok(h) => h,
             Err(e) => {
@@ -574,8 +521,8 @@ impl FsdEngine {
 
     fn stop_writer(&self) -> Option<JoinHandle<FsdVolume>> {
         {
-            let mut sig = plock(&self.shared.signal);
-            sig.stop = true;
+            let mut inbox = plock(&self.shared.inbox);
+            inbox.stop = true;
             self.shared.wake.notify_all();
         }
         plock(&self.writer).take()
@@ -736,96 +683,21 @@ struct HeldOp {
     cache: Option<(String, Option<Arc<Vec<u8>>>)>,
 }
 
-fn writer_loop(mut vol: FsdVolume, shared: Arc<EngineShared>, baseline: CommitStats) -> FsdVolume {
-    let mut last_sim_us = vol.clock().now();
-    loop {
-        let stopping = wait_for_work(&shared);
-        let batch = gather(&shared, shared.cfg.max_batch_ops);
-        if batch.is_empty() {
-            if stopping {
-                // Close every queue (no op can slip past the closed
-                // flag), drain the stragglers, and exit.
-                let rest = close_and_drain(&shared);
-                if !rest.is_empty() {
-                    process_batch(&mut vol, &shared, rest, &baseline, &mut last_sim_us);
-                }
-                break;
-            }
-            continue;
-        }
-        process_batch(&mut vol, &shared, batch, &baseline, &mut last_sim_us);
+fn writer_loop(
+    mut vol: FsdVolume,
+    shared: Arc<EngineShared>,
+    baseline: CommitStats,
+    pace_scale: Option<f64>,
+) -> FsdVolume {
+    let mut pacer = pace_scale.map(|scale| Pacer {
+        scale,
+        free_at: Instant::now(),
+        last_sim_us: vol.clock().now(),
+    });
+    while let Some(batch) = shared.next_batch() {
+        process_batch(&mut vol, &shared, batch, &baseline, &mut pacer);
     }
     vol
-}
-
-/// Blocks until there is work or a stop request; returns the stop flag.
-fn wait_for_work(shared: &EngineShared) -> bool {
-    let mut sig = plock(&shared.signal);
-    loop {
-        if sig.pending > 0 || sig.stop {
-            return sig.stop;
-        }
-        sig = match shared.wake.wait(sig) {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        };
-    }
-}
-
-/// Takes up to `cap` ops, sweeping the queues round-robin from where
-/// the last sweep stopped.
-fn gather(shared: &EngineShared, cap: usize) -> Vec<OpReq> {
-    let queues: Vec<Arc<ClientQueue>>;
-    let start;
-    {
-        let reg = plock(&shared.registry);
-        queues = reg.queues.clone();
-        start = reg.next;
-    }
-    let mut batch = Vec::new();
-    if queues.is_empty() {
-        return batch;
-    }
-    let mut idle_rounds = 0;
-    let mut i = start % queues.len();
-    while batch.len() < cap && idle_rounds < queues.len() {
-        let popped = {
-            let mut q = plock(&queues[i].state);
-            q.ops.pop_front()
-        };
-        match popped {
-            Some(req) => {
-                batch.push(req);
-                idle_rounds = 0;
-            }
-            None => idle_rounds += 1,
-        }
-        i = (i + 1) % queues.len();
-    }
-    {
-        let mut reg = plock(&shared.registry);
-        reg.next = i;
-    }
-    if !batch.is_empty() {
-        let mut sig = plock(&shared.signal);
-        sig.pending = sig.pending.saturating_sub(batch.len());
-    }
-    batch
-}
-
-/// Shutdown path: closes all queues and returns everything still
-/// enqueued.
-fn close_and_drain(shared: &EngineShared) -> Vec<OpReq> {
-    let queues: Vec<Arc<ClientQueue>> = plock(&shared.registry).queues.clone();
-    let mut rest = Vec::new();
-    for queue in queues {
-        let mut q = plock(&queue.state);
-        q.closed = true;
-        rest.extend(q.ops.drain(..));
-    }
-    let mut sig = plock(&shared.signal);
-    sig.pending = sig.pending.saturating_sub(rest.len());
-    rest
 }
 
 /// Applies one batch, forces once for all its mutations, publishes the
@@ -835,7 +707,7 @@ fn process_batch(
     shared: &EngineShared,
     batch: Vec<OpReq>,
     baseline: &CommitStats,
-    last_sim_us: &mut Micros,
+    pacer: &mut Option<Pacer>,
 ) {
     let mut held: Vec<HeldOp> = Vec::new();
     let mut need_force = false;
@@ -946,7 +818,7 @@ fn process_batch(
                 _ => None,
             };
             publish_epoch(vol, shared, &held, baseline, batch_len);
-            pace_epoch(vol, shared, last_sim_us);
+            pace_epoch(vol, pacer);
             match repl_err {
                 None => {
                     for op in held {
@@ -1025,14 +897,9 @@ fn publish_epoch(
 /// Converts the epoch's simulated-time cost into wall time when pacing
 /// is configured. Runs after the force and before clients are released,
 /// so client threads experience the simulated disk's latency.
-fn pace_epoch(vol: &FsdVolume, shared: &EngineShared, last_sim_us: &mut Micros) {
-    let now = vol.clock().now();
-    let delta = now.saturating_sub(*last_sim_us);
-    *last_sim_us = now;
-    if let Some(pacer) = &shared.pacer {
-        if delta > 0 {
-            pacer.pace(delta);
-        }
+fn pace_epoch(vol: &FsdVolume, pacer: &mut Option<Pacer>) {
+    if let Some(pacer) = pacer {
+        pacer.pace_to(vol.clock().now());
     }
 }
 
@@ -1163,30 +1030,37 @@ mod tests {
     }
 
     #[test]
-    fn submissions_after_shutdown_fail_fast() {
-        let e = FsdEngine::start(vol(512), EngineConfig::default()).unwrap();
-        e.create("a", b"1").unwrap();
-        let vol = e.shutdown().unwrap();
-        drop(vol);
-    }
+    fn inbox_batches_in_arrival_order_and_closes_on_stop() {
+        // No writer thread: the test plays the log-writer's side.
+        let shared = EngineShared::new(BTreeMap::new(), FsStats::default(), None);
+        plock(&shared.inbox).ops.extend((0..300).map(|i| OpReq {
+            op: Op::Read {
+                name: i.to_string(),
+            },
+            slot: Slot::new(),
+        }));
+        let names = |batch: Vec<OpReq>| -> Vec<String> {
+            batch
+                .into_iter()
+                .map(|r| match r.op {
+                    Op::Read { name } => name,
+                    _ => unreachable!("only reads were queued"),
+                })
+                .collect()
+        };
+        let want = |r: std::ops::Range<usize>| r.map(|i| i.to_string()).collect::<Vec<_>>();
+        assert_eq!(names(shared.next_batch().unwrap()), want(0..256));
+        assert_eq!(names(shared.next_batch().unwrap()), want(256..300));
 
-    #[test]
-    fn degenerate_config_is_a_typed_error_not_a_panic() {
-        let cfg = EngineConfig {
-            max_batch_ops: 0,
-            ..Default::default()
-        };
+        plock(&shared.inbox).stop = true;
+        assert!(shared.next_batch().is_none());
+        assert!(plock(&shared.inbox).closed);
         assert!(matches!(
-            FsdEngine::start(vol(256), cfg),
+            shared.submit(Op::Sync),
             Err(CedarFsError::Busy(_))
         ));
-        let cfg = EngineConfig {
-            shards: 0,
-            ..Default::default()
-        };
-        assert!(matches!(
-            FsdEngine::start(vol(256), cfg),
-            Err(CedarFsError::Busy(_))
-        ));
+        let crash = CedarFsError::Disk(cedar_disk::DiskError::Crashed);
+        shared.set_poison(&crash);
+        assert_eq!(shared.submit(Op::Sync).err(), Some(crash));
     }
 }

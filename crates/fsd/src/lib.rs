@@ -59,9 +59,7 @@ pub use repl::{
     Replica, ReplicaStats, ResyncKind, ResyncOutcome, ShipperConfig, ShipperStats,
 };
 pub use scavenge::ScavengeSummary;
-pub use sched::{
-    ClientHandle, CommitScheduler, LatencyStats, SchedConfig, SchedReport, SharedScheduler,
-};
+pub use sched::{CommitScheduler, LatencyStats, SchedConfig, SchedReport};
 pub use spare::SpareMap;
 pub use volume::{FsdConfig, FsdFile, FsdVolume};
 

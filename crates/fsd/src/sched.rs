@@ -31,7 +31,7 @@
 use crate::volume::{CommitStats, FsdVolume};
 use crate::{FsdError, Result};
 use cedar_disk::Micros;
-use cedar_vol::fs::{CedarFsError, FileInfo, FileSystem, FsBackend, FsStats};
+use cedar_vol::fs::{CedarFsError, FileInfo, FsBackend, FsStats};
 
 /// Scheduler tuning.
 #[derive(Clone, Copy, Debug)]
@@ -60,7 +60,7 @@ enum Settle {
     Window,
     /// The batch hit `max_batch_ops`.
     Backpressure,
-    /// A client asked for durability ([`FileSystem::sync`]).
+    /// A client asked for durability ([`FsBackend::sync`]).
     Explicit,
     /// The volume forced on its own mid-operation (bulky batch).
     Internal,
@@ -322,158 +322,48 @@ impl CommitScheduler {
     }
 }
 
-/// A cloneable, thread-safe handle to one [`CommitScheduler`].
-///
-/// The scheduler's accounting is inherently serial (one pending batch,
-/// one window clock), so the shared form is a mutex around it; what the
-/// redesign buys is *ownership*: [`ClientHandle`]s minted from a
-/// `SharedScheduler` are owned and `Send` — they can move into spawned
-/// threads — instead of mutably borrowing the scheduler as the old
-/// `CommitScheduler::client` handles did. (For a pipeline that actually
-/// runs clients in parallel, see `crate::FsdEngine`; this type exists
-/// for the deterministic simulated-clock driver.)
-#[derive(Clone)]
-pub struct SharedScheduler {
-    inner: std::sync::Arc<std::sync::Mutex<CommitScheduler>>,
-}
-
-impl SharedScheduler {
-    /// Wraps a scheduler for sharing.
-    pub fn new(sched: CommitScheduler) -> Self {
-        Self {
-            inner: std::sync::Arc::new(std::sync::Mutex::new(sched)),
-        }
-    }
-
-    /// Mints an owned client handle.
-    pub fn handle(&self, id: usize) -> ClientHandle {
-        ClientHandle {
-            shared: self.clone(),
-            id,
-        }
-    }
-
-    /// Runs `f` with the scheduler locked.
-    pub fn with<T>(&self, f: impl FnOnce(&mut CommitScheduler) -> T) -> T {
-        let mut guard = match self.inner.lock() {
-            Ok(g) => g,
-            // Poison only means another client panicked mid-call; the
-            // scheduler's state is WAL-protected underneath.
-            Err(p) => p.into_inner(),
-        };
-        f(&mut guard)
-    }
-
-    /// Current simulated time.
-    pub fn now(&self) -> Micros {
-        self.with(|s| s.now())
-    }
-
-    /// Operations waiting for the next force.
-    pub fn pending_ops(&self) -> usize {
-        self.with(|s| s.pending_ops())
-    }
-
-    /// See [`CommitScheduler::advance_to`].
-    pub fn advance_to(&self, target: Micros) -> Result<()> {
-        self.with(|s| s.advance_to(target))
-    }
-
-    /// See [`CommitScheduler::force_now`].
-    pub fn force_now(&self) -> Result<()> {
-        self.with(|s| s.force_now())
-    }
-
-    /// See [`CommitScheduler::drain`].
-    pub fn drain(&self) -> Result<()> {
-        self.with(|s| s.drain())
-    }
-
-    /// See [`CommitScheduler::report`].
-    pub fn report(&self) -> SchedReport {
-        self.with(|s| s.report())
-    }
-
-    /// Settles what is pending and hands the volume back. Every
-    /// [`ClientHandle`] (and clone) must be dropped first.
-    pub fn into_volume(self) -> Result<FsdVolume> {
-        match std::sync::Arc::try_unwrap(self.inner) {
-            Ok(m) => {
-                let sched = match m.into_inner() {
-                    Ok(s) => s,
-                    Err(p) => p.into_inner(),
-                };
-                sched.into_volume()
-            }
-            Err(_) => Err(FsdError::Check(
-                "scheduler handles still outstanding".into(),
-            )),
-        }
-    }
-}
-
-/// One client's owned [`FileSystem`] view of the scheduled volume:
-/// every operation goes through [`CommitScheduler::submit`] and `sync`
-/// settles the shared batch. Owned and `Send` — it can cross threads,
-/// though operations serialize behind the scheduler's mutex.
-#[derive(Clone)]
-pub struct ClientHandle {
-    shared: SharedScheduler,
-    id: usize,
-}
-
-impl ClientHandle {
-    /// The client's index (reporting only — namespacing is up to the
-    /// workload).
-    pub fn id(&self) -> usize {
-        self.id
-    }
-
-    /// The scheduler this handle submits to.
-    pub fn scheduler(&self) -> &SharedScheduler {
-        &self.shared
-    }
-}
-
-impl FileSystem for ClientHandle {
+/// The scheduled volume as a backend: every verb goes through
+/// [`CommitScheduler::submit`] and `sync` settles the shared batch.
+/// Clients share it the way they share any serial backend — a
+/// `SyncFs<CommitScheduler>`, with one `Session` per client where a
+/// handle is wanted. (For a pipeline that actually runs clients in
+/// parallel, see `crate::FsdEngine`; this exists for the deterministic
+/// simulated-clock driver.)
+impl FsBackend for CommitScheduler {
     fn kind(&self) -> &'static str {
         "fsd-sched"
     }
 
-    fn create(&self, name: &str, data: &[u8]) -> std::result::Result<FileInfo, CedarFsError> {
-        self.shared
-            .with(|s| s.submit(|v| FsBackend::create(v, name, data)))
+    fn create(&mut self, name: &str, data: &[u8]) -> std::result::Result<FileInfo, CedarFsError> {
+        self.submit(|v| FsBackend::create(v, name, data))
     }
 
-    fn open(&self, name: &str) -> std::result::Result<FileInfo, CedarFsError> {
-        self.shared.with(|s| s.submit(|v| FsBackend::open(v, name)))
+    fn open(&mut self, name: &str) -> std::result::Result<FileInfo, CedarFsError> {
+        self.submit(|v| FsBackend::open(v, name))
     }
 
-    fn read(&self, name: &str) -> std::result::Result<Vec<u8>, CedarFsError> {
-        self.shared.with(|s| s.submit(|v| FsBackend::read(v, name)))
+    fn read(&mut self, name: &str) -> std::result::Result<Vec<u8>, CedarFsError> {
+        self.submit(|v| FsBackend::read(v, name))
     }
 
-    fn write(&self, name: &str, data: &[u8]) -> std::result::Result<FileInfo, CedarFsError> {
-        self.shared
-            .with(|s| s.submit(|v| FsBackend::write(v, name, data)))
+    fn write(&mut self, name: &str, data: &[u8]) -> std::result::Result<FileInfo, CedarFsError> {
+        self.submit(|v| FsBackend::write(v, name, data))
     }
 
-    fn delete(&self, name: &str) -> std::result::Result<(), CedarFsError> {
-        self.shared
-            .with(|s| s.submit(|v| FsBackend::delete(v, name)))
+    fn delete(&mut self, name: &str) -> std::result::Result<(), CedarFsError> {
+        self.submit(|v| FsBackend::delete(v, name))
     }
 
-    fn list(&self, prefix: &str) -> std::result::Result<Vec<FileInfo>, CedarFsError> {
-        self.shared
-            .with(|s| s.submit(|v| FsBackend::list(v, prefix)))
+    fn list(&mut self, prefix: &str) -> std::result::Result<Vec<FileInfo>, CedarFsError> {
+        self.submit(|v| FsBackend::list(v, prefix))
     }
 
-    fn sync(&self) -> std::result::Result<(), CedarFsError> {
-        Ok(self.shared.force_now()?)
+    fn sync(&mut self) -> std::result::Result<(), CedarFsError> {
+        Ok(self.force_now()?)
     }
 
     fn stats(&self) -> FsStats {
-        self.shared.with(|s| FsBackend::stats(s.volume()))
+        FsBackend::stats(&self.vol)
     }
 }
 
@@ -482,6 +372,8 @@ mod tests {
     use super::*;
     use crate::FsdConfig;
     use cedar_disk::{CpuModel, SimDisk};
+    use cedar_vol::fs::{FileSystem, Session, SyncFs};
+    use std::sync::Arc;
 
     fn vol(log_sectors: u32) -> FsdVolume {
         FsdVolume::format(
@@ -598,50 +490,18 @@ mod tests {
 
     #[test]
     fn client_handles_share_one_batch() {
-        let s = SharedScheduler::new(sched(512));
-        s.handle(0).create("c00/f", b"zero").unwrap();
-        s.handle(1).create("c01/f", b"one").unwrap();
-        assert_eq!(s.pending_ops(), 2);
-        s.handle(1).sync().unwrap();
-        let r = s.report();
+        let shared = Arc::new(SyncFs::new(sched(512)));
+        let fs: Arc<dyn FileSystem> = shared.clone();
+        let (c0, c1) = (Session::new(fs.clone(), 0), Session::new(fs, 1));
+        c0.create("c00/f", b"zero").unwrap();
+        c1.create("c01/f", b"one").unwrap();
+        assert_eq!(shared.with(|s| s.pending_ops()), 2);
+        c1.sync().unwrap();
+        let r = shared.with(|s| s.report());
         assert_eq!(r.explicit_settles, 1);
         assert_eq!(r.log_forces, 1, "both clients' ops in one force");
         assert_eq!(r.batch_max, 2);
-        assert_eq!(s.handle(0).read("c01/f").unwrap(), b"one");
-    }
-
-    #[test]
-    fn owned_handles_cross_threads() {
-        // The redesign's point: a handle moves into a spawned thread.
-        let s = SharedScheduler::new(sched(512));
-        let threads: Vec<_> = (0..4)
-            .map(|id| {
-                let h = s.handle(id);
-                std::thread::spawn(move || {
-                    for i in 0..8 {
-                        h.create(&format!("c{id:02}/f{i}"), b"data").unwrap();
-                    }
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
-        s.drain().unwrap();
-        let r = s.report();
-        assert_eq!(r.ops, 32);
-        assert!(r.log_forces < r.ops, "batching amortized forces: {r:?}");
-        let mut vol = s.into_volume().unwrap();
-        assert_eq!(FsBackend::list(&mut vol, "").unwrap().len(), 32);
-    }
-
-    #[test]
-    fn into_volume_refuses_with_outstanding_handles() {
-        let s = SharedScheduler::new(sched(512));
-        let h = s.handle(0);
-        assert!(s.clone().into_volume().is_err());
-        drop(h);
-        assert!(s.into_volume().is_ok());
+        assert_eq!(c0.read("c01/f").unwrap(), b"one");
     }
 
     #[test]

@@ -48,17 +48,6 @@ fn small_vol() -> FsdVolume {
     .unwrap()
 }
 
-/// Small shard/batch bounds keep per-schedule work low; pacing must be
-/// off so wall-clock time is never a scheduling concern.
-fn small_cfg() -> EngineConfig {
-    EngineConfig {
-        max_batch_ops: 4,
-        shards: 1,
-        cache_entries_per_shard: 8,
-        pace_scale: None,
-    }
-}
-
 #[test]
 fn epoch_handoff_acknowledged_create_is_readable() {
     loom::Model {
@@ -66,7 +55,7 @@ fn epoch_handoff_acknowledged_create_is_readable() {
         max_schedules: 300,
     }
     .check(|| {
-        let e = Arc::new(FsdEngine::start(small_vol(), small_cfg()).unwrap());
+        let e = Arc::new(FsdEngine::start(small_vol(), EngineConfig::default()).unwrap());
         let e2 = Arc::clone(&e);
         let client = loom::thread::spawn(move || {
             // Acknowledge means the epoch forced: the write must be
@@ -91,7 +80,7 @@ fn two_clients_epochs_merge_without_loss() {
         max_schedules: 300,
     }
     .check(|| {
-        let e = Arc::new(FsdEngine::start(small_vol(), small_cfg()).unwrap());
+        let e = Arc::new(FsdEngine::start(small_vol(), EngineConfig::default()).unwrap());
         let hs: Vec<_> = [("c0/f", b"zero".as_slice()), ("c1/f", b"one".as_slice())]
             .into_iter()
             .map(|(name, data)| {
@@ -120,7 +109,7 @@ fn shutdown_drains_and_returns_every_acknowledged_file() {
         max_schedules: 300,
     }
     .check(|| {
-        let e = Arc::new(FsdEngine::start(small_vol(), small_cfg()).unwrap());
+        let e = Arc::new(FsdEngine::start(small_vol(), EngineConfig::default()).unwrap());
         let e2 = Arc::clone(&e);
         let client = loom::thread::spawn(move || {
             e2.create("d/x", b"1").unwrap();
@@ -150,7 +139,7 @@ fn crash_during_force_poisons_in_every_schedule() {
             after_sector_writes: 0,
             damaged_tail: 1,
         });
-        let e = Arc::new(FsdEngine::start(vol, small_cfg()).unwrap());
+        let e = Arc::new(FsdEngine::start(vol, EngineConfig::default()).unwrap());
         let e2 = Arc::clone(&e);
         let client = loom::thread::spawn(move || {
             // The op's epoch never commits: the submitter gets the

@@ -57,15 +57,6 @@ fn small_fsd_cfg() -> FsdConfig {
     }
 }
 
-fn small_cfg() -> EngineConfig {
-    EngineConfig {
-        max_batch_ops: 4,
-        shards: 1,
-        cache_entries_per_shard: 8,
-        pace_scale: None,
-    }
-}
-
 /// A zero-latency, unlimited-bandwidth link so the only variability the
 /// model explores is thread scheduling, never simulated time.
 fn instant_link(mode: ReplMode) -> ShipperConfig {
@@ -87,7 +78,7 @@ fn sync_ack_never_precedes_replica_apply() {
         let e = Arc::new(
             FsdEngine::start_replicated(
                 small_vol(),
-                small_cfg(),
+                EngineConfig::default(),
                 small_fsd_cfg(),
                 instant_link(ReplMode::Sync),
             )
@@ -123,7 +114,7 @@ fn semi_sync_ack_never_precedes_replica_receive() {
         let e = Arc::new(
             FsdEngine::start_replicated(
                 small_vol(),
-                small_cfg(),
+                EngineConfig::default(),
                 small_fsd_cfg(),
                 instant_link(ReplMode::SemiSync),
             )
@@ -157,7 +148,7 @@ fn partition_during_force_fails_client_then_heals_in_order() {
         let e = Arc::new(
             FsdEngine::start_replicated(
                 small_vol(),
-                small_cfg(),
+                EngineConfig::default(),
                 small_fsd_cfg(),
                 instant_link(ReplMode::Sync),
             )

@@ -230,19 +230,11 @@ fn transient_drop_plan_is_retried_through() {
 
 // ----- threaded engine + shipper ---------------------------------------------
 
-fn engine_cfg() -> EngineConfig {
-    EngineConfig {
-        max_batch_ops: 8,
-        shards: 4,
-        ..EngineConfig::default()
-    }
-}
-
 #[test]
 fn engine_replicated_sync_ships_every_ack() {
     let engine = FsdEngine::start_replicated(
         fresh(),
-        engine_cfg(),
+        EngineConfig::default(),
         config(),
         ShipperConfig::for_mode(ReplMode::Sync),
     )
@@ -269,7 +261,8 @@ fn engine_link_failure_is_retryable_and_heals_in_order() {
     let mut ship = ShipperConfig::for_mode(ReplMode::Sync);
     ship.retry_attempts = 1;
     ship.backoff_us = 100;
-    let engine = FsdEngine::start_replicated(fresh(), engine_cfg(), config(), ship).unwrap();
+    let engine =
+        FsdEngine::start_replicated(fresh(), EngineConfig::default(), config(), ship).unwrap();
     engine.create("before", b"contents of before").unwrap();
 
     let handle = engine.repl_handle().unwrap();
@@ -305,7 +298,8 @@ fn engine_async_mode_drains_on_shutdown() {
         bytes_per_sec: 1_000_000,
         ..LinkPlan::default()
     };
-    let engine = FsdEngine::start_replicated(fresh(), engine_cfg(), config(), ship).unwrap();
+    let engine =
+        FsdEngine::start_replicated(fresh(), EngineConfig::default(), config(), ship).unwrap();
     for i in 0..12 {
         let name = format!("async-{i}");
         engine

@@ -158,15 +158,6 @@ pub fn run_step_backend(
     Ok(())
 }
 
-/// Replays a workload against an exclusively-held backend.
-pub fn run_backend(steps: &[Step], fs: &mut dyn FsBackend) -> Result<WorkloadStats, CedarFsError> {
-    let mut stats = WorkloadStats::default();
-    for step in steps {
-        run_step_backend(step, fs, &mut stats)?;
-    }
-    Ok(stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -17,9 +17,11 @@
 //! `CedarFsError`, identical visible semantics (a conformance test
 //! holds them to it). FSD additionally offers two concurrent services:
 //! the §5.4 deterministic [`CommitScheduler`](cedar_fsd::CommitScheduler)
-//! (simulated clients, one force per commit window) and the threaded
-//! [`FsdEngine`](cedar_fsd::FsdEngine) (real OS threads feeding a
-//! dedicated log-writer that forms group-commit epochs).
+//! (itself an [`FsBackend`]: simulated clients share a
+//! `SyncFs<CommitScheduler>`, one force per commit window) and the
+//! threaded [`FsdEngine`](cedar_fsd::FsdEngine) (real OS threads feeding
+//! one FIFO inbox that a dedicated log-writer drains into group-commit
+//! epochs).
 //!
 //! [`FileSystem`]: cedar_vol::fs::FileSystem
 //! [`FsBackend`]: cedar_vol::fs::FsBackend

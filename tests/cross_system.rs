@@ -13,7 +13,7 @@ use cedar_fs_repro::cfs::{CfsConfig, CfsVolume};
 use cedar_fs_repro::disk::{CpuModel, SimDisk};
 use cedar_fs_repro::ffs::{Ffs, FfsConfig};
 use cedar_fs_repro::fsd::{
-    CommitScheduler, EngineConfig, FsdConfig, FsdEngine, FsdVolume, SchedConfig, SharedScheduler,
+    CommitScheduler, EngineConfig, FsdConfig, FsdEngine, FsdVolume, SchedConfig,
 };
 use cedar_vol::fs::{CedarFsError, FileSystem, FsBackend, SyncFs};
 use cedar_workload::steps::{content_for, run, Step};
@@ -133,11 +133,11 @@ fn conformance_script_equivalent_on_all_backends() {
         );
     }
 
-    // The scheduler is a fourth backend: same script through an owned
-    // client handle, batch-committed, same visible state.
-    let shared = SharedScheduler::new(CommitScheduler::new(fsd2(), SchedConfig::default()));
-    run(&script, &shared.handle(0)).unwrap();
-    let vol = SyncFs::new(shared.into_volume().unwrap());
+    // The scheduler is a fourth backend: same script, batch-committed,
+    // same visible state.
+    let sched = SyncFs::new(CommitScheduler::new(fsd2(), SchedConfig::default()));
+    run(&script, &sched).unwrap();
+    let vol = SyncFs::new(sched.into_inner().into_volume().unwrap());
     assert_eq!(visible_state(&vol), want, "visible state via scheduler");
 
     // And the threaded engine is a fifth: same script through the

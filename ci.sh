@@ -56,3 +56,11 @@ cargo run --release -p cedar-bench --bin scavenge_scale -- --smoke
 # and semi-sync failovers lose nothing acknowledged, async stays within
 # its lag bound, and both resync paths converge.
 cargo run --release -p cedar-bench --bin replication -- --smoke
+# The repository's benchmark (BENCHMARK.json, benchmark/ — a package of
+# its own): its harness tests against the crates as they are now, then
+# every workload end to end. The smoke run exits non-zero if any op
+# fails, any read returns other than the generated content, a final
+# listing differs from the MemFs replay, or the emitted metric set is
+# not the declared one.
+cargo test -q --manifest-path benchmark/Cargo.toml --offline
+bash benchmark/run.sh --smoke

@@ -122,7 +122,7 @@ pub struct Config {
     /// matrix — (defining file, struct name, plain fields exempted with a
     /// documented reason). Every other field must be a `Mutex`/`RwLock`
     /// (touched only to lock it), an atomic (touched only through its
-    /// methods), an `Arc` (COW clone/deref is safe), or a sync object.
+    /// methods), an `Arc` (clone/deref is safe), or a sync object.
     pub shared_structs: Vec<(&'static str, &'static str, Vec<&'static str>)>,
     /// concurrency: field types with interior synchronization beyond the
     /// lock/atomic wrappers (safe to touch from any thread).

@@ -41,7 +41,7 @@
 //!   (`cvar.wait(guard)`) is the sanctioned exception.
 //! * **thread-roles** — the engine's shared structs get a field access
 //!   matrix: every touch of a shared field is through its owning
-//!   `Mutex`/`RwLock`, an atomic method, or a COW `Arc`; and functions
+//!   `Mutex`/`RwLock`, an atomic method, or an `Arc` clone; and functions
 //!   taking the writer-owned volume are unreachable from client entry
 //!   points.
 //! * **condvar-discipline** — every `Condvar` wait sits in a

@@ -3,10 +3,10 @@
 //!
 //! PR 7 moved the hot path into a real multi-threaded pipeline (client
 //! threads enqueue, one log-writer thread owns the volume, completion is
-//! a condvar hand-off, reads go through a COW index published per
-//! epoch). The §4 durability contract now depends on cross-thread
-//! ordering nothing in the type system states, so three rules model it
-//! over the parsed AST + call graph:
+//! a condvar hand-off, reads go through one published map the
+//! log-writer updates per epoch). The §4 durability contract now
+//! depends on cross-thread ordering nothing in the type system states,
+//! so three rules model it over the parsed AST + call graph:
 //!
 //! * **lock-graph** — an interprocedural lock graph. Each function gets
 //!   a fixpoint summary (locks it may acquire transitively, whether it
@@ -23,7 +23,7 @@
 //!   matrix: every touch of a `Mutex`/`RwLock` field must be a lock
 //!   acquisition (`.lock()`/`.read()`/`.write()` or a configured
 //!   `plock(&…)` call), every touch of an atomic field must go through
-//!   an atomic method, `Arc` fields are free (COW clone/deref), and
+//!   an atomic method, `Arc` fields are free (clone/deref), and
 //!   plain fields need an explicit, documented exemption. Separately,
 //!   functions with a writer-owned parameter type (`FsdVolume`) must be
 //!   unreachable from client entry points — the volume belongs to the
@@ -33,8 +33,9 @@
 //!   predicate-rechecking loop (wakeups are spurious by contract),
 //!   every notify is preceded in its function by a state write under
 //!   the paired mutex, and the configured publish atomics (`epoch`)
-//!   use `Release`-class stores and `Acquire`-class loads, so the COW
-//!   index publication happens-before the epoch observation.
+//!   use `Release`-class stores and `Acquire`-class loads, so the
+//!   epoch's update of the published map happens-before the epoch
+//!   observation.
 
 use crate::ast::{Block, Expr, FieldDef, Stmt};
 use crate::callgraph::CallGraph;
@@ -614,7 +615,7 @@ enum FieldClass {
     Guarded,
     /// `Atomic*`: only through atomic methods.
     Atomic,
-    /// `Arc<T>`: clone/deref is the COW discipline — free.
+    /// `Arc<T>`: clone/deref shares, never mutates — free.
     ArcShared,
     /// Condvar, containers of locks, or configured self-synchronizing
     /// types — free (using the value still requires its own lock).
@@ -678,7 +679,7 @@ impl<'a> MatrixWalker<'a> {
             message: format!(
                 "shared field `{field}` {why} — every touch of engine-shared \
                  state must go through its owning lock, an atomic method, or \
-                 a COW `Arc` clone (or carry a documented exemption in the \
+                 an `Arc` clone (or carry a documented exemption in the \
                  lint config)"
             ),
         });
@@ -1134,8 +1135,8 @@ impl<'a> CondvarWalker<'a> {
                                 format!(
                                     "`{rn}.{method}(…)` publishes an epoch with \
                                      a non-Release ordering ({}): readers may \
-                                     observe the new epoch before the index it \
-                                     publishes — use `Release`/`AcqRel`",
+                                     observe the new epoch before the map \
+                                     update it publishes — use `Release`/`AcqRel`",
                                     ord.unwrap_or("?"),
                                 ),
                             );
@@ -1147,8 +1148,8 @@ impl<'a> CondvarWalker<'a> {
                                 format!("{rn}.load ordering"),
                                 format!(
                                     "`{rn}.load(…)` observes the publish epoch \
-                                     with a non-Acquire ordering ({}): the COW \
-                                     index published before the store may not \
+                                     with a non-Acquire ordering ({}): the map \
+                                     update published before the store may not \
                                      be visible — use `Acquire`",
                                     ord.unwrap_or("?"),
                                 ),

@@ -76,49 +76,23 @@ impl CfsVolume {
         }
         // Interpret: collect per-file sectors (page-numbered) and header
         // addresses. This is the scavenger's dominant CPU cost (the Mesa
-        // label interpretation, §5.3), so with `workers > 1` the label
-        // snapshot shards into contiguous address ranges, one worker
-        // each, charged as the critical path; shards merge back in
-        // address order, so the result is identical to the serial pass.
-        let mut file_sectors: HashMap<u64, Vec<(u32, u32)>> = HashMap::new();
-        let mut headers: Vec<(u64, u32)> = Vec::new();
-        if workers <= 1 {
-            cpu.labels(total as u64);
-            interpret_labels(&labels, 0, &mut file_sectors, &mut headers);
-        } else {
-            let t1 = disk.clock().now();
-            let shard_len = (total as usize).div_ceil(workers).max(1);
-            let mut worker_us = Vec::new();
-            let joined = std::thread::scope(|s| {
-                let handles: Vec<_> = labels
-                    .chunks(shard_len)
-                    .enumerate()
-                    .map(|(i, shard)| {
-                        let mut wcpu = cpu.worker();
-                        s.spawn(move || {
-                            let mut fs = HashMap::new();
-                            let mut hs = Vec::new();
-                            wcpu.labels(shard.len() as u64);
-                            interpret_labels(shard, (i * shard_len) as u32, &mut fs, &mut hs);
-                            (fs, hs, wcpu.into_us())
-                        })
-                    })
-                    .collect::<Vec<_>>();
-                handles.into_iter().map(|h| h.join()).collect::<Vec<_>>()
-            });
-            let mut shards = Vec::with_capacity(joined.len());
-            for r in joined {
-                let (fs, hs, us) = join_worker(r)?;
-                worker_us.push(us);
-                shards.push((fs, hs));
+        // label interpretation, §5.3), so the label snapshot shards into
+        // contiguous address ranges, one worker each, charged as the
+        // critical path; shards merge back in address order, so the
+        // result does not depend on the worker count.
+        let mut shards = cpu
+            .sharded(workers, labels.len(), |range, wcpu| {
+                wcpu.labels(range.len() as u64);
+                interpret_labels(&labels[range.clone()], range.start as u32)
+            })
+            .ok_or_else(worker_panicked)?
+            .into_iter();
+        let (mut file_sectors, mut headers) = shards.next().unwrap_or_default();
+        for (fs, hs) in shards {
+            for (uid, mut v) in fs {
+                file_sectors.entry(uid).or_default().append(&mut v);
             }
-            cpu.join_parallel(t1, &worker_us);
-            for (fs, hs) in shards {
-                for (uid, mut v) in fs {
-                    file_sectors.entry(uid).or_default().append(&mut v);
-                }
-                headers.extend(hs);
-            }
+            headers.extend(hs);
         }
 
         // Pass 2: read every header (random access across the volume —
@@ -150,56 +124,24 @@ impl CfsVolume {
         // per-header work, sharded across workers like the label pass.
         // The cross-file steps (run-table rebuild, liveness) stay in the
         // in-order merge below.
-        let decoded: Vec<Option<FileHeader>> = if workers <= 1 {
-            headers
-                .iter()
-                .zip(&outs)
-                .map(|(&(uid, haddr), out)| {
-                    let h = decode_header(&labels, uid, haddr, out.as_ref());
-                    if h.is_some() {
-                        cpu.entries(1);
-                    }
-                    h
-                })
-                .collect()
-        } else {
-            let t2 = disk.clock().now();
-            let shard_len = headers.len().div_ceil(workers).max(1);
-            let mut worker_us = Vec::new();
-            let joined = std::thread::scope(|s| {
-                let labels = &labels;
-                let handles: Vec<_> = headers
-                    .chunks(shard_len)
-                    .zip(outs.chunks(shard_len))
-                    .map(|(hs, os)| {
-                        let mut wcpu = cpu.worker();
-                        s.spawn(move || {
-                            let v: Vec<Option<FileHeader>> = hs
-                                .iter()
-                                .zip(os)
-                                .map(|(&(uid, haddr), out)| {
-                                    let h = decode_header(labels, uid, haddr, out.as_ref());
-                                    if h.is_some() {
-                                        wcpu.entries(1);
-                                    }
-                                    h
-                                })
-                                .collect();
-                            (v, wcpu.into_us())
-                        })
+        let decoded: Vec<Option<FileHeader>> = cpu
+            .sharded(workers, headers.len(), |range, wcpu| {
+                headers[range.clone()]
+                    .iter()
+                    .zip(&outs[range])
+                    .map(|(&(uid, haddr), out)| {
+                        let h = decode_header(&labels, uid, haddr, out.as_ref());
+                        if h.is_some() {
+                            wcpu.entries(1);
+                        }
+                        h
                     })
-                    .collect::<Vec<_>>();
-                handles.into_iter().map(|h| h.join()).collect::<Vec<_>>()
-            });
-            let mut all = Vec::with_capacity(headers.len());
-            for r in joined {
-                let (v, us) = join_worker(r)?;
-                worker_us.push(us);
-                all.extend(v);
-            }
-            cpu.join_parallel(t2, &worker_us);
-            all
-        };
+                    .collect::<Vec<_>>()
+            })
+            .ok_or_else(worker_panicked)?
+            .into_iter()
+            .flatten()
+            .collect();
         let mut recovered: Vec<(FileHeader, u32)> = Vec::new();
         let mut live: HashSet<u64> = HashSet::new();
         for (&(uid, haddr), header) in headers.iter().zip(decoded) {
@@ -227,36 +169,24 @@ impl CfsVolume {
         }
 
         // Build the new VAM from the labels: everything not owned by a
-        // surviving file (and outside the system areas) is free. With
-        // `workers > 1` the data area shards into contiguous ranges,
-        // each worker building a partial free map, merged back with a
-        // word-level OR (orphan lists concatenate in shard order, so
-        // they stay address-ascending).
+        // surviving file (and outside the system areas) is free. The
+        // data area shards into contiguous ranges, each worker building
+        // a partial free map, merged back with a word-level OR (orphan
+        // lists concatenate in shard order, so they stay
+        // address-ascending).
         let (dlo, dhi) = layout.data_area();
-        let (vam, orphans) = if workers <= 1 {
-            vam_shard(&labels, &live, total, dlo, dhi)
-        } else {
-            let span = (dhi - dlo).div_ceil(workers as u32).max(1);
-            let joined = std::thread::scope(|s| {
-                let (labels, live) = (&labels, &live);
-                let handles: Vec<_> = (0..workers as u32)
-                    .map(|i| {
-                        let lo = (dlo + i * span).min(dhi);
-                        let hi = (lo + span).min(dhi);
-                        s.spawn(move || vam_shard(labels, live, total, lo, hi))
-                    })
-                    .collect::<Vec<_>>();
-                handles.into_iter().map(|h| h.join()).collect::<Vec<_>>()
-            });
-            let mut vam = Vam::new_all_allocated(total);
-            let mut orphans = Vec::new();
-            for r in joined {
-                let (part, mut os) = join_worker(r)?;
-                vam.merge_or(&part);
-                orphans.append(&mut os);
-            }
-            (vam, orphans)
-        };
+        let mut vam = Vam::new_all_allocated(total);
+        let mut orphans = Vec::new();
+        let shards = cpu
+            .sharded(workers, (dhi - dlo) as usize, |range, _| {
+                let (lo, hi) = (dlo + range.start as u32, dlo + range.end as u32);
+                vam_shard(&labels, &live, total, lo, hi)
+            })
+            .ok_or_else(worker_panicked)?;
+        for (part, mut os) in shards {
+            vam.merge_or(&part);
+            orphans.append(&mut os);
+        }
 
         // Pass 3: relabel orphaned sectors free — all runs in one
         // scheduler window (they are disjoint by construction).
@@ -336,22 +266,22 @@ impl CfsVolume {
     }
 }
 
-/// Converts a scavenge worker's join result into a typed error: a
-/// panicked worker must degrade into [`CfsError`], never abort the
+/// A panicked worker must degrade into a typed error, never abort the
 /// recovery that is already underway.
-fn join_worker<T>(r: std::thread::Result<T>) -> std::result::Result<T, CfsError> {
-    r.map_err(|_| CfsError::Corrupt("scavenge worker panicked".into()))
+fn worker_panicked() -> CfsError {
+    CfsError::Corrupt("scavenge worker panicked".into())
 }
 
+/// Per-file data sectors `(page, addr)` keyed by uid, and header-page-0
+/// `(uid, addr)` pairs.
+type LabelShard = (HashMap<u64, Vec<(u32, u32)>>, Vec<(u64, u32)>);
+
 /// Interprets one contiguous shard of the label snapshot (starting at
-/// absolute address `base`): per-file data sectors keyed by uid and
-/// header-page-0 addresses, both in address order within the shard.
-fn interpret_labels(
-    labels: &[Label],
-    base: u32,
-    file_sectors: &mut HashMap<u64, Vec<(u32, u32)>>,
-    headers: &mut Vec<(u64, u32)>,
-) {
+/// absolute address `base`); both halves of the result are in address
+/// order within the shard.
+fn interpret_labels(labels: &[Label], base: u32) -> LabelShard {
+    let mut file_sectors: HashMap<u64, Vec<(u32, u32)>> = HashMap::new();
+    let mut headers = Vec::new();
     for (i, label) in labels.iter().enumerate() {
         let addr = base + i as u32;
         match label.kind {
@@ -365,6 +295,7 @@ fn interpret_labels(
             _ => {}
         }
     }
+    (file_sectors, headers)
 }
 
 /// Pure per-header validation and decode against the label snapshot:

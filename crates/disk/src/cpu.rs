@@ -15,6 +15,7 @@
 //! decoded, and a small per-sector cost for moving data.
 
 use crate::clock::{Micros, SimClock};
+use std::ops::Range;
 
 /// A table of CPU costs, charged against the simulated clock.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -142,6 +143,50 @@ impl Cpu {
             .fetch_add(sum, std::sync::atomic::Ordering::AcqRel);
         self.clock.advance_to(started_at.saturating_add(max));
     }
+
+    /// Runs one stage of pure per-item work over `len` items: at most
+    /// `workers` contiguous shards of `len.div_ceil(workers)` items,
+    /// each handed to `work` with a [`WorkerCpu`] of its own — on scoped
+    /// threads, or inline when there is one shard — and joined with
+    /// [`Cpu::join_parallel`]. Results come back in shard order, so
+    /// concatenating them restores item order; `None` if a worker
+    /// panicked.
+    ///
+    /// Serial is the one-shard case: its join advances the clock from
+    /// the start of the stage by the shard's own charge, which is what
+    /// charging this `Cpu` directly would have done.
+    pub fn sharded<R: Send>(
+        &self,
+        workers: usize,
+        len: usize,
+        work: impl Fn(Range<usize>, &mut WorkerCpu) -> R + Sync,
+    ) -> Option<Vec<R>> {
+        let started_at = self.clock.now();
+        let shard_len = len.div_ceil(workers.max(1)).max(1);
+        let shards: Vec<(Range<usize>, WorkerCpu)> = (0..len)
+            .step_by(shard_len)
+            .map(|lo| (lo..(lo + shard_len).min(len), self.worker()))
+            .collect();
+        let work = &work;
+        let run = move |(range, mut wcpu): (Range<usize>, WorkerCpu)| {
+            let result = work(range, &mut wcpu);
+            (result, wcpu.into_us())
+        };
+        let joined: Option<Vec<(R, Micros)>> = if shards.len() <= 1 {
+            Some(shards.into_iter().map(run).collect())
+        } else {
+            std::thread::scope(|s| {
+                let handles: Vec<_> = shards
+                    .into_iter()
+                    .map(|shard| s.spawn(move || run(shard)))
+                    .collect();
+                handles.into_iter().map(|h| h.join().ok()).collect()
+            })
+        };
+        let (results, worker_us): (Vec<R>, Vec<Micros>) = joined?.into_iter().unzip();
+        self.join_parallel(started_at, &worker_us);
+        Some(results)
+    }
 }
 
 /// A per-worker CPU accumulator for parallel stages.
@@ -251,6 +296,57 @@ mod tests {
         cpu.join_parallel(1_000, &[5_000, 2_000, 7_000]);
         assert_eq!(cpu.total_us(), 14_000);
         assert_eq!(clock.now(), 1_000 + 7_000);
+    }
+
+    #[test]
+    fn one_shard_is_the_direct_charge() {
+        let direct_clock = SimClock::new();
+        let direct = Cpu::new(direct_clock.clone(), CpuModel::DORADO);
+        direct.labels(10);
+        for workers in [0, 1] {
+            let clock = SimClock::new();
+            let cpu = Cpu::new(clock.clone(), CpuModel::DORADO);
+            let got = cpu.sharded(workers, 10, |range, wcpu| {
+                wcpu.labels(range.len() as u64);
+                (range.start, range.end)
+            });
+            assert_eq!(got, Some(vec![(0, 10)]));
+            assert_eq!(clock.now(), direct_clock.now());
+            assert_eq!(cpu.total_us(), direct.total_us());
+        }
+    }
+
+    #[test]
+    fn shards_advance_clock_by_max_total_by_sum_and_keep_item_order() {
+        let clock = SimClock::new();
+        let cpu = Cpu::new(clock.clone(), CpuModel::DORADO);
+        clock.advance(1_000);
+        // 8 items over 3 workers: shards of 3, 3 and 2.
+        let got = cpu.sharded(3, 8, |range, wcpu| {
+            wcpu.entries(range.len() as u64);
+            range.collect::<Vec<usize>>()
+        });
+        assert_eq!(got.map(|v| v.concat()), Some((0..8).collect::<Vec<_>>()));
+        assert_eq!(clock.now(), 1_000 + 3 * 900);
+        assert_eq!(cpu.total_us(), 8 * 900);
+    }
+
+    #[test]
+    fn no_items_is_no_shard_and_no_time() {
+        let clock = SimClock::new();
+        let cpu = Cpu::new(clock.clone(), CpuModel::DORADO);
+        clock.advance(500);
+        let got = cpu.sharded(4, 0, |_, wcpu| wcpu.labels(1));
+        assert_eq!(got, Some(vec![]));
+        assert_eq!((clock.now(), cpu.total_us()), (500, 0));
+    }
+
+    #[test]
+    fn a_panicking_worker_yields_none() {
+        let cpu = Cpu::new(SimClock::new(), CpuModel::DORADO);
+        let got = cpu.sharded(2, 2, |range, _| assert_eq!(range.start, 0, "second shard"));
+        assert_eq!(got, None);
+        assert_eq!(cpu.total_us(), 0);
     }
 
     #[test]

@@ -15,17 +15,17 @@
 //!  ─────────────                     ─────────────────
 //!  create/write/delete ─┐
 //!  sync ────────────────┼─► inbox (FIFO) ─► batch ─► apply ─► force
-//!  read (cache miss) ───┘                               │       │
-//!                                                       ▼       ▼
-//!  open/list ──► COW name index ◄── epoch publish ◄── index+cache update
-//!  read (hit) ─► sharded content cache ◄┘
+//!  read (no contents) ──┘                      │               │
+//!                                         fill │               ▼
+//!  open/list/read ──► published map ◄──────────┴──────── epoch publish
 //! ```
 //!
 //! * **Mutating operations** (`create`, `write`, `delete`) and `sync`
 //!   markers enqueue on the engine's single inbox and **block until
 //!   the epoch containing them is forced** — commit-on-return, which is
 //!   exactly the paper's group commit: every thread that arrives while
-//!   an epoch is being applied or forced joins the *next* epoch, and
+//!   an epoch is being applied or forced, or before its commit window
+//!   (`COMMIT_WINDOW`, 400 µs) has run out, joins the *next* epoch, and
 //!   the whole cohort shares one force. (The lazy half-second flavour,
 //!   where dirty pages ride along unforced, is what the window-based
 //!   scheduler models; the engine gives the durable flavour threads
@@ -34,17 +34,20 @@
 //!   moved into the thread at [`FsdEngine::start`] and moved back out
 //!   at [`FsdEngine::shutdown`]. There is no volume lock to hold across
 //!   a force because there is no volume lock at all.
-//! * **The read path does not queue behind writers.** `open` and `list`
-//!   are served from a copy-on-write name index (an
-//!   `RwLock<Arc<BTreeMap>>` whose snapshot is republished once per
-//!   epoch — readers clone the `Arc` and walk it lock-free), and `read`
-//!   from a sharded content cache. Only a cache miss on a name the
-//!   index knows enqueues a `Read` op, which completes when applied —
-//!   it does not wait for the force.
+//! * **The read path does not queue behind writers.** `open`, `list`
+//!   and `read` are served from one published map (an
+//!   `RwLock<BTreeMap>` from name to the newest version's info and,
+//!   when recently written or read, its contents): a reader holds the
+//!   read lock for one lookup or one range walk, and the log-writer
+//!   updates the map in place — once per epoch, and once per queued
+//!   read. Only a `read` of a published name whose entry has no
+//!   contents enqueues a `Read` op, which completes when applied — it
+//!   does not wait for the force, unless it read a name the same batch
+//!   wrote.
 //! * `sync` is an **epoch wait**: a marker op that completes when the
 //!   current epoch's force finishes.
 //!
-//! Reads observe committed state (the index is published only after a
+//! Reads observe committed state (the map is updated only after a
 //! successful force); a thread's own writes are visible to it as soon
 //! as they return, because the publish happens before the commit slots
 //! are released. That is linearizability at group-commit boundaries,
@@ -64,18 +67,29 @@ use crate::sync::{Condvar, Mutex, MutexGuard, RwLock};
 use crate::volume::{CommitStats, FsdVolume};
 use cedar_disk::Micros;
 use cedar_vol::fs::{CedarFsError, FileInfo, FileSystem, FsBackend, FsStats};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Largest number of operations applied per epoch (backpressure bound,
 /// the engine's counterpart of `SchedConfig::max_batch_ops`).
 const MAX_BATCH_OPS: usize = 256;
-/// Content-cache shards (readers hash names across them).
-const CACHE_SHARDS: usize = 16;
-/// Bound on cached files per shard; a full shard is reset rather than
-/// LRU-tracked (the cache is a performance device, not state).
-const CACHE_ENTRIES_PER_SHARD: usize = 1024;
+/// Bound on the file contents the published map holds, in bytes. A
+/// full cache is emptied rather than LRU-tracked (it is a performance
+/// device, not state).
+const CACHE_BYTES: usize = 4 << 20;
+/// The group-commit window: the log-writer starts one epoch per this
+/// much wall time, so the threads an epoch releases have their next
+/// operation queued when the next one forms and share its force —
+/// §5.4's "committing during this period", the period named rather than
+/// left to the host's scheduler. A lightly loaded engine thus runs on
+/// the clock, not the host CPU; an epoch that outlasts the window
+/// (large files, many clients, a paced disk) does not wait at all.
+const COMMIT_WINDOW: Duration = Duration::from_micros(400);
+/// Windows a late log-writer makes up by starting epochs back to back
+/// (a whole-namespace listing holds the map for about five); further
+/// behind than this it was idle, and the windows restart from now.
+const CATCH_UP_WINDOWS: u32 = 16;
 
 /// Engine tuning.
 #[derive(Clone, Copy, Debug, Default)]
@@ -95,7 +109,7 @@ pub struct EngineStats {
     pub ops: u64,
     /// Mutating operations + syncs (the ones that wait for a force).
     pub write_ops: u64,
-    /// Reads and opens served from the index/cache without queueing.
+    /// Reads and opens served from the published map without queueing.
     pub read_hits: u64,
     /// Reads that had to queue for the log-writer.
     pub read_misses: u64,
@@ -229,17 +243,70 @@ impl Pacer {
     }
 }
 
+/// One published name: the newest version's info and, when recently
+/// written or read, its contents.
+struct Entry {
+    info: FileInfo,
+    data: Option<Arc<Vec<u8>>>,
+}
+
+/// What readers are served from: the namespace as of the last committed
+/// epoch. The log-writer is the only mutator.
+#[derive(Default)]
+struct Published {
+    files: BTreeMap<String, Entry>,
+    /// Sum of the lengths of every `Some` [`Entry::data`]; at most
+    /// [`CACHE_BYTES`].
+    cached_bytes: usize,
+}
+
+impl Published {
+    /// Publishes `info` as its name's newest version, with `data` as
+    /// its cached contents if they fit.
+    fn put(&mut self, info: FileInfo, data: Option<Arc<Vec<u8>>>) {
+        self.remove(&info.name);
+        let data = data.and_then(|d| self.admit(d));
+        self.files.insert(info.name.clone(), Entry { info, data });
+    }
+
+    fn remove(&mut self, name: &str) {
+        if let Some(old) = self.files.remove(name) {
+            self.cached_bytes -= old.data.map_or(0, |d| d.len());
+        }
+    }
+
+    /// Caches the contents a queued read fetched — unless the name has
+    /// been unpublished since the read was queued.
+    fn fill(&mut self, name: &str, data: Arc<Vec<u8>>) {
+        if let Some(info) = self.files.get(name).map(|e| e.info.clone()) {
+            self.put(info, Some(data));
+        }
+    }
+
+    /// Accounts `data` against [`CACHE_BYTES`] and hands it back to be
+    /// stored: contents that could never fit are refused (`None`) and
+    /// evict nothing; contents that would overflow empty the cache
+    /// first, so the newcomer always stays.
+    fn admit(&mut self, data: Arc<Vec<u8>>) -> Option<Arc<Vec<u8>>> {
+        if data.len() > CACHE_BYTES {
+            return None;
+        }
+        if self.cached_bytes + data.len() > CACHE_BYTES {
+            for e in self.files.values_mut() {
+                e.data = None;
+            }
+            self.cached_bytes = 0;
+        }
+        self.cached_bytes += data.len();
+        Some(data)
+    }
+}
+
 struct EngineShared {
     inbox: Mutex<Inbox>,
     /// Signalled (under the `inbox` lock) on every submit and on stop.
     wake: Condvar,
-    /// Copy-on-write name index: name → newest version's info, as of
-    /// the last committed epoch. Readers clone the `Arc` and never hold
-    /// the `RwLock` past the clone.
-    index: RwLock<Arc<BTreeMap<String, FileInfo>>>,
-    /// Sharded content cache: full contents of recently written or read
-    /// files. The log-writer is the only mutator.
-    cache: Vec<RwLock<HashMap<String, Arc<Vec<u8>>>>>,
+    published: RwLock<Published>,
     stats: Mutex<FsStats>,
     engine_stats: Mutex<EngineStats>,
     poison: Mutex<Option<CedarFsError>>,
@@ -252,18 +319,11 @@ struct EngineShared {
 }
 
 impl EngineShared {
-    fn new(
-        index: BTreeMap<String, FileInfo>,
-        stats: FsStats,
-        repl: Option<Arc<ShipperShared>>,
-    ) -> Self {
+    fn new(published: Published, stats: FsStats, repl: Option<Arc<ShipperShared>>) -> Self {
         Self {
             inbox: Mutex::new(Inbox::default()),
             wake: Condvar::new(),
-            index: RwLock::new(Arc::new(index)),
-            cache: (0..CACHE_SHARDS)
-                .map(|_| RwLock::new(HashMap::new()))
-                .collect(),
+            published: RwLock::new(published),
             stats: Mutex::new(stats),
             engine_stats: Mutex::new(EngineStats::default()),
             poison: Mutex::new(None),
@@ -274,48 +334,22 @@ impl EngineShared {
         }
     }
 
-    fn shard(&self, name: &str) -> &RwLock<HashMap<String, Arc<Vec<u8>>>> {
-        let h = name.bytes().fold(0xcbf29ce484222325u64, |h, b| {
-            (h ^ b as u64).wrapping_mul(0x100000001b3)
-        });
-        &self.cache[(h as usize) % self.cache.len()]
-    }
-
-    fn snapshot_index(&self) -> Arc<BTreeMap<String, FileInfo>> {
-        match self.index.read() {
-            Ok(g) => Arc::clone(&g),
-            Err(p) => Arc::clone(&p.into_inner()),
+    /// Runs `f` under the read lock, for one lookup or one range walk.
+    /// Poison is shrugged off as in [`plock`]: every `Published` method
+    /// leaves the map valid at every step.
+    fn reading<R>(&self, f: impl FnOnce(&Published) -> R) -> R {
+        match self.published.read() {
+            Ok(g) => f(&g),
+            Err(p) => f(&p.into_inner()),
         }
     }
 
-    fn cache_get(&self, name: &str) -> Option<Arc<Vec<u8>>> {
-        let shard = self.shard(name);
-        let map = match shard.read() {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        };
-        map.get(name).cloned()
-    }
-
-    fn cache_put(&self, name: &str, data: Arc<Vec<u8>>) {
-        let shard = self.shard(name);
-        let mut map = match shard.write() {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        };
-        if map.len() >= CACHE_ENTRIES_PER_SHARD && !map.contains_key(name) {
-            map.clear();
+    /// Runs `f` under the write lock (the log-writer only).
+    fn publishing<R>(&self, f: impl FnOnce(&mut Published) -> R) -> R {
+        match self.published.write() {
+            Ok(mut g) => f(&mut g),
+            Err(p) => f(&mut p.into_inner()),
         }
-        map.insert(name.to_string(), data);
-    }
-
-    fn cache_remove(&self, name: &str) {
-        let shard = self.shard(name);
-        let mut map = match shard.write() {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        };
-        map.remove(name);
     }
 
     fn poisoned(&self) -> Option<CedarFsError> {
@@ -429,13 +463,14 @@ impl FsdEngine {
         shipper: Option<JoinHandle<Replica>>,
     ) -> Result<Self, CedarFsError> {
         vol.set_commit_interval(Micros::MAX);
-        // Warm the name index so reads are served without queueing from
+        // Warm the published map so opens and listings are served from
         // the first operation.
-        let mut index = BTreeMap::new();
+        let mut published = Published::default();
         match FsBackend::list(&mut vol, "") {
             Ok(infos) => {
                 for info in infos {
-                    index.insert(info.name.clone(), info);
+                    let name = info.name.clone();
+                    published.files.insert(name, Entry { info, data: None });
                 }
             }
             Err(e) => {
@@ -451,7 +486,7 @@ impl FsdEngine {
         }
         let stats = FsBackend::stats(&vol);
         let baseline = vol.commit_stats();
-        let shared = Arc::new(EngineShared::new(index, stats, repl));
+        let shared = Arc::new(EngineShared::new(published, stats, repl));
         let writer_shared = Arc::clone(&shared);
         let handle = match crate::sync::thread::Builder::new()
             .name("fsd-log-writer".into())
@@ -600,30 +635,34 @@ impl FileSystem for FsdEngine {
     }
 
     fn open(&self, name: &str) -> Result<FileInfo, CedarFsError> {
-        // Served from the committed-epoch snapshot, never queued.
-        let index = self.shared.snapshot_index();
+        // Served from the last committed epoch, never queued.
         self.shared.count_hit();
-        index
-            .get(name)
-            .cloned()
+        self.shared
+            .reading(|p| p.files.get(name).map(|e| e.info.clone()))
             .ok_or_else(|| CedarFsError::NotFound(name.to_string()))
     }
 
     fn read(&self, name: &str) -> Result<Vec<u8>, CedarFsError> {
-        let index = self.shared.snapshot_index();
-        if !index.contains_key(name) {
-            self.shared.count_hit();
-            return Err(CedarFsError::NotFound(name.to_string()));
-        }
-        if let Some(data) = self.shared.cache_get(name) {
-            self.shared.count_hit();
-            return Ok(data.as_ref().clone());
-        }
-        match self.shared.submit(Op::Read {
-            name: name.to_string(),
-        })? {
-            Reply::Data(d) => Ok(d.as_ref().clone()),
-            _ => Err(CedarFsError::Corrupt("read reply shape".into())),
+        // Outer `None`: not published. Inner `None`: published, but its
+        // contents are not cached — queue for the log-writer.
+        let hit = self
+            .shared
+            .reading(|p| p.files.get(name).map(|e| e.data.clone()));
+        match hit {
+            None => {
+                self.shared.count_hit();
+                Err(CedarFsError::NotFound(name.to_string()))
+            }
+            Some(Some(data)) => {
+                self.shared.count_hit();
+                Ok(data.as_ref().clone())
+            }
+            Some(None) => match self.shared.submit(Op::Read {
+                name: name.to_string(),
+            })? {
+                Reply::Data(d) => Ok(d.as_ref().clone()),
+                _ => Err(CedarFsError::Corrupt("read reply shape".into())),
+            },
         }
     }
 
@@ -645,13 +684,14 @@ impl FileSystem for FsdEngine {
     }
 
     fn list(&self, prefix: &str) -> Result<Vec<FileInfo>, CedarFsError> {
-        let index = self.shared.snapshot_index();
         self.shared.count_hit();
-        Ok(index
-            .range(prefix.to_string()..)
-            .take_while(|(name, _)| name.starts_with(prefix))
-            .map(|(_, info)| info.clone())
-            .collect())
+        Ok(self.shared.reading(|p| {
+            p.files
+                .range(prefix.to_string()..)
+                .take_while(|(name, _)| name.starts_with(prefix))
+                .map(|(_, e)| e.info.clone())
+                .collect()
+        }))
     }
 
     fn sync(&self) -> Result<(), CedarFsError> {
@@ -668,19 +708,27 @@ impl FileSystem for FsdEngine {
 // Log-writer thread
 // ---------------------------------------------------------------------------
 
-/// How an applied op changes the published name index.
-enum IndexUpdate {
-    Put(FileInfo),
+/// How an applied op changes the published map.
+enum Update {
+    Put(FileInfo, Option<Arc<Vec<u8>>>),
     Remove(String),
 }
 
-/// An applied-but-uncommitted mutating op, waiting for the force.
+impl Update {
+    fn name(&self) -> &str {
+        match self {
+            Update::Put(info, _) => &info.name,
+            Update::Remove(name) => name,
+        }
+    }
+}
+
+/// An applied op whose result waits for the force.
 struct HeldOp {
     slot: Arc<Slot>,
     result: OpResult,
-    /// Index/cache effect, applied only if the force succeeds.
-    update: Option<IndexUpdate>,
-    cache: Option<(String, Option<Arc<Vec<u8>>>)>,
+    /// Effect on the published map, applied only if the force succeeds.
+    update: Option<Update>,
 }
 
 fn writer_loop(
@@ -694,8 +742,18 @@ fn writer_loop(
         free_at: Instant::now(),
         last_sim_us: vol.clock().now(),
     });
+    // When the next epoch may start: windows are laid end to end, so a
+    // writer held up for a few of them runs epochs back to back until it
+    // is on time again and the rate stays one per window.
+    let mut next_epoch = Instant::now();
     while let Some(batch) = shared.next_batch() {
         process_batch(&mut vol, &shared, batch, &baseline, &mut pacer);
+        let now = Instant::now();
+        next_epoch += COMMIT_WINDOW;
+        if now.saturating_duration_since(next_epoch) > CATCH_UP_WINDOWS * COMMIT_WINDOW {
+            next_epoch = now;
+        }
+        crate::sync::thread::sleep(next_epoch.saturating_duration_since(now));
     }
     vol
 }
@@ -710,6 +768,7 @@ fn process_batch(
     pacer: &mut Option<Pacer>,
 ) {
     let mut held: Vec<HeldOp> = Vec::new();
+    let mut held_reads = 0u64;
     let mut need_force = false;
     let batch_len = batch.len() as u64;
 
@@ -722,8 +781,7 @@ fn process_batch(
                         need_force = true;
                         held.push(HeldOp {
                             slot: req.slot,
-                            update: Some(IndexUpdate::Put(info.clone())),
-                            cache: Some((name, Some(data))),
+                            update: Some(Update::Put(info.clone(), Some(data))),
                             result: Ok(Reply::Info(info)),
                         });
                     }
@@ -741,13 +799,12 @@ fn process_batch(
                     // An older version may become the newest; ask the
                     // volume what the name looks like now.
                     let update = match FsBackend::open(vol, &name) {
-                        Ok(info) => IndexUpdate::Put(info),
-                        Err(_) => IndexUpdate::Remove(name.clone()),
+                        Ok(info) => Update::Put(info, None),
+                        Err(_) => Update::Remove(name),
                     };
                     held.push(HeldOp {
                         slot: req.slot,
                         update: Some(update),
-                        cache: Some((name, None)),
                         result: Ok(Reply::Unit),
                     });
                 }
@@ -758,27 +815,40 @@ fn process_batch(
                     req.slot.complete(Err(e));
                 }
             },
-            Op::Read { name } => match FsBackend::read(vol, &name) {
-                Ok(data) => {
-                    let data = Arc::new(data);
-                    shared.cache_put(&name, Arc::clone(&data));
-                    bump_misses(shared);
-                    req.slot.complete(Ok(Reply::Data(data)));
-                }
-                Err(e) => {
+            Op::Read { name } => {
+                let result = FsBackend::read(vol, &name).map(Arc::new);
+                bump_misses(shared);
+                if let Err(e) = &result {
                     if e.is_crash() {
-                        shared.set_poison(&e);
+                        shared.set_poison(e);
                     }
-                    bump_misses(shared);
-                    req.slot.complete(Err(e));
                 }
-            },
+                let uncommitted = held
+                    .iter()
+                    .any(|h| h.update.as_ref().is_some_and(|u| u.name() == name));
+                if uncommitted {
+                    // The volume answered with what an earlier op of
+                    // this batch did to the name. Until the force that
+                    // is not committed state, so the answer waits with
+                    // that op and fails with it.
+                    held_reads += 1;
+                    held.push(HeldOp {
+                        slot: req.slot,
+                        update: None,
+                        result: result.map(Reply::Data),
+                    });
+                } else {
+                    if let Ok(data) = &result {
+                        shared.publishing(|p| p.fill(&name, Arc::clone(data)));
+                    }
+                    req.slot.complete(result.map(Reply::Data));
+                }
+            }
             Op::Sync => {
                 need_force = true;
                 held.push(HeldOp {
                     slot: req.slot,
                     update: None,
-                    cache: None,
                     result: Ok(Reply::Unit),
                 });
             }
@@ -817,7 +887,8 @@ fn process_batch(
                 }
                 _ => None,
             };
-            publish_epoch(vol, shared, &held, baseline, batch_len);
+            let write_ops = held.len() as u64 - held_reads;
+            publish_epoch(vol, shared, &mut held, write_ops, baseline, batch_len);
             pace_epoch(vol, pacer);
             match repl_err {
                 None => {
@@ -833,8 +904,8 @@ fn process_batch(
             }
         }
         Some(e) => {
-            // Nothing from this epoch is published: the index keeps the
-            // last committed snapshot, matching what recovery will
+            // Nothing from this epoch is published: the map stays at the
+            // last committed epoch, matching what recovery will
             // reconstruct.
             for op in held {
                 op.slot.complete(Err(e.clone()));
@@ -847,47 +918,31 @@ fn bump_misses(shared: &EngineShared) {
     plock(&shared.engine_stats).read_misses += 1;
 }
 
-/// Publishes the committed epoch: new index snapshot, cache updates,
-/// stats, counters — all *before* any waiting client is released, so a
-/// client's own write is visible to its next read.
+/// Publishes the committed epoch: the held updates, stats, counters —
+/// all *before* any waiting client is released, so a client's own write
+/// is visible to its next read.
 fn publish_epoch(
     vol: &mut FsdVolume,
     shared: &EngineShared,
-    held: &[HeldOp],
+    held: &mut [HeldOp],
+    write_ops: u64,
     baseline: &CommitStats,
     batch_len: u64,
 ) {
-    let updates: Vec<&IndexUpdate> = held.iter().filter_map(|h| h.update.as_ref()).collect();
-    if !updates.is_empty() {
-        let mut next = shared.snapshot_index().as_ref().clone();
-        for u in &updates {
-            match u {
-                IndexUpdate::Put(info) => {
-                    next.insert(info.name.clone(), info.clone());
-                }
-                IndexUpdate::Remove(name) => {
-                    next.remove(name);
-                }
+    shared.publishing(|p| {
+        for h in held {
+            match h.update.take() {
+                Some(Update::Put(info, data)) => p.put(info, data),
+                Some(Update::Remove(name)) => p.remove(&name),
+                None => {}
             }
         }
-        let next = Arc::new(next);
-        match shared.index.write() {
-            Ok(mut g) => *g = next,
-            Err(p) => *p.into_inner() = next,
-        }
-    }
-    for h in held {
-        match &h.cache {
-            Some((name, Some(data))) => shared.cache_put(name, Arc::clone(data)),
-            Some((name, None)) => shared.cache_remove(name),
-            None => {}
-        }
-    }
+    });
     *plock(&shared.stats) = FsBackend::stats(vol);
     {
         let mut es = plock(&shared.engine_stats);
         es.epochs += 1;
-        es.write_ops += held.len() as u64;
+        es.write_ops += write_ops;
         es.log_forces = vol.commit_stats().forces - baseline.forces;
         es.batch_max = es.batch_max.max(batch_len);
     }
@@ -907,7 +962,7 @@ fn pace_epoch(vol: &FsdVolume, pacer: &mut Option<Pacer>) {
 mod tests {
     use super::*;
     use crate::FsdConfig;
-    use cedar_disk::{CpuModel, SimDisk};
+    use cedar_disk::{CpuModel, CrashPlan, DiskError, DiskGeometry, DiskTiming, SimClock, SimDisk};
 
     /// Deterministic per-name test payload.
     fn content_for(name: &str, bytes: usize) -> Vec<u8> {
@@ -915,8 +970,12 @@ mod tests {
     }
 
     fn vol(log_sectors: u32) -> FsdVolume {
+        vol_on(SimDisk::tiny(), log_sectors)
+    }
+
+    fn vol_on(disk: SimDisk, log_sectors: u32) -> FsdVolume {
         FsdVolume::format(
-            SimDisk::tiny(),
+            disk,
             FsdConfig {
                 nt_pages: 96,
                 log_sectors,
@@ -1032,7 +1091,7 @@ mod tests {
     #[test]
     fn inbox_batches_in_arrival_order_and_closes_on_stop() {
         // No writer thread: the test plays the log-writer's side.
-        let shared = EngineShared::new(BTreeMap::new(), FsStats::default(), None);
+        let shared = EngineShared::new(Published::default(), FsStats::default(), None);
         plock(&shared.inbox).ops.extend((0..300).map(|i| OpReq {
             op: Op::Read {
                 name: i.to_string(),
@@ -1062,5 +1121,200 @@ mod tests {
         let crash = CedarFsError::Disk(cedar_disk::DiskError::Crashed);
         shared.set_poison(&crash);
         assert_eq!(shared.submit(Op::Sync).err(), Some(crash));
+    }
+
+    fn info(name: &str, bytes: usize) -> FileInfo {
+        FileInfo {
+            name: name.to_string(),
+            version: 1,
+            bytes: bytes as u64,
+        }
+    }
+
+    fn blob(len: usize) -> Option<Arc<Vec<u8>>> {
+        Some(Arc::new(vec![7; len]))
+    }
+
+    /// The cached length of each published name, and the invariant the
+    /// bound rests on: `cached_bytes` is their sum.
+    fn cached(p: &Published) -> Vec<(&str, Option<usize>)> {
+        let lens: Vec<_> = p
+            .files
+            .iter()
+            .map(|(name, e)| (name.as_str(), e.data.as_ref().map(|d| d.len())))
+            .collect();
+        assert_eq!(
+            p.cached_bytes,
+            lens.iter().filter_map(|(_, len)| *len).sum::<usize>()
+        );
+        lens
+    }
+
+    #[test]
+    fn published_accounts_cached_bytes_across_put_replace_fill_remove() {
+        let mut p = Published::default();
+        p.put(info("a", 100), blob(100));
+        p.put(info("b", 200), blob(200));
+        assert_eq!(cached(&p), [("a", Some(100)), ("b", Some(200))]);
+        p.put(info("a", 50), blob(50));
+        assert_eq!(cached(&p), [("a", Some(50)), ("b", Some(200))]);
+        // A delete that lets an older version resurface publishes it
+        // uncached.
+        p.put(info("b", 9), None);
+        assert_eq!(cached(&p), [("a", Some(50)), ("b", None)]);
+        p.fill("b", Arc::new(vec![1; 9]));
+        p.fill("a", Arc::new(vec![2; 60]));
+        assert_eq!(cached(&p), [("a", Some(60)), ("b", Some(9))]);
+        p.remove("a");
+        assert_eq!(cached(&p), [("b", Some(9))]);
+        p.remove("b");
+        p.remove("never published");
+        assert_eq!(cached(&p), []);
+    }
+
+    #[test]
+    fn published_overflow_empties_the_others_and_keeps_the_newcomer() {
+        let mut p = Published::default();
+        p.put(info("a", CACHE_BYTES / 2), blob(CACHE_BYTES / 2));
+        p.put(info("b", CACHE_BYTES / 2), blob(CACHE_BYTES / 2));
+        // Exactly full is not an overflow.
+        assert_eq!(p.cached_bytes, CACHE_BYTES);
+        p.put(info("c", 1), blob(1));
+        assert_eq!(cached(&p), [("a", None), ("b", None), ("c", Some(1))]);
+        // The emptied names are still published.
+        assert_eq!(p.files["a"].info.bytes, (CACHE_BYTES / 2) as u64);
+        // A fill overflows the same way.
+        p.fill("a", Arc::new(vec![0; CACHE_BYTES]));
+        assert_eq!(
+            cached(&p),
+            [("a", Some(CACHE_BYTES)), ("b", None), ("c", None)]
+        );
+    }
+
+    #[test]
+    fn contents_longer_than_the_bound_are_published_uncached_and_evict_nothing() {
+        let mut p = Published::default();
+        p.put(info("small", 10), blob(10));
+        p.put(info("huge", CACHE_BYTES + 1), blob(CACHE_BYTES + 1));
+        assert_eq!(cached(&p), [("huge", None), ("small", Some(10))]);
+        p.fill("huge", Arc::new(vec![0; CACHE_BYTES + 1]));
+        assert_eq!(cached(&p), [("huge", None), ("small", Some(10))]);
+    }
+
+    #[test]
+    fn fill_of_a_name_no_longer_published_is_a_no_op() {
+        let mut p = Published::default();
+        p.put(info("x", 3), None);
+        p.remove("x");
+        p.fill("x", Arc::new(vec![0; 3]));
+        assert_eq!(cached(&p), []);
+    }
+
+    #[test]
+    fn more_than_the_cache_bound_reads_back_byte_for_byte() {
+        // 16 MiB of disk for 5 MiB of files: ten of 512 KiB, so the
+        // ninth write empties the cache. Read back newest first: two
+        // hits, then the emptied ones queue, and their fills overflow
+        // the cache again.
+        let geometry = DiskGeometry {
+            cylinders: 256,
+            heads: 8,
+            sectors_per_track: DiskTiming::TINY.sectors_per_track,
+        };
+        let disk = SimDisk::new(geometry, DiskTiming::TINY, SimClock::new());
+        let e = FsdEngine::start(vol_on(disk, 512), EngineConfig::default()).unwrap();
+        let len = 512 << 10;
+        let names: Vec<String> = (0..10).map(|i| format!("big/{i}")).collect();
+        assert!(names.len() * len > CACHE_BYTES);
+        for name in &names {
+            e.create(name, &content_for(name, len)).unwrap();
+        }
+        for name in names.iter().rev() {
+            assert_eq!(e.read(name).unwrap(), content_for(name, len), "{name}");
+        }
+        let stats = e.engine_stats();
+        assert_eq!((stats.read_hits, stats.read_misses), (2, 8));
+        assert!(e.shared.reading(|p| p.cached_bytes) <= CACHE_BYTES);
+    }
+
+    #[test]
+    fn a_lone_client_gets_one_epoch_per_commit_window() {
+        let e = engine(512);
+        let began = Instant::now();
+        let n = 3 * CATCH_UP_WINDOWS;
+        for i in 0..n {
+            e.create(&format!("w/{i}"), b"d").unwrap();
+        }
+        // The windows began when the engine started, so the first
+        // epochs may be catching up; epoch `n` cannot start before the
+        // window the one before it opened.
+        assert!(began.elapsed() >= COMMIT_WINDOW * (n - CATCH_UP_WINDOWS - 2));
+        assert_eq!(e.engine_stats().epochs, u64::from(n));
+    }
+
+    /// Plays the log-writer for one batch; each op's result, in order.
+    fn run_batch(vol: &mut FsdVolume, shared: &EngineShared, ops: Vec<Op>) -> Vec<OpResult> {
+        let slots: Vec<_> = ops.iter().map(|_| Slot::new()).collect();
+        let batch = ops
+            .into_iter()
+            .zip(&slots)
+            .map(|(op, slot)| OpReq {
+                op,
+                slot: Arc::clone(slot),
+            })
+            .collect();
+        let baseline = vol.commit_stats();
+        process_batch(vol, shared, batch, &baseline, &mut None);
+        slots.iter().map(|slot| slot.wait()).collect()
+    }
+
+    #[test]
+    fn queued_read_of_a_name_its_batch_wrote_waits_for_the_force() {
+        let read_data = |r: OpResult| {
+            r.map(|reply| match reply {
+                Reply::Data(d) => d.as_ref().clone(),
+                _ => unreachable!("a read yields data"),
+            })
+        };
+        let write = |data: &[u8]| Op::Write {
+            name: "x".into(),
+            data: Arc::new(data.to_vec()),
+        };
+        for crash in [true, false] {
+            let mut vol = vol(512);
+            let shared = EngineShared::new(Published::default(), FsStats::default(), None);
+            assert!(run_batch(&mut vol, &shared, vec![write(b"v1")])[0].is_ok());
+            if crash {
+                // The write's leader and data sectors land; the force's
+                // first log sector does not.
+                vol.disk_mut().schedule_crash(CrashPlan {
+                    after_sector_writes: 2,
+                    damaged_tail: 0,
+                });
+            }
+            let mut results = run_batch(
+                &mut vol,
+                &shared,
+                vec![write(b"v2"), Op::Read { name: "x".into() }],
+            );
+            let read = read_data(results.pop().unwrap());
+            let wrote = results.pop().unwrap();
+            let published = shared.reading(|p| p.files["x"].data.clone().unwrap());
+            if crash {
+                // Recovery will produce "v1": nobody may have seen "v2".
+                let crashed = CedarFsError::Disk(DiskError::Crashed);
+                assert_eq!(wrote.err(), Some(crashed.clone()));
+                assert_eq!(read, Err(crashed));
+                assert_eq!(*published, b"v1");
+            } else {
+                assert!(wrote.is_ok());
+                assert_eq!(read, Ok(b"v2".to_vec()));
+                assert_eq!(*published, b"v2");
+            }
+            // The held read is a miss, not a write.
+            let stats = *plock(&shared.engine_stats);
+            assert_eq!(stats.read_misses, 1);
+            assert_eq!(stats.write_ops, if crash { 1 } else { 2 });
+        }
     }
 }

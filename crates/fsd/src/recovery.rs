@@ -278,6 +278,10 @@ impl FsdVolume {
             })?;
         }
         let files = entries.len() as u64;
+        // Not folded onto `Cpu::sharded` like the scavengers' stages: the
+        // serial branch is a different algorithm (allocate per run, not
+        // claimed-bitmap-and-subtract) and is the reference the
+        // equivalence tests compare the sharded one against.
         if workers <= 1 || entries.is_empty() {
             self.cpu.entries(files);
             for raw in entries {

@@ -372,6 +372,10 @@ fn scan_leaders(
 ) -> Result<()> {
     let track = disk.geometry().sectors_per_track.max(1);
     let windows = build_windows(layout, track * TRACKS_PER_WINDOW);
+    // Not folded into one path: the serial scan charges decode CPU
+    // *between* reads, so the platter turns under the head while it
+    // decodes; decoding off-clock and joining at the end would change
+    // where each read starts, and with it the simulated scan time.
     if workers <= 1 {
         scan_serial(disk, cpu, layout, policy, track, &windows, summary, found)
     } else {
@@ -596,46 +600,22 @@ fn rebuild(vol: &mut FsdVolume, config: FsdConfig, files: &[(FileName, FileEntry
     // instead of N root-to-leaf insertions re-dirtying the same pages.
     // Entry encoding is embarrassingly parallel, so it shards across the
     // configured workers like the scan's decode stage; the output is the
-    // concatenation of the shards either way.
-    let workers = config.scavenge_workers.max(1);
-    let mut pairs: Vec<(Vec<u8>, Vec<u8>)> = if workers == 1 || files.len() < workers {
-        vol.cpu.entries(files.len() as u64);
-        files
-            .iter()
-            .map(|(name, entry)| (name.to_key(), entry.encode()))
-            .collect()
-    } else {
-        let t0 = vol.clock().now();
-        let shard_len = files.len().div_ceil(workers);
-        let joined = std::thread::scope(|s| {
-            let handles: Vec<_> = files
-                .chunks(shard_len)
-                .map(|shard| {
-                    let mut wcpu = vol.cpu.worker();
-                    s.spawn(move || {
-                        let pairs: Vec<(Vec<u8>, Vec<u8>)> = shard
-                            .iter()
-                            .map(|(name, entry)| (name.to_key(), entry.encode()))
-                            .collect();
-                        wcpu.entries(shard.len() as u64);
-                        (pairs, wcpu.into_us())
-                    })
-                })
-                .collect::<Vec<_>>();
-            handles.into_iter().map(|h| h.join()).collect::<Vec<_>>()
-        });
-        let mut shards = Vec::with_capacity(joined.len());
-        let mut worker_us = Vec::with_capacity(joined.len());
-        for r in joined {
-            let (pairs, us) = r.map_err(|_| {
-                FsdError::Check("entry-encode worker panicked during scavenge rebuild".into())
-            })?;
-            shards.push(pairs);
-            worker_us.push(us);
-        }
-        vol.cpu.join_parallel(t0, &worker_us);
-        shards.into_iter().flatten().collect()
-    };
+    // concatenation of the shards.
+    let mut pairs: Vec<(Vec<u8>, Vec<u8>)> = vol
+        .cpu
+        .sharded(config.scavenge_workers, files.len(), |range, wcpu| {
+            wcpu.entries(range.len() as u64);
+            files[range]
+                .iter()
+                .map(|(name, entry)| (name.to_key(), entry.encode()))
+                .collect::<Vec<_>>()
+        })
+        .ok_or_else(|| {
+            FsdError::Check("entry-encode worker panicked during scavenge rebuild".into())
+        })?
+        .into_iter()
+        .flatten()
+        .collect();
     pairs.sort();
     {
         let mut store = FsdNtStore {

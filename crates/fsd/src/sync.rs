@@ -13,7 +13,8 @@
 //! `Arc`, `Instant`, and `Duration` intentionally stay `std` in both
 //! configurations: the shutdown path's `Arc::try_unwrap` needs the real
 //! type, and the pacer is disabled (`pace_scale: None`) in model tests
-//! so wall-clock time never becomes a scheduling concern.
+//! so wall-clock time never becomes a scheduling concern (the
+//! commit-window wait is `thread::sleep`: a scheduling point there).
 
 #[cfg(feature = "loom")]
 pub use loom::sync::atomic;

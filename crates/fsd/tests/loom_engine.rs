@@ -60,7 +60,7 @@ fn epoch_handoff_acknowledged_create_is_readable() {
         let client = loom::thread::spawn(move || {
             // Acknowledge means the epoch forced: the write must be
             // readable by its own submitter immediately (read-your-
-            // writes through the published COW index).
+            // writes through the published map).
             e2.create("a", b"payload").unwrap();
             assert_eq!(e2.read("a").unwrap(), b"payload");
         });
@@ -95,7 +95,7 @@ fn two_clients_epochs_merge_without_loss() {
             h.join().unwrap();
         }
         // Whatever order the two epochs committed in, neither write may
-        // shadow the other in the published index.
+        // shadow the other in the published map.
         assert_eq!(e.read("c0/f").unwrap(), b"zero");
         assert_eq!(e.read("c1/f").unwrap(), b"one");
         drop(e);

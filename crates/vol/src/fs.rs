@@ -13,7 +13,7 @@
 //! * [`FileSystem`] — the shared-reference, `Send + Sync` service
 //!   interface. Every method takes `&self`, so N OS threads can submit
 //!   operations against one `Arc<dyn FileSystem>` concurrently. FSD
-//!   implements it with a sharded commit pipeline (`cedar_fsd`'s
+//!   implements it with a group-commit pipeline (`cedar_fsd`'s
 //!   engine); CFS, FFS, and the in-memory model implement it with a
 //!   plain internal mutex ([`SyncFs`]).
 //! * [`Session`] — an owned, cloneable, `Send` per-client handle over an
@@ -53,7 +53,8 @@
 //! * The logically read-only operations — [`FileSystem::open`],
 //!   [`FileSystem::read`], [`FileSystem::list`], [`FileSystem::stats`] —
 //!   take `&self` on every backend and, under the FSD engine, are served
-//!   from a sharded name-table cache without queueing behind writers.
+//!   from the map the log-writer publishes once per commit epoch,
+//!   without queueing behind writers.
 
 use crate::name::MAX_NAME_LEN;
 use cedar_disk::{DiskError, DiskStats, Micros};
@@ -218,8 +219,8 @@ pub struct FsStats {
 /// `&dyn FileSystem` (or an `Arc<dyn FileSystem>` split across threads
 /// via [`Session`]) and run identically against every backend. Every
 /// method takes `&self`; implementations supply their own interior
-/// synchronization — a single mutex in [`SyncFs`], a sharded commit
-/// pipeline in the FSD engine.
+/// synchronization — a single mutex in [`SyncFs`], an inbox and a
+/// log-writer thread in the FSD engine.
 pub trait FileSystem: Send + Sync {
     /// Short backend tag ("cfs", "fsd", "ffs") for reports.
     fn kind(&self) -> &'static str;

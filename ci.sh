@@ -52,6 +52,12 @@ cargo run --release -p cedar-bench --bin fault_campaign -- --smoke
 # Scavenge & VAM-rebuild scaling (smoke): parallel and serial recovery
 # scans must agree exactly on a small population.
 cargo run --release -p cedar-bench --bin scavenge_scale -- --smoke
+# Crash recovery (smoke): a relation, not a floor. Time to first read at
+# 4000 files stays within 2.5x of that at 250 (boot follows the log, not
+# the population), and full recovery at 4000 files is at least 5x its
+# own time to first read (the name-table walk boot defers is still paid
+# and still measured).
+cargo run --release -p cedar-bench --bin recovery -- --smoke
 # Log-shipping replication (smoke): per-mode ack/loss contracts — sync
 # and semi-sync failovers lose nothing acknowledged, async stays within
 # its lag bound, and both resync paths converge.

@@ -85,17 +85,22 @@ impl FsdRow {
     }
 }
 
+/// Boots, pays the VAM walk boot leaves owed (before the listing below
+/// warms the cache the walk's prefetch is timed against) and checks the
+/// population. Returns the report and the walk's simulated time — zero
+/// on the scavenge rung, which rebuilds the map itself.
 fn boot_expecting(
     disk: SimDisk,
     config: FsdConfig,
     rung: RecoveryRung,
     files: usize,
-) -> (FsdVolume, RecoveryReport) {
+) -> (RecoveryReport, u64) {
     let (mut vol, report) = FsdVolume::boot(disk, config).expect("boot");
     assert_eq!(report.rung, rung, "expected recovery rung {rung:?}");
+    let walk_us = vol.settle_vam().expect("VAM walk").map_or(0, |w| w.us());
     let listed = FsBackend::list(&mut vol, "pop").expect("list").len();
     assert_eq!(listed, files, "recovered volume lost files");
-    (vol, report)
+    (report, walk_us)
 }
 
 fn fsd_row(files: usize) -> FsdRow {
@@ -121,25 +126,25 @@ fn fsd_row(files: usize) -> FsdRow {
     scav_disk.reboot();
 
     let parallel_crash = crash_disk.clone();
-    let (_, sr) = boot_expecting(crash_disk, fsd_config(files, 1), RecoveryRung::Redo, files);
+    let (sr, serial_vam_us) =
+        boot_expecting(crash_disk, fsd_config(files, 1), RecoveryRung::Redo, files);
     assert!(sr.vam_reconstructed, "crash leg must rebuild the VAM");
-    let (_, pr) = boot_expecting(
+    let (pr, parallel_vam_us) = boot_expecting(
         parallel_crash,
         fsd_config(files, WORKERS),
         RecoveryRung::Redo,
         files,
     );
     assert!(pr.vam_reconstructed);
-    let (serial_vam_us, parallel_vam_us) = (sr.vam_us, pr.vam_us);
 
     let parallel_scav = scav_disk.clone();
-    let (_, sr) = boot_expecting(
+    let (sr, _) = boot_expecting(
         scav_disk,
         fsd_config(files, 1),
         RecoveryRung::Scavenge,
         files,
     );
-    let (_, pr) = boot_expecting(
+    let (pr, _) = boot_expecting(
         parallel_scav,
         fsd_config(files, WORKERS),
         RecoveryRung::Scavenge,

@@ -34,7 +34,11 @@ struct Measured {
     small_delete: u64,
     large_delete: u64,
     read_page: u64,
+    /// The whole of crash recovery.
     recovery_s: f64,
+    /// The part of it that stands between the crash and the first read
+    /// (FSD only: boot without the deferred VAM walk).
+    first_read_s: Option<f64>,
     disk: DiskStats,
 }
 
@@ -96,6 +100,7 @@ fn measure_cfs() -> Measured {
         large_delete,
         read_page,
         recovery_s: report.duration_us as f64 / 1e6,
+        first_read_s: None,
         disk,
     }
 }
@@ -139,9 +144,15 @@ fn measure_fsd() -> Measured {
     let mut disk = vol.into_disk();
     disk.crash_now();
     disk.reboot();
-    let (vol, report) =
+    // Boot leaves the VAM walk to the first allocation; the paper's row is
+    // the whole recovery, so pay it here and time both.
+    let (mut vol, report) =
         cedar_fsd::FsdVolume::boot(disk, cedar_fsd::FsdConfig::default()).expect("boot FSD");
     assert!(report.vam_reconstructed);
+    let walk = vol
+        .settle_vam()
+        .expect("VAM walk")
+        .expect("a crash boot owes the walk");
     let disk = vol.disk_stats();
     Measured {
         small_create,
@@ -151,7 +162,8 @@ fn measure_fsd() -> Measured {
         small_delete,
         large_delete,
         read_page,
-        recovery_s: report.total_us() as f64 / 1e6,
+        recovery_s: (report.total_us() + walk.us()) as f64 / 1e6,
+        first_read_s: Some(report.total_us() as f64 / 1e6),
         disk,
     }
 }
@@ -240,6 +252,13 @@ fn main() {
         "100+".into(),
     ]);
     t.print();
+    if let Some(s) = fsd.first_read_s {
+        println!(
+            "  (FSD serves its first read {s:.1} sec after the crash: log redo only. The name-table\n   \
+             walk that rebuilds the VAM, the rest of the {:.1} sec, waits for the first create or delete.)",
+            fsd.recovery_s
+        );
+    }
     println!();
     println!(
         "{}",

@@ -129,6 +129,9 @@ impl<S: FileServer> CachingFs<S> {
     /// regardless of use, as Cedar's flusher preferred.
     pub fn flush_lru(&mut self, min_free: u32) -> Result<usize> {
         let mut flushed = 0;
+        // The loop below decides on the free count: after a crash boot
+        // that is 0 until the owed name-table walk has run.
+        self.volume.settle_vam()?;
         // Shadow-held pages count: they become free at the commit below.
         while self.volume.free_sectors() + self.volume.shadow_sectors() < min_free {
             // Collect cached entries with their last-used-times.

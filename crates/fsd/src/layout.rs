@@ -204,13 +204,45 @@ pub(crate) fn write_replicas(
     }
 }
 
+/// What the boot page says about the VAM save area — one byte on disk.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) enum SavedVam {
+    /// The save area is stale: the free map must be rebuilt from the
+    /// name table before anything is allocated or freed.
+    #[default]
+    Invalid,
+    /// A controlled shutdown saved the VAM and nothing has changed it
+    /// since (§5.5).
+    Valid,
+    /// The save area is stale *and* the name-table walk that would
+    /// replace it failed for a reason other than a crash: the name table
+    /// is beyond replica repair, and the next boot must scavenge. The
+    /// only state that describes this machine's media rather than the
+    /// logical volume: replication ships it as [`Self::Invalid`].
+    WalkFailed,
+}
+
+impl SavedVam {
+    /// The on-disk byte: 0, 1, 2 in declaration order.
+    fn to_byte(self) -> u8 {
+        match self {
+            Self::Invalid => 0,
+            Self::Valid => 1,
+            Self::WalkFailed => 2,
+        }
+    }
+}
+
 /// The FSD boot page, replicated at sectors 0 and 2.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FsdBootPage {
     /// Boots so far (part of uid generation and log-record validation).
     pub boot_count: u32,
-    /// Whether the VAM save area holds a properly saved VAM (§5.5).
-    pub vam_valid: bool,
+    /// State of the VAM save area. Boot clears [`SavedVam::Valid`] on
+    /// disk before it returns, so a crash at any later point — while a
+    /// rebuild is owed, or in the middle of one — boots into the same
+    /// state. A byte other than 0, 1 or 2 rejects the copy.
+    pub(crate) saved_vam: SavedVam,
     /// Whether the volume runs the §5.3 VAM-logging extension: the save
     /// area is a base image that log redo patches, so it stays valid
     /// across crashes.
@@ -228,7 +260,7 @@ impl FsdBootPage {
         let mut w = Writer::new();
         w.u32(BOOT_MAGIC)
             .u32(self.boot_count)
-            .u8(u8::from(self.vam_valid))
+            .u8(self.saved_vam.to_byte())
             .u8(u8::from(self.vam_logged))
             .u16(u16::try_from(self.spare_map.len()).unwrap_or(u16::MAX));
         for &(logical, phys) in &self.spare_map {
@@ -247,7 +279,12 @@ impl FsdBootPage {
             return Err("bad FSD boot page magic".into());
         }
         let boot_count = r.u32()?;
-        let vam_valid = r.u8()? != 0;
+        let saved_vam = match r.u8()? {
+            0 => SavedVam::Invalid,
+            1 => SavedVam::Valid,
+            2 => SavedVam::WalkFailed,
+            other => return Err(format!("unknown saved-VAM state {other} on boot page")),
+        };
         let vam_logged = r.u8()? != 0;
         let n = r.u16()?;
         let mut spare_map = Vec::with_capacity(n as usize);
@@ -258,7 +295,7 @@ impl FsdBootPage {
         }
         Ok(Self {
             boot_count,
-            vam_valid,
+            saved_vam,
             vam_logged,
             spare_map,
         })
@@ -321,7 +358,7 @@ mod tests {
     fn boot_page_roundtrip() {
         let b = FsdBootPage {
             boot_count: 9,
-            vam_valid: true,
+            saved_vam: SavedVam::Valid,
             vam_logged: true,
             spare_map: vec![(120, 40), (77, 41)],
         };
@@ -332,13 +369,32 @@ mod tests {
     fn boot_page_spare_map_fits_in_sector() {
         let b = FsdBootPage {
             boot_count: 1,
-            vam_valid: false,
+            saved_vam: SavedVam::Invalid,
             vam_logged: true,
             spare_map: (0..SPARE_SECTORS).map(|i| (1000 + i, 40 + i)).collect(),
         };
         let bytes = b.encode();
         assert_eq!(bytes.len(), SECTOR_BYTES);
         assert_eq!(FsdBootPage::decode(&bytes).unwrap(), b);
+    }
+
+    #[test]
+    fn saved_vam_is_three_state_and_rejects_anything_else() {
+        for state in [SavedVam::Invalid, SavedVam::Valid, SavedVam::WalkFailed] {
+            let b = FsdBootPage {
+                boot_count: 3,
+                saved_vam: state,
+                ..FsdBootPage::default()
+            };
+            let bytes = b.encode();
+            assert_eq!(bytes[8], state.to_byte(), "the state is the ninth byte");
+            assert_eq!(FsdBootPage::decode(&bytes).unwrap(), b);
+        }
+        let mut bytes = FsdBootPage::default().encode();
+        bytes[8] = 3;
+        assert!(FsdBootPage::decode(&bytes).is_err());
+        bytes[8] = 0xFF;
+        assert!(FsdBootPage::decode(&bytes).is_err());
     }
 
     #[test]

@@ -28,7 +28,7 @@
 
 use crate::cache::{FsdNtStore, NtCache, NtMeta};
 use crate::entry::FileEntry;
-use crate::layout::{FsdBootPage, FsdLayout};
+use crate::layout::{FsdBootPage, FsdLayout, SavedVam};
 use crate::leader::LeaderPage;
 use crate::log::Log;
 use crate::recovery::{RecoveryReport, RecoveryRung};
@@ -185,7 +185,7 @@ pub(crate) fn scavenge_boot(
         layout,
         boot: FsdBootPage {
             boot_count,
-            vam_valid: false,
+            saved_vam: SavedVam::Invalid,
             vam_logged: config.log_vam,
             spare_map: spare.entries().to_vec(),
         },
@@ -205,6 +205,9 @@ pub(crate) fn scavenge_boot(
         last_force: 0,
         commit_interval: config.commit_interval_us,
         vam_hint_on_disk: false,
+        vam_owed: false,
+        vam_walk: None,
+        scavenge_workers: config.scavenge_workers,
         commit_stats: Default::default(),
         vam_baseline: None,
         vam_home: HashMap::new(),

@@ -19,7 +19,7 @@
 use crate::cache::{FsdNtStore, NtCache, NtMeta};
 use crate::entry::{EntryKind, FileEntry};
 use crate::error::FsdError;
-use crate::layout::{FsdBootPage, FsdLayout};
+use crate::layout::{FsdBootPage, FsdLayout, SavedVam};
 use crate::leader::LeaderPage;
 use crate::log::{Log, PageTarget};
 use crate::spare::{self, SpareMap};
@@ -174,6 +174,14 @@ pub struct FsdVolume {
     pub(crate) last_force: Micros,
     pub(crate) commit_interval: Micros,
     pub(crate) vam_hint_on_disk: bool,
+    /// The saved VAM was unusable at boot and the name-table walk that
+    /// replaces it has not run yet: `vam` is the all-allocated map, and
+    /// nothing may allocate or free until [`Self::settle_vam`] has.
+    pub(crate) vam_owed: bool,
+    /// The walk this session paid, if any.
+    pub(crate) vam_walk: Option<crate::recovery::VamWalk>,
+    /// Decode workers for that walk ([`FsdConfig::scavenge_workers`]).
+    pub(crate) scavenge_workers: usize,
     pub(crate) commit_stats: CommitStats,
     /// VAM bytes as of the last force (Some ⇔ VAM logging enabled).
     pub(crate) vam_baseline: Option<Vec<u8>>,
@@ -229,7 +237,7 @@ impl FsdVolume {
             layout,
             boot: FsdBootPage {
                 boot_count: 1,
-                vam_valid: false,
+                saved_vam: SavedVam::Invalid,
                 vam_logged: config.log_vam,
                 spare_map: Vec::new(),
             },
@@ -242,6 +250,9 @@ impl FsdVolume {
             last_force: 0,
             commit_interval: config.commit_interval_us,
             vam_hint_on_disk: false,
+            vam_owed: false,
+            vam_walk: None,
+            scavenge_workers: config.scavenge_workers,
             commit_stats: CommitStats::default(),
             vam_baseline: None,
             vam_home: HashMap::new(),
@@ -364,7 +375,11 @@ impl FsdVolume {
         self.log.third_capacity_images()
     }
 
-    /// Free data sectors (excluding shadow-held pages).
+    /// Free data sectors (excluding shadow-held pages): what the
+    /// allocator may hand out *now*. After a crash boot, while the
+    /// name-table walk is still owed, the map in memory is the
+    /// all-allocated one and this reads 0; call [`Self::settle_vam`]
+    /// first for the true count.
     pub fn free_sectors(&self) -> u32 {
         self.vam.free_count()
     }
@@ -449,7 +464,7 @@ impl FsdVolume {
             })
             .map(|e| crate::repl::DataWrite {
                 addr: e.addr,
-                data: e.data,
+                data: e.data.map(|d| self.boot_page_for_replica(e.addr, d)),
                 label: e.label,
             })
             .collect();
@@ -469,6 +484,26 @@ impl FsdVolume {
         };
         tap.next_frame += 1;
         tap.frames.push(frame);
+    }
+
+    /// A journalled sector write as the replica should see it. Everything
+    /// passes through unchanged except a boot page carrying the
+    /// walk-failed note ([`Self::settle_vam`]): that note says *this*
+    /// machine's name table is beyond repair, and the replica's is its
+    /// own — mirrored verbatim, it would turn failover from a wounded
+    /// primary into a scavenge. The replica is told the save area is
+    /// stale, which is all the note says about the logical volume.
+    fn boot_page_for_replica(&self, addr: SectorAddr, data: Vec<u8>) -> Vec<u8> {
+        if addr != self.layout.boot_a && addr != self.layout.boot_b {
+            return data;
+        }
+        match FsdBootPage::decode(&data) {
+            Ok(mut page) if page.saved_vam == SavedVam::WalkFailed => {
+                page.saved_vam = SavedVam::Invalid;
+                page.encode()
+            }
+            _ => data,
+        }
     }
 
     // ----- group commit ---------------------------------------------------------
@@ -788,6 +823,7 @@ impl FsdVolume {
     }
 
     pub(crate) fn save_vam_and_mark_valid(&mut self) -> Result<()> {
+        self.settle_vam()?;
         // Both save-area copies in one window (at most one can be torn by
         // a crash; the boot pages marking them valid follow in a separate
         // submission, so validity never precedes durability).
@@ -801,7 +837,7 @@ impl FsdVolume {
                 (self.layout.vam_b, bytes.clone()),
             ],
         )?;
-        self.boot.vam_valid = true;
+        self.boot.saved_vam = SavedVam::Valid;
         self.write_boot_pages()?;
         self.vam_hint_on_disk = true;
         if self.vam_baseline.is_some() {
@@ -823,14 +859,19 @@ impl FsdVolume {
         )
     }
 
+    /// Called by every operation about to change which sectors the name
+    /// table claims, once it can no longer fail on its arguments: the
+    /// free map must be real (an owed walk is paid here) and the save
+    /// area must stop claiming to be current.
     fn invalidate_vam_hint(&mut self) -> Result<()> {
+        self.settle_vam()?;
         // Under VAM logging the save area is a redo-patched base image:
         // it never goes stale, so there is nothing to invalidate.
         if self.vam_baseline.is_some() {
             return Ok(());
         }
         if self.vam_hint_on_disk {
-            self.boot.vam_valid = false;
+            self.boot.saved_vam = SavedVam::Invalid;
             self.write_boot_pages()?;
             self.vam_hint_on_disk = false;
         }
@@ -953,8 +994,10 @@ impl FsdVolume {
     fn create_kind(&mut self, name: &str, data: &[u8], kind: Option<EntryKind>) -> Result<FsdFile> {
         self.maybe_force()?;
         self.cpu.op();
-        self.invalidate_vam_hint()?;
+        // Validate before the hook: a create that fails on its name must
+        // neither dirty the boot pages nor pay the walk.
         FileName::new(name, 1).map_err(FsdError::BadName)?;
+        self.invalidate_vam_hint()?;
         let version = self.max_version(name)? + 1;
         let fname = FileName::new(name, version).map_err(FsdError::BadName)?;
         // A new version inherits the previous newest version's keep count.
@@ -1379,9 +1422,11 @@ impl FsdVolume {
     pub fn delete(&mut self, name: &str, version: Option<u32>) -> Result<()> {
         self.maybe_force()?;
         self.cpu.op();
-        self.invalidate_vam_hint()?;
         let fname = self.resolve(name, version)?;
         let entry = self.get_entry(&fname)?;
+        // Only now that the file exists: a `NotFound` delete must neither
+        // dirty the boot pages nor pay the walk.
+        self.invalidate_vam_hint()?;
         let mut tree = self.tree;
         {
             let mut store = nt_store!(self);

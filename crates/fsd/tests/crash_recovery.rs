@@ -66,6 +66,10 @@ fn unforced_create_lost_cleanly() {
     assert!(v2.open("ephemeral", None).is_err());
     // The uncommitted file's sectors came back: VAM reconstruction sees
     // only the committed name table.
+    assert!(
+        v2.settle_vam().unwrap().is_some(),
+        "boot left the walk owed"
+    );
     assert_eq!(v2.free_sectors(), free_committed);
     v2.verify().unwrap();
 }

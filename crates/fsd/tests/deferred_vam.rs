@@ -1,0 +1,439 @@
+//! The deferred VAM walk (ISSUE 15): boot serves reads before the free
+//! map exists, the first operation that allocates or frees pays the
+//! name-table walk exactly once, and a walk that cannot finish sends the
+//! next boot to the scavenger instead of stranding the volume.
+//!
+//! The bit-for-bit and microsecond equivalence with an eager boot is
+//! pinned next to the code, in `recovery.rs`'s unit tests; these tests
+//! drive the public surface.
+
+use cedar_disk::{CpuModel, CrashPlan, SimDisk};
+use cedar_fsd::{
+    EngineConfig, EntryKind, FsdConfig, FsdEngine, FsdError, FsdVolume, RecoveryRung, Replica,
+};
+use cedar_vol::fs::FileSystem;
+
+const FILES: usize = 120;
+
+fn config() -> FsdConfig {
+    FsdConfig {
+        nt_pages: 48,
+        log_sectors: 160,
+        cpu: CpuModel::DORADO,
+        ..FsdConfig::default()
+    }
+}
+
+fn name(i: usize) -> String {
+    format!("dir{}/file{i:03}", i % 4)
+}
+
+/// Committed files under `dir<d>/`.
+fn in_dir(d: usize) -> usize {
+    (0..FILES - 3).filter(|i| i % 4 == d).count()
+}
+
+fn content(i: usize) -> Vec<u8> {
+    vec![(i % 251) as u8; 200 + (i * 97) % 3000]
+}
+
+/// A volume with [`FILES`] committed files (three versions of `kept`
+/// among them), a few creates the crash loses, and the plug pulled.
+fn crashed() -> SimDisk {
+    let mut v = FsdVolume::format(SimDisk::tiny(), config()).unwrap();
+    for i in 0..FILES - 3 {
+        v.create(&name(i), &content(i)).unwrap();
+    }
+    for round in 0..3 {
+        v.create("kept", &[round; 700]).unwrap();
+    }
+    v.force().unwrap();
+    for i in 0..4 {
+        v.create(&format!("lost{i}"), &[9u8; 600]).unwrap();
+    }
+    let mut d = v.into_disk();
+    d.crash_now();
+    d.reboot();
+    d
+}
+
+fn boot(disk: &SimDisk) -> FsdVolume {
+    let (v, report) = FsdVolume::boot(disk.clone(), config()).unwrap();
+    assert!(report.vam_reconstructed, "a crash boot owes the walk");
+    assert_eq!((report.files_scanned, report.vam_us), (0, 0));
+    assert_eq!(v.vam_walk(), None);
+    v
+}
+
+/// Boot, then settle at once: what every other path is compared with.
+fn eager(disk: &SimDisk) -> FsdVolume {
+    let mut v = boot(disk);
+    assert!(v.settle_vam().unwrap().is_some());
+    v
+}
+
+#[test]
+fn a_read_only_session_never_walks_and_the_first_create_walks_once() {
+    let disk = crashed();
+    let mut v = boot(&disk);
+
+    for i in [0, 17, 58, FILES - 4] {
+        let mut f = v.open(&name(i), None).unwrap();
+        assert_eq!(v.read_file(&mut f).unwrap(), content(i), "{}", name(i));
+    }
+    assert_eq!(v.list("dir2/").unwrap().len(), in_dir(2));
+    assert!(matches!(v.open("lost0", None), Err(FsdError::NotFound(_))));
+    v.create_symlink("link", "[server]target").unwrap();
+    v.force().unwrap();
+
+    assert_eq!(v.vam_walk(), None, "nothing above needs a free map");
+    assert_eq!(
+        v.free_sectors(),
+        0,
+        "the map is still the all-allocated one"
+    );
+
+    // The first create pays: every committed entry plus the link.
+    v.create("first", b"after the crash").unwrap();
+    let walk = v.vam_walk().expect("the first create walks");
+    assert_eq!(walk.files_scanned, FILES as u64 + 1);
+    assert!(walk.us() > 0 && v.free_sectors() > 0);
+    // Exactly once.
+    v.create("second", b"no second walk").unwrap();
+    v.delete("first", None).unwrap();
+    assert_eq!(v.vam_walk(), Some(walk));
+    assert_eq!(v.settle_vam().unwrap(), None);
+    v.verify().unwrap();
+}
+
+/// Whichever mutation comes first pays, and leaves the same free map as
+/// boot + `settle_vam` + the same mutation. (The clocks differ by a seek
+/// or two: the mutation's own lookup runs before the walk, not after.)
+#[test]
+fn every_mutation_and_shutdown_pays_the_walk_when_it_comes_first() {
+    type Mutation = fn(&mut FsdVolume);
+    let mutations: [(&str, Mutation); 5] = [
+        ("delete", |v| v.delete(&name(5), None).unwrap()),
+        ("extend", |v| {
+            let mut f = v.open(&name(6), None).unwrap();
+            v.extend(&mut f, 3).unwrap();
+        }),
+        ("truncate", |v| {
+            let mut f = v.open(&name(7), None).unwrap();
+            v.truncate(&mut f, 1).unwrap();
+        }),
+        // Prunes two of the three versions: a delete underneath.
+        ("set_keep", |v| v.set_keep("kept", 1).unwrap()),
+        ("shutdown", |v| v.shutdown().unwrap()),
+    ];
+    let disk = crashed();
+    for (what, mutate) in mutations {
+        let mut lazy = boot(&disk);
+        mutate(&mut lazy);
+        let walk = lazy
+            .vam_walk()
+            .unwrap_or_else(|| panic!("{what} did not walk"));
+        assert_eq!(walk.files_scanned, FILES as u64, "{what}");
+
+        let mut reference = eager(&disk);
+        mutate(&mut reference);
+        assert_eq!(lazy.free_sectors(), reference.free_sectors(), "{what}");
+        assert_eq!(lazy.shadow_sectors(), reference.shadow_sectors(), "{what}");
+        lazy.verify().unwrap();
+    }
+}
+
+#[test]
+fn pages_dirtied_before_the_walk_are_walked_from_memory() {
+    let mut v = FsdVolume::format(SimDisk::tiny(), config()).unwrap();
+    for i in 0..40 {
+        v.create_cached(&format!("cache/c{i:02}"), &content(i))
+            .unwrap();
+    }
+    v.force().unwrap();
+    let mut disk = v.into_disk();
+    disk.crash_now();
+    disk.reboot();
+
+    let mut v = boot(&disk);
+    v.advance_time(10_000).unwrap();
+    // Opening a cached copy refreshes its last-used-time: a name-table
+    // page is now dirty in memory, unforced, and the walk is still owed.
+    let touched = v.open("cache/c07", None).unwrap().entry.kind;
+    assert!(matches!(touched, EntryKind::CachedRemote { last_used } if last_used > 10_000));
+    assert!(v.pending_meta_images() > 0);
+    assert_eq!(v.vam_walk(), None);
+
+    let walk = v.settle_vam().unwrap().expect("owed");
+    assert_eq!(walk.files_scanned, 40);
+    assert_eq!(v.free_sectors(), eager(&disk).free_sectors());
+    // The walk's prefetch did not put the home copy back over the page.
+    let (_, entry) = v
+        .list("cache/c07")
+        .unwrap()
+        .pop()
+        .expect("the cached copy is listed");
+    assert_eq!(entry.kind, touched);
+    v.verify().unwrap();
+}
+
+#[test]
+fn a_crash_while_owed_or_inside_the_first_create_owes_the_same_walk() {
+    let disk = crashed();
+    let listing = |v: &mut FsdVolume| -> Vec<String> {
+        let l = v.list("").unwrap();
+        l.iter().map(|(n, _)| n.to_string()).collect()
+    };
+    let mut reference = eager(&disk);
+    let expected = listing(&mut reference);
+
+    // Crash while the walk is owed: deferral wrote nothing.
+    let mut v = boot(&disk);
+    let mut f = v.open(&name(3), None).unwrap();
+    v.read_file(&mut f).unwrap();
+    let mut d = v.into_disk();
+    d.crash_now();
+    d.reboot();
+    let mut v = boot(&d);
+    assert_eq!(listing(&mut v), expected);
+    assert_eq!(v.settle_vam().unwrap().unwrap().files_scanned, FILES as u64);
+    assert_eq!(v.free_sectors(), reference.free_sectors());
+
+    // Crash inside the first create, at every early write index: the
+    // walk has run in memory, the create's sectors may or may not have
+    // landed, nothing was forced.
+    for after_sector_writes in 0..4 {
+        let mut v = boot(&disk);
+        v.disk_mut().schedule_crash(CrashPlan {
+            after_sector_writes,
+            damaged_tail: (after_sector_writes % 2) as u8,
+        });
+        let err = v
+            .create("doomed", &[1u8; 2000])
+            .expect_err("the crash lands in the create");
+        assert!(err.is_crash(), "{err}");
+        assert!(v.vam_walk().is_some(), "the walk came before the write");
+        let mut d = v.into_disk();
+        d.reboot();
+        let mut v = boot(&d);
+        assert_eq!(listing(&mut v), expected);
+        assert_eq!(v.settle_vam().unwrap().unwrap().files_scanned, FILES as u64);
+        assert_eq!(v.free_sectors(), reference.free_sectors());
+        v.verify().unwrap();
+    }
+}
+
+/// A name-table leaf dead in both copies used to be found by boot's own
+/// walk, which escalated to the scavenger on the spot. Now the walk that
+/// finds it belongs to the first allocation: that gets a typed error,
+/// and the boot pages carry the escalation to the next boot.
+#[test]
+fn a_dead_leaf_page_fails_the_first_allocation_and_scavenges_the_next_boot() {
+    // Redo rewrites (and so heals) every page the log covers, so the
+    // wound has to sit on a page the log does not hold: write the whole
+    // table home with a clean shutdown, then crash after one more create
+    // that touches only the last leaf.
+    let mut v = FsdVolume::format(SimDisk::tiny(), config()).unwrap();
+    for i in 0..FILES {
+        v.create(&name(i), &content(i)).unwrap();
+    }
+    v.shutdown().unwrap();
+    let (mut v, _) = FsdVolume::boot(v.into_disk(), config()).unwrap();
+    v.create("zzz-last", b"invalidates the saved VAM").unwrap();
+    v.force().unwrap();
+    let mut disk = v.into_disk();
+    disk.crash_now();
+    disk.reboot();
+    let layout = *boot(&disk).layout();
+    let probe = name(0);
+    let mut exercised = 0;
+    for page in 1..layout.nt_pages {
+        let mut wounded = disk.clone();
+        for s in 0..2 {
+            wounded.damage_sector(layout.nt_a_sector(page) + s);
+            wounded.damage_sector(layout.nt_b_sector(page) + s);
+        }
+        let Ok((mut v, report)) = FsdVolume::boot(wounded, config()) else {
+            continue;
+        };
+        // Only pages off boot's and the probe's path are interesting: a
+        // dead root already escalates inside boot, as before.
+        if report.rung == RecoveryRung::Scavenge {
+            continue;
+        }
+        let Ok(mut f) = v.open(&probe, None) else {
+            continue;
+        };
+        assert_eq!(v.read_file(&mut f).unwrap(), content(0));
+        let err = match v.create("after", b"needs a free map") {
+            // The page was not part of the tree at all.
+            Ok(_) => continue,
+            Err(e) => e,
+        };
+        exercised += 1;
+        assert!(!err.is_crash(), "a typed media error, not a crash: {err}");
+        assert_eq!(v.vam_walk(), None, "the walk stays owed");
+        // The session keeps serving what it can, and keeps refusing.
+        let mut f = v.open(&probe, None).unwrap();
+        assert_eq!(v.read_file(&mut f).unwrap(), content(0));
+        assert!(v.delete(&probe, None).is_err());
+        assert!(v.shutdown().is_err());
+
+        // Next boot: rung 3 without being told, and a writable volume.
+        let mut d = v.into_disk();
+        d.crash_now();
+        d.reboot();
+        let (mut v, report) = FsdVolume::boot(d, config()).unwrap();
+        assert_eq!(report.rung, RecoveryRung::Scavenge, "page {page}");
+        let cause = &report.scavenge.as_ref().unwrap().cause;
+        assert!(cause.contains("VAM walk failed"), "{cause}");
+        v.verify().unwrap();
+        assert_eq!(v.settle_vam().unwrap(), None, "the scavenger built the map");
+        v.create("after", b"needs a free map").unwrap();
+        let mut f = v.open(&probe, None).unwrap();
+        assert_eq!(v.read_file(&mut f).unwrap(), content(0));
+        v.verify().unwrap();
+
+        // And the boot after that is an ordinary one again.
+        v.shutdown().unwrap();
+        let (_, report) = FsdVolume::boot(v.into_disk(), config()).unwrap();
+        assert_eq!(report.rung, RecoveryRung::Redo);
+        assert!(!report.vam_reconstructed);
+    }
+    assert!(exercised >= 2, "only {exercised} leaf pages exercised");
+}
+
+#[test]
+fn an_engine_started_on_an_owed_volume_serves_reads_and_pays_in_its_first_write() {
+    let disk = crashed();
+    let engine = FsdEngine::start(boot(&disk), EngineConfig::default()).unwrap();
+    assert_eq!(engine.stats().free_sectors, 0, "nothing has walked yet");
+    assert_eq!(engine.read(&name(11)).unwrap(), content(11));
+    assert_eq!(engine.list("dir1/").unwrap().len(), in_dir(1));
+    assert_eq!(engine.open("kept").unwrap().version, 3);
+
+    engine.create("fresh", b"the log-writer pays").unwrap();
+    assert!(engine.stats().free_sectors > 0);
+    assert_eq!(engine.read("fresh").unwrap(), b"the log-writer pays");
+    let mut v = engine.shutdown().unwrap();
+    assert_eq!(v.vam_walk().unwrap().files_scanned, FILES as u64);
+    v.verify().unwrap();
+}
+
+#[test]
+fn a_promoted_replica_reads_without_a_walk() {
+    let mut primary = FsdVolume::format(SimDisk::tiny(), config()).unwrap();
+    for i in 0..30 {
+        primary.create(&name(i), &content(i)).unwrap();
+    }
+    let mut replica = Replica::install(&mut primary, config()).unwrap();
+    primary.create("shipped", b"after the install").unwrap();
+    primary.force().unwrap();
+    for frame in primary.take_repl_frames() {
+        replica.receive_apply(frame).unwrap();
+    }
+
+    let (mut v, report) = replica.promote().unwrap();
+    assert!(report.vam_reconstructed, "failover owes the walk");
+    assert_eq!((report.files_scanned, report.vam_us), (0, 0));
+    let mut f = v.open("shipped", None).unwrap();
+    assert_eq!(v.read_file(&mut f).unwrap(), b"after the install");
+    assert_eq!(v.vam_walk(), None);
+    v.create("new-primary", b"now it pays").unwrap();
+    assert_eq!(v.vam_walk().unwrap().files_scanned, 31);
+    v.verify().unwrap();
+}
+
+/// The walk-failed note is about the primary's own platters. The boot
+/// pages it is written on are mirrored to the replica like every other
+/// unlogged write, so the note has to be taken off on the way out: a
+/// replica whose name table is whole must not be sent to the scavenger
+/// — least of all in the one case replication exists for.
+#[test]
+fn a_replica_of_a_wounded_primary_promotes_without_a_scavenge() {
+    let disk = crashed();
+    let layout = *boot(&disk).layout();
+    let mut exercised = 0;
+    for page in 1..layout.nt_pages {
+        let mut primary = boot(&disk);
+        let mut replica = Replica::install(&mut primary, config()).unwrap();
+        for s in 0..2 {
+            primary
+                .disk_mut()
+                .damage_sector(layout.nt_a_sector(page) + s);
+            primary
+                .disk_mut()
+                .damage_sector(layout.nt_b_sector(page) + s);
+        }
+        if primary.create("after", b"needs a free map").is_ok() {
+            continue; // Not a page of the tree.
+        }
+        // The wounded session can still commit what needs no free map.
+        if primary.create_symlink("link", "[server]target").is_err() {
+            continue; // The link's own leaf is the dead one.
+        }
+        primary.force().unwrap();
+        primary.seal_repl_data_frame();
+        let frames = primary.take_repl_frames();
+        let ships_a_boot_page = |f: &cedar_fsd::ReplFrame| {
+            let mut writes = f.data.iter();
+            writes.any(|w| w.addr == layout.boot_a || w.addr == layout.boot_b)
+        };
+        assert!(
+            frames.iter().any(ships_a_boot_page),
+            "the note's boot-page write is in the stream"
+        );
+        for frame in frames {
+            replica.receive_apply(frame).unwrap();
+        }
+        exercised += 1;
+
+        let (mut v, report) = replica.promote().unwrap();
+        assert!(report.rung < RecoveryRung::Scavenge, "page {page}");
+        assert!(
+            report.vam_reconstructed,
+            "the replica owes an ordinary walk"
+        );
+        v.open("link", None).unwrap();
+        v.create("after", b"needs a free map").unwrap();
+        assert_eq!(v.vam_walk().unwrap().files_scanned, FILES as u64 + 1);
+        v.verify().unwrap();
+
+        // The primary itself still scavenges when it comes back.
+        let mut d = primary.into_disk();
+        d.crash_now();
+        d.reboot();
+        let (_, report) = FsdVolume::boot(d, config()).unwrap();
+        assert_eq!(report.rung, RecoveryRung::Scavenge, "page {page}");
+    }
+    assert!(exercised >= 2, "only {exercised} leaf pages exercised");
+}
+
+/// ISSUE 15 bugfix: `delete` and `create` used to clear the saved-VAM
+/// flag before looking at their arguments.
+#[test]
+fn an_op_that_fails_on_its_arguments_neither_invalidates_nor_walks() {
+    let mut v = FsdVolume::format(SimDisk::tiny(), config()).unwrap();
+    let before = v.disk_stats();
+    assert!(matches!(
+        v.delete("missing", None),
+        Err(FsdError::NotFound(_))
+    ));
+    assert!(matches!(v.create("", b"x"), Err(FsdError::BadName(_))));
+    assert_eq!(v.disk_stats().since(&before).total_ops(), 0, "zero I/O");
+    let mut d = v.into_disk();
+    d.crash_now();
+    d.reboot();
+    let (_, report) = FsdVolume::boot(d, config()).unwrap();
+    assert!(!report.vam_reconstructed, "the saved VAM is still good");
+
+    // After a crash boot the same two mistakes leave the walk owed.
+    let mut v = boot(&crashed());
+    assert!(matches!(
+        v.delete("missing", None),
+        Err(FsdError::NotFound(_))
+    ));
+    assert!(matches!(v.create("", b"x"), Err(FsdError::BadName(_))));
+    assert_eq!(v.vam_walk(), None);
+    assert_eq!(v.free_sectors(), 0);
+}

@@ -127,8 +127,26 @@ fn recover(disk: &SimDisk, workers: usize) -> Result<Option<(Observed, u32)>, Te
     let mut first = disk.clone();
     first.reboot();
     if let Ok((mut v, _report)) = FsdVolume::boot(first, config_with(workers)) {
-        if v.verify().is_ok() {
-            return observe(&mut v).map(Some);
+        // Boot leaves the VAM walk owed; pay it, so the free map that
+        // `observe` compares across worker counts is the rebuilt one.
+        match v.settle_vam() {
+            Ok(_) => {
+                if v.verify().is_ok() {
+                    return observe(&mut v).map(Some);
+                }
+            }
+            // Rot the walk cannot get past: typed error now, and the boot
+            // pages must send the next boot to the scavenger on their own.
+            Err(_) => {
+                let mut again = v.into_disk();
+                again.reboot();
+                if let Ok((mut v, report)) = FsdVolume::boot(again, config_with(workers)) {
+                    prop_assert_eq!(report.rung, RecoveryRung::Scavenge);
+                    if v.verify().is_ok() {
+                        return observe(&mut v).map(Some);
+                    }
+                }
+            }
         }
         // The fast rungs decoded rotten-but-plausible state (§5.8 calls
         // this the "malicious crash" class); fall through to the rung

@@ -209,7 +209,10 @@ pub struct FsStats {
     pub disk: DiskStats,
     /// Simulated time on the volume's clock, µs.
     pub now_us: Micros,
-    /// Free space remaining, in sectors (0 if the backend cannot say).
+    /// Free space the allocator may hand out now, in sectors (0 if the
+    /// backend cannot say — which includes an FSD volume booted after a
+    /// crash that has not allocated yet: its free map is rebuilt by the
+    /// first create or delete, not by boot).
     pub free_sectors: u64,
 }
 

@@ -47,10 +47,21 @@ fn main() {
         "FSD recovery: {} log records replayed, {} sector images redone,",
         report.records_replayed, report.images_redone
     );
+    // Boot replays the log and serves reads at once; the name-table walk
+    // that rebuilds the VAM waits for the first create or delete. Pay it
+    // here to see the whole of crash recovery.
+    let walk = fsd
+        .settle_vam()
+        .expect("VAM walk")
+        .expect("a crash boot owes the walk");
     println!(
         "  simulated {:.2} s redo + {:.1} s VAM rebuild = {:.1} s total (paper: 1-25 s)",
         report.redo_us as f64 / 1e6,
-        report.vam_us as f64 / 1e6,
+        walk.us() as f64 / 1e6,
+        (report.total_us() + walk.us()) as f64 / 1e6
+    );
+    println!(
+        "  first read possible after {:.2} s: the rebuild is deferred to the first allocation",
         report.total_us() as f64 / 1e6
     );
     println!("  (host wall-clock: {:?})", t0.elapsed());

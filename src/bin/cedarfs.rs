@@ -17,7 +17,7 @@
 
 use cedar_fs_repro::disk::{SimClock, SimDisk, SECTOR_BYTES_U64};
 use cedar_fs_repro::fsd::{FsdConfig, FsdVolume, RecoveryReport};
-use cedar_fs_repro::vol::fs::FsBackend;
+use cedar_fs_repro::vol::fs::{CedarFsError, FsBackend};
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
@@ -37,10 +37,113 @@ fn usage() -> ExitCode {
 fn boot(image: &str) -> Result<(FsdVolume, RecoveryReport), String> {
     let disk =
         SimDisk::load_image(image, SimClock::new()).map_err(|e| format!("open {image}: {e}"))?;
-    FsdVolume::boot(disk, FsdConfig::default()).map_err(|e| format!("boot: {e}"))
+    let (vol, r) = FsdVolume::boot(disk, FsdConfig::default()).map_err(|e| format!("boot: {e}"))?;
+    report_boot(&r);
+    Ok((vol, r))
 }
 
-fn finish(mut vol: FsdVolume, image: &str, crash: bool) -> Result<(), String> {
+fn secs(us: u64) -> f64 {
+    us as f64 / 1e6
+}
+
+/// Says where boot's time went, one line per phase, on any boot that
+/// replayed, scavenged or owes something.
+fn report_boot(r: &RecoveryReport) {
+    if r.records_replayed == 0 && !r.vam_reconstructed && r.scavenge.is_none() {
+        return;
+    }
+    eprintln!(
+        "recovery: {} log records replayed, VAM {}; {:.2} s to first read (simulated)",
+        r.records_replayed,
+        if r.scavenge.is_some() {
+            "rebuilt by the scavenger"
+        } else if !r.vam_reconstructed {
+            "loaded"
+        } else if r.files_scanned > 0 {
+            "reconstructed from the name table"
+        } else {
+            "walk owed to the first allocation"
+        },
+        secs(r.total_us())
+    );
+    if r.redo_us > 0 {
+        eprintln!(
+            "  log scan    {:.2} s  ({} records)",
+            secs(r.scan_us),
+            r.records_replayed
+        );
+        eprintln!(
+            "  home sweep  {:.2} s  ({} sector images)",
+            secs(r.sweep_us),
+            r.images_redone
+        );
+        eprintln!("  leaders     {:.2} s", secs(r.leaders_us));
+    }
+    if r.vam_us > 0 {
+        eprintln!("  saved VAM   {:.2} s", secs(r.vam_us));
+    }
+    if let Some(sc) = &r.scavenge {
+        eprintln!("  scavenge    {:.2} s  ({})", secs(r.scavenge_us), sc.cause);
+    }
+}
+
+/// Pays the VAM walk boot left owed and says what it cost. Commands that
+/// allocate or free call this before they start; read-only commands
+/// ([`read_only`]) leave it to [`finish`], whose shutdown needs the map.
+///
+/// A walk that finds the name table beyond replica repair asks the next
+/// boot for a scavenge through the boot pages. That boot is taken here,
+/// on the disk in memory: the command carries on against the rebuilt
+/// volume and `finish` saves it. Returning the error instead would leave
+/// the image without the request, to fail the same way every time.
+fn settle(mut vol: FsdVolume, r: &RecoveryReport) -> Result<FsdVolume, String> {
+    match vol.settle_vam() {
+        Ok(None) => Ok(vol),
+        Ok(Some(w)) => {
+            eprintln!(
+                "  VAM walk    {:.2} s  (prefetch {:.2} s + walk {:.2} s, {} files): \
+                 VAM reconstructed from the name table, {:.2} s in all",
+                secs(w.us()),
+                secs(w.prefetch_us),
+                secs(w.walk_us),
+                w.files_scanned,
+                secs(r.total_us() + w.us())
+            );
+            Ok(vol)
+        }
+        Err(e) if e.is_crash() => Err(format!("VAM walk: {e}")),
+        Err(e) => {
+            eprintln!("VAM walk: {e}; booting again to scavenge");
+            let (vol, r) = FsdVolume::boot(vol.into_disk(), FsdConfig::default())
+                .map_err(|e| format!("scavenge: {e}"))?;
+            report_boot(&r);
+            Ok(vol)
+        }
+    }
+}
+
+/// Runs a read-only command: it needs no free map, so it goes ahead of
+/// the walk boot left owed. If it fails while the walk is still owed it
+/// may have met a name-table page that only the walk — and the scavenge
+/// behind it — can put right, so the walk is paid and the command tried
+/// once more.
+fn read_only<T>(
+    mut vol: FsdVolume,
+    r: &RecoveryReport,
+    op: impl Fn(&mut FsdVolume) -> Result<T, CedarFsError>,
+) -> Result<(FsdVolume, T), String> {
+    match op(&mut vol) {
+        Ok(t) => Ok((vol, t)),
+        Err(_) if r.vam_reconstructed && vol.vam_walk().is_none() => {
+            let mut vol = settle(vol, r)?;
+            let t = op(&mut vol).map_err(|e| e.to_string())?;
+            Ok((vol, t))
+        }
+        Err(e) => Err(e.to_string()),
+    }
+}
+
+fn finish(mut vol: FsdVolume, r: &RecoveryReport, image: &str, crash: bool) -> Result<(), String> {
     if crash {
         vol.force().map_err(|e| format!("force: {e}"))?;
         eprintln!("(simulating a crash: no clean shutdown)");
@@ -50,25 +153,11 @@ fn finish(mut vol: FsdVolume, image: &str, crash: bool) -> Result<(), String> {
         disk.save_image(image)
             .map_err(|e| format!("save {image}: {e}"))
     } else {
+        let mut vol = settle(vol, r)?;
         vol.shutdown().map_err(|e| format!("shutdown: {e}"))?;
         vol.into_disk()
             .save_image(image)
             .map_err(|e| format!("save {image}: {e}"))
-    }
-}
-
-fn report_recovery(r: &RecoveryReport) {
-    if r.records_replayed > 0 || r.vam_reconstructed {
-        eprintln!(
-            "recovery: {} log records replayed, VAM {} ({:.2} s simulated)",
-            r.records_replayed,
-            if r.vam_reconstructed {
-                "reconstructed from the name table"
-            } else {
-                "loaded"
-            },
-            r.total_us() as f64 / 1e6
-        );
     }
 }
 
@@ -107,18 +196,18 @@ fn run() -> Result<(), String> {
         }
         ["put", image, name, host] => {
             let data = std::fs::read(host).map_err(|e| format!("read {host}: {e}"))?;
-            let (mut vol, r) = boot(image)?;
-            report_recovery(&r);
+            let (vol, r) = boot(image)?;
+            let mut vol = settle(vol, &r)?;
             // File operations go through the unified `FsBackend` trait —
             // the same interface the benches and conformance tests use.
             let f = FsBackend::create(&mut vol, name, &data).map_err(|e| format!("create: {e}"))?;
             println!("{} <- {} ({} bytes)", f.name, host, data.len());
-            finish(vol, image, crash)
+            finish(vol, &r, image, crash)
         }
         ["get", image, name] | ["get", image, name, _] => {
-            let (mut vol, r) = boot(image)?;
-            report_recovery(&r);
-            let data = FsBackend::read(&mut vol, name).map_err(|e| format!("read {name}: {e}"))?;
+            let (vol, r) = boot(image)?;
+            let (vol, data) = read_only(vol, &r, |v| FsBackend::read(v, name))
+                .map_err(|e| format!("read {name}: {e}"))?;
             match pos.get(3) {
                 Some(host) => {
                     std::fs::write(host, &data).map_err(|e| format!("write {host}: {e}"))?;
@@ -131,29 +220,30 @@ fn run() -> Result<(), String> {
                         .map_err(|e| e.to_string())?;
                 }
             }
-            finish(vol, image, false)
+            finish(vol, &r, image, false)
         }
         ["ls", image] | ["ls", image, _] => {
             let prefix = pos.get(2).copied().unwrap_or("");
-            let (mut vol, r) = boot(image)?;
-            report_recovery(&r);
-            let listing = FsBackend::list(&mut vol, prefix).map_err(|e| format!("list: {e}"))?;
+            let (vol, r) = boot(image)?;
+            let (vol, listing) = read_only(vol, &r, |v| FsBackend::list(v, prefix))
+                .map_err(|e| format!("list: {e}"))?;
             for f in &listing {
                 println!("{:>10}  v{:<3}  {}", f.bytes, f.version, f.name);
             }
             eprintln!("{} entries", listing.len());
-            finish(vol, image, false)
+            finish(vol, &r, image, false)
         }
         ["rm", image, name] => {
-            let (mut vol, r) = boot(image)?;
-            report_recovery(&r);
+            let (vol, r) = boot(image)?;
+            let mut vol = settle(vol, &r)?;
             FsBackend::delete(&mut vol, name).map_err(|e| format!("delete: {e}"))?;
             println!("removed {name}");
-            finish(vol, image, crash)
+            finish(vol, &r, image, crash)
         }
         ["stat", image] => {
+            // `free_sectors` reads 0 while a walk is owed.
             let (vol, r) = boot(image)?;
-            report_recovery(&r);
+            let vol = settle(vol, &r)?;
             let l = vol.layout();
             let g = *SimDisk::load_image(image, SimClock::new())
                 .map_err(|e| e.to_string())?
@@ -174,7 +264,7 @@ fn run() -> Result<(), String> {
                 vol.free_sectors(),
                 vol.free_sectors() as u64 * SECTOR_BYTES_U64 / 1_000_000
             );
-            finish(vol, image, false)
+            finish(vol, &r, image, false)
         }
         _ => Err("bad arguments".into()),
     }

@@ -49,8 +49,15 @@
 //! let mut platters = vol.into_disk();
 //! platters.crash_now();
 //! platters.reboot();
-//! let (vol, report) = FsdVolume::boot(platters, FsdConfig::default()).unwrap();
-//! assert!(report.total_us() < 30_000_000, "recovery in seconds, not hours");
+//! let (mut vol, report) = FsdVolume::boot(platters, FsdConfig::default()).unwrap();
+//! // Boot replays the log and serves reads at once; the name-table walk
+//! // that rebuilds the free map waits for the first allocation, or for
+//! // whoever asks.
+//! let walk = vol.settle_vam().unwrap().expect("a crash boot owes the walk");
+//! assert!(
+//!     report.total_us() + walk.us() < 30_000_000,
+//!     "recovery in seconds, not hours"
+//! );
 //!
 //! // Shared-reference service over any backend: wrap it in `SyncFs`
 //! // and every method takes `&self` — ready for `Arc` + threads.

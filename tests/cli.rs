@@ -112,3 +112,102 @@ fn bad_usage_exits_nonzero() {
     let (ok, _, _) = run(&["get", "/definitely/not/an/image", "x"]);
     assert!(!ok);
 }
+
+/// A crashed image with a name-table leaf dead in both copies, off the
+/// path of boot and of `probe`: the log does not cover it, so redo cannot
+/// heal it, and only the VAM walk (or a full listing) meets it.
+fn wounded_image(path: &str, probe: &str) {
+    use cedar_fs_repro::disk::SimDisk;
+    use cedar_fs_repro::fsd::{FsdConfig, FsdVolume, RecoveryRung};
+
+    let config = FsdConfig::default();
+    let mut v = FsdVolume::format(SimDisk::tiny(), config).unwrap();
+    for i in 0..120 {
+        v.create(&format!("dir{}/file{i:03}", i % 4), &[i as u8; 300])
+            .unwrap();
+    }
+    // Everything home and the log empty, then one more commit on the
+    // last leaf only, and the plug pulled.
+    v.shutdown().unwrap();
+    let (mut v, _) = FsdVolume::boot(v.into_disk(), config).unwrap();
+    v.create("zzz-last", b"invalidates the saved VAM").unwrap();
+    v.force().unwrap();
+    let mut disk = v.into_disk();
+    disk.crash_now();
+    disk.reboot();
+
+    let layout = *FsdVolume::boot(disk.clone(), config).unwrap().0.layout();
+    for page in 1..layout.nt_pages {
+        let mut wounded = disk.clone();
+        for s in 0..2 {
+            wounded.damage_sector(layout.nt_a_sector(page) + s);
+            wounded.damage_sector(layout.nt_b_sector(page) + s);
+        }
+        let Ok((mut v, report)) = FsdVolume::boot(wounded.clone(), config) else {
+            continue;
+        };
+        if report.rung != RecoveryRung::Scavenge
+            && v.open(probe, None).is_ok()
+            && v.settle_vam().is_err()
+        {
+            wounded.save_image(path).unwrap();
+            return;
+        }
+    }
+    panic!("no leaf page off the probe's path");
+}
+
+/// The walk that finds a dead name-table page no longer runs inside
+/// boot, and a command that returned its error would never save the
+/// scavenge request it left on the boot pages: every later invocation
+/// would fail the same way. Each command must instead come out with a
+/// repaired image, as when boot itself escalated.
+#[test]
+fn a_damaged_name_table_is_scavenged_not_stranded() {
+    let dir = Dir::new("wounded");
+    let src = dir.path("src.txt");
+    let dst = dir.path("dst.txt");
+    std::fs::write(&src, b"written after the scavenge").unwrap();
+    let probe = "dir0/file000";
+
+    type Command<'a> = Vec<&'a str>;
+    let img = dir.path("vol.img");
+    let commands: [(&str, Command); 5] = [
+        ("ls", vec!["ls", &img]),
+        ("get", vec!["get", &img, probe, &dst]),
+        ("put", vec!["put", &img, "new", &src]),
+        ("rm", vec!["rm", &img, probe]),
+        ("stat", vec!["stat", &img]),
+    ];
+    for (what, args) in &commands {
+        wounded_image(&img, probe);
+        let (ok, stdout, stderr) = run(args);
+        assert!(ok, "{what}: {stderr}");
+        // `get` of a file on healthy pages is served before anything
+        // finds the wound; the shutdown's walk then does.
+        assert!(
+            stderr.contains("booting again to scavenge"),
+            "{what}: {stderr}"
+        );
+        assert!(
+            stderr.contains("rebuilt by the scavenger"),
+            "{what}: {stderr}"
+        );
+        if *what == "ls" {
+            assert!(stdout.contains("dir3/file119"), "{stdout}");
+        }
+
+        // The image that came out is an ordinary, writable volume.
+        let (ok, _, stderr) = run(&["put", &img, "after", &src]);
+        assert!(ok, "after {what}: {stderr}");
+        assert!(
+            !stderr.contains("scaveng") && !stderr.contains("VAM walk"),
+            "after {what}: {stderr}"
+        );
+        let (ok, stdout, _) = run(&["ls", &img]);
+        assert!(ok);
+        assert!(stdout.contains("  after\n"), "after {what}: {stdout}");
+        assert_eq!(stdout.contains(probe), *what != "rm", "after {what}");
+    }
+    assert_eq!(std::fs::read(&dst).unwrap(), [0u8; 300]);
+}

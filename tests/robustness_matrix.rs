@@ -183,6 +183,10 @@ fn class4_vam_disk_errors() {
     d.damage_sector(layout.vam_b);
     let (mut fsd, report) = FsdVolume::boot(d, fsd_config()).unwrap();
     assert!(report.vam_reconstructed);
+    assert!(
+        fsd.settle_vam().unwrap().is_some(),
+        "boot left the walk owed"
+    );
     assert_eq!(fsd.free_sectors(), free);
     let mut f = fsd.open("keeper", None).unwrap();
     assert_eq!(fsd.read_file(&mut f).unwrap(), vec![3u8; 2048]);

@@ -58,6 +58,11 @@ cargo run --release -p cedar-bench --bin scavenge_scale -- --smoke
 # own time to first read (the name-table walk boot defers is still paid
 # and still measured).
 cargo run --release -p cedar-bench --bin recovery -- --smoke
+# The §6 model against the simulator: a relation, not a floor. A 1 MB
+# file read whole must land within the paper's five percent of its
+# script (one seek, one latency, one transfer, one copy) — it stops
+# doing so the day whole-file reads go back to one request per buffer.
+cargo run --release -p cedar-bench --bin model_validation
 # Log-shipping replication (smoke): per-mode ack/loss contracts — sync
 # and semi-sync failovers lose nothing acknowledged, async stays within
 # its lag bound, and both resync paths converge.

@@ -8,7 +8,7 @@
 
 use crate::error::CfsError;
 use crate::volume::CfsVolume;
-use cedar_vol::fs::{CedarFsError, FileInfo, FsBackend, FsStats, CHUNK_PAGES};
+use cedar_vol::fs::{CedarFsError, FileInfo, FsBackend, FsStats};
 
 impl From<CfsError> for CedarFsError {
     fn from(e: CfsError) -> Self {
@@ -51,15 +51,7 @@ impl FsBackend for CfsVolume {
 
     fn read(&mut self, name: &str) -> Result<Vec<u8>, CedarFsError> {
         let f = CfsVolume::open(self, name, None)?;
-        let mut out = Vec::with_capacity(f.header.byte_size as usize);
-        let mut page = 0;
-        while page < f.pages() {
-            let take = CHUNK_PAGES.min(f.pages() - page);
-            out.extend(self.read_pages(&f, page, take)?);
-            page += take;
-        }
-        out.truncate(f.header.byte_size as usize);
-        Ok(out)
+        Ok(self.read_file(&f)?)
     }
 
     fn write(&mut self, name: &str, data: &[u8]) -> Result<FileInfo, CedarFsError> {

@@ -626,10 +626,8 @@ impl CfsVolume {
                 .expect("page within file");
             let take = extent.len.min(page + count - at);
             let labels = Self::data_labels(file.uid, at, take);
-            out.extend(
-                self.disk
-                    .read_checked(extent.start, take as usize, &labels)?,
-            );
+            self.disk
+                .read_checked_into(extent.start, take as usize, &labels, &mut out)?;
             at += take;
         }
         self.cpu.sectors(count as u64);
@@ -639,14 +637,12 @@ impl CfsVolume {
     /// Reads a whole file (one label-checked transfer per extent),
     /// truncated to its byte size.
     pub fn read_file(&mut self, file: &CfsFile) -> Result<Vec<u8>> {
-        let mut out = Vec::with_capacity(file.header.byte_size as usize);
+        let mut out = Vec::with_capacity(file.pages() as usize * SECTOR_BYTES);
         let mut page = 0u32;
         for run in file.header.run_table.runs() {
             let labels = Self::data_labels(file.uid, page, run.len);
-            out.extend(
-                self.disk
-                    .read_checked(run.start, run.len as usize, &labels)?,
-            );
+            self.disk
+                .read_checked_into(run.start, run.len as usize, &labels, &mut out)?;
             page += run.len;
         }
         self.cpu.sectors(file.pages() as u64);

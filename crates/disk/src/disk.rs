@@ -394,11 +394,32 @@ impl SimDisk {
     /// Fails with [`DiskError::BadSector`] at the first damaged sector
     /// (time for the sectors scanned so far is still charged).
     pub fn read(&mut self, start: SectorAddr, n: usize) -> Result<Vec<u8>> {
+        let mut out = Vec::new();
+        self.read_into(start, n, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`Self::read`], appending to `out`: a caller assembling a file
+    /// from its runs pays for one buffer and one copy. On an error `out`
+    /// holds the sectors that transferred before it.
+    pub fn read_into(&mut self, start: SectorAddr, n: usize, out: &mut Vec<u8>) -> Result<()> {
+        self.transfer_in(start, n, None, out)
+    }
+
+    /// One read request: position, then per sector charge the transfer,
+    /// apply faults, check the label when `expected` is given, copy.
+    fn transfer_in(
+        &mut self,
+        start: SectorAddr,
+        n: usize,
+        expected: Option<&[Label]>,
+        out: &mut Vec<u8>,
+    ) -> Result<()> {
         self.check_range(start, n)?;
         self.stats.reads += 1;
         self.attribute(start);
         self.position_to(start);
-        let mut out = Vec::with_capacity(n * SECTOR_BYTES);
+        out.reserve(n * SECTOR_BYTES);
         for i in 0..n {
             let addr = start + i as u32;
             self.charge_transfer(addr, i == 0);
@@ -406,12 +427,22 @@ impl SimDisk {
             if self.fault_on_read(addr) {
                 return Err(DiskError::BadSector(addr));
             }
-            match &self.sectors[addr as usize].data {
+            let s = &self.sectors[addr as usize];
+            if let Some(want) = expected.map(|e| e[i]) {
+                if s.label != want {
+                    return Err(DiskError::LabelMismatch {
+                        addr,
+                        expected: want,
+                        found: s.label,
+                    });
+                }
+            }
+            match &s.data {
                 Some(d) => out.extend_from_slice(&d[..]),
                 None => out.extend_from_slice(&[0u8; SECTOR_BYTES]),
             }
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Reads `n` sectors, tolerating damage: damaged sectors read as zeros
@@ -450,35 +481,24 @@ impl SimDisk {
         n: usize,
         expected: &[Label],
     ) -> Result<Vec<u8>> {
+        let mut out = Vec::new();
+        self.read_checked_into(start, n, expected, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`Self::read_checked`], appending to `out` as [`Self::read_into`]
+    /// does.
+    pub fn read_checked_into(
+        &mut self,
+        start: SectorAddr,
+        n: usize,
+        expected: &[Label],
+        out: &mut Vec<u8>,
+    ) -> Result<()> {
         if expected.len() != n {
             return Err(DiskError::BadRequest("one expected label per sector"));
         }
-        self.check_range(start, n)?;
-        self.stats.reads += 1;
-        self.attribute(start);
-        self.position_to(start);
-        let mut out = Vec::with_capacity(n * SECTOR_BYTES);
-        for (i, &want) in expected.iter().enumerate() {
-            let addr = start + i as u32;
-            self.charge_transfer(addr, i == 0);
-            self.stats.sectors_read += 1;
-            if self.fault_on_read(addr) {
-                return Err(DiskError::BadSector(addr));
-            }
-            let s = &self.sectors[addr as usize];
-            if s.label != want {
-                return Err(DiskError::LabelMismatch {
-                    addr,
-                    expected: want,
-                    found: s.label,
-                });
-            }
-            match &s.data {
-                Some(d) => out.extend_from_slice(&d[..]),
-                None => out.extend_from_slice(&[0u8; SECTOR_BYTES]),
-            }
-        }
-        Ok(out)
+        self.transfer_in(start, n, Some(expected), out)
     }
 
     fn write_inner(

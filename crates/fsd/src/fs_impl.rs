@@ -8,7 +8,7 @@
 
 use crate::error::FsdError;
 use crate::volume::FsdVolume;
-use cedar_vol::fs::{CedarFsError, FileInfo, FsBackend, FsStats, CHUNK_PAGES};
+use cedar_vol::fs::{CedarFsError, FileInfo, FsBackend, FsStats};
 
 impl From<FsdError> for CedarFsError {
     fn from(e: FsdError) -> Self {
@@ -51,15 +51,7 @@ impl FsBackend for FsdVolume {
 
     fn read(&mut self, name: &str) -> Result<Vec<u8>, CedarFsError> {
         let mut f = FsdVolume::open(self, name, None)?;
-        let mut out = Vec::with_capacity(f.byte_size() as usize);
-        let mut page = 0;
-        while page < f.pages() {
-            let take = CHUNK_PAGES.min(f.pages() - page);
-            out.extend(self.read_pages(&mut f, page, take)?);
-            page += take;
-        }
-        out.truncate(f.byte_size() as usize);
-        Ok(out)
+        Ok(self.read_file(&mut f)?)
     }
 
     fn write(&mut self, name: &str, data: &[u8]) -> Result<FileInfo, CedarFsError> {

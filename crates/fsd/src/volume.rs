@@ -1176,8 +1176,9 @@ impl FsdVolume {
     }
 
     /// Verifies the leader page, piggybacked with the first `extra`
-    /// sectors after it when they are wanted anyway (§5.7).
-    fn verify_leader(&mut self, file: &FsdFile, extra: usize) -> Result<Vec<u8>> {
+    /// sectors after it when they are wanted anyway (§5.7); those sectors
+    /// are appended to `out`.
+    fn verify_leader(&mut self, file: &FsdFile, extra: usize, out: &mut Vec<u8>) -> Result<()> {
         // A leader awaiting its home write is checked from memory.
         let in_memory = self.leaders.get(&file.entry.leader_addr).and_then(|ls| {
             ls.unlogged
@@ -1187,15 +1188,21 @@ impl FsdVolume {
         if let Some(img) = in_memory {
             let leader = LeaderPage::decode(&img)?;
             leader.verify(&file.name, &file.entry)?;
-            if extra == 0 {
-                return Ok(Vec::new());
+            if extra > 0 {
+                self.disk
+                    .read_into(file.entry.leader_addr + 1, extra, out)?;
             }
-            return Ok(self.disk.read(file.entry.leader_addr + 1, extra)?);
+            return Ok(());
         }
-        let raw = self.disk.read(file.entry.leader_addr, 1 + extra)?;
-        let leader = LeaderPage::decode(&raw[..SECTOR_BYTES])?;
+        // One transfer: the leader lands in `out` ahead of the data and
+        // is cut out again once checked.
+        let at = out.len();
+        self.disk
+            .read_into(file.entry.leader_addr, 1 + extra, out)?;
+        let leader = LeaderPage::decode(&out[at..at + SECTOR_BYTES])?;
         leader.verify(&file.name, &file.entry)?;
-        Ok(raw[SECTOR_BYTES..].to_vec())
+        out.drain(at..at + SECTOR_BYTES);
+        Ok(())
     }
 
     /// Reads one page of an open file, verifying the leader on the
@@ -1210,37 +1217,43 @@ impl FsdVolume {
                 pages: file.pages(),
             })?;
         self.cpu.sectors(1);
+        let mut out = Vec::new();
         if !file.leader_verified {
             file.leader_verified = true;
             if sector == file.entry.leader_addr + 1 {
                 // The usual case: "the leader page is the previous
                 // physical page on the disk" — one combined transfer.
-                return self.verify_leader(file, 1);
+                self.verify_leader(file, 1, &mut out)?;
+                return Ok(out);
             }
-            self.verify_leader(file, 0)?;
+            self.verify_leader(file, 0, &mut out)?;
         }
-        Ok(self.disk.read(sector, 1)?)
+        self.disk.read_into(sector, 1, &mut out)?;
+        Ok(out)
     }
 
-    /// Reads a whole file (one transfer per extent, the first piggybacked
-    /// with the leader), truncated to its byte size.
+    /// Reads a whole file, truncated to its byte size: one transfer per
+    /// extent, the first piggybacked with the leader (§5.7), all into one
+    /// buffer. A file with no pages costs no I/O — there is no data
+    /// access for the leader check to ride on.
     pub fn read_file(&mut self, file: &mut FsdFile) -> Result<Vec<u8>> {
         if matches!(file.entry.kind, EntryKind::SymLink { .. }) {
             return Err(FsdError::WrongKind("regular file"));
         }
-        let mut out = Vec::with_capacity(file.entry.byte_size as usize);
+        // Room for the leader sector `verify_leader` reads along.
+        let mut out = Vec::with_capacity((file.pages() as usize + 1) * SECTOR_BYTES);
         let runs: Vec<Run> = file.entry.run_table.runs().to_vec();
         for (i, run) in runs.iter().enumerate() {
             if i == 0 && !file.leader_verified && run.start == file.entry.leader_addr + 1 {
                 file.leader_verified = true;
-                out.extend(self.verify_leader(file, run.len as usize)?);
+                self.verify_leader(file, run.len as usize, &mut out)?;
                 continue;
             }
-            out.extend(self.disk.read(run.start, run.len as usize)?);
+            self.disk.read_into(run.start, run.len as usize, &mut out)?;
         }
-        if !file.leader_verified && file.entry.leader_addr != 0 {
+        if !file.leader_verified && file.entry.leader_addr != 0 && !runs.is_empty() {
             file.leader_verified = true;
-            self.verify_leader(file, 0)?;
+            self.verify_leader(file, 0, &mut out)?;
         }
         self.cpu.sectors(file.pages() as u64);
         out.truncate(file.entry.byte_size as usize);
@@ -1271,10 +1284,10 @@ impl FsdVolume {
             };
             if let Some(extent) = piggyback {
                 let take = extent.len.min(count);
-                out.extend(self.verify_leader(file, take as usize)?);
+                self.verify_leader(file, take as usize, &mut out)?;
                 at += take;
             } else {
-                self.verify_leader(file, 0)?;
+                self.verify_leader(file, 0, &mut out)?;
             }
         }
         while at < page + count {
@@ -1283,7 +1296,7 @@ impl FsdVolume {
                     FsdError::Check(format!("page {at} missing from the run table"))
                 })?;
             let take = extent.len.min(page + count - at);
-            out.extend(self.disk.read(extent.start, take as usize)?);
+            self.disk.read_into(extent.start, take as usize, &mut out)?;
             at += take;
         }
         self.cpu.sectors(count as u64);

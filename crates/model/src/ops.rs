@@ -64,6 +64,9 @@ fn nodes(cpu: &CpuModel, n: u64) -> Step {
     Step::Cpu(cpu.btree_node_us * n)
 }
 
+/// Sectors in a 4 KB request, the stream buffer of the era.
+const REQUEST_SECTORS: u32 = 8;
+
 /// Track-to-track crossings in a transfer of `sectors` sectors.
 fn crossings(params: &ModelParams, sectors: u32) -> u32 {
     sectors / params.sectors_per_cylinder
@@ -177,6 +180,54 @@ pub fn fsd_ops(params: &ModelParams) -> Vec<Prediction> {
     for _ in 0..crossings(params, sectors) {
         s = s.step("track-to-track", Step::ShortSeek);
     }
+    out.push(predict(params, s));
+
+    // Whole-file read of 1 MB, one request per run: the file is one run
+    // a few cylinders long, so the head is a short seek from its leader;
+    // then leader + data stream past in one transfer and the copy is
+    // charged once.
+    let data = 2048u32;
+    let mut s = Script::new("FSD 1 MB read, one request per run")
+        .step("dispatch", Step::Cpu(cpu.op_overhead_us));
+    for (what, step) in name_lookup_cpu(cpu) {
+        s = s.step(&what, step);
+    }
+    s = s
+        .step("seek to file", Step::ShortSeek)
+        .step("latency", Step::Latency)
+        .step("leader + data transfer", Step::Transfer(1 + data));
+    for _ in 0..crossings(params, 1 + data) {
+        s = s.step("track-to-track", Step::ShortSeek);
+    }
+    s = s.step(
+        "copy 2048 sectors",
+        Step::Cpu(cpu.per_sector_us * data as Micros),
+    );
+    out.push(predict(params, s));
+
+    // The same file through an open handle in 4 KB requests. Each
+    // request's copy carries the next sector past the head, so every
+    // request but the first waits the platter round: 8 sectors of
+    // transfer buy a revolution. (A cylinder crossing hides inside a
+    // revolution already lost.)
+    let requests = (data / REQUEST_SECTORS) as usize;
+    let request_cpu = cpu.per_sector_us * REQUEST_SECTORS as Micros;
+    let s = Script::new("FSD 1 MB read, 4 KB requests")
+        .step("seek to file", Step::ShortSeek)
+        .step("latency", Step::Latency)
+        .step("leader, with the first request", Step::Transfer(1))
+        .steps("request", &vec![Step::Transfer(REQUEST_SECTORS); requests])
+        .steps("copy 8 sectors", &vec![Step::Cpu(request_cpu); requests])
+        .steps(
+            "next request: its first sector has just gone by",
+            &vec![
+                Step::RotationalJoin {
+                    cpu_us: request_cpu,
+                    offset: 0,
+                };
+                requests - 1
+            ],
+        );
     out.push(predict(params, s));
 
     out
@@ -417,6 +468,25 @@ mod tests {
                 assert_eq!(pred.script.disk_us(&p.timing, p.cylinders), 0);
             }
         }
+    }
+
+    #[test]
+    fn a_4kb_request_buys_a_revolution() {
+        // The before-figure of E-STREAM from first principles: a 1 MB
+        // file in 4 KB requests is 256 × (8 sectors + one revolution, the
+        // copy inside it), five times the one-request-per-run read.
+        let p = params();
+        let ops = fsd_ops(&p);
+        let by = |name: &str| {
+            ops.iter()
+                .find(|x| x.name.ends_with(name))
+                .unwrap()
+                .total_us
+        };
+        let per_request = by("4 KB requests") / 256;
+        let want = 8 * p.timing.sector_us() + p.timing.revolution_us();
+        assert!(per_request.abs_diff(want) < want / 100, "{per_request} µs");
+        assert!(by("4 KB requests") > 4 * by("one request per run"));
     }
 
     #[test]

@@ -129,17 +129,23 @@ impl Script {
             .sum()
     }
 
-    /// Renders the script in the paper's style.
+    /// Renders the script in the paper's style, a run of identical
+    /// consecutive steps on one line.
     pub fn render(&self, timing: &DiskTiming, cylinders: u32) -> String {
         use std::fmt::Write;
         let mut out = String::new();
         let _ = writeln!(out, "{}:", self.name);
-        for (i, (what, step)) in self.steps.iter().enumerate() {
+        for (i, same) in self.steps.chunk_by(|a, b| a == b).enumerate() {
+            let (what, step) = &same[0];
+            let times = match same.len() {
+                1 => String::new(),
+                n => format!("{n} × "),
+            };
             let _ = writeln!(
                 out,
-                "  {}) {what}: {step} = {:.2} ms",
+                "  {}) {what}: {times}{step} = {:.2} ms",
                 i + 1,
-                step.evaluate(timing, cylinders) as f64 / 1000.0
+                (same.len() as Micros * step.evaluate(timing, cylinders)) as f64 / 1000.0
             );
         }
         let _ = writeln!(
@@ -207,10 +213,12 @@ mod tests {
     fn render_mentions_every_step() {
         let s = Script::new("op")
             .step("a", Step::Latency)
-            .step("b", Step::Revolution);
+            .step("b", Step::Revolution)
+            .steps("c", &[Step::ShortSeek; 3]);
         let text = s.render(&T, CYLS);
         assert!(text.contains("1) a"));
         assert!(text.contains("2) b"));
+        assert!(text.contains("3) c: 3 × short seek = 18.00 ms"));
         assert!(text.contains("total"));
     }
 }

@@ -61,10 +61,12 @@ use cedar_disk::{DiskError, DiskStats, Micros};
 use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard};
 
-/// Data transfers go to the disk in 4 KB requests (eight sectors), the
-/// buffer size of the era — so reading a 20 KB file costs several I/Os
-/// on *every* file system, as it did in the paper's MakeDo measurements.
-/// Backends use this as the chunk size for [`FileSystem::read`].
+/// A 4 KB request (eight sectors), the stream-buffer size of the era.
+/// No backend uses it: [`FileSystem::read`] hands back the whole file,
+/// so it asks the disk for whole runs, and a client that does read in
+/// 4 KB requests finds each next sector just past the head and loses a
+/// revolution per request (EXPERIMENTS.md E-STREAM). It remains the
+/// request size of harnesses that measure exactly that cost.
 pub const CHUNK_PAGES: u32 = 8;
 
 /// One error type across every backend.
@@ -236,7 +238,10 @@ pub trait FileSystem: Send + Sync {
     /// cache touch).
     fn open(&self, name: &str) -> Result<FileInfo, CedarFsError>;
 
-    /// Reads the newest version fully, in [`CHUNK_PAGES`]-page requests.
+    /// Reads the newest version fully: one disk transfer per run of the
+    /// file, not one per buffer. An empty file reads as empty without
+    /// I/O beyond the open; a name that is not a regular file (an FSD
+    /// symbolic link, an FFS directory) is [`CedarFsError::WrongKind`].
     fn read(&self, name: &str) -> Result<Vec<u8>, CedarFsError>;
 
     /// Overwrites the visible contents of `name` with `data`. Required
@@ -280,7 +285,8 @@ pub trait FsBackend {
     fn create(&mut self, name: &str, data: &[u8]) -> Result<FileInfo, CedarFsError>;
     /// See [`FileSystem::open`].
     fn open(&mut self, name: &str) -> Result<FileInfo, CedarFsError>;
-    /// See [`FileSystem::read`].
+    /// See [`FileSystem::read`]. The volumes implement it as `open` plus
+    /// their `read_file`; page-at-a-time access is their `read_pages`.
     fn read(&mut self, name: &str) -> Result<Vec<u8>, CedarFsError>;
     /// See [`FileSystem::write`].
     fn write(&mut self, name: &str, data: &[u8]) -> Result<FileInfo, CedarFsError>;

@@ -219,6 +219,35 @@ fn contents_survive_any_systems_full_cycle() {
 }
 
 #[test]
+fn read_of_an_empty_file_and_of_a_link() {
+    // An empty file reads as empty everywhere. On FSD it costs no I/O at
+    // all: the open is served from the cached name table and there is no
+    // data access for the leader check to ride on (§5.7).
+    let cfs = SyncFs::new(cfs());
+    let fsd = SyncFs::new(fsd());
+    let ffs = SyncFs::new(ffs());
+    let backends: [&dyn FileSystem; 3] = [&cfs, &fsd, &ffs];
+    for fs in backends {
+        fs.create("d/empty", b"").unwrap();
+        assert_eq!(fs.read("d/empty").unwrap(), b"", "{}", fs.kind());
+    }
+    let mut fsd = fsd.into_inner();
+    fsd.force().unwrap(); // The leader is on disk only, not awaiting a write.
+    let before = fsd.disk_stats();
+    assert_eq!(FsBackend::read(&mut fsd, "d/empty").unwrap(), b"");
+    assert_eq!(fsd.disk_stats().since(&before).total_ops(), 0);
+
+    // A symbolic link is not a file: reading it is `WrongKind`, as
+    // reading a directory is on FFS.
+    fsd.create_symlink("d/link", "[server]<dir>target").unwrap();
+    assert!(matches!(
+        FsBackend::read(&mut fsd, "d/link"),
+        Err(CedarFsError::WrongKind(_))
+    ));
+    assert_eq!(FsBackend::open(&mut fsd, "d/link").unwrap().bytes, 0);
+}
+
+#[test]
 fn workload_steps_replay_deterministically() {
     // Two identical FSD volumes fed the same steps end in identical disk
     // states (the foundation of every measurement in this repo).

@@ -104,3 +104,321 @@ fn taint_ratchet_catches_a_new_unvalidated_decode_in_recovery() {
     let _ = std::fs::remove_dir_all(&dst);
     assert!(caught, "injected tainted sink was not flagged:\n{human}");
 }
+
+// ---- seeded mutations ------------------------------------------------------
+
+use cedar_analyze::source::SourceFile;
+use cedar_analyze::Finding;
+use std::collections::{BTreeMap, BTreeSet};
+
+/// One edit to one real workspace file.
+enum Edit {
+    /// Append the text to the end of the file.
+    Append(&'static str),
+    /// Replace the first `anchor` found after the first `after` (both
+    /// quoted source text, never line numbers — a seed whose anchor has
+    /// been refactored away must fail loudly, not pass vacuously).
+    Replace {
+        after: &'static str,
+        anchor: &'static str,
+        with: &'static str,
+    },
+}
+
+/// A seeded defect: the edit, the rule that must see it, and the exact
+/// `(item, snippet)` findings it must add under that rule in that file.
+struct Seed {
+    row: u32,
+    rule: &'static str,
+    file: &'static str,
+    edit: Edit,
+    expect: &'static [(&'static str, &'static str)],
+}
+
+const VOLUME: &str = "crates/fsd/src/volume.rs";
+const ENGINE: &str = "crates/fsd/src/engine.rs";
+const MAYBE_FORCE: &str = "fn maybe_force(&mut self) -> Result<()> {";
+
+/// The mutation table (ISSUE 17, EXPERIMENTS.md E-LINT). A rule is only
+/// believed once it has a row here: the per-rule fixtures cannot catch a
+/// refactor of the *real* code that blinds a rule, because nobody
+/// refactors a fixture.
+const SEEDS: &[Seed] = &[
+    Seed {
+        row: 1,
+        rule: "wal-order",
+        file: VOLUME,
+        edit: Edit::Append(
+            "impl FsdVolume { pub fn lint_probe(&mut self) -> Result<()> { self.sync_home_all() } }\n",
+        ),
+        expect: &[("lint_probe", "sync_home_all(..) reaches unlogged write")],
+    },
+    Seed {
+        row: 2,
+        rule: "repl-order",
+        file: VOLUME,
+        edit: Edit::Append(
+            "impl FsdVolume { pub fn lint_probe(&mut self) { self.seal_repl_frame(Vec::new(), 1, 2); } }\n",
+        ),
+        expect: &[("lint_probe", "seal_repl_frame(..) unlogged")],
+    },
+    Seed {
+        row: 3,
+        rule: "repl-order",
+        file: "crates/fsd/src/repl/shipper.rs",
+        edit: Edit::Append("fn lint_probe(c: bool) { if c { write_home_batch(1, 2, 3, 4); } }\n"),
+        expect: &[("lint_probe", "write_home_batch(..) in ship layer")],
+    },
+    // The barrier between a log record's body and its end pages (§4).
+    Seed {
+        row: 4,
+        rule: "barrier-discipline",
+        file: "crates/fsd/src/log.rs",
+        edit: Edit::Replace {
+            after: "// Window 1: H, blank, H'",
+            anchor: "batch.barrier();",
+            with: "",
+        },
+        expect: &[("append", "execute(batch) without barrier")],
+    },
+    Seed {
+        row: 5,
+        rule: "barrier-discipline",
+        file: "crates/fsd/src/layout.rs",
+        edit: Edit::Replace {
+            after: "pub(crate) fn write_replicas(",
+            anchor: "batch.barrier();",
+            with: "",
+        },
+        expect: &[("write_replicas", "execute(batch) without barrier")],
+    },
+    Seed {
+        row: 6,
+        rule: "batch-io",
+        file: VOLUME,
+        edit: Edit::Replace {
+            after: "",
+            anchor: "pub(crate) fn sync_home_all(&mut self) -> Result<()> {",
+            with: "pub(crate) fn sync_home_all(&mut self) -> Result<()> {\n\
+                   if self.vam_owed { self.disk.read(7, 1)?; }",
+        },
+        expect: &[("sync_home_all", "disk.read()")],
+    },
+    Seed {
+        row: 7,
+        rule: "error-flow",
+        file: VOLUME,
+        edit: Edit::Replace {
+            after: "pub fn shutdown(&mut self) -> Result<()> {",
+            anchor: "self.force()?;",
+            with: "let _ = self.force();",
+        },
+        expect: &[("shutdown", "let _ = .force(..)")],
+    },
+    // The same discard one `if` deep, in the commit daemon's stand-in.
+    Seed {
+        row: 8,
+        rule: "error-flow",
+        file: VOLUME,
+        edit: Edit::Replace {
+            after: MAYBE_FORCE,
+            anchor: "self.force()?;",
+            with: "let _ = self.force();",
+        },
+        expect: &[("maybe_force", "let _ = .force(..)")],
+    },
+    Seed {
+        row: 9,
+        rule: "error-flow",
+        file: VOLUME,
+        edit: Edit::Replace {
+            after: MAYBE_FORCE,
+            anchor: "self.force()?;",
+            with: "self.force().ok();",
+        },
+        expect: &[("maybe_force", ".force(..).ok()")],
+    },
+    Seed {
+        row: 10,
+        rule: "lock-graph",
+        file: ENGINE,
+        edit: Edit::Append(
+            "fn lint_probe(shared: &EngineShared, vol: &mut FsdVolume) {\n\
+             let g = plock(&shared.inbox); if g.stop { let _r = vol.force(); } }\n",
+        ),
+        expect: &[("lint_probe", "g held across force()")],
+    },
+    Seed {
+        row: 11,
+        rule: "lock-graph",
+        file: ENGINE,
+        edit: Edit::Append(
+            "fn lint_probe_a(shared: &EngineShared) {\n\
+             let a = plock(&shared.stats); let b = plock(&shared.inbox); }\n\
+             fn lint_probe_b(shared: &EngineShared) {\n\
+             let a = plock(&shared.inbox); let b = plock(&shared.stats); }\n",
+        ),
+        expect: &[("lint_probe_b", "cycle:inbox->stats")],
+    },
+    // A *local* closure that shadows the blocking workspace fn of the
+    // same name, bound one `if` deep: a call to it is not a call to the
+    // workspace fn, so nothing may fire.
+    Seed {
+        row: 12,
+        rule: "lock-graph",
+        file: ENGINE,
+        edit: Edit::Append(
+            "fn lint_probe(shared: &EngineShared, c: bool) -> u32 {\n\
+             let g = plock(&shared.inbox);\n\
+             if c { let process_batch = || 1; return process_batch(); }\n\
+             0 }\n",
+        ),
+        expect: &[],
+    },
+    Seed {
+        row: 13,
+        rule: "thread-roles",
+        file: ENGINE,
+        edit: Edit::Append("fn lint_probe(shared: &EngineShared) { let raw = &shared.inbox; }\n"),
+        expect: &[("lint_probe", "field inbox unsynchronized")],
+    },
+    Seed {
+        row: 14,
+        rule: "condvar-discipline",
+        file: ENGINE,
+        edit: Edit::Append("fn lint_probe(shared: &EngineShared) { shared.wake.notify_all(); }\n"),
+        expect: &[("lint_probe", "wake.notify_all without lock")],
+    },
+    Seed {
+        row: 15,
+        rule: "condvar-discipline",
+        file: ENGINE,
+        edit: Edit::Append(
+            "impl Slot { fn lint_probe(&self) {\n\
+             let s = plock(&self.state); let _g = self.cv.wait(s); } }\n",
+        ),
+        expect: &[("lint_probe", "cv.wait outside loop")],
+    },
+    Seed {
+        row: 16,
+        rule: "condvar-discipline",
+        file: ENGINE,
+        edit: Edit::Replace {
+            after: "es.batch_max = es.batch_max.max(batch_len);",
+            anchor: "shared.epoch.fetch_add(1, Ordering::AcqRel);",
+            with: "shared.epoch.fetch_add(1, Ordering::Relaxed);",
+        },
+        expect: &[("publish_epoch", "epoch.fetch_add ordering")],
+    },
+];
+
+fn apply_edit(seed: &Seed, src: &str) -> String {
+    match seed.edit {
+        Edit::Append(text) => format!("{src}\n{text}"),
+        Edit::Replace {
+            after,
+            anchor,
+            with,
+        } => {
+            let from = src.find(after).unwrap_or_else(|| {
+                panic!(
+                    "row {}: context {after:?} is gone from {}",
+                    seed.row, seed.file
+                )
+            });
+            let at = from
+                + src[from..].find(anchor).unwrap_or_else(|| {
+                    panic!(
+                        "row {}: anchor {anchor:?} is gone from {}",
+                        seed.row, seed.file
+                    )
+                });
+            format!("{}{with}{}", &src[..at], &src[at + anchor.len()..])
+        }
+    }
+}
+
+type Key = (String, String, String, String);
+type CheckFn = fn(&[SourceFile], &Config) -> Vec<Finding>;
+
+/// The family pass that emits `rule`.
+fn family_check(rule: &str) -> CheckFn {
+    use cedar_analyze::rules;
+    match rule {
+        "wal-order" => rules::walorder::check,
+        "repl-order" => rules::repl::check,
+        "barrier-discipline" | "batch-io" => rules::barrier::check,
+        "error-flow" => rules::errorflow::check,
+        "lock-graph" | "thread-roles" | "condvar-discipline" => rules::concurrency::check,
+        other => panic!("no family for rule {other}"),
+    }
+}
+
+fn keys(findings: Vec<Finding>) -> BTreeSet<Key> {
+    findings.iter().map(Finding::key).collect()
+}
+
+#[test]
+fn seeded_mutations_of_the_real_workspace_are_each_caught_exactly() {
+    let root = workspace_root();
+    let config = Config::cedar();
+    let mut files = cedar_analyze::workspace::load_workspace(&root, &config).expect("load");
+    // Findings the unedited tree already has under each family (no
+    // allowlist here), so a row asserts only what its edit added.
+    let mut baseline: BTreeMap<usize, BTreeSet<Key>> = BTreeMap::new();
+    let mut table = String::new();
+    let mut red = Vec::new();
+    for seed in SEEDS {
+        let check = family_check(seed.rule);
+        let base = baseline
+            .entry(check as usize)
+            .or_insert_with(|| keys(check(&files, &config)))
+            .clone();
+        let idx = files
+            .iter()
+            .position(|f| f.rel == seed.file)
+            .unwrap_or_else(|| panic!("row {}: {} is gone", seed.row, seed.file));
+        let src = std::fs::read_to_string(root.join(seed.file)).expect("read target");
+        let edited = SourceFile::parse(
+            seed.file.to_string(),
+            files[idx].crate_key.clone(),
+            files[idx].is_aux,
+            &apply_edit(seed, &src),
+        );
+        let original = std::mem::replace(&mut files[idx], edited);
+        assert!(
+            files[idx].parse_error.is_none(),
+            "row {}: the edited file does not parse: {:?}",
+            seed.row,
+            files[idx].parse_error
+        );
+        let got: BTreeSet<Key> = keys(check(&files, &config))
+            .difference(&base)
+            .cloned()
+            .collect();
+        files[idx] = original;
+        let want: BTreeSet<Key> = seed
+            .expect
+            .iter()
+            .map(|(item, snippet)| {
+                (
+                    seed.rule.to_string(),
+                    seed.file.to_string(),
+                    item.to_string(),
+                    snippet.to_string(),
+                )
+            })
+            .collect();
+        let verdict = if got == want { "green" } else { "RED" };
+        table.push_str(&format!(
+            "row {:>2} {:<18} {verdict}\n",
+            seed.row, seed.rule
+        ));
+        if got != want {
+            table.push_str(&format!("       want {want:?}\n       got  {got:?}\n"));
+            red.push(seed.row);
+        }
+    }
+    println!("{table}");
+    assert!(red.is_empty(), "rows {red:?} are red:\n{table}");
+}

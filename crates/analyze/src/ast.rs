@@ -288,81 +288,130 @@ impl Expr {
     }
 }
 
-/// Calls `f` on every expression in the block, depth-first, in evaluation
-/// order (receivers before arguments, scrutinees before arms).
-pub fn walk_block(b: &Block, f: &mut impl FnMut(&Expr)) {
-    for s in &b.stmts {
-        match s {
-            Stmt::Let {
-                init, else_block, ..
-            } => {
-                if let Some(e) = init {
-                    walk_expr(e, f);
-                }
-                if let Some(eb) = else_block {
-                    walk_block(eb, f);
-                }
-            }
-            Stmt::Expr(e) => walk_expr(e, f),
-        }
+/// The one traversal under the rule walkers. The default methods visit
+/// every child in evaluation order — receiver before arguments,
+/// scrutinee before arms, a `let` initialiser before its `else` block —
+/// by calling the free `walk_*` helpers; a rule overrides the method for
+/// the node kinds it gives meaning to and calls the helper (before,
+/// after, or not at all) for the rest. Nothing else in the crate spells
+/// out the children of a [`Stmt`] or [`Expr`] variant, except the taint
+/// interpreter, whose every arm returns a value.
+pub trait Visit {
+    /// Visits a block: its statements in order.
+    fn block(&mut self, b: &Block) {
+        walk_block(self, b);
+    }
+
+    /// Visits a statement, at any nesting depth.
+    fn stmt(&mut self, s: &Stmt) {
+        walk_stmt(self, s);
+    }
+
+    /// Visits an expression.
+    fn expr(&mut self, e: &Expr) {
+        walk_expr(self, e);
     }
 }
 
-/// Calls `f` on `e` and every sub-expression, depth-first pre-order.
-pub fn walk_expr(e: &Expr, f: &mut impl FnMut(&Expr)) {
-    f(e);
+/// Visits the block's statements in order.
+pub fn walk_block<V: Visit + ?Sized>(v: &mut V, b: &Block) {
+    for s in &b.stmts {
+        v.stmt(s);
+    }
+}
+
+/// Visits a statement's children: a `let`'s initialiser, then its `else`
+/// block.
+pub fn walk_stmt<V: Visit + ?Sized>(v: &mut V, s: &Stmt) {
+    match s {
+        Stmt::Let {
+            init, else_block, ..
+        } => {
+            if let Some(e) = init {
+                v.expr(e);
+            }
+            if let Some(eb) = else_block {
+                v.block(eb);
+            }
+        }
+        Stmt::Expr(e) => v.expr(e),
+    }
+}
+
+/// Visits an expression's children in evaluation order.
+pub fn walk_expr<V: Visit + ?Sized>(v: &mut V, e: &Expr) {
     match e {
         Expr::Path { .. } | Expr::Macro { .. } | Expr::Atom { .. } => {}
         Expr::Call { func, args, .. } => {
-            walk_expr(func, f);
+            v.expr(func);
             for a in args {
-                walk_expr(a, f);
+                v.expr(a);
             }
         }
         Expr::MethodCall { recv, args, .. } => {
-            walk_expr(recv, f);
+            v.expr(recv);
             for a in args {
-                walk_expr(a, f);
+                v.expr(a);
             }
         }
-        Expr::Field { base, .. } => walk_expr(base, f),
+        Expr::Field { base, .. } => v.expr(base),
         Expr::Seq { items, .. } => {
             for it in items {
-                walk_expr(it, f);
+                v.expr(it);
             }
         }
-        Expr::Block { block, .. } => walk_block(block, f),
+        Expr::Block { block, .. } | Expr::Loop { body: block, .. } => v.block(block),
         Expr::If {
             cond, then, alt, ..
         } => {
-            walk_expr(cond, f);
-            walk_block(then, f);
+            v.expr(cond);
+            v.block(then);
             if let Some(a) = alt {
-                walk_expr(a, f);
+                v.expr(a);
             }
         }
         Expr::Match {
             scrutinee, arms, ..
         } => {
-            walk_expr(scrutinee, f);
+            v.expr(scrutinee);
             for arm in arms {
-                walk_expr(&arm.body, f);
+                v.expr(&arm.body);
             }
         }
-        Expr::Loop { body, .. } => walk_block(body, f),
         Expr::While { cond, body, .. } => {
-            walk_expr(cond, f);
-            walk_block(body, f);
+            v.expr(cond);
+            v.block(body);
         }
         Expr::For { iter, body, .. } => {
-            walk_expr(iter, f);
-            walk_block(body, f);
+            v.expr(iter);
+            v.block(body);
         }
-        Expr::Closure { body, .. } => walk_expr(body, f),
+        Expr::Closure { body, .. } => v.expr(body),
         Expr::Ret { value, .. } => {
-            if let Some(v) = value {
-                walk_expr(v, f);
+            if let Some(value) = value {
+                v.expr(value);
             }
         }
     }
+}
+
+/// [`Visit`] as a closure: `f` sees every expression, parents first.
+struct EachExpr<F>(F);
+
+impl<F: FnMut(&Expr)> Visit for EachExpr<F> {
+    fn expr(&mut self, e: &Expr) {
+        (self.0)(e);
+        walk_expr(self, e);
+    }
+}
+
+/// Calls `f` on every expression in the block, at any statement depth,
+/// parents first, in evaluation order.
+pub fn each_expr_in(b: &Block, f: impl FnMut(&Expr)) {
+    EachExpr(f).block(b);
+}
+
+/// Calls `f` on `e` and every expression inside it, parents first.
+pub fn each_expr(e: &Expr, f: impl FnMut(&Expr)) {
+    EachExpr(f).expr(e);
 }

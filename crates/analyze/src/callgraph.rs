@@ -86,14 +86,6 @@ impl<'a> CallGraph<'a> {
             .unwrap_or(&[])
     }
 
-    /// The node defined in `file_rel` with name `name`, if unique-ish
-    /// (first match in source order).
-    pub fn node_in_file(&self, file_rel: &str, name: &str) -> Option<usize> {
-        self.nodes
-            .iter()
-            .position(|n| n.def.name == name && self.files[n.file_idx].rel == file_rel)
-    }
-
     /// Iterates `(node index, file, def)` over all nodes.
     pub fn iter(&self) -> impl Iterator<Item = (usize, &'a SourceFile, &'a FnDef)> + '_ {
         self.nodes
@@ -102,9 +94,14 @@ impl<'a> CallGraph<'a> {
             .map(|(i, n)| (i, &self.files[n.file_idx], n.def))
     }
 
-    /// Body of a node, if present.
-    pub fn body(&self, node: usize) -> Option<&'a Block> {
-        self.nodes[node].def.body.as_ref()
+    /// The body a flow rule walks for `node`: `None` for bodyless
+    /// declarations and for test code, which no rule summarizes.
+    pub fn rule_body(&self, node: usize) -> Option<&'a Block> {
+        let def = self.nodes[node].def;
+        if self.file_of(node).is_test_line(def.line) {
+            return None;
+        }
+        def.body.as_ref()
     }
 }
 

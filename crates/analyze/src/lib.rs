@@ -78,6 +78,7 @@ pub mod allowlist;
 pub mod ast;
 pub mod callgraph;
 pub mod config;
+pub mod flow;
 pub mod lexer;
 pub mod parser;
 pub mod report;
@@ -88,57 +89,77 @@ pub mod workspace;
 pub use config::Config;
 pub use report::Report;
 
-/// Every rule id the analyzer can emit, in report order. SARIF output
-/// advertises this full set even on clean runs, so downstream tooling
-/// sees which checks ran, not just which fired.
-pub const RULE_IDS: &[&str] = &[
-    "layering",
-    "wal-order",
-    "repl-order",
-    "barrier-discipline",
-    "batch-io",
-    "error-flow",
-    "panic-ratchet",
-    "lock-graph",
-    "thread-roles",
-    "condvar-discipline",
-    "const-consistency",
-    "cast-safety",
-    "fs-api",
-    "unsafe-hygiene",
-    "disk-taint",
-    "decode-coverage",
-    "taint-arith",
-    "parse-error",
-    "stale-allowlist",
-];
+/// Everything a rule pass reads: the loaded workspace, its call graph
+/// (built once per run) and the rule configuration.
+pub struct Analysis<'a> {
+    /// Every workspace source file, in deterministic order.
+    pub files: &'a [source::SourceFile],
+    /// Name-indexed call graph over the non-aux files.
+    pub cg: callgraph::CallGraph<'a>,
+    /// Rule scopes and lists.
+    pub config: &'a Config,
+}
 
-/// Rule families as the CLI groups them (`cedar-lint --rule <family>`):
-/// one entry per `rules::*::check` pass, mapping the family name to the
-/// rule ids that pass can emit. The filter accepts either a family name
-/// or any one of its rule ids.
-pub const FAMILIES: &[(&str, &[&str])] = &[
-    ("layering", &["layering"]),
-    ("panics", &["panic-ratchet"]),
-    ("consts", &["const-consistency"]),
-    ("casts", &["cast-safety"]),
-    ("unsafety", &["unsafe-hygiene"]),
-    ("walorder", &["wal-order"]),
-    ("repl", &["repl-order"]),
-    ("barrier", &["barrier-discipline", "batch-io"]),
-    ("errorflow", &["error-flow"]),
-    ("fsapi", &["fs-api"]),
+impl<'a> Analysis<'a> {
+    /// Indexes `files` for the rule passes.
+    pub fn new(files: &'a [source::SourceFile], config: &'a Config) -> Self {
+        Self {
+            files,
+            cg: callgraph::CallGraph::build(files),
+            config,
+        }
+    }
+}
+
+/// A rule family's pass.
+pub type CheckFn = for<'a> fn(&Analysis<'a>) -> Vec<Finding>;
+
+/// The rule families in execution order, as the CLI groups them
+/// (`cedar-lint --rule <family>`): family name, the rule ids its pass can
+/// emit, and the pass. The filter accepts either a family name or any
+/// one of its rule ids.
+pub const FAMILIES: &[(&str, &[&str], CheckFn)] = &[
+    ("layering", &["layering"], rules::layering::check),
+    ("panics", &["panic-ratchet"], rules::panics::check),
+    ("consts", &["const-consistency"], rules::consts::check),
+    ("casts", &["cast-safety"], rules::casts::check),
+    ("unsafety", &["unsafe-hygiene"], rules::unsafety::check),
+    ("walorder", &["wal-order"], rules::walorder::check),
+    ("repl", &["repl-order"], rules::repl::check),
+    (
+        "barrier",
+        &["barrier-discipline", "batch-io"],
+        rules::barrier::check,
+    ),
+    ("errorflow", &["error-flow"], rules::errorflow::check),
+    ("fsapi", &["fs-api"], rules::fsapi::check),
     (
         "concurrency",
         &["lock-graph", "thread-roles", "condvar-discipline"],
+        rules::concurrency::check,
     ),
-    ("taint", &["disk-taint", "decode-coverage", "taint-arith"]),
+    (
+        "taint",
+        &["disk-taint", "decode-coverage", "taint-arith"],
+        rules::taint::check,
+    ),
 ];
+
+/// Every rule id the analyzer can emit: the families' ids plus the two
+/// the driver raises itself. SARIF output advertises this full set even
+/// on clean runs, so downstream tooling sees which checks ran, not just
+/// which fired.
+pub fn rule_ids() -> impl Iterator<Item = &'static str> {
+    FAMILIES
+        .iter()
+        .flat_map(|(_, ids, _)| ids.iter().copied())
+        .chain(["parse-error", "stale-allowlist"])
+}
 
 /// One finding: a rule violation at a source location.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Finding {
-    /// Rule id — one of [`RULE_IDS`].
+    /// Rule id — one of [`rule_ids`].
     pub rule: &'static str,
     /// Workspace-relative file path.
     pub file: String,
@@ -209,25 +230,21 @@ pub fn run_filtered(
     allow: &allowlist::Allowlist,
     filter: Option<&str>,
 ) -> Result<Report, AnalyzeError> {
-    if let Some(name) = filter {
-        if !FAMILIES
-            .iter()
-            .any(|(fam, ids)| *fam == name || ids.contains(&name))
-        {
-            return Err(AnalyzeError::BadRoot(format!(
-                "unknown rule family `{name}` (families: {})",
-                FAMILIES
-                    .iter()
-                    .map(|(f, _)| *f)
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            )));
-        }
-    }
     let selected = |fam: &str, ids: &[&str]| match filter {
         None => true,
         Some(name) => fam == name || ids.contains(&name),
     };
+    if !FAMILIES.iter().any(|(fam, ids, _)| selected(fam, ids)) {
+        return Err(AnalyzeError::BadRoot(format!(
+            "unknown rule family `{}` (families: {})",
+            filter.unwrap_or_default(),
+            FAMILIES
+                .iter()
+                .map(|(f, ..)| *f)
+                .collect::<Vec<_>>()
+                .join(", ")
+        )));
+    }
     let files = workspace::load_workspace(root, config)?;
     let mut findings = Vec::new();
     // A file the parser cannot handle silently escapes the flow rules, so
@@ -247,33 +264,14 @@ pub fn run_filtered(
             });
         }
     }
-    type CheckFn = fn(&[source::SourceFile], &Config) -> Vec<Finding>;
-    let passes: &[(&str, CheckFn)] = &[
-        ("layering", rules::layering::check),
-        ("panics", rules::panics::check),
-        ("consts", rules::consts::check),
-        ("casts", rules::casts::check),
-        ("unsafety", rules::unsafety::check),
-        ("walorder", rules::walorder::check),
-        ("repl", rules::repl::check),
-        ("barrier", rules::barrier::check),
-        ("errorflow", rules::errorflow::check),
-        ("fsapi", rules::fsapi::check),
-        ("concurrency", rules::concurrency::check),
-        ("taint", rules::taint::check),
-    ];
+    let analysis = Analysis::new(&files, config);
     let mut timings = Vec::new();
-    for (fam, check) in passes {
-        let ids = FAMILIES
-            .iter()
-            .find(|(f, _)| f == fam)
-            .map(|(_, ids)| *ids)
-            .unwrap_or(&[]);
+    for (fam, ids, check) in FAMILIES {
         if !selected(fam, ids) {
             continue;
         }
         let t0 = std::time::Instant::now();
-        findings.extend(check(&files, config));
+        findings.extend(check(&analysis));
         timings.push((fam.to_string(), t0.elapsed().as_millis()));
     }
     let (kept, stale) = allow.apply(findings);

@@ -117,12 +117,12 @@ impl Report {
     }
 
     /// SARIF 2.1.0 encoding: one run, one result per finding. The driver
-    /// advertises the full [`crate::RULE_IDS`] registry (plus any ad-hoc
+    /// advertises the full [`crate::rule_ids`] registry (plus any ad-hoc
     /// rule a finding carries), so clean runs still tell downstream
     /// tooling which checks ran. Findings without a line
     /// (allowlist-level) report line 1 — SARIF regions are 1-based.
     pub fn sarif(&self) -> String {
-        let mut rules: Vec<&str> = crate::RULE_IDS.to_vec();
+        let mut rules: Vec<&str> = crate::rule_ids().collect();
         rules.extend(self.findings.iter().map(|f| f.rule));
         rules.sort_unstable();
         rules.dedup();
@@ -257,7 +257,7 @@ mod tests {
         assert!(s.contains("\"results\":[]"));
         // Every registered rule id is advertised even with no findings —
         // including the concurrency family.
-        for id in crate::RULE_IDS {
+        for id in crate::rule_ids() {
             assert!(s.contains(&format!("{{\"id\":\"{id}\"}}")), "missing {id}");
         }
     }

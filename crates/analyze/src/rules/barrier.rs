@@ -17,11 +17,11 @@ use crate::ast::{Block, Expr, Stmt};
 use crate::callgraph::CallGraph;
 use crate::config::Config;
 use crate::source::SourceFile;
-use crate::Finding;
+use crate::{Analysis, Finding};
 
 /// Runs both checks.
-pub fn check(files: &[SourceFile], config: &Config) -> Vec<Finding> {
-    let cg = CallGraph::build(files);
+pub fn check(a: &Analysis<'_>) -> Vec<Finding> {
+    let (cg, config) = (&a.cg, a.config);
     // Which call-graph nodes directly perform raw disk I/O (depth 1 only:
     // going deeper through name-based resolution invites false positives).
     let raw_direct: Vec<bool> = cg
@@ -29,7 +29,7 @@ pub fn check(files: &[SourceFile], config: &Config) -> Vec<Finding> {
         .map(|(_, file, def)| {
             let Some(body) = &def.body else { return false };
             let mut raw = false;
-            crate::ast::walk_block(body, &mut |e| {
+            crate::ast::each_expr_in(body, |e| {
                 if let Expr::MethodCall {
                     recv, method, line, ..
                 } = e
@@ -47,8 +47,8 @@ pub fn check(files: &[SourceFile], config: &Config) -> Vec<Finding> {
         .collect();
 
     let mut out = Vec::new();
-    for f in files {
-        check_batch_io(f, config, &cg, &raw_direct, &mut out);
+    for f in a.files {
+        check_batch_io(f, config, cg, &raw_direct, &mut out);
         check_barriers(f, config, &mut out);
     }
     out
@@ -74,7 +74,7 @@ fn check_batch_io(
             continue;
         }
         let Some(body) = &def.body else { continue };
-        crate::ast::walk_block(body, &mut |e| {
+        crate::ast::each_expr_in(body, |e| {
             let (name, line, direct) = match e {
                 Expr::MethodCall {
                     recv, method, line, ..
@@ -208,7 +208,7 @@ fn collect_block(b: &Block, evs: &mut Vec<Ev>) {
 /// True when the expression contains an `IoBatch::new()` construction.
 fn creates_batch(e: &Expr) -> bool {
     let mut found = false;
-    crate::ast::walk_expr(e, &mut |x| {
+    crate::ast::each_expr(e, |x| {
         if let Expr::Call { func, .. } = x {
             if let Expr::Path { segs, .. } = func.as_ref() {
                 if segs.len() >= 2
@@ -224,7 +224,7 @@ fn creates_batch(e: &Expr) -> bool {
 }
 
 fn collect_expr(e: &Expr, evs: &mut Vec<Ev>) {
-    crate::ast::walk_expr(e, &mut |x| match x {
+    crate::ast::each_expr(e, |x| match x {
         Expr::MethodCall {
             recv, method, line, ..
         } => {
@@ -270,7 +270,7 @@ mod tests {
     }
 
     fn run(files: Vec<SourceFile>) -> Vec<Finding> {
-        check(&files, &Config::cedar())
+        check(&Analysis::new(&files, &Config::cedar()))
     }
 
     #[test]

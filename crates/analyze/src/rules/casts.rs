@@ -12,19 +12,17 @@
 //!    cast to ≤16 bits; use `u8::from`/`u16::try_from` so intent (lossless
 //!    vs saturating) is explicit.
 
-use crate::config::Config;
 use crate::lexer::TokKind;
-use crate::source::SourceFile;
-use crate::Finding;
+use crate::{Analysis, Finding};
 
 const NARROW: &[&str] = &["u8", "u16", "i8", "i16"];
 const LEN_NARROW: &[&str] = &["u8", "u16", "u32", "i8", "i16", "i32"];
 
 /// Runs the cast-safety check.
-pub fn check(files: &[SourceFile], config: &Config) -> Vec<Finding> {
+pub fn check(a: &Analysis<'_>) -> Vec<Finding> {
     let mut out = Vec::new();
-    for f in files {
-        if f.is_aux || !config.cast_crates.iter().any(|c| *c == f.crate_key) {
+    for f in a.files {
+        if f.is_aux || !a.config.cast_crates.iter().any(|c| *c == f.crate_key) {
             continue;
         }
         let toks = &f.tokens;
@@ -66,7 +64,8 @@ pub fn check(files: &[SourceFile], config: &Config) -> Vec<Finding> {
 
             // Pattern 2: `LAYOUT_CONST as T` outside the defining file.
             if prev.kind == TokKind::Ident {
-                if let Some((name, defs)) = config
+                if let Some((name, defs)) = a
+                    .config
                     .cast_const_idents
                     .iter()
                     .find(|(name, _)| prev.text == *name)
@@ -117,6 +116,12 @@ pub fn check(files: &[SourceFile], config: &Config) -> Vec<Finding> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::Config;
+    use crate::source::SourceFile;
+
+    fn check(files: &[SourceFile], config: &Config) -> Vec<Finding> {
+        super::check(&Analysis::new(files, config))
+    }
 
     fn file(rel: &str, krate: &str, src: &str) -> SourceFile {
         SourceFile::parse(rel.into(), krate.into(), false, src)

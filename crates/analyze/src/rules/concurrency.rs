@@ -37,11 +37,12 @@
 //!   epoch's update of the published map happens-before the epoch
 //!   observation.
 
-use crate::ast::{Block, Expr, FieldDef, Stmt};
+use crate::ast::{self, Block, Expr, FieldDef, Stmt, Visit};
 use crate::callgraph::CallGraph;
 use crate::config::Config;
+use crate::flow;
 use crate::source::SourceFile;
-use crate::Finding;
+use crate::{Analysis, Finding};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Methods that legitimately touch a lock-classified field.
@@ -60,12 +61,10 @@ const RELEASE_ORDERINGS: [&str; 3] = ["Release", "AcqRel", "SeqCst"];
 const ACQUIRE_ORDERINGS: [&str; 2] = ["Acquire", "SeqCst"];
 
 /// Runs the concurrency rule family.
-pub fn check(files: &[SourceFile], config: &Config) -> Vec<Finding> {
-    let cg = CallGraph::build(files);
-    let mut out = Vec::new();
-    out.extend(lock_graph(&cg, config));
-    out.extend(thread_roles(files, &cg, config));
-    out.extend(condvar_discipline(files, config));
+pub fn check(a: &Analysis<'_>) -> Vec<Finding> {
+    let mut out = lock_graph(&a.cg, a.config);
+    out.extend(thread_roles(a.files, &a.cg, a.config));
+    out.extend(condvar_discipline(a.files, a.config));
     out
 }
 
@@ -134,11 +133,38 @@ fn acquisition(e: &Expr, config: &Config) -> Option<(String, u32)> {
     }
 }
 
-/// True when the line is inside test code or the fn is a configured
-/// lock-acquire helper (its body names the lock by parameter, which
-/// would pollute the graph).
-fn skip_fn(file: &SourceFile, name: &str, line: u32, config: &Config) -> bool {
-    file.is_test_line(line) || config.lock_acquire_fns.contains(&name)
+/// The workspace fn a call expression may resolve to, as (owner
+/// qualifier, name, line): a path call `f(..)` / `Owner::f(..)`, or a
+/// method on `self` — a name-based graph cannot type other receivers,
+/// and bare-name resolution invents paths (`shared.submit(op)` is not
+/// the scheduler's `submit`).
+fn callee(e: &Expr) -> Option<(Option<&str>, &str, u32)> {
+    match e {
+        Expr::Call { func, line, .. } => {
+            let Expr::Path { segs, .. } = func.as_ref() else {
+                return None;
+            };
+            let (name, quals) = segs.split_last()?;
+            Some((quals.last().map(String::as_str), name, *line))
+        }
+        Expr::MethodCall {
+            recv, method, line, ..
+        } if recv.last_name() == Some("self") => Some((None, method, *line)),
+        _ => None,
+    }
+}
+
+/// The body to walk for a call-graph node: none for test code, bodyless
+/// declarations, and the configured lock-acquire helpers (their bodies
+/// name the lock by parameter, which would pollute the graph).
+fn node_body<'a>(cg: &CallGraph<'a>, config: &Config, node: usize) -> Option<&'a Block> {
+    if config
+        .lock_acquire_fns
+        .contains(&cg.nodes[node].def.name.as_str())
+    {
+        return None;
+    }
+    cg.rule_body(node)
 }
 
 /// Every name bound inside the fn (parameters, `let` bindings, closure
@@ -175,7 +201,7 @@ fn collect_locals(b: &Block, names: &mut BTreeSet<String>) {
 }
 
 fn collect_locals_expr(e: &Expr, names: &mut BTreeSet<String>) {
-    crate::ast::walk_expr(e, &mut |x| {
+    ast::each_expr(e, |x| {
         if let Expr::Closure { params, .. } = x {
             names.extend(params.iter().cloned());
         }
@@ -317,161 +343,92 @@ impl<'a> LockWalker<'a> {
             }
         }
     }
+}
 
+/// Guards live from their `let` to the end of the enclosing block.
+impl Visit for LockWalker<'_> {
     fn block(&mut self, b: &Block) {
         self.depth += 1;
-        for s in &b.stmts {
-            match s {
-                Stmt::Let {
-                    names,
-                    init,
-                    else_block,
-                    ..
-                } => {
-                    if let Some(init) = init {
-                        if let Some((lock, line)) = acquisition(init, self.config) {
-                            self.acquire(lock.clone(), line);
-                            self.guards.push(GuardInfo {
-                                names: names.clone(),
-                                lock,
-                                line,
-                                depth: self.depth,
-                            });
-                        } else {
-                            self.expr(init);
-                        }
-                    }
-                    if let Some(eb) = else_block {
-                        self.block(eb);
-                    }
-                }
-                Stmt::Expr(e) => self.expr(e),
-            }
-        }
+        ast::walk_block(self, b);
         let d = self.depth;
         self.guards.retain(|g| g.depth < d);
         self.depth -= 1;
     }
 
+    fn stmt(&mut self, s: &Stmt) {
+        if let Stmt::Let {
+            names,
+            init: Some(init),
+            else_block,
+            ..
+        } = s
+        {
+            if let Some((lock, line)) = acquisition(init, self.config) {
+                self.acquire(lock.clone(), line);
+                self.guards.push(GuardInfo {
+                    names: names.clone(),
+                    lock,
+                    line,
+                    depth: self.depth,
+                });
+                if let Some(eb) = else_block {
+                    self.block(eb);
+                }
+                return;
+            }
+        }
+        ast::walk_stmt(self, s);
+    }
+
     fn expr(&mut self, e: &Expr) {
+        if !matches!(e, Expr::Call { .. } | Expr::MethodCall { .. }) {
+            return ast::walk_expr(self, e);
+        }
+        if let Expr::Call { func, args, .. } = e {
+            // `drop(g)` / `mem::drop(g)` releases named guards.
+            if func.last_name() == Some("drop") {
+                for a in args {
+                    let dropped = expr_path(a);
+                    self.guards
+                        .retain(|g| !g.names.iter().any(|n| dropped.contains(n)));
+                }
+                return;
+            }
+        }
+        if let Some((lock, line)) = acquisition(e, self.config) {
+            // Temporary acquire (`plock(&m).field = v`): an edge,
+            // released within the statement.
+            self.acquire(lock, line);
+            return;
+        }
+        ast::walk_expr(self, e);
         match e {
-            Expr::Path { .. } | Expr::Atom { .. } | Expr::Macro { .. } => {}
-            Expr::Call { func, args, line } => {
-                // `drop(g)` / `mem::drop(g)` releases named guards.
-                if func.last_name() == Some("drop") {
-                    for a in args {
-                        let dropped = expr_path(a);
-                        self.guards
-                            .retain(|g| !g.names.iter().any(|n| dropped.contains(n)));
-                    }
-                    return;
-                }
-                if let Some((lock, aline)) = acquisition(e, self.config) {
-                    // Temporary acquire (`plock(&m).field = v`): an edge,
-                    // released within the statement.
-                    self.acquire(lock, aline);
-                    return;
-                }
-                self.expr(func);
-                for a in args {
-                    self.expr(a);
-                }
-                if let Expr::Path { segs, .. } = func.as_ref() {
-                    let qual = if segs.len() >= 2 {
-                        segs.get(segs.len() - 2).map(|s| s.as_str())
-                    } else {
-                        None
-                    };
-                    if let Some(name) = segs.last() {
-                        let (name, qual) = (name.clone(), qual.map(|s| s.to_string()));
-                        self.call_events(qual.as_deref(), &name, *line);
-                    }
-                }
-            }
             Expr::MethodCall {
-                recv,
-                method,
-                args,
-                line,
-            } => {
-                if let Some((lock, aline)) = acquisition(e, self.config) {
-                    self.acquire(lock, aline);
-                    return;
-                }
-                self.expr(recv);
-                for a in args {
-                    self.expr(a);
-                }
-                if self.config.blocking_methods.contains(&method.as_str()) {
-                    let consumed: BTreeSet<String> = args.iter().flat_map(expr_path).collect();
-                    let method = method.clone();
-                    self.blocking(&format!("{method}()"), *line, &consumed);
-                    return;
-                }
-                // Methods resolve through the call graph only on `self`
-                // (receiver typing is beyond a name-based graph).
-                if recv.last_name() == Some("self") {
-                    let method = method.clone();
-                    self.call_events(None, &method, *line);
-                }
+                method, args, line, ..
+            } if self.config.blocking_methods.contains(&method.as_str()) => {
+                let consumed: BTreeSet<String> = args.iter().flat_map(expr_path).collect();
+                self.blocking(&format!("{method}()"), *line, &consumed);
             }
-            Expr::Field { base, .. } => self.expr(base),
-            Expr::Seq { items, .. } => {
-                for it in items {
-                    self.expr(it);
-                }
-            }
-            Expr::Block { block, .. } => self.block(block),
-            Expr::If {
-                cond, then, alt, ..
-            } => {
-                self.expr(cond);
-                self.block(then);
-                if let Some(a) = alt {
-                    self.expr(a);
-                }
-            }
-            Expr::Match {
-                scrutinee, arms, ..
-            } => {
-                self.expr(scrutinee);
-                for arm in arms {
-                    self.expr(&arm.body);
-                }
-            }
-            Expr::Loop { body, .. } => self.block(body),
-            Expr::While { cond, body, .. } => {
-                self.expr(cond);
-                self.block(body);
-            }
-            Expr::For { iter, body, .. } => {
-                self.expr(iter);
-                self.block(body);
-            }
-            Expr::Closure { body, .. } => self.expr(body),
-            Expr::Ret { value, .. } => {
-                if let Some(v) = value {
-                    self.expr(v);
+            _ => {
+                if let Some((qual, name, line)) = callee(e) {
+                    self.call_events(qual, name, line);
                 }
             }
         }
     }
 }
 
-/// Walks one call-graph node with the given summaries; `None` for test
-/// code, lock-helper bodies, and bodyless declarations.
+/// Walks one call-graph node with the given summaries; `None` for
+/// nodes without a body to walk (see [`node_body`]).
 fn walk_node<'a>(
     cg: &'a CallGraph<'a>,
     config: &'a Config,
     sums: &'a [LockSummary],
     node: usize,
 ) -> Option<LockWalker<'a>> {
+    let body = node_body(cg, config, node)?;
     let file = cg.file_of(node);
     let def = cg.nodes[node].def;
-    if skip_fn(file, &def.name, def.line, config) {
-        return None;
-    }
-    let body = def.body.as_ref()?;
     let mut w = LockWalker {
         cg,
         config,
@@ -492,25 +449,14 @@ fn walk_node<'a>(
 }
 
 fn lock_graph<'a>(cg: &'a CallGraph<'a>, config: &'a Config) -> Vec<Finding> {
-    // Summaries to fixpoint (monotone in practice; the cap is a backstop).
-    let mut sums = vec![LockSummary::default(); cg.nodes.len()];
-    for _ in 0..10 {
-        let mut next = Vec::with_capacity(sums.len());
-        for node in 0..cg.nodes.len() {
-            next.push(match walk_node(cg, config, &sums, node) {
-                Some(w) => LockSummary {
-                    acquires: w.acquires,
-                    blocks: w.blocks,
-                },
-                None => LockSummary::default(),
-            });
-        }
-        let changed = next != sums;
-        sums = next;
-        if !changed {
-            break;
-        }
-    }
+    let sums = flow::summaries(cg, |node, sums| {
+        walk_node(cg, config, sums, node)
+            .map(|w| LockSummary {
+                acquires: w.acquires,
+                blocks: w.blocks,
+            })
+            .unwrap_or_default()
+    });
 
     // Final pass: collect ordering edges and blocking violations.
     let mut out = Vec::new();
@@ -705,7 +651,9 @@ impl<'a> MatrixWalker<'a> {
             _ => {}
         }
     }
+}
 
+impl Visit for MatrixWalker<'_> {
     fn expr(&mut self, e: &Expr) {
         match e {
             Expr::MethodCall {
@@ -714,120 +662,59 @@ impl<'a> MatrixWalker<'a> {
                 args,
                 line,
             } => {
-                if let Expr::Field { base, name, .. } = recv.as_ref() {
-                    if let Some(class) = self.fields.get(name.as_str()).copied() {
-                        match class {
-                            FieldClass::Guarded
-                                if !LOCK_RECV_METHODS.contains(&method.as_str()) =>
-                            {
-                                self.violation(
-                                    *line,
-                                    name,
-                                    &format!(
-                                        "is a lock but `.{method}()` is called on it \
-                                         directly (expected a lock acquisition)"
-                                    ),
-                                );
-                            }
-                            FieldClass::Atomic
-                                if ATOMIC_ESCAPE_METHODS.contains(&method.as_str()) =>
-                            {
-                                self.violation(
-                                    *line,
-                                    name,
-                                    &format!("escapes atomic access via `.{method}()`"),
-                                );
-                            }
-                            _ => {}
-                        }
-                        self.expr(base);
-                        for a in args {
-                            self.expr(a);
-                        }
-                        return;
+                let Expr::Field { base, name, .. } = recv.as_ref() else {
+                    return ast::walk_expr(self, e);
+                };
+                let Some(class) = self.fields.get(name.as_str()).copied() else {
+                    return ast::walk_expr(self, e);
+                };
+                match class {
+                    FieldClass::Guarded if !LOCK_RECV_METHODS.contains(&method.as_str()) => {
+                        self.violation(
+                            *line,
+                            name,
+                            &format!(
+                                "is a lock but `.{method}()` is called on it \
+                                 directly (expected a lock acquisition)"
+                            ),
+                        );
                     }
+                    FieldClass::Atomic if ATOMIC_ESCAPE_METHODS.contains(&method.as_str()) => {
+                        self.violation(
+                            *line,
+                            name,
+                            &format!("escapes atomic access via `.{method}()`"),
+                        );
+                    }
+                    _ => {}
                 }
-                self.expr(recv);
+                // A method on a tracked field is the sanctioned touch:
+                // step over the field itself.
+                self.expr(base);
                 for a in args {
                     self.expr(a);
                 }
             }
-            Expr::Call { func, args, .. } => {
-                let sanctions = func
+            // `drop(x.field)` and `plock(&x.field)` sanction a direct
+            // field argument the same way.
+            Expr::Call { func, args, .. }
+                if func
                     .last_name()
-                    .is_some_and(|n| n == "drop" || self.config.lock_acquire_fns.contains(&n));
+                    .is_some_and(|n| n == "drop" || self.config.lock_acquire_fns.contains(&n)) =>
+            {
                 self.expr(func);
                 for a in args {
-                    if sanctions {
-                        if let Expr::Field { base, .. } = a {
-                            self.expr(base);
-                            continue;
-                        }
+                    match a {
+                        Expr::Field { base, .. } => self.expr(base),
+                        _ => self.expr(a),
                     }
-                    self.expr(a);
                 }
             }
-            Expr::Field { base, name, line } => {
+            Expr::Field { name, line, .. } => {
                 self.touch(name, *line);
-                self.expr(base);
+                ast::walk_expr(self, e);
             }
-            Expr::Path { .. } | Expr::Atom { .. } | Expr::Macro { .. } => {}
-            Expr::Seq { items, .. } => {
-                for it in items {
-                    self.expr(it);
-                }
-            }
-            Expr::Block { block, .. } => self.walk_block(block),
-            Expr::If {
-                cond, then, alt, ..
-            } => {
-                self.expr(cond);
-                self.walk_block(then);
-                if let Some(a) = alt {
-                    self.expr(a);
-                }
-            }
-            Expr::Match {
-                scrutinee, arms, ..
-            } => {
-                self.expr(scrutinee);
-                for arm in arms {
-                    self.expr(&arm.body);
-                }
-            }
-            Expr::Loop { body, .. } => self.walk_block(body),
-            Expr::While { cond, body, .. } => {
-                self.expr(cond);
-                self.walk_block(body);
-            }
-            Expr::For { iter, body, .. } => {
-                self.expr(iter);
-                self.walk_block(body);
-            }
-            Expr::Closure { body, .. } => self.expr(body),
-            Expr::Ret { value, .. } => {
-                if let Some(v) = value {
-                    self.expr(v);
-                }
-            }
-        }
-    }
-
-    fn walk_block(&mut self, b: &Block) {
-        for s in &b.stmts {
-            match s {
-                Stmt::Let {
-                    init, else_block, ..
-                } => {
-                    if let Some(e) = init {
-                        self.expr(e);
-                    }
-                    if let Some(eb) = else_block {
-                        self.walk_block(eb);
-                    }
-                }
-                Stmt::Expr(e) => self.expr(e),
-            }
+            _ => ast::walk_expr(self, e),
         }
     }
 }
@@ -889,7 +776,7 @@ fn thread_roles(files: &[SourceFile], cg: &CallGraph<'_>, config: &Config) -> Ve
                 fn_name: &def.name,
                 viols: Vec::new(),
             };
-            w.walk_block(body);
+            w.block(body);
             out.extend(w.viols);
         }
     }
@@ -927,35 +814,13 @@ fn thread_roles(files: &[SourceFile], cg: &CallGraph<'_>, config: &Config) -> Ve
     while let Some((node, chain)) = queue.pop() {
         let file = cg.file_of(node);
         let def = cg.nodes[node].def;
-        if skip_fn(file, &def.name, def.line, config) {
+        let Some(body) = node_body(cg, config, node) else {
             continue;
-        }
-        let Some(body) = &def.body else { continue };
+        };
         let locals = local_names(def);
         let mut callees: Vec<(Option<String>, String, u32)> = Vec::new();
-        crate::ast::walk_block(body, &mut |e| match e {
-            Expr::Call { func, line, .. } => {
-                if let Expr::Path { segs, .. } = func.as_ref() {
-                    if let Some(name) = segs.last() {
-                        let qual = if segs.len() >= 2 {
-                            segs.get(segs.len() - 2).cloned()
-                        } else {
-                            None
-                        };
-                        callees.push((qual, name.clone(), *line));
-                    }
-                }
-            }
-            // Like the other flow rules, methods resolve only on a
-            // `self` receiver — a name-based graph cannot type other
-            // receivers, and bare-name resolution invents paths
-            // (`shared.submit(op)` is not the scheduler's `submit`).
-            Expr::MethodCall {
-                recv, method, line, ..
-            } if recv.last_name() == Some("self") => {
-                callees.push((None, method.clone(), *line));
-            }
-            _ => {}
+        ast::each_expr_in(body, |e| {
+            callees.extend(callee(e).map(|(q, n, l)| (q.map(str::to_string), n.to_string(), l)));
         });
         for (qual, name, line) in callees {
             if locals.contains(&name) || config.lock_acquire_fns.contains(&name.as_str()) {
@@ -1031,10 +896,11 @@ fn condvar_discipline(files: &[SourceFile], config: &Config) -> Vec<Finding> {
                 config,
                 file: f,
                 fn_name: &def.name,
+                loop_depth: 0,
                 locked_yet: false,
                 viols: Vec::new(),
             };
-            w.block(body, false);
+            w.block(body);
             out.extend(w.viols);
         }
     }
@@ -1046,6 +912,8 @@ struct CondvarWalker<'a> {
     config: &'a Config,
     file: &'a SourceFile,
     fn_name: &'a str,
+    /// Enclosing `loop`/`while`/`for` bodies (closures inherit it).
+    loop_depth: u32,
     /// A lock has been acquired earlier in this function (evaluation
     /// order) — the precondition for a notify.
     locked_yet: bool,
@@ -1064,155 +932,107 @@ impl<'a> CondvarWalker<'a> {
         });
     }
 
-    fn block(&mut self, b: &Block, in_loop: bool) {
-        for s in &b.stmts {
-            match s {
-                Stmt::Let {
-                    init, else_block, ..
-                } => {
-                    if let Some(e) = init {
-                        self.expr(e, in_loop);
-                    }
-                    if let Some(eb) = else_block {
-                        self.block(eb, in_loop);
-                    }
+    /// Checks one method call once its receiver and arguments are walked.
+    fn method_call(&mut self, recv: &Expr, method: &str, args: &[Expr], line: u32) {
+        let recv_name = expr_path(recv).last().cloned();
+        if let Some(rn) = &recv_name {
+            if self.cv_fields.contains(rn.as_str()) {
+                match method {
+                    // `wait_while` rechecks its own predicate.
+                    "wait" | "wait_timeout" if self.loop_depth == 0 => self.violation(
+                        line,
+                        format!("{rn}.{method} outside loop"),
+                        format!(
+                            "`{rn}.{method}(…)` is not inside a \
+                             predicate-rechecking loop: condvar wakeups \
+                             are spurious by contract — re-test the \
+                             predicate in a `loop`/`while` around the \
+                             wait (or use `wait_while`)"
+                        ),
+                    ),
+                    "notify_one" | "notify_all" if !self.locked_yet => self.violation(
+                        line,
+                        format!("{rn}.{method} without lock"),
+                        format!(
+                            "`{rn}.{method}()` fires with no earlier \
+                             lock acquisition in this function: a \
+                             notify must be dominated by the state \
+                             write under the paired mutex, or the \
+                             waiter can miss the wakeup"
+                        ),
+                    ),
+                    _ => {}
                 }
-                Stmt::Expr(e) => self.expr(e, in_loop),
+            }
+            if self.config.publish_atomics.contains(&rn.as_str()) {
+                let ord = args.last().and_then(|a| a.last_name());
+                if ATOMIC_STORE_METHODS.contains(&method)
+                    && !ord.is_some_and(|o| RELEASE_ORDERINGS.contains(&o))
+                {
+                    self.violation(
+                        line,
+                        format!("{rn}.{method} ordering"),
+                        format!(
+                            "`{rn}.{method}(…)` publishes an epoch with \
+                             a non-Release ordering ({}): readers may \
+                             observe the new epoch before the map \
+                             update it publishes — use `Release`/`AcqRel`",
+                            ord.unwrap_or("?"),
+                        ),
+                    );
+                }
+                if method == "load" && !ord.is_some_and(|o| ACQUIRE_ORDERINGS.contains(&o)) {
+                    self.violation(
+                        line,
+                        format!("{rn}.load ordering"),
+                        format!(
+                            "`{rn}.load(…)` observes the publish epoch \
+                             with a non-Acquire ordering ({}): the map \
+                             update published before the store may not \
+                             be visible — use `Acquire`",
+                            ord.unwrap_or("?"),
+                        ),
+                    );
+                }
             }
         }
+        if LOCK_RECV_METHODS.contains(&method) && args.is_empty() {
+            self.locked_yet = true;
+        }
     }
+}
 
-    fn expr(&mut self, e: &Expr, in_loop: bool) {
+impl Visit for CondvarWalker<'_> {
+    fn expr(&mut self, e: &Expr) {
         match e {
-            Expr::MethodCall {
-                recv,
-                method,
-                args,
-                line,
-            } => {
-                self.expr(recv, in_loop);
-                for a in args {
-                    self.expr(a, in_loop);
+            // The loop head runs outside the recheck; the body inside it.
+            Expr::Loop { body, .. } | Expr::While { body, .. } | Expr::For { body, .. } => {
+                if let Expr::While { cond: head, .. } | Expr::For { iter: head, .. } = e {
+                    self.expr(head);
                 }
-                let recv_name = expr_path(recv).last().cloned();
-                if let Some(rn) = &recv_name {
-                    if self.cv_fields.contains(rn.as_str()) {
-                        match method.as_str() {
-                            // `wait_while` rechecks its own predicate.
-                            "wait" | "wait_timeout" if !in_loop => self.violation(
-                                *line,
-                                format!("{rn}.{method} outside loop"),
-                                format!(
-                                    "`{rn}.{method}(…)` is not inside a \
-                                     predicate-rechecking loop: condvar wakeups \
-                                     are spurious by contract — re-test the \
-                                     predicate in a `loop`/`while` around the \
-                                     wait (or use `wait_while`)"
-                                ),
-                            ),
-                            "notify_one" | "notify_all" if !self.locked_yet => self.violation(
-                                *line,
-                                format!("{rn}.{method} without lock"),
-                                format!(
-                                    "`{rn}.{method}()` fires with no earlier \
-                                     lock acquisition in this function: a \
-                                     notify must be dominated by the state \
-                                     write under the paired mutex, or the \
-                                     waiter can miss the wakeup"
-                                ),
-                            ),
-                            _ => {}
-                        }
-                    }
-                    if self.config.publish_atomics.contains(&rn.as_str()) {
-                        let ord = args.last().and_then(|a| a.last_name());
-                        if ATOMIC_STORE_METHODS.contains(&method.as_str())
-                            && !ord.is_some_and(|o| RELEASE_ORDERINGS.contains(&o))
-                        {
-                            self.violation(
-                                *line,
-                                format!("{rn}.{method} ordering"),
-                                format!(
-                                    "`{rn}.{method}(…)` publishes an epoch with \
-                                     a non-Release ordering ({}): readers may \
-                                     observe the new epoch before the map \
-                                     update it publishes — use `Release`/`AcqRel`",
-                                    ord.unwrap_or("?"),
-                                ),
-                            );
-                        }
-                        if method == "load" && !ord.is_some_and(|o| ACQUIRE_ORDERINGS.contains(&o))
-                        {
-                            self.violation(
-                                *line,
-                                format!("{rn}.load ordering"),
-                                format!(
-                                    "`{rn}.load(…)` observes the publish epoch \
-                                     with a non-Acquire ordering ({}): the map \
-                                     update published before the store may not \
-                                     be visible — use `Acquire`",
-                                    ord.unwrap_or("?"),
-                                ),
-                            );
-                        }
-                    }
-                }
-                if LOCK_RECV_METHODS.contains(&method.as_str()) && args.is_empty() {
-                    self.locked_yet = true;
-                }
+                self.loop_depth += 1;
+                self.block(body);
+                self.loop_depth -= 1;
             }
-            Expr::Call { func, args, .. } => {
+            Expr::Call { func, .. } => {
                 if func
                     .last_name()
                     .is_some_and(|n| self.config.lock_acquire_fns.contains(&n))
                 {
                     self.locked_yet = true;
                 }
-                self.expr(func, in_loop);
-                for a in args {
-                    self.expr(a, in_loop);
-                }
+                ast::walk_expr(self, e);
             }
-            Expr::Field { base, .. } => self.expr(base, in_loop),
-            Expr::Path { .. } | Expr::Atom { .. } | Expr::Macro { .. } => {}
-            Expr::Seq { items, .. } => {
-                for it in items {
-                    self.expr(it, in_loop);
-                }
-            }
-            Expr::Block { block, .. } => self.block(block, in_loop),
-            Expr::If {
-                cond, then, alt, ..
+            Expr::MethodCall {
+                recv,
+                method,
+                args,
+                line,
             } => {
-                self.expr(cond, in_loop);
-                self.block(then, in_loop);
-                if let Some(a) = alt {
-                    self.expr(a, in_loop);
-                }
+                ast::walk_expr(self, e);
+                self.method_call(recv, method, args, *line);
             }
-            Expr::Match {
-                scrutinee, arms, ..
-            } => {
-                self.expr(scrutinee, in_loop);
-                for arm in arms {
-                    self.expr(&arm.body, in_loop);
-                }
-            }
-            Expr::Loop { body, .. } => self.block(body, true),
-            Expr::While { cond, body, .. } => {
-                self.expr(cond, in_loop);
-                self.block(body, true);
-            }
-            Expr::For { iter, body, .. } => {
-                self.expr(iter, in_loop);
-                self.block(body, true);
-            }
-            Expr::Closure { body, .. } => self.expr(body, in_loop),
-            Expr::Ret { value, .. } => {
-                if let Some(v) = value {
-                    self.expr(v, in_loop);
-                }
-            }
+            _ => ast::walk_expr(self, e),
         }
     }
 }
@@ -1220,6 +1040,10 @@ impl<'a> CondvarWalker<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn check(files: &[SourceFile], config: &Config) -> Vec<Finding> {
+        super::check(&Analysis::new(files, config))
+    }
 
     fn engine_file(src: &str) -> SourceFile {
         SourceFile::parse("crates/fsd/src/engine.rs".into(), "fsd".into(), false, src)

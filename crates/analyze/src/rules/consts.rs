@@ -6,15 +6,14 @@
 //! sector size in one place and the volume silently computes wrong
 //! addresses everywhere the literal was duplicated.
 
-use crate::config::Config;
 use crate::lexer::TokKind;
-use crate::source::{int_value, SourceFile};
-use crate::Finding;
+use crate::source::int_value;
+use crate::{Analysis, Finding};
 
 /// Runs the const-consistency check.
-pub fn check(files: &[SourceFile], config: &Config) -> Vec<Finding> {
+pub fn check(a: &Analysis<'_>) -> Vec<Finding> {
     let mut out = Vec::new();
-    for f in files {
+    for f in a.files {
         if f.is_aux {
             continue;
         }
@@ -25,7 +24,7 @@ pub fn check(files: &[SourceFile], config: &Config) -> Vec<Finding> {
             let Some(v) = int_value(&t.text) else {
                 continue;
             };
-            for kc in &config.known_consts {
+            for kc in &a.config.known_consts {
                 if kc.value != v {
                     continue;
                 }
@@ -57,6 +56,12 @@ pub fn check(files: &[SourceFile], config: &Config) -> Vec<Finding> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::Config;
+    use crate::source::SourceFile;
+
+    fn check(files: &[SourceFile], config: &Config) -> Vec<Finding> {
+        super::check(&Analysis::new(files, config))
+    }
 
     fn file(rel: &str, krate: &str, src: &str) -> SourceFile {
         SourceFile::parse(rel.into(), krate.into(), false, src)

@@ -23,13 +23,13 @@ use crate::ast::{Block, Expr, Stmt};
 use crate::callgraph::CallGraph;
 use crate::config::Config;
 use crate::source::SourceFile;
-use crate::Finding;
+use crate::{Analysis, Finding};
 
 /// Runs the error-flow rule.
-pub fn check(files: &[SourceFile], config: &Config) -> Vec<Finding> {
-    let cg = CallGraph::build(files);
+pub fn check(a: &Analysis<'_>) -> Vec<Finding> {
+    let (cg, config) = (&a.cg, a.config);
     let mut out = Vec::new();
-    for f in files {
+    for f in a.files {
         if !config.error_flow_files.iter().any(|p| *p == f.rel) {
             continue;
         }
@@ -45,7 +45,7 @@ pub fn check(files: &[SourceFile], config: &Config) -> Vec<Finding> {
             }
             let Some(body) = &def.body else { continue };
             let cx = Cx {
-                cg: &cg,
+                cg,
                 config,
                 file: f,
                 item: &def.name,
@@ -102,7 +102,7 @@ fn scan_block(b: &Block, cx: &Cx<'_>, out: &mut Vec<Finding>) {
 }
 
 fn scan_expr(e: &Expr, cx: &Cx<'_>, out: &mut Vec<Finding>) {
-    crate::ast::walk_expr(e, &mut |x| match x {
+    crate::ast::each_expr(e, |x| match x {
         Expr::MethodCall {
             recv,
             method,
@@ -212,7 +212,7 @@ fn result_call_desc(e: &Expr, cx: &Cx<'_>) -> Option<String> {
 /// First Result-returning call anywhere inside `e`.
 fn find_result_call(e: &Expr, cx: &Cx<'_>) -> Option<String> {
     let mut found = None;
-    crate::ast::walk_expr(e, &mut |x| {
+    crate::ast::each_expr(e, |x| {
         if found.is_none() {
             found = result_call_desc(x, cx);
         }
@@ -229,7 +229,7 @@ mod tests {
     }
 
     fn run(files: Vec<SourceFile>) -> Vec<Finding> {
-        check(&files, &Config::cedar())
+        check(&Analysis::new(&files, &Config::cedar()))
     }
 
     #[test]

@@ -12,17 +12,16 @@
 //! The guard-across-blocking-call check that used to live here is now
 //! interprocedural and belongs to [`crate::rules::concurrency`].
 
-use crate::config::Config;
 use crate::lexer::{Tok, TokKind};
 use crate::source::SourceFile;
-use crate::Finding;
+use crate::{Analysis, Finding};
 
 /// Runs the fs-api checks.
-pub fn check(files: &[SourceFile], config: &Config) -> Vec<Finding> {
+pub fn check(a: &Analysis<'_>) -> Vec<Finding> {
     let mut out = Vec::new();
-    for f in files {
-        if f.rel == config.fs_trait.0 {
-            out.extend(trait_takes_shared_self(f, config.fs_trait.1));
+    for f in a.files {
+        if f.rel == a.config.fs_trait.0 {
+            out.extend(trait_takes_shared_self(f, a.config.fs_trait.1));
         }
     }
     out
@@ -92,6 +91,11 @@ fn matching_brace(toks: &[Tok], open: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::Config;
+
+    fn check(files: &[SourceFile], config: &Config) -> Vec<Finding> {
+        super::check(&Analysis::new(files, config))
+    }
 
     fn trait_file(src: &str) -> SourceFile {
         SourceFile::parse("crates/vol/src/fs.rs".into(), "vol".into(), false, src)

@@ -19,15 +19,15 @@ use crate::config::Config;
 use crate::lexer::TokKind;
 use crate::rules::{matching_paren, method_call_at, receiver_path};
 use crate::source::SourceFile;
-use crate::Finding;
+use crate::{Analysis, Finding};
 
 /// Runs the layering checks.
-pub fn check(files: &[SourceFile], config: &Config) -> Vec<Finding> {
+pub fn check(a: &Analysis<'_>) -> Vec<Finding> {
     let mut out = Vec::new();
-    for f in files {
-        check_imports(f, config, &mut out);
-        check_raw_io(f, config, &mut out);
-        check_log_region(f, config, &mut out);
+    for f in a.files {
+        check_imports(f, a.config, &mut out);
+        check_raw_io(f, a.config, &mut out);
+        check_log_region(f, a.config, &mut out);
     }
     out
 }
@@ -172,6 +172,10 @@ fn check_log_region(f: &SourceFile, config: &Config, out: &mut Vec<Finding>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn check(files: &[SourceFile], config: &Config) -> Vec<Finding> {
+        super::check(&Analysis::new(files, config))
+    }
 
     fn file(rel: &str, krate: &str, src: &str) -> SourceFile {
         SourceFile::parse(rel.into(), krate.into(), false, src)

@@ -1,5 +1,13 @@
-//! The rule families. Each module exposes
-//! `check(&[SourceFile], &Config) -> Vec<Finding>`.
+//! The rule families. Each module exposes `check(&Analysis) ->
+//! Vec<Finding>` and is listed once, in [`crate::FAMILIES`].
+//!
+//! A rule that follows code is a set of overrides on [`crate::ast::Visit`]
+//! (the one place that knows each node's children and their evaluation
+//! order — statements at every depth included); one that needs
+//! per-function summaries gets them from [`crate::flow::summaries`] over
+//! the run's one call graph, and one that is path-sensitive implements
+//! [`crate::flow::Paths`] for its branch/merge. Only the taint
+//! interpreter walks `Expr` by hand, because every arm returns a value.
 
 pub mod barrier;
 pub mod casts;

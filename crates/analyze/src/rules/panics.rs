@@ -6,15 +6,13 @@
 //! exactly what the log exists to prevent. Existing sites are accepted via
 //! the checked-in allowlist, which only shrinks.
 
-use crate::config::Config;
-use crate::source::SourceFile;
-use crate::Finding;
+use crate::{Analysis, Finding};
 
 /// Runs the panic ratchet.
-pub fn check(files: &[SourceFile], config: &Config) -> Vec<Finding> {
+pub fn check(a: &Analysis<'_>) -> Vec<Finding> {
     let mut out = Vec::new();
-    for f in files {
-        if f.is_aux || !config.panic_crates.iter().any(|c| *c == f.crate_key) {
+    for f in a.files {
+        if f.is_aux || !a.config.panic_crates.iter().any(|c| *c == f.crate_key) {
             continue;
         }
         let toks = &f.tokens;
@@ -67,6 +65,12 @@ pub fn check(files: &[SourceFile], config: &Config) -> Vec<Finding> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::Config;
+    use crate::source::SourceFile;
+
+    fn check(files: &[SourceFile], config: &Config) -> Vec<Finding> {
+        super::check(&Analysis::new(files, config))
+    }
 
     fn file(src: &str) -> SourceFile {
         SourceFile::parse("crates/fsd/src/x.rs".into(), "fsd".into(), false, src)

@@ -19,16 +19,16 @@
 //!    routes them through the same `write_home_batch` the recovery scan
 //!    uses. Any `repl_write_fns` call in a ship file is a finding.
 
-use crate::ast::{Block, Expr, Stmt};
-use crate::callgraph::CallGraph;
+use crate::ast::{self, Expr, Visit};
 use crate::config::Config;
 use crate::source::SourceFile;
-use crate::Finding;
+use crate::{Analysis, Finding};
 
 use super::walorder::{flow_check, FlowSpec};
 
 /// Runs the repl-order rule.
-pub fn check(files: &[SourceFile], config: &Config) -> Vec<Finding> {
+pub fn check(a: &Analysis<'_>) -> Vec<Finding> {
+    let config = a.config;
     let mut out = Vec::new();
     if !config.repl_entry_files.is_empty() {
         let spec = FlowSpec {
@@ -53,40 +53,29 @@ pub fn check(files: &[SourceFile], config: &Config) -> Vec<Finding> {
                 )
             },
         };
-        out.extend(flow_check(files, &spec));
+        out.extend(flow_check(&a.cg, &spec));
     }
-    out.extend(ship_confinement(files, config));
-    out
-}
-
-/// Flags home-sector writes in the shipping layer: the session/shipper
-/// move frames, the replica's redo path is the only writer.
-fn ship_confinement(files: &[SourceFile], config: &Config) -> Vec<Finding> {
-    if config.repl_ship_files.is_empty() {
-        return Vec::new();
-    }
-    let cg = CallGraph::build(files);
-    let mut out = Vec::new();
-    for (_, file, def) in cg.iter() {
-        if !config.repl_ship_files.iter().any(|p| *p == file.rel) {
+    // Ship confinement: the session/shipper move frames, the replica's
+    // redo path is the only writer.
+    for (_, file, def) in a.cg.iter() {
+        if !config.repl_ship_files.contains(&file.rel.as_str()) {
             continue;
         }
         let Some(body) = &def.body else { continue };
-        let mut scan = Scan {
+        Scan {
             config,
             file,
             item: &def.name,
             out: &mut out,
-        };
-        scan.block(body);
+        }
+        .block(body);
     }
     out
 }
 
-/// Syntactic walk over every expression of a ship-file fn, flagging any
-/// call whose name is a configured home write. Unlike the flow walker
-/// this covers private fns and all paths — confinement is structural,
-/// not path-sensitive.
+/// Flags any call in a ship-file fn whose name is a configured home
+/// write. Unlike the flow walker this covers private fns and all paths —
+/// confinement is structural, not path-sensitive.
 struct Scan<'a> {
     config: &'a Config,
     file: &'a SourceFile,
@@ -94,12 +83,16 @@ struct Scan<'a> {
     out: &'a mut Vec<Finding>,
 }
 
-impl Scan<'_> {
-    fn hit(&mut self, name: &str, line: u32) {
-        if self.file.is_test_line(line) {
-            return;
-        }
-        if !self.config.repl_write_fns.contains(&name) {
+impl Visit for Scan<'_> {
+    fn expr(&mut self, e: &Expr) {
+        ast::walk_expr(self, e);
+        let (name, line) = match e {
+            Expr::Call { func, line, .. } => (func.last_name(), *line),
+            Expr::MethodCall { method, line, .. } => (Some(method.as_str()), *line),
+            _ => return,
+        };
+        let Some(name) = name else { return };
+        if self.file.is_test_line(line) || !self.config.repl_write_fns.contains(&name) {
             return;
         }
         self.out.push(Finding {
@@ -114,92 +107,6 @@ impl Scan<'_> {
                  path in `repl/replica.rs`"
             ),
         });
-    }
-
-    fn block(&mut self, b: &Block) {
-        for s in &b.stmts {
-            match s {
-                Stmt::Let {
-                    init, else_block, ..
-                } => {
-                    if let Some(e) = init {
-                        self.expr(e);
-                    }
-                    if let Some(eb) = else_block {
-                        self.block(eb);
-                    }
-                }
-                Stmt::Expr(e) => self.expr(e),
-            }
-        }
-    }
-
-    fn expr(&mut self, e: &Expr) {
-        match e {
-            Expr::Path { .. } | Expr::Atom { .. } | Expr::Macro { .. } => {}
-            Expr::Call { func, args, line } => {
-                self.expr(func);
-                for a in args {
-                    self.expr(a);
-                }
-                if let Some(name) = func.last_name() {
-                    let name = name.to_string();
-                    self.hit(&name, *line);
-                }
-            }
-            Expr::MethodCall {
-                recv,
-                method,
-                args,
-                line,
-            } => {
-                self.expr(recv);
-                for a in args {
-                    self.expr(a);
-                }
-                let method = method.clone();
-                self.hit(&method, *line);
-            }
-            Expr::Field { base, .. } => self.expr(base),
-            Expr::Seq { items, .. } => {
-                for it in items {
-                    self.expr(it);
-                }
-            }
-            Expr::Block { block, .. } => self.block(block),
-            Expr::If {
-                cond, then, alt, ..
-            } => {
-                self.expr(cond);
-                self.block(then);
-                if let Some(alt) = alt {
-                    self.expr(alt);
-                }
-            }
-            Expr::Match {
-                scrutinee, arms, ..
-            } => {
-                self.expr(scrutinee);
-                for arm in arms {
-                    self.expr(&arm.body);
-                }
-            }
-            Expr::Loop { body, .. } => self.block(body),
-            Expr::While { cond, body, .. } => {
-                self.expr(cond);
-                self.block(body);
-            }
-            Expr::For { iter, body, .. } => {
-                self.expr(iter);
-                self.block(body);
-            }
-            Expr::Closure { body, .. } => self.expr(body),
-            Expr::Ret { value, .. } => {
-                if let Some(v) = value {
-                    self.expr(v);
-                }
-            }
-        }
     }
 }
 
@@ -221,7 +128,7 @@ mod tests {
     }
 
     fn run(files: Vec<SourceFile>) -> Vec<Finding> {
-        check(&files, &Config::cedar())
+        check(&Analysis::new(&files, &Config::cedar()))
     }
 
     #[test]

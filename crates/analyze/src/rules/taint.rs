@@ -45,9 +45,10 @@
 use crate::ast::{self, Arm, Block, Expr, FnDef, Stmt};
 use crate::callgraph::CallGraph;
 use crate::config::Config;
+use crate::flow::{self, Paths};
 use crate::lexer::TokKind;
 use crate::source::SourceFile;
-use crate::Finding;
+use crate::{Analysis, Finding};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Taint carried by one value: a disk-byte origin (with a human
@@ -92,69 +93,48 @@ struct Summary {
 
 /// Runs the disk-taint family: `disk-taint`, `taint-arith`, and
 /// `decode-coverage`.
-pub fn check(files: &[SourceFile], config: &Config) -> Vec<Finding> {
-    let mut out = decode_coverage(files, config);
+pub fn check(a: &Analysis<'_>) -> Vec<Finding> {
+    let (cg, config) = (&a.cg, a.config);
+    let mut out = decode_coverage(a.files, config);
     if config.taint_files.is_empty() {
         return out;
     }
-    let cg = CallGraph::build(files);
-    let mut sums = vec![Summary::default(); cg.nodes.len()];
-    // Summaries to fixpoint (monotone in practice; the cap is a backstop).
-    for _ in 0..10 {
-        let mut next = Vec::with_capacity(sums.len());
-        for (_, file, def) in cg.iter() {
-            if skip_fn(file, def.line) || def.body.is_none() {
-                next.push(Summary::default());
-                continue;
-            }
-            let mut w = Walker::new(&cg, config, &sums, file, def);
-            let ret = w.walk_fn();
-            next.push(Summary {
-                returns_src: ret.src.is_some(),
-                returns_params: ret.params,
-                unsafe_params: w.param_uses,
-            });
+    let sums = flow::summaries(cg, |node, sums| {
+        let Some((w, ret)) = walk_node(cg, config, sums, node) else {
+            return Summary::default();
+        };
+        Summary {
+            returns_src: ret.src.is_some(),
+            returns_params: ret.params,
+            unsafe_params: w.param_uses,
         }
-        let changed = next != sums;
-        sums = next;
-        if !changed {
-            break;
-        }
-    }
+    });
     // Findings: re-walk the trust-boundary files with converged summaries.
-    for (_, file, def) in cg.iter() {
-        if !config.taint_files.iter().any(|p| *p == file.rel) {
+    for (node, file, _) in cg.iter() {
+        if !config.taint_files.contains(&file.rel.as_str()) {
             continue;
         }
-        if skip_fn(file, def.line) || def.body.is_none() {
-            continue;
-        }
-        let mut w = Walker::new(&cg, config, &sums, file, def);
-        let _ = w.walk_fn();
-        for v in w.viols {
-            out.push(Finding {
-                rule: v.rule,
-                file: file.rel.clone(),
-                line: v.line,
-                item: def.name.clone(),
-                snippet: v.snippet,
-                message: v.message,
-            });
+        if let Some((w, _)) = walk_node(cg, config, &sums, node) {
+            out.extend(w.viols);
         }
     }
     out
 }
 
-fn skip_fn(file: &SourceFile, line: u32) -> bool {
-    file.is_test_line(line)
-}
-
-#[derive(Clone, Debug)]
-struct Violation {
-    rule: &'static str,
-    line: u32,
-    snippet: String,
-    message: String,
+/// Walks one call-graph node with the given summaries; returns the
+/// walker and the taint of the fn's return value. `None` for test code
+/// and bodyless declarations.
+fn walk_node<'a>(
+    cg: &'a CallGraph<'a>,
+    config: &'a Config,
+    sums: &'a [Summary],
+    node: usize,
+) -> Option<(Walker<'a>, Taint)> {
+    let body = cg.rule_body(node)?;
+    let mut w = Walker::new(cg, config, sums, cg.file_of(node), cg.nodes[node].def);
+    let mut ret = w.block(body);
+    ret.union(&std::mem::take(&mut w.ret));
+    Some((w, ret))
 }
 
 struct Walker<'a> {
@@ -170,11 +150,26 @@ struct Walker<'a> {
     /// Taint accumulated by explicit `return value` expressions.
     ret: Taint,
     /// Source-taint violations (findings when the fn is in scope).
-    viols: Vec<Violation>,
+    viols: Vec<Finding>,
     /// Parameter-taint violations (the fn's unsafe-parameter summary).
     param_uses: BTreeMap<usize, String>,
     /// (line, var) pairs already reported for arithmetic.
     arith_seen: BTreeSet<(u32, String)>,
+}
+
+/// Taint survives a join if it survives any live branch (union).
+impl Paths for Walker<'_> {
+    type State = BTreeMap<String, Taint>;
+
+    fn path(&mut self) -> (&mut Self::State, &mut bool) {
+        (&mut self.vars, &mut self.diverged)
+    }
+
+    fn join(into: &mut Self::State, other: &Self::State) {
+        for (k, v) in other {
+            into.entry(k.clone()).or_default().union(v);
+        }
+    }
 }
 
 impl<'a> Walker<'a> {
@@ -216,17 +211,6 @@ impl<'a> Walker<'a> {
         }
     }
 
-    /// Walks the whole body; returns the taint of the return value.
-    fn walk_fn(&mut self) -> Taint {
-        let Some(body) = self.def.body.as_ref() else {
-            return Taint::clean();
-        };
-        let mut tail = self.block(body);
-        let ret = std::mem::take(&mut self.ret);
-        tail.union(&ret);
-        tail
-    }
-
     /// Walks a block; returns the taint of its tail expression.
     fn block(&mut self, b: &Block) -> Taint {
         let mut tail = Taint::clean();
@@ -249,11 +233,7 @@ impl<'a> Walker<'a> {
                         let (_, _) = self.branch(|w| w.block(eb));
                     }
                     for n in names {
-                        if t.is_clean() {
-                            self.vars.remove(n);
-                        } else {
-                            self.vars.insert(n.clone(), t.clone());
-                        }
+                        self.bind(n, &t);
                     }
                     tail = Taint::clean();
                 }
@@ -266,40 +246,13 @@ impl<'a> Walker<'a> {
         tail
     }
 
-    /// Runs `f` as a branch from the current state; returns (value taint,
-    /// end state) and restores the walker's state.
-    #[allow(clippy::type_complexity)]
-    fn branch(
-        &mut self,
-        f: impl FnOnce(&mut Self) -> Taint,
-    ) -> (Taint, (BTreeMap<String, Taint>, bool)) {
-        let save_vars = self.vars.clone();
-        let save_div = self.diverged;
-        let t = f(self);
-        let end = (
-            std::mem::replace(&mut self.vars, save_vars),
-            std::mem::replace(&mut self.diverged, save_div),
-        );
-        (t, end)
-    }
-
-    /// Merges branch end states: taint survives if it survives any
-    /// non-diverging branch (union); all-diverged marks the path dead.
-    fn merge(&mut self, ends: Vec<(BTreeMap<String, Taint>, bool)>) {
-        let live: Vec<_> = ends.iter().filter(|(_, d)| !d).collect();
-        if live.is_empty() {
-            if !ends.is_empty() {
-                self.diverged = true;
-            }
-            return;
+    /// Binds `name` to a value of taint `t` (a clean value unbinds it).
+    fn bind(&mut self, name: &str, t: &Taint) {
+        if t.is_clean() {
+            self.vars.remove(name);
+        } else {
+            self.vars.insert(name.to_string(), t.clone());
         }
-        let mut merged: BTreeMap<String, Taint> = BTreeMap::new();
-        for (vars, _) in &live {
-            for (k, v) in vars.iter() {
-                merged.entry(k.clone()).or_default().union(v);
-            }
-        }
-        self.vars = merged;
     }
 
     fn taint_of_var(&self, name: &str) -> Taint {
@@ -320,9 +273,11 @@ impl<'a> Walker<'a> {
         {
             return;
         }
-        self.viols.push(Violation {
+        self.viols.push(Finding {
             rule,
+            file: self.file.rel.clone(),
             line,
+            item: self.def.name.clone(),
             snippet,
             message,
         });
@@ -531,7 +486,7 @@ impl<'a> Walker<'a> {
     fn sanitize_by_cond(&mut self, cond: &Expr) {
         let (mut lo, mut hi) = (u32::MAX, 0u32);
         let mut mentioned: BTreeSet<String> = BTreeSet::new();
-        ast::walk_expr(cond, &mut |e| {
+        ast::each_expr(cond, |e| {
             let l = e.line();
             lo = lo.min(l);
             hi = hi.max(l);
@@ -551,16 +506,14 @@ impl<'a> Walker<'a> {
         }
     }
 
+    /// Not a [`ast::Visit`]: every arm returns the taint of the value the
+    /// expression produces, so this is an interpreter over `Expr`, and it
+    /// stays exhaustive so a new variant cannot default to "clean".
     fn eval(&mut self, e: &Expr) -> Taint {
         match e {
             Expr::Atom { .. } => Taint::clean(),
             Expr::Macro { name, .. } => {
-                if matches!(
-                    name.as_str(),
-                    "panic" | "unreachable" | "todo" | "unimplemented"
-                ) {
-                    self.diverged = true;
-                }
+                self.diverged |= flow::macro_diverges(name);
                 Taint::clean()
             }
             Expr::Path { segs, line } => {
@@ -623,17 +576,13 @@ impl<'a> Walker<'a> {
                 let bind = let_pattern_names(self.file, e.line());
                 let (tt, te) = self.branch(|w| {
                     for n in &bind {
-                        if cond_t.is_clean() {
-                            w.vars.remove(n);
-                        } else {
-                            w.vars.insert(n.clone(), cond_t.clone());
-                        }
+                        w.bind(n, &cond_t);
                     }
                     w.block(then)
                 });
                 let (at, ae) = match alt {
                     Some(a) => self.branch(|w| w.eval(a)),
-                    None => (Taint::clean(), (self.vars.clone(), false)),
+                    None => (Taint::clean(), self.fallthrough()),
                 };
                 let mut t = Taint::clean();
                 if !te.1 {
@@ -655,11 +604,7 @@ impl<'a> Walker<'a> {
                     let bind = arm_pattern_names(arm);
                     let (at, end) = self.branch(|w| {
                         for n in &bind {
-                            if st.is_clean() {
-                                w.vars.remove(n);
-                            } else {
-                                w.vars.insert(n.clone(), st.clone());
-                            }
+                            w.bind(n, &st);
                         }
                         w.eval(&arm.body)
                     });
@@ -682,11 +627,7 @@ impl<'a> Walker<'a> {
                 // rx.recv()`) carry the scrutinee's taint into the body.
                 let bind = let_pattern_names(self.file, e.line());
                 for n in &bind {
-                    if cond_t.is_clean() {
-                        self.vars.remove(n);
-                    } else {
-                        self.vars.insert(n.clone(), cond_t.clone());
-                    }
+                    self.bind(n, &cond_t);
                 }
                 self.block(body);
                 Taint::clean()
@@ -1009,7 +950,7 @@ mod tests {
     }
 
     fn run(files: Vec<SourceFile>) -> Vec<Finding> {
-        check(&files, &Config::cedar())
+        check(&Analysis::new(&files, &Config::cedar()))
     }
 
     #[test]

@@ -4,13 +4,13 @@
 
 use crate::config::Config;
 use crate::source::SourceFile;
-use crate::Finding;
+use crate::{Analysis, Finding};
 
 /// Runs the unsafe-hygiene checks.
-pub fn check(files: &[SourceFile], config: &Config) -> Vec<Finding> {
+pub fn check(a: &Analysis<'_>) -> Vec<Finding> {
     let mut out = Vec::new();
-    check_deny_attr(files, config, &mut out);
-    check_safety_comments(files, &mut out);
+    check_deny_attr(a.files, a.config, &mut out);
+    check_safety_comments(a.files, &mut out);
     out
 }
 
@@ -87,6 +87,10 @@ fn check_safety_comments(files: &[SourceFile], out: &mut Vec<Finding>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn check(files: &[SourceFile], config: &Config) -> Vec<Finding> {
+        super::check(&Analysis::new(files, config))
+    }
 
     fn file(rel: &str, krate: &str, src: &str) -> SourceFile {
         SourceFile::parse(rel.into(), krate.into(), false, src)

@@ -24,11 +24,11 @@
 //! Recovery files are exempt: redo writes homes *from* the log, which is
 //! the protection.
 
-use crate::ast::{Block, Expr, Stmt};
+use crate::ast::{self, Expr, Stmt, Visit};
 use crate::callgraph::CallGraph;
-use crate::config::Config;
+use crate::flow::{self, Paths};
 use crate::source::SourceFile;
-use crate::Finding;
+use crate::{Analysis, Finding};
 
 /// Per-function flow summary.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -67,16 +67,16 @@ pub(crate) struct FlowSpec<'a> {
 }
 
 /// Runs the wal-order rule.
-pub fn check(files: &[SourceFile], config: &Config) -> Vec<Finding> {
-    if config.wal_entry_files.is_empty() {
+pub fn check(a: &Analysis<'_>) -> Vec<Finding> {
+    if a.config.wal_entry_files.is_empty() {
         return Vec::new();
     }
     let spec = FlowSpec {
         rule: "wal-order",
-        entry_files: &config.wal_entry_files,
-        exempt_files: &config.wal_exempt_files,
-        append_calls: &config.wal_append_calls,
-        write_fns: &config.wal_write_fns,
+        entry_files: &a.config.wal_entry_files,
+        exempt_files: &a.config.wal_exempt_files,
+        append_calls: &a.config.wal_append_calls,
+        write_fns: &a.config.wal_write_fns,
         opaque_fns: &[],
         direct_msg: |name| {
             format!(
@@ -92,82 +92,63 @@ pub fn check(files: &[SourceFile], config: &Config) -> Vec<Finding> {
             )
         },
     };
-    flow_check(files, &spec)
+    flow_check(&a.cg, &spec)
+}
+
+/// Walks one call-graph node with the given summaries; `None` for test
+/// code, bodyless declarations, and the exempt files and opaque fns,
+/// which are neither summarized nor entries.
+fn walk_node<'a>(
+    cg: &'a CallGraph<'a>,
+    spec: &'a FlowSpec<'a>,
+    sums: &'a [Summary],
+    node: usize,
+) -> Option<Walker<'a>> {
+    let (file, def) = (cg.file_of(node), cg.nodes[node].def);
+    if spec.exempt_files.contains(&file.rel.as_str())
+        || spec.opaque_fns.contains(&def.name.as_str())
+    {
+        return None;
+    }
+    let mut w = Walker {
+        cg,
+        spec,
+        sums,
+        file,
+        item: &def.name,
+        logged: false,
+        diverged: false,
+        viols: Vec::new(),
+    };
+    w.block(cg.rule_body(node)?);
+    Some(w)
 }
 
 /// Runs a [`FlowSpec`] domination rule over the workspace.
-pub(crate) fn flow_check(files: &[SourceFile], spec: &FlowSpec<'_>) -> Vec<Finding> {
-    let cg = CallGraph::build(files);
-    let mut sums = vec![Summary::default(); cg.nodes.len()];
-    // Summaries to fixpoint (monotone in practice; the cap is a backstop).
-    for _ in 0..10 {
-        let mut next = Vec::with_capacity(sums.len());
-        for (i, file, def) in cg.iter() {
-            if skip_fn(file, def.line, spec) || spec.opaque_fns.iter().any(|f| *f == def.name) {
-                next.push(Summary::default());
-                continue;
-            }
-            let Some(body) = &def.body else {
-                next.push(Summary::default());
-                continue;
-            };
-            let mut w = Walker::new(&cg, spec, &sums, file);
-            w.block(body);
-            next.push(Summary {
-                establishes: w.logged,
-                unprot: w.viols.first().map(|v| {
-                    format!(
-                        "`{}` at {}:{} (in `{}`)",
-                        v.snippet, file.rel, v.line, def.name
-                    )
-                }),
-            });
-            let _ = i;
+pub(crate) fn flow_check(cg: &CallGraph<'_>, spec: &FlowSpec<'_>) -> Vec<Finding> {
+    let sums = flow::summaries(cg, |node, sums| {
+        let Some(w) = walk_node(cg, spec, sums, node) else {
+            return Summary::default();
+        };
+        Summary {
+            establishes: w.logged,
+            unprot: w
+                .viols
+                .first()
+                .map(|v| format!("`{}` at {}:{} (in `{}`)", v.snippet, v.file, v.line, v.item)),
         }
-        let changed = next != sums;
-        sums = next;
-        if !changed {
-            break;
-        }
-    }
+    });
     // Findings: re-walk the public entry fns with converged summaries.
     let mut out = Vec::new();
-    for (_, file, def) in cg.iter() {
-        if !spec.entry_files.iter().any(|p| *p == file.rel) {
+    for (node, file, def) in cg.iter() {
+        if !def.is_pub || !spec.entry_files.contains(&file.rel.as_str()) {
             continue;
         }
-        if !def.is_pub
-            || skip_fn(file, def.line, spec)
-            || spec.opaque_fns.iter().any(|f| *f == def.name)
-        {
-            continue;
-        }
-        let Some(body) = &def.body else { continue };
-        let mut w = Walker::new(&cg, spec, &sums, file);
-        w.block(body);
-        for v in w.viols {
-            out.push(Finding {
-                rule: spec.rule,
-                file: file.rel.clone(),
-                line: v.line,
-                item: def.name.clone(),
-                snippet: v.snippet,
-                message: v.message,
-            });
+        if let Some(w) = walk_node(cg, spec, &sums, node) {
+            out.extend(w.viols);
         }
     }
     out
-}
-
-fn skip_fn(file: &SourceFile, line: u32, spec: &FlowSpec<'_>) -> bool {
-    spec.exempt_files.iter().any(|p| *p == file.rel) || file.is_test_line(line)
-}
-
-#[derive(Clone, Debug)]
-struct Violation {
-    line: u32,
-    snippet: String,
-    message: String,
 }
 
 struct Walker<'a> {
@@ -175,74 +156,28 @@ struct Walker<'a> {
     spec: &'a FlowSpec<'a>,
     sums: &'a [Summary],
     file: &'a SourceFile,
+    item: &'a str,
     /// Write-ahead protection currently in force on this path.
     logged: bool,
     /// This path has left the function (return / panic-family macro).
     diverged: bool,
-    viols: Vec<Violation>,
+    viols: Vec<Finding>,
 }
 
-impl<'a> Walker<'a> {
-    fn new(
-        cg: &'a CallGraph<'a>,
-        spec: &'a FlowSpec<'a>,
-        sums: &'a [Summary],
-        file: &'a SourceFile,
-    ) -> Self {
-        Self {
-            cg,
-            spec,
-            sums,
-            file,
-            logged: false,
-            diverged: false,
-            viols: Vec::new(),
-        }
+/// Protection survives a join only if every live branch established it.
+impl Paths for Walker<'_> {
+    type State = bool;
+
+    fn path(&mut self) -> (&mut bool, &mut bool) {
+        (&mut self.logged, &mut self.diverged)
     }
 
-    fn block(&mut self, b: &Block) {
-        for s in &b.stmts {
-            match s {
-                Stmt::Let {
-                    init, else_block, ..
-                } => {
-                    if let Some(e) = init {
-                        self.expr(e);
-                    }
-                    // A let-else's else block always diverges; treat it as
-                    // a side branch that does not affect the main path.
-                    if let Some(eb) = else_block {
-                        let (save_l, save_d) = (self.logged, self.diverged);
-                        self.block(eb);
-                        self.logged = save_l;
-                        self.diverged = save_d;
-                    }
-                }
-                Stmt::Expr(e) => self.expr(e),
-            }
-        }
+    fn join(into: &mut bool, other: &bool) {
+        *into &= *other;
     }
+}
 
-    /// Runs `f` as a branch from the current state; returns the branch's
-    /// end state (logged, diverged) and restores the walker.
-    fn branch(&mut self, f: impl FnOnce(&mut Self)) -> (bool, bool) {
-        let (save_l, save_d) = (self.logged, self.diverged);
-        f(self);
-        let end = (self.logged, self.diverged);
-        self.logged = save_l;
-        self.diverged = save_d;
-        end
-    }
-
-    fn merge2(&mut self, a: (bool, bool), b: (bool, bool)) {
-        match (a.1, b.1) {
-            (true, true) => self.diverged = true,
-            (true, false) => self.logged = b.0,
-            (false, true) => self.logged = a.0,
-            (false, false) => self.logged = a.0 && b.0,
-        }
-    }
-
+impl Walker<'_> {
     fn violation(&mut self, line: u32, snippet: String, message: String) {
         if self
             .viols
@@ -251,8 +186,11 @@ impl<'a> Walker<'a> {
         {
             return;
         }
-        self.viols.push(Violation {
+        self.viols.push(Finding {
+            rule: self.spec.rule,
+            file: self.file.rel.clone(),
             line,
+            item: self.item.to_string(),
             snippet,
             message,
         });
@@ -295,26 +233,37 @@ impl<'a> Walker<'a> {
             self.logged = true;
         }
     }
+}
+
+/// Everything not overridden here — operand sequences, blocks, loops
+/// (whose bodies are assumed to run at least once) — is a plain
+/// left-to-right walk.
+impl Visit for Walker<'_> {
+    fn stmt(&mut self, s: &Stmt) {
+        match s {
+            // A let-else's else block always diverges; treat it as a side
+            // branch that does not affect the main path.
+            Stmt::Let {
+                init,
+                else_block: Some(eb),
+                ..
+            } => {
+                if let Some(e) = init {
+                    self.expr(e);
+                }
+                self.branch(|w| w.block(eb));
+            }
+            _ => ast::walk_stmt(self, s),
+        }
+    }
 
     fn expr(&mut self, e: &Expr) {
         match e {
-            Expr::Path { .. } | Expr::Atom { .. } => {}
-            Expr::Macro { name, .. } => {
-                if matches!(
-                    name.as_str(),
-                    "panic" | "unreachable" | "todo" | "unimplemented"
-                ) {
-                    self.diverged = true;
-                }
-            }
-            Expr::Call { func, args, line } => {
-                self.expr(func);
-                for a in args {
-                    self.expr(a);
-                }
+            Expr::Macro { name, .. } => self.diverged |= flow::macro_diverges(name),
+            Expr::Call { func, line, .. } => {
+                ast::walk_expr(self, e);
                 if let Some(name) = func.last_name() {
-                    let name = name.to_string();
-                    self.call_events(&name, *line, true);
+                    self.call_events(name, *line, true);
                 }
             }
             Expr::MethodCall {
@@ -329,84 +278,51 @@ impl<'a> Walker<'a> {
                     .append_calls
                     .iter()
                     .any(|(r, m)| *m == method && recv.last_name().is_some_and(|n| n == *r));
+                // Closure args of an append (the third-entry flush
+                // callback) run under the append's protection.
                 if is_append {
-                    // Closure args (the third-entry flush callback) run
-                    // under the append's protection.
                     self.logged = true;
-                    for a in args {
-                        self.expr(a);
-                    }
-                    return;
                 }
                 for a in args {
                     self.expr(a);
                 }
                 // Methods resolve through the call graph only on `self`
                 // (receiver typing is beyond a name-based graph).
-                let on_self = recv.last_name() == Some("self");
-                let method = method.clone();
-                self.call_events(&method, *line, on_self);
-            }
-            Expr::Field { base, .. } => self.expr(base),
-            Expr::Seq { items, .. } => {
-                for it in items {
-                    self.expr(it);
+                if !is_append {
+                    self.call_events(method, *line, recv.last_name() == Some("self"));
                 }
             }
-            Expr::Block { block, .. } => self.block(block),
             Expr::If {
                 cond, then, alt, ..
             } => {
                 self.expr(cond);
-                let t = self.branch(|w| w.block(then));
+                let t = self.branch(|w| w.block(then)).1;
                 let a = match alt {
-                    Some(alt) => self.branch(|w| w.expr(alt)),
-                    None => (self.logged, false),
+                    Some(alt) => self.branch(|w| w.expr(alt)).1,
+                    None => self.fallthrough(),
                 };
-                self.merge2(t, a);
+                self.merge(vec![t, a]);
             }
             Expr::Match {
                 scrutinee, arms, ..
             } => {
                 self.expr(scrutinee);
-                let ends: Vec<(bool, bool)> = arms
+                let ends = arms
                     .iter()
-                    .map(|arm| self.branch(|w| w.expr(&arm.body)))
+                    .map(|arm| self.branch(|w| w.expr(&arm.body)).1)
                     .collect();
-                if let Some(first) = ends.first().copied() {
-                    let mut acc = first;
-                    for e2 in ends.into_iter().skip(1) {
-                        // Fold pairwise through merge2 on a scratch state.
-                        let (save_l, save_d) = (self.logged, self.diverged);
-                        self.merge2(acc, e2);
-                        acc = (self.logged, self.diverged);
-                        self.logged = save_l;
-                        self.diverged = save_d;
-                    }
-                    self.logged = acc.0;
-                    self.diverged = self.diverged || acc.1;
-                }
-            }
-            Expr::Loop { body, .. } => self.block(body),
-            Expr::While { cond, body, .. } => {
-                self.expr(cond);
-                self.block(body);
-            }
-            Expr::For { iter, body, .. } => {
-                self.expr(iter);
-                self.block(body);
+                self.merge(ends);
             }
             Expr::Closure { body, .. } => {
                 // Checked under the current protection, but its effects do
                 // not escape to the definer (it may never run).
-                let _ = self.branch(|w| w.expr(body));
+                self.branch(|w| w.expr(body));
             }
-            Expr::Ret { value, .. } => {
-                if let Some(v) = value {
-                    self.expr(v);
-                }
+            Expr::Ret { .. } => {
+                ast::walk_expr(self, e);
                 self.diverged = true;
             }
+            _ => ast::walk_expr(self, e),
         }
     }
 }
@@ -414,13 +330,14 @@ impl<'a> Walker<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::Config;
 
     fn vol(src: &str) -> SourceFile {
         SourceFile::parse("crates/fsd/src/volume.rs".into(), "fsd".into(), false, src)
     }
 
     fn run(files: Vec<SourceFile>) -> Vec<Finding> {
-        check(&files, &Config::cedar())
+        check(&Analysis::new(&files, &Config::cedar()))
     }
 
     #[test]

@@ -108,7 +108,7 @@ fn taint_ratchet_catches_a_new_unvalidated_decode_in_recovery() {
 // ---- seeded mutations ------------------------------------------------------
 
 use cedar_analyze::source::SourceFile;
-use cedar_analyze::Finding;
+use cedar_analyze::{Analysis, Finding};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// One edit to one real workspace file.
@@ -339,19 +339,13 @@ fn apply_edit(seed: &Seed, src: &str) -> String {
 }
 
 type Key = (String, String, String, String);
-type CheckFn = fn(&[SourceFile], &Config) -> Vec<Finding>;
-
 /// The family pass that emits `rule`.
-fn family_check(rule: &str) -> CheckFn {
-    use cedar_analyze::rules;
-    match rule {
-        "wal-order" => rules::walorder::check,
-        "repl-order" => rules::repl::check,
-        "barrier-discipline" | "batch-io" => rules::barrier::check,
-        "error-flow" => rules::errorflow::check,
-        "lock-graph" | "thread-roles" | "condvar-discipline" => rules::concurrency::check,
-        other => panic!("no family for rule {other}"),
-    }
+fn family_check(rule: &str) -> cedar_analyze::CheckFn {
+    cedar_analyze::FAMILIES
+        .iter()
+        .find(|(_, ids, _)| ids.contains(&rule))
+        .unwrap_or_else(|| panic!("no family emits rule {rule}"))
+        .2
 }
 
 fn keys(findings: Vec<Finding>) -> BTreeSet<Key> {
@@ -372,7 +366,7 @@ fn seeded_mutations_of_the_real_workspace_are_each_caught_exactly() {
         let check = family_check(seed.rule);
         let base = baseline
             .entry(check as usize)
-            .or_insert_with(|| keys(check(&files, &config)))
+            .or_insert_with(|| keys(check(&Analysis::new(&files, &config))))
             .clone();
         let idx = files
             .iter()
@@ -392,7 +386,7 @@ fn seeded_mutations_of_the_real_workspace_are_each_caught_exactly() {
             seed.row,
             files[idx].parse_error
         );
-        let got: BTreeSet<Key> = keys(check(&files, &config))
+        let got: BTreeSet<Key> = keys(check(&Analysis::new(&files, &config)))
             .difference(&base)
             .cloned()
             .collect();

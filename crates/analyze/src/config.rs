@@ -359,9 +359,18 @@ impl Config {
                     "crates/fsd/src/log.rs",
                     vec!["read_meta", "read_record_at", "scan_records"],
                 ),
+                // `settle_vam` notes a failed walk on the boot page best
+                // effort: the caller gets the walk's error either way,
+                // and if the note does not land the next session's walk
+                // fails on the same page and writes it again.
                 (
                     "crates/fsd/src/recovery.rs",
-                    vec!["read_boot_page", "read_saved_vam", "redo_leaders"],
+                    vec![
+                        "read_boot_page",
+                        "read_saved_vam",
+                        "redo_leaders",
+                        "settle_vam",
+                    ],
                 ),
                 // The scavenger is a deliberate best-effort reader: it
                 // salvages what it can from damaged media and records the

@@ -13,7 +13,7 @@
 //!   (§4: the end pages are written only after the body windows are on
 //!   disk).
 
-use crate::ast::{Block, Expr, Stmt};
+use crate::ast::{self, Expr, Stmt, Visit};
 use crate::callgraph::CallGraph;
 use crate::config::Config;
 use crate::source::SourceFile;
@@ -29,7 +29,7 @@ pub fn check(a: &Analysis<'_>) -> Vec<Finding> {
         .map(|(_, file, def)| {
             let Some(body) = &def.body else { return false };
             let mut raw = false;
-            crate::ast::each_expr_in(body, |e| {
+            ast::each_expr_in(body, |e| {
                 if let Expr::MethodCall {
                     recv, method, line, ..
                 } = e
@@ -74,7 +74,7 @@ fn check_batch_io(
             continue;
         }
         let Some(body) = &def.body else { continue };
-        crate::ast::each_expr_in(body, |e| {
+        ast::each_expr_in(body, |e| {
             let (name, line, direct) = match e {
                 Expr::MethodCall {
                     recv, method, line, ..
@@ -135,13 +135,6 @@ fn check_batch_io(
     }
 }
 
-/// Events on a commit fn's batch locals, in evaluation order.
-enum Ev {
-    New(String),
-    Barrier(String),
-    Execute(String, u32),
-}
-
 fn check_barriers(f: &SourceFile, config: &Config, out: &mut Vec<Finding>) {
     let Some((_, fns)) = config.barrier_fns.iter().find(|(rel, _)| *rel == f.rel) else {
         return;
@@ -151,102 +144,103 @@ fn check_barriers(f: &SourceFile, config: &Config, out: &mut Vec<Finding>) {
             continue;
         }
         let Some(body) = &def.body else { continue };
-        let mut evs = Vec::new();
-        collect_block(body, &mut evs);
-        let mut barriered: Vec<&str> = Vec::new();
-        let mut known: Vec<&str> = Vec::new();
-        for ev in &evs {
-            match ev {
-                Ev::New(name) => known.push(name),
-                Ev::Barrier(name) => barriered.push(name),
-                Ev::Execute(name, line) => {
-                    if known.iter().any(|k| k == name) && !barriered.iter().any(|b| b == name) {
-                        out.push(Finding {
-                            rule: "barrier-discipline",
-                            file: f.rel.clone(),
-                            line: *line,
-                            item: def.name.clone(),
-                            snippet: format!("execute({name}) without barrier"),
-                            message: format!(
-                                "`IoBatch` `{name}` is submitted with no \
-                                 `barrier()` before it: the commit record must \
-                                 be in its own post-barrier window (§4), or \
-                                 the disk may reorder it ahead of the data"
-                            ),
-                        });
-                    }
-                }
-            }
+        Batches {
+            file: f,
+            item: &def.name,
+            known: Vec::new(),
+            barriered: Vec::new(),
+            out,
         }
+        .block(body);
     }
 }
 
-fn collect_block(b: &Block, evs: &mut Vec<Ev>) {
-    for s in &b.stmts {
-        match s {
-            Stmt::Let {
-                names,
-                init,
-                else_block,
-                ..
+/// Follows a commit fn's `IoBatch` locals in evaluation order: created
+/// (a `let` at any depth — the retry loops build one per round), then
+/// barriered, then executed.
+struct Batches<'a> {
+    file: &'a SourceFile,
+    item: &'a str,
+    known: Vec<String>,
+    barriered: Vec<String>,
+    out: &'a mut Vec<Finding>,
+}
+
+impl Batches<'_> {
+    /// An `execute` call: its batch must have been barriered by now.
+    fn execute(&mut self, call: &Expr, line: u32) {
+        let Some(name) = batch_arg(call) else { return };
+        if !self.known.contains(&name) || self.barriered.contains(&name) {
+            return;
+        }
+        self.out.push(Finding {
+            rule: "barrier-discipline",
+            file: self.file.rel.clone(),
+            line,
+            item: self.item.to_string(),
+            snippet: format!("execute({name}) without barrier"),
+            message: format!(
+                "`IoBatch` `{name}` is submitted with no \
+                 `barrier()` before it: the commit record must \
+                 be in its own post-barrier window (§4), or \
+                 the disk may reorder it ahead of the data"
+            ),
+        });
+    }
+}
+
+impl Visit for Batches<'_> {
+    fn stmt(&mut self, s: &Stmt) {
+        ast::walk_stmt(self, s);
+        if let Stmt::Let {
+            names,
+            init: Some(e),
+            ..
+        } = s
+        {
+            if names.len() == 1 && creates_batch(e) {
+                self.known.push(names[0].clone());
+            }
+        }
+    }
+
+    fn expr(&mut self, e: &Expr) {
+        match e {
+            Expr::MethodCall {
+                recv, method, line, ..
             } => {
-                if let Some(e) = init {
-                    collect_expr(e, evs);
-                    if names.len() == 1 && creates_batch(e) {
-                        evs.push(Ev::New(names[0].clone()));
+                if let Some(batch) = recv.last_name() {
+                    if method == "barrier" {
+                        self.barriered.push(batch.to_string());
+                    } else if method == "execute" || method == "execute_partial" {
+                        // `disk.execute(&batch)` form.
+                        self.execute(e, *line);
                     }
                 }
-                if let Some(eb) = else_block {
-                    collect_block(eb, evs);
-                }
             }
-            Stmt::Expr(e) => collect_expr(e, evs),
+            Expr::Call { func, line, .. }
+                if matches!(func.last_name(), Some("execute" | "execute_partial")) =>
+            {
+                self.execute(e, *line);
+            }
+            _ => {}
         }
+        ast::walk_expr(self, e);
     }
 }
 
 /// True when the expression contains an `IoBatch::new()` construction.
 fn creates_batch(e: &Expr) -> bool {
     let mut found = false;
-    crate::ast::each_expr(e, |x| {
+    ast::each_expr(e, |x| {
         if let Expr::Call { func, .. } = x {
             if let Expr::Path { segs, .. } = func.as_ref() {
-                if segs.len() >= 2
-                    && segs[segs.len() - 2] == "IoBatch"
-                    && segs[segs.len() - 1] == "new"
-                {
-                    found = true;
-                }
+                found |=
+                    matches!(segs.as_slice(), [.., ty, new] if ty == "IoBatch" && new == "new");
             }
         }
     });
     found
-}
-
-fn collect_expr(e: &Expr, evs: &mut Vec<Ev>) {
-    crate::ast::each_expr(e, |x| match x {
-        Expr::MethodCall {
-            recv, method, line, ..
-        } => {
-            let Some(name) = recv.last_name() else { return };
-            if method == "barrier" {
-                evs.push(Ev::Barrier(name.to_string()));
-            } else if method == "execute" || method == "execute_partial" {
-                // `disk.execute(&batch)` form.
-                if let Some(arg) = batch_arg(x) {
-                    evs.push(Ev::Execute(arg, *line));
-                }
-            }
-        }
-        Expr::Call { func, line, .. }
-            if matches!(func.last_name(), Some("execute" | "execute_partial")) =>
-        {
-            if let Some(arg) = batch_arg(x) {
-                evs.push(Ev::Execute(arg, *line));
-            }
-        }
-        _ => {}
-    });
 }
 
 /// The batch-naming argument of an `execute` call: the last plain-path
@@ -355,6 +349,27 @@ mod tests {
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].rule, "barrier-discipline");
         assert!(out[0].message.contains("post-barrier"));
+    }
+
+    #[test]
+    fn batch_created_inside_a_loop_is_followed() {
+        // The shape `Log::append` has had since its media-fault retry
+        // loop: one batch per round, bound below the fn's top level.
+        let f = file(
+            "crates/fsd/src/log.rs",
+            "fsd",
+            "impl Log {\n  fn append(&mut self, disk: &mut SimDisk) {\n\
+               loop {\n\
+                 let mut batch = IoBatch::new();\n\
+                 batch.push(op);\n\
+                 let r = sched::execute_partial(disk, policy, &batch);\n\
+               }\n\
+             }\n}\n",
+        );
+        let out = run(vec![f]);
+        assert_eq!(out.len(), 1, "{out:?}");
+        assert_eq!(out[0].rule, "barrier-discipline");
+        assert_eq!(out[0].snippet, "execute(batch) without barrier");
     }
 
     #[test]

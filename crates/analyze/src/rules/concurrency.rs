@@ -167,45 +167,31 @@ fn node_body<'a>(cg: &CallGraph<'a>, config: &Config, node: usize) -> Option<&'a
     cg.rule_body(node)
 }
 
-/// Every name bound inside the fn (parameters, `let` bindings, closure
-/// parameters): calls to these are calls to locals, never to workspace
-/// functions with the same name.
-fn local_names(def: &crate::ast::FnDef) -> BTreeSet<String> {
-    let mut names: BTreeSet<String> = def.params.iter().cloned().collect();
+/// Every name bound inside the fn (parameters, `let` bindings at any
+/// depth, closure parameters): calls to these are calls to locals, never
+/// to workspace functions with the same name.
+fn local_names(def: &ast::FnDef) -> BTreeSet<String> {
+    struct Locals(BTreeSet<String>);
+    impl Visit for Locals {
+        fn stmt(&mut self, s: &Stmt) {
+            if let Stmt::Let { names, .. } = s {
+                self.0.extend(names.iter().cloned());
+            }
+            ast::walk_stmt(self, s);
+        }
+
+        fn expr(&mut self, e: &Expr) {
+            if let Expr::Closure { params, .. } = e {
+                self.0.extend(params.iter().cloned());
+            }
+            ast::walk_expr(self, e);
+        }
+    }
+    let mut locals = Locals(def.params.iter().cloned().collect());
     if let Some(body) = &def.body {
-        collect_locals(body, &mut names);
+        locals.block(body);
     }
-    names
-}
-
-fn collect_locals(b: &Block, names: &mut BTreeSet<String>) {
-    for s in &b.stmts {
-        if let Stmt::Let {
-            names: bound,
-            init,
-            else_block,
-            ..
-        } = s
-        {
-            names.extend(bound.iter().cloned());
-            if let Some(e) = init {
-                collect_locals_expr(e, names);
-            }
-            if let Some(eb) = else_block {
-                collect_locals(eb, names);
-            }
-        } else if let Stmt::Expr(e) = s {
-            collect_locals_expr(e, names);
-        }
-    }
-}
-
-fn collect_locals_expr(e: &Expr, names: &mut BTreeSet<String>) {
-    ast::each_expr(e, |x| {
-        if let Expr::Closure { params, .. } = x {
-            names.extend(params.iter().cloned());
-        }
-    });
+    locals.0
 }
 
 // ---- lock-graph -----------------------------------------------------------
@@ -1107,6 +1093,19 @@ mod tests {
         assert_eq!(v.len(), 1, "{out:?}");
         assert!(v[0].snippet.contains("g held across settle()"));
         assert!(v[0].message.contains("force()"));
+    }
+
+    #[test]
+    fn nested_local_shadowing_a_blocking_fn_is_a_local() {
+        // `settle` inside the `if` is a closure bound there, not the
+        // blocking method of the same name.
+        let src = "impl E {\n\
+                   fn settle(&self) { self.vol.force(); }\n\
+                   fn publish(&self, c: bool) { let g = plock(&self.signal); \
+                   if c { let settle = || 1; settle(); } }\n\
+                   }\n";
+        let out = check(&[engine_file(src)], &Config::cedar());
+        assert!(rule(&out, "lock-graph").is_empty(), "{out:?}");
     }
 
     #[test]

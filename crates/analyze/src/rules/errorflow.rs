@@ -19,7 +19,7 @@
 //! on the resolved definition) for plain calls and `self` method calls,
 //! and by the configured I/O/force/must-handle method lists otherwise.
 
-use crate::ast::{Block, Expr, Stmt};
+use crate::ast::{self, Expr, Stmt, Visit};
 use crate::callgraph::CallGraph;
 use crate::config::Config;
 use crate::source::SourceFile;
@@ -44,123 +44,113 @@ pub fn check(a: &Analysis<'_>) -> Vec<Finding> {
                 continue;
             }
             let Some(body) = &def.body else { continue };
-            let cx = Cx {
+            Scan {
                 cg,
                 config,
                 file: f,
                 item: &def.name,
-            };
-            scan_block(body, &cx, &mut out);
+                out: &mut out,
+            }
+            .block(body);
         }
     }
     out
 }
 
-struct Cx<'a> {
+struct Scan<'a> {
     cg: &'a CallGraph<'a>,
     config: &'a Config,
     file: &'a SourceFile,
     item: &'a str,
+    out: &'a mut Vec<Finding>,
 }
 
-fn scan_block(b: &Block, cx: &Cx<'_>, out: &mut Vec<Finding>) {
-    for s in &b.stmts {
-        match s {
-            Stmt::Let {
-                wild,
-                init,
-                else_block,
-                line,
-                ..
-            } => {
-                if let Some(e) = init {
-                    if *wild && !cx.file.is_test_line(*line) {
-                        if let Some(desc) = find_result_call(e, cx) {
-                            out.push(Finding {
-                                rule: "error-flow",
-                                file: cx.file.rel.clone(),
-                                line: *line,
-                                item: cx.item.to_string(),
-                                snippet: format!("let _ = {desc}"),
-                                message: format!(
-                                    "`let _ =` discards the `Result` of `{desc}` \
-                                     on a force/flush/recovery path — propagate \
-                                     it or handle the error explicitly"
-                                ),
-                            });
-                        }
-                    }
-                    scan_expr(e, cx, out);
-                }
-                if let Some(eb) = else_block {
-                    scan_block(eb, cx, out);
-                }
-            }
-            Stmt::Expr(e) => scan_expr(e, cx, out),
-        }
+impl Scan<'_> {
+    fn finding(&mut self, line: u32, snippet: String, message: String) {
+        self.out.push(Finding {
+            rule: "error-flow",
+            file: self.file.rel.clone(),
+            line,
+            item: self.item.to_string(),
+            snippet,
+            message,
+        });
     }
 }
 
-fn scan_expr(e: &Expr, cx: &Cx<'_>, out: &mut Vec<Finding>) {
-    crate::ast::each_expr(e, |x| match x {
-        Expr::MethodCall {
-            recv,
-            method,
-            args,
+impl Visit for Scan<'_> {
+    fn stmt(&mut self, s: &Stmt) {
+        if let Stmt::Let {
+            wild: true,
+            init: Some(e),
             line,
-        } if method == "ok" && args.is_empty() => {
-            if cx.file.is_test_line(*line) {
-                return;
-            }
-            if let Some(desc) = result_call_desc(recv, cx) {
-                out.push(Finding {
-                    rule: "error-flow",
-                    file: cx.file.rel.clone(),
-                    line: *line,
-                    item: cx.item.to_string(),
-                    snippet: format!("{desc}.ok()"),
-                    message: format!(
-                        "`.ok()` swallows the error of `{desc}` on a \
-                         force/flush/recovery path — propagate it or handle \
-                         the error explicitly"
-                    ),
-                });
-            }
-        }
-        Expr::Match { arms, line, .. } => {
-            if cx.file.is_test_line(*line) {
-                return;
-            }
-            let named: Vec<&str> = cx
-                .config
-                .error_type_idents
-                .iter()
-                .filter(|id| arms.iter().any(|a| a.pat.iter().any(|t| t == *id)))
-                .copied()
-                .collect();
-            if named.is_empty() {
-                return;
-            }
-            for arm in arms {
-                if is_catch_all(&arm.pat) {
-                    out.push(Finding {
-                        rule: "error-flow",
-                        file: cx.file.rel.clone(),
-                        line: arm.line,
-                        item: cx.item.to_string(),
-                        snippet: format!("_ => (match naming {})", named.join("/")),
-                        message: format!(
-                            "catch-all arm in a match that names {} variants: \
-                             a new error variant would be silently swallowed — \
-                             name the remaining variants instead",
-                            named.join("/")
+            ..
+        } = s
+        {
+            if !self.file.is_test_line(*line) {
+                if let Some(desc) = self.find_result_call(e) {
+                    self.finding(
+                        *line,
+                        format!("let _ = {desc}"),
+                        format!(
+                            "`let _ =` discards the `Result` of `{desc}` \
+                             on a force/flush/recovery path — propagate \
+                             it or handle the error explicitly"
                         ),
-                    });
+                    );
                 }
             }
         }
-        _ => {}
-    });
+        ast::walk_stmt(self, s);
+    }
+
+    fn expr(&mut self, e: &Expr) {
+        match e {
+            Expr::MethodCall {
+                recv,
+                method,
+                args,
+                line,
+            } if method == "ok" && args.is_empty() && !self.file.is_test_line(*line) => {
+                if let Some(desc) = self.result_call_desc(recv) {
+                    self.finding(
+                        *line,
+                        format!("{desc}.ok()"),
+                        format!(
+                            "`.ok()` swallows the error of `{desc}` on a \
+                             force/flush/recovery path — propagate it or handle \
+                             the error explicitly"
+                        ),
+                    );
+                }
+            }
+            Expr::Match { arms, line, .. } if !self.file.is_test_line(*line) => {
+                let named: Vec<&str> = self
+                    .config
+                    .error_type_idents
+                    .iter()
+                    .filter(|id| arms.iter().any(|a| a.pat.iter().any(|t| t == *id)))
+                    .copied()
+                    .collect();
+                for arm in arms {
+                    if !named.is_empty() && is_catch_all(&arm.pat) {
+                        self.finding(
+                            arm.line,
+                            format!("_ => (match naming {})", named.join("/")),
+                            format!(
+                                "catch-all arm in a match that names {} variants: \
+                                 a new error variant would be silently swallowed — \
+                                 name the remaining variants instead",
+                                named.join("/")
+                            ),
+                        );
+                    }
+                }
+            }
+            _ => {}
+        }
+        ast::walk_expr(self, e);
+    }
 }
 
 /// `_ =>` or `Err(_) =>` (ignoring a trailing guard-free shape).
@@ -169,55 +159,45 @@ fn is_catch_all(pat: &[String]) -> bool {
     matches!(t.as_slice(), ["_"] | ["Err", "(", "_", ")"])
 }
 
-/// If `e` is directly a call whose `Result` matters here, a short
-/// description of it.
-fn result_call_desc(e: &Expr, cx: &Cx<'_>) -> Option<String> {
-    match e {
-        Expr::Call { func, .. } => {
-            let name = func.last_name()?;
-            let returns_result = cx
-                .cg
-                .resolve(&cx.file.crate_key, name)
-                .iter()
-                .any(|&n| cx.cg.nodes[n].def.returns_result);
-            if returns_result {
-                Some(format!("{name}(..)"))
-            } else {
-                None
+impl Scan<'_> {
+    /// If `e` is directly a call whose `Result` matters here, a short
+    /// description of it.
+    fn result_call_desc(&self, e: &Expr) -> Option<String> {
+        let returns_result = |name: &str| {
+            let defs = self.cg.resolve(&self.file.crate_key, name);
+            defs.iter().any(|&n| self.cg.nodes[n].def.returns_result)
+        };
+        match e {
+            Expr::Call { func, .. } => {
+                let name = func.last_name()?;
+                returns_result(name).then(|| format!("{name}(..)"))
             }
-        }
-        Expr::MethodCall { recv, method, .. } => {
-            let listed = cx.config.io_methods.iter().any(|m| *m == method)
-                || cx.config.force_methods.iter().any(|m| *m == method)
-                || cx.config.error_must_handle.iter().any(|m| *m == method);
-            if listed {
-                return Some(format!(".{method}(..)"));
-            }
-            if recv.last_name() == Some("self") {
-                let returns_result = cx
-                    .cg
-                    .resolve(&cx.file.crate_key, method)
-                    .iter()
-                    .any(|&n| cx.cg.nodes[n].def.returns_result);
-                if returns_result {
-                    return Some(format!("self.{method}(..)"));
+            Expr::MethodCall { recv, method, .. } => {
+                let listed = self.config.io_methods.iter().any(|m| *m == method)
+                    || self.config.force_methods.iter().any(|m| *m == method)
+                    || self.config.error_must_handle.iter().any(|m| *m == method);
+                if listed {
+                    Some(format!(".{method}(..)"))
+                } else if recv.last_name() == Some("self") && returns_result(method) {
+                    Some(format!("self.{method}(..)"))
+                } else {
+                    None
                 }
             }
-            None
+            _ => None,
         }
-        _ => None,
     }
-}
 
-/// First Result-returning call anywhere inside `e`.
-fn find_result_call(e: &Expr, cx: &Cx<'_>) -> Option<String> {
-    let mut found = None;
-    crate::ast::each_expr(e, |x| {
-        if found.is_none() {
-            found = result_call_desc(x, cx);
-        }
-    });
-    found
+    /// First Result-returning call anywhere inside `e`.
+    fn find_result_call(&self, e: &Expr) -> Option<String> {
+        let mut found = None;
+        ast::each_expr(e, |x| {
+            if found.is_none() {
+                found = self.result_call_desc(x);
+            }
+        });
+        found
+    }
 }
 
 #[cfg(test)]
@@ -243,6 +223,20 @@ mod tests {
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].rule, "error-flow");
         assert!(out[0].snippet.contains("let _ ="));
+    }
+
+    #[test]
+    fn let_underscore_discard_inside_an_if_flagged() {
+        let f = logfile(
+            "impl Log {\n  fn force(&mut self, disk: &mut SimDisk, dirty: bool) {\n\
+               if dirty {\n\
+                 let _ = disk.write(0, &buf);\n\
+               }\n\
+             }\n}\n",
+        );
+        let out = run(vec![f]);
+        assert_eq!(out.len(), 1, "{out:?}");
+        assert_eq!(out[0].snippet, "let _ = .write(..)");
     }
 
     #[test]

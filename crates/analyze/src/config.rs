@@ -99,9 +99,6 @@ pub struct Config {
     /// error-flow: error-type idents whose variants a catch-all match arm
     /// must not swallow.
     pub error_type_idents: Vec<&'static str>,
-    /// fs-api: (file, trait name) of the shared-reference service trait —
-    /// every method inside that trait block must take `&self`.
-    pub fs_trait: (&'static str, &'static str),
     /// concurrency: files forming the threaded engine, where the
     /// guard-across-blocking-call check applies (lock-order cycles are
     /// checked workspace-wide).
@@ -387,7 +384,6 @@ impl Config {
             ],
             error_must_handle: vec!["execute", "execute_partial"],
             error_type_idents: vec!["DiskError", "FsdError"],
-            fs_trait: ("crates/vol/src/fs.rs", "FileSystem"),
             concurrency_files: vec![
                 "crates/fsd/src/engine.rs",
                 "crates/fsd/src/sched.rs",

@@ -53,9 +53,6 @@
 //! * **cast-safety** — truncating `as` casts in sector/page arithmetic
 //!   (`.len() as u16`, narrowing casts of computed values, width-changing
 //!   casts of layout constants).
-//! * **fs-api** — the public `FileSystem` service trait stays
-//!   shared-reference (`&self` on every method; exclusive verbs belong
-//!   on `FsBackend`).
 //! * **unsafe-hygiene** — every library crate declares
 //!   `#![deny(unsafe_code)]` (or `forbid`); any `unsafe` elsewhere needs a
 //!   `// SAFETY:` comment.
@@ -132,7 +129,6 @@ pub const FAMILIES: &[(&str, &[&str], CheckFn)] = &[
         rules::barrier::check,
     ),
     ("errorflow", &["error-flow"], rules::errorflow::check),
-    ("fsapi", &["fs-api"], rules::fsapi::check),
     (
         "concurrency",
         &["lock-graph", "thread-roles", "condvar-discipline"],

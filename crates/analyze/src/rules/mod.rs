@@ -14,7 +14,6 @@ pub mod casts;
 pub mod concurrency;
 pub mod consts;
 pub mod errorflow;
-pub mod fsapi;
 pub mod layering;
 pub mod panics;
 pub mod repl;

@@ -211,21 +211,6 @@ fn concurrency_fixture_flags_cycle_callee_hold_wait_and_ordering() {
 }
 
 #[test]
-fn fsapi_fixture_flags_mut_trait_method_only() {
-    let f = findings("fsapi");
-    assert!(f.iter().all(|x| x.rule == "fs-api"), "{f:#?}");
-    assert_eq!(f.len(), 1, "{f:#?}");
-    // `FileSystem::create` takes `&mut self`; `FsBackend::create` (the
-    // exclusive-borrow trait) is the sanctioned home and stays clean.
-    assert!(
-        f.iter().any(|x| x.file == "crates/vol/src/fs.rs"
-            && x.item == "create"
-            && x.message.contains("&mut self")),
-        "{f:#?}"
-    );
-}
-
-#[test]
 fn consts_fixture_flags_duplicated_literal_not_definition() {
     let f = findings("consts");
     assert_eq!(f.len(), 1, "{f:#?}");

@@ -7,10 +7,6 @@ cargo test -q --workspace
 cargo clippy --workspace -- -D warnings
 cargo fmt --check
 cargo run --release -p cedar-analyze --bin cedar-lint -- --workspace
-# The taint family alone (disk-taint / decode-coverage / taint-arith)
-# re-run for a per-family timing line; the full run above already
-# gates on it.
-cargo run --release -p cedar-analyze --bin cedar-lint -- --workspace --rule taint
 # Corrupted-image fuzz: random byte flips and label smashes over a live
 # image must end in repair or a typed error — serial and 8-way
 # parallel scavenge alike, never a panic.

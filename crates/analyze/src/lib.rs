@@ -13,6 +13,14 @@
 //! rules. A file the parser cannot handle is itself a finding
 //! (`parse-error`) — nothing silently escapes analysis.
 //!
+//! The flow rules stand on three shared pieces: [`ast::Visit`], the one
+//! traversal (each rule is a set of overrides on it, and statements are
+//! visited at every depth); [`flow`], the per-function summary solver
+//! and the branch/merge skeleton of a path-sensitive walk; and
+//! [`Analysis`], the files, the call graph (built once per run) and the
+//! configuration every family's `check` receives. [`FAMILIES`] is the
+//! one table of family name, rule ids and pass.
+//!
 //! Rule families (each finding carries its rule id):
 //!
 //! * **layering** — import DAG between workspace crates, raw sector I/O

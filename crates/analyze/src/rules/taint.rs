@@ -639,10 +639,10 @@ impl<'a> Walker<'a> {
                 // iterator produced, not disk bytes.
                 let enumerated = matches!(iter.as_ref(), Expr::MethodCall { method, .. } if method == "enumerate");
                 for (i, n) in bind.iter().enumerate() {
-                    if iter_t.is_clean() || (enumerated && i == 0) {
+                    if enumerated && i == 0 {
                         self.vars.remove(n);
                     } else {
-                        self.vars.insert(n.clone(), iter_t.clone());
+                        self.bind(n, &iter_t);
                     }
                 }
                 self.block(body);

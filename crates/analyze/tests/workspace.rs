@@ -1,13 +1,18 @@
-//! The two ratchet guarantees, proven against the real workspace:
+//! The ratchet guarantees and the mutation table, proven against the
+//! real workspace:
 //!
 //! 1. The tree as committed is clean under the checked-in allowlist
 //!    (`cedar-lint --workspace` exits 0 — this is the CI gate).
 //! 2. The ratchet actually bites: copying the workspace aside and adding
 //!    one new `unwrap()` to a covered crate produces a `panic-ratchet`
 //!    finding under the same allowlist.
+//! 3. Each flow rule sees its own seeded defect in the real source, and
+//!    nothing else (the mutation table at the bottom).
 
 use cedar_analyze::allowlist::Allowlist;
-use cedar_analyze::{run, Config};
+use cedar_analyze::source::SourceFile;
+use cedar_analyze::{run, Analysis, Config, Finding};
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
 /// The real workspace root (two levels above this crate).
@@ -106,10 +111,6 @@ fn taint_ratchet_catches_a_new_unvalidated_decode_in_recovery() {
 }
 
 // ---- seeded mutations ------------------------------------------------------
-
-use cedar_analyze::source::SourceFile;
-use cedar_analyze::{Analysis, Finding};
-use std::collections::{BTreeMap, BTreeSet};
 
 /// One edit to one real workspace file.
 enum Edit {
@@ -339,13 +340,13 @@ fn apply_edit(seed: &Seed, src: &str) -> String {
 }
 
 type Key = (String, String, String, String);
-/// The family pass that emits `rule`.
-fn family_check(rule: &str) -> cedar_analyze::CheckFn {
-    cedar_analyze::FAMILIES
+/// The family (name and pass) that emits `rule`.
+fn family_of(rule: &str) -> (&'static str, cedar_analyze::CheckFn) {
+    let (name, _, check) = cedar_analyze::FAMILIES
         .iter()
         .find(|(_, ids, _)| ids.contains(&rule))
-        .unwrap_or_else(|| panic!("no family emits rule {rule}"))
-        .2
+        .unwrap_or_else(|| panic!("no family emits rule {rule}"));
+    (name, *check)
 }
 
 fn keys(findings: Vec<Finding>) -> BTreeSet<Key> {
@@ -359,13 +360,13 @@ fn seeded_mutations_of_the_real_workspace_are_each_caught_exactly() {
     let mut files = cedar_analyze::workspace::load_workspace(&root, &config).expect("load");
     // Findings the unedited tree already has under each family (no
     // allowlist here), so a row asserts only what its edit added.
-    let mut baseline: BTreeMap<usize, BTreeSet<Key>> = BTreeMap::new();
+    let mut baseline: BTreeMap<&str, BTreeSet<Key>> = BTreeMap::new();
     let mut table = String::new();
     let mut red = Vec::new();
     for seed in SEEDS {
-        let check = family_check(seed.rule);
+        let (family, check) = family_of(seed.rule);
         let base = baseline
-            .entry(check as usize)
+            .entry(family)
             .or_insert_with(|| keys(check(&Analysis::new(&files, &config))))
             .clone();
         let idx = files

@@ -32,7 +32,7 @@ pub struct Config {
     /// Batch-submission discipline: (file, functions) forming the
     /// multi-sector commit/recovery hot paths. A raw disk call inside one
     /// of these functions is a finding — those paths must submit through
-    /// `cedar_disk::sched` batches so barriers and C-SCAN ordering apply.
+    /// `cedar_disk::sched` batches so barriers and scheduling apply.
     /// Deliberate single-sector or replica-fallback readers (`read_meta`,
     /// `read_boot_page`, `read_saved_vam`) are simply not listed.
     pub batch_io_fns: Vec<(&'static str, Vec<&'static str>)>,

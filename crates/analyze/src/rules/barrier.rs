@@ -4,7 +4,7 @@
 //! * **batch-io** (re-based from PR 4's token scan onto the AST): inside
 //!   the configured multi-sector commit/recovery fns, a raw disk call —
 //!   direct, or via a plain same-crate callee that performs one — bypasses
-//!   `cedar_disk::sched` batching (write barriers + C-SCAN). Deliberate
+//!   `cedar_disk::sched` batching (write barriers + scheduling). Deliberate
 //!   single-sector replica/fallback readers are listed in
 //!   `batch_io_fallback_fns`.
 //! * **barrier-discipline**: in the configured commit fns, every `IoBatch`
@@ -104,7 +104,7 @@ fn check_batch_io(
                     message: format!(
                         "raw `{name}` on a multi-sector commit/recovery path: \
                          submit through a `cedar_disk::sched` batch so write \
-                         barriers and C-SCAN ordering apply"
+                         barriers and scheduling apply"
                     ),
                 });
                 return;

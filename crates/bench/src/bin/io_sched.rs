@@ -6,7 +6,7 @@
 //! The
 //! group commit's hot paths — the log force, the third-entry home-page
 //! writeback, the shutdown sweep — all submit *batches* of requests, so
-//! the `cedar_disk::sched` C-SCAN scheduler gets to reorder and coalesce
+//! the `cedar_disk::sched` scheduler gets to reorder and coalesce
 //! them where the in-order baseline pays a full seek + rotational wait
 //! per request (both name-table replicas per page, ping-ponging between
 //! the two copy regions). This bench runs the identical deterministic
@@ -27,7 +27,7 @@ use cedar_workload::{multi_client_workload, MultiClientParams};
 fn policy_name(policy: IoPolicy) -> &'static str {
     match policy {
         IoPolicy::InOrder => "in_order",
-        IoPolicy::Cscan => "cscan",
+        IoPolicy::Satf => "satf",
     }
 }
 
@@ -81,11 +81,11 @@ fn run_policy(policy: IoPolicy, clients: usize, rounds: usize) -> PolicyRun {
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let (clients, rounds) = if smoke { (4, 1) } else { (8, 2) };
-    println!("I/O scheduling: C-SCAN + coalescing vs in-order submission");
+    println!("I/O scheduling: shortest positioning time first + coalescing vs in-order submission");
     println!("({clients} MakeDo clients, simulated T-300, group commit + writeback + shutdown)");
 
     let base = run_policy(IoPolicy::InOrder, clients, rounds);
-    let sched = run_policy(IoPolicy::Cscan, clients, rounds);
+    let sched = run_policy(IoPolicy::Satf, clients, rounds);
     assert_eq!(
         base.run.stats, sched.run.stats,
         "both policies must run the identical workload"
@@ -107,9 +107,9 @@ fn main() {
     );
     for (name, window, s) in [
         ("in-order", "whole run", &base.total),
-        ("c-scan", "whole run", &sched.total),
+        ("satf", "whole run", &sched.total),
         ("in-order", "commit+writeback", &base.commit_writeback),
-        ("c-scan", "commit+writeback", &sched.commit_writeback),
+        ("satf", "commit+writeback", &sched.commit_writeback),
     ] {
         t.row(&[
             name.to_string(),
@@ -131,7 +131,7 @@ fn main() {
     );
     println!(
         "{}",
-        disk_breakdown("c-scan   commit+writeback", &sched.commit_writeback)
+        disk_breakdown("satf     commit+writeback", &sched.commit_writeback)
     );
 
     let pct_lower = |b: &DiskStats, s: &DiskStats| {
@@ -165,7 +165,7 @@ fn main() {
         policy_name(IoPolicy::InOrder),
         disk_breakdown_json(&base.total),
         disk_breakdown_json(&base.commit_writeback),
-        policy_name(IoPolicy::Cscan),
+        policy_name(IoPolicy::Satf),
         disk_breakdown_json(&sched.total),
         disk_breakdown_json(&sched.commit_writeback),
     );

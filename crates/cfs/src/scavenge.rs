@@ -68,7 +68,7 @@ impl CfsVolume {
             addr += n as u32;
         }
         let mut labels: Vec<Label> = Vec::with_capacity(total as usize);
-        for out in sched::execute(disk, IoPolicy::Cscan, &scan)? {
+        for out in sched::execute(disk, IoPolicy::Satf, &scan)? {
             labels.extend(
                 out.into_labels()
                     .ok_or_else(|| CfsError::Corrupt("label scan output shape".into()))?,
@@ -96,7 +96,7 @@ impl CfsVolume {
         }
 
         // Pass 2: read every header (random access across the volume —
-        // exactly where the C-SCAN sweep pays off). Labels were already
+        // exactly where scheduling by position pays off). Labels were already
         // read in pass 1, so each header is validated against that
         // snapshot in memory; `ReadAllowDamage` keeps per-header
         // fallibility without aborting the batch.
@@ -115,7 +115,7 @@ impl CfsVolume {
                 n: HEADER_SECTORS as usize,
             });
         }
-        let header_raw = sched::execute(disk, IoPolicy::Cscan, &fetch)?;
+        let header_raw = sched::execute(disk, IoPolicy::Satf, &fetch)?;
         let outs: Vec<Option<(Vec<u8>, Vec<bool>)>> = header_raw
             .into_iter()
             .map(|out| out.into_data_mask())
@@ -206,7 +206,7 @@ impl CfsVolume {
             });
             i += len as usize;
         }
-        sched::execute(disk, IoPolicy::Cscan, &relabel)?;
+        sched::execute(disk, IoPolicy::Satf, &relabel)?;
 
         // Rewrite each recovered header (its run table may have been
         // corrected from the labels), then rebuild the name table

@@ -16,7 +16,7 @@
 //!   restore address order no matter which worker finished first.
 //! * [`read_chunks`] turns a list of disjoint ranges into one
 //!   damage-tolerant batch read (a single barrier-free window — reads
-//!   never conflict — so C-SCAN can order the whole sweep).
+//!   never conflict — so the scheduler can order the whole sweep).
 
 use crate::sched::{self, IoBatch, IoOp, IoPolicy};
 use crate::sync::{Condvar, Mutex, MutexGuard};
@@ -50,8 +50,9 @@ impl ScanChunk {
 /// numbered from `first_seq`).
 ///
 /// Reads never conflict, so the whole batch is a single barrier-free
-/// window: under [`IoPolicy::Cscan`] the scheduler services it in one
-/// ascending sweep regardless of submission order.
+/// window: under [`IoPolicy::Satf`] the scheduler coalesces adjacent
+/// ranges and takes the transfers nearest-first, regardless of
+/// submission order.
 pub fn read_chunks(
     disk: &mut SimDisk,
     policy: IoPolicy,
@@ -222,7 +223,7 @@ mod tests {
         let mut disk = SimDisk::tiny();
         let data = vec![0xA5u8; crate::SECTOR_BYTES * 2];
         disk.write(40, &data).unwrap();
-        let chunks = read_chunks(&mut disk, IoPolicy::Cscan, &[(40, 2), (8, 1)], 7).unwrap();
+        let chunks = read_chunks(&mut disk, IoPolicy::Satf, &[(40, 2), (8, 1)], 7).unwrap();
         assert_eq!(chunks.len(), 2);
         assert_eq!(chunks[0].seq, 7);
         assert_eq!(chunks[0].start, 40);

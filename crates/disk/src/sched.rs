@@ -6,11 +6,14 @@
 //! that only a controller seeing *several* requests at once can trade
 //! against each other. This module is that controller: callers build an
 //! [`IoBatch`] of read/write requests separated by explicit **write
-//! barriers**, and [`execute`] runs each barrier-delimited window in
-//! C-SCAN order (ascending sector address with wrap-around), starting the
-//! sweep at whichever request costs the fewest microseconds of seek +
-//! rotation from the head's current position, and coalescing physically
-//! adjacent same-kind requests into single transfers.
+//! barriers**, and [`execute`] runs each barrier-delimited window
+//! shortest-positioning-time-first (Jacobson & Wilkes 1991): physically
+//! adjacent same-kind requests are coalesced into single transfers, and
+//! after *each* transfer the next one is whichever pending transfer costs
+//! the fewest microseconds of seek + rotation from where the head is now.
+//! An address-ordered sweep visits the heads of a cylinder one after
+//! another and waits half a revolution for each; choosing by position
+//! takes them in the order they come round.
 //!
 //! # Ordering and crash semantics
 //!
@@ -21,8 +24,8 @@
 //! mid-batch lands inside exactly one window: every earlier window is
 //! fully durable, every later window never started, and only the crash
 //! window itself exposes the reordering. This is the contract the FSD
-//! log relies on — data sectors and their copies in one window, a
-//! barrier, then the commit record.
+//! log relies on — headers and data sectors in one window, a barrier,
+//! then the commit record and the copies.
 //!
 //! Two requests whose sector ranges overlap have a data dependency, so
 //! the scheduler inserts an *implicit* barrier between them: submission
@@ -54,10 +57,11 @@ pub enum IoPolicy {
     /// Execute requests exactly in submission order, one `SimDisk` call
     /// each — the naive baseline the bench compares against.
     InOrder,
-    /// C-SCAN within each barrier window, rotation-aware start,
-    /// adjacent-request coalescing.
+    /// Shortest access time first within each barrier window:
+    /// adjacent-request coalescing, then always the transfer the head
+    /// can reach soonest (seek + rotation), ties to the lower address.
     #[default]
-    Cscan,
+    Satf,
 }
 
 /// One request in a batch. Mirrors the `SimDisk` data and label-plane
@@ -252,6 +256,17 @@ impl IoBatch {
     pub fn is_empty(&self) -> bool {
         self.ops == 0
     }
+
+    /// The requests in submission order, barriers dropped.
+    fn requests(&self) -> Vec<&IoOp> {
+        self.items
+            .iter()
+            .filter_map(|it| match it {
+                Item::Op(op) => Some(op),
+                Item::Barrier => None,
+            })
+            .collect()
+    }
 }
 
 /// Splits a batch into its barrier-delimited windows, including the
@@ -336,25 +351,15 @@ pub fn execute_partial(
     policy: IoPolicy,
     batch: &IoBatch,
 ) -> Result<Vec<OpResult>> {
-    let ops: Vec<&IoOp> = batch
-        .items
-        .iter()
-        .filter_map(|it| match it {
-            Item::Op(op) => Some(op),
-            Item::Barrier => None,
-        })
-        .collect();
+    let ops = batch.requests();
     let mut results: Vec<OpResult> = vec![OpResult::Skipped; batch.ops];
     let mut failed = false;
     for window in windows(batch) {
         if failed {
             break; // Later windows stay Skipped.
         }
-        let groups = match policy {
-            IoPolicy::InOrder => window.iter().map(|&i| vec![i]).collect(),
-            IoPolicy::Cscan => plan_window(disk, &ops, &window),
-        };
-        for group in &groups {
+        let mut pending = plan_window(policy, &ops, &window);
+        while let Some(group) = &next_group(disk, policy, &ops, &mut pending) {
             let mut outputs: Vec<Option<IoOutput>> = vec![None; batch.ops];
             match run_group(disk, &ops, group, &mut outputs) {
                 Ok(()) => {
@@ -392,24 +397,11 @@ pub fn execute_partial(
 /// request in submission order.
 pub fn execute(disk: &mut SimDisk, policy: IoPolicy, batch: &IoBatch) -> Result<Vec<IoOutput>> {
     let mut outputs: Vec<Option<IoOutput>> = vec![None; batch.ops];
-    let ops: Vec<&IoOp> = batch
-        .items
-        .iter()
-        .filter_map(|it| match it {
-            Item::Op(op) => Some(op),
-            Item::Barrier => None,
-        })
-        .collect();
-    match policy {
-        IoPolicy::InOrder => {
-            for (i, op) in ops.iter().enumerate() {
-                outputs[i] = Some(run_one(disk, op)?);
-            }
-        }
-        IoPolicy::Cscan => {
-            for window in windows(batch) {
-                run_window(disk, &ops, &window, &mut outputs)?;
-            }
+    let ops = batch.requests();
+    for window in windows(batch) {
+        let mut pending = plan_window(policy, &ops, &window);
+        while let Some(group) = next_group(disk, policy, &ops, &mut pending) {
+            run_group(disk, &ops, &group, &mut outputs)?;
         }
     }
     // Every request lands in exactly one window, so every slot is filled;
@@ -420,10 +412,14 @@ pub fn execute(disk: &mut SimDisk, policy: IoPolicy, batch: &IoBatch) -> Result<
         .collect())
 }
 
-/// Plans one window: sort by address, coalesce adjacent same-kind
-/// requests, rotate so the sweep starts at the rotationally cheapest
-/// group. Returns the coalesced groups in execution order.
-fn plan_window(disk: &SimDisk, ops: &[&IoOp], window: &[usize]) -> Vec<Vec<usize>> {
+/// Plans one window into the transfers it will take, in address order.
+/// [`IoPolicy::InOrder`] keeps every request a transfer of its own, in
+/// submission order; [`IoPolicy::Satf`] sorts by address and coalesces
+/// adjacent same-kind requests.
+fn plan_window(policy: IoPolicy, ops: &[&IoOp], window: &[usize]) -> Vec<Vec<usize>> {
+    if policy == IoPolicy::InOrder {
+        return window.iter().map(|&i| vec![i]).collect();
+    }
     // Stable sort: equal addresses keep submission order (they cannot
     // overlap — an implicit barrier would have split them — but empty
     // requests can share a start).
@@ -443,32 +439,30 @@ fn plan_window(disk: &SimDisk, ops: &[&IoOp], window: &[usize]) -> Vec<Vec<usize
             _ => groups.push(vec![i]),
         }
     }
-
-    // Rotational-position-aware start: the sweep begins at the group
-    // whose first sector costs the fewest microseconds of seek +
-    // rotation from where the head is right now, then proceeds in
-    // ascending address order with wrap-around (C-SCAN).
-    let start_group = groups
-        .iter()
-        .enumerate()
-        .min_by_key(|(_, g)| disk.position_cost_us(ops[g[0]].start()))
-        .map(|(gi, _)| gi)
-        .unwrap_or(0);
-    groups.rotate_left(start_group);
     groups
 }
 
-/// One window: plan it, then run each coalesced group.
-fn run_window(
-    disk: &mut SimDisk,
+/// Takes the transfer to run next out of a window's `pending` list: the
+/// first under [`IoPolicy::InOrder`]; under [`IoPolicy::Satf`] the one
+/// whose first sector costs the fewest microseconds of seek + rotation
+/// from where the head is *now* — asked again after every transfer, so
+/// the heads of a cylinder are served as they come round instead of in
+/// address order. The estimate is exact (nothing moves the clock between
+/// two transfers of a batch), and equal costs go to the lower address
+/// (`pending` is address-sorted and `min_by_key` keeps the first).
+fn next_group(
+    disk: &SimDisk,
+    policy: IoPolicy,
     ops: &[&IoOp],
-    window: &[usize],
-    outputs: &mut [Option<IoOutput>],
-) -> Result<()> {
-    for g in plan_window(disk, ops, window) {
-        run_group(disk, ops, &g, outputs)?;
-    }
-    Ok(())
+    pending: &mut Vec<Vec<usize>>,
+) -> Option<Vec<usize>> {
+    let pick = match policy {
+        IoPolicy::InOrder => 0,
+        IoPolicy::Satf => {
+            (0..pending.len()).min_by_key(|&g| disk.position_cost_us(ops[pending[g][0]].start()))?
+        }
+    };
+    (pick < pending.len()).then(|| pending.remove(pick))
 }
 
 /// Executes one coalesced group as a single `SimDisk` operation and
@@ -672,6 +666,9 @@ pub fn position_cost_us(disk: &SimDisk, addr: SectorAddr) -> Micros {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::clock::SimClock;
+    use crate::geometry::{Chs, DiskGeometry};
+    use crate::timing::DiskTiming;
     use crate::CrashPlan;
 
     fn sector_of(byte: u8) -> Vec<u8> {
@@ -694,7 +691,7 @@ mod tests {
             start: 22,
             data: sector_of(3),
         });
-        execute(&mut d, IoPolicy::Cscan, &b).unwrap();
+        execute(&mut d, IoPolicy::Satf, &b).unwrap();
         let s = d.stats();
         assert_eq!(s.writes, 1, "three adjacent writes become one transfer");
         assert_eq!(s.sectors_written, 3);
@@ -711,19 +708,20 @@ mod tests {
         let mut b = IoBatch::new();
         let hi = b.push(IoOp::Read { start: 40, n: 1 });
         let lo = b.push(IoOp::Read { start: 7, n: 1 });
-        let out = execute(&mut d, IoPolicy::Cscan, &b).unwrap();
+        let out = execute(&mut d, IoPolicy::Satf, &b).unwrap();
         assert_eq!(out[hi].clone().into_data().unwrap()[0], 4);
         assert_eq!(out[lo].clone().into_data().unwrap()[0], 7);
     }
 
     #[test]
     fn barrier_orders_windows_under_crash() {
-        // Window 1 writes a high address, window 2 a low one. C-SCAN
-        // would visit the low address first if they shared a window; the
-        // barrier must keep the high write strictly earlier, so a crash
-        // before any sector completes leaves BOTH unwritten, and a crash
-        // after one sector leaves exactly the high one written.
+        // Window 1 writes a far address, window 2 one under the head.
+        // The scheduler would take the cheap one first if they shared a
+        // window; the barrier must keep the expensive write strictly
+        // earlier, so a crash after one sector leaves exactly that one
+        // written.
         let mut d = SimDisk::tiny();
+        assert!(d.position_cost_us(3) < d.position_cost_us(100));
         d.schedule_crash(CrashPlan {
             after_sector_writes: 1,
             damaged_tail: 0,
@@ -738,7 +736,7 @@ mod tests {
             start: 3,
             data: sector_of(8),
         });
-        assert!(execute(&mut d, IoPolicy::Cscan, &b).is_err());
+        assert!(execute(&mut d, IoPolicy::Satf, &b).is_err());
         d.reboot();
         assert_eq!(d.peek_data(100).unwrap()[0], 9, "window 1 durable");
         assert!(d.peek_data(3).is_none(), "window 2 never started");
@@ -757,16 +755,16 @@ mod tests {
             data: sector_of(2),
         });
         assert_eq!(windows(&b).len(), 2);
-        execute(&mut d, IoPolicy::Cscan, &b).unwrap();
+        execute(&mut d, IoPolicy::Satf, &b).unwrap();
         assert_eq!(d.peek_data(5).unwrap()[0], 2, "program order wins");
     }
 
     #[test]
-    fn sweep_starts_at_rotationally_nearest_request() {
+    fn window_starts_at_rotationally_nearest_request() {
         // Head parks just past sector 5 (after reading 0..6). Requests at
         // sectors 2 and 8 on the same cylinder: ascending order would eat
-        // a near-full revolution reaching 2 first; the rotation-aware
-        // sweep grabs 8 on the fly and wraps to 2.
+        // a near-full revolution reaching 2 first; the scheduler grabs 8
+        // on the fly and comes round to 2.
         let run = |policy: IoPolicy| {
             let mut d = SimDisk::tiny();
             d.read(0, 6).unwrap();
@@ -783,9 +781,78 @@ mod tests {
             d.stats().busy_us()
         };
         assert!(
-            run(IoPolicy::Cscan) < run(IoPolicy::InOrder),
+            run(IoPolicy::Satf) < run(IoPolicy::InOrder),
             "rotation-aware start must beat submission order here"
         );
+    }
+
+    #[test]
+    fn heads_of_a_cylinder_are_served_as_they_come_round() {
+        // Six 2-sector writes on six heads of one T-300 cylinder, each
+        // starting six sectors *before* the one on the head above it.
+        // Address order finds every next request just gone by; taken by
+        // position they all pass under the heads within one revolution.
+        let g = DiskGeometry::TRIDENT_T300;
+        let rev = DiskTiming::TRIDENT_T300.sector_us() * g.sectors_per_track as Micros;
+        let run = |policy: IoPolicy| {
+            let mut d = SimDisk::trident_t300(SimClock::new());
+            let mut b = IoBatch::new();
+            let mut nearest = Micros::MAX;
+            for head in 0..6 {
+                let start = g.to_addr(Chs {
+                    cylinder: 400,
+                    head,
+                    sector: 6 * (5 - head),
+                });
+                nearest = nearest.min(d.position_cost_us(start));
+                b.push(IoOp::Write {
+                    start,
+                    data: vec![head as u8; 2 * SECTOR_BYTES],
+                });
+            }
+            execute(&mut d, policy, &b).unwrap();
+            (d.stats(), nearest)
+        };
+        let (satf, nearest) = run(IoPolicy::Satf);
+        assert_eq!(satf.writes, 6, "nothing here is adjacent");
+        assert!(
+            satf.busy_us() <= satf.transfer_us + nearest + rev,
+            "transfer + initial positioning + at most one revolution: {satf:?}"
+        );
+        // Submission order is address order here.
+        let (by_address, _) = run(IoPolicy::InOrder);
+        assert_eq!(by_address.transfer_us, satf.transfer_us);
+        assert!(
+            by_address.rotation_us + by_address.lost_rev_us >= 3 * rev,
+            "address order waits out most of a revolution per head: {by_address:?}"
+        );
+    }
+
+    #[test]
+    fn equal_cost_candidates_resolve_to_the_lower_address() {
+        // The same sector on the two heads of a cylinder: equally far in
+        // both seek and angle, so only the tie-break orders them.
+        let g = DiskGeometry::TINY;
+        let at = |head| {
+            g.to_addr(Chs {
+                cylinder: 0,
+                head,
+                sector: 9,
+            })
+        };
+        let mut d = SimDisk::tiny();
+        assert_eq!(d.position_cost_us(at(0)), d.position_cost_us(at(1)));
+        d.enable_write_journal();
+        let mut b = IoBatch::new();
+        for head in [1, 0] {
+            b.push(IoOp::Write {
+                start: at(head),
+                data: sector_of(head as u8),
+            });
+        }
+        execute(&mut d, IoPolicy::Satf, &b).unwrap();
+        let order: Vec<SectorAddr> = d.drain_write_journal().iter().map(|e| e.addr).collect();
+        assert_eq!(order, vec![at(0), at(1)]);
     }
 
     #[test]
@@ -824,7 +891,7 @@ mod tests {
             labels: vec![Label::FREE],
             expected: None,
         });
-        execute(&mut d, IoPolicy::Cscan, &b).unwrap();
+        execute(&mut d, IoPolicy::Satf, &b).unwrap();
         let s = d.stats();
         assert_eq!(s.writes, 1);
         assert_eq!(s.label_ops, 1);
@@ -838,7 +905,7 @@ mod tests {
         let mut b = IoBatch::new();
         let a = b.push(IoOp::ReadLabels { start: 16, n: 2 });
         let c = b.push(IoOp::ReadLabels { start: 18, n: 2 });
-        let out = execute(&mut d, IoPolicy::Cscan, &b).unwrap();
+        let out = execute(&mut d, IoPolicy::Satf, &b).unwrap();
         assert_eq!(
             d.stats().label_ops,
             2,
@@ -871,7 +938,7 @@ mod tests {
         let r0 = b.push(IoOp::Read { start: 20, n: 1 });
         let r1 = b.push(IoOp::Read { start: 21, n: 1 });
         let r2 = b.push(IoOp::Read { start: 22, n: 1 });
-        let out = execute_partial(&mut d, IoPolicy::Cscan, &b).unwrap();
+        let out = execute_partial(&mut d, IoPolicy::Satf, &b).unwrap();
         assert_eq!(
             out[r0].clone().into_output().unwrap().into_data().unwrap()[0],
             20
@@ -901,7 +968,7 @@ mod tests {
             start: 60,
             data: sector_of(3),
         });
-        let out = execute_partial(&mut d, IoPolicy::Cscan, &b).unwrap();
+        let out = execute_partial(&mut d, IoPolicy::Satf, &b).unwrap();
         assert_eq!(out[w0].error(), Some(&DiskError::BadSector(40)));
         // Same window: still attempted.
         assert_eq!(out[w1], OpResult::Ok(IoOutput::Done));
@@ -924,7 +991,7 @@ mod tests {
             start: 31,
             data: sector_of(8),
         });
-        let out = execute_partial(&mut d, IoPolicy::Cscan, &b).unwrap();
+        let out = execute_partial(&mut d, IoPolicy::Satf, &b).unwrap();
         // The coalesced transfer failed at 31; the re-probe shows 30
         // succeeded and is durable.
         assert_eq!(out[w0], OpResult::Ok(IoOutput::Done));
@@ -945,7 +1012,7 @@ mod tests {
             data: sector_of(1),
         });
         assert_eq!(
-            execute_partial(&mut d, IoPolicy::Cscan, &b),
+            execute_partial(&mut d, IoPolicy::Satf, &b),
             Err(DiskError::Crashed)
         );
     }
@@ -961,8 +1028,8 @@ mod tests {
         });
         b.barrier();
         b.push(IoOp::Read { start: 10, n: 1 });
-        let full = execute(&mut d1, IoPolicy::Cscan, &b).unwrap();
-        let partial = execute_partial(&mut d2, IoPolicy::Cscan, &b).unwrap();
+        let full = execute(&mut d1, IoPolicy::Satf, &b).unwrap();
+        let partial = execute_partial(&mut d2, IoPolicy::Satf, &b).unwrap();
         for (f, p) in full.into_iter().zip(partial) {
             assert_eq!(OpResult::Ok(f), p);
         }
@@ -974,7 +1041,7 @@ mod tests {
         let mut d = SimDisk::tiny();
         let b = IoBatch::new();
         assert!(b.is_empty());
-        assert!(execute(&mut d, IoPolicy::Cscan, &b).unwrap().is_empty());
+        assert!(execute(&mut d, IoPolicy::Satf, &b).unwrap().is_empty());
         assert_eq!(d.stats().total_ops(), 0);
     }
 }

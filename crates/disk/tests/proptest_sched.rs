@@ -1,9 +1,9 @@
 //! Property tests for the I/O scheduler (`cedar_disk::sched`).
 //!
-//! Two properties pin the scheduler's correctness:
+//! Three properties pin the scheduler's correctness:
 //!
 //! 1. **Equivalence** — for random request batches with random barrier
-//!    placement, C-SCAN execution yields the same per-request results and
+//!    placement, scheduled execution yields the same per-request results and
 //!    a byte-identical disk image (data, label plane, damage plane) as
 //!    naive in-order execution, and never costs more simulated time.
 //! 2. **Crash containment** — with a random [`CrashPlan`], the post-crash
@@ -13,11 +13,15 @@
 //!    of the crash window holds either its pre- or post-window value (or
 //!    is detectably damaged, ≤ 2 sectors). Reordering never leaks across
 //!    a barrier.
+//! 3. **Exactly once** — wherever the head is parked and whatever the
+//!    platter angle when the batch is submitted, every request executes
+//!    exactly once: the pick after each transfer neither drops a request
+//!    nor runs one twice.
 
 use cedar_disk::sched::{execute, windows, IoBatch, IoOp, IoPolicy};
 use cedar_disk::{CrashPlan, DiskError, Label, PageKind, SimDisk, SECTOR_BYTES};
 use proptest::prelude::*;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 const TOTAL: u32 = 2048; // TINY geometry.
 
@@ -165,13 +169,13 @@ proptest! {
         let mut a = populated_disk();
         let mut b = populated_disk();
         let out_a = execute(&mut a, IoPolicy::InOrder, &batch).unwrap();
-        let out_b = execute(&mut b, IoPolicy::Cscan, &batch).unwrap();
+        let out_b = execute(&mut b, IoPolicy::Satf, &batch).unwrap();
         prop_assert_eq!(&out_a, &out_b, "per-request results must match");
         prop_assert_eq!(snapshot(&a), snapshot(&b), "disk images must match");
         for addr in 0..TOTAL {
             prop_assert!(!a.peek_damaged(addr) && !b.peek_damaged(addr));
         }
-        // No perf assertion here: C-SCAN is a heuristic and adversarial
+        // No perf assertion here: the pick is a heuristic and adversarial
         // two-request windows can beat it. The io_sched bench pins the
         // aggregate win on real workloads.
     }
@@ -186,7 +190,7 @@ proptest! {
         let mut d = populated_disk();
         let pre = snapshot(&d);
         d.schedule_crash(CrashPlan { after_sector_writes: budget, damaged_tail: tail });
-        let result = execute(&mut d, IoPolicy::Cscan, &batch);
+        let result = execute(&mut d, IoPolicy::Satf, &batch);
         d.reboot();
 
         // Replay the batch on the model, window by window: states[w] is
@@ -250,5 +254,45 @@ proptest! {
                 "crashed image is not explainable by any single window"
             );
         }
+    }
+
+    #[test]
+    fn every_request_executes_exactly_once_from_any_head_position(
+        items in proptest::collection::vec(arb_item(), 1..40),
+        parked in 0u32..TOTAL,
+        spin in 0u64..40_000,
+    ) {
+        let (batch, flat) = build(&items);
+        let mut d = populated_disk();
+        d.read(parked, 1).unwrap();
+        d.clock().advance(spin);
+        d.enable_write_journal();
+        let before = d.stats();
+        execute(&mut d, IoPolicy::Satf, &batch).unwrap();
+        let delta = d.stats().since(&before);
+
+        // Writes: the journal holds one entry per sector pass, data and
+        // label passes apart.
+        let mut want: BTreeMap<(u32, bool), u32> = BTreeMap::new();
+        let mut sectors_read = 0u64;
+        for op in &flat {
+            let range = op.start()..op.start() + op.sectors() as u32;
+            match op {
+                IoOp::Write { .. } => range.for_each(|a| *want.entry((a, true)).or_default() += 1),
+                IoOp::WriteLabels { .. } => {
+                    range.for_each(|a| *want.entry((a, false)).or_default() += 1)
+                }
+                IoOp::ReadLabels { .. } => {} // Counted by transfer time alone.
+                _ => sectors_read += op.sectors(),
+            }
+        }
+        let mut got: BTreeMap<(u32, bool), u32> = BTreeMap::new();
+        for e in d.drain_write_journal() {
+            *got.entry((e.addr, e.data.is_some())).or_default() += 1;
+        }
+        prop_assert_eq!(got, want, "sector writes");
+        prop_assert_eq!(delta.sectors_read, sectors_read, "sectors read");
+        let sectors: u64 = flat.iter().map(IoOp::sectors).sum();
+        prop_assert_eq!(delta.transfer_us, sectors * d.timing().sector_us(), "sectors transferred");
     }
 }

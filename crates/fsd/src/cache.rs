@@ -388,9 +388,9 @@ impl FsdNtStore<'_> {
     }
 
     /// Batch-reads the home copies of `ids` into the cache with large
-    /// C-SCAN transfers — the recovery-scan fast path for whole-table
+    /// coalesced transfers — the recovery-scan fast path for whole-table
     /// walks such as the VAM rebuild, replacing two seek+rotate round
-    /// trips per page with one ascending sweep per copy. Pages already
+    /// trips per page with one scheduled sweep per copy. Pages already
     /// cached (redo may hold newer images than home), pages with
     /// sectors remapped into the spare region, and pages damaged in
     /// either copy are left to the usual dual-copy
@@ -420,7 +420,7 @@ impl FsdNtStore<'_> {
         }
         // One range per contiguous page run, per copy: reads never
         // conflict, so the whole batch is a single barrier-free window
-        // the scheduler services in C-SCAN order.
+        // the scheduler services nearest-first.
         let mut runs: Vec<(usize, usize)> = Vec::new(); // (index into want, pages)
         for (i, &id) in want.iter().enumerate() {
             match runs.last_mut() {

@@ -21,6 +21,19 @@
 //! and any single or double damaged sector is correctable from its copy
 //! because copies are never adjacent to their originals.
 //!
+//! # Write order
+//!
+//! [`Log::append`] puts the record on the platter in the order it lies
+//! there, as two back-to-back transfers with one write barrier between
+//! them: `[H ␣ H' D₁..Dₙ]`, then `[E D₁'..Dₙ' E']`. The second starts on
+//! the sector where the first ended, so a force waits once — for the
+//! header to come round — and never for `E`. An end page can therefore
+//! exist only if both headers and every original `Dᵢ` are durable: an
+//! accepted record always decodes from its originals, the copies are for
+//! media damage after the fact, and a crash inside the second transfer
+//! tears only `E`, a `Dᵢ'` or `E'`. `tests/append_sweep.rs` enumerates
+//! every crash point of an append against exactly that statement.
+//!
 //! # Thirds (§5.3)
 //!
 //! "The log is divided into thirds... When the current log write is about
@@ -415,40 +428,73 @@ impl Log {
         debug_assert_eq!(bytes.len(), len as usize * SECTOR_BYTES);
         // "Data spread over the disk can be logically and atomically
         // updated with a single disk write to the log." The record goes
-        // out as two barrier-separated windows: headers and both data
-        // copies first, then the end pages. Recovery accepts a record
-        // only if an end page is valid, so the barrier guarantees that
-        // acceptance implies every data sector (or its copy) is durable —
-        // the commit record semantics of §5.3, independent of how the
-        // scheduler reorders within each window.
+        // out as two back-to-back transfers in platter order with a
+        // barrier between them: `[H ␣ H' D₁..Dₙ]`, then `[E D₁'..Dₙ' E']`
+        // starting on the very sector where the first one ended, so the
+        // head never waits for `E` to come round again. The invariant:
+        // an end page can only exist if window 1 — both headers and every
+        // original `Dᵢ` — is wholly durable, so an accepted record always
+        // decodes from its originals (`read_record_at` reads them first
+        // and checks them against the end page's checksum); the copies
+        // are for media damage after the fact, and a crash inside window
+        // 2 tears only `E`, `Dᵢ'` or `E'`. That is the paper's own
+        // single-write layout and exposure (`E` lands before the copies
+        // there too), and it holds under any reordering of window 2's
+        // pieces when a remapped sector splits it.
         let n = n as u32;
         let at = |sector: u32| self.start + pos + sector;
         let sector_range =
             |lo: u32, hi: u32| &bytes[lo as usize * SECTOR_BYTES..hi as usize * SECTOR_BYTES];
         // Media faults inside the record are retried by rewriting the
-        // whole record — every sector is exclusively owned by it, so the
-        // rewrite is idempotent — escalating a twice-failed sector into a
-        // spare-region remap. The barrier holds in every round: the end
-        // pages only ever go out in a window after the headers and data
-        // landed, so a crash mid-retry still cannot yield an accepted
-        // record with missing data.
+        // window they struck — every sector is exclusively owned by the
+        // record, so the rewrite is idempotent — escalating a twice-failed
+        // sector into a spare-region remap. The barrier holds in every
+        // round, and two rules keep the invariant through the retries.
+        // Once window 1 is durable it is never written again: a retry on
+        // behalf of a bad copy must not put the originals back under the
+        // head, where a crash could tear a `Dᵢ` whose `Dᵢ'` is the sector
+        // that failed, with `E` already standing. And once an original
+        // has faulted, the copies move in front of the barrier: that
+        // original may end up remapped, and the remap reaches the boot
+        // page only after the append, so recovery may find it unreadable
+        // and must be able to count on its copy wherever `E` exists.
+        let mut window1_durable = false;
+        let mut copies_first = false;
         let mut done = false;
         for _ in 0..spare::MAX_ROUNDS {
             let mut batch = IoBatch::new();
-            let mut tags = Vec::new();
-            // Window 1: H, blank, H', D₁..Dₙ (contiguous) and D₁'..Dₙ'.
-            tags.extend(spare.push_write(&mut batch, at(0), sector_range(0, 3 + n)));
-            tags.extend(spare.push_write(&mut batch, at(4 + n), sector_range(4 + n, 4 + 2 * n)));
+            // Window 1: H, blank, H', D₁..Dₙ.
+            let mut first = Vec::new();
+            if !window1_durable {
+                first = spare.push_write(&mut batch, at(0), sector_range(0, 3 + n));
+                if copies_first {
+                    first.extend(spare.push_write(
+                        &mut batch,
+                        at(4 + n),
+                        sector_range(4 + n, 4 + 2 * n),
+                    ));
+                }
+            }
             batch.barrier();
-            // Window 2: the commit record — E and its copy E'.
-            tags.extend(spare.push_write(&mut batch, at(3 + n), sector_range(3 + n, 4 + n)));
-            tags.extend(spare.push_write(
-                &mut batch,
-                at(4 + 2 * n),
-                sector_range(4 + 2 * n, 5 + 2 * n),
-            ));
+            // Window 2: the commit record E, the copies D₁'..Dₙ', and E'.
+            let second = if copies_first {
+                let mut ends = spare.push_write(&mut batch, at(3 + n), sector_range(3 + n, 4 + n));
+                ends.extend(spare.push_write(
+                    &mut batch,
+                    at(4 + 2 * n),
+                    sector_range(4 + 2 * n, 5 + 2 * n),
+                ));
+                ends
+            } else {
+                spare.push_write(&mut batch, at(3 + n), sector_range(3 + n, 5 + 2 * n))
+            };
             let results = sched::execute_partial(disk, self.policy, &batch)?;
-            if !spare.absorb(&results, &tags)? {
+            if spare.absorb(&results, &first)? {
+                copies_first = true;
+            } else {
+                window1_durable = true;
+            }
+            if !spare.absorb(&results, &second)? && window1_durable {
                 done = true;
                 break;
             }
@@ -658,6 +704,7 @@ fn decode_end(bytes: &[u8]) -> std::result::Result<DecodedEnd, String> {
 /// served from memory. Chunks load lazily, so the scan still reads only
 /// as far as the live chain reaches (plus one chunk of slack).
 struct ScanBuffer {
+    policy: IoPolicy,
     log_start: SectorAddr,
     log_size: u32,
     chunk: u32,
@@ -667,10 +714,11 @@ struct ScanBuffer {
 }
 
 impl ScanBuffer {
-    fn new(disk: &SimDisk, log_start: SectorAddr, log_size: u32) -> Self {
+    fn new(disk: &SimDisk, policy: IoPolicy, log_start: SectorAddr, log_size: u32) -> Self {
         let chunk = disk.geometry().sectors_per_track.max(1);
         let chunks = log_size.div_ceil(chunk) as usize;
         Self {
+            policy,
             log_start,
             log_size,
             chunk,
@@ -716,7 +764,7 @@ impl ScanBuffer {
         if batch.is_empty() {
             return Ok(());
         }
-        let mut out = sched::execute(disk, IoPolicy::Cscan, &batch)?;
+        let mut out = sched::execute(disk, self.policy, &batch)?;
         for (s, idx) in pending.into_iter().rev() {
             let (bytes, dmg) = std::mem::replace(&mut out[idx], cedar_disk::IoOutput::Done)
                 .into_data_mask()
@@ -846,15 +894,18 @@ fn read_record_at(
 }
 
 /// Scans the live record chain starting from the meta pointer — the core
-/// of crash recovery. Records are returned oldest first.
+/// of crash recovery. Records are returned oldest first. The read-ahead
+/// is submitted under the caller's `policy`, like every other batch of
+/// the volume.
 pub fn scan_records(
     disk: &mut SimDisk,
+    policy: IoPolicy,
     log_start: SectorAddr,
     log_size: u32,
     spare: &SpareMap,
     meta: &LogMeta,
 ) -> Result<Vec<LogRecord>> {
-    let mut buf = ScanBuffer::new(disk, log_start, log_size);
+    let mut buf = ScanBuffer::new(disk, policy, log_start, log_size);
     let mut records = Vec::new();
     // The meta page is disk input: a corrupted offset must fail typed
     // here, not seed the record-stride arithmetic below.
@@ -952,7 +1003,8 @@ mod tests {
         )
         .unwrap();
         let meta = Log::read_meta(&mut d, IoPolicy::InOrder, &mut sp, LOG_START).unwrap();
-        let recs = scan_records(&mut d, LOG_START, LOG_SIZE, &sp, &meta).unwrap();
+        let recs =
+            scan_records(&mut d, IoPolicy::default(), LOG_START, LOG_SIZE, &sp, &meta).unwrap();
         assert_eq!(recs.len(), 2);
         assert_eq!(recs[0].seq, 1);
         assert_eq!(recs[0].images.len(), 2);
@@ -965,15 +1017,72 @@ mod tests {
     }
 
     #[test]
+    fn a_record_is_two_writes_and_the_only_wait_is_for_the_header() {
+        for policy in [IoPolicy::InOrder, IoPolicy::Satf] {
+            let mut d = disk();
+            let mut sp = SpareMap::disabled();
+            let mut log = Log::fresh(LOG_START, LOG_SIZE, 1).unwrap();
+            log.set_policy(policy);
+            log.write_meta(&mut d, &mut sp).unwrap();
+            for n in [1u32, 7, 20] {
+                let images: Vec<_> = (0..n).map(|i| nt(i, 0, i as u8)).collect();
+                let header = LOG_START + log.next_record_offset();
+                let seek = d
+                    .timing()
+                    .seek_us(d.head_cylinder().abs_diff(d.geometry().cylinder_of(header)));
+                let wait_for_header = d.position_cost_us(header) - seek;
+                let before = d.stats();
+                log.append(&mut d, &mut sp, &images, true, no_flush)
+                    .unwrap();
+                let delta = d.stats().since(&before);
+                assert_eq!(delta.writes, 2, "{policy:?} n={n}");
+                assert_eq!(delta.sectors_written, 2 * n as u64 + 5);
+                // [E D' E'] starts on the sector where [H ␣ H' D] ended,
+                // so it waits for nothing. (None of these three records
+                // changes cylinder inside its first transfer.)
+                assert_eq!(
+                    delta.rotation_us + delta.lost_rev_us,
+                    wait_for_header,
+                    "{policy:?} n={n}: {delta:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn scan_reads_under_the_callers_policy() {
+        // One 20-image record spans three tracks of the tiny disk: the
+        // scheduler coalesces the read-ahead chunks into one transfer,
+        // in-order submission reads them one by one.
+        let reads_under = |policy: IoPolicy| {
+            let mut d = disk();
+            let mut sp = SpareMap::disabled();
+            let mut log = Log::fresh(LOG_START, LOG_SIZE, 1).unwrap();
+            log.write_meta(&mut d, &mut sp).unwrap();
+            let images: Vec<_> = (0..20).map(|i| nt(i, 0, i as u8)).collect();
+            log.append(&mut d, &mut sp, &images, true, no_flush)
+                .unwrap();
+            let meta = Log::read_meta(&mut d, policy, &mut sp, LOG_START).unwrap();
+            let before = d.stats();
+            let recs = scan_records(&mut d, policy, LOG_START, LOG_SIZE, &sp, &meta).unwrap();
+            assert_eq!(recs.len(), 1);
+            d.stats().since(&before).reads
+        };
+        assert!(reads_under(IoPolicy::InOrder) > reads_under(IoPolicy::Satf));
+    }
+
+    #[test]
     fn empty_log_scans_to_nothing() {
         let mut d = disk();
         let mut sp = SpareMap::disabled();
         let log = Log::fresh(LOG_START, LOG_SIZE, 1).unwrap();
         log.write_meta(&mut d, &mut sp).unwrap();
         let meta = Log::read_meta(&mut d, IoPolicy::InOrder, &mut sp, LOG_START).unwrap();
-        assert!(scan_records(&mut d, LOG_START, LOG_SIZE, &sp, &meta)
-            .unwrap()
-            .is_empty());
+        assert!(
+            scan_records(&mut d, IoPolicy::default(), LOG_START, LOG_SIZE, &sp, &meta)
+                .unwrap()
+                .is_empty()
+        );
     }
 
     #[test]
@@ -1035,7 +1144,8 @@ mod tests {
         assert_eq!(sp.remapped, 1);
         // The record replays whole through the remap table.
         let meta = Log::read_meta(&mut d, IoPolicy::InOrder, &mut sp, LOG_START).unwrap();
-        let recs = scan_records(&mut d, LOG_START, LOG_SIZE, &sp, &meta).unwrap();
+        let recs =
+            scan_records(&mut d, IoPolicy::default(), LOG_START, LOG_SIZE, &sp, &meta).unwrap();
         assert_eq!(recs.len(), 1);
         assert_eq!(recs[0].images[0].1, img(0x5A));
     }
@@ -1061,7 +1171,8 @@ mod tests {
         assert_eq!(sp.scrubbed, 1);
         assert_eq!(sp.remapped, 0);
         let meta = Log::read_meta(&mut d, IoPolicy::InOrder, &mut sp, LOG_START).unwrap();
-        let recs = scan_records(&mut d, LOG_START, LOG_SIZE, &sp, &meta).unwrap();
+        let recs =
+            scan_records(&mut d, IoPolicy::default(), LOG_START, LOG_SIZE, &sp, &meta).unwrap();
         assert_eq!(recs.len(), 1);
     }
 
@@ -1082,7 +1193,8 @@ mod tests {
         // Damage the first data original (record at offset 3; D₁ at +3).
         d.damage_sector(LOG_START + DATA_START + 3);
         let meta = Log::read_meta(&mut d, IoPolicy::InOrder, &mut sp, LOG_START).unwrap();
-        let recs = scan_records(&mut d, LOG_START, LOG_SIZE, &sp, &meta).unwrap();
+        let recs =
+            scan_records(&mut d, IoPolicy::default(), LOG_START, LOG_SIZE, &sp, &meta).unwrap();
         assert_eq!(recs.len(), 1);
         assert_eq!(recs[0].images[0].1, img(0x11));
     }
@@ -1106,7 +1218,8 @@ mod tests {
         d.damage_sector(LOG_START + DATA_START + 4);
         d.damage_sector(LOG_START + DATA_START + 5);
         let meta = Log::read_meta(&mut d, IoPolicy::InOrder, &mut sp, LOG_START).unwrap();
-        let recs = scan_records(&mut d, LOG_START, LOG_SIZE, &sp, &meta).unwrap();
+        let recs =
+            scan_records(&mut d, IoPolicy::default(), LOG_START, LOG_SIZE, &sp, &meta).unwrap();
         assert_eq!(recs.len(), 1);
         assert_eq!(recs[0].images[1].1, img(0x22));
     }
@@ -1122,7 +1235,7 @@ mod tests {
         d.damage_sector(LOG_START + DATA_START); // H
         let meta = Log::read_meta(&mut d, IoPolicy::InOrder, &mut sp, LOG_START).unwrap();
         assert_eq!(
-            scan_records(&mut d, LOG_START, LOG_SIZE, &sp, &meta)
+            scan_records(&mut d, IoPolicy::default(), LOG_START, LOG_SIZE, &sp, &meta)
                 .unwrap()
                 .len(),
             1
@@ -1149,7 +1262,8 @@ mod tests {
         assert!(err.is_crash());
         d.reboot();
         let meta = Log::read_meta(&mut d, IoPolicy::InOrder, &mut sp, LOG_START).unwrap();
-        let recs = scan_records(&mut d, LOG_START, LOG_SIZE, &sp, &meta).unwrap();
+        let recs =
+            scan_records(&mut d, IoPolicy::default(), LOG_START, LOG_SIZE, &sp, &meta).unwrap();
         assert_eq!(recs.len(), 1, "only the first record survives");
         assert_eq!(recs[0].seq, 1);
     }
@@ -1168,7 +1282,8 @@ mod tests {
                 .unwrap();
         }
         let meta = Log::read_meta(&mut d, IoPolicy::InOrder, &mut sp, LOG_START).unwrap();
-        let recs = scan_records(&mut d, LOG_START, LOG_SIZE, &sp, &meta).unwrap();
+        let recs =
+            scan_records(&mut d, IoPolicy::default(), LOG_START, LOG_SIZE, &sp, &meta).unwrap();
         assert!(!recs.is_empty());
         // The chain is consecutive and ends at the newest record.
         for w in recs.windows(2) {
@@ -1236,7 +1351,8 @@ mod tests {
                 .unwrap();
         }
         let meta = Log::read_meta(&mut d, IoPolicy::InOrder, &mut sp, LOG_START).unwrap();
-        let recs = scan_records(&mut d, LOG_START, LOG_SIZE, &sp, &meta).unwrap();
+        let recs =
+            scan_records(&mut d, IoPolicy::default(), LOG_START, LOG_SIZE, &sp, &meta).unwrap();
         // Every replayed record must carry a seq >= the meta pointer's.
         assert!(recs.iter().all(|r| r.seq >= meta.oldest_seq));
         // And the newest record is present.

@@ -234,7 +234,7 @@ pub(crate) fn scavenge_boot(
 /// window so the run tables of leaders merged *two* windows back can
 /// stride the reader past file-interior sectors (see
 /// [`window_ranges`]); eight tracks keeps the windows large enough for
-/// C-SCAN sweeps while the pipeline stays two windows deep.
+/// the scheduler to work with while the pipeline stays two windows deep.
 const TRACKS_PER_WINDOW: u32 = 8;
 
 /// The decode output for one [`ScanChunk`]: leaders that prove they

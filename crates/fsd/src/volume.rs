@@ -64,8 +64,8 @@ pub struct FsdConfig {
     pub cache_pages: usize,
     /// I/O submission policy for multi-sector batch paths (log forces,
     /// home-page writeback, recovery scans). [`IoPolicy::InOrder`] is the
-    /// measurement baseline; the default C-SCAN order is what the real
-    /// Trident microcode queue approximated.
+    /// measurement baseline; the default, shortest positioning time first,
+    /// is what a controller that sees the whole queue can do.
     pub io_policy: IoPolicy,
     /// Decode/verify workers for the recovery-scan paths (scavenge and
     /// VAM reconstruction). `1` keeps the serial pipeline; larger values
@@ -764,12 +764,12 @@ impl FsdVolume {
     /// Writes home every page and leader with logged-but-unwritten state
     /// (controlled shutdown, and after format). All home writes go to
     /// disjoint sectors, so they form one scheduler window: sorted,
-    /// coalesced, swept in C-SCAN order.
+    /// coalesced, taken nearest-first.
     pub(crate) fn sync_home_all(&mut self) -> Result<()> {
         // Collect in logical order — both replicas of a page together,
         // pages by id, then leaders, then VAM sectors. That is the
         // submission order the naive in-order policy executes (exactly
-        // the old synchronous loop); the C-SCAN policy re-sorts it.
+        // the old synchronous loop); the scheduled policy re-sorts it.
         let mut writes: Vec<(u32, Vec<u8>)> = Vec::new();
         let mut ids: Vec<PageId> = self.cache.pages.keys().copied().collect();
         ids.sort_unstable();

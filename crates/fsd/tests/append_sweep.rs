@@ -11,7 +11,9 @@
 //! new one once `append` returned `Ok`. Half (ii) lets the append finish
 //! and then damages each sector of the record, and each adjacent pair,
 //! in turn (§5.3: "one or two consecutive sectors"): the record still
-//! decodes byte-identically.
+//! decodes byte-identically. Half (iii) is half (i) with the sector
+//! going bad *during* the append instead of being remapped beforehand,
+//! so the crash points run through the retry rounds as well.
 //!
 //! What can turn it red: the end page's checksum over the originals
 //! already rejects any partially written record, so no *reordering* of
@@ -24,15 +26,16 @@ use cedar_disk::{CrashPlan, DiskGeometry, IoPolicy, SimDisk, SECTOR_BYTES};
 use cedar_fsd::log::{scan_records, Log, LogRecord, PageTarget, DATA_START};
 use cedar_fsd::{FsdLayout, SpareMap};
 
-const POLICIES: [IoPolicy; 2] = [IoPolicy::InOrder, IoPolicy::Cscan];
+const POLICIES: [IoPolicy; 2] = [IoPolicy::InOrder, IoPolicy::Satf];
 
 /// Thirds of 120 sectors: the largest record (48 images, 101 sectors)
 /// fits behind the two old ones without entering a new third, so an
 /// append is exactly its `2n + 5` sector writes.
 const LOG_SECTORS: u32 = DATA_START + 3 * 120;
 
-/// Which sector of the new record sits in the spare region.
-#[derive(Clone, Copy, Debug)]
+/// Which sector of the new record sits in the spare region (or, in half
+/// (iii), is a grown defect the append has yet to discover).
+#[derive(Clone, Copy, Debug, PartialEq)]
 enum Remap {
     None,
     Original,
@@ -41,6 +44,19 @@ enum Remap {
 }
 
 const REMAPS: [Remap; 4] = [Remap::None, Remap::Original, Remap::Copy, Remap::End];
+
+impl Remap {
+    /// The sector's offset inside an `n`-image record.
+    fn offset(self, n: usize) -> Option<u32> {
+        let n = n as u32;
+        match self {
+            Remap::None => None,
+            Remap::Original => Some(3 + n / 2),
+            Remap::Copy => Some(4 + n + n / 2),
+            Remap::End => Some(3 + n),
+        }
+    }
+}
 
 fn layout() -> FsdLayout {
     FsdLayout::compute(&DiskGeometry::TINY, 16, LOG_SECTORS)
@@ -85,13 +101,11 @@ fn two_committed(policy: IoPolicy, n: usize, remap: Remap) -> (SimDisk, Log, Spa
     let l = layout();
     // The two old records take 9 + 7 sectors, so the new one starts here.
     let pos = l.log_start + DATA_START + 16;
-    let n32 = n as u32;
-    let entries: Vec<(u32, u32)> = match remap {
-        Remap::None => vec![],
-        Remap::Original => vec![(pos + 3 + n32 / 2, l.spare_start)],
-        Remap::Copy => vec![(pos + 4 + n32 + n32 / 2, l.spare_start)],
-        Remap::End => vec![(pos + 3 + n32, l.spare_start)],
-    };
+    let entries: Vec<(u32, u32)> = remap
+        .offset(n)
+        .map(|o| (pos + o, l.spare_start))
+        .into_iter()
+        .collect();
     let mut spare = SpareMap::with_entries(&l, &entries);
     assert_eq!(spare.entries().len(), entries.len());
     let mut disk = SimDisk::tiny();
@@ -107,10 +121,11 @@ fn two_committed(policy: IoPolicy, n: usize, remap: Remap) -> (SimDisk, Log, Spa
 }
 
 /// Reads the log back the way `redo_phase` does.
-fn replay(disk: &mut SimDisk, policy: IoPolicy, spare: &mut SpareMap) -> Vec<LogRecord> {
+fn replay(disk: &mut SimDisk, policy: IoPolicy, spare: &mut SpareMap, ctx: &str) -> Vec<LogRecord> {
     let l = layout();
     let meta = Log::read_meta(disk, policy, spare, l.log_start).unwrap();
-    scan_records(disk, l.log_start, l.log_sectors, spare, &meta).unwrap()
+    scan_records(disk, policy, l.log_start, l.log_sectors, spare, &meta)
+        .unwrap_or_else(|e| panic!("{ctx}: {e}"))
 }
 
 fn assert_replays(records: &[LogRecord], expected: &[&[(PageTarget, Vec<u8>)]], ctx: &str) {
@@ -160,7 +175,7 @@ fn a_crash_anywhere_in_an_append_leaves_the_old_log_or_the_whole_record() {
                         );
                         disk.crash_now();
                         disk.reboot();
-                        let records = replay(&mut disk, policy, &mut spare);
+                        let records = replay(&mut disk, policy, &mut spare, &ctx);
                         if appended || records.len() == 3 {
                             assert_replays(&records, &[&old1, &old2, &new], &ctx);
                         } else {
@@ -201,10 +216,63 @@ fn a_completed_record_survives_any_one_or_two_adjacent_bad_sectors() {
                         for s in first..first + width {
                             disk.damage_sector(spare.translate(pos + s));
                         }
-                        let records = replay(&mut disk, policy, &mut spare);
+                        let records = replay(&mut disk, policy, &mut spare, &ctx);
                         assert_replays(&records, &[&old1, &old2, &new], &ctx);
                     }
                 }
+            }
+        }
+    }
+}
+
+#[test]
+fn a_crash_anywhere_in_an_append_that_is_remapping_a_sector_is_as_clean() {
+    let [old1, old2] = old_records();
+    let l = layout();
+    for policy in POLICIES {
+        for n in sizes() {
+            let new = new_record(n);
+            for defect in REMAPS.into_iter().filter(|&r| r != Remap::None) {
+                let mut appended = false;
+                let mut after_sector_writes = 0;
+                while !appended {
+                    for damaged_tail in 0..=2u8 {
+                        let ctx = format!(
+                            "{policy:?} n={n} grown defect under {defect:?}, crash after \
+                             {after_sector_writes} sector writes, tail {damaged_tail}"
+                        );
+                        let (mut disk, mut log, mut spare) = two_committed(policy, n, Remap::None);
+                        let before = spare.clone();
+                        let pos = l.log_start + log.next_record_offset();
+                        disk.hard_damage_sector(pos + defect.offset(n).unwrap());
+                        disk.schedule_crash(CrashPlan {
+                            after_sector_writes,
+                            damaged_tail,
+                        });
+                        appended = match log.append(&mut disk, &mut spare, &new, true, no_flush) {
+                            Ok(_) => true,
+                            Err(e) => {
+                                assert!(e.is_crash(), "{ctx}: {e}");
+                                false
+                            }
+                        };
+                        assert!(!appended || spare.remapped == 1, "{ctx}");
+                        disk.crash_now();
+                        disk.reboot();
+                        // The remap reaches the boot page only after the
+                        // append: recovery may hold either table.
+                        for mut map in [spare, before] {
+                            let records = replay(&mut disk.clone(), policy, &mut map, &ctx);
+                            if appended || records.len() == 3 {
+                                assert_replays(&records, &[&old1, &old2, &new], &ctx);
+                            } else {
+                                assert_replays(&records, &[&old1, &old2], &ctx);
+                            }
+                        }
+                    }
+                    after_sector_writes += 1;
+                }
+                assert!(after_sector_writes > 2 * n as u64 + 5, "retries write more");
             }
         }
     }

@@ -7,9 +7,9 @@ use cedar_disk::{CpuModel, CrashPlan, IoPolicy, SimDisk};
 use cedar_fsd::{FsdConfig, FsdVolume};
 
 /// The crash-ordering tests run under both submission policies: the
-/// scheduled (C-SCAN, the default) log-force/writeback path reorders
+/// scheduled (`Satf`, the default) log-force/writeback path reorders
 /// writes within barrier windows, and recovery must hold regardless.
-const POLICIES: [IoPolicy; 2] = [IoPolicy::InOrder, IoPolicy::Cscan];
+const POLICIES: [IoPolicy; 2] = [IoPolicy::InOrder, IoPolicy::Satf];
 
 fn config_with(io_policy: IoPolicy) -> FsdConfig {
     FsdConfig {
@@ -176,7 +176,7 @@ fn multi_page_tree_update_is_atomic_across_crash() {
 fn crash_during_home_flush_recovers() {
     // Drive the log around its thirds so home flushes happen, crashing
     // during one of them. Under the scheduled policy the flush's writes
-    // execute in C-SCAN order, so the crash tears a *reordered* window —
+    // execute nearest-first, so the crash tears a *reordered* window —
     // recovery must not care.
     for policy in POLICIES {
         let mut v = tiny_with(policy);

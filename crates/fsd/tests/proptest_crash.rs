@@ -140,10 +140,10 @@ proptest! {
         faults in proptest::collection::vec(
             (0u8..4, any::<u8>(), any::<bool>()), 0..4),
     ) {
-        // Half the cases crash a C-SCAN-scheduled write stream, half the
+        // Half the cases crash a scheduled write stream, half the
         // in-order baseline — recovery must land on a boundary either way.
         let policy = if crash_after % 2 == 0 {
-            IoPolicy::Cscan
+            IoPolicy::Satf
         } else {
             IoPolicy::InOrder
         };

@@ -18,5 +18,5 @@
 pub mod ops;
 pub mod script;
 
-pub use ops::{cfs_ops, fsd_ops, Prediction};
+pub use ops::{cfs_ops, fsd_log_force, fsd_ops, Prediction};
 pub use script::{Script, Step};

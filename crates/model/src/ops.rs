@@ -230,7 +230,32 @@ pub fn fsd_ops(params: &ModelParams) -> Vec<Prediction> {
         );
     out.push(predict(params, s));
 
+    // The force behind a small create: the name-table sector it changed
+    // and the new leader.
+    out.push(fsd_log_force(params, 2));
+
     out
+}
+
+/// One log force of `n` sector images — §5.3's "single disk write to the
+/// log". The images are copied into the record; the head goes from the
+/// small-file area at the front of the volume to the log on the central
+/// cylinders and waits half a revolution for the header; then the
+/// record's `2n + 5` sectors go by in platter order. Nothing waits for
+/// the end page: it is the sector after `Dₙ`.
+pub fn fsd_log_force(params: &ModelParams, n: u32) -> Prediction {
+    let s = Script::new(&format!("FSD log force, {n} images"))
+        .step(
+            &format!("copy {n} sectors"),
+            Step::Cpu(params.cpu.per_sector_us * n as Micros),
+        )
+        .step(
+            "seek: small-file area to the central log",
+            Step::Seek(params.cylinders / 2),
+        )
+        .step("latency", Step::Latency)
+        .step("record: 2n + 5 transfers", Step::Transfer(2 * n + 5));
+    predict(params, s)
 }
 
 // ----- CFS ---------------------------------------------------------------------

@@ -35,7 +35,8 @@ fi
 # Saturation (smoke): the full simulated §5.4 curve plus a reduced
 # threaded sweep — throughput must climb and forces/op must fall.
 cargo run --release -p cedar-bench --bin saturation -- --smoke
-# Asserts scheduled submission never regresses above the in-order baseline.
+# Asserts scheduled submission (IoPolicy::Satf, shortest positioning
+# time first) never regresses above the in-order baseline.
 cargo run --release -p cedar-bench --bin io_sched -- --smoke
 # The full run is deterministic and takes seconds: the file it writes
 # must be the one checked in.
@@ -54,10 +55,13 @@ cargo run --release -p cedar-bench --bin scavenge_scale -- --smoke
 # own time to first read (the name-table walk boot defers is still paid
 # and still measured).
 cargo run --release -p cedar-bench --bin recovery -- --smoke
-# The §6 model against the simulator: a relation, not a floor. A 1 MB
+# The §6 model against the simulator: relations, not floors. A 1 MB
 # file read whole must land within the paper's five percent of its
 # script (one seek, one latency, one transfer, one copy) — it stops
 # doing so the day whole-file reads go back to one request per buffer.
+# So must the log force behind a small create (copy n sectors, one seek,
+# one latency, 2n + 5 transfers) — it stops doing so the day the record
+# is written out of platter order and the head waits for the end page.
 cargo run --release -p cedar-bench --bin model_validation
 # Log-shipping replication (smoke): per-mode ack/loss contracts — sync
 # and semi-sync failovers lose nothing acknowledged, async stays within

@@ -72,17 +72,22 @@ fn measure_cfs() -> (Vec<(String, u64)>, DiskStats) {
     )
 }
 
-fn measure_fsd() -> (Vec<(String, u64)>, DiskStats) {
-    // A huge commit interval keeps the group-commit daemon out of the
-    // per-operation timings: the scripts model the pure operations.
-    let mut vol = cedar_fsd::FsdVolume::format(
+/// A fresh T-300 FSD volume that forces only when told to. A huge commit
+/// interval keeps the group-commit daemon out of the per-operation
+/// timings: the scripts model the pure operations.
+fn fsd_t300() -> cedar_fsd::FsdVolume {
+    cedar_fsd::FsdVolume::format(
         cedar_disk::SimDisk::trident_t300(cedar_disk::SimClock::new()),
         cedar_fsd::FsdConfig {
             commit_interval_us: u64::MAX / 2,
             ..Default::default()
         },
     )
-    .unwrap();
+    .unwrap()
+}
+
+fn measure_fsd() -> (Vec<(String, u64)>, DiskStats) {
+    let mut vol = fsd_t300();
     let clock = vol.clock();
     for i in 0..ITERS {
         vol.create(&format!("warm/w{i:03}"), b"x").unwrap();
@@ -118,14 +123,7 @@ fn measure_fsd() -> (Vec<(String, u64)>, DiskStats) {
 /// disk breakdown of the Table 2 operations above stays theirs.
 fn measure_fsd_stream() -> Vec<(String, u64)> {
     const READS: usize = 8;
-    let mut vol = cedar_fsd::FsdVolume::format(
-        cedar_disk::SimDisk::trident_t300(cedar_disk::SimClock::new()),
-        cedar_fsd::FsdConfig {
-            commit_interval_us: u64::MAX / 2,
-            ..Default::default()
-        },
-    )
-    .unwrap();
+    let mut vol = fsd_t300();
     let clock = vol.clock();
     vol.create("d/reader", &vec![0u8; 1 << 20]).unwrap();
     vol.force().unwrap();
@@ -157,14 +155,7 @@ fn measure_fsd_force(params: &ModelParams) -> (u64, u64) {
     // Few enough forces to stay inside the log's first third: a third
     // entry is home writes, which the script does not describe.
     const FORCES: usize = 40;
-    let mut vol = cedar_fsd::FsdVolume::format(
-        cedar_disk::SimDisk::trident_t300(cedar_disk::SimClock::new()),
-        cedar_fsd::FsdConfig {
-            commit_interval_us: u64::MAX / 2,
-            ..Default::default()
-        },
-    )
-    .unwrap();
+    let mut vol = fsd_t300();
     let clock = vol.clock();
     let (mut predicted, mut measured) = (0, 0);
     for i in 0..FORCES {

@@ -412,7 +412,7 @@ pub fn execute(disk: &mut SimDisk, policy: IoPolicy, batch: &IoBatch) -> Result<
         .collect())
 }
 
-/// Plans one window into the transfers it will take, in address order.
+/// Plans one window into the transfers it will take.
 /// [`IoPolicy::InOrder`] keeps every request a transfer of its own, in
 /// submission order; [`IoPolicy::Satf`] sorts by address and coalesces
 /// adjacent same-kind requests.

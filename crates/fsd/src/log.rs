@@ -442,9 +442,7 @@ impl Log {
         // there too), and it holds under any reordering of window 2's
         // pieces when a remapped sector splits it.
         let n = n as u32;
-        let at = |sector: u32| self.start + pos + sector;
-        let sector_range =
-            |lo: u32, hi: u32| &bytes[lo as usize * SECTOR_BYTES..hi as usize * SECTOR_BYTES];
+        let first_sector = self.start + pos;
         // Media faults inside the record are retried by rewriting the
         // window they struck — every sector is exclusively owned by the
         // record, so the rewrite is idempotent — escalating a twice-failed
@@ -463,30 +461,27 @@ impl Log {
         let mut done = false;
         for _ in 0..spare::MAX_ROUNDS {
             let mut batch = IoBatch::new();
+            // Record sectors `lo..hi`, split around any remapped one.
+            let push = |batch: &mut IoBatch, lo: u32, hi: u32| {
+                let bytes = &bytes[lo as usize * SECTOR_BYTES..hi as usize * SECTOR_BYTES];
+                spare.push_write(batch, first_sector + lo, bytes)
+            };
             // Window 1: H, blank, H', D₁..Dₙ.
             let mut first = Vec::new();
             if !window1_durable {
-                first = spare.push_write(&mut batch, at(0), sector_range(0, 3 + n));
+                first = push(&mut batch, 0, 3 + n);
                 if copies_first {
-                    first.extend(spare.push_write(
-                        &mut batch,
-                        at(4 + n),
-                        sector_range(4 + n, 4 + 2 * n),
-                    ));
+                    first.extend(push(&mut batch, 4 + n, 4 + 2 * n));
                 }
             }
             batch.barrier();
             // Window 2: the commit record E, the copies D₁'..Dₙ', and E'.
             let second = if copies_first {
-                let mut ends = spare.push_write(&mut batch, at(3 + n), sector_range(3 + n, 4 + n));
-                ends.extend(spare.push_write(
-                    &mut batch,
-                    at(4 + 2 * n),
-                    sector_range(4 + 2 * n, 5 + 2 * n),
-                ));
+                let mut ends = push(&mut batch, 3 + n, 4 + n);
+                ends.extend(push(&mut batch, 4 + 2 * n, 5 + 2 * n));
                 ends
             } else {
-                spare.push_write(&mut batch, at(3 + n), sector_range(3 + n, 5 + 2 * n))
+                push(&mut batch, 3 + n, 5 + 2 * n)
             };
             let results = sched::execute_partial(disk, self.policy, &batch)?;
             if spare.absorb(&results, &first)? {

@@ -23,7 +23,7 @@
 //! (ii) the moment `E` is the damaged sector.
 
 use cedar_disk::{CrashPlan, DiskGeometry, IoPolicy, SimDisk, SECTOR_BYTES};
-use cedar_fsd::log::{scan_records, Log, LogRecord, PageTarget, DATA_START};
+use cedar_fsd::log::{scan_records, Log, PageTarget, DATA_START};
 use cedar_fsd::{FsdLayout, SpareMap};
 
 const POLICIES: [IoPolicy; 2] = [IoPolicy::InOrder, IoPolicy::Satf];
@@ -120,20 +120,54 @@ fn two_committed(policy: IoPolicy, n: usize, remap: Remap) -> (SimDisk, Log, Spa
     (disk, log, spare)
 }
 
-/// Reads the log back the way `redo_phase` does.
-fn replay(disk: &mut SimDisk, policy: IoPolicy, spare: &mut SpareMap, ctx: &str) -> Vec<LogRecord> {
-    let l = layout();
-    let meta = Log::read_meta(disk, policy, spare, l.log_start).unwrap();
-    scan_records(disk, policy, l.log_start, l.log_sectors, spare, &meta)
-        .unwrap_or_else(|e| panic!("{ctx}: {e}"))
+/// Appends `new` with `plan` armed and then pulls the plug. Returns
+/// whether the append was acknowledged.
+fn append_then_crash(
+    disk: &mut SimDisk,
+    log: &mut Log,
+    spare: &mut SpareMap,
+    new: &[(PageTarget, Vec<u8>)],
+    plan: CrashPlan,
+    ctx: &str,
+) -> bool {
+    disk.schedule_crash(plan);
+    let acknowledged = match log.append(disk, spare, new, true, no_flush) {
+        Ok(_) => true,
+        Err(e) => {
+            assert!(e.is_crash(), "{ctx}: {e}");
+            false
+        }
+    };
+    disk.crash_now();
+    disk.reboot();
+    acknowledged
 }
 
-fn assert_replays(records: &[LogRecord], expected: &[&[(PageTarget, Vec<u8>)]], ctx: &str) {
+/// Reads the log back the way `redo_phase` does and checks it holds the
+/// two old records, or those plus the whole of `new` — and `new` for
+/// certain once its append was acknowledged.
+fn assert_old_log_or_whole_record(
+    disk: &mut SimDisk,
+    policy: IoPolicy,
+    spare: &mut SpareMap,
+    new: &[(PageTarget, Vec<u8>)],
+    acknowledged: bool,
+    ctx: &str,
+) {
+    let l = layout();
+    let meta = Log::read_meta(disk, policy, spare, l.log_start).unwrap();
+    let records = scan_records(disk, policy, l.log_start, l.log_sectors, spare, &meta)
+        .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+    let [old1, old2] = old_records();
+    let mut expected: Vec<&[(PageTarget, Vec<u8>)]> = vec![&old1, &old2];
+    if acknowledged || records.len() == 3 {
+        expected.push(new);
+    }
     assert_eq!(records.len(), expected.len(), "{ctx}: record count");
     for (i, (got, want)) in records.iter().zip(expected).enumerate() {
         assert_eq!(got.seq, i as u64 + 1, "{ctx}");
         assert!(got.group_end, "{ctx}");
-        assert!(got.images == *want, "{ctx}: record {} differs", i + 1);
+        assert!(got.images == want, "{ctx}: record {} differs", i + 1);
     }
 }
 
@@ -144,7 +178,6 @@ fn sizes() -> [usize; 4] {
 
 #[test]
 fn a_crash_anywhere_in_an_append_leaves_the_old_log_or_the_whole_record() {
-    let [old1, old2] = old_records();
     for policy in POLICIES {
         for n in sizes() {
             let new = new_record(n);
@@ -156,31 +189,25 @@ fn a_crash_anywhere_in_an_append_leaves_the_old_log_or_the_whole_record() {
                              sector writes, tail {damaged_tail}"
                         );
                         let (mut disk, mut log, mut spare) = two_committed(policy, n, remap);
-                        disk.schedule_crash(CrashPlan {
+                        let plan = CrashPlan {
                             after_sector_writes,
                             damaged_tail,
-                        });
-                        let appended = match log.append(&mut disk, &mut spare, &new, true, no_flush)
-                        {
-                            Ok(_) => true,
-                            Err(e) => {
-                                assert!(e.is_crash(), "{ctx}: {e}");
-                                false
-                            }
                         };
+                        let acknowledged =
+                            append_then_crash(&mut disk, &mut log, &mut spare, &new, plan, &ctx);
                         assert_eq!(
-                            appended,
+                            acknowledged,
                             after_sector_writes == 2 * n as u64 + 5,
                             "{ctx}: an append is 2n + 5 sector writes"
                         );
-                        disk.crash_now();
-                        disk.reboot();
-                        let records = replay(&mut disk, policy, &mut spare, &ctx);
-                        if appended || records.len() == 3 {
-                            assert_replays(&records, &[&old1, &old2, &new], &ctx);
-                        } else {
-                            assert_replays(&records, &[&old1, &old2], &ctx);
-                        }
+                        assert_old_log_or_whole_record(
+                            &mut disk,
+                            policy,
+                            &mut spare,
+                            &new,
+                            acknowledged,
+                            &ctx,
+                        );
                     }
                 }
             }
@@ -190,7 +217,6 @@ fn a_crash_anywhere_in_an_append_leaves_the_old_log_or_the_whole_record() {
 
 #[test]
 fn a_completed_record_survives_any_one_or_two_adjacent_bad_sectors() {
-    let [old1, old2] = old_records();
     let l = layout();
     for policy in POLICIES {
         for n in sizes() {
@@ -216,8 +242,9 @@ fn a_completed_record_survives_any_one_or_two_adjacent_bad_sectors() {
                         for s in first..first + width {
                             disk.damage_sector(spare.translate(pos + s));
                         }
-                        let records = replay(&mut disk, policy, &mut spare, &ctx);
-                        assert_replays(&records, &[&old1, &old2, &new], &ctx);
+                        assert_old_log_or_whole_record(
+                            &mut disk, policy, &mut spare, &new, true, &ctx,
+                        );
                     }
                 }
             }
@@ -227,7 +254,6 @@ fn a_completed_record_survives_any_one_or_two_adjacent_bad_sectors() {
 
 #[test]
 fn a_crash_anywhere_in_an_append_that_is_remapping_a_sector_is_as_clean() {
-    let [old1, old2] = old_records();
     let l = layout();
     for policy in POLICIES {
         for n in sizes() {
@@ -245,29 +271,24 @@ fn a_crash_anywhere_in_an_append_that_is_remapping_a_sector_is_as_clean() {
                         let before = spare.clone();
                         let pos = l.log_start + log.next_record_offset();
                         disk.hard_damage_sector(pos + defect.offset(n).unwrap());
-                        disk.schedule_crash(CrashPlan {
+                        let plan = CrashPlan {
                             after_sector_writes,
                             damaged_tail,
-                        });
-                        appended = match log.append(&mut disk, &mut spare, &new, true, no_flush) {
-                            Ok(_) => true,
-                            Err(e) => {
-                                assert!(e.is_crash(), "{ctx}: {e}");
-                                false
-                            }
                         };
+                        appended =
+                            append_then_crash(&mut disk, &mut log, &mut spare, &new, plan, &ctx);
                         assert!(!appended || spare.remapped == 1, "{ctx}");
-                        disk.crash_now();
-                        disk.reboot();
                         // The remap reaches the boot page only after the
                         // append: recovery may hold either table.
                         for mut map in [spare, before] {
-                            let records = replay(&mut disk.clone(), policy, &mut map, &ctx);
-                            if appended || records.len() == 3 {
-                                assert_replays(&records, &[&old1, &old2, &new], &ctx);
-                            } else {
-                                assert_replays(&records, &[&old1, &old2], &ctx);
-                            }
+                            assert_old_log_or_whole_record(
+                                &mut disk.clone(),
+                                policy,
+                                &mut map,
+                                &new,
+                                appended,
+                                &ctx,
+                            );
                         }
                     }
                     after_sector_writes += 1;

@@ -1,0 +1,305 @@
+//! Every crash between power-on and the first durable write, enumerated
+//! — and reads issued while recovery is still under way (ROADMAP items 1
+//! and 6: the `crash_sweep` extended to operations during recovery).
+//!
+//! A crashed volume holds, committed in the log and *not* at home: pages
+//! dirtied by creates and deletes, a file extended and one truncated
+//! after their creates (the logged leader is newer than the home one), a
+//! deleted pair whose sectors a later create reused — one old leader
+//! sector under the new file's leader, one under its data (the two
+//! guards of the leader pass) — a log that has lapped its region, and a
+//! torn tail record. The reference is that disk booted with everything
+//! settled at once.
+//!
+//! The script `boot → read three files → list → create → force` is
+//! replayed once to count its sector writes `W`. Then, for every write
+//! index `0..=W` × every torn-tail shape × both policies: run the script
+//! with the crash armed, take the disk back wherever it fires (inside
+//! boot or inside an operation), power-cycle, boot again and — before
+//! anything settles — compare the listing and every committed file's
+//! bytes with the reference; then settle and compare the free space, and
+//! check the tree. For a sample of indices the second restart is crashed
+//! as well (a crash during the recovery of a crash during recovery).
+//!
+//! Where the writes sit is not this test's business: it drives the
+//! public surface only, so it holds whether recovery writes inside
+//! `boot` or inside the first create.
+
+use cedar_disk::{CpuModel, CrashPlan, IoPolicy, SimDisk, SECTOR_BYTES};
+use cedar_fsd::{FileEntry, FsdConfig, FsdVolume, LeaderPage};
+use cedar_vol::FileName;
+use std::collections::BTreeMap;
+
+const POLICIES: [IoPolicy; 2] = [IoPolicy::InOrder, IoPolicy::Satf];
+const NEW: &str = "restart/new";
+/// Read by the script: the extended file, the truncated one, and the one
+/// whose data lies over a deleted file's leader.
+const PROBES: [&str; 3] = ["base/f31", "base/f32", "reuse/big"];
+
+fn config(policy: IoPolicy) -> FsdConfig {
+    FsdConfig {
+        nt_pages: 24,
+        log_sectors: 183,
+        cpu: CpuModel::DORADO,
+        io_policy: policy,
+        ..FsdConfig::default()
+    }
+}
+
+fn content(tag: usize, len: usize) -> Vec<u8> {
+    (0..len).map(|b| (b * 7 + tag * 13) as u8 | 1).collect()
+}
+
+fn base(i: usize) -> String {
+    format!("base/f{i:02}")
+}
+
+type Listing = Vec<(FileName, FileEntry)>;
+
+/// Sectors a listing claims: each file's leader and its pages.
+fn claimed(listing: &Listing) -> u32 {
+    let sectors = |e: &FileEntry| u32::from(e.leader_addr != 0) + e.run_table.pages();
+    listing.iter().map(|(_, e)| sectors(e)).sum()
+}
+
+/// The crashed volume of the module docs.
+fn crashed(policy: IoPolicy) -> SimDisk {
+    let mut v = FsdVolume::format(SimDisk::tiny(), config(policy)).unwrap();
+    let mut laps = 0;
+    let mut force = |v: &mut FsdVolume| {
+        let before = v.next_log_sector();
+        v.force().unwrap();
+        laps += u32::from(v.next_log_sector() < before);
+    };
+    for i in 0..36 {
+        v.create(&base(i), &content(i, 600 + (i * 211) % 1500))
+            .unwrap();
+        v.create_symlink(&format!("links/l{i:02}"), "[server]<dir>target")
+            .unwrap();
+        if i % 2 == 1 {
+            force(&mut v);
+        }
+    }
+    for i in (0..30).step_by(5) {
+        v.delete(&base(i), None).unwrap();
+        force(&mut v);
+    }
+
+    // Logged leaders newer than the home ones.
+    let mut grown = v.open(PROBES[0], None).unwrap();
+    let old_pages = grown.pages();
+    v.extend(&mut grown, 2).unwrap();
+    v.write_pages(&mut grown, old_pages, &content(90, 2 * SECTOR_BYTES))
+        .unwrap();
+    let mut cut = v.open(PROBES[1], None).unwrap();
+    assert!(cut.pages() > 1);
+    v.truncate(&mut cut, 1).unwrap();
+    force(&mut v);
+
+    // Two neighbours deleted and committed, then one file over both.
+    let (a, b) = (v.open(&base(12), None), v.open(&base(13), None));
+    let (a, b) = (a.unwrap().entry, b.unwrap().entry);
+    assert_eq!(
+        a.leader_addr + 1 + a.run_table.pages(),
+        b.leader_addr,
+        "f12 and f13 were allocated back to back"
+    );
+    v.delete(&base(12), None).unwrap();
+    v.delete(&base(13), None).unwrap();
+    force(&mut v);
+    let pages = a.run_table.pages() + 1 + b.run_table.pages();
+    let big = v
+        .create(PROBES[2], &content(91, pages as usize * SECTOR_BYTES))
+        .unwrap()
+        .entry;
+    assert_eq!(big.leader_addr, a.leader_addr, "first fit refills the hole");
+    assert!(
+        big.run_table
+            .runs()
+            .iter()
+            .any(|r| r.contains(b.leader_addr)),
+        "f13's old leader sector now holds data"
+    );
+    force(&mut v);
+    // The tail: a few operations whose force is torn inside the record's
+    // first window — both headers down, no end page. A force that enters
+    // a third writes homes and the log meta first, so keep this one clear
+    // of the boundary: the tear is meant for the record.
+    let (log_start, log_sectors) = (v.layout().log_start, v.layout().log_sectors);
+    let third = (log_sectors - 3) / 3;
+    while (v.next_log_sector() - log_start - 3) % third + 25 > third {
+        v.create_symlink("links/pad", "[server]<dir>target")
+            .unwrap();
+        force(&mut v);
+    }
+    assert!(laps >= 1, "the log must have lapped its region");
+    v.create("lost/a", &content(92, 700)).unwrap();
+    v.delete(&base(16), None).unwrap();
+    v.disk_mut().schedule_crash(CrashPlan {
+        after_sector_writes: 4,
+        damaged_tail: 1,
+    });
+    let torn = v.force().expect_err("the crash lands inside the force");
+    assert!(torn.is_crash(), "{torn}");
+    let records = log_start + 3..log_start + log_sectors;
+    let mut disk = v.into_disk();
+    disk.reboot();
+    // The one damaged sector of the volume is the record's: nothing a
+    // later boot or read will find and scrub.
+    let damaged = (0..disk.geometry().total_sectors()).filter(|&s| disk.peek_damaged(s));
+    let damaged: Vec<u32> = damaged.collect();
+    assert!(
+        matches!(damaged[..], [s] if records.contains(&s)),
+        "{damaged:?}"
+    );
+
+    // The home copy of the extended file's leader is the stale one.
+    let home = disk.peek_data(grown.entry.leader_addr).expect("written");
+    let home = LeaderPage::decode(home).expect("a leader");
+    assert!(home.verify(&grown.name, &grown.entry).is_err());
+    disk
+}
+
+/// What a fully recovered volume must show.
+struct Reference {
+    listing: Listing,
+    bytes: BTreeMap<FileName, Vec<u8>>,
+    /// Free sectors plus the sectors the listing claims: a constant of
+    /// the volume, whatever has been created since.
+    data_sectors: u32,
+}
+
+fn without_new(listing: Listing) -> Listing {
+    let mut listing = listing;
+    listing.retain(|(n, _)| n.name != NEW);
+    listing
+}
+
+fn contents(v: &mut FsdVolume, listing: &Listing) -> BTreeMap<FileName, Vec<u8>> {
+    let mut bytes = BTreeMap::new();
+    for (name, entry) in listing {
+        if entry.leader_addr == 0 {
+            continue; // A symbolic link.
+        }
+        let mut f = v.open(&name.name, Some(name.version)).unwrap();
+        bytes.insert(name.clone(), v.read_file(&mut f).unwrap());
+    }
+    bytes
+}
+
+fn reference(disk: &SimDisk, policy: IoPolicy) -> Reference {
+    let (mut v, report) = FsdVolume::boot(disk.clone(), config(policy)).unwrap();
+    assert!(report.records_replayed > 0 && report.images_redone > 0);
+    v.settle_vam().unwrap().expect("a crash boot owes the walk");
+    let listing = v.list("").unwrap();
+    assert!(listing.iter().all(|(n, _)| !n.name.starts_with("lost/")));
+    assert!(listing.iter().any(|(n, _)| n.name == base(16)));
+    let bytes = contents(&mut v, &listing);
+    let pages = 2 * SECTOR_BYTES;
+    assert!(bytes[&FileName::new(PROBES[0], 1).unwrap()].ends_with(&content(90, pages)));
+    v.verify().unwrap();
+    Reference {
+        data_sectors: v.free_sectors() + claimed(&listing),
+        listing,
+        bytes,
+    }
+}
+
+/// `boot → read three files → list → create → force` with `plan` armed,
+/// then the plug pulled wherever the script got to. Returns the disk and
+/// whether the force was acknowledged.
+fn script(mut disk: SimDisk, policy: IoPolicy, plan: Option<CrashPlan>) -> (SimDisk, bool) {
+    if let Some(plan) = plan {
+        disk.schedule_crash(plan);
+    }
+    let (mut disk, acked) = match FsdVolume::try_boot(disk, config(policy)) {
+        Err((e, disk)) => {
+            assert!(e.is_crash(), "boot: {e}");
+            (disk, false)
+        }
+        Ok((mut v, _)) => {
+            let ran = (|| {
+                for name in PROBES {
+                    let mut f = v.open(name, None)?;
+                    v.read_file(&mut f)?;
+                }
+                v.list("")?;
+                v.create(NEW, &content(93, 1200))?;
+                v.force()
+            })();
+            if let Err(e) = &ran {
+                assert!(e.is_crash(), "script: {e}");
+            }
+            (v.into_disk(), ran.is_ok())
+        }
+    };
+    disk.crash_now();
+    disk.reboot();
+    (disk, acked)
+}
+
+/// Boots `disk` and holds it against the reference: first while nothing
+/// has settled, then settled.
+fn assert_recovers(disk: SimDisk, policy: IoPolicy, acked: u32, want: &Reference, ctx: &str) {
+    let (mut v, _) = FsdVolume::boot(disk, config(policy)).unwrap_or_else(|e| panic!("{ctx}: {e}"));
+    let listing = v.list("").unwrap();
+    let new_versions = listing.iter().filter(|(n, _)| n.name == NEW).count() as u32;
+    assert!(
+        new_versions >= acked,
+        "{ctx}: an acknowledged create is gone"
+    );
+    assert_eq!(without_new(listing.clone()), want.listing, "{ctx}: listing");
+    let mut bytes = contents(&mut v, &listing);
+    bytes.retain(|n, data| {
+        assert!(n.name != NEW || *data == content(93, 1200), "{ctx}: {n}");
+        n.name != NEW
+    });
+    assert_eq!(bytes, want.bytes, "{ctx}: contents");
+
+    v.settle_vam().unwrap_or_else(|e| panic!("{ctx}: {e}"));
+    assert_eq!(
+        v.free_sectors() + claimed(&listing),
+        want.data_sectors,
+        "{ctx}: free map"
+    );
+    v.verify().unwrap_or_else(|e| panic!("{ctx}: {e}"));
+    // And it is a working volume.
+    v.create("restart/after", b"recovered").unwrap();
+    v.force().unwrap();
+}
+
+#[test]
+fn every_crash_between_power_on_and_the_first_durable_write_recovers() {
+    for policy in POLICIES {
+        let crashed = crashed(policy);
+        let want = reference(&crashed, policy);
+        let before = crashed.stats().sectors_written;
+        let (done, acked) = script(crashed.clone(), policy, None);
+        assert!(acked);
+        let w = done.stats().sectors_written - before;
+        assert!(w > 40, "the script writes recovery plus a create: {w}");
+        assert_recovers(done, policy, 1, &want, "uninterrupted");
+
+        for k in 0..=w {
+            for damaged_tail in 0..=2u8 {
+                let plan = |after_sector_writes| CrashPlan {
+                    after_sector_writes,
+                    damaged_tail,
+                };
+                let ctx = format!("{policy:?} k={k} tail={damaged_tail}");
+                let (disk, acked) = script(crashed.clone(), policy, Some(plan(k)));
+                assert_eq!(acked, k == w, "{ctx}: the crash fires inside the script");
+                if k % 5 == u64::from(damaged_tail) {
+                    // Crash the restart of the crashed restart as well.
+                    for k2 in [0, w / 2] {
+                        let (again, acked2) = script(disk.clone(), policy, Some(plan(k2)));
+                        let acked = u32::from(acked) + u32::from(acked2);
+                        let ctx = format!("{ctx} k'={k2}");
+                        assert_recovers(again, policy, acked, &want, &ctx);
+                    }
+                }
+                assert_recovers(disk, policy, u32::from(acked), &want, &ctx);
+            }
+        }
+    }
+}

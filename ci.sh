@@ -49,11 +49,13 @@ cargo run --release -p cedar-bench --bin fault_campaign -- --smoke
 # Scavenge & VAM-rebuild scaling (smoke): parallel and serial recovery
 # scans must agree exactly on a small population.
 cargo run --release -p cedar-bench --bin scavenge_scale -- --smoke
-# Crash recovery (smoke): a relation, not a floor. Time to first read at
+# Crash recovery (smoke): relations, not floors. Time to first read at
 # 4000 files stays within 2.5x of that at 250 (boot follows the log, not
-# the population), and full recovery at 4000 files is at least 5x its
-# own time to first read (the name-table walk boot defers is still paid
-# and still measured).
+# the population), full recovery at 4000 files is at least 5x its own
+# time to first read (the name-table walk boot defers is still paid and
+# still measured), the crash boot of an undamaged volume writes zero
+# sectors, and boot's share is strictly less than the whole of redo (the
+# home sweep has not crept back into boot).
 cargo run --release -p cedar-bench --bin recovery -- --smoke
 # The §6 model against the simulator: relations, not floors. A 1 MB
 # file read whole must land within the paper's five percent of its

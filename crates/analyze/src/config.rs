@@ -253,7 +253,12 @@ impl Config {
                         "save_vam_and_mark_valid",
                     ],
                 ),
-                ("crates/fsd/src/recovery.rs", vec!["redo_phase"]),
+                // The whole of redo: the scan boot runs, the settle the
+                // first write pays, and the leader pass inside it.
+                (
+                    "crates/fsd/src/recovery.rs",
+                    vec!["scan_phase", "pay_redo", "redo_leaders"],
+                ),
             ],
             log_region_files: vec![
                 "crates/fsd/src/log.rs",
@@ -356,17 +361,18 @@ impl Config {
                     "crates/fsd/src/log.rs",
                     vec!["read_meta", "read_record_at", "scan_records"],
                 ),
-                // `settle_vam` notes a failed walk on the boot page best
-                // effort: the caller gets the walk's error either way,
-                // and if the note does not land the next session's walk
-                // fails on the same page and writes it again.
+                // `note_failed_settle` notes a failed settle on the boot
+                // page best effort: the caller gets the settle's error
+                // either way, and if the note does not land the next
+                // session's settle fails on the same sector and writes
+                // it again.
                 (
                     "crates/fsd/src/recovery.rs",
                     vec![
                         "read_boot_page",
                         "read_saved_vam",
                         "redo_leaders",
-                        "settle_vam",
+                        "note_failed_settle",
                     ],
                 ),
                 // The scavenger is a deliberate best-effort reader: it

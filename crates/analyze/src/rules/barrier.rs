@@ -3,7 +3,9 @@
 //!
 //! * **batch-io** (re-based from PR 4's token scan onto the AST): inside
 //!   the configured multi-sector commit/recovery fns, a raw disk call —
-//!   direct, or via a plain same-crate callee that performs one — bypasses
+//!   direct (on the disk, or on a wrapper that is handed the disk, such
+//!   as the remap-translating `spare.read_allow_damage(disk, ..)`), or
+//!   via a plain same-crate callee that performs one — bypasses
 //!   `cedar_disk::sched` batching (write barriers + scheduling). Deliberate
 //!   single-sector replica/fallback readers are listed in
 //!   `batch_io_fallback_fns`.
@@ -30,14 +32,8 @@ pub fn check(a: &Analysis<'_>) -> Vec<Finding> {
             let Some(body) = &def.body else { return false };
             let mut raw = false;
             ast::each_expr_in(body, |e| {
-                if let Expr::MethodCall {
-                    recv, method, line, ..
-                } = e
-                {
-                    if config.io_methods.iter().any(|m| *m == method)
-                        && is_disk_recv(recv)
-                        && !file.is_test_line(*line)
-                    {
+                if let Expr::MethodCall { line, .. } = e {
+                    if is_raw_io(config, e) && !file.is_test_line(*line) {
                         raw = true;
                     }
                 }
@@ -54,9 +50,22 @@ pub fn check(a: &Analysis<'_>) -> Vec<Finding> {
     out
 }
 
-fn is_disk_recv(recv: &Expr) -> bool {
-    recv.last_name()
+fn is_disk(e: &Expr) -> bool {
+    e.last_name()
         .is_some_and(|s| s == "disk" || s.ends_with("_disk"))
+}
+
+/// A raw sector-I/O call: one of the configured methods on the disk, or
+/// on a receiver that is handed the disk as its first argument.
+fn is_raw_io(config: &Config, e: &Expr) -> bool {
+    let Expr::MethodCall {
+        recv, method, args, ..
+    } = e
+    else {
+        return false;
+    };
+    config.io_methods.iter().any(|m| *m == method)
+        && (is_disk(recv) || args.first().is_some_and(is_disk))
 }
 
 fn check_batch_io(
@@ -76,9 +85,7 @@ fn check_batch_io(
         let Some(body) = &def.body else { continue };
         ast::each_expr_in(body, |e| {
             let (name, line, direct) = match e {
-                Expr::MethodCall {
-                    recv, method, line, ..
-                } if config.io_methods.iter().any(|m| *m == method) && is_disk_recv(recv) => {
+                Expr::MethodCall { method, line, .. } if is_raw_io(config, e) => {
                     (method.clone(), *line, true)
                 }
                 // Indirect: plain call to a same-crate fn that does raw I/O.
@@ -280,6 +287,21 @@ mod tests {
         assert!(out[0].message.contains("sched"));
     }
 
+    /// The loop the leader pass ran until it read its homes as one
+    /// window: the disk goes in as an argument, not as the receiver.
+    #[test]
+    fn raw_io_through_a_wrapper_handed_the_disk_flagged() {
+        let f = file(
+            "crates/fsd/src/recovery.rs",
+            "fsd",
+            "fn redo_leaders(disk: &mut SimDisk, spare: &SpareMap) {\n  \
+             for a in addrs { spare.read_allow_damage(disk, a, 1); }\n}\n",
+        );
+        let out = run(vec![f]);
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].snippet, "disk.read_allow_damage()");
+    }
+
     #[test]
     fn raw_io_outside_batch_fns_in_same_file_clean() {
         let f = file(
@@ -295,7 +317,7 @@ mod tests {
         let f = file(
             "crates/fsd/src/recovery.rs",
             "fsd",
-            "pub fn redo_phase(disk: &mut SimDisk) { probe_sector(disk); }\n\
+            "pub fn scan_phase(disk: &mut SimDisk) { probe_sector(disk); }\n\
              fn probe_sector(disk: &mut SimDisk) { disk.read(7, 1); }\n",
         );
         let out = run(vec![f]);
@@ -308,7 +330,7 @@ mod tests {
         let f = file(
             "crates/fsd/src/recovery.rs",
             "fsd",
-            "pub fn redo_phase(disk: &mut SimDisk) { read_boot_page(disk); }\n\
+            "pub fn scan_phase(disk: &mut SimDisk) { read_boot_page(disk); }\n\
              fn read_boot_page(disk: &mut SimDisk) { disk.read(0, 1); }\n",
         );
         assert!(run(vec![f]).is_empty());

@@ -140,7 +140,8 @@ const VOLUME: &str = "crates/fsd/src/volume.rs";
 const ENGINE: &str = "crates/fsd/src/engine.rs";
 const MAYBE_FORCE: &str = "fn maybe_force(&mut self) -> Result<()> {";
 
-/// The mutation table (ISSUE 17, EXPERIMENTS.md E-LINT). A rule is only
+/// The mutation table (ISSUE 17, EXPERIMENTS.md E-LINT; row 17 came
+/// with ISSUE 19). A rule is only
 /// believed once it has a row here: the per-rule fixtures cannot catch a
 /// refactor of the *real* code that blinds a rule, because nobody
 /// refactors a fixture.
@@ -204,6 +205,23 @@ const SEEDS: &[Seed] = &[
                    if self.vam_owed { self.disk.read(7, 1)?; }",
         },
         expect: &[("sync_home_all", "disk.read()")],
+    },
+    // One home read outside the leader pass's scheduled window: seen in
+    // the pass, and from the settle that calls it.
+    Seed {
+        row: 17,
+        rule: "batch-io",
+        file: "crates/fsd/src/recovery.rs",
+        edit: Edit::Replace {
+            after: "fn redo_leaders(",
+            anchor: "let mut writes: Vec<(SectorAddr, &Vec<u8>)> = Vec::new();",
+            with: "let mut writes: Vec<(SectorAddr, &Vec<u8>)> = Vec::new();\n\
+                   if images.len() == 1 { disk.read(7, 1)?; }",
+        },
+        expect: &[
+            ("redo_leaders", "disk.read()"),
+            ("pay_redo", "redo_leaders() raw io"),
+        ],
     },
     Seed {
         row: 7,

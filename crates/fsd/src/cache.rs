@@ -15,10 +15,12 @@
 //!   atomic;
 //! * [`FsdNtStore`] — the [`PageStore`] the B-tree runs on: reads fall
 //!   through to the double-written home copies ("When a page is read,
-//!   both copies are read and checked", §5.1), writes touch only the
-//!   cache and the pending-commit set.
+//!   both copies are read and checked", §5.1) with, after a crash boot,
+//!   the sector images the log still owes them laid over; writes touch
+//!   only the cache and the pending-commit set.
 
 use crate::layout::FsdLayout;
+use crate::recovery::OwedRedo;
 use crate::spare::{self, SpareMap};
 use crate::{FsdError, NT_PAGE_BYTES, NT_PAGE_SECTORS};
 use cedar_btree::{PageId, PageStore, StoreError};
@@ -299,6 +301,9 @@ pub struct FsdNtStore<'a> {
     /// Bad-sector remap table: reads translate through it, and a scrub
     /// whose rewrite fails grows it.
     pub spare: &'a mut SpareMap,
+    /// Logged sector images boot has not yet written home (`None` once
+    /// the redo settle is paid): they win over the home bytes.
+    pub(crate) owed: Option<&'a OwedRedo>,
     /// The page cache.
     pub cache: &'a mut NtCache,
     /// Pages dirtied since the last group commit.
@@ -318,14 +323,29 @@ impl FsdNtStore<'_> {
         // media fault must not find the damage still in place.
         let at_a = self.layout.nt_a_sector(id);
         let at_b = self.layout.nt_b_sector(id);
-        let (a, a_mask) = self
+        let (mut a, a_mask) = self
             .spare
             .read_allow_damage(self.disk, at_a, NT_PAGE_SECTORS as usize)
             .map_err(to_store_err)?;
-        let (b, b_mask) = self
+        let (mut b, b_mask) = self
             .spare
             .read_allow_damage(self.disk, at_b, NT_PAGE_SECTORS as usize)
             .map_err(to_store_err)?;
+        // A sector the log holds reads as the log's image in both copies,
+        // whatever the platters say. The damage masks stay as read: a
+        // flawed home sector is still scrubbed below — with the image the
+        // page now carries, which is the committed one.
+        let mut logged = [false; NT_PAGE_SECTORS as usize];
+        if let Some(owed) = self.owed {
+            for (i, held) in logged.iter_mut().enumerate() {
+                if let Some(image) = owed.final_images.get(&(at_a + i as u32)) {
+                    let range = i * SECTOR_BYTES..(i + 1) * SECTOR_BYTES;
+                    a[range.clone()].copy_from_slice(image);
+                    b[range].copy_from_slice(image);
+                    *held = true;
+                }
+            }
+        }
         let a_ok = a_mask.iter().all(|&d| !d);
         let b_ok = b_mask.iter().all(|&d| !d);
         let image = if a_ok {
@@ -338,7 +358,7 @@ impl FsdNtStore<'_> {
             let mut img = Vec::with_capacity(NT_PAGE_BYTES);
             for i in 0..NT_PAGE_SECTORS as usize {
                 let range = i * SECTOR_BYTES..(i + 1) * SECTOR_BYTES;
-                if !a_mask[i] {
+                if !a_mask[i] || logged[i] {
                     img.extend_from_slice(&a[range]);
                 } else if !b_mask[i] {
                     img.extend_from_slice(&b[range]);
@@ -391,10 +411,11 @@ impl FsdNtStore<'_> {
     /// coalesced transfers — the recovery-scan fast path for whole-table
     /// walks such as the VAM rebuild, replacing two seek+rotate round
     /// trips per page with one scheduled sweep per copy. Pages already
-    /// cached (redo may hold newer images than home), pages with
+    /// cached, pages the log still owes a sector image, pages with
     /// sectors remapped into the spare region, and pages damaged in
     /// either copy are left to the usual dual-copy
-    /// [`FsdNtStore::read_through`], which checks and scrubs on demand.
+    /// [`FsdNtStore::read_through`], which overlays, checks and scrubs
+    /// on demand.
     pub fn prefetch_pages(&mut self, ids: &[PageId]) -> Result<(), StoreError> {
         let remapped: std::collections::HashSet<u32> = self
             .spare
@@ -408,8 +429,13 @@ impl FsdNtStore<'_> {
             .filter(|id| !self.cache.pages.contains_key(id))
             .filter(|&id| {
                 (0..NT_PAGE_SECTORS).all(|i| {
-                    !remapped.contains(&(self.layout.nt_a_sector(id) + i))
-                        && !remapped.contains(&(self.layout.nt_b_sector(id) + i))
+                    let (a, b) = (
+                        self.layout.nt_a_sector(id) + i,
+                        self.layout.nt_b_sector(id) + i,
+                    );
+                    !remapped.contains(&a)
+                        && !remapped.contains(&b)
+                        && !self.owed.is_some_and(|o| o.final_images.contains_key(&a))
                 })
             })
             .collect();
@@ -638,6 +664,7 @@ mod tests {
             layout: &layout,
             policy: IoPolicy::InOrder,
             spare: &mut spare,
+            owed: None,
             cache: &mut cache,
             pending: &mut pending,
         };
@@ -665,6 +692,7 @@ mod tests {
             layout: &layout,
             policy: IoPolicy::InOrder,
             spare: &mut spare,
+            owed: None,
             cache: &mut cache,
             pending: &mut pending,
         };
@@ -694,6 +722,7 @@ mod tests {
             layout: &layout,
             policy: IoPolicy::InOrder,
             spare: &mut spare,
+            owed: None,
             cache: &mut cache,
             pending: &mut pending,
         };
@@ -727,6 +756,7 @@ mod tests {
             layout: &layout,
             policy: IoPolicy::InOrder,
             spare: &mut spare,
+            owed: None,
             cache: &mut cache,
             pending: &mut pending,
         };
@@ -762,6 +792,7 @@ mod tests {
             layout: &layout,
             policy: IoPolicy::InOrder,
             spare: &mut spare,
+            owed: None,
             cache: &mut cache,
             pending: &mut pending,
         };
@@ -782,6 +813,7 @@ mod tests {
             layout: &layout,
             policy: IoPolicy::InOrder,
             spare: &mut spare,
+            owed: None,
             cache: &mut cache,
             pending: &mut pending,
         };
@@ -800,6 +832,7 @@ mod tests {
             layout: &layout,
             policy: IoPolicy::InOrder,
             spare: &mut spare,
+            owed: None,
             cache: &mut cache,
             pending: &mut pending,
         };

@@ -149,7 +149,7 @@ impl FsdLayout {
 /// Writes one page image to both of its replica sectors: copy A must be
 /// durable before copy B starts (booting trusts A unless it is damaged,
 /// §5.8), so a barrier separates the two writes. Every replicated-page
-/// writer (boot pages at mount/commit, the new-epoch bump in recovery)
+/// writer (boot pages at commit, the new-epoch bump of the redo settle)
 /// goes through here so the A-barrier-B discipline lives in one place.
 ///
 /// A first failure on a copy may be a latent flaw that the retry's
@@ -214,12 +214,13 @@ pub(crate) enum SavedVam {
     /// A controlled shutdown saved the VAM and nothing has changed it
     /// since (§5.5).
     Valid,
-    /// The save area is stale *and* the name-table walk that would
-    /// replace it failed for a reason other than a crash: the name table
-    /// is beyond replica repair, and the next boot must scavenge. The
-    /// only state that describes this machine's media rather than the
-    /// logical volume: replication ships it as [`Self::Invalid`].
-    WalkFailed,
+    /// The save area is stale *and* what recovery owed — the redo sweep
+    /// or the name-table walk that would replace the save area — failed
+    /// for a reason other than a crash: the name table is beyond replica
+    /// repair, and the next boot must scavenge. The only state that
+    /// describes this machine's media rather than the logical volume:
+    /// replication ships it as [`Self::Invalid`].
+    SettleFailed,
 }
 
 impl SavedVam {
@@ -228,7 +229,7 @@ impl SavedVam {
         match self {
             Self::Invalid => 0,
             Self::Valid => 1,
-            Self::WalkFailed => 2,
+            Self::SettleFailed => 2,
         }
     }
 }
@@ -238,10 +239,11 @@ impl SavedVam {
 pub struct FsdBootPage {
     /// Boots so far (part of uid generation and log-record validation).
     pub boot_count: u32,
-    /// State of the VAM save area. Boot clears [`SavedVam::Valid`] on
-    /// disk before it returns, so a crash at any later point — while a
-    /// rebuild is owed, or in the middle of one — boots into the same
-    /// state. A byte other than 0, 1 or 2 rejects the copy.
+    /// State of the VAM save area. The redo settle clears
+    /// [`SavedVam::Valid`] on disk before anything changes the free map,
+    /// so a crash at any later point — while a rebuild is owed, or in the
+    /// middle of one — boots into the same state. A byte other than 0, 1
+    /// or 2 rejects the copy.
     pub(crate) saved_vam: SavedVam,
     /// Whether the volume runs the §5.3 VAM-logging extension: the save
     /// area is a base image that log redo patches, so it stays valid
@@ -282,7 +284,7 @@ impl FsdBootPage {
         let saved_vam = match r.u8()? {
             0 => SavedVam::Invalid,
             1 => SavedVam::Valid,
-            2 => SavedVam::WalkFailed,
+            2 => SavedVam::SettleFailed,
             other => return Err(format!("unknown saved-VAM state {other} on boot page")),
         };
         let vam_logged = r.u8()? != 0;
@@ -380,7 +382,7 @@ mod tests {
 
     #[test]
     fn saved_vam_is_three_state_and_rejects_anything_else() {
-        for state in [SavedVam::Invalid, SavedVam::Valid, SavedVam::WalkFailed] {
+        for state in [SavedVam::Invalid, SavedVam::Valid, SavedVam::SettleFailed] {
             let b = FsdBootPage {
                 boot_count: 3,
                 saved_vam: state,

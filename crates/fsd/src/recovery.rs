@@ -1,5 +1,5 @@
-//! Crash recovery (§5.9): log redo at boot, VAM reconstruction when the
-//! first allocation needs it.
+//! Crash recovery (§5.9): the log is read at boot, applied where a page
+//! is first touched, and written home by the first write.
 //!
 //! "Recovery is fast and easy. There are two types of recovery. First, the
 //! VAM can be reconstructed using the name table... Second, the file name
@@ -8,25 +8,45 @@
 //! are read and the copies of pages in the log are written to disk.
 //! Recovery rarely takes more than two seconds on the current hardware."
 //!
-//! [`FsdVolume::boot`] performs the *second* kind only. Nothing an
-//! `open`, a read or a `list` does touches the free map, so when the
-//! saved VAM is unusable boot records that a name-table walk is **owed**
-//! and returns; the walk — the first kind, and the bulk of the paper's
-//! 25 seconds — runs at the first operation that allocates or frees
-//! (create, extend, truncate, delete), at shutdown, or whenever the
-//! caller asks through [`FsdVolume::settle_vam`]. `boot` followed at
-//! once by `settle_vam` is the whole of FSD crash recovery, to the
-//! simulated microsecond what an eager boot would do. A volume running
-//! the §5.3 VAM-logging extension still settles inside boot: the fresh
-//! base image it writes for the new log epoch needs the map.
+//! [`FsdVolume::boot`] reads — the boot page, the log meta, the live
+//! record chain — and stops. It indexes the log by home sector (the last
+//! image of a sector wins) and hands that index to the volume; it writes
+//! nothing. From then on the volume **owes** two things, and serves every
+//! `open`, read and `list` while it does:
+//!
+//! * **the redo settle** — the sorted sweep that writes every logged
+//!   name-table sector home, the leader pass, and the new log epoch (boot
+//!   pages with the bumped boot count, a fresh log meta), in that order.
+//!   Until it is paid, a name-table page that misses the cache is read
+//!   from its home copies and the logged sector images are laid over
+//!   them ([`crate::cache::FsdNtStore::read_through`]), and a leader the
+//!   log holds is checked from the logged image: a reader sees exactly
+//!   the bytes the sweep would have put on the platters. The settle is
+//!   paid once, by whatever comes first of: a log force that has
+//!   something to append, anything that dirties a name-table page, stages
+//!   a leader or draws a uid (create, delete, extend, truncate, a
+//!   symbolic link, the last-used refresh of a cached copy), shutdown,
+//!   turning the replication tap on, or [`FsdVolume::settle_redo`];
+//! * **the VAM walk** — when the saved free map is unusable, the
+//!   name-table walk that rebuilds it (the first kind above, and the bulk
+//!   of the paper's 25 seconds), paid behind the redo settle by the first
+//!   operation that allocates or frees, by shutdown, or by
+//!   [`FsdVolume::settle_vam`].
+//!
+//! `boot` followed at once by `settle_vam` is the whole of FSD crash
+//! recovery, in the order an eager boot would do it. A volume running the
+//! §5.3 VAM-logging extension settles both inside boot: its saved map is
+//! a base image the sweep patches, and the fresh base it writes for the
+//! new epoch needs the walk.
 //!
 //! Table 2's headline: crash recovery drops from 3600+ seconds (the CFS
 //! scavenge) to 25 seconds worst case (log redo plus VAM rebuild).
-//! Recovery is idempotent — a crash *during* recovery simply means the
-//! next boot redoes the same images, and deferral writes nothing: redo
-//! has already cleared the saved-VAM flag on both boot pages, so a crash
-//! while the walk is owed, or in the middle of it, boots into the same
-//! owed state.
+//! Recovery is idempotent, and a crash while it is owed is the trivial
+//! case: boot wrote nothing, so the next boot reads the same bytes. A
+//! crash inside the settle leaves some homes rewritten with the images
+//! the log still holds — the old epoch's boot pages and log meta change
+//! only after the sweep is durable — so the next boot reads the same log
+//! and lays the same images over whatever the sweep got to.
 //!
 //! # The escalation ladder
 //!
@@ -38,24 +58,26 @@
 //!    log record sector, saved VAM, name-table page) had a damaged copy.
 //!    The survivor serves the read and the damaged copy is rewritten from
 //!    it; a sector that stays bad after the rewrite is remapped into the
-//!    spare region ([`crate::spare::SpareMap`]).
+//!    spare region ([`crate::spare::SpareMap`]). A home sector the log
+//!    holds is scrubbed with the logged image, which is the committed one.
 //! 3. **Scavenge** — the log (or the name table it protects) is beyond
 //!    replica repair. The volume is rebuilt from leader pages alone
 //!    ([`crate::scavenge`]), the way CFS recovered from hardware labels.
 //!
-//! A name-table page dead in both copies is found by the walk, which no
-//! longer runs inside boot. When a deferred walk fails for a reason other
-//! than a crash, the operation that triggered it returns the typed error,
-//! the walk stays owed, and the saved-VAM byte on the boot pages records
-//! "walk failed": the next boot goes straight to rung 3, without
-//! replaying the log. The failing session keeps serving reads of
-//! undamaged pages, and it can still commit what needs no free map — a
-//! symbolic link, a cached copy's refreshed last-used-time. Those commits
-//! do not survive the rung-3 boot: the scavenger rebuilds from leader
-//! pages alone. (Before the walk was deferred the escalation happened
-//! inside boot, so there was no such session.) The note is about this
-//! machine's media, so replication does not ship it: a replica of a
-//! wounded primary is told only that the save area is stale.
+//! What boot no longer does it can no longer escalate: a sweep that runs
+//! out of spare sectors, boot pages that cannot be written, a name-table
+//! page dead in both copies under the walk are all found by the settle.
+//! When one fails for a reason other than a crash, the operation that
+//! triggered it returns the typed error, what was owed stays owed — reads
+//! keep working through the log's images, and nothing of the new epoch is
+//! on disk — and the saved-VAM byte on the boot pages records "settle
+//! failed": the next boot goes straight to rung 3, without replaying the
+//! log. A session whose *walk* failed has started its epoch and can still
+//! commit what needs no free map — a symbolic link, a cached copy's
+//! refreshed last-used-time. Those commits do not survive the rung-3
+//! boot: the scavenger rebuilds from leader pages alone. The note is
+//! about this machine's media, so replication does not ship it: a replica
+//! of a wounded primary is told only that the save area is stale.
 use crate::cache::{FsdNtStore, NtCache, NtMeta};
 use crate::layout::{FsdBootPage, FsdLayout, SavedVam};
 use crate::leader::LeaderPage;
@@ -67,7 +89,7 @@ use crate::{FsdError, Result};
 use cedar_btree::BTree;
 use cedar_disk::clock::Micros;
 use cedar_disk::sched::{self, IoBatch, IoOp, IoPolicy, OpResult};
-use cedar_disk::{Cpu, SectorAddr, SimDisk, SECTOR_BYTES};
+use cedar_disk::{scan, Cpu, SectorAddr, SimDisk, SECTOR_BYTES};
 use cedar_vol::{AllocPolicy, Allocator, Run, Vam};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
@@ -105,15 +127,50 @@ impl VamWalk {
     }
 }
 
-/// What boot did. Everything here is boot's own share of recovery: when
-/// [`Self::vam_reconstructed`] is set and [`Self::files_scanned`] is
-/// zero, the name-table walk is still owed and its cost will show up in
-/// [`FsdVolume::vam_walk`] once something pays it.
+/// The write half of log redo, whoever paid it: the one home of these
+/// three timings ([`FsdVolume::redo_settle`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct RedoSettle {
+    /// The sorted sweep writing every logged name-table and VAM sector
+    /// home.
+    pub sweep_us: Micros,
+    /// Logged leader images checked against and written to their home
+    /// sectors.
+    pub leaders_us: Micros,
+    /// The new epoch: boot pages with the bumped boot count, fresh log
+    /// meta.
+    pub epoch_us: Micros,
+}
+
+impl RedoSettle {
+    /// Simulated time of the whole settle.
+    pub fn us(&self) -> Micros {
+        self.sweep_us + self.leaders_us + self.epoch_us
+    }
+}
+
+/// The log as boot indexed it, until [`FsdVolume::settle_redo`] has
+/// written it home: what reads lay over the platters, and what the
+/// settle writes.
+#[derive(Debug)]
+pub(crate) struct OwedRedo {
+    /// Newest logged image of every name-table and VAM-save sector, by
+    /// home sector — both copies of each.
+    pub(crate) final_images: BTreeMap<SectorAddr, Vec<u8>>,
+    /// Newest logged image of every leader, by address.
+    pub(crate) leader_images: BTreeMap<SectorAddr, Vec<u8>>,
+}
+
+/// What boot did. Everything here is boot's own share of recovery: the
+/// write half of redo is owed and will show up in
+/// [`FsdVolume::redo_settle`], and when [`Self::vam_reconstructed`] is
+/// set and [`Self::files_scanned`] is zero so is the name-table walk
+/// ([`FsdVolume::vam_walk`]), once something pays them.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
     /// Log records replayed.
     pub records_replayed: u64,
-    /// Sector images written back to their homes.
+    /// Sector images the replayed records hold.
     pub images_redone: u64,
     /// The saved VAM was not usable (`false` means a properly saved VAM
     /// was loaded): a name-table walk is owed, or — on a VAM-logging
@@ -122,18 +179,10 @@ pub struct RecoveryReport {
     /// Files walked by boot itself: non-zero only when boot paid the
     /// walk (VAM-logging volumes).
     pub files_scanned: u64,
-    /// Simulated time spent on log redo:
-    /// [`Self::scan_us`] + [`Self::sweep_us`] + [`Self::leaders_us`].
+    /// Simulated time boot spent on log redo: reading the boot page and
+    /// the log meta, scanning the record chain and indexing it — plus,
+    /// on a VAM-logging volume, the [`RedoSettle`] it paid itself.
     pub redo_us: Micros,
-    /// Redo, part 1: the boot pages and log meta (read on entry,
-    /// rewritten for the new epoch on exit) and the record scan.
-    pub scan_us: Micros,
-    /// Redo, part 2: the sorted sweep writing every logged name-table
-    /// and VAM sector home.
-    pub sweep_us: Micros,
-    /// Redo, part 3: logged leader images checked against and written to
-    /// their home sectors.
-    pub leaders_us: Micros,
     /// Simulated time boot spent loading the saved VAM, or (VAM-logging
     /// volumes) walking the name table and writing the new base image.
     /// Zero when the walk was deferred.
@@ -151,20 +200,24 @@ pub struct RecoveryReport {
 }
 
 impl RecoveryReport {
-    /// Boot's share of recovery — the time to the first read. A walk
+    /// Boot's share of recovery — the time to the first read. What it
     /// left owed is not in it: full recovery is this plus
-    /// [`VamWalk::us`] of [`FsdVolume::settle_vam`].
+    /// [`RedoSettle::us`] and [`VamWalk::us`] of what
+    /// [`FsdVolume::settle_vam`] pays.
     pub fn total_us(&self) -> Micros {
         self.redo_us + self.vam_us + self.scavenge_us
     }
 }
 
 impl FsdVolume {
-    /// Boots an FSD volume: replays the log, then loads the saved VAM or
-    /// records that a name-table walk is owed — escalating to a replica
-    /// scrub or a full scavenge when the media demands it. The volume
-    /// serves reads, opens and listings at once; the first operation that
-    /// allocates or frees pays the walk (see [`Self::settle_vam`]).
+    /// Boots an FSD volume: reads the log and indexes it, then loads the
+    /// saved VAM or records that a name-table walk is owed — escalating
+    /// to a replica scrub or a full scavenge when the media demands it.
+    /// On undamaged media it writes nothing. The volume serves reads,
+    /// opens and listings at once, through the log's images; the first
+    /// write pays the redo settle ([`Self::settle_redo`]) and the first
+    /// operation that allocates or frees pays the walk
+    /// ([`Self::settle_vam`]).
     pub fn boot(disk: SimDisk, config: FsdConfig) -> Result<(FsdVolume, RecoveryReport)> {
         Self::try_boot(disk, config).map_err(|(e, _)| e)
     }
@@ -183,17 +236,20 @@ impl FsdVolume {
         let cpu = Cpu::new(disk.clock(), config.cpu);
         let mut report = RecoveryReport::default();
 
-        let (boot, vam_was_valid, spare) =
-            match redo_phase(&mut disk, &layout, &cpu, config.io_policy, &mut report) {
+        let (boot, spare, owed) =
+            match scan_phase(&mut disk, &layout, &cpu, config.io_policy, &mut report) {
                 Ok(x) => x,
                 Err(e) if e.is_crash() => return Err((e, disk)),
                 // Rung 3: the log chain (or a structure it needs) is
                 // beyond replica repair — rebuild from leader pages.
                 Err(e) => return scavenge::scavenge_boot(disk, config, report, e),
             };
+        let vam_was_valid = boot.saved_vam == SavedVam::Valid;
 
         let (dlo, dhi) = layout.data_area();
-        let mut log = match Log::fresh(layout.log_start, layout.log_sectors, boot.boot_count) {
+        // The log of the epoch the settle will start: nothing is appended
+        // to it, and nothing of it is written, before then.
+        let mut log = match Log::fresh(layout.log_start, layout.log_sectors, boot.boot_count + 1) {
             Ok(log) => log,
             Err(e) => return Err((e, disk)),
         };
@@ -220,6 +276,8 @@ impl FsdVolume {
             last_force: 0,
             commit_interval: config.commit_interval_us,
             vam_hint_on_disk: false,
+            redo_owed: Some(owed),
+            redo_settle: None,
             vam_owed: false,
             vam_walk: None,
             scavenge_workers: config.scavenge_workers,
@@ -243,8 +301,8 @@ impl FsdVolume {
             }
             Err(e) if e.is_crash() => Err((e, vol.into_disk())),
             // Rung 3 from phase 2: the name-table root, or (VAM-logging
-            // volumes, which walk here) some page of the table, is
-            // beyond replica repair.
+            // volumes, which settle and walk here) the sweep or some
+            // page of the table, is beyond replica repair.
             Err(e) => scavenge::scavenge_boot(vol.into_disk(), config, report, e),
         }
     }
@@ -252,6 +310,15 @@ impl FsdVolume {
     /// Phase 2: reattach the tree, then load the saved VAM or leave the
     /// walk owed.
     fn finish_boot(&mut self, vam_was_valid: bool, report: &mut RecoveryReport) -> Result<()> {
+        if self.boot.vam_logged {
+            // The save area is a base image the sweep patches, and the
+            // new epoch's base image is written below: this boot pays
+            // its own settle, where an eager boot did. A failure
+            // escalates in `try_boot`.
+            if let Some(settle) = self.pay_redo()? {
+                report.redo_us += settle.us();
+            }
+        }
         let root = {
             let mut store = FsdNtStore {
                 disk: &mut self.disk,
@@ -259,6 +326,7 @@ impl FsdVolume {
                 layout: &self.layout,
                 policy: self.io_policy,
                 spare: &mut self.spare,
+                owed: self.redo_owed.as_ref(),
                 cache: &mut self.cache,
                 pending: &mut self.pending_pages,
             };
@@ -271,8 +339,8 @@ impl FsdVolume {
 
         let t1 = self.clock().now();
         // Under the §5.3 VAM-logging extension the save area is a base
-        // image the redo sweep just patched: it is current as of the last
-        // commit whether or not the shutdown was clean.
+        // image the redo sweep patched above: it is current as of the
+        // last commit whether or not the shutdown was clean.
         let trust_saved = vam_was_valid || self.boot.vam_logged;
         self.vam_owed = !trust_saved;
         if trust_saved {
@@ -304,31 +372,63 @@ impl FsdVolume {
         Ok(())
     }
 
-    /// Pays the name-table walk if one is owed — `Some` with what it
-    /// cost, `None` when the map is already settled; idempotent.
+    /// Pays the write half of log redo if it is owed — `Some` with what
+    /// it cost, `None` when it was paid before; idempotent.
+    ///
+    /// Nothing may reach the log, and no name-table page may be dirtied,
+    /// before this has run: the records boot indexed are the only copy of
+    /// the images they hold until the sweep has written them home, and
+    /// the first append of the new epoch writes over them. Every
+    /// operation that could do either calls this itself, so no caller
+    /// *has* to; recovery benchmarks call [`Self::settle_vam`], which
+    /// pays this first, straight after [`Self::boot`] to time the whole
+    /// of crash recovery.
+    ///
+    /// A failure other than a crash (spare sectors exhausted under the
+    /// sweep, boot pages unwritable) leaves redo owed — reads keep
+    /// working through the log's images — and asks the next boot for a
+    /// scavenge through the boot pages, as a failed walk does.
+    pub fn settle_redo(&mut self) -> Result<Option<RedoSettle>> {
+        let paid = self.pay_redo();
+        self.note_failed_settle(paid)
+    }
+
+    /// The redo settle this session has paid, whoever triggered it.
+    pub fn redo_settle(&self) -> Option<RedoSettle> {
+        self.redo_settle
+    }
+
+    /// Pays everything recovery still owes: the redo settle, then the
+    /// name-table walk — `Some` with what the walk cost, `None` when the
+    /// map was already settled; idempotent.
     ///
     /// No operation that changes which sectors the name table claims may
     /// run before the walk. Create, extend, truncate and delete call this
     /// through their common VAM-hint hook, and so does the VAM save at
-    /// shutdown, so no caller *has* to; recovery benchmarks call it
-    /// straight after [`Self::boot`] to time the whole of crash recovery.
-    /// The walk reads through the page cache, so name-table pages dirtied
-    /// since boot are seen as they are in memory.
+    /// shutdown, so no caller *has* to. The walk reads through the page
+    /// cache, so name-table pages dirtied since boot are seen as they are
+    /// in memory.
     ///
-    /// A failure other than a crash leaves the walk owed and asks the
+    /// A failure other than a crash leaves what failed owed and asks the
     /// next boot for a scavenge through the boot pages (once written the
-    /// request stands until that boot); reads of undamaged pages keep
-    /// working in this session, but nothing it commits from here on —
-    /// only operations that need no free map can — survives that
-    /// scavenge.
+    /// request stands until that boot); reads keep working in this
+    /// session, but nothing it commits from here on — only operations
+    /// that need no free map can — survives that scavenge.
     pub fn settle_vam(&mut self) -> Result<Option<VamWalk>> {
+        self.settle_redo()?;
         let paid = self.pay_walk();
+        self.note_failed_settle(paid)
+    }
+
+    /// Leaves the settle-failed note on the boot pages when `paid` is a
+    /// failure other than a crash.
+    fn note_failed_settle<T>(&mut self, paid: Result<T>) -> Result<T> {
         if let Err(e) = &paid {
-            if !e.is_crash() && self.boot.saved_vam != SavedVam::WalkFailed {
-                self.boot.saved_vam = SavedVam::WalkFailed;
-                // Best effort: the caller gets the walk's error either
+            if !e.is_crash() && self.boot.saved_vam != SavedVam::SettleFailed {
+                self.boot.saved_vam = SavedVam::SettleFailed;
+                // Best effort: the caller gets the settle's error either
                 // way, and if the note does not land the next session's
-                // walk fails on the same page and writes it again.
+                // settle fails on the same sector and writes it again.
                 let _ = self.write_boot_pages();
             }
         }
@@ -338,6 +438,58 @@ impl FsdVolume {
     /// The walk this session has paid, whoever triggered it.
     pub fn vam_walk(&self) -> Option<VamWalk> {
         self.vam_walk
+    }
+
+    /// The settle itself, in the order an eager boot ran it: the sweep
+    /// (durable before anything of the old epoch changes), the leader
+    /// pass, then the new epoch.
+    fn pay_redo(&mut self) -> Result<Option<RedoSettle>> {
+        let Some(owed) = self.redo_owed.as_ref() else {
+            return Ok(None);
+        };
+        let t0 = self.disk.clock().now();
+        if !owed.final_images.is_empty() {
+            // One write per sector, one window: the addresses are unique,
+            // the map iterates in sorted order, and the scheduler
+            // coalesces contiguous runs into single transfers.
+            let writes = owed
+                .final_images
+                .iter()
+                .map(|(&addr, img)| (addr, img.clone()))
+                .collect();
+            spare::write_home_batch(&mut self.disk, self.io_policy, &mut self.spare, writes)?;
+        }
+        let t_swept = self.disk.clock().now();
+        redo_leaders(&mut self.disk, self.io_policy, &owed.leader_images)?;
+        let t_leaders = self.disk.clock().now();
+
+        // New epoch: bump the boot count, clear the VAM flag on disk,
+        // record any sectors the sweep remapped, and start the fresh
+        // (empty) log — the homes are now current. The sweep above was
+        // submitted separately, so it is durable before the boot pages
+        // change.
+        let mut boot = self.boot.clone();
+        boot.boot_count += 1;
+        boot.saved_vam = SavedVam::Invalid;
+        boot.spare_map = self.spare.entries().to_vec();
+        self.spare.take_dirty();
+        crate::layout::write_replicas(
+            &mut self.disk,
+            self.io_policy,
+            self.layout.boot_a,
+            self.layout.boot_b,
+            boot.encode(),
+        )?;
+        self.boot = boot;
+        self.log.write_meta(&mut self.disk, &mut self.spare)?;
+        self.redo_owed = None;
+        let settle = RedoSettle {
+            sweep_us: t_swept - t0,
+            leaders_us: t_leaders - t_swept,
+            epoch_us: self.disk.clock().now() - t_leaders,
+        };
+        self.redo_settle = Some(settle);
+        Ok(Some(settle))
     }
 
     fn pay_walk(&mut self) -> Result<Option<VamWalk>> {
@@ -379,6 +531,7 @@ impl FsdVolume {
                 layout: &self.layout,
                 policy: self.io_policy,
                 spare: &mut self.spare,
+                owed: self.redo_owed.as_ref(),
                 cache: &mut self.cache,
                 pending: &mut self.pending_pages,
             };
@@ -475,35 +628,39 @@ impl FsdVolume {
     }
 }
 
-/// Phase 1: read the boot page, replay the log, start a new epoch.
-fn redo_phase(
+/// Phase 1: read the boot page and the log, and index the log by home
+/// sector. Reads only — what the index is for is written by
+/// [`FsdVolume::settle_redo`].
+fn scan_phase(
     disk: &mut SimDisk,
     layout: &FsdLayout,
     cpu: &Cpu,
     policy: IoPolicy,
     report: &mut RecoveryReport,
-) -> Result<(FsdBootPage, bool, SpareMap)> {
+) -> Result<(FsdBootPage, SpareMap, OwedRedo)> {
     let t0 = disk.clock().now();
 
     // Boot page: copy A, falling back to copy B (§5.8, error class 5),
     // scrubbing a damaged copy back from the survivor. The remap table
     // lives here, so it is available before any other structure is read.
-    let mut boot = read_boot_page(disk, layout, report)?;
-    if boot.saved_vam == SavedVam::WalkFailed {
-        // The last session's deferred walk found the name table beyond
-        // replica repair and left this note: no point replaying a log
-        // into a table that cannot be walked — escalate to rung 3.
+    let boot = read_boot_page(disk, layout, report)?;
+    if boot.saved_vam == SavedVam::SettleFailed {
+        // The last session could not finish recovery for a reason other
+        // than a crash and left this note: no point replaying a log into
+        // a table that cannot be swept or walked — escalate to rung 3.
         return Err(FsdError::Check(
-            "the last session's VAM walk failed: name table beyond replica repair".into(),
+            "the last session could not settle (log redo or the VAM walk failed): \
+             name table beyond replica repair"
+                .into(),
         ));
     }
     let mut spare = SpareMap::with_entries(layout, &boot.spare_map);
 
-    // Log redo: read the chain from the replicated meta pointer, compute
-    // the final image of every touched sector in memory (records are in
-    // sequence order, so the last image of a sector wins), then write
-    // everything home in one sorted sweep with contiguous sectors merged
-    // into single transfers. This is what keeps redo under two seconds.
+    // Read the chain from the replicated meta pointer and compute the
+    // final image of every touched sector in memory (records are in
+    // sequence order, so the last image of a sector wins). The settle
+    // writes them home in one sorted sweep; this is what keeps redo
+    // under two seconds.
     let meta = Log::read_meta(disk, policy, &mut spare, layout.log_start)?;
     let records = log::scan_records(
         disk,
@@ -513,8 +670,10 @@ fn redo_phase(
         &spare,
         &meta,
     )?;
-    let mut final_images: BTreeMap<u32, Vec<u8>> = BTreeMap::new();
-    let mut leader_images: BTreeMap<u32, Vec<u8>> = BTreeMap::new();
+    let mut owed = OwedRedo {
+        final_images: BTreeMap::new(),
+        leader_images: BTreeMap::new(),
+    };
     for rec in &records {
         for (target, img) in &rec.images {
             // Targets are four bytes off a log sector whose checksum
@@ -525,15 +684,16 @@ fn redo_phase(
             target.validate(layout)?;
             match target {
                 PageTarget::NtSector { page, sector } => {
-                    final_images.insert(layout.nt_a_sector(*page) + sector, img.clone());
-                    final_images.insert(layout.nt_b_sector(*page) + sector, img.clone());
+                    let (a, b) = (layout.nt_a_sector(*page), layout.nt_b_sector(*page));
+                    owed.final_images.insert(a + sector, img.clone());
+                    owed.final_images.insert(b + sector, img.clone());
                 }
                 PageTarget::Leader { addr } => {
-                    leader_images.insert(*addr, img.clone());
+                    owed.leader_images.insert(*addr, img.clone());
                 }
                 PageTarget::VamSector { index } => {
-                    final_images.insert(layout.vam_a + index, img.clone());
-                    final_images.insert(layout.vam_b + index, img.clone());
+                    owed.final_images.insert(layout.vam_a + index, img.clone());
+                    owed.final_images.insert(layout.vam_b + index, img.clone());
                 }
             }
             report.images_redone += 1;
@@ -541,36 +701,8 @@ fn redo_phase(
         cpu.sectors(rec.images.len() as u64);
     }
     report.records_replayed = records.len() as u64;
-    let t_scanned = disk.clock().now();
-    if !final_images.is_empty() {
-        // One write per sector, one window: the addresses are unique, the
-        // map iterates in sorted order, and the scheduler coalesces
-        // contiguous runs into single transfers.
-        spare::write_home_batch(disk, policy, &mut spare, final_images.into_iter().collect())?;
-    }
-    let t_swept = disk.clock().now();
-    redo_leaders(disk, policy, &spare, leader_images)?;
-    let t_leaders = disk.clock().now();
-
-    // New epoch: bump the boot count, clear the VAM flag on disk, record
-    // any sectors the sweep remapped, and start a fresh (empty) log — the
-    // homes are now current. The redo sweep above was submitted
-    // separately, so it is durable before the boot pages change.
-    let vam_was_valid = boot.saved_vam == SavedVam::Valid;
-    boot.boot_count += 1;
-    boot.saved_vam = SavedVam::Invalid;
-    boot.spare_map = spare.entries().to_vec();
-    spare.take_dirty();
-    crate::layout::write_replicas(disk, policy, layout.boot_a, layout.boot_b, boot.encode())?;
-    let mut fresh = Log::fresh(layout.log_start, layout.log_sectors, boot.boot_count)?;
-    fresh.set_policy(policy);
-    fresh.write_meta(disk, &mut spare)?;
-    let t_end = disk.clock().now();
-    report.redo_us = t_end - t0;
-    report.sweep_us = t_swept - t_scanned;
-    report.leaders_us = t_leaders - t_swept;
-    report.scan_us = (t_scanned - t0) + (t_end - t_leaders);
-    Ok((boot, vam_was_valid, spare))
+    report.redo_us = disk.clock().now() - t0;
+    Ok((boot, spare, owed))
 }
 
 /// Applies logged leader images to their home sectors, best-effort.
@@ -587,21 +719,24 @@ fn redo_phase(
 /// operation" (§5.2), a data-area sector that stays bad under the
 /// rewrite loses the check, never the boot: unlike the metadata sweep,
 /// persistent failures here are dropped, not escalated.
+///
+/// The homes are read as one damage-tolerant window — leaders live in
+/// the data areas, which the remap table does not cover, so the
+/// scheduler takes them nearest-first instead of losing a revolution
+/// between one single-sector request and the next.
 fn redo_leaders(
     disk: &mut SimDisk,
     policy: IoPolicy,
-    spare: &SpareMap,
-    images: BTreeMap<u32, Vec<u8>>,
+    images: &BTreeMap<SectorAddr, Vec<u8>>,
 ) -> Result<()> {
-    let mut writes: Vec<(SectorAddr, Vec<u8>)> = Vec::new();
-    for (addr, img) in images {
-        let (bytes, mask) = spare
-            .read_allow_damage(disk, addr, 1)
-            .map_err(FsdError::Disk)?;
-        let apply = if mask[0] {
+    let ranges: Vec<(SectorAddr, usize)> = images.keys().map(|&addr| (addr, 1)).collect();
+    let homes = scan::read_chunks(disk, policy, &ranges, 0).map_err(FsdError::Disk)?;
+    let mut writes: Vec<(SectorAddr, &Vec<u8>)> = Vec::new();
+    for ((&addr, img), home) in images.iter().zip(&homes) {
+        let apply = if home.damaged.first().copied().unwrap_or(true) {
             true // Damaged home: the logged image is the only copy left.
         } else {
-            match (LeaderPage::decode(&bytes), LeaderPage::decode(&img)) {
+            match (LeaderPage::decode(&home.bytes), LeaderPage::decode(img)) {
                 (Ok(home), Ok(logged)) => logged.uid >= home.uid,
                 (Ok(_), Err(_)) => true,
                 (Err(_), _) => false, // Reallocated as a data page.
@@ -618,9 +753,9 @@ fn redo_leaders(
         let mut batch = IoBatch::new();
         let idxs: Vec<usize> = writes
             .iter()
-            .map(|(addr, img)| {
+            .map(|&(addr, img)| {
                 batch.push(IoOp::Write {
-                    start: *addr,
+                    start: addr,
                     data: img.clone(),
                 })
             })
@@ -813,19 +948,30 @@ mod tests {
 
     /// `boot` + `settle_vam` over one exact disk, pinned to the
     /// microsecond: clock, report and `DiskStats`. The constants are this
-    /// tree's own, re-measured when the scheduler went
-    /// shortest-positioning-time-first and the log record went out in
-    /// platter order (every force of `crashed_t300` lands at another
-    /// instant, so the clock, the image count and every `*_us` moved).
-    /// What they hold still is what the test was written for — the walk
-    /// deferred out of `boot` costs, in `settle_vam`, exactly what it cost
-    /// inside the eager boot (`vam_us` 373 092 / 171 492 µs then and now),
-    /// and recovery's I/O is the eager boot's: it appends nothing, so
-    /// reads / writes / sectors read / sectors written are the 64 / 41 /
-    /// 795 / 179 they have been since before the walk was deferred.
+    /// tree's own, re-measured when redo's write half moved out of `boot`
+    /// into the settle and the leader pass began reading its homes as one
+    /// window. Boot now reads the name-table root *before* the sweep, so
+    /// the walk starts from the log meta instead (one revolution more:
+    /// 389 298 / 187 698 µs, was 373 092 / 171 492; one worker still
+    /// costs 201 600 µs more than eight), and the leader pass no longer
+    /// loses a revolution per home (510 708 → 227 760 µs, 13 lost
+    /// revolutions → 4 over the whole of recovery): full recovery is
+    /// 266 304 µs shorter than the eager boot's. What the constants hold
+    /// still is what the test was written for — everything boot defers
+    /// is paid by `settle_vam`, phase by phase, and recovery's I/O is the
+    /// eager boot's: it appends nothing, and reads / writes / sectors
+    /// read / sectors written are the 64 / 41 / 795 / 179 they have been
+    /// since before anything was deferred (no two leaders of this disk
+    /// are adjacent, so no read coalesces).
     #[test]
     fn boot_then_settle_is_the_eager_boot_to_the_microsecond() {
         const BOOTED_AT: Micros = 9_296_730;
+        const SCAN_US: Micros = 362_808;
+        const SETTLE: RedoSettle = RedoSettle {
+            sweep_us: 97_236,
+            leaders_us: 227_760,
+            epoch_us: 58_254,
+        };
         const EAGER_DISK: DiskStats = DiskStats {
             reads: 64,
             writes: 41,
@@ -833,18 +979,18 @@ mod tests {
             sectors_read: 795,
             sectors_written: 179,
             seeks: 7,
-            short_seeks: 8,
-            seek_us: 178_200,
-            rotation_us: 343_212,
+            short_seeks: 10,
+            seek_us: 188_800,
+            rotation_us: 189_350,
             transfer_us: 426_612,
-            lost_revolutions: 13,
-            lost_rev_us: 183_264,
+            lost_revolutions: 4,
+            lost_rev_us: 60_222,
             transient_retries: 0,
             media_faults: 0,
         };
-        // (workers, eager boot's `vam_us`, clock when eager boot returned)
+        // (workers, the walk, clock when everything is settled)
         for (workers, eager_vam_us, eager_done_at) in
-            [(1, 373_092, 10_734_858), (8, 171_492, 10_533_258)]
+            [(1, 389_298, 10_468_554), (8, 187_698, 10_266_954)]
         {
             let disk = crashed_t300();
             assert_eq!(disk.clock().now(), BOOTED_AT);
@@ -852,13 +998,9 @@ mod tests {
             let (mut v, report) = FsdVolume::boot(disk, t300_config(workers)).unwrap();
 
             assert_eq!((report.records_replayed, report.images_redone), (20, 239));
-            assert_eq!(report.redo_us, 1_032_186);
-            assert_eq!(
-                report.scan_us + report.sweep_us + report.leaders_us,
-                report.redo_us,
-                "the three phases are the whole of redo"
-            );
-            assert!(report.scan_us > 0 && report.sweep_us > 0);
+            assert_eq!(report.redo_us, SCAN_US);
+            assert_eq!(v.redo_settle(), None, "the write half of redo is owed");
+            assert_eq!(v.disk_stats().since(&before).writes, 0, "boot only reads");
             assert!(report.vam_reconstructed, "the walk is owed");
             assert_eq!((report.files_scanned, report.vam_us), (0, 0));
             assert_eq!(v.free_sectors(), 0, "all-allocated until the walk");
@@ -867,9 +1009,16 @@ mod tests {
             assert!(first_read_at < BOOTED_AT + 1_400_000);
 
             let walk = v.settle_vam().unwrap().expect("owed");
+            let settle = v.redo_settle().expect("paid ahead of the walk");
+            assert_eq!(settle, SETTLE);
+            assert!(settle.sweep_us > 0 && settle.leaders_us > 0 && settle.epoch_us > 0);
             assert_eq!(walk.files_scanned, 257);
             assert_eq!(walk.us(), eager_vam_us);
-            assert_eq!(v.clock().now() - first_read_at, walk.us());
+            assert_eq!(
+                v.clock().now() - first_read_at,
+                settle.us() + walk.us(),
+                "the three phases and the walk are the whole of the settle"
+            );
             assert!(walk.prefetch_us > 0 && walk.walk_us > 0);
             assert_eq!(v.clock().now(), eager_done_at);
             assert_eq!(v.disk_stats().since(&before), EAGER_DISK);
@@ -878,10 +1027,44 @@ mod tests {
 
             // Idempotent: nothing more is owed, nothing more is paid.
             assert_eq!(v.settle_vam().unwrap(), None);
+            assert_eq!(v.settle_redo().unwrap(), None);
+            assert_eq!(v.redo_settle(), Some(settle));
             assert_eq!(v.clock().now(), eager_done_at);
             let reference = reference_vam(&mut v);
             assert_eq!(v.vam, reference);
         }
+    }
+
+    /// The leader pass over the same disk: its home reads go out as one
+    /// scheduled window, so between them it loses fewer revolutions than
+    /// the reads alone did when each was a request of its own.
+    #[test]
+    fn the_leader_pass_loses_fewer_revolutions_than_one_read_per_home() {
+        let mut disk = crashed_t300();
+        let config = t300_config(1);
+        let layout = FsdLayout::compute(disk.geometry(), config.nt_pages, config.log_sectors);
+        let cpu = Cpu::new(disk.clock(), config.cpu);
+        let mut report = RecoveryReport::default();
+        let (_, _, owed) =
+            scan_phase(&mut disk, &layout, &cpu, config.io_policy, &mut report).unwrap();
+        assert!(owed.leader_images.len() > 20, "a pass worth scheduling");
+
+        let mut one_by_one = disk.clone();
+        let before = one_by_one.stats();
+        for &addr in owed.leader_images.keys() {
+            one_by_one.read_allow_damage(addr, 1).unwrap();
+        }
+        let one_by_one = one_by_one.stats().since(&before);
+
+        let before = disk.stats();
+        redo_leaders(&mut disk, config.io_policy, &owed.leader_images).unwrap();
+        let pass = disk.stats().since(&before);
+        assert_eq!(pass.sectors_read, one_by_one.sectors_read);
+        assert!(pass.sectors_written > 0, "the pass writes as well");
+        assert!(
+            pass.lost_revolutions < one_by_one.lost_revolutions,
+            "pass {pass:?}, one read per home {one_by_one:?}"
+        );
     }
 
     #[derive(Clone, Debug)]
@@ -969,18 +1152,23 @@ mod tests {
                 let (mut v, report) = FsdVolume::boot(disk, tiny_config(workers)).unwrap();
                 let owed = report.vam_reconstructed;
                 prop_assert_eq!(report.files_scanned, 0);
-                prop_assert_eq!(
-                    report.scan_us + report.sweep_us + report.leaders_us,
-                    report.redo_us
-                );
+                prop_assert_eq!(v.redo_settle(), None);
                 if owed {
                     prop_assert_eq!(report.vam_us, 0);
                     prop_assert_eq!(v.free_sectors(), 0);
                 }
                 let t0 = v.clock().now();
                 let walk = v.settle_vam().unwrap();
+                let settle = v.redo_settle().expect("every boot owes the settle");
+                prop_assert_eq!(
+                    settle.sweep_us + settle.leaders_us + settle.epoch_us,
+                    settle.us()
+                );
                 prop_assert_eq!(walk.is_some(), owed);
-                prop_assert_eq!(v.clock().now() - t0, walk.map_or(0, |w| w.us()));
+                prop_assert_eq!(
+                    v.clock().now() - t0,
+                    settle.us() + walk.map_or(0, |w| w.us())
+                );
                 prop_assert_eq!(v.vam_walk(), walk);
                 let t1 = v.clock().now();
                 prop_assert_eq!(v.settle_vam().unwrap(), None);

@@ -96,11 +96,11 @@ impl Replica {
     /// durable), the replication tap is enabled (or its pending frames
     /// discarded — the transfer already carries their effects), and only
     /// then is the disk image cloned. The clone is booted once on the
-    /// replica's own clock — recovery replays any live log and brings
-    /// every home copy current — and the replica's log data area is then
-    /// zeroed so no stale primary record can masquerade as live when the
-    /// replica is eventually promoted (the record scan keys on sequence
-    /// numbers, not epochs).
+    /// replica's own clock and settled — recovery replays any live log
+    /// and brings every home copy current — and the replica's log data
+    /// area is then zeroed so no stale primary record can masquerade as
+    /// live when the replica is eventually promoted (the record scan keys
+    /// on sequence numbers, not epochs).
     ///
     /// Returns the replica positioned at the primary's current frame
     /// cursor: the next sealed frame extends it with no gap.
@@ -111,7 +111,7 @@ impl Replica {
             // image we are about to clone.
             primary.take_repl_frames();
         } else {
-            primary.enable_repl_tap();
+            primary.enable_repl_tap()?;
         }
         primary.seal_repl_data_frame();
         primary.take_repl_frames();
@@ -225,8 +225,8 @@ impl Replica {
 
         // Decode every record up front (transport corruption must not
         // leave a half-applied frame), then route images exactly as
-        // `recovery::redo_phase` does: later images of the same sector
-        // win, one sorted remap-aware sweep writes them home.
+        // crash recovery does: later images of the same sector win, one
+        // sorted remap-aware sweep writes them home.
         let mut final_images: BTreeMap<u32, Vec<u8>> = BTreeMap::new();
         let mut records = 0u64;
         let mut images = 0u64;

@@ -205,6 +205,8 @@ pub(crate) fn scavenge_boot(
         last_force: 0,
         commit_interval: config.commit_interval_us,
         vam_hint_on_disk: false,
+        redo_owed: None,
+        redo_settle: None,
         vam_owed: false,
         vam_walk: None,
         scavenge_workers: config.scavenge_workers,
@@ -627,6 +629,7 @@ fn rebuild(vol: &mut FsdVolume, config: FsdConfig, files: &[(FileName, FileEntry
             layout: &vol.layout,
             policy: vol.io_policy,
             spare: &mut vol.spare,
+            owed: None,
             cache: &mut vol.cache,
             pending: &mut vol.pending_pages,
         };

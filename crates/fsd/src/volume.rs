@@ -151,6 +151,7 @@ macro_rules! nt_store {
             layout: &$self.layout,
             policy: $self.io_policy,
             spare: &mut $self.spare,
+            owed: $self.redo_owed.as_ref(),
             cache: &mut $self.cache,
             pending: &mut $self.pending_pages,
         }
@@ -174,6 +175,12 @@ pub struct FsdVolume {
     pub(crate) last_force: Micros,
     pub(crate) commit_interval: Micros,
     pub(crate) vam_hint_on_disk: bool,
+    /// The log as boot indexed it, not yet written home: reads lay these
+    /// images over the platters, and nothing may reach the log or dirty a
+    /// name-table page until [`Self::settle_redo`] has paid them.
+    pub(crate) redo_owed: Option<crate::recovery::OwedRedo>,
+    /// The redo settle this session paid, if any.
+    pub(crate) redo_settle: Option<crate::recovery::RedoSettle>,
     /// The saved VAM was unusable at boot and the name-table walk that
     /// replaces it has not run yet: `vam` is the all-allocated map, and
     /// nothing may allocate or free until [`Self::settle_vam`] has.
@@ -250,6 +257,8 @@ impl FsdVolume {
             last_force: 0,
             commit_interval: config.commit_interval_us,
             vam_hint_on_disk: false,
+            redo_owed: None,
+            redo_settle: None,
             vam_owed: false,
             vam_walk: None,
             scavenge_workers: config.scavenge_workers,
@@ -409,13 +418,16 @@ impl FsdVolume {
     /// [`Self::force`] seals one [`crate::repl::ReplFrame`] carrying the
     /// commit's sealed log records plus the unlogged data-area writes
     /// mirrored from the disk write journal. Frames accumulate until
-    /// [`Self::take_repl_frames`] drains them.
-    pub fn enable_repl_tap(&mut self) {
+    /// [`Self::take_repl_frames`] drains them. A redo settle still owed
+    /// is paid first, so no frame ever carries recovery's own writes.
+    pub fn enable_repl_tap(&mut self) -> Result<()> {
+        self.settle_redo()?;
         self.disk.enable_write_journal();
         // Anything already in the journal predates the replica's seed
         // image and must not ship twice.
         self.disk.drain_write_journal();
         self.repl = Some(crate::repl::ReplTap::new());
+        Ok(())
     }
 
     /// Whether the replication tap is on.
@@ -488,7 +500,7 @@ impl FsdVolume {
 
     /// A journalled sector write as the replica should see it. Everything
     /// passes through unchanged except a boot page carrying the
-    /// walk-failed note ([`Self::settle_vam`]): that note says *this*
+    /// settle-failed note ([`Self::settle_vam`]): that note says *this*
     /// machine's name table is beyond repair, and the replica's is its
     /// own — mirrored verbatim, it would turn failover from a wounded
     /// primary into a scavenge. The replica is told the save area is
@@ -498,7 +510,7 @@ impl FsdVolume {
             return data;
         }
         match FsdBootPage::decode(&data) {
-            Ok(mut page) if page.saved_vam == SavedVam::WalkFailed => {
+            Ok(mut page) if page.saved_vam == SavedVam::SettleFailed => {
                 page.saved_vam = SavedVam::Invalid;
                 page.encode()
             }
@@ -529,6 +541,11 @@ impl FsdVolume {
     /// releases shadow-freed pages. Clients may call this to make recent
     /// operations durable immediately.
     pub fn force(&mut self) -> Result<()> {
+        if self.pending_meta_images() > 0 {
+            // The first append of the new epoch writes over the records
+            // an owed redo still needs.
+            self.settle_redo()?;
+        }
         self.last_force = self.clock().now();
 
         // Collect changed sector images: diff each dirty page against its
@@ -766,6 +783,7 @@ impl FsdVolume {
     /// disjoint sectors, so they form one scheduler window: sorted,
     /// coalesced, taken nearest-first.
     pub(crate) fn sync_home_all(&mut self) -> Result<()> {
+        self.settle_redo()?;
         // Collect in logical order — both replicas of a page together,
         // pages by id, then leaders, then VAM sectors. That is the
         // submission order the naive in-order policy executes (exactly
@@ -880,9 +898,11 @@ impl FsdVolume {
 
     // ----- internals -------------------------------------------------------------
 
-    fn next_uid(&mut self) -> u64 {
+    /// Uids carry the epoch, and the epoch starts with the redo settle.
+    fn next_uid(&mut self) -> Result<u64> {
+        self.settle_redo()?;
         self.uid_counter += 1;
-        ((self.boot.boot_count as u64) << 32) | self.uid_counter as u64
+        Ok(((self.boot.boot_count as u64) << 32) | self.uid_counter as u64)
     }
 
     /// Keeps the meta page's root pointer in step with the tree (a
@@ -948,6 +968,7 @@ impl FsdVolume {
     }
 
     pub(crate) fn put_entry(&mut self, fname: &FileName, entry: &FileEntry) -> Result<()> {
+        self.settle_redo()?;
         let mut tree = self.tree;
         {
             let mut store = nt_store!(self);
@@ -1007,7 +1028,7 @@ impl FsdVolume {
         } else {
             0
         };
-        let uid = self.next_uid();
+        let uid = self.next_uid()?;
         let data_pages = data.len().div_ceil(SECTOR_BYTES) as u32;
 
         // Leader + data in one allocation: the leader lands on the sector
@@ -1140,7 +1161,7 @@ impl FsdVolume {
             kind: EntryKind::SymLink {
                 target: target.to_string(),
             },
-            uid: self.next_uid(),
+            uid: self.next_uid()?,
             keep: 0,
             byte_size: 0,
             create_time: self.clock().now(),
@@ -1180,12 +1201,24 @@ impl FsdVolume {
     /// are appended to `out`.
     fn verify_leader(&mut self, file: &FsdFile, extra: usize, out: &mut Vec<u8>) -> Result<()> {
         // A leader awaiting its home write is checked from memory.
-        let in_memory = self.leaders.get(&file.entry.leader_addr).and_then(|ls| {
+        let staged = self.leaders.get(&file.entry.leader_addr).and_then(|ls| {
             ls.unlogged
                 .clone()
                 .or_else(|| ls.logged.as_ref().map(|(i, _)| i.clone()))
         });
-        if let Some(img) = in_memory {
+        // So is one the log holds and the redo settle has yet to write
+        // home — when it is this file's. A stale image (the file deleted
+        // since, the sector reallocated) fails the check and the home
+        // sector decides, which is what the guards of the leader pass
+        // conclude at settle time.
+        let owed = || {
+            let owed = self.redo_owed.as_ref()?;
+            let img = owed.leader_images.get(&file.entry.leader_addr)?;
+            LeaderPage::decode(img)
+                .is_ok_and(|l| l.verify(&file.name, &file.entry).is_ok())
+                .then(|| img.clone())
+        };
+        if let Some(img) = staged.or_else(owed) {
             let leader = LeaderPage::decode(&img)?;
             leader.verify(&file.name, &file.entry)?;
             if extra > 0 {

@@ -1,10 +1,13 @@
-//! The deferred VAM walk (ISSUE 15): boot serves reads before the free
-//! map exists, the first operation that allocates or frees pays the
-//! name-table walk exactly once, and a walk that cannot finish sends the
+//! What boot leaves owed (ISSUES 15 and 19): boot reads the log and
+//! serves reads — through the log's images, before the free map exists —
+//! without writing a sector; the first write pays the redo settle and
+//! the first operation that allocates or frees pays the name-table walk,
+//! each exactly once; and a settle or a walk that cannot finish sends the
 //! next boot to the scavenger instead of stranding the volume.
 //!
-//! The bit-for-bit and microsecond equivalence with an eager boot is
-//! pinned next to the code, in `recovery.rs`'s unit tests; these tests
+//! The phase-by-phase and microsecond account of boot + settle is pinned
+//! next to the code, in `recovery.rs`'s unit tests, and every crash
+//! point of a restart is enumerated in `restart_sweep.rs`; these tests
 //! drive the public surface.
 
 use cedar_disk::{CpuModel, CrashPlan, SimDisk};
@@ -58,10 +61,13 @@ fn crashed() -> SimDisk {
 }
 
 fn boot(disk: &SimDisk) -> FsdVolume {
+    let before = disk.stats();
     let (v, report) = FsdVolume::boot(disk.clone(), config()).unwrap();
     assert!(report.vam_reconstructed, "a crash boot owes the walk");
     assert_eq!((report.files_scanned, report.vam_us), (0, 0));
     assert_eq!(v.vam_walk(), None);
+    assert_eq!(v.redo_settle(), None, "and the redo settle");
+    assert_eq!(v.disk_stats().since(&before).sectors_written, 0);
     v
 }
 
@@ -75,6 +81,7 @@ fn eager(disk: &SimDisk) -> FsdVolume {
 #[test]
 fn a_read_only_session_never_walks_and_the_first_create_walks_once() {
     let disk = crashed();
+    let before = disk.stats();
     let mut v = boot(&disk);
 
     for i in [0, 17, 58, FILES - 4] {
@@ -83,8 +90,18 @@ fn a_read_only_session_never_walks_and_the_first_create_walks_once() {
     }
     assert_eq!(v.list("dir2/").unwrap().len(), in_dir(2));
     assert!(matches!(v.open("lost0", None), Err(FsdError::NotFound(_))));
-    v.create_symlink("link", "[server]target").unwrap();
+    v.advance_time(2_000_000).unwrap();
     v.force().unwrap();
+    let read_only = v.disk_stats().since(&before);
+    assert!(read_only.sectors_read > 0);
+    assert_eq!(read_only.sectors_written, 0, "reads write nothing");
+    assert_eq!(v.redo_settle(), None, "and settle nothing");
+
+    // A link needs the new epoch (its uid, its log record), not a map.
+    v.create_symlink("link", "[server]target").unwrap();
+    let settle = v.redo_settle().expect("the first write pays the settle");
+    v.force().unwrap();
+    assert_eq!(v.redo_settle(), Some(settle), "exactly once");
 
     assert_eq!(v.vam_walk(), None, "nothing above needs a free map");
     assert_eq!(
@@ -107,8 +124,10 @@ fn a_read_only_session_never_walks_and_the_first_create_walks_once() {
 }
 
 /// Whichever mutation comes first pays, and leaves the same free map as
-/// boot + `settle_vam` + the same mutation. (The clocks differ by a seek
-/// or two: the mutation's own lookup runs before the walk, not after.)
+/// boot + `settle_vam` + the same mutation, once both sides have forced.
+/// (The clocks differ: the mutation's own lookup runs before the settle,
+/// not after, so the half-second daemon lands elsewhere — between
+/// `set_keep`'s two deletes, for one.)
 #[test]
 fn every_mutation_and_shutdown_pays_the_walk_when_it_comes_first() {
     type Mutation = fn(&mut FsdVolume);
@@ -134,13 +153,126 @@ fn every_mutation_and_shutdown_pays_the_walk_when_it_comes_first() {
             .vam_walk()
             .unwrap_or_else(|| panic!("{what} did not walk"));
         assert_eq!(walk.files_scanned, FILES as u64, "{what}");
+        // Redo was paid ahead of the walk, once.
+        let settle = lazy.redo_settle();
+        assert!(settle.is_some(), "{what} did not settle redo");
+        assert_eq!(lazy.settle_redo().unwrap(), None, "{what}");
+        assert_eq!(lazy.redo_settle(), settle, "{what}");
 
         let mut reference = eager(&disk);
         mutate(&mut reference);
+        lazy.force().unwrap();
+        reference.force().unwrap();
         assert_eq!(lazy.free_sectors(), reference.free_sectors(), "{what}");
         assert_eq!(lazy.shadow_sectors(), reference.shadow_sectors(), "{what}");
         lazy.verify().unwrap();
     }
+}
+
+/// What needs the new epoch but no free map pays the redo settle — the
+/// sweep is on the platters before anything else is — and leaves the
+/// walk owed.
+#[test]
+fn a_write_that_needs_no_free_map_pays_the_redo_settle_and_not_the_walk() {
+    type Write = fn(&mut FsdVolume);
+    let writes: [(&str, Write); 3] = [
+        ("symlink + force", |v| {
+            v.create_symlink("link", "[server]target").unwrap();
+            v.force().unwrap();
+        }),
+        // The last-used refresh dirties a page; the daemon logs it.
+        ("cached open + daemon", |v| {
+            v.open("cache/c07", None).unwrap();
+            v.advance_time(600_000).unwrap();
+        }),
+        // No frame ever carries the settle's own writes.
+        ("replication tap", |v| {
+            v.enable_repl_tap().unwrap();
+            v.seal_repl_data_frame();
+            assert!(v.take_repl_frames().is_empty());
+        }),
+    ];
+    let mut v = FsdVolume::format(SimDisk::tiny(), config()).unwrap();
+    for i in 0..40 {
+        v.create_cached(&format!("cache/c{i:02}"), &content(i))
+            .unwrap();
+    }
+    v.force().unwrap();
+    let mut disk = v.into_disk();
+    disk.crash_now();
+    disk.reboot();
+    let reference = eager(&disk).list("").unwrap().len();
+
+    for (what, write) in writes {
+        let mut v = boot(&disk);
+        let before = v.disk_stats();
+        write(&mut v);
+        let settle = v.redo_settle();
+        assert!(settle.is_some(), "{what} did not settle redo");
+        assert_eq!(v.vam_walk(), None, "{what} walked");
+        assert!(v.disk_stats().since(&before).sectors_written > 0, "{what}");
+        // Once: the next writes find nothing owed.
+        v.create_symlink("later", "[server]target").unwrap();
+        v.force().unwrap();
+        assert_eq!(v.settle_redo().unwrap(), None, "{what}");
+        assert_eq!(v.redo_settle(), settle, "{what}");
+
+        // What it committed is in the new epoch's log, over swept homes.
+        let mut d = v.into_disk();
+        d.crash_now();
+        d.reboot();
+        let mut v = boot(&d);
+        let links = usize::from(what.starts_with("symlink")) + 1;
+        assert_eq!(v.list("").unwrap().len(), reference + links, "{what}");
+        v.verify().unwrap();
+    }
+}
+
+/// A page cached from the log's images before the settle and dirtied
+/// after it is diffed against the right baseline: only what the new
+/// write changed reaches the new log, and the sectors it left alone are
+/// at home by then — the old log, their only other copy, is gone.
+#[test]
+fn a_page_read_before_the_settle_and_dirtied_after_it_logs_the_right_baseline() {
+    let disk = crashed();
+    let mut v = boot(&disk);
+    let mut expected: Vec<String> = v
+        .list("")
+        .unwrap()
+        .iter()
+        .map(|(n, _)| n.to_string())
+        .collect();
+    assert_eq!(v.redo_settle(), None, "the whole table was read while owed");
+
+    let f = v.create(&name(50), b"a second version").unwrap();
+    assert_eq!(f.name.version, 2);
+    v.force().unwrap();
+    let logged = v.commit_stats().images_logged;
+    assert!(
+        (1..=8).contains(&logged),
+        "a diff against the committed image, not whole fresh pages: {logged}"
+    );
+
+    let mut d = v.into_disk();
+    d.crash_now();
+    d.reboot();
+    let mut v = boot(&d);
+    expected.push(f.name.to_string());
+    expected.sort();
+    let mut got: Vec<String> = v
+        .list("")
+        .unwrap()
+        .iter()
+        .map(|(n, _)| n.to_string())
+        .collect();
+    got.sort();
+    assert_eq!(got, expected);
+    for i in [0, 50, 51, FILES - 4] {
+        let mut f = v.open(&name(i), Some(1)).unwrap();
+        assert_eq!(v.read_file(&mut f).unwrap(), content(i), "{}", name(i));
+    }
+    v.settle_vam().unwrap();
+    v.verify().unwrap();
 }
 
 #[test]
@@ -199,9 +331,9 @@ fn a_crash_while_owed_or_inside_the_first_create_owes_the_same_walk() {
     assert_eq!(v.settle_vam().unwrap().unwrap().files_scanned, FILES as u64);
     assert_eq!(v.free_sectors(), reference.free_sectors());
 
-    // Crash inside the first create, at every early write index: the
-    // walk has run in memory, the create's sectors may or may not have
-    // landed, nothing was forced.
+    // Crash inside the first create, at every early write index: they
+    // fall in the redo sweep it pays first, ahead of the walk
+    // (`restart_sweep.rs` covers every index of a whole script).
     for after_sector_writes in 0..4 {
         let mut v = boot(&disk);
         v.disk_mut().schedule_crash(CrashPlan {
@@ -212,7 +344,6 @@ fn a_crash_while_owed_or_inside_the_first_create_owes_the_same_walk() {
             .create("doomed", &[1u8; 2000])
             .expect_err("the crash lands in the create");
         assert!(err.is_crash(), "{err}");
-        assert!(v.vam_walk().is_some(), "the walk came before the write");
         let mut d = v.into_disk();
         d.reboot();
         let mut v = boot(&d);
@@ -301,6 +432,97 @@ fn a_dead_leaf_page_fails_the_first_allocation_and_scavenges_the_next_boot() {
         assert!(!report.vam_reconstructed);
     }
     assert!(exercised >= 2, "only {exercised} leaf pages exercised");
+}
+
+/// The sweep used to run inside boot, which escalated to the scavenger
+/// when it ran out of spare sectors. Now it belongs to the first write:
+/// that gets the typed error, redo stays owed — reads go on through the
+/// log's images, nothing of the new epoch reaches the disk — and the
+/// boot pages carry the escalation to the next boot.
+#[test]
+fn a_sweep_out_of_spare_sectors_fails_the_first_write_and_scavenges_the_next_boot() {
+    // A log big enough to hold every page image since the format, so the
+    // sweep has a whole tree's worth of homes to write.
+    let config = FsdConfig {
+        log_sectors: 600,
+        ..config()
+    };
+    let mut v = FsdVolume::format(SimDisk::tiny(), config).unwrap();
+    for i in 0..FILES {
+        v.create(&name(i), &content(i)).unwrap();
+    }
+    v.force().unwrap();
+    let mut disk = v.into_disk();
+    disk.crash_now();
+    disk.reboot();
+
+    // The homes the sweep will write are the ones that differ from a
+    // fully recovered image. Kill two more of them than there are
+    // spares, from the table's last page down: the sweep remaps in
+    // address order, so the two it cannot place are on the last page —
+    // past the end of the scavenger's tightly packed rebuild, which
+    // inherits the remap table for the rest.
+    let (mut settled, _) = FsdVolume::boot(disk.clone(), config).unwrap();
+    let listing = settled.list("").unwrap();
+    settled.shutdown().unwrap();
+    let layout = *settled.layout();
+    let settled = settled.into_disk();
+    let mut stale: Vec<u32> = (0..layout.nt_pages)
+        .flat_map(|p| [layout.nt_a_sector(p), layout.nt_a_sector(p) + 1])
+        .filter(|&s| disk.peek_data(s) != settled.peek_data(s))
+        .collect();
+    let spares = cedar_fsd::layout::SPARE_SECTORS as usize;
+    assert!(
+        stale.len() >= spares + 2,
+        "only {} stale homes",
+        stale.len()
+    );
+    for s in stale.split_off(stale.len() - spares - 2) {
+        disk.hard_damage_sector(s);
+    }
+
+    let before = disk.stats();
+    let (mut v, report) = FsdVolume::boot(disk, config).unwrap();
+    assert!(report.rung < RecoveryRung::Scavenge);
+    let err = v
+        .create("after", b"needs the sweep")
+        .expect_err("the sweep runs out of spare sectors");
+    assert!(!err.is_crash(), "a typed media error, not a crash: {err}");
+    assert_eq!(v.redo_settle(), None, "redo stays owed");
+    assert_eq!(v.spare_entries().len(), spares);
+    // The session keeps serving everything, through the log's images,
+    // and keeps refusing to write.
+    assert_eq!(v.list("").unwrap(), listing);
+    for i in [0, 57, FILES - 1] {
+        let mut f = v.open(&name(i), None).unwrap();
+        assert_eq!(v.read_file(&mut f).unwrap(), content(i), "{}", name(i));
+    }
+    assert!(v.create_symlink("link", "[server]target").is_err());
+    assert!(v.delete(&name(0), None).is_err());
+    assert!(v.shutdown().is_err());
+    assert_eq!(v.redo_settle(), None);
+    assert!(v.disk_stats().since(&before).sectors_written > 0);
+
+    // Next boot: rung 3 without being told, and a writable volume.
+    let mut d = v.into_disk();
+    d.crash_now();
+    d.reboot();
+    let (mut v, report) = FsdVolume::boot(d, config).unwrap();
+    assert_eq!(report.rung, RecoveryRung::Scavenge);
+    let cause = &report.scavenge.as_ref().unwrap().cause;
+    assert!(cause.contains("could not settle"), "{cause}");
+    v.verify().unwrap();
+    assert_eq!(v.list("").unwrap().len(), FILES);
+    v.create("after", b"needs the sweep").unwrap();
+    let mut f = v.open(&name(57), None).unwrap();
+    assert_eq!(v.read_file(&mut f).unwrap(), content(57));
+    v.verify().unwrap();
+
+    // And the boot after that is an ordinary one again.
+    v.shutdown().unwrap();
+    let (_, report) = FsdVolume::boot(v.into_disk(), config).unwrap();
+    assert_eq!(report.rung, RecoveryRung::Redo);
+    assert!(!report.vam_reconstructed);
 }
 
 #[test]

@@ -76,9 +76,11 @@ fn main() {
     vol.shutdown().expect("shutdown");
     let disk = vol.into_disk();
     let (mut vol, report) = FsdVolume::boot(disk, FsdConfig::default()).expect("boot");
-    // Had this been a crash, boot would have left a name-table walk owed
-    // to the first allocation; `settle_vam` pays one on demand and says
-    // `None` when, as here, the saved VAM was good.
+    // Boot only reads: writing the log's images home is owed to the first
+    // write, and had this been a crash a name-table walk would be owed to
+    // the first allocation. `settle_redo` and `settle_vam` pay on demand;
+    // the second says `None` when, as here, the saved VAM was good.
+    let settle = vol.settle_redo().expect("redo settle");
     let walk = vol.settle_vam().expect("VAM walk");
     println!(
         "rebooted: replayed {} log records, VAM {} ({} ms to first read, {} ms total)",
@@ -89,7 +91,7 @@ fn main() {
             "loaded from the save area"
         },
         report.total_us() / 1000,
-        (report.total_us() + walk.map_or(0, |w| w.us())) / 1000
+        (report.total_us() + settle.map_or(0, |s| s.us()) + walk.map_or(0, |w| w.us())) / 1000
     );
     assert!(vol.open("docs/note3.tioga", None).is_ok());
     println!("all files intact.");

@@ -1,8 +1,9 @@
 //! `cedarfs` — a command-line tool around the FSD library.
 //!
 //! The volume lives in a host-file disk image; every invocation boots it
-//! (running FSD's log-redo recovery), performs the operation, and — by
-//! default — shuts down cleanly. `--crash` skips the shutdown, leaving
+//! (reading the log; a command that writes then pays FSD's log-redo
+//! recovery), performs the operation, and — by default — shuts down
+//! cleanly. `--crash` skips the shutdown, leaving
 //! the image exactly as a power failure would, so the next invocation
 //! demonstrates recovery.
 //!
@@ -68,16 +69,11 @@ fn report_boot(r: &RecoveryReport) {
     );
     if r.redo_us > 0 {
         eprintln!(
-            "  log scan    {:.2} s  ({} records)",
-            secs(r.scan_us),
-            r.records_replayed
-        );
-        eprintln!(
-            "  home sweep  {:.2} s  ({} sector images)",
-            secs(r.sweep_us),
+            "  log scan    {:.2} s  ({} records, {} sector images owed to the first write)",
+            secs(r.redo_us),
+            r.records_replayed,
             r.images_redone
         );
-        eprintln!("  leaders     {:.2} s", secs(r.leaders_us));
     }
     if r.vam_us > 0 {
         eprintln!("  saved VAM   {:.2} s", secs(r.vam_us));
@@ -87,33 +83,44 @@ fn report_boot(r: &RecoveryReport) {
     }
 }
 
-/// Pays the VAM walk boot left owed and says what it cost. Commands that
-/// allocate or free call this before they start; read-only commands
-/// ([`read_only`]) leave it to [`finish`], whose shutdown needs the map.
+/// Pays what boot left owed — the redo settle, then the VAM walk — and
+/// says what each phase cost. Commands that write call this before they
+/// start; read-only commands ([`read_only`]) leave it to [`finish`],
+/// whose shutdown needs both.
 ///
-/// A walk that finds the name table beyond replica repair asks the next
-/// boot for a scavenge through the boot pages. That boot is taken here,
-/// on the disk in memory: the command carries on against the rebuilt
-/// volume and `finish` saves it. Returning the error instead would leave
-/// the image without the request, to fail the same way every time.
+/// A settle that finds the name table beyond replica repair asks the
+/// next boot for a scavenge through the boot pages. That boot is taken
+/// here, on the disk in memory: the command carries on against the
+/// rebuilt volume and `finish` saves it. Returning the error instead
+/// would leave the image without the request, to fail the same way every
+/// time.
 fn settle(mut vol: FsdVolume, r: &RecoveryReport) -> Result<FsdVolume, String> {
-    match vol.settle_vam() {
-        Ok(None) => Ok(vol),
-        Ok(Some(w)) => {
-            eprintln!(
-                "  VAM walk    {:.2} s  (prefetch {:.2} s + walk {:.2} s, {} files): \
-                 VAM reconstructed from the name table, {:.2} s in all",
-                secs(w.us()),
-                secs(w.prefetch_us),
-                secs(w.walk_us),
-                w.files_scanned,
-                secs(r.total_us() + w.us())
-            );
+    let paid = vol
+        .settle_redo()
+        .and_then(|redo| Ok((redo, vol.settle_vam()?)));
+    match paid {
+        Ok((redo, walk)) => {
+            if let Some(s) = redo {
+                eprintln!("  home sweep  {:.2} s", secs(s.sweep_us));
+                eprintln!("  leaders     {:.2} s", secs(s.leaders_us));
+                eprintln!("  new epoch   {:.2} s", secs(s.epoch_us));
+            }
+            if let Some(w) = walk {
+                eprintln!(
+                    "  VAM walk    {:.2} s  (prefetch {:.2} s + walk {:.2} s, {} files): \
+                     VAM reconstructed from the name table, {:.2} s in all",
+                    secs(w.us()),
+                    secs(w.prefetch_us),
+                    secs(w.walk_us),
+                    w.files_scanned,
+                    secs(r.total_us() + vol.redo_settle().map_or(0, |s| s.us()) + w.us())
+                );
+            }
             Ok(vol)
         }
-        Err(e) if e.is_crash() => Err(format!("VAM walk: {e}")),
+        Err(e) if e.is_crash() => Err(format!("recovery: {e}")),
         Err(e) => {
-            eprintln!("VAM walk: {e}; booting again to scavenge");
+            eprintln!("recovery: {e}; booting again to scavenge");
             let (vol, r) = FsdVolume::boot(vol.into_disk(), FsdConfig::default())
                 .map_err(|e| format!("scavenge: {e}"))?;
             report_boot(&r);
@@ -122,8 +129,8 @@ fn settle(mut vol: FsdVolume, r: &RecoveryReport) -> Result<FsdVolume, String> {
     }
 }
 
-/// Runs a read-only command: it needs no free map, so it goes ahead of
-/// the walk boot left owed. If it fails while the walk is still owed it
+/// Runs a read-only command: it needs neither the homes current nor a
+/// free map, so it goes ahead of everything boot left owed. If it fails while the walk is still owed it
 /// may have met a name-table page that only the walk — and the scavenge
 /// behind it — can put right, so the walk is paid and the command tried
 /// once more.

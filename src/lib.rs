@@ -50,12 +50,14 @@
 //! platters.crash_now();
 //! platters.reboot();
 //! let (mut vol, report) = FsdVolume::boot(platters, FsdConfig::default()).unwrap();
-//! // Boot replays the log and serves reads at once; the name-table walk
-//! // that rebuilds the free map waits for the first allocation, or for
+//! // Boot reads the log and serves reads at once, through its images;
+//! // writing them home waits for the first write, and the name-table
+//! // walk that rebuilds the free map for the first allocation — or for
 //! // whoever asks.
 //! let walk = vol.settle_vam().unwrap().expect("a crash boot owes the walk");
+//! let redo = vol.redo_settle().expect("paid ahead of the walk");
 //! assert!(
-//!     report.total_us() + walk.us() < 30_000_000,
+//!     report.total_us() + redo.us() + walk.us() < 30_000_000,
 //!     "recovery in seconds, not hours"
 //! );
 //!

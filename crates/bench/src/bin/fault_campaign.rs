@@ -645,11 +645,14 @@ fn run_repl_scenario(
         ReplMode::Async => REPL_MAX_LAG as u64,
     };
     settle_and_check(out.volume, &out.report, out.failover_us, |v2| {
-        let mut newest_first = boundaries.iter().rev();
-        let loss = match newest_first.find(|(_, model)| matches_model(v2, model)) {
-            _ if acked == 0 => 0,
-            Some((id, _)) => acked - id,
-            None => return Err("promoted state matches no acknowledged boundary".into()),
+        let loss = if acked == 0 {
+            0
+        } else {
+            let mut newest_first = boundaries.iter().rev();
+            match newest_first.find(|(_, model)| matches_model(v2, model)) {
+                Some((id, _)) => acked - id,
+                None => return Err("promoted state matches no acknowledged boundary".into()),
+            }
         };
         if loss > bound {
             return Err(format!(

@@ -152,7 +152,7 @@ impl RedoSettle {
 /// The log as boot indexed it, until [`FsdVolume::settle_redo`] has
 /// written it home: what reads lay over the platters, and what the
 /// settle writes.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct OwedRedo {
     /// Newest logged image of every name-table and VAM-save sector, by
     /// home sector — both copies of each.
@@ -670,10 +670,7 @@ fn scan_phase(
         &spare,
         &meta,
     )?;
-    let mut owed = OwedRedo {
-        final_images: BTreeMap::new(),
-        leader_images: BTreeMap::new(),
-    };
+    let mut owed = OwedRedo::default();
     for rec in &records {
         for (target, img) in &rec.images {
             // Targets are four bytes off a log sector whose checksum

@@ -541,7 +541,7 @@ impl FsdVolume {
     /// releases shadow-freed pages. Clients may call this to make recent
     /// operations durable immediately.
     pub fn force(&mut self) -> Result<()> {
-        if self.pending_meta_images() > 0 {
+        if self.redo_owed.is_some() && self.pending_meta_images() > 0 {
             // The first append of the new epoch writes over the records
             // an owed redo still needs.
             self.settle_redo()?;
@@ -1212,8 +1212,8 @@ impl FsdVolume {
         // sector decides, which is what the guards of the leader pass
         // conclude at settle time.
         let owed = || {
-            let owed = self.redo_owed.as_ref()?;
-            let img = owed.leader_images.get(&file.entry.leader_addr)?;
+            let redo = self.redo_owed.as_ref()?;
+            let img = redo.leader_images.get(&file.entry.leader_addr)?;
             LeaderPage::decode(img)
                 .is_ok_and(|l| l.verify(&file.name, &file.entry).is_ok())
                 .then(|| img.clone())

@@ -1,0 +1,93 @@
+//! A leader logged by the very force that enters a log third must still
+//! reach its home sector.
+//!
+//! While a commit record is being appended, the leaders taken for it hold
+//! *neither* image: the unlogged one has moved into the record and the
+//! logged one is only marked once the append returns. If that append
+//! enters a new third, the third-entry writeback runs in the middle — and
+//! a writeback that prunes "entries with nothing left to write" drops
+//! exactly those leaders, so their home writes never happen. Nothing
+//! notices at first: a clean shutdown leaves the log full, and the next
+//! boot's redo re-applies the leader from its record. Once the log has
+//! lapped that record the home sector is the only copy, and it is stale.
+//!
+//! The script below walks into that window on purpose: one leader per
+//! force (so about one force in three has its only leader in flight at a
+//! third entry), then enough unrelated forces to lap the log, then a
+//! clean shutdown and a boot that checks every leader against the name
+//! table.
+
+use cedar_disk::sched::IoPolicy;
+use cedar_disk::{CpuModel, SimDisk, SECTOR_BYTES};
+use cedar_fsd::{FsdConfig, FsdVolume};
+
+const FILES: usize = 24;
+const PAGES: u32 = 4;
+
+fn config(io_policy: IoPolicy) -> FsdConfig {
+    FsdConfig {
+        nt_pages: 48,
+        log_sectors: 183, // Thirds of exactly 60 sectors.
+        cpu: CpuModel::FREE,
+        io_policy,
+        ..FsdConfig::default()
+    }
+}
+
+fn body(i: usize) -> Vec<u8> {
+    vec![i as u8 + 1; PAGES as usize * SECTOR_BYTES]
+}
+
+#[test]
+fn a_leader_logged_by_the_force_that_enters_a_third_reaches_its_home() {
+    for policy in [IoPolicy::InOrder, IoPolicy::Satf] {
+        // (directory, pages each file ends with)
+        for (dir, end_pages) in [("grow", PAGES + 2), ("shrink", PAGES - 2)] {
+            let mut v = FsdVolume::format(SimDisk::tiny(), config(policy)).unwrap();
+            for i in 0..FILES {
+                v.create(&format!("{dir}/f{i:02}"), &body(i)).unwrap();
+                v.force().unwrap();
+            }
+            // One restaged leader per force: the record being appended is
+            // the only place its image lives while a third is entered.
+            let entries_before = v.commit_stats().third_flush_pages;
+            for i in 0..FILES {
+                let mut f = v.open(&format!("{dir}/f{i:02}"), None).unwrap();
+                if end_pages > PAGES {
+                    v.extend(&mut f, end_pages - PAGES).unwrap();
+                } else {
+                    v.truncate(&mut f, end_pages).unwrap();
+                }
+                v.force().unwrap();
+            }
+            assert!(
+                v.commit_stats().third_flush_pages > entries_before,
+                "{policy:?} {dir}: the restaging forces never entered a third"
+            );
+            // Lap the log without touching those leaders again, so redo
+            // can no longer put back what the writeback skipped.
+            for i in 0..60 {
+                v.create(&format!("lap/g{i:02}"), &[0xEE; 100]).unwrap();
+                v.force().unwrap();
+            }
+            v.shutdown().unwrap();
+
+            let (mut v, _) = FsdVolume::boot(v.into_disk(), config(policy)).unwrap();
+            for i in 0..FILES {
+                let name = format!("{dir}/f{i:02}");
+                let mut f = v
+                    .open(&name, None)
+                    .unwrap_or_else(|e| panic!("{policy:?} {name}: {e}"));
+                assert_eq!(f.pages(), end_pages, "{policy:?} {name}");
+                // `read_file` checks the home leader against the entry.
+                let got = v
+                    .read_file(&mut f)
+                    .unwrap_or_else(|e| panic!("{policy:?} {name}: {e}"));
+                let kept = PAGES.min(end_pages) as usize * SECTOR_BYTES;
+                assert_eq!(got.len(), end_pages as usize * SECTOR_BYTES);
+                assert_eq!(got[..kept], body(i)[..kept], "{policy:?} {name}");
+            }
+            v.verify().unwrap();
+        }
+    }
+}

@@ -33,8 +33,8 @@ pub struct Config {
     /// multi-sector commit/recovery hot paths. A raw disk call inside one
     /// of these functions is a finding — those paths must submit through
     /// `cedar_disk::sched` batches so barriers and scheduling apply.
-    /// Deliberate single-sector or replica-fallback readers (`read_meta`,
-    /// `read_boot_page`, `read_saved_vam`) are simply not listed.
+    /// The deliberate both-copies reader (`read_replicated`) is simply
+    /// not listed.
     pub batch_io_fns: Vec<(&'static str, Vec<&'static str>)>,
     /// Files (by relative path) allowed to address log-region sectors.
     pub log_region_files: Vec<&'static str>,
@@ -84,8 +84,9 @@ pub struct Config {
     /// executed must have called `barrier()` first (commit-record writes
     /// go in the post-barrier window).
     pub barrier_fns: Vec<(&'static str, Vec<&'static str>)>,
-    /// batch-io: callees that are deliberate single-sector/replica
-    /// fallback readers, exempt from the indirect raw-I/O check.
+    /// batch-io: callees that deliberately read copy by copy (the one
+    /// reader of replicated structures), exempt from the indirect
+    /// raw-I/O check.
     pub batch_io_fallback_fns: Vec<&'static str>,
     /// error-flow: files forming the force/flush/recovery paths where
     /// `Result` values must not be silently discarded.
@@ -245,9 +246,11 @@ impl Config {
                 ("crates/fsd/src/log.rs", vec!["append", "write_meta"]),
                 (
                     "crates/fsd/src/volume.rs",
+                    // `force` includes the third-entry writeback: the
+                    // closure it hands `Log::append`.
                     vec![
                         "force",
-                        "flush_third",
+                        "collect_home_writes",
                         "sync_home_all",
                         "write_boot_pages",
                         "save_vam_and_mark_valid",
@@ -344,7 +347,10 @@ impl Config {
                 ("crates/fsd/src/log.rs", vec!["append"]),
                 ("crates/fsd/src/layout.rs", vec!["write_replicas"]),
             ],
-            batch_io_fallback_fns: vec!["read_meta", "read_boot_page", "read_saved_vam"],
+            // The thin per-structure readers (`read_boot_page`,
+            // `Log::read_meta`, `read_saved_vam`, `read_through`) no
+            // longer touch the disk themselves.
+            batch_io_fallback_fns: vec!["read_replicated"],
             error_flow_files: vec![
                 "crates/fsd/src/log.rs",
                 "crates/fsd/src/volume.rs",
@@ -470,6 +476,8 @@ impl Config {
                 // Layout address math asserts on out-of-range pages.
                 ("nt_a_sector", Some(0)),
                 ("nt_b_sector", Some(0)),
+                ("nt_pair", Some(0)),
+                ("vam_sector_pair", Some(0)),
                 // VAM bitmap ops panic on out-of-range sectors.
                 ("allocate_run", Some(0)),
                 ("free_run", Some(0)),
@@ -482,6 +490,8 @@ impl Config {
                 ("write_home_batch", Some(3)),
                 ("scrub_batch", Some(3)),
                 ("redo_leaders", Some(3)),
+                // The pair steers two reads and the scrub between them.
+                ("read_replicated", Some(3)),
                 ("read_allow_damage", Some(1)),
                 ("with_entries", Some(1)),
                 ("execute", Some(2)),

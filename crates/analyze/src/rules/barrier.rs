@@ -6,8 +6,8 @@
 //!   direct (on the disk, or on a wrapper that is handed the disk, such
 //!   as the remap-translating `spare.read_allow_damage(disk, ..)`), or
 //!   via a plain same-crate callee that performs one — bypasses
-//!   `cedar_disk::sched` batching (write barriers + scheduling). Deliberate
-//!   single-sector replica/fallback readers are listed in
+//!   `cedar_disk::sched` batching (write barriers + scheduling). The
+//!   deliberate copy-by-copy reader of replicated structures is listed in
 //!   `batch_io_fallback_fns`.
 //! * **barrier-discipline**: in the configured commit fns, every `IoBatch`
 //!   local that is submitted via `execute` must have called `barrier()`
@@ -330,8 +330,8 @@ mod tests {
         let f = file(
             "crates/fsd/src/recovery.rs",
             "fsd",
-            "pub fn scan_phase(disk: &mut SimDisk) { read_boot_page(disk); }\n\
-             fn read_boot_page(disk: &mut SimDisk) { disk.read(0, 1); }\n",
+            "pub fn scan_phase(disk: &mut SimDisk) { read_replicated(disk); }\n\
+             fn read_replicated(disk: &mut SimDisk) { disk.read(0, 1); }\n",
         );
         assert!(run(vec![f]).is_empty());
     }

@@ -1140,6 +1140,27 @@ mod tests {
     }
 
     #[test]
+    fn pair_reader_is_steered_by_its_pair_not_by_the_bytes_it_overlays() {
+        // The pair (argument 3) addresses two reads and a scrub; the
+        // logged overlay (argument 4) is payload.
+        let bad = rec(
+            "pub fn read(disk: &mut SimDisk, spare: &mut SpareMap, buf: &[u8]) {\n\
+             let header = decode_header(buf);\n\
+             let pair = Replicated { a: header.addr, b: header.addr, sectors: 1 };\n\
+             read_replicated(disk, policy, spare, pair, None, valid);\n\
+             }\n",
+        );
+        assert_eq!(run(vec![bad]).len(), 1);
+        let ok = rec(
+            "pub fn read(disk: &mut SimDisk, spare: &mut SpareMap, buf: &[u8], pair: Replicated) {\n\
+             let logged = decode_header(buf);\n\
+             read_replicated(disk, policy, spare, pair, logged, valid);\n\
+             }\n",
+        );
+        assert!(run(vec![ok]).is_empty());
+    }
+
+    #[test]
     fn deref_guard_is_not_multiplication() {
         let f = rec("pub fn absorb(buf: &[u8]) {\n\
              let n = decode_header(buf);\n\

@@ -141,7 +141,7 @@ const ENGINE: &str = "crates/fsd/src/engine.rs";
 const MAYBE_FORCE: &str = "fn maybe_force(&mut self) -> Result<()> {";
 
 /// The mutation table (ISSUE 17, EXPERIMENTS.md E-LINT; row 17 came
-/// with ISSUE 19). A rule is only
+/// with ISSUE 19, row 18 with ISSUE 20). A rule is only
 /// believed once it has a row here: the per-rule fixtures cannot catch a
 /// refactor of the *real* code that blinds a rule, because nobody
 /// refactors a fixture.
@@ -222,6 +222,21 @@ const SEEDS: &[Seed] = &[
             ("redo_leaders", "disk.read()"),
             ("pay_redo", "redo_leaders() raw io"),
         ],
+    },
+    // A second, hand-rolled read of one copy of a replicated structure
+    // put back beside the one reader: the boot scan does not touch the
+    // disk itself.
+    Seed {
+        row: 18,
+        rule: "batch-io",
+        file: "crates/fsd/src/recovery.rs",
+        edit: Edit::Replace {
+            after: "fn scan_phase(",
+            anchor: "let mut spare = SpareMap::with_entries(layout, &boot.spare_map);",
+            with: "let mut spare = SpareMap::with_entries(layout, &boot.spare_map);\n\
+                   if boot.boot_count == 0 { disk.read(layout.boot_b, 1)?; }",
+        },
+        expect: &[("scan_phase", "disk.read()")],
     },
     Seed {
         row: 7,

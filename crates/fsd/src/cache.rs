@@ -22,7 +22,7 @@
 use crate::layout::FsdLayout;
 use crate::recovery::OwedRedo;
 use crate::spare::{self, SpareMap};
-use crate::{FsdError, NT_PAGE_BYTES, NT_PAGE_SECTORS};
+use crate::{NT_PAGE_BYTES, NT_PAGE_SECTORS};
 use cedar_btree::{PageId, PageStore, StoreError};
 use cedar_disk::scan;
 use cedar_disk::sched::IoPolicy;
@@ -318,81 +318,25 @@ impl FsdNtStore<'_> {
             p.last_used = stamp;
             return Ok(p.image.clone());
         }
-        // "When a page is read, both copies are read and checked." A
-        // damaged copy is scrubbed from its twin immediately: a second
-        // media fault must not find the damage still in place.
-        let at_a = self.layout.nt_a_sector(id);
-        let at_b = self.layout.nt_b_sector(id);
-        let (mut a, a_mask) = self
-            .spare
-            .read_allow_damage(self.disk, at_a, NT_PAGE_SECTORS as usize)
-            .map_err(to_store_err)?;
-        let (mut b, b_mask) = self
-            .spare
-            .read_allow_damage(self.disk, at_b, NT_PAGE_SECTORS as usize)
-            .map_err(to_store_err)?;
-        // A sector the log holds reads as the log's image in both copies,
-        // whatever the platters say. The damage masks stay as read: a
-        // flawed home sector is still scrubbed below — with the image the
-        // page now carries, which is the committed one.
-        let mut logged = [false; NT_PAGE_SECTORS as usize];
-        if let Some(owed) = self.owed {
-            for (i, held) in logged.iter_mut().enumerate() {
-                if let Some(image) = owed.final_images.get(&(at_a + i as u32)) {
-                    let range = i * SECTOR_BYTES..(i + 1) * SECTOR_BYTES;
-                    a[range.clone()].copy_from_slice(image);
-                    b[range].copy_from_slice(image);
-                    *held = true;
-                }
+        // "When a page is read, both copies are read and checked", the
+        // sector images the log still owes the page laid over them. A
+        // repair that could not stick (spare slots exhausted) is left to
+        // the page's next home write.
+        let (image, needs_home) = spare::read_replicated(
+            self.disk,
+            self.policy,
+            self.spare,
+            self.layout.nt_pair(id),
+            self.owed.map(|o| &o.final_images),
+            |image| Some(image.to_vec()),
+        )
+        .map_err(|e| {
+            if e.is_crash() {
+                StoreError::Crashed
+            } else {
+                StoreError::Io(format!("page {id}: {e}"))
             }
-        }
-        let a_ok = a_mask.iter().all(|&d| !d);
-        let b_ok = b_mask.iter().all(|&d| !d);
-        let image = if a_ok {
-            a
-        } else if b_ok {
-            b
-        } else {
-            // Salvage sector by sector: the failure model says at most two
-            // consecutive sectors die, so A and B never lose the same one.
-            let mut img = Vec::with_capacity(NT_PAGE_BYTES);
-            for i in 0..NT_PAGE_SECTORS as usize {
-                let range = i * SECTOR_BYTES..(i + 1) * SECTOR_BYTES;
-                if !a_mask[i] || logged[i] {
-                    img.extend_from_slice(&a[range]);
-                } else if !b_mask[i] {
-                    img.extend_from_slice(&b[range]);
-                } else {
-                    return Err(StoreError::Io(format!(
-                        "name table page {id}: sector {i} lost in both copies"
-                    )));
-                }
-            }
-            img
-        };
-        let mut needs_home = false;
-        if !a_ok || !b_ok {
-            let mut writes = Vec::new();
-            for i in 0..NT_PAGE_SECTORS as usize {
-                let range = i * SECTOR_BYTES..(i + 1) * SECTOR_BYTES;
-                if a_mask[i] {
-                    self.spare.note_damaged(at_a + i as u32);
-                    writes.push((at_a + i as u32, image[range.clone()].to_vec()));
-                }
-                if b_mask[i] {
-                    self.spare.note_damaged(at_b + i as u32);
-                    writes.push((at_b + i as u32, image[range].to_vec()));
-                }
-            }
-            if let Err(e) = spare::scrub_batch(self.disk, self.policy, self.spare, writes) {
-                if matches!(e, FsdError::Disk(DiskError::Crashed)) {
-                    return Err(StoreError::Crashed);
-                }
-                // Spare slots exhausted: fall back to the pre-sparing
-                // behavior and leave the repair to the next home write.
-                needs_home = true;
-            }
-        }
+        })?;
         self.cache.pages.insert(
             id,
             CachedPage {

@@ -14,11 +14,18 @@
 //!
 //! "Two kinds of pages needed in booting could become bad: they are now
 //! replicated" (§5.8): the boot page and the log meta page each live in
-//! two non-adjacent sectors.
+//! two non-adjacent sectors, as do the VAM save area and every page of
+//! the name table. [`Replicated`] is the one description of such a pair
+//! — where copy A is, where copy B is, how long each is — and the only
+//! place outside this file that turns one into two addresses:
+//! [`Replicated::both`] for the writers, and
+//! [`crate::spare::read_replicated`] for the read that checks both
+//! copies and repairs one from the other.
 
 use cedar_disk::sched::{self, IoBatch, IoOp, IoPolicy, OpResult};
 use cedar_disk::{DiskGeometry, SectorAddr, SimDisk, SECTOR_BYTES};
 use cedar_vol::codec::{Reader, Writer};
+use cedar_vol::{Run, Vam};
 
 use crate::NT_PAGE_SECTORS;
 
@@ -28,6 +35,40 @@ pub const BOOT_MAGIC: u32 = 0xF5D_B007;
 /// Sectors reserved in the spare region for remapping grown defects
 /// (§5.8's "bad pages in the file system's own data structures").
 pub const SPARE_SECTORS: u32 = 16;
+
+/// One double-written structure: `sectors` consecutive sectors starting
+/// at `a`, and the same again at `b`, on sectors that do not fail
+/// together (§5.1).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Replicated {
+    /// First sector of copy A.
+    pub a: SectorAddr,
+    /// First sector of copy B.
+    pub b: SectorAddr,
+    /// Sectors per copy.
+    pub sectors: u32,
+    /// What the structure is called when a read of it fails.
+    pub what: &'static str,
+}
+
+impl Replicated {
+    /// The log meta page of the log region starting at `log_start`:
+    /// offsets 0 and 2 of the region, a blank sector between them. The
+    /// log knows where it starts, not the volume's layout.
+    pub fn log_meta(log_start: SectorAddr) -> Self {
+        Self {
+            a: log_start,
+            b: log_start + 2,
+            sectors: 1,
+            what: "log meta page",
+        }
+    }
+
+    /// The write side: `image` addressed to both copies, A first.
+    pub fn both(&self, image: Vec<u8>) -> [(SectorAddr, Vec<u8>); 2] {
+        [(self.a, image.clone()), (self.b, image)]
+    }
+}
 
 /// Computed sector layout of an FSD volume.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -133,10 +174,72 @@ impl FsdLayout {
         self.nt_b_start + page * NT_PAGE_SECTORS
     }
 
+    /// The boot page pair (sectors 0 and 2).
+    pub fn boot_pair(&self) -> Replicated {
+        Replicated {
+            a: self.boot_a,
+            b: self.boot_b,
+            sectors: 1,
+            what: "boot page",
+        }
+    }
+
+    /// The whole VAM save area, both copies.
+    pub fn vam_pair(&self) -> Replicated {
+        Replicated {
+            a: self.vam_a,
+            b: self.vam_b,
+            sectors: self.vam_sectors,
+            what: "VAM save area",
+        }
+    }
+
+    /// Sector `index` of the VAM save area, both copies.
+    pub fn vam_sector_pair(&self, index: u32) -> Replicated {
+        assert!(index < self.vam_sectors);
+        Replicated {
+            a: self.vam_a + index,
+            b: self.vam_b + index,
+            sectors: 1,
+            what: "VAM save sector",
+        }
+    }
+
+    /// Name-table page `page`, both copies.
+    pub fn nt_pair(&self, page: u32) -> Replicated {
+        Replicated {
+            a: self.nt_a_sector(page),
+            b: self.nt_b_sector(page),
+            sectors: NT_PAGE_SECTORS,
+            what: "name-table page",
+        }
+    }
+
     /// The data area bounds `[lo, hi)`; the central metadata region inside
     /// is excluded by being marked allocated in the VAM.
     pub fn data_area(&self) -> (SectorAddr, SectorAddr) {
         (self.small_start, self.total_sectors)
+    }
+
+    /// The two file-data areas `[lo, hi)`: small files below the central
+    /// metadata region, big files above it (§5.6).
+    pub fn data_areas(&self) -> [(SectorAddr, SectorAddr); 2] {
+        [
+            (self.small_start, self.nt_a_start),
+            (self.central_end, self.total_sectors),
+        ]
+    }
+
+    /// The free map of a volume with no files: everything outside the
+    /// system areas is free (§5.5). Format starts from it; a VAM rebuild
+    /// and the scavenger subtract what the name table or the recovered
+    /// leaders claim.
+    pub fn empty_vam(&self) -> Vam {
+        let mut vam = Vam::new_all_allocated(self.total_sectors);
+        for (lo, hi) in self.data_areas() {
+            vam.free_run(Run::new(lo, hi - lo));
+        }
+        vam
     }
 
     /// Returns `true` if `addr` lies in a system region (boot, VAM save,
@@ -160,11 +263,10 @@ impl FsdLayout {
 pub(crate) fn write_replicas(
     disk: &mut SimDisk,
     policy: IoPolicy,
-    a: SectorAddr,
-    b: SectorAddr,
+    pair: Replicated,
     bytes: Vec<u8>,
 ) -> crate::Result<()> {
-    let targets = [a, b];
+    let targets = [pair.a, pair.b];
     let mut durable = [false; 2];
     let mut failures = [0u8; 2];
     loop {
@@ -199,7 +301,8 @@ pub(crate) fn write_replicas(
         Ok(())
     } else {
         Err(crate::FsdError::Check(format!(
-            "both replica sectors {a} and {b} are bad"
+            "both replica sectors {} and {} are bad",
+            pair.a, pair.b
         )))
     }
 }
@@ -340,6 +443,32 @@ mod tests {
             let a = l.nt_a_sector(p);
             let b = l.nt_b_sector(p);
             assert!(b > a + 1, "page {p} copies adjacent");
+        }
+    }
+
+    #[test]
+    fn no_pair_has_adjacent_or_overlapping_copies() {
+        let l = FsdLayout::compute(&DiskGeometry::TINY, 16, 128);
+        let mut pairs = vec![
+            l.boot_pair(),
+            Replicated::log_meta(l.log_start),
+            l.vam_pair(),
+        ];
+        pairs.extend((0..l.vam_sectors).map(|i| l.vam_sector_pair(i)));
+        pairs.extend((0..l.nt_pages).map(|p| l.nt_pair(p)));
+        for p in pairs {
+            assert!(p.b > p.a + p.sectors, "{p:?}: a blank between the copies");
+            let [(a, image_a), (b, image_b)] = p.both(vec![7]);
+            assert_eq!((a, b, &image_a), (p.a, p.b, &image_b));
+        }
+    }
+
+    #[test]
+    fn empty_vam_frees_exactly_what_is_not_a_system_area() {
+        let l = FsdLayout::compute(&DiskGeometry::TINY, 16, 128);
+        let vam = l.empty_vam();
+        for addr in 0..l.total_sectors {
+            assert_eq!(vam.is_free(addr), !l.is_system(addr), "sector {addr}");
         }
     }
 

@@ -44,6 +44,7 @@
 //! page zero of the log region, replicated in page two.
 
 use crate::error::FsdError;
+use crate::layout::{FsdLayout, Replicated};
 use crate::spare::{self, SpareMap};
 use crate::Result;
 use cedar_disk::sched::{self, IoBatch, IoOp, IoPolicy};
@@ -88,12 +89,32 @@ pub enum PageTarget {
 }
 
 impl PageTarget {
+    /// The home sectors of a logged image: both copies of a name-table
+    /// or VAM-save sector, the one address of a leader. The only place
+    /// that turns a target into addresses — boot's index of the log and
+    /// a replica's continuous redo both route through it. Call
+    /// [`Self::validate`] first on a target read off a disk or a link.
+    pub fn homes(&self, layout: &FsdLayout) -> impl Iterator<Item = SectorAddr> {
+        let (a, b) = match *self {
+            Self::NtSector { page, sector } => {
+                let pair = layout.nt_pair(page);
+                (pair.a + sector, Some(pair.b + sector))
+            }
+            Self::Leader { addr } => (addr, None),
+            Self::VamSector { index } => {
+                let pair = layout.vam_sector_pair(index);
+                (pair.a, Some(pair.b))
+            }
+        };
+        std::iter::once(a).chain(b)
+    }
+
     /// Checks that the decoded target addresses a sector this volume
     /// actually has. A target is four bytes read off a possibly-corrupt
-    /// log sector; without this check a wild `page` panics in
-    /// `nt_a_sector`'s range assert and a wild `addr` steers a redo write
+    /// log sector; without this check a wild `page` panics in the
+    /// layout's range asserts and a wild `addr` steers a redo write
     /// outside the data area — during the one phase that must not fail.
-    pub fn validate(&self, layout: &crate::layout::FsdLayout) -> Result<()> {
+    pub fn validate(&self, layout: &FsdLayout) -> Result<()> {
         let ok = match self {
             Self::NtSector { page, sector } => {
                 *page < layout.nt_pages && *sector < crate::NT_PAGE_SECTORS
@@ -306,65 +327,24 @@ impl Log {
             oldest_seq: self.oldest.1,
             boot_count: self.boot_count,
         };
-        let bytes = meta.encode();
-        spare::scrub_batch(
-            disk,
-            self.policy,
-            spare,
-            vec![(self.start, bytes.clone()), (self.start + 2, bytes)],
-        )
+        let writes = Replicated::log_meta(self.start).both(meta.encode());
+        spare::scrub_batch(disk, self.policy, spare, writes.into())
     }
 
-    /// Reads the meta page, falling back to the replica on damage — and
-    /// *scrubbing* the failed copy from the survivor's bytes on the way,
-    /// so a second media fault cannot strand the volume with a single
-    /// copy. A copy whose rewrite also fails is remapped through `spare`.
+    /// Reads the meta page: both copies, through
+    /// [`spare::read_replicated`] — a damaged or undecodable copy is
+    /// rewritten from the other on the way, so a second media fault
+    /// cannot strand the volume with a single copy.
     pub fn read_meta(
         disk: &mut SimDisk,
         policy: IoPolicy,
         spare: &mut SpareMap,
         log_start: SectorAddr,
     ) -> Result<LogMeta> {
-        let mut good: Option<(LogMeta, Vec<u8>)> = None;
-        let mut damaged: Vec<SectorAddr> = Vec::new();
-        let mut stale: Vec<SectorAddr> = Vec::new();
-        for addr in [log_start, log_start + 2] {
-            let (bytes, mask) = spare
-                .read_allow_damage(disk, addr, 1)
-                .map_err(FsdError::Disk)?;
-            if mask[0] {
-                damaged.push(addr);
-                continue;
-            }
-            match LogMeta::decode(&bytes) {
-                Ok(meta) => {
-                    if good.is_none() {
-                        good = Some((meta, bytes));
-                    }
-                }
-                Err(_) => stale.push(addr),
-            }
-        }
-        let Some((meta, bytes)) = good else {
-            return Err(FsdError::Check("both log meta copies unreadable".into()));
-        };
-        if !damaged.is_empty() || !stale.is_empty() {
-            for &addr in &damaged {
-                spare.note_damaged(addr);
-            }
-            let writes = damaged
-                .iter()
-                .chain(&stale)
-                .map(|&addr| (addr, bytes.clone()))
-                .collect();
-            if let Err(e) = spare::scrub_batch(disk, policy, spare, writes) {
-                if e.is_crash() {
-                    return Err(e);
-                }
-                // The scrub could not stick (spare slots exhausted): the
-                // surviving copy still serves this boot.
-            }
-        }
+        let pair = Replicated::log_meta(log_start);
+        let (meta, _) = spare::read_replicated(disk, policy, spare, pair, None, |bytes| {
+            LogMeta::decode(bytes).ok()
+        })?;
         Ok(meta)
     }
 

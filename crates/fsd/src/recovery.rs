@@ -78,20 +78,20 @@
 //! boot: the scavenger rebuilds from leader pages alone. The note is
 //! about this machine's media, so replication does not ship it: a replica
 //! of a wounded primary is told only that the save area is stale.
-use crate::cache::{FsdNtStore, NtCache, NtMeta};
+use crate::cache::NtMeta;
 use crate::layout::{FsdBootPage, FsdLayout, SavedVam};
 use crate::leader::LeaderPage;
 use crate::log::{self, Log, PageTarget};
 use crate::scavenge::{self, ScavengeSummary};
 use crate::spare::{self, SpareMap};
-use crate::volume::{FsdConfig, FsdVolume};
+use crate::volume::{nt_store, FsdConfig, FsdVolume};
 use crate::{FsdError, Result};
 use cedar_btree::BTree;
 use cedar_disk::clock::Micros;
 use cedar_disk::sched::{self, IoBatch, IoOp, IoPolicy, OpResult};
-use cedar_disk::{scan, Cpu, SectorAddr, SimDisk, SECTOR_BYTES};
-use cedar_vol::{AllocPolicy, Allocator, Run, Vam};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use cedar_disk::{scan, Cpu, SectorAddr, SimDisk};
+use cedar_vol::{Run, Vam};
+use std::collections::BTreeMap;
 
 /// The highest recovery rung a boot had to climb to.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
@@ -246,49 +246,14 @@ impl FsdVolume {
             };
         let vam_was_valid = boot.saved_vam == SavedVam::Valid;
 
-        let (dlo, dhi) = layout.data_area();
         // The log of the epoch the settle will start: nothing is appended
         // to it, and nothing of it is written, before then.
-        let mut log = match Log::fresh(layout.log_start, layout.log_sectors, boot.boot_count + 1) {
+        let log = match Log::fresh(layout.log_start, layout.log_sectors, boot.boot_count + 1) {
             Ok(log) => log,
             Err(e) => return Err((e, disk)),
         };
-        log.set_policy(config.io_policy);
-        let mut vol = FsdVolume {
-            log,
-            disk,
-            cpu,
-            layout,
-            boot,
-            tree: BTree::open(0),
-            cache: NtCache::with_capacity(config.cache_pages),
-            pending_pages: BTreeSet::new(),
-            leaders: HashMap::new(),
-            vam: Vam::new_all_allocated(layout.total_sectors),
-            alloc: Allocator::new(
-                AllocPolicy::SplitAreas {
-                    small_threshold: config.small_threshold,
-                },
-                dlo,
-                dhi,
-            ),
-            uid_counter: 0,
-            last_force: 0,
-            commit_interval: config.commit_interval_us,
-            vam_hint_on_disk: false,
-            redo_owed: Some(owed),
-            redo_settle: None,
-            vam_owed: false,
-            vam_walk: None,
-            scavenge_workers: config.scavenge_workers,
-            commit_stats: Default::default(),
-            vam_baseline: None,
-            vam_home: HashMap::new(),
-            io_policy: config.io_policy,
-            spare,
-            repl: None,
-        };
-        vol.last_force = vol.clock().now();
+        let mut vol = FsdVolume::assemble(disk, cpu, layout, boot, log, spare, &config);
+        vol.redo_owed = Some(owed);
 
         match vol.finish_boot(vam_was_valid, &mut report) {
             Ok(()) => {
@@ -319,23 +284,10 @@ impl FsdVolume {
                 report.redo_us += settle.us();
             }
         }
-        let root = {
-            let mut store = FsdNtStore {
-                disk: &mut self.disk,
-                cpu: &self.cpu,
-                layout: &self.layout,
-                policy: self.io_policy,
-                spare: &mut self.spare,
-                owed: self.redo_owed.as_ref(),
-                cache: &mut self.cache,
-                pending: &mut self.pending_pages,
-            };
-            let raw = store
-                .read_through(0)
-                .map_err(cedar_btree::BTreeError::Store)?;
-            NtMeta::decode_root(&raw).map_err(FsdError::Check)?
-        };
-        self.tree = BTree::open(root);
+        let raw = nt_store!(self)
+            .read_through(0)
+            .map_err(cedar_btree::BTreeError::Store)?;
+        self.tree = BTree::open(NtMeta::decode_root(&raw).map_err(FsdError::Check)?);
 
         let t1 = self.clock().now();
         // Under the §5.3 VAM-logging extension the save area is a base
@@ -468,19 +420,13 @@ impl FsdVolume {
         // (empty) log — the homes are now current. The sweep above was
         // submitted separately, so it is durable before the boot pages
         // change.
-        let mut boot = self.boot.clone();
-        boot.boot_count += 1;
-        boot.saved_vam = SavedVam::Invalid;
-        boot.spare_map = self.spare.entries().to_vec();
-        self.spare.take_dirty();
-        crate::layout::write_replicas(
-            &mut self.disk,
-            self.io_policy,
-            self.layout.boot_a,
-            self.layout.boot_b,
-            boot.encode(),
-        )?;
-        self.boot = boot;
+        let old_epoch = self.boot.clone();
+        self.boot.boot_count += 1;
+        self.boot.saved_vam = SavedVam::Invalid;
+        if let Err(e) = self.write_boot_pages() {
+            self.boot = old_epoch;
+            return Err(e);
+        }
         self.log.write_meta(&mut self.disk, &mut self.spare)?;
         self.redo_owed = None;
         let settle = RedoSettle {
@@ -513,28 +459,11 @@ impl FsdVolume {
     fn reconstruct_vam(&mut self, workers: usize) -> Result<VamWalk> {
         let t_start = self.clock().now();
         let t_prefetched;
-        let mut vam = Vam::new_all_allocated(self.layout.total_sectors);
-        vam.free_run(Run::new(
-            self.layout.small_start,
-            self.layout.nt_a_start - self.layout.small_start,
-        ));
-        vam.free_run(Run::new(
-            self.layout.central_end,
-            self.layout.total_sectors - self.layout.central_end,
-        ));
+        let mut vam = self.layout.empty_vam();
         let mut entries: Vec<Vec<u8>> = Vec::new();
         let tree = self.tree;
         {
-            let mut store = FsdNtStore {
-                disk: &mut self.disk,
-                cpu: &self.cpu,
-                layout: &self.layout,
-                policy: self.io_policy,
-                spare: &mut self.spare,
-                owed: self.redo_owed.as_ref(),
-                cache: &mut self.cache,
-                pending: &mut self.pending_pages,
-            };
+            let mut store = nt_store!(self);
             // Batch-read the whole allocated table up front: the walk
             // then runs from the cache instead of paying two seek+rotate
             // round trips per page.
@@ -643,7 +572,7 @@ fn scan_phase(
     // Boot page: copy A, falling back to copy B (§5.8, error class 5),
     // scrubbing a damaged copy back from the survivor. The remap table
     // lives here, so it is available before any other structure is read.
-    let boot = read_boot_page(disk, layout, report)?;
+    let boot = read_boot_page(disk, layout, policy, report)?;
     if boot.saved_vam == SavedVam::SettleFailed {
         // The last session could not finish recovery for a reason other
         // than a crash and left this note: no point replaying a log into
@@ -679,19 +608,14 @@ fn scan_phase(
             // rather than panic in address math or write outside the
             // region the record claims (§5.8, error class 2).
             target.validate(layout)?;
-            match target {
-                PageTarget::NtSector { page, sector } => {
-                    let (a, b) = (layout.nt_a_sector(*page), layout.nt_b_sector(*page));
-                    owed.final_images.insert(a + sector, img.clone());
-                    owed.final_images.insert(b + sector, img.clone());
-                }
-                PageTarget::Leader { addr } => {
-                    owed.leader_images.insert(*addr, img.clone());
-                }
-                PageTarget::VamSector { index } => {
-                    owed.final_images.insert(layout.vam_a + index, img.clone());
-                    owed.final_images.insert(layout.vam_b + index, img.clone());
-                }
+            // Leaders go home through the guarded leader pass, everything
+            // else through the sweep.
+            let index = match target {
+                PageTarget::Leader { .. } => &mut owed.leader_images,
+                _ => &mut owed.final_images,
+            };
+            for home in target.homes(layout) {
+                index.insert(home, img.clone());
             }
             report.images_redone += 1;
         }
@@ -769,125 +693,44 @@ fn redo_leaders(
     Ok(())
 }
 
-/// Reads the boot page, preferring copy A and scrubbing a damaged copy
-/// back from the survivor. Boot pages sit outside the remappable ranges
-/// (the map must be readable before it can be applied), so replication
-/// is their only defence: a scrub rewrite that fails too is dropped.
+/// Reads the boot page. It is read before the remap table exists — the
+/// table is *on* it — and its sectors are not remappable, so it goes
+/// through the pair reader with a disabled map: replication is its only
+/// defence, and a scrub rewrite that fails too is dropped.
 fn read_boot_page(
     disk: &mut SimDisk,
     layout: &FsdLayout,
+    policy: IoPolicy,
     report: &mut RecoveryReport,
 ) -> Result<FsdBootPage> {
-    let mut good: Option<FsdBootPage> = None;
-    let mut bad: Vec<SectorAddr> = Vec::new();
-    for addr in [layout.boot_a, layout.boot_b] {
-        match disk.read(addr, 1) {
-            Ok(bytes) => match FsdBootPage::decode(&bytes) {
-                Ok(b) => {
-                    if good.is_none() {
-                        good = Some(b);
-                    }
-                }
-                Err(_) => bad.push(addr),
-            },
-            Err(cedar_disk::DiskError::Crashed) => {
-                return Err(FsdError::Disk(cedar_disk::DiskError::Crashed))
-            }
-            Err(_) => bad.push(addr),
-        }
-    }
-    let Some(boot) = good else {
-        return Err(FsdError::Check("both boot page copies unreadable".into()));
-    };
-    if !bad.is_empty() {
-        let bytes = boot.encode();
-        for addr in bad {
-            match disk.write(addr, &bytes) {
-                Ok(()) => report.scrubbed_sectors += 1,
-                Err(cedar_disk::DiskError::Crashed) => {
-                    return Err(FsdError::Disk(cedar_disk::DiskError::Crashed))
-                }
-                Err(_) => {}
-            }
-        }
-    }
+    let mut unmapped = SpareMap::disabled();
+    let (boot, _) = spare::read_replicated(
+        disk,
+        policy,
+        &mut unmapped,
+        layout.boot_pair(),
+        None,
+        |bytes| FsdBootPage::decode(bytes).ok(),
+    )?;
+    report.scrubbed_sectors += unmapped.scrubbed;
     Ok(boot)
 }
 
-/// Reads the saved VAM: per-sector cross-copy salvage (a sector damaged
-/// in one copy is taken from the other), then a scrub writing damaged
-/// sectors back from the survivor image.
+/// Reads the saved VAM: a whole clean copy if one validates, otherwise
+/// the readable sectors of both spliced (both copies are written from one
+/// image in one window, so any mix that passes the checksum is that
+/// committed image). A scrub that cannot stick leaves the damage in
+/// place: the map is in hand, and the caller can still rebuild it if the
+/// save area worsens.
 fn read_saved_vam(
     disk: &mut SimDisk,
     layout: &FsdLayout,
     policy: IoPolicy,
     spare: &mut SpareMap,
 ) -> Result<Vam> {
-    let n = layout.vam_sectors as usize;
-    let (a, am) = spare
-        .read_allow_damage(disk, layout.vam_a, n)
-        .map_err(FsdError::Disk)?;
-    let (b, bm) = spare
-        .read_allow_damage(disk, layout.vam_b, n)
-        .map_err(FsdError::Disk)?;
-    // Both reads asked for `n` sectors; a short buffer or mask would
-    // slice out of bounds in the splice below.
-    if a.len() != n * SECTOR_BYTES || am.len() != n || b.len() != n * SECTOR_BYTES || bm.len() != n
-    {
-        return Err(FsdError::Check(
-            "vam save read returned a malformed buffer".into(),
-        ));
-    }
-    // Prefer a whole clean copy; otherwise splice the readable sectors
-    // (both copies are written from one image in one window, so any mix
-    // that passes the checksum is that committed image).
-    let mut candidates: Vec<Vec<u8>> = Vec::new();
-    if !am.iter().any(|&d| d) {
-        candidates.push(a.clone());
-    }
-    if !bm.iter().any(|&d| d) {
-        candidates.push(b.clone());
-    }
-    if am.iter().zip(&bm).all(|(&x, &y)| !x || !y) {
-        let mut mix = a.clone();
-        for (i, &damaged) in am.iter().enumerate() {
-            let range = i * SECTOR_BYTES..(i + 1) * SECTOR_BYTES;
-            if damaged {
-                mix[range.clone()].copy_from_slice(&b[range]);
-            }
-        }
-        candidates.push(mix);
-    }
-    let mut chosen: Option<(Vam, Vec<u8>)> = None;
-    for c in candidates {
-        if let Ok(v) = Vam::from_bytes(&c) {
-            chosen = Some((v, c));
-            break;
-        }
-    }
-    let Some((vam, image)) = chosen else {
-        return Err(FsdError::Check("both VAM save copies unreadable".into()));
-    };
-    // Scrub every damaged save-area sector back from the chosen image.
-    let mut writes: Vec<(SectorAddr, Vec<u8>)> = Vec::new();
-    for i in 0..n {
-        let range = i * SECTOR_BYTES..(i + 1) * SECTOR_BYTES;
-        if am[i] {
-            spare.note_damaged(layout.vam_a + i as u32);
-            writes.push((layout.vam_a + i as u32, image[range.clone()].to_vec()));
-        }
-        if bm[i] {
-            spare.note_damaged(layout.vam_b + i as u32);
-            writes.push((layout.vam_b + i as u32, image[range].to_vec()));
-        }
-    }
-    if let Err(e) = spare::scrub_batch(disk, policy, spare, writes) {
-        if e.is_crash() {
-            return Err(e);
-        }
-        // Spare slots exhausted: the damage stays, but the image is in
-        // hand and the caller can still rebuild the VAM if it worsens.
-    }
+    let (vam, _) = spare::read_replicated(disk, policy, spare, layout.vam_pair(), None, |bytes| {
+        Vam::from_bytes(bytes).ok()
+    })?;
     Ok(vam)
 }
 
@@ -928,10 +771,7 @@ mod tests {
 
     /// The free map rebuilt the slow, obvious way from a full listing.
     fn reference_vam(v: &mut FsdVolume) -> Vam {
-        let l = v.layout;
-        let mut vam = Vam::new_all_allocated(l.total_sectors);
-        vam.free_run(Run::new(l.small_start, l.nt_a_start - l.small_start));
-        vam.free_run(Run::new(l.central_end, l.total_sectors - l.central_end));
+        let mut vam = v.layout.empty_vam();
         for (_, entry) in v.list("").unwrap() {
             if entry.leader_addr != 0 {
                 vam.allocate_run(Run::new(entry.leader_addr, 1));

@@ -14,7 +14,7 @@
 
 use crate::error::FsdError;
 use crate::layout::FsdLayout;
-use crate::log::{self, PageTarget, DATA_START};
+use crate::log::{self, DATA_START};
 use crate::recovery::RecoveryReport;
 use crate::repl::{DataWrite, ReplFrame};
 use crate::spare::{self, SpareMap};
@@ -224,9 +224,10 @@ impl Replica {
         self.apply_data(&frame.data).map_err(FsdError::Disk)?;
 
         // Decode every record up front (transport corruption must not
-        // leave a half-applied frame), then route images exactly as
-        // crash recovery does: later images of the same sector win, one
-        // sorted remap-aware sweep writes them home.
+        // leave a half-applied frame), then route images through the
+        // same `PageTarget::homes` as crash recovery: later images of
+        // the same sector win, one sorted remap-aware sweep writes them
+        // home.
         let mut final_images: BTreeMap<u32, Vec<u8>> = BTreeMap::new();
         let mut records = 0u64;
         let mut images = 0u64;
@@ -236,21 +237,12 @@ impl Replica {
             for (target, img) in &rec.images {
                 target.validate(&self.layout)?;
                 images += 1;
-                match target {
-                    PageTarget::NtSector { page, sector } => {
-                        final_images.insert(self.layout.nt_a_sector(*page) + sector, img.clone());
-                        final_images.insert(self.layout.nt_b_sector(*page) + sector, img.clone());
-                    }
-                    PageTarget::Leader { addr } => {
-                        // No reallocation guard needed (unlike crash
-                        // recovery): frames apply in commit order, so a
-                        // sector reallocated later is rewritten later.
-                        final_images.insert(*addr, img.clone());
-                    }
-                    PageTarget::VamSector { index } => {
-                        final_images.insert(self.layout.vam_a + index, img.clone());
-                        final_images.insert(self.layout.vam_b + index, img.clone());
-                    }
+                // Leaders ride the same sweep: no reallocation guard is
+                // needed (unlike crash recovery), because frames apply in
+                // commit order, so a sector reallocated later is
+                // rewritten later.
+                for home in target.homes(&self.layout) {
+                    final_images.insert(home, img.clone());
                 }
             }
         }

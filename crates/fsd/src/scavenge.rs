@@ -26,21 +26,21 @@
 //! whose leader home write had not happened by the crash (recovered at
 //! their previous state), and files whose leader sector itself died.
 
-use crate::cache::{FsdNtStore, NtCache, NtMeta};
+use crate::cache::NtMeta;
 use crate::entry::FileEntry;
 use crate::layout::{FsdBootPage, FsdLayout, SavedVam};
 use crate::leader::LeaderPage;
 use crate::log::Log;
 use crate::recovery::{RecoveryReport, RecoveryRung};
 use crate::spare::SpareMap;
-use crate::volume::{FsdConfig, FsdVolume, MAX_RUNS};
+use crate::volume::{nt_store, FsdConfig, FsdVolume, MAX_RUNS};
 use crate::{FsdError, Result};
 use cedar_btree::BTree;
 use cedar_disk::scan::{self, ScanChannel, ScanChunk};
 use cedar_disk::sched::IoPolicy;
 use cedar_disk::{Cpu, DiskError, SectorAddr, SimDisk, SECTOR_BYTES};
-use cedar_vol::{AllocPolicy, Allocator, FileName, Run, Vam};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use cedar_vol::{FileName, Run, Vam};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// What a scavenge found, rebuilt, and lost.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -152,15 +152,7 @@ pub(crate) fn scavenge_boot(
 
     // Free map: everything in the data areas except what the recovered
     // files claim (the same §5.5 rule as a VAM rebuild).
-    let mut vam = Vam::new_all_allocated(layout.total_sectors);
-    vam.free_run(Run::new(
-        layout.small_start,
-        layout.nt_a_start - layout.small_start,
-    ));
-    vam.free_run(Run::new(
-        layout.central_end,
-        layout.total_sectors - layout.central_end,
-    ));
+    let mut vam = layout.empty_vam();
     for (_, entry) in &files {
         vam.allocate_run(Run::new(entry.leader_addr, 1));
         for r in entry.run_table.runs() {
@@ -168,56 +160,20 @@ pub(crate) fn scavenge_boot(
         }
     }
 
-    // A fresh volume over the scavenged state — same skeleton as
-    // `FsdVolume::format`, but with the recovered VAM and entries.
-    let (dlo, dhi) = layout.data_area();
+    // A fresh volume over the scavenged state: the skeleton `format`
+    // starts from, with the recovered VAM and entries.
     let log = match Log::fresh(layout.log_start, layout.log_sectors, boot_count) {
-        Ok(mut log) => {
-            log.set_policy(config.io_policy);
-            log
-        }
+        Ok(log) => log,
         Err(e) => return Err((e, disk)),
     };
-    let mut vol = FsdVolume {
-        log,
-        disk,
-        cpu,
-        layout,
-        boot: FsdBootPage {
-            boot_count,
-            saved_vam: SavedVam::Invalid,
-            vam_logged: config.log_vam,
-            spare_map: spare.entries().to_vec(),
-        },
-        tree: BTree::open(0),
-        cache: NtCache::with_capacity(config.cache_pages),
-        pending_pages: BTreeSet::new(),
-        leaders: HashMap::new(),
-        vam,
-        alloc: Allocator::new(
-            AllocPolicy::SplitAreas {
-                small_threshold: config.small_threshold,
-            },
-            dlo,
-            dhi,
-        ),
-        uid_counter: 0,
-        last_force: 0,
-        commit_interval: config.commit_interval_us,
-        vam_hint_on_disk: false,
-        redo_owed: None,
-        redo_settle: None,
-        vam_owed: false,
-        vam_walk: None,
-        scavenge_workers: config.scavenge_workers,
-        commit_stats: Default::default(),
-        vam_baseline: None,
-        vam_home: HashMap::new(),
-        io_policy: config.io_policy,
-        spare,
-        repl: None,
+    let boot = FsdBootPage {
+        boot_count,
+        saved_vam: SavedVam::Invalid,
+        vam_logged: config.log_vam,
+        spare_map: spare.entries().to_vec(),
     };
-    vol.last_force = vol.clock().now();
+    let mut vol = FsdVolume::assemble(disk, cpu, layout, boot, log, spare, &config);
+    vol.vam = vam;
 
     match rebuild(&mut vol, config, &files) {
         Ok(()) => {
@@ -285,10 +241,7 @@ fn decode_chunk(layout: &FsdLayout, chunk: &ScanChunk) -> ChunkResult {
 /// Splits both data areas into striding windows of whole tracks.
 fn build_windows(layout: &FsdLayout, window_sectors: u32) -> Vec<(SectorAddr, SectorAddr)> {
     let mut windows = Vec::new();
-    for (lo, hi) in [
-        (layout.small_start, layout.nt_a_start),
-        (layout.central_end, layout.total_sectors),
-    ] {
+    for (lo, hi) in layout.data_areas() {
         let mut at = lo;
         while at < hi {
             let end = (at + window_sectors).min(hi);
@@ -575,10 +528,8 @@ fn admit(
 /// A recovered entry is only trusted if every sector it claims lies in
 /// the data areas.
 fn runs_sane(layout: &FsdLayout, entry: &FileEntry) -> bool {
-    let in_data = |start: SectorAddr, end: SectorAddr| {
-        (start >= layout.small_start && end <= layout.nt_a_start)
-            || (start >= layout.central_end && end <= layout.total_sectors)
-    };
+    let areas = layout.data_areas();
+    let in_data = |start, end| areas.iter().any(|&(lo, hi)| start >= lo && end <= hi);
     entry.run_table.runs().len() <= MAX_RUNS
         && in_data(entry.leader_addr, entry.leader_addr + 1)
         && entry
@@ -591,15 +542,7 @@ fn runs_sane(layout: &FsdLayout, entry: &FileEntry) -> bool {
 /// Writes the scavenged state out as a fresh, fully durable volume:
 /// empty log, new name table holding the recovered entries, saved VAM.
 fn rebuild(vol: &mut FsdVolume, config: FsdConfig, files: &[(FileName, FileEntry)]) -> Result<()> {
-    {
-        let FsdVolume {
-            ref mut log,
-            ref mut disk,
-            ref mut spare,
-            ..
-        } = *vol;
-        log.write_meta(disk, spare)?;
-    }
+    vol.log.write_meta(&mut vol.disk, &mut vol.spare)?;
     // Bottom-up bulk load: encode the recovered entries once, sort them
     // by key, and pack the tree leaves-first — one page write per node,
     // instead of N root-to-leaf insertions re-dirtying the same pages.
@@ -623,16 +566,7 @@ fn rebuild(vol: &mut FsdVolume, config: FsdConfig, files: &[(FileName, FileEntry
         .collect();
     pairs.sort();
     {
-        let mut store = FsdNtStore {
-            disk: &mut vol.disk,
-            cpu: &vol.cpu,
-            layout: &vol.layout,
-            policy: vol.io_policy,
-            spare: &mut vol.spare,
-            owed: None,
-            cache: &mut vol.cache,
-            pending: &mut vol.pending_pages,
-        };
+        let mut store = nt_store!(vol);
         store.write_meta(&NtMeta::new(vol.layout.nt_pages))?;
         vol.tree = BTree::bulk_load(&mut store, &pairs)?;
     }

@@ -19,13 +19,24 @@
 //! which the paper accepts (class 5) — and neither are the boot pages
 //! themselves, which rely on replication instead (the map must be
 //! readable before it can be applied).
+//!
+//! # The double-write discipline
+//!
+//! The boot page, the log meta page, the VAM save area and every
+//! name-table page are written twice, on sectors that do not fail
+//! together, and "when a page is read, both copies are read and checked"
+//! (§5.1). [`read_replicated`] is that read, for all four: it is rung 2
+//! of the recovery ladder ([`crate::recovery`]). Their writers address
+//! both copies through [`Replicated::both`]; boot pages, whose copy A
+//! must be durable before copy B starts, go through
+//! [`crate::layout::write_replicas`].
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use cedar_disk::sched::{self, IoBatch, IoOp, IoPolicy, OpResult};
 use cedar_disk::{DiskError, SectorAddr, SimDisk, SECTOR_BYTES};
 
-use crate::layout::FsdLayout;
+use crate::layout::{FsdLayout, Replicated};
 use crate::{FsdError, Result};
 
 /// Failures tolerated per logical sector before it is remapped: the
@@ -325,6 +336,119 @@ pub(crate) fn scrub_batch(
     run_spared_writes(disk, policy, spare, &writes)
 }
 
+/// Reads a replicated structure: both copies, checked, and whichever is
+/// damaged repaired from the other before the caller sees a byte.
+///
+/// Both copies are read through the remap table and the images the log
+/// still owes their sectors (`logged`, by copy-A home sector) are laid
+/// over them — those are the committed bytes, whatever the platters say;
+/// the damage masks stay as read. The image served is the first of
+/// {copy A if it read clean, copy B if it read clean, the splice taking
+/// each sector from A where A read or the log holds it and from B
+/// otherwise} that `valid` accepts; `valid`'s answer for it comes back.
+///
+/// A copy that read clean and validates is left alone, served or not:
+/// two good copies may differ (a crash between the A and B writes of a
+/// boot page; a home write redo has yet to finish), and which is current
+/// is not this function's to say. Any other copy — damaged somewhere, or
+/// clean and refused by `valid` — is brought to the served image: each of
+/// its sectors that is damaged or differs is marked, rewritten and
+/// counted as a scrub, and one whose rewrite fails too is remapped. A
+/// second media fault must not find the first still in place.
+///
+/// Errors are a crash, or typed: some sector is unreadable in both copies
+/// and not in the log, or nothing readable passes `valid`; nothing has
+/// been written then. A scrub that fails for any reason but a crash (no
+/// spare slot left; a boot page, which nothing can remap — callers read
+/// those with [`SpareMap::disabled`]) does not fail the read: the image
+/// is in hand, and the `bool` tells the caller the damage is still on the
+/// platters.
+pub(crate) fn read_replicated<T>(
+    disk: &mut SimDisk,
+    policy: IoPolicy,
+    spare: &mut SpareMap,
+    pair: Replicated,
+    logged: Option<&BTreeMap<SectorAddr, Vec<u8>>>,
+    valid: impl Fn(&[u8]) -> Option<T>,
+) -> Result<(T, bool)> {
+    let n = pair.sectors as usize;
+    let (mut a, a_bad) = spare
+        .read_allow_damage(disk, pair.a, n)
+        .map_err(FsdError::Disk)?;
+    let (mut b, b_bad) = spare
+        .read_allow_damage(disk, pair.b, n)
+        .map_err(FsdError::Disk)?;
+    // Both reads asked for `n` sectors; a short buffer or mask would
+    // slice out of bounds below.
+    if a.len() != n * SECTOR_BYTES || b.len() != a.len() || a_bad.len() != n || b_bad.len() != n {
+        return Err(FsdError::Check(format!(
+            "{}: reading the copies at {} and {} returned a malformed buffer",
+            pair.what, pair.a, pair.b
+        )));
+    }
+    let sector = |i: usize| i * SECTOR_BYTES..(i + 1) * SECTOR_BYTES;
+    let mut held = vec![false; n];
+    for (i, in_log) in held.iter_mut().enumerate() {
+        if let Some(image) = logged.and_then(|l| l.get(&(pair.a + i as u32))) {
+            a[sector(i)].copy_from_slice(image);
+            b[sector(i)].copy_from_slice(image);
+            *in_log = true;
+        }
+    }
+    // Every copy that read clean is checked, served or not.
+    let a_valid = (!a_bad.contains(&true)).then(|| valid(&a)).flatten();
+    let b_valid = (!b_bad.contains(&true)).then(|| valid(&b)).flatten();
+    let (a_good, b_good) = (a_valid.is_some(), b_valid.is_some());
+    let splice;
+    let (value, image) = if let Some(v) = a_valid {
+        (v, &a)
+    } else if let Some(v) = b_valid {
+        (v, &b)
+    } else {
+        // Salvage sector by sector: the failure model says at most two
+        // consecutive sectors die, so A and B never lose the same one.
+        let mut mix = a.clone();
+        for i in 0..n {
+            if a_bad[i] && !held[i] {
+                if b_bad[i] {
+                    return Err(FsdError::Check(format!(
+                        "{}: sector {i} lost in both copies ({} and {})",
+                        pair.what,
+                        pair.a + i as u32,
+                        pair.b + i as u32
+                    )));
+                }
+                mix[sector(i)].copy_from_slice(&b[sector(i)]);
+            }
+        }
+        let Some(v) = valid(&mix) else {
+            return Err(FsdError::Check(format!(
+                "{}: neither copy ({} and {}) nor their splice is valid",
+                pair.what, pair.a, pair.b
+            )));
+        };
+        splice = mix;
+        (v, &splice)
+    };
+    let mut writes = Vec::new();
+    for i in 0..n {
+        for (at, copy, bad, good) in [
+            (pair.a + i as u32, &a, &a_bad, a_good),
+            (pair.b + i as u32, &b, &b_bad, b_good),
+        ] {
+            if bad[i] || (!good && copy[sector(i)] != image[sector(i)]) {
+                spare.note_damaged(at);
+                writes.push((at, image[sector(i)].to_vec()));
+            }
+        }
+    }
+    match scrub_batch(disk, policy, spare, writes) {
+        Ok(()) => Ok((value, false)),
+        Err(e) if e.is_crash() => Err(e),
+        Err(_) => Ok((value, true)),
+    }
+}
+
 fn run_spared_writes(
     disk: &mut SimDisk,
     policy: IoPolicy,
@@ -503,6 +627,268 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, FsdError::Check(_)), "got {err:?}");
+    }
+
+    // ----- the pair reader, enumerated ----------------------------------
+
+    const COPY_A: SectorAddr = 100;
+    const COPY_B: SectorAddr = 200;
+
+    /// One state of a replicated structure on the platters.
+    #[derive(Clone, Copy, Debug)]
+    struct PairCase {
+        sectors: usize,
+        /// Bit `i` set: sector `i` of the copy is detectably damaged.
+        a_bad: u32,
+        b_bad: u32,
+        /// The copy (if any) that reads but holds another image.
+        stale: Option<SectorAddr>,
+        /// The sector (if any) whose committed image is still in the log:
+        /// both home copies of it hold an older one.
+        in_log: Option<usize>,
+        policy: IoPolicy,
+    }
+
+    /// Sector `i` of the committed image.
+    fn committed_sector(i: usize) -> Vec<u8> {
+        vec![0xC0 + i as u8; SECTOR_BYTES]
+    }
+
+    fn committed(sectors: usize) -> Vec<u8> {
+        (0..sectors).flat_map(committed_sector).collect()
+    }
+
+    /// The validator: only the committed image passes.
+    fn is_committed(image: &[u8]) -> Option<Vec<u8>> {
+        (image == committed(image.len() / SECTOR_BYTES)).then(|| image.to_vec())
+    }
+
+    impl PairCase {
+        fn pair(&self) -> Replicated {
+            Replicated {
+                a: COPY_A,
+                b: COPY_B,
+                sectors: self.sectors as u32,
+                what: "test pair",
+            }
+        }
+
+        /// The platters in this state, and what the log holds.
+        fn build(&self) -> (SimDisk, Option<BTreeMap<SectorAddr, Vec<u8>>>) {
+            let mut d = disk();
+            for (at, bad) in [(COPY_A, self.a_bad), (COPY_B, self.b_bad)] {
+                for i in 0..self.sectors {
+                    let home = if self.in_log == Some(i) {
+                        vec![0x0D; SECTOR_BYTES] // What the sweep has yet to replace.
+                    } else if self.stale == Some(at) {
+                        vec![0xEE; SECTOR_BYTES]
+                    } else {
+                        committed_sector(i)
+                    };
+                    d.write(at + i as u32, &home).unwrap();
+                    if bad >> i & 1 == 1 {
+                        d.damage_sector(at + i as u32);
+                    }
+                }
+            }
+            let logged = self
+                .in_log
+                .map(|i| BTreeMap::from([(COPY_A + i as u32, committed_sector(i))]));
+            (d, logged)
+        }
+
+        /// `Some(sector writes of the repair)` when the read must serve
+        /// the committed image, `None` when it must fail — worked out
+        /// from the state alone, sector by sector.
+        fn expected_repairs(&self) -> Option<u64> {
+            let n = self.sectors;
+            let in_log = |i| self.in_log == Some(i);
+            let (a_bad, b_bad) = (|i| self.a_bad >> i & 1 == 1, |i| self.b_bad >> i & 1 == 1);
+            // Whether what a copy shows for sector `i`, log image laid
+            // over, is the committed sector (given that it reads).
+            let a_shows = |i| in_log(i) || self.stale != Some(COPY_A);
+            let b_shows = |i| in_log(i) || self.stale != Some(COPY_B);
+            let (a_clean, b_clean) = (self.a_bad == 0, self.b_bad == 0);
+            let a_valid = a_clean && (0..n).all(a_shows);
+            let b_valid = b_clean && (0..n).all(b_shows);
+            let lost = (0..n).any(|i| a_bad(i) && b_bad(i) && !in_log(i));
+            let splice_valid = !lost
+                && (0..n).all(|i| {
+                    if !a_bad(i) || in_log(i) {
+                        a_shows(i)
+                    } else {
+                        b_shows(i)
+                    }
+                });
+            // A copy that is not good as it stands is brought to the
+            // served image: its damaged sectors, and those that read but
+            // show something else.
+            (a_valid || b_valid || splice_valid).then(|| {
+                (0..n)
+                    .map(|i| {
+                        u64::from(a_bad(i) || !(a_valid || a_shows(i)))
+                            + u64::from(b_bad(i) || !(b_valid || b_shows(i)))
+                    })
+                    .sum()
+            })
+        }
+
+        fn read(
+            &self,
+            d: &mut SimDisk,
+            map: &mut SpareMap,
+            logged: Option<&BTreeMap<SectorAddr, Vec<u8>>>,
+        ) -> Result<(Vec<u8>, bool)> {
+            read_replicated(d, self.policy, map, self.pair(), logged, is_committed)
+        }
+
+        /// A read that must succeed, repair everything and leave nothing
+        /// for the next one; returns the scrubs it counted.
+        fn read_converges(
+            &self,
+            d: &mut SimDisk,
+            logged: Option<&BTreeMap<SectorAddr, Vec<u8>>>,
+        ) -> u64 {
+            let mut map = SpareMap::new(10, 16, vec![(COPY_A, COPY_B + 16)]);
+            let (image, unrepaired) = self
+                .read(d, &mut map, logged)
+                .unwrap_or_else(|e| panic!("{self:?}: {e}"));
+            assert_eq!(image, committed(self.sectors), "{self:?}");
+            assert!(!unrepaired, "{self:?}");
+            assert_eq!(map.remapped, 0, "{self:?}");
+            for at in [COPY_A, COPY_B] {
+                let (_, mask) = d.read_allow_damage(at, self.sectors).unwrap();
+                assert!(
+                    !mask.contains(&true),
+                    "{self:?}: copy at {at} still damaged"
+                );
+            }
+            let (scrubbed, writes) = (map.scrubbed, d.stats().writes);
+            let (again, _) = self.read(d, &mut map, logged).unwrap();
+            assert_eq!(again, image, "{self:?}");
+            assert_eq!(
+                (map.scrubbed, d.stats().writes),
+                (scrubbed, writes),
+                "{self:?}: a second read found something to repair"
+            );
+            scrubbed
+        }
+    }
+
+    fn every_pair_case() -> Vec<PairCase> {
+        let mut cases = Vec::new();
+        for sectors in 1..=3usize {
+            for a_bad in 0..1u32 << sectors {
+                for b_bad in 0..1u32 << sectors {
+                    for stale in [None, Some(COPY_A), Some(COPY_B)] {
+                        for in_log in std::iter::once(None).chain((0..sectors).map(Some)) {
+                            for policy in [IoPolicy::InOrder, IoPolicy::Satf] {
+                                cases.push(PairCase {
+                                    sectors,
+                                    a_bad,
+                                    b_bad,
+                                    stale,
+                                    in_log,
+                                    policy,
+                                });
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        cases
+    }
+
+    /// Every damage mask of A x every damage mask of B x {neither, A, B}
+    /// readable but invalid x {no sector, each sector} still in the log x
+    /// both policies, for structures of one, two and three sectors.
+    #[test]
+    fn pair_reader_serves_the_committed_image_or_fails_typed() {
+        let (mut served, mut refused) = (0, 0);
+        for case in every_pair_case() {
+            let (mut d, logged) = case.build();
+            match case.expected_repairs() {
+                Some(repairs) => {
+                    let scrubbed = case.read_converges(&mut d, logged.as_ref());
+                    assert_eq!(scrubbed, repairs, "{case:?}");
+                    served += 1;
+                }
+                None => {
+                    let writes = d.stats().writes;
+                    let mut map = SpareMap::disabled();
+                    let err = case.read(&mut d, &mut map, logged.as_ref()).unwrap_err();
+                    let lost = (0..case.sectors).any(|i| {
+                        case.a_bad >> i & case.b_bad >> i & 1 == 1 && case.in_log != Some(i)
+                    });
+                    let wanted = if lost {
+                        "lost in both copies"
+                    } else {
+                        "is valid"
+                    };
+                    assert!(
+                        matches!(&err, FsdError::Check(m) if m.contains(wanted)),
+                        "{case:?}: {err}"
+                    );
+                    assert_eq!(d.stats().writes, writes, "{case:?}: wrote before failing");
+                    assert_eq!(map.scrubbed, 0, "{case:?}");
+                    refused += 1;
+                }
+            }
+        }
+        assert_eq!(served + refused, 48 + 288 + 1536);
+        assert!(served > 600 && refused > 1200, "{served} / {refused}");
+    }
+
+    /// The same states, crashed at every sector write of the repair with
+    /// every torn tail: the read reports the crash, and the read after
+    /// the reboot serves the committed image and finishes the repair.
+    #[test]
+    fn pair_reader_crashed_inside_its_scrub_converges_on_the_next_read() {
+        let mut crashes = 0;
+        for case in every_pair_case() {
+            let Some(repairs) = case.expected_repairs() else {
+                continue;
+            };
+            for at_write in 0..repairs {
+                for damaged_tail in 0..=2u8 {
+                    let (mut d, logged) = case.build();
+                    d.schedule_crash(cedar_disk::CrashPlan {
+                        after_sector_writes: at_write,
+                        damaged_tail,
+                    });
+                    let mut map = SpareMap::disabled();
+                    let err = case.read(&mut d, &mut map, logged.as_ref()).unwrap_err();
+                    assert!(err.is_crash(), "{case:?} write {at_write}: {err}");
+                    d.reboot();
+                    case.read_converges(&mut d, logged.as_ref());
+                    crashes += 1;
+                }
+            }
+        }
+        assert!(crashes > 4000, "{crashes}");
+    }
+
+    /// A repair that cannot stick — a dead sector and nowhere to remap it,
+    /// which is every boot page's situation — does not fail the read: the
+    /// image is served and the caller is told.
+    #[test]
+    fn pair_reader_reports_a_repair_that_could_not_stick() {
+        let case = PairCase {
+            sectors: 2,
+            a_bad: 0,
+            b_bad: 0,
+            stale: None,
+            in_log: None,
+            policy: IoPolicy::InOrder,
+        };
+        let (mut d, _) = case.build();
+        d.hard_damage_sector(COPY_A + 1);
+        let mut map = SpareMap::disabled();
+        let (image, unrepaired) = case.read(&mut d, &mut map, None).unwrap();
+        assert_eq!(image, committed(2));
+        assert!(unrepaired);
+        assert_eq!((map.scrubbed, map.remapped), (0, 0));
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //!   forces its log twice a second", §5.4), at operation entry, whenever
 //!   the pending set approaches the record size cap, or on client demand.
 
-use crate::cache::{FsdNtStore, NtCache, NtMeta};
+use crate::cache::{NtCache, NtMeta};
 use crate::entry::{EntryKind, FileEntry};
 use crate::error::FsdError;
 use crate::layout::{FsdBootPage, FsdLayout, SavedVam};
@@ -145,7 +145,7 @@ pub struct CommitStats {
 /// Builds the borrowed name-table store from disjoint volume fields.
 macro_rules! nt_store {
     ($self:ident) => {
-        FsdNtStore {
+        $crate::cache::FsdNtStore {
             disk: &mut $self.disk,
             cpu: &$self.cpu,
             layout: &$self.layout,
@@ -157,6 +157,7 @@ macro_rules! nt_store {
         }
     };
 }
+pub(crate) use nt_store;
 
 /// A mounted FSD volume.
 pub struct FsdVolume {
@@ -167,7 +168,7 @@ pub struct FsdVolume {
     pub(crate) tree: BTree,
     pub(crate) cache: NtCache,
     pub(crate) pending_pages: BTreeSet<PageId>,
-    pub(crate) leaders: HashMap<u32, LeaderStateOpaque>,
+    pub(crate) leaders: HashMap<u32, LeaderState>,
     pub(crate) log: Log,
     pub(crate) vam: Vam,
     pub(crate) alloc: Allocator,
@@ -207,31 +208,26 @@ pub struct FsdVolume {
     pub(crate) repl: Option<crate::repl::ReplTap>,
 }
 
-/// Crate-private alias so `recovery.rs` can construct the volume without
-/// exporting [`LeaderState`].
-pub(crate) type LeaderStateOpaque = LeaderState;
-
 impl FsdVolume {
     // ----- lifecycle -----------------------------------------------------------
 
-    /// Formats a blank disk as an FSD volume.
-    pub fn format(disk: SimDisk, config: FsdConfig) -> Result<FsdVolume> {
-        let layout = FsdLayout::compute(disk.geometry(), config.nt_pages, config.log_sectors);
-        let cpu = Cpu::new(disk.clock(), config.cpu);
-
-        let mut vam = Vam::new_all_allocated(layout.total_sectors);
-        vam.free_run(Run::new(
-            layout.small_start,
-            layout.nt_a_start - layout.small_start,
-        ));
-        vam.free_run(Run::new(
-            layout.central_end,
-            layout.total_sectors - layout.central_end,
-        ));
-
+    /// The volume skeleton `format`, `boot` and the scavenger all start
+    /// from: nothing cached, nothing pending, nothing owed, and a free
+    /// map that allows no allocation until the caller installs the real
+    /// one (or leaves the walk that builds it owed).
+    pub(crate) fn assemble(
+        disk: SimDisk,
+        cpu: Cpu,
+        layout: FsdLayout,
+        boot: FsdBootPage,
+        mut log: Log,
+        spare: SpareMap,
+        config: &FsdConfig,
+    ) -> FsdVolume {
+        log.set_policy(config.io_policy);
         let (dlo, dhi) = layout.data_area();
-        let mut vol = FsdVolume {
-            log: Log::fresh(layout.log_start, layout.log_sectors, 1)?,
+        FsdVolume {
+            log,
             alloc: Allocator::new(
                 AllocPolicy::SplitAreas {
                     small_threshold: config.small_threshold,
@@ -239,22 +235,17 @@ impl FsdVolume {
                 dlo,
                 dhi,
             ),
+            last_force: disk.clock().now(),
             disk,
             cpu,
             layout,
-            boot: FsdBootPage {
-                boot_count: 1,
-                saved_vam: SavedVam::Invalid,
-                vam_logged: config.log_vam,
-                spare_map: Vec::new(),
-            },
+            boot,
             tree: BTree::open(0),
             cache: NtCache::with_capacity(config.cache_pages),
             pending_pages: BTreeSet::new(),
             leaders: HashMap::new(),
-            vam,
+            vam: Vam::new_all_allocated(layout.total_sectors),
             uid_counter: 0,
-            last_force: 0,
             commit_interval: config.commit_interval_us,
             vam_hint_on_disk: false,
             redo_owed: None,
@@ -266,19 +257,26 @@ impl FsdVolume {
             vam_baseline: None,
             vam_home: HashMap::new(),
             io_policy: config.io_policy,
-            spare: SpareMap::for_layout(&layout),
+            spare,
             repl: None,
-        };
-        vol.log.set_policy(config.io_policy);
-        {
-            let FsdVolume {
-                ref mut log,
-                ref mut disk,
-                ref mut spare,
-                ..
-            } = vol;
-            log.write_meta(disk, spare)?;
         }
+    }
+
+    /// Formats a blank disk as an FSD volume.
+    pub fn format(disk: SimDisk, config: FsdConfig) -> Result<FsdVolume> {
+        let layout = FsdLayout::compute(disk.geometry(), config.nt_pages, config.log_sectors);
+        let cpu = Cpu::new(disk.clock(), config.cpu);
+        let boot = FsdBootPage {
+            boot_count: 1,
+            saved_vam: SavedVam::Invalid,
+            vam_logged: config.log_vam,
+            spare_map: Vec::new(),
+        };
+        let log = Log::fresh(layout.log_start, layout.log_sectors, 1)?;
+        let spare = SpareMap::for_layout(&layout);
+        let mut vol = Self::assemble(disk, cpu, layout, boot, log, spare, &config);
+        vol.vam = layout.empty_vam();
+        vol.log.write_meta(&mut vol.disk, &mut vol.spare)?;
 
         // Seed the meta page and the empty tree — in cache only.
         {
@@ -506,7 +504,8 @@ impl FsdVolume {
     /// primary into a scavenge. The replica is told the save area is
     /// stale, which is all the note says about the logical volume.
     fn boot_page_for_replica(&self, addr: SectorAddr, data: Vec<u8>) -> Vec<u8> {
-        if addr != self.layout.boot_a && addr != self.layout.boot_b {
+        let boot = self.layout.boot_pair();
+        if addr != boot.a && addr != boot.b {
             return data;
         }
         match FsdBootPage::decode(&data) {
@@ -551,12 +550,13 @@ impl FsdVolume {
         // Collect changed sector images: diff each dirty page against its
         // baseline so a page dirtied fifty times still logs once.
         let mut images: Vec<(PageTarget, Vec<u8>)> = Vec::new();
-        let mut logged_pages: Vec<(PageId, bool)> = Vec::new();
+        // (page, index of its first image, every sector logged)
+        let mut logged_pages: Vec<(PageId, usize, bool)> = Vec::new();
         for &id in &self.pending_pages {
             let Some(p) = self.cache.pages.get(&id) else {
                 continue;
             };
-            let mut changed_sectors = 0usize;
+            let first = images.len();
             for s in 0..NT_PAGE_SECTORS as usize {
                 let range = s * SECTOR_BYTES..(s + 1) * SECTOR_BYTES;
                 let changed = match &p.baseline {
@@ -571,18 +571,19 @@ impl FsdVolume {
                         },
                         p.image[range].to_vec(),
                     ));
-                    changed_sectors += 1;
                 }
             }
-            if changed_sectors > 0 {
-                logged_pages.push((id, changed_sectors == NT_PAGE_SECTORS as usize));
+            let logged = images.len() - first;
+            if logged > 0 {
+                logged_pages.push((id, first, logged == NT_PAGE_SECTORS as usize));
             }
         }
-        let mut logged_leaders: Vec<u32> = Vec::new();
+        // From here until it is marked logged below, a leader taken for
+        // this force holds *neither* image: its map entry must survive a
+        // third entry inside the append (`collect_home_writes`).
         for (&addr, ls) in &mut self.leaders {
             if let Some(img) = ls.unlogged.take() {
                 images.push((PageTarget::Leader { addr }, img));
-                logged_leaders.push(addr);
             }
         }
         self.pending_pages.clear();
@@ -590,7 +591,6 @@ impl FsdVolume {
         // §5.3 extension: log the changed sectors of the VAM alongside
         // the metadata. Shadow frees commit first so the logged image is
         // the post-commit free map.
-        let mut logged_vam: Vec<u32> = Vec::new();
         if self.vam_baseline.is_some() {
             self.vam.commit_shadow();
             let current = self.padded_vam_bytes();
@@ -603,7 +603,6 @@ impl FsdVolume {
                 let range = i as usize * SECTOR_BYTES..(i as usize + 1) * SECTOR_BYTES;
                 if current[range.clone()] != baseline[range.clone()] {
                     images.push((PageTarget::VamSector { index: i }, current[range].to_vec()));
-                    logged_vam.push(i);
                 }
             }
             self.vam_baseline = Some(current);
@@ -624,39 +623,32 @@ impl FsdVolume {
         // Append in record-sized chunks, remembering each image's third.
         let max = self.log.max_images();
         let policy = self.io_policy;
-        let mut thirds: HashMap<usize, u8> = HashMap::new(); // image index → third
+        let mut thirds: Vec<u8> = Vec::with_capacity(images.len());
         let mut repl_records: Vec<Vec<u8>> = Vec::new();
         let mut repl_seqs: Option<(u64, u64)> = None;
-        let mut base = 0usize;
-        while base < images.len() {
+        while thirds.len() < images.len() {
+            let base = thirds.len();
             let chunk = &images[base..(base + max).min(images.len())];
             let FsdVolume {
                 ref mut log,
                 ref mut disk,
                 ref mut cache,
                 ref mut leaders,
+                ref mut vam_home,
                 ref layout,
                 ref mut commit_stats,
                 ref mut spare,
                 ..
             } = *self;
-            let FsdVolume {
-                ref mut vam_home, ..
-            } = *self;
-            let _ = &vam_home;
             let is_last = base + chunk.len() >= images.len();
+            // Entering a third reclaims it: whatever has its only log
+            // copy there goes home first (§5.3), as one scheduler window
+            // inside the append.
             let (seq, third) = log.append(disk, spare, chunk, is_last, |disk, spare, t| {
-                flush_third(
-                    disk,
-                    layout,
-                    cache,
-                    leaders,
-                    vam_home,
-                    spare,
-                    t,
-                    commit_stats,
-                    policy,
-                )
+                let (writes, pages) =
+                    collect_home_writes(layout, cache, leaders, vam_home, Some(t))?;
+                commit_stats.third_flush_pages += pages;
+                spare::write_home_batch(disk, policy, spare, writes)
             })?;
             if self.repl.is_some() {
                 // Re-encode the exact sealed bytes the append just wrote:
@@ -672,50 +664,24 @@ impl FsdVolume {
                 let (first, _) = repl_seqs.unwrap_or((seq, seq));
                 repl_seqs = Some((first, seq));
             }
-            for i in base..base + chunk.len() {
-                thirds.insert(i, third);
-            }
             self.commit_stats.records += 1;
             self.commit_stats.images_logged += chunk.len() as u64;
             let sectors = 2 * chunk.len() as u64 + 5;
             self.commit_stats.log_sectors_written += sectors;
             self.commit_stats.max_record_sectors =
                 self.commit_stats.max_record_sectors.max(sectors);
-            base += chunk.len();
+            thirds.resize(base + chunk.len(), third);
         }
         self.commit_stats.forces += 1;
 
         // Mark the logged state.
-        let third_of_image = |want: &PageTarget, images: &[(PageTarget, Vec<u8>)]| {
-            images
-                .iter()
-                .position(|(t, _)| t == want)
-                .and_then(|i| thirds.get(&i).copied())
-        };
-        for (id, full) in logged_pages {
-            // The page's newest images are in the chunk holding its last
-            // sector; conservatively use its *first* image's third (the
-            // earliest to be reclaimed).
-            let t = third_of_image(
-                &PageTarget::NtSector {
-                    page: id,
-                    sector: 0,
-                },
-                &images,
-            )
-            .or_else(|| {
-                (0..NT_PAGE_SECTORS).find_map(|s| {
-                    third_of_image(
-                        &PageTarget::NtSector {
-                            page: id,
-                            sector: s,
-                        },
-                        &images,
-                    )
-                })
-            });
+        for (id, first, full) in logged_pages {
             if let Some(p) = self.cache.pages.get_mut(&id) {
                 p.baseline = Some(p.image.clone());
+                // The page's newest images are in the chunk holding its
+                // last sector; conservatively tag it with its *first*
+                // image's third (the earliest to be reclaimed).
+                //
                 // A partial log (some sectors unchanged this force) leaves
                 // the newest image of the quiet sectors riding an *older*
                 // third — a continuously-hot page (the allocation bitmap,
@@ -727,38 +693,25 @@ impl FsdVolume {
                 // advance it only when the whole page was logged or the
                 // home copy is current.
                 if full || p.last_logged_third.is_none() {
-                    p.last_logged_third = t;
+                    p.last_logged_third = Some(thirds[first]);
                 }
                 p.needs_home = true;
             }
         }
-        for addr in logged_leaders {
-            let t = third_of_image(&PageTarget::Leader { addr }, &images).unwrap_or(0);
-            if let Some(ls) = self.leaders.get_mut(&addr) {
-                let img = images
-                    .iter()
-                    .find(|(tg, _)| *tg == PageTarget::Leader { addr })
-                    .map(|(_, i)| i.clone())
-                    .ok_or_else(|| {
-                        FsdError::Check(format!(
-                            "logged leader {addr} has no image in the commit record"
-                        ))
-                    })?;
-                ls.logged = Some((img, t));
+        for ((target, img), t) in images.into_iter().zip(thirds) {
+            match target {
+                PageTarget::NtSector { .. } => {}
+                PageTarget::Leader { addr } => {
+                    // Gone from the map means cancelled: nothing inside a
+                    // force removes a live entry.
+                    if let Some(ls) = self.leaders.get_mut(&addr) {
+                        ls.logged = Some((img, t));
+                    }
+                }
+                PageTarget::VamSector { index } => {
+                    self.vam_home.insert(index, (img, t));
+                }
             }
-        }
-        for index in logged_vam {
-            let t = third_of_image(&PageTarget::VamSector { index }, &images).unwrap_or(0);
-            let img = images
-                .iter()
-                .find(|(tg, _)| *tg == PageTarget::VamSector { index })
-                .map(|(_, i)| i.clone())
-                .ok_or_else(|| {
-                    FsdError::Check(format!(
-                        "logged VAM sector {index} has no image in the commit record"
-                    ))
-                })?;
-            self.vam_home.insert(index, (img, t));
         }
 
         // The commit is durable: shadow-freed pages become allocatable
@@ -778,54 +731,19 @@ impl FsdVolume {
         Ok(())
     }
 
-    /// Writes home every page and leader with logged-but-unwritten state
-    /// (controlled shutdown, and after format). All home writes go to
-    /// disjoint sectors, so they form one scheduler window: sorted,
-    /// coalesced, taken nearest-first.
+    /// Writes home every page, leader and VAM sector with
+    /// logged-but-unwritten state (controlled shutdown, and after format).
+    /// All home writes go to disjoint sectors, so they form one scheduler
+    /// window: sorted, coalesced, taken nearest-first.
     pub(crate) fn sync_home_all(&mut self) -> Result<()> {
         self.settle_redo()?;
-        // Collect in logical order — both replicas of a page together,
-        // pages by id, then leaders, then VAM sectors. That is the
-        // submission order the naive in-order policy executes (exactly
-        // the old synchronous loop); the scheduled policy re-sorts it.
-        let mut writes: Vec<(u32, Vec<u8>)> = Vec::new();
-        let mut ids: Vec<PageId> = self.cache.pages.keys().copied().collect();
-        ids.sort_unstable();
-        for id in ids {
-            let Some(p) = self.cache.pages.get_mut(&id) else {
-                continue;
-            };
-            if p.needs_home {
-                let Some(img) = p.baseline.as_ref() else {
-                    return Err(FsdError::Check(format!(
-                        "page {id} needs a home write but has no baseline image"
-                    )));
-                };
-                writes.push((self.layout.nt_a_sector(id), img.clone()));
-                writes.push((self.layout.nt_b_sector(id), img.clone()));
-                p.needs_home = false;
-            }
-            p.last_logged_third = None;
-        }
-        let mut addrs: Vec<u32> = self.leaders.keys().copied().collect();
-        addrs.sort_unstable();
-        for addr in addrs {
-            if let Some(ls) = self.leaders.get_mut(&addr) {
-                if let Some((img, _)) = ls.logged.take() {
-                    writes.push((addr, img));
-                }
-            }
-        }
-        self.leaders
-            .retain(|_, ls| ls.unlogged.is_some() || ls.logged.is_some());
-        let mut indexes: Vec<u32> = self.vam_home.keys().copied().collect();
-        indexes.sort_unstable();
-        for index in indexes {
-            if let Some((img, _)) = self.vam_home.remove(&index) {
-                writes.push((self.layout.vam_a + index, img.clone()));
-                writes.push((self.layout.vam_b + index, img));
-            }
-        }
+        let (writes, _) = collect_home_writes(
+            &self.layout,
+            &mut self.cache,
+            &mut self.leaders,
+            &mut self.vam_home,
+            None,
+        )?;
         spare::write_home_batch(&mut self.disk, self.io_policy, &mut self.spare, writes)?;
         if self.spare.take_dirty() {
             self.write_boot_pages()?;
@@ -846,14 +764,12 @@ impl FsdVolume {
         // a crash; the boot pages marking them valid follow in a separate
         // submission, so validity never precedes durability).
         let bytes = self.padded_vam_bytes();
+        let writes = self.layout.vam_pair().both(bytes.clone());
         spare::write_home_batch(
             &mut self.disk,
             self.io_policy,
             &mut self.spare,
-            vec![
-                (self.layout.vam_a, bytes.clone()),
-                (self.layout.vam_b, bytes.clone()),
-            ],
+            writes.into(),
         )?;
         self.boot.saved_vam = SavedVam::Valid;
         self.write_boot_pages()?;
@@ -871,8 +787,7 @@ impl FsdVolume {
         crate::layout::write_replicas(
             &mut self.disk,
             self.io_policy,
-            self.layout.boot_a,
-            self.layout.boot_b,
+            self.layout.boot_pair(),
             self.boot.encode(),
         )
     }
@@ -1523,81 +1438,86 @@ impl FsdVolume {
     }
 }
 
-/// Writes home every page and leader whose only log copy lives in third
-/// `t`, which is about to be reclaimed (§5.3). The writes all target
-/// disjoint sectors, so the whole flush is one scheduler window.
-#[allow(clippy::too_many_arguments)]
-fn flush_third(
-    disk: &mut SimDisk,
+/// Home-sector writes as [`spare::write_home_batch`] takes them.
+type HomeWrites = Vec<(SectorAddr, Vec<u8>)>;
+
+/// The one set of books for "logged, not yet home": takes the home
+/// writes of every name-table page, leader and VAM sector the log still
+/// protects — all of them (`third: None`: shutdown, format, a replica's
+/// install), or those whose only log copy lives in third `t`, which is
+/// about to be reclaimed (§5.3) — and marks them home. Returns the writes
+/// in logical order (both copies of a page together, pages by id, then
+/// leaders, then VAM sectors: the order the in-order policy executes and
+/// the scheduled one re-sorts; they target disjoint sectors, so they are
+/// one window) and the number of name-table pages among them.
+///
+/// A leader's map entry goes only when its logged image is taken here
+/// and nothing unlogged waits behind it. An entry with *neither* image is
+/// not garbage: inside a force, the leaders taken for the record being
+/// appended look exactly like that until they are marked logged, and a
+/// third entry in the middle of that append must leave them in the map —
+/// drop one and its home write never happens, which no boot notices
+/// until the log has lapped the record (`tests/leader_third_entry.rs`).
+fn collect_home_writes(
     layout: &FsdLayout,
     cache: &mut NtCache,
-    leaders: &mut HashMap<u32, LeaderStateOpaque>,
+    leaders: &mut HashMap<u32, LeaderState>,
     vam_home: &mut HashMap<u32, (Vec<u8>, u8)>,
-    spare: &mut SpareMap,
-    t: u8,
-    stats: &mut CommitStats,
-    policy: IoPolicy,
-) -> Result<()> {
-    let mut writes: Vec<(u32, Vec<u8>)> = Vec::new();
+    third: Option<u8>,
+) -> Result<(HomeWrites, u64)> {
+    let due = |logged_in: u8| third.is_none_or(|t| t == logged_in);
+    let mut writes = HomeWrites::new();
+    let mut pages = 0u64;
     let mut ids: Vec<PageId> = cache.pages.keys().copied().collect();
     ids.sort_unstable();
     for id in ids {
         let Some(p) = cache.pages.get_mut(&id) else {
             continue;
         };
-        if p.last_logged_third == Some(t) {
-            if p.needs_home {
-                // Write the *baseline* (last committed image), never the
-                // possibly-uncommitted current image.
-                let Some(img) = p.baseline.as_ref() else {
-                    return Err(FsdError::Check(format!(
-                        "page {id} needs a home write but has no baseline image"
-                    )));
-                };
-                writes.push((layout.nt_a_sector(id), img.clone()));
-                writes.push((layout.nt_b_sector(id), img.clone()));
-                p.needs_home = false;
-                stats.third_flush_pages += 1;
-            }
-            p.last_logged_third = None;
+        // A page with no tag has no log copy to lose: only the full sync
+        // takes it (a scrub that could not stick left it `needs_home`).
+        if third.is_some_and(|t| p.last_logged_third != Some(t)) {
+            continue;
         }
+        if p.needs_home {
+            // Write the *baseline* (last committed image), never the
+            // possibly-uncommitted current image.
+            let Some(img) = p.baseline.as_ref() else {
+                return Err(FsdError::Check(format!(
+                    "page {id} needs a home write but has no baseline image"
+                )));
+            };
+            writes.extend(layout.nt_pair(id).both(img.clone()));
+            p.needs_home = false;
+            pages += 1;
+        }
+        p.last_logged_third = None;
     }
     let mut addrs: Vec<u32> = leaders.keys().copied().collect();
     addrs.sort_unstable();
-    let mut done: Vec<u32> = Vec::new();
     for addr in addrs {
         let Some(ls) = leaders.get_mut(&addr) else {
             continue;
         };
-        if let Some((img, third)) = &ls.logged {
-            if *third == t {
-                writes.push((addr, img.clone()));
-                ls.logged = None;
-                if ls.unlogged.is_none() {
-                    done.push(addr);
-                }
+        if let Some((img, _)) = ls.logged.take_if(|(_, t)| due(*t)) {
+            writes.push((addr, img));
+            if ls.unlogged.is_none() {
+                leaders.remove(&addr);
             }
         }
     }
-    for addr in done {
-        leaders.remove(&addr);
-    }
-    let mut flushable: Vec<u32> = vam_home
+    let mut indexes: Vec<u32> = vam_home
         .iter()
-        .filter(|(_, (_, third))| *third == t)
+        .filter(|(_, (_, t))| due(*t))
         .map(|(&i, _)| i)
         .collect();
-    flushable.sort_unstable();
-    for index in flushable {
-        let Some((img, _)) = vam_home.remove(&index) else {
-            return Err(FsdError::Check(format!(
-                "VAM home image {index} vanished mid-flush"
-            )));
-        };
-        writes.push((layout.vam_a + index, img.clone()));
-        writes.push((layout.vam_b + index, img));
+    indexes.sort_unstable();
+    for index in indexes {
+        if let Some((img, _)) = vam_home.remove(&index) {
+            writes.extend(layout.vam_sector_pair(index).both(img));
+        }
     }
-    spare::write_home_batch(disk, policy, spare, writes)
+    Ok((writes, pages))
 }
 
 #[cfg(test)]

@@ -579,8 +579,9 @@ impl FsdVolume {
             }
         }
         // From here until it is marked logged below, a leader taken for
-        // this force holds *neither* image: its map entry must survive a
-        // third entry inside the append (`collect_home_writes`).
+        // this force holds no image of its own in the map
+        // (`collect_home_writes` on what a third entry inside the append
+        // may and may not do to it).
         for (&addr, ls) in &mut self.leaders {
             if let Some(img) = ls.unlogged.take() {
                 images.push((PageTarget::Leader { addr }, img));
@@ -702,11 +703,12 @@ impl FsdVolume {
             match target {
                 PageTarget::NtSector { .. } => {}
                 PageTarget::Leader { addr } => {
-                    // Gone from the map means cancelled: nothing inside a
-                    // force removes a live entry.
-                    if let Some(ls) = self.leaders.get_mut(&addr) {
-                        ls.logged = Some((img, t));
-                    }
+                    // Unconditionally: if the append entered the third
+                    // holding this leader's *previous* logged image, the
+                    // writeback took that image home and, finding nothing
+                    // unlogged behind it, dropped the entry. The image
+                    // just logged still owes its home write.
+                    self.leaders.entry(addr).or_default().logged = Some((img, t));
                 }
                 PageTarget::VamSector { index } => {
                     self.vam_home.insert(index, (img, t));
@@ -1455,8 +1457,10 @@ type HomeWrites = Vec<(SectorAddr, Vec<u8>)>;
 /// and nothing unlogged waits behind it. An entry with *neither* image is
 /// not garbage: inside a force, the leaders taken for the record being
 /// appended look exactly like that until they are marked logged, and a
-/// third entry in the middle of that append must leave them in the map —
-/// drop one and its home write never happens, which no boot notices
+/// third entry in the middle of that append must leave them in the map.
+/// One it cannot leave — its previous image sat in the third being
+/// entered — `force` puts back when it marks the record's leaders. Lose
+/// either and the image in flight never goes home, which no boot notices
 /// until the log has lapped the record (`tests/leader_third_entry.rs`).
 fn collect_home_writes(
     layout: &FsdLayout,

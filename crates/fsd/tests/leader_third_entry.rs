@@ -91,3 +91,48 @@ fn a_leader_logged_by_the_force_that_enters_a_third_reaches_its_home() {
         }
     }
 }
+
+/// The same window from the other side: the leader taken for the record
+/// still has its *previous* image in the log, in the very third the
+/// append enters. The writeback takes that image home, sees nothing
+/// unlogged behind it and drops the map entry — and the image in flight
+/// must be marked logged all the same. Every file is restaged once per
+/// round, so a population about one log lap of forces long meets its own
+/// old image at a third entry; the sweep over populations makes sure some
+/// do whatever the record sizes are.
+#[test]
+fn a_leader_restaged_a_lap_after_its_last_image_reaches_its_home() {
+    let policy = IoPolicy::Satf;
+    for files in 10..=20usize {
+        let mut v = FsdVolume::format(SimDisk::tiny(), config(policy)).unwrap();
+        for i in 0..files {
+            v.create(&format!("again/f{i:02}"), &body(i)).unwrap();
+            v.force().unwrap();
+        }
+        const ROUNDS: u32 = 4;
+        for _ in 0..ROUNDS {
+            for i in 0..files {
+                let mut f = v.open(&format!("again/f{i:02}"), None).unwrap();
+                v.extend(&mut f, 1).unwrap();
+                v.force().unwrap();
+            }
+        }
+        for i in 0..60 {
+            v.create(&format!("lap/g{i:02}"), &[0xEE; 100]).unwrap();
+            v.force().unwrap();
+        }
+        v.shutdown().unwrap();
+
+        let (mut v, _) = FsdVolume::boot(v.into_disk(), config(policy)).unwrap();
+        for i in 0..files {
+            let name = format!("again/f{i:02}");
+            let mut f = v.open(&name, None).unwrap();
+            assert_eq!(f.pages(), PAGES + ROUNDS, "{files} files, {name}");
+            let got = v
+                .read_file(&mut f)
+                .unwrap_or_else(|e| panic!("{files} files, {name}: {e}"));
+            assert_eq!(got[..body(i).len()], body(i)[..], "{files} files, {name}");
+        }
+        v.verify().unwrap();
+    }
+}

@@ -46,9 +46,17 @@ git diff --exit-code BENCH_io_sched.json
 # to a commit boundary, every escalation rung must be exercised, and
 # the corrupt-block's rotten images must scavenge to a verifying tree.
 cargo run --release -p cedar-bench --bin fault_campaign -- --smoke
+# The full grid is deterministic and takes under a second: like
+# io_sched's, the file it writes must be the one checked in.
+cargo run --release -p cedar-bench --bin fault_campaign
+git diff --exit-code BENCH_fault_campaign.json
 # Scavenge & VAM-rebuild scaling (smoke): parallel and serial recovery
 # scans must agree exactly on a small population.
 cargo run --release -p cedar-bench --bin scavenge_scale -- --smoke
+# The full run (about twenty seconds) is simulated time throughout:
+# exact, not banded.
+cargo run --release -p cedar-bench --bin scavenge_scale
+git diff --exit-code BENCH_scavenge_scale.json
 # Crash recovery (smoke): relations, not floors. Time to first read at
 # 4000 files stays within 2.5x of that at 250 (boot follows the log, not
 # the population), full recovery at 4000 files is at least 5x its own
@@ -69,6 +77,10 @@ cargo run --release -p cedar-bench --bin model_validation
 # and semi-sync failovers lose nothing acknowledged, async stays within
 # its lag bound, and both resync paths converge.
 cargo run --release -p cedar-bench --bin replication -- --smoke
+# The full run drives `ReplSession` on simulated clocks: exact as well.
+# (BENCH_saturation_mt.json is threaded, host-timed, and not gated.)
+cargo run --release -p cedar-bench --bin replication
+git diff --exit-code BENCH_replication.json
 # The repository's benchmark (BENCHMARK.json, benchmark/ — a package of
 # its own): its harness tests against the crates as they are now, then
 # every workload end to end. The smoke run exits non-zero if any op

@@ -13,11 +13,13 @@
 //!   the page-allocation bitmap. It travels through the same cache and
 //!   log as every other page, which is what makes multi-page tree updates
 //!   atomic;
-//! * [`FsdNtStore`] — the [`PageStore`] the B-tree runs on: reads fall
-//!   through to the double-written home copies ("When a page is read,
-//!   both copies are read and checked", §5.1) with, after a crash boot,
-//!   the sector images the log still owes them laid over; writes touch
-//!   only the cache and the pending-commit set.
+//! * [`FsdNtStore`] — the [`PageStore`] the B-tree runs on: a miss
+//!   falls through to the double-written home copies ("When a page is
+//!   read, both copies are read and checked", §5.1) — the one reader of
+//!   replicated structures, `spare::read_replicated`, with the page's
+//!   [`crate::layout::Replicated`] pair and, after a crash boot, the
+//!   sector images the log still owes it; writes touch only the cache
+//!   and the pending-commit set.
 
 use crate::layout::FsdLayout;
 use crate::recovery::OwedRedo;

@@ -19,7 +19,7 @@
 //! — where copy A is, where copy B is, how long each is — and the only
 //! place outside this file that turns one into two addresses:
 //! [`Replicated::both`] for the writers, and
-//! [`crate::spare::read_replicated`] for the read that checks both
+//! `spare::read_replicated` for the read that checks both
 //! copies and repairs one from the other.
 
 use cedar_disk::sched::{self, IoBatch, IoOp, IoPolicy, OpResult};

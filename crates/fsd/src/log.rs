@@ -41,7 +41,13 @@
 //! logged in a later third, are written to the file name table by the
 //! logging code... This simple algorithm averages 5/6ths of the log in
 //! use." A pointer to the first valid record in the oldest third lives in
-//! page zero of the log region, replicated in page two.
+//! page zero of the log region, replicated in page two
+//! ([`Replicated::log_meta`]; read, checked and repaired like every
+//! replicated structure by `spare::read_replicated`). The copies
+//! *inside* a record are a different geometry — `D` and `D'` in one
+//! extent, judged against the end page — and stay with
+//! `read_record_at`. Where a logged image goes home is
+//! [`PageTarget::homes`], for boot and for a replica alike.
 
 use crate::error::FsdError;
 use crate::layout::{FsdLayout, Replicated};
@@ -332,7 +338,7 @@ impl Log {
     }
 
     /// Reads the meta page: both copies, through
-    /// [`spare::read_replicated`] — a damaged or undecodable copy is
+    /// `spare::read_replicated` — a damaged or undecodable copy is
     /// rewritten from the other on the way, so a second media fault
     /// cannot strand the volume with a single copy.
     pub fn read_meta(

@@ -60,6 +60,9 @@
 //!    it; a sector that stays bad after the rewrite is remapped into the
 //!    spare region ([`crate::spare::SpareMap`]). A home sector the log
 //!    holds is scrubbed with the logged image, which is the committed one.
+//!    For everything but the copies inside a log record this rung is one
+//!    function, `spare::read_replicated`; the readers here are a
+//!    [`crate::layout::Replicated`] pair and a validator each.
 //! 3. **Scavenge** — the log (or the name table it protects) is beyond
 //!    replica repair. The volume is rebuilt from leader pages alone
 //!    ([`crate::scavenge`]), the way CFS recovered from hardware labels.

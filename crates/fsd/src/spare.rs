@@ -25,11 +25,11 @@
 //! The boot page, the log meta page, the VAM save area and every
 //! name-table page are written twice, on sectors that do not fail
 //! together, and "when a page is read, both copies are read and checked"
-//! (§5.1). [`read_replicated`] is that read, for all four: it is rung 2
+//! (§5.1). `read_replicated` is that read, for all four: it is rung 2
 //! of the recovery ladder ([`crate::recovery`]). Their writers address
 //! both copies through [`Replicated::both`]; boot pages, whose copy A
 //! must be durable before copy B starts, go through
-//! [`crate::layout::write_replicas`].
+//! `layout::write_replicas`.
 
 use std::collections::{BTreeMap, HashMap};
 

@@ -14,7 +14,12 @@
 //!   in the shadow bitmap until the commit makes the delete durable;
 //! * the **log force** runs every half second of simulated time ("FSD
 //!   forces its log twice a second", §5.4), at operation entry, whenever
-//!   the pending set approaches the record size cap, or on client demand.
+//!   the pending set approaches the record size cap, or on client demand;
+//! * what is **logged but not yet home** — name-table pages, leaders,
+//!   VAM sectors under VAM logging — is kept in one set of books and
+//!   written home by one function, `collect_home_writes`: everything
+//!   at shutdown, and at each log-third entry whatever has its only log
+//!   copy in the third about to be reclaimed (§5.3).
 
 use crate::cache::{NtCache, NtMeta};
 use crate::entry::{EntryKind, FileEntry};
@@ -592,14 +597,9 @@ impl FsdVolume {
         // §5.3 extension: log the changed sectors of the VAM alongside
         // the metadata. Shadow frees commit first so the logged image is
         // the post-commit free map.
-        if self.vam_baseline.is_some() {
+        if let Some(baseline) = self.vam_baseline.take() {
             self.vam.commit_shadow();
             let current = self.padded_vam_bytes();
-            let Some(baseline) = self.vam_baseline.as_ref() else {
-                return Err(FsdError::Check(
-                    "VAM baseline missing under VAM logging".to_string(),
-                ));
-            };
             for i in 0..self.layout.vam_sectors {
                 let range = i as usize * SECTOR_BYTES..(i as usize + 1) * SECTOR_BYTES;
                 if current[range.clone()] != baseline[range.clone()] {

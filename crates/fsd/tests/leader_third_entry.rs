@@ -38,16 +38,52 @@ fn body(i: usize) -> Vec<u8> {
     vec![i as u8 + 1; PAGES as usize * SECTOR_BYTES]
 }
 
+/// `files` files under `dir`, each created and forced on its own: every
+/// leader is home (create writes it) and nothing is staged.
+fn populate(dir: &str, files: usize, policy: IoPolicy) -> FsdVolume {
+    let mut v = FsdVolume::format(SimDisk::tiny(), config(policy)).unwrap();
+    for i in 0..files {
+        v.create(&format!("{dir}/f{i:02}"), &body(i)).unwrap();
+        v.force().unwrap();
+    }
+    v
+}
+
+/// Laps the log with forces that touch none of `dir`'s leaders — so redo
+/// can no longer put back a home write that was skipped — shuts down
+/// cleanly, boots, and checks every file of `dir` against its home
+/// leader (`read_file` does) and the bytes it was created with.
+fn lap_reboot_and_check(mut v: FsdVolume, policy: IoPolicy, dir: &str, files: usize, pages: u32) {
+    for i in 0..60 {
+        v.create(&format!("lap/g{i:02}"), &[0xEE; 100]).unwrap();
+        v.force().unwrap();
+    }
+    v.shutdown().unwrap();
+
+    let (mut v, _) = FsdVolume::boot(v.into_disk(), config(policy)).unwrap();
+    let what = format!("{policy:?}, {files} files");
+    for i in 0..files {
+        let name = format!("{dir}/f{i:02}");
+        let mut f = v
+            .open(&name, None)
+            .unwrap_or_else(|e| panic!("{what}, {name}: {e}"));
+        assert_eq!(f.pages(), pages, "{what}, {name}");
+        let got = v
+            .read_file(&mut f)
+            .unwrap_or_else(|e| panic!("{what}, {name}: {e}"));
+        let kept = PAGES.min(pages) as usize * SECTOR_BYTES;
+        assert_eq!(got.len(), pages as usize * SECTOR_BYTES, "{what}, {name}");
+        assert_eq!(got[..kept], body(i)[..kept], "{what}, {name}");
+    }
+    v.verify().unwrap();
+}
+
 #[test]
 fn a_leader_logged_by_the_force_that_enters_a_third_reaches_its_home() {
     for policy in [IoPolicy::InOrder, IoPolicy::Satf] {
         // (directory, pages each file ends with)
         for (dir, end_pages) in [("grow", PAGES + 2), ("shrink", PAGES - 2)] {
-            let mut v = FsdVolume::format(SimDisk::tiny(), config(policy)).unwrap();
-            for i in 0..FILES {
-                v.create(&format!("{dir}/f{i:02}"), &body(i)).unwrap();
-                v.force().unwrap();
-            }
+            let mut v = populate(dir, FILES, policy);
             // One restaged leader per force: the record being appended is
             // the only place its image lives while a third is entered.
             let entries_before = v.commit_stats().third_flush_pages;
@@ -64,30 +100,7 @@ fn a_leader_logged_by_the_force_that_enters_a_third_reaches_its_home() {
                 v.commit_stats().third_flush_pages > entries_before,
                 "{policy:?} {dir}: the restaging forces never entered a third"
             );
-            // Lap the log without touching those leaders again, so redo
-            // can no longer put back what the writeback skipped.
-            for i in 0..60 {
-                v.create(&format!("lap/g{i:02}"), &[0xEE; 100]).unwrap();
-                v.force().unwrap();
-            }
-            v.shutdown().unwrap();
-
-            let (mut v, _) = FsdVolume::boot(v.into_disk(), config(policy)).unwrap();
-            for i in 0..FILES {
-                let name = format!("{dir}/f{i:02}");
-                let mut f = v
-                    .open(&name, None)
-                    .unwrap_or_else(|e| panic!("{policy:?} {name}: {e}"));
-                assert_eq!(f.pages(), end_pages, "{policy:?} {name}");
-                // `read_file` checks the home leader against the entry.
-                let got = v
-                    .read_file(&mut f)
-                    .unwrap_or_else(|e| panic!("{policy:?} {name}: {e}"));
-                let kept = PAGES.min(end_pages) as usize * SECTOR_BYTES;
-                assert_eq!(got.len(), end_pages as usize * SECTOR_BYTES);
-                assert_eq!(got[..kept], body(i)[..kept], "{policy:?} {name}");
-            }
-            v.verify().unwrap();
+            lap_reboot_and_check(v, policy, dir, FILES, end_pages);
         }
     }
 }
@@ -102,14 +115,10 @@ fn a_leader_logged_by_the_force_that_enters_a_third_reaches_its_home() {
 /// do whatever the record sizes are.
 #[test]
 fn a_leader_restaged_a_lap_after_its_last_image_reaches_its_home() {
+    const ROUNDS: u32 = 4;
     let policy = IoPolicy::Satf;
     for files in 10..=20usize {
-        let mut v = FsdVolume::format(SimDisk::tiny(), config(policy)).unwrap();
-        for i in 0..files {
-            v.create(&format!("again/f{i:02}"), &body(i)).unwrap();
-            v.force().unwrap();
-        }
-        const ROUNDS: u32 = 4;
+        let mut v = populate("again", files, policy);
         for _ in 0..ROUNDS {
             for i in 0..files {
                 let mut f = v.open(&format!("again/f{i:02}"), None).unwrap();
@@ -117,22 +126,6 @@ fn a_leader_restaged_a_lap_after_its_last_image_reaches_its_home() {
                 v.force().unwrap();
             }
         }
-        for i in 0..60 {
-            v.create(&format!("lap/g{i:02}"), &[0xEE; 100]).unwrap();
-            v.force().unwrap();
-        }
-        v.shutdown().unwrap();
-
-        let (mut v, _) = FsdVolume::boot(v.into_disk(), config(policy)).unwrap();
-        for i in 0..files {
-            let name = format!("again/f{i:02}");
-            let mut f = v.open(&name, None).unwrap();
-            assert_eq!(f.pages(), PAGES + ROUNDS, "{files} files, {name}");
-            let got = v
-                .read_file(&mut f)
-                .unwrap_or_else(|e| panic!("{files} files, {name}: {e}"));
-            assert_eq!(got[..body(i).len()], body(i)[..], "{files} files, {name}");
-        }
-        v.verify().unwrap();
+        lap_reboot_and_check(v, policy, "again", files, PAGES + ROUNDS);
     }
 }

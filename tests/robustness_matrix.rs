@@ -207,6 +207,38 @@ fn class5_boot_critical_pages() {
     assert!(fsd.open("f", None).is_ok());
 }
 
+/// One rule for every replicated structure: a copy that *reads* but does
+/// not validate — overwritten, not damaged — is rewritten from the other
+/// copy like a damaged one, and counted as a scrub. (Before the readers
+/// were one, the boot page and the log meta rewrote such a copy, the VAM
+/// save area left it in place, and only the boot page counted it.)
+#[test]
+fn a_readable_copy_that_does_not_validate_is_rewritten_and_counted() {
+    let mut fsd = tiny_fsd();
+    fsd.create("f", b"x").unwrap();
+    fsd.shutdown().unwrap();
+    let layout = *fsd.layout();
+    let mut d = fsd.into_disk();
+    let junk = vec![0x5Au8; cedar_fs_repro::disk::SECTOR_BYTES];
+    let spoiled = [layout.boot_b, layout.log_start, layout.vam_b];
+    for at in spoiled {
+        d.write(at, &junk).unwrap();
+    }
+    let before = d.stats();
+    let (fsd, report) = FsdVolume::boot(d, fsd_config()).unwrap();
+    assert_eq!(report.rung, RecoveryRung::ReplicaScrub);
+    assert_eq!((report.scrubbed_sectors, report.remapped_sectors), (3, 0));
+    assert!(!report.vam_reconstructed, "copy A of the save area served");
+    assert_eq!(fsd.disk_stats().since(&before).sectors_written, 3);
+    let mut d = fsd.into_disk();
+    for (at, twin) in spoiled
+        .into_iter()
+        .zip([layout.boot_a, layout.log_start + 2, layout.vam_a])
+    {
+        assert_eq!(d.read(at, 1).unwrap(), d.read(twin, 1).unwrap(), "{at}");
+    }
+}
+
 /// Class 6: log records survive single and double consecutive sector
 /// damage thanks to the duplicated, never-adjacent copies.
 #[test]

@@ -513,6 +513,7 @@ impl Config {
                 ("crates/fsd/src/log.rs", "PageTarget", "addr"),
                 ("crates/fsd/src/log.rs", "PageTarget", "index"),
                 ("crates/fsd/src/layout.rs", "FsdBootPage", "spare_map"),
+                ("crates/fsd/src/layout.rs", "FsdBootPage", "reserve"),
                 ("crates/fsd/src/entry.rs", "FileEntry", "leader_addr"),
                 ("crates/fsd/src/entry.rs", "FileEntry", "run_table"),
                 ("crates/cfs/src/header.rs", "FileHeader", "byte_size"),

@@ -6,6 +6,7 @@
 //! 2           boot page copy B
 //! 4 ..        VAM save area copy A, blank, copy B
 //! small area  small-file data, growing up from the front (§5.6)
+//!  (reserve)  its last two cylinders' worth of free space, if any
 //! NT copy A   ┐
 //! log         ├ the hot metadata, preallocated near the central
 //! NT copy B   ┘ cylinders to minimize head motion (§5.1, §5.3)
@@ -21,6 +22,14 @@
 //! [`Replicated::both`] for the writers, and
 //! `spare::read_replicated` for the read that checks both
 //! copies and repairs one from the other.
+//!
+//! The boot page also names the **restart reserve**: one free run, sized
+//! like the log, the nearest free space below name-table copy A — where
+//! neither allocator of §5.6 arrives until its own area is full. While
+//! the record stands the volume keeps its allocators out of the run, so
+//! after a crash it is free *by construction* and the first allocation
+//! can be served from it before the name-table walk has rebuilt the map
+//! (`volume.rs` has the rules for keeping that true).
 
 use cedar_disk::sched::{self, IoBatch, IoOp, IoPolicy, OpResult};
 use cedar_disk::{DiskGeometry, SectorAddr, SimDisk, SECTOR_BYTES};
@@ -105,6 +114,9 @@ pub struct FsdLayout {
     /// One past the last sector of the central metadata region (the big
     /// area runs from here to the end of the volume).
     pub central_end: SectorAddr,
+    /// Sectors in a full restart reserve: geometry-scaled like the log,
+    /// two cylinders.
+    pub reserve_sectors: u32,
 }
 
 impl FsdLayout {
@@ -159,6 +171,7 @@ impl FsdLayout {
             nt_b_start,
             nt_pages,
             central_end,
+            reserve_sectors: 2 * geometry.sectors_per_cylinder(),
         }
     }
 
@@ -240,6 +253,13 @@ impl FsdLayout {
             vam.free_run(Run::new(lo, hi - lo));
         }
         vam
+    }
+
+    /// Picks the restart reserve out of `vam`: the free run of
+    /// [`Self::reserve_sectors`] nearest below name-table copy A. `None`
+    /// when the small-file area has no such run left.
+    pub(crate) fn carve_reserve(&self, vam: &Vam) -> Option<Run> {
+        vam.find_last_free_run(self.reserve_sectors, self.small_start, self.nt_a_start)
     }
 
     /// Returns `true` if `addr` lies in a system region (boot, VAM save,
@@ -357,6 +377,19 @@ pub struct FsdBootPage {
     /// metadata read and write translates through this table, so it must
     /// be readable before anything else — hence it lives on the boot page.
     pub spare_map: Vec<(u32, u32)>,
+    /// The restart reserve: a run that holds no file and that no
+    /// allocation may touch while this record is on disk. Appended after
+    /// the remap table with a check word; zeros (a page written before
+    /// the field existed) and anything that fails the check read as
+    /// `None`, and [`Self::validate`] drops what the layout cannot vouch
+    /// for — no record is always safe, it only costs the walk.
+    pub(crate) reserve: Option<Run>,
+}
+
+/// The word stored behind a reserve record: a flipped bit in either field
+/// must not read as another plausible run.
+fn reserve_check(run: Run) -> u32 {
+    BOOT_MAGIC ^ run.start ^ run.len.rotate_left(16)
 }
 
 impl FsdBootPage {
@@ -370,6 +403,9 @@ impl FsdBootPage {
             .u16(u16::try_from(self.spare_map.len()).unwrap_or(u16::MAX));
         for &(logical, phys) in &self.spare_map {
             w.u32(logical).u32(phys);
+        }
+        if let Some(run) = self.reserve {
+            w.u32(run.start).u32(run.len).u32(reserve_check(run));
         }
         let mut bytes = w.into_bytes();
         assert!(bytes.len() <= SECTOR_BYTES, "boot page overflows a sector");
@@ -398,12 +434,32 @@ impl FsdBootPage {
             let phys = r.u32()?;
             spare_map.push((logical, phys));
         }
+        let reserve = match (r.u32(), r.u32(), r.u32()) {
+            (Ok(start), Ok(len), Ok(check)) => {
+                Some(Run::new(start, len)).filter(|&run| len != 0 && check == reserve_check(run))
+            }
+            _ => None,
+        };
         Ok(Self {
             boot_count,
             saved_vam,
             vam_logged,
             spare_map,
+            reserve,
         })
+    }
+
+    /// Drops a reserve record the layout does not vouch for: the run must
+    /// lie wholly inside one file-data area and be no longer than a full
+    /// reserve. Never an error — a volume without a reserve walks first,
+    /// as every volume did before there was one.
+    pub(crate) fn validate(&mut self, layout: &FsdLayout) {
+        self.reserve = self.reserve.filter(|run| {
+            let inside = |&(lo, hi): &(SectorAddr, SectorAddr)| {
+                run.start >= lo && run.start.checked_add(run.len).is_some_and(|end| end <= hi)
+            };
+            run.len <= layout.reserve_sectors && layout.data_areas().iter().any(inside)
+        });
     }
 }
 
@@ -492,6 +548,7 @@ mod tests {
             saved_vam: SavedVam::Valid,
             vam_logged: true,
             spare_map: vec![(120, 40), (77, 41)],
+            reserve: Some(Run::new(900, 64)),
         };
         assert_eq!(FsdBootPage::decode(&b.encode()).unwrap(), b);
     }
@@ -503,6 +560,7 @@ mod tests {
             saved_vam: SavedVam::Invalid,
             vam_logged: true,
             spare_map: (0..SPARE_SECTORS).map(|i| (1000 + i, 40 + i)).collect(),
+            reserve: Some(Run::new(u32::MAX - 7, u32::MAX)),
         };
         let bytes = b.encode();
         assert_eq!(bytes.len(), SECTOR_BYTES);
@@ -526,6 +584,50 @@ mod tests {
         assert!(FsdBootPage::decode(&bytes).is_err());
         bytes[8] = 0xFF;
         assert!(FsdBootPage::decode(&bytes).is_err());
+    }
+
+    #[test]
+    fn a_reserve_record_is_checked_ranged_and_optional() {
+        let l = FsdLayout::compute(&DiskGeometry::TINY, 16, 128);
+        assert_eq!(l.reserve_sectors, 64);
+        let carved = l.carve_reserve(&l.empty_vam()).unwrap();
+        assert_eq!(carved, Run::new(l.nt_a_start - 64, 64));
+        let page = |reserve| FsdBootPage {
+            boot_count: 3,
+            reserve,
+            ..FsdBootPage::default()
+        };
+        let read = |bytes: &[u8]| {
+            let mut b = FsdBootPage::decode(bytes).unwrap();
+            b.validate(&l);
+            b.reserve
+        };
+        let at = 12; // Behind an empty remap table.
+        let bytes = page(Some(carved)).encode();
+        assert_eq!(read(&bytes), Some(carved));
+        // A page written before the field existed ends in zeros.
+        assert_eq!(page(None).encode()[at..at + 12], [0u8; 12]);
+        assert_eq!(read(&page(None).encode()), None);
+        // No single flipped byte reads as another run.
+        for i in at..at + 12 {
+            for mask in [1u8, 0x10, 0x80, 0xFF] {
+                let mut rotten = bytes.clone();
+                rotten[i] ^= mask;
+                assert_eq!(read(&rotten), None, "byte {i} ^ {mask:#x}");
+            }
+        }
+        // A record that checks out is still held to the layout.
+        for run in [
+            Run::new(l.nt_a_start - 10, 64),  // Runs into the name table.
+            Run::new(l.small_start - 1, 8),   // Starts in the spare region.
+            Run::new(l.central_end, 65),      // Longer than a reserve.
+            Run::new(l.total_sectors - 4, 8), // Off the end.
+            Run::new(u32::MAX - 3, 8),        // Wraps.
+        ] {
+            assert_eq!(read(&page(Some(run)).encode()), None, "{run:?}");
+        }
+        let big_area = Run::new(l.central_end, 64);
+        assert_eq!(read(&page(Some(big_area)).encode()), Some(big_area));
     }
 
     #[test]

@@ -29,15 +29,31 @@
 //!   turning the replication tap on, or [`FsdVolume::settle_redo`];
 //! * **the VAM walk** — when the saved free map is unusable, the
 //!   name-table walk that rebuilds it (the first kind above, and the bulk
-//!   of the paper's 25 seconds), paid behind the redo settle by the first
-//!   operation that allocates or frees, by shutdown, or by
-//!   [`FsdVolume::settle_vam`].
+//!   of the paper's 25 seconds). The first allocation needs *a* free run,
+//!   not the whole map, and the boot page names one: the **restart
+//!   reserve**, which no allocation has touched since it was recorded
+//!   (`volume.rs` has the rules). The first operation that allocates or
+//!   frees takes it over — its record leaves the boot page with the redo
+//!   settle's new-epoch write, or with a write of its own when the settle
+//!   was paid earlier, and only then is the run marked free — and from
+//!   there create and extend allocate from, and delete and truncate free
+//!   into, a map that marks free only what is *known* to be: always a
+//!   subset of the truth. The walk is paid behind the redo settle by an
+//!   allocation that map cannot serve in one run, by shutdown (the map
+//!   is saved), by the cache flusher (it decides on the free count), or
+//!   by [`FsdVolume::settle_vam`]; it carries the shadow bitmap of the
+//!   map it replaces across, and ends by holding a reserve again — the
+//!   recorded one if it is still standing, a new one otherwise. A boot
+//!   page without a record (the reserve was taken over or released, or
+//!   the volume predates it) is the same path with nothing to take over:
+//!   the first allocation pays the walk.
 //!
 //! `boot` followed at once by `settle_vam` is the whole of FSD crash
-//! recovery, in the order an eager boot would do it. A volume running the
-//! §5.3 VAM-logging extension settles both inside boot: its saved map is
-//! a base image the sweep patches, and the fresh base it writes for the
-//! new epoch needs the walk.
+//! recovery, in the order an eager boot would do it, to the microsecond:
+//! the reserve stays recorded through both and costs them no write. A
+//! volume running the §5.3 VAM-logging extension settles both inside
+//! boot: its saved map is a base image the sweep patches, and the fresh
+//! base it writes for the new epoch needs the walk.
 //!
 //! Table 2's headline: crash recovery drops from 3600+ seconds (the CFS
 //! scavenge) to 25 seconds worst case (log redo plus VAM rebuild).
@@ -46,7 +62,10 @@
 //! crash inside the settle leaves some homes rewritten with the images
 //! the log still holds — the old epoch's boot pages and log meta change
 //! only after the sweep is durable — so the next boot reads the same log
-//! and lays the same images over whatever the sweep got to.
+//! and lays the same images over whatever the sweep got to. A crash
+//! after the reserve was taken over finds no record and walks first; a
+//! crash before finds the record and the run as free as it ever was
+//! (`tests/reserve_sweep.rs` enumerates both, and the walk in between).
 //!
 //! # The escalation ladder
 //!
@@ -200,6 +219,10 @@ pub struct RecoveryReport {
     pub scavenge_us: Micros,
     /// What the scavenger found and lost (rung 3 only).
     pub scavenge: Option<ScavengeSummary>,
+    /// The restart reserve boot found recorded and could vouch for
+    /// ([`FsdVolume::reserve`]): after a crash, what the first allocation
+    /// will be served from without the walk.
+    pub reserve: Option<Run>,
 }
 
 impl RecoveryReport {
@@ -218,9 +241,10 @@ impl FsdVolume {
     /// to a replica scrub or a full scavenge when the media demands it.
     /// On undamaged media it writes nothing. The volume serves reads,
     /// opens and listings at once, through the log's images; the first
-    /// write pays the redo settle ([`Self::settle_redo`]) and the first
-    /// operation that allocates or frees pays the walk
-    /// ([`Self::settle_vam`]).
+    /// write pays the redo settle ([`Self::settle_redo`]), the first
+    /// operations that allocate or free work out of the restart reserve
+    /// ([`RecoveryReport::reserve`]), and the walk waits for one of them
+    /// to need more, for shutdown, or for [`Self::settle_vam`].
     pub fn boot(disk: SimDisk, config: FsdConfig) -> Result<(FsdVolume, RecoveryReport)> {
         Self::try_boot(disk, config).map_err(|(e, _)| e)
     }
@@ -283,7 +307,7 @@ impl FsdVolume {
             // new epoch's base image is written below: this boot pays
             // its own settle, where an eager boot did. A failure
             // escalates in `try_boot`.
-            if let Some(settle) = self.pay_redo()? {
+            if let Some(settle) = self.pay_redo(false)? {
                 report.redo_us += settle.us();
             }
         }
@@ -313,6 +337,10 @@ impl FsdVolume {
             }
         }
         report.vam_reconstructed = self.vam_owed;
+        // The record has passed `validate`; a map that loaded must agree.
+        if !self.vam_owed {
+            self.hold_reserve();
+        }
         if self.boot.vam_logged {
             // New log epoch: write a fresh base image and restart the
             // delta chain from it. The image needs the map, so this boot
@@ -324,6 +352,7 @@ impl FsdVolume {
             self.vam_baseline = Some(self.padded_vam_bytes());
         }
         report.vam_us = self.clock().now() - t1;
+        report.reserve = self.boot.reserve;
         Ok(())
     }
 
@@ -344,8 +373,24 @@ impl FsdVolume {
     /// working through the log's images — and asks the next boot for a
     /// scavenge through the boot pages, as a failed walk does.
     pub fn settle_redo(&mut self) -> Result<Option<RedoSettle>> {
-        let paid = self.pay_redo();
+        let paid = self.pay_redo(false);
         self.note_failed_settle(paid)
+    }
+
+    /// What an operation about to allocate or free needs of recovery:
+    /// the redo settle, and — while the walk is owed — the reserve in the
+    /// allocator's hands, its record off the boot page. A settle paid
+    /// here clears the record with its own new-epoch write; one that
+    /// something else paid earlier left it standing (nothing had touched
+    /// the run, and a session that never allocates hands the reserve on
+    /// to the next boot), so it is cleared now.
+    pub(crate) fn settle_for_map_change(&mut self) -> Result<()> {
+        let paid = self.pay_redo(true);
+        self.note_failed_settle(paid)?;
+        if self.vam_owed {
+            self.release_reserve()?;
+        }
+        Ok(())
     }
 
     /// The redo settle this session has paid, whoever triggered it.
@@ -357,12 +402,15 @@ impl FsdVolume {
     /// name-table walk — `Some` with what the walk cost, `None` when the
     /// map was already settled; idempotent.
     ///
-    /// No operation that changes which sectors the name table claims may
-    /// run before the walk. Create, extend, truncate and delete call this
-    /// through their common VAM-hint hook, and so does the VAM save at
-    /// shutdown, so no caller *has* to. The walk reads through the page
-    /// cache, so name-table pages dirtied since boot are seen as they are
-    /// in memory.
+    /// Until the walk has run, nothing may allocate outside what is known
+    /// free — the reserve a crash boot found recorded, and whatever has
+    /// been freed and committed since it was taken over. Create and
+    /// extend call this when that cannot serve them in one run, and so do
+    /// the VAM save at shutdown and the cache flusher, so no caller *has*
+    /// to. The walk reads through the page cache, so name-table pages
+    /// dirtied since boot are seen as they are in memory; sectors freed
+    /// by deletes and truncates that have not committed stay shadow-held
+    /// in the rebuilt map.
     ///
     /// A failure other than a crash leaves what failed owed and asks the
     /// next boot for a scavenge through the boot pages (once written the
@@ -397,8 +445,10 @@ impl FsdVolume {
 
     /// The settle itself, in the order an eager boot ran it: the sweep
     /// (durable before anything of the old epoch changes), the leader
-    /// pass, then the new epoch.
-    fn pay_redo(&mut self) -> Result<Option<RedoSettle>> {
+    /// pass, then the new epoch. `hand_over`: the caller is about to
+    /// change the free map, so while the walk is owed the reserve goes to
+    /// the allocator and the new epoch's boot pages no longer name it.
+    fn pay_redo(&mut self, hand_over: bool) -> Result<Option<RedoSettle>> {
         let Some(owed) = self.redo_owed.as_ref() else {
             return Ok(None);
         };
@@ -426,9 +476,18 @@ impl FsdVolume {
         let old_epoch = self.boot.clone();
         self.boot.boot_count += 1;
         self.boot.saved_vam = SavedVam::Invalid;
+        let handed_over = match hand_over && self.vam_owed {
+            true => self.boot.reserve.take(),
+            false => None,
+        };
         if let Err(e) = self.write_boot_pages() {
             self.boot = old_epoch;
             return Err(e);
+        }
+        self.boot_page_owed = false;
+        // Durably unrecorded: only now is the run free in the map.
+        if let Some(run) = handed_over {
+            self.vam.free_run(run);
         }
         self.log.write_meta(&mut self.disk, &mut self.spare)?;
         self.redo_owed = None;
@@ -445,9 +504,14 @@ impl FsdVolume {
         if !self.vam_owed {
             return Ok(None);
         }
+        let known_free = self.vam.clone();
         let walk = self.reconstruct_vam(self.scavenge_workers)?;
+        // Deletes and truncates since the reserve was handed over may not
+        // have committed yet; the tree the walk read no longer has them.
+        self.vam.carry_shadow_from(&known_free);
         self.vam_owed = false;
         self.vam_walk = Some(walk);
+        self.hold_reserve();
         Ok(Some(walk))
     }
 
@@ -575,7 +639,8 @@ fn scan_phase(
     // Boot page: copy A, falling back to copy B (§5.8, error class 5),
     // scrubbing a damaged copy back from the survivor. The remap table
     // lives here, so it is available before any other structure is read.
-    let boot = read_boot_page(disk, layout, policy, report)?;
+    let mut boot = read_boot_page(disk, layout, policy, report)?;
+    boot.validate(layout);
     if boot.saved_vam == SavedVam::SettleFailed {
         // The last session could not finish recovery for a reason other
         // than a crash and left this note: no point replaying a log into

@@ -171,6 +171,7 @@ pub(crate) fn scavenge_boot(
         saved_vam: SavedVam::Invalid,
         vam_logged: config.log_vam,
         spare_map: spare.entries().to_vec(),
+        reserve: None,
     };
     let mut vol = FsdVolume::assemble(disk, cpu, layout, boot, log, spare, &config);
     vol.vam = vam;
@@ -182,6 +183,7 @@ pub(crate) fn scavenge_boot(
             report.remapped_sectors += vol.spare.remapped;
             report.scavenge_us = vol.clock().now() - t0;
             report.scavenge = Some(summary);
+            report.reserve = vol.boot.reserve;
             Ok((vol, report))
         }
         Err(e) => Err((e, vol.into_disk())),

@@ -20,6 +20,31 @@
 //!   written home by one function, `collect_home_writes`: everything
 //!   at shutdown, and at each log-third entry whatever has its only log
 //!   copy in the third about to be reclaimed (§5.3).
+//!
+//! # The restart reserve
+//!
+//! One free run — [`FsdLayout::reserve_sectors`] long, the free space
+//! nearest below name-table copy A — is recorded on the boot page and
+//! kept out of both allocators' hands, so that after a crash it is free
+//! *by construction* and the first allocation need not wait for the
+//! name-table walk (`recovery.rs`). It stays free in the map: it is user
+//! space, counted by [`FsdVolume::free_sectors`], saved with the VAM, and
+//! only allocated last. Three rules keep the record true:
+//!
+//! * **held** — while a reserve is held, the two allocation sites hide it
+//!   from the allocator for the length of the call, and nothing frees
+//!   into it because no file lies in it;
+//! * **cleared durably, then used** — an allocation that would otherwise
+//!   fragment or fail, or the first change to the map while a walk is
+//!   owed, takes the record off the boot page first and only then lets
+//!   the allocator in (`release_reserve`; a redo settle paid *for* such an
+//!   operation clears it with the new-epoch write it makes anyway);
+//! * **recorded late, never early** — a run is chosen only from a map
+//!   that is whole (after a walk, before a VAM save), is held in memory
+//!   from that moment, and reaches the boot page with the next write of
+//!   it: the save's own at shutdown, format and scavenge, or the one the
+//!   next operation that changes the map makes first. A boot page behind
+//!   memory names no reserve, which is always safe.
 
 use crate::cache::{NtCache, NtMeta};
 use crate::entry::{EntryKind, FileEntry};
@@ -35,7 +60,7 @@ use cedar_disk::sched::IoPolicy;
 use cedar_disk::{
     Cpu, CpuModel, DiskStats, SectorAddr, SimClock, SimDisk, SECTOR_BYTES, SECTOR_BYTES_U64,
 };
-use cedar_vol::{AllocPolicy, Allocator, FileName, Run, RunTable, Vam};
+use cedar_vol::{AllocError, AllocPolicy, Allocator, FileName, Run, RunTable, Vam};
 use std::collections::{BTreeSet, HashMap};
 
 /// Most runs a file may occupy: bounded by the name-table entry budget.
@@ -180,7 +205,10 @@ pub struct FsdVolume {
     pub(crate) uid_counter: u32,
     pub(crate) last_force: Micros,
     pub(crate) commit_interval: Micros,
-    pub(crate) vam_hint_on_disk: bool,
+    /// The boot page on disk must be rewritten before the free map next
+    /// changes: it calls the save area current, or a reserve chosen after
+    /// a walk has not reached it yet.
+    pub(crate) boot_page_owed: bool,
     /// The log as boot indexed it, not yet written home: reads lay these
     /// images over the platters, and nothing may reach the log or dirty a
     /// name-table page until [`Self::settle_redo`] has paid them.
@@ -188,8 +216,10 @@ pub struct FsdVolume {
     /// The redo settle this session paid, if any.
     pub(crate) redo_settle: Option<crate::recovery::RedoSettle>,
     /// The saved VAM was unusable at boot and the name-table walk that
-    /// replaces it has not run yet: `vam` is the all-allocated map, and
-    /// nothing may allocate or free until [`Self::settle_vam`] has.
+    /// replaces it has not run yet: `vam` marks free only what is known
+    /// to be — nothing, until the reserve is handed over, then what is
+    /// left of it and whatever has been freed and committed since. An
+    /// allocation it cannot serve pays the walk.
     pub(crate) vam_owed: bool,
     /// The walk this session paid, if any.
     pub(crate) vam_walk: Option<crate::recovery::VamWalk>,
@@ -252,7 +282,7 @@ impl FsdVolume {
             vam: Vam::new_all_allocated(layout.total_sectors),
             uid_counter: 0,
             commit_interval: config.commit_interval_us,
-            vam_hint_on_disk: false,
+            boot_page_owed: false,
             redo_owed: None,
             redo_settle: None,
             vam_owed: false,
@@ -276,6 +306,7 @@ impl FsdVolume {
             saved_vam: SavedVam::Invalid,
             vam_logged: config.log_vam,
             spare_map: Vec::new(),
+            reserve: None,
         };
         let log = Log::fresh(layout.log_start, layout.log_sectors, 1)?;
         let spare = SpareMap::for_layout(&layout);
@@ -387,13 +418,23 @@ impl FsdVolume {
         self.log.third_capacity_images()
     }
 
-    /// Free data sectors (excluding shadow-held pages): what the
-    /// allocator may hand out *now*. After a crash boot, while the
-    /// name-table walk is still owed, the map in memory is the
-    /// all-allocated one and this reads 0; call [`Self::settle_vam`]
-    /// first for the true count.
+    /// Free data sectors (excluding shadow-held pages), a held reserve
+    /// among them: it is user space, only allocated last. After a crash
+    /// boot, while the name-table walk is still owed, this counts what is
+    /// *known* free — 0 until the first allocation or free takes over the
+    /// reserve, then what is left of it plus what has been freed and
+    /// committed since; call [`Self::settle_vam`] first for the true
+    /// count.
     pub fn free_sectors(&self) -> u32 {
         self.vam.free_count()
+    }
+
+    /// The restart reserve this volume holds — or, between a crash boot
+    /// and the first operation that changes the map, has read off the
+    /// boot page and will hand that operation. `None` once handed over or
+    /// released, until a walk or a VAM save picks the next one.
+    pub fn reserve(&self) -> Option<Run> {
+        self.boot.reserve
     }
 
     /// Sectors freed by uncommitted deletes, waiting in the shadow bitmap
@@ -762,6 +803,8 @@ impl FsdVolume {
 
     pub(crate) fn save_vam_and_mark_valid(&mut self) -> Result<()> {
         self.settle_vam()?;
+        // The boot pages below carry the record.
+        self.hold_reserve();
         // Both save-area copies in one window (at most one can be torn by
         // a crash; the boot pages marking them valid follow in a separate
         // submission, so validity never precedes durability).
@@ -775,7 +818,7 @@ impl FsdVolume {
         )?;
         self.boot.saved_vam = SavedVam::Valid;
         self.write_boot_pages()?;
-        self.vam_hint_on_disk = true;
+        self.boot_page_owed = true;
         if self.vam_baseline.is_some() {
             self.vam_baseline = Some(bytes);
             self.vam_home.clear();
@@ -795,22 +838,98 @@ impl FsdVolume {
     }
 
     /// Called by every operation about to change which sectors the name
-    /// table claims, once it can no longer fail on its arguments: the
-    /// free map must be real (an owed walk is paid here) and the save
-    /// area must stop claiming to be current.
+    /// table claims, once it can no longer fail on its arguments: redo is
+    /// settled, a reserve read at a crash boot is in the allocator's
+    /// hands, and the boot page neither calls the save area current nor
+    /// lags behind a reserve held in memory.
     fn invalidate_vam_hint(&mut self) -> Result<()> {
-        self.settle_vam()?;
+        self.settle_for_map_change()?;
         // Under VAM logging the save area is a redo-patched base image:
         // it never goes stale, so there is nothing to invalidate.
         if self.vam_baseline.is_some() {
             return Ok(());
         }
-        if self.vam_hint_on_disk {
+        if self.boot_page_owed {
             self.boot.saved_vam = SavedVam::Invalid;
             self.write_boot_pages()?;
-            self.vam_hint_on_disk = false;
+            self.boot_page_owed = false;
         }
         Ok(())
+    }
+
+    // ----- the restart reserve ------------------------------------------------------
+
+    /// Holds a reserve if the map has room for one: keeps the run already
+    /// held when the map (just loaded or rebuilt) agrees it is free, and
+    /// picks a new one otherwise. Only ever called on a whole map.
+    pub(crate) fn hold_reserve(&mut self) {
+        let free = |run: &Run| (run.start..run.end()).all(|a| self.vam.is_free(a));
+        let held = match self.boot.reserve.filter(free) {
+            Some(run) => Some(run),
+            None => self.layout.carve_reserve(&self.vam),
+        };
+        if held != self.boot.reserve {
+            self.boot.reserve = held;
+            self.boot_page_owed = true;
+        }
+    }
+
+    /// Gives the reserve up to the allocator: the record leaves the boot
+    /// page, durably, *before* the run becomes allocatable — a crash in
+    /// between finds a volume without a reserve, never a reserve with a
+    /// file in it.
+    pub(crate) fn release_reserve(&mut self) -> Result<()> {
+        let Some(run) = self.boot.reserve.take() else {
+            return Ok(());
+        };
+        if let Err(e) = self.write_boot_pages() {
+            self.boot.reserve = Some(run);
+            return Err(e);
+        }
+        if self.vam_owed {
+            self.vam.free_run(run);
+        }
+        Ok(())
+    }
+
+    /// One call into the allocator growing a table that had `had`, from
+    /// the map in hand — the whole one minus a held reserve, or what is
+    /// known free while the walk is owed. When that cannot serve the call
+    /// in one run the map is widened and the call made again: an owed
+    /// walk is paid, then a held reserve released. What comes back once
+    /// neither is left is what the allocator always gave.
+    fn allocate_with(
+        &mut self,
+        had: &RunTable,
+        grow: impl Fn(&mut Allocator, &mut Vam) -> std::result::Result<RunTable, AllocError>,
+    ) -> Result<RunTable> {
+        loop {
+            let hidden = self.boot.reserve;
+            debug_assert!(hidden.is_none() || !self.vam_owed, "handed over first");
+            if let Some(run) = hidden {
+                self.vam.allocate_run(run);
+            }
+            let grown = grow(&mut self.alloc, &mut self.vam);
+            if let Some(run) = hidden {
+                self.vam.free_run(run);
+            }
+            let in_one_run = grown
+                .as_ref()
+                .is_ok_and(|rt| rt.runs().len() <= had.runs().len() + 1);
+            if in_one_run || (hidden.is_none() && !self.vam_owed) {
+                return Ok(grown?);
+            }
+            if let Ok(mut rt) = grown {
+                for run in rt.truncate(had.pages()) {
+                    self.vam.free_run(run);
+                }
+            }
+            if self.vam_owed {
+                self.settle_vam()?;
+            } else {
+                self.release_reserve()?;
+            }
+        }
     }
 
     // ----- internals -------------------------------------------------------------
@@ -933,7 +1052,7 @@ impl FsdVolume {
         self.maybe_force()?;
         self.cpu.op();
         // Validate before the hook: a create that fails on its name must
-        // neither dirty the boot pages nor pay the walk.
+        // neither dirty the boot pages nor pay the settle.
         FileName::new(name, 1).map_err(FsdError::BadName)?;
         self.invalidate_vam_hint()?;
         let version = self.max_version(name)? + 1;
@@ -950,7 +1069,9 @@ impl FsdVolume {
 
         // Leader + data in one allocation: the leader lands on the sector
         // before data page 0, making the §5.7 piggyback read free.
-        let rt_all = self.alloc.allocate(&mut self.vam, 1 + data_pages)?;
+        let rt_all = self.allocate_with(&RunTable::new(), |alloc, vam| {
+            alloc.allocate(vam, 1 + data_pages)
+        })?;
         if rt_all.runs().len() > MAX_RUNS {
             for r in rt_all.runs() {
                 self.vam.free_run(*r);
@@ -1323,8 +1444,12 @@ impl FsdVolume {
         self.maybe_force()?;
         self.cpu.op();
         self.invalidate_vam_hint()?;
-        let mut rt = file.entry.run_table.clone();
-        self.alloc.extend(&mut self.vam, &mut rt, add_pages)?;
+        let had = &file.entry.run_table;
+        let mut rt = self.allocate_with(had, |alloc, vam| {
+            let mut rt = had.clone();
+            alloc.extend(vam, &mut rt, add_pages)?;
+            Ok(rt)
+        })?;
         if rt.runs().len() > MAX_RUNS {
             // Give back the new pages and refuse.
             for r in rt.truncate(file.entry.run_table.pages()) {
@@ -1388,7 +1513,7 @@ impl FsdVolume {
         let fname = self.resolve(name, version)?;
         let entry = self.get_entry(&fname)?;
         // Only now that the file exists: a `NotFound` delete must neither
-        // dirty the boot pages nor pay the walk.
+        // dirty the boot pages nor pay the settle.
         self.invalidate_vam_hint()?;
         let mut tree = self.tree;
         {

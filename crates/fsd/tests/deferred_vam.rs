@@ -1,9 +1,11 @@
-//! What boot leaves owed (ISSUES 15 and 19): boot reads the log and
+//! What boot leaves owed (ISSUES 15, 19 and 22): boot reads the log and
 //! serves reads — through the log's images, before the free map exists —
-//! without writing a sector; the first write pays the redo settle and
-//! the first operation that allocates or frees pays the name-table walk,
-//! each exactly once; and a settle or a walk that cannot finish sends the
-//! next boot to the scavenger instead of stranding the volume.
+//! without writing a sector; the first write pays the redo settle, and
+//! the first operations that allocate or free are served from the
+//! restart reserve, so the name-table walk waits for an allocation the
+//! reserve cannot serve, for shutdown or for `settle_vam`, each exactly
+//! once; and a settle or a walk that cannot finish sends the next boot
+//! to the scavenger instead of stranding the volume.
 //!
 //! The phase-by-phase and microsecond account of boot + settle is pinned
 //! next to the code, in `recovery.rs`'s unit tests, and every crash
@@ -79,7 +81,7 @@ fn eager(disk: &SimDisk) -> FsdVolume {
 }
 
 #[test]
-fn a_read_only_session_never_walks_and_the_first_create_walks_once() {
+fn a_read_only_session_never_walks_and_the_first_creates_come_out_of_the_reserve() {
     let disk = crashed();
     let before = disk.stats();
     let mut v = boot(&disk);
@@ -104,60 +106,94 @@ fn a_read_only_session_never_walks_and_the_first_create_walks_once() {
     assert_eq!(v.redo_settle(), Some(settle), "exactly once");
 
     assert_eq!(v.vam_walk(), None, "nothing above needs a free map");
+    let reserve = v
+        .reserve()
+        .expect("and the settle left the reserve recorded");
+    assert_eq!(reserve.len, v.layout().reserve_sectors);
+    assert_eq!(v.free_sectors(), 0, "nothing is known free yet");
+
+    // The first create takes the reserve over and is served from it.
+    let first = v.create("first", b"after the crash").unwrap().entry;
+    assert_eq!(v.vam_walk(), None, "the first create does not walk");
+    assert_eq!(v.reserve(), None, "the reserve is the allocator's now");
+    assert_eq!(first.leader_addr, reserve.start);
+    assert_eq!(
+        first.run_table.runs(),
+        [cedar_vol::Run::new(reserve.start + 1, 1)]
+    );
+    assert_eq!(v.free_sectors(), reserve.len - 2);
+    v.create("second", b"no walk either").unwrap();
+    v.delete("first", None).unwrap();
     assert_eq!(
         v.free_sectors(),
-        0,
-        "the map is still the all-allocated one"
+        reserve.len - 4,
+        "shadow-held until the commit"
     );
+    v.force().unwrap();
+    assert_eq!(v.free_sectors(), reserve.len - 2);
+    assert_eq!(v.vam_walk(), None);
 
-    // The first create pays: every committed entry plus the link.
-    v.create("first", b"after the crash").unwrap();
-    let walk = v.vam_walk().expect("the first create walks");
-    assert_eq!(walk.files_scanned, FILES as u64 + 1);
-    assert!(walk.us() > 0 && v.free_sectors() > 0);
-    // Exactly once.
-    v.create("second", b"no second walk").unwrap();
-    v.delete("first", None).unwrap();
-    assert_eq!(v.vam_walk(), Some(walk));
+    // The walk is still owed, and paid once: every committed entry, the
+    // link and the create that outlived the delete.
+    let walk = v.settle_vam().unwrap().expect("owed");
+    assert_eq!(walk.files_scanned, FILES as u64 + 2);
+    assert_eq!(v.free_sectors(), eager(&disk).free_sectors() - 2);
     assert_eq!(v.settle_vam().unwrap(), None);
+    assert_eq!(v.vam_walk(), Some(walk));
     v.verify().unwrap();
 }
 
-/// Whichever mutation comes first pays, and leaves the same free map as
-/// boot + `settle_vam` + the same mutation, once both sides have forced.
+/// Whichever mutation comes first pays the redo settle and takes the
+/// reserve over — not the walk — and once the walk is paid the free map
+/// is the one boot + `settle_vam` + the same mutation leaves, both sides
+/// having forced. Shutdown saves the map, so it pays the walk itself.
 /// (The clocks differ: the mutation's own lookup runs before the settle,
 /// not after, so the half-second daemon lands elsewhere — between
 /// `set_keep`'s two deletes, for one.)
 #[test]
-fn every_mutation_and_shutdown_pays_the_walk_when_it_comes_first() {
+fn every_mutation_pays_the_settle_and_only_shutdown_the_walk() {
     type Mutation = fn(&mut FsdVolume);
-    let mutations: [(&str, Mutation); 5] = [
-        ("delete", |v| v.delete(&name(5), None).unwrap()),
-        ("extend", |v| {
-            let mut f = v.open(&name(6), None).unwrap();
-            v.extend(&mut f, 3).unwrap();
-        }),
-        ("truncate", |v| {
-            let mut f = v.open(&name(7), None).unwrap();
-            v.truncate(&mut f, 1).unwrap();
-        }),
+    // (what, the mutation, entries it removes before the walk sees them)
+    let mutations: [(&str, Mutation, u64); 5] = [
+        ("delete", |v| v.delete(&name(5), None).unwrap(), 1),
+        (
+            "extend",
+            |v| {
+                let mut f = v.open(&name(6), None).unwrap();
+                v.extend(&mut f, 3).unwrap();
+            },
+            0,
+        ),
+        (
+            "truncate",
+            |v| {
+                let mut f = v.open(&name(7), None).unwrap();
+                v.truncate(&mut f, 1).unwrap();
+            },
+            0,
+        ),
         // Prunes two of the three versions: a delete underneath.
-        ("set_keep", |v| v.set_keep("kept", 1).unwrap()),
-        ("shutdown", |v| v.shutdown().unwrap()),
+        ("set_keep", |v| v.set_keep("kept", 1).unwrap(), 2),
+        ("shutdown", |v| v.shutdown().unwrap(), 0),
     ];
     let disk = crashed();
-    for (what, mutate) in mutations {
+    for (what, mutate, removed) in mutations {
         let mut lazy = boot(&disk);
         mutate(&mut lazy);
-        let walk = lazy
-            .vam_walk()
-            .unwrap_or_else(|| panic!("{what} did not walk"));
-        assert_eq!(walk.files_scanned, FILES as u64, "{what}");
-        // Redo was paid ahead of the walk, once.
+        // Redo was paid, once.
         let settle = lazy.redo_settle();
         assert!(settle.is_some(), "{what} did not settle redo");
         assert_eq!(lazy.settle_redo().unwrap(), None, "{what}");
         assert_eq!(lazy.redo_settle(), settle, "{what}");
+        if what == "shutdown" {
+            assert!(lazy.reserve().is_some(), "saved with the map");
+        } else {
+            assert_eq!(lazy.vam_walk(), None, "{what} walked");
+            assert_eq!(lazy.reserve(), None, "{what} left the reserve recorded");
+        }
+        let walk = lazy.settle_vam().unwrap().or(lazy.vam_walk());
+        let scanned = walk.expect("paid by now").files_scanned;
+        assert_eq!(scanned, FILES as u64 - removed, "{what}");
 
         let mut reference = eager(&disk);
         mutate(&mut reference);
@@ -356,10 +392,11 @@ fn a_crash_while_owed_or_inside_the_first_create_owes_the_same_walk() {
 
 /// A name-table leaf dead in both copies used to be found by boot's own
 /// walk, which escalated to the scavenger on the spot. Now the walk that
-/// finds it belongs to the first allocation: that gets a typed error,
-/// and the boot pages carry the escalation to the next boot.
+/// finds it belongs to whoever pays it — here `settle_vam`, as shutdown
+/// or an allocation the reserve cannot serve would: that gets a typed
+/// error, and the boot pages carry the escalation to the next boot.
 #[test]
-fn a_dead_leaf_page_fails_the_first_allocation_and_scavenges_the_next_boot() {
+fn a_dead_leaf_page_fails_whoever_pays_the_walk_and_scavenges_the_next_boot() {
     // Redo rewrites (and so heals) every page the log covers, so the
     // wound has to sit on a page the log does not hold: write the whole
     // table home with a clean shutdown, then crash after one more create
@@ -396,7 +433,7 @@ fn a_dead_leaf_page_fails_the_first_allocation_and_scavenges_the_next_boot() {
             continue;
         };
         assert_eq!(v.read_file(&mut f).unwrap(), content(0));
-        let err = match v.create("after", b"needs a free map") {
+        let err = match v.settle_vam() {
             // The page was not part of the tree at all.
             Ok(_) => continue,
             Err(e) => e,
@@ -404,10 +441,11 @@ fn a_dead_leaf_page_fails_the_first_allocation_and_scavenges_the_next_boot() {
         exercised += 1;
         assert!(!err.is_crash(), "a typed media error, not a crash: {err}");
         assert_eq!(v.vam_walk(), None, "the walk stays owed");
-        // The session keeps serving what it can, and keeps refusing.
+        // The session keeps serving what it can, and keeps refusing what
+        // needs the whole map.
         let mut f = v.open(&probe, None).unwrap();
         assert_eq!(v.read_file(&mut f).unwrap(), content(0));
-        assert!(v.delete(&probe, None).is_err());
+        assert!(v.settle_vam().is_err());
         assert!(v.shutdown().is_err());
 
         // Next boot: rung 3 without being told, and a writable volume.
@@ -420,6 +458,7 @@ fn a_dead_leaf_page_fails_the_first_allocation_and_scavenges_the_next_boot() {
         assert!(cause.contains("VAM walk failed"), "{cause}");
         v.verify().unwrap();
         assert_eq!(v.settle_vam().unwrap(), None, "the scavenger built the map");
+        assert!(v.reserve().is_some(), "and set a reserve aside");
         v.create("after", b"needs a free map").unwrap();
         let mut f = v.open(&probe, None).unwrap();
         assert_eq!(v.read_file(&mut f).unwrap(), content(0));
@@ -535,15 +574,21 @@ fn an_engine_started_on_an_owed_volume_serves_reads_and_pays_in_its_first_write(
     assert_eq!(engine.open("kept").unwrap().version, 3);
 
     engine.create("fresh", b"the log-writer pays").unwrap();
-    assert!(engine.stats().free_sectors > 0);
+    assert!(
+        engine.stats().free_sectors > 0,
+        "what is left of the reserve"
+    );
     assert_eq!(engine.read("fresh").unwrap(), b"the log-writer pays");
     let mut v = engine.shutdown().unwrap();
-    assert_eq!(v.vam_walk().unwrap().files_scanned, FILES as u64);
+    assert!(v.redo_settle().is_some(), "the settle, not the walk");
+    assert_eq!(v.vam_walk(), None);
+    let walk = v.settle_vam().unwrap().expect("still owed");
+    assert_eq!(walk.files_scanned, FILES as u64 + 1);
     v.verify().unwrap();
 }
 
 #[test]
-fn a_promoted_replica_reads_without_a_walk() {
+fn a_promoted_replica_reads_and_creates_without_a_walk() {
     let mut primary = FsdVolume::format(SimDisk::tiny(), config()).unwrap();
     for i in 0..30 {
         primary.create(&name(i), &content(i)).unwrap();
@@ -561,8 +606,13 @@ fn a_promoted_replica_reads_without_a_walk() {
     let mut f = v.open("shipped", None).unwrap();
     assert_eq!(v.read_file(&mut f).unwrap(), b"after the install");
     assert_eq!(v.vam_walk(), None);
-    v.create("new-primary", b"now it pays").unwrap();
-    assert_eq!(v.vam_walk().unwrap().files_scanned, 31);
+    // The primary's reserve came over with its boot page, and the
+    // primary never allocated inside it.
+    let reserve = report.reserve.expect("shipped verbatim");
+    let created = v.create("new-primary", b"out of the reserve").unwrap();
+    assert_eq!(created.entry.leader_addr, reserve.start);
+    assert_eq!(v.vam_walk(), None, "failover's first create does not walk");
+    assert_eq!(v.settle_vam().unwrap().unwrap().files_scanned, 32);
     v.verify().unwrap();
 }
 
@@ -587,7 +637,7 @@ fn a_replica_of_a_wounded_primary_promotes_without_a_scavenge() {
                 .disk_mut()
                 .damage_sector(layout.nt_b_sector(page) + s);
         }
-        if primary.create("after", b"needs a free map").is_ok() {
+        if primary.settle_vam().is_ok() {
             continue; // Not a page of the tree.
         }
         // The wounded session can still commit what needs no free map.
@@ -617,8 +667,9 @@ fn a_replica_of_a_wounded_primary_promotes_without_a_scavenge() {
             "the replica owes an ordinary walk"
         );
         v.open("link", None).unwrap();
-        v.create("after", b"needs a free map").unwrap();
-        assert_eq!(v.vam_walk().unwrap().files_scanned, FILES as u64 + 1);
+        v.create("after", b"out of the reserve").unwrap();
+        let walk = v.settle_vam().unwrap().expect("owed, and payable here");
+        assert_eq!(walk.files_scanned, FILES as u64 + 2);
         v.verify().unwrap();
 
         // The primary itself still scavenges when it comes back.

@@ -234,3 +234,76 @@ proptest! {
         prop_assert_eq!(s_scav, p_scav);
     }
 }
+
+/// The reserve record decides which sectors the first create after a
+/// crash writes over, so rot in it must read as *no reserve*, never as
+/// another run: every byte of the field, on either boot copy and on
+/// both, under several masks. The create that follows either comes out
+/// of the true reserve (copy A intact) or pays the walk; no file is
+/// written over either way.
+#[test]
+fn a_rotten_reserve_record_is_never_trusted() {
+    // Magic, boot count, two state bytes, an empty remap table's length.
+    const RESERVE_AT: usize = 12;
+    let cfg = config_with(1);
+    let mut v = FsdVolume::format(SimDisk::tiny(), cfg).unwrap();
+    for n in 0..24usize {
+        v.create(&format!("file{n:02}"), &vec![n as u8; 300 + n * 97])
+            .unwrap();
+    }
+    v.force().unwrap();
+    let layout = *v.layout();
+    let reserve = v.reserve().expect("format sets one aside");
+    let mut crashed = v.into_disk();
+    crashed.crash_now();
+    crashed.reboot();
+
+    let mut walked = 0;
+    for at in RESERVE_AT..RESERVE_AT + 12 {
+        for mask in [0x01u8, 0x08, 0x40, 0xFF] {
+            for copies in [
+                &[layout.boot_a][..],
+                &[layout.boot_b],
+                &[layout.boot_a, layout.boot_b],
+            ] {
+                let ctx = format!("byte {at} ^ {mask:#x} on {copies:?}");
+                let mut disk = crashed.clone();
+                for &copy in copies {
+                    disk.corrupt_byte(copy, at, mask);
+                }
+                let (mut v, report) = FsdVolume::boot(disk, cfg).expect(&ctx);
+                let trusted = copies[0] != layout.boot_a;
+                assert_eq!(report.reserve, trusted.then_some(reserve), "{ctx}");
+                v.create("after", &[7u8; 2000]).expect(&ctx);
+                assert_eq!(v.vam_walk().is_none(), trusted, "{ctx}");
+                walked += usize::from(!trusted);
+                v.force().expect(&ctx);
+                v.settle_vam().expect(&ctx);
+                v.verify().expect(&ctx);
+                let mut owner = BTreeMap::new();
+                for (name, entry) in v.list("").expect(&ctx) {
+                    let runs = entry.run_table.runs().to_vec();
+                    let leader = cedar_vol::Run::new(entry.leader_addr, 1);
+                    for sector in runs.iter().chain([&leader]).flat_map(|r| r.start..r.end()) {
+                        if let Some(other) = owner.insert(sector, name.clone()) {
+                            panic!("{ctx}: sector {sector} belongs to {other} and {name}");
+                        }
+                    }
+                    let n = name
+                        .name
+                        .strip_prefix("file")
+                        .map(|n| n.parse::<usize>().unwrap());
+                    if let Some(n) = n {
+                        let mut f = v.open(&name.name, None).expect(&ctx);
+                        assert_eq!(
+                            v.read_file(&mut f).expect(&ctx),
+                            vec![n as u8; 300 + n * 97],
+                            "{ctx}: {name}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(walked, 12 * 4 * 2);
+}

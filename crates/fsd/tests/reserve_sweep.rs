@@ -179,8 +179,8 @@ fn script(
     if let Some(plan) = plan {
         disk.schedule_crash(plan);
     }
-    let mut v = match FsdVolume::try_boot(disk, config(policy)) {
-        Ok((v, _)) => v,
+    let (mut v, report) = match FsdVolume::try_boot(disk, config(policy)) {
+        Ok(booted) => booted,
         Err((e, mut disk)) => {
             assert!(e.is_crash(), "boot: {e}");
             disk.crash_now();
@@ -197,7 +197,20 @@ fn script(
 
         let a = content(50 + round, 1200);
         model.set(&name("a"), Some(a.clone()));
-        v.create(&name("a"), &a)?;
+        let first = v.create(&name("a"), &a)?.entry;
+        // A reserve found at a crash boot serves the first create whole
+        // and without the walk; one held by a map that loaded keeps the
+        // create out; a boot that found none walks first, as ever.
+        let within = |c: &Run, r: Run| r.start <= c.start && c.end() <= r.end();
+        let apart = |c: &Run, r: Run| c.end() <= r.start || r.end() <= c.start;
+        match (report.reserve, report.vam_reconstructed) {
+            (Some(r), true) => {
+                assert!(v.vam_walk().is_none(), "round {round}: walked");
+                assert!(claims(&first).iter().all(|c| within(c, r)), "{first:?}");
+            }
+            (Some(r), false) => assert!(claims(&first).iter().all(|c| apart(c, r))),
+            (None, owed) => assert_eq!(v.vam_walk().is_some(), owed, "round {round}"),
+        }
         v.force()?;
         model.committed();
 
@@ -350,4 +363,102 @@ fn every_crash_of_a_restart_that_allocates_frees_and_walks_recovers() {
             }
         }
     }
+}
+
+/// Reading is free: a crashed volume booted, read and dropped any number
+/// of times still holds its reserve for the boot that finally writes.
+#[test]
+fn a_boot_that_wrote_nothing_leaves_the_reserve_intact() {
+    let mut disk = crashed(IoPolicy::Satf);
+    // The first boot scrubs the sector the crash tore in the log.
+    let mut written = None;
+    let mut recorded = None;
+    for _ in 0..3 {
+        let (mut v, report) = FsdVolume::boot(disk, config(IoPolicy::Satf)).unwrap();
+        let reserve = report.reserve.expect("the fixture was formatted with one");
+        assert_eq!(reserve.len, v.layout().reserve_sectors);
+        assert_eq!(reserve.end(), v.layout().nt_a_start, "nothing came near it");
+        assert_eq!(*recorded.get_or_insert(reserve), reserve);
+        assert_eq!(v.reserve(), Some(reserve));
+        let mut f = v.open(PROBE, None).unwrap();
+        v.read_file(&mut f).unwrap();
+        v.list("").unwrap();
+        disk = v.into_disk();
+        disk.crash_now();
+        disk.reboot();
+        let so_far = disk.stats().sectors_written;
+        assert_eq!(*written.get_or_insert(so_far), so_far);
+    }
+}
+
+/// In normal operation the reserve is nobody's: creates, extends, big
+/// files and churn over a formatted volume never land in it and never
+/// move it — until the volume has nothing else left to give.
+#[test]
+fn steady_state_never_allocates_inside_the_reserve_until_nothing_else_is_left() {
+    let mut v = FsdVolume::format(SimDisk::tiny(), config(IoPolicy::Satf)).unwrap();
+    let reserve = v.reserve().expect("format sets one aside");
+    let outside = |v: &mut FsdVolume, what: &str| {
+        for (name, entry) in v.list("").unwrap() {
+            for c in claims(&entry) {
+                assert!(
+                    c.end() <= reserve.start || reserve.end() <= c.start,
+                    "{what}: {name} holds {c:?} inside the reserve {reserve:?}"
+                );
+            }
+        }
+        assert_eq!(v.reserve(), Some(reserve), "{what}");
+    };
+    for i in 0..40 {
+        let mut f = v
+            .create(&base(i), &content(i, 300 + (i * 977) % 9000))
+            .unwrap();
+        if i % 3 == 0 {
+            v.extend(&mut f, 1 + (i as u32 % 4)).unwrap();
+        }
+        if i % 4 == 3 {
+            v.delete(&base(i - 2), None).unwrap();
+        }
+        if i % 5 == 4 {
+            v.force().unwrap();
+        }
+    }
+    outside(&mut v, "small-file churn");
+    // Big files grow down from the end, past the metadata, toward it.
+    v.create("big/a", &content(90, 700 * SECTOR_BYTES)).unwrap();
+    // The second no longer fits above the metadata and ends right below
+    // the reserve; it does not grow into it.
+    let mut below = v.create("big/b", &content(91, 300 * SECTOR_BYTES)).unwrap();
+    let tail = *below.entry.run_table.runs().last().unwrap();
+    assert_eq!(tail.end(), reserve.start, "{tail:?}");
+    v.extend(&mut below, 2).unwrap();
+    v.force().unwrap();
+    outside(&mut v, "big files");
+    v.shutdown().unwrap();
+    let (mut v, report) = FsdVolume::boot(v.into_disk(), config(IoPolicy::Satf)).unwrap();
+    assert_eq!(
+        (report.reserve, report.vam_reconstructed),
+        (Some(reserve), false)
+    );
+    v.create("after/boot", &content(93, 2000)).unwrap();
+    outside(&mut v, "after a clean boot");
+
+    // Fill what is left; the create that no longer fits in one piece
+    // elsewhere gives the reserve up — on the boot page first.
+    let mut n = 0;
+    while v.reserve().is_some() {
+        let writes = v.disk_stats().writes;
+        let free = v.free_sectors();
+        match v.create(&format!("fill/{n:03}"), &content(n, 30 * SECTOR_BYTES)) {
+            Ok(_) => assert_eq!(v.free_sectors(), free - 31),
+            Err(e) => panic!("fill/{n:03} with {free} sectors free: {e}"),
+        }
+        if v.reserve().is_none() {
+            let since = v.disk_stats().writes - writes;
+            assert!(since >= 3, "both boot pages, then the file: {since}");
+        }
+        n += 1;
+    }
+    v.force().unwrap();
+    v.verify().unwrap();
 }

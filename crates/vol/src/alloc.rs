@@ -173,7 +173,7 @@ impl Allocator {
     /// Backward allocation for big files: take the free run nearest the
     /// end of the area.
     fn allocate_backward(&mut self, vam: &mut Vam, pages: u32) -> Result<Vec<Run>, AllocError> {
-        if let Some(run) = find_free_run_backward(vam, pages, self.lo, self.hi) {
+        if let Some(run) = vam.find_last_free_run(pages, self.lo, self.hi) {
             vam.allocate_run(run);
             return Ok(vec![run]);
         }
@@ -204,29 +204,6 @@ impl Allocator {
         }
         Ok(runs)
     }
-}
-
-/// Finds the free run of `len` sectors closest to `hi`, or `None`.
-fn find_free_run_backward(vam: &Vam, len: u32, lo: SectorAddr, hi: SectorAddr) -> Option<Run> {
-    if len == 0 || lo >= hi {
-        return None;
-    }
-    let mut run_len = 0u32;
-    // Scan backward; a run is found when `len` consecutive free sectors
-    // have been seen, ending as close to `hi` as possible.
-    let mut a = hi;
-    while a > lo {
-        a -= 1;
-        if vam.is_free(a) {
-            run_len += 1;
-            if run_len == len {
-                return Some(Run::new(a, len));
-            }
-        } else {
-            run_len = 0;
-        }
-    }
-    None
 }
 
 #[cfg(test)]

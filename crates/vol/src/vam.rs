@@ -100,6 +100,19 @@ impl Vam {
         }
     }
 
+    /// Takes over `old`'s shadow-held sectors as allocated and
+    /// shadow-held here. A map rebuilt from the name table in the middle
+    /// of a session sees the sectors of a deleted file as free, but until
+    /// that delete commits they are not (§5.5): a crash brings the file
+    /// back, and a create that had taken them would have written over it.
+    pub fn carry_shadow_from(&mut self, old: &Vam) {
+        assert_eq!(self.sectors, old.sectors, "VAM shadow across volumes");
+        for ((w, s), o) in self.words.iter_mut().zip(&mut self.shadow).zip(&old.shadow) {
+            *w &= !o;
+            *s |= o;
+        }
+    }
+
     /// Commits all shadow frees: "When a commit occurs, the pages marked
     /// free in the shadow bitmap are marked free in the VAM" (§5.5).
     pub fn commit_shadow(&mut self) {
@@ -152,6 +165,29 @@ impl Vam {
         };
         let from = from.clamp(lo, hi);
         scan(from, hi).or_else(|| scan(lo, (from + len).min(hi)))
+    }
+
+    /// Finds the free run of `len` sectors within `[lo, hi)` that ends
+    /// closest to `hi` (big files grow down from the end of their area,
+    /// §5.6). Returns the run without marking it allocated.
+    pub fn find_last_free_run(&self, len: u32, lo: SectorAddr, hi: SectorAddr) -> Option<Run> {
+        if len == 0 || lo >= hi {
+            return None;
+        }
+        let mut run_len = 0u32;
+        let mut a = hi;
+        while a > lo {
+            a -= 1;
+            if self.is_free(a) {
+                run_len += 1;
+                if run_len == len {
+                    return Some(Run::new(a, len));
+                }
+            } else {
+                run_len = 0;
+            }
+        }
+        None
     }
 
     /// Finds the *largest* free run within `[lo, hi)` of length at most
@@ -336,6 +372,32 @@ mod tests {
         assert_eq!(v.free_count(), 4);
         assert_eq!(v.shadow_count(), 0);
         assert_eq!(v.find_free_run(2, 0, 64, 0), Some(Run::new(8, 2)));
+    }
+
+    #[test]
+    fn last_free_run_ends_nearest_the_top() {
+        let mut v = Vam::new_all_allocated(128);
+        v.free_run(Run::new(5, 6));
+        v.free_run(Run::new(60, 10));
+        v.free_run(Run::new(100, 3));
+        assert_eq!(v.find_last_free_run(3, 0, 128), Some(Run::new(100, 3)));
+        assert_eq!(v.find_last_free_run(4, 0, 128), Some(Run::new(66, 4)));
+        assert_eq!(v.find_last_free_run(4, 0, 68), Some(Run::new(64, 4)));
+        assert_eq!(v.find_last_free_run(11, 0, 128), None);
+        assert_eq!(v.find_last_free_run(6, 6, 128), Some(Run::new(64, 6)));
+    }
+
+    #[test]
+    fn carried_shadow_is_allocated_until_it_commits() {
+        let mut old = Vam::new_all_allocated(128);
+        old.shadow_free_run(Run::new(60, 60));
+        let mut rebuilt = Vam::new_all_allocated(128);
+        rebuilt.free_run(Run::new(50, 78));
+        rebuilt.carry_shadow_from(&old);
+        assert_eq!((rebuilt.free_count(), rebuilt.shadow_count()), (18, 60));
+        assert_eq!(rebuilt.find_free_run(11, 0, 128, 0), None);
+        rebuilt.commit_shadow();
+        assert_eq!(rebuilt.find_free_run(78, 0, 128, 0), Some(Run::new(50, 78)));
     }
 
     #[test]

@@ -68,7 +68,7 @@ fn main() {
     );
     println!(
         "  first read possible after {:.2} s: the home sweep is deferred to the first write, \
-         the rebuild to the first allocation",
+         the rebuild past the first allocations (they come out of the restart reserve)",
         report.total_us() as f64 / 1e6
     );
     println!("  (host wall-clock: {:?})", t0.elapsed());

@@ -77,8 +77,9 @@ fn main() {
     let disk = vol.into_disk();
     let (mut vol, report) = FsdVolume::boot(disk, FsdConfig::default()).expect("boot");
     // Boot only reads: writing the log's images home is owed to the first
-    // write, and had this been a crash a name-table walk would be owed to
-    // the first allocation. `settle_redo` and `settle_vam` pay on demand;
+    // write, and had this been a crash a name-table walk would be owed
+    // too, to whatever outgrows the restart reserve. `settle_redo` and
+    // `settle_vam` pay on demand;
     // the second says `None` when, as here, the saved VAM was good.
     let settle = vol.settle_redo().expect("redo settle");
     let walk = vol.settle_vam().expect("VAM walk");

@@ -62,6 +62,8 @@ fn report_boot(r: &RecoveryReport) {
             "loaded"
         } else if r.files_scanned > 0 {
             "reconstructed from the name table"
+        } else if r.reserve.is_some() {
+            "walk owed to whatever outgrows the reserve"
         } else {
             "walk owed to the first allocation"
         },
@@ -80,6 +82,15 @@ fn report_boot(r: &RecoveryReport) {
     }
     if let Some(sc) = &r.scavenge {
         eprintln!("  scavenge    {:.2} s  ({})", secs(r.scavenge_us), sc.cause);
+    }
+    // The boot page names a run or it does not. With a walk owed, none
+    // means a crashed session's first allocation took it over (or the
+    // volume was last written by a build that set none aside); with the
+    // map loaded, that the volume had no room for one when it was saved.
+    match (r.reserve, r.vam_reconstructed) {
+        (Some(run), _) => eprintln!("  reserve: {} @ {}, intact", run.len, run.start),
+        (None, true) => eprintln!("  reserve: consumed"),
+        (None, false) => eprintln!("  reserve: none"),
     }
 }
 
@@ -248,7 +259,8 @@ fn run() -> Result<(), String> {
             finish(vol, &r, image, crash)
         }
         ["stat", image] => {
-            // `free_sectors` reads 0 while a walk is owed.
+            // `free_sectors` counts only what is known free while a
+            // walk is owed.
             let (vol, r) = boot(image)?;
             let vol = settle(vol, &r)?;
             let l = vol.layout();

@@ -436,7 +436,8 @@ impl FsdBootPage {
         }
         let reserve = match (r.u32(), r.u32(), r.u32()) {
             (Ok(start), Ok(len), Ok(check)) => {
-                Some(Run::new(start, len)).filter(|&run| len != 0 && check == reserve_check(run))
+                let run = Run::new(start, len);
+                (len != 0 && check == reserve_check(run)).then_some(run)
             }
             _ => None,
         };

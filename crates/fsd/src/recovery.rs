@@ -219,9 +219,12 @@ pub struct RecoveryReport {
     pub scavenge_us: Micros,
     /// What the scavenger found and lost (rung 3 only).
     pub scavenge: Option<ScavengeSummary>,
-    /// The restart reserve boot found recorded and could vouch for
-    /// ([`FsdVolume::reserve`]): after a crash, what the first allocation
-    /// will be served from without the walk.
+    /// The restart reserve the volume came up holding
+    /// ([`FsdVolume::reserve`]): the run the boot page records, if it
+    /// validates — after a crash, what the first allocation will be
+    /// served from without the walk. When the saved map loaded and the
+    /// page names none (or one the map disputes), the run picked from
+    /// that map instead.
     pub reserve: Option<Run>,
 }
 
@@ -476,9 +479,10 @@ impl FsdVolume {
         let old_epoch = self.boot.clone();
         self.boot.boot_count += 1;
         self.boot.saved_vam = SavedVam::Invalid;
-        let handed_over = match hand_over && self.vam_owed {
-            true => self.boot.reserve.take(),
-            false => None,
+        let handed_over = if hand_over && self.vam_owed {
+            self.boot.reserve.take()
+        } else {
+            None
         };
         if let Err(e) = self.write_boot_pages() {
             self.boot = old_epoch;

@@ -864,10 +864,8 @@ impl FsdVolume {
     /// picks a new one otherwise. Only ever called on a whole map.
     pub(crate) fn hold_reserve(&mut self) {
         let free = |run: &Run| (run.start..run.end()).all(|a| self.vam.is_free(a));
-        let held = match self.boot.reserve.filter(free) {
-            Some(run) => Some(run),
-            None => self.layout.carve_reserve(&self.vam),
-        };
+        let held = self.boot.reserve.filter(free);
+        let held = held.or_else(|| self.layout.carve_reserve(&self.vam));
         if held != self.boot.reserve {
             self.boot.reserve = held;
             self.boot_page_owed = true;

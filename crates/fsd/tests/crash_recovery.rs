@@ -77,13 +77,17 @@ fn unforced_create_lost_cleanly() {
 #[test]
 fn unforced_delete_resurrects() {
     let mut v = tiny();
-    v.create("lazarus", b"alive").unwrap();
+    v.create("lazarus", &vec![2u8; 2048]).unwrap();
     v.force().unwrap();
+    let free_committed = v.free_sectors();
     v.delete("lazarus", None).unwrap();
-    // Crash before the delete commits: the file is still there.
+    // Crash before the delete commits: the file is still there, and the
+    // rebuilt free map still holds its sectors allocated.
     let (mut v2, _) = crash_and_recover(v);
     let mut f = v2.open("lazarus", None).unwrap();
-    assert_eq!(v2.read_file(&mut f).unwrap(), b"alive");
+    assert_eq!(v2.read_file(&mut f).unwrap(), vec![2u8; 2048]);
+    v2.settle_vam().unwrap();
+    assert_eq!(v2.free_sectors(), free_committed);
 }
 
 #[test]
@@ -103,8 +107,9 @@ fn crash_mid_log_force_keeps_previous_commit() {
         let mut v = tiny_with(policy);
         v.create("stable", b"v1").unwrap();
         v.force().unwrap();
+        let free_committed = v.free_sectors();
         for i in 0..5 {
-            v.create(&format!("burst{i}"), b"x").unwrap();
+            v.create(&format!("burst{i}"), &vec![0u8; 700]).unwrap();
         }
         // The force's log write tears after 3 sectors.
         v.disk_mut().schedule_crash(CrashPlan {
@@ -124,6 +129,12 @@ fn crash_mid_log_force_keeps_previous_commit() {
                 "burst{i} under {policy:?}"
             );
         }
+        v2.settle_vam().unwrap();
+        assert_eq!(
+            v2.free_sectors(),
+            free_committed,
+            "torn force: the free map rolls back with the name table"
+        );
         v2.verify().unwrap();
     }
 }
@@ -278,8 +289,11 @@ fn log_wraps_many_times_and_still_recovers() {
         v.create(&format!("wrap{round:03}"), b"w").unwrap();
         v.force().unwrap();
     }
+    let free = v.free_sectors();
     let (mut v2, _) = crash_and_recover(v);
     v2.verify().unwrap();
+    v2.settle_vam().unwrap();
+    assert_eq!(v2.free_sectors(), free, "the rebuilt free map is exact");
     for round in 0..60 {
         assert!(v2.open(&format!("wrap{round:03}"), None).is_ok(), "{round}");
     }

@@ -11,7 +11,9 @@
 //! rebuild a verifying tree. Serial and 8-way-parallel scavenges must
 //! agree on the outcome.
 
-use cedar_disk::{CpuModel, Label, PageKind, SimDisk};
+use cedar_disk::{CpuModel, Label, PageKind, SimDisk, SECTOR_BYTES};
+use cedar_fsd::layout::FsdBootPage;
+use cedar_fsd::log::{decode_record_bytes, encode_record, PageTarget};
 use cedar_fsd::{FsdConfig, FsdLayout, FsdVolume, RecoveryRung};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -306,4 +308,62 @@ fn a_rotten_reserve_record_is_never_trusted() {
         }
     }
     assert_eq!(walked, 12 * 4 * 2);
+}
+
+/// What the removed §5.3 VAM-logging extension wrote is rejected, never
+/// misread. Its flag was the boot page's tenth byte — now a reserved
+/// zero held to the rule of the saved-VAM byte beside it — and its
+/// sector images were log target kind 2. A volume it formatted takes the
+/// unreadable-boot-page path (the scavenger rebuilds from the leaders)
+/// instead of booting and taking its kind-2 records for the end of the
+/// log.
+#[test]
+fn what_the_removed_vam_logging_extension_wrote_is_rejected_not_misread() {
+    const RESERVED_AT: usize = 9; // Behind the magic, the boot count and the saved-VAM byte.
+    let cfg = config_with(1);
+    let mut v = FsdVolume::format(SimDisk::tiny(), cfg).unwrap();
+    v.create("kept", &[5u8; 1200]).unwrap();
+    v.shutdown().unwrap();
+    let layout = *v.layout();
+    let clean = v.into_disk();
+    let decode = |disk: &SimDisk, copy| FsdBootPage::decode(disk.peek_data(copy).expect("written"));
+
+    // One copy: the other serves the boot and the scrub rewrites this one.
+    let mut disk = clean.clone();
+    disk.corrupt_byte(layout.boot_a, RESERVED_AT, 1);
+    assert!(decode(&disk, layout.boot_a).is_err());
+    let (v, report) = FsdVolume::boot(disk, cfg).unwrap();
+    assert_eq!(report.rung, RecoveryRung::ReplicaScrub);
+    let disk = v.into_disk();
+    assert_eq!(
+        disk.peek_data(layout.boot_a),
+        disk.peek_data(layout.boot_b),
+        "copy A was rewritten from copy B"
+    );
+
+    // Both: each is rejected by name, and the boot escalates.
+    let mut disk = clean;
+    for copy in [layout.boot_a, layout.boot_b] {
+        disk.corrupt_byte(copy, RESERVED_AT, 1);
+        let err = decode(&disk, copy).unwrap_err();
+        assert!(err.contains("reserved"), "{err}");
+    }
+    let (mut v, report) = FsdVolume::boot(disk, cfg).unwrap();
+    assert_eq!(report.rung, RecoveryRung::Scavenge);
+    let mut f = v.open("kept", None).unwrap();
+    assert_eq!(v.read_file(&mut f).unwrap(), [5u8; 1200]);
+
+    const KIND_AT: usize = 19; // Magic, sequence, boot count, group end, image count.
+    let image = (
+        PageTarget::NtSector { page: 1, sector: 0 },
+        vec![7u8; SECTOR_BYTES],
+    );
+    let mut record = encode_record(&[image], 9, 3, true).unwrap();
+    for header in [0, 2] {
+        let kind = &mut record[header * SECTOR_BYTES + KIND_AT];
+        assert_eq!(*kind, 0, "a name-table sector's kind");
+        *kind = 2;
+    }
+    let err = decode_record_bytes(&record).unwrap_err();
+    assert!(err.to_string().contains("bad target kind 2"), "{err}");
 }

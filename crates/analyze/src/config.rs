@@ -477,7 +477,6 @@ impl Config {
                 ("nt_a_sector", Some(0)),
                 ("nt_b_sector", Some(0)),
                 ("nt_pair", Some(0)),
-                ("vam_sector_pair", Some(0)),
                 // VAM bitmap ops panic on out-of-range sectors.
                 ("allocate_run", Some(0)),
                 ("free_run", Some(0)),
@@ -511,7 +510,6 @@ impl Config {
                 ("crates/fsd/src/log.rs", "PageTarget", "page"),
                 ("crates/fsd/src/log.rs", "PageTarget", "sector"),
                 ("crates/fsd/src/log.rs", "PageTarget", "addr"),
-                ("crates/fsd/src/log.rs", "PageTarget", "index"),
                 ("crates/fsd/src/layout.rs", "FsdBootPage", "spare_map"),
                 ("crates/fsd/src/layout.rs", "FsdBootPage", "reserve"),
                 ("crates/fsd/src/entry.rs", "FileEntry", "leader_addr"),

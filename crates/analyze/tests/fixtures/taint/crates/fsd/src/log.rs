@@ -13,7 +13,6 @@ pub struct LogMeta {
 pub enum PageTarget {
     NtSector { page: u32, sector: u32 },
     Leader { addr: u32 },
-    VamSector { index: u32 },
 }
 
 impl PageTarget {
@@ -21,7 +20,6 @@ impl PageTarget {
         let ok = match self {
             Self::NtSector { page, sector } => *page < nt_pages && *sector < nt_pages,
             Self::Leader { addr } => *addr < total,
-            Self::VamSector { index } => *index < total,
         };
         if ok {
             Ok(())

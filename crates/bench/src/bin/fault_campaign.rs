@@ -19,11 +19,11 @@
 //! at least 200 scenarios, zero failures, and every rung of the
 //! escalation ladder (redo, replica scrub, scavenge) exercised.
 
-use cedar_bench::adapters::{CedarFsError, FsBackend, FsdVolume};
-use cedar_bench::Table;
+use cedar_bench::{CedarFsError, FsBackend, Table};
 use cedar_disk::{CpuModel, CrashPlan, FaultPlan, Label, PageKind, SimDisk};
 use cedar_fsd::{
-    FsdConfig, FsdLayout, RecoveryReport, RecoveryRung, ReplMode, ReplSession, ReplSessionConfig,
+    FsdConfig, FsdLayout, FsdVolume, RecoveryReport, RecoveryRung, ReplMode, ReplSession,
+    ReplSessionConfig,
 };
 use cedar_workload::steps::{run_step_backend, Step, WorkloadStats};
 use cedar_workload::{makedo_workload, MakeDoParams, MemFs};

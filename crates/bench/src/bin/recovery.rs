@@ -35,10 +35,9 @@ const FILES: usize = 3000;
 /// One FSD crash recovery, measured whole: boot, then what it owes.
 struct FsdRecovery {
     report: RecoveryReport,
-    /// The deferred write half of redo and the deferred walk (`None`
-    /// under VAM logging, where boot pays both).
-    settle: Option<RedoSettle>,
-    walk: Option<VamWalk>,
+    /// The write half of redo and the walk, which boot leaves owed.
+    settle: RedoSettle,
+    walk: VamWalk,
     /// Disk activity of boot alone, and of boot, settle and walk together.
     boot_disk: DiskStats,
     disk: DiskStats,
@@ -58,12 +57,12 @@ impl FsdRecovery {
 
     /// Log redo, read and written, whoever paid.
     fn redo_us(&self) -> u64 {
-        self.report.redo_us + self.settle.map_or(0, |s| s.us())
+        self.report.redo_us + self.settle.us()
     }
 
     /// Loading or rebuilding the VAM, whoever paid.
     fn vam_us(&self) -> u64 {
-        self.report.vam_us + self.walk.map_or(0, |w| w.us())
+        self.report.vam_us + self.walk.us()
     }
 
     /// The whole of crash recovery.
@@ -76,11 +75,8 @@ fn secs(us: u64) -> f64 {
     us as f64 / 1e6
 }
 
-fn fsd_recovery_with(files: usize, log_vam: bool) -> FsdRecovery {
-    let config = FsdConfig {
-        log_vam,
-        ..FsdConfig::default()
-    };
+fn fsd_recovery(files: usize) -> FsdRecovery {
+    let config = FsdConfig::default();
     let mut vol = cedar_fsd::FsdVolume::format(SimDisk::trident_t300(SimClock::new()), config)
         .expect("format");
     populate(&mut vol, "pop", files, 5);
@@ -96,13 +92,14 @@ fn fsd_recovery_with(files: usize, log_vam: bool) -> FsdRecovery {
     let crashed = disk.clone();
     let before = disk.stats();
     let (mut vol, report) = cedar_fsd::FsdVolume::boot(disk, config).unwrap();
-    assert_eq!(report.vam_reconstructed, !log_vam);
+    assert!(report.vam_reconstructed);
     let boot_disk = vol.disk_stats().since(&before);
     let booted = vol.clock().now();
     // Without these the rows below would improve by not doing the work.
     let settle = vol.settle_redo().expect("redo settle");
+    let settle = settle.expect("boot leaves the settle owed");
     let walk = vol.settle_vam().expect("VAM walk");
-    assert_eq!((settle.is_some(), walk.is_some()), (!log_vam, !log_vam));
+    let walk = walk.expect("boot leaves the walk owed");
     let disk = vol.disk_stats().since(&before);
     let settled_us = vol.clock().now() - booted;
 
@@ -126,8 +123,8 @@ fn fsd_recovery_with(files: usize, log_vam: bool) -> FsdRecovery {
 
 /// The CI gate: two populations, seven relations.
 fn smoke() {
-    let small = fsd_recovery_with(250, false);
-    let large = fsd_recovery_with(4000, false);
+    let small = fsd_recovery(250);
+    let large = fsd_recovery(4000);
     for (files, r) in [(250, &small), (4000, &large)] {
         println!(
             "{files:>5} files: first read {:.2} s, first write {:.2} s, full recovery {:.2} s",
@@ -161,7 +158,7 @@ fn smoke() {
         );
         assert_eq!(
             r.settled_us,
-            r.settle.map_or(0, |s| s.us()) + r.walk.map_or(0, |w| w.us()),
+            r.settle.us() + r.walk.us(),
             "what boot leaves owed is more than the settle and the walk: \
              the reserve has begun to cost full recovery a write"
         );
@@ -217,7 +214,7 @@ fn main() {
     }
     println!("Reproducing the recovery-time comparison ({FILES} files on a 300 MB volume)");
 
-    let fsd = fsd_recovery_with(FILES, false);
+    let fsd = fsd_recovery(FILES);
     let (ffs, ffs_disk) = ffs_fsck(FILES);
     let (cfs, cfs_disk) = cfs_scavenge(FILES);
 
@@ -276,10 +273,7 @@ fn main() {
         cfs.files_recovered,
         cfs.orphan_sectors
     );
-    let settle = fsd
-        .settle
-        .expect("the base configuration defers the settle");
-    let walk = fsd.walk.expect("the base configuration defers the walk");
+    let (settle, walk) = (fsd.settle, fsd.walk);
     println!(
         "FSD by phase: redo {:.2} s = scan {:.2} (boot) + home sweep {:.2} + leaders {:.2} \
          + new epoch {:.2}; VAM walk {:.2} s = prefetch {:.2} + walk {:.2} ({} files)",
@@ -312,7 +306,7 @@ fn main() {
         ],
     );
     for files in [250, 1000, 2000, 4000] {
-        let r = fsd_recovery_with(files, false);
+        let r = fsd_recovery(files);
         assert_eq!(r.first_write_scanned, 0, "{files} files");
         t.row(&[
             files.to_string(),
@@ -323,43 +317,5 @@ fn main() {
             format!("{:.2}", secs(r.first_write_us)),
         ]);
     }
-    t.print();
-
-    // §5.3 extension ablation: "VAM logging would greatly decrease worst
-    // case crash recovery time from about twenty five seconds to about
-    // two seconds. VAM logging was not done since it was a complicated
-    // modification" — here it is done, behind `FsdConfig::log_vam`.
-    let base = fsd_recovery_with(FILES, false);
-    let logged = fsd_recovery_with(FILES, true);
-    let mut t = Table::new(
-        "Ablation: the §5.3 VAM-logging extension (3000 files)",
-        &[
-            "configuration",
-            "redo (s)",
-            "VAM (s)",
-            "total (s)",
-            "first read (s)",
-            "first write (s)",
-            "paper prediction",
-        ],
-    );
-    t.row(&[
-        "base FSD (reconstruct VAM)".into(),
-        format!("{:.2}", secs(base.redo_us())),
-        format!("{:.1}", secs(base.vam_us())),
-        format!("{:.1}", secs(base.full_us())),
-        format!("{:.2}", secs(base.first_read_us())),
-        format!("{:.2}", secs(base.first_write_us)),
-        "~25 s worst case".into(),
-    ]);
-    t.row(&[
-        "with VAM logging".into(),
-        format!("{:.2}", secs(logged.redo_us())),
-        format!("{:.2}", secs(logged.vam_us())),
-        format!("{:.2}", secs(logged.full_us())),
-        format!("{:.2}", secs(logged.first_read_us())),
-        format!("{:.2}", secs(logged.first_write_us)),
-        "~2 s".into(),
-    ]);
     t.print();
 }

@@ -22,10 +22,9 @@
 //! `--smoke` runs a reduced grid for CI. The full run writes
 //! `BENCH_replication.json`.
 
-use cedar_bench::adapters::{CedarFsError, FsBackend, FsdVolume};
-use cedar_bench::Table;
+use cedar_bench::{CedarFsError, FsBackend, Table};
 use cedar_disk::{CpuModel, Micros, SimDisk};
-use cedar_fsd::{FsdConfig, ReplMode, ReplSession, ReplSessionConfig, ResyncKind};
+use cedar_fsd::{FsdConfig, FsdVolume, ReplMode, ReplSession, ReplSessionConfig, ResyncKind};
 use cedar_workload::steps::{run_step_backend, Step, WorkloadStats};
 use cedar_workload::{makedo_workload, MakeDoParams, MemFs};
 use std::collections::VecDeque;

@@ -64,7 +64,7 @@ impl SimDisk {
         put_u64(&mut w, t.short_seek_us)?;
         put_u64(&mut w, t.seek_base_us)?;
         put_u64(&mut w, t.seek_per_sqrt_cyl_us)?;
-        put_u64(&mut w, t.head_switch_us)?;
+        put_u64(&mut w, 0)?; // Reserved: a head-switch time nothing charged.
 
         for addr in 0..g.total_sectors() {
             let data = self.peek_data(addr);
@@ -114,8 +114,8 @@ impl SimDisk {
             short_seek_us: get_u64(&mut r)?,
             seek_base_us: get_u64(&mut r)?,
             seek_per_sqrt_cyl_us: get_u64(&mut r)?,
-            head_switch_us: get_u64(&mut r)?,
         };
+        get_u64(&mut r)?; // The reserved word.
         let mut disk = SimDisk::new(geometry, timing, clock);
         loop {
             let addr = get_u32(&mut r)?;

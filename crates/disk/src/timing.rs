@@ -24,8 +24,6 @@ pub struct DiskTiming {
     pub seek_base_us: Micros,
     /// Distance-dependent component: multiplied by √distance (cylinders).
     pub seek_per_sqrt_cyl_us: Micros,
-    /// Head-switch time (changing surface within a cylinder).
-    pub head_switch_us: Micros,
 }
 
 impl DiskTiming {
@@ -43,7 +41,6 @@ impl DiskTiming {
         short_seek_us: 6_000,
         seek_base_us: 5_000,
         seek_per_sqrt_cyl_us: 1_400,
-        head_switch_us: 200,
     };
 
     /// Timing matched to [`crate::DiskGeometry::TINY`] for unit tests.
@@ -54,7 +51,6 @@ impl DiskTiming {
         short_seek_us: 6_000,
         seek_base_us: 5_000,
         seek_per_sqrt_cyl_us: 1_400,
-        head_switch_us: 200,
     };
 
     /// Duration of one full revolution.

@@ -207,17 +207,6 @@ impl FsdLayout {
         }
     }
 
-    /// Sector `index` of the VAM save area, both copies.
-    pub fn vam_sector_pair(&self, index: u32) -> Replicated {
-        assert!(index < self.vam_sectors);
-        Replicated {
-            a: self.vam_a + index,
-            b: self.vam_b + index,
-            sectors: 1,
-            what: "VAM save sector",
-        }
-    }
-
     /// Name-table page `page`, both copies.
     pub fn nt_pair(&self, page: u32) -> Replicated {
         Replicated {
@@ -366,12 +355,11 @@ pub struct FsdBootPage {
     /// [`SavedVam::Valid`] on disk before anything changes the free map,
     /// so a crash at any later point — while a rebuild is owed, or in the
     /// middle of one — boots into the same state. A byte other than 0, 1
-    /// or 2 rejects the copy.
+    /// or 2 rejects the copy, and so does anything but zero in the
+    /// reserved byte behind it: volumes of the removed VAM-logging
+    /// extension set it, and their logs hold images this code cannot
+    /// replay.
     pub(crate) saved_vam: SavedVam,
-    /// Whether the volume runs the §5.3 VAM-logging extension: the save
-    /// area is a base image that log redo patches, so it stays valid
-    /// across crashes.
-    pub vam_logged: bool,
     /// Bad-sector remap table: `(logical, physical)` pairs redirecting
     /// grown defects in the metadata regions into the spare region. Every
     /// metadata read and write translates through this table, so it must
@@ -399,7 +387,7 @@ impl FsdBootPage {
         w.u32(BOOT_MAGIC)
             .u32(self.boot_count)
             .u8(self.saved_vam.to_byte())
-            .u8(u8::from(self.vam_logged))
+            .u8(0)
             .u16(u16::try_from(self.spare_map.len()).unwrap_or(u16::MAX));
         for &(logical, phys) in &self.spare_map {
             w.u32(logical).u32(phys);
@@ -426,7 +414,9 @@ impl FsdBootPage {
             2 => SavedVam::SettleFailed,
             other => return Err(format!("unknown saved-VAM state {other} on boot page")),
         };
-        let vam_logged = r.u8()? != 0;
+        if r.u8()? != 0 {
+            return Err("reserved byte set on boot page (a VAM-logging volume?)".into());
+        }
         let n = r.u16()?;
         let mut spare_map = Vec::with_capacity(n as usize);
         for _ in 0..n {
@@ -444,7 +434,6 @@ impl FsdBootPage {
         Ok(Self {
             boot_count,
             saved_vam,
-            vam_logged,
             spare_map,
             reserve,
         })
@@ -511,7 +500,6 @@ mod tests {
             Replicated::log_meta(l.log_start),
             l.vam_pair(),
         ];
-        pairs.extend((0..l.vam_sectors).map(|i| l.vam_sector_pair(i)));
         pairs.extend((0..l.nt_pages).map(|p| l.nt_pair(p)));
         for p in pairs {
             assert!(p.b > p.a + p.sectors, "{p:?}: a blank between the copies");
@@ -547,7 +535,6 @@ mod tests {
         let b = FsdBootPage {
             boot_count: 9,
             saved_vam: SavedVam::Valid,
-            vam_logged: true,
             spare_map: vec![(120, 40), (77, 41)],
             reserve: Some(Run::new(900, 64)),
         };
@@ -559,7 +546,6 @@ mod tests {
         let b = FsdBootPage {
             boot_count: 1,
             saved_vam: SavedVam::Invalid,
-            vam_logged: true,
             spare_map: (0..SPARE_SECTORS).map(|i| (1000 + i, 40 + i)).collect(),
             reserve: Some(Run::new(u32::MAX - 7, u32::MAX)),
         };

@@ -85,18 +85,11 @@ pub enum PageTarget {
         /// The leader's sector.
         addr: SectorAddr,
     },
-    /// Sector `index` of the VAM save area — recovery writes it to both
-    /// save copies. Only produced when the §5.3 VAM-logging extension is
-    /// enabled ([`crate::FsdConfig::log_vam`]).
-    VamSector {
-        /// Sector index within the save area.
-        index: u32,
-    },
 }
 
 impl PageTarget {
     /// The home sectors of a logged image: both copies of a name-table
-    /// or VAM-save sector, the one address of a leader. The only place
+    /// sector, the one address of a leader. The only place
     /// that turns a target into addresses — boot's index of the log and
     /// a replica's continuous redo both route through it. Call
     /// [`Self::validate`] first on a target read off a disk or a link.
@@ -107,10 +100,6 @@ impl PageTarget {
                 (pair.a + sector, Some(pair.b + sector))
             }
             Self::Leader { addr } => (addr, None),
-            Self::VamSector { index } => {
-                let pair = layout.vam_sector_pair(index);
-                (pair.a, Some(pair.b))
-            }
         };
         std::iter::once(a).chain(b)
     }
@@ -126,7 +115,6 @@ impl PageTarget {
                 *page < layout.nt_pages && *sector < crate::NT_PAGE_SECTORS
             }
             Self::Leader { addr } => !layout.is_system(*addr) && *addr < layout.total_sectors,
-            Self::VamSector { index } => *index < layout.vam_sectors,
         };
         if ok {
             Ok(())
@@ -535,9 +523,6 @@ pub fn encode_record(
             PageTarget::Leader { addr } => {
                 header.u8(1).u32(*addr).u32(0);
             }
-            PageTarget::VamSector { index } => {
-                header.u8(2).u32(*index).u32(0);
-            }
         }
     }
     let mut header = header.into_bytes();
@@ -647,7 +632,6 @@ fn decode_header(bytes: &[u8]) -> std::result::Result<DecodedHeader, String> {
         targets.push(match kind {
             0 => PageTarget::NtSector { page: a, sector: b },
             1 => PageTarget::Leader { addr: a },
-            2 => PageTarget::VamSector { index: a },
             k => return Err(format!("bad target kind {k}")),
         });
     }

@@ -50,10 +50,7 @@
 //!
 //! `boot` followed at once by `settle_vam` is the whole of FSD crash
 //! recovery, in the order an eager boot would do it, to the microsecond:
-//! the reserve stays recorded through both and costs them no write. A
-//! volume running the §5.3 VAM-logging extension settles both inside
-//! boot: its saved map is a base image the sweep patches, and the fresh
-//! base it writes for the new epoch needs the walk.
+//! the reserve stays recorded through both and costs them no write.
 //!
 //! Table 2's headline: crash recovery drops from 3600+ seconds (the CFS
 //! scavenge) to 25 seconds worst case (log redo plus VAM rebuild).
@@ -153,8 +150,7 @@ impl VamWalk {
 /// three timings ([`FsdVolume::redo_settle`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RedoSettle {
-    /// The sorted sweep writing every logged name-table and VAM sector
-    /// home.
+    /// The sorted sweep writing every logged name-table sector home.
     pub sweep_us: Micros,
     /// Logged leader images checked against and written to their home
     /// sectors.
@@ -176,8 +172,8 @@ impl RedoSettle {
 /// settle writes.
 #[derive(Debug, Default)]
 pub(crate) struct OwedRedo {
-    /// Newest logged image of every name-table and VAM-save sector, by
-    /// home sector — both copies of each.
+    /// Newest logged image of every name-table sector, by home sector —
+    /// both copies of each.
     pub(crate) final_images: BTreeMap<SectorAddr, Vec<u8>>,
     /// Newest logged image of every leader, by address.
     pub(crate) leader_images: BTreeMap<SectorAddr, Vec<u8>>,
@@ -186,8 +182,8 @@ pub(crate) struct OwedRedo {
 /// What boot did. Everything here is boot's own share of recovery: the
 /// write half of redo is owed and will show up in
 /// [`FsdVolume::redo_settle`], and when [`Self::vam_reconstructed`] is
-/// set and [`Self::files_scanned`] is zero so is the name-table walk
-/// ([`FsdVolume::vam_walk`]), once something pays them.
+/// set so is the name-table walk ([`FsdVolume::vam_walk`]), once
+/// something pays them.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
     /// Log records replayed.
@@ -195,19 +191,17 @@ pub struct RecoveryReport {
     /// Sector images the replayed records hold.
     pub images_redone: u64,
     /// The saved VAM was not usable (`false` means a properly saved VAM
-    /// was loaded): a name-table walk is owed, or — on a VAM-logging
-    /// volume — boot paid it.
+    /// was loaded): a name-table walk is owed.
     pub vam_reconstructed: bool,
-    /// Files walked by boot itself: non-zero only when boot paid the
-    /// walk (VAM-logging volumes).
+    /// Files walked by boot itself: always zero, because boot never
+    /// walks — [`VamWalk::files_scanned`] has the count once the walk is
+    /// paid.
     pub files_scanned: u64,
     /// Simulated time boot spent on log redo: reading the boot page and
-    /// the log meta, scanning the record chain and indexing it — plus,
-    /// on a VAM-logging volume, the [`RedoSettle`] it paid itself.
+    /// the log meta, scanning the record chain and indexing it.
     pub redo_us: Micros,
-    /// Simulated time boot spent loading the saved VAM, or (VAM-logging
-    /// volumes) walking the name table and writing the new base image.
-    /// Zero when the walk was deferred.
+    /// Simulated time boot spent loading the saved VAM. Zero when the
+    /// save area was stale and the walk is owed.
     pub vam_us: Micros,
     /// The highest rung of the escalation ladder this boot reached.
     pub rung: RecoveryRung,
@@ -295,37 +289,23 @@ impl FsdVolume {
                 Ok((vol, report))
             }
             Err(e) if e.is_crash() => Err((e, vol.into_disk())),
-            // Rung 3 from phase 2: the name-table root, or (VAM-logging
-            // volumes, which settle and walk here) the sweep or some
-            // page of the table, is beyond replica repair.
+            // Rung 3 from phase 2: the name-table root is beyond replica
+            // repair.
             Err(e) => scavenge::scavenge_boot(vol.into_disk(), config, report, e),
         }
     }
 
     /// Phase 2: reattach the tree, then load the saved VAM or leave the
-    /// walk owed.
+    /// walk owed. Writes nothing (a scrub of a damaged copy aside).
     fn finish_boot(&mut self, vam_was_valid: bool, report: &mut RecoveryReport) -> Result<()> {
-        if self.boot.vam_logged {
-            // The save area is a base image the sweep patches, and the
-            // new epoch's base image is written below: this boot pays
-            // its own settle, where an eager boot did. A failure
-            // escalates in `try_boot`.
-            if let Some(settle) = self.pay_redo(false)? {
-                report.redo_us += settle.us();
-            }
-        }
         let raw = nt_store!(self)
             .read_through(0)
             .map_err(cedar_btree::BTreeError::Store)?;
         self.tree = BTree::open(NtMeta::decode_root(&raw).map_err(FsdError::Check)?);
 
         let t1 = self.clock().now();
-        // Under the §5.3 VAM-logging extension the save area is a base
-        // image the redo sweep patched above: it is current as of the
-        // last commit whether or not the shutdown was clean.
-        let trust_saved = vam_was_valid || self.boot.vam_logged;
-        self.vam_owed = !trust_saved;
-        if trust_saved {
+        self.vam_owed = !vam_was_valid;
+        if vam_was_valid {
             match read_saved_vam(
                 &mut self.disk,
                 &self.layout,
@@ -343,16 +323,6 @@ impl FsdVolume {
         // The record has passed `validate`; a map that loaded must agree.
         if !self.vam_owed {
             self.hold_reserve();
-        }
-        if self.boot.vam_logged {
-            // New log epoch: write a fresh base image and restart the
-            // delta chain from it. The image needs the map, so this boot
-            // pays its own walk; a failure escalates in `try_boot`.
-            if let Some(walk) = self.pay_walk()? {
-                report.files_scanned = walk.files_scanned;
-            }
-            self.save_vam_and_mark_valid()?;
-            self.vam_baseline = Some(self.padded_vam_bytes());
         }
         report.vam_us = self.clock().now() - t1;
         report.reserve = self.boot.reserve;
@@ -680,11 +650,11 @@ fn scan_phase(
             // rather than panic in address math or write outside the
             // region the record claims (§5.8, error class 2).
             target.validate(layout)?;
-            // Leaders go home through the guarded leader pass, everything
-            // else through the sweep.
+            // Leaders go home through the guarded leader pass, name-table
+            // sectors through the sweep.
             let index = match target {
                 PageTarget::Leader { .. } => &mut owed.leader_images,
-                _ => &mut owed.final_images,
+                PageTarget::NtSector { .. } => &mut owed.final_images,
             };
             for home in target.homes(layout) {
                 index.insert(home, img.clone());

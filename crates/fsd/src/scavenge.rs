@@ -169,7 +169,6 @@ pub(crate) fn scavenge_boot(
     let boot = FsdBootPage {
         boot_count,
         saved_vam: SavedVam::Invalid,
-        vam_logged: config.log_vam,
         spare_map: spare.entries().to_vec(),
         reserve: None,
     };
@@ -575,11 +574,7 @@ fn rebuild(vol: &mut FsdVolume, config: FsdConfig, files: &[(FileName, FileEntry
     vol.update_meta_root()?;
     vol.force()?;
     vol.sync_home_all()?;
-    vol.save_vam_and_mark_valid()?;
-    if config.log_vam {
-        vol.vam_baseline = Some(vol.padded_vam_bytes());
-    }
-    Ok(())
+    vol.save_vam_and_mark_valid()
 }
 
 /// Best-effort read of the old boot pages for the boot count and the

@@ -15,11 +15,11 @@
 //! * the **log force** runs every half second of simulated time ("FSD
 //!   forces its log twice a second", §5.4), at operation entry, whenever
 //!   the pending set approaches the record size cap, or on client demand;
-//! * what is **logged but not yet home** — name-table pages, leaders,
-//!   VAM sectors under VAM logging — is kept in one set of books and
-//!   written home by one function, `collect_home_writes`: everything
-//!   at shutdown, and at each log-third entry whatever has its only log
-//!   copy in the third about to be reclaimed (§5.3).
+//! * what is **logged but not yet home** — name-table pages and leaders
+//!   — is kept in one set of books and written home by one function,
+//!   `collect_home_writes`: everything at shutdown, and at each log-third
+//!   entry whatever has its only log copy in the third about to be
+//!   reclaimed (§5.3).
 //!
 //! # The restart reserve
 //!
@@ -66,6 +66,9 @@ use std::collections::{BTreeSet, HashMap};
 /// Most runs a file may occupy: bounded by the name-table entry budget.
 pub const MAX_RUNS: usize = 16;
 
+/// Files of at most this many pages allocate in the small area (§5.6).
+const SMALL_FILE_PAGES: u32 = 32;
+
 /// Configuration for formatting or booting an FSD volume.
 #[derive(Clone, Copy, Debug)]
 pub struct FsdConfig {
@@ -78,16 +81,6 @@ pub struct FsdConfig {
     /// Group-commit force interval in simulated microseconds ("The log is
     /// written (if necessary) every half second", §4).
     pub commit_interval_us: Micros,
-    /// Files of at most this many pages allocate in the small area (§5.6).
-    pub small_threshold: u32,
-    /// Enable the §5.3 VAM-logging extension: changed sectors of the VAM
-    /// are logged with every commit, so recovery never needs to
-    /// reconstruct the free map from the name table ("VAM logging would
-    /// greatly decrease worst case crash recovery time from about twenty
-    /// five seconds to about two seconds. VAM logging was not done since
-    /// it was a complicated modification" — implemented here as an
-    /// optional extension).
-    pub log_vam: bool,
     /// Maximum resident name-table pages in the cache (0 = unbounded).
     /// The Dorado's real cache was bounded; the default keeps the whole
     /// table resident, which the benches note where it matters.
@@ -113,8 +106,6 @@ impl Default for FsdConfig {
             log_sectors: 0,
             cpu: CpuModel::DORADO,
             commit_interval_us: 500_000,
-            small_threshold: 32,
-            log_vam: false,
             cache_pages: 0,
             io_policy: IoPolicy::default(),
             scavenge_workers: 1,
@@ -226,11 +217,6 @@ pub struct FsdVolume {
     /// Decode workers for that walk ([`FsdConfig::scavenge_workers`]).
     pub(crate) scavenge_workers: usize,
     pub(crate) commit_stats: CommitStats,
-    /// VAM bytes as of the last force (Some ⇔ VAM logging enabled).
-    pub(crate) vam_baseline: Option<Vec<u8>>,
-    /// Logged VAM sectors awaiting their home writes: index → (image,
-    /// log third).
-    pub(crate) vam_home: HashMap<u32, (Vec<u8>, u8)>,
     /// Submission order for batched I/O (log forces, home writeback).
     pub(crate) io_policy: IoPolicy,
     /// Bad-sector remap table (persisted on the boot page) plus the
@@ -265,7 +251,7 @@ impl FsdVolume {
             log,
             alloc: Allocator::new(
                 AllocPolicy::SplitAreas {
-                    small_threshold: config.small_threshold,
+                    small_threshold: SMALL_FILE_PAGES,
                 },
                 dlo,
                 dhi,
@@ -289,8 +275,6 @@ impl FsdVolume {
             vam_walk: None,
             scavenge_workers: config.scavenge_workers,
             commit_stats: CommitStats::default(),
-            vam_baseline: None,
-            vam_home: HashMap::new(),
             io_policy: config.io_policy,
             spare,
             repl: None,
@@ -304,7 +288,6 @@ impl FsdVolume {
         let boot = FsdBootPage {
             boot_count: 1,
             saved_vam: SavedVam::Invalid,
-            vam_logged: config.log_vam,
             spare_map: Vec::new(),
             reserve: None,
         };
@@ -327,9 +310,6 @@ impl FsdVolume {
         vol.force()?;
         vol.sync_home_all()?;
         vol.save_vam_and_mark_valid()?;
-        if config.log_vam {
-            vol.vam_baseline = Some(vol.padded_vam_bytes());
-        }
         Ok(vol)
     }
 
@@ -635,21 +615,6 @@ impl FsdVolume {
         }
         self.pending_pages.clear();
 
-        // §5.3 extension: log the changed sectors of the VAM alongside
-        // the metadata. Shadow frees commit first so the logged image is
-        // the post-commit free map.
-        if let Some(baseline) = self.vam_baseline.take() {
-            self.vam.commit_shadow();
-            let current = self.padded_vam_bytes();
-            for i in 0..self.layout.vam_sectors {
-                let range = i as usize * SECTOR_BYTES..(i as usize + 1) * SECTOR_BYTES;
-                if current[range.clone()] != baseline[range.clone()] {
-                    images.push((PageTarget::VamSector { index: i }, current[range].to_vec()));
-                }
-            }
-            self.vam_baseline = Some(current);
-        }
-
         if images.is_empty() {
             // Nothing differs from the last committed state (e.g. a
             // create and delete of the same file cancelled out), so any
@@ -676,7 +641,6 @@ impl FsdVolume {
                 ref mut disk,
                 ref mut cache,
                 ref mut leaders,
-                ref mut vam_home,
                 ref layout,
                 ref mut commit_stats,
                 ref mut spare,
@@ -687,8 +651,7 @@ impl FsdVolume {
             // copy there goes home first (§5.3), as one scheduler window
             // inside the append.
             let (seq, third) = log.append(disk, spare, chunk, is_last, |disk, spare, t| {
-                let (writes, pages) =
-                    collect_home_writes(layout, cache, leaders, vam_home, Some(t))?;
+                let (writes, pages) = collect_home_writes(layout, cache, leaders, Some(t))?;
                 commit_stats.third_flush_pages += pages;
                 spare::write_home_batch(disk, policy, spare, writes)
             })?;
@@ -741,19 +704,13 @@ impl FsdVolume {
             }
         }
         for ((target, img), t) in images.into_iter().zip(thirds) {
-            match target {
-                PageTarget::NtSector { .. } => {}
-                PageTarget::Leader { addr } => {
-                    // Unconditionally: if the append entered the third
-                    // holding this leader's *previous* logged image, the
-                    // writeback took that image home and, finding nothing
-                    // unlogged behind it, dropped the entry. The image
-                    // just logged still owes its home write.
-                    self.leaders.entry(addr).or_default().logged = Some((img, t));
-                }
-                PageTarget::VamSector { index } => {
-                    self.vam_home.insert(index, (img, t));
-                }
+            if let PageTarget::Leader { addr } = target {
+                // Unconditionally: if the append entered the third
+                // holding this leader's *previous* logged image, the
+                // writeback took that image home and, finding nothing
+                // unlogged behind it, dropped the entry. The image just
+                // logged still owes its home write.
+                self.leaders.entry(addr).or_default().logged = Some((img, t));
             }
         }
 
@@ -774,31 +731,19 @@ impl FsdVolume {
         Ok(())
     }
 
-    /// Writes home every page, leader and VAM sector with
-    /// logged-but-unwritten state (controlled shutdown, and after format).
-    /// All home writes go to disjoint sectors, so they form one scheduler
-    /// window: sorted, coalesced, taken nearest-first.
+    /// Writes home every page and leader with logged-but-unwritten state
+    /// (controlled shutdown, and after format). All home writes go to
+    /// disjoint sectors, so they form one scheduler window: sorted,
+    /// coalesced, taken nearest-first.
     pub(crate) fn sync_home_all(&mut self) -> Result<()> {
         self.settle_redo()?;
-        let (writes, _) = collect_home_writes(
-            &self.layout,
-            &mut self.cache,
-            &mut self.leaders,
-            &mut self.vam_home,
-            None,
-        )?;
+        let (writes, _) =
+            collect_home_writes(&self.layout, &mut self.cache, &mut self.leaders, None)?;
         spare::write_home_batch(&mut self.disk, self.io_policy, &mut self.spare, writes)?;
         if self.spare.take_dirty() {
             self.write_boot_pages()?;
         }
         Ok(())
-    }
-
-    /// The VAM serialized and padded to the save area's sector count.
-    pub(crate) fn padded_vam_bytes(&self) -> Vec<u8> {
-        let mut bytes = self.vam.to_bytes();
-        bytes.resize(self.layout.vam_sectors as usize * SECTOR_BYTES, 0);
-        bytes
     }
 
     pub(crate) fn save_vam_and_mark_valid(&mut self) -> Result<()> {
@@ -808,8 +753,9 @@ impl FsdVolume {
         // Both save-area copies in one window (at most one can be torn by
         // a crash; the boot pages marking them valid follow in a separate
         // submission, so validity never precedes durability).
-        let bytes = self.padded_vam_bytes();
-        let writes = self.layout.vam_pair().both(bytes.clone());
+        let mut bytes = self.vam.to_bytes();
+        bytes.resize(self.layout.vam_sectors as usize * SECTOR_BYTES, 0);
+        let writes = self.layout.vam_pair().both(bytes);
         spare::write_home_batch(
             &mut self.disk,
             self.io_policy,
@@ -819,10 +765,6 @@ impl FsdVolume {
         self.boot.saved_vam = SavedVam::Valid;
         self.write_boot_pages()?;
         self.boot_page_owed = true;
-        if self.vam_baseline.is_some() {
-            self.vam_baseline = Some(bytes);
-            self.vam_home.clear();
-        }
         Ok(())
     }
 
@@ -844,11 +786,6 @@ impl FsdVolume {
     /// lags behind a reserve held in memory.
     fn invalidate_vam_hint(&mut self) -> Result<()> {
         self.settle_for_map_change()?;
-        // Under VAM logging the save area is a redo-patched base image:
-        // it never goes stale, so there is nothing to invalidate.
-        if self.vam_baseline.is_some() {
-            return Ok(());
-        }
         if self.boot_page_owed {
             self.boot.saved_vam = SavedVam::Invalid;
             self.write_boot_pages()?;
@@ -1567,8 +1504,8 @@ impl FsdVolume {
 type HomeWrites = Vec<(SectorAddr, Vec<u8>)>;
 
 /// The one set of books for "logged, not yet home": takes the home
-/// writes of every name-table page, leader and VAM sector the log still
-/// protects — all of them (`third: None`: shutdown, format, a replica's
+/// writes of every name-table page and leader the log still protects —
+/// all of them (`third: None`: shutdown, format, a replica's
 /// install), or those whose only log copy lives in third `t`, which is
 /// about to be reclaimed (§5.3) — and marks them home. Returns the writes
 /// in logical order (both copies of a page together, pages by id, then
@@ -1589,7 +1526,6 @@ fn collect_home_writes(
     layout: &FsdLayout,
     cache: &mut NtCache,
     leaders: &mut HashMap<u32, LeaderState>,
-    vam_home: &mut HashMap<u32, (Vec<u8>, u8)>,
     third: Option<u8>,
 ) -> Result<(HomeWrites, u64)> {
     let due = |logged_in: u8| third.is_none_or(|t| t == logged_in);
@@ -1631,17 +1567,6 @@ fn collect_home_writes(
             if ls.unlogged.is_none() {
                 leaders.remove(&addr);
             }
-        }
-    }
-    let mut indexes: Vec<u32> = vam_home
-        .iter()
-        .filter(|(_, (_, t))| due(*t))
-        .map(|(&i, _)| i)
-        .collect();
-    indexes.sort_unstable();
-    for index in indexes {
-        if let Some((img, _)) = vam_home.remove(&index) {
-            writes.extend(layout.vam_sector_pair(index).both(img));
         }
     }
     Ok((writes, pages))

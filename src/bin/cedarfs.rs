@@ -8,7 +8,7 @@
 //! demonstrates recovery.
 //!
 //! ```text
-//! cedarfs format  vol.img [--tiny] [--log-vam]
+//! cedarfs format  vol.img [--tiny]
 //! cedarfs put     vol.img <name> <host-file> [--crash]
 //! cedarfs get     vol.img <name> [host-file]
 //! cedarfs ls      vol.img [prefix]
@@ -23,7 +23,7 @@ use std::process::ExitCode;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  cedarfs format  <image> [--tiny] [--log-vam]\n  \
+        "usage:\n  cedarfs format  <image> [--tiny]\n  \
          cedarfs put     <image> <name> <host-file> [--crash]\n  \
          cedarfs get     <image> <name> [host-file]\n  \
          cedarfs ls      <image> [prefix]\n  \
@@ -60,8 +60,6 @@ fn report_boot(r: &RecoveryReport) {
             "rebuilt by the scavenger"
         } else if !r.vam_reconstructed {
             "loaded"
-        } else if r.files_scanned > 0 {
-            "reconstructed from the name table"
         } else if r.reserve.is_some() {
             "walk owed to whatever outgrows the reserve"
         } else {
@@ -200,11 +198,8 @@ fn run() -> Result<(), String> {
             } else {
                 SimDisk::trident_t300(SimClock::new())
             };
-            let config = FsdConfig {
-                log_vam: flags.contains(&"--log-vam"),
-                ..FsdConfig::default()
-            };
-            let mut vol = FsdVolume::format(disk, config).map_err(|e| format!("format: {e}"))?;
+            let mut vol = FsdVolume::format(disk, FsdConfig::default())
+                .map_err(|e| format!("format: {e}"))?;
             vol.shutdown().map_err(|e| format!("shutdown: {e}"))?;
             vol.into_disk()
                 .save_image(image)

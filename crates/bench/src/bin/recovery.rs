@@ -97,9 +97,8 @@ fn fsd_recovery(files: usize) -> FsdRecovery {
     let booted = vol.clock().now();
     // Without these the rows below would improve by not doing the work.
     let settle = vol.settle_redo().expect("redo settle");
-    let settle = settle.expect("boot leaves the settle owed");
     let walk = vol.settle_vam().expect("VAM walk");
-    let walk = walk.expect("boot leaves the walk owed");
+    let (settle, walk) = (settle.expect("owed by boot"), walk.expect("owed by boot"));
     let disk = vol.disk_stats().since(&before);
     let settled_us = vol.clock().now() - booted;
 
@@ -273,19 +272,18 @@ fn main() {
         cfs.files_recovered,
         cfs.orphan_sectors
     );
-    let (settle, walk) = (fsd.settle, fsd.walk);
     println!(
         "FSD by phase: redo {:.2} s = scan {:.2} (boot) + home sweep {:.2} + leaders {:.2} \
          + new epoch {:.2}; VAM walk {:.2} s = prefetch {:.2} + walk {:.2} ({} files)",
         secs(fsd.redo_us()),
         secs(fsd.report.redo_us),
-        secs(settle.sweep_us),
-        secs(settle.leaders_us),
-        secs(settle.epoch_us),
-        secs(walk.us()),
-        secs(walk.prefetch_us),
-        secs(walk.walk_us),
-        walk.files_scanned
+        secs(fsd.settle.sweep_us),
+        secs(fsd.settle.leaders_us),
+        secs(fsd.settle.epoch_us),
+        secs(fsd.walk.us()),
+        secs(fsd.walk.prefetch_us),
+        secs(fsd.walk.walk_us),
+        fsd.walk.files_scanned
     );
     println!();
     println!("{}", disk_breakdown("FSD recovery ", &fsd.disk));

@@ -57,6 +57,25 @@ struct Split {
     right: PageId,
 }
 
+/// What the leaf at the end of a routed insert's walk made of it.
+enum Routed {
+    /// The entry is in; the leaf may have split.
+    Inserted(Option<Split>),
+    /// The builder declined; nothing was written.
+    Declined,
+    /// The leaf holds nothing below `hi`: the predecessor, if any, lives
+    /// to the left, and so may the new key's place.
+    Astray,
+}
+
+/// A key/value pair out of the tree, or on its way in.
+pub type Entry = (Vec<u8>, Vec<u8>);
+
+/// What [`BTree::insert_routed`] asks its caller for: the entry to insert,
+/// made from the greatest entry already in the range (`None` when the
+/// range is empty). Returning `None` declines the insert.
+pub type BuildEntry<'a> = dyn FnMut(Option<(&[u8], &[u8])>) -> Option<Entry> + 'a;
+
 /// A B-tree rooted at a page in some [`PageStore`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BTree {
@@ -228,6 +247,47 @@ impl BTree {
         }
     }
 
+    /// Index of the child that holds the greatest key below `hi`, unless
+    /// a stale separator says otherwise.
+    fn route_below(keys: &[Vec<u8>], hi: &[u8]) -> usize {
+        keys.partition_point(|sep| sep.as_slice() < hi)
+    }
+
+    /// The greatest entry with `lo <= key < hi`, if there is one: a
+    /// predecessor search routed by `hi`, so it reads one node per level
+    /// however many entries or leaves the range spans. (Only a separator
+    /// that outlived every key between it and `hi` sends the walk one
+    /// subtree left for the answer.)
+    pub fn last_in_range<S: PageStore>(
+        &self,
+        store: &mut S,
+        lo: &[u8],
+        hi: &[u8],
+    ) -> Result<Option<Entry>> {
+        let last = Self::last_below(store, self.root, hi)?;
+        Ok(last.filter(|(k, _)| k.as_slice() >= lo))
+    }
+
+    /// The greatest entry below `hi` in the subtree at `id`.
+    fn last_below<S: PageStore>(store: &mut S, id: PageId, hi: &[u8]) -> Result<Option<Entry>> {
+        match Self::load(store, id)? {
+            Node::Leaf(mut entries) => {
+                let below = entries.partition_point(|(k, _)| k.as_slice() < hi);
+                Ok((below > 0).then(|| entries.swap_remove(below - 1)))
+            }
+            Node::Internal { keys, children } => {
+                // Every child left of the routed one holds only keys
+                // below `hi`, so the first non-empty answer is the one.
+                for &child in children[..=Self::route_below(&keys, hi)].iter().rev() {
+                    if let Some(entry) = Self::last_below(store, child, hi)? {
+                        return Ok(Some(entry));
+                    }
+                }
+                Ok(None)
+            }
+        }
+    }
+
     // ----- insert -------------------------------------------------------------
 
     /// Inserts `key → value`, returning the previous value if the key was
@@ -238,26 +298,34 @@ impl BTree {
         key: &[u8],
         value: &[u8],
     ) -> Result<Option<Vec<u8>>> {
-        let entry_size = 4 + key.len() + value.len();
-        let max = Self::max_entry_size(store.page_size());
-        if entry_size > max {
-            return Err(BTreeError::EntryTooLarge {
-                size: entry_size,
-                max,
-            });
-        }
+        Self::check_entry_size(store, key, value)?;
         let (old, split) = Self::insert_rec(store, self.root, key, value)?;
-        if let Some(split) = split {
-            // The root split: grow the tree by one level.
-            let new_root = store.alloc_page()?;
-            let node = Node::Internal {
-                keys: vec![split.sep],
-                children: vec![self.root, split.right],
-            };
-            Self::save(store, new_root, &node)?;
-            self.root = new_root;
-        }
+        self.grow_root(store, split)?;
         Ok(old)
+    }
+
+    fn check_entry_size<S: PageStore>(store: &S, key: &[u8], value: &[u8]) -> Result<()> {
+        let size = 4 + key.len() + value.len();
+        let max = Self::max_entry_size(store.page_size());
+        if size > max {
+            return Err(BTreeError::EntryTooLarge { size, max });
+        }
+        Ok(())
+    }
+
+    /// The root split: grow the tree by one level.
+    fn grow_root<S: PageStore>(&mut self, store: &mut S, split: Option<Split>) -> Result<()> {
+        let Some(split) = split else {
+            return Ok(());
+        };
+        let new_root = store.alloc_page()?;
+        let node = Node::Internal {
+            keys: vec![split.sep],
+            children: vec![self.root, split.right],
+        };
+        Self::save(store, new_root, &node)?;
+        self.root = new_root;
+        Ok(())
     }
 
     fn insert_rec<S: PageStore>(
@@ -276,58 +344,164 @@ impl BTree {
                         None
                     }
                 };
-                let node = Node::Leaf(entries);
-                if node.fits(store.page_size()) {
-                    Self::save(store, id, &node)?;
-                    return Ok((old, None));
-                }
-                // Split the leaf by accumulated encoded size.
-                let Node::Leaf(entries) = node else {
-                    unreachable!()
-                };
-                let (left, right) = split_leaf(entries, store.page_size());
-                let sep = right[0].0.clone();
-                let right_id = store.alloc_page()?;
-                Self::save(store, right_id, &Node::Leaf(right))?;
-                Self::save(store, id, &Node::Leaf(left))?;
-                Ok((
-                    old,
-                    Some(Split {
-                        sep,
-                        right: right_id,
-                    }),
-                ))
+                Ok((old, Self::save_leaf(store, id, entries)?))
             }
-            Node::Internal {
-                mut keys,
-                mut children,
-            } => {
+            Node::Internal { keys, children } => {
                 let idx = Self::route(&keys, key);
                 let (old, child_split) = Self::insert_rec(store, children[idx], key, value)?;
-                let Some(cs) = child_split else {
-                    return Ok((old, None));
+                let split = match child_split {
+                    Some(cs) => Self::adopt_split(store, id, keys, children, idx, cs)?,
+                    None => None,
                 };
-                keys.insert(idx, cs.sep);
-                children.insert(idx + 1, cs.right);
-                let node = Node::Internal { keys, children };
-                if node.fits(store.page_size()) {
-                    Self::save(store, id, &node)?;
-                    return Ok((old, None));
+                Ok((old, split))
+            }
+        }
+    }
+
+    /// Writes a leaf that has just gained an entry, splitting it by
+    /// accumulated encoded size if it no longer fits its page.
+    fn save_leaf<S: PageStore>(
+        store: &mut S,
+        id: PageId,
+        entries: LeafEntries,
+    ) -> Result<Option<Split>> {
+        let node = Node::Leaf(entries);
+        if node.fits(store.page_size()) {
+            Self::save(store, id, &node)?;
+            return Ok(None);
+        }
+        let Node::Leaf(entries) = node else {
+            unreachable!()
+        };
+        let (left, right) = split_leaf(entries, store.page_size());
+        let sep = right[0].0.clone();
+        let right_id = store.alloc_page()?;
+        Self::save(store, right_id, &Node::Leaf(right))?;
+        Self::save(store, id, &Node::Leaf(left))?;
+        Ok(Some(Split {
+            sep,
+            right: right_id,
+        }))
+    }
+
+    /// Takes the split of `children[idx]` into the internal node at `id`,
+    /// splitting that in turn if it no longer fits its page.
+    fn adopt_split<S: PageStore>(
+        store: &mut S,
+        id: PageId,
+        mut keys: Vec<Vec<u8>>,
+        mut children: Vec<PageId>,
+        idx: usize,
+        child: Split,
+    ) -> Result<Option<Split>> {
+        keys.insert(idx, child.sep);
+        children.insert(idx + 1, child.right);
+        let node = Node::Internal { keys, children };
+        if node.fits(store.page_size()) {
+            Self::save(store, id, &node)?;
+            return Ok(None);
+        }
+        let Node::Internal { keys, children } = node else {
+            unreachable!()
+        };
+        let (left, promoted, right) = split_internal(keys, children, store.page_size());
+        let right_id = store.alloc_page()?;
+        Self::save(store, right_id, &right)?;
+        Self::save(store, id, &left)?;
+        Ok(Some(Split {
+            sep: promoted,
+            right: right_id,
+        }))
+    }
+
+    /// Inserts the entry `build` makes of the greatest entry in
+    /// `[lo, hi)` — handed to it, or `None` when the range is empty — in
+    /// the one walk that finds that entry. The built key must lie in the
+    /// range above the entry shown (a name's next version); `build`
+    /// returning `None` leaves the tree as it was. Returns whether an
+    /// entry went in.
+    ///
+    /// The walk is routed by `hi`, like [`BTree::last_in_range`]'s, and
+    /// the new key belongs in the leaf it ends at whenever that leaf
+    /// holds anything below `hi`: it then costs the reads of one lookup
+    /// and the writes of one insert. A leaf with nothing below `hi` (its
+    /// separator outlived the keys that made it) says neither what the
+    /// predecessor is nor whether the new key belongs left of it, and
+    /// the insert is redone as a lookup followed by [`BTree::insert`].
+    pub fn insert_routed<S: PageStore>(
+        &mut self,
+        store: &mut S,
+        lo: &[u8],
+        hi: &[u8],
+        build: &mut BuildEntry<'_>,
+    ) -> Result<bool> {
+        match Self::insert_routed_rec(store, self.root, lo, hi, build)? {
+            Routed::Inserted(split) => self.grow_root(store, split)?,
+            Routed::Declined => return Ok(false),
+            Routed::Astray => {
+                let last = self.last_in_range(store, lo, hi)?;
+                let shown = last.as_ref().map(|(k, v)| (k.as_slice(), v.as_slice()));
+                let Some((key, value)) = build(shown) else {
+                    return Ok(false);
+                };
+                Self::check_routed_key(&key, lo, hi, shown)?;
+                self.insert(store, &key, &value)?;
+            }
+        }
+        Ok(true)
+    }
+
+    /// A routed insert's key must lie in `[lo, hi)` above the entry its
+    /// builder was shown: anywhere else it would land in a leaf whose
+    /// separators do not cover it.
+    fn check_routed_key(
+        key: &[u8],
+        lo: &[u8],
+        hi: &[u8],
+        shown: Option<(&[u8], &[u8])>,
+    ) -> Result<()> {
+        let above = shown.map_or(key >= lo, |(last, _)| key > last);
+        if above && key < hi {
+            return Ok(());
+        }
+        Err(BTreeError::Corrupt(
+            "routed insert built a key outside its range".to_string(),
+        ))
+    }
+
+    fn insert_routed_rec<S: PageStore>(
+        store: &mut S,
+        id: PageId,
+        lo: &[u8],
+        hi: &[u8],
+        build: &mut BuildEntry<'_>,
+    ) -> Result<Routed> {
+        match Self::load(store, id)? {
+            Node::Leaf(mut entries) => {
+                let below = entries.partition_point(|(k, _)| k.as_slice() < hi);
+                let Some((last_key, last_value)) = below.checked_sub(1).map(|i| &entries[i]) else {
+                    return Ok(Routed::Astray);
+                };
+                // An entry below `lo` is no predecessor to show, but it
+                // still proves the new key sorts into this leaf.
+                let in_range = last_key.as_slice() >= lo;
+                let shown = in_range.then_some((last_key.as_slice(), last_value.as_slice()));
+                let Some((key, value)) = build(shown) else {
+                    return Ok(Routed::Declined);
+                };
+                Self::check_routed_key(&key, lo, hi, shown)?;
+                Self::check_entry_size(store, &key, &value)?;
+                entries.insert(below, (key, value));
+                Ok(Routed::Inserted(Self::save_leaf(store, id, entries)?))
+            }
+            Node::Internal { keys, children } => {
+                let idx = Self::route_below(&keys, hi);
+                match Self::insert_routed_rec(store, children[idx], lo, hi, build)? {
+                    Routed::Inserted(Some(cs)) => Ok(Routed::Inserted(Self::adopt_split(
+                        store, id, keys, children, idx, cs,
+                    )?)),
+                    other => Ok(other),
                 }
-                let Node::Internal { keys, children } = node else {
-                    unreachable!()
-                };
-                let (left, promoted, right) = split_internal(keys, children, store.page_size());
-                let right_id = store.alloc_page()?;
-                Self::save(store, right_id, &right)?;
-                Self::save(store, id, &left)?;
-                Ok((
-                    old,
-                    Some(Split {
-                        sep: promoted,
-                        right: right_id,
-                    }),
-                ))
             }
         }
     }
@@ -336,13 +510,17 @@ impl BTree {
 
     /// Removes `key`, returning its value if it was present.
     pub fn delete<S: PageStore>(&mut self, store: &mut S, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        let (old, _) = Self::delete_rec(store, self.root, key)?;
-        // If the root is an internal node with a single child, collapse it.
-        if let Node::Internal { keys, children } = Self::load(store, self.root)? {
-            if keys.is_empty() {
-                let only = children[0];
-                store.free_page(self.root)?;
-                self.root = only;
+        let (old, root_under) = Self::delete_rec(store, self.root, key)?;
+        // An internal root left with a single child collapses into it.
+        // Only a merge below it can do that, and a merge reports the
+        // root underflowed, so nothing else re-reads it.
+        if root_under {
+            if let Node::Internal { keys, children } = Self::load(store, self.root)? {
+                if keys.is_empty() {
+                    let only = children[0];
+                    store.free_page(self.root)?;
+                    self.root = only;
+                }
             }
         }
         Ok(old)

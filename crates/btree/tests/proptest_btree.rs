@@ -2,7 +2,7 @@
 //! `std::collections::BTreeMap` under arbitrary operation sequences, while
 //! maintaining its structural invariants and never leaking pages.
 
-use cedar_btree::{BTree, MemStore};
+use cedar_btree::{BTree, MemStore, Node, PageId, PageStore};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -114,4 +114,392 @@ proptest! {
             tree.check_invariants(&mut store).unwrap();
         }
     }
+}
+
+// ----- the name table's two primitives ----------------------------------------
+//
+// Keys below are shaped like the name table's: `name ++ 0 ++ version`,
+// every version of a name inside `[name ++ 0, name ++ 1)`.
+
+/// Names that are prefixes of one another sort as neighbours.
+const NAMES: [&str; 6] = ["a", "ab", "ab0", "b", "ba", "c"];
+
+fn versioned(name: &str, version: u16) -> Vec<u8> {
+    let mut k = name.as_bytes().to_vec();
+    k.push(0);
+    k.extend_from_slice(&version.to_be_bytes());
+    k
+}
+
+fn versions_range(name: &str) -> (Vec<u8>, Vec<u8>) {
+    let mut lo = name.as_bytes().to_vec();
+    lo.push(0);
+    let mut hi = name.as_bytes().to_vec();
+    hi.push(1);
+    (lo, hi)
+}
+
+fn version_of(key: &[u8]) -> u16 {
+    u16::from_be_bytes([key[key.len() - 2], key[key.len() - 1]])
+}
+
+/// The reference: scan the range, keep the last entry.
+fn last_by_scan(
+    tree: &BTree,
+    store: &mut MemStore,
+    lo: &[u8],
+    hi: &[u8],
+) -> Option<(Vec<u8>, Vec<u8>)> {
+    tree.collect_range(store, lo, Some(hi)).unwrap().pop()
+}
+
+/// The next version of `name` in one routed insert; returns the version.
+fn create_routed(tree: &mut BTree, store: &mut MemStore, name: &str, value: &[u8]) -> u16 {
+    let (lo, hi) = versions_range(name);
+    let mut made = 0;
+    let inserted = tree
+        .insert_routed(store, &lo, &hi, &mut |newest| {
+            made = newest.map_or(1, |(k, _)| version_of(k) + 1);
+            Some((versioned(name, made), value.to_vec()))
+        })
+        .unwrap();
+    assert!(inserted);
+    made
+}
+
+/// The same by probe and plain insert, as the volumes used to do it.
+fn create_by_probe(tree: &mut BTree, store: &mut MemStore, name: &str, value: &[u8]) -> u16 {
+    let (lo, hi) = versions_range(name);
+    let made = last_by_scan(tree, store, &lo, &hi).map_or(1, |(k, _)| version_of(&k) + 1);
+    let old = tree.insert(store, &versioned(name, made), value).unwrap();
+    assert_eq!(old, None);
+    made
+}
+
+#[derive(Clone, Debug)]
+enum NameOp {
+    /// Next version of a name.
+    Create(usize, Vec<u8>),
+    /// Delete the nth existing version of a name (modulo how many).
+    Delete(usize, usize),
+    /// Delete every version of a name from the nth up: whole leaves of
+    /// it go, and the separators that named them stay.
+    DeleteFrom(usize, usize),
+    /// Newest version of a name.
+    Newest(usize),
+    /// `last_in_range` between two arbitrary keys, existing or not.
+    Last((usize, u16), (usize, u16)),
+}
+
+fn arb_name_op() -> impl Strategy<Value = NameOp> {
+    let name = || 0usize..NAMES.len();
+    prop_oneof![
+        6 => (name(), proptest::collection::vec(any::<u8>(), 0..16))
+            .prop_map(|(n, v)| NameOp::Create(n, v)),
+        2 => (name(), 0usize..64).prop_map(|(n, i)| NameOp::Delete(n, i)),
+        1 => (name(), 0usize..64).prop_map(|(n, i)| NameOp::DeleteFrom(n, i)),
+        2 => name().prop_map(NameOp::Newest),
+        2 => ((name(), 0u16..40), (name(), 0u16..40)).prop_map(|(a, b)| NameOp::Last(a, b)),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    // `last_in_range` is the last entry of the range scan, and a routed
+    // insert leaves the tree a probe and a plain insert would have — on
+    // trees that deletes have been through, whose separators name keys
+    // long gone.
+    #[test]
+    fn routed_ops_match_scan_and_plain_insert(
+        ops in proptest::collection::vec(arb_name_op(), 1..300),
+        page_size in 128usize..400,
+    ) {
+        let mut store = MemStore::new(page_size);
+        let mut tree = BTree::create(&mut store).unwrap();
+        let mut twin_store = MemStore::new(page_size);
+        let mut twin = BTree::create(&mut twin_store).unwrap();
+        let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
+        let existing = |model: &BTreeMap<Vec<u8>, Vec<u8>>, name: &str| -> Vec<Vec<u8>> {
+            let (lo, hi) = versions_range(name);
+            model.range(lo..hi).map(|(k, _)| k.clone()).collect()
+        };
+
+        for op in &ops {
+            match op {
+                NameOp::Create(n, value) => {
+                    let name = NAMES[*n];
+                    let want = existing(&model, name).last().map_or(1, |k| version_of(k) + 1);
+                    prop_assert_eq!(create_routed(&mut tree, &mut store, name, value), want);
+                    prop_assert_eq!(create_by_probe(&mut twin, &mut twin_store, name, value), want);
+                    model.insert(versioned(name, want), value.clone());
+                }
+                NameOp::Delete(n, i) | NameOp::DeleteFrom(n, i) => {
+                    let keys = existing(&model, NAMES[*n]);
+                    if keys.is_empty() {
+                        continue;
+                    }
+                    let from = i % keys.len();
+                    let upto = if matches!(op, NameOp::Delete(..)) { from + 1 } else { keys.len() };
+                    for key in &keys[from..upto] {
+                        let want = model.remove(key);
+                        prop_assert_eq!(tree.delete(&mut store, key).unwrap(), want.clone());
+                        prop_assert_eq!(twin.delete(&mut twin_store, key).unwrap(), want);
+                    }
+                }
+                NameOp::Newest(n) => {
+                    let (lo, hi) = versions_range(NAMES[*n]);
+                    let got = tree.last_in_range(&mut store, &lo, &hi).unwrap();
+                    prop_assert_eq!(&got, &last_by_scan(&tree, &mut store, &lo, &hi));
+                    let want = model.range(lo..hi).next_back().map(|(k, v)| (k.clone(), v.clone()));
+                    prop_assert_eq!(got, want);
+                }
+                NameOp::Last((a, va), (b, vb)) => {
+                    let (a, b) = (versioned(NAMES[*a], *va), versioned(NAMES[*b], *vb));
+                    let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
+                    let got = tree.last_in_range(&mut store, &lo, &hi).unwrap();
+                    prop_assert_eq!(got, last_by_scan(&tree, &mut store, &lo, &hi));
+                }
+            }
+        }
+
+        tree.check_invariants(&mut store).unwrap();
+        twin.check_invariants(&mut twin_store).unwrap();
+        let got = tree.collect_range(&mut store, &[], None).unwrap();
+        let want: Vec<_> = model.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
+        prop_assert_eq!(&got, &want);
+        prop_assert_eq!(twin.collect_range(&mut twin_store, &[], None).unwrap(), want);
+        // Not just the same entries: the same pages.
+        prop_assert_eq!(store.live_pages(), twin_store.live_pages());
+    }
+}
+
+/// The tree's shape, read through the store: every leaf's keys in key
+/// order, every separator, and the height (a lone root leaf is 1).
+struct Shape {
+    leaves: Vec<Vec<Vec<u8>>>,
+    separators: Vec<Vec<u8>>,
+    height: u64,
+}
+
+fn shape(tree: &BTree, store: &mut MemStore) -> Shape {
+    fn walk(store: &mut MemStore, id: PageId, depth: u64, out: &mut Shape) {
+        match Node::decode(&store.read_page(id).unwrap()).unwrap() {
+            Node::Leaf(entries) => {
+                out.leaves
+                    .push(entries.into_iter().map(|(k, _)| k).collect());
+                out.height = depth;
+            }
+            Node::Internal { keys, children } => {
+                out.separators.extend(keys);
+                for child in children {
+                    walk(store, child, depth + 1, out);
+                }
+            }
+        }
+    }
+    let mut out = Shape {
+        leaves: Vec::new(),
+        separators: Vec::new(),
+        height: 0,
+    };
+    walk(store, tree.root(), 1, &mut out);
+    out
+}
+
+/// `(reads, writes)` that `f` cost the store.
+fn cost<T>(store: &mut MemStore, f: impl FnOnce(&mut MemStore) -> T) -> (T, u64, u64) {
+    let before = store.ops;
+    let out = f(store);
+    (out, store.ops.0 - before.0, store.ops.1 - before.1)
+}
+
+/// A tree of `versions` versions of "m" between neighbours on both
+/// sides, filler values sized so a leaf holds a handful of entries.
+fn versions_tree(page_size: usize, versions: u16) -> (BTree, MemStore) {
+    let mut store = MemStore::new(page_size);
+    let mut tree = BTree::create(&mut store).unwrap();
+    for name in ["k", "l", "m2", "n", "o"] {
+        for v in 1..=12 {
+            tree.insert(&mut store, &versioned(name, v), b"neighbour")
+                .unwrap();
+        }
+    }
+    for _ in 0..versions {
+        create_routed(&mut tree, &mut store, "m", b"0123456789");
+    }
+    tree.check_invariants(&mut store).unwrap();
+    (tree, store)
+}
+
+#[test]
+fn a_lone_root_leaf_and_empty_ranges() {
+    let mut store = MemStore::new(256);
+    let mut tree = BTree::create(&mut store).unwrap();
+    let (lo, hi) = versions_range("m");
+    assert_eq!(tree.last_in_range(&mut store, &lo, &hi).unwrap(), None);
+    // An empty tree takes version 1, and a builder that declines leaves
+    // the tree alone.
+    assert_eq!(create_routed(&mut tree, &mut store, "m", b"x"), 1);
+    let written = store.ops.1;
+    let declined = tree.insert_routed(&mut store, &lo, &hi, &mut |newest| {
+        assert_eq!(newest.map(|(k, _)| version_of(k)), Some(1));
+        None
+    });
+    assert_eq!((declined, store.ops.1), (Ok(false), written));
+    // Neighbours on both sides, then the empty range between them.
+    assert_eq!(create_routed(&mut tree, &mut store, "l", b"x"), 1);
+    assert_eq!(create_routed(&mut tree, &mut store, "n", b"x"), 1);
+    assert_eq!(create_routed(&mut tree, &mut store, "m", b"y"), 2);
+    let (lo, hi) = versions_range("m1");
+    assert_eq!(tree.last_in_range(&mut store, &lo, &hi).unwrap(), None);
+    assert_eq!(tree.last_in_range(&mut store, &hi, &lo).unwrap(), None);
+    assert_eq!(shape(&tree, &mut store).height, 1);
+    assert_eq!(tree.len(&mut store).unwrap(), 4);
+    // A key outside the range it was routed by is refused, not misfiled.
+    let (lo, hi) = versions_range("m");
+    for bad in [versioned("m", 2), versioned("m", 1), versioned("n", 7)] {
+        let r = tree.insert_routed(&mut store, &lo, &hi, &mut |_| Some((bad.clone(), vec![])));
+        assert!(r.is_err(), "{bad:?}");
+    }
+    assert_eq!(tree.len(&mut store).unwrap(), 4);
+    tree.check_invariants(&mut store).unwrap();
+}
+
+#[test]
+fn ranges_that_end_at_a_leaf_boundary_or_a_separator() {
+    let (tree, mut store) = versions_tree(128, 60);
+    let shape = shape(&tree, &mut store);
+    assert!(shape.height >= 3 && shape.leaves.len() > 8);
+    // `hi` equal to each separator: the answer is the last key of the
+    // leaf to its left. `hi` just past each leaf's last key: that key.
+    for sep in &shape.separators {
+        let got = tree.last_in_range(&mut store, &[], sep).unwrap();
+        assert_eq!(got, last_by_scan(&tree, &mut store, &[], sep));
+        assert!(got.is_some_and(|(k, _)| shape.leaves.iter().any(|l| l.last() == Some(&k))));
+    }
+    for leaf in &shape.leaves {
+        let (first, last) = (&leaf[0], &leaf[leaf.len() - 1]);
+        let mut hi = last.clone();
+        hi.push(0);
+        let got = tree.last_in_range(&mut store, first, &hi).unwrap();
+        assert_eq!(got.map(|(k, _)| k).as_ref(), Some(last));
+        // Exclusive above, inclusive below.
+        let got = tree.last_in_range(&mut store, first, first).unwrap();
+        assert_eq!(got, None);
+        let got = tree.last_in_range(&mut store, last, &hi).unwrap();
+        assert_eq!(got.map(|(k, _)| k).as_ref(), Some(last));
+    }
+}
+
+/// A separator that outlived its keys routes the end of the name's range
+/// into a leaf with nothing of the name left in it. The lookup goes one
+/// leaf left for its answer; the insert is redone as probe + insert, and
+/// lands in whichever leaf the new key belongs to.
+#[test]
+fn a_stale_separator_forces_the_fallback() {
+    const VERSIONS: u16 = 100;
+    let (mut tree, mut store) = versions_tree(192, VERSIONS);
+    let (lo, hi) = versions_range("m");
+    let before = shape(&tree, &mut store);
+    // The last leaf that starts with a version of "m": its first key is
+    // a separator. It also holds the first of "m2", which will keep it
+    // from emptying.
+    let stale = before
+        .leaves
+        .iter()
+        .rev()
+        .find(|l| l[0].starts_with(&lo) && l[0] < hi)
+        .map(|l| l[0].clone())
+        .expect("a leaf that starts inside the name");
+    assert!(before.separators.contains(&stale));
+    let first_gone = version_of(&stale);
+    assert!(first_gone > 3);
+    // Delete that version and two below it, and everything above.
+    for v in first_gone - 2..=VERSIONS {
+        tree.delete(&mut store, &versioned("m", v))
+            .unwrap()
+            .expect("was there");
+    }
+    tree.check_invariants(&mut store).unwrap();
+    let after = shape(&tree, &mut store);
+    assert!(after.separators.contains(&stale), "the separator stayed");
+    assert_eq!((before.height, after.height), (3, 3));
+    let h = after.height;
+
+    // The lookup: right, and one extra read for the leaf to the left.
+    let (got, reads, _) = cost(&mut store, |s| tree.last_in_range(s, &lo, &hi).unwrap());
+    assert_eq!(got, last_by_scan(&tree, &mut store, &lo, &hi));
+    assert_eq!(got.map(|(k, _)| version_of(&k)), Some(first_gone - 3));
+    assert!(reads > h && reads <= 2 * h, "{reads} reads at height {h}");
+
+    // The insert: the next two versions sort *below* the stale
+    // separator, into the left leaf; the third is the separator itself
+    // and goes right. All by the fallback but the last, which finds its
+    // predecessor where the walk ends.
+    for (version, by_fallback) in [
+        (first_gone - 2, true),
+        (first_gone - 1, true),
+        (first_gone, true),
+        (first_gone + 1, false),
+    ] {
+        let (made, reads, _) = cost(&mut store, |s| create_routed(&mut tree, s, "m", b"new"));
+        assert_eq!(made, version);
+        assert_eq!(reads > h, by_fallback, "version {version}: {reads} reads");
+        tree.check_invariants(&mut store).unwrap();
+    }
+    let all = tree.collect_range(&mut store, &lo, Some(&hi)).unwrap();
+    let versions: Vec<u16> = all.iter().map(|(k, _)| version_of(k)).collect();
+    assert_eq!(versions, (1..=first_gone + 1).collect::<Vec<_>>());
+}
+
+/// What the name table pays per operation, in node visits, at height 3:
+/// newest-version lookup `h` reads; next-version insert `h` reads and one
+/// write; delete `h` reads and one write, the root not read again.
+#[test]
+fn one_walk_per_operation_at_height_three() {
+    let (mut tree, mut store) = versions_tree(256, 300);
+    let (lo, hi) = versions_range("m");
+    let shape = shape(&tree, &mut store);
+    assert_eq!(shape.height, 3);
+    let spanned = shape
+        .leaves
+        .iter()
+        .filter(|l| l.iter().any(|k| k.starts_with(&lo)))
+        .count() as u64;
+    assert!(spanned > 30, "300 versions over {spanned} leaves");
+
+    let (newest, reads, writes) = cost(&mut store, |s| tree.last_in_range(s, &lo, &hi).unwrap());
+    assert_eq!(newest.map(|(k, _)| version_of(&k)), Some(300));
+    assert_eq!((reads, writes), (3, 0));
+    // The scan it replaces reads every leaf the name spans.
+    let (_, scan_reads, _) = cost(&mut store, |s| last_by_scan(&tree, s, &lo, &hi));
+    assert!(scan_reads >= spanned + 2, "{scan_reads} reads");
+
+    // An insert that does not split: one walk, one leaf written.
+    let allocs = store.ops.2;
+    let (made, reads, writes) = cost(&mut store, |s| create_routed(&mut tree, s, "m", b"v"));
+    assert_eq!((made, store.ops.2 - allocs), (301, 0));
+    assert_eq!((reads, writes), (3, 1));
+
+    // A delete that does not underflow: one walk, one leaf written, and
+    // no second look at the root.
+    let (old, reads, writes) = cost(&mut store, |s| {
+        tree.delete(s, &versioned("m", 301)).unwrap()
+    });
+    assert_eq!(old, Some(b"v".to_vec()));
+    assert_eq!((reads, writes), (3, 1));
+    // A miss reads its way down and writes nothing.
+    let (old, reads, writes) = cost(&mut store, |s| {
+        tree.delete(s, &versioned("m", 999)).unwrap()
+    });
+    assert_eq!((old, reads, writes), (None, 3, 0));
+
+    // Deleting everything still collapses the root when merges empty it.
+    let all = tree.collect_range(&mut store, &[], None).unwrap();
+    for (k, _) in &all {
+        tree.delete(&mut store, k).unwrap().expect("was there");
+    }
+    assert_eq!(store.live_pages(), 1);
+    tree.check_invariants(&mut store).unwrap();
 }

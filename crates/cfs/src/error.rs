@@ -66,6 +66,7 @@ impl From<BTreeError> for CfsError {
     fn from(e: BTreeError) -> Self {
         match e {
             BTreeError::Store(cedar_btree::StoreError::Crashed) => Self::Disk(DiskError::Crashed),
+            BTreeError::Store(cedar_btree::StoreError::Full) => Self::NoSpace,
             BTreeError::Store(s) => Self::Corrupt(format!("name table store: {s}")),
             BTreeError::Corrupt(m) => Self::Corrupt(m),
             BTreeError::EntryTooLarge { size, max } => {

@@ -413,36 +413,44 @@ impl CfsVolume {
         Ok((hr, data))
     }
 
-    fn resolve(&mut self, name: &str, version: Option<u32>) -> Result<FileName> {
-        match version {
-            Some(v) => FileName::new(name, v).map_err(CfsError::BadName),
-            None => {
-                let v = self.max_version(name)?;
-                if v == 0 {
-                    return Err(CfsError::NotFound(name.to_string()));
-                }
-                FileName::new(name, v).map_err(CfsError::BadName)
+    /// The newest version of `name` and its raw name-table entry, in one
+    /// walk of the tree routed by the end of the name's key range.
+    fn newest(&mut self, name: &str) -> Result<Option<(FileName, Vec<u8>)>> {
+        let (lo, hi) = FileName::versions_range(name);
+        let tree = self.tree;
+        let last = {
+            let mut store = nt_store!(self);
+            tree.last_in_range(&mut store, &lo, &hi)?
+        };
+        last.map(|(key, raw)| Ok((FileName::from_key(&key).map_err(CfsError::Corrupt)?, raw)))
+            .transpose()
+    }
+
+    /// The name-table entry of the newest version of `name`, or of the
+    /// version asked for.
+    fn resolve(&mut self, name: &str, version: Option<u32>) -> Result<(FileName, NtEntry)> {
+        let (fname, raw) = match version {
+            Some(v) => {
+                let fname = FileName::new(name, v).map_err(CfsError::BadName)?;
+                let tree = self.tree;
+                let got = {
+                    let mut store = nt_store!(self);
+                    tree.get(&mut store, &fname.to_key())?
+                };
+                let raw = got.ok_or_else(|| CfsError::NotFound(fname.to_string()))?;
+                (fname, raw)
             }
-        }
+            None => self
+                .newest(name)?
+                .ok_or_else(|| CfsError::NotFound(name.to_string()))?,
+        };
+        self.cpu.entries(1);
+        Ok((fname, NtEntry::decode(&raw)?))
     }
 
     /// Highest existing version of `name` (0 if none).
     pub fn max_version(&mut self, name: &str) -> Result<u32> {
-        let (lo, hi) = FileName::versions_range(name);
-        let mut last: Option<Vec<u8>> = None;
-        let tree = self.tree;
-        {
-            let mut store = nt_store!(self);
-            tree.for_each_range(&mut store, &lo, Some(&hi), &mut |k, _| {
-                last = Some(k.to_vec());
-                true
-            })?;
-        }
-        self.tree = tree;
-        match last {
-            Some(k) => Ok(FileName::from_key(&k).map_err(CfsError::Corrupt)?.version),
-            None => Ok(0),
-        }
+        Ok(self.newest(name)?.map_or(0, |(newest, _)| newest.version))
     }
 
     // ----- operations ------------------------------------------------------------
@@ -453,7 +461,9 @@ impl CfsVolume {
         self.cpu.op();
         self.invalidate_vam_hint()?;
         FileName::new(name, 1).map_err(CfsError::BadName)?; // Validate early.
-        let version = self.max_version(name)? + 1;
+        let version = self.max_version(name)?.checked_add(1).ok_or_else(|| {
+            CfsError::BadName(format!("{name}: no version number after {}", u32::MAX))
+        })?;
         let fname = FileName::new(name, version).map_err(CfsError::BadName)?;
         let uid = self.next_uid();
         let data_pages = data.len().div_ceil(SECTOR_BYTES) as u32;
@@ -501,13 +511,19 @@ impl CfsVolume {
             keep: 0,
         };
         let mut tree = self.tree;
-        {
+        let inserted = {
             let mut store = nt_store!(self);
-            if tree
-                .insert(&mut store, &fname.to_key(), &entry.encode())?
-                .is_some()
-            {
-                return Err(CfsError::Exists(fname.to_string()));
+            tree.insert(&mut store, &fname.to_key(), &entry.encode())
+        };
+        match inserted {
+            Ok(None) => {}
+            Ok(Some(_)) => return Err(CfsError::Exists(fname.to_string())),
+            Err(e) => {
+                // A name the table has no page for: unclaim the sectors,
+                // or they stay lost until the next scavenge.
+                self.free_labels(uid, header_run.start, &data_rt)?;
+                self.free_pages(header_run.start, &data_rt);
+                return Err(e.into());
             }
         }
         self.tree = tree;
@@ -560,16 +576,7 @@ impl CfsVolume {
     /// Opens the newest (or a specific) version of `name`.
     pub fn open(&mut self, name: &str, version: Option<u32>) -> Result<CfsFile> {
         self.cpu.op();
-        let fname = self.resolve(name, version)?;
-        let tree = self.tree;
-        let got = {
-            let mut store = nt_store!(self);
-            tree.get(&mut store, &fname.to_key())?
-        };
-        self.tree = tree;
-        let raw = got.ok_or_else(|| CfsError::NotFound(fname.to_string()))?;
-        let entry = NtEntry::decode(&raw)?;
-        self.cpu.entries(1);
+        let (fname, entry) = self.resolve(name, version)?;
         // Read the header, label-checked: a wrong header here is how CFS
         // catches many bugs.
         let hlabels = Self::header_labels(entry.uid);
@@ -675,24 +682,7 @@ impl CfsVolume {
         self.cpu.op();
         self.invalidate_vam_hint()?;
         let file = self.open(name, version)?;
-
-        // Free the labels: header first, then each data run.
-        let hlabels = Self::header_labels(file.uid);
-        self.disk.write_labels(
-            file.header_addr,
-            &vec![Label::FREE; HEADER_SECTORS as usize],
-            Some(&hlabels),
-        )?;
-        let mut page = 0u32;
-        for run in file.header.run_table.runs() {
-            let labels = Self::data_labels(file.uid, page, run.len);
-            self.disk.write_labels(
-                run.start,
-                &vec![Label::FREE; run.len as usize],
-                Some(&labels),
-            )?;
-            page += run.len;
-        }
+        self.free_labels(file.uid, file.header_addr, &file.header.run_table)?;
 
         // Remove from the name table.
         let mut tree = self.tree;
@@ -703,14 +693,38 @@ impl CfsVolume {
         self.tree = tree;
         self.flush_boot_if_dirty()?;
 
-        // Return the pages to the (hint) VAM. CFS has no commit concept:
-        // the pages are immediately reusable.
-        self.vam
-            .free_run(Run::new(file.header_addr, HEADER_SECTORS));
-        for run in file.header.run_table.runs() {
-            self.vam.free_run(*run);
+        // CFS has no commit concept: the pages are immediately reusable.
+        self.free_pages(file.header_addr, &file.header.run_table);
+        Ok(())
+    }
+
+    /// Frees a file's labels: header first, then each data run.
+    fn free_labels(&mut self, uid: u64, header_addr: u32, data: &RunTable) -> Result<()> {
+        let hlabels = Self::header_labels(uid);
+        self.disk.write_labels(
+            header_addr,
+            &vec![Label::FREE; HEADER_SECTORS as usize],
+            Some(&hlabels),
+        )?;
+        let mut page = 0u32;
+        for run in data.runs() {
+            let labels = Self::data_labels(uid, page, run.len);
+            self.disk.write_labels(
+                run.start,
+                &vec![Label::FREE; run.len as usize],
+                Some(&labels),
+            )?;
+            page += run.len;
         }
         Ok(())
+    }
+
+    /// Returns a file's pages to the (hint) VAM.
+    fn free_pages(&mut self, header_addr: u32, data: &RunTable) {
+        self.vam.free_run(Run::new(header_addr, HEADER_SECTORS));
+        for run in data.runs() {
+            self.vam.free_run(*run);
+        }
     }
 
     /// Lists files under a name prefix *with their properties*. CFS must

@@ -13,6 +13,14 @@
 //! are intentionally coarse: a fixed per-operation dispatch cost, a cost
 //! per B-tree node visited, a cost per name-table entry encoded or
 //! decoded, and a small per-sector cost for moving data.
+//!
+//! The calibration assumes what the volumes now do: one root-to-leaf walk
+//! per lookup. An open of a 4000-file volume's three-level name table is
+//! dispatch + 3 nodes + 1 entry = 4.0 + 5.4 + 0.9 = 10.3 ms, and `table2`
+//! prints 11.3 ms against the paper's 11.7 (the rest is the occasional
+//! cold page and the group commit's share). A small delete is that lookup
+//! plus a second walk that writes the leaf, 3 nodes + 1: 17.5 ms of CPU,
+//! 21.1 ms printed against the paper's 15.
 
 use crate::clock::{Micros, SimClock};
 use std::ops::Range;

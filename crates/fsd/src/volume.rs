@@ -896,35 +896,27 @@ impl FsdVolume {
         Ok(())
     }
 
-    fn resolve(&mut self, name: &str, version: Option<u32>) -> Result<FileName> {
-        match version {
-            Some(v) => FileName::new(name, v).map_err(FsdError::BadName),
-            None => {
-                let v = self.max_version(name)?;
-                if v == 0 {
-                    return Err(FsdError::NotFound(name.to_string()));
-                }
-                FileName::new(name, v).map_err(FsdError::BadName)
-            }
+    /// The entry of the newest version of `name` (one walk of the tree,
+    /// routed by the end of the name's key range) or of the version asked
+    /// for.
+    fn resolve(&mut self, name: &str, version: Option<u32>) -> Result<(FileName, FileEntry)> {
+        if let Some(v) = version {
+            let fname = FileName::new(name, v).map_err(FsdError::BadName)?;
+            let entry = self.get_entry(&fname)?;
+            return Ok((fname, entry));
         }
-    }
-
-    /// Highest existing version of `name` (0 if none).
-    pub fn max_version(&mut self, name: &str) -> Result<u32> {
         let (lo, hi) = FileName::versions_range(name);
-        let mut last: Option<Vec<u8>> = None;
         let tree = self.tree;
-        {
+        let newest = {
             let mut store = nt_store!(self);
-            tree.for_each_range(&mut store, &lo, Some(&hi), &mut |k, _| {
-                last = Some(k.to_vec());
-                true
-            })?;
-        }
-        match last {
-            Some(k) => Ok(FileName::from_key(&k).map_err(FsdError::Check)?.version),
-            None => Ok(0),
-        }
+            tree.last_in_range(&mut store, &lo, &hi)?
+        };
+        let (key, raw) = newest.ok_or_else(|| FsdError::NotFound(name.to_string()))?;
+        self.cpu.entries(1);
+        Ok((
+            FileName::from_key(&key).map_err(FsdError::Check)?,
+            FileEntry::decode(&raw)?,
+        ))
     }
 
     fn get_entry(&mut self, fname: &FileName) -> Result<FileEntry> {
@@ -936,6 +928,41 @@ impl FsdVolume {
         let raw = got.ok_or_else(|| FsdError::NotFound(fname.to_string()))?;
         self.cpu.entries(1);
         FileEntry::decode(&raw)
+    }
+
+    /// Enters `entry` as the next version of `name` in one walk of the
+    /// tree: the walk that finds the newest version is the one that
+    /// inserts after it. A file inherits that version's keep count
+    /// (links keep none); the entry comes back as entered.
+    fn put_next_version(
+        &mut self,
+        name: &str,
+        mut entry: FileEntry,
+    ) -> Result<(FileName, FileEntry)> {
+        self.settle_redo()?;
+        let (lo, hi) = FileName::versions_range(name);
+        let inherits = !matches!(entry.kind, EntryKind::SymLink { .. });
+        let mut next = Err(FsdError::Check("the tree asked for no entry".into()));
+        let mut tree = self.tree;
+        {
+            let cpu = &self.cpu;
+            let mut store = nt_store!(self);
+            tree.insert_routed(&mut store, &lo, &hi, &mut |newest| {
+                if newest.is_some() {
+                    cpu.entries(1); // Decoded for its keep count.
+                }
+                next = next_version(name, newest);
+                let (fname, keep) = next.as_ref().ok()?;
+                if inherits {
+                    entry.keep = *keep;
+                }
+                Some((fname.to_key(), entry.encode()))
+            })?;
+        }
+        self.tree = tree;
+        self.cpu.entries(1);
+        self.update_meta_root()?;
+        Ok((next?.0, entry))
     }
 
     pub(crate) fn put_entry(&mut self, fname: &FileName, entry: &FileEntry) -> Result<()> {
@@ -990,15 +1017,6 @@ impl FsdVolume {
         // neither dirty the boot pages nor pay the settle.
         FileName::new(name, 1).map_err(FsdError::BadName)?;
         self.invalidate_vam_hint()?;
-        let version = self.max_version(name)? + 1;
-        let fname = FileName::new(name, version).map_err(FsdError::BadName)?;
-        // A new version inherits the previous newest version's keep count.
-        let keep = if version > 1 {
-            let prev = FileName::new(name, version - 1).map_err(FsdError::BadName)?;
-            self.get_entry(&prev).map(|e| e.keep).unwrap_or(0)
-        } else {
-            0
-        };
         let uid = self.next_uid()?;
         let data_pages = data.len().div_ceil(SECTOR_BYTES) as u32;
 
@@ -1007,13 +1025,11 @@ impl FsdVolume {
         let rt_all = self.allocate_with(&RunTable::new(), |alloc, vam| {
             alloc.allocate(vam, 1 + data_pages)
         })?;
+        let give_back = |vam: &mut Vam| rt_all.runs().iter().for_each(|r| vam.free_run(*r));
         if rt_all.runs().len() > MAX_RUNS {
-            for r in rt_all.runs() {
-                self.vam.free_run(*r);
-            }
+            give_back(&mut self.vam);
             return Err(FsdError::NoSpace);
         }
-        self.cancel_stale_leaders(rt_all.runs());
         let first = rt_all.runs()[0];
         let leader_addr = first.start;
         let mut run_table = RunTable::new();
@@ -1027,7 +1043,7 @@ impl FsdVolume {
         let entry = FileEntry {
             kind: kind.unwrap_or(EntryKind::Local),
             uid,
-            keep,
+            keep: 0,
             byte_size: data.len() as u64,
             create_time: self.clock().now(),
             leader_addr,
@@ -1035,8 +1051,17 @@ impl FsdVolume {
         };
 
         // Update the name table — cache only, logged at the next force.
-        self.put_entry(&fname, &entry)?;
-        self.enforce_keep(name, version, keep)?;
+        // A name the table refuses (no page left for a split, no version
+        // number left) costs the volume nothing: the runs go back.
+        let (fname, entry) = match self.put_next_version(name, entry) {
+            Ok(entered) => entered,
+            Err(e) => {
+                give_back(&mut self.vam);
+                return Err(e);
+            }
+        };
+        self.cancel_stale_leaders(rt_all.runs());
+        self.enforce_keep(name, fname.version, entry.keep)?;
 
         // The one synchronous I/O: leader + leading data in a single
         // write, remaining extents after.
@@ -1073,23 +1098,23 @@ impl FsdVolume {
         self.maybe_force()?;
         self.cpu.op();
         let (lo, hi) = FileName::versions_range(name);
-        let mut versions: Vec<FileName> = Vec::new();
+        let mut versions: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
         let tree = self.tree;
         {
             let mut store = nt_store!(self);
-            tree.for_each_range(&mut store, &lo, Some(&hi), &mut |k, _| {
-                if let Ok(f) = FileName::from_key(k) {
-                    versions.push(f);
-                }
+            tree.for_each_range(&mut store, &lo, Some(&hi), &mut |k, v| {
+                versions.push((k.to_vec(), v.to_vec()));
                 true
             })?;
         }
-        let newest = match versions.last() {
-            Some(f) => f.version,
-            None => return Err(FsdError::NotFound(name.to_string())),
+        let Some((newest, _)) = versions.last() else {
+            return Err(FsdError::NotFound(name.to_string()));
         };
-        for fname in versions {
-            let mut entry = self.get_entry(&fname)?;
+        let newest = FileName::from_key(newest).map_err(FsdError::Check)?.version;
+        for (key, raw) in versions {
+            let fname = FileName::from_key(&key).map_err(FsdError::Check)?;
+            self.cpu.entries(1);
+            let mut entry = FileEntry::decode(&raw)?;
             entry.keep = keep;
             self.put_entry(&fname, &entry)?;
         }
@@ -1128,8 +1153,6 @@ impl FsdVolume {
         self.maybe_force()?;
         self.cpu.op();
         FileName::new(name, 1).map_err(FsdError::BadName)?;
-        let version = self.max_version(name)? + 1;
-        let fname = FileName::new(name, version).map_err(FsdError::BadName)?;
         let entry = FileEntry {
             kind: EntryKind::SymLink {
                 target: target.to_string(),
@@ -1141,7 +1164,7 @@ impl FsdVolume {
             leader_addr: 0,
             run_table: RunTable::new(),
         };
-        self.put_entry(&fname, &entry)?;
+        let (fname, entry) = self.put_next_version(name, entry)?;
         Ok(FsdFile {
             name: fname,
             entry,
@@ -1156,8 +1179,7 @@ impl FsdVolume {
     pub fn open(&mut self, name: &str, version: Option<u32>) -> Result<FsdFile> {
         self.maybe_force()?;
         self.cpu.op();
-        let fname = self.resolve(name, version)?;
-        let mut entry = self.get_entry(&fname)?;
+        let (fname, mut entry) = self.resolve(name, version)?;
         if let EntryKind::CachedRemote { last_used } = &mut entry.kind {
             *last_used = self.clock().now();
             self.put_entry(&fname, &entry)?;
@@ -1445,8 +1467,7 @@ impl FsdVolume {
     pub fn delete(&mut self, name: &str, version: Option<u32>) -> Result<()> {
         self.maybe_force()?;
         self.cpu.op();
-        let fname = self.resolve(name, version)?;
-        let entry = self.get_entry(&fname)?;
+        let (fname, entry) = self.resolve(name, version)?;
         // Only now that the file exists: a `NotFound` delete must neither
         // dirty the boot pages nor pay the settle.
         self.invalidate_vam_hint()?;
@@ -1498,6 +1519,26 @@ impl FsdVolume {
             })
             .collect()
     }
+}
+
+/// The name the version after `newest` takes, and the keep count it
+/// inherits.
+fn next_version(name: &str, newest: Option<(&[u8], &[u8])>) -> Result<(FileName, u32)> {
+    let (version, keep) = match newest {
+        Some((key, raw)) => {
+            let newest = FileName::from_key(key).map_err(FsdError::Check)?;
+            let version = newest.version.checked_add(1).ok_or_else(|| {
+                FsdError::BadName(format!(
+                    "{name}: no version number after {}",
+                    newest.version
+                ))
+            })?;
+            (version, FileEntry::decode(raw)?.keep)
+        }
+        None => (1, 0),
+    };
+    let fname = FileName::new(name, version).map_err(FsdError::BadName)?;
+    Ok((fname, keep))
 }
 
 /// Home-sector writes as [`spare::write_home_batch`] takes them.
@@ -1631,5 +1672,33 @@ mod tests {
             &(laps - 1).to_le_bytes(),
             "hot sector not recovered to the last force"
         );
+    }
+
+    /// A name out of version numbers is refused after its pages were
+    /// allocated; they go back, and the table is as it was.
+    #[test]
+    fn a_create_past_the_last_version_number_gives_its_runs_back() {
+        let config = FsdConfig {
+            nt_pages: 16,
+            log_sectors: 128,
+            cpu: CpuModel::FREE,
+            ..FsdConfig::default()
+        };
+        let mut v = FsdVolume::format(SimDisk::tiny(), config).unwrap();
+        let last = v.create("f", b"v1").unwrap();
+        let at_the_end = FileName::new("f", u32::MAX).unwrap();
+        v.put_entry(&at_the_end, &last.entry).unwrap();
+        let (free, listing) = (v.free_sectors(), v.list("").unwrap());
+
+        let refused = v.create("f", &[7u8; 3000]);
+        assert!(matches!(refused, Err(FsdError::BadName(_))), "{refused:?}");
+        assert!(matches!(
+            v.create_symlink("f", "elsewhere"),
+            Err(FsdError::BadName(_))
+        ));
+        assert_eq!(v.free_sectors(), free);
+        assert_eq!(v.list("").unwrap(), listing);
+        assert_eq!(v.open("f", None).unwrap().name, at_the_end);
+        assert_eq!(v.create("g", b"fine").unwrap().name.version, 1);
     }
 }

@@ -72,12 +72,12 @@ fn crossings(params: &ModelParams, sectors: u32) -> u32 {
     sectors / params.sectors_per_cylinder
 }
 
-/// The steady-state cost of resolving a name (version scan: root + leaf,
-/// cached) plus fetching its entry (root + leaf, cached).
+/// The steady-state cost of resolving a name: one walk (root + leaf,
+/// cached) routed by the end of the name's key range ends at the newest
+/// version, and the entry is there to decode.
 fn name_lookup_cpu(cpu: &CpuModel) -> Vec<(String, Step)> {
     vec![
-        ("version scan (2 cached nodes)".into(), nodes(cpu, 2)),
-        ("entry fetch (2 cached nodes)".into(), nodes(cpu, 2)),
+        ("newest version (2 cached nodes)".into(), nodes(cpu, 2)),
         ("entry decode".into(), Step::Cpu(cpu.entry_us)),
     ]
 }
@@ -94,12 +94,14 @@ pub fn fsd_ops(params: &ModelParams) -> Vec<Prediction> {
     // radially adjacent to the previous allocation (no seek).
     let mut s = Script::new("FSD small create")
         .step("dispatch", Step::Cpu(cpu.op_overhead_us))
-        .step("version scan (2 cached nodes)", nodes(cpu, 2))
-        .step("tree insert (3 cached nodes)", nodes(cpu, 3))
+        .step(
+            "next version: walk and insert (2 cached nodes, 1 written)",
+            nodes(cpu, 3),
+        )
         .step("entry encode", Step::Cpu(cpu.entry_us))
         .step("copy 2 sectors", Step::Cpu(cpu.per_sector_us * 2));
     let create_cpu =
-        cpu.op_overhead_us + 5 * cpu.btree_node_us + cpu.entry_us + cpu.per_sector_us * 2;
+        cpu.op_overhead_us + 3 * cpu.btree_node_us + cpu.entry_us + cpu.per_sector_us * 2;
     s = s
         .step(
             "write leader+data: rotational join (adjacent to previous create)",
@@ -133,23 +135,21 @@ pub fn fsd_ops(params: &ModelParams) -> Vec<Prediction> {
     out.push(predict(params, s));
 
     // Small delete: cache-only (§4: delete does no synchronous I/O).
-    let mut s = Script::new("FSD small delete")
-        .step("dispatch", Step::Cpu(cpu.op_overhead_us))
-        // Delete resolves the name first...
-        .step("version scan (2 cached nodes)", nodes(cpu, 2))
-        .step("entry fetch (2 cached nodes)", nodes(cpu, 2))
-        .step("entry decode", Step::Cpu(cpu.entry_us));
-    s = s.step("tree delete (3 cached nodes)", nodes(cpu, 3));
+    // Delete resolves the name first, then walks again to remove it.
+    let mut s = Script::new("FSD small delete").step("dispatch", Step::Cpu(cpu.op_overhead_us));
+    for (what, step) in name_lookup_cpu(cpu) {
+        s = s.step(&what, step);
+    }
+    s = s.step("tree delete (2 cached nodes, 1 written)", nodes(cpu, 3));
     out.push(predict(params, s));
 
     // Large delete (1 MB): same metadata work; the run table is longer
     // but the pages just move to the shadow bitmap.
-    let s = Script::new("FSD large delete")
-        .step("dispatch", Step::Cpu(cpu.op_overhead_us))
-        .step("version scan (2 cached nodes)", nodes(cpu, 2))
-        .step("entry fetch (2 cached nodes)", nodes(cpu, 2))
-        .step("entry decode", Step::Cpu(cpu.entry_us))
-        .step("tree delete (3 cached nodes)", nodes(cpu, 3));
+    let mut s = Script::new("FSD large delete").step("dispatch", Step::Cpu(cpu.op_overhead_us));
+    for (what, step) in name_lookup_cpu(cpu) {
+        s = s.step(&what, step);
+    }
+    s = s.step("tree delete (2 cached nodes, 1 written)", nodes(cpu, 3));
     out.push(predict(params, s));
 
     // Read page (random page of an open 1 MB file, leader verified):
@@ -167,8 +167,10 @@ pub fn fsd_ops(params: &ModelParams) -> Vec<Prediction> {
     let sectors = 2049u32;
     let mut s = Script::new("FSD large create")
         .step("dispatch", Step::Cpu(cpu.op_overhead_us))
-        .step("version scan (2 cached nodes)", nodes(cpu, 2))
-        .step("tree insert (3 cached nodes)", nodes(cpu, 3))
+        .step(
+            "next version: walk and insert (2 cached nodes, 1 written)",
+            nodes(cpu, 3),
+        )
         .step("entry encode", Step::Cpu(cpu.entry_us))
         .step(
             "copy 2049 sectors",
@@ -271,7 +273,7 @@ pub fn cfs_ops(params: &ModelParams) -> Vec<Prediction> {
     // cylinder), so step 1 pays latency but no seek.
     let s = Script::new("CFS small create")
         .step("dispatch", Step::Cpu(cpu.op_overhead_us))
-        .step("version scan (2 cached nodes)", nodes(cpu, 2))
+        .step("newest version (2 cached nodes)", nodes(cpu, 2))
         .step("verify free pages: latency", Step::Latency)
         .step("verify free pages: 3 page transfers", Step::Transfer(3))
         .step("write header labels", Step::RevolutionMinus(3))
@@ -280,7 +282,10 @@ pub fn cfs_ops(params: &ModelParams) -> Vec<Prediction> {
         .step("write header", Step::RevolutionMinus(3))
         .step("write header: 2 transfers", Step::Transfer(2))
         .step("header encode", Step::Cpu(cpu.entry_us))
-        .step("name table insert (3 cached nodes)", nodes(cpu, 3))
+        .step(
+            "name table insert (2 cached nodes, 1 written)",
+            nodes(cpu, 3),
+        )
         .step("name table: seek to front region", Step::ShortSeek)
         .step("name table: latency", Step::Latency)
         .step("name table: page write (4 sectors)", Step::Transfer(4))
@@ -299,7 +304,7 @@ pub fn cfs_ops(params: &ModelParams) -> Vec<Prediction> {
     for (what, step) in name_lookup_cpu(cpu) {
         s = s.step(&what, step);
     }
-    let open_cpu = cpu.op_overhead_us + 4 * cpu.btree_node_us + 2 * cpu.entry_us;
+    let open_cpu = cpu.op_overhead_us + 2 * cpu.btree_node_us + 2 * cpu.entry_us;
     s = s
         .step("header decode", Step::Cpu(cpu.entry_us))
         .step(
@@ -342,7 +347,10 @@ pub fn cfs_ops(params: &ModelParams) -> Vec<Prediction> {
         .step("free header labels", Step::RevolutionMinus(2))
         .step("free header labels: 2 transfers", Step::Transfer(2))
         .step("free data label: 1 transfer", Step::Transfer(1))
-        .step("name table delete (3 cached nodes)", nodes(cpu, 3))
+        .step(
+            "name table delete (2 cached nodes, 1 written)",
+            nodes(cpu, 3),
+        )
         .step("name table: seek", Step::ShortSeek)
         .step("name table: latency", Step::Latency)
         .step("name table: page write", Step::Transfer(4));
@@ -369,7 +377,10 @@ pub fn cfs_ops(params: &ModelParams) -> Vec<Prediction> {
         s = s.step("track-to-track", Step::ShortSeek);
     }
     s = s
-        .step("name table delete (3 cached nodes)", nodes(cpu, 3))
+        .step(
+            "name table delete (2 cached nodes, 1 written)",
+            nodes(cpu, 3),
+        )
         .step("name table: seek", Step::AvgSeek)
         .step("name table: latency", Step::Latency)
         .step("name table: page write", Step::Transfer(4));
@@ -388,7 +399,7 @@ pub fn cfs_ops(params: &ModelParams) -> Vec<Prediction> {
     let data = 2048u32;
     let mut s = Script::new("CFS large create")
         .step("dispatch", Step::Cpu(cpu.op_overhead_us))
-        .step("version scan (2 cached nodes)", nodes(cpu, 2))
+        .step("newest version (2 cached nodes)", nodes(cpu, 2))
         .step("verify free: seek", Step::AvgSeek)
         .step("verify free: latency", Step::Latency)
         .step("verify free: transfers", Step::Transfer(sectors))
@@ -398,7 +409,10 @@ pub fn cfs_ops(params: &ModelParams) -> Vec<Prediction> {
         .step("write header", Step::Latency)
         .step("write header: 2 transfers", Step::Transfer(2))
         .step("header encode", Step::Cpu(cpu.entry_us))
-        .step("name table insert (3 cached nodes)", nodes(cpu, 3))
+        .step(
+            "name table insert (2 cached nodes, 1 written)",
+            nodes(cpu, 3),
+        )
         .step("name table: seek", Step::AvgSeek)
         .step("name table: latency", Step::Latency)
         .step("name table: page write", Step::Transfer(4))

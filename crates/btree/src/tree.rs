@@ -714,13 +714,13 @@ impl BTree {
         self.for_each_range(store, &[], None, f)
     }
 
-    /// Collects all entries with `lo <= key < hi` (test/demo convenience).
+    /// Collects all entries with `lo <= key < hi`.
     pub fn collect_range<S: PageStore>(
         &self,
         store: &mut S,
         lo: &[u8],
         hi: Option<&[u8]>,
-    ) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
+    ) -> Result<Vec<Entry>> {
         let mut out = Vec::new();
         self.for_each_range(store, lo, hi, &mut |k, v| {
             out.push((k.to_vec(), v.to_vec()));
@@ -861,7 +861,7 @@ impl BTree {
 }
 
 /// Key/value pairs of one leaf page.
-type LeafEntries = Vec<(Vec<u8>, Vec<u8>)>;
+type LeafEntries = Vec<Entry>;
 
 /// Splits leaf entries at roughly half the encoded payload.
 fn split_leaf(entries: LeafEntries, page_size: usize) -> (LeafEntries, LeafEntries) {

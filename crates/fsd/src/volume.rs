@@ -1098,15 +1098,11 @@ impl FsdVolume {
         self.maybe_force()?;
         self.cpu.op();
         let (lo, hi) = FileName::versions_range(name);
-        let mut versions: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
         let tree = self.tree;
-        {
+        let versions = {
             let mut store = nt_store!(self);
-            tree.for_each_range(&mut store, &lo, Some(&hi), &mut |k, v| {
-                versions.push((k.to_vec(), v.to_vec()));
-                true
-            })?;
-        }
+            tree.collect_range(&mut store, &lo, Some(&hi))?
+        };
         let Some((newest, _)) = versions.last() else {
             return Err(FsdError::NotFound(name.to_string()));
         };

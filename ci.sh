@@ -11,12 +11,13 @@ cargo run --release -p cedar-analyze --bin cedar-lint -- --workspace
 # image must end in repair or a typed error — serial and 8-way
 # parallel scavenge alike, never a panic.
 cargo test -q -p cedar-fsd --test fuzz_corrupt
-# The two restart sweeps once more, optimised: every crash point of a
-# restart that reads (restart_sweep) and of one that allocates, frees,
-# walks and fills the volume (reserve_sweep), with the arithmetic and the
+# The crash sweeps once more, optimised: every crash point of a restart
+# that reads (restart_sweep), of one that allocates, frees, walks and
+# fills the volume (reserve_sweep), and of a session that reuses the
+# sectors of logged leaders (leader_sweep), with the arithmetic and the
 # inlining the bench bins and the benchmark run under. The debug lane
 # above has already run them with overflow checks and debug assertions.
-cargo test --release -q -p cedar-fsd --test restart_sweep --test reserve_sweep
+cargo test --release -q -p cedar-fsd --test restart_sweep --test reserve_sweep --test leader_sweep
 # Model-checked epoch hand-off: the engine built against the in-tree
 # loom shims, every interleaving within the preemption bound explored.
 cargo test --release -p cedar-fsd --features loom --test loom_engine

@@ -510,6 +510,7 @@ impl Config {
                 ("crates/fsd/src/log.rs", "PageTarget", "page"),
                 ("crates/fsd/src/log.rs", "PageTarget", "sector"),
                 ("crates/fsd/src/log.rs", "PageTarget", "addr"),
+                ("crates/fsd/src/log.rs", "LogRecord", "reallocated"),
                 ("crates/fsd/src/layout.rs", "FsdBootPage", "spare_map"),
                 ("crates/fsd/src/layout.rs", "FsdBootPage", "reserve"),
                 ("crates/fsd/src/entry.rs", "FileEntry", "leader_addr"),

@@ -140,8 +140,7 @@ const VOLUME: &str = "crates/fsd/src/volume.rs";
 const ENGINE: &str = "crates/fsd/src/engine.rs";
 const MAYBE_FORCE: &str = "fn maybe_force(&mut self) -> Result<()> {";
 
-/// The mutation table (ISSUE 17, EXPERIMENTS.md E-LINT; row 17 came
-/// with ISSUE 19, row 18 with ISSUE 20). A rule is only
+/// The mutation table (EXPERIMENTS.md E-LINT). A rule is only
 /// believed once it has a row here: the per-rule fixtures cannot catch a
 /// refactor of the *real* code that blinds a rule, because nobody
 /// refactors a fixture.
@@ -237,6 +236,20 @@ const SEEDS: &[Seed] = &[
                    if boot.boot_count == 0 { disk.read(layout.boot_b, 1)?; }",
         },
         expect: &[("scan_phase", "disk.read()")],
+    },
+    // The check that keeps a rotten reallocation list from steering the
+    // leader pass (every run inside a data area, its end computed without
+    // overflow), dropped: the field is then decoded and never validated.
+    Seed {
+        row: 19,
+        rule: "decode-coverage",
+        file: "crates/fsd/src/log.rs",
+        edit: Edit::Replace {
+            after: "impl LogRecord {",
+            anchor: "self.reallocated = self\n            .reallocated\n            .take()\n            .filter(|runs| runs.iter().all(inside));",
+            with: "let _ = inside;",
+        },
+        expect: &[("LogRecord", "reallocated")],
     },
     Seed {
         row: 7,

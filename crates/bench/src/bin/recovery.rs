@@ -125,11 +125,16 @@ fn smoke() {
     let small = fsd_recovery(250);
     let large = fsd_recovery(4000);
     for (files, r) in [(250, &small), (4000, &large)] {
+        let pass = r.settle.leaders;
         println!(
-            "{files:>5} files: first read {:.2} s, first write {:.2} s, full recovery {:.2} s",
+            "{files:>5} files: first read {:.2} s, first write {:.2} s, full recovery {:.2} s; \
+             leader pass {} written unread, {} reallocated and skipped, {} read and guarded",
             secs(r.first_read_us()),
             secs(r.first_write_us),
-            secs(r.full_us())
+            secs(r.full_us()),
+            pass.written,
+            pass.reallocated,
+            pass.guarded
         );
     }
     assert!(
@@ -284,6 +289,15 @@ fn main() {
         secs(fsd.walk.prefetch_us),
         secs(fsd.walk.walk_us),
         fsd.walk.files_scanned
+    );
+    let pass = fsd.settle.leaders;
+    println!(
+        "FSD leader pass: {} logged leaders, {} written unread, {} reallocated and skipped, \
+         {} read and guarded",
+        pass.written + pass.reallocated + pass.guarded,
+        pass.written,
+        pass.reallocated,
+        pass.guarded
     );
     println!();
     println!("{}", disk_breakdown("FSD recovery ", &fsd.disk));

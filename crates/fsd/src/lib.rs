@@ -53,7 +53,7 @@ pub use error::FsdError;
 pub use fscache::{CachingFs, FileServer, MemServer};
 pub use layout::FsdLayout;
 pub use leader::LeaderPage;
-pub use recovery::{RecoveryReport, RecoveryRung, RedoSettle, VamWalk};
+pub use recovery::{LeaderPass, RecoveryReport, RecoveryRung, RedoSettle, VamWalk};
 pub use repl::{
     DataWrite, FailoverOutcome, ReplFrame, ReplHandle, ReplMode, ReplSession, ReplSessionConfig,
     Replica, ReplicaStats, ResyncKind, ResyncOutcome, ShipperConfig, ShipperStats,

@@ -310,6 +310,73 @@ fn a_rotten_reserve_record_is_never_trusted() {
     assert_eq!(walked, 12 * 4 * 2);
 }
 
+/// The list of reallocated runs on a record's end pages lets redo leave a
+/// logged leader out without reading its home, so rot in it must never
+/// make the pass skip a write it owes: every byte of the list and its
+/// check word, under two masks, on `E`, on `E'` and on both. One intact
+/// copy is enough to trust the group; with both rotten, the group cannot
+/// vouch and the leaders logged before it are read and guarded. Either
+/// way the truncated file's new leader goes home, and the file created
+/// over a deleted one's leader keeps its data.
+#[test]
+fn a_rotten_reallocation_list_is_never_trusted() {
+    const TAIL_AT: usize = 26; // Magic, sequence, boot count, page count, checksum.
+    let cfg = config_with(1);
+    let mut v = FsdVolume::format(SimDisk::tiny(), cfg).unwrap();
+    for name in ["cut", "gone"] {
+        v.create(name, &[5u8; 1500]).unwrap();
+    }
+    v.force().unwrap();
+    let mut cut = v.open("cut", None).unwrap();
+    v.truncate(&mut cut, 1).unwrap();
+    let freed = v.open("gone", None).unwrap().entry.leader_addr;
+    v.delete("gone", None).unwrap();
+    v.force().unwrap();
+    // The last group: one create over the deleted file's leader.
+    let at = v.next_log_sector();
+    let over = v.create("over", &[6u8; 700]).unwrap();
+    let claimed = cedar_vol::Run::new(over.entry.leader_addr, 1 + over.pages());
+    assert!(claimed.contains(freed), "first fit refills the hole");
+    v.force().unwrap();
+    assert!(v.next_log_sector() > at, "one record, not wrapped");
+    let mut crashed = v.into_disk();
+    crashed.crash_now();
+    crashed.reboot();
+
+    let header = crashed.peek_data(at).expect("written");
+    let n = u32::from(u16::from_le_bytes([header[17], header[18]]));
+    let (end, end_copy) = (at + 3 + n, at + 4 + 2 * n);
+    let tail = &crashed.peek_data(end).expect("written")[TAIL_AT..];
+    assert_eq!(tail[0], 1, "a complete list");
+    let listed = 3 + 8 * usize::from(u16::from_le_bytes([tail[1], tail[2]])) + 8;
+
+    let mut untrusted = 0;
+    for at in TAIL_AT..TAIL_AT + listed {
+        for mask in [0x01u8, 0x80] {
+            for copies in [&[end][..], &[end_copy], &[end, end_copy]] {
+                let ctx = format!("byte {at} ^ {mask:#x} on {copies:?}");
+                let mut disk = crashed.clone();
+                for &copy in copies {
+                    disk.corrupt_byte(copy, at, mask);
+                }
+                let (mut v, _) = FsdVolume::boot(disk, cfg).expect(&ctx);
+                v.settle_vam().expect(&ctx);
+                let pass = v.redo_settle().expect(&ctx).leaders;
+                let trusted = copies.len() == 1;
+                assert_eq!(pass.guarded, if trusted { 0 } else { 2 }, "{ctx}: {pass:?}");
+                untrusted += usize::from(!trusted);
+                for (name, data) in [("cut", vec![5u8; 512]), ("over", vec![6u8; 700])] {
+                    let mut f = v.open(name, None).expect(&ctx);
+                    assert_eq!(v.read_file(&mut f).expect(&ctx), data, "{ctx}: {name}");
+                }
+                assert!(v.open("gone", None).is_err(), "{ctx}");
+                v.verify().expect(&ctx);
+            }
+        }
+    }
+    assert_eq!(untrusted, 2 * listed);
+}
+
 /// What the removed §5.3 VAM-logging extension wrote is rejected, never
 /// misread. Its flag was the boot page's tenth byte — now a reserved
 /// zero held to the rule of the saved-VAM byte beside it — and its

@@ -111,7 +111,15 @@ fn settle(mut vol: FsdVolume, r: &RecoveryReport) -> Result<FsdVolume, String> {
         Ok((redo, walk)) => {
             if let Some(s) = redo {
                 eprintln!("  home sweep  {:.2} s", secs(s.sweep_us));
-                eprintln!("  leaders     {:.2} s", secs(s.leaders_us));
+                let pass = s.leaders;
+                eprintln!(
+                    "  leaders     {:.2} s  ({} written unread, {} reallocated and skipped, \
+                     {} read and guarded)",
+                    secs(s.leaders_us),
+                    pass.written,
+                    pass.reallocated,
+                    pass.guarded
+                );
                 eprintln!("  new epoch   {:.2} s", secs(s.epoch_us));
             }
             if let Some(w) = walk {
@@ -190,6 +198,14 @@ fn run() -> Result<(), String> {
         .filter(|a| !a.starts_with("--"))
         .collect();
     let crash = flags.contains(&"--crash");
+    let takes: &[&str] = match pos.first() {
+        Some(&"format") => &["--tiny"],
+        Some(&"put") | Some(&"rm") => &["--crash"],
+        _ => &[],
+    };
+    if flags.iter().any(|f| !takes.contains(f)) {
+        return Err("bad arguments".into());
+    }
 
     match pos.as_slice() {
         ["format", image] => {

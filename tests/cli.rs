@@ -86,6 +86,9 @@ fn crash_flag_forces_recovery_on_next_run() {
         stderr.contains("reconstructed from the name table"),
         "{stderr}"
     );
+    // The put's leader pass: whatever the log holds is settled from the
+    // lists, no home read.
+    assert!(stderr.contains("0 read and guarded"), "{stderr}");
     assert!(
         stdout.contains("v1") && stdout.contains("  f\n"),
         "{stdout}"
@@ -111,6 +114,33 @@ fn bad_usage_exits_nonzero() {
     assert!(stderr.contains("usage"), "{stderr}");
     let (ok, _, _) = run(&["get", "/definitely/not/an/image", "x"]);
     assert!(!ok);
+}
+
+/// A flag the command does not take is refused with the usage, before
+/// anything touches the image: `format --log-vam` used to format a plain
+/// volume without a word.
+#[test]
+fn a_flag_the_command_does_not_take_is_refused() {
+    let dir = Dir::new("flags");
+    let img = dir.path("vol.img");
+    let src = dir.path("src.txt");
+    std::fs::write(&src, b"x").unwrap();
+    for args in [
+        vec!["format", &img, "--log-vam"],
+        vec!["format", &img, "--crash"],
+        vec!["ls", &img, "--tiny"],
+    ] {
+        let out = Command::new(bin()).args(&args).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("usage"), "{args:?}: {stderr}");
+        assert!(!std::path::Path::new(&img).exists(), "{args:?}");
+    }
+    assert!(run(&["format", &img, "--tiny"]).0);
+    let (ok, _, stderr) = run(&["put", &img, "f", &src, "--tiny"]);
+    assert!(!ok, "{stderr}");
+    let (ok, stdout, _) = run(&["ls", &img]);
+    assert!(ok && !stdout.contains("  f\n"), "{stdout}");
 }
 
 /// A crashed image with a name-table leaf dead in both copies, off the

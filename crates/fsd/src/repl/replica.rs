@@ -99,8 +99,7 @@ impl Replica {
     /// replica's own clock and settled — recovery replays any live log
     /// and brings every home copy current — and the replica's log data
     /// area is then zeroed so no stale primary record can masquerade as
-    /// live when the replica is eventually promoted (the record scan keys
-    /// on sequence numbers, not epochs).
+    /// live when the replica is eventually promoted.
     ///
     /// Returns the replica positioned at the primary's current frame
     /// cursor: the next sealed frame extends it with no gap.

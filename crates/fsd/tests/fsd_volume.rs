@@ -230,6 +230,41 @@ fn extend_and_truncate_roundtrip() {
     assert_eq!(f3.byte_size(), 512);
 }
 
+/// An extend writes none of its new pages. One that takes the leader
+/// sector of a deleted file whose tombstone has not gone home must not
+/// leave that file's live leader there: a scavenge would read it as the
+/// file's and bring a committed delete back.
+#[test]
+fn an_unwritten_extend_over_a_deleted_leader_leaves_it_dead() {
+    let mut v = tiny();
+    v.create("h", &[1u8; 512]).unwrap();
+    let gone = v.create("f", &[2u8; 1024]).unwrap().entry.leader_addr;
+    v.force().unwrap();
+    v.delete("f", None).unwrap();
+    v.force().unwrap();
+    let mut h = v.open("h", None).unwrap();
+    v.extend(&mut h, 3).unwrap();
+    assert_eq!(h.entry.run_table.sector_of(1), Some(gone));
+    v.force().unwrap();
+    v.shutdown().unwrap();
+
+    // Both log meta copies gone: the next boot scavenges.
+    let meta = v.layout().log_start;
+    let mut disk = v.into_disk();
+    disk.damage_sector(meta);
+    disk.damage_sector(meta + 2);
+    disk.reboot();
+    let (mut s, report) = FsdVolume::boot(disk, config()).unwrap();
+    assert_eq!(report.rung, cedar_fsd::RecoveryRung::Scavenge);
+    let names: Vec<String> = s
+        .list("")
+        .unwrap()
+        .into_iter()
+        .map(|(n, _)| n.name)
+        .collect();
+    assert_eq!(names, ["h"]);
+}
+
 #[test]
 fn extended_file_leader_still_verifies() {
     let mut v = tiny();

@@ -49,6 +49,11 @@ cargo run --release -p cedar-bench --bin io_sched -- --smoke
 # must be the one checked in.
 cargo run --release -p cedar-bench --bin io_sched
 git diff --exit-code BENCH_io_sched.json
+# The §5.6 allocator tables (size shares, fragmentation after churn under
+# each policy) are pure functions of their seeds: every first-fit and
+# from-the-end decision the ablation makes shows in the file it prints.
+cargo run --release -p cedar-bench --bin allocator > BENCH_allocator.txt
+git diff --exit-code BENCH_allocator.txt
 # Fault-injection campaign (reduced grid): every scenario must recover
 # to a commit boundary, every escalation rung must be exercised, and
 # the corrupt-block's rotten images must scavenge to a verifying tree.

@@ -118,7 +118,7 @@ impl Allocator {
         // Try the sectors immediately following the file's tail first.
         if let Some(last) = table.runs().last().copied() {
             let want = Run::new(last.end(), pages);
-            if want.end() <= self.hi && (want.start..want.end()).all(|a| vam.is_free(a)) {
+            if want.end() <= self.hi && vam.is_free_run(want) {
                 vam.allocate_run(want);
                 table.push(want);
                 return Ok(());

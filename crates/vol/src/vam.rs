@@ -7,6 +7,11 @@
 //! saved at controlled shutdown or reconstructed from the name table; a
 //! *shadow* bitmap holds the pages of deleted-but-uncommitted files, which
 //! move to the VAM proper when the delete commits.
+//!
+//! Every search goes by run, a word at a time: [`Vam::next_addr`] and
+//! [`Vam::prev_addr`] find the nearest free (or allocated) sector in 64-bit
+//! steps, and the allocator's searches hop from one such boundary to the
+//! next instead of testing each sector.
 
 use crate::runtable::Run;
 use cedar_disk::SectorAddr;
@@ -132,6 +137,79 @@ impl Vam {
         self.words.iter().map(|w| w.count_ones()).sum()
     }
 
+    /// The first address in `[from, hi)` that is free (`free`) or
+    /// allocated (`!free`). Skips whole words; `hi` is clamped to the
+    /// volume, so a bit past the last sector is never trusted.
+    pub fn next_addr(&self, free: bool, from: SectorAddr, hi: SectorAddr) -> Option<SectorAddr> {
+        let hi = hi.min(self.sectors);
+        if from >= hi {
+            return None;
+        }
+        let flip = if free { 0 } else { u64::MAX };
+        let mut w = from as usize / 64;
+        let mut bits = (self.words[w] ^ flip) & (u64::MAX << (from % 64));
+        loop {
+            if bits != 0 {
+                let a = (w * 64) as SectorAddr + bits.trailing_zeros();
+                return (a < hi).then_some(a);
+            }
+            w += 1;
+            if w * 64 >= hi as usize {
+                return None;
+            }
+            bits = self.words[w] ^ flip;
+        }
+    }
+
+    /// The last address in `[lo, hi)` that is free (`free`) or allocated
+    /// (`!free`): [`Self::next_addr`] searching down from `hi`.
+    pub fn prev_addr(&self, free: bool, lo: SectorAddr, hi: SectorAddr) -> Option<SectorAddr> {
+        let hi = hi.min(self.sectors);
+        if lo >= hi {
+            return None;
+        }
+        let flip = if free { 0 } else { u64::MAX };
+        let last = hi - 1;
+        let mut w = last as usize / 64;
+        let mut bits = (self.words[w] ^ flip) & (u64::MAX >> (63 - last % 64));
+        loop {
+            if bits != 0 {
+                let a = (w * 64) as SectorAddr + 63 - bits.leading_zeros();
+                return (a >= lo).then_some(a);
+            }
+            if w * 64 <= lo as usize {
+                return None;
+            }
+            w -= 1;
+            bits = self.words[w] ^ flip;
+        }
+    }
+
+    /// Returns `true` if every sector of `run` is free.
+    pub fn is_free_run(&self, run: Run) -> bool {
+        run.end() <= self.sectors && self.next_addr(false, run.start, run.end()).is_none()
+    }
+
+    /// The free extent starting at `start` (a free sector), cut at `hi`.
+    fn extent_from(&self, start: SectorAddr, hi: SectorAddr) -> Run {
+        let hi = hi.min(self.sectors);
+        let end = self.next_addr(false, start, hi).unwrap_or(hi);
+        Run::new(start, end - start)
+    }
+
+    /// The first run of `len` free sectors inside `[start, end)`.
+    fn first_fit(&self, len: u32, start: SectorAddr, end: SectorAddr) -> Option<Run> {
+        let mut at = start;
+        while let Some(s) = self.next_addr(true, at, end) {
+            let stop = s.checked_add(len).filter(|&e| e <= end)?;
+            match self.next_addr(false, s, stop) {
+                None => return Some(Run::new(s, len)),
+                Some(taken) => at = taken,
+            }
+        }
+        None
+    }
+
     /// Finds a free run of exactly `len` sectors within `[lo, hi)`,
     /// scanning forward from `from` (clamped into the range). Returns the
     /// run without marking it allocated.
@@ -142,78 +220,48 @@ impl Vam {
         hi: SectorAddr,
         from: SectorAddr,
     ) -> Option<Run> {
+        let hi = hi.min(self.sectors);
         if len == 0 || lo >= hi {
             return None;
         }
-        let scan = |start: SectorAddr, end: SectorAddr| -> Option<Run> {
-            let mut run_start = start;
-            let mut run_len = 0u32;
-            for a in start..end {
-                if self.is_free(a) {
-                    if run_len == 0 {
-                        run_start = a;
-                    }
-                    run_len += 1;
-                    if run_len == len {
-                        return Some(Run::new(run_start, len));
-                    }
-                } else {
-                    run_len = 0;
-                }
-            }
-            None
-        };
         let from = from.clamp(lo, hi);
-        scan(from, hi).or_else(|| scan(lo, (from + len).min(hi)))
+        self.first_fit(len, from, hi)
+            .or_else(|| self.first_fit(len, lo, from.saturating_add(len).min(hi)))
     }
 
     /// Finds the free run of `len` sectors within `[lo, hi)` that ends
     /// closest to `hi` (big files grow down from the end of their area,
     /// §5.6). Returns the run without marking it allocated.
     pub fn find_last_free_run(&self, len: u32, lo: SectorAddr, hi: SectorAddr) -> Option<Run> {
-        if len == 0 || lo >= hi {
+        if len == 0 {
             return None;
         }
-        let mut run_len = 0u32;
-        let mut a = hi;
-        while a > lo {
-            a -= 1;
-            if self.is_free(a) {
-                run_len += 1;
-                if run_len == len {
-                    return Some(Run::new(a, len));
-                }
-            } else {
-                run_len = 0;
+        let mut below = hi;
+        while let Some(last) = self.prev_addr(true, lo, below) {
+            let start = (last + 1).checked_sub(len).filter(|&s| s >= lo)?;
+            match self.prev_addr(false, start, last) {
+                None => return Some(Run::new(start, len)),
+                Some(taken) => below = taken,
             }
         }
         None
     }
 
     /// Finds the *largest* free run within `[lo, hi)` of length at most
-    /// `cap`, searching backward preference for big-area allocation.
+    /// `cap`: the first extent that reaches `cap`, else the first of the
+    /// longest.
     pub fn find_largest_free_run(&self, lo: SectorAddr, hi: SectorAddr, cap: u32) -> Option<Run> {
         let mut best: Option<Run> = None;
-        let mut run_start = lo;
-        let mut run_len = 0u32;
-        for a in lo..hi {
-            if self.is_free(a) {
-                if run_len == 0 {
-                    run_start = a;
-                }
-                run_len += 1;
-                if run_len >= cap {
-                    return Some(Run::new(run_start, cap));
-                }
-            } else {
-                if run_len > best.map_or(0, |r| r.len) {
-                    best = Some(Run::new(run_start, run_len));
-                }
-                run_len = 0;
+        let mut at = lo;
+        while let Some(s) = self.next_addr(true, at, hi) {
+            let run = self.extent_from(s, hi.min(s.saturating_add(cap)));
+            if run.len >= cap {
+                return Some(run);
             }
-        }
-        if run_len > best.map_or(0, |r| r.len) {
-            best = Some(Run::new(run_start, run_len));
+            if run.len > best.map_or(0, |r| r.len) {
+                best = Some(run);
+            }
+            at = run.end();
         }
         best
     }
@@ -221,23 +269,13 @@ impl Vam {
     /// Counts free extents and the largest free extent in `[lo, hi)` —
     /// the fragmentation metrics for the allocator ablation (§5.6).
     pub fn fragmentation(&self, lo: SectorAddr, hi: SectorAddr) -> (u32, u32) {
-        let mut extents = 0;
-        let mut largest = 0;
-        let mut run = 0u32;
-        for a in lo..hi {
-            if self.is_free(a) {
-                run += 1;
-            } else {
-                if run > 0 {
-                    extents += 1;
-                    largest = largest.max(run);
-                }
-                run = 0;
-            }
-        }
-        if run > 0 {
+        let (mut extents, mut largest) = (0, 0);
+        let mut at = lo;
+        while let Some(s) = self.next_addr(true, at, hi) {
+            let run = self.extent_from(s, hi);
             extents += 1;
-            largest = largest.max(run);
+            largest = largest.max(run.len);
+            at = run.end();
         }
         (extents, largest)
     }

@@ -54,6 +54,11 @@ git diff --exit-code BENCH_io_sched.json
 # from-the-end decision the ablation makes shows in the file it prints.
 cargo run --release -p cedar-bench --bin allocator > BENCH_allocator.txt
 git diff --exit-code BENCH_allocator.txt
+# The §5.4 group-commit tables (I/O reduction, record sizes, the commit
+# interval x log size ablation) run on simulated clocks: every record a
+# force cuts shows in the file it prints.
+cargo run --release -p cedar-bench --bin group_commit > BENCH_group_commit.txt
+git diff --exit-code BENCH_group_commit.txt
 # Fault-injection campaign (reduced grid): every scenario must recover
 # to a commit boundary, every escalation rung must be exercised, and
 # the corrupt-block's rotten images must scavenge to a verifying tree.

@@ -19,6 +19,7 @@
 //! at least 200 scenarios, zero failures, and every rung of the
 //! escalation ladder (redo, replica scrub, scavenge) exercised.
 
+use cedar_bench::report::platter_json;
 use cedar_bench::{CedarFsError, FsBackend, Table};
 use cedar_disk::{CpuModel, CrashPlan, FaultPlan, Label, PageKind, SimDisk};
 use cedar_fsd::{
@@ -138,6 +139,8 @@ struct Outcome {
     /// Boot's share, and boot plus redo settle plus VAM walk.
     first_read_us: u64,
     full_us: u64,
+    /// [`SimDisk::platter_digest`] of the settled disk.
+    platter: u64,
 }
 
 /// Holds a booted volume to `check` twice: while the redo settle and the
@@ -182,6 +185,7 @@ fn settle_and_check(
         remapped,
         first_read_us,
         full_us: first_read_us + settle.map_or(0, |s| s.us()) + walk.map_or(0, |w| w.us()),
+        platter: v.disk_mut().platter_digest(),
     })
 }
 
@@ -222,6 +226,8 @@ struct KindTally {
     remapped: u64,
     max_first_read_us: u64,
     max_full_us: u64,
+    /// Each recovered scenario's settled platters, in run order.
+    platters: Vec<u64>,
 }
 
 impl KindTally {
@@ -241,6 +247,7 @@ impl KindTally {
         self.remapped += o.remapped;
         self.max_first_read_us = self.max_first_read_us.max(o.first_read_us);
         self.max_full_us = self.max_full_us.max(o.full_us);
+        self.platters.push(o.platter);
     }
 }
 
@@ -863,7 +870,8 @@ fn main() {
             "  \"scrubbed_sectors\": {},\n",
             "  \"remapped_sectors\": {},\n",
             "  \"max_first_read_us\": {},\n",
-            "  \"max_full_recovery_us\": {}\n",
+            "  \"max_full_recovery_us\": {},\n",
+            "  \"platter_digest\": {}\n",
             "}}\n"
         ),
         overall.scenarios,
@@ -878,6 +886,7 @@ fn main() {
         overall.remapped,
         overall.max_first_read_us,
         overall.max_full_us,
+        platter_json(&overall.platters),
     );
     print!("\nJSON:\n{json}");
 

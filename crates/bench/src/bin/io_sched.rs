@@ -18,7 +18,7 @@
 //! the ≥ 15% improvement the design is sized for.
 
 use cedar_bench::driver::{drive_clients, MultiClientRun};
-use cedar_bench::report::{disk_breakdown, disk_breakdown_json, f2};
+use cedar_bench::report::{disk_breakdown, disk_breakdown_json, f2, platter_json};
 use cedar_bench::Table;
 use cedar_disk::{DiskStats, IoPolicy, SimClock, SimDisk};
 use cedar_fsd::{FsdConfig, FsdVolume, SchedConfig};
@@ -44,6 +44,8 @@ struct PolicyRun {
     /// number the ≥ 15% acceptance gate is on.
     commit_writeback: DiskStats,
     run: MultiClientRun,
+    /// [`SimDisk::platter_digest`] of the disk the shutdown leaves.
+    platter: u64,
 }
 
 /// One full run: format, MakeDo through the commit scheduler, controlled
@@ -75,6 +77,7 @@ fn run_policy(policy: IoPolicy, clients: usize, rounds: usize) -> PolicyRun {
         total: after.since(&before),
         commit_writeback: after.since(&before_cw),
         run,
+        platter: vol.disk_mut().platter_digest(),
     }
 }
 
@@ -154,8 +157,8 @@ fn main() {
             "  \"ops\": {},\n",
             "  \"commit_writeback_improvement_pct\": {:.2},\n",
             "  \"whole_run_improvement_pct\": {:.2},\n",
-            "  \"{}\": {{\"whole_run\": {}, \"commit_writeback\": {}}},\n",
-            "  \"{}\": {{\"whole_run\": {}, \"commit_writeback\": {}}}\n",
+            "  \"{}\": {{\"whole_run\": {}, \"commit_writeback\": {}, \"platter_digest\": {}}},\n",
+            "  \"{}\": {{\"whole_run\": {}, \"commit_writeback\": {}, \"platter_digest\": {}}}\n",
             "}}\n"
         ),
         clients,
@@ -165,9 +168,11 @@ fn main() {
         policy_name(IoPolicy::InOrder),
         disk_breakdown_json(&base.total),
         disk_breakdown_json(&base.commit_writeback),
+        platter_json(&[base.platter]),
         policy_name(IoPolicy::Satf),
         disk_breakdown_json(&sched.total),
         disk_breakdown_json(&sched.commit_writeback),
+        platter_json(&[sched.platter]),
     );
     print!("\nJSON:\n{json}");
 

@@ -22,6 +22,7 @@
 //! `--smoke` runs a reduced grid for CI. The full run writes
 //! `BENCH_replication.json`.
 
+use cedar_bench::report::platter_json;
 use cedar_bench::{CedarFsError, FsBackend, Table};
 use cedar_disk::{CpuModel, Micros, SimDisk};
 use cedar_fsd::{FsdConfig, FsdVolume, ReplMode, ReplSession, ReplSessionConfig, ResyncKind};
@@ -216,6 +217,8 @@ struct ModeReport {
     resync_replay_frames: u64,
     resync_full_us: u64,
     resync_full_sectors: u64,
+    /// Every promoted replica's platter digest, in the order promoted.
+    platters: Vec<u64>,
 }
 
 /// Steady-state run: full script, healthy link; collects lag and ack
@@ -253,6 +256,7 @@ fn steady_state(
     v.verify().map_err(|e| format!("promoted verify: {e}"))?;
     let loss = promoted_loss(&mut v, &boundaries, acked)?;
     rep.max_loss = rep.max_loss.max(loss);
+    rep.platters.push(v.disk_mut().platter_digest());
     Ok(())
 }
 
@@ -309,6 +313,7 @@ fn failover_trial(
     v.verify().map_err(|e| format!("promoted verify: {e}"))?;
     let loss = promoted_loss(&mut v, &boundaries, acked)?;
     rep.max_loss = rep.max_loss.max(loss);
+    rep.platters.push(v.disk_mut().platter_digest());
     Ok(())
 }
 
@@ -371,6 +376,7 @@ fn resync_scenarios(
     if loss != 0 {
         return Err(format!("loss {loss} after converged resync"));
     }
+    rep.platters.push(v.disk_mut().platter_digest());
 
     // Leg 2: retention of 2 frames, long partition — the log laps the
     // replica's cursor and only a full-state transfer reconverges.
@@ -413,6 +419,7 @@ fn resync_scenarios(
     if loss != 0 {
         return Err(format!("loss {loss} after full-transfer resync"));
     }
+    rep.platters.push(v.disk_mut().platter_digest());
     Ok(())
 }
 
@@ -506,7 +513,8 @@ fn main() {
                 "      \"ack_us\": {{\"p50\": {}, \"p90\": {}, \"p99\": {}}},\n",
                 "      \"failover_us\": {{\"p50\": {}, \"p90\": {}, \"p99\": {}, \"trials\": {}}},\n",
                 "      \"max_loss_boundaries\": {},\n",
-                "      \"resync\": {{\"replay_us\": {}, \"replay_frames\": {}, \"full_us\": {}, \"full_sectors\": {}}}\n",
+                "      \"resync\": {{\"replay_us\": {}, \"replay_frames\": {}, \"full_us\": {}, \"full_sectors\": {}}},\n",
+                "      \"platter_digest\": {}\n",
                 "    }}"
             ),
             mode.name(),
@@ -527,6 +535,7 @@ fn main() {
             r.resync_replay_frames,
             r.resync_full_us,
             r.resync_full_sectors,
+            platter_json(&r.platters),
         ));
     }
     let json = format!(

@@ -23,6 +23,7 @@
 //! ≥2× combined speedup at the largest file count. `--full` adds the
 //! million-file row.
 
+use cedar_bench::report::platter_json;
 use cedar_bench::{ms, FsBackend, Table};
 use cedar_cfs::{CfsConfig, CfsVolume};
 use cedar_disk::{DiskGeometry, DiskTiming, SimClock, SimDisk};
@@ -75,6 +76,8 @@ struct FsdRow {
     serial_vam_us: u64,
     parallel_vam_us: u64,
     host_secs: f64,
+    /// The four recovered disks, in boot order.
+    platters: Vec<u64>,
 }
 
 impl FsdRow {
@@ -87,20 +90,21 @@ impl FsdRow {
 
 /// Boots, pays the VAM walk boot leaves owed (before the listing below
 /// warms the cache the walk's prefetch is timed against) and checks the
-/// population. Returns the report and the walk's simulated time — zero
-/// on the scavenge rung, which rebuilds the map itself.
+/// population. Returns the report, the walk's simulated time — zero on
+/// the scavenge rung, which rebuilds the map itself — and the digest of
+/// the recovered platters.
 fn boot_expecting(
     disk: SimDisk,
     config: FsdConfig,
     rung: RecoveryRung,
     files: usize,
-) -> (RecoveryReport, u64) {
+) -> (RecoveryReport, u64, u64) {
     let (mut vol, report) = FsdVolume::boot(disk, config).expect("boot");
     assert_eq!(report.rung, rung, "expected recovery rung {rung:?}");
     let walk_us = vol.settle_vam().expect("VAM walk").map_or(0, |w| w.us());
     let listed = FsBackend::list(&mut vol, "pop").expect("list").len();
     assert_eq!(listed, files, "recovered volume lost files");
-    (report, walk_us)
+    (report, walk_us, vol.disk_mut().platter_digest())
 }
 
 fn fsd_row(files: usize) -> FsdRow {
@@ -126,10 +130,10 @@ fn fsd_row(files: usize) -> FsdRow {
     scav_disk.reboot();
 
     let parallel_crash = crash_disk.clone();
-    let (sr, serial_vam_us) =
+    let (sr, serial_vam_us, serial_crash) =
         boot_expecting(crash_disk, fsd_config(files, 1), RecoveryRung::Redo, files);
     assert!(sr.vam_reconstructed, "crash leg must rebuild the VAM");
-    let (pr, parallel_vam_us) = boot_expecting(
+    let (pr, parallel_vam_us, parallel_crash) = boot_expecting(
         parallel_crash,
         fsd_config(files, WORKERS),
         RecoveryRung::Redo,
@@ -138,13 +142,13 @@ fn fsd_row(files: usize) -> FsdRow {
     assert!(pr.vam_reconstructed);
 
     let parallel_scav = scav_disk.clone();
-    let (sr, _) = boot_expecting(
+    let (sr, _, serial_scav) = boot_expecting(
         scav_disk,
         fsd_config(files, 1),
         RecoveryRung::Scavenge,
         files,
     );
-    let (pr, _) = boot_expecting(
+    let (pr, _, parallel_scav) = boot_expecting(
         parallel_scav,
         fsd_config(files, WORKERS),
         RecoveryRung::Scavenge,
@@ -167,6 +171,7 @@ fn fsd_row(files: usize) -> FsdRow {
         serial_vam_us,
         parallel_vam_us,
         host_secs: host_start.elapsed().as_secs_f64(),
+        platters: vec![serial_crash, parallel_crash, serial_scav, parallel_scav],
     }
 }
 
@@ -174,6 +179,8 @@ struct CfsRow {
     files: usize,
     serial_us: u64,
     parallel_us: u64,
+    /// The two scavenged disks, serial first.
+    platters: Vec<u64>,
 }
 
 fn cfs_config(files: usize, workers: usize) -> CfsConfig {
@@ -211,6 +218,10 @@ fn cfs_row(files: usize) -> CfsRow {
         files,
         serial_us: sr.duration_us,
         parallel_us: pr.duration_us,
+        platters: vec![
+            serial.disk_mut().platter_digest(),
+            parallel.disk_mut().platter_digest(),
+        ],
     }
 }
 
@@ -303,13 +314,14 @@ fn main() {
         json.push_str(&format!(
             "    {{\"files\": {}, \"serial_scavenge_us\": {}, \
              \"parallel_scavenge_us\": {}, \"serial_vam_us\": {}, \
-             \"parallel_vam_us\": {}, \"speedup_x100\": {}}}{}\n",
+             \"parallel_vam_us\": {}, \"speedup_x100\": {}, \"platter_digest\": {}}}{}\n",
             r.files,
             r.serial_scavenge_us,
             r.parallel_scavenge_us,
             r.serial_vam_us,
             r.parallel_vam_us,
             r.speedup_x100(),
+            platter_json(&r.platters),
             if i + 1 == fsd_rows.len() { "" } else { "," },
         ));
     }
@@ -317,11 +329,12 @@ fn main() {
     for (i, r) in cfs_rows.iter().enumerate() {
         json.push_str(&format!(
             "    {{\"files\": {}, \"serial_us\": {}, \"parallel_us\": {}, \
-             \"speedup_x100\": {}}}{}\n",
+             \"speedup_x100\": {}, \"platter_digest\": {}}}{}\n",
             r.files,
             r.serial_us,
             r.parallel_us,
             r.serial_us * 100 / r.parallel_us.max(1),
+            platter_json(&r.platters),
             if i + 1 == cfs_rows.len() { "" } else { "," },
         ));
     }

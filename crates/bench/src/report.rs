@@ -135,6 +135,23 @@ pub fn disk_breakdown_json(s: &DiskStats) -> String {
     )
 }
 
+/// The platters a run ends on, as a JSON string: one disk's
+/// [`cedar_disk::SimDisk::platter_digest`] in hex, or for several the
+/// FNV-1a of their digests in order. Two builds that leave the same
+/// bytes on every platter print the same string.
+pub fn platter_json(digests: &[u64]) -> String {
+    let digest = match digests {
+        [one] => *one,
+        many => cedar_vol::codec::fnv1a(
+            &many
+                .iter()
+                .flat_map(|d| d.to_le_bytes())
+                .collect::<Vec<u8>>(),
+        ),
+    };
+    format!("\"{digest:016x}\"")
+}
+
 /// Formats a speed-up/ratio with two decimals and an `×`.
 pub fn ratio(a: f64, b: f64) -> String {
     format!("{:.2}x", a / b)

@@ -237,17 +237,18 @@ const SEEDS: &[Seed] = &[
         },
         expect: &[("scan_phase", "disk.read()")],
     },
-    // The check that keeps a rotten reallocation list from steering the
-    // leader pass (every run inside a data area, its end computed without
-    // overflow), dropped: the field is then decoded and never validated.
+    // The check that fails the scan on a reallocation list that could
+    // steer the leader pass (every run inside a data area, its end
+    // computed without overflow), run over nothing: the field is then
+    // decoded and never validated.
     Seed {
         row: 19,
         rule: "decode-coverage",
         file: "crates/fsd/src/log.rs",
         edit: Edit::Replace {
             after: "impl LogRecord {",
-            anchor: "self.reallocated = self\n            .reallocated\n            .take()\n            .filter(|runs| runs.iter().all(inside));",
-            with: "let _ = inside;",
+            anchor: "match self.reallocated.iter().find(|run| !inside(run)) {",
+            with: "match [].iter().find(|run| !inside(run)) {",
         },
         expect: &[("LogRecord", "reallocated")],
     },

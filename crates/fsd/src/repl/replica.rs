@@ -236,10 +236,10 @@ impl Replica {
             for (target, img) in &rec.images {
                 target.validate(&self.layout)?;
                 images += 1;
-                // Leaders ride the same sweep: no reallocation guard is
-                // needed (unlike crash recovery), because frames apply in
-                // commit order, so a sector reallocated later is
-                // rewritten later.
+                // Leaders ride the same sweep: the reallocation lists are
+                // not needed (unlike crash recovery's leader pass),
+                // because frames apply in commit order, so a sector
+                // reallocated later is rewritten later.
                 for home in target.homes(&self.layout) {
                     final_images.insert(home, img.clone());
                 }

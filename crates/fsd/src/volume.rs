@@ -51,7 +51,7 @@ use crate::entry::{EntryKind, FileEntry};
 use crate::error::FsdError;
 use crate::layout::{FsdBootPage, FsdLayout, SavedVam};
 use crate::leader::LeaderPage;
-use crate::log::{Log, PageTarget, LISTED_RUNS_MAX};
+use crate::log::{Log, PageTarget, RecordEnd, LISTED_RUNS_MAX};
 use crate::spare::{self, SpareMap};
 use crate::{Result, NT_PAGE_SECTORS};
 use cedar_btree::{BTree, PageId};
@@ -637,18 +637,25 @@ impl FsdVolume {
 
         // Append in record-sized chunks, remembering each image's third.
         // Each record's end pages carry its share of the reallocated
-        // runs; a list the group's end pages cannot hold goes unlisted,
-        // and redo reads the homes of what was logged before it.
+        // runs, so the group takes as many records as its images or its
+        // list need, whichever is more. The records are filled front
+        // first, leaving at least one image for each record still to
+        // come; with more records than images, the first image is logged
+        // again in each record the others cannot fill.
+        let n = images.len();
         let max = self.log.max_images();
-        let listed = self.handed_out.len() <= images.len().div_ceil(max) * LISTED_RUNS_MAX;
+        let records = n
+            .div_ceil(max)
+            .max(self.handed_out.len().div_ceil(LISTED_RUNS_MAX));
+        let start = |k: usize| (k * max).min((n + k).saturating_sub(records));
         let mut shares = self.handed_out.chunks(LISTED_RUNS_MAX);
         let policy = self.io_policy;
-        let mut thirds: Vec<u8> = Vec::with_capacity(images.len());
+        let mut thirds: Vec<u8> = vec![0; n];
         let mut repl_records: Vec<Vec<u8>> = Vec::new();
         let mut repl_seqs: Option<(u64, u64)> = None;
-        while thirds.len() < images.len() {
-            let base = thirds.len();
-            let chunk = &images[base..(base + max).min(images.len())];
+        for k in 0..records {
+            let base = start(k);
+            let chunk = &images[base..start(k + 1).max(base + 1)];
             let FsdVolume {
                 ref mut log,
                 ref mut disk,
@@ -659,8 +666,8 @@ impl FsdVolume {
                 ref mut spare,
                 ..
             } = *self;
-            let is_last = base + chunk.len() >= images.len();
-            let share = listed.then(|| shares.next().unwrap_or_default());
+            let is_last = k + 1 == records;
+            let share = shares.next().unwrap_or_default();
             // Entering a third reclaims it: whatever has its only log
             // copy there goes home first (§5.3), as one scheduler window
             // inside the append.
@@ -675,12 +682,15 @@ impl FsdVolume {
                 // the replication stream ships records in their on-disk
                 // form, so the replica decodes with the same checks as
                 // boot-time recovery.
-                repl_records.push(crate::log::encode_listed_record(
+                let end = RecordEnd {
+                    group_end: is_last,
+                    reallocated: share,
+                };
+                repl_records.push(crate::log::encode_record(
                     chunk,
                     seq,
                     self.log.boot_count(),
-                    is_last,
-                    share,
+                    end,
                 )?);
                 let (first, _) = repl_seqs.unwrap_or((seq, seq));
                 repl_seqs = Some((first, seq));
@@ -691,7 +701,7 @@ impl FsdVolume {
             self.commit_stats.log_sectors_written += sectors;
             self.commit_stats.max_record_sectors =
                 self.commit_stats.max_record_sectors.max(sectors);
-            thirds.resize(base + chunk.len(), third);
+            thirds[base..base + chunk.len()].fill(third);
         }
         self.commit_stats.forces += 1;
         self.handed_out.clear();
@@ -1218,8 +1228,9 @@ impl FsdVolume {
         // So is one the log holds and the redo settle has yet to write
         // home — when it is this file's. A stale image (the file deleted
         // since, the sector reallocated) fails the check and the home
-        // sector decides, which is what the guards of the leader pass
-        // conclude at settle time.
+        // sector decides: its new owner wrote it, and the later group
+        // that lists it keeps the leader pass from writing the image over
+        // it at settle time.
         let owed = || {
             let redo = self.redo_owed.as_ref()?;
             let (img, _) = redo.leader_images.get(&file.entry.leader_addr)?;

@@ -113,7 +113,7 @@ fn two_committed(policy: IoPolicy, n: usize, remap: Remap) -> (SimDisk, Log, Spa
     log.set_policy(policy);
     log.write_meta(&mut disk, &mut spare).unwrap();
     for images in old_records() {
-        log.append(&mut disk, &mut spare, &images, true, None, no_flush)
+        log.append(&mut disk, &mut spare, &images, true, &[], no_flush)
             .unwrap();
     }
     assert_eq!(l.log_start + log.next_record_offset(), pos);
@@ -131,7 +131,7 @@ fn append_then_crash(
     ctx: &str,
 ) -> bool {
     disk.schedule_crash(plan);
-    let acknowledged = match log.append(disk, spare, new, true, None, no_flush) {
+    let acknowledged = match log.append(disk, spare, new, true, &[], no_flush) {
         Ok(_) => true,
         Err(e) => {
             assert!(e.is_crash(), "{ctx}: {e}");
@@ -225,7 +225,7 @@ fn a_completed_record_survives_any_one_or_two_adjacent_bad_sectors() {
                 let (mut base, mut log, spare) = two_committed(policy, n, remap);
                 let pos = l.log_start + log.next_record_offset();
                 let mut spare_after = spare.clone();
-                log.append(&mut base, &mut spare_after, &new, true, None, no_flush)
+                log.append(&mut base, &mut spare_after, &new, true, &[], no_flush)
                     .unwrap();
                 let len = 2 * n as u32 + 5;
                 for first in 0..len {

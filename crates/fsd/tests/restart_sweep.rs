@@ -6,8 +6,9 @@
 //! dirtied by creates and deletes, a file extended and one truncated
 //! after their creates (the logged leader is newer than the home one), a
 //! deleted pair whose sectors a later create reused — one old leader
-//! sector under the new file's leader, one under its data (the two
-//! guards of the leader pass) — a log that has lapped its region, and a
+//! sector under the new file's leader, one under its data (the two ways a
+//! reallocation list keeps the leader pass off a sector) — a log that
+//! has lapped its region, and a
 //! torn tail record. The reference is that disk booted with everything
 //! settled at once.
 //!

@@ -113,12 +113,10 @@ fn settle(mut vol: FsdVolume, r: &RecoveryReport) -> Result<FsdVolume, String> {
                 eprintln!("  home sweep  {:.2} s", secs(s.sweep_us));
                 let pass = s.leaders;
                 eprintln!(
-                    "  leaders     {:.2} s  ({} written unread, {} reallocated and skipped, \
-                     {} read and guarded)",
+                    "  leaders     {:.2} s  ({} written, {} reallocated and skipped)",
                     secs(s.leaders_us),
                     pass.written,
-                    pass.reallocated,
-                    pass.guarded
+                    pass.reallocated
                 );
                 eprintln!("  new epoch   {:.2} s", secs(s.epoch_us));
             }

@@ -87,8 +87,9 @@ fn crash_flag_forces_recovery_on_next_run() {
         "{stderr}"
     );
     // The put's leader pass: whatever the log holds is settled from the
-    // lists, no home read.
-    assert!(stderr.contains("0 read and guarded"), "{stderr}");
+    // lists, written or skipped.
+    assert!(stderr.contains("reallocated and skipped)"), "{stderr}");
+    assert!(!stderr.contains("guarded"), "{stderr}");
     assert!(
         stdout.contains("v1") && stdout.contains("  f\n"),
         "{stdout}"

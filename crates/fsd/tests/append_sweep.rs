@@ -22,11 +22,12 @@
 //! *range* does fail it: a record written without `E'` goes red in half
 //! (ii) the moment `E` is the damaged sector.
 
-use cedar_disk::{CrashPlan, DiskGeometry, IoPolicy, SimDisk, SECTOR_BYTES};
+mod support;
+
+use cedar_disk::{DiskGeometry, IoPolicy, SimDisk, SECTOR_BYTES};
 use cedar_fsd::log::{scan_records, Log, PageTarget, DATA_START};
 use cedar_fsd::{FsdLayout, SpareMap};
-
-const POLICIES: [IoPolicy; 2] = [IoPolicy::InOrder, IoPolicy::Satf];
+use support::{Point, Script, Sweep, POLICIES};
 
 /// Thirds of 120 sectors: the largest record (48 images, 101 sectors)
 /// fits behind the two old ones without entering a new third, so an
@@ -120,29 +121,6 @@ fn two_committed(policy: IoPolicy, n: usize, remap: Remap) -> (SimDisk, Log, Spa
     (disk, log, spare)
 }
 
-/// Appends `new` with `plan` armed and then pulls the plug. Returns
-/// whether the append was acknowledged.
-fn append_then_crash(
-    disk: &mut SimDisk,
-    log: &mut Log,
-    spare: &mut SpareMap,
-    new: &[(PageTarget, Vec<u8>)],
-    plan: CrashPlan,
-    ctx: &str,
-) -> bool {
-    disk.schedule_crash(plan);
-    let acknowledged = match log.append(disk, spare, new, true, &[], no_flush) {
-        Ok(_) => true,
-        Err(e) => {
-            assert!(e.is_crash(), "{ctx}: {e}");
-            false
-        }
-    };
-    disk.crash_now();
-    disk.reboot();
-    acknowledged
-}
-
 /// Reads the log back the way `redo_phase` does and checks it holds the
 /// two old records, or those plus the whole of `new` — and `new` for
 /// certain once its append was acknowledged.
@@ -176,43 +154,97 @@ fn sizes() -> [usize; 4] {
     [1, 2, 7, max]
 }
 
-#[test]
-fn a_crash_anywhere_in_an_append_leaves_the_old_log_or_the_whole_record() {
-    for policy in POLICIES {
-        for n in sizes() {
-            let new = new_record(n);
-            for remap in REMAPS {
-                for after_sector_writes in 0..=2 * n as u64 + 5 {
-                    for damaged_tail in 0..=2u8 {
-                        let ctx = format!(
-                            "{policy:?} n={n} {remap:?} crash after {after_sector_writes} \
-                             sector writes, tail {damaged_tail}"
-                        );
-                        let (mut disk, mut log, mut spare) = two_committed(policy, n, remap);
-                        let plan = CrashPlan {
-                            after_sector_writes,
-                            damaged_tail,
-                        };
-                        let acknowledged =
-                            append_then_crash(&mut disk, &mut log, &mut spare, &new, plan, &ctx);
-                        assert_eq!(
-                            acknowledged,
-                            after_sector_writes == 2 * n as u64 + 5,
-                            "{ctx}: an append is 2n + 5 sector writes"
-                        );
-                        assert_old_log_or_whole_record(
-                            &mut disk,
-                            policy,
-                            &mut spare,
-                            &new,
-                            acknowledged,
-                            &ctx,
-                        );
-                    }
-                }
+/// One append of `n` images over [`two_committed`]: with `remap`'s sector
+/// of the record in the spare region or, when `grown`, going bad during
+/// the append, so the crash points run through the retry rounds as well.
+struct Append {
+    n: usize,
+    remap: Remap,
+    grown: bool,
+}
+
+type State = (SimDisk, SpareMap);
+
+impl Append {
+    fn committed(&self, policy: IoPolicy) -> (SimDisk, Log, SpareMap) {
+        let remap = if self.grown { Remap::None } else { self.remap };
+        two_committed(policy, self.n, remap)
+    }
+}
+
+impl Script for Append {
+    type Memory = SpareMap;
+    /// The spare map as the fixture left it on the boot page.
+    type Want = SpareMap;
+
+    fn label(&self) -> String {
+        let grown = ["", "grown defect under "][usize::from(self.grown)];
+        format!("n={} {grown}{:?} ", self.n, self.remap)
+    }
+
+    fn fixture(&self, policy: IoPolicy) -> (SimDisk, SpareMap, SpareMap) {
+        let (mut disk, log, spare) = self.committed(policy);
+        if self.grown {
+            let pos = layout().log_start + log.next_record_offset();
+            disk.hard_damage_sector(pos + self.remap.offset(self.n).unwrap());
+        }
+        (disk, spare.clone(), spare)
+    }
+
+    fn session(&self, (mut disk, mut spare): State, policy: IoPolicy, _: usize) -> State {
+        // `Log` is not `Clone`: the fixture's running log, built again.
+        let (_, mut log, _) = self.committed(policy);
+        let new = new_record(self.n);
+        if let Err(e) = log.append(&mut disk, &mut spare, &new, true, &[], no_flush) {
+            assert!(e.is_crash(), "{e}");
+        }
+        (disk, spare)
+    }
+
+    fn check(&self, (disk, spare): State, before: &SpareMap, point: &Point) {
+        let (n, ctx, appended) = (self.n as u64, point.to_string(), point.acked == 1);
+        // One past the last index a crash fires at.
+        let after_sector_writes = point.w + 1;
+        let maps = if self.grown {
+            if point.k.is_none() {
+                assert!(after_sector_writes > 2 * n + 5, "retries write more");
             }
+            assert!(!appended || spare.remapped == 1, "{ctx}");
+            // The remap reaches the boot page only after the append:
+            // recovery may hold either table.
+            vec![spare, before.clone()]
+        } else {
+            if point.k.is_none() {
+                assert_eq!(
+                    point.w,
+                    2 * n + 5,
+                    "{ctx}: an append is 2n + 5 sector writes"
+                );
+            }
+            vec![spare]
+        };
+        for mut map in maps {
+            let (disk, new) = (&mut disk.clone(), new_record(self.n));
+            assert_old_log_or_whole_record(disk, point.policy, &mut map, &new, appended, &ctx);
         }
     }
+}
+
+/// Sweeps an append of every size under every remap (`grown`: every
+/// grown defect).
+fn sweep_appends(grown: bool) {
+    let mut sweep = Sweep::default();
+    for (n, remap) in sizes().into_iter().flat_map(|n| REMAPS.map(|r| (n, r))) {
+        if !grown || remap != Remap::None {
+            sweep.run(&Append { n, remap, grown });
+        }
+    }
+    sweep.finish();
+}
+
+#[test]
+fn a_crash_anywhere_in_an_append_leaves_the_old_log_or_the_whole_record() {
+    sweep_appends(false);
 }
 
 #[test]
@@ -254,47 +286,5 @@ fn a_completed_record_survives_any_one_or_two_adjacent_bad_sectors() {
 
 #[test]
 fn a_crash_anywhere_in_an_append_that_is_remapping_a_sector_is_as_clean() {
-    let l = layout();
-    for policy in POLICIES {
-        for n in sizes() {
-            let new = new_record(n);
-            for defect in REMAPS.into_iter().filter(|&r| r != Remap::None) {
-                let mut appended = false;
-                let mut after_sector_writes = 0;
-                while !appended {
-                    for damaged_tail in 0..=2u8 {
-                        let ctx = format!(
-                            "{policy:?} n={n} grown defect under {defect:?}, crash after \
-                             {after_sector_writes} sector writes, tail {damaged_tail}"
-                        );
-                        let (mut disk, mut log, mut spare) = two_committed(policy, n, Remap::None);
-                        let before = spare.clone();
-                        let pos = l.log_start + log.next_record_offset();
-                        disk.hard_damage_sector(pos + defect.offset(n).unwrap());
-                        let plan = CrashPlan {
-                            after_sector_writes,
-                            damaged_tail,
-                        };
-                        appended =
-                            append_then_crash(&mut disk, &mut log, &mut spare, &new, plan, &ctx);
-                        assert!(!appended || spare.remapped == 1, "{ctx}");
-                        // The remap reaches the boot page only after the
-                        // append: recovery may hold either table.
-                        for mut map in [spare, before] {
-                            assert_old_log_or_whole_record(
-                                &mut disk.clone(),
-                                policy,
-                                &mut map,
-                                &new,
-                                appended,
-                                &ctx,
-                            );
-                        }
-                    }
-                    after_sector_writes += 1;
-                }
-                assert!(after_sector_writes > 2 * n as u64 + 5, "retries write more");
-            }
-        }
-    }
+    sweep_appends(true);
 }

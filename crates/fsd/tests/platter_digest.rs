@@ -14,9 +14,11 @@
 //! one that changes them on purpose re-pins them here, where a reviewer
 //! sees it.
 
-use cedar_disk::clock::Micros;
-use cedar_disk::{CpuModel, CrashPlan, IoPolicy, SimDisk, SECTOR_BYTES};
-use cedar_fsd::{FsdConfig, FsdVolume};
+mod support;
+
+use cedar_disk::{CrashPlan, IoPolicy, SimDisk};
+use cedar_fsd::FsdVolume;
+use support::{config, pages};
 
 /// `(policy, [formatted, shut down, crashed mid-force])`.
 const PINNED: [(IoPolicy, [u64; 3]); 2] = [
@@ -30,23 +32,6 @@ const PINNED: [(IoPolicy, [u64; 3]); 2] = [
     ),
 ];
 
-fn config(policy: IoPolicy) -> FsdConfig {
-    FsdConfig {
-        nt_pages: 24,
-        log_sectors: 183,
-        cpu: CpuModel::DORADO,
-        io_policy: policy,
-        commit_interval_us: Micros::MAX,
-        ..FsdConfig::default()
-    }
-}
-
-fn content(tag: usize, pages: usize) -> Vec<u8> {
-    (0..pages * SECTOR_BYTES)
-        .map(|b| (b * 7 + tag * 13) as u8 | 1)
-        .collect()
-}
-
 /// The session, short of its last force: small files back to back from
 /// the front, every third deleted and committed, new small files first fit
 /// into the holes, two big files from the end, and then deletes and a
@@ -55,7 +40,7 @@ fn session(v: &mut FsdVolume) {
     let mut leaders = Vec::new();
     for i in 0..12 {
         let f = v
-            .create(&format!("s/{i:02}"), &content(i, 1 + i % 4))
+            .create(&format!("s/{i:02}"), &pages(i, 1 + i % 4))
             .unwrap();
         leaders.push(f.entry.leader_addr);
     }
@@ -65,7 +50,7 @@ fn session(v: &mut FsdVolume) {
     }
     v.force().unwrap();
     for i in 0..4 {
-        let at = v.create(&format!("r/{i}"), &content(20 + i, 1)).unwrap();
+        let at = v.create(&format!("r/{i}"), &pages(20 + i, 1)).unwrap();
         let at = at.entry.leader_addr;
         assert!(
             at < leaders[11],
@@ -74,9 +59,9 @@ fn session(v: &mut FsdVolume) {
     }
     assert_eq!(v.open("r/0", None).unwrap().entry.leader_addr, leaders[0]);
     let (_, top) = v.layout().data_areas()[1];
-    let big = v.create("b/0", &content(30, 40)).unwrap();
+    let big = v.create("b/0", &pages(30, 40)).unwrap();
     assert_eq!(big.entry.run_table.runs()[0].end(), top, "from the end");
-    v.create("b/1", &content(31, 33)).unwrap();
+    v.create("b/1", &pages(31, 33)).unwrap();
     for name in ["s/10", "s/01", "b/1", "s/07", "s/04"] {
         v.delete(name, None).unwrap();
     }

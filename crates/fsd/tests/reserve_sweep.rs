@@ -12,93 +12,27 @@
 //! settle_vam → create → create (more than is left in one piece) → shutdown
 //! ```
 //!
-//! is replayed once to count its sector writes `W`; then, for every write
-//! index `0..=W` × every torn-tail shape × both policies, it runs with
-//! the crash armed, and for every fifth index the restart of that restart
-//! is crashed too (at `0` and `W/2`), so a boot that follows a session
-//! which had already begun to allocate is covered.
+//! runs over the crash-sweep harness (`support`); its restarts cover a
+//! boot that follows a session which had already begun to allocate.
 //!
-//! The oracle, after the last boot and `settle_vam`: no sector is claimed
-//! by two entries (leader or run); the free map — read back from the save
-//! area a clean shutdown writes — equals one built independently from a
-//! full listing; every file holds one of the contents it was acknowledged
-//! or in flight with; and the tree checks out. The commit interval is
-//! switched off, so the script's own forces are the only commit points
-//! and the in-flight windows are as wide as they can be.
+//! The oracle, after the last boot and `settle_vam`: the shared ones,
+//! every file at version 1, and the free map — read back from the save
+//! area a clean shutdown writes — equal bit for bit to one built
+//! independently from the full listing.
 //!
 //! The sweep knows nothing about *how* the first create after a crash
 //! finds its sectors; it was written, and was green, while that create
 //! still paid the whole name-table walk.
 
-use cedar_disk::clock::Micros;
-use cedar_disk::{CpuModel, CrashPlan, IoPolicy, SimDisk, SECTOR_BYTES};
-use cedar_fsd::{FileEntry, FsdConfig, FsdError, FsdVolume};
-use cedar_vol::{FileName, Run, Vam};
-use std::collections::{BTreeMap, BTreeSet};
+mod support;
 
-const POLICIES: [IoPolicy; 2] = [IoPolicy::InOrder, IoPolicy::Satf];
+use cedar_disk::{IoPolicy, SimDisk, SECTOR_BYTES};
+use cedar_fsd::{FsdError, FsdVolume};
+use cedar_vol::{Run, Vam};
+use support::Sweep;
+use support::{base, claims, config, content, oracles, tear_last_force, Model, Point, Script};
+
 const PROBE: &str = "base/f11";
-
-fn config(policy: IoPolicy) -> FsdConfig {
-    FsdConfig {
-        nt_pages: 24,
-        log_sectors: 183,
-        cpu: CpuModel::DORADO,
-        io_policy: policy,
-        commit_interval_us: Micros::MAX,
-        ..FsdConfig::default()
-    }
-}
-
-fn content(tag: usize, len: usize) -> Vec<u8> {
-    (0..len).map(|b| (b * 7 + tag * 13) as u8 | 1).collect()
-}
-
-fn base(i: usize) -> String {
-    format!("base/f{i:02}")
-}
-
-/// What each name may hold after a crash: every state it has been in
-/// since the last acknowledged commit of the session that touched it,
-/// oldest first (`None`: absent). A crash leaves what was in flight
-/// undecided for good; a later session's commit decides only its own.
-#[derive(Clone, Default)]
-struct Model {
-    states: BTreeMap<String, Vec<Option<Vec<u8>>>>,
-    in_flight: BTreeSet<String>,
-}
-
-impl Model {
-    /// A name the model has not heard of did not exist.
-    fn set(&mut self, name: &str, state: Option<Vec<u8>>) {
-        let states = self.states.entry(name.to_string());
-        states.or_insert_with(|| vec![None]).push(state);
-        self.in_flight.insert(name.to_string());
-    }
-
-    fn committed(&mut self) {
-        for name in std::mem::take(&mut self.in_flight) {
-            if let Some(states) = self.states.get_mut(&name) {
-                states.drain(..states.len() - 1);
-            }
-        }
-    }
-
-    fn crashed(&mut self) {
-        self.in_flight.clear();
-    }
-}
-
-type Listing = Vec<(FileName, FileEntry)>;
-
-/// The sectors an entry claims: its leader, then its runs.
-fn claims(entry: &FileEntry) -> Vec<Run> {
-    let leader = (entry.leader_addr != 0).then(|| Run::new(entry.leader_addr, 1));
-    leader
-        .into_iter()
-        .chain(entry.run_table.runs().iter().copied())
-        .collect()
-}
 
 /// The crashed volume: thirty small files with every fifth deleted, one
 /// file extended and one truncated after their creates, two files that
@@ -131,238 +65,133 @@ fn crashed(policy: IoPolicy) -> SimDisk {
     v.truncate(&mut cut, 1).unwrap();
     v.force().unwrap();
 
-    v.create("lost/a", &content(42, 700)).unwrap();
-    v.delete(&base(16), None).unwrap();
-    v.disk_mut().schedule_crash(CrashPlan {
-        after_sector_writes: 4,
-        damaged_tail: 1,
-    });
-    let torn = v.force().expect_err("the crash lands inside the force");
-    assert!(torn.is_crash(), "{torn}");
-    let mut disk = v.into_disk();
-    disk.reboot();
-    disk
+    tear_last_force(v, 42)
 }
 
-/// The committed contents of the fixture, read off a settled boot.
-fn fixture_model(disk: &SimDisk, policy: IoPolicy) -> Model {
-    let (mut v, report) = FsdVolume::boot(disk.clone(), config(policy)).unwrap();
-    assert!(report.records_replayed > 0 && report.vam_reconstructed);
-    v.settle_vam().unwrap();
-    let listing = v.list("").unwrap();
-    assert!(listing.iter().all(|(n, _)| !n.name.starts_with("lost/")));
-    assert!(listing.iter().any(|(n, _)| n.name == base(16)));
-    let mut model = Model::default();
-    for (name, entry) in &listing {
-        if entry.leader_addr != 0 {
-            let mut f = v.open(&name.name, Some(name.version)).unwrap();
-            let data = v.read_file(&mut f).unwrap();
-            model.states.insert(name.name.clone(), vec![Some(data)]);
-        }
-    }
-    let free: u32 = v.free_sectors();
-    assert!(free < 250, "the fixture is meant to be nearly full: {free}");
-    model
-}
+struct Reserve;
 
-/// One restart, `round` keeping its names apart from an earlier one's.
-/// Runs until `plan` fires (or to the end), pulls the plug, and returns
-/// the disk; `model` follows what was acknowledged and what was in
-/// flight.
-fn script(
-    mut disk: SimDisk,
-    policy: IoPolicy,
-    plan: Option<CrashPlan>,
-    round: usize,
-    model: &mut Model,
-) -> SimDisk {
-    if let Some(plan) = plan {
-        disk.schedule_crash(plan);
-    }
-    let (mut v, report) = match FsdVolume::try_boot(disk, config(policy)) {
-        Ok(booted) => booted,
-        Err((e, mut disk)) => {
-            assert!(e.is_crash(), "boot: {e}");
-            disk.crash_now();
-            disk.reboot();
-            return disk;
-        }
-    };
-    let name = |what: &str| format!("r{round}/{what}");
-    let victim = base([3, 4][round]);
-    let ran = (|| {
-        let mut f = v.open(PROBE, None)?;
-        v.read_file(&mut f)?;
-        v.list("")?;
+impl Script for Reserve {
+    type Memory = Model;
+    type Want = ();
+    const RESTARTS: bool = true;
 
-        let a = content(50 + round, 1200);
-        model.set(&name("a"), Some(a.clone()));
-        let first = v.create(&name("a"), &a)?.entry;
-        // A reserve found at a crash boot serves the first create whole
-        // and without the walk; one held by a map that loaded keeps the
-        // create out; a boot that found none walks first, as ever.
-        let within = |c: &Run, r: Run| r.start <= c.start && c.end() <= r.end();
-        let apart = |c: &Run, r: Run| c.end() <= r.start || r.end() <= c.start;
-        match (report.reserve, report.vam_reconstructed) {
-            (Some(r), true) => {
-                assert!(v.vam_walk().is_none(), "round {round}: walked");
-                assert!(claims(&first).iter().all(|c| within(c, r)), "{first:?}");
-            }
-            (Some(r), false) => assert!(claims(&first).iter().all(|c| apart(c, r))),
-            (None, owed) => assert_eq!(v.vam_walk().is_some(), owed, "round {round}"),
+    /// The crashed volume, and its committed files and deletes as read
+    /// off a settled boot.
+    fn fixture(&self, policy: IoPolicy) -> (SimDisk, Model, ()) {
+        let crashed = crashed(policy);
+        let (mut v, report) = FsdVolume::boot(crashed.clone(), config(policy)).unwrap();
+        assert!(report.records_replayed > 0 && report.vam_reconstructed);
+        v.settle_vam().unwrap();
+        let listing = v.list("").unwrap();
+        assert!(listing.iter().all(|(n, _)| !n.name.starts_with("lost/")));
+        assert!(listing.iter().any(|(n, _)| n.name == base(16)));
+        let mut model = Model::of(&mut v);
+        for i in (0..30).step_by(5) {
+            model.change(&base(i), None);
         }
-        v.force()?;
         model.committed();
-
-        model.set(&victim, None);
-        v.delete(&victim, None)?;
-
-        let mut b = content(60 + round, 700);
-        model.set(&name("b"), Some(b.clone()));
-        let mut file = v.create(&name("b"), &b)?;
-        // The new pages hold whatever the sectors held: nothing commits
-        // the longer file before they are written.
-        let tail = content(65 + round, 2 * SECTOR_BYTES);
-        b.resize(2 * SECTOR_BYTES, 0);
-        b.extend_from_slice(&tail);
-        model.set(&name("b"), Some(b));
-        v.extend(&mut file, 2)?;
-        v.write_pages(&mut file, 2, &tail)?;
-
-        v.settle_vam()?;
-
-        let c = content(70 + round, 1100);
-        model.set(&name("c"), Some(c.clone()));
-        v.create(&name("c"), &c)?;
-
-        // More than the volume has left in one piece, wherever it looks.
-        let big = content(80 + round, 99 * SECTOR_BYTES);
-        model.set(&name("big"), Some(big.clone()));
-        match v.create(&name("big"), &big) {
-            Err(FsdError::NoSpace) => {
-                model.states.remove(&name("big"));
-            }
-            other => drop(other?),
-        }
-        v.shutdown()?;
-        model.committed();
-        Ok::<(), FsdError>(())
-    })();
-    if let Err(e) = &ran {
-        assert!(e.is_crash(), "round {round}: {e}");
+        let free: u32 = v.free_sectors();
+        assert!(free < 250, "the fixture is meant to be nearly full: {free}");
+        (crashed, model, ())
     }
-    model.crashed();
-    let mut disk = v.into_disk();
-    disk.crash_now();
-    disk.reboot();
-    disk
-}
 
-/// Boots `disk`, settles, and holds what it finds against `model`.
-fn check(disk: SimDisk, policy: IoPolicy, model: &Model, ctx: &str) {
-    let (mut v, _) = FsdVolume::boot(disk, config(policy)).unwrap_or_else(|e| panic!("{ctx}: {e}"));
-    v.settle_vam().unwrap_or_else(|e| panic!("{ctx}: {e}"));
-    let listing: Listing = v.list("").unwrap_or_else(|e| panic!("{ctx}: {e}"));
-    let layout = *v.layout();
+    /// One restart, `round` keeping its names apart from an earlier one's.
+    fn session(&self, state: (SimDisk, Model), policy: IoPolicy, round: usize) -> (SimDisk, Model) {
+        support::session(state, config(policy), |v, report, model| {
+            let name = |what: &str| format!("r{round}/{what}");
+            let victim = base([3, 4][round]);
+            let mut f = v.open(PROBE, None)?;
+            v.read_file(&mut f)?;
+            v.list("")?;
 
-    // No sector belongs to two files, and the map says so.
-    let mut owner: BTreeMap<u32, &FileName> = BTreeMap::new();
-    let mut reference = layout.empty_vam();
-    for (name, entry) in &listing {
-        for run in claims(entry) {
-            for sector in run.start..run.end() {
-                assert!(
-                    !layout.is_system(sector),
-                    "{ctx}: {name} claims system sector {sector}"
-                );
-                if let Some(other) = owner.insert(sector, name) {
-                    panic!("{ctx}: sector {sector} is claimed by {other} and by {name}");
+            let a = content(50 + round, 1200);
+            model.change(&name("a"), Some(a.clone()));
+            let first = v.create(&name("a"), &a)?.entry;
+            // A reserve found at a crash boot serves the first create whole
+            // and without the walk; one held by a map that loaded keeps the
+            // create out; a boot that found none walks first, as ever.
+            let within = |c: &Run, r: Run| r.start <= c.start && c.end() <= r.end();
+            let apart = |c: &Run, r: Run| c.end() <= r.start || r.end() <= c.start;
+            match (report.reserve, report.vam_reconstructed) {
+                (Some(r), true) => {
+                    assert!(v.vam_walk().is_none(), "round {round}: walked");
+                    assert!(claims(&first).iter().all(|c| within(c, r)), "{first:?}");
                 }
+                (Some(r), false) => assert!(claims(&first).iter().all(|c| apart(c, r))),
+                (None, owed) => assert_eq!(v.vam_walk().is_some(), owed, "round {round}"),
             }
-            reference.allocate_run(run);
-        }
-    }
-    assert_eq!(
-        v.free_sectors(),
-        reference.free_count(),
-        "{ctx}: free count"
-    );
+            v.force()?;
+            model.committed();
 
-    // Every file holds something it was acknowledged or in flight with.
-    let mut seen: BTreeMap<&str, Vec<u8>> = BTreeMap::new();
-    for (name, entry) in &listing {
-        if entry.leader_addr == 0 {
-            continue; // A symbolic link.
-        }
-        assert_eq!(name.version, 1, "{ctx}: {name}");
-        let read = v
-            .open(&name.name, Some(1))
-            .and_then(|mut f| v.read_file(&mut f));
-        seen.insert(
-            &name.name,
-            read.unwrap_or_else(|e| panic!("{ctx}: {name}: {e}")),
-        );
-    }
-    for (name, states) in &model.states {
-        let found = seen.remove(name.as_str());
-        assert!(
-            states.contains(&found),
-            "{ctx}: {name} is {} and matches none of its {} possible states",
-            found.map_or("absent".into(), |d| format!("{} bytes", d.len())),
-            states.len()
-        );
-    }
-    assert!(seen.is_empty(), "{ctx}: unknown files {:?}", seen.keys());
-    v.verify().unwrap_or_else(|e| panic!("{ctx}: {e}"));
+            model.change(&victim, None);
+            v.delete(&victim, None)?;
 
-    // The map itself, bit for bit, as a clean shutdown saves it.
-    v.shutdown().unwrap_or_else(|e| panic!("{ctx}: {e}"));
-    let disk = v.into_disk();
-    let saved: Vec<u8> = (0..layout.vam_sectors)
-        .flat_map(|i| disk.peek_data(layout.vam_a + i).expect("saved").to_vec())
-        .collect();
-    let saved = Vam::from_bytes(&saved).unwrap_or_else(|e| panic!("{ctx}: {e}"));
-    assert!(saved == reference, "{ctx}: the rebuilt map differs");
+            let mut b = content(60 + round, 700);
+            model.change(&name("b"), Some(b.clone()));
+            let mut file = v.create(&name("b"), &b)?;
+            // The new pages hold whatever the sectors held: nothing commits
+            // the longer file before they are written.
+            let tail = content(65 + round, 2 * SECTOR_BYTES);
+            b.resize(2 * SECTOR_BYTES, 0);
+            b.extend_from_slice(&tail);
+            model.change(&name("b"), Some(b));
+            v.extend(&mut file, 2)?;
+            v.write_pages(&mut file, 2, &tail)?;
+
+            v.settle_vam()?;
+
+            let c = content(70 + round, 1100);
+            model.change(&name("c"), Some(c.clone()));
+            v.create(&name("c"), &c)?;
+
+            // More than the volume has left in one piece, wherever it looks.
+            let big = content(80 + round, 99 * SECTOR_BYTES);
+            model.change(&name("big"), Some(big.clone()));
+            match v.create(&name("big"), &big) {
+                Err(FsdError::NoSpace) => {
+                    model.states.remove(&name("big"));
+                }
+                other => drop(other?),
+            }
+            v.shutdown()?;
+            model.committed();
+            Ok(())
+        })
+    }
+
+    fn check(&self, (disk, model): (SimDisk, Model), _: &(), point: &Point) {
+        let ctx = &point.to_string();
+        if point.k.is_none() {
+            let w = point.w;
+            assert!(w > 150, "recovery, five creates and a shutdown: {w}");
+            assert!(
+                model.states.contains_key("r0/big"),
+                "the last create fits the first time round"
+            );
+        }
+        let mut v = support::boot(disk, config(point.policy), ctx);
+        let reference = oracles(&mut v, config(point.policy), &model, ctx);
+        let layout = *v.layout();
+        for (name, entry) in v.list("").unwrap_or_else(|e| panic!("{ctx}: {e}")) {
+            if entry.leader_addr != 0 {
+                assert_eq!(name.version, 1, "{ctx}: {name}");
+            }
+        }
+
+        // The map itself, bit for bit, as a clean shutdown saves it.
+        v.shutdown().unwrap_or_else(|e| panic!("{ctx}: {e}"));
+        let disk = v.into_disk();
+        let saved: Vec<u8> = (0..layout.vam_sectors)
+            .flat_map(|i| disk.peek_data(layout.vam_a + i).expect("saved").to_vec())
+            .collect();
+        let saved = Vam::from_bytes(&saved).unwrap_or_else(|e| panic!("{ctx}: {e}"));
+        assert!(saved == reference, "{ctx}: the rebuilt map differs");
+    }
 }
 
 #[test]
 fn every_crash_of_a_restart_that_allocates_frees_and_walks_recovers() {
-    for policy in POLICIES {
-        let crashed = crashed(policy);
-        let fixture = fixture_model(&crashed, policy);
-
-        let before = crashed.stats().sectors_written;
-        let mut model = fixture.clone();
-        let done = script(crashed.clone(), policy, None, 0, &mut model);
-        let w = done.stats().sectors_written - before;
-        assert!(w > 150, "recovery, five creates and a shutdown: {w}");
-        assert!(
-            model.states.contains_key("r0/big"),
-            "the last create fits the first time round"
-        );
-        check(done, policy, &model, "uninterrupted");
-
-        for k in 0..=w {
-            for damaged_tail in 0..=2u8 {
-                let plan = |after_sector_writes| CrashPlan {
-                    after_sector_writes,
-                    damaged_tail,
-                };
-                let ctx = format!("{policy:?} k={k} tail={damaged_tail}");
-                let mut model = fixture.clone();
-                let disk = script(crashed.clone(), policy, Some(plan(k)), 0, &mut model);
-                if k % 5 == u64::from(damaged_tail) {
-                    // Crash the restart of the crashed restart as well.
-                    for k2 in [0, w / 2] {
-                        let mut model = model.clone();
-                        let again = script(disk.clone(), policy, Some(plan(k2)), 1, &mut model);
-                        check(again, policy, &model, &format!("{ctx} k'={k2}"));
-                    }
-                }
-                check(disk, policy, &model, &ctx);
-            }
-        }
-    }
+    Sweep::default().run(&Reserve).finish();
 }
 
 /// Reading is free: a crashed volume booted, read and dropped any number

@@ -12,15 +12,11 @@
 //! torn tail record. The reference is that disk booted with everything
 //! settled at once.
 //!
-//! The script `boot → read three files → list → create → force` is
-//! replayed once to count its sector writes `W`. Then, for every write
-//! index `0..=W` × every torn-tail shape × both policies: run the script
-//! with the crash armed, take the disk back wherever it fires (inside
-//! boot or inside an operation), power-cycle, boot again and — before
-//! anything settles — compare the listing and every committed file's
-//! bytes with the reference; then settle and compare the free space, and
-//! check the tree. For a sample of indices the second restart is crashed
-//! as well (a crash during the recovery of a crash during recovery).
+//! The script `boot → read three files → list → create → force` runs
+//! over the crash-sweep harness (`support`), restarts included. After
+//! each point the disk is booted again and — before anything settles —
+//! its listing and bytes are compared with the reference; then it is
+//! settled, its free space compared, and the shared oracles run.
 //!
 //! Where the writes sit was not this test's business when it was
 //! written — it drives the public surface only, and was green while
@@ -28,42 +24,19 @@
 //! into the first create it also holds boot to that: on media no crash
 //! has damaged, power-on, boot and any amount of reading write nothing.
 
-use cedar_disk::{CpuModel, CrashPlan, IoPolicy, SimDisk, SECTOR_BYTES};
-use cedar_fsd::{FileEntry, FsdConfig, FsdVolume, LeaderPage};
+mod support;
+
+use cedar_disk::{IoPolicy, SimDisk, SECTOR_BYTES};
+use cedar_fsd::{FsdVolume, LeaderPage};
 use cedar_vol::FileName;
 use std::collections::BTreeMap;
+use support::{base, claimed, config, content, oracles, tear_last_force, Listing, Model};
+use support::{Point, Script, Sweep};
 
-const POLICIES: [IoPolicy; 2] = [IoPolicy::InOrder, IoPolicy::Satf];
 const NEW: &str = "restart/new";
 /// Read by the script: the extended file, the truncated one, and the one
 /// whose data lies over a deleted file's leader.
 const PROBES: [&str; 3] = ["base/f31", "base/f32", "reuse/big"];
-
-fn config(policy: IoPolicy) -> FsdConfig {
-    FsdConfig {
-        nt_pages: 24,
-        log_sectors: 183,
-        cpu: CpuModel::DORADO,
-        io_policy: policy,
-        ..FsdConfig::default()
-    }
-}
-
-fn content(tag: usize, len: usize) -> Vec<u8> {
-    (0..len).map(|b| (b * 7 + tag * 13) as u8 | 1).collect()
-}
-
-fn base(i: usize) -> String {
-    format!("base/f{i:02}")
-}
-
-type Listing = Vec<(FileName, FileEntry)>;
-
-/// Sectors a listing claims: each file's leader and its pages.
-fn claimed(listing: &Listing) -> u32 {
-    let sectors = |e: &FileEntry| u32::from(e.leader_addr != 0) + e.run_table.pages();
-    listing.iter().map(|(_, e)| sectors(e)).sum()
-}
 
 /// The crashed volume of the module docs.
 fn crashed(policy: IoPolicy) -> SimDisk {
@@ -136,17 +109,8 @@ fn crashed(policy: IoPolicy) -> SimDisk {
         force(&mut v);
     }
     assert!(laps >= 1, "the log must have lapped its region");
-    v.create("lost/a", &content(92, 700)).unwrap();
-    v.delete(&base(16), None).unwrap();
-    v.disk_mut().schedule_crash(CrashPlan {
-        after_sector_writes: 4,
-        damaged_tail: 1,
-    });
-    let torn = v.force().expect_err("the crash lands inside the force");
-    assert!(torn.is_crash(), "{torn}");
+    let disk = tear_last_force(v, 92);
     let records = log_start + 3..log_start + log_sectors;
-    let mut disk = v.into_disk();
-    disk.reboot();
     // The one damaged sector of the volume is the record's: nothing a
     // later boot or read will find and scrub.
     let damaged = (0..disk.geometry().total_sectors()).filter(|&s| disk.peek_damaged(s));
@@ -195,132 +159,101 @@ fn contents(v: &mut FsdVolume, listing: &Listing, ctx: &str) -> BTreeMap<FileNam
     bytes
 }
 
-fn reference(disk: &SimDisk, policy: IoPolicy) -> Reference {
-    let (mut v, report) = FsdVolume::boot(disk.clone(), config(policy)).unwrap();
-    assert!(report.records_replayed > 0 && report.images_redone > 0);
-    v.settle_vam().unwrap().expect("a crash boot owes the walk");
-    let listing = v.list("").unwrap();
-    assert!(listing.iter().all(|(n, _)| !n.name.starts_with("lost/")));
-    assert!(listing.iter().any(|(n, _)| n.name == base(16)));
-    let bytes = contents(&mut v, &listing, "reference");
-    let pages = 2 * SECTOR_BYTES;
-    assert!(bytes[&FileName::new(PROBES[0], 1).unwrap()].ends_with(&content(90, pages)));
-    v.verify().unwrap();
-    Reference {
-        data_sectors: v.free_sectors() + claimed(&listing),
-        listing,
-        bytes,
-    }
-}
+struct Restart;
 
-/// `boot → read three files → list → create → force` with `plan` armed,
-/// then the plug pulled wherever the script got to. Returns the disk and
-/// whether the force was acknowledged.
-fn script(mut disk: SimDisk, policy: IoPolicy, plan: Option<CrashPlan>) -> (SimDisk, bool) {
-    if let Some(plan) = plan {
-        disk.schedule_crash(plan);
-    }
-    let (mut disk, acked) = match FsdVolume::try_boot(disk, config(policy)) {
-        Err((e, disk)) => {
-            assert!(e.is_crash(), "boot: {e}");
-            (disk, false)
+impl Script for Restart {
+    type Memory = Model;
+    type Want = Reference;
+    const RESTARTS: bool = true;
+
+    /// The crashed volume, the reference, and the model the shared
+    /// oracles hold every point against: the reference's files, and the
+    /// deletes the fixture committed.
+    fn fixture(&self, policy: IoPolicy) -> (SimDisk, Model, Reference) {
+        let crashed = crashed(policy);
+        let (mut v, report) = FsdVolume::boot(crashed.clone(), config(policy)).unwrap();
+        assert!(report.records_replayed > 0 && report.images_redone > 0);
+        v.settle_vam().unwrap().expect("a crash boot owes the walk");
+        let listing = v.list("").unwrap();
+        assert!(listing.iter().all(|(n, _)| !n.name.starts_with("lost/")));
+        assert!(listing.iter().any(|(n, _)| n.name == base(16)));
+        let bytes = contents(&mut v, &listing, "reference");
+        let pages = 2 * SECTOR_BYTES;
+        assert!(bytes[&FileName::new(PROBES[0], 1).unwrap()].ends_with(&content(90, pages)));
+        v.verify().unwrap();
+        let mut model = Model::of(&mut v);
+        for i in (0..30).step_by(5).chain([12, 13]) {
+            model.change(&base(i), None);
         }
-        Ok((mut v, _)) => {
-            let ran = (|| {
-                for name in PROBES {
-                    let mut f = v.open(name, None)?;
-                    v.read_file(&mut f)?;
-                }
-                v.list("")?;
-                v.create(NEW, &content(93, 1200))?;
-                v.force()
-            })();
-            if let Err(e) = &ran {
-                assert!(e.is_crash(), "script: {e}");
+        model.committed();
+        let data_sectors = v.free_sectors() + claimed(&listing);
+        let want = Reference {
+            listing,
+            bytes,
+            data_sectors,
+        };
+        (crashed, model, want)
+    }
+
+    /// `boot → read three files → list → create → force`.
+    fn session(&self, state: (SimDisk, Model), policy: IoPolicy, _: usize) -> (SimDisk, Model) {
+        support::session(state, config(policy), |v, _, model| {
+            for name in PROBES {
+                let mut f = v.open(name, None)?;
+                v.read_file(&mut f)?;
             }
-            (v.into_disk(), ran.is_ok())
-        }
-    };
-    disk.crash_now();
-    disk.reboot();
-    (disk, acked)
-}
-
-/// Boots `disk` and holds it against the reference: first while nothing
-/// has settled, then settled. `undamaged`: no crash so far left a
-/// damaged sector for a read to scrub.
-fn assert_recovers(
-    disk: SimDisk,
-    policy: IoPolicy,
-    (acked, undamaged): (u32, bool),
-    want: &Reference,
-    ctx: &str,
-) {
-    let power_on = disk.stats().sectors_written;
-    let (mut v, _) = FsdVolume::boot(disk, config(policy)).unwrap_or_else(|e| panic!("{ctx}: {e}"));
-    let listing = v.list("").unwrap_or_else(|e| panic!("{ctx}: {e}"));
-    let new_versions = listing.iter().filter(|(n, _)| n.name == NEW).count() as u32;
-    assert!(
-        new_versions >= acked,
-        "{ctx}: an acknowledged create is gone"
-    );
-    assert_eq!(without_new(listing.clone()), want.listing, "{ctx}: listing");
-    let mut bytes = contents(&mut v, &listing, ctx);
-    bytes.retain(|n, data| {
-        assert!(n.name != NEW || *data == content(93, 1200), "{ctx}: {n}");
-        n.name != NEW
-    });
-    assert_eq!(bytes, want.bytes, "{ctx}: contents");
-    if undamaged {
-        let written = v.disk_stats().sectors_written - power_on;
-        assert_eq!(written, 0, "{ctx}: boot and reads wrote");
+            v.list("")?;
+            model.change(NEW, Some(content(93, 1200)));
+            v.create(NEW, &content(93, 1200))?;
+            v.force()?;
+            model.committed();
+            Ok(())
+        })
     }
 
-    v.settle_vam().unwrap_or_else(|e| panic!("{ctx}: {e}"));
-    assert_eq!(
-        v.free_sectors() + claimed(&listing),
-        want.data_sectors,
-        "{ctx}: free map"
-    );
-    v.verify().unwrap_or_else(|e| panic!("{ctx}: {e}"));
-    // And it is a working volume.
-    v.create("restart/after", b"recovered").unwrap();
-    v.force().unwrap();
+    /// Boots the disk and holds it against the reference: first while
+    /// nothing has settled, then settled. Undamaged: no crash so far left
+    /// a damaged sector for a read to scrub.
+    fn check(&self, (disk, model): (SimDisk, Model), want: &Reference, point: &Point) {
+        let (acked, undamaged) = (point.acked, point.tail == 0);
+        let (ctx, policy) = (&point.to_string(), point.policy);
+        if point.k.is_none() {
+            let w = point.w;
+            assert!(w > 40, "the script writes recovery plus a create: {w}");
+        }
+        let power_on = disk.stats().sectors_written;
+        let mut v = support::boot(disk, config(policy), ctx);
+        let listing = v.list("").unwrap_or_else(|e| panic!("{ctx}: {e}"));
+        let new_versions = listing.iter().filter(|(n, _)| n.name == NEW).count() as u32;
+        assert!(
+            new_versions >= acked,
+            "{ctx}: an acknowledged create is gone"
+        );
+        assert_eq!(without_new(listing.clone()), want.listing, "{ctx}: listing");
+        let mut bytes = contents(&mut v, &listing, ctx);
+        bytes.retain(|n, data| {
+            assert!(n.name != NEW || *data == content(93, 1200), "{ctx}: {n}");
+            n.name != NEW
+        });
+        assert_eq!(bytes, want.bytes, "{ctx}: contents");
+        if undamaged {
+            let written = v.disk_stats().sectors_written - power_on;
+            assert_eq!(written, 0, "{ctx}: boot and reads wrote");
+        }
+
+        oracles(&mut v, config(policy), &model, ctx);
+        assert_eq!(
+            v.free_sectors() + claimed(&listing),
+            want.data_sectors,
+            "{ctx}: free map"
+        );
+        // And it is a working volume.
+        v.create("restart/after", b"recovered").unwrap();
+        v.force().unwrap();
+    }
 }
 
 #[test]
 fn every_crash_between_power_on_and_the_first_durable_write_recovers() {
-    for policy in POLICIES {
-        let crashed = crashed(policy);
-        let want = reference(&crashed, policy);
-        let before = crashed.stats().sectors_written;
-        let (done, acked) = script(crashed.clone(), policy, None);
-        assert!(acked);
-        let w = done.stats().sectors_written - before;
-        assert!(w > 40, "the script writes recovery plus a create: {w}");
-        assert_recovers(done, policy, (1, true), &want, "uninterrupted");
-
-        for k in 0..=w {
-            for damaged_tail in 0..=2u8 {
-                let plan = |after_sector_writes| CrashPlan {
-                    after_sector_writes,
-                    damaged_tail,
-                };
-                let ctx = format!("{policy:?} k={k} tail={damaged_tail}");
-                let (disk, acked) = script(crashed.clone(), policy, Some(plan(k)));
-                assert_eq!(acked, k == w, "{ctx}: the crash fires inside the script");
-                if k % 5 == u64::from(damaged_tail) {
-                    // Crash the restart of the crashed restart as well.
-                    for k2 in [0, w / 2] {
-                        let (again, acked2) = script(disk.clone(), policy, Some(plan(k2)));
-                        let acked = u32::from(acked) + u32::from(acked2);
-                        let ctx = format!("{ctx} k'={k2}");
-                        assert_recovers(again, policy, (acked, damaged_tail == 0), &want, &ctx);
-                    }
-                }
-                let acked = (u32::from(acked), damaged_tail == 0);
-                assert_recovers(disk, policy, acked, &want, &ctx);
-            }
-        }
-    }
+    Sweep::default().run(&Restart).finish();
 }

@@ -18,10 +18,15 @@
 //! is that most real concurrency bugs manifest within two preemptions —
 //! and a schedule cap as a backstop.
 //!
+//! Time is part of the model ([`time`]): its clock stands still while
+//! any thread can run, and a timed condvar wait times out only when
+//! every live thread is blocked, so code that times itself by
+//! [`time::now`] takes the same path in every replay of a schedule.
+//!
 //! A schedule **fails** if any thread panics (assertion failures
 //! propagate out of [`model`]) or if the scheduler finds every live
-//! thread blocked (deadlock — reported with a panic rather than a
-//! hang).
+//! thread blocked with no timed wait to time out (deadlock — reported
+//! with a panic rather than a hang).
 //!
 //! # What it does not check
 //!
@@ -43,6 +48,7 @@
 mod sched;
 pub mod sync;
 pub mod thread;
+pub mod time;
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;

@@ -14,6 +14,7 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar as StdCondvar, Mutex as StdMutex, MutexGuard as StdMutexGuard};
+use std::time::{Duration, Instant};
 
 /// Resource ids are global (never reused), so an object accidentally
 /// kept alive across executions cannot alias a fresh one.
@@ -45,6 +46,8 @@ enum Status {
     BlockedRead(usize),
     BlockedWrite(usize),
     BlockedCv(usize),
+    /// In a condvar wait that may also time out (see [`Sched::pick_next`]).
+    BlockedCvTimed(usize),
     BlockedJoin(usize),
     Done,
 }
@@ -59,6 +62,13 @@ struct State {
     threads: Vec<Status>,
     panicked: Vec<bool>,
     joined: Vec<bool>,
+    /// Set when a thread's timed wait ended by timeout.
+    timed_out: Vec<bool>,
+    /// When each thread's timed wait times out, in model time.
+    deadlines: Vec<Duration>,
+    /// Model time since the execution began: it stands still while any
+    /// thread is Ready and jumps to a deadline when a timed wait fires.
+    clock: Duration,
     active: usize,
     /// Replay prefix: decision k takes candidate `prefix[k]` (clamped).
     prefix: Vec<usize>,
@@ -76,6 +86,8 @@ struct State {
 pub(crate) struct Sched {
     state: StdMutex<State>,
     cv: StdCondvar,
+    /// The instant model time counts from.
+    base: Instant,
 }
 
 impl Sched {
@@ -85,6 +97,9 @@ impl Sched {
                 threads: Vec::new(),
                 panicked: Vec::new(),
                 joined: Vec::new(),
+                timed_out: Vec::new(),
+                deadlines: Vec::new(),
+                clock: Duration::ZERO,
                 active: 0,
                 prefix,
                 trace: Vec::new(),
@@ -96,7 +111,13 @@ impl Sched {
                 cvs: BTreeMap::new(),
             }),
             cv: StdCondvar::new(),
+            base: Instant::now(),
         }
+    }
+
+    /// The model clock as an [`Instant`].
+    pub(crate) fn now(&self) -> Instant {
+        self.base + self.slock().clock
     }
 
     /// The internal lock, recovered from poison (a model thread that
@@ -121,21 +142,33 @@ impl Sched {
         st.threads.push(Status::Ready);
         st.panicked.push(false);
         st.joined.push(false);
+        st.timed_out.push(false);
+        st.deadlines.push(Duration::ZERO);
         st.threads.len() - 1
     }
 
     /// Picks the next active thread among the Ready ones. `me_ready`
     /// says the caller could itself continue (choosing someone else is
-    /// then a preemption, subject to the bound). With no candidate and
-    /// live threads remaining, flags a deadlock.
+    /// then a preemption, subject to the bound). Model time passes only
+    /// when nothing is Ready: then the candidates are the timed waiters
+    /// with the earliest deadline, the clock moves to it, and the chosen
+    /// one's wait times out. With no candidate and live threads
+    /// remaining, flags a deadlock.
     fn pick_next(&self, st: &mut State, me: usize, me_ready: bool) {
-        let mut candidates: Vec<usize> = st
-            .threads
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| **s == Status::Ready)
-            .map(|(i, _)| i)
-            .collect();
+        let with = |st: &State, status: fn(&Status) -> bool| -> Vec<usize> {
+            (0..st.threads.len())
+                .filter(|&i| status(&st.threads[i]))
+                .collect()
+        };
+        let mut candidates = with(st, |s| *s == Status::Ready);
+        let timing_out = candidates.is_empty();
+        if timing_out {
+            candidates = with(st, |s| matches!(s, Status::BlockedCvTimed(_)));
+            if let Some(first) = candidates.iter().map(|&t| st.deadlines[t]).min() {
+                candidates.retain(|&t| st.deadlines[t] == first);
+                st.clock = st.clock.max(first);
+            }
+        }
         if me_ready && st.preemptions >= st.bound && candidates.contains(&me) {
             candidates = vec![me];
         }
@@ -154,6 +187,13 @@ impl Sched {
         };
         st.trace.push((choice, candidates.len()));
         let chosen = candidates[choice];
+        if let (true, Status::BlockedCvTimed(cvid)) = (timing_out, st.threads[chosen].clone()) {
+            if let Some(queue) = st.cvs.get_mut(&cvid) {
+                queue.retain(|&t| t != chosen);
+            }
+            st.threads[chosen] = Status::Ready;
+            st.timed_out[chosen] = true;
+        }
         if me_ready && chosen != me {
             st.preemptions += 1;
         }
@@ -304,9 +344,16 @@ impl Sched {
     }
 
     /// Atomically releases mutex `lid` and joins condvar `cvid`'s wait
-    /// queue; returns once notified *and* scheduled. The caller
+    /// queue; returns once notified (or timed out, after `timeout` of
+    /// model time) *and* scheduled, true if it timed out. The caller
     /// re-acquires the mutex itself (a fresh decision point).
-    pub(crate) fn cv_wait(&self, me: usize, cvid: usize, lid: usize) {
+    pub(crate) fn cv_wait(
+        &self,
+        me: usize,
+        cvid: usize,
+        lid: usize,
+        timeout: Option<Duration>,
+    ) -> bool {
         let mut st = self.slock();
         st.mutexes.insert(lid, None);
         for s in st.threads.iter_mut() {
@@ -315,10 +362,17 @@ impl Sched {
             }
         }
         st.cvs.entry(cvid).or_default().push(me);
-        st.threads[me] = Status::BlockedCv(cvid);
+        st.threads[me] = match timeout {
+            Some(dur) => {
+                st.deadlines[me] = st.clock.saturating_add(dur);
+                Status::BlockedCvTimed(cvid)
+            }
+            None => Status::BlockedCv(cvid),
+        };
+        st.timed_out[me] = false;
         self.pick_next(&mut st, me, false);
         let st = self.wait_turn(st, me);
-        drop(st);
+        st.timed_out[me]
     }
 
     /// Wakes one (FIFO) or all waiters of condvar `cvid`.

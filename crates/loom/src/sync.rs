@@ -17,6 +17,7 @@ use std::sync::OnceLock;
 use std::sync::RwLockWriteGuard as StdWriteGuard;
 use std::sync::{Condvar as StdCondvar, Mutex as StdMutex, MutexGuard as StdMutexGuard};
 use std::sync::{RwLock as StdRwLock, RwLockReadGuard as StdReadGuard};
+use std::time::Duration;
 
 pub use std::sync::{Arc, LockResult, PoisonError};
 
@@ -168,13 +169,48 @@ impl Condvar {
             guard.defused = true;
             drop(guard.inner.take()); // free the real mutex
             drop(guard);
-            s.cv_wait(me, self.id(), lock.id());
+            s.cv_wait(me, self.id(), lock.id(), None);
             lock.lock()
         } else {
             guard.defused = true;
             let std_guard = guard.inner.take().expect("defused guard in wait");
             drop(guard);
             wrap_guard(lock, self.inner.wait(std_guard))
+        }
+    }
+
+    /// [`Condvar::wait`] that also returns once `dur` has passed. Under a
+    /// model, `dur` is model time (see [`crate::time::now`]), which
+    /// stands still while any thread can run: the timeout fires only
+    /// when every other live thread is blocked and no other timed wait
+    /// is due sooner, and then the clock moves to its deadline.
+    pub fn wait_timeout<'a, T>(
+        &self,
+        mut guard: MutexGuard<'a, T>,
+        dur: Duration,
+    ) -> LockResult<(MutexGuard<'a, T>, WaitTimeoutResult)> {
+        let lock = guard.lock;
+        guard.defused = true;
+        let (relocked, timed_out) = if let Some((s, me)) = sched::current() {
+            drop(guard.inner.take()); // free the real mutex
+            drop(guard);
+            let timed_out = s.cv_wait(me, self.id(), lock.id(), Some(dur));
+            (lock.lock(), timed_out)
+        } else {
+            let std_guard = guard.inner.take().expect("defused guard in wait_timeout");
+            drop(guard);
+            match self.inner.wait_timeout(std_guard, dur) {
+                Ok((g, t)) => (wrap_guard(lock, Ok(g)), t.timed_out()),
+                Err(p) => {
+                    let (g, t) = p.into_inner();
+                    (wrap_guard(lock, Err(PoisonError::new(g))), t.timed_out())
+                }
+            }
+        };
+        let result = WaitTimeoutResult(timed_out);
+        match relocked {
+            Ok(g) => Ok((g, result)),
+            Err(p) => Err(PoisonError::new((p.into_inner(), result))),
         }
     }
 
@@ -200,6 +236,18 @@ impl Condvar {
 impl fmt::Debug for Condvar {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Condvar").finish_non_exhaustive()
+    }
+}
+
+/// Whether a [`Condvar::wait_timeout`] returned because its time ran
+/// out (std's type has no public constructor).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct WaitTimeoutResult(bool);
+
+impl WaitTimeoutResult {
+    /// True if the wait ended by timeout rather than a notify.
+    pub fn timed_out(&self) -> bool {
+        self.0
     }
 }
 

@@ -5,6 +5,7 @@
 use loom::sync::atomic::{AtomicU64, Ordering};
 use loom::sync::{Arc, Condvar, Mutex};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::time::Duration;
 
 #[test]
 fn finds_lost_update_in_racy_increment() {
@@ -106,6 +107,43 @@ fn condvar_handoff_completes_in_every_schedule() {
         drop(g);
         h.join().unwrap();
     });
+}
+
+#[test]
+fn a_timed_wait_times_out_only_when_nothing_else_can_run() {
+    // Model time stands still while any thread can run: a timed wait
+    // whose notifier can still run is woken by it, and one that nobody
+    // notifies times out with the clock moved by exactly its timeout.
+    const HOUR: Duration = Duration::from_secs(3600);
+    let timeouts = Arc::new(std::sync::Mutex::new(0));
+    let seen = Arc::clone(&timeouts);
+    loom::model(move || {
+        let began = loom::time::now();
+        let pair = Arc::new((Mutex::new(false), Condvar::new()));
+        let p2 = Arc::clone(&pair);
+        let h = loom::thread::spawn(move || {
+            let (m, cv) = &*p2;
+            *m.lock().unwrap() = true;
+            cv.notify_all();
+        });
+        let (m, cv) = &*pair;
+        let mut g = m.lock().unwrap();
+        while !*g {
+            let (next, t) = cv.wait_timeout(g, HOUR).unwrap();
+            assert!(!t.timed_out(), "the notifier was runnable");
+            g = next;
+        }
+        drop(g);
+        h.join().unwrap();
+        assert_eq!(loom::time::now(), began);
+
+        let lone = Mutex::new(());
+        let (_g, t) = cv.wait_timeout(lone.lock().unwrap(), HOUR).unwrap();
+        assert!(t.timed_out());
+        assert_eq!(loom::time::now() - began, HOUR);
+        *seen.lock().unwrap() += 1;
+    });
+    assert!(*timeouts.lock().unwrap() > 1, "more than one schedule ran");
 }
 
 #[test]

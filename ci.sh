@@ -27,7 +27,8 @@ cargo test --release -q -p cedar-fsd --test append_sweep --test restart_sweep \
 cargo test --release -q -p cedar-fsd --test deferred_vam \
     a_crash_while_owed_or_inside_the_first_create_owes_the_same_walk
 # Model-checked epoch hand-off: the engine built against the in-tree
-# loom shims, every interleaving within the preemption bound explored.
+# loom shims, every interleaving within the preemption bound explored,
+# its commit windows on model time (read misses served off that clock).
 cargo test --release -p cedar-fsd --features loom --test loom_engine
 # Model-checked log-writer -> shipper hand-off: a replication ack never
 # precedes the mode's durability point, in every explored schedule.

@@ -12,9 +12,13 @@
 //!
 //! `Arc`, `Instant`, and `Duration` intentionally stay `std` in both
 //! configurations: the shutdown path's `Arc::try_unwrap` needs the real
-//! type, and the pacer is disabled (`pace_scale: None`) in model tests
-//! so wall-clock time never becomes a scheduling concern (the
-//! commit-window wait is `thread::sleep`: a scheduling point there).
+//! type. The commit window's clock is read through [`now`], which under
+//! `loom` is model time: it stands still while any model thread can run,
+//! so a window opens only when every other thread is blocked and the
+//! log-writer's timed wait times out — the same path in every replay of
+//! a schedule. The pacer is disabled (`pace_scale: None`) in model
+//! tests, so its host clock and sleeps never become a scheduling
+//! concern.
 
 #[cfg(feature = "loom")]
 pub use loom::sync::atomic;
@@ -22,6 +26,8 @@ pub use loom::sync::atomic;
 pub use loom::sync::{Condvar, Mutex, MutexGuard, RwLock};
 #[cfg(feature = "loom")]
 pub use loom::thread;
+#[cfg(feature = "loom")]
+pub use loom::time::now;
 
 #[cfg(not(feature = "loom"))]
 pub use std::sync::atomic;
@@ -29,3 +35,8 @@ pub use std::sync::atomic;
 pub use std::sync::{Condvar, Mutex, MutexGuard, RwLock};
 #[cfg(not(feature = "loom"))]
 pub use std::thread;
+/// The clock commit windows are timed by.
+#[cfg(not(feature = "loom"))]
+pub fn now() -> std::time::Instant {
+    std::time::Instant::now()
+}

@@ -22,6 +22,12 @@
 //! * **poison on crash**: a disk power-fail during a force poisons the
 //!   engine (later submissions fail fast) in every schedule, and
 //!   shutdown still returns the volume.
+//! * **reads off the commit clock**: a read miss is served while a
+//!   commit waits for its window, and the commit still lands.
+//!
+//! The engine reads its commit windows off model time, which stands
+//! still while any thread can run: a window opens only when every other
+//! thread is blocked and the log-writer's timed wait times out.
 //!
 //! The schedule caps below bound CI time; the model prints a note when
 //! a cap truncates exploration rather than silently passing.
@@ -154,5 +160,34 @@ fn crash_during_force_poisons_in_every_schedule() {
         // The writer reports the error rather than dying: shutdown
         // still hands the volume back.
         assert!(FsdEngine::shutdown_arc(e).is_ok());
+    });
+}
+
+#[test]
+fn a_read_miss_is_served_while_a_commit_waits_for_its_window() {
+    loom::Model {
+        preemption_bound: 2,
+        max_schedules: 300,
+    }
+    .check(|| {
+        let mut vol = small_vol();
+        FsBackend::create(&mut vol, "old", b"cold").unwrap();
+        vol.force().unwrap();
+        let e = Arc::new(FsdEngine::start(vol, EngineConfig::default()).unwrap());
+        // The first window is open from the start; this sync takes it.
+        e.sync().unwrap();
+        let e2 = Arc::clone(&e);
+        let client = loom::thread::spawn(move || {
+            e2.create("new", b"hot").unwrap();
+        });
+        // Whether the create is queued yet or not, the miss is served
+        // at once: its window cannot open while this thread runs.
+        assert_eq!(e.read("old").unwrap(), b"cold");
+        assert_eq!(e.engine_stats().epochs, 1);
+        // The create commits when its window opens, and is published.
+        client.join().unwrap();
+        assert_eq!(e.read("new").unwrap(), b"hot");
+        let mut vol = FsdEngine::shutdown_arc(e).unwrap();
+        assert_eq!(FsBackend::read(&mut vol, "new").unwrap(), b"hot");
     });
 }

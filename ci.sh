@@ -7,6 +7,10 @@ cargo test -q --workspace
 cargo clippy --workspace -- -D warnings
 cargo fmt --check
 cargo run --release -p cedar-analyze --bin cedar-lint -- --workspace
+# The lint's verdicts on twelve frozen trees of this repository's history
+# (every finding of every rule, as a checksum of the JSON) must not move.
+sh crates/analyze/replay.sh > crates/analyze/replay.txt
+git diff --exit-code crates/analyze/replay.txt
 # Corrupted-image fuzz: random byte flips and label smashes over a live
 # image must end in repair or a typed error — serial and 8-way
 # parallel scavenge alike, never a panic.

@@ -127,18 +127,22 @@ enum Edit {
 }
 
 /// A seeded defect: the edit, the rule that must see it, and the exact
-/// `(item, snippet)` findings it must add under that rule in that file.
+/// `(rule, item, snippet)` findings it must add in that file under the
+/// rule's family.
 struct Seed {
     row: u32,
     rule: &'static str,
     file: &'static str,
     edit: Edit,
-    expect: &'static [(&'static str, &'static str)],
+    expect: &'static [(&'static str, &'static str, &'static str)],
 }
 
 const VOLUME: &str = "crates/fsd/src/volume.rs";
 const ENGINE: &str = "crates/fsd/src/engine.rs";
 const MAYBE_FORCE: &str = "fn maybe_force(&mut self) -> Result<()> {";
+const RECOVERY: &str = "crates/fsd/src/recovery.rs";
+const SCAN_PHASE: &str = "fn scan_phase(";
+const READ_META: &str = "let meta = Log::read_meta(disk, policy, &mut spare, layout.log_start)?;";
 
 /// The mutation table (EXPERIMENTS.md E-LINT). A rule is only
 /// believed once it has a row here: the per-rule fixtures cannot catch a
@@ -152,7 +156,7 @@ const SEEDS: &[Seed] = &[
         edit: Edit::Append(
             "impl FsdVolume { pub fn lint_probe(&mut self) -> Result<()> { self.sync_home_all() } }\n",
         ),
-        expect: &[("lint_probe", "sync_home_all(..) reaches unlogged write")],
+        expect: &[("wal-order", "lint_probe", "sync_home_all(..) reaches unlogged write")],
     },
     Seed {
         row: 2,
@@ -161,14 +165,14 @@ const SEEDS: &[Seed] = &[
         edit: Edit::Append(
             "impl FsdVolume { pub fn lint_probe(&mut self) { self.seal_repl_frame(Vec::new(), 1, 2); } }\n",
         ),
-        expect: &[("lint_probe", "seal_repl_frame(..) unlogged")],
+        expect: &[("repl-order", "lint_probe", "seal_repl_frame(..) unlogged")],
     },
     Seed {
         row: 3,
         rule: "repl-order",
         file: "crates/fsd/src/repl/shipper.rs",
         edit: Edit::Append("fn lint_probe(c: bool) { if c { write_home_batch(1, 2, 3, 4); } }\n"),
-        expect: &[("lint_probe", "write_home_batch(..) in ship layer")],
+        expect: &[("repl-order", "lint_probe", "write_home_batch(..) in ship layer")],
     },
     // The barrier between a log record's body and its end pages (§4).
     Seed {
@@ -180,7 +184,7 @@ const SEEDS: &[Seed] = &[
             anchor: "batch.barrier();",
             with: "",
         },
-        expect: &[("append", "execute(batch) without barrier")],
+        expect: &[("barrier-discipline", "append", "execute(batch) without barrier")],
     },
     Seed {
         row: 5,
@@ -191,7 +195,7 @@ const SEEDS: &[Seed] = &[
             anchor: "batch.barrier();",
             with: "",
         },
-        expect: &[("write_replicas", "execute(batch) without barrier")],
+        expect: &[("barrier-discipline", "write_replicas", "execute(batch) without barrier")],
     },
     Seed {
         row: 6,
@@ -203,7 +207,7 @@ const SEEDS: &[Seed] = &[
             with: "pub(crate) fn sync_home_all(&mut self) -> Result<()> {\n\
                    if self.vam_owed { self.disk.read(7, 1)?; }",
         },
-        expect: &[("sync_home_all", "disk.read()")],
+        expect: &[("batch-io", "sync_home_all", "disk.read()")],
     },
     // One home read outside the leader pass's scheduled window: seen in
     // the pass, and from the settle that calls it.
@@ -218,8 +222,8 @@ const SEEDS: &[Seed] = &[
                    if images.len() == 1 { disk.read(7, 1)?; }",
         },
         expect: &[
-            ("redo_leaders", "disk.read()"),
-            ("pay_redo", "redo_leaders() raw io"),
+            ("batch-io", "redo_leaders", "disk.read()"),
+            ("batch-io", "pay_redo", "redo_leaders() raw io"),
         ],
     },
     // A second, hand-rolled read of one copy of a replicated structure
@@ -235,7 +239,7 @@ const SEEDS: &[Seed] = &[
             with: "let mut spare = SpareMap::with_entries(layout, &boot.spare_map);\n\
                    if boot.boot_count == 0 { disk.read(layout.boot_b, 1)?; }",
         },
-        expect: &[("scan_phase", "disk.read()")],
+        expect: &[("batch-io", "scan_phase", "disk.read()")],
     },
     // The check that fails the scan on a reallocation list that could
     // steer the leader pass (every run inside a data area, its end
@@ -250,7 +254,87 @@ const SEEDS: &[Seed] = &[
             anchor: "match self.reallocated.iter().find(|run| !inside(run)) {",
             with: "match [].iter().find(|run| !inside(run)) {",
         },
-        expect: &[("LogRecord", "reallocated")],
+        expect: &[("decode-coverage", "LogRecord", "reallocated")],
+    },
+    // The taint family on the boot scan: the log meta is decoded from
+    // disk and nothing here has checked it yet.
+    Seed {
+        row: 20,
+        rule: "disk-taint",
+        file: RECOVERY,
+        edit: Edit::Replace {
+            after: SCAN_PHASE,
+            anchor: READ_META,
+            with: "let meta = Log::read_meta(disk, policy, &mut spare, layout.log_start)?;\n\
+                   let _lint_probe = Vec::<u8>::with_capacity(meta.oldest_offset as usize);",
+        },
+        expect: &[("disk-taint", "scan_phase", "with_capacity(arg 0)")],
+    },
+    Seed {
+        row: 21,
+        rule: "taint-arith",
+        file: RECOVERY,
+        edit: Edit::Replace {
+            after: SCAN_PHASE,
+            anchor: READ_META,
+            with: "let meta = Log::read_meta(disk, policy, &mut spare, layout.log_start)?;\n\
+                   let live = meta.oldest_offset;\n\
+                   let _end = live + layout.log_sectors;",
+        },
+        expect: &[("taint-arith", "scan_phase", "live + ..")],
+    },
+    // A name a `for` pattern binds carries its iterator's taint.
+    Seed {
+        row: 22,
+        rule: "disk-taint",
+        file: RECOVERY,
+        edit: Edit::Replace {
+            after: SCAN_PHASE,
+            anchor: READ_META,
+            with: "let meta = Log::read_meta(disk, policy, &mut spare, layout.log_start)?;\n\
+                   for page in 0..meta.oldest_offset { layout.nt_a_sector(page); }",
+        },
+        expect: &[
+            ("disk-taint", "scan_phase", "nt_a_sector(arg 0)"),
+            ("disk-taint", "scan_phase", "nt_a_sector(..) unvalidated"),
+        ],
+    },
+    // ... and one an `if let` pattern binds, its scrutinee's.
+    Seed {
+        row: 23,
+        rule: "disk-taint",
+        file: RECOVERY,
+        edit: Edit::Replace {
+            after: SCAN_PHASE,
+            anchor: READ_META,
+            with: "let meta = Log::read_meta(disk, policy, &mut spare, layout.log_start)?;\n\
+                   if let Some(page) = meta.oldest_offset.checked_sub(1) {\n\
+                   layout.nt_a_sector(page);\n\
+                   }",
+        },
+        expect: &[
+            ("disk-taint", "scan_phase", "nt_a_sector(arg 0)"),
+            ("disk-taint", "scan_phase", "nt_a_sector(..) unvalidated"),
+        ],
+    },
+    // The bounds check on a chunk the log scan's read-ahead gets back,
+    // deleted: its length and damage mask then size two copies and the
+    // offsets beside them.
+    Seed {
+        row: 24,
+        rule: "disk-taint",
+        file: "crates/fsd/src/log.rs",
+        edit: Edit::Replace {
+            after: "let (bytes, dmg) = std::mem::replace(",
+            anchor: "if bytes.len() != dmg.len() * SECTOR_BYTES\n                \
+                     || dmg.len() > self.mask.len().saturating_sub(s as usize)\n            {",
+            with: "if false {",
+        },
+        expect: &[
+            ("disk-taint", "ensure", "copy_from_slice(arg 0)"),
+            ("taint-arith", "ensure", "bytes + .."),
+            ("taint-arith", "ensure", "dmg + .."),
+        ],
     },
     Seed {
         row: 7,
@@ -261,7 +345,7 @@ const SEEDS: &[Seed] = &[
             anchor: "self.force()?;",
             with: "let _ = self.force();",
         },
-        expect: &[("shutdown", "let _ = .force(..)")],
+        expect: &[("error-flow", "shutdown", "let _ = .force(..)")],
     },
     // The same discard one `if` deep, in the commit daemon's stand-in.
     Seed {
@@ -273,7 +357,7 @@ const SEEDS: &[Seed] = &[
             anchor: "self.force()?;",
             with: "let _ = self.force();",
         },
-        expect: &[("maybe_force", "let _ = .force(..)")],
+        expect: &[("error-flow", "maybe_force", "let _ = .force(..)")],
     },
     Seed {
         row: 9,
@@ -284,7 +368,7 @@ const SEEDS: &[Seed] = &[
             anchor: "self.force()?;",
             with: "self.force().ok();",
         },
-        expect: &[("maybe_force", ".force(..).ok()")],
+        expect: &[("error-flow", "maybe_force", ".force(..).ok()")],
     },
     Seed {
         row: 10,
@@ -294,7 +378,7 @@ const SEEDS: &[Seed] = &[
             "fn lint_probe(shared: &EngineShared, vol: &mut FsdVolume) {\n\
              let g = plock(&shared.inbox); if g.stop { let _r = vol.force(); } }\n",
         ),
-        expect: &[("lint_probe", "g held across force()")],
+        expect: &[("lock-graph", "lint_probe", "g held across force()")],
     },
     Seed {
         row: 11,
@@ -306,7 +390,7 @@ const SEEDS: &[Seed] = &[
              fn lint_probe_b(shared: &EngineShared) {\n\
              let a = plock(&shared.inbox); let b = plock(&shared.stats); }\n",
         ),
-        expect: &[("lint_probe_b", "cycle:inbox->stats")],
+        expect: &[("lock-graph", "lint_probe_b", "cycle:inbox->stats")],
     },
     // A *local* closure that shadows the blocking workspace fn of the
     // same name, bound one `if` deep: a call to it is not a call to the
@@ -328,14 +412,14 @@ const SEEDS: &[Seed] = &[
         rule: "thread-roles",
         file: ENGINE,
         edit: Edit::Append("fn lint_probe(shared: &EngineShared) { let raw = &shared.inbox; }\n"),
-        expect: &[("lint_probe", "field inbox unsynchronized")],
+        expect: &[("thread-roles", "lint_probe", "field inbox unsynchronized")],
     },
     Seed {
         row: 14,
         rule: "condvar-discipline",
         file: ENGINE,
         edit: Edit::Append("fn lint_probe(shared: &EngineShared) { shared.wake.notify_all(); }\n"),
-        expect: &[("lint_probe", "wake.notify_all without lock")],
+        expect: &[("condvar-discipline", "lint_probe", "wake.notify_all without lock")],
     },
     Seed {
         row: 15,
@@ -345,7 +429,7 @@ const SEEDS: &[Seed] = &[
             "impl Slot { fn lint_probe(&self) {\n\
              let s = plock(&self.state); let _g = self.cv.wait(s); } }\n",
         ),
-        expect: &[("lint_probe", "cv.wait outside loop")],
+        expect: &[("condvar-discipline", "lint_probe", "cv.wait outside loop")],
     },
     Seed {
         row: 16,
@@ -356,7 +440,7 @@ const SEEDS: &[Seed] = &[
             anchor: "shared.epoch.fetch_add(1, Ordering::AcqRel);",
             with: "shared.epoch.fetch_add(1, Ordering::Relaxed);",
         },
-        expect: &[("publish_epoch", "epoch.fetch_add ordering")],
+        expect: &[("condvar-discipline", "publish_epoch", "epoch.fetch_add ordering")],
     },
 ];
 
@@ -442,9 +526,9 @@ fn seeded_mutations_of_the_real_workspace_are_each_caught_exactly() {
         let want: BTreeSet<Key> = seed
             .expect
             .iter()
-            .map(|(item, snippet)| {
+            .map(|(rule, item, snippet)| {
                 (
-                    seed.rule.to_string(),
+                    rule.to_string(),
                     seed.file.to_string(),
                     item.to_string(),
                     snippet.to_string(),

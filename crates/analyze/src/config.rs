@@ -178,6 +178,13 @@ pub struct Config {
 }
 
 impl Config {
+    /// True when a (file, fns) list such as `batch_io_fns` names `name`
+    /// under the file `rel`.
+    pub fn lists(fns: &[(&str, Vec<&str>)], rel: &str, name: &str) -> bool {
+        fns.iter()
+            .any(|(f, names)| *f == rel && names.contains(&name))
+    }
+
     /// The Cedar workspace's configuration.
     pub fn cedar() -> Self {
         let mut allowed_imports: BTreeMap<&'static str, Vec<&'static str>> = BTreeMap::new();

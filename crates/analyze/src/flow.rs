@@ -46,7 +46,7 @@ pub trait Paths: Sized {
     fn path(&mut self) -> (&mut Self::State, &mut bool);
 
     /// Folds a second live branch end into `into`.
-    fn join(into: &mut Self::State, other: &Self::State);
+    fn join(&self, into: &mut Self::State, other: &Self::State);
 
     /// Runs `f` as a branch from the current state; returns its value and
     /// end state, and restores the walker.
@@ -71,15 +71,14 @@ pub trait Paths: Sized {
     fn merge(&mut self, ends: Vec<BranchEnd<Self::State>>) {
         let any = !ends.is_empty();
         let mut live = ends.into_iter().filter(|(_, d)| !d).map(|(s, _)| s);
-        let (state, diverged) = self.path();
         match live.next() {
             Some(mut joined) => {
                 for s in live {
-                    Self::join(&mut joined, &s);
+                    self.join(&mut joined, &s);
                 }
-                *state = joined;
+                *self.path().0 = joined;
             }
-            None => *diverged |= any,
+            None => *self.path().1 |= any,
         }
     }
 }

@@ -48,17 +48,17 @@ pub fn check(a: &Analysis<'_>) -> Vec<Finding> {
                 && toks[i - 3].is_ident("len")
                 && toks[i - 4].is_punct('.');
             if is_len_call && LEN_NARROW.contains(&tgt) {
-                out.push(Finding {
-                    rule: "cast-safety",
-                    file: f.rel.clone(),
+                out.push(Finding::new(
+                    "cast-safety",
+                    &f.rel,
                     line,
                     item,
-                    snippet: format!("len() as {tgt}"),
-                    message: format!(
+                    format!("len() as {tgt}"),
+                    format!(
                         "`.len() as {tgt}` truncates silently on a large \
                          buffer: use `{tgt}::try_from(...)` and surface the error"
                     ),
-                });
+                ));
                 continue;
             }
 
@@ -71,18 +71,18 @@ pub fn check(a: &Analysis<'_>) -> Vec<Finding> {
                     .find(|(name, _)| prev.text == *name)
                 {
                     if !defs.iter().any(|p| *p == f.rel) {
-                        out.push(Finding {
-                            rule: "cast-safety",
-                            file: f.rel.clone(),
+                        out.push(Finding::new(
+                            "cast-safety",
+                            &f.rel,
                             line,
                             item,
-                            snippet: format!("{name} as {tgt}"),
-                            message: format!(
+                            format!("{name} as {tgt}"),
+                            format!(
                                 "`{name} as {tgt}` at a use site: define a \
                                  width-correct companion constant next to \
                                  `{name}` instead of re-casting it here"
                             ),
-                        });
+                        ));
                         continue;
                     }
                 }
@@ -95,18 +95,18 @@ pub fn check(a: &Analysis<'_>) -> Vec<Finding> {
                 } else {
                     prev.text.clone()
                 };
-                out.push(Finding {
-                    rule: "cast-safety",
-                    file: f.rel.clone(),
+                out.push(Finding::new(
+                    "cast-safety",
+                    &f.rel,
                     line,
                     item,
-                    snippet: format!("{what} as {tgt}"),
-                    message: format!(
+                    format!("{what} as {tgt}"),
+                    format!(
                         "narrowing cast `{what} as {tgt}`: use `{tgt}::from` \
                          (lossless) or `{tgt}::try_from` so truncation cannot \
                          hide in sector/page arithmetic"
                     ),
-                });
+                ));
             }
         }
     }

@@ -34,18 +34,18 @@ pub fn check(a: &Analysis<'_>) -> Vec<Finding> {
                 if kc.defining_files.iter().any(|p| *p == f.rel) {
                     continue;
                 }
-                out.push(Finding {
-                    rule: "const-consistency",
-                    file: f.rel.clone(),
-                    line: t.line,
-                    item: f.enclosing_fn(t.line).to_string(),
-                    snippet: format!("literal {}", t.text),
-                    message: format!(
+                out.push(Finding::new(
+                    "const-consistency",
+                    &f.rel,
+                    t.line,
+                    f.enclosing_fn(t.line),
+                    format!("literal {}", t.text),
+                    format!(
                         "literal `{}` duplicates `{}`: use the constant so the \
                          layout has a single point of truth",
                         t.text, kc.const_name
                     ),
-                });
+                ));
                 break; // One finding per literal even if values collide.
             }
         }

@@ -45,17 +45,17 @@ pub fn check(a: &Analysis<'_>) -> Vec<Finding> {
                 None
             };
             if let Some(snippet) = snippet {
-                out.push(Finding {
-                    rule: "panic-ratchet",
-                    file: f.rel.clone(),
-                    line: t.line,
-                    item: f.enclosing_fn(t.line).to_string(),
-                    snippet: snippet.to_string(),
-                    message: format!(
+                out.push(Finding::new(
+                    "panic-ratchet",
+                    &f.rel,
+                    t.line,
+                    f.enclosing_fn(t.line),
+                    snippet,
+                    format!(
                         "`{snippet}` in non-test library code: return a typed \
                          error instead (recovery code must never abort mid-redo)"
                     ),
-                });
+                ));
             }
         }
     }

@@ -30,17 +30,17 @@ fn check_deny_attr(files: &[SourceFile], config: &Config, out: &mut Vec<Finding>
             continue; // Crate absent from this tree (fixture workspaces).
         };
         if !has_deny_unsafe(f) {
-            out.push(Finding {
-                rule: "unsafe-hygiene",
-                file: f.rel.clone(),
-                line: 1,
-                item: "-".to_string(),
-                snippet: "missing #![deny(unsafe_code)]".to_string(),
-                message: format!(
+            out.push(Finding::new(
+                "unsafe-hygiene",
+                &f.rel,
+                1,
+                "-",
+                "missing #![deny(unsafe_code)]",
+                format!(
                     "crate `{krate}` is unsafe-free but does not say so: add \
                      `#![deny(unsafe_code)]` to {want}"
                 ),
-            });
+            ));
         }
     }
 }
@@ -70,16 +70,15 @@ fn check_safety_comments(files: &[SourceFile], out: &mut Vec<Finding>) {
             if f.has_comment_above(t.line, 3, "SAFETY:") {
                 continue;
             }
-            out.push(Finding {
-                rule: "unsafe-hygiene",
-                file: f.rel.clone(),
-                line: t.line,
-                item: f.enclosing_fn(t.line).to_string(),
-                snippet: "unsafe without SAFETY comment".to_string(),
-                message: "`unsafe` without a `// SAFETY:` comment within three \
-                          lines above: document the invariant that makes it sound"
-                    .to_string(),
-            });
+            out.push(Finding::new(
+                "unsafe-hygiene",
+                &f.rel,
+                t.line,
+                f.enclosing_fn(t.line),
+                "unsafe without SAFETY comment",
+                "`unsafe` without a `// SAFETY:` comment within three \
+                          lines above: document the invariant that makes it sound",
+            ));
         }
     }
 }

@@ -88,11 +88,6 @@ impl SourceFile {
     }
 }
 
-/// Derives the file name (final path component) of `rel`.
-pub fn file_name(rel: &str) -> &str {
-    rel.rsplit('/').next().unwrap_or(rel)
-}
-
 /// Parses a Rust integer literal's value (`512`, `0x200`, `1_024usize`).
 /// Returns `None` for floats or malformed text.
 pub fn int_value(text: &str) -> Option<u128> {

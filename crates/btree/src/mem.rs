@@ -38,11 +38,11 @@ impl PageStore for MemStore {
         self.page_size
     }
 
-    fn read_page(&mut self, id: PageId) -> Result<Vec<u8>, StoreError> {
+    fn with_page<R>(&mut self, id: PageId, f: impl FnOnce(&[u8]) -> R) -> Result<R, StoreError> {
         self.ops.0 += 1;
         self.pages
             .get(&id)
-            .cloned()
+            .map(|page| f(page))
             .ok_or_else(|| StoreError::Io(format!("page {id} not allocated")))
     }
 
@@ -83,7 +83,7 @@ mod tests {
         let mut s = MemStore::new(256);
         let id = s.alloc_page().unwrap();
         s.write_page(id, &vec![7u8; 256]).unwrap();
-        assert_eq!(s.read_page(id).unwrap(), vec![7u8; 256]);
+        assert_eq!(s.with_page(id, <[u8]>::to_vec).unwrap(), vec![7u8; 256]);
     }
 
     #[test]
@@ -106,6 +106,6 @@ mod tests {
     #[test]
     fn read_unallocated_is_error() {
         let mut s = MemStore::new(64);
-        assert!(s.read_page(99).is_err());
+        assert!(s.with_page(99, |_| ()).is_err());
     }
 }

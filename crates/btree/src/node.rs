@@ -16,6 +16,7 @@ pub const MAX_ENTRY_FRACTION: usize = 4;
 const LEAF_TAG: u8 = 1;
 const INTERNAL_TAG: u8 = 2;
 const HEADER: usize = 3;
+const RUNS_OFF: &str = "node entry runs off page";
 
 /// An in-memory B-tree node, decoded from (or about to be encoded to) a
 /// page.
@@ -119,48 +120,149 @@ impl Node {
         out
     }
 
-    /// Decodes a node from a page buffer.
+    /// Decodes a node from a page buffer: the cells a `NodeView` reads in
+    /// place, copied.
     pub fn decode(page: &[u8]) -> Result<Self, String> {
-        if page.len() < HEADER {
-            return Err("page too small for node header".into());
-        }
-        let count = u16::from_le_bytes([page[1], page[2]]) as usize;
-        let mut at = HEADER;
-        let take = |at: &mut usize, n: usize| -> Result<&[u8], String> {
-            if *at + n > page.len() {
-                return Err("node entry runs off page".into());
-            }
-            let s = &page[*at..*at + n];
-            *at += n;
-            Ok(s)
-        };
-        let le16 = |s: &[u8]| u16::from_le_bytes([s[0], s[1]]) as usize;
-        let le32 = |s: &[u8]| u32::from_le_bytes([s[0], s[1], s[2], s[3]]);
-        match page[0] {
-            LEAF_TAG => {
-                let mut entries = Vec::with_capacity(count);
-                for _ in 0..count {
-                    let klen = le16(take(&mut at, 2)?);
-                    let vlen = le16(take(&mut at, 2)?);
-                    let k = take(&mut at, klen)?.to_vec();
-                    let v = take(&mut at, vlen)?.to_vec();
-                    entries.push((k, v));
+        match NodeView::parse(page)? {
+            NodeView::Leaf(Entries(mut cells)) => {
+                let mut out = Vec::with_capacity(cells.left);
+                for _ in 0..cells.left {
+                    let (k, v) = cells.entry().ok_or(RUNS_OFF)?;
+                    out.push((k.to_vec(), v.to_vec()));
                 }
-                Ok(Node::Leaf(entries))
+                Ok(Node::Leaf(out))
             }
-            INTERNAL_TAG => {
-                let mut children = Vec::with_capacity(count + 1);
-                let mut keys = Vec::with_capacity(count);
-                children.push(le32(take(&mut at, 4)?));
-                for _ in 0..count {
-                    let klen = le16(take(&mut at, 2)?);
-                    keys.push(take(&mut at, klen)?.to_vec());
-                    children.push(le32(take(&mut at, 4)?));
+            NodeView::Internal(first, Seps(mut cells)) => {
+                let mut keys = Vec::with_capacity(cells.left);
+                let mut children = Vec::with_capacity(cells.left + 1);
+                children.push(first);
+                for _ in 0..cells.left {
+                    let (k, child) = cells.sep().ok_or(RUNS_OFF)?;
+                    keys.push(k.to_vec());
+                    children.push(child);
                 }
                 Ok(Node::Internal { keys, children })
             }
+        }
+    }
+}
+
+/// A node read in place: the one reader of the page format. Its cells
+/// borrow the page, so a walk that only routes through a node copies
+/// nothing; [`Node::decode`] is the same walk, copied out. A cell that
+/// runs off the page yields an error, and the iteration ends with it.
+#[derive(Debug)]
+pub(crate) enum NodeView<'a> {
+    /// The leaf's `(key, value)` pairs, in order.
+    Leaf(Entries<'a>),
+    /// The leftmost child, then each `(separator, child)` pair in order.
+    Internal(u32, Seps<'a>),
+}
+
+impl<'a> NodeView<'a> {
+    /// Reads a page's header (and an internal node's leftmost child);
+    /// the cells are read as they are iterated.
+    pub(crate) fn parse(page: &'a [u8]) -> Result<Self, String> {
+        if page.len() < HEADER {
+            return Err("page too small for node header".into());
+        }
+        let left = usize::from(u16::from_le_bytes([page[1], page[2]]));
+        let mut cells = Cells {
+            page,
+            at: HEADER,
+            left,
+        };
+        match page[0] {
+            LEAF_TAG => Ok(NodeView::Leaf(Entries(cells))),
+            INTERNAL_TAG => {
+                let first = cells.le32().ok_or(RUNS_OFF)?;
+                Ok(NodeView::Internal(first, Seps(cells)))
+            }
             t => Err(format!("unknown node tag {t}")),
         }
+    }
+}
+
+/// The cells of a page still to be read.
+#[derive(Debug)]
+struct Cells<'a> {
+    page: &'a [u8],
+    at: usize,
+    left: usize,
+}
+
+impl<'a> Cells<'a> {
+    /// The next `n` bytes, or `None` if they run off the page.
+    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
+        let s = self.page.get(self.at..self.at + n)?;
+        self.at += n;
+        Some(s)
+    }
+
+    fn le16(&mut self) -> Option<usize> {
+        let s: [u8; 2] = self.take(2)?.try_into().ok()?;
+        Some(usize::from(u16::from_le_bytes(s)))
+    }
+
+    fn le32(&mut self) -> Option<u32> {
+        Some(u32::from_le_bytes(self.take(4)?.try_into().ok()?))
+    }
+
+    /// A leaf cell: `(klen u16, vlen u16, key, value)`.
+    fn entry(&mut self) -> Option<(&'a [u8], &'a [u8])> {
+        let (klen, vlen) = (self.le16()?, self.le16()?);
+        Some((self.take(klen)?, self.take(vlen)?))
+    }
+
+    /// An internal cell: `(klen u16, separator, child u32)`.
+    fn sep(&mut self) -> Option<(&'a [u8], u32)> {
+        let klen = self.le16()?;
+        Some((self.take(klen)?, self.le32()?))
+    }
+
+    /// Reads the next cell with `read`; after one that runs off the
+    /// page, none.
+    fn next_cell<T>(
+        &mut self,
+        read: impl FnOnce(&mut Self) -> Option<T>,
+    ) -> Option<Result<T, String>> {
+        if self.left == 0 {
+            return None;
+        }
+        match read(self) {
+            Some(cell) => {
+                self.left -= 1;
+                Some(Ok(cell))
+            }
+            None => {
+                self.left = 0;
+                Some(Err(RUNS_OFF.into()))
+            }
+        }
+    }
+}
+
+/// A leaf's cells, as `(key, value)`.
+#[derive(Debug)]
+pub(crate) struct Entries<'a>(Cells<'a>);
+
+impl<'a> Iterator for Entries<'a> {
+    type Item = Result<(&'a [u8], &'a [u8]), String>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        self.0.next_cell(Cells::entry)
+    }
+}
+
+/// An internal node's cells, as `(separator, child)`.
+#[derive(Debug)]
+pub(crate) struct Seps<'a>(Cells<'a>);
+
+impl<'a> Iterator for Seps<'a> {
+    type Item = Result<(&'a [u8], u32), String>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        self.0.next_cell(Cells::sep)
     }
 }
 

@@ -39,9 +39,11 @@ pub trait PageStore {
     /// Size in bytes of every logical page in this store.
     fn page_size(&self) -> usize;
 
-    /// Reads a page. The returned buffer is exactly [`Self::page_size`]
-    /// bytes.
-    fn read_page(&mut self, id: PageId) -> Result<Vec<u8>, StoreError>;
+    /// Reads a page and hands it to `f` in place: the bytes are exactly
+    /// [`Self::page_size`] long and are borrowed, not copied, wherever
+    /// the store holds the page. One call is one page read, whatever
+    /// `f` does with it.
+    fn with_page<R>(&mut self, id: PageId, f: impl FnOnce(&[u8]) -> R) -> Result<R, StoreError>;
 
     /// Writes a page. `data` is exactly [`Self::page_size`] bytes.
     fn write_page(&mut self, id: PageId, data: &[u8]) -> Result<(), StoreError>;

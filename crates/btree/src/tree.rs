@@ -8,9 +8,10 @@
 //! *torn* multi-page update visible to a crash in CFS (the failure FSD's
 //! logging removes).
 
-use crate::node::{Node, MAX_ENTRY_FRACTION};
+use crate::node::{Node, NodeView, MAX_ENTRY_FRACTION};
 use crate::store::{PageId, PageStore, StoreError};
 use std::fmt;
+use std::ops::ControlFlow;
 
 /// Errors from tree operations.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -212,9 +213,20 @@ impl BTree {
         self.root
     }
 
+    /// Reads page `id` with `read`, a reader of the node format: the one
+    /// store access a node visit makes, its bytes borrowed.
+    fn read<S: PageStore, R>(
+        store: &mut S,
+        id: PageId,
+        read: impl FnOnce(&[u8]) -> std::result::Result<R, String>,
+    ) -> Result<R> {
+        store
+            .with_page(id, read)?
+            .map_err(|e| BTreeError::Corrupt(format!("page {id}: {e}")))
+    }
+
     fn load<S: PageStore>(store: &mut S, id: PageId) -> Result<Node> {
-        let page = store.read_page(id)?;
-        Node::decode(&page).map_err(|e| BTreeError::Corrupt(format!("page {id}: {e}")))
+        Self::read(store, id, Node::decode)
     }
 
     fn save<S: PageStore>(store: &mut S, id: PageId, node: &Node) -> Result<()> {
@@ -229,20 +241,33 @@ impl BTree {
 
     // ----- lookup -------------------------------------------------------------
 
-    /// Returns the value stored under `key`, if any.
+    /// Returns the value stored under `key`, if any. Each node is read
+    /// in place ([`NodeView`]): nothing is copied but the value found.
     pub fn get<S: PageStore>(&self, store: &mut S, key: &[u8]) -> Result<Option<Vec<u8>>> {
         let mut id = self.root;
         loop {
-            match Self::load(store, id)? {
-                Node::Leaf(entries) => {
-                    return Ok(entries
-                        .iter()
-                        .find(|(k, _)| k.as_slice() == key)
-                        .map(|(_, v)| v.clone()));
+            let step = Self::read(store, id, |page| match NodeView::parse(page)? {
+                NodeView::Leaf(entries) => {
+                    let mut found = None;
+                    for entry in entries {
+                        let (k, v) = entry?;
+                        if found.is_none() && k == key {
+                            found = Some(v.to_vec());
+                        }
+                    }
+                    Ok(ControlFlow::Break(found))
                 }
-                Node::Internal { keys, children } => {
-                    id = children[Self::route(&keys, key)];
-                }
+                // The child after the last separator `<= key`, as
+                // [`BTree::route`] picks it.
+                NodeView::Internal(first, mut seps) => seps
+                    .try_fold(first, |child, sep| {
+                        sep.map(|(sep, next)| if sep <= key { next } else { child })
+                    })
+                    .map(ControlFlow::Continue),
+            })?;
+            match step {
+                ControlFlow::Continue(child) => id = child,
+                ControlFlow::Break(found) => return Ok(found),
             }
         }
     }
@@ -268,24 +293,46 @@ impl BTree {
         Ok(last.filter(|(k, _)| k.as_slice() >= lo))
     }
 
-    /// The greatest entry below `hi` in the subtree at `id`.
+    /// The greatest entry below `hi` in the subtree at `id`, each node
+    /// read in place.
     fn last_below<S: PageStore>(store: &mut S, id: PageId, hi: &[u8]) -> Result<Option<Entry>> {
-        match Self::load(store, id)? {
-            Node::Leaf(mut entries) => {
-                let below = entries.partition_point(|(k, _)| k.as_slice() < hi);
-                Ok((below > 0).then(|| entries.swap_remove(below - 1)))
-            }
-            Node::Internal { keys, children } => {
-                // Every child left of the routed one holds only keys
-                // below `hi`, so the first non-empty answer is the one.
-                for &child in children[..=Self::route_below(&keys, hi)].iter().rev() {
-                    if let Some(entry) = Self::last_below(store, child, hi)? {
-                        return Ok(Some(entry));
+        let step = Self::read(store, id, |page| match NodeView::parse(page)? {
+            NodeView::Leaf(entries) => {
+                let mut last = None;
+                for entry in entries {
+                    let (k, v) = entry?;
+                    if k < hi {
+                        last = Some((k, v));
                     }
                 }
-                Ok(None)
+                Ok(ControlFlow::Break(
+                    last.map(|(k, v)| (k.to_vec(), v.to_vec())),
+                ))
+            }
+            // The children up to the one [`BTree::route_below`] picks.
+            NodeView::Internal(first, seps) => {
+                let mut children = vec![first];
+                for sep in seps {
+                    let (sep, child) = sep?;
+                    if sep < hi {
+                        children.push(child);
+                    }
+                }
+                Ok(ControlFlow::Continue(children))
+            }
+        })?;
+        let children = match step {
+            ControlFlow::Break(last) => return Ok(last),
+            ControlFlow::Continue(children) => children,
+        };
+        // Every child left of the routed one holds only keys below `hi`,
+        // so the first non-empty answer is the one.
+        for &child in children.iter().rev() {
+            if let Some(entry) = Self::last_below(store, child, hi)? {
+                return Ok(Some(entry));
             }
         }
+        Ok(None)
     }
 
     // ----- insert -------------------------------------------------------------

@@ -2,7 +2,7 @@
 //! `std::collections::BTreeMap` under arbitrary operation sequences, while
 //! maintaining its structural invariants and never leaking pages.
 
-use cedar_btree::{BTree, MemStore, Node, PageId, PageStore};
+use cedar_btree::{BTree, BTreeError, MemStore, Node, PageId, PageStore};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -284,7 +284,7 @@ struct Shape {
 
 fn shape(tree: &BTree, store: &mut MemStore) -> Shape {
     fn walk(store: &mut MemStore, id: PageId, depth: u64, out: &mut Shape) {
-        match Node::decode(&store.read_page(id).unwrap()).unwrap() {
+        match store.with_page(id, Node::decode).unwrap().unwrap() {
             Node::Leaf(entries) => {
                 out.leaves
                     .push(entries.into_iter().map(|(k, _)| k).collect());
@@ -502,4 +502,237 @@ fn one_walk_per_operation_at_height_three() {
     }
     assert_eq!(store.live_pages(), 1);
     tree.check_invariants(&mut store).unwrap();
+}
+
+// ----- lookups read nodes in place ---------------------------------------------
+//
+// `get` and `last_in_range` route through each node's bytes without
+// decoding it. They must answer as the model
+// does on any history — including separators that outlived their keys —
+// and on a rotten page answer or fail typed, never panic.
+
+#[derive(Clone, Debug)]
+enum ModelOp {
+    /// Insert `name`'s version.
+    Insert(usize, u16, Vec<u8>),
+    /// Delete `name`'s version, if present.
+    Delete(usize, u16),
+    /// Delete every version of `name` from this one up: whole leaves go,
+    /// and the separators that named them stay.
+    DeleteFrom(usize, u16),
+}
+
+fn arb_model_op() -> impl Strategy<Value = ModelOp> {
+    let name = || 0usize..NAMES.len();
+    prop_oneof![
+        6 => (name(), 0u16..60, proptest::collection::vec(any::<u8>(), 0..16))
+            .prop_map(|(n, v, d)| ModelOp::Insert(n, v, d)),
+        2 => (name(), 0u16..60).prop_map(|(n, v)| ModelOp::Delete(n, v)),
+        1 => (name(), 0u16..60).prop_map(|(n, v)| ModelOp::DeleteFrom(n, v)),
+    ]
+}
+
+/// Every probe the lookups are checked with: each name's versions and
+/// the keys between them, and each name's whole range.
+fn probes() -> Vec<(Vec<u8>, Vec<u8>)> {
+    let mut out = Vec::new();
+    for name in NAMES {
+        out.push(versions_range(name));
+        for v in (0u16..62).step_by(3) {
+            out.push((versioned(name, v), versioned(name, v + 2)));
+        }
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn in_place_lookups_match_a_model(
+        ops in proptest::collection::vec(arb_model_op(), 1..300),
+        page_size in 128usize..384,
+    ) {
+        let mut store = MemStore::new(page_size);
+        let mut tree = BTree::create(&mut store).unwrap();
+        let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
+        for op in &ops {
+            match op {
+                ModelOp::Insert(n, v, data) => {
+                    let key = versioned(NAMES[*n], *v);
+                    tree.insert(&mut store, &key, data).unwrap();
+                    model.insert(key, data.clone());
+                }
+                ModelOp::Delete(n, v) => {
+                    let key = versioned(NAMES[*n], *v);
+                    prop_assert_eq!(tree.delete(&mut store, &key).unwrap(), model.remove(&key));
+                }
+                ModelOp::DeleteFrom(n, v) => {
+                    let (_, hi) = versions_range(NAMES[*n]);
+                    let gone: Vec<_> = model
+                        .range(versioned(NAMES[*n], *v)..hi)
+                        .map(|(k, _)| k.clone())
+                        .collect();
+                    for key in gone {
+                        prop_assert!(tree.delete(&mut store, &key).unwrap().is_some());
+                        model.remove(&key);
+                    }
+                }
+            }
+        }
+        for (lo, hi) in probes() {
+            prop_assert_eq!(tree.get(&mut store, &lo).unwrap(), model.get(&lo).cloned());
+            let want = model
+                .range(lo.clone()..hi.clone())
+                .next_back()
+                .map(|(k, v)| (k.clone(), v.clone()));
+            prop_assert_eq!(tree.last_in_range(&mut store, &lo, &hi).unwrap(), want);
+        }
+        for key in model.keys() {
+            prop_assert_eq!(tree.get(&mut store, key).unwrap(), model.get(key).cloned());
+        }
+    }
+}
+
+/// A [`MemStore`] that hands back one page rotten — cut short to `cut`
+/// bytes, or with byte `flip.0` xored by `flip.1` — and fails a walk
+/// after `budget` reads (a flipped child id can close a cycle).
+struct Rotten {
+    inner: MemStore,
+    page: PageId,
+    cut: usize,
+    flip: Option<(usize, u8)>,
+    budget: u64,
+}
+
+impl PageStore for Rotten {
+    fn page_size(&self) -> usize {
+        self.inner.page_size()
+    }
+
+    fn with_page<R>(
+        &mut self,
+        id: PageId,
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> Result<R, cedar_btree::StoreError> {
+        if self.budget == 0 {
+            return Err(cedar_btree::StoreError::Io("read budget spent".into()));
+        }
+        self.budget -= 1;
+        let Rotten {
+            inner,
+            page,
+            cut,
+            flip,
+            ..
+        } = self;
+        inner.with_page(id, |bytes| {
+            if id != *page {
+                return f(bytes);
+            }
+            let mut rotten = bytes[..(*cut).min(bytes.len())].to_vec();
+            if let Some((at, mask)) = *flip {
+                if let Some(b) = rotten.get_mut(at) {
+                    *b ^= mask;
+                }
+            }
+            f(&rotten)
+        })
+    }
+
+    fn write_page(&mut self, id: PageId, data: &[u8]) -> Result<(), cedar_btree::StoreError> {
+        self.inner.write_page(id, data)
+    }
+
+    fn alloc_page(&mut self) -> Result<PageId, cedar_btree::StoreError> {
+        self.inner.alloc_page()
+    }
+
+    fn free_page(&mut self, id: PageId) -> Result<(), cedar_btree::StoreError> {
+        self.inner.free_page(id)
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn a_rotten_page_fails_typed_never_panics(
+        which in 0usize..64,
+        cut in 0usize..200,
+        flip in (0usize..192, 1u8..255),
+        flipped in any::<bool>(),
+    ) {
+        let (tree, store) = versions_tree(192, 60);
+        let mut pages = Vec::new();
+        let mut shape_store = store.clone();
+        fn ids(store: &mut MemStore, id: PageId, out: &mut Vec<PageId>) {
+            out.push(id);
+            if let Node::Internal { children, .. } = store.with_page(id, Node::decode).unwrap().unwrap() {
+                for child in children {
+                    ids(store, child, out);
+                }
+            }
+        }
+        ids(&mut shape_store, tree.root(), &mut pages);
+        let page = pages[which % pages.len()];
+        let mut rotten = Rotten {
+            inner: store,
+            page,
+            cut: if flipped { 192 } else { cut },
+            flip: flipped.then_some(flip),
+            budget: 0,
+        };
+        for (lo, hi) in probes().into_iter().chain([(Vec::new(), vec![0xFF])]) {
+            rotten.budget = 64;
+            let got = tree.get(&mut rotten, &lo);
+            prop_assert!(!matches!(got, Err(BTreeError::EntryTooLarge { .. })), "{:?}", got);
+            rotten.budget = 64;
+            let last = tree.last_in_range(&mut rotten, &lo, &hi);
+            prop_assert!(!matches!(last, Err(BTreeError::EntryTooLarge { .. })), "{:?}", last);
+            // A root cut inside its header is no node at all.
+            if page == tree.root() && !flipped && cut < 3 {
+                prop_assert!(matches!(got, Err(BTreeError::Corrupt(_))), "{:?}", got);
+                prop_assert!(matches!(last, Err(BTreeError::Corrupt(_))), "{:?}", last);
+            }
+        }
+    }
+}
+
+/// Every cut of every page of a height-3 tree: a walk that reads a cell
+/// past the cut fails `Corrupt`, naming the page; one that does not
+/// still answers as the intact tree does.
+#[test]
+fn a_truncated_page_is_corrupt_wherever_a_walk_reads_past_it() {
+    let (tree, store) = versions_tree(192, 60);
+    let (lo, hi) = versions_range("m");
+    let mut intact = store.clone();
+    let want_last = tree.last_in_range(&mut intact, &lo, &hi).unwrap();
+    let want_get = tree.get(&mut intact, &versioned("m", 30)).unwrap();
+    for page in 0..store.live_pages() as PageId + 8 {
+        for cut in 0..192 {
+            let mut rotten = Rotten {
+                inner: store.clone(),
+                page,
+                cut,
+                flip: None,
+                budget: 64,
+            };
+            match tree.last_in_range(&mut rotten, &lo, &hi) {
+                Ok(last) => assert_eq!(last, want_last, "page {page} cut {cut}"),
+                Err(BTreeError::Corrupt(msg)) => {
+                    assert!(msg.starts_with(&format!("page {page}:")), "{msg}")
+                }
+                Err(e) => panic!("page {page} cut {cut}: {e}"),
+            }
+            rotten.budget = 64;
+            match tree.get(&mut rotten, &versioned("m", 30)) {
+                Ok(got) => assert_eq!(got, want_get, "page {page} cut {cut}"),
+                Err(BTreeError::Corrupt(msg)) => {
+                    assert!(msg.starts_with(&format!("page {page}:")), "{msg}")
+                }
+                Err(e) => panic!("page {page} cut {cut}: {e}"),
+            }
+        }
+    }
 }

@@ -85,10 +85,10 @@ impl PageStore for CfsNtStore<'_> {
         NT_PAGE_BYTES
     }
 
-    fn read_page(&mut self, id: PageId) -> Result<Vec<u8>, StoreError> {
+    fn with_page<R>(&mut self, id: PageId, f: impl FnOnce(&[u8]) -> R) -> Result<R, StoreError> {
         self.cpu.btree_nodes(1);
         if let Some(page) = self.cache.get(&id) {
-            return Ok(page.clone());
+            return Ok(f(page));
         }
         let data = self
             .disk
@@ -98,8 +98,7 @@ impl PageStore for CfsNtStore<'_> {
                 &nt_labels(id),
             )
             .map_err(to_store_err)?;
-        self.cache.insert(id, data.clone());
-        Ok(data)
+        Ok(f(self.cache.entry(id).or_insert(data)))
     }
 
     fn write_page(&mut self, id: PageId, data: &[u8]) -> Result<(), StoreError> {
@@ -186,10 +185,10 @@ mod tests {
         assert!(*store.boot_dirty);
         let page = vec![0xAB; NT_PAGE_BYTES];
         store.write_page(id, &page).unwrap();
-        assert_eq!(store.read_page(id).unwrap(), page);
+        assert_eq!(store.with_page(id, <[u8]>::to_vec).unwrap(), page);
         // A second read hits the cache: no new disk ops.
         let reads_before = store.disk.stats().reads;
-        store.read_page(id).unwrap();
+        store.with_page(id, |_| ()).unwrap();
         assert_eq!(store.disk.stats().reads, reads_before);
     }
 

@@ -315,10 +315,17 @@ pub struct FsdNtStore<'a> {
 impl FsdNtStore<'_> {
     /// Reads a page through the cache, falling back to the home copies.
     pub fn read_through(&mut self, id: PageId) -> Result<Vec<u8>, StoreError> {
+        self.visit(id, <[u8]>::to_vec)
+    }
+
+    /// Hands page `id`'s image to `f`, borrowed from the cache — read
+    /// from the home copies and cached first on a miss — and stamps its
+    /// use.
+    fn visit<R>(&mut self, id: PageId, f: impl FnOnce(&[u8]) -> R) -> Result<R, StoreError> {
         let stamp = self.cache.stamp();
         if let Some(p) = self.cache.pages.get_mut(&id) {
             p.last_used = stamp;
-            return Ok(p.image.clone());
+            return Ok(f(&p.image));
         }
         // "When a page is read, both copies are read and checked", the
         // sector images the log still owes the page laid over them. A
@@ -339,18 +346,21 @@ impl FsdNtStore<'_> {
                 StoreError::Io(format!("page {id}: {e}"))
             }
         })?;
+        // `f` sees the image before the eviction below, which may take
+        // the page straight back out of a full cache.
+        let out = f(&image);
         self.cache.pages.insert(
             id,
             CachedPage {
-                image: image.clone(),
                 baseline: Some(image.clone()),
+                image,
                 last_logged_third: None,
                 needs_home,
                 last_used: stamp,
             },
         );
         self.cache.evict_to_capacity(self.pending);
-        Ok(image)
+        Ok(out)
     }
 
     /// Batch-reads the home copies of `ids` into the cache with large
@@ -476,9 +486,9 @@ impl PageStore for FsdNtStore<'_> {
         NT_PAGE_BYTES
     }
 
-    fn read_page(&mut self, id: PageId) -> Result<Vec<u8>, StoreError> {
+    fn with_page<R>(&mut self, id: PageId, f: impl FnOnce(&[u8]) -> R) -> Result<R, StoreError> {
         self.cpu.btree_nodes(1);
-        self.read_through(id)
+        self.visit(id, f)
     }
 
     fn write_page(&mut self, id: PageId, data: &[u8]) -> Result<(), StoreError> {
@@ -617,7 +627,10 @@ mod tests {
         store.write_page(3, &vec![7u8; NT_PAGE_BYTES]).unwrap();
         assert_eq!(store.disk.stats().writes, 0);
         assert!(store.pending.contains(&3));
-        assert_eq!(store.read_page(3).unwrap(), vec![7u8; NT_PAGE_BYTES]);
+        assert_eq!(
+            store.with_page(3, <[u8]>::to_vec).unwrap(),
+            vec![7u8; NT_PAGE_BYTES]
+        );
         // Fresh page: baseline None → everything logs at next force.
         assert!(store.cache.pages[&3].baseline.is_none());
     }
@@ -643,11 +656,14 @@ mod tests {
             pending: &mut pending,
         };
         let before = store.disk.stats().reads;
-        assert_eq!(store.read_page(2).unwrap(), vec![5u8; NT_PAGE_BYTES]);
+        assert_eq!(
+            store.with_page(2, <[u8]>::to_vec).unwrap(),
+            vec![5u8; NT_PAGE_BYTES]
+        );
         assert_eq!(store.disk.stats().reads - before, 2);
         // Second read hits the cache.
         let before = store.disk.stats().reads;
-        store.read_page(2).unwrap();
+        store.with_page(2, |_| ()).unwrap();
         assert_eq!(store.disk.stats().reads, before);
     }
 
@@ -672,7 +688,10 @@ mod tests {
             cache: &mut cache,
             pending: &mut pending,
         };
-        assert_eq!(store.read_page(2).unwrap(), vec![1u8; NT_PAGE_BYTES]);
+        assert_eq!(
+            store.with_page(2, <[u8]>::to_vec).unwrap(),
+            vec![1u8; NT_PAGE_BYTES]
+        );
         // The damaged copy was scrubbed from its twin on the spot: no
         // pending home write remains and copy A reads clean again.
         assert!(!store.cache.pages[&2].needs_home);
@@ -706,7 +725,10 @@ mod tests {
             cache: &mut cache,
             pending: &mut pending,
         };
-        assert_eq!(store.read_page(2).unwrap(), vec![1u8; NT_PAGE_BYTES]);
+        assert_eq!(
+            store.with_page(2, <[u8]>::to_vec).unwrap(),
+            vec![1u8; NT_PAGE_BYTES]
+        );
         assert!(!store.cache.pages[&2].needs_home);
         assert_eq!(store.spare.remapped, 1);
         assert_eq!(
@@ -716,7 +738,10 @@ mod tests {
         // A fresh store built over the same spare map reads the page back
         // whole through the remap table.
         store.cache.pages.clear();
-        assert_eq!(store.read_page(2).unwrap(), vec![1u8; NT_PAGE_BYTES]);
+        assert_eq!(
+            store.with_page(2, <[u8]>::to_vec).unwrap(),
+            vec![1u8; NT_PAGE_BYTES]
+        );
     }
 
     #[test]
@@ -742,7 +767,10 @@ mod tests {
             cache: &mut cache,
             pending: &mut pending,
         };
-        assert_eq!(store.read_page(2).unwrap(), vec![1u8; NT_PAGE_BYTES]);
+        assert_eq!(
+            store.with_page(2, <[u8]>::to_vec).unwrap(),
+            vec![1u8; NT_PAGE_BYTES]
+        );
     }
 
     #[test]
@@ -763,7 +791,7 @@ mod tests {
             cache: &mut cache,
             pending: &mut pending,
         };
-        assert!(matches!(store.read_page(2), Err(StoreError::Io(_))));
+        assert!(matches!(store.with_page(2, |_| ()), Err(StoreError::Io(_))));
     }
 
     #[test]
@@ -786,10 +814,10 @@ mod tests {
         store.write_page(0, &NtMeta::new(16).encode()).unwrap();
         let p = store.alloc_page().unwrap();
         assert_eq!(p, 1);
-        let meta = NtMeta::decode(&store.read_page(0).unwrap()).unwrap();
+        let meta = NtMeta::decode(&store.with_page(0, <[u8]>::to_vec).unwrap()).unwrap();
         assert!(meta.in_use(1));
         store.free_page(p).unwrap();
-        let meta = NtMeta::decode(&store.read_page(0).unwrap()).unwrap();
+        let meta = NtMeta::decode(&store.with_page(0, <[u8]>::to_vec).unwrap()).unwrap();
         assert!(!meta.in_use(1));
         // All of that happened without any disk writes.
         assert_eq!(store.disk.stats().writes, 0);

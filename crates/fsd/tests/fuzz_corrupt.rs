@@ -129,6 +129,14 @@ fn recover(disk: &SimDisk, workers: usize) -> Result<Option<(Observed, u32)>, Te
     let mut first = disk.clone();
     first.reboot();
     if let Ok((mut v, _report)) = FsdVolume::boot(first, config_with(workers)) {
+        // Lookups walk the name table before anything has vouched for
+        // it, reading each node in place: over rotten pages they answer
+        // or fail typed, never panic.
+        for n in 0u8..12 {
+            let name = format!("file{n:02}");
+            let _ = v.open(&name, None);
+            let _ = v.open(&name, Some(1));
+        }
         // Boot leaves the VAM walk owed; pay it, so the free map that
         // `observe` compares across worker counts is the rebuilt one.
         match v.settle_vam() {

@@ -32,8 +32,11 @@ cargo test --release -q -p cedar-fsd --test deferred_vam \
     a_crash_while_owed_or_inside_the_first_create_owes_the_same_walk
 # Model-checked epoch hand-off: the engine built against the in-tree
 # loom shims, every interleaving within the preemption bound explored,
-# its commit windows on model time (read misses served off that clock).
-cargo test --release -p cedar-fsd --features loom --test loom_engine
+# its commit windows on model time. Read misses are served on the
+# caller's thread under the volume lease: the models race them against
+# a crashed force and against shutdown. `--nocapture` lets each model's
+# note through when a schedule cap truncates its search.
+cargo test --release -p cedar-fsd --features loom --test loom_engine -- --nocapture
 # Model-checked log-writer -> shipper hand-off: a replication ack never
 # precedes the mode's durability point, in every explored schedule.
 cargo test --release -p cedar-fsd --features loom --test loom_repl

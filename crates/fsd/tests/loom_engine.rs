@@ -22,8 +22,15 @@
 //! * **poison on crash**: a disk power-fail during a force poisons the
 //!   engine (later submissions fail fast) in every schedule, and
 //!   shutdown still returns the volume.
-//! * **reads off the commit clock**: a read miss is served while a
-//!   commit waits for its window, and the commit still lands.
+//! * **reads off the commit clock**: a read miss is served on its own
+//!   thread, under the volume lease, while a commit waits for its
+//!   window, and the commit still lands.
+//! * **no read of an unforced epoch**: a miss racing a write whose
+//!   force crashes returns the committed bytes or the crash, never the
+//!   write's, whichever of the two leases the volume first.
+//! * **a miss racing shutdown**: it returns its data, and the shutdown
+//!   its volume (or `Busy` while the reader still holds the engine);
+//!   nothing hangs.
 //!
 //! The engine reads its commit windows off model time, which stands
 //! still while any thread can run: a window opens only when every other
@@ -38,7 +45,8 @@ use cedar_disk::{CpuModel, CrashPlan, SimDisk};
 use cedar_fsd::engine::{EngineConfig, FsdEngine};
 use cedar_fsd::volume::FsdVolume;
 use cedar_fsd::FsdConfig;
-use cedar_vol::fs::{FileSystem, FsBackend};
+use cedar_vol::fs::{CedarFsError, FileSystem, FsBackend};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 fn small_vol() -> FsdVolume {
@@ -163,6 +171,15 @@ fn crash_during_force_poisons_in_every_schedule() {
     });
 }
 
+/// A volume holding `name` as its committed version 1, published
+/// uncached by any engine started over it: its first read misses.
+fn committed_vol(name: &str, data: &[u8]) -> FsdVolume {
+    let mut vol = small_vol();
+    FsBackend::create(&mut vol, name, data).unwrap();
+    vol.force().unwrap();
+    vol
+}
+
 #[test]
 fn a_read_miss_is_served_while_a_commit_waits_for_its_window() {
     loom::Model {
@@ -170,19 +187,22 @@ fn a_read_miss_is_served_while_a_commit_waits_for_its_window() {
         max_schedules: 300,
     }
     .check(|| {
-        let mut vol = small_vol();
-        FsBackend::create(&mut vol, "old", b"cold").unwrap();
-        vol.force().unwrap();
-        let e = Arc::new(FsdEngine::start(vol, EngineConfig::default()).unwrap());
+        let e = Arc::new(
+            FsdEngine::start(committed_vol("old", b"cold"), EngineConfig::default()).unwrap(),
+        );
         // The first window is open from the start; this sync takes it.
         e.sync().unwrap();
         let e2 = Arc::clone(&e);
         let client = loom::thread::spawn(move || {
             e2.create("new", b"hot").unwrap();
         });
-        // Whether the create is queued yet or not, the miss is served
-        // at once: its window cannot open while this thread runs.
+        // Whether the create is queued yet or not, the miss completes on
+        // this thread: the writer returned the lease before the sync
+        // returned, and cannot take it back for the create's epoch
+        // before its window opens, which it cannot while this thread
+        // runs.
         assert_eq!(e.read("old").unwrap(), b"cold");
+        assert_eq!(e.engine_stats().read_misses, 1);
         assert_eq!(e.engine_stats().epochs, 1);
         // The create commits when its window opens, and is published.
         client.join().unwrap();
@@ -190,4 +210,78 @@ fn a_read_miss_is_served_while_a_commit_waits_for_its_window() {
         let mut vol = FsdEngine::shutdown_arc(e).unwrap();
         assert_eq!(FsBackend::read(&mut vol, "new").unwrap(), b"hot");
     });
+}
+
+#[test]
+fn a_read_miss_never_sees_an_applied_but_unforced_epoch() {
+    // Which order the two reach the volume in, counted over the
+    // explored schedules: the model must have tried both.
+    static READ_FIRST: AtomicUsize = AtomicUsize::new(0);
+    static CRASH_FIRST: AtomicUsize = AtomicUsize::new(0);
+    loom::Model {
+        preemption_bound: 2,
+        // The crash-first order needs two early preemptions, which the
+        // depth-first search reaches only after a few thousand schedules.
+        max_schedules: 5_000,
+    }
+    .check(|| {
+        let mut vol = committed_vol("x", b"committed");
+        // The empty version's leader sector lands; the force's first log
+        // sector does not. Reading that version takes no disk I/O, so
+        // nothing but the poison keeps a miss from it.
+        vol.disk_mut().schedule_crash(CrashPlan {
+            after_sector_writes: 1,
+            damaged_tail: 0,
+        });
+        let e = Arc::new(FsdEngine::start(vol, EngineConfig::default()).unwrap());
+        let e2 = Arc::clone(&e);
+        let writer = loom::thread::spawn(move || e2.write("x", b""));
+        let read = e.read("x");
+        let crashed = CedarFsError::Disk(cedar_disk::DiskError::Crashed);
+        if read == Ok(b"committed".to_vec()) {
+            READ_FIRST.fetch_add(1, Ordering::Relaxed);
+        } else {
+            assert_eq!(read, Err(crashed.clone()));
+            CRASH_FIRST.fetch_add(1, Ordering::Relaxed);
+        }
+        assert_eq!(writer.join().unwrap().err(), Some(crashed));
+        assert!(FsdEngine::shutdown_arc(e).is_ok());
+    });
+    assert!(READ_FIRST.load(Ordering::Relaxed) > 0);
+    assert!(CRASH_FIRST.load(Ordering::Relaxed) > 0);
+}
+
+#[test]
+fn a_miss_racing_shutdown_returns_its_data_and_never_hangs() {
+    // Schedules in which the shutdown found the reader done, and in
+    // which it found the reader still holding the engine.
+    static SHUT_DOWN: AtomicUsize = AtomicUsize::new(0);
+    static REFUSED: AtomicUsize = AtomicUsize::new(0);
+    loom::Model {
+        preemption_bound: 2,
+        max_schedules: 300,
+    }
+    .check(|| {
+        let e = Arc::new(
+            FsdEngine::start(committed_vol("old", b"cold"), EngineConfig::default()).unwrap(),
+        );
+        let e2 = Arc::clone(&e);
+        // While the reader holds its handle, the shutdown is refused
+        // with `Busy`; the reader's handle is then the engine's last,
+        // and its drop stops the writer on the reader's thread.
+        let reader = loom::thread::spawn(move || e2.read("old"));
+        match FsdEngine::shutdown_arc(e) {
+            Ok(mut vol) => {
+                assert_eq!(FsBackend::read(&mut vol, "old").unwrap(), b"cold");
+                SHUT_DOWN.fetch_add(1, Ordering::Relaxed);
+            }
+            Err(err) => {
+                assert!(matches!(err, CedarFsError::Busy(_)), "{err:?}");
+                REFUSED.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        assert_eq!(reader.join().unwrap().unwrap(), b"cold");
+    });
+    assert!(SHUT_DOWN.load(Ordering::Relaxed) > 0);
+    assert!(REFUSED.load(Ordering::Relaxed) > 0);
 }

@@ -4,7 +4,10 @@ set -eux
 
 cargo build --release
 cargo test -q --workspace
-cargo clippy --workspace -- -D warnings
+# Every target: tests, examples and benches as well as the libraries and
+# bins, and once more with the loom shims the model-checked lanes build.
+cargo clippy --workspace --all-targets -- -D warnings
+cargo clippy -p cedar-fsd -p cedar-disk --features loom --all-targets -- -D warnings
 cargo fmt --check
 cargo run --release -p cedar-analyze --bin cedar-lint -- --workspace
 # The lint's verdicts on twelve frozen trees of this repository's history

@@ -15,8 +15,8 @@
 //!    interleaved driver on the simulated clock — reproduces the
 //!    paper's amortization curve exactly, every run.
 //! 2. **Threaded sweep** (1 → 256 → 1024 OS threads): real
-//!    `std::thread` clients holding owned `Session`s on one
-//!    [`FsdEngine`], whose log-writer thread forms group-commit epochs
+//!    `std::thread` clients each holding a clone of one
+//!    [`FsdEngine`]'s `Arc`, whose log-writer thread forms group-commit epochs
 //!    and paces simulated disk time into wall time. This answers the
 //!    question the simulation cannot: throughput must keep climbing
 //!    with thread count until `DiskStats` shows the *disk* — not a
@@ -276,7 +276,7 @@ fn threaded_sweep(threads: &[usize], sim_64_forces_per_op: Option<f64>, smoke: b
             .collect::<Vec<_>>()
             .join("/")
     );
-    println!("(pace {PACE_SCALE} wall-s per sim-s, free CPU, one owned Session per thread)");
+    println!("(pace {PACE_SCALE} wall-s per sim-s, free CPU, one engine Arc per thread)");
 
     let runs: Vec<(usize, ThreadedRun)> = threads.iter().map(|&n| (n, mt_run_for(n))).collect();
 

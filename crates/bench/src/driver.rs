@@ -9,8 +9,8 @@
 //! reproduces the paper's numbers.
 //!
 //! The **threaded driver** ([`drive_threads`]) spawns one
-//! `std::thread` per client script, each holding an owned
-//! [`Session`] on a shared [`FsdEngine`]. Think times become real
+//! `std::thread` per client script, each holding a clone of the
+//! `Arc` of one shared [`FsdEngine`]. Think times become real
 //! (scaled) sleeps, the engine's pacer converts simulated disk time
 //! into wall time, and the run answers the systems question the
 //! simulation cannot: does throughput scale with threads until the
@@ -18,7 +18,7 @@
 
 use cedar_disk::Micros;
 use cedar_fsd::{CommitScheduler, EngineStats, FsdEngine, FsdVolume, SchedConfig, SchedReport};
-use cedar_vol::fs::{CedarFsError, FileSystem, FsStats, Session, SyncFs};
+use cedar_vol::fs::{CedarFsError, FileSystem, FsStats, SyncFs};
 use cedar_workload::steps::{run_step, Step, WorkloadStats};
 use cedar_workload::ClientScript;
 use std::sync::Arc;
@@ -172,7 +172,7 @@ fn run_step_retrying(
 }
 
 /// Spawns one OS thread per script, each replaying its measured phase
-/// through an owned [`Session`] on the shared engine. `think_scale`
+/// through its own clone of the engine's `Arc`. `think_scale`
 /// maps simulated think µs to wall time (use the engine's
 /// `pace_scale` so client pauses and disk time share one timescale;
 /// 0.0 disables think pauses).
@@ -185,7 +185,7 @@ pub fn drive_threads(
     let started = Instant::now();
     let mut threads = Vec::with_capacity(scripts.len());
     for script in scripts.iter().cloned() {
-        let session = Session::new(Arc::clone(engine) as Arc<dyn FileSystem>, script.id);
+        let fs: Arc<dyn FileSystem> = engine.clone();
         threads.push(std::thread::spawn(move || {
             let mut stats = WorkloadStats::default();
             let mut retries = 0u64;
@@ -195,7 +195,7 @@ pub fn drive_threads(
                         t.think_us as f64 * think_scale / 1e6,
                     ));
                 }
-                run_step_retrying(&t.step, &session, &mut stats, &mut retries)?;
+                run_step_retrying(&t.step, &*fs, &mut stats, &mut retries)?;
             }
             Ok::<(WorkloadStats, u64), CedarFsError>((stats, retries))
         }));

@@ -13,7 +13,7 @@ pub mod driver;
 pub mod report;
 pub mod setup;
 
-pub use cedar_vol::fs::{CedarFsError, FileSystem, FsBackend, Session, SyncFs};
+pub use cedar_vol::fs::{CedarFsError, FileSystem, FsBackend, SyncFs};
 pub use driver::{drive_clients, drive_threads, populate_setup, MultiClientRun, ThreadedRun};
 pub use report::{disk_breakdown, disk_breakdown_json, Table};
 pub use setup::{cfs_t300, ffs_t300, fsd_t300, ms, populate};

@@ -685,11 +685,6 @@ impl SimDisk {
         }
     }
 
-    /// Whether the write journal is enabled.
-    pub fn write_journal_enabled(&self) -> bool {
-        self.journal.is_some()
-    }
-
     /// Clones this disk's *logical* contents (sector data and labels) onto
     /// fresh media driven by an independent `clock`. Media-fault state
     /// (damage, latent and grown defects), pending crash plans, statistics

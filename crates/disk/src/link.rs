@@ -107,11 +107,6 @@ impl Link {
         }
     }
 
-    /// Replaces the fault plan (running state is kept).
-    pub fn set_plan(&mut self, plan: LinkPlan) {
-        self.plan = plan;
-    }
-
     /// Manually partitions the link until [`Self::heal`].
     pub fn force_down(&mut self) {
         self.forced_down = true;

@@ -15,6 +15,13 @@
 //! another and waits half a revolution for each; choosing by position
 //! takes them in the order they come round.
 //!
+//! A request is one of the four transfers the file systems submit: FSD
+//! writes its log, home pages and replicated structures ([`IoOp::Write`])
+//! and reads them damage-tolerantly ([`IoOp::ReadAllowDamage`]); the CFS
+//! scavenger also reads and rewrites the label plane
+//! ([`IoOp::ReadLabels`], [`IoOp::WriteLabels`]). CFS's label-checked
+//! data I/O goes to [`SimDisk`] directly, one request at a time.
+//!
 //! # Ordering and crash semantics
 //!
 //! Requests *within* a window may execute in any order and may be merged;
@@ -43,13 +50,15 @@
 //! group one request at a time to attribute the damage, finishing the
 //! rest of the window, and marking every request in later windows
 //! [`OpResult::Skipped`] (the barrier contract: nothing after a barrier
-//! may become durable while something before it failed).
+//! may become durable while something before it failed). Every transfer
+//! — a lone request, a coalesced group, a re-probe — runs through one
+//! routine, so a re-probe writes exactly what the first attempt would.
 
-use crate::clock::Micros;
 use crate::disk::SimDisk;
 use crate::error::DiskError;
 use crate::label::Label;
 use crate::{Result, SectorAddr, SECTOR_BYTES};
+use std::borrow::Cow;
 
 /// How a batch is executed.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -64,35 +73,16 @@ pub enum IoPolicy {
     Satf,
 }
 
-/// One request in a batch. Mirrors the `SimDisk` data and label-plane
-/// operations one-to-one.
+/// One request in a batch: the four `SimDisk` transfers the file systems
+/// submit through the scheduler (see the module docs).
 #[derive(Clone, Debug)]
 pub enum IoOp {
-    /// `SimDisk::read(start, n)`.
-    Read { start: SectorAddr, n: usize },
     /// `SimDisk::read_allow_damage(start, n)`.
     ReadAllowDamage { start: SectorAddr, n: usize },
-    /// `SimDisk::read_checked(start, expected.len(), &expected)`.
-    ReadChecked {
-        start: SectorAddr,
-        expected: Vec<Label>,
-    },
     /// `SimDisk::read_labels(start, n)`.
     ReadLabels { start: SectorAddr, n: usize },
     /// `SimDisk::write(start, &data)`.
     Write { start: SectorAddr, data: Vec<u8> },
-    /// `SimDisk::write_checked(start, &data, &expected)`.
-    WriteChecked {
-        start: SectorAddr,
-        data: Vec<u8>,
-        expected: Vec<Label>,
-    },
-    /// `SimDisk::write_with_labels(start, &data, &labels)`.
-    WriteWithLabels {
-        start: SectorAddr,
-        data: Vec<u8>,
-        labels: Vec<Label>,
-    },
     /// `SimDisk::write_labels(start, &labels, expected)`.
     WriteLabels {
         start: SectorAddr,
@@ -105,13 +95,9 @@ impl IoOp {
     /// First sector of the request.
     pub fn start(&self) -> SectorAddr {
         match self {
-            IoOp::Read { start, .. }
-            | IoOp::ReadAllowDamage { start, .. }
-            | IoOp::ReadChecked { start, .. }
+            IoOp::ReadAllowDamage { start, .. }
             | IoOp::ReadLabels { start, .. }
             | IoOp::Write { start, .. }
-            | IoOp::WriteChecked { start, .. }
-            | IoOp::WriteWithLabels { start, .. }
             | IoOp::WriteLabels { start, .. } => *start,
         }
     }
@@ -119,45 +105,30 @@ impl IoOp {
     /// Number of sectors the request touches (data rounded up).
     pub fn sectors(&self) -> u64 {
         match self {
-            IoOp::Read { n, .. } | IoOp::ReadAllowDamage { n, .. } | IoOp::ReadLabels { n, .. } => {
-                *n as u64
-            }
-            IoOp::ReadChecked { expected, .. } => expected.len() as u64,
-            IoOp::Write { data, .. }
-            | IoOp::WriteChecked { data, .. }
-            | IoOp::WriteWithLabels { data, .. } => data.len().div_ceil(SECTOR_BYTES) as u64,
+            IoOp::ReadAllowDamage { n, .. } | IoOp::ReadLabels { n, .. } => *n as u64,
+            IoOp::Write { data, .. } => data.len().div_ceil(SECTOR_BYTES) as u64,
             IoOp::WriteLabels { labels, .. } => labels.len() as u64,
         }
     }
 
     /// Whether the request mutates the platter (data or label plane).
     pub fn is_write(&self) -> bool {
-        matches!(
-            self,
-            IoOp::Write { .. }
-                | IoOp::WriteChecked { .. }
-                | IoOp::WriteWithLabels { .. }
-                | IoOp::WriteLabels { .. }
-        )
+        matches!(self, IoOp::Write { .. } | IoOp::WriteLabels { .. })
     }
 
     /// Coalescing class: two adjacent requests merge into one transfer
     /// only if they are the same kind of channel operation.
     fn kind(&self) -> u8 {
         match self {
-            IoOp::Read { .. } => 0,
-            IoOp::ReadAllowDamage { .. } => 1,
-            IoOp::ReadChecked { .. } => 2,
-            IoOp::ReadLabels { .. } => 3,
-            IoOp::Write { .. } => 4,
-            IoOp::WriteChecked { .. } => 5,
-            IoOp::WriteWithLabels { .. } => 6,
+            IoOp::ReadAllowDamage { .. } => 0,
+            IoOp::ReadLabels { .. } => 1,
+            IoOp::Write { .. } => 2,
             // Label writes with and without a verify pass are different
             // channel programs; keep them apart.
-            IoOp::WriteLabels { expected: None, .. } => 7,
+            IoOp::WriteLabels { expected: None, .. } => 3,
             IoOp::WriteLabels {
                 expected: Some(_), ..
-            } => 8,
+            } => 4,
         }
     }
 
@@ -178,8 +149,6 @@ impl IoOp {
 pub enum IoOutput {
     /// A write completed.
     Done,
-    /// Data from `Read`/`ReadChecked`.
-    Data(Vec<u8>),
     /// Data plus per-sector damage mask from `ReadAllowDamage`.
     DataMask(Vec<u8>, Vec<bool>),
     /// Labels from `ReadLabels`.
@@ -187,16 +156,8 @@ pub enum IoOutput {
 }
 
 impl IoOutput {
-    /// Extracts `Data`; `None` means the caller mismatched request and
-    /// output shapes (a submission bug, surfaced as a typed error).
-    pub fn into_data(self) -> Option<Vec<u8>> {
-        match self {
-            IoOutput::Data(d) => Some(d),
-            _ => None,
-        }
-    }
-
-    /// Extracts `DataMask`, `None` on a shape mismatch.
+    /// Extracts `DataMask`; `None` means the caller mismatched request
+    /// and output shapes (a submission bug, surfaced as a typed error).
     pub fn into_data_mask(self) -> Option<(Vec<u8>, Vec<bool>)> {
         match self {
             IoOutput::DataMask(d, m) => Some((d, m)),
@@ -320,14 +281,6 @@ pub enum OpResult {
 }
 
 impl OpResult {
-    /// Extracts a completed output.
-    pub fn into_output(self) -> Option<IoOutput> {
-        match self {
-            OpResult::Ok(o) => Some(o),
-            _ => None,
-        }
-    }
-
     /// The failure, if any.
     pub fn error(&self) -> Option<&DiskError> {
         match self {
@@ -353,38 +306,30 @@ pub fn execute_partial(
 ) -> Result<Vec<OpResult>> {
     let ops = batch.requests();
     let mut results: Vec<OpResult> = vec![OpResult::Skipped; batch.ops];
+    let mut outputs: Vec<Option<IoOutput>> = vec![None; batch.ops];
     let mut failed = false;
     for window in windows(batch) {
         if failed {
             break; // Later windows stay Skipped.
         }
         let mut pending = plan_window(policy, &ops, &window);
-        while let Some(group) = &next_group(disk, policy, &ops, &mut pending) {
-            let mut outputs: Vec<Option<IoOutput>> = vec![None; batch.ops];
-            match run_group(disk, &ops, group, &mut outputs) {
-                Ok(()) => {
-                    for &i in group {
-                        results[i] = OpResult::Ok(outputs[i].take().unwrap_or(IoOutput::Done));
+        while let Some(group) = next_group(disk, policy, &ops, &mut pending) {
+            let mut tries = vec![group];
+            while let Some(group) = tries.pop() {
+                match run_group(disk, &ops, &group, &mut outputs) {
+                    Ok(()) => {
+                        for &i in &group {
+                            results[i] = OpResult::Ok(outputs[i].take().unwrap_or(IoOutput::Done));
+                        }
                     }
-                }
-                Err(DiskError::Crashed) => return Err(DiskError::Crashed),
-                Err(e) => {
-                    if group.len() == 1 {
+                    Err(DiskError::Crashed) => return Err(DiskError::Crashed),
+                    // Re-probe the coalesced members one at a time, in
+                    // address order, to find out which of them hit the
+                    // bad sector.
+                    Err(_) if group.len() > 1 => tries.extend(group.iter().rev().map(|&i| vec![i])),
+                    Err(e) => {
                         results[group[0]] = OpResult::Failed(e);
                         failed = true;
-                        continue;
-                    }
-                    // Re-probe the coalesced members individually to find
-                    // out which of them hit the bad sector.
-                    for &i in group {
-                        match run_one(disk, ops[i]) {
-                            Ok(o) => results[i] = OpResult::Ok(o),
-                            Err(DiskError::Crashed) => return Err(DiskError::Crashed),
-                            Err(e) => {
-                                results[i] = OpResult::Failed(e);
-                                failed = true;
-                            }
-                        }
                     }
                 }
             }
@@ -465,147 +410,96 @@ fn next_group(
     (pick < pending.len()).then(|| pending.remove(pick))
 }
 
-/// Executes one coalesced group as a single `SimDisk` operation and
-/// splits the result back onto the member requests.
+/// Executes one transfer — a single request, or adjacent same-kind ones
+/// coalesced — as a single `SimDisk` operation and splits the result
+/// back onto the member requests.
 fn run_group(
     disk: &mut SimDisk,
     ops: &[&IoOp],
     group: &[usize],
     outputs: &mut [Option<IoOutput>],
 ) -> Result<()> {
-    if group.len() == 1 {
-        let i = group[0];
-        outputs[i] = Some(run_one(disk, ops[i])?);
-        return Ok(());
-    }
-    let start = ops[group[0]].start();
+    let first = ops[group[0]];
+    let start = first.start();
     let counts: Vec<usize> = group.iter().map(|&i| ops[i].sectors() as usize).collect();
     let total: usize = counts.iter().sum();
-    match ops[group[0]] {
-        IoOp::Read { .. } => {
-            let data = disk.read(start, total)?;
-            for (i, chunk) in split_bytes(&data, &counts, group) {
-                outputs[i] = Some(IoOutput::Data(chunk));
-            }
-        }
+    match first {
         IoOp::ReadAllowDamage { .. } => {
             let (data, mask) = disk.read_allow_damage(start, total)?;
-            let mut off = 0usize;
-            for (gi, &i) in group.iter().enumerate() {
-                let n = counts[gi];
-                outputs[i] = Some(IoOutput::DataMask(
-                    data[off * SECTOR_BYTES..(off + n) * SECTOR_BYTES].to_vec(),
-                    mask[off..off + n].to_vec(),
-                ));
-                off += n;
-            }
-        }
-        IoOp::ReadChecked { .. } => {
-            let mut expected: Vec<Label> = Vec::with_capacity(total);
-            for &i in group {
-                let IoOp::ReadChecked { expected: e, .. } = ops[i] else {
-                    unreachable!("group kind mismatch");
-                };
-                expected.extend_from_slice(e);
-            }
-            let data = disk.read_checked(start, total, &expected)?;
-            for (i, chunk) in split_bytes(&data, &counts, group) {
-                outputs[i] = Some(IoOutput::Data(chunk));
+            let pieces = split(data, &counts, SECTOR_BYTES)
+                .into_iter()
+                .zip(split(mask, &counts, 1));
+            for (&i, (d, m)) in group.iter().zip(pieces) {
+                outputs[i] = Some(IoOutput::DataMask(d, m));
             }
         }
         IoOp::ReadLabels { .. } => {
             let labels = disk.read_labels(start, total)?;
-            let mut off = 0usize;
-            for (gi, &i) in group.iter().enumerate() {
-                let n = counts[gi];
-                outputs[i] = Some(IoOutput::Labels(labels[off..off + n].to_vec()));
-                off += n;
+            for (&i, l) in group.iter().zip(split(labels, &counts, 1)) {
+                outputs[i] = Some(IoOutput::Labels(l));
             }
         }
         IoOp::Write { .. } => {
-            let mut data: Vec<u8> = Vec::with_capacity(total * SECTOR_BYTES);
-            for &i in group {
-                let IoOp::Write { data: d, .. } = ops[i] else {
-                    unreachable!("group kind mismatch");
-                };
-                data.extend_from_slice(d);
-            }
+            let data = joined(ops, group, |op| match op {
+                IoOp::Write { data, .. } => data.as_slice(),
+                _ => &[],
+            });
             disk.write(start, &data)?;
             mark_done(group, outputs);
         }
-        IoOp::WriteChecked { .. } => {
-            let mut data: Vec<u8> = Vec::with_capacity(total * SECTOR_BYTES);
-            let mut expected: Vec<Label> = Vec::with_capacity(total);
-            for &i in group {
-                let IoOp::WriteChecked {
-                    data: d,
-                    expected: e,
-                    ..
-                } = ops[i]
-                else {
-                    unreachable!("group kind mismatch");
-                };
-                data.extend_from_slice(d);
-                expected.extend_from_slice(e);
-            }
-            disk.write_checked(start, &data, &expected)?;
-            mark_done(group, outputs);
-        }
-        IoOp::WriteWithLabels { .. } => {
-            let mut data: Vec<u8> = Vec::with_capacity(total * SECTOR_BYTES);
-            let mut labels: Vec<Label> = Vec::with_capacity(total);
-            for &i in group {
-                let IoOp::WriteWithLabels {
-                    data: d, labels: l, ..
-                } = ops[i]
-                else {
-                    unreachable!("group kind mismatch");
-                };
-                data.extend_from_slice(d);
-                labels.extend_from_slice(l);
-            }
-            disk.write_with_labels(start, &data, &labels)?;
-            mark_done(group, outputs);
-        }
-        IoOp::WriteLabels { .. } => {
-            let mut labels: Vec<Label> = Vec::with_capacity(total);
-            let mut expected: Vec<Label> = Vec::with_capacity(total);
-            let mut any_expected = false;
-            for &i in group {
-                let IoOp::WriteLabels {
-                    labels: l,
-                    expected: e,
-                    ..
-                } = ops[i]
-                else {
-                    unreachable!("group kind mismatch");
-                };
-                labels.extend_from_slice(l);
-                if let Some(e) = e {
-                    any_expected = true;
-                    expected.extend_from_slice(e);
-                }
-            }
-            let expected = any_expected.then_some(expected.as_slice());
-            disk.write_labels(start, &labels, expected)?;
+        IoOp::WriteLabels { expected, .. } => {
+            let labels = joined(ops, group, |op| match op {
+                IoOp::WriteLabels { labels, .. } => labels.as_slice(),
+                _ => &[],
+            });
+            // Checked and unchecked label writes never coalesce, so the
+            // first member speaks for the group.
+            let expected = expected.as_ref().map(|_| {
+                joined(ops, group, |op| match op {
+                    IoOp::WriteLabels {
+                        expected: Some(e), ..
+                    } => e.as_slice(),
+                    _ => &[],
+                })
+            });
+            disk.write_labels(start, &labels, expected.as_deref())?;
             mark_done(group, outputs);
         }
     }
     Ok(())
 }
 
-fn split_bytes(data: &[u8], counts: &[usize], group: &[usize]) -> Vec<(usize, Vec<u8>)> {
-    let mut out = Vec::with_capacity(group.len());
-    let mut off = 0usize;
-    for (gi, &i) in group.iter().enumerate() {
-        let n = counts[gi];
-        out.push((
-            i,
-            data[off * SECTOR_BYTES..(off + n) * SECTOR_BYTES].to_vec(),
-        ));
-        off += n;
+/// The members' payloads end to end, for one transfer. A group of one
+/// lends its own buffer: the single-request path copies nothing.
+fn joined<'a, T: Clone>(
+    ops: &[&'a IoOp],
+    group: &[usize],
+    part: impl Fn(&'a IoOp) -> &'a [T],
+) -> Cow<'a, [T]> {
+    match group {
+        [i] => Cow::Borrowed(part(ops[*i])),
+        _ => {
+            let parts: Vec<&[T]> = group.iter().map(|&i| part(ops[i])).collect();
+            Cow::Owned(parts.concat())
+        }
     }
-    out
+}
+
+/// Cuts one transfer's result into the members' pieces, `unit` elements
+/// per sector. A group of one gets the whole result, uncopied.
+fn split<T: Clone>(whole: Vec<T>, counts: &[usize], unit: usize) -> Vec<Vec<T>> {
+    if let [_] = counts {
+        return vec![whole];
+    }
+    let mut off = 0usize;
+    counts
+        .iter()
+        .map(|&n| {
+            let piece = whole[off..off + n * unit].to_vec();
+            off += n * unit;
+            piece
+        })
+        .collect()
 }
 
 fn mark_done(group: &[usize], outputs: &mut [Option<IoOutput>]) {
@@ -614,62 +508,13 @@ fn mark_done(group: &[usize], outputs: &mut [Option<IoOutput>]) {
     }
 }
 
-/// Executes a single request directly.
-fn run_one(disk: &mut SimDisk, op: &IoOp) -> Result<IoOutput> {
-    Ok(match op {
-        IoOp::Read { start, n } => IoOutput::Data(disk.read(*start, *n)?),
-        IoOp::ReadAllowDamage { start, n } => {
-            let (d, m) = disk.read_allow_damage(*start, *n)?;
-            IoOutput::DataMask(d, m)
-        }
-        IoOp::ReadChecked { start, expected } => {
-            IoOutput::Data(disk.read_checked(*start, expected.len(), expected)?)
-        }
-        IoOp::ReadLabels { start, n } => IoOutput::Labels(disk.read_labels(*start, *n)?),
-        IoOp::Write { start, data } => {
-            disk.write(*start, data)?;
-            IoOutput::Done
-        }
-        IoOp::WriteChecked {
-            start,
-            data,
-            expected,
-        } => {
-            disk.write_checked(*start, data, expected)?;
-            IoOutput::Done
-        }
-        IoOp::WriteWithLabels {
-            start,
-            data,
-            labels,
-        } => {
-            disk.write_with_labels(*start, data, labels)?;
-            IoOutput::Done
-        }
-        IoOp::WriteLabels {
-            start,
-            labels,
-            expected,
-        } => {
-            disk.write_labels(*start, labels, expected.as_deref())?;
-            IoOutput::Done
-        }
-    })
-}
-
-/// Convenience: the estimated positioning cost the scheduler minimizes,
-/// re-exported for benches and diagnostics.
-pub fn position_cost_us(disk: &SimDisk, addr: SectorAddr) -> Micros {
-    disk.position_cost_us(addr)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::SimClock;
+    use crate::clock::{Micros, SimClock};
     use crate::geometry::{Chs, DiskGeometry};
     use crate::timing::DiskTiming;
-    use crate::CrashPlan;
+    use crate::{CrashPlan, DiskStats};
 
     fn sector_of(byte: u8) -> Vec<u8> {
         vec![byte; SECTOR_BYTES]
@@ -706,11 +551,39 @@ mod tests {
         d.write(40, &sector_of(4)).unwrap();
         d.write(7, &sector_of(7)).unwrap();
         let mut b = IoBatch::new();
-        let hi = b.push(IoOp::Read { start: 40, n: 1 });
-        let lo = b.push(IoOp::Read { start: 7, n: 1 });
+        let hi = b.push(IoOp::ReadAllowDamage { start: 40, n: 1 });
+        let lo = b.push(IoOp::ReadAllowDamage { start: 7, n: 1 });
         let out = execute(&mut d, IoPolicy::Satf, &b).unwrap();
-        assert_eq!(out[hi].clone().into_data().unwrap()[0], 4);
-        assert_eq!(out[lo].clone().into_data().unwrap()[0], 7);
+        assert_eq!(out[hi].clone().into_data_mask().unwrap().0[0], 4);
+        assert_eq!(out[lo].clone().into_data_mask().unwrap().0[0], 7);
+    }
+
+    #[test]
+    fn coalesced_damage_tolerant_reads_split_back_per_request() {
+        let mut d = SimDisk::tiny();
+        for a in 20..23 {
+            d.write(a, &sector_of(a as u8)).unwrap();
+        }
+        d.damage_sector(21);
+        let mut b = IoBatch::new();
+        let r: Vec<usize> = (20..23)
+            .map(|a| b.push(IoOp::ReadAllowDamage { start: a, n: 1 }))
+            .collect();
+        let out = execute(&mut d, IoPolicy::Satf, &b).unwrap();
+        assert_eq!(d.stats().reads, 1, "three adjacent reads become one");
+        let got: Vec<(u8, Vec<bool>)> = r
+            .iter()
+            .map(|&i| {
+                let (data, mask) = out[i].clone().into_data_mask().unwrap();
+                assert_eq!(data.len(), SECTOR_BYTES);
+                (data[0], mask)
+            })
+            .collect();
+        assert_eq!(
+            got,
+            vec![(20, vec![false]), (0, vec![true]), (22, vec![false])],
+            "the damaged sector reads as zeros and is flagged"
+        );
     }
 
     #[test]
@@ -861,7 +734,7 @@ mod tests {
         let mut batched = SimDisk::tiny();
         direct.write(10, &sector_of(1)).unwrap();
         direct.write(30, &sector_of(2)).unwrap();
-        let d1 = direct.read(10, 1).unwrap();
+        let d1 = direct.read_allow_damage(10, 1).unwrap();
         let mut b = IoBatch::new();
         b.push(IoOp::Write {
             start: 10,
@@ -871,9 +744,9 @@ mod tests {
             start: 30,
             data: sector_of(2),
         });
-        let r = b.push(IoOp::Read { start: 10, n: 1 });
+        let r = b.push(IoOp::ReadAllowDamage { start: 10, n: 1 });
         let out = execute(&mut batched, IoPolicy::InOrder, &b).unwrap();
-        assert_eq!(out[r].clone().into_data().unwrap(), d1);
+        assert_eq!(out[r].clone().into_data_mask().unwrap(), d1);
         assert_eq!(direct.stats(), batched.stats());
         assert_eq!(direct.clock().now(), batched.clock().now());
     }
@@ -919,11 +792,11 @@ mod tests {
     fn explicit_barriers_split_windows() {
         let mut b = IoBatch::new();
         b.barrier(); // Leading barrier: no-op.
-        b.push(IoOp::Read { start: 0, n: 1 });
-        b.push(IoOp::Read { start: 5, n: 1 });
+        b.push(IoOp::ReadAllowDamage { start: 0, n: 1 });
+        b.push(IoOp::ReadAllowDamage { start: 5, n: 1 });
         b.barrier();
         b.barrier(); // Double barrier: still one split.
-        b.push(IoOp::Read { start: 9, n: 1 });
+        b.push(IoOp::ReadAllowDamage { start: 9, n: 1 });
         assert_eq!(windows(&b), vec![vec![0, 1], vec![2]]);
     }
 
@@ -933,21 +806,38 @@ mod tests {
         for a in 20..23 {
             d.write(a, &sector_of(a as u8)).unwrap();
         }
-        d.damage_sector(21);
+        d.hard_damage_sector(21);
+        let before = d.stats();
         let mut b = IoBatch::new();
-        let r0 = b.push(IoOp::Read { start: 20, n: 1 });
-        let r1 = b.push(IoOp::Read { start: 21, n: 1 });
-        let r2 = b.push(IoOp::Read { start: 22, n: 1 });
+        let w: Vec<usize> = (20..23)
+            .map(|a| {
+                b.push(IoOp::Write {
+                    start: a,
+                    data: sector_of(a as u8 + 100),
+                })
+            })
+            .collect();
         let out = execute_partial(&mut d, IoPolicy::Satf, &b).unwrap();
+        assert_eq!(out[w[0]], OpResult::Ok(IoOutput::Done));
+        assert_eq!(out[w[1]].error(), Some(&DiskError::BadSector(21)));
+        assert_eq!(out[w[2]], OpResult::Ok(IoOutput::Done));
+        assert_eq!(d.peek_data(20).unwrap()[0], 120);
+        assert_eq!(d.peek_data(22).unwrap()[0], 122);
+        // One coalesced write that puts down sector 20 and fails at 21,
+        // then one write per member.
         assert_eq!(
-            out[r0].clone().into_output().unwrap().into_data().unwrap()[0],
-            20
+            d.stats().since(&before),
+            DiskStats {
+                writes: 4,
+                sectors_written: 3,
+                transfer_us: 5205,
+                lost_revolutions: 2,
+                lost_rev_us: 28107,
+                media_faults: 2,
+                ..DiskStats::default()
+            }
         );
-        assert_eq!(out[r1].error(), Some(&DiskError::BadSector(21)));
-        assert_eq!(
-            out[r2].clone().into_output().unwrap().into_data().unwrap()[0],
-            22
-        );
+        assert_eq!(d.clock().now(), 40599);
     }
 
     #[test]
@@ -1027,7 +917,7 @@ mod tests {
             data: sector_of(1),
         });
         b.barrier();
-        b.push(IoOp::Read { start: 10, n: 1 });
+        b.push(IoOp::ReadAllowDamage { start: 10, n: 1 });
         let full = execute(&mut d1, IoPolicy::Satf, &b).unwrap();
         let partial = execute_partial(&mut d2, IoPolicy::Satf, &b).unwrap();
         for (f, p) in full.into_iter().zip(partial) {

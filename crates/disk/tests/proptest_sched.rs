@@ -28,9 +28,8 @@ const TOTAL: u32 = 2048; // TINY geometry.
 /// A generator-friendly batch item.
 #[derive(Clone, Debug)]
 enum GenItem {
-    Write(u32, u8, u8), // start, sectors, fill byte
-    Read(u32, u8),      // start, sectors
-    ReadAllowDamage(u32, u8),
+    Write(u32, u8, u8),       // start, sectors, fill byte
+    ReadAllowDamage(u32, u8), // start, sectors
     ReadLabels(u32, u8),
     WriteLabels(u32, u8, u32), // start, sectors, file id
     Barrier,
@@ -39,7 +38,6 @@ enum GenItem {
 fn arb_item() -> impl Strategy<Value = GenItem> {
     prop_oneof![
         (0u32..TOTAL, 1u8..8, any::<u8>()).prop_map(|(s, n, b)| GenItem::Write(s, n, b)),
-        (0u32..TOTAL, 1u8..8).prop_map(|(s, n)| GenItem::Read(s, n)),
         (0u32..TOTAL, 1u8..8).prop_map(|(s, n)| GenItem::ReadAllowDamage(s, n)),
         (0u32..TOTAL, 1u8..8).prop_map(|(s, n)| GenItem::ReadLabels(s, n)),
         (0u32..TOTAL, 1u8..6, 1u32..64).prop_map(|(s, n, f)| GenItem::WriteLabels(s, n, f)),
@@ -68,13 +66,6 @@ fn build(items: &[GenItem]) -> (IoBatch, Vec<IoOp>) {
                     start: s,
                     data: vec![*b; n * SECTOR_BYTES],
                 }
-            }
-            GenItem::Read(s, n) => {
-                let (s, n) = clamp(*s, *n);
-                if n == 0 {
-                    continue;
-                }
-                IoOp::Read { start: s, n }
             }
             GenItem::ReadAllowDamage(s, n) => {
                 let (s, n) = clamp(*s, *n);

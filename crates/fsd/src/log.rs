@@ -314,12 +314,6 @@ impl Log {
         self.max_images
     }
 
-    /// Boot count of the epoch writing this log (stamped into every
-    /// record; the replication tap re-encodes shipped records with it).
-    pub fn boot_count(&self) -> u32 {
-        self.boot_count
-    }
-
     /// Sequence number the next append will use.
     pub fn next_seq(&self) -> u64 {
         self.next_seq
@@ -330,11 +324,6 @@ impl Log {
     /// overhead).
     pub fn third_capacity_images(&self) -> usize {
         ((self.third_len().saturating_sub(5)) / 2) as usize
-    }
-
-    /// Number of live (replayable) records.
-    pub fn live_records(&self) -> usize {
-        self.live.len()
     }
 
     /// Log-region offset where the next record will start (fault-injection
@@ -409,8 +398,10 @@ impl Log {
     /// the volume uses it to write home every page whose only log copy
     /// lives in that third.
     ///
-    /// Returns `(seq, third)` where `third` is the third the record starts
-    /// in (the page-tracking tag).
+    /// Returns `(seq, third, sealed)` where `third` is the third the
+    /// record starts in (the page-tracking tag) and `sealed` is the record
+    /// as [`encode_record`] laid it out for the platter — the bytes the
+    /// replication stream ships.
     pub fn append(
         &mut self,
         disk: &mut SimDisk,
@@ -419,7 +410,7 @@ impl Log {
         group_end: bool,
         reallocated: &[Run],
         mut flush: impl FnMut(&mut SimDisk, &mut SpareMap, u8) -> Result<()>,
-    ) -> Result<(u64, u8)> {
+    ) -> Result<(u64, u8, Vec<u8>)> {
         let n = images.len();
         if n == 0 || n > self.max_images {
             return Err(FsdError::Check(format!(
@@ -546,7 +537,7 @@ impl Log {
             self.oldest = (pos, seq);
         }
         self.write_pos = pos + len;
-        Ok((seq, t_start))
+        Ok((seq, t_start, bytes))
     }
 }
 

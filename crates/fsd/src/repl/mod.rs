@@ -7,8 +7,8 @@
 //! stream must carry two currents:
 //!
 //! * the sealed log records of each group commit (name-table sectors,
-//!   leader images, optionally VAM sectors), re-encoded in their exact
-//!   `2n + 5` on-disk form; and
+//!   leader images, optionally VAM sectors), the very bytes
+//!   `Log::append` wrote, in their `2n + 5` on-disk form; and
 //! * the raw data-area sector writes since the previous commit, drained
 //!   from the [`cedar_disk::SimDisk`] write journal.
 //!

@@ -27,7 +27,7 @@ use std::collections::{HashMap, VecDeque};
 /// so bandwidth-limited links charge realistic serialization).
 const TRANSFER_CHUNK_SECTORS: usize = 256;
 
-/// Session configuration: the mode plus link fault/retry policy.
+/// [`ReplSession`] configuration: the mode plus link fault/retry policy.
 #[derive(Clone, Debug)]
 pub struct ReplSessionConfig {
     /// Acknowledgement mode.
@@ -219,14 +219,6 @@ impl ReplSession {
         Ok(())
     }
 
-    /// Async background pump: ships what the link will take, without
-    /// erroring or retrying. Also applies any received backlog.
-    pub fn pump(&mut self) {
-        self.collect_sealed();
-        self.try_drain_async();
-        let _ = self.replica.apply_received();
-    }
-
     /// Catch-up after a partition (heals a manual partition first): a
     /// log-cursor handshake decides between replaying retained frames
     /// and a full-state transfer when the retention buffer has lapped
@@ -279,12 +271,6 @@ impl ReplSession {
             promoted_cursor,
             replica_stats: stats,
         })
-    }
-
-    /// Consumes the session, returning the primary volume (controlled
-    /// shutdown of replication).
-    pub fn into_primary(self) -> FsdVolume {
-        self.primary
     }
 
     // ----- internals ------------------------------------------------------------

@@ -32,7 +32,7 @@ use cedar_disk::{Link, LinkPlan, LinkStats};
 use cedar_vol::fs::CedarFsError;
 
 use crate::repl::replica::{Replica, ReplicaStats};
-use crate::repl::{ReplFrame, ReplMode};
+use crate::repl::{ReplFrame, ReplMode, ReplSessionConfig};
 use crate::sync::{Condvar, Mutex, MutexGuard};
 
 /// Configuration for the engine-attached shipper thread.
@@ -53,14 +53,17 @@ pub struct ShipperConfig {
 }
 
 impl ShipperConfig {
-    /// Defaults mirroring [`crate::repl::ReplSessionConfig::for_mode`].
+    /// The link, retries, backoff and lag bound of
+    /// [`ReplSessionConfig::for_mode`], so the engine's replicated path
+    /// ships over the link the bench and the campaign measure.
     pub fn for_mode(mode: ReplMode) -> Self {
+        let session = ReplSessionConfig::for_mode(mode);
         Self {
             mode,
-            link: LinkPlan::with_latency(500),
-            retry_attempts: 3,
-            backoff_us: 2_000,
-            max_lag_frames: 8,
+            link: session.link,
+            retry_attempts: session.retry_attempts,
+            backoff_us: session.backoff_us,
+            max_lag_frames: session.max_lag_frames,
         }
     }
 }
@@ -410,5 +413,27 @@ impl ReplHandle {
         st.failed = None;
         st.kick += 1;
         self.shared.work.notify_all();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn defaults_agree_with_the_session_defaults() {
+        for mode in [ReplMode::Sync, ReplMode::SemiSync, ReplMode::Async] {
+            let ship = ShipperConfig::for_mode(mode);
+            let session = ReplSessionConfig::for_mode(mode);
+            assert_eq!(ship.mode, session.mode);
+            assert_eq!(ship.link.latency_us, session.link.latency_us);
+            assert_eq!(ship.link.bytes_per_sec, session.link.bytes_per_sec);
+            assert_eq!(ship.link.drop_sends, session.link.drop_sends);
+            assert_eq!(ship.link.partitions, session.link.partitions);
+            assert_eq!(ship.link.timeout_us, session.link.timeout_us);
+            assert_eq!(ship.retry_attempts, session.retry_attempts);
+            assert_eq!(ship.backoff_us, session.backoff_us);
+            assert_eq!(ship.max_lag_frames, session.max_lag_frames);
+        }
     }
 }

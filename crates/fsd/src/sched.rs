@@ -325,7 +325,7 @@ impl CommitScheduler {
 /// The scheduled volume as a backend: every verb goes through
 /// [`CommitScheduler::submit`] and `sync` settles the shared batch.
 /// Clients share it the way they share any serial backend — a
-/// `SyncFs<CommitScheduler>`, with one `Session` per client where a
+/// `SyncFs<CommitScheduler>`, each holding a clone of its `Arc` where a
 /// handle is wanted. (For a pipeline that actually runs clients in
 /// parallel, see `crate::FsdEngine`; this exists for the deterministic
 /// simulated-clock driver.)
@@ -372,7 +372,7 @@ mod tests {
     use super::*;
     use crate::FsdConfig;
     use cedar_disk::{CpuModel, SimDisk};
-    use cedar_vol::fs::{FileSystem, Session, SyncFs};
+    use cedar_vol::fs::{FileSystem, SyncFs};
     use std::sync::Arc;
 
     fn vol(log_sectors: u32) -> FsdVolume {
@@ -492,7 +492,7 @@ mod tests {
     fn client_handles_share_one_batch() {
         let shared = Arc::new(SyncFs::new(sched(512)));
         let fs: Arc<dyn FileSystem> = shared.clone();
-        let (c0, c1) = (Session::new(fs.clone(), 0), Session::new(fs, 1));
+        let (c0, c1) = (Arc::clone(&fs), fs);
         c0.create("c00/f", b"zero").unwrap();
         c1.create("c01/f", b"one").unwrap();
         assert_eq!(shared.with(|s| s.pending_ops()), 2);

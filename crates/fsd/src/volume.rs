@@ -51,7 +51,7 @@ use crate::entry::{EntryKind, FileEntry};
 use crate::error::FsdError;
 use crate::layout::{FsdBootPage, FsdLayout, SavedVam};
 use crate::leader::LeaderPage;
-use crate::log::{Log, PageTarget, RecordEnd, LISTED_RUNS_MAX};
+use crate::log::{Log, PageTarget, LISTED_RUNS_MAX};
 use crate::spare::{self, SpareMap};
 use crate::{Result, NT_PAGE_SECTORS};
 use cedar_btree::{BTree, PageId};
@@ -229,7 +229,7 @@ pub struct FsdVolume {
     /// strike ledger deciding when a flaky sector gets remapped.
     pub(crate) spare: SpareMap,
     /// Replication tap: when present, every successful [`Self::force`]
-    /// seals one [`crate::repl::ReplFrame`] (re-encoded commit records
+    /// seals one [`crate::repl::ReplFrame`] (the commit records as written
     /// plus the data-area writes drained from the disk write journal)
     /// for the shipper to stream to a replica.
     pub(crate) repl: Option<crate::repl::ReplTap>,
@@ -396,13 +396,6 @@ impl FsdVolume {
                 .values()
                 .filter(|ls| ls.unlogged.is_some())
                 .count()
-    }
-
-    /// Images that fit in one log third — the natural batch bound: a
-    /// force near this size spans a whole third and triggers immediate
-    /// reclamation ("the log is forced long before [overflow]", §5.3).
-    pub fn log_third_capacity_images(&self) -> usize {
-        self.log.third_capacity_images()
     }
 
     /// Free data sectors (excluding shadow-held pages), a held reserve
@@ -671,27 +664,18 @@ impl FsdVolume {
             // Entering a third reclaims it: whatever has its only log
             // copy there goes home first (§5.3), as one scheduler window
             // inside the append.
-            let (seq, third) =
+            let (seq, third, sealed) =
                 log.append(disk, spare, chunk, is_last, share, |disk, spare, t| {
                     let (writes, pages) = collect_home_writes(layout, cache, leaders, Some(t))?;
                     commit_stats.third_flush_pages += pages;
                     spare::write_home_batch(disk, policy, spare, writes)
                 })?;
             if self.repl.is_some() {
-                // Re-encode the exact sealed bytes the append just wrote:
-                // the replication stream ships records in their on-disk
+                // Ship the sealed bytes the append just wrote: the
+                // replication stream carries records in their on-disk
                 // form, so the replica decodes with the same checks as
                 // boot-time recovery.
-                let end = RecordEnd {
-                    group_end: is_last,
-                    reallocated: share,
-                };
-                repl_records.push(crate::log::encode_record(
-                    chunk,
-                    seq,
-                    self.log.boot_count(),
-                    end,
-                )?);
+                repl_records.push(sealed);
                 let (first, _) = repl_seqs.unwrap_or((seq, seq));
                 repl_seqs = Some((first, seq));
             }

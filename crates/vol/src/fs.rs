@@ -8,26 +8,23 @@
 //! one client could hold the file system at a time; §5.4's group commit
 //! exists precisely because *many concurrent clients* amortize forces,
 //! so the exclusive borrow was a lie the simulated scheduler had to
-//! paper over. The API is now two-level:
+//! paper over. The API is two traits:
 //!
 //! * [`FileSystem`] — the shared-reference, `Send + Sync` service
-//!   interface. Every method takes `&self`, so N OS threads can submit
-//!   operations against one `Arc<dyn FileSystem>` concurrently. FSD
-//!   implements it with a group-commit pipeline (`cedar_fsd`'s
-//!   engine); CFS, FFS, and the in-memory model implement it with a
-//!   plain internal mutex ([`SyncFs`]).
-//! * [`Session`] — an owned, cloneable, `Send` per-client handle over an
-//!   `Arc<dyn FileSystem>`. A session carries a client id (reporting and
-//!   namespacing only) and has no lifetime parameter, so it can move
-//!   into a spawned thread.
-//!
-//! Backends themselves implement [`FsBackend`], the implementation-level
-//! trait with the old exclusive-borrow signatures (the simulated disk
-//! mutates on every access — even reads advance the clock and the
-//! stats). [`SyncFs`] lifts any `FsBackend` into a [`FileSystem`] by
-//! serializing operations behind one internal mutex: semantically
-//! correct everywhere, concurrent-fast nowhere. The FSD engine is the
-//! backend that actually spreads work across cores.
+//!   interface. Every method takes `&self`, so client threads share one
+//!   `Arc<dyn FileSystem>`: each holds a clone of the `Arc` (owned, no
+//!   lifetime parameter, so it moves into a spawned thread) and submits
+//!   operations concurrently. FSD implements it with a group-commit
+//!   pipeline (`cedar_fsd`'s engine); CFS, FFS, and the in-memory model
+//!   implement it with a plain internal mutex ([`SyncFs`]).
+//! * [`FsBackend`] — the implementation-level trait with the
+//!   exclusive-borrow signatures, which every volume implements (the
+//!   simulated disk mutates on every access — even reads advance the
+//!   clock and the stats). [`SyncFs`] lifts any `FsBackend` into a
+//!   [`FileSystem`] by serializing operations behind one internal
+//!   mutex: semantically correct everywhere, concurrent-fast nowhere.
+//!   The FSD engine is the backend that actually spreads work across
+//!   cores.
 //!
 //! # Contract
 //!
@@ -59,7 +56,7 @@
 use crate::name::MAX_NAME_LEN;
 use cedar_disk::{DiskError, DiskStats, Micros};
 use std::fmt;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard};
 
 /// A 4 KB request (eight sectors), the stream-buffer size of the era.
 /// No backend uses it: [`FileSystem::read`] hands back the whole file,
@@ -221,8 +218,8 @@ pub struct FsStats {
 /// The shared-reference service interface all file systems expose.
 ///
 /// Object-safe and thread-safe: benches, workloads, and tests take
-/// `&dyn FileSystem` (or an `Arc<dyn FileSystem>` split across threads
-/// via [`Session`]) and run identically against every backend. Every
+/// `&dyn FileSystem` (or clones of one `Arc<dyn FileSystem>`, one per
+/// client thread) and run identically against every backend. Every
 /// method takes `&self`; implementations supply their own interior
 /// synchronization — a single mutex in [`SyncFs`], an inbox and a
 /// log-writer thread in the FSD engine.
@@ -400,104 +397,10 @@ impl<B: FsBackend + Send> FileSystem for SyncFs<B> {
     }
 }
 
-/// An owned per-client handle: the second level of the API.
-///
-/// A `Session` is how a client thread holds a file system: it owns an
-/// `Arc<dyn FileSystem>` (no lifetime parameter, `Send`), carries a
-/// client id for reporting and namespacing, and forwards every
-/// operation. Clone it or create one per spawned thread:
-///
-/// ```
-/// use cedar_vol::fs::{FileSystem, FsBackend, Session, SyncFs};
-/// use std::sync::Arc;
-/// # struct Null;
-/// # impl FsBackend for Null {
-/// #   fn kind(&self) -> &'static str { "null" }
-/// #   fn create(&mut self, n: &str, d: &[u8]) -> Result<cedar_vol::fs::FileInfo, cedar_vol::fs::CedarFsError> { Ok(cedar_vol::fs::FileInfo { name: n.into(), version: 1, bytes: d.len() as u64 }) }
-/// #   fn open(&mut self, n: &str) -> Result<cedar_vol::fs::FileInfo, cedar_vol::fs::CedarFsError> { Err(cedar_vol::fs::CedarFsError::NotFound(n.into())) }
-/// #   fn read(&mut self, n: &str) -> Result<Vec<u8>, cedar_vol::fs::CedarFsError> { Err(cedar_vol::fs::CedarFsError::NotFound(n.into())) }
-/// #   fn write(&mut self, n: &str, d: &[u8]) -> Result<cedar_vol::fs::FileInfo, cedar_vol::fs::CedarFsError> { self.create(n, d) }
-/// #   fn delete(&mut self, n: &str) -> Result<(), cedar_vol::fs::CedarFsError> { Ok(()) }
-/// #   fn list(&mut self, _p: &str) -> Result<Vec<cedar_vol::fs::FileInfo>, cedar_vol::fs::CedarFsError> { Ok(vec![]) }
-/// #   fn sync(&mut self) -> Result<(), cedar_vol::fs::CedarFsError> { Ok(()) }
-/// #   fn stats(&self) -> cedar_vol::fs::FsStats { cedar_vol::fs::FsStats::default() }
-/// # }
-/// let fs: Arc<dyn FileSystem> = Arc::new(SyncFs::new(Null));
-/// let handles: Vec<_> = (0..4)
-///     .map(|id| {
-///         let session = Session::new(fs.clone(), id);
-///         std::thread::spawn(move || session.create(&format!("c{id}/f"), b"x"))
-///     })
-///     .collect();
-/// for h in handles {
-///     h.join().unwrap().unwrap();
-/// }
-/// ```
-#[derive(Clone)]
-pub struct Session {
-    fs: Arc<dyn FileSystem>,
-    id: usize,
-}
-
-impl Session {
-    /// Opens a session on a shared file system.
-    pub fn new(fs: Arc<dyn FileSystem>, id: usize) -> Self {
-        Self { fs, id }
-    }
-
-    /// The client's index (reporting only — namespacing is up to the
-    /// workload).
-    pub fn id(&self) -> usize {
-        self.id
-    }
-
-    /// The underlying shared file system.
-    pub fn fs(&self) -> &Arc<dyn FileSystem> {
-        &self.fs
-    }
-}
-
-impl FileSystem for Session {
-    fn kind(&self) -> &'static str {
-        self.fs.kind()
-    }
-
-    fn create(&self, name: &str, data: &[u8]) -> Result<FileInfo, CedarFsError> {
-        self.fs.create(name, data)
-    }
-
-    fn open(&self, name: &str) -> Result<FileInfo, CedarFsError> {
-        self.fs.open(name)
-    }
-
-    fn read(&self, name: &str) -> Result<Vec<u8>, CedarFsError> {
-        self.fs.read(name)
-    }
-
-    fn write(&self, name: &str, data: &[u8]) -> Result<FileInfo, CedarFsError> {
-        self.fs.write(name, data)
-    }
-
-    fn delete(&self, name: &str) -> Result<(), CedarFsError> {
-        self.fs.delete(name)
-    }
-
-    fn list(&self, prefix: &str) -> Result<Vec<FileInfo>, CedarFsError> {
-        self.fs.list(prefix)
-    }
-
-    fn sync(&self) -> Result<(), CedarFsError> {
-        self.fs.sync()
-    }
-
-    fn stats(&self) -> FsStats {
-        self.fs.stats()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     #[test]
     fn error_display_is_stable() {
@@ -606,7 +509,7 @@ mod tests {
         let fs: Arc<dyn FileSystem> = Arc::new(SyncFs::new(Toy::default()));
         let handles: Vec<_> = (0..8)
             .map(|id| {
-                let s = Session::new(fs.clone(), id);
+                let s = Arc::clone(&fs);
                 std::thread::spawn(move || {
                     for i in 0..16 {
                         s.create(&format!("c{id}/f{i}"), b"data").unwrap();
@@ -630,17 +533,5 @@ mod tests {
         fs.with(|b| b.create("b", b"2")).unwrap();
         let inner = fs.into_inner();
         assert_eq!(inner.files.len(), 2);
-    }
-
-    #[test]
-    fn session_carries_id_and_delegates() {
-        let fs: Arc<dyn FileSystem> = Arc::new(SyncFs::new(Toy::default()));
-        let s = Session::new(fs.clone(), 7);
-        assert_eq!(s.id(), 7);
-        assert_eq!(s.kind(), "toy");
-        s.create("x", b"y").unwrap();
-        let s2 = s.clone();
-        assert_eq!(s2.read("x").unwrap(), b"y");
-        assert_eq!(fs.open("x").unwrap().bytes, 1);
     }
 }

@@ -73,19 +73,18 @@
 //! use std::sync::Arc;
 //! use cedar_fs_repro::disk::SimDisk;
 //! use cedar_fs_repro::fsd::{EngineConfig, FsdConfig, FsdEngine, FsdVolume};
-//! use cedar_fs_repro::vol::fs::{FileSystem, Session};
+//! use cedar_fs_repro::vol::fs::FileSystem;
 //!
 //! let vol = FsdVolume::format(SimDisk::tiny(), FsdConfig::default()).unwrap();
 //! let engine = Arc::new(FsdEngine::start(vol, EngineConfig::default()).unwrap());
 //!
-//! // Eight OS threads, each an owned `Session` on the shared engine;
-//! // the log-writer thread batches their creates into shared forces.
+//! // Eight OS threads, each holding a clone of the shared engine's
+//! // `Arc`; the log-writer thread batches their creates into shared
+//! // forces.
 //! let threads: Vec<_> = (0..8)
 //!     .map(|client| {
-//!         let s = Session::new(Arc::clone(&engine) as Arc<dyn FileSystem>, client);
-//!         std::thread::spawn(move || {
-//!             s.create(&format!("c{}/out.bcd", s.id()), b"compiled")
-//!         })
+//!         let fs: Arc<dyn FileSystem> = engine.clone();
+//!         std::thread::spawn(move || fs.create(&format!("c{client}/out.bcd"), b"compiled"))
 //!     })
 //!     .collect();
 //! for t in threads {

@@ -2,8 +2,8 @@
 //!
 //! Two obligations the single-threaded conformance suite cannot check:
 //!
-//! * **Equivalence under real interleaving** — N OS threads, each an
-//!   owned `Session` on one shared engine, replay disjoint-namespace
+//! * **Equivalence under real interleaving** — N OS threads, each
+//!   holding a clone of one shared engine's `Arc`, replay disjoint-namespace
 //!   MakeDo scripts while mirroring every step into a mutex-wrapped
 //!   in-memory model. Because namespaces are disjoint, any
 //!   linearization of the two histories must agree file-by-file; the
@@ -20,7 +20,7 @@
 
 use cedar_fs_repro::disk::{CpuModel, CrashPlan, SimClock, SimDisk};
 use cedar_fs_repro::fsd::{EngineConfig, FsdConfig, FsdEngine, FsdVolume};
-use cedar_vol::fs::{FileSystem, FsBackend, Session, SyncFs};
+use cedar_vol::fs::{FileSystem, FsBackend, SyncFs};
 use cedar_workload::steps::{content_for, run_step, WorkloadStats};
 use cedar_workload::{multi_client_workload, MakeDoParams, MemFs, MultiClientParams};
 use std::sync::Arc;
@@ -83,19 +83,19 @@ fn threaded_engine_matches_model_at_commit_boundaries() {
         .iter()
         .cloned()
         .map(|script| {
-            let session = Session::new(Arc::clone(&engine) as Arc<dyn FileSystem>, script.id);
+            let fs: Arc<dyn FileSystem> = engine.clone();
             let model = Arc::clone(&model);
             std::thread::spawn(move || {
                 let mut stats = WorkloadStats::default();
                 let mut mirror = WorkloadStats::default();
                 for t in &script.steps {
-                    run_step(&t.step, &session, &mut stats).unwrap();
+                    run_step(&t.step, fs.as_ref(), &mut stats).unwrap();
                     run_step(&t.step, model.as_ref(), &mut mirror).unwrap();
                 }
-                // Read-your-writes inside the session, before any
+                // Read-your-writes inside the thread, before any
                 // global barrier: this thread's namespace must already
                 // be visible to it.
-                let mine = session.list(&script.prefix).unwrap();
+                let mine = fs.list(&script.prefix).unwrap();
                 let want = model.list(&script.prefix).unwrap();
                 assert_eq!(mine.len(), want.len(), "{}", script.prefix);
                 stats.steps
@@ -147,12 +147,12 @@ fn acknowledged_writes_survive_log_writer_crash() {
     let engine = Arc::new(FsdEngine::start(vol, EngineConfig::default()).unwrap());
     let threads: Vec<_> = (0..4)
         .map(|t| {
-            let session = Session::new(Arc::clone(&engine) as Arc<dyn FileSystem>, t);
+            let fs: Arc<dyn FileSystem> = engine.clone();
             std::thread::spawn(move || {
                 let mut acked = Vec::new();
                 for i in 0..10 {
                     let name = format!("t{t}/f{i:02}");
-                    match session.create(&name, &content_for(&name, 120)) {
+                    match fs.create(&name, &content_for(&name, 120)) {
                         Ok(_) => acked.push(name),
                         // First crash error: the epoch never committed;
                         // every later submission fails fast on poison.

@@ -7,7 +7,7 @@ cargo test -q --workspace
 # Every target: tests, examples and benches as well as the libraries and
 # bins, and once more with the loom shims the model-checked lanes build.
 cargo clippy --workspace --all-targets -- -D warnings
-cargo clippy -p cedar-fsd -p cedar-disk --features loom --all-targets -- -D warnings
+cargo clippy -p cedar-fsd --features loom --all-targets -- -D warnings
 cargo fmt --check
 cargo run --release -p cedar-analyze --bin cedar-lint -- --workspace
 # The lint's verdicts on twelve frozen trees of this repository's history
@@ -43,9 +43,6 @@ cargo test --release -p cedar-fsd --features loom --test loom_engine -- --nocapt
 # Model-checked log-writer -> shipper hand-off: a replication ack never
 # precedes the mode's durability point, in every explored schedule.
 cargo test --release -p cedar-fsd --features loom --test loom_repl
-# Model-checked scan hand-off: the bounded reader/worker channel behind
-# the parallel scavenger, explored under the in-tree loom shims.
-cargo test --release -p cedar-disk --features loom --test loom_scan
 # ThreadSanitizer lane over the concurrent conformance suite. Needs a
 # nightly toolchain with rust-src (for -Zbuild-std); skipped when the
 # host has neither, since the container cannot install components.

@@ -47,7 +47,7 @@ impl CfsVolume {
     /// crash corrupts the name table or invalidates the VAM hint.
     pub fn scavenge(&mut self) -> Result<ScavengeReport> {
         let mut report = ScavengeReport::default();
-        let workers = self.scavenge_workers.max(1);
+        let workers = self.scavenge_workers;
         let (disk, cpu, layout, ..) = self.parts();
         let t0 = disk.clock().now();
         let io0 = disk.stats().total_ops();
@@ -85,7 +85,6 @@ impl CfsVolume {
                 wcpu.labels(range.len() as u64);
                 interpret_labels(&labels[range.clone()], range.start as u32)
             })
-            .ok_or_else(worker_panicked)?
             .into_iter();
         let (mut file_sectors, mut headers) = shards.next().unwrap_or_default();
         for (fs, hs) in shards {
@@ -138,7 +137,6 @@ impl CfsVolume {
                     })
                     .collect::<Vec<_>>()
             })
-            .ok_or_else(worker_panicked)?
             .into_iter()
             .flatten()
             .collect();
@@ -169,24 +167,9 @@ impl CfsVolume {
         }
 
         // Build the new VAM from the labels: everything not owned by a
-        // surviving file (and outside the system areas) is free. The
-        // data area shards into contiguous ranges, each worker building
-        // a partial free map, merged back with a word-level OR (orphan
-        // lists concatenate in shard order, so they stay
-        // address-ascending).
+        // surviving file (and outside the system areas) is free.
         let (dlo, dhi) = layout.data_area();
-        let mut vam = Vam::new_all_allocated(total);
-        let mut orphans = Vec::new();
-        let shards = cpu
-            .sharded(workers, (dhi - dlo) as usize, |range, _| {
-                let (lo, hi) = (dlo + range.start as u32, dlo + range.end as u32);
-                vam_shard(&labels, &live, total, lo, hi)
-            })
-            .ok_or_else(worker_panicked)?;
-        for (part, mut os) in shards {
-            vam.merge_or(&part);
-            orphans.append(&mut os);
-        }
+        let (vam, orphans) = vam_shard(&labels, &live, total, dlo, dhi);
 
         // Pass 3: relabel orphaned sectors free — all runs in one
         // scheduler window (they are disjoint by construction).
@@ -266,12 +249,6 @@ impl CfsVolume {
     }
 }
 
-/// A panicked worker must degrade into a typed error, never abort the
-/// recovery that is already underway.
-fn worker_panicked() -> CfsError {
-    CfsError::Corrupt("scavenge worker panicked".into())
-}
-
 /// Per-file data sectors `(page, addr)` keyed by uid, and header-page-0
 /// `(uid, addr)` pairs.
 type LabelShard = (HashMap<u64, Vec<(u32, u32)>>, Vec<(u64, u32)>);
@@ -315,9 +292,9 @@ fn decode_header(
     FileHeader::decode(raw).ok()
 }
 
-/// Builds the free map and orphan list for one contiguous range of the
-/// data area: free-labelled sectors are free, sectors owned by no
-/// surviving file are orphans (freed and relabelled by the caller).
+/// Builds the free map and orphan list for the data area `lo..hi`:
+/// free-labelled sectors are free, sectors owned by no surviving file
+/// are orphans (freed and relabelled by the caller).
 fn vam_shard(
     labels: &[Label],
     live: &HashSet<u64>,

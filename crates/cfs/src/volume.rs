@@ -31,11 +31,12 @@ pub struct CfsConfig {
     pub nt_pages: u32,
     /// CPU cost table.
     pub cpu: CpuModel,
-    /// Decode/verify workers for the scavenger's label- and
-    /// header-interpretation stages. `1` is the historical serial
-    /// scavenger; larger values spread the Mesa-style label
-    /// interpretation (the dominant CPU cost, §5.3) across workers,
-    /// charged as the critical path.
+    /// Simulated decode/verify CPUs for the scavenger's label- and
+    /// header-interpretation stages. `1` (or `0`) is the historical
+    /// serial scavenger; larger values charge the Mesa-style label
+    /// interpretation (the dominant CPU cost, §5.3) to that many
+    /// simulated CPUs, whose critical path advances the clock. They all
+    /// run on the caller's thread.
     pub scavenge_workers: usize,
 }
 
@@ -98,7 +99,7 @@ pub struct CfsVolume {
     /// Whether the on-disk boot page currently claims a valid VAM hint;
     /// the first mutation must clear it so a crash forces reconstruction.
     vam_hint_on_disk: bool,
-    /// Scavenger decode/verify workers (from [`CfsConfig`]).
+    /// Scavenger decode/verify CPUs (from [`CfsConfig`]).
     pub(crate) scavenge_workers: usize,
 }
 

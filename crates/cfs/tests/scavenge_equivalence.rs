@@ -115,7 +115,7 @@ proptest! {
     #[test]
     fn parallel_scavenge_equals_serial(
         ops in proptest::collection::vec(arb_op(), 1..40),
-        workers in 2usize..9,
+        workers in 0usize..9,
     ) {
         let mut vol = CfsVolume::format(SimDisk::tiny(), config()).unwrap();
         for op in &ops {

@@ -124,14 +124,6 @@ impl Cpu {
         self.charge(self.model.label_interpret_us * n);
     }
 
-    /// Creates a local accumulator for one worker of a parallel stage.
-    pub fn worker(&self) -> WorkerCpu {
-        WorkerCpu {
-            model: self.model,
-            accumulated_us: 0,
-        }
-    }
-
     /// Joins a parallel stage that started at simulated time
     /// `started_at` and whose workers accumulated `worker_us`
     /// microseconds each (see [`WorkerCpu::into_us`]).
@@ -152,48 +144,44 @@ impl Cpu {
         self.clock.advance_to(started_at.saturating_add(max));
     }
 
+    /// The accumulators of one parallel stage on `workers` simulated
+    /// CPUs. Zero asks for one, like 1: this is where every recovery
+    /// stage reads its configured worker count.
+    pub fn workers(&self, workers: usize) -> Vec<WorkerCpu> {
+        let idle = WorkerCpu {
+            model: self.model,
+            accumulated_us: 0,
+        };
+        vec![idle; workers.max(1)]
+    }
+
     /// Runs one stage of pure per-item work over `len` items: at most
     /// `workers` contiguous shards of `len.div_ceil(workers)` items,
-    /// each handed to `work` with a [`WorkerCpu`] of its own — on scoped
-    /// threads, or inline when there is one shard — and joined with
+    /// run one after another on the caller's thread, each handed to
+    /// `work` with a [`WorkerCpu`] of its own, and joined with
     /// [`Cpu::join_parallel`]. Results come back in shard order, so
-    /// concatenating them restores item order; `None` if a worker
-    /// panicked.
+    /// concatenating them restores item order.
     ///
     /// Serial is the one-shard case: its join advances the clock from
     /// the start of the stage by the shard's own charge, which is what
     /// charging this `Cpu` directly would have done.
-    pub fn sharded<R: Send>(
+    pub fn sharded<R>(
         &self,
         workers: usize,
         len: usize,
-        work: impl Fn(Range<usize>, &mut WorkerCpu) -> R + Sync,
-    ) -> Option<Vec<R>> {
+        mut work: impl FnMut(Range<usize>, &mut WorkerCpu) -> R,
+    ) -> Vec<R> {
         let started_at = self.clock.now();
-        let shard_len = len.div_ceil(workers.max(1)).max(1);
-        let shards: Vec<(Range<usize>, WorkerCpu)> = (0..len)
+        let mut wcpus = self.workers(workers);
+        let shard_len = len.div_ceil(wcpus.len()).max(1);
+        let results = (0..len)
             .step_by(shard_len)
-            .map(|lo| (lo..(lo + shard_len).min(len), self.worker()))
+            .zip(&mut wcpus)
+            .map(|(lo, wcpu)| work(lo..(lo + shard_len).min(len), wcpu))
             .collect();
-        let work = &work;
-        let run = move |(range, mut wcpu): (Range<usize>, WorkerCpu)| {
-            let result = work(range, &mut wcpu);
-            (result, wcpu.into_us())
-        };
-        let joined: Option<Vec<(R, Micros)>> = if shards.len() <= 1 {
-            Some(shards.into_iter().map(run).collect())
-        } else {
-            std::thread::scope(|s| {
-                let handles: Vec<_> = shards
-                    .into_iter()
-                    .map(|shard| s.spawn(move || run(shard)))
-                    .collect();
-                handles.into_iter().map(|h| h.join().ok()).collect()
-            })
-        };
-        let (results, worker_us): (Vec<R>, Vec<Micros>) = joined?.into_iter().unzip();
+        let worker_us: Vec<Micros> = wcpus.into_iter().map(WorkerCpu::into_us).collect();
         self.join_parallel(started_at, &worker_us);
-        Some(results)
+        results
     }
 }
 
@@ -206,8 +194,9 @@ impl Cpu {
 /// join, [`Cpu::join_parallel`] folds the workers' totals back in —
 /// summing them for %CPU, advancing the clock by the maximum.
 ///
-/// The accumulator is plain data (`Send`), so it can move into a worker
-/// thread and come back out through its join handle or a channel.
+/// The workers are simulated CPUs, not threads: a stage runs its
+/// workers one after another on the caller's thread, and only the join
+/// says they overlapped.
 #[derive(Clone, Debug)]
 pub struct WorkerCpu {
     model: CpuModel,
@@ -288,7 +277,7 @@ mod tests {
     fn workers_accumulate_without_advancing_clock() {
         let clock = SimClock::new();
         let cpu = Cpu::new(clock.clone(), CpuModel::DORADO);
-        let mut w = cpu.worker();
+        let mut w = cpu.workers(1).remove(0);
         w.labels(3);
         w.entries(1);
         assert_eq!(w.accumulated_us(), 3 * 2_000 + 900);
@@ -318,7 +307,7 @@ mod tests {
                 wcpu.labels(range.len() as u64);
                 (range.start, range.end)
             });
-            assert_eq!(got, Some(vec![(0, 10)]));
+            assert_eq!(got, vec![(0, 10)]);
             assert_eq!(clock.now(), direct_clock.now());
             assert_eq!(cpu.total_us(), direct.total_us());
         }
@@ -334,7 +323,7 @@ mod tests {
             wcpu.entries(range.len() as u64);
             range.collect::<Vec<usize>>()
         });
-        assert_eq!(got.map(|v| v.concat()), Some((0..8).collect::<Vec<_>>()));
+        assert_eq!(got.concat(), (0..8).collect::<Vec<_>>());
         assert_eq!(clock.now(), 1_000 + 3 * 900);
         assert_eq!(cpu.total_us(), 8 * 900);
     }
@@ -345,16 +334,8 @@ mod tests {
         let cpu = Cpu::new(clock.clone(), CpuModel::DORADO);
         clock.advance(500);
         let got = cpu.sharded(4, 0, |_, wcpu| wcpu.labels(1));
-        assert_eq!(got, Some(vec![]));
+        assert_eq!(got, vec![]);
         assert_eq!((clock.now(), cpu.total_us()), (500, 0));
-    }
-
-    #[test]
-    fn a_panicking_worker_yields_none() {
-        let cpu = Cpu::new(SimClock::new(), CpuModel::DORADO);
-        let got = cpu.sharded(2, 2, |range, _| assert_eq!(range.start, 0, "second shard"));
-        assert_eq!(got, None);
-        assert_eq!(cpu.total_us(), 0);
     }
 
     #[test]

@@ -36,7 +36,6 @@ pub mod link;
 pub mod scan;
 pub mod sched;
 pub mod stats;
-pub mod sync;
 pub mod timing;
 
 pub use clock::{Micros, SimClock};
@@ -47,7 +46,7 @@ pub use fault::FaultPlan;
 pub use geometry::DiskGeometry;
 pub use label::{Label, PageKind};
 pub use link::{Link, LinkError, LinkPlan, LinkStats};
-pub use scan::{ScanChannel, ScanChunk};
+pub use scan::ScanChunk;
 pub use sched::{IoBatch, IoOp, IoOutput, IoPolicy, OpResult};
 pub use stats::DiskStats;
 pub use timing::DiskTiming;

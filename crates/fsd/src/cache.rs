@@ -423,7 +423,7 @@ impl FsdNtStore<'_> {
                 n * NT_PAGE_SECTORS as usize,
             ));
         }
-        let chunks = scan::read_chunks(self.disk, self.policy, &ranges, 0).map_err(to_store_err)?;
+        let chunks = scan::read_chunks(self.disk, self.policy, &ranges).map_err(to_store_err)?;
         let (a_chunks, b_chunks) = chunks.split_at(runs.len());
         for (ri, &(s, n)) in runs.iter().enumerate() {
             let (a, b) = (&a_chunks[ri], &b_chunks[ri]);

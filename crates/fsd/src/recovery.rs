@@ -496,7 +496,7 @@ impl FsdVolume {
             return Ok(None);
         }
         let known_free = self.vam.clone();
-        let walk = self.reconstruct_vam(self.scavenge_workers)?;
+        let walk = self.reconstruct_vam()?;
         // Deletes and truncates since the reserve was handed over may not
         // have committed yet; the tree the walk read no longer has them.
         self.vam.carry_shadow_from(&known_free);
@@ -509,12 +509,10 @@ impl FsdVolume {
     /// Rebuilds the VAM by walking the name table: everything in the data
     /// area is free except the pages the entries claim (§5.5).
     ///
-    /// The tree walk is serial — it owns the spindle — but with
-    /// `workers > 1` the entry decoding shards across CPU workers, each
-    /// building a partial claimed-sector bitmap; the shards merge with a
-    /// word-level OR and subtract from the base free map, which is
-    /// bit-identical to the serial allocate-per-run loop.
-    fn reconstruct_vam(&mut self, workers: usize) -> Result<VamWalk> {
+    /// The tree walk is serial — it owns the spindle — and the entry
+    /// decoding shards across [`FsdConfig::scavenge_workers`] simulated
+    /// CPUs ([`Cpu::sharded`]); the runs are then allocated in tree order.
+    fn reconstruct_vam(&mut self) -> Result<VamWalk> {
         let t_start = self.clock().now();
         let t_prefetched;
         let mut vam = self.layout.empty_vam();
@@ -539,72 +537,23 @@ impl FsdVolume {
             })?;
         }
         let files = entries.len() as u64;
-        // Not folded onto `Cpu::sharded` like the scavengers' stages: the
-        // serial branch is a different algorithm (allocate per run, not
-        // claimed-bitmap-and-subtract) and is the reference the
-        // equivalence tests compare the sharded one against.
-        if workers <= 1 || entries.is_empty() {
-            self.cpu.entries(files);
-            for raw in entries {
-                let entry = crate::entry::FileEntry::decode(&raw)?;
-                if entry.leader_addr != 0 {
-                    vam.allocate_run(Run::new(entry.leader_addr, 1));
-                }
-                for r in entry.run_table.runs() {
-                    vam.allocate_run(*r);
-                }
-            }
-        } else {
-            let t0 = self.clock().now();
-            let total_sectors = self.layout.total_sectors;
-            let shard_len = entries.len().div_ceil(workers);
-            let cpu = &self.cpu;
-            let shards: Vec<Result<(Vam, cedar_disk::clock::Micros)>> = std::thread::scope(|s| {
-                let handles: Vec<_> = entries
-                    .chunks(shard_len)
-                    .map(|shard| {
-                        let mut wcpu = cpu.worker();
-                        s.spawn(move || {
-                            let mut claimed = Vam::new_all_allocated(total_sectors);
-                            wcpu.entries(shard.len() as u64);
-                            for raw in shard {
-                                let entry = crate::entry::FileEntry::decode(raw)?;
-                                if entry.leader_addr != 0 {
-                                    claimed.free_run(Run::new(entry.leader_addr, 1));
-                                }
-                                for r in entry.run_table.runs() {
-                                    claimed.free_run(*r);
-                                }
-                            }
-                            Ok((claimed, wcpu.into_us()))
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| {
-                        h.join()
-                            .unwrap_or(Err(FsdError::Check("VAM rebuild worker died".into())))
-                    })
-                    .collect()
+        let decoded = self
+            .cpu
+            .sharded(self.scavenge_workers, entries.len(), |range, wcpu| {
+                wcpu.entries(range.len() as u64);
+                entries[range]
+                    .iter()
+                    .map(|raw| crate::entry::FileEntry::decode(raw))
+                    .collect::<Vec<_>>()
             });
-            let mut claimed = Vam::new_all_allocated(total_sectors);
-            let mut worker_us = Vec::with_capacity(shards.len());
-            let mut first_err = None;
-            for shard in shards {
-                match shard {
-                    Ok((part, us)) => {
-                        claimed.merge_or(&part);
-                        worker_us.push(us);
-                    }
-                    Err(e) => first_err = first_err.or(Some(e)),
-                }
+        for entry in decoded.into_iter().flatten() {
+            let entry = entry?;
+            if entry.leader_addr != 0 {
+                vam.allocate_run(Run::new(entry.leader_addr, 1));
             }
-            self.cpu.join_parallel(t0, &worker_us);
-            if let Some(e) = first_err {
-                return Err(e);
+            for r in entry.run_table.runs() {
+                vam.allocate_run(*r);
             }
-            vam.subtract(&claimed);
         }
         self.vam = vam;
         Ok(VamWalk {

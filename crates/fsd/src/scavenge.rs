@@ -36,7 +36,7 @@ use crate::spare::SpareMap;
 use crate::volume::{nt_store, FsdConfig, FsdVolume, MAX_RUNS};
 use crate::{FsdError, Result};
 use cedar_btree::BTree;
-use cedar_disk::scan::{self, ScanChannel, ScanChunk};
+use cedar_disk::scan::{self, ScanChunk};
 use cedar_disk::sched::IoPolicy;
 use cedar_disk::{Cpu, DiskError, SectorAddr, SimDisk, SECTOR_BYTES};
 use cedar_vol::{FileName, Run, Vam};
@@ -199,23 +199,19 @@ pub(crate) fn scavenge_boot(
 const TRACKS_PER_WINDOW: u32 = 8;
 
 /// The decode output for one [`ScanChunk`]: leaders that prove they
-/// belong at the sector they were read from, in sector order. This is
-/// the unit that flows back from the decode workers; `seq` restores
-/// submission order at the merge.
+/// belong at the sector they were read from, in sector order.
 struct ChunkResult {
-    seq: usize,
     scanned: u64,
     unreadable: u64,
     candidates: Vec<LeaderPage>,
 }
 
-/// Pure per-chunk decode/verify: the worker half of the pipeline.
+/// Pure per-chunk decode/verify: the worker stage of the pipeline.
 /// Address-local checks only (decode, checksum, self-pointing entry,
 /// sane runs) — cross-file rules (duplicates, overlaps) need global
 /// state and stay in the merge.
 fn decode_chunk(layout: &FsdLayout, chunk: &ScanChunk) -> ChunkResult {
     let mut out = ChunkResult {
-        seq: chunk.seq,
         scanned: chunk.sectors() as u64,
         unreadable: 0,
         candidates: Vec::new(),
@@ -310,12 +306,13 @@ fn merge_chunk(
 /// Sweeps both data areas collecting provable leader pages; duplicates
 /// by name key resolve to the higher uid.
 ///
-/// Both paths run the same two-windows-deep pipeline over the same
-/// striding plan, so they read the same sectors and merge in the same
-/// order — the parallel scan is bit-identical to the serial one, only
-/// its decode CPU is spread across workers and charged as the critical
-/// path.
-#[allow(clippy::too_many_arguments)]
+/// One pipeline, two windows deep: read window i, decode it, then merge
+/// window i−1 — so ranges for window i+1 see exactly the merges of
+/// windows ≤ i−1. The worker count moves only the clock, never what is
+/// read or merged. One worker charges decode CPU between reads, so the
+/// platter turns under the head while it decodes. More charge chunk k to
+/// worker k mod `workers`, off the clock, and join once at the end: the
+/// decode hides behind the reads unless its critical path is longer.
 fn scan_leaders(
     disk: &mut SimDisk,
     cpu: &Cpu,
@@ -325,51 +322,30 @@ fn scan_leaders(
     summary: &mut ScavengeSummary,
     found: &mut BTreeMap<Vec<u8>, LeaderPage>,
 ) -> Result<()> {
+    let t0 = disk.clock().now();
     let track = disk.geometry().sectors_per_track.max(1);
-    let windows = build_windows(layout, track * TRACKS_PER_WINDOW);
-    // Not folded into one path: the serial scan charges decode CPU
-    // *between* reads, so the platter turns under the head while it
-    // decodes; decoding off-clock and joining at the end would change
-    // where each read starts, and with it the simulated scan time.
-    if workers <= 1 {
-        scan_serial(disk, cpu, layout, policy, track, &windows, summary, found)
-    } else {
-        scan_parallel(
-            disk, cpu, layout, policy, track, workers, &windows, summary, found,
-        )
-    }
-}
-
-/// The serial pipeline: read window i, decode it inline, then merge
-/// window i−1 — so ranges for window i+1 see exactly the merges of
-/// windows ≤ i−1, the same lag the parallel path keeps.
-#[allow(clippy::too_many_arguments)]
-fn scan_serial(
-    disk: &mut SimDisk,
-    cpu: &Cpu,
-    layout: &FsdLayout,
-    policy: IoPolicy,
-    track: u32,
-    windows: &[(SectorAddr, SectorAddr)],
-    summary: &mut ScavengeSummary,
-    found: &mut BTreeMap<Vec<u8>, LeaderPage>,
-) -> Result<()> {
+    let mut wcpus = cpu.workers(workers);
+    let n = wcpus.len();
     let mut skip = Vam::new_all_allocated(layout.total_sectors);
     let mut pending: Vec<ChunkResult> = Vec::new();
-    let mut seq = 0usize;
-    for &(lo, hi) in windows {
+    let mut k = 0usize;
+    for (lo, hi) in build_windows(layout, track * TRACKS_PER_WINDOW) {
         let ranges = window_ranges(&skip, lo, hi, track);
-        let chunks = scan::read_chunks(disk, policy, &ranges, seq).map_err(FsdError::Disk)?;
-        seq += chunks.len();
-        let results: Vec<ChunkResult> = chunks
-            .iter()
-            .map(|c| {
-                let r = decode_chunk(layout, c);
+        let chunks = scan::read_chunks(disk, policy, &ranges).map_err(FsdError::Disk)?;
+        let mut results = Vec::with_capacity(chunks.len());
+        for chunk in &chunks {
+            let r = decode_chunk(layout, chunk);
+            let candidates = r.candidates.len() as u64;
+            if n == 1 {
                 cpu.sectors(r.scanned);
-                cpu.entries(r.candidates.len() as u64);
-                r
-            })
-            .collect();
+                cpu.entries(candidates);
+            } else {
+                wcpus[k % n].sectors(r.scanned);
+                wcpus[k % n].entries(candidates);
+            }
+            k += 1;
+            results.push(r);
+        }
         for r in pending.drain(..) {
             merge_chunk(summary, found, layout, &mut skip, r);
         }
@@ -378,114 +354,11 @@ fn scan_serial(
     for r in pending {
         merge_chunk(summary, found, layout, &mut skip, r);
     }
-    Ok(())
-}
-
-/// The parallel pipeline: the reader owns the spindle and feeds decode
-/// workers through a bounded [`ScanChannel`]; results come back tagged
-/// with their submission `seq` and a reorder buffer restores address
-/// order before the merge, so the outcome is identical to the serial
-/// scan. Worker CPU accumulates off-clock and joins as the critical
-/// path.
-#[allow(clippy::too_many_arguments)]
-fn scan_parallel(
-    disk: &mut SimDisk,
-    cpu: &Cpu,
-    layout: &FsdLayout,
-    policy: IoPolicy,
-    track: u32,
-    workers: usize,
-    windows: &[(SectorAddr, SectorAddr)],
-    summary: &mut ScavengeSummary,
-    found: &mut BTreeMap<Vec<u8>, LeaderPage>,
-) -> Result<()> {
-    let t0 = disk.clock().now();
-    let chunk_ch: ScanChannel<ScanChunk> = ScanChannel::new(workers * 2);
-    // Results are small and the reorder buffer is unbounded anyway; an
-    // unbounded result leg means workers never block sending, so the
-    // reader can finish submitting a window before draining the last —
-    // a bounded leg there could deadlock the pipeline.
-    let result_ch: ScanChannel<ChunkResult> = ScanChannel::new(usize::MAX);
-    let mut worker_us: Vec<u64> = Vec::new();
-    let mut scan_err: Option<FsdError> = None;
-
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let (rx, tx) = (&chunk_ch, &result_ch);
-                let mut wcpu = cpu.worker();
-                s.spawn(move || {
-                    while let Some(chunk) = rx.recv() {
-                        let r = decode_chunk(layout, &chunk);
-                        wcpu.sectors(r.scanned);
-                        wcpu.entries(r.candidates.len() as u64);
-                        if !tx.send(r) {
-                            break;
-                        }
-                    }
-                    wcpu.into_us()
-                })
-            })
-            .collect();
-
-        let mut skip = Vam::new_all_allocated(layout.total_sectors);
-        let mut reorder: BTreeMap<usize, ChunkResult> = BTreeMap::new();
-        let mut next_merge = 0usize;
-        let mut seq = 0usize;
-        for (i, &(lo, hi)) in windows.iter().enumerate() {
-            let window_start_seq = seq;
-            let ranges = window_ranges(&skip, lo, hi, track);
-            let chunks = match scan::read_chunks(disk, policy, &ranges, seq) {
-                Ok(c) => c,
-                Err(e) => {
-                    scan_err = Some(FsdError::Disk(e));
-                    break;
-                }
-            };
-            seq += chunks.len();
-            for c in chunks {
-                if !chunk_ch.send(c) {
-                    break;
-                }
-            }
-            // Before planning window i+1, merge all of window i−1 (its
-            // chunks are every seq below this window's first).
-            if i > 0 {
-                while next_merge < window_start_seq {
-                    let Some(r) = result_ch.recv() else { break };
-                    reorder.insert(r.seq, r);
-                    while let Some(r) = reorder.remove(&next_merge) {
-                        merge_chunk(summary, found, layout, &mut skip, r);
-                        next_merge += 1;
-                    }
-                }
-            }
-        }
-        chunk_ch.close();
-        if scan_err.is_none() {
-            // Drain the tail (the last two windows' results).
-            while next_merge < seq {
-                let Some(r) = result_ch.recv() else { break };
-                reorder.insert(r.seq, r);
-                while let Some(r) = reorder.remove(&next_merge) {
-                    merge_chunk(summary, found, layout, &mut skip, r);
-                    next_merge += 1;
-                }
-            }
-        }
-        result_ch.close();
-        for h in handles {
-            if let Ok(us) = h.join() {
-                worker_us.push(us);
-            }
-        }
-    });
-
-    cpu.join_parallel(t0, &worker_us);
-    match scan_err {
-        Some(e) => Err(e),
-        None => Ok(()),
+    if n > 1 {
+        let worker_us: Vec<u64> = wcpus.into_iter().map(|w| w.into_us()).collect();
+        cpu.join_parallel(t0, &worker_us);
     }
+    Ok(())
 }
 
 /// Admits a verified candidate leader; resolves name-key duplicates to
@@ -555,9 +428,6 @@ fn rebuild(vol: &mut FsdVolume, config: FsdConfig, files: &[(FileName, FileEntry
                 .map(|(name, entry)| (name.to_key(), entry.encode()))
                 .collect::<Vec<_>>()
         })
-        .ok_or_else(|| {
-            FsdError::Check("entry-encode worker panicked during scavenge rebuild".into())
-        })?
         .into_iter()
         .flatten()
         .collect();

@@ -90,12 +90,14 @@ pub struct FsdConfig {
     /// measurement baseline; the default, shortest positioning time first,
     /// is what a controller that sees the whole queue can do.
     pub io_policy: IoPolicy,
-    /// Decode/verify workers for the recovery-scan paths (scavenge and
-    /// VAM reconstruction). `1` keeps the serial pipeline; larger values
-    /// run pFSCK-style parallel checking: the reader stage still owns
-    /// the single spindle, but leader decoding, entry verification and
-    /// free-map sharding spread across this many CPU workers, charged as
-    /// the critical path ([`cedar_disk::Cpu::join_parallel`]).
+    /// Simulated decode/verify CPUs for the recovery-scan paths
+    /// (scavenge and VAM reconstruction). `1` (or `0`) is the serial
+    /// pipeline; larger values model pFSCK-style parallel checking: the
+    /// reader stage still owns the single spindle, but leader decoding
+    /// and entry decoding and encoding are charged to this many
+    /// simulated CPUs, whose critical path advances the clock
+    /// ([`cedar_disk::Cpu::join_parallel`]). They all run on the
+    /// caller's thread; only the simulated time differs.
     pub scavenge_workers: usize,
 }
 
@@ -220,7 +222,7 @@ pub struct FsdVolume {
     pub(crate) vam_owed: bool,
     /// The walk this session paid, if any.
     pub(crate) vam_walk: Option<crate::recovery::VamWalk>,
-    /// Decode workers for that walk ([`FsdConfig::scavenge_workers`]).
+    /// Simulated decode CPUs for that walk ([`FsdConfig::scavenge_workers`]).
     pub(crate) scavenge_workers: usize,
     pub(crate) commit_stats: CommitStats,
     /// Submission order for batched I/O (log forces, home writeback).

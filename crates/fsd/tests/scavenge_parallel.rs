@@ -5,9 +5,9 @@
 //! must produce the same summary, the same surviving files with the
 //! same contents, and the same free map — only the simulated clock may
 //! differ. Parallelism here is a CPU-scheduling choice, never a
-//! semantic one.
+//! semantic one. Zero workers means one.
 
-use cedar_disk::{CpuModel, FaultPlan, SimDisk};
+use cedar_disk::{CpuModel, FaultPlan, SimClock, SimDisk};
 use cedar_fsd::{FsdConfig, FsdVolume, RecoveryRung};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -60,7 +60,7 @@ proptest! {
     #[test]
     fn parallel_scavenge_equals_serial(
         ops in proptest::collection::vec(arb_op(), 1..40),
-        workers in 2usize..9,
+        workers in 0usize..9,
         nt_faults in proptest::collection::vec(any::<u8>(), 0..3),
     ) {
         let mut v = FsdVolume::format(SimDisk::tiny(), config_with(1)).unwrap();
@@ -116,4 +116,57 @@ proptest! {
         prop_assert_eq!(s_state, p_state);
         prop_assert_eq!(s_free, p_free);
     }
+}
+
+/// The gated scavenge rows hide the workers' decode CPU behind the
+/// reads. Here a sector's decode costs more than its read, so the join
+/// sets the clock: two boots of one wounded image at eight workers must
+/// agree on the simulated time too, which pins that the worker each
+/// chunk charges is fixed by the chunk, not by whoever ran it.
+#[test]
+fn a_scan_whose_decode_outlasts_its_reads_times_the_same_every_boot() {
+    let mut v = FsdVolume::format(SimDisk::tiny(), config_with(1)).unwrap();
+    for n in 0..12u8 {
+        v.create(&name(n), &vec![n; 300 * usize::from(n)]).unwrap();
+    }
+    v.delete(&name(3), None).unwrap();
+    v.shutdown().unwrap();
+    let (meta_a, meta_b) = (v.layout().log_start, v.layout().log_start + 2);
+    let image = v.into_disk();
+    let boot = |workers: usize, cpu: CpuModel| {
+        // A fresh clock per boot: each starts at the same instant with
+        // the head at the same place.
+        let mut disk = image.fork_with_clock(SimClock::new());
+        disk.damage_sector(meta_a);
+        disk.damage_sector(meta_b);
+        let config = FsdConfig {
+            cpu,
+            ..config_with(workers)
+        };
+        let (v, report) = FsdVolume::boot(disk, config).unwrap();
+        assert_eq!(report.rung, RecoveryRung::Scavenge);
+        let summary = report.scavenge.expect("scavenge summary");
+        (report.scavenge_us, summary, v.into_disk().platter_digest())
+    };
+    let slow_decode = CpuModel {
+        per_sector_us: 20_000,
+        ..CpuModel::FREE
+    };
+    let first = boot(8, slow_decode);
+    assert_eq!(first, boot(8, slow_decode));
+    let serial = boot(1, slow_decode);
+    assert_eq!((&first.1, first.2), (&serial.1, serial.2));
+    assert!(
+        first.0 < serial.0,
+        "8 workers {} vs 1 {}",
+        first.0,
+        serial.0
+    );
+    let reads_only = boot(8, CpuModel::FREE).0;
+    assert!(
+        first.0 > reads_only,
+        "the join {} vs the reads {}",
+        first.0,
+        reads_only
+    );
 }

@@ -73,38 +73,6 @@ impl Vam {
         for_run_words(&mut self.shadow, run, |w, m| *w |= m);
     }
 
-    /// ORs `other`'s free and shadow bits into this map, word-parallel.
-    ///
-    /// This is the parallel scavenger's shard merge: each worker builds
-    /// a partial map over its shard of the scan (claimed sectors, or
-    /// freed runs), and the merger folds the shards together with a
-    /// single pass over the words.
-    pub fn merge_or(&mut self, other: &Vam) {
-        assert_eq!(self.sectors, other.sectors, "VAM merge across volumes");
-        for (w, o) in self.words.iter_mut().zip(&other.words) {
-            *w |= o;
-        }
-        for (s, o) in self.shadow.iter_mut().zip(&other.shadow) {
-            *s |= o;
-        }
-    }
-
-    /// Clears every free and shadow bit that is set in `other`,
-    /// word-parallel.
-    ///
-    /// Paired with [`Vam::merge_or`] for reconstruction in the allocate
-    /// direction: start from an all-free data area, merge the workers'
-    /// *claimed* bitmaps, then subtract the union from the free map.
-    pub fn subtract(&mut self, other: &Vam) {
-        assert_eq!(self.sectors, other.sectors, "VAM subtract across volumes");
-        for (w, o) in self.words.iter_mut().zip(&other.words) {
-            *w &= !o;
-        }
-        for (s, o) in self.shadow.iter_mut().zip(&other.shadow) {
-            *s &= !o;
-        }
-    }
-
     /// Takes over `old`'s shadow-held sectors as allocated and
     /// shadow-held here. A map rebuilt from the name table in the middle
     /// of a session sees the sectors of a deleted file as free, but until
@@ -499,34 +467,6 @@ mod tests {
         assert!(!v.is_free(64));
         assert!(!v.is_free(127));
         assert!(v.is_free(128));
-    }
-
-    #[test]
-    fn merge_or_unions_free_and_shadow() {
-        let mut a = Vam::new_all_allocated(200);
-        a.free_run(Run::new(0, 10));
-        a.shadow_free_run(Run::new(50, 5));
-        let mut b = Vam::new_all_allocated(200);
-        b.free_run(Run::new(5, 10));
-        b.shadow_free_run(Run::new(52, 5));
-        a.merge_or(&b);
-        assert_eq!(a.free_count(), 15);
-        assert_eq!(a.shadow_count(), 7);
-        assert!(a.is_free(0) && a.is_free(14) && !a.is_free(15));
-    }
-
-    #[test]
-    fn subtract_removes_claims_from_all_free() {
-        let mut free = Vam::new_all_allocated(128);
-        free.free_run(Run::new(0, 128));
-        let mut claimed = Vam::new_all_allocated(128);
-        claimed.free_run(Run::new(30, 40)); // "claimed" bits
-        free.subtract(&claimed);
-        assert_eq!(free.free_count(), 128 - 40);
-        assert!(free.is_free(29));
-        assert!(!free.is_free(30));
-        assert!(!free.is_free(69));
-        assert!(free.is_free(70));
     }
 
     #[test]

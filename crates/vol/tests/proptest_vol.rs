@@ -289,41 +289,6 @@ proptest! {
             prop_assert_eq!(vam.is_free(a), oracle.free[a as usize], "sector {}", a);
         }
     }
-
-    // merge_or / subtract agree with per-sector set algebra.
-    #[test]
-    fn merge_and_subtract_match_set_algebra(
-        sectors in 65u32..1024,
-        a_runs in proptest::collection::vec(arb_run(1024), 0..20),
-        b_runs in proptest::collection::vec(arb_run(1024), 0..20),
-    ) {
-        let clip = |r: Run| -> Option<Run> {
-            if r.start >= sectors { return None; }
-            Some(Run::new(r.start, r.len.min(sectors - r.start)))
-        };
-        let mut a = Vam::new_all_allocated(sectors);
-        let mut b = Vam::new_all_allocated(sectors);
-        let mut set_a = vec![false; sectors as usize];
-        let mut set_b = vec![false; sectors as usize];
-        for r in a_runs.iter().filter_map(|&r| clip(r)) {
-            a.free_run(r);
-            for s in r.start..r.end() { set_a[s as usize] = true; }
-        }
-        for r in b_runs.iter().filter_map(|&r| clip(r)) {
-            b.free_run(r);
-            for s in r.start..r.end() { set_b[s as usize] = true; }
-        }
-
-        let mut union = a.clone();
-        union.merge_or(&b);
-        let mut diff = a.clone();
-        diff.subtract(&b);
-        for s in 0..sectors {
-            let (sa, sb) = (set_a[s as usize], set_b[s as usize]);
-            prop_assert_eq!(union.is_free(s), sa || sb);
-            prop_assert_eq!(diff.is_free(s), sa && !sb);
-        }
-    }
 }
 
 /// The four VAM searches and the two word-level primitives under them,

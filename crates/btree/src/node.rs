@@ -81,9 +81,6 @@ impl Node {
     /// Panics if the node does not fit (callers split before encoding).
     pub fn encode(&self, page_size: usize) -> Vec<u8> {
         assert!(self.fits(page_size), "node overflows page");
-        // Every length below is bounded by the fits() check (a page is far
-        // smaller than u16::MAX entries or bytes), so saturation never fires.
-        let len16 = |n: usize| u16::try_from(n).unwrap_or(u16::MAX).to_le_bytes();
         let mut out = vec![0u8; page_size];
         match self {
             Node::Leaf(entries) => {
@@ -91,29 +88,17 @@ impl Node {
                 out[1..3].copy_from_slice(&len16(entries.len()));
                 let mut at = HEADER;
                 for (k, v) in entries {
-                    out[at..at + 2].copy_from_slice(&len16(k.len()));
-                    out[at + 2..at + 4].copy_from_slice(&len16(v.len()));
-                    at += 4;
-                    out[at..at + k.len()].copy_from_slice(k);
-                    at += k.len();
-                    out[at..at + v.len()].copy_from_slice(v);
-                    at += v.len();
+                    at = Cell::Entry(k, v).put(&mut out, at);
                 }
             }
             Node::Internal { keys, children } => {
                 assert_eq!(children.len(), keys.len() + 1, "malformed internal node");
                 out[0] = INTERNAL_TAG;
                 out[1..3].copy_from_slice(&len16(keys.len()));
-                let mut at = HEADER;
-                out[at..at + 4].copy_from_slice(&children[0].to_le_bytes());
-                at += 4;
-                for (k, c) in keys.iter().zip(&children[1..]) {
-                    out[at..at + 2].copy_from_slice(&len16(k.len()));
-                    at += 2;
-                    out[at..at + k.len()].copy_from_slice(k);
-                    at += k.len();
-                    out[at..at + 4].copy_from_slice(&c.to_le_bytes());
-                    at += 4;
+                out[HEADER..HEADER + 4].copy_from_slice(&children[0].to_le_bytes());
+                let mut at = HEADER + 4;
+                for (k, &c) in keys.iter().zip(&children[1..]) {
+                    at = Cell::Sep(k, c).put(&mut out, at);
                 }
             }
         }
@@ -145,6 +130,73 @@ impl Node {
             }
         }
     }
+}
+
+/// A `u16` field. Every length written is bounded by the `fits` check
+/// (a page is far smaller than `u16::MAX` entries or bytes), so the
+/// saturation never fires.
+fn len16(n: usize) -> [u8; 2] {
+    u16::try_from(n).unwrap_or(u16::MAX).to_le_bytes()
+}
+
+/// One cell of a page: the one writer of the page format, which
+/// [`Node::encode`] and [`splice`] both call.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Cell<'a> {
+    /// A leaf's `(klen u16, vlen u16, key, value)`.
+    Entry(&'a [u8], &'a [u8]),
+    /// An internal node's `(klen u16, separator, child u32)`.
+    Sep(&'a [u8], u32),
+}
+
+impl Cell<'_> {
+    /// Bytes the cell takes on the page.
+    pub(crate) fn size(&self) -> usize {
+        match self {
+            Cell::Entry(k, v) => 4 + k.len() + v.len(),
+            Cell::Sep(k, _) => 2 + k.len() + 4,
+        }
+    }
+
+    /// Writes the cell at `at`, returning where the next one starts.
+    fn put(&self, out: &mut [u8], at: usize) -> usize {
+        match *self {
+            Cell::Entry(k, v) => {
+                out[at..at + 2].copy_from_slice(&len16(k.len()));
+                out[at + 2..at + 4].copy_from_slice(&len16(v.len()));
+                out[at + 4..at + 4 + k.len()].copy_from_slice(k);
+                out[at + 4 + k.len()..at + 4 + k.len() + v.len()].copy_from_slice(v);
+            }
+            Cell::Sep(k, child) => {
+                out[at..at + 2].copy_from_slice(&len16(k.len()));
+                out[at + 2..at + 2 + k.len()].copy_from_slice(k);
+                out[at + 2 + k.len()..at + 6 + k.len()].copy_from_slice(&child.to_le_bytes());
+            }
+        }
+        at + self.size()
+    }
+}
+
+/// The page a one-cell edit makes of `page`, whose cells end at `end`:
+/// the bytes `cut` spans replaced by `cell` (or just dropped), the
+/// header's count set to `count`, the rest zero — byte for byte what
+/// [`Node::encode`] writes for the node edited. The caller has checked
+/// that the result fits `page_size`.
+pub(crate) fn splice(
+    page: &[u8],
+    page_size: usize,
+    count: usize,
+    end: usize,
+    cut: std::ops::Range<usize>,
+    cell: Option<Cell<'_>>,
+) -> Vec<u8> {
+    let mut out = vec![0u8; page_size];
+    out[0] = page[0];
+    out[1..3].copy_from_slice(&len16(count));
+    out[HEADER..cut.start].copy_from_slice(&page[HEADER..cut.start]);
+    let at = cell.map_or(cut.start, |c| c.put(&mut out, cut.start));
+    out[at..at + end - cut.end].copy_from_slice(&page[cut.end..end]);
+    out
 }
 
 /// A node read in place: the one reader of the page format. Its cells
@@ -246,6 +298,13 @@ impl<'a> Cells<'a> {
 #[derive(Debug)]
 pub(crate) struct Entries<'a>(Cells<'a>);
 
+impl Entries<'_> {
+    /// Where the next cell starts: after the last, where the cells end.
+    pub(crate) fn offset(&self) -> usize {
+        self.0.at
+    }
+}
+
 impl<'a> Iterator for Entries<'a> {
     type Item = Result<(&'a [u8], &'a [u8]), String>;
 
@@ -257,6 +316,13 @@ impl<'a> Iterator for Entries<'a> {
 /// An internal node's cells, as `(separator, child)`.
 #[derive(Debug)]
 pub(crate) struct Seps<'a>(Cells<'a>);
+
+impl Seps<'_> {
+    /// Where the next cell starts: after the last, where the cells end.
+    pub(crate) fn offset(&self) -> usize {
+        self.0.at
+    }
+}
 
 impl<'a> Iterator for Seps<'a> {
     type Item = Result<(&'a [u8], u32), String>;

@@ -16,7 +16,9 @@ sh crates/analyze/replay.sh > crates/analyze/replay.txt
 git diff --exit-code crates/analyze/replay.txt
 # Corrupted-image fuzz: random byte flips and label smashes over a live
 # image must end in repair or a typed error — serial and 8-way
-# parallel scavenge alike, never a panic.
+# parallel scavenge alike, never a panic — and the fuzz lane then edits
+# the rotten image: whatever tree recovery lands takes a create and a
+# delete, each ending Ok or typed, before verify runs.
 cargo test -q -p cedar-fsd --test fuzz_corrupt
 # Every script of the crash-sweep harness (crates/fsd/tests/support) once
 # more, optimised: every crash point of one log append (append_sweep), of

@@ -9,7 +9,10 @@
 //! in-place ladder accepts rotten state, a forced scavenge — which
 //! trusts nothing but labels and software-check pages — must still
 //! rebuild a verifying tree. Serial and 8-way-parallel scavenges must
-//! agree on the outcome.
+//! agree on the outcome. Whatever tree recovery lands is then edited —
+//! one seeded name created, another deleted — so the name table's
+//! in-place edit paths run over the rotten image too: each edit ends
+//! `Ok` or typed, and `verify()` runs after them.
 
 use cedar_disk::{CpuModel, Label, PageKind, SimDisk, SECTOR_BYTES};
 use cedar_fsd::layout::FsdBootPage;
@@ -120,12 +123,39 @@ fn observe(v: &mut FsdVolume) -> Result<(Observed, u32), TestCaseError> {
     Ok((state, v.free_sectors()))
 }
 
+/// Two seeded names: one to create a version of, one to delete.
+type Edit<'a> = (&'a str, &'a str);
+
+/// Edits a tree recovery landed: creates a version of one seeded name
+/// and deletes another, each walking the name table's edit paths over
+/// whatever rot recovery let through. Each must end `Ok` or with a typed
+/// error — never a panic — and then `verify()` runs; after two edits
+/// that succeeded, the tree must still verify.
+fn edit_then_verify(v: &mut FsdVolume, (create, delete): Edit<'_>) -> Result<(), TestCaseError> {
+    let created = v.create(create, &[7u8; 300]).is_ok();
+    let deleted = v.delete(delete, None).is_ok();
+    let verified = v.verify();
+    if created && deleted {
+        if let Err(e) = verified {
+            return Err(TestCaseError::fail(format!(
+                "create {create} and delete {delete} left a tree that fails verify: {e}"
+            )));
+        }
+    }
+    Ok(())
+}
+
 /// Boots the rotten image and walks the ladder to a verdict:
 /// `Ok(Some(state))` — a structurally consistent tree (possibly after a
 /// forced scavenge when the in-place rungs accepted or rejected rotten
 /// state); `Ok(None)` — recovery refused the image with a typed error
 /// end to end. Panics and post-scavenge inconsistency are test failures.
-fn recover(disk: &SimDisk, workers: usize) -> Result<Option<(Observed, u32)>, TestCaseError> {
+/// A landed tree then takes `edit`.
+fn recover(
+    disk: &SimDisk,
+    workers: usize,
+    edit: Edit<'_>,
+) -> Result<Option<(Observed, u32)>, TestCaseError> {
     let mut first = disk.clone();
     first.reboot();
     if let Ok((mut v, _report)) = FsdVolume::boot(first, config_with(workers)) {
@@ -142,7 +172,9 @@ fn recover(disk: &SimDisk, workers: usize) -> Result<Option<(Observed, u32)>, Te
         match v.settle_vam() {
             Ok(_) => {
                 if v.verify().is_ok() {
-                    return observe(&mut v).map(Some);
+                    let landed = observe(&mut v)?;
+                    edit_then_verify(&mut v, edit)?;
+                    return Ok(Some(landed));
                 }
             }
             // Rot the walk cannot get past: typed error now, and the boot
@@ -153,7 +185,9 @@ fn recover(disk: &SimDisk, workers: usize) -> Result<Option<(Observed, u32)>, Te
                 if let Ok((mut v, report)) = FsdVolume::boot(again, config_with(workers)) {
                     prop_assert_eq!(report.rung, RecoveryRung::Scavenge);
                     if v.verify().is_ok() {
-                        return observe(&mut v).map(Some);
+                        let landed = observe(&mut v)?;
+                        edit_then_verify(&mut v, edit)?;
+                        return Ok(Some(landed));
                     }
                 }
             }
@@ -162,7 +196,7 @@ fn recover(disk: &SimDisk, workers: usize) -> Result<Option<(Observed, u32)>, Te
         // this the "malicious crash" class); fall through to the rung
         // that rebuilds from labels alone.
     }
-    forced_scavenge(disk, workers)
+    forced_scavenge(disk, workers, edit)
 }
 
 /// Destroys both log-meta replicas so redo has nothing to anchor on and
@@ -173,6 +207,7 @@ fn recover(disk: &SimDisk, workers: usize) -> Result<Option<(Observed, u32)>, Te
 fn forced_scavenge(
     disk: &SimDisk,
     workers: usize,
+    edit: Edit<'_>,
 ) -> Result<Option<(Observed, u32)>, TestCaseError> {
     let cfg = config_with(workers);
     let meta_a = FsdLayout::compute(disk.geometry(), cfg.nt_pages, cfg.log_sectors).log_start;
@@ -188,7 +223,9 @@ fn forced_scavenge(
                     "scavenge accepted an inconsistent tree: {e}"
                 )));
             }
-            observe(&mut v).map(Some)
+            let landed = observe(&mut v)?;
+            edit_then_verify(&mut v, edit)?;
+            Ok(Some(landed))
         }
         // A typed refusal (e.g. both boot pages rotten) is a legitimate
         // end state — the volume is telling the operator it needs help.
@@ -232,15 +269,21 @@ proptest! {
             apply_rot(&mut disk, &layout, rot);
         }
 
-        // The in-place ladder, serial vs parallel.
-        let serial = recover(&disk, 1)?;
-        let parallel = recover(&disk, 8)?;
+        // The in-place ladder, serial vs parallel; whatever tree it
+        // lands then takes a create and a delete.
+        let (create, delete) = (
+            format!("file{:02}", seeds[0].0),
+            format!("file{:02}", seeds[seeds.len() - 1].0),
+        );
+        let edit = (create.as_str(), delete.as_str());
+        let serial = recover(&disk, 1, edit)?;
+        let parallel = recover(&disk, 8, edit)?;
         prop_assert_eq!(serial, parallel);
 
         // And the bottom rung unconditionally: every rotten image must
         // survive a full scavenge, whatever the fast rungs thought.
-        let s_scav = forced_scavenge(&disk, 1)?;
-        let p_scav = forced_scavenge(&disk, 8)?;
+        let s_scav = forced_scavenge(&disk, 1, edit)?;
+        let p_scav = forced_scavenge(&disk, 8, edit)?;
         prop_assert_eq!(s_scav, p_scav);
     }
 }

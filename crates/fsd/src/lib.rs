@@ -30,6 +30,8 @@
 
 #![deny(unsafe_code)]
 
+#[cfg(debug_assertions)]
+mod audit;
 pub mod cache;
 pub mod engine;
 pub mod entry;

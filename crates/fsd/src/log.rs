@@ -304,6 +304,14 @@ impl Log {
         })
     }
 
+    /// The live records, oldest first: where each starts and in which
+    /// third (what the thirds auditor reads back).
+    #[cfg(debug_assertions)]
+    pub(crate) fn live_thirds(&self) -> Vec<(u32, u8)> {
+        let third = |r: &LiveRecord| (r.offset, self.third_of(r.offset));
+        self.live.iter().map(third).collect()
+    }
+
     /// Sets the I/O scheduling policy used for record and meta writes.
     pub fn set_policy(&mut self, policy: IoPolicy) {
         self.policy = policy;
@@ -783,6 +791,29 @@ fn decode_list(tail: &[u8]) -> Option<Vec<Run>> {
     }
     let listed = &tail[..tail.len() - r.remaining()];
     (r.u64().ok()? == fnv1a(listed)).then_some(runs)
+}
+
+/// The record whose header is at `offset`, read off the platters as they
+/// lie — through the remap table, without charging time or touching the
+/// stats — if its sectors decode as [`decode_record_bytes`] wants them:
+/// the thirds auditor's reader.
+#[cfg(debug_assertions)]
+pub(crate) fn peek_record(
+    disk: &SimDisk,
+    spare: &SpareMap,
+    log_start: SectorAddr,
+    offset: u32,
+) -> Option<DecodedRecord> {
+    let sector = |i: u32| disk.peek_data(spare.translate(log_start + offset + i));
+    let header = [0, 2]
+        .into_iter()
+        .find_map(|i| decode_header(sector(i)?).ok())?;
+    let n = u32::try_from(header.targets.len()).ok()?;
+    let mut bytes = Vec::with_capacity((2 * n as usize + 5) * SECTOR_BYTES);
+    for i in 0..2 * n + 5 {
+        bytes.extend_from_slice(sector(i)?);
+    }
+    decode_record_bytes(&bytes).ok()
 }
 
 /// Read-ahead buffer for the recovery scan: instead of issuing one small

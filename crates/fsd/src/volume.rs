@@ -659,10 +659,13 @@ impl FsdVolume {
                 ref layout,
                 ref mut commit_stats,
                 ref mut spare,
+                ref handed_out,
                 ..
             } = *self;
             let is_last = k + 1 == records;
             let share = shares.next().unwrap_or_default();
+            #[cfg(debug_assertions)]
+            let live = log.live_thirds();
             // Entering a third reclaims it: whatever has its only log
             // copy there goes home first (§5.3), as one scheduler window
             // inside the append.
@@ -670,7 +673,10 @@ impl FsdVolume {
                 log.append(disk, spare, chunk, is_last, share, |disk, spare, t| {
                     let (writes, pages) = collect_home_writes(layout, cache, leaders, Some(t))?;
                     commit_stats.third_flush_pages += pages;
-                    spare::write_home_batch(disk, policy, spare, writes)
+                    spare::write_home_batch(disk, policy, spare, writes)?;
+                    #[cfg(debug_assertions)]
+                    crate::audit::third_entry(disk, spare, layout, &live, t, &images, handed_out);
+                    Ok(())
                 })?;
             if self.repl.is_some() {
                 // Ship the sealed bytes the append just wrote: the

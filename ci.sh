@@ -22,7 +22,9 @@ git diff --exit-code crates/analyze/replay.txt
 cargo test -q -p cedar-fsd --test fuzz_corrupt
 # Every script of the crash-sweep harness (crates/fsd/tests/support) once
 # more, optimised: every crash point of one log append (append_sweep), of
-# a restart that reads (restart_sweep), of one that allocates, frees,
+# a restart that reads (restart_sweep), of one that laps the log it
+# resumed, its owed images going home third by third (resumed_lap_sweep),
+# of one that allocates, frees,
 # walks and fills the volume (reserve_sweep), of a session that reuses
 # the sectors of logged leaders (leader_sweep), of a hot name-table page
 # through a log lap (hot_page_sweep), of the first create after a crash
@@ -31,7 +33,7 @@ cargo test -q -p cedar-fsd --test fuzz_corrupt
 # the bench bins and the benchmark run under. The debug lane above has
 # already run them with overflow checks and debug assertions.
 cargo test --release -q -p cedar-fsd --test append_sweep --test restart_sweep \
-    --test reserve_sweep --test leader_sweep --test hot_page_sweep \
+    --test resumed_lap_sweep --test reserve_sweep --test leader_sweep --test hot_page_sweep \
     --test crash_recovery
 cargo test --release -q -p cedar-fsd --test deferred_vam \
     a_crash_while_owed_or_inside_the_first_create_owes_the_same_walk
@@ -99,9 +101,11 @@ git diff --exit-code BENCH_scavenge_scale.json
 # files is at least 5x its own time to first read (the name-table walk
 # boot defers is still paid and still measured) and is the scan, the
 # settle and the walk and nothing more (the reserve costs it no write);
-# the crash boot of an undamaged volume writes zero sectors; and boot's
-# share is strictly less than the whole of redo (the home sweep has not
-# crept back into boot).
+# the crash boot of an undamaged volume writes zero sectors; boot's
+# share is strictly less than the whole of redo (the home writes have not
+# crept back into boot); and the first write after the crash writes no
+# name-table home (boot resumed the log, and neither fixture's first
+# record enters a third).
 cargo run --release -p cedar-bench --bin recovery -- --smoke
 # The §6 model against the simulator: relations, not floors. A 1 MB
 # file read whole must land within the paper's five percent of its

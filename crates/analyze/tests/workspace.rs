@@ -209,22 +209,19 @@ const SEEDS: &[Seed] = &[
         },
         expect: &[("batch-io", "sync_home_all", "disk.read()")],
     },
-    // One home read outside the leader pass's scheduled window: seen in
-    // the pass, and from the settle that calls it.
+    // One home read beside the settle's one window of home writes: seen
+    // in the settle.
     Seed {
         row: 17,
         rule: "batch-io",
         file: "crates/fsd/src/recovery.rs",
         edit: Edit::Replace {
-            after: "fn redo_leaders(",
-            anchor: "let mut writes: Vec<(SectorAddr, &Vec<u8>)> = Vec::new();",
-            with: "let mut writes: Vec<(SectorAddr, &Vec<u8>)> = Vec::new();\n\
-                   if images.len() == 1 { disk.read(7, 1)?; }",
+            after: "fn pay_redo(",
+            anchor: "let t_home = self.disk.clock().now();",
+            with: "let t_home = self.disk.clock().now();\n\
+                   if self.vam_owed { self.disk.read(7, 1)?; }",
         },
-        expect: &[
-            ("batch-io", "redo_leaders", "disk.read()"),
-            ("batch-io", "pay_redo", "redo_leaders() raw io"),
-        ],
+        expect: &[("batch-io", "pay_redo", "disk.read()")],
     },
     // A second, hand-rolled read of one copy of a replicated structure
     // put back beside the one reader: the boot scan does not touch the

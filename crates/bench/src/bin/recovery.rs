@@ -10,21 +10,22 @@
 //! the paper's file-size distribution, plus a sweep of FSD recovery
 //! time against population.
 //!
-//! FSD's boot reads the log and stops: writing it home is left to the
-//! first write and the VAM walk to the first allocation, so every FSD
-//! figure here is taken over `boot` **plus** `settle_redo` and
-//! `settle_vam` and reported twice: *time to first read* (boot alone)
-//! and *full recovery* (boot, redo settle and walk) — the paper's number.
-//! A third figure comes from a second boot of the same crashed disk:
-//! *time to first write*, boot plus one small create forced to the log,
-//! which pays the redo settle and is served from the restart reserve.
+//! FSD's boot reads the log, resumes it and stops: the log's images go
+//! home with their thirds, the first write pays the new epoch and the
+//! first allocation the VAM walk, so every FSD figure here is taken over
+//! `boot` **plus** `settle_redo` and `settle_vam` and reported twice:
+//! *time to first read* (boot alone) and *full recovery* (boot, redo
+//! settle and walk) — the paper's number. A third figure comes from a
+//! second boot of the same crashed disk: *time to first write*, boot plus
+//! one small create forced to the log, which pays the new epoch and is
+//! served from the restart reserve.
 //!
 //! `--smoke` runs the 250- and 4000-file rows only and gates on
 //! relations, not floors: time to first read and to first write follow
-//! the log, not the population (the first write scans no file at all),
-//! while full recovery follows the name table and is its three phases
-//! and nothing more; and boot writes nothing and costs less than the redo
-//! it leaves owed.
+//! the log, not the population (the first write scans no file at all and
+//! writes no name-table home), while full recovery follows the name table
+//! and is its phases and nothing more; and boot writes nothing and costs
+//! less than the redo it leaves owed.
 
 use cedar_bench::{cfs_t300, disk_breakdown, ffs_t300, populate, Table};
 use cedar_disk::{DiskStats, SimClock, SimDisk};
@@ -46,9 +47,11 @@ struct FsdRecovery {
     /// [`SimDisk::platter_digest`] of the disk boot, settle and walk leave.
     platter: u64,
     /// A second boot of the same crashed disk: time from power-on to one
-    /// small create forced, and the files that create had walked.
+    /// small create forced, the files that create had walked, and
+    /// whether it changed a name-table home sector.
     first_write_us: u64,
     first_write_scanned: u64,
+    first_write_homed: bool,
 }
 
 impl FsdRecovery {
@@ -75,6 +78,22 @@ impl FsdRecovery {
 
 fn secs(us: u64) -> f64 {
     us as f64 / 1e6
+}
+
+/// A digest of every name-table home sector, both copies, as they lie.
+fn nt_homes(vol: &mut cedar_fsd::FsdVolume) -> u64 {
+    use std::hash::{Hash, Hasher};
+    let layout = *vol.layout();
+    let disk = vol.disk_mut();
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    for page in 0..layout.nt_pages {
+        for home in [layout.nt_a_sector(page), layout.nt_b_sector(page)] {
+            for s in home..home + cedar_fsd::NT_PAGE_SECTORS {
+                disk.peek_data(s).hash(&mut h);
+            }
+        }
+    }
+    h.finish()
 }
 
 fn fsd_recovery(files: usize) -> FsdRecovery {
@@ -108,9 +127,11 @@ fn fsd_recovery(files: usize) -> FsdRecovery {
     // The same crash again, and this time the client just writes.
     let powered_on = crashed.clock().now();
     let (mut vol, _) = cedar_fsd::FsdVolume::boot(crashed, config).unwrap();
+    let homes = nt_homes(&mut vol);
     vol.create("recovery/first-write", &[1u8; 1000])
         .expect("first write");
     vol.force().expect("first force");
+    let first_write_homed = nt_homes(&mut vol) != homes;
     FsdRecovery {
         report,
         settle,
@@ -121,22 +142,23 @@ fn fsd_recovery(files: usize) -> FsdRecovery {
         platter,
         first_write_us: vol.clock().now() - powered_on,
         first_write_scanned: vol.vam_walk().map_or(0, |w| w.files_scanned),
+        first_write_homed,
     }
 }
 
-/// The CI gate: two populations, seven relations.
+/// The CI gate: two populations, eight relations.
 fn smoke() {
     let small = fsd_recovery(250);
     let large = fsd_recovery(4000);
     for (files, r) in [(250, &small), (4000, &large)] {
-        let pass = r.settle.leaders;
+        let pass = r.report.leaders;
         println!(
             "{files:>5} files: first read {:.2} s, first write {:.2} s, full recovery {:.2} s; \
-             leader pass {} written, {} reallocated and skipped; platters {:016x}",
+             leaders {} kept, {} reallocated and skipped; platters {:016x}",
             secs(r.first_read_us()),
             secs(r.first_write_us),
             secs(r.full_us()),
-            pass.written,
+            pass.kept,
             pass.reallocated,
             r.platter
         );
@@ -164,6 +186,12 @@ fn smoke() {
             r.first_write_scanned, 0,
             "the first write after the crash walked the name table"
         );
+        assert!(
+            !r.first_write_homed,
+            "the first write after the crash boot wrote a name-table home sector: its record \
+             entered a third of the resumed log (neither fixture's first record did), which \
+             sends that third's owed images home"
+        );
         assert_eq!(
             r.settled_us,
             r.settle.us() + r.walk.us(),
@@ -177,7 +205,7 @@ fn smoke() {
         assert!(
             r.first_read_us() < r.redo_us(),
             "boot's share ({} µs) is not less than the whole of redo ({} µs): \
-             the home sweep is back inside boot",
+             the home writes are back inside boot",
             r.first_read_us(),
             r.redo_us()
         );
@@ -282,23 +310,22 @@ fn main() {
         cfs.orphan_sectors
     );
     println!(
-        "FSD by phase: redo {:.2} s = scan {:.2} (boot) + home sweep {:.2} + leaders {:.2} \
+        "FSD by phase: redo {:.2} s = scan {:.2} (boot) + home writes {:.2} \
          + new epoch {:.2}; VAM walk {:.2} s = prefetch {:.2} + walk {:.2} ({} files)",
         secs(fsd.redo_us()),
         secs(fsd.report.redo_us),
-        secs(fsd.settle.sweep_us),
-        secs(fsd.settle.leaders_us),
+        secs(fsd.settle.home_us),
         secs(fsd.settle.epoch_us),
         secs(fsd.walk.us()),
         secs(fsd.walk.prefetch_us),
         secs(fsd.walk.walk_us),
         fsd.walk.files_scanned
     );
-    let pass = fsd.settle.leaders;
+    let pass = fsd.report.leaders;
     println!(
-        "FSD leader pass: {} logged leaders, {} written, {} reallocated and skipped",
-        pass.written + pass.reallocated,
-        pass.written,
+        "FSD leaders: {} logged, {} kept for their thirds, {} reallocated and skipped",
+        pass.kept + pass.reallocated,
+        pass.kept,
         pass.reallocated
     );
     println!("FSD recovered platters: {:016x}", fsd.platter);

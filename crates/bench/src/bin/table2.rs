@@ -144,9 +144,9 @@ fn measure_fsd() -> Measured {
     let mut disk = vol.into_disk();
     disk.crash_now();
     disk.reboot();
-    // Boot leaves writing the log home to the first write and the VAM
-    // walk to the first allocation; the paper's row is the whole recovery,
-    // so pay both here and time all three.
+    // Boot leaves the log's images to go home with their thirds and the
+    // VAM walk to the first allocation; the paper's row is the whole
+    // recovery, so pay both here and time all three.
     let (mut vol, report) =
         cedar_fsd::FsdVolume::boot(disk, cedar_fsd::FsdConfig::default()).expect("boot FSD");
     assert!(report.vam_reconstructed);

@@ -42,7 +42,7 @@ pub(crate) fn third_entry(
     let mut listed: Vec<Run> = handed_out.to_vec();
     // Newest first, so that each record is held against those after it.
     for &(offset, third) in live.iter().rev() {
-        let Some(record) = log::peek_record(disk, spare, layout.log_start, offset) else {
+        let Ok(record) = log::peek_record(disk, spare, layout.log_start, offset) else {
             continue; // Media damage the scan would have to repair.
         };
         if third == t {

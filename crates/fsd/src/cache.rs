@@ -17,20 +17,24 @@
 //!   falls through to the double-written home copies ("When a page is
 //!   read, both copies are read and checked", §5.1) — the one reader of
 //!   replicated structures, `spare::read_replicated`, with the page's
-//!   [`crate::layout::Replicated`] pair and, after a crash boot, the
-//!   sector images the log still owes it; writes touch only the cache
-//!   and the pending-commit set.
+//!   [`crate::layout::Replicated`] pair and, after a boot, the sector
+//!   images the log still owes it ([`NtCache::owed`]); writes touch only
+//!   the cache and the pending-commit set.
 
 use crate::layout::FsdLayout;
-use crate::recovery::OwedRedo;
 use crate::spare::{self, SpareMap};
 use crate::{NT_PAGE_BYTES, NT_PAGE_SECTORS};
 use cedar_btree::{PageId, PageStore, StoreError};
 use cedar_disk::scan;
 use cedar_disk::sched::IoPolicy;
-use cedar_disk::{Cpu, DiskError, SimDisk, SECTOR_BYTES};
+use cedar_disk::{Cpu, DiskError, SectorAddr, SimDisk, SECTOR_BYTES};
 use cedar_vol::codec::{Reader, Writer};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+
+/// Name-table sector images a boot found in the log and no home write
+/// has caught up with, by home sector (both copies of each), each with
+/// the third its newest record starts in.
+pub(crate) type OwedImages = BTreeMap<SectorAddr, (Vec<u8>, u8)>;
 
 /// Magic number identifying the name-table meta page.
 pub const NT_META_MAGIC: u32 = 0xF5D_3E7B;
@@ -77,6 +81,11 @@ pub struct NtCache {
     pub capacity: usize,
     /// Monotone use counter for the LRU stamps.
     pub tick: u64,
+    /// What the resumed log still owes the homes: a page read from them
+    /// has these laid over it, and each goes home when the writer enters
+    /// its third — unless its page went home whole first, or a later
+    /// record logged the sector again.
+    pub(crate) owed: OwedImages,
 }
 
 impl NtCache {
@@ -303,9 +312,6 @@ pub struct FsdNtStore<'a> {
     /// Bad-sector remap table: reads translate through it, and a scrub
     /// whose rewrite fails grows it.
     pub spare: &'a mut SpareMap,
-    /// Logged sector images boot has not yet written home (`None` once
-    /// the redo settle is paid): they win over the home bytes.
-    pub(crate) owed: Option<&'a OwedRedo>,
     /// The page cache.
     pub cache: &'a mut NtCache,
     /// Pages dirtied since the last group commit.
@@ -336,7 +342,7 @@ impl FsdNtStore<'_> {
             self.policy,
             self.spare,
             self.layout.nt_pair(id),
-            self.owed.map(|o| &o.final_images),
+            Some(&self.cache.owed),
             |image| Some(image.to_vec()),
         )
         .map_err(|e| {
@@ -391,7 +397,7 @@ impl FsdNtStore<'_> {
                     );
                     !remapped.contains(&a)
                         && !remapped.contains(&b)
-                        && !self.owed.is_some_and(|o| o.final_images.contains_key(&a))
+                        && !self.cache.owed.contains_key(&a)
                 })
             })
             .collect();
@@ -620,7 +626,6 @@ mod tests {
             layout: &layout,
             policy: IoPolicy::InOrder,
             spare: &mut spare,
-            owed: None,
             cache: &mut cache,
             pending: &mut pending,
         };
@@ -651,7 +656,6 @@ mod tests {
             layout: &layout,
             policy: IoPolicy::InOrder,
             spare: &mut spare,
-            owed: None,
             cache: &mut cache,
             pending: &mut pending,
         };
@@ -684,7 +688,6 @@ mod tests {
             layout: &layout,
             policy: IoPolicy::InOrder,
             spare: &mut spare,
-            owed: None,
             cache: &mut cache,
             pending: &mut pending,
         };
@@ -721,7 +724,6 @@ mod tests {
             layout: &layout,
             policy: IoPolicy::InOrder,
             spare: &mut spare,
-            owed: None,
             cache: &mut cache,
             pending: &mut pending,
         };
@@ -763,7 +765,6 @@ mod tests {
             layout: &layout,
             policy: IoPolicy::InOrder,
             spare: &mut spare,
-            owed: None,
             cache: &mut cache,
             pending: &mut pending,
         };
@@ -787,7 +788,6 @@ mod tests {
             layout: &layout,
             policy: IoPolicy::InOrder,
             spare: &mut spare,
-            owed: None,
             cache: &mut cache,
             pending: &mut pending,
         };
@@ -806,7 +806,6 @@ mod tests {
             layout: &layout,
             policy: IoPolicy::InOrder,
             spare: &mut spare,
-            owed: None,
             cache: &mut cache,
             pending: &mut pending,
         };

@@ -167,9 +167,17 @@ impl PageTarget {
 /// A decoded log record.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LogRecord {
+    /// Where the scan found its header, as an offset within the log
+    /// region. Not part of the record's bytes: [`Log::resume`] rebuilds
+    /// the running log's books from it.
+    pub offset: u32,
     /// Sequence number (consecutive along the chain).
     pub seq: u64,
-    /// Boot count when the record was written.
+    /// The log's count: the one its meta names, carried by every record
+    /// the log holds. It is set when the log is made fresh (format, a
+    /// rung-3 scavenge) and a log resumed after a restart keeps it, so it
+    /// is not the boot page's count, which rises every session that
+    /// writes.
     pub boot_count: u32,
     /// `true` on the last record of a group commit. A force larger than
     /// one record spans several; recovery drops a trailing group whose
@@ -202,14 +210,19 @@ impl LogRecord {
     }
 }
 
-/// The replicated log meta page: where recovery starts reading.
+/// The replicated log meta page: where recovery starts reading. It is
+/// written when the log is made fresh and whenever the writer enters a
+/// third; a restart resumes the log it points into and writes nothing
+/// here until then.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct LogMeta {
     /// Offset (within the log region) of the first valid record.
     pub oldest_offset: u32,
     /// Sequence number of that record.
     pub oldest_seq: u64,
-    /// Boot count of the epoch that wrote the log.
+    /// The log's count: every record of the chain carries it. Named
+    /// `boot_count` for the boot count of the session that made the log
+    /// fresh; sessions that resume the log leave it alone.
     pub boot_count: u32,
 }
 
@@ -278,10 +291,12 @@ pub struct Log {
 }
 
 impl Log {
-    /// Creates a fresh, empty log (used at format time and after boot-time
-    /// redo empties the log). Call [`Self::write_meta`] afterwards to
-    /// persist the pointer. Fails if the region cannot hold even a
-    /// one-page record per third.
+    /// Creates a fresh, empty log whose records carry `boot_count`: at
+    /// format time, and when a rung-3 scavenge rebuilds the volume
+    /// without the log. Every other boot resumes the log it scanned
+    /// ([`Self::resume`]). Call [`Self::write_meta`] afterwards to persist
+    /// the pointer. Fails if the region cannot hold even a one-page
+    /// record per third.
     pub fn fresh(start: SectorAddr, size: u32, boot_count: u32) -> Result<Self> {
         let third_len = size.saturating_sub(DATA_START) / 3;
         let max_images = MAX_IMAGES_HARD.min(((third_len.saturating_sub(5)) / 2) as usize);
@@ -302,6 +317,41 @@ impl Log {
             max_images,
             policy: IoPolicy::default(),
         })
+    }
+
+    /// The running log a restart carries on with: the chain `records`
+    /// that [`scan_records`] read from `meta`, every one of them still
+    /// live in the third it starts in. The next record goes behind the
+    /// last one, with the next sequence number and the meta's count —
+    /// over the first record of a group the crash tore, if there was one,
+    /// and with that record's sequence number, so nothing of that group
+    /// can join the chain again. An empty chain resumes where the meta
+    /// points. Writes nothing.
+    pub fn resume(
+        start: SectorAddr,
+        size: u32,
+        meta: &LogMeta,
+        records: &[LogRecord],
+    ) -> Result<Self> {
+        let mut log = Self::fresh(start, size, meta.boot_count)?;
+        log.oldest = (meta.oldest_offset, meta.oldest_seq);
+        log.live = records
+            .iter()
+            .map(|r| LiveRecord {
+                offset: r.offset,
+                seq: r.seq,
+            })
+            .collect();
+        (log.write_pos, log.next_seq) = match records.last() {
+            Some(r) => {
+                let n = r.images.len();
+                (r.offset + 2 * n as u32 + 5, r.seq + 1)
+            }
+            None => (meta.oldest_offset, meta.oldest_seq),
+        };
+        // The third holding the last sector written: entered already.
+        log.current_third = log.third_of(log.write_pos - u32::from(!records.is_empty()));
+        Ok(log)
     }
 
     /// The live records, oldest first: where each starts and in which
@@ -364,7 +414,8 @@ impl Log {
         (self.size - DATA_START) / 3
     }
 
-    fn third_of(&self, offset: u32) -> u8 {
+    /// The third of the log region `offset` lies in.
+    pub(crate) fn third_of(&self, offset: u32) -> u8 {
         let t = offset.saturating_sub(DATA_START) / self.third_len().max(1);
         u8::try_from(t).unwrap_or(2).min(2)
     }
@@ -795,25 +846,36 @@ fn decode_list(tail: &[u8]) -> Option<Vec<Run>> {
 
 /// The record whose header is at `offset`, read off the platters as they
 /// lie — through the remap table, without charging time or touching the
-/// stats — if its sectors decode as [`decode_record_bytes`] wants them:
-/// the thirds auditor's reader.
+/// stats — if it decodes as the scan would accept it: both headers and
+/// every original data page written, and one end page that seals them
+/// (the copies behind `E` may be what a crash inside the second window
+/// left). The thirds auditor's reader; a record it cannot read back is
+/// an error for the auditor to pass over.
 #[cfg(debug_assertions)]
 pub(crate) fn peek_record(
     disk: &SimDisk,
     spare: &SpareMap,
     log_start: SectorAddr,
     offset: u32,
-) -> Option<DecodedRecord> {
+) -> Result<DecodedRecord> {
     let sector = |i: u32| disk.peek_data(spare.translate(log_start + offset + i));
-    let header = [0, 2]
-        .into_iter()
-        .find_map(|i| decode_header(sector(i)?).ok())?;
-    let n = u32::try_from(header.targets.len()).ok()?;
+    let unwritten = || FsdError::Check(format!("log record at {offset} not written whole"));
+    let header = decode_header(sector(0).ok_or_else(unwritten)?).map_err(FsdError::Check)?;
+    let n = u32::try_from(header.targets.len()).map_err(|e| FsdError::Check(e.to_string()))?;
+    let blank = [0u8; SECTOR_BYTES];
     let mut bytes = Vec::with_capacity((2 * n as usize + 5) * SECTOR_BYTES);
     for i in 0..2 * n + 5 {
-        bytes.extend_from_slice(sector(i)?);
+        let second_window = i >= 3 + n;
+        let bytes_at = sector(i).or(second_window.then_some(&blank[..]));
+        bytes.extend_from_slice(bytes_at.ok_or_else(unwritten)?);
     }
-    decode_record_bytes(&bytes).ok()
+    let end = (3 + n) as usize * SECTOR_BYTES..(4 + n) as usize * SECTOR_BYTES;
+    decode_record_bytes(&bytes).or_else(|torn| {
+        // `E` torn, `E'` down: the other end page seals the record.
+        let copy = sector(2 * n + 4).ok_or(torn)?;
+        bytes[end].copy_from_slice(copy);
+        decode_record_bytes(&bytes)
+    })
 }
 
 /// Read-ahead buffer for the recovery scan: instead of issuing one small
@@ -1017,6 +1079,7 @@ fn read_record_at(
         .collect();
     Ok(Some((
         LogRecord {
+            offset,
             seq: header.seq,
             boot_count: header.boot_count,
             group_end: header.group_end,
@@ -1028,12 +1091,17 @@ fn read_record_at(
 }
 
 /// Scans the live record chain starting from the meta pointer — the core
-/// of crash recovery. Records are returned oldest first. The chain is the
-/// meta's epoch's: a fresh log starts its sequence numbers again at one
-/// over the records of the epoch before, so one of those that happens to
-/// carry the next sequence number where the chain stops is not its next
-/// record. The read-ahead is submitted under the caller's `policy`, like
-/// every other batch of the volume.
+/// of crash recovery. Records are returned oldest first. A record joins
+/// the chain when it carries the next sequence number and the meta's
+/// count. A fresh log starts its sequence numbers again at one over the
+/// records of the log before, so a count of its own keeps those out. A
+/// resumed log ([`Log::resume`]) keeps its count, and past the chain's
+/// end a record with that count and a sequence number not below the next
+/// can only be a non-terminal member of the group a crash tore: the
+/// crash stopped that force, and the resumed chain writes over it from
+/// its first record on. Such a record joins only a group that never
+/// terminates, which is dropped. The read-ahead is submitted under the
+/// caller's `policy`, like every other batch of the volume.
 pub fn scan_records(
     disk: &mut SimDisk,
     policy: IoPolicy,
@@ -1171,6 +1239,7 @@ mod tests {
         let layout = FsdLayout::compute(&DiskGeometry::TINY, 24, 160);
         let [(small, metadata), (_, end)] = layout.data_areas();
         let record = |run| LogRecord {
+            offset: DATA_START,
             seq: 1,
             boot_count: 1,
             group_end: true,
@@ -1632,6 +1701,151 @@ mod tests {
             scan_records(&mut d, IoPolicy::default(), LOG_START, LOG_SIZE, &sp, &meta).unwrap();
         let chain: Vec<(u64, u32)> = recs.iter().map(|r| (r.seq, r.boot_count)).collect();
         assert_eq!(chain, [(1, 2)]);
+    }
+
+    /// The log a restart resumes: the chain on `d`, carried on.
+    fn resumed(d: &mut SimDisk, sp: &mut SpareMap) -> (Log, Vec<LogRecord>) {
+        let meta = Log::read_meta(d, IoPolicy::InOrder, sp, LOG_START).unwrap();
+        let recs = scan_records(d, IoPolicy::default(), LOG_START, LOG_SIZE, sp, &meta).unwrap();
+        (
+            Log::resume(LOG_START, LOG_SIZE, &meta, &recs).unwrap(),
+            recs,
+        )
+    }
+
+    fn chain(d: &mut SimDisk, sp: &mut SpareMap) -> Vec<(u64, u32, u8)> {
+        let (_, recs) = resumed(d, sp);
+        let first_tag = |r: &LogRecord| r.images[0].1[0];
+        recs.iter()
+            .map(|r| (r.seq, r.offset, first_tag(r)))
+            .collect()
+    }
+
+    fn page_images(n: u32, tag: u8) -> Vec<(PageTarget, Vec<u8>)> {
+        (0..n).map(|j| nt(j, 0, tag)).collect()
+    }
+
+    /// A session that committed record 1 and then crashed inside a group
+    /// of three five-image records (15 sectors each): the first two are
+    /// on the platters, whole and non-terminal; the third is torn.
+    fn torn_group() -> (SimDisk, SpareMap) {
+        let mut d = disk();
+        let mut sp = SpareMap::disabled();
+        let mut log = Log::fresh(LOG_START, LOG_SIZE, 1).unwrap();
+        log.write_meta(&mut d, &mut sp).unwrap();
+        log.append(&mut d, &mut sp, &[nt(9, 0, 1)], true, &[], no_flush)
+            .unwrap();
+        for tag in [2, 3] {
+            log.append(&mut d, &mut sp, &page_images(5, tag), false, &[], no_flush)
+                .unwrap();
+        }
+        d.schedule_crash(CrashPlan {
+            after_sector_writes: 6,
+            damaged_tail: 1,
+        });
+        let torn = log.append(&mut d, &mut sp, &page_images(5, 4), true, &[], no_flush);
+        assert!(torn.unwrap_err().is_crash());
+        d.reboot();
+        assert_eq!(
+            chain(&mut d, &mut sp),
+            [(1, DATA_START, 1)],
+            "the group is dropped"
+        );
+        (d, sp)
+    }
+
+    /// The resumed chain goes on behind the last complete group, over the
+    /// torn group's first record and with its sequence number; a record
+    /// shorter than that one ends where no record with the next sequence
+    /// number starts, and the scan ends at it.
+    #[test]
+    fn a_resumed_record_shorter_than_the_torn_groups_first_ends_the_chain() {
+        let (mut d, mut sp) = torn_group();
+        let (mut log, _) = resumed(&mut d, &mut sp);
+        assert_eq!(
+            (log.next_record_offset(), log.next_seq()),
+            (DATA_START + 7, 2)
+        );
+        log.append(&mut d, &mut sp, &[nt(7, 0, 5)], true, &[], no_flush)
+            .unwrap();
+        d.crash_now();
+        d.reboot();
+        let new = (2, DATA_START + 7, 5);
+        assert_eq!(chain(&mut d, &mut sp), [(1, DATA_START, 1), new]);
+    }
+
+    /// The same with lengths that line up: the resumed record is as long
+    /// as the torn group's first, so that group's second record — whole,
+    /// non-terminal, sequence number 3 — sits exactly where the chain
+    /// expects its next record. The scan takes it, finds nothing behind
+    /// it, and drops it with the group it belongs to, which never
+    /// terminates. A resumed record that opens a group of its own goes
+    /// with it when the crash comes before that group's end.
+    #[test]
+    fn a_stale_record_where_the_next_is_expected_is_dropped_with_its_group() {
+        for group_end in [true, false] {
+            let (mut d, mut sp) = torn_group();
+            let (mut log, _) = resumed(&mut d, &mut sp);
+            let at = log.next_record_offset();
+            log.append(
+                &mut d,
+                &mut sp,
+                &page_images(5, 5),
+                group_end,
+                &[],
+                no_flush,
+            )
+            .unwrap();
+            d.crash_now();
+            d.reboot();
+            // The stale record, where sequence number 3 is expected.
+            let next = LOG_START + at + 15;
+            let bytes: Vec<u8> = (next..next + 15)
+                .flat_map(|s| d.peek_data(s).unwrap().to_vec())
+                .collect();
+            let stale = decode_record_bytes(&bytes).unwrap();
+            assert_eq!((stale.seq, stale.group_end), (3, false));
+            let mut want = vec![(1, DATA_START, 1)];
+            if group_end {
+                want.push((2, at, 5));
+            }
+            assert_eq!(chain(&mut d, &mut sp), want, "group_end {group_end}");
+        }
+    }
+
+    /// A resumed log whose next record does not fit before the end of the
+    /// region wraps to the front, enters third 0 and reclaims it: `flush`
+    /// is called for it once, and the chain goes on at the front.
+    #[test]
+    fn a_resumed_record_that_does_not_fit_wraps_into_third_zero() {
+        let mut d = disk();
+        let mut sp = SpareMap::disabled();
+        let mut log = Log::fresh(LOG_START, LOG_SIZE, 1).unwrap();
+        log.write_meta(&mut d, &mut sp).unwrap();
+        // Twelve 25-sector records fill the region to its last sector.
+        for tag in 0..12u8 {
+            log.append(&mut d, &mut sp, &page_images(10, tag), true, &[], no_flush)
+                .unwrap();
+        }
+        assert_eq!(log.next_record_offset(), LOG_SIZE);
+        d.crash_now();
+        d.reboot();
+
+        let (mut log, recs) = resumed(&mut d, &mut sp);
+        assert_eq!((log.next_record_offset(), log.next_seq()), (LOG_SIZE, 13));
+        assert_eq!(recs.len(), 12);
+        let mut entered = Vec::new();
+        let images = page_images(1, 99);
+        log.append(&mut d, &mut sp, &images, true, &[], |_, _, t| {
+            entered.push(t);
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(entered, [0]);
+        let chain = chain(&mut d, &mut sp);
+        assert_eq!(chain.last(), Some(&(13, DATA_START, 99)));
+        let third_one = DATA_START + (LOG_SIZE - DATA_START) / 3;
+        assert_eq!(chain[0].1, third_one, "third 0 reclaimed");
     }
 
     #[test]

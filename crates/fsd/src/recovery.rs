@@ -9,59 +9,77 @@
 //! Recovery rarely takes more than two seconds on the current hardware."
 //!
 //! [`FsdVolume::boot`] reads — the boot page, the log meta, the live
-//! record chain — and stops. It indexes the log by home sector (the last
-//! image of a sector wins) and hands that index to the volume; it writes
-//! nothing. From then on the volume **owes** two things, and serves every
-//! `open`, read and `list` while it does:
+//! record chain — and stops. It writes nothing. It resumes the log it
+//! scanned ([`Log::resume`]): the next record goes behind the last
+//! complete commit group, and the images the chain holds join the
+//! writeback books the running volume keeps for its own records. The
+//! newest image of each name-table sector goes into the cache's owed map
+//! ([`crate::cache::NtCache::owed`]), the newest of each leader into the
+//! leader books, each tagged with the third its record starts in. From
+//! then on they go home like anything else the log protects: when the
+//! writer next enters their third (§5.3), or at [`FsdVolume::settle_redo`]
+//! and shutdown. Until then a name-table page that misses the cache is
+//! read from its home copies with the owed images laid over them
+//! ([`crate::cache::FsdNtStore::read_through`]), and a leader the books
+//! hold is checked from its image: a reader sees exactly the bytes redo
+//! would have put on the platters.
 //!
-//! * **the redo settle** — the sorted sweep that writes every logged
-//!   name-table sector home, the leader pass, and the new log epoch (boot
-//!   pages with the bumped boot count, a fresh log meta), in that order.
-//!   Until it is paid, a name-table page that misses the cache is read
-//!   from its home copies and the logged sector images are laid over
-//!   them ([`crate::cache::FsdNtStore::read_through`]), and a leader the
-//!   log holds is checked from the logged image: a reader sees exactly
-//!   the bytes the sweep would have put on the platters. The settle is
-//!   paid once, by whatever comes first of: a log force that has
-//!   something to append, anything that dirties a name-table page, stages
-//!   a leader or draws a uid (create, delete, extend, truncate, a
-//!   symbolic link, the last-used refresh of a cached copy), shutdown,
-//!   turning the replication tap on, or [`FsdVolume::settle_redo`];
+//! Boot leaves two things owed, and serves every `open`, read and `list`
+//! while it does:
+//!
+//! * **the new epoch** — the boot pages with the bumped boot count (uids
+//!   carry it) and the saved VAM marked invalid. It is paid once, by the
+//!   first write: anything that dirties a name-table page, stages a
+//!   leader or draws a uid (create, delete, extend, truncate, a symbolic
+//!   link, the last-used refresh of a cached copy), shutdown, turning the
+//!   replication tap on, or [`FsdVolume::settle_redo`], which also writes
+//!   everything owed home first. The first write pays only that one
+//!   write of the boot pages: no home sweep, no leader pass and no fresh
+//!   log meta;
 //! * **the VAM walk** — when the saved free map is unusable, the
 //!   name-table walk that rebuilds it (the first kind above, and the bulk
 //!   of the paper's 25 seconds). The first allocation needs *a* free run,
 //!   not the whole map, and the boot page names one: the **restart
 //!   reserve**, which no allocation has touched since it was recorded
 //!   (`volume.rs` has the rules). The first operation that allocates or
-//!   frees takes it over — its record leaves the boot page with the redo
-//!   settle's new-epoch write, or with a write of its own when the settle
-//!   was paid earlier, and only then is the run marked free — and from
-//!   there create and extend allocate from, and delete and truncate free
-//!   into, a map that marks free only what is *known* to be: always a
-//!   subset of the truth. The walk is paid behind the redo settle by an
-//!   allocation that map cannot serve in one run, by shutdown (the map
-//!   is saved), by the cache flusher (it decides on the free count), or
-//!   by [`FsdVolume::settle_vam`]; it carries the shadow bitmap of the
-//!   map it replaces across, and ends by holding a reserve again — the
-//!   recorded one if it is still standing, a new one otherwise. A boot
-//!   page without a record (the reserve was taken over or released, or
-//!   the volume predates it) is the same path with nothing to take over:
-//!   the first allocation pays the walk.
+//!   frees takes it over — its record leaves the boot page with the new
+//!   epoch's write, or with a write of its own when the epoch was paid
+//!   earlier, and only then is the run marked free — and from there
+//!   create and extend allocate from, and delete and truncate free into,
+//!   a map that marks free only what is *known* to be: always a subset of
+//!   the truth. The walk is paid by an allocation that map cannot serve
+//!   in one run, by shutdown (the map is saved), by the cache flusher (it
+//!   decides on the free count), or by [`FsdVolume::settle_vam`]; it
+//!   carries the shadow bitmap of the map it replaces across, and ends by
+//!   holding a reserve again — the recorded one if it is still standing,
+//!   a new one otherwise. A boot page without a record (the reserve was
+//!   taken over or released, or the volume predates it) is the same path
+//!   with nothing to take over: the first allocation pays the walk.
 //!
 //! `boot` followed at once by `settle_vam` is the whole of FSD crash
-//! recovery, in the order an eager boot would do it, to the microsecond:
-//! the reserve stays recorded through both and costs them no write.
+//! recovery: the owed images written home in one sorted window, the new
+//! epoch, the walk.
+//!
+//! The log's count and the boot count are two numbers. Every record
+//! carries the count its meta names, which is set when the log is made
+//! fresh (format, a rung-3 scavenge) and kept by every boot that resumes
+//! it; the boot page's count rises with every session that writes. The
+//! scan's rule, "consecutive sequence numbers, the meta's count", is the
+//! same for a resumed chain: past its end, a record with that count and
+//! a sequence number not below the next one can only be a non-terminal
+//! member of the group the crash tore, and the resumed chain writes over
+//! that group from its first record on ([`log::scan_records`]).
 //!
 //! Table 2's headline: crash recovery drops from 3600+ seconds (the CFS
 //! scavenge) to 25 seconds worst case (log redo plus VAM rebuild).
 //! Recovery is idempotent, and a crash while it is owed is the trivial
 //! case: boot wrote nothing, so the next boot reads the same bytes. A
-//! crash inside the settle leaves some homes rewritten with the images
-//! the log still holds — the old epoch's boot pages and log meta change
-//! only after the sweep is durable — so the next boot reads the same log
-//! and lays the same images over whatever the sweep got to. A crash
-//! after the reserve was taken over finds no record and walks first; a
-//! crash before finds the record and the run as free as it ever was
+//! crash after the first write finds the resumed chain longer by what
+//! that session committed, its homes rewritten as far as its third
+//! entries got — each with an image the log no longer holds, or still
+//! does — and lays the same images over them. A crash after the reserve
+//! was taken over finds no record and walks first; a crash before finds
+//! the record and the run as free as it ever was
 //! (`tests/reserve_sweep.rs` enumerates both, and the walk in between).
 //!
 //! # The escalation ladder
@@ -83,30 +101,30 @@
 //!    replica repair. The volume is rebuilt from leader pages alone
 //!    ([`crate::scavenge`]), the way CFS recovered from hardware labels.
 //!
-//! What boot no longer does it can no longer escalate: a sweep that runs
-//! out of spare sectors, boot pages that cannot be written, a name-table
-//! page dead in both copies under the walk are all found by the settle.
-//! When one fails for a reason other than a crash, the operation that
-//! triggered it returns the typed error, what was owed stays owed — reads
-//! keep working through the log's images, and nothing of the new epoch is
-//! on disk — and the saved-VAM byte on the boot pages records "settle
-//! failed": the next boot goes straight to rung 3, without replaying the
-//! log. A session whose *walk* failed has started its epoch and can still
+//! What boot no longer does it can no longer escalate: home writes that
+//! run out of spare sectors, boot pages that cannot be written, a
+//! name-table page dead in both copies under the walk are all found
+//! later. When [`FsdVolume::settle_redo`], the new epoch or the walk
+//! fails for a reason other than a crash, the operation that triggered
+//! it returns the typed error, what was owed stays owed — reads keep
+//! working through the log's images — and the saved-VAM byte on the boot
+//! pages records "settle failed": the next boot goes straight to rung 3,
+//! without replaying the log. A session whose *walk* failed has started its epoch and can still
 //! commit what needs no free map — a symbolic link, a cached copy's
 //! refreshed last-used-time. Those commits do not survive the rung-3
 //! boot: the scavenger rebuilds from leader pages alone. The note is
 //! about this machine's media, so replication does not ship it: a replica
 //! of a wounded primary is told only that the save area is stale.
-use crate::cache::NtMeta;
+use crate::cache::{NtMeta, OwedImages};
 use crate::layout::{FsdBootPage, FsdLayout, SavedVam};
 use crate::log::{self, Log, PageTarget};
 use crate::scavenge::{self, ScavengeSummary};
 use crate::spare::{self, SpareMap};
-use crate::volume::{nt_store, FsdConfig, FsdVolume};
+use crate::volume::{collect_home_writes, nt_store, FsdConfig, FsdVolume, LeaderState};
 use crate::{FsdError, Result};
 use cedar_btree::BTree;
 use cedar_disk::clock::Micros;
-use cedar_disk::sched::{self, IoBatch, IoOp, IoPolicy, OpResult};
+use cedar_disk::sched::IoPolicy;
 use cedar_disk::{Cpu, SectorAddr, SimDisk};
 use cedar_vol::{Run, Vam};
 use std::collections::BTreeMap;
@@ -145,28 +163,31 @@ impl VamWalk {
     }
 }
 
-/// The write half of log redo, whoever paid it: the one home of these
-/// three timings ([`FsdVolume::redo_settle`]).
+/// The settle a boot leaves owed, whoever paid it
+/// ([`FsdVolume::redo_settle`]). The first write pays the new epoch and
+/// nothing else: the images the resumed log still owes go home with
+/// their thirds. [`FsdVolume::settle_redo`], when it comes first, writes
+/// them all home ahead of the epoch.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RedoSettle {
-    /// The sorted sweep writing every logged name-table sector home.
-    pub sweep_us: Micros,
-    /// The leader pass: logged leader images written to their home
-    /// sectors, or left out.
-    pub leaders_us: Micros,
-    /// The new epoch: boot pages with the bumped boot count, fresh log
-    /// meta.
+    /// Everything logged and not yet home, written home in one sorted
+    /// window by `settle_redo`: zero when a write paid the settle.
+    pub home_us: Micros,
+    /// The new epoch: the boot pages with the bumped boot count, the
+    /// saved VAM marked invalid, and — when the operation paying is about
+    /// to change the map while the walk is owed — the restart reserve
+    /// handed over.
     pub epoch_us: Micros,
-    /// What the leader pass did, image by image.
-    pub leaders: LeaderPass,
 }
 
-/// The leader pass by verdict: every newest logged leader image lands in
-/// exactly one bucket, decided from the lists alone.
+/// What boot did with the log's leader images: every newest logged image
+/// of a leader lands in exactly one bucket, decided from the end pages'
+/// lists alone.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LeaderPass {
-    /// Written home: no later group lists the sector.
-    pub written: u64,
+    /// Kept: no later group lists the sector, so the image joins the
+    /// writeback books and goes home with its third.
+    pub kept: u64,
     /// Left out: a later group lists the sector among the runs it handed
     /// to another file.
     pub reallocated: u64,
@@ -175,37 +196,32 @@ pub struct LeaderPass {
 impl RedoSettle {
     /// Simulated time of the whole settle.
     pub fn us(&self) -> Micros {
-        self.sweep_us + self.leaders_us + self.epoch_us
+        self.home_us + self.epoch_us
     }
 }
 
-/// The log as boot indexed it, until [`FsdVolume::settle_redo`] has
-/// written it home: what reads lay over the platters, and what the
-/// settle writes.
-#[derive(Debug, Default)]
-pub(crate) struct OwedRedo {
-    /// Newest logged image of every name-table sector, by home sector —
-    /// both copies of each.
-    pub(crate) final_images: BTreeMap<SectorAddr, Vec<u8>>,
-    /// Newest logged image of every leader, by address, and the index of
-    /// the commit group that logged it.
-    pub(crate) leader_images: BTreeMap<SectorAddr, (Vec<u8>, usize)>,
-    /// The runs each accepted group lists as handed to new owners, oldest
-    /// group first.
-    pub(crate) lists: Vec<Vec<Run>>,
+/// What boot read off the log: the running log it resumes, and what that
+/// log's records still owe the homes.
+struct Resumed {
+    log: Log,
+    /// Name-table sector images, by home sector.
+    owed: OwedImages,
+    /// The leader images the books take over.
+    leaders: BTreeMap<SectorAddr, LeaderState>,
 }
 
 /// What boot did. Everything here is boot's own share of recovery: the
-/// write half of redo is owed and will show up in
-/// [`FsdVolume::redo_settle`], and when [`Self::vam_reconstructed`] is
-/// set so is the name-table walk ([`FsdVolume::vam_walk`]), once
-/// something pays them.
+/// new epoch is owed and will show up in [`FsdVolume::redo_settle`], and
+/// when [`Self::vam_reconstructed`] is set so is the name-table walk
+/// ([`FsdVolume::vam_walk`]), once something pays them.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
     /// Log records replayed.
     pub records_replayed: u64,
     /// Sector images the replayed records hold.
     pub images_redone: u64,
+    /// The verdicts on the log's leader images.
+    pub leaders: LeaderPass,
     /// The saved VAM was not usable (`false` means a properly saved VAM
     /// was loaded): a name-table walk is owed.
     pub vam_reconstructed: bool,
@@ -214,7 +230,7 @@ pub struct RecoveryReport {
     /// paid.
     pub files_scanned: u64,
     /// Simulated time boot spent on log redo: reading the boot page and
-    /// the log meta, scanning the record chain and indexing it.
+    /// the log meta, scanning the record chain and booking its images.
     pub redo_us: Micros,
     /// Simulated time boot spent loading the saved VAM. Zero when the
     /// save area was stale and the walk is owed.
@@ -249,15 +265,16 @@ impl RecoveryReport {
 }
 
 impl FsdVolume {
-    /// Boots an FSD volume: reads the log and indexes it, then loads the
-    /// saved VAM or records that a name-table walk is owed — escalating
-    /// to a replica scrub or a full scavenge when the media demands it.
-    /// On undamaged media it writes nothing. The volume serves reads,
-    /// opens and listings at once, through the log's images; the first
-    /// write pays the redo settle ([`Self::settle_redo`]), the first
-    /// operations that allocate or free work out of the restart reserve
-    /// ([`RecoveryReport::reserve`]), and the walk waits for one of them
-    /// to need more, for shutdown, or for [`Self::settle_vam`].
+    /// Boots an FSD volume: reads the log and resumes it, its images
+    /// booked for writeback, then loads the saved VAM or records that a
+    /// name-table walk is owed — escalating to a replica scrub or a full
+    /// scavenge when the media demands it. On undamaged media it writes
+    /// nothing. The volume serves reads, opens and listings at once,
+    /// through the log's images; the first write pays the new epoch
+    /// ([`Self::redo_settle`]), the first operations that allocate or
+    /// free work out of the restart reserve ([`RecoveryReport::reserve`]),
+    /// and the walk waits for one of them to need more, for shutdown, or
+    /// for [`Self::settle_vam`].
     pub fn boot(disk: SimDisk, config: FsdConfig) -> Result<(FsdVolume, RecoveryReport)> {
         Self::try_boot(disk, config).map_err(|(e, _)| e)
     }
@@ -276,7 +293,7 @@ impl FsdVolume {
         let cpu = Cpu::new(disk.clock(), config.cpu);
         let mut report = RecoveryReport::default();
 
-        let (boot, spare, owed) =
+        let (boot, spare, resumed) =
             match scan_phase(&mut disk, &layout, &cpu, config.io_policy, &mut report) {
                 Ok(x) => x,
                 Err(e) if e.is_crash() => return Err((e, disk)),
@@ -286,14 +303,10 @@ impl FsdVolume {
             };
         let vam_was_valid = boot.saved_vam == SavedVam::Valid;
 
-        // The log of the epoch the settle will start: nothing is appended
-        // to it, and nothing of it is written, before then.
-        let log = match Log::fresh(layout.log_start, layout.log_sectors, boot.boot_count + 1) {
-            Ok(log) => log,
-            Err(e) => return Err((e, disk)),
-        };
-        let mut vol = FsdVolume::assemble(disk, cpu, layout, boot, log, spare, &config);
-        vol.redo_owed = Some(owed);
+        let mut vol = FsdVolume::assemble(disk, cpu, layout, boot, resumed.log, spare, &config);
+        vol.cache.owed = resumed.owed;
+        vol.leaders = resumed.leaders;
+        vol.epoch_owed = true;
 
         match vol.finish_boot(vam_was_valid, &mut report) {
             Ok(()) => {
@@ -345,36 +358,42 @@ impl FsdVolume {
         Ok(())
     }
 
-    /// Pays the write half of log redo if it is owed — `Some` with what
-    /// it cost, `None` when it was paid before; idempotent.
-    ///
-    /// Nothing may reach the log, and no name-table page may be dirtied,
-    /// before this has run: the records boot indexed are the only copy of
-    /// the images they hold until the sweep has written them home, and
-    /// the first append of the new epoch writes over them. Every
-    /// operation that could do either calls this itself, so no caller
-    /// *has* to; recovery benchmarks call [`Self::settle_vam`], which
-    /// pays this first, straight after [`Self::boot`] to time the whole
-    /// of crash recovery.
+    /// Pays everything a boot leaves owed but the walk: writes home, in
+    /// one sorted window, every image the log protects and the homes do
+    /// not yet hold — what the resumed log owed and what this session
+    /// logged — and then, if no write has paid it yet, the new epoch.
+    /// `Some` with what it cost when it paid the epoch, `None` when that
+    /// was paid before (the home writes are then ordinary writeback, as
+    /// at a third entry); idempotent. Shutdown, replica install and
+    /// [`Self::settle_vam`] call it; recovery benchmarks call
+    /// `settle_vam` straight after [`Self::boot`] to time the whole of
+    /// crash recovery.
     ///
     /// A failure other than a crash (spare sectors exhausted under the
-    /// sweep, boot pages unwritable) leaves redo owed — reads keep
-    /// working through the log's images — and asks the next boot for a
-    /// scavenge through the boot pages, as a failed walk does.
+    /// home writes, boot pages unwritable) leaves what was owed owed —
+    /// reads keep working through the log's images — and asks the next
+    /// boot for a scavenge through the boot pages, as a failed walk does.
     pub fn settle_redo(&mut self) -> Result<Option<RedoSettle>> {
-        let paid = self.pay_redo(false);
+        let paid = self.pay_redo(false, true);
         self.note_failed_settle(paid)
     }
 
+    /// What the first write after a boot pays before it changes anything:
+    /// the new epoch, once — uids carry its boot count.
+    pub(crate) fn settle_epoch(&mut self) -> Result<()> {
+        let paid = self.pay_redo(false, false);
+        self.note_failed_settle(paid).map(drop)
+    }
+
     /// What an operation about to allocate or free needs of recovery:
-    /// the redo settle, and — while the walk is owed — the reserve in the
-    /// allocator's hands, its record off the boot page. A settle paid
-    /// here clears the record with its own new-epoch write; one that
-    /// something else paid earlier left it standing (nothing had touched
-    /// the run, and a session that never allocates hands the reserve on
-    /// to the next boot), so it is cleared now.
+    /// the new epoch, and — while the walk is owed — the reserve in the
+    /// allocator's hands, its record off the boot page. An epoch paid
+    /// here clears the record with its own write; one that something
+    /// else paid earlier left it standing (nothing had touched the run,
+    /// and a session that never allocates hands the reserve on to the
+    /// next boot), so it is cleared now.
     pub(crate) fn settle_for_map_change(&mut self) -> Result<()> {
-        let paid = self.pay_redo(true);
+        let paid = self.pay_redo(true, false);
         self.note_failed_settle(paid)?;
         if self.vam_owed {
             self.release_reserve()?;
@@ -387,8 +406,8 @@ impl FsdVolume {
         self.redo_settle
     }
 
-    /// Pays everything recovery still owes: the redo settle, then the
-    /// name-table walk — `Some` with what the walk cost, `None` when the
+    /// Pays everything recovery still owes: [`Self::settle_redo`], then
+    /// the name-table walk — `Some` with what the walk cost, `None` when the
     /// map was already settled; idempotent.
     ///
     /// Until the walk has run, nothing may allocate outside what is known
@@ -432,39 +451,43 @@ impl FsdVolume {
         self.vam_walk
     }
 
-    /// The settle itself, in the order an eager boot ran it: the sweep
-    /// (durable before anything of the old epoch changes), the leader
-    /// pass, then the new epoch. `hand_over`: the caller is about to
-    /// change the free map, so while the walk is owed the reserve goes to
-    /// the allocator and the new epoch's boot pages no longer name it.
-    fn pay_redo(&mut self, hand_over: bool) -> Result<Option<RedoSettle>> {
-        let Some(owed) = self.redo_owed.as_ref() else {
-            return Ok(None);
-        };
+    /// The settle itself: with `home`, everything logged and not yet
+    /// home written home first (durable before the boot pages change),
+    /// then the new epoch if it is owed. `hand_over`: the caller is about
+    /// to change the free map, so while the walk is owed the reserve goes
+    /// to the allocator and the new epoch's boot pages no longer name it.
+    fn pay_redo(&mut self, hand_over: bool, home: bool) -> Result<Option<RedoSettle>> {
         let t0 = self.disk.clock().now();
-        if !owed.final_images.is_empty() {
-            // One write per sector, one window: the addresses are unique,
-            // the map iterates in sorted order, and the scheduler
-            // coalesces contiguous runs into single transfers.
-            let writes = owed
-                .final_images
-                .iter()
-                .map(|(&addr, img)| (addr, img.clone()))
-                .collect();
-            spare::write_home_batch(&mut self.disk, self.io_policy, &mut self.spare, writes)?;
+        if home {
+            // A failed write leaves the images owed: reads still lay them
+            // over the homes, and the leader checks still find them.
+            let books = (self.cache.owed.clone(), self.leaders.clone());
+            let (writes, _) =
+                collect_home_writes(&self.layout, &mut self.cache, &mut self.leaders, None)?;
+            let (disk, policy) = (&mut self.disk, self.io_policy);
+            if let Err(e) = spare::write_home_batch(disk, policy, &mut self.spare, writes) {
+                (self.cache.owed, self.leaders) = books;
+                return Err(e);
+            }
         }
-        let t_swept = self.disk.clock().now();
-        let leaders = redo_leaders(&mut self.disk, self.io_policy, owed)?;
-        let t_leaders = self.disk.clock().now();
-
-        // New epoch: bump the boot count, clear the VAM flag on disk,
-        // record any sectors the sweep remapped, and start the fresh
-        // (empty) log — the homes are now current. The sweep above was
-        // submitted separately, so it is durable before the boot pages
-        // change.
+        if !self.epoch_owed {
+            // The epoch's write would have carried a remap the home
+            // writes made.
+            if self.spare.take_dirty() {
+                self.write_boot_pages()?;
+            }
+            return Ok(None);
+        }
+        let t_home = self.disk.clock().now();
+        // New epoch: bump the boot count, clear the VAM flag on disk and
+        // record any sectors the home writes remapped. The log goes on
+        // as it was: its records carry their own count.
         let old_epoch = self.boot.clone();
         self.boot.boot_count += 1;
-        self.boot.saved_vam = SavedVam::Invalid;
+        // A settle that failed before the epoch left its note: it stands.
+        if self.boot.saved_vam != SavedVam::SettleFailed {
+            self.boot.saved_vam = SavedVam::Invalid;
+        }
         let handed_over = if hand_over && self.vam_owed {
             self.boot.reserve.take()
         } else {
@@ -479,13 +502,10 @@ impl FsdVolume {
         if let Some(run) = handed_over {
             self.vam.free_run(run);
         }
-        self.log.write_meta(&mut self.disk, &mut self.spare)?;
-        self.redo_owed = None;
+        self.epoch_owed = false;
         let settle = RedoSettle {
-            sweep_us: t_swept - t0,
-            leaders_us: t_leaders - t_swept,
-            epoch_us: self.disk.clock().now() - t_leaders,
-            leaders,
+            home_us: t_home - t0,
+            epoch_us: self.disk.clock().now() - t_home,
         };
         self.redo_settle = Some(settle);
         Ok(Some(settle))
@@ -564,16 +584,16 @@ impl FsdVolume {
     }
 }
 
-/// Phase 1: read the boot page and the log, and index the log by home
-/// sector. Reads only — what the index is for is written by
-/// [`FsdVolume::settle_redo`].
+/// Phase 1: read the boot page and the log, resume the log, and book its
+/// images by home sector. Reads only — the books are written home by the
+/// third entries to come, or by [`FsdVolume::settle_redo`].
 fn scan_phase(
     disk: &mut SimDisk,
     layout: &FsdLayout,
     cpu: &Cpu,
     policy: IoPolicy,
     report: &mut RecoveryReport,
-) -> Result<(FsdBootPage, SpareMap, OwedRedo)> {
+) -> Result<(FsdBootPage, SpareMap, Resumed)> {
     let t0 = disk.clock().now();
 
     // Boot page: copy A, falling back to copy B (§5.8, error class 5),
@@ -593,11 +613,10 @@ fn scan_phase(
     }
     let mut spare = SpareMap::with_entries(layout, &boot.spare_map);
 
-    // Read the chain from the replicated meta pointer and compute the
-    // final image of every touched sector in memory (records are in
-    // sequence order, so the last image of a sector wins). The settle
-    // writes them home in one sorted sweep; this is what keeps redo
-    // under two seconds.
+    // Read the chain from the replicated meta pointer and keep the final
+    // image of every touched sector in memory (records are in sequence
+    // order, so the last image of a sector wins), tagged with the third
+    // of the record that holds it: the third whose entry writes it home.
     let meta = Log::read_meta(disk, policy, &mut spare, layout.log_start)?;
     let mut records = log::scan_records(
         disk,
@@ -607,13 +626,17 @@ fn scan_phase(
         &spare,
         &meta,
     )?;
-    let mut owed = OwedRedo::default();
-    // The group each record belongs to, and what that group lists: the
-    // shares its records carry.
+    let log = Log::resume(layout.log_start, layout.log_sectors, &meta, &records)?;
+    let mut owed = OwedImages::new();
+    // Newest image of every leader: the image, its third, its group.
+    let mut leader_images: BTreeMap<SectorAddr, (Vec<u8>, u8, usize)> = BTreeMap::new();
+    // The runs each accepted group lists as handed to new owners, oldest
+    // group first, and what the group being read has listed so far.
+    let mut lists: Vec<Vec<Run>> = Vec::new();
     let mut listed = Vec::new();
     for rec in &mut records {
         rec.validate(layout)?;
-        let group = owed.lists.len();
+        let (third, group) = (log.third_of(rec.offset), lists.len());
         for (target, img) in &rec.images {
             // Targets are four bytes off a log sector whose checksum
             // covers transmission damage, not a hostile image: an
@@ -621,13 +644,11 @@ fn scan_phase(
             // rather than panic in address math or write outside the
             // region the record claims (§5.8, error class 2).
             target.validate(layout)?;
-            // Leaders go home through the leader pass, name-table sectors
-            // through the sweep.
             for home in target.homes(layout) {
                 if let PageTarget::Leader { .. } = target {
-                    owed.leader_images.insert(home, (img.clone(), group));
+                    leader_images.insert(home, (img.clone(), third, group));
                 } else {
-                    owed.final_images.insert(home, img.clone());
+                    owed.insert(home, (img.clone(), third));
                 }
             }
             report.images_redone += 1;
@@ -635,73 +656,52 @@ fn scan_phase(
         cpu.sectors(rec.images.len() as u64);
         listed.append(&mut rec.reallocated);
         if rec.group_end {
-            owed.lists.push(std::mem::take(&mut listed));
+            lists.push(std::mem::take(&mut listed));
         }
     }
+    let leaders = book_leaders(leader_images, &lists, &mut report.leaders);
     report.records_replayed = records.len() as u64;
     report.redo_us = disk.clock().now() - t0;
-    Ok((boot, spare, owed))
+    Ok((boot, spare, Resumed { log, owed, leaders }))
 }
 
-/// Applies logged leader images to their home sectors, best-effort, and
-/// says what it did with each. It reads no home.
+/// Books the log's leader images for writeback, each logged in the third
+/// of its newest record, and says what it did with each. It reads no
+/// home.
 ///
 /// A leader's sector may have been handed to another file after its
 /// image was logged — as the new file's leader or as one of its data
 /// pages, which are written synchronously and never logged — and then
 /// the image must not go home. The running volume drops such a staged
 /// image the moment it reallocates the sector, and every commit group
-/// lists the runs it reallocated in its end pages. So an image is
-/// written unless a *strictly later* group lists its sector, when it is
-/// left out: an image logged in the same group as the reallocation is
-/// the new owner's. A group lists a run only once the new owner has
-/// written over the old leader — a create writes its leader and data
-/// before anything can force, and an extend zeroes a sector it takes
-/// while a leader image is owed there — so a home left out holds no
-/// stale live leader. A sector reallocated by an operation whose group
-/// never committed is free again after recovery, and the image may go
-/// over it.
-///
-/// And because the leader is a cross-check, "not ... needed for
-/// operation" (§5.2), a data-area sector that stays bad under the
-/// rewrite loses the check, never the boot: unlike the metadata sweep,
-/// persistent failures here are dropped, not escalated.
-fn redo_leaders(disk: &mut SimDisk, policy: IoPolicy, owed: &OwedRedo) -> Result<LeaderPass> {
-    let mut pass = LeaderPass::default();
-    let mut writes: Vec<(SectorAddr, &Vec<u8>)> = Vec::new();
-    for (&addr, (img, group)) in &owed.leader_images {
-        let later = &owed.lists[group + 1..];
+/// lists the runs it reallocated in its end pages. So an image is kept
+/// unless a *strictly later* group lists its sector, when it is left
+/// out: an image logged in the same group as the reallocation is the new
+/// owner's. A group lists a run only once the new owner has written over
+/// the old leader — a create writes its leader and data before anything
+/// can force, and an extend zeroes a sector it takes while a leader
+/// image is owed there — so a home left out holds no stale live leader.
+/// A sector reallocated by an operation whose group never committed is
+/// free again after recovery, and the image may go over it. What is kept
+/// is the running volume's from here on: an allocation over it cancels
+/// it ([`FsdVolume`]'s `cancel_stale_leaders`) and lists the run, as for
+/// any leader it logged itself.
+fn book_leaders(
+    images: BTreeMap<SectorAddr, (Vec<u8>, u8, usize)>,
+    lists: &[Vec<Run>],
+    pass: &mut LeaderPass,
+) -> BTreeMap<SectorAddr, LeaderState> {
+    let mut books = BTreeMap::new();
+    for (addr, (img, third, group)) in images {
+        let later = &lists[group + 1..];
         if later.iter().flatten().any(|run| run.contains(addr)) {
             pass.reallocated += 1;
         } else {
-            pass.written += 1;
-            writes.push((addr, img));
+            pass.kept += 1;
+            books.insert(addr, LeaderState::logged(img, third));
         }
     }
-    for _ in 0..2 {
-        if writes.is_empty() {
-            break;
-        }
-        let mut batch = IoBatch::new();
-        let idxs: Vec<usize> = writes
-            .iter()
-            .map(|&(addr, img)| {
-                batch.push(IoOp::Write {
-                    start: addr,
-                    data: img.clone(),
-                })
-            })
-            .collect();
-        let results = sched::execute_partial(disk, policy, &batch)?;
-        let mut keep = Vec::new();
-        for (w, idx) in writes.into_iter().zip(idxs) {
-            if !matches!(results[idx], OpResult::Ok(_)) {
-                keep.push(w);
-            }
-        }
-        writes = keep;
-    }
-    Ok(pass)
+    books
 }
 
 /// Reads the boot page. It is read before the remap table exists — the
@@ -748,6 +748,7 @@ fn read_saved_vam(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::leader::LeaderPage;
     use cedar_disk::{CpuModel, CrashPlan, DiskStats, SimClock};
     use proptest::prelude::*;
 
@@ -796,59 +797,35 @@ mod tests {
 
     /// `boot` + `settle_vam` over one exact disk, pinned to the
     /// microsecond: clock, report and `DiskStats`. The constants are this
-    /// tree's own, re-measured when redo's write half moved out of `boot`
-    /// into the settle and the leader pass began reading its homes as one
-    /// window. Boot now reads the name-table root *before* the sweep, so
-    /// the walk starts from the log meta instead (one revolution more:
-    /// 389 298 / 187 698 µs, was 373 092 / 171 492; one worker still
-    /// costs 201 600 µs more than eight), and the leader pass no longer
-    /// loses a revolution per home (510 708 → 227 760 µs). The disk itself
-    /// was re-made when creates and deletes stopped walking the name table
-    /// two and three times: the session that fills it is 898 776 µs
-    /// shorter, so the half-second timer forced once less (19 records and
-    /// 236 images where there were 20 and 239).
-    ///
-    /// Since the end pages list what each group reallocated, the leader
-    /// pass reads no home at all (227 760 → 127 896 µs): reads and sectors
-    /// read are 43 fewer, 21 / 752 where they were 64 / 795. It writes all
-    /// 43 logged leaders — tombstones of the committed deletes — where the
-    /// guard wrote 35: eight of the ten creates the crash loses were put
-    /// by first fit over deleted files' leaders, no committed group
-    /// reallocated those sectors, and the tombstones go over the lost
-    /// creates' leaders, which the guard found newer and left (49 / 187
-    /// writes and sectors written, were 41 / 179). Those creates never
-    /// reached a force, so nothing on the crashed disk but the homes
-    /// themselves says they took the sectors, and reading them is the
-    /// cost the lists remove. Recovery frees those sectors either way,
-    /// and a tombstone on a free sector is what a scavenge skips. What
-    /// the constants hold still is what the test
-    /// was written for: everything boot defers is paid by `settle_vam`,
-    /// phase by phase, and recovery appends nothing — the sweep, the new
-    /// epoch and the walk are the eager boot's to the microsecond.
+    /// tree's own. Boot scans 19 records holding 236 images and books all
+    /// 43 logged leaders — tombstones of the committed deletes; no
+    /// committed group reallocated their sectors — and reads no home to
+    /// decide it. `settle_vam` then writes everything the log protects
+    /// home in one sorted window (name-table sectors and leaders
+    /// together, where the sweep and the leader pass were two), pays the
+    /// new epoch (the boot pages alone: the log is resumed, not made
+    /// fresh, so no log meta is written) and the walk. What the test was
+    /// written for holds: everything boot defers is paid by `settle_vam`,
+    /// phase by phase, and recovery appends nothing.
     #[test]
     fn boot_then_settle_is_the_eager_boot_to_the_microsecond() {
         const BOOTED_AT: Micros = 8_397_954;
         const SCAN_US: Micros = 362_628;
         const SETTLE: RedoSettle = RedoSettle {
-            sweep_us: 97_236,
-            leaders_us: 127_896,
-            epoch_us: 58_254,
-            leaders: LeaderPass {
-                written: 43,
-                reallocated: 0,
-            },
+            home_us: 225_132,
+            epoch_us: 16_644,
         };
         const EAGER_DISK: DiskStats = DiskStats {
             reads: 21,
-            writes: 49,
+            writes: 47,
             label_ops: 0,
             sectors_read: 752,
-            sectors_written: 187,
+            sectors_written: 185,
             seeks: 7,
-            short_seeks: 7,
-            seek_us: 170_800,
-            rotation_us: 138_896,
-            transfer_us: 411_282,
+            short_seeks: 6,
+            seek_us: 164_800,
+            rotation_us: 129_128,
+            transfer_us: 410_406,
             lost_revolutions: 3,
             lost_rev_us: 44_322,
             transient_retries: 0,
@@ -856,7 +833,7 @@ mod tests {
         };
         // (workers, the walk, clock when everything is settled)
         for (workers, eager_vam_us, eager_done_at) in
-            [(1, 389_298, 9_469_914), (8, 187_698, 9_268_314)]
+            [(1, 414_264, 9_453_270), (8, 212_664, 9_251_670)]
         {
             let disk = crashed_t300();
             assert_eq!(disk.clock().now(), BOOTED_AT);
@@ -864,6 +841,11 @@ mod tests {
             let (mut v, report) = FsdVolume::boot(disk, t300_config(workers)).unwrap();
 
             assert_eq!((report.records_replayed, report.images_redone), (19, 236));
+            let leaders = LeaderPass {
+                kept: 43,
+                reallocated: 0,
+            };
+            assert_eq!(report.leaders, leaders);
             assert_eq!(report.redo_us, SCAN_US);
             assert_eq!(v.redo_settle(), None, "the write half of redo is owed");
             assert_eq!(v.disk_stats().since(&before).writes, 0, "boot only reads");
@@ -877,13 +859,13 @@ mod tests {
             let walk = v.settle_vam().unwrap().expect("owed");
             let settle = v.redo_settle().expect("paid ahead of the walk");
             assert_eq!(settle, SETTLE);
-            assert!(settle.sweep_us > 0 && settle.leaders_us > 0 && settle.epoch_us > 0);
+            assert!(settle.home_us > 0 && settle.epoch_us > 0);
             assert_eq!(walk.files_scanned, 257);
             assert_eq!(walk.us(), eager_vam_us);
             assert_eq!(
                 v.clock().now() - first_read_at,
                 settle.us() + walk.us(),
-                "the three phases and the walk are the whole of the settle"
+                "the home writes, the epoch and the walk are the whole of the settle"
             );
             assert!(walk.prefetch_us > 0 && walk.walk_us > 0);
             assert_eq!(v.clock().now(), eager_done_at);
@@ -901,31 +883,46 @@ mod tests {
         }
     }
 
-    /// What boot owes for a crashed disk, as `scan_phase` indexes it.
-    fn owed_of(disk: &mut SimDisk, config: FsdConfig) -> Result<OwedRedo> {
+    /// The runs each group of a crashed disk's chain lists, oldest
+    /// group first.
+    fn lists_of(disk: &mut SimDisk, config: FsdConfig) -> Result<Vec<Vec<Run>>> {
         let layout = FsdLayout::compute(disk.geometry(), config.nt_pages, config.log_sectors);
-        let cpu = Cpu::new(disk.clock(), config.cpu);
-        let mut report = RecoveryReport::default();
-        let (_, _, owed) = scan_phase(disk, &layout, &cpu, config.io_policy, &mut report)?;
-        Ok(owed)
+        let mut spare = SpareMap::for_layout(&layout);
+        let meta = Log::read_meta(disk, config.io_policy, &mut spare, layout.log_start)?;
+        let (start, sectors) = (layout.log_start, layout.log_sectors);
+        let records = log::scan_records(disk, config.io_policy, start, sectors, &spare, &meta)?;
+        let (mut lists, mut listed) = (Vec::new(), Vec::new());
+        for mut rec in records {
+            listed.append(&mut rec.reallocated);
+            if rec.group_end {
+                lists.push(std::mem::take(&mut listed));
+            }
+        }
+        Ok(lists)
     }
 
-    /// The leader pass decides every image from the lists: it reads no
-    /// home, and each image is written or left out.
+    /// Boot decides every logged leader image from the lists — it writes
+    /// nothing and reads no home — and books each one it keeps as logged,
+    /// nothing staged behind it.
     #[test]
-    fn the_leader_pass_reads_no_home() {
-        let mut disk = crashed_t300();
-        let owed = owed_of(&mut disk, t300_config(1)).unwrap();
-        assert!(owed.leader_images.len() > 20, "a pass worth checking");
+    fn boot_books_the_leaders_from_the_lists_alone() {
+        let disk = crashed_t300();
         let before = disk.stats();
-        let verdicts = redo_leaders(&mut disk, IoPolicy::default(), &owed).unwrap();
-        let pass = disk.stats().since(&before);
-        assert_eq!((pass.reads, pass.sectors_read), (0, 0));
-        assert_eq!(
-            verdicts.written + verdicts.reallocated,
-            owed.leader_images.len() as u64
-        );
-        assert_eq!(pass.sectors_written, verdicts.written);
+        let (v, report) = FsdVolume::boot(disk, t300_config(1)).unwrap();
+        let boot = v.disk_stats().since(&before);
+        assert_eq!(boot.sectors_written, 0);
+        let pass = report.leaders;
+        assert!(pass.kept > 20, "a pass worth checking");
+        assert_eq!(pass.kept, v.leaders.len() as u64);
+        for (addr, state) in &v.leaders {
+            let (image, third) = state.logged.as_ref().expect("booked as logged");
+            assert!(state.unlogged.is_none() && *third < 3, "{addr}");
+            let leader = LeaderPage::decode(image).expect("a leader image");
+            assert!(
+                leader.deleted,
+                "{addr}: the crash kept only deletes' leaders"
+            );
+        }
     }
 
     /// A log whose end pages carry no lists — as a volume wrote it before
@@ -938,7 +935,7 @@ mod tests {
         let config = t300_config(1);
         let layout = FsdLayout::compute(disk.geometry(), config.nt_pages, config.log_sectors);
         log::strip_lists(&mut disk, layout.log_start, layout.log_sectors);
-        let err = owed_of(&mut disk.clone(), config).unwrap_err();
+        let err = lists_of(&mut disk.clone(), config).unwrap_err();
         assert!(err.to_string().contains("reallocation list"), "{err}");
         let (mut v, report) = FsdVolume::boot(disk, config).unwrap();
         assert_eq!(report.rung, RecoveryRung::Scavenge);
@@ -992,18 +989,18 @@ mod tests {
             disk.crash_now();
             disk.reboot();
 
-            let owed = owed_of(&mut disk.clone(), config).unwrap();
-            let listed: Vec<usize> = owed.lists.iter().map(Vec::len).collect();
+            let lists = lists_of(&mut disk.clone(), config).unwrap();
+            let listed: Vec<usize> = lists.iter().map(Vec::len).collect();
             assert_eq!(listed[listed.len() - 2..], [files, 0], "{files} runs");
-            let (mut v, _) = FsdVolume::boot(disk, config).unwrap();
+            let (mut v, report) = FsdVolume::boot(disk, config).unwrap();
             let before = v.disk_stats();
-            let settle = v.settle_redo().unwrap().unwrap();
+            v.settle_redo().unwrap().unwrap();
             assert_eq!(v.disk_stats().since(&before).reads, 0, "{files} runs");
             let want = LeaderPass {
-                written: 2,
+                kept: 2,
                 reallocated: 1,
             };
-            assert_eq!(settle.leaders, want, "{files} runs");
+            assert_eq!(report.leaders, want, "{files} runs");
             v.settle_vam().unwrap();
             v.verify().unwrap();
             for name in ["o/a", "o/c", "o/many/00"] {
@@ -1052,8 +1049,8 @@ mod tests {
         disk.crash_now();
         disk.reboot();
 
-        let owed = owed_of(&mut disk.clone(), config).unwrap();
-        assert_eq!(owed.lists.last().map(Vec::len), Some(CYCLES));
+        let lists = lists_of(&mut disk.clone(), config).unwrap();
+        assert_eq!(lists.last().map(Vec::len), Some(CYCLES));
         let (mut v, report) = FsdVolume::boot(disk, config).unwrap();
         assert_eq!(report.rung, RecoveryRung::Redo);
         v.settle_vam().unwrap();
@@ -1157,7 +1154,7 @@ mod tests {
                 let walk = v.settle_vam().unwrap();
                 let settle = v.redo_settle().expect("every boot owes the settle");
                 prop_assert_eq!(
-                    settle.sweep_us + settle.leaders_us + settle.epoch_us,
+                    settle.home_us + settle.epoch_us,
                     settle.us()
                 );
                 prop_assert_eq!(walk.is_some(), owed);

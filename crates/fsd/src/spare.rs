@@ -31,11 +31,12 @@
 //! must be durable before copy B starts, go through
 //! `layout::write_replicas`.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 use cedar_disk::sched::{self, IoBatch, IoOp, IoPolicy, OpResult};
 use cedar_disk::{DiskError, SectorAddr, SimDisk, SECTOR_BYTES};
 
+use crate::cache::OwedImages;
 use crate::layout::{FsdLayout, Replicated};
 use crate::{FsdError, Result};
 
@@ -368,7 +369,7 @@ pub(crate) fn read_replicated<T>(
     policy: IoPolicy,
     spare: &mut SpareMap,
     pair: Replicated,
-    logged: Option<&BTreeMap<SectorAddr, Vec<u8>>>,
+    logged: Option<&OwedImages>,
     valid: impl Fn(&[u8]) -> Option<T>,
 ) -> Result<(T, bool)> {
     let n = pair.sectors as usize;
@@ -389,7 +390,7 @@ pub(crate) fn read_replicated<T>(
     let sector = |i: usize| i * SECTOR_BYTES..(i + 1) * SECTOR_BYTES;
     let mut held = vec![false; n];
     for (i, in_log) in held.iter_mut().enumerate() {
-        if let Some(image) = logged.and_then(|l| l.get(&(pair.a + i as u32))) {
+        if let Some((image, _)) = logged.and_then(|l| l.get(&(pair.a + i as u32))) {
             a[sector(i)].copy_from_slice(image);
             b[sector(i)].copy_from_slice(image);
             *in_log = true;
@@ -478,6 +479,7 @@ fn run_spared_writes(
 mod tests {
     use super::*;
     use cedar_disk::{DiskGeometry, DiskTiming, FaultPlan, SimClock};
+    use std::collections::BTreeMap;
 
     fn layout() -> FsdLayout {
         FsdLayout::compute(&DiskGeometry::TINY, 16, 128)
@@ -674,7 +676,7 @@ mod tests {
         }
 
         /// The platters in this state, and what the log holds.
-        fn build(&self) -> (SimDisk, Option<BTreeMap<SectorAddr, Vec<u8>>>) {
+        fn build(&self) -> (SimDisk, Option<OwedImages>) {
             let mut d = disk();
             for (at, bad) in [(COPY_A, self.a_bad), (COPY_B, self.b_bad)] {
                 for i in 0..self.sectors {
@@ -693,7 +695,7 @@ mod tests {
             }
             let logged = self
                 .in_log
-                .map(|i| BTreeMap::from([(COPY_A + i as u32, committed_sector(i))]));
+                .map(|i| BTreeMap::from([(COPY_A + i as u32, (committed_sector(i), 0))]));
             (d, logged)
         }
 
@@ -737,18 +739,14 @@ mod tests {
             &self,
             d: &mut SimDisk,
             map: &mut SpareMap,
-            logged: Option<&BTreeMap<SectorAddr, Vec<u8>>>,
+            logged: Option<&OwedImages>,
         ) -> Result<(Vec<u8>, bool)> {
             read_replicated(d, self.policy, map, self.pair(), logged, is_committed)
         }
 
         /// A read that must succeed, repair everything and leave nothing
         /// for the next one; returns the scrubs it counted.
-        fn read_converges(
-            &self,
-            d: &mut SimDisk,
-            logged: Option<&BTreeMap<SectorAddr, Vec<u8>>>,
-        ) -> u64 {
+        fn read_converges(&self, d: &mut SimDisk, logged: Option<&OwedImages>) -> u64 {
             let mut map = SpareMap::new(10, 16, vec![(COPY_A, COPY_B + 16)]);
             let (image, unrepaired) = self
                 .read(d, &mut map, logged)

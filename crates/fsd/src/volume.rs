@@ -15,8 +15,9 @@
 //! * the **log force** runs every half second of simulated time ("FSD
 //!   forces its log twice a second", §5.4), at operation entry, whenever
 //!   the pending set approaches the record size cap, or on client demand;
-//! * what is **logged but not yet home** — name-table pages and leaders
-//!   — is kept in one set of books and written home by one function,
+//! * what is **logged but not yet home** — name-table pages and leaders,
+//!   and after a boot the sector images the resumed log still owes — is
+//!   kept in one set of books and written home by one function,
 //!   `collect_home_writes`: everything at shutdown, and at each log-third
 //!   entry whatever has its only log copy in the third about to be
 //!   reclaimed (§5.3).
@@ -143,9 +144,19 @@ impl FsdFile {
 #[derive(Clone, Debug, Default)]
 pub(crate) struct LeaderState {
     /// Image changed since the last force (not yet in the log).
-    unlogged: Option<Vec<u8>>,
+    pub(crate) unlogged: Option<Vec<u8>>,
     /// Image in the log and the third holding it.
-    logged: Option<(Vec<u8>, u8)>,
+    pub(crate) logged: Option<(Vec<u8>, u8)>,
+}
+
+impl LeaderState {
+    /// An image the log holds in third `third`, nothing staged behind it.
+    pub(crate) fn logged(image: Vec<u8>, third: u8) -> Self {
+        Self {
+            unlogged: None,
+            logged: Some((image, third)),
+        }
+    }
 }
 
 /// Group-commit statistics (for the §5.4 measurements).
@@ -174,7 +185,6 @@ macro_rules! nt_store {
             layout: &$self.layout,
             policy: $self.io_policy,
             spare: &mut $self.spare,
-            owed: $self.redo_owed.as_ref(),
             cache: &mut $self.cache,
             pending: &mut $self.pending_pages,
         }
@@ -208,10 +218,10 @@ pub struct FsdVolume {
     /// changes: it calls the save area current, or a reserve chosen after
     /// a walk has not reached it yet.
     pub(crate) boot_page_owed: bool,
-    /// The log as boot indexed it, not yet written home: reads lay these
-    /// images over the platters, and nothing may reach the log or dirty a
-    /// name-table page until [`Self::settle_redo`] has paid them.
-    pub(crate) redo_owed: Option<crate::recovery::OwedRedo>,
+    /// A boot left the new epoch owed — the boot pages with the bumped
+    /// boot count — and no write has paid it yet
+    /// ([`Self::settle_redo`]).
+    pub(crate) epoch_owed: bool,
     /// The redo settle this session paid, if any.
     pub(crate) redo_settle: Option<crate::recovery::RedoSettle>,
     /// The saved VAM was unusable at boot and the name-table walk that
@@ -278,7 +288,7 @@ impl FsdVolume {
             uid_counter: 0,
             commit_interval: config.commit_interval_us,
             boot_page_owed: false,
-            redo_owed: None,
+            epoch_owed: false,
             redo_settle: None,
             vam_owed: false,
             vam_walk: None,
@@ -568,11 +578,6 @@ impl FsdVolume {
     /// releases shadow-freed pages. Clients may call this to make recent
     /// operations durable immediately.
     pub fn force(&mut self) -> Result<()> {
-        if self.redo_owed.is_some() && self.pending_meta_images() > 0 {
-            // The first append of the new epoch writes over the records
-            // an owed redo still needs.
-            self.settle_redo()?;
-        }
         self.last_force = self.clock().now();
 
         // Collect changed sector images: diff each dirty page against its
@@ -659,6 +664,7 @@ impl FsdVolume {
                 ref layout,
                 ref mut commit_stats,
                 ref mut spare,
+                #[cfg(debug_assertions)]
                 ref handed_out,
                 ..
             } = *self;
@@ -723,13 +729,22 @@ impl FsdVolume {
             }
         }
         for ((target, img), t) in images.into_iter().zip(thirds) {
-            if let PageTarget::Leader { addr } = target {
+            match target {
                 // Unconditionally: if the append entered the third
                 // holding this leader's *previous* logged image, the
                 // writeback took that image home and, finding nothing
                 // unlogged behind it, dropped the entry. The image just
                 // logged still owes its home write.
-                self.leaders.entry(addr).or_default().logged = Some((img, t));
+                PageTarget::Leader { addr } => {
+                    self.leaders.entry(addr).or_default().logged = Some((img, t));
+                }
+                // The log holds a newer image of the sector now: what a
+                // resumed log owed it must not go home behind it.
+                PageTarget::NtSector { .. } => {
+                    for home in target.homes(&self.layout) {
+                        self.cache.owed.remove(&home);
+                    }
+                }
             }
         }
 
@@ -750,12 +765,13 @@ impl FsdVolume {
         Ok(())
     }
 
-    /// Writes home every page and leader with logged-but-unwritten state
-    /// (controlled shutdown, and after format). All home writes go to
-    /// disjoint sectors, so they form one scheduler window: sorted,
-    /// coalesced, taken nearest-first.
+    /// Writes home every page and leader with logged-but-unwritten state,
+    /// and every image a resumed log owed (controlled shutdown, after
+    /// format, a replica's install; [`Self::settle_redo`] writes the same
+    /// window ahead of the new epoch). All home writes go to disjoint
+    /// sectors, so they form one scheduler window: sorted, coalesced,
+    /// taken nearest-first.
     pub(crate) fn sync_home_all(&mut self) -> Result<()> {
-        self.settle_redo()?;
         let (writes, _) =
             collect_home_writes(&self.layout, &mut self.cache, &mut self.leaders, None)?;
         spare::write_home_batch(&mut self.disk, self.io_policy, &mut self.spare, writes)?;
@@ -887,9 +903,9 @@ impl FsdVolume {
 
     // ----- internals -------------------------------------------------------------
 
-    /// Uids carry the epoch, and the epoch starts with the redo settle.
+    /// Uids carry the epoch, and the epoch starts with the first write.
     fn next_uid(&mut self) -> Result<u64> {
-        self.settle_redo()?;
+        self.settle_epoch()?;
         self.uid_counter += 1;
         Ok(((self.boot.boot_count as u64) << 32) | self.uid_counter as u64)
     }
@@ -957,7 +973,7 @@ impl FsdVolume {
         name: &str,
         mut entry: FileEntry,
     ) -> Result<(FileName, FileEntry)> {
-        self.settle_redo()?;
+        self.settle_epoch()?;
         let (lo, hi) = FileName::versions_range(name);
         let inherits = !matches!(entry.kind, EntryKind::SymLink { .. });
         let mut next = Err(FsdError::Check("the tree asked for no entry".into()));
@@ -984,7 +1000,7 @@ impl FsdVolume {
     }
 
     pub(crate) fn put_entry(&mut self, fname: &FileName, entry: &FileEntry) -> Result<()> {
-        self.settle_redo()?;
+        self.settle_epoch()?;
         let mut tree = self.tree;
         {
             let mut store = nt_store!(self);
@@ -1211,26 +1227,14 @@ impl FsdVolume {
     /// sectors after it when they are wanted anyway (§5.7); those sectors
     /// are appended to `out`.
     fn verify_leader(&mut self, file: &FsdFile, extra: usize, out: &mut Vec<u8>) -> Result<()> {
-        // A leader awaiting its home write is checked from memory.
+        // A leader awaiting its home write — staged by this session or
+        // booked from the log at boot — is checked from memory.
         let staged = self.leaders.get(&file.entry.leader_addr).and_then(|ls| {
             ls.unlogged
                 .clone()
                 .or_else(|| ls.logged.as_ref().map(|(i, _)| i.clone()))
         });
-        // So is one the log holds and the redo settle has yet to write
-        // home — when it is this file's. A stale image (the file deleted
-        // since, the sector reallocated) fails the check and the home
-        // sector decides: its new owner wrote it, and the later group
-        // that lists it keeps the leader pass from writing the image over
-        // it at settle time.
-        let owed = || {
-            let redo = self.redo_owed.as_ref()?;
-            let (img, _) = redo.leader_images.get(&file.entry.leader_addr)?;
-            LeaderPage::decode(img)
-                .is_ok_and(|l| l.verify(&file.name, &file.entry).is_ok())
-                .then(|| img.clone())
-        };
-        if let Some(img) = staged.or_else(owed) {
+        if let Some(img) = staged {
             let leader = LeaderPage::decode(&img)?;
             leader.verify(&file.name, &file.entry)?;
             if extra > 0 {
@@ -1586,14 +1590,19 @@ fn next_version(name: &str, newest: Option<(&[u8], &[u8])>) -> Result<(FileName,
 type HomeWrites = Vec<(SectorAddr, Vec<u8>)>;
 
 /// The one set of books for "logged, not yet home": takes the home
-/// writes of every name-table page and leader the log still protects —
-/// all of them (`third: None`: shutdown, format, a replica's
-/// install), or those whose only log copy lives in third `t`, which is
-/// about to be reclaimed (§5.3) — and marks them home. Returns the writes
-/// in logical order (both copies of a page together, pages by id, then
-/// leaders, then VAM sectors: the order the in-order policy executes and
-/// the scheduled one re-sorts; they target disjoint sectors, so they are
-/// one window) and the number of name-table pages among them.
+/// writes of every name-table page, owed sector image and leader the log
+/// still protects — all of them (`third: None`: shutdown, format, a
+/// replica's install, [`FsdVolume::settle_redo`]), or those whose only
+/// log copy lives in third `t`, which is about to be reclaimed (§5.3) —
+/// and marks them home. Returns the writes in logical order (both copies
+/// of a page together, pages by id, then owed sectors by address, then
+/// leaders: the order the in-order policy executes and the scheduled one
+/// re-sorts; they target disjoint sectors, so they are one window) and
+/// the number of name-table pages among them.
+///
+/// A page that goes home whole takes the owed images of its sectors with
+/// it: its baseline holds them, or something newer the log holds too. An
+/// owed image written after it would put older bytes over newer ones.
 ///
 /// A leader's map entry goes only when its logged image is taken here
 /// and nothing unlogged waits behind it. An entry with *neither* image is
@@ -1604,7 +1613,7 @@ type HomeWrites = Vec<(SectorAddr, Vec<u8>)>;
 /// entered — `force` puts back when it marks the record's leaders. Lose
 /// either and the image in flight never goes home, which no boot notices
 /// until the log has lapped the record (`tests/leader_third_entry.rs`).
-fn collect_home_writes(
+pub(crate) fn collect_home_writes(
     layout: &FsdLayout,
     cache: &mut NtCache,
     leaders: &mut BTreeMap<u32, LeaderState>,
@@ -1632,12 +1641,22 @@ fn collect_home_writes(
                     "page {id} needs a home write but has no baseline image"
                 )));
             };
-            writes.extend(layout.nt_pair(id).both(img.clone()));
+            let pair = layout.nt_pair(id);
+            writes.extend(pair.both(img.clone()));
+            for s in 0..NT_PAGE_SECTORS {
+                cache.owed.remove(&(pair.a + s));
+                cache.owed.remove(&(pair.b + s));
+            }
             p.needs_home = false;
             pages += 1;
         }
         p.last_logged_third = None;
     }
+    let (owed, kept) = std::mem::take(&mut cache.owed)
+        .into_iter()
+        .partition(|(_, (_, logged_in))| due(*logged_in));
+    cache.owed = kept;
+    writes.extend(owed.into_iter().map(|(addr, (img, _))| (addr, img)));
     leaders.retain(|&addr, ls| match ls.logged.take_if(|(_, t)| due(*t)) {
         Some((img, _)) => {
             writes.push((addr, img));

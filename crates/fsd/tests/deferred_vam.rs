@@ -498,15 +498,17 @@ fn a_dead_leaf_page_fails_whoever_pays_the_walk_and_scavenges_the_next_boot() {
     assert!(exercised >= 2, "only {exercised} leaf pages exercised");
 }
 
-/// The sweep used to run inside boot, which escalated to the scavenger
-/// when it ran out of spare sectors. Now it belongs to the first write:
-/// that gets the typed error, redo stays owed — reads go on through the
-/// log's images, nothing of the new epoch reaches the disk — and the
-/// boot pages carry the escalation to the next boot.
+/// The home sweep used to run inside boot, which escalated to the
+/// scavenger when it ran out of spare sectors, and then inside the first
+/// write. Now the images go home with their thirds, or all at once in
+/// `settle_redo`: that gets the typed error, what was owed stays owed —
+/// reads go on through the log's images — and the boot pages carry the
+/// escalation to the next boot. A write after it cannot take the note
+/// back.
 #[test]
-fn a_sweep_out_of_spare_sectors_fails_the_first_write_and_scavenges_the_next_boot() {
+fn a_settle_out_of_spare_sectors_fails_and_scavenges_the_next_boot() {
     // A log big enough to hold every page image since the format, so the
-    // sweep has a whole tree's worth of homes to write.
+    // settle has a whole tree's worth of homes to write.
     let config = FsdConfig {
         log_sectors: 600,
         ..config()
@@ -549,22 +551,23 @@ fn a_sweep_out_of_spare_sectors_fails_the_first_write_and_scavenges_the_next_boo
     let (mut v, report) = FsdVolume::boot(disk, config).unwrap();
     assert!(report.rung < RecoveryRung::Scavenge);
     let err = v
-        .create("after", b"needs the sweep")
-        .expect_err("the sweep runs out of spare sectors");
+        .settle_redo()
+        .expect_err("the home writes run out of spare sectors");
     assert!(!err.is_crash(), "a typed media error, not a crash: {err}");
-    assert_eq!(v.redo_settle(), None, "redo stays owed");
+    assert_eq!(v.redo_settle(), None, "the epoch stays owed");
     assert_eq!(v.spare_entries().len(), spares);
-    // The session keeps serving everything, through the log's images,
-    // and keeps refusing to write.
+    // The session keeps serving everything, through the log's images.
     assert_eq!(v.list("").unwrap(), listing);
     for i in [0, 57, FILES - 1] {
         let mut f = v.open(&name(i), None).unwrap();
         assert_eq!(v.read_file(&mut f).unwrap(), content(i), "{}", name(i));
     }
-    assert!(v.create_symlink("link", "[server]target").is_err());
-    assert!(v.delete(&name(0), None).is_err());
+    // A write pays the epoch, which leaves the note standing; what it
+    // commits does not survive the scavenge (a link has no leader).
+    v.create_symlink("link", "[server]target").unwrap();
+    let epoch = v.redo_settle().expect("the link paid the epoch");
+    assert_eq!(epoch.home_us, 0);
     assert!(v.shutdown().is_err());
-    assert_eq!(v.redo_settle(), None);
     assert!(v.disk_stats().since(&before).sectors_written > 0);
 
     // Next boot: rung 3 without being told, and a writable volume.

@@ -512,3 +512,44 @@ fn bounded_cache_never_evicts_dirty_pages() {
     v.force().unwrap();
     v.verify().unwrap();
 }
+
+/// A symbolic link has no leader page, so a rung-3 boot — both copies of
+/// the log meta gone, the volume rebuilt from leaders alone — cannot
+/// bring it back, committed or not, written home or not: the scavenger
+/// lists links among its known losses (`scavenge.rs`), and that is the
+/// bound. The files beside it come back whole, and the summary counts
+/// only them: it has no leader of the link to report a loss against.
+#[test]
+fn a_committed_symlink_is_the_known_loss_of_a_rung_three_boot() {
+    for clean in [false, true] {
+        let mut v = tiny();
+        v.create("docs/f", b"beside the link").unwrap();
+        let link = v
+            .create_symlink("docs/link", "[server]<dir>target")
+            .unwrap();
+        assert!(matches!(link.entry.kind, EntryKind::SymLink { .. }));
+        v.force().unwrap();
+        if clean {
+            v.shutdown().unwrap();
+        }
+        let log = v.layout().log_start;
+        let mut disk = v.into_disk();
+        disk.crash_now();
+        disk.damage_sector(log); // Log meta, copy A.
+        disk.damage_sector(log + 2); // Copy B.
+        disk.reboot();
+
+        let (mut v, report) = FsdVolume::boot(disk, config()).unwrap();
+        assert_eq!(report.rung, cedar_fsd::RecoveryRung::Scavenge, "{clean}");
+        let summary = report.scavenge.expect("a rung-3 boot reports");
+        assert_eq!(summary.files_rebuilt, 1, "{clean}");
+        assert!(summary.losses.is_empty(), "{clean}: {:?}", summary.losses);
+        assert!(
+            matches!(v.open("docs/link", None), Err(FsdError::NotFound(_))),
+            "{clean}: the link came back"
+        );
+        let mut f = v.open("docs/f", None).unwrap();
+        assert_eq!(v.read_file(&mut f).unwrap(), b"beside the link");
+        v.verify().unwrap();
+    }
+}

@@ -20,15 +20,18 @@ use cedar_disk::{CrashPlan, IoPolicy, SimDisk};
 use cedar_fsd::FsdVolume;
 use support::{config, pages};
 
-/// `(policy, [formatted, shut down, crashed mid-force])`.
+/// `(policy, [formatted, shut down, crashed mid-force])`. The session
+/// boots the formatted disk, so its log carries on behind format's
+/// records; the last two were re-pinned when boot began to resume the
+/// log instead of starting a fresh one.
 const PINNED: [(IoPolicy, [u64; 3]); 2] = [
     (
         IoPolicy::InOrder,
-        [0xde92ba1d6ff63bd7, 0xc8bbb1882f807a71, 0xaa6d9650f3a0b4bd],
+        [0xde92ba1d6ff63bd7, 0x48c60582ad7aaa6d, 0x9116708669172068],
     ),
     (
         IoPolicy::Satf,
-        [0xde92ba1d6ff63bd7, 0x17a1eae0bddb6e87, 0xcbe90beba137932c],
+        [0xde92ba1d6ff63bd7, 0xa271a4d08ad4e9cd, 0xc1012c29841c1d5f],
     ),
 ];
 

@@ -21,7 +21,9 @@
 
 use cedar_disk::clock::Micros;
 use cedar_disk::{CpuModel, CrashPlan, IoPolicy, SimDisk, SECTOR_BYTES};
-use cedar_fsd::{FileEntry, FsdConfig, FsdError, FsdVolume, RecoveryReport, RecoveryRung};
+use cedar_fsd::{
+    FileEntry, FsdConfig, FsdError, FsdVolume, LeaderPage, RecoveryReport, RecoveryRung,
+};
 use cedar_vol::{FileName, Run, Vam};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
@@ -73,6 +75,111 @@ pub fn tear_last_force(mut v: FsdVolume, tag: usize) -> SimDisk {
     assert!(torn.is_crash(), "{torn}");
     let mut disk = v.into_disk();
     disk.reboot();
+    disk
+}
+
+/// Read by the restart scripts: the extended file, the truncated one,
+/// and the one whose data lies over a deleted file's leader.
+pub const RESTART_PROBES: [&str; 3] = ["base/f31", "base/f32", "reuse/big"];
+
+/// A crashed volume that owes its restart everything a log can: pages
+/// dirtied by creates and deletes; a file extended and one truncated
+/// after their creates (the logged leader is newer than the home one); a
+/// deleted pair whose sectors a later create reused, one old leader
+/// sector under the new file's leader and one under its data (the two
+/// ways a reallocation list keeps a logged leader off a sector); a log
+/// that has lapped its region; and a torn tail record
+/// ([`tear_last_force`]), torn at least `into_third` sectors into the
+/// third the writer is in (0: wherever there is room for it).
+pub fn crashed_restart(policy: IoPolicy, into_third: u32) -> SimDisk {
+    let mut v = FsdVolume::format(SimDisk::tiny(), config(policy)).unwrap();
+    let mut laps = 0;
+    let mut force = |v: &mut FsdVolume| {
+        let before = v.next_log_sector();
+        v.force().unwrap();
+        laps += u32::from(v.next_log_sector() < before);
+    };
+    for i in 0..36 {
+        v.create(&base(i), &content(i, 600 + (i * 211) % 1500))
+            .unwrap();
+        v.create_symlink(&format!("links/l{i:02}"), "[server]<dir>target")
+            .unwrap();
+        if i % 2 == 1 {
+            force(&mut v);
+        }
+    }
+    for i in (0..30).step_by(5) {
+        v.delete(&base(i), None).unwrap();
+        force(&mut v);
+    }
+
+    // Logged leaders newer than the home ones.
+    let mut grown = v.open(RESTART_PROBES[0], None).unwrap();
+    let old_pages = grown.pages();
+    v.extend(&mut grown, 2).unwrap();
+    v.write_pages(&mut grown, old_pages, &content(90, 2 * SECTOR_BYTES))
+        .unwrap();
+    let mut cut = v.open(RESTART_PROBES[1], None).unwrap();
+    assert!(cut.pages() > 1);
+    v.truncate(&mut cut, 1).unwrap();
+    force(&mut v);
+
+    // Two neighbours deleted and committed, then one file over both.
+    let (a, b) = (v.open(&base(12), None), v.open(&base(13), None));
+    let (a, b) = (a.unwrap().entry, b.unwrap().entry);
+    assert_eq!(
+        a.leader_addr + 1 + a.run_table.pages(),
+        b.leader_addr,
+        "f12 and f13 were allocated back to back"
+    );
+    v.delete(&base(12), None).unwrap();
+    v.delete(&base(13), None).unwrap();
+    force(&mut v);
+    let pages = a.run_table.pages() + 1 + b.run_table.pages();
+    let big = v
+        .create(
+            RESTART_PROBES[2],
+            &content(91, pages as usize * SECTOR_BYTES),
+        )
+        .unwrap()
+        .entry;
+    assert_eq!(big.leader_addr, a.leader_addr, "first fit refills the hole");
+    assert!(
+        big.run_table
+            .runs()
+            .iter()
+            .any(|r| r.contains(b.leader_addr)),
+        "f13's old leader sector now holds data"
+    );
+    force(&mut v);
+    // The tail: a few operations whose force is torn inside the record's
+    // first window — both headers down, no end page. A force that enters
+    // a third writes homes and the log meta first, so keep this one clear
+    // of the boundary: the tear is meant for the record.
+    let (log_start, log_sectors) = (v.layout().log_start, v.layout().log_sectors);
+    let third = (log_sectors - 3) / 3;
+    let room = |at: u32| (into_third..=third - 25).contains(&((at - log_start - 3) % third));
+    while !room(v.next_log_sector()) {
+        v.create_symlink("links/pad", "[server]<dir>target")
+            .unwrap();
+        force(&mut v);
+    }
+    assert!(laps >= 1, "the log must have lapped its region");
+    let disk = tear_last_force(v, 92);
+    let records = log_start + 3..log_start + log_sectors;
+    // The one damaged sector of the volume is the record's: nothing a
+    // later boot or read will find and scrub.
+    let damaged = (0..disk.geometry().total_sectors()).filter(|&s| disk.peek_damaged(s));
+    let damaged: Vec<u32> = damaged.collect();
+    assert!(
+        matches!(damaged[..], [s] if records.contains(&s)),
+        "{damaged:?}"
+    );
+
+    // The home copy of the extended file's leader is the stale one.
+    let home = disk.peek_data(grown.entry.leader_addr).expect("written");
+    let home = LeaderPage::decode(home).expect("a leader");
+    assert!(home.verify(&grown.name, &grown.entry).is_err());
     disk
 }
 

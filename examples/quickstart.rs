@@ -76,10 +76,10 @@ fn main() {
     vol.shutdown().expect("shutdown");
     let disk = vol.into_disk();
     let (mut vol, report) = FsdVolume::boot(disk, FsdConfig::default()).expect("boot");
-    // Boot only reads: writing the log's images home is owed to the first
-    // write, and had this been a crash a name-table walk would be owed
-    // too, to whatever outgrows the restart reserve. `settle_redo` and
-    // `settle_vam` pay on demand;
+    // Boot only reads: the log's images go home with their thirds, the
+    // first write pays the new epoch, and had this been a crash a
+    // name-table walk would be owed too, to whatever outgrows the restart
+    // reserve. `settle_redo` and `settle_vam` pay on demand;
     // the second says `None` when, as here, the saved VAM was good.
     let settle = vol.settle_redo().expect("redo settle");
     let walk = vol.settle_vam().expect("VAM walk");

@@ -69,10 +69,15 @@ fn report_boot(r: &RecoveryReport) {
     );
     if r.redo_us > 0 {
         eprintln!(
-            "  log scan    {:.2} s  ({} records, {} sector images owed to the first write)",
+            "  log scan    {:.2} s  ({} records, {} sector images owed to their thirds)",
             secs(r.redo_us),
             r.records_replayed,
             r.images_redone
+        );
+        let pass = r.leaders;
+        eprintln!(
+            "  leaders     booked by boot  ({} kept, {} reallocated and skipped)",
+            pass.kept, pass.reallocated
         );
     }
     if r.vam_us > 0 {
@@ -92,8 +97,9 @@ fn report_boot(r: &RecoveryReport) {
     }
 }
 
-/// Pays what boot left owed — the redo settle, then the VAM walk — and
-/// says what each phase cost. Commands that write call this before they
+/// Pays what boot left owed — the redo settle (everything the log holds
+/// written home, then the new epoch), then the VAM walk — and says what
+/// each phase cost. Commands that write call this before they
 /// start; read-only commands ([`read_only`]) leave it to [`finish`],
 /// whose shutdown needs both.
 ///
@@ -110,14 +116,7 @@ fn settle(mut vol: FsdVolume, r: &RecoveryReport) -> Result<FsdVolume, String> {
     match paid {
         Ok((redo, walk)) => {
             if let Some(s) = redo {
-                eprintln!("  home sweep  {:.2} s", secs(s.sweep_us));
-                let pass = s.leaders;
-                eprintln!(
-                    "  leaders     {:.2} s  ({} written, {} reallocated and skipped)",
-                    secs(s.leaders_us),
-                    pass.written,
-                    pass.reallocated
-                );
+                eprintln!("  home writes {:.2} s", secs(s.home_us));
                 eprintln!("  new epoch   {:.2} s", secs(s.epoch_us));
             }
             if let Some(w) = walk {

@@ -51,9 +51,9 @@
 //! platters.reboot();
 //! let (mut vol, report) = FsdVolume::boot(platters, FsdConfig::default()).unwrap();
 //! // Boot reads the log and serves reads at once, through its images;
-//! // writing them home waits for the first write, and the name-table
-//! // walk that rebuilds the free map for an allocation the restart
-//! // reserve cannot serve — or for whoever asks.
+//! // they go home with their log thirds, and the name-table walk that
+//! // rebuilds the free map waits for an allocation the restart reserve
+//! // cannot serve — or for whoever asks.
 //! let walk = vol.settle_vam().unwrap().expect("a crash boot owes the walk");
 //! let redo = vol.redo_settle().expect("paid ahead of the walk");
 //! assert!(

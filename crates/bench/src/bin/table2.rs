@@ -260,8 +260,8 @@ fn main() {
     if let Some(s) = fsd.first_read_s {
         println!(
             "  (FSD serves its first read {s:.1} sec after the crash: boot only reads the log. The rest of\n   \
-             the {:.1} sec waits: writing the log home for the first write, the name-table walk that\n   \
-             rebuilds the VAM for the first create or delete.)",
+             the {:.1} sec waits: the log's images going home with their thirds, the name-table walk\n   \
+             that rebuilds the VAM for an allocation the restart reserve cannot serve.)",
             fsd.recovery_s
         );
     }

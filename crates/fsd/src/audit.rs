@@ -6,8 +6,10 @@
 //! records the third holds are read back and each image is held against
 //! its homes ([`PageTarget::homes`]). An image that is not there must be
 //! superseded: by a later record or the force in flight, which log the
-//! same sector again, or — for a leader — by a later group's list of runs
-//! handed to new owners, whose new owner has written over the sector.
+//! same sector again; for a name-table page, by a commit that freed the
+//! page (the committed tree no longer uses it); or — for a leader — by a
+//! later group's list of runs handed to new owners, whose new owner has
+//! written over the sector.
 //!
 //! A lost home write otherwise shows only when the log laps the record
 //! and a crash finds the home stale. Debug builds only: the platters are
@@ -15,6 +17,7 @@
 //! stats, so release builds, every artifact and every simulated figure
 //! are the same with the auditor as without it.
 
+use crate::cache::NtCache;
 use crate::layout::FsdLayout;
 use crate::log::{self, PageTarget};
 use crate::spare::SpareMap;
@@ -24,8 +27,10 @@ use std::collections::BTreeSet;
 
 /// Audits third `t` as the writer enters it: `live` is the log's live
 /// records (offset, third) as they stood before the append, `in_flight`
-/// the images of the force making it and `handed_out` the runs that
-/// force lists.
+/// the images of the force making it, `handed_out` the runs that force
+/// lists, and `cache` the name-table cache, whose meta pages' baselines
+/// say which pages the committed tree uses.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn third_entry(
     disk: &SimDisk,
     spare: &SpareMap,
@@ -34,7 +39,13 @@ pub(crate) fn third_entry(
     t: u8,
     in_flight: &[(PageTarget, Vec<u8>)],
     handed_out: &[Run],
+    cache: &NtCache,
 ) {
+    let committed = cache.committed_meta(layout.nt_pages);
+    let freed = |target: &PageTarget| match target {
+        PageTarget::NtSector { page, .. } => committed.as_ref().is_some_and(|m| !m.in_use(*page)),
+        PageTarget::Leader { .. } => false,
+    };
     let homes = |images: &[(PageTarget, Vec<u8>)]| -> Vec<SectorAddr> {
         images.iter().flat_map(|(t, _)| t.homes(layout)).collect()
     };
@@ -52,7 +63,7 @@ pub(crate) fn third_entry(
                     let reallocated = matches!(target, PageTarget::Leader { .. })
                         && listed.iter().any(|run| run.contains(home));
                     assert!(
-                        at_home || later.contains(&home) || reallocated,
+                        at_home || later.contains(&home) || reallocated || freed(target),
                         "thirds auditor: entering third {t}, record {} at offset {offset} \
                          holds {target:?}, whose home {home} holds something else and \
                          which nothing later supersedes",

@@ -86,6 +86,11 @@ pub struct NtCache {
     /// its third — unless its page went home whole first, or a later
     /// record logged the sector again.
     pub(crate) owed: OwedImages,
+    /// Pages freed since the last force whose logged image had not gone
+    /// home, with that image and the third holding it: the committed tree
+    /// points at them until the force that logs the free commits, so a
+    /// third entry inside that force still writes them home.
+    pub(crate) freed: BTreeMap<PageId, (Vec<u8>, u8)>,
 }
 
 impl NtCache {
@@ -100,6 +105,17 @@ impl NtCache {
             capacity,
             ..Self::default()
         }
+    }
+
+    /// The name-table meta as last committed — decoded from the meta
+    /// pages' baselines — if every one of them is cached (the thirds
+    /// auditor's view of which pages the committed tree uses).
+    #[cfg(debug_assertions)]
+    pub(crate) fn committed_meta(&self, nt_pages: u32) -> Option<NtMeta> {
+        let pages = (0..NtMeta::meta_pages_for(nt_pages) as PageId)
+            .map(|id| self.pages.get(&id)?.baseline.clone())
+            .collect::<Option<Vec<_>>>()?;
+        NtMeta::decode_pages(&pages).ok()
     }
 
     /// Bumps and returns the use counter.
@@ -541,7 +557,13 @@ impl PageStore for FsdNtStore<'_> {
         let idx = NtMeta::meta_page_of_word(id as usize / 64);
         let image = meta.encode_pages().swap_remove(idx);
         self.write_page(idx as u32, &image)?;
-        self.cache.pages.remove(&id);
+        if let Some(p) = self.cache.pages.remove(&id) {
+            if let (true, Some(image), Some(third)) =
+                (p.needs_home, p.baseline, p.last_logged_third)
+            {
+                self.cache.freed.insert(id, (image, third));
+            }
+        }
         self.pending.remove(&id);
         Ok(())
     }

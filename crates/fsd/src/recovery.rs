@@ -34,8 +34,7 @@
 //!   link, the last-used refresh of a cached copy), shutdown, turning the
 //!   replication tap on, or [`FsdVolume::settle_redo`], which also writes
 //!   everything owed home first. The first write pays only that one
-//!   write of the boot pages: no home sweep, no leader pass and no fresh
-//!   log meta;
+//!   write of the boot pages;
 //! * **the VAM walk** — when the saved free map is unusable, the
 //!   name-table walk that rebuilds it (the first kind above, and the bulk
 //!   of the paper's 25 seconds). The first allocation needs *a* free run,
@@ -306,7 +305,7 @@ impl FsdVolume {
         let mut vol = FsdVolume::assemble(disk, cpu, layout, boot, resumed.log, spare, &config);
         vol.cache.owed = resumed.owed;
         vol.leaders = resumed.leaders;
-        vol.epoch_owed = true;
+        (vol.epoch_owed, vol.redo_owed) = (true, true);
 
         match vol.finish_boot(vam_was_valid, &mut report) {
             Ok(()) => {
@@ -363,8 +362,9 @@ impl FsdVolume {
     /// not yet hold — what the resumed log owed and what this session
     /// logged — and then, if no write has paid it yet, the new epoch.
     /// `Some` with what it cost when it paid the epoch, `None` when that
-    /// was paid before (the home writes are then ordinary writeback, as
-    /// at a third entry); idempotent. Shutdown, replica install and
+    /// was paid before (the home writes, if the books were still owed,
+    /// are then ordinary writeback, as at a third entry); idempotent, and
+    /// a no-op on a volume no boot left anything owed. Shutdown, replica install and
     /// [`Self::settle_vam`] call it; recovery benchmarks call
     /// `settle_vam` straight after [`Self::boot`] to time the whole of
     /// crash recovery.
@@ -458,7 +458,7 @@ impl FsdVolume {
     /// to the allocator and the new epoch's boot pages no longer name it.
     fn pay_redo(&mut self, hand_over: bool, home: bool) -> Result<Option<RedoSettle>> {
         let t0 = self.disk.clock().now();
-        if home {
+        if home && self.redo_owed {
             // A failed write leaves the images owed: reads still lay them
             // over the homes, and the leader checks still find them.
             let books = (self.cache.owed.clone(), self.leaders.clone());
@@ -469,6 +469,7 @@ impl FsdVolume {
                 (self.cache.owed, self.leaders) = books;
                 return Err(e);
             }
+            self.redo_owed = false;
         }
         if !self.epoch_owed {
             // The epoch's write would have carried a remap the home
@@ -801,10 +802,9 @@ mod tests {
     /// 43 logged leaders — tombstones of the committed deletes; no
     /// committed group reallocated their sectors — and reads no home to
     /// decide it. `settle_vam` then writes everything the log protects
-    /// home in one sorted window (name-table sectors and leaders
-    /// together, where the sweep and the leader pass were two), pays the
-    /// new epoch (the boot pages alone: the log is resumed, not made
-    /// fresh, so no log meta is written) and the walk. What the test was
+    /// home in one sorted window, pays the new epoch (the boot pages
+    /// alone: the log is resumed, not made fresh, so no log meta is
+    /// written) and the walk. What the test was
     /// written for holds: everything boot defers is paid by `settle_vam`,
     /// phase by phase, and recovery appends nothing.
     #[test]

@@ -119,7 +119,7 @@ impl Replica {
         let transfer_sectors = u64::from(fork.materialized_sectors());
 
         let (mut vol, _report) = FsdVolume::boot(fork, config)?;
-        vol.sync_home_all()?;
+        vol.settle_redo()?;
         let layout = vol.layout;
         let remap = vol.spare.entries().to_vec();
         let mut disk = vol.into_disk();

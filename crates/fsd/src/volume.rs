@@ -222,6 +222,10 @@ pub struct FsdVolume {
     /// boot count — and no write has paid it yet
     /// ([`Self::settle_redo`]).
     pub(crate) epoch_owed: bool,
+    /// A boot booked the log's images for writeback and
+    /// [`Self::settle_redo`] has not written the books home since (their
+    /// thirds may have taken some or all of them home meanwhile).
+    pub(crate) redo_owed: bool,
     /// The redo settle this session paid, if any.
     pub(crate) redo_settle: Option<crate::recovery::RedoSettle>,
     /// The saved VAM was unusable at boot and the name-table walk that
@@ -289,6 +293,7 @@ impl FsdVolume {
             commit_interval: config.commit_interval_us,
             boot_page_owed: false,
             epoch_owed: false,
+            redo_owed: false,
             redo_settle: None,
             vam_owed: false,
             vam_walk: None,
@@ -681,7 +686,9 @@ impl FsdVolume {
                     commit_stats.third_flush_pages += pages;
                     spare::write_home_batch(disk, policy, spare, writes)?;
                     #[cfg(debug_assertions)]
-                    crate::audit::third_entry(disk, spare, layout, &live, t, &images, handed_out);
+                    crate::audit::third_entry(
+                        disk, spare, layout, &live, t, &images, handed_out, cache,
+                    );
                     Ok(())
                 })?;
             if self.repl.is_some() {
@@ -703,6 +710,8 @@ impl FsdVolume {
         }
         self.commit_stats.forces += 1;
         self.handed_out.clear();
+        // The frees are committed: nothing points at those pages now.
+        self.cache.freed.clear();
 
         // Mark the logged state.
         for (id, first, full) in logged_pages {
@@ -767,7 +776,7 @@ impl FsdVolume {
 
     /// Writes home every page and leader with logged-but-unwritten state,
     /// and every image a resumed log owed (controlled shutdown, after
-    /// format, a replica's install; [`Self::settle_redo`] writes the same
+    /// format and a scavenge; [`Self::settle_redo`] writes the same
     /// window ahead of the new epoch). All home writes go to disjoint
     /// sectors, so they form one scheduler window: sorted, coalesced,
     /// taken nearest-first.
@@ -1652,6 +1661,18 @@ pub(crate) fn collect_home_writes(
         }
         p.last_logged_third = None;
     }
+    let (freed, kept) = std::mem::take(&mut cache.freed)
+        .into_iter()
+        .partition(|(_, (_, logged_in))| due(*logged_in));
+    cache.freed = kept;
+    for (id, (img, _)) in freed {
+        let pair = layout.nt_pair(id);
+        writes.extend(pair.both(img));
+        for s in 0..NT_PAGE_SECTORS {
+            cache.owed.remove(&(pair.a + s));
+            cache.owed.remove(&(pair.b + s));
+        }
+    }
     let (owed, kept) = std::mem::take(&mut cache.owed)
         .into_iter()
         .partition(|(_, (_, logged_in))| due(*logged_in));
@@ -1670,7 +1691,7 @@ pub(crate) fn collect_home_writes(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::NT_PAGE_BYTES;
+    use crate::{log, NT_PAGE_BYTES};
     use cedar_btree::PageStore;
 
     /// Regression: a page that stays hot in one sector while another
@@ -1726,6 +1747,89 @@ mod tests {
             &(laps - 1).to_le_bytes(),
             "hot sector not recovered to the last force"
         );
+    }
+
+    /// A name-table page freed while its newest logged image is not home
+    /// is still the committed tree's until the force that logs the free
+    /// commits. When that force enters the third holding the image, the
+    /// image goes home first: a crash anywhere in the force — past the
+    /// third's reclamation, before the free commits — finds the page as
+    /// it was committed. Without that home write the page came back as
+    /// whatever its home held before.
+    #[test]
+    fn a_page_freed_by_the_force_that_reclaims_its_third_goes_home_first() {
+        let config = FsdConfig {
+            nt_pages: 16,
+            log_sectors: 128,
+            cpu: CpuModel::FREE,
+            ..FsdConfig::default()
+        };
+        let image: Vec<u8> = (0..NT_PAGE_BYTES).map(|i| (i % 253) as u8 | 1).collect();
+        // The page's image logged in one third; then one-sector forces of
+        // another page until the next one enters that third again: the
+        // free, crashed after `k` sector writes.
+        let session = |k: u64| {
+            let mut v = FsdVolume::format(SimDisk::tiny(), config).unwrap();
+            let (page, pad) = {
+                let mut store = nt_store!(v);
+                (store.alloc_page().unwrap(), store.alloc_page().unwrap())
+            };
+            nt_store!(v).write_page(page, &image).unwrap();
+            v.force().unwrap();
+            let layout = v.layout;
+            let len = (layout.log_sectors - log::DATA_START) / 3;
+            let third = |at: u32| (at - layout.log_start - log::DATA_START) / len;
+            let logged_in = third(v.next_log_sector() - 1);
+            let mut pad_image = vec![0u8; NT_PAGE_BYTES];
+            for i in 1u32.. {
+                pad_image[..4].copy_from_slice(&i.to_le_bytes());
+                nt_store!(v).write_page(pad, &pad_image).unwrap();
+                v.force().unwrap();
+                let next = v.next_log_sector();
+                let wraps = layout.log_start + layout.log_sectors < next + 7;
+                let end = if wraps {
+                    layout.log_start + log::DATA_START + 6
+                } else {
+                    next + 6
+                };
+                if third(end) == logged_in && third(next) != logged_in {
+                    assert!(i > 3, "the log went round");
+                    break;
+                }
+            }
+            v.disk_mut().schedule_crash(cedar_disk::CrashPlan {
+                after_sector_writes: k,
+                damaged_tail: 0,
+            });
+            let freed = nt_store!(v).free_page(page);
+            let forced = freed.map_err(|e| FsdError::Check(e.to_string()));
+            let forced = forced.and_then(|()| v.force());
+            let mut disk = v.into_disk();
+            let fired = disk.is_crashed();
+            disk.crash_now();
+            disk.reboot();
+            (disk, page, forced, fired)
+        };
+        let mut points = 0;
+        for k in 0.. {
+            let (disk, page, forced, fired) = session(k);
+            let (mut v, _) = FsdVolume::boot(disk, config).unwrap();
+            let meta = nt_store!(v).read_meta().unwrap();
+            if meta.in_use(page) {
+                let got = nt_store!(v).read_through(page).unwrap();
+                assert!(
+                    got == image,
+                    "k = {k}: the committed page came back changed"
+                );
+            }
+            points += 1;
+            if !fired {
+                forced.unwrap();
+                assert!(!meta.in_use(page), "the free committed");
+                break;
+            }
+        }
+        assert!(points > 5, "{points} crash points");
     }
 
     /// A name out of version numbers is refused after its pages were

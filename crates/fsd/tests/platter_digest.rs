@@ -22,8 +22,7 @@ use support::{config, pages};
 
 /// `(policy, [formatted, shut down, crashed mid-force])`. The session
 /// boots the formatted disk, so its log carries on behind format's
-/// records; the last two were re-pinned when boot began to resume the
-/// log instead of starting a fresh one.
+/// records.
 const PINNED: [(IoPolicy, [u64; 3]); 2] = [
     (
         IoPolicy::InOrder,

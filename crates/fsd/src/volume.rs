@@ -1604,10 +1604,11 @@ type HomeWrites = Vec<(SectorAddr, Vec<u8>)>;
 /// replica's install, [`FsdVolume::settle_redo`]), or those whose only
 /// log copy lives in third `t`, which is about to be reclaimed (§5.3) —
 /// and marks them home. Returns the writes in logical order (both copies
-/// of a page together, pages by id, then owed sectors by address, then
-/// leaders: the order the in-order policy executes and the scheduled one
-/// re-sorts; they target disjoint sectors, so they are one window) and
-/// the number of name-table pages among them.
+/// of a page together, cached pages by id, then pages freed since the
+/// last force, then owed sectors by address, then leaders: the order the
+/// in-order policy executes and the scheduled one re-sorts; they target
+/// disjoint sectors, so they are one window) and the number of cached
+/// name-table pages among them.
 ///
 /// A page that goes home whole takes the owed images of its sectors with
 /// it: its baseline holds them, or something newer the log holds too. An
@@ -1633,6 +1634,9 @@ pub(crate) fn collect_home_writes(
     let mut pages = 0u64;
     let mut ids: Vec<PageId> = cache.pages.keys().copied().collect();
     ids.sort_unstable();
+    // Pages going home whole: the cached ones, then those freed since the
+    // last force.
+    let mut whole: Vec<(PageId, Vec<u8>)> = Vec::new();
     for id in ids {
         let Some(p) = cache.pages.get_mut(&id) else {
             continue;
@@ -1650,12 +1654,7 @@ pub(crate) fn collect_home_writes(
                     "page {id} needs a home write but has no baseline image"
                 )));
             };
-            let pair = layout.nt_pair(id);
-            writes.extend(pair.both(img.clone()));
-            for s in 0..NT_PAGE_SECTORS {
-                cache.owed.remove(&(pair.a + s));
-                cache.owed.remove(&(pair.b + s));
-            }
+            whole.push((id, img.clone()));
             p.needs_home = false;
             pages += 1;
         }
@@ -1665,13 +1664,14 @@ pub(crate) fn collect_home_writes(
         .into_iter()
         .partition(|(_, (_, logged_in))| due(*logged_in));
     cache.freed = kept;
-    for (id, (img, _)) in freed {
+    whole.extend(freed.into_iter().map(|(id, (img, _))| (id, img)));
+    for (id, img) in whole {
         let pair = layout.nt_pair(id);
-        writes.extend(pair.both(img));
         for s in 0..NT_PAGE_SECTORS {
             cache.owed.remove(&(pair.a + s));
             cache.owed.remove(&(pair.b + s));
         }
+        writes.extend(pair.both(img));
     }
     let (owed, kept) = std::mem::take(&mut cache.owed)
         .into_iter()

@@ -461,12 +461,17 @@ impl FsdVolume {
         if home && self.redo_owed {
             // A failed write leaves the images owed: reads still lay them
             // over the homes, and the leader checks still find them.
-            let books = (self.cache.owed.clone(), self.leaders.clone());
+            let cache = &self.cache;
+            let books = (
+                cache.owed.clone(),
+                cache.freed.clone(),
+                self.leaders.clone(),
+            );
             let (writes, _) =
                 collect_home_writes(&self.layout, &mut self.cache, &mut self.leaders, None)?;
             let (disk, policy) = (&mut self.disk, self.io_policy);
             if let Err(e) = spare::write_home_batch(disk, policy, &mut self.spare, writes) {
-                (self.cache.owed, self.leaders) = books;
+                (self.cache.owed, self.cache.freed, self.leaders) = books;
                 return Err(e);
             }
             self.redo_owed = false;

@@ -41,12 +41,11 @@ cargo test --release -q -p cedar-fsd --test deferred_vam \
 # loom shims, every interleaving within the preemption bound explored,
 # its commit windows on model time. Read misses are served on the
 # caller's thread under the volume lease: the models race them against
-# a crashed force and against shutdown. `--nocapture` lets each model's
-# note through when a schedule cap truncates its search.
+# a crashed force and against shutdown, and a sync-mode replicated
+# create against a thread holding the shipper's lock: the ack never
+# precedes the replica's apply. `--nocapture` lets each model's note
+# through when a schedule cap truncates its search.
 cargo test --release -p cedar-fsd --features loom --test loom_engine -- --nocapture
-# Model-checked log-writer -> shipper hand-off: a replication ack never
-# precedes the mode's durability point, in every explored schedule.
-cargo test --release -p cedar-fsd --features loom --test loom_repl
 # ThreadSanitizer lane over the concurrent conformance suite. Needs a
 # nightly toolchain with rust-src (for -Zbuild-std); skipped when the
 # host has neither, since the container cannot install components.

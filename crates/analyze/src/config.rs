@@ -340,7 +340,6 @@ impl Config {
             repl_ship_files: vec![
                 "crates/fsd/src/repl/mod.rs",
                 "crates/fsd/src/repl/session.rs",
-                "crates/fsd/src/repl/shipper.rs",
             ],
             repl_write_fns: vec![
                 "write",
@@ -406,9 +405,7 @@ impl Config {
             concurrency_files: vec![
                 "crates/fsd/src/engine.rs",
                 "crates/fsd/src/sched.rs",
-                "crates/disk/src/scan.rs",
                 "crates/fsd/src/scavenge.rs",
-                "crates/fsd/src/repl/shipper.rs",
             ],
             blocking_methods: vec![
                 "wait",
@@ -425,24 +422,11 @@ impl Config {
                 ("crates/fsd/src/engine.rs", "EngineShared", vec![]),
                 ("crates/fsd/src/engine.rs", "Slot", vec![]),
                 ("crates/fsd/src/engine.rs", "FsdEngine", vec![]),
-                // `cfg` is written once before the shipper thread spawns
-                // and read-only after that (mode, retry policy).
-                (
-                    "crates/fsd/src/repl/shipper.rs",
-                    "ShipperShared",
-                    vec!["cfg"],
-                ),
-                // `capacity` is set at construction and never written
-                // again; reads from any thread see the same value.
-                ("crates/disk/src/scan.rs", "ScanChannel", vec!["capacity"]),
             ],
             sync_types: vec!["Condvar"],
             publish_atomics: vec!["epoch"],
             owned_types: vec!["FsdVolume"],
-            client_entry_owners: vec![
-                ("crates/fsd/src/engine.rs", "FsdEngine"),
-                ("crates/vol/src/fs.rs", "Session"),
-            ],
+            client_entry_owners: vec![("crates/fsd/src/engine.rs", "FsdEngine")],
             role_setup_fns: vec![
                 "start",
                 "start_replicated",
@@ -451,7 +435,6 @@ impl Config {
                 "shutdown_arc",
                 "shutdown_replicated",
                 "stop_writer",
-                "stop_shipper",
                 "drop",
             ],
             taint_files: vec![

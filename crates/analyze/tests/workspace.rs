@@ -170,7 +170,7 @@ const SEEDS: &[Seed] = &[
     Seed {
         row: 3,
         rule: "repl-order",
-        file: "crates/fsd/src/repl/shipper.rs",
+        file: "crates/fsd/src/repl/session.rs",
         edit: Edit::Append("fn lint_probe(c: bool) { if c { write_home_batch(1, 2, 3, 4); } }\n"),
         expect: &[("repl-order", "lint_probe", "write_home_batch(..) in ship layer")],
     },

@@ -57,8 +57,8 @@ pub use layout::FsdLayout;
 pub use leader::LeaderPage;
 pub use recovery::{LeaderPass, RecoveryReport, RecoveryRung, RedoSettle, VamWalk};
 pub use repl::{
-    DataWrite, FailoverOutcome, ReplFrame, ReplHandle, ReplMode, ReplSession, ReplSessionConfig,
-    Replica, ReplicaStats, ResyncKind, ResyncOutcome, ShipperConfig, ShipperStats,
+    DataWrite, FailoverOutcome, ReplFrame, ReplMode, ReplSession, ReplSessionConfig, Replica,
+    ReplicaStats, ResyncKind, ResyncOutcome, Shipper,
 };
 pub use scavenge::ScavengeSummary;
 pub use sched::{CommitScheduler, LatencyStats, SchedConfig, SchedReport};

@@ -28,18 +28,19 @@
 //! | `SemiSync` | replica **received** | zero (loss requires both machines failing) |
 //! | `Async` | primary force only | ≤ configured `max_lag_frames` commits |
 //!
-//! Module map: [`replica`] is the receiving volume and its redo engine,
-//! [`session`] is the deterministic single-threaded driver used by the
-//! bench and fault campaign, [`shipper`] is the background thread the
-//! concurrent [`crate::FsdEngine`] hands sealed frames to.
+//! Module map: [`replica`] is the receiving volume and its redo engine;
+//! [`session`] holds the [`Shipper`], the one implementation of the
+//! shipping protocol, and [`ReplSession`], the single-threaded driver
+//! the bench and the fault campaign step. The concurrent
+//! [`crate::FsdEngine`] runs the same [`Shipper`] on its log-writer.
 
 pub mod replica;
 pub mod session;
-pub mod shipper;
 
 pub use replica::{Replica, ReplicaStats};
-pub use session::{FailoverOutcome, ReplSession, ReplSessionConfig, ResyncKind, ResyncOutcome};
-pub use shipper::{ReplHandle, ShipperConfig, ShipperStats};
+pub use session::{
+    FailoverOutcome, ReplSession, ReplSessionConfig, ResyncKind, ResyncOutcome, Shipper,
+};
 
 use cedar_disk::Label;
 
@@ -125,7 +126,7 @@ impl ReplFrame {
 }
 
 /// The primary-side tap state held by [`crate::FsdVolume`]: sealed
-/// frames waiting for the shipper (or the session driver) to take them.
+/// frames waiting for the [`Shipper`] to take them.
 #[derive(Debug, Default)]
 pub(crate) struct ReplTap {
     /// Id the next sealed frame will get (first frame is 1).

@@ -31,6 +31,10 @@
 //! * **a miss racing shutdown**: it returns its data, and the shutdown
 //!   its volume (or `Busy` while the reader still holds the engine);
 //!   nothing hangs.
+//! * **a replicated ack**: a sync-mode create returns `Ok` only once the
+//!   replica has applied its frame, while another thread takes the
+//!   shipper's lock — the one lock the log-writer takes inside an epoch
+//!   — and never finds a frame acknowledged but unapplied.
 //!
 //! The engine reads its commit windows off model time, which stands
 //! still while any thread can run: a window opens only when every other
@@ -44,22 +48,22 @@
 use cedar_disk::{CpuModel, CrashPlan, SimDisk};
 use cedar_fsd::engine::{EngineConfig, FsdEngine};
 use cedar_fsd::volume::FsdVolume;
-use cedar_fsd::FsdConfig;
+use cedar_fsd::{FsdConfig, ReplMode, ReplSessionConfig};
 use cedar_vol::fs::{CedarFsError, FileSystem, FsBackend};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
+fn small_cfg() -> FsdConfig {
+    FsdConfig {
+        nt_pages: 96,
+        log_sectors: 256,
+        cpu: CpuModel::FREE,
+        ..Default::default()
+    }
+}
+
 fn small_vol() -> FsdVolume {
-    FsdVolume::format(
-        SimDisk::tiny(),
-        FsdConfig {
-            nt_pages: 96,
-            log_sectors: 256,
-            cpu: CpuModel::FREE,
-            ..Default::default()
-        },
-    )
-    .unwrap()
+    FsdVolume::format(SimDisk::tiny(), small_cfg()).unwrap()
 }
 
 #[test]
@@ -284,4 +288,63 @@ fn a_miss_racing_shutdown_returns_its_data_and_never_hangs() {
     });
     assert!(SHUT_DOWN.load(Ordering::Relaxed) > 0);
     assert!(REFUSED.load(Ordering::Relaxed) > 0);
+}
+
+#[test]
+fn a_sync_replicated_create_returns_only_after_the_replica_applied_it() {
+    // Whether the lock was taken before or after the epoch shipped,
+    // counted over the explored schedules: the model must try both.
+    static BEFORE: AtomicUsize = AtomicUsize::new(0);
+    static AFTER: AtomicUsize = AtomicUsize::new(0);
+    loom::Model {
+        preemption_bound: 2,
+        max_schedules: 300,
+    }
+    .check(|| {
+        let e = Arc::new(
+            FsdEngine::start_replicated(
+                small_vol(),
+                EngineConfig::default(),
+                small_cfg(),
+                ReplSessionConfig::for_mode(ReplMode::Sync),
+            )
+            .unwrap(),
+        );
+        let e2 = Arc::clone(&e);
+        let client = loom::thread::spawn(move || {
+            e2.create("a", b"payload").unwrap();
+            // Ok from a sync-mode create means the replica has applied
+            // the frame: at this very point, not merely eventually.
+            let (behind, applied) = e2
+                .with_repl(|s| (s.frames_behind(), s.replica_stats().frames_applied))
+                .unwrap();
+            assert_eq!(behind, 0, "sync mode acked before the replica applied");
+            assert_eq!(applied, 1);
+        });
+        // The writer ships under the shipper's lock inside its epoch;
+        // taken from another thread, before, during or after that
+        // epoch, the lock never shows a frame acknowledged but not
+        // applied.
+        let e3 = Arc::clone(&e);
+        let observer = loom::thread::spawn(move || {
+            let (behind, acked, applied) = e3
+                .with_repl(|s| {
+                    let stats = s.replica_stats();
+                    (s.frames_behind(), s.acked_high(), stats.frames_applied)
+                })
+                .unwrap();
+            assert_eq!(behind, 0);
+            assert_eq!(acked > 0, applied > 0);
+            let order = if applied > 0 { &AFTER } else { &BEFORE };
+            order.fetch_add(1, Ordering::Relaxed);
+        });
+        observer.join().unwrap();
+        client.join().unwrap();
+        let e = Arc::try_unwrap(e).ok().unwrap();
+        let (_vol, replica) = e.shutdown_replicated().unwrap();
+        assert_eq!(replica.buffered(), 0);
+        assert_eq!(replica.stats().frames_applied, 1);
+    });
+    assert!(BEFORE.load(Ordering::Relaxed) > 0);
+    assert!(AFTER.load(Ordering::Relaxed) > 0);
 }

@@ -9,6 +9,9 @@ cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
 cargo clippy -p cedar-fsd --features loom --all-targets -- -D warnings
 cargo fmt --check
+# Rustdoc: every intra-doc link resolves, and no public doc links a
+# private item.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 cargo run --release -p cedar-analyze --bin cedar-lint -- --workspace
 # The lint's verdicts on twelve frozen trees of this repository's history
 # (every finding of every rule, as a checksum of the JSON) must not move.
@@ -118,7 +121,8 @@ cargo run --release -p cedar-bench --bin model_validation
 # and semi-sync failovers lose nothing acknowledged, async stays within
 # its lag bound, and both resync paths converge.
 cargo run --release -p cedar-bench --bin replication -- --smoke
-# The full run drives `ReplSession` on simulated clocks: exact as well.
+# The full run drives a primary and its `Shipper` on simulated clocks:
+# exact as well.
 # (BENCH_saturation_mt.json is threaded, host-timed, and not gated.)
 cargo run --release -p cedar-bench --bin replication
 git diff --exit-code BENCH_replication.json

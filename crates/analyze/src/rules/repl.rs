@@ -185,7 +185,7 @@ mod tests {
     #[test]
     fn ship_layer_home_write_flagged() {
         let f = ship(
-            "impl ReplSession {\n\
+            "impl Shipper {\n\
              fn sneaky(&mut self) { write_home_batch(1, 2, 3, 4); }\n\
              }\nfn write_home_batch(_a: u32, _b: u32, _c: u32, _d: u32) {}\n",
         );
@@ -199,7 +199,7 @@ mod tests {
     #[test]
     fn ship_layer_raw_write_method_flagged() {
         let f = ship(
-            "impl ReplSession {\n\
+            "impl Shipper {\n\
              fn patch(&mut self) { self.disk.write(7, &[0u8]); }\n\
              }\n",
         );
@@ -228,7 +228,7 @@ mod tests {
             "pub fn replay(x: u32) { write_home_batch(x, 2, 3, 4); }\n",
         );
         let f = ship(
-            "impl ReplSession {\n\
+            "impl Shipper {\n\
              fn catch_up(&mut self) { replay(1); }\n\
              }\n",
         );
@@ -241,7 +241,7 @@ mod tests {
     #[test]
     fn ship_layer_link_send_is_not_a_write() {
         let f = ship(
-            "impl ReplSession {\n\
+            "impl Shipper {\n\
              fn pump(&mut self) { self.link.send(1, 2); }\n\
              }\n",
         );

@@ -19,36 +19,17 @@
 //! at least 200 scenarios, zero failures, and every rung of the
 //! escalation ladder (redo, replica scrub, scavenge) exercised.
 
+use cedar_bench::campaign::{matches_model, setup_volume, tiny_config, tiny_makedo};
 use cedar_bench::report::platter_json;
 use cedar_bench::{CedarFsError, FsBackend, Table};
-use cedar_disk::{CpuModel, CrashPlan, FaultPlan, Label, PageKind, SimDisk};
+use cedar_disk::{CrashPlan, FaultPlan, Label, PageKind, SimDisk};
 use cedar_fsd::{
-    FsdConfig, FsdLayout, FsdVolume, RecoveryReport, RecoveryRung, ReplMode, ReplSession,
-    ReplSessionConfig,
+    FsdConfig, FsdLayout, FsdVolume, RecoveryReport, RecoveryRung, ReplMode, ReplSessionConfig,
+    Shipper,
 };
 use cedar_workload::steps::{run_step_backend, Step, WorkloadStats};
-use cedar_workload::{makedo_workload, MakeDoParams, MemFs};
+use cedar_workload::MemFs;
 use std::collections::VecDeque;
-
-/// Volume configuration for every scenario: tiny geometry, free CPU
-/// (media behaviour is what is under test, not timing).
-fn config() -> FsdConfig {
-    config_with(1)
-}
-
-fn config_with(scavenge_workers: usize) -> FsdConfig {
-    FsdConfig {
-        nt_pages: 48,
-        log_sectors: 128,
-        cpu: CpuModel::FREE,
-        scavenge_workers,
-        ..FsdConfig::default()
-    }
-}
-
-/// Largest file the campaign volume accepts without churn; MakeDo
-/// sizes above this are clamped.
-const MAX_FILE_BYTES: u64 = 2_500;
 
 /// Measured steps between explicit syncs (the commit boundaries the
 /// oracle snapshots).
@@ -205,7 +186,11 @@ fn scavenge_and_check(
     workers: usize,
     check: impl FnMut(&mut FsdVolume) -> Result<&'static str, String>,
 ) -> Result<Outcome, String> {
-    let outcome = recover_and_check(disk, config_with(workers), check)?;
+    let config = FsdConfig {
+        scavenge_workers: workers,
+        ..tiny_config()
+    };
+    let outcome = recover_and_check(disk, config, check)?;
     if outcome.rung != RecoveryRung::Scavenge {
         return Err(format!("expected scavenge rung, got {:?}", outcome.rung));
     }
@@ -249,79 +234,6 @@ impl KindTally {
         self.max_full_us = self.max_full_us.max(o.full_us);
         self.platters.push(o.platter);
     }
-}
-
-/// The MakeDo script with sizes clamped to the campaign volume.
-fn campaign_script() -> (Vec<Step>, Vec<Step>) {
-    let (setup, measured) = makedo_workload(MakeDoParams {
-        sources: 5,
-        interfaces: 8,
-        rounds: 2,
-        seed: 11,
-    });
-    let clamp = |steps: Vec<Step>| {
-        steps
-            .into_iter()
-            .map(|s| match s {
-                Step::Create { name, bytes } => Step::Create {
-                    name,
-                    bytes: bytes.min(MAX_FILE_BYTES),
-                },
-                other => other,
-            })
-            .collect()
-    };
-    (clamp(setup), clamp(measured))
-}
-
-/// True when the recovered volume's visible state (names and newest
-/// contents) equals the model's.
-fn matches_model(fs: &mut FsdVolume, model: &MemFs) -> bool {
-    let mut m = model.clone();
-    let mut want = match m.list("") {
-        Ok(w) => w,
-        Err(_) => return false,
-    };
-    let mut got = match FsBackend::list(fs, "") {
-        Ok(g) => g,
-        Err(_) => return false,
-    };
-    want.sort_by(|a, b| a.name.cmp(&b.name));
-    got.sort_by(|a, b| a.name.cmp(&b.name));
-    if want.len() != got.len() {
-        return false;
-    }
-    for (w, g) in want.iter().zip(&got) {
-        if w.name != g.name {
-            return false;
-        }
-        let want_data = match m.read(&w.name) {
-            Ok(d) => d,
-            Err(_) => return false,
-        };
-        match FsBackend::read(fs, &g.name) {
-            Ok(d) if d == want_data => {}
-            _ => return false,
-        }
-    }
-    true
-}
-
-/// Replays the setup phase on both the volume and the model, then
-/// syncs. Returns the synced volume and model, or why it failed.
-fn setup_volume(setup: &[Step]) -> Result<(FsdVolume, MemFs), String> {
-    let mut v =
-        FsdVolume::format(SimDisk::tiny(), config()).map_err(|e| format!("format failed: {e}"))?;
-    let mut live = MemFs::default();
-    let mut stats = WorkloadStats::default();
-    for step in setup {
-        run_step_backend(step, &mut v, &mut stats)
-            .map_err(|e| format!("setup step failed: {e}"))?;
-        run_step_backend(step, &mut live, &mut stats)
-            .map_err(|e| format!("model setup step failed: {e}"))?;
-    }
-    v.sync().map_err(|e| format!("setup sync failed: {e}"))?;
-    Ok((v, live))
 }
 
 /// One crash scenario: install the fault plan, schedule the crash,
@@ -383,7 +295,7 @@ fn run_crash_scenario(
 
     let mut disk = v.into_disk();
     disk.reboot();
-    recover_and_check(disk, config(), |v2| {
+    recover_and_check(disk, tiny_config(), |v2| {
         if matches_model(v2, &committed) {
             Ok("committed")
         } else if matches_model(v2, &previous) {
@@ -599,16 +511,16 @@ fn run_repl_scenario(
     setup: &[Step],
     measured: &[Step],
 ) -> Result<Outcome, String> {
-    let (v, mut live) = setup_volume(setup)?;
+    let (mut v, mut live) = setup_volume(setup)?;
     let mut cfg = ReplSessionConfig::for_mode(mode);
     cfg.max_lag_frames = REPL_MAX_LAG;
-    let mut s =
-        ReplSession::new(v, config(), cfg).map_err(|e| format!("replica install failed: {e}"))?;
+    let mut sh = Shipper::new(&mut v, tiny_config(), cfg)
+        .map_err(|e| format!("replica install failed: {e}"))?;
     // Faults and the crash hit the primary only, after the install's
     // full-state transfer (the clone starts healthy).
-    let plan = (kind.plan)(s.primary_mut());
-    s.primary_mut().disk_mut().set_fault_plan(&plan);
-    s.primary_mut().disk_mut().schedule_crash(CrashPlan {
+    let plan = (kind.plan)(&v);
+    v.disk_mut().set_fault_plan(&plan);
+    v.disk_mut().schedule_crash(CrashPlan {
         after_sector_writes: crash_after,
         damaged_tail,
     });
@@ -617,7 +529,7 @@ fn run_repl_scenario(
     let mut acked: u64 = 0;
     let mut stats = WorkloadStats::default();
     'steps: for (i, step) in measured.iter().enumerate() {
-        match run_step_backend(step, s.primary_mut(), &mut stats) {
+        match run_step_backend(step, &mut v, &mut stats) {
             Ok(()) => {
                 run_step_backend(step, &mut live, &mut stats)
                     .map_err(|e| format!("model diverged on {step:?}: {e}"))?;
@@ -628,7 +540,11 @@ fn run_repl_scenario(
             Err(e) => return Err(format!("non-crash failure on {step:?}: {e}")),
         }
         if i % SYNC_EVERY == SYNC_EVERY - 1 {
-            match s.commit() {
+            match v
+                .force()
+                .map_err(CedarFsError::from)
+                .and_then(|()| sh.ship(&mut v))
+            {
                 Ok(()) => {
                     acked += 1;
                     boundaries.push_back((acked, live.clone()));
@@ -646,7 +562,7 @@ fn run_repl_scenario(
     }
 
     // The primary is dead (or the script ended): promote the replica.
-    let out = s.failover().map_err(|e| format!("failover failed: {e}"))?;
+    let out = sh.failover().map_err(|e| format!("failover failed: {e}"))?;
     let bound = match mode {
         ReplMode::Sync | ReplMode::SemiSync => 0,
         ReplMode::Async => REPL_MAX_LAG as u64,
@@ -673,7 +589,7 @@ fn run_repl_scenario(
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let (setup, measured) = campaign_script();
+    let (setup, measured) = tiny_makedo(2, 11);
 
     // The grid. Crash points are measured in sector writes from the
     // end of setup; the tail tears 0..=2 trailing sectors. The points

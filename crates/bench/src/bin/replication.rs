@@ -1,7 +1,8 @@
 //! `replication` — log-shipping replication bench (E-REPL).
 //!
-//! Drives a [`ReplSession`] (primary + simulated link + replica) under
-//! the MakeDo workload in each acknowledgement mode and reports, per
+//! Drives a primary and its [`Shipper`] (simulated link + replica)
+//! under the MakeDo workload in each acknowledgement mode, committing
+//! as the engine's log-writer does (force, then ship), and reports, per
 //! mode:
 //!
 //! * **replication lag** percentiles (commit-seal to replica-apply, in
@@ -22,26 +23,14 @@
 //! `--smoke` runs a reduced grid for CI. The full run writes
 //! `BENCH_replication.json`.
 
+use cedar_bench::campaign::{matches_model, setup_volume, tiny_config, tiny_makedo};
 use cedar_bench::report::platter_json;
 use cedar_bench::{CedarFsError, FsBackend, Table};
-use cedar_disk::{CpuModel, Micros, SimDisk};
-use cedar_fsd::{FsdConfig, FsdVolume, ReplMode, ReplSession, ReplSessionConfig, ResyncKind};
+use cedar_disk::Micros;
+use cedar_fsd::{FsdVolume, ReplMode, ReplSessionConfig, ResyncKind, Shipper};
 use cedar_workload::steps::{run_step_backend, Step, WorkloadStats};
-use cedar_workload::{makedo_workload, MakeDoParams, MemFs};
+use cedar_workload::MemFs;
 use std::collections::VecDeque;
-
-fn config() -> FsdConfig {
-    FsdConfig {
-        nt_pages: 48,
-        log_sectors: 128,
-        cpu: CpuModel::FREE,
-        ..FsdConfig::default()
-    }
-}
-
-/// Largest file the bench volume accepts without churn (as in the
-/// fault campaign); MakeDo sizes above this are clamped.
-const MAX_FILE_BYTES: u64 = 2_500;
 
 /// Measured steps between commits (the acknowledged boundaries).
 const COMMIT_EVERY: usize = 7;
@@ -49,83 +38,6 @@ const COMMIT_EVERY: usize = 7;
 /// Commit-boundary snapshots kept for the failover oracle; must exceed
 /// the async lag bound so the matched boundary is always retained.
 const KEEP_BOUNDARIES: usize = 16;
-
-fn script(smoke: bool) -> (Vec<Step>, Vec<Step>) {
-    let (setup, measured) = makedo_workload(MakeDoParams {
-        sources: 5,
-        interfaces: 8,
-        rounds: if smoke { 1 } else { 2 },
-        seed: 17,
-    });
-    let clamp = |steps: Vec<Step>| {
-        steps
-            .into_iter()
-            .map(|s| match s {
-                Step::Create { name, bytes } => Step::Create {
-                    name,
-                    bytes: bytes.min(MAX_FILE_BYTES),
-                },
-                other => other,
-            })
-            .collect()
-    };
-    (clamp(setup), clamp(measured))
-}
-
-fn session_cfg(mode: ReplMode) -> ReplSessionConfig {
-    ReplSessionConfig::for_mode(mode)
-}
-
-/// Replays `setup` on a fresh volume and its model, commits, and wraps
-/// the pair in a replication session.
-fn setup_session(
-    mode: ReplMode,
-    cfg: ReplSessionConfig,
-    setup: &[Step],
-) -> Result<(ReplSession, MemFs), String> {
-    let mut v = FsdVolume::format(SimDisk::tiny(), config()).map_err(|e| format!("format: {e}"))?;
-    let mut live = MemFs::default();
-    let mut stats = WorkloadStats::default();
-    for step in setup {
-        run_step_backend(step, &mut v, &mut stats).map_err(|e| format!("setup: {e}"))?;
-        run_step_backend(step, &mut live, &mut stats).map_err(|e| format!("model setup: {e}"))?;
-    }
-    v.sync().map_err(|e| format!("setup sync: {e}"))?;
-    let s = ReplSession::new(v, config(), cfg).map_err(|e| format!("install ({mode:?}): {e}"))?;
-    Ok((s, live))
-}
-
-/// True when the volume's visible state equals the model's.
-fn matches_model(fs: &mut FsdVolume, model: &MemFs) -> bool {
-    let mut m = model.clone();
-    let mut want = match m.list("") {
-        Ok(w) => w,
-        Err(_) => return false,
-    };
-    let mut got = match FsBackend::list(fs, "") {
-        Ok(g) => g,
-        Err(_) => return false,
-    };
-    want.sort_by(|a, b| a.name.cmp(&b.name));
-    got.sort_by(|a, b| a.name.cmp(&b.name));
-    if want.len() != got.len() {
-        return false;
-    }
-    for (w, g) in want.iter().zip(&got) {
-        if w.name != g.name {
-            return false;
-        }
-        let want_data = match m.read(&w.name) {
-            Ok(d) => d,
-            Err(_) => return false,
-        };
-        match FsBackend::read(fs, &g.name) {
-            Ok(d) if d == want_data => {}
-            _ => return false,
-        }
-    }
-    true
-}
 
 fn pct(sorted: &[u64], p: f64) -> u64 {
     if sorted.is_empty() {
@@ -135,14 +47,21 @@ fn pct(sorted: &[u64], p: f64) -> u64 {
     sorted[idx.min(sorted.len() - 1)]
 }
 
-/// Runs `measured[..upto]` on the session's primary and the model,
-/// committing every [`COMMIT_EVERY`] steps. Snapshots each
-/// *acknowledged* boundary `(id, model)` into `boundaries`. Commit
-/// errors on a downed link are tolerated (the boundary just is not
-/// acknowledged); any other failure is fatal.
+/// Installs a replica of the set-up primary `v` and starts shipping.
+fn install(v: &mut FsdVolume, cfg: ReplSessionConfig) -> Result<Shipper, String> {
+    let mode = cfg.mode;
+    Shipper::new(v, tiny_config(), cfg).map_err(|e| format!("install ({mode:?}): {e}"))
+}
+
+/// Runs `measured[..upto]` on the primary `v` and the model, committing
+/// (force, then ship through `sh`) every [`COMMIT_EVERY`] steps.
+/// Snapshots each *acknowledged* boundary `(id, model)` into
+/// `boundaries`. Commit errors on a downed link are tolerated (the
+/// boundary just is not acknowledged); any other failure is fatal.
 #[allow(clippy::too_many_arguments)]
 fn drive(
-    s: &mut ReplSession,
+    v: &mut FsdVolume,
+    sh: &mut Shipper,
     live: &mut MemFs,
     measured: &[Step],
     upto: usize,
@@ -153,7 +72,7 @@ fn drive(
 ) -> Result<(), String> {
     let mut stats = WorkloadStats::default();
     for (i, step) in measured.iter().take(upto).enumerate() {
-        match run_step_backend(step, s.primary_mut(), &mut stats) {
+        match run_step_backend(step, v, &mut stats) {
             Ok(()) => {
                 run_step_backend(step, live, &mut stats)
                     .map_err(|e| format!("model diverged on {step:?}: {e}"))?;
@@ -163,10 +82,14 @@ fn drive(
             Err(e) => return Err(format!("step {step:?}: {e}")),
         }
         if i % COMMIT_EVERY == COMMIT_EVERY - 1 {
-            let t0 = s.primary_mut().clock().now();
-            match s.commit() {
+            let t0 = v.clock().now();
+            match v
+                .force()
+                .map_err(CedarFsError::from)
+                .and_then(|()| sh.ship(v))
+            {
                 Ok(()) => {
-                    ack_samples.push(s.primary_mut().clock().now() - t0);
+                    ack_samples.push(v.clock().now() - t0);
                     *acked += 1;
                     boundaries.push_back((*acked, live.clone()));
                     while boundaries.len() > KEEP_BOUNDARIES {
@@ -229,11 +152,13 @@ fn steady_state(
     measured: &[Step],
     rep: &mut ModeReport,
 ) -> Result<(), String> {
-    let (mut s, mut live) = setup_session(mode, session_cfg(mode), setup)?;
+    let (mut v, mut live) = setup_volume(setup)?;
+    let mut sh = install(&mut v, ReplSessionConfig::for_mode(mode))?;
     let mut boundaries = VecDeque::new();
     let mut acked = 0;
     drive(
-        &mut s,
+        &mut v,
+        &mut sh,
         &mut live,
         measured,
         measured.len(),
@@ -243,13 +168,13 @@ fn steady_state(
         &mut rep.link_errors,
     )?;
     // Final commit so the tail of the script is acknowledged too.
-    if s.commit().is_ok() {
+    if v.force().is_ok() && sh.ship(&mut v).is_ok() {
         acked += 1;
         boundaries.push_back((acked, live.clone()));
     }
     rep.commits += acked;
-    rep.lag.extend(s.lag_samples().iter().copied());
-    let out = s.failover().map_err(|e| format!("failover: {e}"))?;
+    rep.lag.extend(sh.lag_samples().iter().copied());
+    let out = sh.failover().map_err(|e| format!("failover: {e}"))?;
     rep.failover.push(out.failover_us);
     rep.trials += 1;
     let mut v = out.volume;
@@ -271,9 +196,10 @@ fn failover_trial(
     partition: bool,
     rep: &mut ModeReport,
 ) -> Result<(), String> {
-    let mut cfg = session_cfg(mode);
+    let mut cfg = ReplSessionConfig::for_mode(mode);
     cfg.max_lag_frames = 4;
-    let (mut s, mut live) = setup_session(mode, cfg, setup)?;
+    let (mut v, mut live) = setup_volume(setup)?;
+    let mut sh = install(&mut v, cfg)?;
     let mut boundaries = VecDeque::new();
     let mut acked = 0;
     let split = if partition {
@@ -282,7 +208,8 @@ fn failover_trial(
         upto
     };
     drive(
-        &mut s,
+        &mut v,
+        &mut sh,
         &mut live,
         measured,
         split,
@@ -292,10 +219,11 @@ fn failover_trial(
         &mut rep.link_errors,
     )?;
     if partition {
-        s.link_mut().force_down();
+        sh.link_mut().force_down();
         let rest: Vec<Step> = measured[split..upto].to_vec();
         drive(
-            &mut s,
+            &mut v,
+            &mut sh,
             &mut live,
             &rest,
             rest.len(),
@@ -306,7 +234,7 @@ fn failover_trial(
         )?;
     }
     rep.commits += acked;
-    let out = s.failover().map_err(|e| format!("failover: {e}"))?;
+    let out = sh.failover().map_err(|e| format!("failover: {e}"))?;
     rep.failover.push(out.failover_us);
     rep.trials += 1;
     let mut v = out.volume;
@@ -327,15 +255,17 @@ fn resync_scenarios(
     rep: &mut ModeReport,
 ) -> Result<(), String> {
     // Leg 1: short partition, cursor replay.
-    let mut cfg = session_cfg(mode);
+    let mut cfg = ReplSessionConfig::for_mode(mode);
     cfg.max_lag_frames = 64;
     cfg.retain_frames = 64;
-    let (mut s, mut live) = setup_session(mode, cfg, setup)?;
+    let (mut v, mut live) = setup_volume(setup)?;
+    let mut sh = install(&mut v, cfg)?;
     let mut boundaries = VecDeque::new();
     let mut acked = 0;
     let mid = measured.len() / 2;
     drive(
-        &mut s,
+        &mut v,
+        &mut sh,
         &mut live,
         measured,
         mid,
@@ -344,10 +274,11 @@ fn resync_scenarios(
         &mut rep.ack,
         &mut rep.link_errors,
     )?;
-    s.link_mut().force_down();
+    sh.link_mut().force_down();
     let during: Vec<Step> = measured[mid..mid + 21.min(measured.len() - mid)].to_vec();
     drive(
-        &mut s,
+        &mut v,
+        &mut sh,
         &mut live,
         &during,
         during.len(),
@@ -356,11 +287,11 @@ fn resync_scenarios(
         &mut rep.ack,
         &mut rep.link_errors,
     )?;
-    let out = s.resync().map_err(|e| format!("resync: {e}"))?;
+    let out = sh.resync(&mut v).map_err(|e| format!("resync: {e}"))?;
     if out.kind != ResyncKind::CursorReplay {
         return Err(format!("expected cursor replay, got {:?}", out.kind));
     }
-    if s.frames_behind() != 0 {
+    if sh.frames_behind() != 0 {
         return Err("cursor replay did not converge".into());
     }
     rep.resync_replay_us = rep.resync_replay_us.max(out.resync_us);
@@ -369,7 +300,7 @@ fn resync_scenarios(
     acked += 1;
     boundaries.push_back((acked, live.clone()));
     rep.commits += acked;
-    let out = s.failover().map_err(|e| format!("failover: {e}"))?;
+    let out = sh.failover().map_err(|e| format!("failover: {e}"))?;
     let mut v = out.volume;
     v.verify().map_err(|e| format!("verify: {e}"))?;
     let loss = promoted_loss(&mut v, &boundaries, acked)?;
@@ -380,15 +311,17 @@ fn resync_scenarios(
 
     // Leg 2: retention of 2 frames, long partition — the log laps the
     // replica's cursor and only a full-state transfer reconverges.
-    let mut cfg = session_cfg(mode);
+    let mut cfg = ReplSessionConfig::for_mode(mode);
     cfg.max_lag_frames = 64;
     cfg.retain_frames = 2;
-    let (mut s, mut live) = setup_session(mode, cfg, setup)?;
+    let (mut v, mut live) = setup_volume(setup)?;
+    let mut sh = install(&mut v, cfg)?;
     let mut boundaries = VecDeque::new();
     let mut acked = 0;
-    s.link_mut().force_down();
+    sh.link_mut().force_down();
     drive(
-        &mut s,
+        &mut v,
+        &mut sh,
         &mut live,
         measured,
         measured.len().min(63),
@@ -397,14 +330,14 @@ fn resync_scenarios(
         &mut rep.ack,
         &mut rep.link_errors,
     )?;
-    if !s.needs_full_transfer() {
+    if !sh.needs_full_transfer() {
         return Err("retention bound never lapped the cursor".into());
     }
-    let out = s.resync().map_err(|e| format!("full resync: {e}"))?;
+    let out = sh.resync(&mut v).map_err(|e| format!("full resync: {e}"))?;
     if out.kind != ResyncKind::FullTransfer {
         return Err(format!("expected full transfer, got {:?}", out.kind));
     }
-    if s.frames_behind() != 0 {
+    if sh.frames_behind() != 0 {
         return Err("full transfer did not converge".into());
     }
     rep.resync_full_us = rep.resync_full_us.max(out.resync_us);
@@ -412,7 +345,7 @@ fn resync_scenarios(
     acked += 1;
     boundaries.push_back((acked, live.clone()));
     rep.commits += acked;
-    let out = s.failover().map_err(|e| format!("failover: {e}"))?;
+    let out = sh.failover().map_err(|e| format!("failover: {e}"))?;
     let mut v = out.volume;
     v.verify().map_err(|e| format!("verify: {e}"))?;
     let loss = promoted_loss(&mut v, &boundaries, acked)?;
@@ -425,7 +358,7 @@ fn resync_scenarios(
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let (setup, measured) = script(smoke);
+    let (setup, measured) = tiny_makedo(if smoke { 1 } else { 2 }, 17);
 
     // Crash points for the failover trials, as measured-step prefixes.
     let n = measured.len();

@@ -5,10 +5,12 @@
 //! library holds what they share — volume construction on the paper's
 //! 300 MB Trident-class disk, the `cedar_vol::fs::FileSystem` trait
 //! everything is driven through, the multi-client scheduler driver,
-//! and table rendering.
+//! table rendering, and the tiny MakeDo volume and model oracle the
+//! fault campaign and the replication bench run on.
 
 #![deny(unsafe_code)]
 
+pub mod campaign;
 pub mod driver;
 pub mod report;
 pub mod setup;

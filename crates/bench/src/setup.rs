@@ -32,8 +32,8 @@ pub fn ffs_t300() -> Ffs {
 }
 
 /// Populates a volume with `files` files drawn from the paper's size
-/// distribution under `prefix`, through the [`FsBackend`] trait
-/// (`cedar_vol::fs::FsBackend`) — population happens before any
+/// distribution under `prefix`, through the
+/// [`cedar_vol::fs::FsBackend`] trait — population happens before any
 /// concurrent service starts, so the exclusive-borrow API is the
 /// honest one. Returns the names.
 pub fn populate(

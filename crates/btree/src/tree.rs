@@ -314,7 +314,8 @@ impl BTree {
     // ----- lookup -------------------------------------------------------------
 
     /// Returns the value stored under `key`, if any. Each node is read
-    /// in place ([`NodeView`]): nothing is copied but the value found.
+    /// in place through [`PageStore::with_page`], undecoded: nothing is
+    /// copied but the value found.
     pub fn get<S: PageStore>(&self, store: &mut S, key: &[u8]) -> Result<Option<Vec<u8>>> {
         let mut id = self.root;
         loop {

@@ -260,8 +260,8 @@ impl SimDisk {
     /// Estimates, without charging anything, the positioning cost (seek +
     /// rotational wait) of starting a transfer at `addr` right now. The
     /// rotational wait accounts for the platter angle *after* the seek
-    /// completes, mirroring [`Self::position_to`] exactly. Schedulers use
-    /// this to pick the rotationally closest request.
+    /// completes, exactly as a transfer is charged. Schedulers use this
+    /// to pick the rotationally closest request.
     pub fn position_cost_us(&self, addr: SectorAddr) -> Micros {
         let chs = self.geometry.to_chs(addr);
         let distance = self.current_cylinder.abs_diff(chs.cylinder);

@@ -18,7 +18,7 @@
 //!   read, both copies are read and checked", §5.1) — the one reader of
 //!   replicated structures, `spare::read_replicated`, with the page's
 //!   [`crate::layout::Replicated`] pair and, after a boot, the sector
-//!   images the log still owes it ([`NtCache::owed`]); writes touch only
+//!   images the log still owes it (`NtCache::owed`); writes touch only
 //!   the cache and the pending-commit set.
 
 use crate::layout::FsdLayout;

@@ -14,8 +14,8 @@
 //! complete commit group, and the images the chain holds join the
 //! writeback books the running volume keeps for its own records. The
 //! newest image of each name-table sector goes into the cache's owed map
-//! ([`crate::cache::NtCache::owed`]), the newest of each leader into the
-//! leader books, each tagged with the third its record starts in. From
+//! (`NtCache::owed`), the newest of each leader into the leader books,
+//! each tagged with the third its record starts in. From
 //! then on they go home like anything else the log protects: when the
 //! writer next enters their third (§5.3), or at [`FsdVolume::settle_redo`]
 //! and shutdown. Until then a name-table page that misses the cache is

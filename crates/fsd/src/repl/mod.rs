@@ -1,4 +1,4 @@
-//! Log-shipping replication (ROADMAP open item 1).
+//! Log-shipping replication.
 //!
 //! The paper's physical redo log is a complete, self-describing record of
 //! every committed *metadata* change — which makes it a replication
@@ -6,9 +6,9 @@
 //! direct to disk, and never logs them (§5.2), so a faithful replication
 //! stream must carry two currents:
 //!
-//! * the sealed log records of each group commit (name-table sectors,
-//!   leader images, optionally VAM sectors), the very bytes
-//!   `Log::append` wrote, in their `2n + 5` on-disk form; and
+//! * the sealed log records of each group commit (name-table sectors
+//!   and leader images), the very bytes `Log::append` wrote, in their
+//!   `2n + 5` on-disk form; and
 //! * the raw data-area sector writes since the previous commit, drained
 //!   from the [`cedar_disk::SimDisk`] write journal.
 //!
@@ -16,7 +16,7 @@
 //! holding both. Frames are strictly ordered by id; the replica applies
 //! them with continuous redo (the same write discipline as boot-time
 //! recovery) and refuses gaps, which is what makes the catch-up resync
-//! protocol ([`ReplSession::resync`]) sound.
+//! protocol ([`Shipper::resync`]) sound.
 //!
 //! Three acknowledgement modes ([`ReplMode`]) give the classic
 //! durability/latency trade (the FITO-style contract table lives in
@@ -30,17 +30,15 @@
 //!
 //! Module map: [`replica`] is the receiving volume and its redo engine;
 //! [`session`] holds the [`Shipper`], the one implementation of the
-//! shipping protocol, and [`ReplSession`], the single-threaded driver
-//! the bench and the fault campaign step. The concurrent
-//! [`crate::FsdEngine`] runs the same [`Shipper`] on its log-writer.
+//! shipping protocol. Whoever forces the primary ships after the force:
+//! the concurrent [`crate::FsdEngine`] on its log-writer, the bench and
+//! the fault campaign one commit at a time.
 
 pub mod replica;
 pub mod session;
 
 pub use replica::{Replica, ReplicaStats};
-pub use session::{
-    FailoverOutcome, ReplSession, ReplSessionConfig, ResyncKind, ResyncOutcome, Shipper,
-};
+pub use session::{FailoverOutcome, ReplSessionConfig, ResyncKind, ResyncOutcome, Shipper};
 
 use cedar_disk::Label;
 
@@ -92,10 +90,6 @@ pub struct DataWrite {
 pub struct ReplFrame {
     /// Monotonic frame id, starting at 1; the replica refuses gaps.
     pub id: u64,
-    /// Sequence number of the first sealed record (0 if `records` empty).
-    pub first_seq: u64,
-    /// Sequence number of the last sealed record (0 if `records` empty).
-    pub last_seq: u64,
     /// Sealed log records in their exact `2n + 5` sector byte form.
     pub records: Vec<Vec<u8>>,
     /// Raw data-area (and boot-page) writes since the previous frame.

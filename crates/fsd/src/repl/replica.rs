@@ -23,24 +23,15 @@ use crate::Result;
 use cedar_disk::{SimClock, SimDisk};
 use std::collections::{BTreeMap, VecDeque};
 
-/// Counters the bench and fault campaign report.
+/// How the replica has been kept current: frames redone, and full-state
+/// transfers (the tests read both to tell what reached the replica).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ReplicaStats {
-    /// Frames received (buffered or applied).
-    pub frames_received: u64,
     /// Frames fully applied to the home copies.
     pub frames_applied: u64,
-    /// Sealed records decoded and redone.
-    pub records_applied: u64,
-    /// Logged sector images written home.
-    pub images_applied: u64,
-    /// Raw data-area sector writes mirrored.
-    pub data_writes_applied: u64,
     /// Full-state transfers (the initial install plus any lapped-log
     /// resync fallbacks).
     pub full_transfers: u64,
-    /// Sectors shipped by those full-state transfers.
-    pub transfer_sectors: u64,
 }
 
 /// Why a frame could not be applied.
@@ -116,24 +107,19 @@ impl Replica {
         primary.take_repl_frames();
         let cursor = primary.repl.as_ref().map(|t| t.next_frame - 1).unwrap_or(0);
         let fork = primary.disk.fork_with_clock(SimClock::new());
-        let transfer_sectors = u64::from(fork.materialized_sectors());
-
         let (mut vol, _report) = FsdVolume::boot(fork, config)?;
         vol.settle_redo()?;
+        zero_log_data(&mut vol.disk, &vol.layout, &vol.spare)?;
         let layout = vol.layout;
-        let remap = vol.spare.entries().to_vec();
-        let mut disk = vol.into_disk();
-        zero_log_data(&mut disk, &layout, &remap)?;
 
         Ok(Replica {
-            disk,
+            disk: vol.into_disk(),
             layout,
             config,
             cursor,
             received: VecDeque::new(),
             stats: ReplicaStats {
                 full_transfers: 1,
-                transfer_sectors,
                 ..ReplicaStats::default()
             },
         })
@@ -150,7 +136,6 @@ impl Replica {
         self.cursor = fresh.cursor;
         self.received.clear();
         self.stats.full_transfers += 1;
-        self.stats.transfer_sectors += fresh.stats.transfer_sectors;
         Ok(())
     }
 
@@ -189,7 +174,6 @@ impl Replica {
                 got: frame.id,
             });
         }
-        self.stats.frames_received += 1;
         self.received.push_back(frame);
         Ok(())
     }
@@ -228,14 +212,10 @@ impl Replica {
         // the same sector win, one sorted remap-aware sweep writes them
         // home.
         let mut final_images: BTreeMap<u32, Vec<u8>> = BTreeMap::new();
-        let mut records = 0u64;
-        let mut images = 0u64;
         for bytes in &frame.records {
             let rec = log::decode_record_bytes(bytes)?;
-            records += 1;
             for (target, img) in &rec.images {
                 target.validate(&self.layout)?;
-                images += 1;
                 // Leaders ride the same sweep: the reallocation lists are
                 // not needed (unlike crash recovery's leader pass),
                 // because frames apply in commit order, so a sector
@@ -256,8 +236,6 @@ impl Replica {
         }
         self.cursor = frame.id;
         self.stats.frames_applied += 1;
-        self.stats.records_applied += records;
-        self.stats.images_applied += images;
         Ok(())
     }
 
@@ -299,7 +277,6 @@ impl Replica {
                 }
                 (false, false) => {}
             }
-            self.stats.data_writes_applied += run.len() as u64;
             i = j;
         }
         Ok(())
@@ -323,21 +300,14 @@ impl Replica {
 /// Zeroes the log *data* area (meta replicas stay) through the remap
 /// table, so a promoted replica's record scan can never decode a stale
 /// record inherited from the primary's image.
-fn zero_log_data(disk: &mut SimDisk, layout: &FsdLayout, remap: &[(u32, u32)]) -> Result<()> {
-    let translate = |logical: u32| {
-        remap
-            .iter()
-            .find(|&&(l, _)| l == logical)
-            .map(|&(_, p)| p)
-            .unwrap_or(logical)
-    };
+fn zero_log_data(disk: &mut SimDisk, layout: &FsdLayout, spare: &SpareMap) -> Result<()> {
     let lo = layout.log_start + DATA_START;
     let hi = layout.log_start + layout.log_sectors;
     let mut addr = lo;
     while addr < hi {
-        let phys = translate(addr);
+        let phys = spare.translate(addr);
         let mut len = 1u32;
-        while addr + len < hi && translate(addr + len) == phys + len {
+        while addr + len < hi && spare.translate(addr + len) == phys + len {
             len += 1;
         }
         let zeros = vec![0u8; len as usize * cedar_disk::SECTOR_BYTES];

@@ -1,17 +1,17 @@
-//! Replication's shipping half, [`Shipper`], and its deterministic
-//! driver, [`ReplSession`].
+//! Replication's shipping half, [`Shipper`].
 //!
 //! [`Shipper`] is the one implementation of the shipping protocol: it
 //! holds the replica, the simulated link and the queue of sealed frames,
 //! and [`Shipper::ship`] runs the mode's acknowledgement rule for the
-//! frames the primary's last force sealed. Two callers drive it, each
-//! right after a successful force: [`ReplSession::commit`], which the
-//! bench and the fault campaign step one commit at a time so every lag
-//! sample, retry, partition and failover is reproducible, and the
-//! [`crate::FsdEngine`] log-writer, which ships inside its epoch, under
-//! the volume lease, before it releases the epoch's clients. Frames seal
-//! at [`crate::FsdVolume::force`], ship strictly in order, and the
-//! acknowledgement point is the mode's durability point.
+//! frames the primary's last force sealed. Whoever forces the primary
+//! ships right after the force: the [`crate::FsdEngine`] log-writer,
+//! inside its epoch, under the volume lease, before it releases the
+//! epoch's clients; and the bench and the fault campaign, which hold
+//! the primary and its [`Shipper`] side by side and step one commit at
+//! a time, so every lag sample, retry, partition and failover is
+//! reproducible. Frames seal at [`crate::FsdVolume::force`], ship
+//! strictly in order, and the acknowledgement point is the mode's
+//! durability point.
 //!
 //! Bounded retention is what makes resync interesting: the shipper keeps
 //! at most [`ReplSessionConfig::retain_frames`] sealed-but-unshipped
@@ -107,10 +107,6 @@ pub struct FailoverOutcome {
     /// Simulated promotion time (buffered redo + boot) on the replica's
     /// clock.
     pub failover_us: Micros,
-    /// Frame cursor the promoted volume serves from.
-    pub promoted_cursor: u64,
-    /// Replica counters at promotion.
-    pub replica_stats: ReplicaStats,
 }
 
 /// The shipping half of replication: the replica, the link and the
@@ -268,16 +264,12 @@ impl Shipper {
     /// lost — which is exactly what the per-mode loss bounds quantify.
     pub fn failover(self) -> Result<FailoverOutcome, CedarFsError> {
         let clock = self.replica.clock();
-        let stats = self.replica.stats();
         let t0 = clock.now();
-        let promoted_cursor = self.replica.high_water();
         let (volume, report) = self.replica.promote()?;
         Ok(FailoverOutcome {
             failover_us: clock.now() - t0,
             volume,
             report,
-            promoted_cursor,
-            replica_stats: stats,
         })
     }
 
@@ -413,77 +405,6 @@ impl Shipper {
             left -= take;
         }
         Ok(())
-    }
-}
-
-/// One primary and its [`Shipper`], driven deterministically.
-pub struct ReplSession {
-    primary: FsdVolume,
-    shipper: Shipper,
-}
-
-impl ReplSession {
-    /// Installs a replica of `primary` (full-state transfer) and starts
-    /// shipping with `cfg`. The primary gets its replication tap enabled.
-    pub fn new(
-        mut primary: FsdVolume,
-        config: FsdConfig,
-        cfg: ReplSessionConfig,
-    ) -> Result<Self, CedarFsError> {
-        let shipper = Shipper::new(&mut primary, config, cfg)?;
-        Ok(Self { primary, shipper })
-    }
-
-    /// The primary volume (runs the client workload).
-    pub fn primary_mut(&mut self) -> &mut FsdVolume {
-        &mut self.primary
-    }
-
-    /// See [`Shipper::link_mut`].
-    pub fn link_mut(&mut self) -> &mut Link {
-        self.shipper.link_mut()
-    }
-
-    /// See [`Shipper::replica_stats`].
-    pub fn replica_stats(&self) -> ReplicaStats {
-        self.shipper.replica_stats()
-    }
-
-    /// See [`Shipper::link_stats`].
-    pub fn link_stats(&self) -> LinkStats {
-        self.shipper.link_stats()
-    }
-
-    /// See [`Shipper::lag_samples`].
-    pub fn lag_samples(&self) -> &[Micros] {
-        self.shipper.lag_samples()
-    }
-
-    /// See [`Shipper::frames_behind`].
-    pub fn frames_behind(&self) -> usize {
-        self.shipper.frames_behind()
-    }
-
-    /// See [`Shipper::needs_full_transfer`].
-    pub fn needs_full_transfer(&self) -> bool {
-        self.shipper.needs_full_transfer()
-    }
-
-    /// Forces the primary's log, then ships what the force sealed
-    /// ([`Shipper::ship`]): `Ok` is the mode's acknowledgement.
-    pub fn commit(&mut self) -> Result<(), CedarFsError> {
-        self.primary.force().map_err(CedarFsError::from)?;
-        self.shipper.ship(&mut self.primary)
-    }
-
-    /// See [`Shipper::resync`].
-    pub fn resync(&mut self) -> Result<ResyncOutcome, CedarFsError> {
-        self.shipper.resync(&mut self.primary)
-    }
-
-    /// See [`Shipper::failover`].
-    pub fn failover(self) -> Result<FailoverOutcome, CedarFsError> {
-        self.shipper.failover()
     }
 }
 

@@ -488,7 +488,7 @@ impl FsdVolume {
     /// (data writes between commits, shutdown home-write residue). No-op
     /// when the tap is off or nothing was written.
     pub fn seal_repl_data_frame(&mut self) {
-        self.seal_repl_frame(Vec::new(), 0, 0);
+        self.seal_repl_frame(Vec::new());
     }
 
     /// Seals one frame: `records` are this commit's sealed record bytes,
@@ -497,7 +497,7 @@ impl FsdVolume {
     /// records already carry the commit). Addresses in the journal are
     /// physical, so a remapped log sector is recognized by reverse
     /// translation through the remap table.
-    fn seal_repl_frame(&mut self, records: Vec<Vec<u8>>, first_seq: u64, last_seq: u64) {
+    fn seal_repl_frame(&mut self, records: Vec<Vec<u8>>) {
         if self.repl.is_none() {
             return;
         }
@@ -529,8 +529,6 @@ impl FsdVolume {
         }
         let frame = crate::repl::ReplFrame {
             id: tap.next_frame,
-            first_seq,
-            last_seq,
             records,
             data,
             spare: remap,
@@ -657,7 +655,6 @@ impl FsdVolume {
         let policy = self.io_policy;
         let mut thirds: Vec<u8> = vec![0; n];
         let mut repl_records: Vec<Vec<u8>> = Vec::new();
-        let mut repl_seqs: Option<(u64, u64)> = None;
         for k in 0..records {
             let base = start(k);
             let chunk = &images[base..start(k + 1).max(base + 1)];
@@ -680,7 +677,7 @@ impl FsdVolume {
             // Entering a third reclaims it: whatever has its only log
             // copy there goes home first (§5.3), as one scheduler window
             // inside the append.
-            let (seq, third, sealed) =
+            let (_, third, sealed) =
                 log.append(disk, spare, chunk, is_last, share, |disk, spare, t| {
                     let (writes, pages) = collect_home_writes(layout, cache, leaders, Some(t))?;
                     commit_stats.third_flush_pages += pages;
@@ -697,8 +694,6 @@ impl FsdVolume {
                 // form, so the replica decodes with the same checks as
                 // boot-time recovery.
                 repl_records.push(sealed);
-                let (first, _) = repl_seqs.unwrap_or((seq, seq));
-                repl_seqs = Some((first, seq));
             }
             self.commit_stats.records += 1;
             self.commit_stats.images_logged += chunk.len() as u64;
@@ -769,8 +764,7 @@ impl FsdVolume {
 
         // The commit is on disk: seal it (plus the interval's data-area
         // writes) as one replication frame.
-        let (first_seq, last_seq) = repl_seqs.unwrap_or((0, 0));
-        self.seal_repl_frame(repl_records, first_seq, last_seq);
+        self.seal_repl_frame(repl_records);
         Ok(())
     }
 

@@ -1,19 +1,20 @@
 //! Log-shipping replication: mode contracts, partition-tolerant
 //! failover, and catch-up resync (ISSUE 10).
 //!
-//! The deterministic [`ReplSession`] tests pin the per-mode loss bounds
-//! by comparing the promoted replica against the set of *acknowledged*
-//! commits: sync and semi-sync must lose nothing acknowledged, async may
-//! lose at most `max_lag_frames` commits. The threaded tests drive the
-//! same shipper from the log-writer of [`FsdEngine::start_replicated`],
-//! including a link failure surfacing as a retryable error on the
-//! client, a heal that resumes shipping without losing frame order, and
-//! a resync after a partition that outlived the retained frames.
+//! The deterministic tests hold a primary and its [`Shipper`], commit
+//! as the engine's log-writer does (force, then ship), and pin the
+//! per-mode loss bounds by comparing the promoted replica against the
+//! set of *acknowledged* commits: sync and semi-sync must lose nothing
+//! acknowledged, async may lose at most `max_lag_frames` commits. The
+//! threaded tests drive the same shipper from the log-writer of
+//! [`FsdEngine::start_replicated`], including a link failure surfacing
+//! as a retryable error on the client, a heal that resumes shipping
+//! without losing frame order, and a resync after a partition that
+//! outlived the retained frames.
 
-use cedar_disk::{CpuModel, CrashPlan, LinkPlan, SimDisk};
+use cedar_disk::{CpuModel, CrashPlan, FaultPlan, LinkPlan, SimDisk};
 use cedar_fsd::{
-    EngineConfig, FsdConfig, FsdEngine, FsdVolume, ReplMode, ReplSession, ReplSessionConfig,
-    ResyncKind,
+    EngineConfig, FsdConfig, FsdEngine, FsdVolume, ReplMode, ReplSessionConfig, ResyncKind, Shipper,
 };
 use cedar_vol::fs::{CedarFsError, FileSystem};
 
@@ -30,15 +31,20 @@ fn fresh() -> FsdVolume {
     FsdVolume::format(SimDisk::tiny(), config()).unwrap()
 }
 
-fn session(mode: ReplMode) -> ReplSession {
-    ReplSession::new(fresh(), config(), ReplSessionConfig::for_mode(mode)).unwrap()
+/// A fresh primary and a [`Shipper`] that installed its replica.
+fn install(cfg: ReplSessionConfig) -> (FsdVolume, Shipper) {
+    let mut p = fresh();
+    let sh = Shipper::new(&mut p, config(), cfg).unwrap();
+    (p, sh)
 }
 
-/// Creates `name` with deterministic content and commits it.
-fn commit_file(s: &mut ReplSession, name: &str) -> Result<(), CedarFsError> {
+/// Creates `name` with deterministic content on the primary `p`, then
+/// commits it: forces the log and ships what the force sealed.
+fn commit_file(p: &mut FsdVolume, sh: &mut Shipper, name: &str) -> Result<(), CedarFsError> {
     let data = format!("contents of {name}").into_bytes();
-    s.primary_mut().create(name, &data).unwrap();
-    s.commit()
+    p.create(name, &data).unwrap();
+    p.force()?;
+    sh.ship(p)
 }
 
 fn assert_has(v: &mut FsdVolume, name: &str) {
@@ -49,13 +55,13 @@ fn assert_has(v: &mut FsdVolume, name: &str) {
 
 #[test]
 fn sync_round_trip_and_failover() {
-    let mut s = session(ReplMode::Sync);
+    let (mut p, mut sh) = install(ReplSessionConfig::for_mode(ReplMode::Sync));
     for i in 0..8 {
-        commit_file(&mut s, &format!("file-{i}")).unwrap();
+        commit_file(&mut p, &mut sh, &format!("file-{i}")).unwrap();
     }
-    assert_eq!(s.frames_behind(), 0, "sync never runs ahead of the ack");
-    assert!(!s.lag_samples().is_empty());
-    let out = s.failover().unwrap();
+    assert_eq!(sh.frames_behind(), 0, "sync never runs ahead of the ack");
+    assert!(!sh.lag_samples().is_empty());
+    let out = sh.failover().unwrap();
     let mut v = out.volume;
     for i in 0..8 {
         assert_has(&mut v, &format!("file-{i}"));
@@ -65,11 +71,11 @@ fn sync_round_trip_and_failover() {
 
 #[test]
 fn semi_sync_round_trip_and_failover() {
-    let mut s = session(ReplMode::SemiSync);
+    let (mut p, mut sh) = install(ReplSessionConfig::for_mode(ReplMode::SemiSync));
     for i in 0..6 {
-        commit_file(&mut s, &format!("semi-{i}")).unwrap();
+        commit_file(&mut p, &mut sh, &format!("semi-{i}")).unwrap();
     }
-    let out = s.failover().unwrap();
+    let out = sh.failover().unwrap();
     let mut v = out.volume;
     for i in 0..6 {
         assert_has(&mut v, &format!("semi-{i}"));
@@ -82,17 +88,17 @@ fn replication_carries_unlogged_data_pages_and_deletes() {
     // File data never goes through the log (§5.2) — the stream must
     // carry the raw data-area writes, and a later overwrite + delete
     // must land too.
-    let mut s = session(ReplMode::Sync);
-    commit_file(&mut s, "keep").unwrap();
-    commit_file(&mut s, "doomed").unwrap();
+    let (mut p, mut sh) = install(ReplSessionConfig::for_mode(ReplMode::Sync));
+    commit_file(&mut p, &mut sh, "keep").unwrap();
+    commit_file(&mut p, &mut sh, "doomed").unwrap();
     {
-        let v = s.primary_mut();
-        let mut f = v.open("keep", None).unwrap();
-        v.write_page(&mut f, 0, b"rewritten page zero").unwrap();
-        v.delete("doomed", None).unwrap();
+        let mut f = p.open("keep", None).unwrap();
+        p.write_page(&mut f, 0, b"rewritten page zero").unwrap();
+        p.delete("doomed", None).unwrap();
     }
-    s.commit().unwrap();
-    let mut v = s.failover().unwrap().volume;
+    p.force().unwrap();
+    sh.ship(&mut p).unwrap();
+    let mut v = sh.failover().unwrap().volume;
     let mut f = v.open("keep", None).unwrap();
     let page = v.read_page(&mut f, 0).unwrap();
     assert_eq!(&page[..19], b"rewritten page zero");
@@ -102,15 +108,15 @@ fn replication_carries_unlogged_data_pages_and_deletes() {
 
 #[test]
 fn sync_partition_fails_commit_retryably_and_loses_nothing_acked() {
-    let mut s = session(ReplMode::Sync);
-    commit_file(&mut s, "acked").unwrap();
-    s.link_mut().force_down();
-    let err = commit_file(&mut s, "unacked").unwrap_err();
+    let (mut p, mut sh) = install(ReplSessionConfig::for_mode(ReplMode::Sync));
+    commit_file(&mut p, &mut sh, "acked").unwrap();
+    sh.link_mut().force_down();
+    let err = commit_file(&mut p, &mut sh, "unacked").unwrap_err();
     assert!(err.is_retryable(), "link loss must be retryable: {err}");
-    assert!(s.frames_behind() > 0);
+    assert!(sh.frames_behind() > 0);
     // Primary dies while partitioned: the unacknowledged commit is the
     // only casualty.
-    let out = s.failover().unwrap();
+    let out = sh.failover().unwrap();
     let mut v = out.volume;
     assert_has(&mut v, "acked");
     assert!(v.open("unacked", None).is_err());
@@ -119,12 +125,12 @@ fn sync_partition_fails_commit_retryably_and_loses_nothing_acked() {
 
 #[test]
 fn semi_sync_partition_fails_commit_retryably() {
-    let mut s = session(ReplMode::SemiSync);
-    commit_file(&mut s, "acked").unwrap();
-    s.link_mut().force_down();
-    let err = commit_file(&mut s, "unacked").unwrap_err();
+    let (mut p, mut sh) = install(ReplSessionConfig::for_mode(ReplMode::SemiSync));
+    commit_file(&mut p, &mut sh, "acked").unwrap();
+    sh.link_mut().force_down();
+    let err = commit_file(&mut p, &mut sh, "unacked").unwrap_err();
     assert!(err.is_retryable());
-    let mut v = s.failover().unwrap().volume;
+    let mut v = sh.failover().unwrap().volume;
     assert_has(&mut v, "acked");
     assert!(v.open("unacked", None).is_err());
 }
@@ -133,20 +139,20 @@ fn semi_sync_partition_fails_commit_retryably() {
 fn async_loss_is_bounded_by_max_lag_frames() {
     let mut cfg = ReplSessionConfig::for_mode(ReplMode::Async);
     cfg.max_lag_frames = 4;
-    let mut s = ReplSession::new(fresh(), config(), cfg).unwrap();
+    let (mut p, mut sh) = install(cfg);
     for i in 0..5 {
-        commit_file(&mut s, &format!("before-{i}")).unwrap();
+        commit_file(&mut p, &mut sh, &format!("before-{i}")).unwrap();
     }
-    s.link_mut().force_down();
+    sh.link_mut().force_down();
     // Up to max_lag_frames commits are acknowledged locally while the
     // link is down; the next one would exceed the bound and must fail.
     for i in 0..4 {
-        commit_file(&mut s, &format!("lagged-{i}")).unwrap();
+        commit_file(&mut p, &mut sh, &format!("lagged-{i}")).unwrap();
     }
-    let err = commit_file(&mut s, "over-bound").unwrap_err();
+    let err = commit_file(&mut p, &mut sh, "over-bound").unwrap_err();
     assert!(err.is_retryable());
-    assert!(s.frames_behind() <= 4 + 1, "bound: lag + the failed frame");
-    let out = s.failover().unwrap();
+    assert!(sh.frames_behind() <= 4 + 1, "bound: lag + the failed frame");
+    let out = sh.failover().unwrap();
     let mut v = out.volume;
     // Everything shipped before the partition survives; the bounded
     // window of acknowledged-but-unshipped commits is the loss.
@@ -164,19 +170,19 @@ fn resync_cursor_replay_after_partition() {
     let mut cfg = ReplSessionConfig::for_mode(ReplMode::Async);
     cfg.max_lag_frames = 16;
     cfg.retain_frames = 64;
-    let mut s = ReplSession::new(fresh(), config(), cfg).unwrap();
-    commit_file(&mut s, "pre").unwrap();
-    s.link_mut().force_down();
+    let (mut p, mut sh) = install(cfg);
+    commit_file(&mut p, &mut sh, "pre").unwrap();
+    sh.link_mut().force_down();
     for i in 0..3 {
-        commit_file(&mut s, &format!("during-{i}")).unwrap();
+        commit_file(&mut p, &mut sh, &format!("during-{i}")).unwrap();
     }
-    assert!(!s.needs_full_transfer());
-    let out = s.resync().unwrap();
+    assert!(!sh.needs_full_transfer());
+    let out = sh.resync(&mut p).unwrap();
     assert_eq!(out.kind, ResyncKind::CursorReplay);
     assert_eq!(out.frames, 3);
-    assert_eq!(s.frames_behind(), 0);
-    commit_file(&mut s, "post").unwrap();
-    let mut v = s.failover().unwrap().volume;
+    assert_eq!(sh.frames_behind(), 0);
+    commit_file(&mut p, &mut sh, "post").unwrap();
+    let mut v = sh.failover().unwrap().volume;
     for name in ["pre", "during-0", "during-1", "during-2", "post"] {
         assert_has(&mut v, name);
     }
@@ -188,23 +194,23 @@ fn resync_falls_back_to_full_transfer_when_log_lapped() {
     let mut cfg = ReplSessionConfig::for_mode(ReplMode::Async);
     cfg.max_lag_frames = 16;
     cfg.retain_frames = 2;
-    let mut s = ReplSession::new(fresh(), config(), cfg).unwrap();
-    commit_file(&mut s, "pre").unwrap();
-    s.link_mut().force_down();
+    let (mut p, mut sh) = install(cfg);
+    commit_file(&mut p, &mut sh, "pre").unwrap();
+    sh.link_mut().force_down();
     for i in 0..6 {
-        commit_file(&mut s, &format!("during-{i}")).unwrap();
+        commit_file(&mut p, &mut sh, &format!("during-{i}")).unwrap();
     }
     assert!(
-        s.needs_full_transfer(),
+        sh.needs_full_transfer(),
         "retention bound of 2 must have evicted past the cursor"
     );
-    let out = s.resync().unwrap();
+    let out = sh.resync(&mut p).unwrap();
     assert_eq!(out.kind, ResyncKind::FullTransfer);
     assert!(out.sectors > 0);
-    assert_eq!(s.frames_behind(), 0);
-    assert!(s.replica_stats().full_transfers >= 2, "install + reseed");
-    commit_file(&mut s, "post").unwrap();
-    let mut v = s.failover().unwrap().volume;
+    assert_eq!(sh.frames_behind(), 0);
+    assert!(sh.replica_stats().full_transfers >= 2, "install + reseed");
+    commit_file(&mut p, &mut sh, "post").unwrap();
+    let mut v = sh.failover().unwrap().volume;
     for name in [
         "pre", "during-0", "during-1", "during-2", "during-3", "during-4", "during-5", "post",
     ] {
@@ -218,12 +224,12 @@ fn transient_drop_plan_is_retried_through() {
     let mut cfg = ReplSessionConfig::for_mode(ReplMode::Sync);
     // Drop the first and third sends; retries must carry each frame.
     cfg.link.drop_sends = vec![1, 3];
-    let mut s = ReplSession::new(fresh(), config(), cfg).unwrap();
+    let (mut p, mut sh) = install(cfg);
     for i in 0..4 {
-        commit_file(&mut s, &format!("drop-{i}")).unwrap();
+        commit_file(&mut p, &mut sh, &format!("drop-{i}")).unwrap();
     }
-    assert!(s.link_stats().dropped >= 2);
-    let mut v = s.failover().unwrap().volume;
+    assert!(sh.link_stats().dropped >= 2);
+    let mut v = sh.failover().unwrap().volume;
     for i in 0..4 {
         assert_has(&mut v, &format!("drop-{i}"));
     }
@@ -233,30 +239,63 @@ fn transient_drop_plan_is_retried_through() {
 fn a_lapped_sync_session_sends_nothing_until_resync() {
     let mut cfg = ReplSessionConfig::for_mode(ReplMode::Sync);
     cfg.retain_frames = 2;
-    let mut s = ReplSession::new(fresh(), config(), cfg).unwrap();
-    commit_file(&mut s, "pre").unwrap();
-    s.link_mut().force_down();
+    let (mut p, mut sh) = install(cfg);
+    commit_file(&mut p, &mut sh, "pre").unwrap();
+    sh.link_mut().force_down();
     for i in 0..3 {
-        assert!(commit_file(&mut s, &format!("during-{i}"))
+        assert!(commit_file(&mut p, &mut sh, &format!("during-{i}"))
             .unwrap_err()
             .is_retryable());
     }
-    s.link_mut().heal();
-    let sends = s.link_stats().sends;
-    let err = commit_file(&mut s, "after").unwrap_err();
+    sh.link_mut().heal();
+    let sends = sh.link_stats().sends;
+    let err = commit_file(&mut p, &mut sh, "after").unwrap_err();
     assert!(
         err.is_retryable() && err.to_string().contains("resync"),
         "{err}"
     );
-    assert_eq!(s.link_stats().sends, sends, "a lapped cursor ships nothing");
-    assert_eq!(s.frames_behind(), 4, "evicted frames count as lag");
-    assert_eq!(s.resync().unwrap().kind, ResyncKind::FullTransfer);
-    commit_file(&mut s, "post").unwrap();
-    let mut v = s.failover().unwrap().volume;
+    assert_eq!(
+        sh.link_stats().sends,
+        sends,
+        "a lapped cursor ships nothing"
+    );
+    assert_eq!(sh.frames_behind(), 4, "evicted frames count as lag");
+    assert_eq!(sh.resync(&mut p).unwrap().kind, ResyncKind::FullTransfer);
+    commit_file(&mut p, &mut sh, "post").unwrap();
+    let mut v = sh.failover().unwrap().volume;
     for name in ["pre", "during-0", "during-1", "during-2", "after", "post"] {
         assert_has(&mut v, name);
     }
     v.verify().unwrap();
+}
+
+#[test]
+fn install_zeroes_the_spare_behind_a_remapped_log_sector() {
+    // The append remaps its first sector to a spare; the replica's log
+    // zeroing must reach that spare, not the dead logical sector, or
+    // the promoted replica's log scan meets the primary's stale record.
+    let mut v = fresh();
+    let bad = v.next_log_sector();
+    v.disk_mut()
+        .set_fault_plan(&FaultPlan::none().with_grown(bad));
+    v.create("remapped", b"contents of remapped").unwrap();
+    v.force().unwrap();
+    let spare = v
+        .spare_entries()
+        .iter()
+        .find(|&&(logical, _)| logical == bad)
+        .map(|&(_, phys)| phys)
+        .expect("the append remapped the grown log sector");
+    let cfg = ReplSessionConfig::for_mode(ReplMode::Sync);
+    let sh = Shipper::new(&mut v, config(), cfg).unwrap();
+    let mut promoted = sh.failover().unwrap().volume;
+    let zeros = promoted.disk_mut().peek_data(spare).unwrap();
+    assert!(
+        zeros.iter().all(|&b| b == 0),
+        "spare {spare} kept log bytes"
+    );
+    assert_has(&mut promoted, "remapped");
+    promoted.verify().unwrap();
 }
 
 // ----- threaded engine, shipping from its log-writer ---------------------------

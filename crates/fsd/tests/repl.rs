@@ -12,9 +12,11 @@
 //! without losing frame order, and a resync after a partition that
 //! outlived the retained frames.
 
-use cedar_disk::{CpuModel, CrashPlan, FaultPlan, LinkPlan, SimDisk};
+use cedar_disk::{CpuModel, CrashPlan, FaultPlan, LinkPlan, SimDisk, SECTOR_BYTES};
+use cedar_fsd::log::{encode_record, PageTarget};
 use cedar_fsd::{
-    EngineConfig, FsdConfig, FsdEngine, FsdVolume, ReplMode, ReplSessionConfig, ResyncKind, Shipper,
+    DataWrite, EngineConfig, FsdConfig, FsdEngine, FsdVolume, ReplFrame, ReplMode,
+    ReplSessionConfig, Replica, ResyncKind, Shipper,
 };
 use cedar_vol::fs::{CedarFsError, FileSystem};
 
@@ -296,6 +298,41 @@ fn install_zeroes_the_spare_behind_a_remapped_log_sector() {
     );
     assert_has(&mut promoted, "remapped");
     promoted.verify().unwrap();
+}
+
+/// A frame whose record fails validation is refused whole: the data
+/// write riding with it never reaches the replica's disk, and the cursor
+/// stays where it was.
+#[test]
+fn a_frame_with_an_impossible_record_writes_nothing() {
+    let mut p = fresh();
+    let mut replica = Replica::install(&mut p, config()).unwrap();
+    let cursor = replica.cursor();
+    let layout = *p.layout();
+    let unused = layout.data_areas()[1].1 - 1;
+    let bytes = vec![0x5A; SECTOR_BYTES];
+    let wild = PageTarget::NtSector {
+        page: layout.nt_pages,
+        sector: 0,
+    };
+    let frame = ReplFrame {
+        id: cursor + 1,
+        records: vec![encode_record(&[(wild, vec![7; SECTOR_BYTES])], 1, 1, true).unwrap()],
+        data: vec![DataWrite {
+            addr: unused,
+            data: Some(bytes.clone()),
+            label: None,
+        }],
+        spare: Vec::new(),
+    };
+    assert!(replica.receive_apply(frame).is_err());
+    assert_eq!(replica.cursor(), cursor);
+    let (mut promoted, _) = replica.promote().unwrap();
+    let written = promoted.disk_mut().peek_data(unused) == Some(&bytes[..]);
+    assert!(
+        !written,
+        "the refused frame's data write reached sector {unused}"
+    );
 }
 
 // ----- threaded engine, shipping from its log-writer ---------------------------

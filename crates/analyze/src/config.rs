@@ -369,9 +369,17 @@ impl Config {
                 "crates/disk/src/scan.rs",
             ],
             error_flow_fallback_fns: vec![
+                // `decode_record` is the one reader of a log record; the
+                // scan's `read_record_at`, which held that decoding until
+                // it moved out, still takes its "not here" as data.
                 (
                     "crates/fsd/src/log.rs",
-                    vec!["read_meta", "read_record_at", "scan_records"],
+                    vec![
+                        "read_meta",
+                        "read_record_at",
+                        "decode_record",
+                        "scan_records",
+                    ],
                 ),
                 // `note_failed_settle` notes a failed settle on the boot
                 // page best effort: the caller gets the settle's error

@@ -163,7 +163,7 @@ const SEEDS: &[Seed] = &[
         rule: "repl-order",
         file: VOLUME,
         edit: Edit::Append(
-            "impl FsdVolume { pub fn lint_probe(&mut self) { self.seal_repl_frame(Vec::new(), 1, 2); } }\n",
+            "impl FsdVolume { pub fn lint_probe(&mut self) { self.seal_repl_frame(Vec::new()); } }\n",
         ),
         expect: &[("repl-order", "lint_probe", "seal_repl_frame(..) unlogged")],
     },

@@ -3,13 +3,13 @@
 //! A log record may be written over only when every image it holds is at
 //! home or superseded. So whenever [`crate::log::Log::append`] is about
 //! to enter a third, once that third's writeback is on the platters, the
-//! records the third holds are read back and each image is held against
-//! its homes ([`PageTarget::homes`]). An image that is not there must be
-//! superseded: by a later record or the force in flight, which log the
-//! same sector again; for a name-table page, by a commit that freed the
-//! page (the committed tree no longer uses it); or — for a leader — by a
-//! later group's list of runs handed to new owners, whose new owner has
-//! written over the sector.
+//! records the third holds are read back by the boot scan's own rule and
+//! each image is held against its homes ([`PageTarget::homes`]). An image
+//! that is not there must be superseded: by a later record or the force
+//! in flight, which log the same sector again; for a name-table page, by
+//! a commit that freed the page (the committed tree no longer uses it);
+//! or — for a leader — by a later group's list of runs handed to new
+//! owners, whose new owner has written over the sector.
 //!
 //! A lost home write otherwise shows only when the log laps the record
 //! and a crash finds the home stale. Debug builds only: the platters are

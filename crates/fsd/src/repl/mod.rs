@@ -13,10 +13,11 @@
 //!   from the [`cedar_disk::SimDisk`] write journal.
 //!
 //! One successful [`crate::FsdVolume::force`] seals one [`ReplFrame`]
-//! holding both. Frames are strictly ordered by id; the replica applies
-//! them with continuous redo (the same write discipline as boot-time
-//! recovery) and refuses gaps, which is what makes the catch-up resync
-//! protocol ([`Shipper::resync`]) sound.
+//! holding both. Frames are strictly ordered by id; the replica takes
+//! each record by the boot scan's own rule, checks a frame whole before
+//! it writes any of it, applies it with continuous redo (the same write
+//! discipline as boot-time recovery) and refuses gaps, which is what
+//! makes the catch-up resync protocol ([`Shipper::resync`]) sound.
 //!
 //! Three acknowledgement modes ([`ReplMode`]) give the classic
 //! durability/latency trade (the FITO-style contract table lives in

@@ -160,6 +160,32 @@ impl SpareMap {
             .map_or(logical, |&(_, p)| p)
     }
 
+    /// The logical sector whose data lives at physical `phys`: the one
+    /// remapped there, or `phys` itself.
+    pub fn logical(&self, phys: SectorAddr) -> SectorAddr {
+        self.entries
+            .iter()
+            .find(|&&(_, p)| p == phys)
+            .map_or(phys, |&(l, _)| l)
+    }
+
+    /// The `n` logical sectors from `start` as physically contiguous
+    /// pieces, in logical order: `(offset into the range, physical start,
+    /// length)`. The range splits only where the remap table moves a
+    /// sector.
+    pub fn pieces(&self, start: SectorAddr, n: u32) -> impl Iterator<Item = (u32, u32, u32)> + '_ {
+        let mut i = 0;
+        std::iter::from_fn(move || {
+            let phys = (i < n).then(|| self.translate(start + i))?;
+            let mut len = 1;
+            while i + len < n && self.translate(start + i + len) == phys + len {
+                len += 1;
+            }
+            i += len;
+            Some((i - len, phys, len))
+        })
+    }
+
     /// Current remap table, for persisting onto the boot page.
     pub fn entries(&self) -> &[(SectorAddr, SectorAddr)] {
         &self.entries
@@ -189,29 +215,22 @@ impl SpareMap {
     ) -> Vec<OpTag> {
         assert_eq!(data.len() % SECTOR_BYTES, 0, "partial-sector write");
         let total = (data.len() / SECTOR_BYTES) as u32;
-        let mut tags = Vec::new();
-        let mut i = 0u32;
-        while i < total {
-            let phys = self.translate(logical_start + i);
-            let mut len = 1u32;
-            while i + len < total && self.translate(logical_start + i + len) == phys + len {
-                len += 1;
-            }
-            let bytes =
-                data[(i as usize) * SECTOR_BYTES..((i + len) as usize) * SECTOR_BYTES].to_vec();
-            let idx = batch.push(IoOp::Write {
-                start: phys,
-                data: bytes,
-            });
-            tags.push(OpTag {
-                idx,
-                logical: logical_start + i,
-                phys,
-                len,
-            });
-            i += len;
-        }
-        tags
+        self.pieces(logical_start, total)
+            .map(|(i, phys, len)| {
+                let bytes =
+                    data[(i as usize) * SECTOR_BYTES..((i + len) as usize) * SECTOR_BYTES].to_vec();
+                let idx = batch.push(IoOp::Write {
+                    start: phys,
+                    data: bytes,
+                });
+                OpTag {
+                    idx,
+                    logical: logical_start + i,
+                    phys,
+                    len,
+                }
+            })
+            .collect()
     }
 
     /// Folds one round of [`sched::execute_partial`] results into the
@@ -285,23 +304,12 @@ impl SpareMap {
         start: SectorAddr,
         n: usize,
     ) -> cedar_disk::Result<(Vec<u8>, Vec<bool>)> {
-        if self.entries.is_empty() {
-            return disk.read_allow_damage(start, n);
-        }
         let mut data = Vec::with_capacity(n * SECTOR_BYTES);
         let mut mask = Vec::with_capacity(n);
-        let total = n as u32;
-        let mut i = 0u32;
-        while i < total {
-            let phys = self.translate(start + i);
-            let mut len = 1u32;
-            while i + len < total && self.translate(start + i + len) == phys + len {
-                len += 1;
-            }
+        for (_, phys, len) in self.pieces(start, n as u32) {
             let (d, m) = disk.read_allow_damage(phys, len as usize)?;
             data.extend_from_slice(&d);
             mask.extend_from_slice(&m);
-            i += len;
         }
         Ok((data, mask))
     }

@@ -502,36 +502,28 @@ impl FsdVolume {
             return;
         }
         let entries = self.disk.drain_write_journal();
-        let log_lo = self.layout.log_start;
-        let log_hi = self.layout.log_start + self.layout.log_sectors;
-        let remap = self.spare.entries().to_vec();
+        let log = self.layout.log_start..self.layout.log_start + self.layout.log_sectors;
         let data: Vec<crate::repl::DataWrite> = entries
             .into_iter()
-            .filter(|e| {
-                let logical = remap
-                    .iter()
-                    .find(|&&(_, phys)| phys == e.addr)
-                    .map(|&(l, _)| l)
-                    .unwrap_or(e.addr);
-                !(log_lo..log_hi).contains(&logical)
-            })
+            .filter(|e| !log.contains(&self.spare.logical(e.addr)))
             .map(|e| crate::repl::DataWrite {
                 addr: e.addr,
                 data: e.data.map(|d| self.boot_page_for_replica(e.addr, d)),
                 label: e.label,
             })
             .collect();
-        let Some(tap) = self.repl.as_mut() else {
-            return;
-        };
         if records.is_empty() && data.is_empty() {
             return;
         }
+        let spare = self.spare.entries().to_vec();
+        let Some(tap) = self.repl.as_mut() else {
+            return;
+        };
         let frame = crate::repl::ReplFrame {
             id: tap.next_frame,
             records,
             data,
-            spare: remap,
+            spare,
         };
         tap.next_frame += 1;
         tap.frames.push(frame);
@@ -677,7 +669,7 @@ impl FsdVolume {
             // Entering a third reclaims it: whatever has its only log
             // copy there goes home first (§5.3), as one scheduler window
             // inside the append.
-            let (_, third, sealed) =
+            let (third, sealed) =
                 log.append(disk, spare, chunk, is_last, share, |disk, spare, t| {
                     let (writes, pages) = collect_home_writes(layout, cache, leaders, Some(t))?;
                     commit_stats.third_flush_pages += pages;

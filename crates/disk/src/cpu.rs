@@ -18,9 +18,12 @@
 //! per lookup. An open of a 4000-file volume's three-level name table is
 //! dispatch + 3 nodes + 1 entry = 4.0 + 5.4 + 0.9 = 10.3 ms, and `table2`
 //! prints 11.3 ms against the paper's 11.7 (the rest is the occasional
-//! cold page and the group commit's share). A small delete is that lookup
-//! plus a second walk that writes the leaf, 3 nodes + 1: 17.5 ms of CPU,
-//! 21.1 ms printed against the paper's 15.
+//! cold page and the group commit's share). A small delete is that walk
+//! with the leaf written on the way out — the walk that finds the newest
+//! version removes it — so dispatch + 3 nodes + 1 written + 1 entry =
+//! 4.0 + 5.4 + 1.8 + 0.9 = 12.1 ms of CPU, and `table2` prints 14.6 ms
+//! against the paper's 15 (the rest is a group-commit force that lands
+//! among the timed deletes, and the odd cold page).
 
 use crate::clock::{Micros, SimClock};
 use std::ops::Range;

@@ -1235,6 +1235,136 @@ mod tests {
         assert!(err.to_string().contains("bad reallocation list"), "{err}");
     }
 
+    /// Sectors and their damage flags, as [`decode_record`] asks for them.
+    type Sectors = Result<Option<(Vec<u8>, Vec<bool>)>>;
+
+    /// The reader [`decode_record`] asks for sectors: `bytes` a record's
+    /// sectors, bit `i` of `mask` the damage flag of sector `i`.
+    fn masked(bytes: &[u8], mask: u64) -> impl FnMut(u32, u32) -> Sectors + '_ {
+        move |first, n| {
+            let range = first as usize * SECTOR_BYTES..(first + n) as usize * SECTOR_BYTES;
+            let flags = (first..first + n).map(|i| mask >> i & 1 == 1).collect();
+            Ok(bytes.get(range).map(|b| (b.to_vec(), flags)))
+        }
+    }
+
+    /// Sector `i` of `bytes`, to overwrite.
+    fn sector_mut(bytes: &mut [u8], i: usize) -> &mut [u8] {
+        &mut bytes[i * SECTOR_BYTES..(i + 1) * SECTOR_BYTES]
+    }
+
+    /// A record of `n` images tagged from `tag`, with a one-run list.
+    fn record_of(n: u8, seq: u64, tag: u8) -> (Vec<u8>, LogRecord) {
+        let images: Vec<_> = (0..n).map(|i| nt(u32::from(i), 0, tag + i)).collect();
+        let listed = [Run::new(1000 + u32::from(tag), 4)];
+        let end = RecordEnd {
+            group_end: true,
+            reallocated: &listed,
+        };
+        let bytes = encode_record(&images, seq, 2, end).unwrap();
+        let record = LogRecord {
+            offset: 0,
+            seq,
+            boot_count: 2,
+            group_end: true,
+            images,
+            reallocated: listed.to_vec(),
+        };
+        (bytes, record)
+    }
+
+    /// §5.8's failure model: the damage is one run of one or two adjacent
+    /// sectors, or none.
+    fn inside_the_model(mask: u64) -> bool {
+        mask == 0 || matches!(mask >> mask.trailing_zeros(), 0b1 | 0b11)
+    }
+
+    /// Every one of the `2^(2n + 5)` damage masks over a record of one to
+    /// three data pages. Inside §5.8's model the record decodes whole,
+    /// from whichever copies survive: no two adjacent sectors hold the
+    /// same page. Outside it the decoder takes the record whole, says no
+    /// record is there, or names the record it cannot take — a data page
+    /// lost in both copies — and never takes another record's bytes: a
+    /// damaged sector holds here the sector another record put in its
+    /// place, so a decoder that read one would return that record's data.
+    #[test]
+    fn the_decoder_takes_a_record_whole_or_not_at_all_under_every_damage_mask() {
+        for n in 1..=3u8 {
+            let (bytes, want) = record_of(n, 9, 10);
+            let (other, _) = record_of(n, 8, 40);
+            let sectors = 2 * usize::from(n) + 5;
+            let mut taken_outside = 0;
+            for mask in 0..1u64 << sectors {
+                let mut rotten = bytes.clone();
+                for i in (0..sectors).filter(|&i| mask >> i & 1 == 1) {
+                    sector_mut(&mut rotten, i).copy_from_slice(sector(&other, i));
+                }
+                for expected in [None, Some((9, 2))] {
+                    let got = decode_record(expected, masked(&rotten, mask));
+                    match got {
+                        Ok(Ok(record)) => {
+                            assert_eq!(record, want, "n {n}, mask {mask:b}");
+                            taken_outside += usize::from(!inside_the_model(mask));
+                        }
+                        _ if inside_the_model(mask) => panic!("n {n}, mask {mask:b}: {got:?}"),
+                        Ok(Err(_)) => {}
+                        Err(FsdError::Check(why)) => {
+                            assert!(why.starts_with("log record 9: "), "mask {mask:b}: {why}")
+                        }
+                        Err(e) => panic!("n {n}, mask {mask:b}: {e}"),
+                    }
+                }
+            }
+            // Redundancy reaches past the model: a header, an end page
+            // and one copy of each data page are enough.
+            assert!(taken_outside > 0, "n {n}");
+        }
+    }
+
+    /// Where the log laps itself a record is written over one the last
+    /// lap left, whose sectors are whole and checksum-valid. Every
+    /// mixture of the two, sector by sector and nothing flagged damaged —
+    /// the new record torn anywhere, the old one of any length — is taken
+    /// as the new record or the old one whole, or as no record: never
+    /// the new header with a stale data or end page. Asked for the new
+    /// record's sequence number, the old one is refused too.
+    #[test]
+    fn a_stale_sector_from_the_previous_lap_is_refused() {
+        for n in 1..=3u8 {
+            let (new, want) = record_of(n, 20, 10);
+            let sectors = 2 * usize::from(n) + 5;
+            for old_n in 1..=3u8 {
+                let (mut old, stale) = record_of(old_n, 11, 40);
+                assert_eq!(
+                    decode_record(None, masked(&old, 0)).unwrap(),
+                    Ok(stale.clone())
+                );
+                // The sectors of it that lie under the new record.
+                old.resize(new.len(), 0);
+                for mix in 0..1u64 << sectors {
+                    let mut bytes = new.clone();
+                    for i in (0..sectors).filter(|&i| mix >> i & 1 == 1) {
+                        sector_mut(&mut bytes, i).copy_from_slice(sector(&old, i));
+                    }
+                    for expected in [None, Some((20, 2))] {
+                        let got = decode_record(expected, masked(&bytes, 0)).unwrap();
+                        let old_whole = expected.is_none() && old_n <= n;
+                        match got {
+                            Ok(record) if record == want => {}
+                            Ok(record) if old_whole && record == stale => {}
+                            Ok(record) => panic!("n {n}, old {old_n}, mix {mix:b}: {record:?}"),
+                            Err(_) => {}
+                        }
+                    }
+                }
+            }
+            assert_eq!(
+                decode_record(Some((20, 2)), masked(&new, 0)).unwrap(),
+                Ok(want)
+            );
+        }
+    }
+
     /// The three readers of a record — the boot scan, a replica decoding
     /// the shipped bytes, the thirds auditor peeking at the platters —
     /// take the same record: a group spread over two records, name-table

@@ -197,6 +197,12 @@ impl SpareMap {
         std::mem::take(&mut self.dirty)
     }
 
+    /// Whether the table changed since [`Self::take_dirty`] last cleared
+    /// the flag.
+    pub fn is_dirty(&self) -> bool {
+        self.dirty
+    }
+
     /// Records that a read found `logical` damaged, so the upcoming
     /// scrub rewrite is charged as a repair — and escalates to a remap
     /// if the rewrite fails too.

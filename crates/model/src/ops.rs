@@ -84,6 +84,19 @@ fn name_lookup_cpu(cpu: &CpuModel) -> Vec<(String, Step)> {
 
 // ----- FSD ---------------------------------------------------------------------
 
+/// An FSD delete: one walk routed by the end of the name's key range
+/// (root + leaf, cached) ends at the newest version and takes it out of
+/// the leaf, which is written back to the cache.
+fn fsd_delete(name: &str, cpu: &CpuModel) -> Script {
+    Script::new(name)
+        .step("dispatch", Step::Cpu(cpu.op_overhead_us))
+        .step(
+            "newest version removed (2 cached nodes, 1 written)",
+            nodes(cpu, 3),
+        )
+        .step("entry decode", Step::Cpu(cpu.entry_us))
+}
+
 /// Scripts for the FSD operations of Table 2.
 pub fn fsd_ops(params: &ModelParams) -> Vec<Prediction> {
     let cpu = &params.cpu;
@@ -134,23 +147,14 @@ pub fn fsd_ops(params: &ModelParams) -> Vec<Prediction> {
         .step("leader + page transfer", Step::Transfer(2));
     out.push(predict(params, s));
 
-    // Small delete: cache-only (§4: delete does no synchronous I/O).
-    // Delete resolves the name first, then walks again to remove it.
-    let mut s = Script::new("FSD small delete").step("dispatch", Step::Cpu(cpu.op_overhead_us));
-    for (what, step) in name_lookup_cpu(cpu) {
-        s = s.step(&what, step);
-    }
-    s = s.step("tree delete (2 cached nodes, 1 written)", nodes(cpu, 3));
-    out.push(predict(params, s));
+    // Small delete: cache-only (§4: delete does no synchronous I/O). The
+    // walk that finds the newest version removes it: the lookup's nodes,
+    // the leaf written, the entry decoded for the pages it frees.
+    out.push(predict(params, fsd_delete("FSD small delete", cpu)));
 
     // Large delete (1 MB): same metadata work; the run table is longer
     // but the pages just move to the shadow bitmap.
-    let mut s = Script::new("FSD large delete").step("dispatch", Step::Cpu(cpu.op_overhead_us));
-    for (what, step) in name_lookup_cpu(cpu) {
-        s = s.step(&what, step);
-    }
-    s = s.step("tree delete (2 cached nodes, 1 written)", nodes(cpu, 3));
-    out.push(predict(params, s));
+    out.push(predict(params, fsd_delete("FSD large delete", cpu)));
 
     // Read page (random page of an open 1 MB file, leader verified):
     // the file occupies a few cylinders, so the cost is rotational —

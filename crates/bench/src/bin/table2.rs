@@ -11,6 +11,7 @@
 use cedar_bench::report::f2;
 use cedar_bench::{cfs_t300, disk_breakdown, fsd_t300, ms, populate, Table};
 use cedar_disk::DiskStats;
+use cedar_fsd::FsdVolume;
 
 const POP_FILES: usize = 4000;
 const SMALL_ITERS: usize = 40;
@@ -26,14 +27,44 @@ fn mean_us(clock: &cedar_disk::SimClock, iters: usize, mut f: impl FnMut(usize))
     (clock.now() - t0) / iters as u64
 }
 
+/// One timed row: the mean simulated time per operation, and how many
+/// group-commit forces landed inside the window (FSD only: CFS writes
+/// through and has no log to force).
+#[derive(Clone, Copy)]
+struct Timed {
+    us: u64,
+    forces: Option<u64>,
+}
+
+impl Timed {
+    fn cfs(us: u64) -> Self {
+        Self { us, forces: None }
+    }
+}
+
+/// [`mean_us`] on the FSD volume, forced first: the window pays for the
+/// commits its own operations make and for none made before it, and the
+/// forces the 0.5 s group-commit timer fires inside it are counted.
+fn fsd_mean_us(
+    vol: &mut FsdVolume,
+    iters: usize,
+    mut f: impl FnMut(&mut FsdVolume, usize),
+) -> Timed {
+    vol.force().expect("force");
+    let (clock, forces) = (vol.clock(), vol.commit_stats().forces);
+    let us = mean_us(&clock, iters, |i| f(vol, i));
+    let forces = Some(vol.commit_stats().forces - forces);
+    Timed { us, forces }
+}
+
 struct Measured {
-    small_create: u64,
-    large_create: u64,
-    open: u64,
-    open_read: u64,
-    small_delete: u64,
-    large_delete: u64,
-    read_page: u64,
+    small_create: Timed,
+    large_create: Timed,
+    open: Timed,
+    open_read: Timed,
+    small_delete: Timed,
+    large_delete: Timed,
+    read_page: Timed,
     /// The whole of crash recovery.
     recovery_s: f64,
     /// The part of it that stands between the crash and the first read
@@ -92,13 +123,13 @@ fn measure_cfs() -> Measured {
     let report = vol.scavenge().expect("scavenge");
     let disk = vol.disk_stats();
     Measured {
-        small_create,
-        large_create,
-        open,
-        open_read,
-        small_delete,
-        large_delete,
-        read_page,
+        small_create: Timed::cfs(small_create),
+        large_create: Timed::cfs(large_create),
+        open: Timed::cfs(open),
+        open_read: Timed::cfs(open_read),
+        small_delete: Timed::cfs(small_delete),
+        large_delete: Timed::cfs(large_delete),
+        read_page: Timed::cfs(read_page),
         recovery_s: report.duration_us as f64 / 1e6,
         first_read_s: None,
         disk,
@@ -107,21 +138,20 @@ fn measure_cfs() -> Measured {
 
 fn measure_fsd() -> Measured {
     let mut vol = fsd_t300();
-    let clock = vol.clock();
     populate(&mut vol, "pop", POP_FILES, 11);
     let big = vec![0u8; MEGABYTE];
 
-    let small_create = mean_us(&clock, SMALL_ITERS, |i| {
+    let small_create = fsd_mean_us(&mut vol, SMALL_ITERS, |vol, i| {
         vol.create(&format!("dir/s{i:03}"), b"x").unwrap();
     });
-    let large_create = mean_us(&clock, LARGE_ITERS, |i| {
+    let large_create = fsd_mean_us(&mut vol, LARGE_ITERS, |vol, i| {
         vol.create(&format!("dir/L{i:03}"), &big).unwrap();
     });
     let scattered = |i: usize| format!("pop/pop{:05}", (i * 997) % POP_FILES);
-    let open = mean_us(&clock, SMALL_ITERS, |i| {
+    let open = fsd_mean_us(&mut vol, SMALL_ITERS, |vol, i| {
         vol.open(&scattered(i), None).unwrap();
     });
-    let open_read = mean_us(&clock, SMALL_ITERS, |i| {
+    let open_read = fsd_mean_us(&mut vol, SMALL_ITERS, |vol, i| {
         let mut f = vol.open(&scattered(i + 40), None).unwrap();
         if f.pages() > 0 {
             vol.read_page(&mut f, 0).unwrap();
@@ -129,13 +159,13 @@ fn measure_fsd() -> Measured {
     });
     let mut reader = vol.open("dir/L000", None).unwrap();
     vol.read_page(&mut reader, 0).unwrap(); // Leader verified outside the timing.
-    let read_page = mean_us(&clock, SMALL_ITERS, |i| {
+    let read_page = fsd_mean_us(&mut vol, SMALL_ITERS, |vol, i| {
         vol.read_page(&mut reader, (i as u32 * 509) % 2048).unwrap();
     });
-    let small_delete = mean_us(&clock, SMALL_ITERS, |i| {
+    let small_delete = fsd_mean_us(&mut vol, SMALL_ITERS, |vol, i| {
         vol.delete(&format!("dir/s{i:03}"), None).unwrap();
     });
-    let large_delete = mean_us(&clock, LARGE_ITERS, |i| {
+    let large_delete = fsd_mean_us(&mut vol, LARGE_ITERS, |vol, i| {
         vol.delete(&format!("dir/L{i:03}"), None).unwrap();
     });
 
@@ -192,17 +222,19 @@ fn main() {
             "paper CFS",
             "paper FSD",
             "paper speedup",
+            "FSD forces",
         ],
     );
-    let mut row = |name: &str, c: u64, f: u64, pc: &str, pf: &str, ps: &str| {
+    let mut row = |name: &str, c: Timed, f: Timed, pc: &str, pf: &str, ps: &str| {
         t.row(&[
             name.into(),
-            f2(ms(c)),
-            f2(ms(f)),
-            format!("{:.2}x", c as f64 / f as f64),
+            f2(ms(c.us)),
+            f2(ms(f.us)),
+            format!("{:.2}x", c.us as f64 / f.us as f64),
             pc.into(),
             pf.into(),
             ps.into(),
+            f.forces.map_or("-".into(), |n| n.to_string()),
         ]);
     };
     row(
@@ -255,8 +287,13 @@ fn main() {
         "3600+ sec".into(),
         "25 sec".into(),
         "100+".into(),
+        "-".into(),
     ]);
     t.print();
+    println!(
+        "  (Each FSD row is timed after a force, so it pays for the commits its own operations\n   \
+         make; \"FSD forces\" counts the group-commit forces that landed inside its window.)"
+    );
     if let Some(s) = fsd.first_read_s {
         println!(
             "  (FSD serves its first read {s:.1} sec after the crash: boot only reads the log. The rest of\n   \

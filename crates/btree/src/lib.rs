@@ -25,7 +25,7 @@ pub mod tree;
 pub use mem::MemStore;
 pub use node::{Node, MAX_ENTRY_FRACTION};
 pub use store::{PageId, PageStore, StoreError};
-pub use tree::{BTree, BTreeError, BuildEntry, Entry, TakeEntry};
+pub use tree::{BTree, BTreeError, BuildEntry, CheckEntry, Entry, TakeEntry};
 
 /// Result alias for tree operations.
 pub type Result<T> = std::result::Result<T, BTreeError>;

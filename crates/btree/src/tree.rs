@@ -92,6 +92,15 @@ impl Hop {
             Err(e) => Err(BTreeError::Corrupt(format!("page {}: {e}", self.id))),
         }
     }
+
+    /// The separator right of the child the walk went on to, if the node
+    /// has one: the least key the child's subtree may not hold.
+    fn bound(&self) -> Option<&[u8]> {
+        let Ok(NodeView::Internal(_, mut seps)) = NodeView::parse(&self.page) else {
+            return None;
+        };
+        seps.nth(self.idx)?.ok().map(|(sep, _)| sep)
+    }
 }
 
 /// A leaf read in place for one edit: its leading entries whose keys
@@ -156,8 +165,9 @@ enum Cut {
 enum LeafEdit {
     /// The leaf's new page, one cell spliced.
     Write(Vec<u8>),
-    /// The leaf's entries, edited, too many for one page.
-    Split(LeafEntries),
+    /// The leaf's entries, edited, too many for one page, and the
+    /// index of the entry the edit put in.
+    Split(LeafEntries, usize),
 }
 
 /// A key/value pair out of the tree, or on its way in.
@@ -172,6 +182,10 @@ pub type BuildEntry<'a> = dyn FnMut(Option<(&[u8], &[u8])>) -> Option<Entry> + '
 /// caller: shown the entry found, whether to take it out. Returning
 /// `false` declines the delete and leaves the tree as it was.
 pub type TakeEntry<'a> = dyn FnMut(&[u8], &[u8]) -> bool + 'a;
+
+/// What [`BTree::check_entries`] asks its caller of each entry: whether
+/// it is sound, and if not, what is wrong with it.
+pub type CheckEntry<'a> = dyn FnMut(&[u8], &[u8]) -> std::result::Result<(), String> + 'a;
 
 /// A B-tree rooted at a page in some [`PageStore`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -204,12 +218,13 @@ impl BTree {
     ///
     /// Leaves are greedily packed full (in key order the packing never
     /// has to split), then each internal level is packed over the level
-    /// below, with the separator for child *i+1* its subtree's smallest
-    /// key — the same separator [`BTree::insert`]'s leaf split would
-    /// have promoted. Every page is written exactly once, so loading N
-    /// entries costs O(pages) page writes instead of the N-insert
-    /// rebuild's O(N · depth) reads and writes. This is what makes the
-    /// scavenger's name-table rebuild scale to millions of files.
+    /// below, with the separator for child *i+1* the shortest key above
+    /// everything left of it and at most its subtree's smallest key —
+    /// the separator [`BTree::insert`]'s leaf split promotes. Every page
+    /// is written exactly once, so loading N entries costs O(pages) page
+    /// writes instead of the N-insert rebuild's O(N · depth) reads and
+    /// writes. This is what makes the scavenger's name-table rebuild
+    /// scale to millions of files.
     pub fn bulk_load<S: PageStore>(store: &mut S, entries: &[(Vec<u8>, Vec<u8>)]) -> Result<Self> {
         let page_size = store.page_size();
         let max = Self::max_entry_size(page_size);
@@ -238,13 +253,13 @@ impl BTree {
         for (i, (k, v)) in entries.iter().enumerate() {
             let entry = 4 + k.len() + v.len();
             if size + entry > page_size && i > start {
-                level.push(Self::write_leaf(store, &entries[start..i])?);
+                level.push(Self::write_leaf(store, entries, start..i)?);
                 start = i;
                 size = header;
             }
             size += entry;
         }
-        level.push(Self::write_leaf(store, &entries[start..])?);
+        level.push(Self::write_leaf(store, entries, start..entries.len())?);
 
         // Stack internal levels until one node covers everything.
         while level.len() > 1 {
@@ -253,20 +268,28 @@ impl BTree {
         Ok(Self { root: level[0].1 })
     }
 
-    /// Writes one packed leaf, returning `(smallest key, page id)`.
+    /// Writes the packed leaf `entries[run]`, returning the separator
+    /// that bounds it on the left (empty for the first leaf) and its
+    /// page id.
     fn write_leaf<S: PageStore>(
         store: &mut S,
         entries: &[(Vec<u8>, Vec<u8>)],
+        run: std::ops::Range<usize>,
     ) -> Result<(Vec<u8>, PageId)> {
+        let sep = match run.start.checked_sub(1) {
+            Some(last) => separator(&entries[last].0, &entries[run.start].0),
+            None => Vec::new(),
+        };
         let id = store.alloc_page()?;
-        Self::save(store, id, &Node::Leaf(entries.to_vec()))?;
-        Ok((entries[0].0.clone(), id))
+        Self::save(store, id, &Node::Leaf(entries[run].to_vec()))?;
+        Ok((sep, id))
     }
 
-    /// Packs one internal level over `below` (each item the smallest key
-    /// in that child's subtree plus its page id), returning the level
-    /// built. A trailing node is never left with a single child: the
-    /// packing stops one short when only one item would remain.
+    /// Packs one internal level over `below` (each item the separator
+    /// that bounds that child's subtree on the left, unused for the
+    /// first, plus its page id), returning the level built. A trailing
+    /// node is never left with a single child: the packing stops one
+    /// short when only one item would remain.
     fn pack_internal_level<S: PageStore>(
         store: &mut S,
         below: Vec<(Vec<u8>, PageId)>,
@@ -512,21 +535,28 @@ impl BTree {
             Some(_) => entries[seek.below].1 = value.to_vec(),
             None => entries.insert(seek.below, (key.to_vec(), value.to_vec())),
         }
-        Ok(LeafEdit::Split(entries))
+        Ok(LeafEdit::Split(entries, seek.below))
     }
 
-    /// Writes what [`Self::leaf_edit`] made of leaf `id`: its new page,
-    /// or its entries as two leaves, split by accumulated encoded size.
-    fn save_leaf<S: PageStore>(store: &mut S, id: PageId, edit: LeafEdit) -> Result<Option<Split>> {
-        let entries = match edit {
+    /// Writes what [`Self::leaf_edit`] made of the leaf at the end of the
+    /// walk `path`: its new page, or its entries as two leaves, split by
+    /// [`split_leaf`] and told apart by the shortest separator.
+    fn save_leaf<S: PageStore>(
+        store: &mut S,
+        path: &[Hop],
+        id: PageId,
+        edit: LeafEdit,
+    ) -> Result<Option<Split>> {
+        let (entries, at) = match edit {
             LeafEdit::Write(page) => {
                 store.write_page(id, &page)?;
                 return Ok(None);
             }
-            LeafEdit::Split(entries) => entries,
+            LeafEdit::Split(entries, at) => (entries, at),
         };
-        let (left, right) = split_leaf(entries, store.page_size());
-        let sep = right[0].0.clone();
+        let bound = path.iter().rev().find_map(Hop::bound);
+        let (left, right) = split_leaf(entries, at, bound, store.page_size());
+        let sep = separator(&left[left.len() - 1].0, &right[0].0);
         let right_id = store.alloc_page()?;
         Self::save(store, right_id, &Node::Leaf(right))?;
         Self::save(store, id, &Node::Leaf(left))?;
@@ -592,7 +622,7 @@ impl BTree {
                 Ok((old, edit))
             },
         )?;
-        let split = Self::save_leaf(store, id, edit)?;
+        let split = Self::save_leaf(store, &path, id, edit)?;
         let split = Self::adopt_up(store, path, split)?;
         self.grow_root(store, split)?;
         Ok(old)
@@ -634,6 +664,17 @@ impl BTree {
     ) -> Result<Option<Split>> {
         keys.insert(idx, child.sep);
         children.insert(idx + 1, child.right);
+        Self::save_internal(store, id, keys, children)
+    }
+
+    /// Writes the internal node at `id`, split in two when it no longer
+    /// fits its page; returns the split for its parent to adopt.
+    fn save_internal<S: PageStore>(
+        store: &mut S,
+        id: PageId,
+        keys: Vec<Vec<u8>>,
+        children: Vec<PageId>,
+    ) -> Result<Option<Split>> {
         let node = Node::Internal { keys, children };
         if node.fits(store.page_size()) {
             Self::save(store, id, &node)?;
@@ -699,7 +740,7 @@ impl BTree {
         )?;
         match routed? {
             Routed::Inserted(edit) => {
-                let split = Self::save_leaf(store, id, edit)?;
+                let split = Self::save_leaf(store, &path, id, edit)?;
                 let split = Self::adopt_up(store, path, split)?;
                 self.grow_root(store, split)?;
             }
@@ -834,12 +875,14 @@ impl BTree {
     /// Finishes a delete whose walk passed `path` and ended at leaf `id`:
     /// writes the leaf without the entry removed; each level up whose
     /// child underflowed then rebalances it, and may underflow in turn;
-    /// an internal root left with a single child collapses into it.
-    /// Returns the entry removed.
+    /// an internal root left with a single child collapses into it. A
+    /// rebalance promotes a new separator, which may be longer than the
+    /// one it replaces: a node it no longer fits splits, and the split
+    /// goes up as an insert's does. Returns the entry removed.
     fn save_cut<S: PageStore>(
         &mut self,
         store: &mut S,
-        path: Vec<Hop>,
+        mut path: Vec<Hop>,
         id: PageId,
         cut: Cut,
     ) -> Result<Option<Entry>> {
@@ -848,15 +891,17 @@ impl BTree {
         };
         let threshold = store.page_size() / 3;
         store.write_page(id, &page)?;
-        for hop in path.into_iter().rev() {
-            if !under {
-                break;
-            }
+        while under {
+            let Some(hop) = path.pop() else { break };
             let (mut keys, mut children) = hop.decode()?;
             Self::rebalance_child(store, &mut keys, &mut children, hop.idx)?;
-            let node = Node::Internal { keys, children };
-            under = node.encoded_size() < threshold;
-            Self::save(store, hop.id, &node)?;
+            under = internal_size(&keys) < threshold;
+            let split = Self::save_internal(store, hop.id, keys, children)?;
+            if split.is_some() {
+                let split = Self::adopt_up(store, path, split)?;
+                self.grow_root(store, split)?;
+                return Ok(Some(removed));
+            }
         }
         // Only a merge below the root can leave it a single child, and a
         // merge reports the root underflowed, so nothing else re-reads it.
@@ -909,16 +954,13 @@ impl BTree {
                     keys.remove(left_idx);
                     children.remove(right_idx);
                 } else {
-                    // Steal: move entries across until both sides are above
-                    // threshold (possible because together they exceed a
-                    // page while each entry is small).
-                    while Node::Leaf(l.clone()).encoded_size() < threshold {
-                        l.push(r.remove(0));
-                    }
-                    while Node::Leaf(r.clone()).encoded_size() < threshold {
-                        r.insert(0, l.pop().expect("donor leaf empty"));
-                    }
-                    keys[left_idx] = r[0].0.clone();
+                    // Borrow: even the two out, so that the next deletes
+                    // from the one that underflowed do not land here again
+                    // at once. Together they exceed a page while each
+                    // entry is at most a quarter of one, so both end above
+                    // the threshold.
+                    even_out(&mut l, &mut r);
+                    keys[left_idx] = separator(&l[l.len() - 1].0, &r[0].0);
                     Self::save(store, left_id, &Node::Leaf(l))?;
                     Self::save(store, right_id, &Node::Leaf(r))?;
                 }
@@ -948,16 +990,8 @@ impl BTree {
                     children.remove(right_idx);
                 } else {
                     // Rotate one entry through the parent separator.
-                    let left_size = Node::Internal {
-                        keys: lk.clone(),
-                        children: lc.clone(),
-                    }
-                    .encoded_size();
                     let mut sep = sep;
-                    let internal_size = |keys: &[Vec<u8>]| -> usize {
-                        3 + 4 + keys.iter().map(|k| 2 + k.len() + 4).sum::<usize>()
-                    };
-                    if left_size < threshold {
+                    if internal_size(&lk) < threshold {
                         // Borrow from the right sibling.
                         while internal_size(&lk) < threshold {
                             lk.push(std::mem::replace(&mut sep, rk.remove(0)));
@@ -1116,7 +1150,18 @@ impl BTree {
     /// that every node fits its page. Used by tests and by the FSD
     /// consistency checker.
     pub fn check_invariants<S: PageStore>(&self, store: &mut S) -> Result<()> {
-        Self::check_rec(store, self.root, None, None)?;
+        self.check_entries(store, &mut |_, _| Ok(()))
+    }
+
+    /// [`Self::check_invariants`], showing each entry to `entry` in the
+    /// same walk: an entry it refuses fails the check, naming the page
+    /// and what `entry` said.
+    pub fn check_entries<S: PageStore>(
+        &self,
+        store: &mut S,
+        entry: &mut CheckEntry<'_>,
+    ) -> Result<()> {
+        Self::check_rec(store, self.root, None, None, entry)?;
         Ok(())
     }
 
@@ -1126,6 +1171,7 @@ impl BTree {
         id: PageId,
         lower: Option<&[u8]>,
         upper: Option<&[u8]>,
+        entry: &mut CheckEntry<'_>,
     ) -> Result<usize> {
         let node = Self::load(store, id)?;
         if !node.fits(store.page_size()) {
@@ -1139,12 +1185,13 @@ impl BTree {
                         return Err(BTreeError::Corrupt(format!("page {id} keys unsorted")));
                     }
                 }
-                for (k, _) in &entries {
+                for (k, v) in &entries {
                     if !in_bounds(k) {
                         return Err(BTreeError::Corrupt(format!(
                             "page {id} key out of separator bounds"
                         )));
                     }
+                    entry(k, v).map_err(|e| BTreeError::Corrupt(format!("page {id}: {e}")))?;
                 }
                 Ok(0)
             }
@@ -1176,7 +1223,7 @@ impl BTree {
                     } else {
                         Some(keys[i].as_slice())
                     };
-                    let d = Self::check_rec(store, child, lo, hi)?;
+                    let d = Self::check_rec(store, child, lo, hi, entry)?;
                     if *depth.get_or_insert(d) != d {
                         return Err(BTreeError::Corrupt(format!(
                             "page {id} children at unequal depths"
@@ -1192,8 +1239,42 @@ impl BTree {
 /// Key/value pairs of one leaf page.
 type LeafEntries = Vec<Entry>;
 
-/// Splits leaf entries at roughly half the encoded payload.
-fn split_leaf(entries: LeafEntries, page_size: usize) -> (LeafEntries, LeafEntries) {
+/// Splits the entries of an overfull leaf, `entries[at]` the one the
+/// edit put in and `bound` the separator right of the leaf (`None` for
+/// the rightmost leaf).
+///
+/// Names are made in runs that share a prefix (a directory's files, in
+/// name order), each growing at its end. When the entry put in shares a
+/// longer prefix with its predecessor than with its successor (the next
+/// entry, or else `bound`), it ends its run in this leaf: the leaf is cut
+/// just after it, or, when it is the leaf's last entry, just before it,
+/// so that the left half keeps its run whole and full and the right
+/// half starts the next. A cut that leaves a half too big for a page,
+/// and every other overflow, splits by size instead. The rightmost leaf
+/// always splits by size: a cut there would leave every leaf full on an
+/// append-only load, which moves where the log's crash point lands in
+/// its lap and so the time to the first read after it, a trade no
+/// measure here can weigh yet.
+fn split_leaf(
+    entries: LeafEntries,
+    at: usize,
+    bound: Option<&[u8]>,
+    page_size: usize,
+) -> (LeafEntries, LeafEntries) {
+    if let (Some(bound), Some(pred)) = (bound, at.checked_sub(1)) {
+        let key = &entries[at].0;
+        let succ = entries.get(at + 1).map_or(bound, |(k, _)| k);
+        if common_prefix(key, &entries[pred].0) > common_prefix(key, succ) {
+            let cut = (at + 1).min(entries.len() - 1);
+            let header = Node::empty_leaf().encoded_size();
+            let fits = |half: &[Entry]| header + leaf_payload(half) <= page_size;
+            if fits(&entries[..cut]) && fits(&entries[cut..]) {
+                let mut left = entries;
+                let right = left.split_off(cut);
+                return (left, right);
+            }
+        }
+    }
     let total: usize = entries.iter().map(|(k, v)| 4 + k.len() + v.len()).sum();
     let mut acc = 0;
     let mut split_at = entries.len() - 1; // Right side always gets ≥ 1 entry.
@@ -1244,9 +1325,44 @@ fn split_internal(
     (left, promoted, right)
 }
 
+/// Encoded size of an internal node with separators `keys`.
+fn internal_size(keys: &[Vec<u8>]) -> usize {
+    3 + 4 + keys.iter().map(|k| 2 + k.len() + 4).sum::<usize>()
+}
+
 /// Encoded payload bytes of leaf entries (without the node header).
 fn leaf_payload(entries: &[(Vec<u8>, Vec<u8>)]) -> usize {
     entries.iter().map(|(k, v)| 4 + k.len() + v.len()).sum()
+}
+
+/// Moves entries across the boundary of two sibling leaves, from the
+/// fuller side, while each move brings their payloads closer.
+fn even_out(l: &mut LeafEntries, r: &mut LeafEntries) {
+    let size = |(k, v): &Entry| 4 + k.len() + v.len();
+    loop {
+        let (ls, rs) = (leaf_payload(l), leaf_payload(r));
+        if r.first().is_some_and(|e| ls + size(e) < rs) {
+            l.push(r.remove(0));
+        } else if let Some(e) = l.pop_if(|e| rs + size(e) < ls) {
+            r.insert(0, e);
+        } else {
+            return;
+        }
+    }
+}
+
+/// Bytes `a` and `b` share from the start.
+fn common_prefix(a: &[u8], b: &[u8]) -> usize {
+    a.iter().zip(b).take_while(|(x, y)| x == y).count()
+}
+
+/// The shortest key `s` with `left < s <= right`, for `left < right`:
+/// `right` cut one byte past the prefix the two share (Bayer and
+/// Unterauer's simple prefix B-tree). It routes everything at or above
+/// `right` right of it and everything at or below `left` left.
+fn separator(left: &[u8], right: &[u8]) -> Vec<u8> {
+    debug_assert!(left < right, "separator of unordered keys");
+    right[..(common_prefix(left, right) + 1).min(right.len())].to_vec()
 }
 
 #[cfg(test)]
@@ -1546,6 +1662,30 @@ mod tests {
             BTree::bulk_load(&mut s, &big),
             Err(BTreeError::EntryTooLarge { .. })
         ));
+    }
+
+    #[test]
+    fn the_separator_is_the_shortest_key_between() {
+        assert_eq!(
+            separator(b"mbox017/m0019817", b"mbox018/m0000018"),
+            b"mbox018"
+        );
+        assert_eq!(separator(b"ab", b"ab0"), b"ab0");
+        assert_eq!(separator(b"ab\0\x01", b"ab\x01"), b"ab\x01");
+        assert_eq!(separator(b"a", b"b"), b"b");
+    }
+
+    #[test]
+    fn a_borrow_evens_the_leaves_out() {
+        let entries =
+            |n: u32, at: u32| -> LeafEntries { (at..at + n).map(|i| (key(i), val(i))).collect() };
+        let (mut l, mut r) = (entries(2, 0), entries(10, 100));
+        even_out(&mut l, &mut r);
+        assert_eq!((l.len(), r.len()), (6, 6));
+        assert_eq!(l[5].0, key(103));
+        let (mut l, mut r) = (entries(9, 0), entries(1, 100));
+        even_out(&mut l, &mut r);
+        assert_eq!((l.len(), r.len()), (5, 5));
     }
 
     #[test]

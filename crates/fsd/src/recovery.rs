@@ -818,7 +818,7 @@ mod tests {
 
     /// `boot` + `settle_vam` over one exact disk, pinned to the
     /// microsecond: clock, report and `DiskStats`. The constants are this
-    /// tree's own. Boot scans 18 records holding 237 images and books all
+    /// tree's own. Boot scans 18 records holding 233 images and books all
     /// 43 logged leaders — tombstones of the committed deletes; no
     /// committed group reallocated their sectors — and reads no home to
     /// decide it. `settle_vam` then writes everything the log protects
@@ -829,8 +829,8 @@ mod tests {
     /// phase by phase, and recovery appends nothing.
     #[test]
     fn boot_then_settle_is_the_eager_boot_to_the_microsecond() {
-        const BOOTED_AT: Micros = 8_248_158;
-        const SCAN_US: Micros = 346_044;
+        const BOOTED_AT: Micros = 8_231_514;
+        const SCAN_US: Micros = 345_804;
         const SETTLE: RedoSettle = RedoSettle {
             home_us: 225_132,
             epoch_us: 16_644,
@@ -844,7 +844,7 @@ mod tests {
             seeks: 7,
             short_seeks: 6,
             seek_us: 164_800,
-            rotation_us: 129_068,
+            rotation_us: 129_308,
             transfer_us: 393_762,
             lost_revolutions: 3,
             lost_rev_us: 44_322,
@@ -853,14 +853,14 @@ mod tests {
         };
         // (workers, the walk, clock when everything is settled)
         for (workers, eager_vam_us, eager_done_at) in
-            [(1, 414_264, 9_286_830), (8, 212_664, 9_085_230)]
+            [(1, 414_264, 9_270_186), (8, 212_664, 9_068_586)]
         {
             let disk = crashed_t300();
             assert_eq!(disk.clock().now(), BOOTED_AT);
             let before = disk.stats();
             let (mut v, report) = FsdVolume::boot(disk, t300_config(workers)).unwrap();
 
-            assert_eq!((report.records_replayed, report.images_redone), (18, 237));
+            assert_eq!((report.records_replayed, report.images_redone), (18, 233));
             let leaders = LeaderPass {
                 kept: 43,
                 reallocated: 0,

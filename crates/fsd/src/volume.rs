@@ -445,11 +445,18 @@ impl FsdVolume {
         self.disk
     }
 
-    /// Checks the name-table invariants.
+    /// Checks the name-table invariants, and that every entry decodes:
+    /// its key as a name, its value as an entry and run table. The
+    /// entries are decoded in the walk that checks the tree, and no CPU
+    /// is charged for decoding them.
     pub fn verify(&mut self) -> Result<()> {
         let tree = self.tree;
         let mut store = nt_store!(self);
-        tree.check_invariants(&mut store)?;
+        tree.check_entries(&mut store, &mut |key, value| {
+            let name = FileName::from_key(key).map_err(|e| format!("name table key: {e}"))?;
+            FileEntry::decode(value).map_err(|e| format!("entry {name}: {e}"))?;
+            Ok(())
+        })?;
         Ok(())
     }
 

@@ -832,6 +832,40 @@ fn rot_entry(v: FsdVolume, key: &[u8]) -> (SimDisk, usize) {
     (disk, flipped)
 }
 
+/// `verify` decodes every entry: one whose kind byte rotted on disk
+/// fails it, named, where the tree's structure alone would pass. The
+/// decoding is not charged: `verify` costs the clock one node visit per
+/// page, as the structural check alone did.
+#[test]
+fn verify_names_an_entry_that_does_not_decode() {
+    let mut v = FsdVolume::format(SimDisk::tiny(), config()).unwrap();
+    for i in 0..FILES {
+        v.create(&name(i), &content(i)).unwrap();
+    }
+    v.shutdown().unwrap();
+    let (mut intact, _) = FsdVolume::boot(v.into_disk(), config()).unwrap();
+    intact.verify().unwrap();
+    let before = intact.clock().now();
+    intact.verify().unwrap();
+    // The pages are cached: the check costs its node visits and nothing
+    // else, less than one entry decode's charge per file would.
+    let cost = intact.clock().now() - before;
+    let cpu = CpuModel::DORADO;
+    assert!(cost > 0 && cost % cpu.btree_node_us == 0, "{cost} µs");
+    assert!(cost < FILES as u64 * cpu.entry_us, "{cost} µs");
+    intact.shutdown().unwrap();
+
+    let victim = name(5);
+    let (disk, flipped) = rot_entry(intact, &FileName::new(&victim, 1).unwrap().to_key());
+    assert_eq!(flipped, 2, "the leaf's page, in both copies");
+    let (mut v, _) = FsdVolume::boot(disk, config()).unwrap();
+    let err = v.verify().expect_err("an entry does not decode");
+    let msg = err.to_string();
+    assert!(matches!(err, FsdError::Check(_)), "{msg}");
+    assert!(msg.contains(&format!("entry {victim}!1:")), "{msg}");
+    assert!(msg.contains("unknown entry kind"), "{msg}");
+}
+
 /// Name-table pages carry no checksum, so rot in an entry's value reads
 /// back as an entry that does not decode. A delete of it fails having
 /// changed nothing — not the tree, not the free map, not what a shutdown
@@ -873,7 +907,10 @@ fn a_delete_of_an_entry_that_does_not_decode_leaves_the_volume_as_it_was() {
         let session = || {
             let (mut v, _) = FsdVolume::boot(disk.clone(), config()).unwrap();
             if pay_first {
+                // Committed at once, so that the group-commit timer does
+                // not fire its force inside the delete under test.
                 v.delete(&other, None).unwrap();
+                v.force().unwrap();
             }
             v
         };

@@ -7,13 +7,17 @@
 //! scripts over the crash-sweep harness (`support`): each session is
 //! crashed at every sector write, torn tails 0–2, under both submission
 //! policies. The scheduled one reorders writes within barrier windows,
-//! and recovery must hold regardless.
+//! and recovery must hold regardless. Each is a volume-level script
+//! (`support::OnVolume`): every point is booted and held to the shared
+//! oracles, among them that every file committed before the session
+//! reads back what it was created with and that the tree checks out.
 
 mod support;
 
 use cedar_disk::{CpuModel, IoPolicy, SimDisk};
-use cedar_fsd::{FsdConfig, FsdError, FsdVolume};
-use support::{oracles, Model, Point, Script, Sweep};
+use cedar_fsd::{FsdConfig, FsdError, FsdVolume, RecoveryReport};
+use cedar_vol::Vam;
+use support::{Model, OnVolume, Point, Sweep};
 
 fn config_with(io_policy: IoPolicy) -> FsdConfig {
     FsdConfig {
@@ -159,16 +163,6 @@ fn group(
     Ok(())
 }
 
-/// Boots a swept disk and holds it to the shared oracles: among them,
-/// every file committed before the session reads back what it was
-/// created with, and the tree checks out.
-fn recovered(disk: SimDisk, model: &Model, point: &Point) -> FsdVolume {
-    let (ctx, config) = (&point.to_string(), config_with(point.policy));
-    let mut v = support::boot(disk, config, ctx);
-    oracles(&mut v, config, model, ctx);
-    v
-}
-
 /// `seeds` files committed, then `burst` creates of `len` bytes forced as
 /// one group; every write of the creates and of the force is crashed.
 struct Burst {
@@ -177,13 +171,16 @@ struct Burst {
     len: usize,
 }
 
-impl Script for Burst {
-    type Memory = Model;
+impl OnVolume for Burst {
     /// Free sectors once the seeds have committed.
     type Want = u32;
 
     fn label(&self) -> String {
         format!("{} after {} ", self.burst, self.seeds)
+    }
+
+    fn config(&self, policy: IoPolicy) -> FsdConfig {
+        config_with(policy)
     }
 
     fn fixture(&self, policy: IoPolicy) -> (SimDisk, Model, u32) {
@@ -194,15 +191,17 @@ impl Script for Burst {
         (v.into_disk(), model, free_committed)
     }
 
-    fn session(&self, state: (SimDisk, Model), policy: IoPolicy, _: usize) -> (SimDisk, Model) {
-        let burst = vec![b'b'; self.len];
-        support::session(state, config_with(policy), |v, _, model| {
-            group(v, model, names("burst", self.burst), &burst)
-        })
+    fn run(
+        &self,
+        v: &mut FsdVolume,
+        _: &RecoveryReport,
+        model: &mut Model,
+        _: usize,
+    ) -> Result<(), FsdError> {
+        group(v, model, names("burst", self.burst), &vec![b'b'; self.len])
     }
 
-    fn check(&self, (disk, model): (SimDisk, Model), free_committed: &u32, point: &Point) {
-        let mut v = recovered(disk, &model, point);
+    fn also(&self, v: &mut FsdVolume, _: &Model, free_committed: &u32, _: Vam, point: &Point) {
         // A record the crash tore is ignored whole.
         let landed = v.list("burst").unwrap().len();
         assert!(
@@ -252,9 +251,12 @@ fn round(r: usize) -> Vec<String> {
     names(&format!("r{r:02}f"), 8)
 }
 
-impl Script for HomeFlush {
-    type Memory = Model;
+impl OnVolume for HomeFlush {
     type Want = ();
+
+    fn config(&self, policy: IoPolicy) -> FsdConfig {
+        config_with(policy)
+    }
 
     fn fixture(&self, policy: IoPolicy) -> (SimDisk, Model, ()) {
         let (mut v, mut model) = (tiny_with(policy), Model::default());
@@ -265,20 +267,20 @@ impl Script for HomeFlush {
         (v.into_disk(), model, ())
     }
 
-    fn session(&self, state: (SimDisk, Model), policy: IoPolicy, _: usize) -> (SimDisk, Model) {
-        support::session(state, config_with(policy), |v, _, model| {
-            let flushed = v.commit_stats().third_flush_pages;
-            for r in 6..15 {
-                group(v, model, round(r), b"data")?;
-                let flushes = v.commit_stats().third_flush_pages > flushed;
-                assert_eq!(flushes, r >= 12, "the thirteenth force flushes: {r}");
-            }
-            Ok(())
-        })
-    }
-
-    fn check(&self, (disk, model): (SimDisk, Model), _: &(), point: &Point) {
-        recovered(disk, &model, point);
+    fn run(
+        &self,
+        v: &mut FsdVolume,
+        _: &RecoveryReport,
+        model: &mut Model,
+        _: usize,
+    ) -> Result<(), FsdError> {
+        let flushed = v.commit_stats().third_flush_pages;
+        for r in 6..15 {
+            group(v, model, round(r), b"data")?;
+            let flushes = v.commit_stats().third_flush_pages > flushed;
+            assert_eq!(flushes, r >= 12, "the thirteenth force flushes: {r}");
+        }
+        Ok(())
     }
 }
 
@@ -292,10 +294,13 @@ fn crash_during_home_flush_recovers() {
 /// crashed recovery crashed again. Redo is idempotent.
 struct InRecovery;
 
-impl Script for InRecovery {
-    type Memory = Model;
+impl OnVolume for InRecovery {
     type Want = ();
     const RESTARTS: bool = true;
+
+    fn config(&self, policy: IoPolicy) -> FsdConfig {
+        config_with(policy)
+    }
 
     fn fixture(&self, policy: IoPolicy) -> (SimDisk, Model, ()) {
         let (mut v, mut model) = (tiny_with(policy), Model::default());
@@ -306,17 +311,20 @@ impl Script for InRecovery {
         (disk, model, ())
     }
 
-    fn session(&self, state: (SimDisk, Model), policy: IoPolicy, _: usize) -> (SimDisk, Model) {
-        support::session(state, config_with(policy), |v, _, _| {
-            v.settle_vam().map(drop)
-        })
+    fn run(
+        &self,
+        v: &mut FsdVolume,
+        _: &RecoveryReport,
+        _: &mut Model,
+        _: usize,
+    ) -> Result<(), FsdError> {
+        v.settle_vam().map(drop)
     }
 
-    fn check(&self, (disk, model): (SimDisk, Model), _: &(), point: &Point) {
+    fn also(&self, _: &mut FsdVolume, _: &Model, _: &(), _: Vam, point: &Point) {
         if point.k.is_none() {
             assert!(point.w > 0, "recovery writes: W = {}", point.w);
         }
-        recovered(disk, &model, point);
     }
 }
 

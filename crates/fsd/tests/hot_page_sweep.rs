@@ -14,16 +14,15 @@
 mod support;
 
 use cedar_disk::{IoPolicy, SimDisk};
-use cedar_fsd::FsdVolume;
-use support::{config, content, oracles, Model, Point, Script, Sweep};
+use cedar_fsd::{FsdError, FsdVolume, RecoveryReport};
+use support::{config, content, Model, OnVolume, Sweep};
 
 /// Sorts after every other name, so its entry is the leaf's last.
 const HOT: &str = "z/hot";
 
 struct HotPage;
 
-impl Script for HotPage {
-    type Memory = Model;
+impl OnVolume for HotPage {
     type Want = ();
     const RESTARTS: bool = true;
 
@@ -38,32 +37,31 @@ impl Script for HotPage {
         (v.into_disk(), model, ())
     }
 
-    fn session(&self, state: (SimDisk, Model), policy: IoPolicy, round: usize) -> (SimDisk, Model) {
-        support::session(state, config(policy), |v, _, model| {
-            for i in 0..2 {
-                let (name, data) = (format!("r{round}/n{i}"), content(20 + 2 * round + i, 500));
-                model.change(&name, Some(data.clone()));
-                v.create(&name, &data)?;
-            }
+    fn run(
+        &self,
+        v: &mut FsdVolume,
+        _: &RecoveryReport,
+        model: &mut Model,
+        round: usize,
+    ) -> Result<(), FsdError> {
+        for i in 0..2 {
+            let (name, data) = (format!("r{round}/n{i}"), content(20 + 2 * round + i, 500));
+            model.change(&name, Some(data.clone()));
+            v.create(&name, &data)?;
+        }
+        v.force()?;
+        model.committed();
+        // Until the log has wrapped and written over that record.
+        let first = v.next_log_sector();
+        let mut wrapped = false;
+        while !wrapped || v.next_log_sector() < first {
+            v.open(HOT, None)?;
+            let (logged, at) = (v.commit_stats().images_logged, v.next_log_sector());
             v.force()?;
-            model.committed();
-            // Until the log has wrapped and written over that record.
-            let first = v.next_log_sector();
-            let mut wrapped = false;
-            while !wrapped || v.next_log_sector() < first {
-                v.open(HOT, None)?;
-                let (logged, at) = (v.commit_stats().images_logged, v.next_log_sector());
-                v.force()?;
-                assert_eq!(v.commit_stats().images_logged - logged, 1, "one hot sector");
-                wrapped |= v.next_log_sector() < at;
-            }
-            Ok(())
-        })
-    }
-
-    fn check(&self, (disk, model): (SimDisk, Model), _: &(), point: &Point) {
-        let (ctx, config) = (&point.to_string(), config(point.policy));
-        oracles(&mut support::boot(disk, config, ctx), config, &model, ctx);
+            assert_eq!(v.commit_stats().images_logged - logged, 1, "one hot sector");
+            wrapped |= v.next_log_sector() < at;
+        }
+        Ok(())
     }
 }
 

@@ -42,9 +42,10 @@
 mod support;
 
 use cedar_disk::{IoPolicy, SimDisk, SECTOR_BYTES};
-use cedar_fsd::FsdVolume;
+use cedar_fsd::{FsdError, FsdVolume, RecoveryReport};
+use cedar_vol::Vam;
 use std::collections::BTreeMap;
-use support::{config, oracles, pages, Model, Point, Script, Sweep};
+use support::{config, pages, Model, OnVolume, Point, Sweep};
 
 /// The fixture's files in allocation order, with their pages: first fit
 /// lays them back to back from the front of the small-file area.
@@ -62,8 +63,7 @@ const FIXTURE: [(&str, usize); 9] = [
 
 struct Leaders;
 
-impl Script for Leaders {
-    type Memory = Model;
+impl OnVolume for Leaders {
     type Want = ();
 
     fn fixture(&self, policy: IoPolicy) -> (SimDisk, Model, ()) {
@@ -86,103 +86,105 @@ impl Script for Leaders {
 
     /// The script of the module docs. Every reuse is checked to land
     /// where the script means it to.
-    fn session(&self, state: (SimDisk, Model), policy: IoPolicy, _: usize) -> (SimDisk, Model) {
-        support::session(state, config(policy), |v, _, model| {
-            let leaders: BTreeMap<&str, u32> = ["s/pre", "s/b", "s/a", "s/f", "s/p", "s/k1"]
-                .into_iter()
-                .map(|name| (name, v.open(name, None).unwrap().entry.leader_addr))
-                .collect();
-            let forces = v.commit_stats().forces;
-            let log_at = v.next_log_sector();
+    fn run(
+        &self,
+        v: &mut FsdVolume,
+        _: &RecoveryReport,
+        model: &mut Model,
+        _: usize,
+    ) -> Result<(), FsdError> {
+        let leaders: BTreeMap<&str, u32> = ["s/pre", "s/b", "s/a", "s/f", "s/p", "s/k1"]
+            .into_iter()
+            .map(|name| (name, v.open(name, None).unwrap().entry.leader_addr))
+            .collect();
+        let forces = v.commit_stats().forces;
+        let log_at = v.next_log_sector();
 
-            for name in ["s/pre", "s/b", "s/a", "s/f", "s/k1"] {
-                model.change(name, None);
-                v.delete(name, None)?;
-            }
-            v.force()?;
-            model.committed();
+        for name in ["s/pre", "s/b", "s/a", "s/f", "s/k1"] {
+            model.change(name, None);
+            v.delete(name, None)?;
+        }
+        v.force()?;
+        model.committed();
 
-            // A new leader on an old one, then a leader and a data page on
-            // two more: the three deleted neighbours' eight sectors, refilled.
-            let n1 = pages(20, 2);
-            model.change("s/n1", Some(n1.clone()));
-            let e1 = v.create("s/n1", &n1)?.entry;
-            let n2 = pages(21, 4);
-            model.change("s/n2", Some(n2.clone()));
-            let e2 = v.create("s/n2", &n2)?.entry;
-            // A file grown over the deleted neighbour behind it, leader first.
-            let mut h = v.open("s/h", None)?;
-            let mut grown = v.read_file(&mut h)?;
-            v.extend(&mut h, 3)?;
-            let tail = pages(22, 3);
-            grown.extend_from_slice(&tail);
-            model.change("s/h", Some(grown));
-            v.write_pages(&mut h, 1, &tail)?;
-            // One grown over a deleted neighbour's leader and never written.
-            let mut k0 = v.open("s/k0", None)?;
-            let mut grown = v.read_file(&mut k0)?;
-            model.unwritten.insert("s/k0".into(), grown.len());
-            v.extend(&mut k0, 1)?;
-            grown.resize(grown.len() + SECTOR_BYTES, 0);
-            model.change("s/k0", Some(grown));
-            assert_eq!(e1.leader_addr, leaders["s/pre"]);
-            assert_eq!(e2.leader_addr, leaders["s/b"]);
-            assert!(e2.run_table.runs()[0].contains(leaders["s/a"]));
-            assert_eq!(h.entry.run_table.sector_of(1), Some(leaders["s/f"]));
-            assert_eq!(k0.entry.run_table.sector_of(1), Some(leaders["s/k1"]));
-            v.force()?;
-            model.committed();
+        // A new leader on an old one, then a leader and a data page on
+        // two more: the three deleted neighbours' eight sectors, refilled.
+        let n1 = pages(20, 2);
+        model.change("s/n1", Some(n1.clone()));
+        let e1 = v.create("s/n1", &n1)?.entry;
+        let n2 = pages(21, 4);
+        model.change("s/n2", Some(n2.clone()));
+        let e2 = v.create("s/n2", &n2)?.entry;
+        // A file grown over the deleted neighbour behind it, leader first.
+        let mut h = v.open("s/h", None)?;
+        let mut grown = v.read_file(&mut h)?;
+        v.extend(&mut h, 3)?;
+        let tail = pages(22, 3);
+        grown.extend_from_slice(&tail);
+        model.change("s/h", Some(grown));
+        v.write_pages(&mut h, 1, &tail)?;
+        // One grown over a deleted neighbour's leader and never written.
+        let mut k0 = v.open("s/k0", None)?;
+        let mut grown = v.read_file(&mut k0)?;
+        model.unwritten.insert("s/k0".into(), grown.len());
+        v.extend(&mut k0, 1)?;
+        grown.resize(grown.len() + SECTOR_BYTES, 0);
+        model.change("s/k0", Some(grown));
+        assert_eq!(e1.leader_addr, leaders["s/pre"]);
+        assert_eq!(e2.leader_addr, leaders["s/b"]);
+        assert!(e2.run_table.runs()[0].contains(leaders["s/a"]));
+        assert_eq!(h.entry.run_table.sector_of(1), Some(leaders["s/f"]));
+        assert_eq!(k0.entry.run_table.sector_of(1), Some(leaders["s/k1"]));
+        v.force()?;
+        model.committed();
 
-            // A logged leader goes home with the data write beside it.
-            let mut p = v.open("s/p", None)?;
-            let first = pages(5, 1);
-            model.change("s/p", Some(first.clone()));
-            v.truncate(&mut p, 1)?;
-            v.force()?;
-            model.committed();
-            let rewritten = pages(23, 1);
-            model.writing("s/p", rewritten.clone());
-            v.write_page(&mut p, 0, &rewritten)?;
-            model.written("s/p");
-            // So does its tombstone, through the handle kept past the delete.
-            model.change("s/p", None);
-            v.delete("s/p", None)?;
-            v.force()?;
-            model.committed();
-            v.write_page(&mut p, 0, &pages(25, 1))?;
-            let n3 = pages(24, 2);
-            model.change("s/n3", Some(n3.clone()));
-            let e3 = v.create("s/n3", &n3)?.entry;
-            assert_eq!(
-                e3.leader_addr, leaders["s/p"],
-                "over the piggybacked tombstone"
-            );
-            v.force()?;
-            model.committed();
+        // A logged leader goes home with the data write beside it.
+        let mut p = v.open("s/p", None)?;
+        let first = pages(5, 1);
+        model.change("s/p", Some(first.clone()));
+        v.truncate(&mut p, 1)?;
+        v.force()?;
+        model.committed();
+        let rewritten = pages(23, 1);
+        model.writing("s/p", rewritten.clone());
+        v.write_page(&mut p, 0, &rewritten)?;
+        model.written("s/p");
+        // So does its tombstone, through the handle kept past the delete.
+        model.change("s/p", None);
+        v.delete("s/p", None)?;
+        v.force()?;
+        model.committed();
+        v.write_page(&mut p, 0, &pages(25, 1))?;
+        let n3 = pages(24, 2);
+        model.change("s/n3", Some(n3.clone()));
+        let e3 = v.create("s/n3", &n3)?.entry;
+        assert_eq!(
+            e3.leader_addr, leaders["s/p"],
+            "over the piggybacked tombstone"
+        );
+        v.force()?;
+        model.committed();
 
-            let mut t = v.open("s/t", None)?;
-            model.change("s/t", Some(pages(6, 1)));
-            v.truncate(&mut t, 1)?;
-            v.force()?;
-            model.committed();
+        let mut t = v.open("s/t", None)?;
+        model.change("s/t", Some(pages(6, 1)));
+        v.truncate(&mut t, 1)?;
+        v.force()?;
+        model.committed();
 
-            assert_eq!(
-                v.commit_stats().forces - forces,
-                6,
-                "only the script forced"
-            );
-            assert!(v.next_log_sector() > log_at, "the log never wrapped");
-            Ok(())
-        })
+        assert_eq!(
+            v.commit_stats().forces - forces,
+            6,
+            "only the script forced"
+        );
+        assert!(v.next_log_sector() > log_at, "the log never wrapped");
+        Ok(())
     }
 
-    fn check(&self, (disk, model): (SimDisk, Model), _: &(), point: &Point) {
+    fn also(&self, _: &mut FsdVolume, _: &Model, _: &(), _: Vam, point: &Point) {
         if point.k.is_none() {
             let w = point.w;
             assert!(w > 60, "a settle, three creates and six forces: {w}");
         }
-        let (ctx, config) = (&point.to_string(), config(point.policy));
-        oracles(&mut support::boot(disk, config, ctx), config, &model, ctx);
     }
 }
 

@@ -27,10 +27,9 @@
 mod support;
 
 use cedar_disk::{IoPolicy, SimDisk, SECTOR_BYTES};
-use cedar_fsd::{FsdError, FsdVolume};
+use cedar_fsd::{FsdError, FsdVolume, RecoveryReport};
 use cedar_vol::{Run, Vam};
-use support::Sweep;
-use support::{base, claims, config, content, oracles, tear_last_force, Model, Point, Script};
+use support::{base, claims, config, content, tear_last_force, Model, OnVolume, Point, Sweep};
 
 const PROBE: &str = "base/f11";
 
@@ -70,8 +69,7 @@ fn crashed(policy: IoPolicy) -> SimDisk {
 
 struct Reserve;
 
-impl Script for Reserve {
-    type Memory = Model;
+impl OnVolume for Reserve {
     type Want = ();
     const RESTARTS: bool = true;
 
@@ -96,70 +94,74 @@ impl Script for Reserve {
     }
 
     /// One restart, `round` keeping its names apart from an earlier one's.
-    fn session(&self, state: (SimDisk, Model), policy: IoPolicy, round: usize) -> (SimDisk, Model) {
-        support::session(state, config(policy), |v, report, model| {
-            let name = |what: &str| format!("r{round}/{what}");
-            let victim = base([3, 4][round]);
-            let mut f = v.open(PROBE, None)?;
-            v.read_file(&mut f)?;
-            v.list("")?;
+    fn run(
+        &self,
+        v: &mut FsdVolume,
+        report: &RecoveryReport,
+        model: &mut Model,
+        round: usize,
+    ) -> Result<(), FsdError> {
+        let name = |what: &str| format!("r{round}/{what}");
+        let victim = base([3, 4][round]);
+        let mut f = v.open(PROBE, None)?;
+        v.read_file(&mut f)?;
+        v.list("")?;
 
-            let a = content(50 + round, 1200);
-            model.change(&name("a"), Some(a.clone()));
-            let first = v.create(&name("a"), &a)?.entry;
-            // A reserve found at a crash boot serves the first create whole
-            // and without the walk; one held by a map that loaded keeps the
-            // create out; a boot that found none walks first, as ever.
-            let within = |c: &Run, r: Run| r.start <= c.start && c.end() <= r.end();
-            let apart = |c: &Run, r: Run| c.end() <= r.start || r.end() <= c.start;
-            match (report.reserve, report.vam_reconstructed) {
-                (Some(r), true) => {
-                    assert!(v.vam_walk().is_none(), "round {round}: walked");
-                    assert!(claims(&first).iter().all(|c| within(c, r)), "{first:?}");
-                }
-                (Some(r), false) => assert!(claims(&first).iter().all(|c| apart(c, r))),
-                (None, owed) => assert_eq!(v.vam_walk().is_some(), owed, "round {round}"),
+        let a = content(50 + round, 1200);
+        model.change(&name("a"), Some(a.clone()));
+        let first = v.create(&name("a"), &a)?.entry;
+        // A reserve found at a crash boot serves the first create whole
+        // and without the walk; one held by a map that loaded keeps the
+        // create out; a boot that found none walks first, as ever.
+        let within = |c: &Run, r: Run| r.start <= c.start && c.end() <= r.end();
+        let apart = |c: &Run, r: Run| c.end() <= r.start || r.end() <= c.start;
+        match (report.reserve, report.vam_reconstructed) {
+            (Some(r), true) => {
+                assert!(v.vam_walk().is_none(), "round {round}: walked");
+                assert!(claims(&first).iter().all(|c| within(c, r)), "{first:?}");
             }
-            v.force()?;
-            model.committed();
+            (Some(r), false) => assert!(claims(&first).iter().all(|c| apart(c, r))),
+            (None, owed) => assert_eq!(v.vam_walk().is_some(), owed, "round {round}"),
+        }
+        v.force()?;
+        model.committed();
 
-            model.change(&victim, None);
-            v.delete(&victim, None)?;
+        model.change(&victim, None);
+        v.delete(&victim, None)?;
 
-            let mut b = content(60 + round, 700);
-            model.change(&name("b"), Some(b.clone()));
-            let mut file = v.create(&name("b"), &b)?;
-            // The new pages hold whatever the sectors held: nothing commits
-            // the longer file before they are written.
-            let tail = content(65 + round, 2 * SECTOR_BYTES);
-            b.resize(2 * SECTOR_BYTES, 0);
-            b.extend_from_slice(&tail);
-            model.change(&name("b"), Some(b));
-            v.extend(&mut file, 2)?;
-            v.write_pages(&mut file, 2, &tail)?;
+        let mut b = content(60 + round, 700);
+        model.change(&name("b"), Some(b.clone()));
+        let mut file = v.create(&name("b"), &b)?;
+        // The new pages hold whatever the sectors held: nothing commits
+        // the longer file before they are written.
+        let tail = content(65 + round, 2 * SECTOR_BYTES);
+        b.resize(2 * SECTOR_BYTES, 0);
+        b.extend_from_slice(&tail);
+        model.change(&name("b"), Some(b));
+        v.extend(&mut file, 2)?;
+        v.write_pages(&mut file, 2, &tail)?;
 
-            v.settle_vam()?;
+        v.settle_vam()?;
 
-            let c = content(70 + round, 1100);
-            model.change(&name("c"), Some(c.clone()));
-            v.create(&name("c"), &c)?;
+        let c = content(70 + round, 1100);
+        model.change(&name("c"), Some(c.clone()));
+        v.create(&name("c"), &c)?;
 
-            // More than the volume has left in one piece, wherever it looks.
-            let big = content(80 + round, 99 * SECTOR_BYTES);
-            model.change(&name("big"), Some(big.clone()));
-            match v.create(&name("big"), &big) {
-                Err(FsdError::NoSpace) => {
-                    model.states.remove(&name("big"));
-                }
-                other => drop(other?),
+        // More than the volume has left in one piece, wherever it looks.
+        let big = content(80 + round, 99 * SECTOR_BYTES);
+        model.change(&name("big"), Some(big.clone()));
+        match v.create(&name("big"), &big) {
+            Err(FsdError::NoSpace) => {
+                model.states.remove(&name("big"));
             }
-            v.shutdown()?;
-            model.committed();
-            Ok(())
-        })
+            other => drop(other?),
+        }
+        v.shutdown()?;
+        model.committed();
+        Ok(())
     }
 
-    fn check(&self, (disk, model): (SimDisk, Model), _: &(), point: &Point) {
+    fn also(&self, v: &mut FsdVolume, model: &Model, _: &(), reference: Vam, point: &Point) {
         let ctx = &point.to_string();
         if point.k.is_none() {
             let w = point.w;
@@ -169,8 +171,6 @@ impl Script for Reserve {
                 "the last create fits the first time round"
             );
         }
-        let mut v = support::boot(disk, config(point.policy), ctx);
-        let reference = oracles(&mut v, config(point.policy), &model, ctx);
         let layout = *v.layout();
         for (name, entry) in v.list("").unwrap_or_else(|e| panic!("{ctx}: {e}")) {
             if entry.leader_addr != 0 {
@@ -180,7 +180,7 @@ impl Script for Reserve {
 
         // The map itself, bit for bit, as a clean shutdown saves it.
         v.shutdown().unwrap_or_else(|e| panic!("{ctx}: {e}"));
-        let disk = v.into_disk();
+        let disk = v.disk_mut();
         let saved: Vec<u8> = (0..layout.vam_sectors)
             .flat_map(|i| disk.peek_data(layout.vam_a + i).expect("saved").to_vec())
             .collect();

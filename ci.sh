@@ -27,17 +27,18 @@ cargo test -q -p cedar-fsd --test fuzz_corrupt
 # more, optimised: every crash point of one log append (append_sweep), of
 # a restart that reads (restart_sweep), of one that laps the log it
 # resumed, its owed images going home third by third (resumed_lap_sweep),
-# of one that allocates, frees,
-# walks and fills the volume (reserve_sweep), of a session that reuses
-# the sectors of logged leaders (leader_sweep), of a hot name-table page
-# through a log lap (hot_page_sweep), of the first create after a crash
-# (deferred_vam), and of crash_recovery's torn groups, home flush and
-# recovery crashed inside itself, with the arithmetic and the inlining
-# the bench bins and the benchmark run under. The debug lane above has
+# of one that allocates, frees, walks and fills the volume
+# (reserve_sweep), of a session that reuses the sectors of logged leaders
+# (leader_sweep), of a hot name-table page through a log lap
+# (hot_page_sweep), of the first create after a crash (deferred_vam), of
+# a replica applying a frame, as a sync ship and as a promotion apply it
+# (repl_sweep), and of crash_recovery's torn groups, home flush and
+# recovery crashed inside itself, with the arithmetic and the inlining the
+# bench bins and the benchmark run under. The debug lane above has
 # already run them with overflow checks and debug assertions.
 cargo test --release -q -p cedar-fsd --test append_sweep --test restart_sweep \
     --test resumed_lap_sweep --test reserve_sweep --test leader_sweep --test hot_page_sweep \
-    --test crash_recovery
+    --test repl_sweep --test crash_recovery
 cargo test --release -q -p cedar-fsd --test deferred_vam \
     a_crash_while_owed_or_inside_the_first_create_owes_the_same_walk
 # Model-checked epoch hand-off: the engine built against the in-tree

@@ -656,7 +656,7 @@ impl FsdEngine {
     /// that must reach the replica fails so (in async mode, every one
     /// past the lag bound) until [`Self::resync`] runs the full
     /// transfer. `config` is the volume's own [`crate::FsdConfig`],
-    /// needed to boot the replica clone.
+    /// which a promotion boots the replica's disk with.
     pub fn start_replicated(
         mut vol: FsdVolume,
         cfg: EngineConfig,

@@ -73,8 +73,7 @@
 //! *inside* a record are a different geometry — `D` and `D'` in one
 //! extent, judged against the end page — and stay with `decode_record`,
 //! the one rule by which the scan, a replica and the thirds auditor take
-//! a record. Where a logged image goes home is [`PageTarget::homes`], for
-//! boot and for a replica alike.
+//! a record. Where a logged image goes home is [`PageTarget::homes`].
 
 use crate::error::FsdError;
 use crate::layout::{FsdLayout, Replicated};
@@ -129,9 +128,10 @@ pub enum PageTarget {
 impl PageTarget {
     /// The home sectors of a logged image: both copies of a name-table
     /// sector, the one address of a leader. The only place
-    /// that turns a target into addresses — boot's index of the log and
-    /// a replica's continuous redo both route through it. Call
-    /// [`Self::validate`] first on a target read off a disk or a link.
+    /// that turns a target into addresses: boot's index of the log, the
+    /// force's owed-map upkeep and the thirds auditor route through it.
+    /// Call [`Self::validate`] first on a target read off a disk or a
+    /// link.
     pub fn homes(&self, layout: &FsdLayout) -> impl Iterator<Item = SectorAddr> {
         let (a, b) = match *self {
             Self::NtSector { page, sector } => {

@@ -104,8 +104,8 @@ pub struct FailoverOutcome {
     pub volume: FsdVolume,
     /// Boot-time recovery report of the promotion.
     pub report: crate::recovery::RecoveryReport,
-    /// Simulated promotion time (buffered redo + boot) on the replica's
-    /// clock.
+    /// Simulated promotion time (buffered frames' apply + crash boot) on
+    /// the replica's clock.
     pub failover_us: Micros,
 }
 
@@ -203,8 +203,8 @@ impl Shipper {
                 self.drain_unshipped(&clock, true)?;
             }
             ReplMode::SemiSync => {
-                // Ack point: every frame received. Redo is continuous but
-                // off the ack path.
+                // Ack point: every frame received. The apply follows at
+                // once, off the ack path.
                 self.drain_unshipped(&clock, false)?;
                 self.replica.apply_received().map_err(apply_err)?;
             }
@@ -309,7 +309,7 @@ impl Shipper {
     }
 
     /// Ships every unshipped frame in order with retry/backoff. When
-    /// `apply` is set the replica redoes each frame before the next
+    /// `apply` is set the replica applies each frame before the next
     /// ships (sync mode / resync replay); otherwise frames are only
     /// received (semi-sync ack point). `clock` is the primary's. A
     /// lapped cursor fails at once, before anything is sent: no queued
@@ -334,7 +334,7 @@ impl Shipper {
                 let t0 = rc.now();
                 self.replica.receive_apply(frame).map_err(apply_err)?;
                 // The primary waits for the apply-then-ack in sync mode:
-                // charge the replica's redo time to the primary's clock.
+                // charge the replica's apply time to the primary's clock.
                 clock.advance(rc.now() - t0);
             } else {
                 self.replica.receive(frame).map_err(apply_err)?;
@@ -348,7 +348,7 @@ impl Shipper {
     }
 
     /// Best-effort async shipping: single attempt per frame, stop at the
-    /// first link refusal, apply immediately (continuous redo). Sends
+    /// first link refusal, apply immediately. Sends
     /// nothing past a lapped cursor.
     fn try_drain_async(&mut self, clock: &SimClock) {
         if self.needs_full_transfer() {

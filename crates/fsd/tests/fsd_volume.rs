@@ -130,6 +130,43 @@ fn deleted_pages_not_reusable_until_commit() {
 }
 
 #[test]
+fn a_create_lands_beside_the_file_just_read_and_after_a_reboot_first_fit() {
+    // §6 prices every I/O by its seek: a create's one synchronous write
+    // goes to the free run nearest where file data last moved, not to the
+    // lowest hole on the disk. A rebooted volume has moved none yet.
+    let mut v = tiny();
+    let data = vec![7u8; 1024]; // Leader + 2 pages: 3 sectors.
+    let files: Vec<_> = (0..12)
+        .map(|i| v.create(&format!("f{i:02}"), &data).unwrap().entry)
+        .collect();
+    for w in files.windows(2) {
+        assert_eq!(w[0].leader_addr + 3, w[1].leader_addr, "back to back");
+    }
+    for i in [1, 5, 9] {
+        v.delete(&format!("f{i:02}"), None).unwrap();
+    }
+    v.force().unwrap();
+    let hole = |i: usize| files[i].leader_addr;
+
+    // f06 ends 3 sectors above f05's hole and 6 below f09's.
+    let mut f = v.open("f06", None).unwrap();
+    v.read_file(&mut f).unwrap();
+    let made = v.create("n1", &data).unwrap().entry;
+    assert_eq!(made.leader_addr, hole(5), "the hole ending nearest below");
+    // f07 ends 3 sectors below f09's hole, far above f01's.
+    let mut f = v.open("f07", None).unwrap();
+    assert_eq!(v.read_pages(&mut f, 1, 1).unwrap(), data[512..]);
+    let made = v.create("n2", &data).unwrap().entry;
+    assert_eq!(made.leader_addr, hole(9), "the first hole above");
+
+    v.shutdown().unwrap();
+    let (mut v, _) = FsdVolume::boot(v.into_disk(), config()).unwrap();
+    let made = v.create("n3", &data).unwrap().entry;
+    assert_eq!(made.leader_addr, hole(1), "first fit from the front");
+    v.verify().unwrap();
+}
+
+#[test]
 fn group_commit_batches_many_updates_into_one_force() {
     let mut v = tiny();
     for i in 0..10 {

@@ -323,6 +323,26 @@ mod bitwise {
         scan(from, hi).or_else(|| scan(lo, (from + len).min(hi)))
     }
 
+    /// Every free run of `len` inside `[lo, hi)` that starts at or after
+    /// `at`, or ends at or below it, measured from `at`: the nearest, the
+    /// lower of two as near.
+    pub fn find_nearest_free_run(vam: &Vam, len: u32, lo: u32, hi: u32, at: u32) -> Option<Run> {
+        if len == 0 || lo >= hi {
+            return None;
+        }
+        let at = at.clamp(lo, hi);
+        let distance = |s: u32| match s {
+            s if s >= at => Some(s - at),
+            s if s + len <= at => Some(at - (s + len)),
+            _ => None,
+        };
+        (lo..hi)
+            .filter(|&s| s + len <= hi && (s..s + len).all(|a| vam.is_free(a)))
+            .filter_map(|s| distance(s).map(|d| (d, s)))
+            .min()
+            .map(|(_, s)| Run::new(s, len))
+    }
+
     pub fn find_last_free_run(vam: &Vam, len: u32, lo: u32, hi: u32) -> Option<Run> {
         if len == 0 || lo >= hi {
             return None;
@@ -415,6 +435,11 @@ proptest! {
                 "find_last_free_run({}, {}, {}) on {} sectors", n, lo, hi, sectors
             );
             prop_assert_eq!(
+                vam.find_nearest_free_run(n, lo, hi, from),
+                bitwise::find_nearest_free_run(&vam, n, lo, hi, from),
+                "find_nearest_free_run({}, {}, {}, {}) on {} sectors", n, lo, hi, from, sectors
+            );
+            prop_assert_eq!(
                 vam.find_largest_free_run(lo, hi, n),
                 bitwise::find_largest_free_run(&vam, lo, hi, n),
                 "find_largest_free_run({}, {}, {}) on {} sectors", lo, hi, n, sectors
@@ -489,6 +514,9 @@ enum HistOp {
     Carry,
     /// The map is saved and restored, losing the shadow.
     Reload,
+    /// The owner moves the allocator's cursor (file data just moved
+    /// there).
+    Touch(u32),
 }
 
 fn arb_hist_op() -> impl Strategy<Value = HistOp> {
@@ -500,17 +528,20 @@ fn arb_hist_op() -> impl Strategy<Value = HistOp> {
         2 => Just(HistOp::Commit),
         1 => Just(HistOp::Carry),
         1 => Just(HistOp::Reload),
+        2 => any::<u32>().prop_map(HistOp::Touch),
     ]
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    // Whatever history a map has been through — allocator first fits,
-    // frees, shadow frees and their commits, a rebuild that carries the
-    // shadow, a save and restore — its counts are the popcounts of a
-    // per-sector model and every search returns what the sector-by-
-    // sector reference returns.
+    // Whatever history a map has been through — allocations beside a
+    // cursor the owner moves, frees, shadow frees and their commits, a
+    // rebuild that carries the shadow, a save and restore — its counts
+    // are the popcounts of a per-sector model and every search returns
+    // what the sector-by-sector reference returns. A small file under the
+    // split policy takes the reference's run nearest the cursor, and a
+    // search from the area's front returns what first fit returns.
     #[test]
     fn counts_and_searches_match_the_model_over_any_history(
         sectors in 1u32..700,
@@ -531,7 +562,17 @@ proptest! {
         for op in &ops {
             match *op {
                 HistOp::Alloc(pages) => {
-                    if let Ok(rt) = alloc.allocate(&mut vam, pages) {
+                    let small = match policy {
+                        AllocPolicy::SplitAreas { small_threshold } => pages <= small_threshold,
+                        AllocPolicy::SingleArea => false,
+                    };
+                    let nearest = bitwise::find_nearest_free_run(&vam, pages, 0, sectors, alloc.cursor());
+                    let got = alloc.allocate(&mut vam, pages);
+                    if let (true, Some(want)) = (small, nearest) {
+                        let got = got.as_ref().map(|rt| rt.runs().to_vec());
+                        prop_assert_eq!(got, Ok(vec![want]), "{} pages from cursor {}", pages, alloc.cursor());
+                    }
+                    if let Ok(rt) = got {
                         for r in rt.runs() {
                             for a in r.start..r.end() {
                                 prop_assert!(model.free[a as usize], "sector {} handed out allocated", a);
@@ -573,6 +614,10 @@ proptest! {
                     vam = Vam::from_bytes(&vam.to_bytes()).unwrap();
                     model.shadow.iter_mut().for_each(|s| *s = false);
                 }
+                HistOp::Touch(at) => {
+                    alloc.set_cursor(at % (sectors + 1));
+                    prop_assert_eq!(alloc.cursor(), at % (sectors + 1));
+                }
             }
             let popcount = |bits: &[bool]| bits.iter().filter(|&&b| b).count() as u32;
             prop_assert_eq!(vam.free_count(), popcount(&model.free), "after {:?}", op);
@@ -598,6 +643,16 @@ proptest! {
                     "find_last_free_run({}, {}, {}) after {:?}", n, lo, hi, op
                 );
                 prop_assert_eq!(vam.fragmentation(lo, hi), bitwise::fragmentation(&vam, lo, hi));
+                prop_assert_eq!(
+                    vam.find_nearest_free_run(n, lo, hi, from),
+                    bitwise::find_nearest_free_run(&vam, n, lo, hi, from),
+                    "find_nearest_free_run({}, {}, {}, {}) after {:?}", n, lo, hi, from, op
+                );
+                prop_assert_eq!(
+                    vam.find_nearest_free_run(n, lo, hi, lo),
+                    bitwise::find_free_run(&vam, n, lo, hi, lo),
+                    "nearest from the front is first fit: ({}, {}, {}) after {:?}", n, lo, hi, op
+                );
             }
         }
     }

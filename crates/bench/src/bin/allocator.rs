@@ -9,7 +9,10 @@
 //! The ablation churns small files (with a long-lived minority, the
 //! files that pin fragmentation) over a volume under each policy and
 //! then measures the free-space structure and how many extents a large
-//! file needs.
+//! file needs. Under the split policy the churn moves the allocator's
+//! cursor as FSD does, where file data last moved: it touches a random
+//! live file before each create, so a small file goes beside it. The
+//! single area keeps its own rotating cursor.
 
 use cedar_bench::Table;
 use cedar_disk::SECTOR_BYTES;
@@ -32,12 +35,18 @@ fn churn(policy: AllocPolicy) -> FragResult {
     let mut sizes = SizeDistribution::new(99);
     let mut live: Vec<RunTable> = Vec::new();
     let mut x: u64 = 42;
+    let mut touch: u64 = 7;
 
     // Churn: create files from the paper's distribution; keep every
     // tenth forever; delete random victims to hold occupancy near 40 %.
     let mut failures = 0;
     for i in 0..30_000 {
         let pages = (sizes.sample() as u32).div_ceil(SECTOR_BYTES as u32).max(1);
+        if matches!(policy, AllocPolicy::SplitAreas { .. }) && !live.is_empty() {
+            touch = touch.wrapping_mul(6364136223846793005).wrapping_add(1);
+            let read = &live[(touch >> 33) as usize % live.len()];
+            alloc.set_cursor(read.runs().last().map_or(0, |r| r.end()));
+        }
         match alloc.allocate(&mut vam, pages) {
             Ok(rt) => {
                 if i % 10 != 0 {

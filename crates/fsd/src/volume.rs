@@ -1166,6 +1166,7 @@ impl FsdVolume {
             self.disk.write(run.start, &chunk)?;
             offset += want;
         }
+        self.touched(rt_all.runs());
         self.enforce_keep(name, fname.version, entry.keep)?;
 
         self.force_if_bulky()?;
@@ -1323,11 +1324,13 @@ impl FsdVolume {
                 // The usual case: "the leader page is the previous
                 // physical page on the disk" — one combined transfer.
                 self.verify_leader(file, 1, &mut out)?;
+                self.touched(&[Run::new(sector, 1)]);
                 return Ok(out);
             }
             self.verify_leader(file, 0, &mut out)?;
         }
         self.disk.read_into(sector, 1, &mut out)?;
+        self.touched(&[Run::new(sector, 1)]);
         Ok(out)
     }
 
@@ -1350,6 +1353,7 @@ impl FsdVolume {
             }
             self.disk.read_into(run.start, run.len as usize, &mut out)?;
         }
+        self.touched(&runs);
         if !file.leader_verified && file.entry.leader_addr != 0 && !runs.is_empty() {
             file.leader_verified = true;
             self.verify_leader(file, 0, &mut out)?;
@@ -1370,6 +1374,8 @@ impl FsdVolume {
         }
         let mut out = Vec::with_capacity(count as usize * SECTOR_BYTES);
         let mut at = page;
+        // The last extent transferred.
+        let mut last = None;
         if !file.leader_verified && file.entry.leader_addr != 0 {
             file.leader_verified = true;
             let piggyback = if page == 0 {
@@ -1384,6 +1390,7 @@ impl FsdVolume {
             if let Some(extent) = piggyback {
                 let take = extent.len.min(count);
                 self.verify_leader(file, take as usize, &mut out)?;
+                last = Some(Run::new(extent.start, take));
                 at += take;
             } else {
                 self.verify_leader(file, 0, &mut out)?;
@@ -1396,8 +1403,10 @@ impl FsdVolume {
                 })?;
             let take = extent.len.min(page + count - at);
             self.disk.read_into(extent.start, take as usize, &mut out)?;
+            last = Some(Run::new(extent.start, take));
             at += take;
         }
+        self.touched(last.as_slice());
         self.cpu.sectors(count as u64);
         Ok(out)
     }
@@ -1423,6 +1432,7 @@ impl FsdVolume {
             let take = extent.len.min(page + count - at) as usize;
             self.disk
                 .write(extent.start, &data[off..off + take * SECTOR_BYTES])?;
+            self.touched(&[Run::new(extent.start, take as u32)]);
             at += take as u32;
             off += take * SECTOR_BYTES;
         }
@@ -1455,6 +1465,7 @@ impl FsdVolume {
                         let mut combined = img;
                         combined.extend_from_slice(&buf);
                         self.disk.write(leader_addr, &combined)?;
+                        self.touched(&[Run::new(sector, 1)]);
                         self.leaders.remove(&leader_addr);
                         file.leader_verified = true;
                         return Ok(());
@@ -1463,6 +1474,7 @@ impl FsdVolume {
             }
         }
         self.disk.write(sector, &buf)?;
+        self.touched(&[Run::new(sector, 1)]);
         Ok(())
     }
 
@@ -1531,6 +1543,16 @@ impl FsdVolume {
         self.put_entry(&fname, &entry)?;
         self.stage_leader(&fname, &entry);
         Ok(())
+    }
+
+    /// File data has just moved through `runs`, in order: the next small
+    /// file goes beside where the last of them ends (§6 prices each I/O
+    /// by its seek). Log, name-table, boot-page and leader I/O leave the
+    /// cursor where it is.
+    fn touched(&mut self, runs: &[Run]) {
+        if let Some(last) = runs.last() {
+            self.alloc.set_cursor(last.end());
+        }
     }
 
     /// Stages a new leader image for lazy (logged, then piggybacked or

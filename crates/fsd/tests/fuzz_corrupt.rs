@@ -384,6 +384,9 @@ fn a_rotten_reallocation_list_is_never_trusted() {
     let freed = v.open("gone", None).unwrap().entry.leader_addr;
     v.delete("gone", None).unwrap();
     v.force().unwrap();
+    // What is left of `cut` ends at its freed tail, which runs on into
+    // the deleted file: reading it makes that the nearest free run.
+    v.read_file(&mut cut).unwrap();
     // The last group: one create over the deleted file's leader.
     let at = v.next_log_sector();
     let over = v.create("over", &[6u8; 700]).unwrap();

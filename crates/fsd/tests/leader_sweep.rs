@@ -155,6 +155,11 @@ impl OnVolume for Leaders {
         v.force()?;
         model.committed();
         v.write_page(&mut p, 0, &pages(25, 1))?;
+        // Reading h, which now ends where p began, makes p's sectors the
+        // free run nearest the data the volume last touched.
+        let end = h.entry.run_table.runs().last().map(|r| r.end());
+        assert_eq!(end, Some(leaders["s/p"]), "h ends where p began");
+        v.read_file(&mut h)?;
         let n3 = pages(24, 2);
         model.change("s/n3", Some(n3.clone()));
         let e3 = v.create("s/n3", &n3)?.entry;

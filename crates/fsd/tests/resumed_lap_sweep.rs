@@ -124,7 +124,7 @@ impl Script for ResumedLap {
     fn check(&self, (disk, model): (SimDisk, Model), data_sectors: &u32, point: &Point) {
         let (ctx, policy) = (&point.to_string(), point.policy);
         if point.k.is_none() {
-            assert_eq!(point.w, 289, "{ctx}: the session's sector writes moved");
+            assert_eq!(point.w, 291, "{ctx}: the session's sector writes moved");
         }
         let mut v = support::boot(disk, config(policy), ctx);
         // Before anything settles: what the owed images and the homes

@@ -136,6 +136,12 @@ pub fn crashed_restart(policy: IoPolicy, into_third: u32) -> SimDisk {
     v.delete(&base(12), None).unwrap();
     v.delete(&base(13), None).unwrap();
     force(&mut v);
+    // Reading f11, which ends where f12 began, makes the hole the free
+    // run nearest the data the volume last touched.
+    let mut left = v.open(&base(11), None).unwrap();
+    let end = left.entry.run_table.runs().last().map(|r| r.end());
+    assert_eq!(end, Some(a.leader_addr), "f11 ends where f12 began");
+    v.read_file(&mut left).unwrap();
     let pages = a.run_table.pages() + 1 + b.run_table.pages();
     let big = v
         .create(

@@ -562,7 +562,9 @@ fn run_repl_scenario(
     }
 
     // The primary is dead (or the script ended): promote the replica.
-    let out = sh.failover().map_err(|e| format!("failover failed: {e}"))?;
+    let out = sh
+        .failover()
+        .map_err(|(e, _)| format!("failover failed: {e}"))?;
     let bound = match mode {
         ReplMode::Sync | ReplMode::SemiSync => 0,
         ReplMode::Async => REPL_MAX_LAG as u64,

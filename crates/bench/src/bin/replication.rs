@@ -174,7 +174,7 @@ fn steady_state(
     }
     rep.commits += acked;
     rep.lag.extend(sh.lag_samples().iter().copied());
-    let out = sh.failover().map_err(|e| format!("failover: {e}"))?;
+    let out = sh.failover().map_err(|(e, _)| format!("failover: {e}"))?;
     rep.failover.push(out.failover_us);
     rep.trials += 1;
     let mut v = out.volume;
@@ -234,7 +234,7 @@ fn failover_trial(
         )?;
     }
     rep.commits += acked;
-    let out = sh.failover().map_err(|e| format!("failover: {e}"))?;
+    let out = sh.failover().map_err(|(e, _)| format!("failover: {e}"))?;
     rep.failover.push(out.failover_us);
     rep.trials += 1;
     let mut v = out.volume;
@@ -300,7 +300,7 @@ fn resync_scenarios(
     acked += 1;
     boundaries.push_back((acked, live.clone()));
     rep.commits += acked;
-    let out = sh.failover().map_err(|e| format!("failover: {e}"))?;
+    let out = sh.failover().map_err(|(e, _)| format!("failover: {e}"))?;
     let mut v = out.volume;
     v.verify().map_err(|e| format!("verify: {e}"))?;
     let loss = promoted_loss(&mut v, &boundaries, acked)?;
@@ -345,7 +345,7 @@ fn resync_scenarios(
     acked += 1;
     boundaries.push_back((acked, live.clone()));
     rep.commits += acked;
-    let out = sh.failover().map_err(|e| format!("failover: {e}"))?;
+    let out = sh.failover().map_err(|(e, _)| format!("failover: {e}"))?;
     let mut v = out.volume;
     v.verify().map_err(|e| format!("verify: {e}"))?;
     let loss = promoted_loss(&mut v, &boundaries, acked)?;

@@ -284,13 +284,28 @@ impl Replica {
     /// boundary: any buffered frames are applied first, then the volume
     /// boots as a primary boots after a crash, resuming the log it
     /// scans.
-    pub fn promote(mut self) -> Result<(FsdVolume, RecoveryReport)> {
-        self.apply_received().map_err(|e| match e {
-            ReplicaApplyError::Gap { expected, got } => FsdError::Check(format!(
-                "buffered frame gap at promote: {expected} vs {got}"
+    pub fn promote(self) -> Result<(FsdVolume, RecoveryReport)> {
+        self.try_promote().map_err(|(e, _)| e)
+    }
+
+    /// Like [`Self::promote`], but hands the disk back alongside the
+    /// error when the promotion is interrupted — a crash inside the
+    /// apply of the buffered frames or inside the boot — as
+    /// [`FsdVolume::try_boot`] does: the platters survive a power cycle,
+    /// and the disk boots again at a commit boundary.
+    #[allow(clippy::result_large_err)]
+    pub fn try_promote(
+        mut self,
+    ) -> std::result::Result<(FsdVolume, RecoveryReport), (FsdError, SimDisk)> {
+        match self.apply_received() {
+            Ok(_) => FsdVolume::try_boot(self.disk, self.config),
+            Err(ReplicaApplyError::Gap { expected, got }) => Err((
+                FsdError::Check(format!(
+                    "buffered frame gap at promote: {expected} vs {got}"
+                )),
+                self.disk,
             )),
-            ReplicaApplyError::Fsd(e) => e,
-        })?;
-        FsdVolume::boot(self.disk, self.config)
+            Err(ReplicaApplyError::Fsd(e)) => Err((e, self.disk)),
+        }
     }
 }

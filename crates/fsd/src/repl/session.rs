@@ -28,7 +28,7 @@ use crate::repl::replica::{Replica, ReplicaApplyError, ReplicaStats};
 use crate::repl::{ReplFrame, ReplMode};
 use crate::volume::{FsdConfig, FsdVolume};
 use cedar_disk::clock::Micros;
-use cedar_disk::{Link, LinkPlan, LinkStats, SimClock, SECTOR_BYTES};
+use cedar_disk::{Link, LinkPlan, LinkStats, SimClock, SimDisk, SECTOR_BYTES};
 use cedar_vol::fs::CedarFsError;
 use std::collections::{HashMap, VecDeque};
 
@@ -157,6 +157,11 @@ impl Shipper {
         &mut self.link
     }
 
+    /// The replica machine's disk (fault injection: a crash plan).
+    pub fn replica_disk_mut(&mut self) -> &mut SimDisk {
+        self.replica.disk_mut()
+    }
+
     /// Replica-side counters.
     pub fn replica_stats(&self) -> ReplicaStats {
         self.replica.stats()
@@ -262,10 +267,17 @@ impl Shipper {
     /// Simulates primary failure: abandons the primary and promotes the
     /// replica at its current commit boundary. Anything unshipped is
     /// lost — which is exactly what the per-mode loss bounds quantify.
-    pub fn failover(self) -> Result<FailoverOutcome, CedarFsError> {
+    /// A promotion interrupted by a crash hands the replica's disk back
+    /// with the error ([`Replica::try_promote`]): it boots again at a
+    /// commit boundary.
+    #[allow(clippy::result_large_err)]
+    pub fn failover(self) -> Result<FailoverOutcome, (CedarFsError, SimDisk)> {
         let clock = self.replica.clock();
         let t0 = clock.now();
-        let (volume, report) = self.replica.promote()?;
+        let (volume, report) = self
+            .replica
+            .try_promote()
+            .map_err(|(e, disk)| (e.into(), disk))?;
         Ok(FailoverOutcome {
             failover_us: clock.now() - t0,
             volume,

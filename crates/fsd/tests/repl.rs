@@ -85,6 +85,32 @@ fn semi_sync_round_trip_and_failover() {
     v.verify().unwrap();
 }
 
+/// The replica's machine loses power inside a frame's apply, and the
+/// failover that follows cannot promote it: it hands the replica's disk
+/// back with the crash, and that disk boots at a commit boundary — the
+/// frame applied before is there, the one torn is not.
+#[test]
+fn a_failover_interrupted_by_a_crash_hands_back_a_disk_that_boots() {
+    let (mut p, mut sh) = install(ReplSessionConfig::for_mode(ReplMode::SemiSync));
+    commit_file(&mut p, &mut sh, "before").unwrap();
+    sh.replica_disk_mut().schedule_crash(CrashPlan {
+        after_sector_writes: 1,
+        damaged_tail: 1,
+    });
+    let err = commit_file(&mut p, &mut sh, "torn").unwrap_err();
+    assert!(err.is_crash(), "{err}");
+    let Err((err, mut disk)) = sh.failover() else {
+        panic!("a crashed replica promoted");
+    };
+    assert!(err.is_crash(), "{err}");
+    disk.reboot();
+    let (mut v, _) = FsdVolume::boot(disk, config()).unwrap();
+    assert_has(&mut v, "before");
+    assert!(v.open("torn", None).is_err(), "the torn frame's create");
+    v.settle_vam().unwrap();
+    v.verify().unwrap();
+}
+
 #[test]
 fn replication_carries_unlogged_data_pages_and_deletes() {
     // File data never goes through the log (§5.2) — the stream must

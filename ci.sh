@@ -73,8 +73,10 @@ cargo run --release -p cedar-bench --bin io_sched -- --smoke
 cargo run --release -p cedar-bench --bin io_sched
 git diff --exit-code BENCH_io_sched.json
 # The §5.6 allocator tables (size shares, fragmentation after churn under
-# each policy) are pure functions of their seeds: every first-fit and
-# from-the-end decision the ablation makes shows in the file it prints.
+# each policy) are pure functions of their seeds: every rotating first
+# fit, nearest-the-cursor and from-the-end decision the ablation makes,
+# and every file its split-area churn touches to move the cursor, shows
+# in the file it prints.
 cargo run --release -p cedar-bench --bin allocator > BENCH_allocator.txt
 git diff --exit-code BENCH_allocator.txt
 # The §5.4 group-commit tables (I/O reduction, record sizes, the commit

@@ -5,7 +5,8 @@
 //! 1           (blank — copies are never adjacent, §5.3)
 //! 2           boot page copy B
 //! 4 ..        VAM save area copy A, blank, copy B
-//! small area  small-file data, growing up from the front (§5.6)
+//! small area  small-file data, from the front up, each beside the data
+//!             the volume last touched (§5.6, §6)
 //!  (reserve)  its last two cylinders' worth of free space, if any
 //! NT copy A   ┐
 //! log         ├ the hot metadata, preallocated near the central
@@ -24,8 +25,8 @@
 //! copies and repairs one from the other.
 //!
 //! The boot page also names the **restart reserve**: one free run, sized
-//! like the log, the nearest free space below name-table copy A — where
-//! neither allocator of §5.6 arrives until its own area is full. While
+//! like the log, the nearest free space below name-table copy A — the
+//! far end of the small area, where small files arrive last. While
 //! the record stands the volume keeps its allocators out of the run, so
 //! after a crash it is free *by construction* and the first allocation
 //! can be served from it before the name-table walk has rebuilt the map

@@ -63,8 +63,11 @@ else
     echo "tsan lane skipped: no nightly toolchain with rust-src"
 fi
 # Saturation (smoke): the full simulated §5.4 curve plus a reduced
-# threaded sweep — throughput must climb and forces/op must fall.
+# threaded sweep — throughput must climb and forces/op must fall. The
+# simulated sweep is deterministic: the file it writes must be the one
+# checked in (every window, backpressure and bulky settle shows in it).
 cargo run --release -p cedar-bench --bin saturation -- --smoke
+git diff --exit-code BENCH_saturation_sim.json
 # Asserts scheduled submission (IoPolicy::Satf, shortest positioning
 # time first) never regresses above the in-order baseline.
 cargo run --release -p cedar-bench --bin io_sched -- --smoke

@@ -21,7 +21,7 @@ use cedar_bench::driver::{drive_clients, MultiClientRun};
 use cedar_bench::report::{disk_breakdown, disk_breakdown_json, f2, platter_json};
 use cedar_bench::Table;
 use cedar_disk::{DiskStats, IoPolicy, SimClock, SimDisk};
-use cedar_fsd::{FsdConfig, FsdVolume, SchedConfig};
+use cedar_fsd::{FsdConfig, FsdVolume};
 use cedar_workload::{multi_client_workload, MultiClientParams};
 
 fn policy_name(policy: IoPolicy) -> &'static str {
@@ -68,8 +68,7 @@ fn run_policy(policy: IoPolicy, clients: usize, rounds: usize) -> PolicyRun {
         },
         ..Default::default()
     });
-    let (mut vol, run) =
-        drive_clients(vol, SchedConfig::default(), &scripts).expect("drive clients");
+    let (mut vol, run) = drive_clients(vol, &scripts).expect("drive clients");
     let before_cw = vol.disk_stats();
     vol.shutdown().expect("shutdown");
     let after = vol.disk_stats();

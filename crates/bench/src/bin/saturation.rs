@@ -25,7 +25,8 @@
 //!    (≤ 0.021).
 //!
 //! Output: human tables plus machine-readable JSON (hand-rolled — the
-//! build environment has no serde). The full run writes
+//! build environment has no serde). Every run writes the simulated
+//! sweep to `BENCH_saturation_sim.json`; the full run also writes
 //! `BENCH_saturation_mt.json`; `--smoke` (CI) runs the full simulated
 //! sweep plus a reduced threaded slice.
 
@@ -35,11 +36,14 @@ use cedar_bench::driver::{
 use cedar_bench::report::{disk_breakdown, disk_breakdown_json, f2};
 use cedar_bench::Table;
 use cedar_disk::{CpuModel, DiskStats, SimClock, SimDisk};
-use cedar_fsd::{EngineConfig, FsdConfig, FsdEngine, FsdVolume, SchedConfig};
+use cedar_fsd::{EngineConfig, FsdConfig, FsdEngine, FsdVolume, COMMIT_INTERVAL_US};
 use cedar_workload::{multi_client_workload, MakeDoParams, MultiClientParams};
 use std::sync::Arc;
 
 const SIM_CLIENTS: [usize; 7] = [1, 2, 4, 8, 16, 32, 64];
+/// Where the simulated sweep's JSON goes: it is deterministic, so the
+/// file is checked in and CI fails when a run moves it.
+const SIM_JSON: &str = "BENCH_saturation_sim.json";
 const MT_THREADS: [usize; 10] = [1, 2, 4, 8, 16, 32, 64, 128, 256, 1024];
 const MT_THREADS_SMOKE: [usize; 3] = [1, 4, 16];
 
@@ -93,8 +97,7 @@ fn sim_run_for(clients: usize) -> (MultiClientRun, DiskStats) {
         clients,
         ..Default::default()
     });
-    let (vol, run) =
-        drive_clients(volume(), SchedConfig::default(), &scripts).expect("drive clients");
+    let (vol, run) = drive_clients(volume(), &scripts).expect("drive clients");
     (run, vol.disk_stats())
 }
 
@@ -233,17 +236,18 @@ fn simulated_sweep() -> f64 {
         println!("{}", disk_breakdown(&format!("{n:>2} clients"), disk));
     }
 
-    println!("\nJSON:");
-    println!("{{");
-    println!("  \"bench\": \"saturation\",");
-    println!("  \"window_us\": 500000,");
-    println!("  \"rows\": [");
+    let mut json = String::from("{\n  \"bench\": \"saturation\",\n");
+    json.push_str(&format!(
+        "  \"window_us\": {COMMIT_INTERVAL_US},\n  \"rows\": [\n"
+    ));
     for (i, (n, r, disk)) in runs.iter().enumerate() {
         let comma = if i + 1 < runs.len() { "," } else { "" };
-        println!("{}{}", sim_json_row(*n, r, disk), comma);
+        json.push_str(&format!("{}{}\n", sim_json_row(*n, r, disk), comma));
     }
-    println!("  ]");
-    println!("}}");
+    json.push_str("  ]\n}\n");
+    println!("\nJSON:\n{json}");
+    std::fs::write(SIM_JSON, &json).expect("write BENCH_saturation_sim.json");
+    println!("wrote {SIM_JSON}");
 
     // The claim under test: amortization strictly improves with
     // concurrency across the whole 1 → 64 sweep.

@@ -13,8 +13,9 @@
 //! * **4.2-style FFS** transfers block at a time over rotationally
 //!   *interleaved* blocks, so the disk spins over a one-block gap between
 //!   transfers — bandwidth is structurally capped near 50 % (the paper's
-//!   47 %). The per-block CPU (documented in `FfsConfig`) overlaps the
-//!   gap via DMA, which is exactly what the interleave is for.
+//!   47 %). The per-block CPU (`cedar_ffs::fs::READ_BLOCK_CPU_US` and
+//!   `WRITE_BLOCK_CPU_US`) overlaps the gap via DMA, which is exactly
+//!   what the interleave is for.
 //!
 //! %bandwidth = transfer time / elapsed; %CPU = CPU time / elapsed, with
 //! CPU fully overlapped with the disk (both machines did DMA). The FFS
@@ -88,11 +89,9 @@ fn ffs_stream(write: bool) -> Util {
         cedar_disk::SimDisk::trident_t300(cedar_disk::SimClock::new()),
         cedar_ffs::FfsConfig {
             cpu: cedar_disk::CpuModel::FREE,
-            ..Default::default()
         },
     )
     .unwrap();
-    let config = cedar_ffs::FfsConfig::default();
     let clock = fs.clock();
     let bytes = FILE_PAGES as usize * SECTOR_BYTES;
     if write {
@@ -104,7 +103,7 @@ fn ffs_stream(write: bool) -> Util {
         let elapsed = (clock.now() - t0) as f64;
         let stats = fs.disk_stats();
         let blocks = (bytes / cedar_ffs::BLOCK_BYTES) as u64;
-        let cpu_us = blocks * config.write_block_cpu_us;
+        let cpu_us = blocks * cedar_ffs::fs::WRITE_BLOCK_CPU_US;
         return Util {
             cpu_pct: 100.0 * (cpu_us as f64 / elapsed).min(1.0),
             bw_pct: 100.0 * stats.transfer_us as f64 / elapsed,
@@ -122,7 +121,7 @@ fn ffs_stream(write: bool) -> Util {
     }
     let elapsed = (clock.now() - t0) as f64;
     let stats = fs.disk_stats();
-    let cpu_us = blocks as u64 * config.read_block_cpu_us;
+    let cpu_us = blocks as u64 * cedar_ffs::fs::READ_BLOCK_CPU_US;
     Util {
         cpu_pct: 100.0 * (cpu_us as f64 / elapsed).min(1.0),
         bw_pct: 100.0 * stats.transfer_us as f64 / elapsed,

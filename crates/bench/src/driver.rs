@@ -17,7 +17,7 @@
 //! *disk* — not a lock — is the bottleneck?
 
 use cedar_disk::Micros;
-use cedar_fsd::{CommitScheduler, EngineStats, FsdEngine, FsdVolume, SchedConfig, SchedReport};
+use cedar_fsd::{CommitScheduler, EngineStats, FsdEngine, FsdVolume, SchedReport};
 use cedar_vol::fs::{CedarFsError, FileSystem, FsStats, SyncFs};
 use cedar_workload::steps::{run_step, Step, WorkloadStats};
 use cedar_workload::ClientScript;
@@ -41,11 +41,10 @@ pub struct MultiClientRun {
 /// the drained volume and the run results.
 pub fn drive_clients(
     vol: FsdVolume,
-    cfg: SchedConfig,
     scripts: &[ClientScript],
 ) -> Result<(FsdVolume, MultiClientRun), CedarFsError> {
     let vol = populate_setup(vol, scripts)?;
-    let mut fs = SyncFs::new(CommitScheduler::new(vol, cfg));
+    let mut fs = SyncFs::new(CommitScheduler::new(vol));
     let base = fs.get_mut().now();
     let mut cursor = vec![0usize; scripts.len()];
     let mut ready_at: Vec<Micros> = scripts
@@ -248,8 +247,8 @@ mod tests {
             clients: 3,
             ..Default::default()
         });
-        let (_, a) = drive_clients(vol(), SchedConfig::default(), &scripts).unwrap();
-        let (_, b) = drive_clients(vol(), SchedConfig::default(), &scripts).unwrap();
+        let (_, a) = drive_clients(vol(), &scripts).unwrap();
+        let (_, b) = drive_clients(vol(), &scripts).unwrap();
         assert_eq!(a.stats, b.stats);
         assert_eq!(a.report, b.report);
         assert_eq!(a.duration_us, b.duration_us);
@@ -266,7 +265,7 @@ mod tests {
                 clients: n,
                 ..Default::default()
             });
-            let (_, run) = drive_clients(vol(), SchedConfig::default(), &scripts).unwrap();
+            let (_, run) = drive_clients(vol(), &scripts).unwrap();
             assert!(run.report.ops > 0);
             run.report.forces_per_op
         };

@@ -618,21 +618,20 @@ impl CfsVolume {
     /// Reads `count` consecutive pages, batching transfers along
     /// physical extents (label-checked).
     pub fn read_pages(&mut self, file: &CfsFile, page: u32, count: u32) -> Result<Vec<u8>> {
-        if page + count > file.pages() {
-            return Err(CfsError::OutOfRange {
-                page: page + count - 1,
+        let end = page
+            .checked_add(count)
+            .filter(|&end| end <= file.pages())
+            .ok_or(CfsError::OutOfRange {
+                page: page.saturating_add(count.saturating_sub(1)),
                 pages: file.pages(),
-            });
-        }
+            })?;
         let mut out = Vec::with_capacity(count as usize * SECTOR_BYTES);
         let mut at = page;
-        while at < page + count {
-            let extent = file
-                .header
-                .run_table
-                .extent_at(at)
-                .expect("page within file");
-            let take = extent.len.min(page + count - at);
+        while at < end {
+            let extent = file.header.run_table.extent_at(at).ok_or_else(|| {
+                CfsError::Corrupt(format!("page {at} missing from the run table"))
+            })?;
+            let take = extent.len.min(end - at);
             let labels = Self::data_labels(file.uid, at, take);
             self.disk
                 .read_checked_into(extent.start, take as usize, &labels, &mut out)?;
@@ -798,6 +797,20 @@ mod tests {
         assert_eq!(f.name.version, 1);
         assert_eq!(f.header.byte_size, data.len() as u64);
         assert_eq!(v.read_file(&f).unwrap(), data);
+    }
+
+    #[test]
+    fn a_page_range_past_u32_max_is_out_of_range() {
+        // `page + count` wraps past the range check unless it is checked.
+        let mut v = tiny_volume();
+        let data = vec![7u8; 2 * SECTOR_BYTES];
+        v.create("f", &data).unwrap();
+        let f = v.open("f", None).unwrap();
+        assert!(matches!(
+            v.read_pages(&f, u32::MAX, 2),
+            Err(CfsError::OutOfRange { pages: 2, .. })
+        ));
+        assert_eq!(v.read_pages(&f, 0, 2).unwrap(), data);
     }
 
     #[test]

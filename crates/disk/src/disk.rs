@@ -843,12 +843,6 @@ impl SimDisk {
         self.sectors[addr as usize].damaged
     }
 
-    /// Returns whether a sector is a grown (permanent) defect, without
-    /// timing or stats.
-    pub fn peek_hard_bad(&self, addr: SectorAddr) -> bool {
-        self.sectors[addr as usize].hard_bad
-    }
-
     /// Restores one sector's persistent state (image loading).
     pub(crate) fn restore_sector(
         &mut self,
@@ -1279,7 +1273,8 @@ mod tests {
             Err(DiskError::BadSector(40))
         ));
         assert!(matches!(d.read(40, 1), Err(DiskError::BadSector(40))));
-        assert!(d.peek_hard_bad(40));
+        // A grown defect, not the damage a rewrite repairs.
+        assert!(d.sectors[40].hard_bad && !d.peek_damaged(40));
         // Damage-tolerant reads mask it instead of failing.
         let (_, mask) = d.read_allow_damage(40, 1).unwrap();
         assert!(mask[0]);

@@ -86,13 +86,6 @@ impl DiskGeometry {
     pub fn cylinder_of(&self, addr: SectorAddr) -> u32 {
         addr / self.sectors_per_cylinder()
     }
-
-    /// Returns the first sector address of the central cylinder — where the
-    /// paper preallocates the file name table and the log to minimize head
-    /// motion (§5.1, §5.3).
-    pub fn central_sector(&self) -> SectorAddr {
-        (self.cylinders / 2) * self.sectors_per_cylinder()
-    }
 }
 
 #[cfg(test)]
@@ -135,12 +128,6 @@ mod tests {
             assert_eq!(g.cylinder_of(addr), 0);
         }
         assert_eq!(g.cylinder_of(g.sectors_per_cylinder()), 1);
-    }
-
-    #[test]
-    fn central_sector_is_mid_disk() {
-        let g = DiskGeometry::TINY;
-        assert_eq!(g.cylinder_of(g.central_sector()), 32);
     }
 
     #[test]

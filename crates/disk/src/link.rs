@@ -25,8 +25,6 @@ pub enum LinkError {
     /// The message was silently dropped in flight ([`LinkPlan::drop_sends`]
     /// named this send). The sender learns of it only by ack timeout.
     Dropped,
-    /// The transfer could not complete within [`LinkPlan::timeout_us`].
-    Timeout,
 }
 
 impl std::fmt::Display for LinkError {
@@ -34,7 +32,6 @@ impl std::fmt::Display for LinkError {
         match self {
             Self::Down => write!(f, "link down (partition)"),
             Self::Dropped => write!(f, "message dropped in flight"),
-            Self::Timeout => write!(f, "link send timed out"),
         }
     }
 }
@@ -54,19 +51,6 @@ pub struct LinkPlan {
     /// Half-open `[start, end)` windows of simulated time during which the
     /// link is partitioned and every send fails with [`LinkError::Down`].
     pub partitions: Vec<(Micros, Micros)>,
-    /// If nonzero, a send whose total delivery delay would exceed this
-    /// fails with [`LinkError::Timeout`] instead of completing.
-    pub timeout_us: Micros,
-}
-
-impl LinkPlan {
-    /// A latency-only plan with unlimited bandwidth and no faults.
-    pub fn with_latency(latency_us: Micros) -> Self {
-        Self {
-            latency_us,
-            ..Self::default()
-        }
-    }
 }
 
 /// Cumulative link statistics.
@@ -80,8 +64,6 @@ pub struct LinkStats {
     pub dropped: u64,
     /// Sends rejected with [`LinkError::Down`].
     pub down_rejects: u64,
-    /// Sends rejected with [`LinkError::Timeout`].
-    pub timeouts: u64,
 }
 
 /// The simulated link itself: a [`LinkPlan`] plus running state.
@@ -153,10 +135,6 @@ impl Link {
         let start = self.busy_until.max(now);
         let done = start + xfer;
         let delay = (done - now) + self.plan.latency_us;
-        if self.plan.timeout_us != 0 && delay > self.plan.timeout_us {
-            self.stats.timeouts += 1;
-            return Err(LinkError::Timeout);
-        }
         if self.plan.drop_sends.contains(&idx) {
             // The bytes left the sender (and occupy the pipe) but never
             // arrive; the sender only learns via its own ack timeout.
@@ -176,7 +154,10 @@ mod tests {
 
     #[test]
     fn latency_only_send_costs_latency() {
-        let mut link = Link::new(LinkPlan::with_latency(250));
+        let mut link = Link::new(LinkPlan {
+            latency_us: 250,
+            ..LinkPlan::default()
+        });
         assert_eq!(link.send(1_000, 4096), Ok(250));
         assert_eq!(link.stats().bytes, 4096);
     }
@@ -228,19 +209,5 @@ mod tests {
         assert_eq!(link.send(0, 8), Ok(0));
         let s = link.stats();
         assert_eq!((s.sends, s.dropped), (3, 1));
-    }
-
-    #[test]
-    fn timeout_fires_on_oversized_transfer() {
-        let mut link = Link::new(LinkPlan {
-            bytes_per_sec: 1_000, // 1 byte/ms
-            timeout_us: 1_000_000,
-            ..LinkPlan::default()
-        });
-        // 2000 bytes = 2 s of serialization > 1 s timeout.
-        assert_eq!(link.send(0, 2000), Err(LinkError::Timeout));
-        assert_eq!(link.stats().timeouts, 1);
-        // Small send still goes through.
-        assert!(link.send(0, 100).is_ok());
     }
 }

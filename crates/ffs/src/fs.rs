@@ -24,29 +24,30 @@ pub const ROOT_INO: Ino = 1;
 /// Longest directory-entry name.
 pub const MAX_NAME: usize = 255;
 
+/// Rotational interleave: free slots left between logically
+/// consecutive data blocks (4.2 BSD shipped with 1).
+pub const INTERLEAVE: u32 = 1;
+
+/// Documented per-block CPU cost of the read path (buffer cache lookup,
+/// copyout) — used by the Table 5 harness; the volume never charges it.
+pub const READ_BLOCK_CPU_US: u64 = 950;
+
+/// Per-block CPU cost of the write path (alloc + copyin), which made
+/// 4.2 BSD writes nearly CPU-bound (Table 5: 95 % CPU) — used by the
+/// Table 5 harness; the volume never charges it.
+pub const WRITE_BLOCK_CPU_US: u64 = 1_650;
+
 /// Configuration for an FFS volume.
 #[derive(Clone, Copy, Debug)]
 pub struct FfsConfig {
-    /// Rotational interleave: free slots left between logically
-    /// consecutive data blocks (4.2 BSD shipped with 1).
-    pub interleave: u32,
     /// CPU cost table for metadata operations.
     pub cpu: CpuModel,
-    /// Documented per-block CPU cost of the read path (buffer cache
-    /// lookup, copyout) — used by the Table 5 harness.
-    pub read_block_cpu_us: u64,
-    /// Per-block CPU cost of the write path (alloc + copyin), which made
-    /// 4.2 BSD writes nearly CPU-bound (Table 5: 95 % CPU).
-    pub write_block_cpu_us: u64,
 }
 
 impl Default for FfsConfig {
     fn default() -> Self {
         Self {
-            interleave: 1,
             cpu: CpuModel::DORADO,
-            read_block_cpu_us: 950,
-            write_block_cpu_us: 1_650,
         }
     }
 }
@@ -65,7 +66,6 @@ pub struct Ffs {
     disk: SimDisk,
     cpu: Cpu,
     layout: FfsLayout,
-    interleave: u32,
     /// Buffer cache: all blocks read or written.
     cache: HashMap<BlockNo, Vec<u8>>,
     /// Blocks with delayed writes pending.
@@ -89,7 +89,6 @@ impl Ffs {
             disk,
             cpu,
             layout,
-            interleave: config.interleave,
             cache: HashMap::new(),
             dirty: BTreeSet::new(),
             cg_dirty: vec![true; cgs.len()],
@@ -116,7 +115,6 @@ impl Ffs {
             disk,
             cpu,
             layout,
-            interleave: config.interleave,
             cache: HashMap::new(),
             dirty: BTreeSet::new(),
             cgs: Vec::new(),
@@ -299,7 +297,7 @@ impl Ffs {
             let g = (preferred_group + i) % groups;
             let prev_in_g = prev_slot.and_then(|(pg, s)| (pg == g).then_some(s));
             if let Some(slot) =
-                self.cgs[g as usize].alloc_block_slot(&self.layout, prev_in_g, self.interleave)
+                self.cgs[g as usize].alloc_block_slot(&self.layout, prev_in_g, INTERLEAVE)
             {
                 self.cg_dirty[g as usize] = true;
                 return Ok(slot_to_block(&self.layout, g, slot));
@@ -722,7 +720,6 @@ mod tests {
             SimDisk::tiny(),
             FfsConfig {
                 cpu: CpuModel::FREE,
-                ..FfsConfig::default()
             },
         )
         .unwrap()
@@ -844,7 +841,6 @@ mod tests {
             disk,
             FfsConfig {
                 cpu: CpuModel::FREE,
-                ..FfsConfig::default()
             },
         )
         .unwrap();

@@ -155,7 +155,6 @@ mod tests {
             SimDisk::tiny(),
             FfsConfig {
                 cpu: CpuModel::FREE,
-                ..FfsConfig::default()
             },
         )
         .unwrap()

@@ -152,7 +152,6 @@ mod tests {
             SimDisk::tiny(),
             FfsConfig {
                 cpu: CpuModel::FREE,
-                ..FfsConfig::default()
             },
         )
         .unwrap()
@@ -189,7 +188,6 @@ mod tests {
             disk,
             FfsConfig {
                 cpu: CpuModel::FREE,
-                ..FfsConfig::default()
             },
         )
         .unwrap();

@@ -10,7 +10,6 @@ use std::collections::BTreeMap;
 fn config() -> FfsConfig {
     FfsConfig {
         cpu: CpuModel::FREE,
-        ..FfsConfig::default()
     }
 }
 

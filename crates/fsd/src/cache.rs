@@ -62,25 +62,16 @@ pub struct CachedPage {
     /// `true` when logged changes have not yet been written to the home
     /// copies.
     pub needs_home: bool,
-    /// Approximate-LRU stamp.
-    pub last_used: u64,
 }
 
 /// The name-table page cache.
 ///
-/// Unbounded by default; with a capacity set (the Dorado's memory was
-/// finite), clean pages are evicted approximately-LRU. Pages that are
-/// dirty (pending commit) or whose home copies are stale are pinned —
-/// "the cache is maintained such that the 'dirty but logged' pages are
-/// kept in the cache" (§5.3).
+/// Unbounded: a page read or written stays resident until it is freed,
+/// so "the 'dirty but logged' pages are kept in the cache" (§5.3).
 #[derive(Debug, Default)]
 pub struct NtCache {
     /// Cached pages by logical page id.
     pub pages: HashMap<PageId, CachedPage>,
-    /// Maximum resident pages; 0 = unbounded.
-    pub capacity: usize,
-    /// Monotone use counter for the LRU stamps.
-    pub tick: u64,
     /// What the resumed log still owes the homes: a page read from them
     /// has these laid over it, and each goes home when the writer enters
     /// its third — unless its page went home whole first, or a later
@@ -94,17 +85,9 @@ pub struct NtCache {
 }
 
 impl NtCache {
-    /// Creates an empty, unbounded cache.
+    /// Creates an empty cache.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Creates a cache bounded to `capacity` pages (0 = unbounded).
-    pub fn with_capacity(capacity: usize) -> Self {
-        Self {
-            capacity,
-            ..Self::default()
-        }
     }
 
     /// The name-table meta as last committed — decoded from the meta
@@ -116,35 +99,6 @@ impl NtCache {
             .map(|id| self.pages.get(&id)?.baseline.clone())
             .collect::<Option<Vec<_>>>()?;
         NtMeta::decode_pages(&pages).ok()
-    }
-
-    /// Bumps and returns the use counter.
-    pub fn stamp(&mut self) -> u64 {
-        self.tick += 1;
-        self.tick
-    }
-
-    /// Evicts clean LRU pages until within capacity. Pages in `pinned`
-    /// (the pending-commit set) and pages with stale homes stay resident;
-    /// the meta page (0) is always pinned.
-    pub fn evict_to_capacity(&mut self, pinned: &std::collections::BTreeSet<PageId>) {
-        if self.capacity == 0 {
-            return;
-        }
-        while self.pages.len() > self.capacity {
-            let victim = self
-                .pages
-                .iter()
-                .filter(|(id, p)| **id != 0 && !p.needs_home && !pinned.contains(id))
-                .min_by_key(|(_, p)| p.last_used)
-                .map(|(id, _)| *id);
-            match victim {
-                Some(id) => {
-                    self.pages.remove(&id);
-                }
-                None => break, // Everything resident is pinned.
-            }
-        }
     }
 }
 
@@ -341,12 +295,9 @@ impl FsdNtStore<'_> {
     }
 
     /// Hands page `id`'s image to `f`, borrowed from the cache — read
-    /// from the home copies and cached first on a miss — and stamps its
-    /// use.
+    /// from the home copies and cached first on a miss.
     fn visit<R>(&mut self, id: PageId, f: impl FnOnce(&[u8]) -> R) -> Result<R, StoreError> {
-        let stamp = self.cache.stamp();
-        if let Some(p) = self.cache.pages.get_mut(&id) {
-            p.last_used = stamp;
+        if let Some(p) = self.cache.pages.get(&id) {
             return Ok(f(&p.image));
         }
         // "When a page is read, both copies are read and checked", the
@@ -368,8 +319,6 @@ impl FsdNtStore<'_> {
                 StoreError::Io(format!("page {id}: {e}"))
             }
         })?;
-        // `f` sees the image before the eviction below, which may take
-        // the page straight back out of a full cache.
         let out = f(&image);
         self.cache.pages.insert(
             id,
@@ -378,10 +327,8 @@ impl FsdNtStore<'_> {
                 image,
                 last_logged_third: None,
                 needs_home,
-                last_used: stamp,
             },
         );
-        self.cache.evict_to_capacity(self.pending);
         Ok(out)
     }
 
@@ -467,7 +414,6 @@ impl FsdNtStore<'_> {
                     continue; // read_through will salvage and scrub.
                 }
                 let image = a.bytes[lo * SECTOR_BYTES..hi * SECTOR_BYTES].to_vec();
-                let stamp = self.cache.stamp();
                 self.cache.pages.insert(
                     want[s + j],
                     CachedPage {
@@ -475,12 +421,10 @@ impl FsdNtStore<'_> {
                         baseline: Some(image),
                         last_logged_third: None,
                         needs_home: false,
-                        last_used: stamp,
                     },
                 );
             }
         }
-        self.cache.evict_to_capacity(self.pending);
         Ok(())
     }
 
@@ -517,12 +461,8 @@ impl PageStore for FsdNtStore<'_> {
         self.cpu.btree_nodes(1);
         // No disk write: updates live in the cache until group commit
         // logs them (§5.3).
-        let stamp = self.cache.stamp();
         match self.cache.pages.get_mut(&id) {
-            Some(p) => {
-                p.image = data.to_vec();
-                p.last_used = stamp;
-            }
+            Some(p) => p.image = data.to_vec(),
             None => {
                 self.cache.pages.insert(
                     id,
@@ -531,13 +471,11 @@ impl PageStore for FsdNtStore<'_> {
                         baseline: None, // Fresh page: log every sector.
                         last_logged_third: None,
                         needs_home: false,
-                        last_used: stamp,
                     },
                 );
             }
         }
         self.pending.insert(id);
-        self.cache.evict_to_capacity(self.pending);
         Ok(())
     }
 

@@ -66,6 +66,7 @@
 //! recovery replay the log to the last commit boundary.
 
 use crate::repl::{ReplSessionConfig, Replica, ResyncOutcome, Shipper};
+use crate::sched::MAX_BATCH_OPS;
 use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::sync::thread::JoinHandle;
 use crate::sync::{Condvar, Mutex, MutexGuard, RwLock};
@@ -77,9 +78,6 @@ use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Largest number of operations applied per epoch (backpressure bound,
-/// the engine's counterpart of `SchedConfig::max_batch_ops`).
-const MAX_BATCH_OPS: usize = 256;
 /// Bound on the file contents the published map holds, in bytes. A
 /// full cache makes room by CLOCK (second chance): contents are evicted
 /// in the order they were admitted, except that contents read since the

@@ -61,9 +61,9 @@ pub use repl::{
     ResyncKind, ResyncOutcome, Shipper,
 };
 pub use scavenge::ScavengeSummary;
-pub use sched::{CommitScheduler, LatencyStats, SchedConfig, SchedReport};
+pub use sched::{CommitScheduler, LatencyStats, SchedReport};
 pub use spare::SpareMap;
-pub use volume::{FsdConfig, FsdFile, FsdVolume};
+pub use volume::{FsdConfig, FsdFile, FsdVolume, COMMIT_INTERVAL_US};
 
 /// Result alias for FSD operations.
 pub type Result<T> = std::result::Result<T, FsdError>;

@@ -36,18 +36,20 @@ use std::collections::{HashMap, VecDeque};
 /// so bandwidth-limited links charge realistic serialization).
 const TRANSFER_CHUNK_SECTORS: usize = 256;
 
-/// [`Shipper`] configuration: the mode plus link fault/retry policy.
+/// Retries per frame after the first attempt.
+const RETRY_ATTEMPTS: u32 = 3;
+
+/// Initial retry backoff (doubles per attempt); simulated time advances
+/// by it, so a backoff can outlive a partition window.
+const BACKOFF_US: Micros = 2_000;
+
+/// [`Shipper`] configuration: the mode plus the link's fault plan.
 #[derive(Clone, Debug)]
 pub struct ReplSessionConfig {
     /// Acknowledgement mode.
     pub mode: ReplMode,
     /// Link latency/bandwidth/fault plan.
     pub link: LinkPlan,
-    /// Retries per frame after the first attempt.
-    pub retry_attempts: u32,
-    /// Initial retry backoff (doubles per attempt); simulated time
-    /// advances by it, so a backoff can outlive a partition window.
-    pub backoff_us: Micros,
     /// Sealed frames retained for cursor resync; older unshipped frames
     /// are evicted (the primary's log has finite capacity).
     pub retain_frames: usize,
@@ -57,8 +59,8 @@ pub struct ReplSessionConfig {
 }
 
 impl ReplSessionConfig {
-    /// Defaults for `mode`: a healthy low-latency link, three retries
-    /// with 2 ms backoff, 64 retained frames, 8-frame async lag bound.
+    /// Defaults for `mode`: a healthy low-latency link, 64 retained
+    /// frames, 8-frame async lag bound.
     pub fn for_mode(mode: ReplMode) -> Self {
         Self {
             mode,
@@ -67,8 +69,6 @@ impl ReplSessionConfig {
                 bytes_per_sec: 10_000_000,
                 ..LinkPlan::default()
             },
-            retry_attempts: 3,
-            backoff_us: 2_000,
             retain_frames: 64,
             max_lag_frames: 8,
         }
@@ -386,10 +386,11 @@ impl Shipper {
         }
     }
 
-    /// One send with the retry/backoff policy. Advances the primary's
-    /// `clock` by the wire delay (and by each backoff).
+    /// One send, retried [`RETRY_ATTEMPTS`] times from [`BACKOFF_US`].
+    /// Advances the primary's `clock` by the wire delay (and by each
+    /// backoff).
     fn ship_with_retry(&mut self, clock: &SimClock, bytes: usize) -> Result<(), CedarFsError> {
-        let mut backoff = self.cfg.backoff_us.max(1);
+        let mut backoff = BACKOFF_US;
         let mut attempt = 0;
         loop {
             match self.link.send(clock.now(), bytes) {
@@ -397,7 +398,7 @@ impl Shipper {
                     clock.advance(delay);
                     return Ok(());
                 }
-                Err(_) if attempt < self.cfg.retry_attempts => {
+                Err(_) if attempt < RETRY_ATTEMPTS => {
                     attempt += 1;
                     clock.advance(backoff);
                     backoff = backoff.saturating_mul(2);

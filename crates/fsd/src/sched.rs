@@ -15,9 +15,9 @@
 //! batch*; the batch is settled — one log force commits every
 //! operation in it — when the first of three things happens:
 //!
-//! * the **window deadline**: half a second (configurable) after the
-//!   previous settle, the §5.4 group-commit clock tick;
-//! * **backpressure**: the batch reaches `max_batch_ops` operations;
+//! * the **window deadline**: [`COMMIT_INTERVAL_US`] (half a second)
+//!   after the previous settle, the §5.4 group-commit clock tick;
+//! * **backpressure**: the batch reaches [`MAX_BATCH_OPS`] operations;
 //! * the **volume forces on its own** because the accumulated images
 //!   approach a log third ([`FsdVolume::bulky_threshold`]) — the
 //!   scheduler detects this and absorbs the batch into that force.
@@ -28,37 +28,22 @@
 //! per operation (the quantity the paper's Table 3 bounds), batch
 //! occupancy, and commit-latency percentiles.
 
-use crate::volume::{CommitStats, FsdVolume};
+use crate::volume::{CommitStats, FsdVolume, COMMIT_INTERVAL_US};
 use crate::{FsdError, Result};
 use cedar_disk::Micros;
 use cedar_vol::fs::{CedarFsError, FileInfo, FsBackend, FsStats};
 
-/// Scheduler tuning.
-#[derive(Clone, Copy, Debug)]
-pub struct SchedConfig {
-    /// Group-commit window: a batch waits at most this long (§5.4's
-    /// half a second).
-    pub window_us: Micros,
-    /// Backpressure bound: settle as soon as this many operations are
-    /// pending, regardless of the window.
-    pub max_batch_ops: usize,
-}
-
-impl Default for SchedConfig {
-    fn default() -> Self {
-        Self {
-            window_us: 500_000,
-            max_batch_ops: 256,
-        }
-    }
-}
+/// Backpressure bound: a batch settles as soon as this many operations
+/// are pending, whatever the window. The threaded engine applies at most
+/// this many per epoch.
+pub const MAX_BATCH_OPS: usize = 256;
 
 /// Why a batch was settled.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Settle {
     /// The window deadline arrived.
     Window,
-    /// The batch hit `max_batch_ops`.
+    /// The batch hit [`MAX_BATCH_OPS`].
     Backpressure,
     /// A client asked for durability ([`FsBackend::sync`]).
     Explicit,
@@ -94,7 +79,7 @@ pub struct SchedReport {
     pub forces_per_op: f64,
     /// Batches settled at the window deadline.
     pub window_settles: u64,
-    /// Batches settled by the `max_batch_ops` backpressure bound.
+    /// Batches settled by the [`MAX_BATCH_OPS`] backpressure bound.
     pub backpressure_settles: u64,
     /// Batches settled by an explicit client sync.
     pub explicit_settles: u64,
@@ -113,8 +98,6 @@ pub struct SchedReport {
 /// Group-commit scheduler over one [`FsdVolume`].
 pub struct CommitScheduler {
     vol: FsdVolume,
-    window_us: Micros,
-    max_batch_ops: usize,
     /// Start of the current window = time of the last settle (or tick).
     window_anchor: Micros,
     /// Submit times of operations not yet committed.
@@ -132,9 +115,7 @@ pub struct CommitScheduler {
 
 impl CommitScheduler {
     /// Takes ownership of the volume and of all log forcing.
-    pub fn new(mut vol: FsdVolume, cfg: SchedConfig) -> Self {
-        assert!(cfg.window_us > 0, "zero-length commit window");
-        assert!(cfg.max_batch_ops >= 1, "batch bound must admit one op");
+    pub fn new(mut vol: FsdVolume) -> Self {
         // Disable the volume's own interval daemon; forces now happen
         // only where the scheduler can account for them.
         vol.set_commit_interval(Micros::MAX);
@@ -142,8 +123,6 @@ impl CommitScheduler {
         let baseline = vol.commit_stats();
         Self {
             vol,
-            window_us: cfg.window_us,
-            max_batch_ops: cfg.max_batch_ops,
             window_anchor,
             pending: Vec::new(),
             baseline,
@@ -161,11 +140,6 @@ impl CommitScheduler {
     /// Current simulated time.
     pub fn now(&self) -> Micros {
         self.vol.clock().now()
-    }
-
-    /// Operations waiting for the next force.
-    pub fn pending_ops(&self) -> usize {
-        self.pending.len()
     }
 
     /// Read access to the volume. (There is deliberately no `&mut`
@@ -187,7 +161,7 @@ impl CommitScheduler {
     /// window.
     pub fn advance_to(&mut self, target: Micros) -> Result<()> {
         loop {
-            let deadline = self.window_anchor.saturating_add(self.window_us);
+            let deadline = self.window_anchor.saturating_add(COMMIT_INTERVAL_US);
             if deadline > target {
                 break;
             }
@@ -219,7 +193,7 @@ impl CommitScheduler {
         op: impl FnOnce(&mut FsdVolume) -> std::result::Result<T, E>,
     ) -> std::result::Result<T, E> {
         // A deadline may have fallen due since the last advance.
-        if self.now() >= self.window_anchor.saturating_add(self.window_us) {
+        if self.now() >= self.window_anchor.saturating_add(COMMIT_INTERVAL_US) {
             self.advance_to(self.now())?;
         }
         let forces_before = self.vol.commit_stats().forces;
@@ -232,7 +206,7 @@ impl CommitScheduler {
             // operation: everything pending (including this op) went
             // out with that force.
             self.record_settle(Settle::Internal);
-        } else if self.pending.len() >= self.max_batch_ops {
+        } else if self.pending.len() >= MAX_BATCH_OPS {
             self.settle(Settle::Backpressure)?;
         }
         Ok(out)
@@ -389,7 +363,7 @@ mod tests {
     }
 
     fn sched(log_sectors: u32) -> CommitScheduler {
-        CommitScheduler::new(vol(log_sectors), SchedConfig::default())
+        CommitScheduler::new(vol(log_sectors))
     }
 
     #[test]
@@ -399,25 +373,25 @@ mod tests {
             s.submit(|v| v.create(&format!("d/f{i}"), b"x")).unwrap();
         }
         assert_eq!(s.report().log_forces, 0, "no force before the window");
-        assert_eq!(s.pending_ops(), 10);
-        let deadline = s.window_anchor + s.window_us;
+        assert_eq!(s.pending.len(), 10);
+        let deadline = s.window_anchor + COMMIT_INTERVAL_US;
         s.advance_to(deadline).unwrap();
         let r = s.report();
         assert_eq!(r.log_forces, 1, "one force for the whole batch");
         assert_eq!(r.window_settles, 1);
         assert_eq!(r.batch_max, 10);
-        assert_eq!(s.pending_ops(), 0);
+        assert!(s.pending.is_empty());
         // Latency: first op waited the whole window (minus its own
         // submit offset), later ops less — bounded by the window plus
         // the force's own disk time.
-        assert!(r.latency.max_us <= s.window_us + 50_000, "{r:?}");
+        assert!(r.latency.max_us <= COMMIT_INTERVAL_US + 50_000, "{r:?}");
         assert!(r.latency.p50_us > 0);
     }
 
     #[test]
     fn empty_windows_do_not_force() {
         let mut s = sched(512);
-        s.advance_to(s.now() + 5 * s.window_us).unwrap();
+        s.advance_to(s.now() + 5 * COMMIT_INTERVAL_US).unwrap();
         let r = s.report();
         assert_eq!(r.log_forces, 0);
         assert_eq!(r.empty_windows, 5);
@@ -426,20 +400,22 @@ mod tests {
 
     #[test]
     fn backpressure_settles_a_full_batch() {
-        let mut s = CommitScheduler::new(
-            vol(512),
-            SchedConfig {
-                window_us: 500_000,
-                max_batch_ops: 4,
-            },
-        );
-        for i in 0..9 {
-            s.submit(|v| v.create(&format!("d/f{i}"), b"x")).unwrap();
+        // A create opens each batch and listings, which dirty nothing,
+        // fill it: the batch bound settles it, never the log's bulk.
+        let mut s = sched(512);
+        for i in 0..2 * MAX_BATCH_OPS + 1 {
+            if i % MAX_BATCH_OPS == 0 {
+                s.submit(|v| v.create(&format!("d/f{i}"), b"x")).unwrap();
+            } else {
+                s.submit(|v| v.list("d/")).unwrap();
+            }
         }
         let r = s.report();
-        assert_eq!(r.backpressure_settles, 2, "settled at ops 4 and 8");
+        assert_eq!(r.backpressure_settles, 2, "settled at both full batches");
+        assert_eq!((r.window_settles, r.internal_settles), (0, 0));
         assert_eq!(r.log_forces, 2);
-        assert_eq!(s.pending_ops(), 1);
+        assert_eq!(r.batch_max, MAX_BATCH_OPS as u64);
+        assert_eq!(s.pending.len(), 1);
     }
 
     #[test]
@@ -495,7 +471,7 @@ mod tests {
         let (c0, c1) = (Arc::clone(&fs), fs);
         c0.create("c00/f", b"zero").unwrap();
         c1.create("c01/f", b"one").unwrap();
-        assert_eq!(shared.with(|s| s.pending_ops()), 2);
+        assert_eq!(shared.with(|s| s.pending.len()), 2);
         c1.sync().unwrap();
         let r = shared.with(|s| s.report());
         assert_eq!(r.explicit_settles, 1);

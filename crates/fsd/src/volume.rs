@@ -70,6 +70,11 @@ pub const MAX_RUNS: usize = 16;
 /// Files of at most this many pages allocate in the small area (§5.6).
 const SMALL_FILE_PAGES: u32 = 32;
 
+/// The group-commit interval in simulated microseconds: "The log is
+/// written (if necessary) every half second" (§4). The volume's own
+/// daemon defaults to it, and [`crate::CommitScheduler`]'s window is it.
+pub const COMMIT_INTERVAL_US: Micros = 500_000;
+
 /// Configuration for formatting or booting an FSD volume.
 #[derive(Clone, Copy, Debug)]
 pub struct FsdConfig {
@@ -79,13 +84,9 @@ pub struct FsdConfig {
     pub log_sectors: u32,
     /// CPU cost table.
     pub cpu: CpuModel,
-    /// Group-commit force interval in simulated microseconds ("The log is
-    /// written (if necessary) every half second", §4).
+    /// Group-commit force interval in simulated microseconds (default
+    /// [`COMMIT_INTERVAL_US`]).
     pub commit_interval_us: Micros,
-    /// Maximum resident name-table pages in the cache (0 = unbounded).
-    /// The Dorado's real cache was bounded; the default keeps the whole
-    /// table resident, which the benches note where it matters.
-    pub cache_pages: usize,
     /// I/O submission policy for multi-sector batch paths (log forces,
     /// home-page writeback, recovery scans). [`IoPolicy::InOrder`] is the
     /// measurement baseline; the default, shortest positioning time first,
@@ -108,8 +109,7 @@ impl Default for FsdConfig {
             nt_pages: 0,
             log_sectors: 0,
             cpu: CpuModel::DORADO,
-            commit_interval_us: 500_000,
-            cache_pages: 0,
+            commit_interval_us: COMMIT_INTERVAL_US,
             io_policy: IoPolicy::default(),
             scavenge_workers: 1,
         }
@@ -132,6 +132,17 @@ impl FsdFile {
     /// File length in pages.
     pub fn pages(&self) -> u32 {
         self.entry.run_table.pages()
+    }
+
+    /// The end of pages `page..page + count`, or `OutOfRange` when they
+    /// pass the end of the file (or of `u32`).
+    fn page_range_end(&self, page: u32, count: u32) -> Result<u32> {
+        page.checked_add(count)
+            .filter(|&end| end <= self.pages())
+            .ok_or(FsdError::OutOfRange {
+                page: page.saturating_add(count.saturating_sub(1)),
+                pages: self.pages(),
+            })
     }
 
     /// File length in bytes.
@@ -284,7 +295,7 @@ impl FsdVolume {
             layout,
             boot,
             tree: BTree::open(0),
-            cache: NtCache::with_capacity(config.cache_pages),
+            cache: NtCache::new(),
             pending_pages: BTreeSet::new(),
             leaders: BTreeMap::new(),
             handed_out: Vec::new(),
@@ -1366,12 +1377,7 @@ impl FsdVolume {
     /// Reads `count` consecutive logical pages, batching transfers along
     /// physical extents (the streaming read path; Table 5 drives this).
     pub fn read_pages(&mut self, file: &mut FsdFile, page: u32, count: u32) -> Result<Vec<u8>> {
-        if page + count > file.pages() {
-            return Err(FsdError::OutOfRange {
-                page: page + count - 1,
-                pages: file.pages(),
-            });
-        }
+        let end = file.page_range_end(page, count)?;
         let mut out = Vec::with_capacity(count as usize * SECTOR_BYTES);
         let mut at = page;
         // The last extent transferred.
@@ -1396,12 +1402,12 @@ impl FsdVolume {
                 self.verify_leader(file, 0, &mut out)?;
             }
         }
-        while at < page + count {
+        while at < end {
             let extent =
                 file.entry.run_table.extent_at(at).ok_or_else(|| {
                     FsdError::Check(format!("page {at} missing from the run table"))
                 })?;
-            let take = extent.len.min(page + count - at);
+            let take = extent.len.min(end - at);
             self.disk.read_into(extent.start, take as usize, &mut out)?;
             last = Some(Run::new(extent.start, take));
             at += take;
@@ -1416,20 +1422,15 @@ impl FsdVolume {
     pub fn write_pages(&mut self, file: &mut FsdFile, page: u32, data: &[u8]) -> Result<()> {
         assert_eq!(data.len() % SECTOR_BYTES, 0);
         let count = (data.len() / SECTOR_BYTES) as u32;
-        if page + count > file.pages() {
-            return Err(FsdError::OutOfRange {
-                page: page + count - 1,
-                pages: file.pages(),
-            });
-        }
+        let end = file.page_range_end(page, count)?;
         let mut at = page;
         let mut off = 0usize;
-        while at < page + count {
+        while at < end {
             let extent =
                 file.entry.run_table.extent_at(at).ok_or_else(|| {
                     FsdError::Check(format!("page {at} missing from the run table"))
                 })?;
-            let take = extent.len.min(page + count - at) as usize;
+            let take = extent.len.min(end - at) as usize;
             self.disk
                 .write(extent.start, &data[off..off + take * SECTOR_BYTES])?;
             self.touched(&[Run::new(extent.start, take as u32)]);

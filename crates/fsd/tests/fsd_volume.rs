@@ -1,7 +1,7 @@
 //! FSD volume behaviour: the paper's operational claims, tested one by
 //! one against the public API.
 
-use cedar_disk::{CpuModel, SimDisk};
+use cedar_disk::{CpuModel, SimDisk, SECTOR_BYTES};
 use cedar_fsd::{EntryKind, FsdConfig, FsdError, FsdVolume};
 
 fn config() -> FsdConfig {
@@ -471,83 +471,21 @@ fn set_keep_on_missing_file_errors() {
 }
 
 #[test]
-fn bounded_cache_evicts_clean_pages_and_stays_correct() {
-    let mut v = FsdVolume::format(
-        SimDisk::tiny(),
-        FsdConfig {
-            nt_pages: 64,
-            log_sectors: 256,
-            cpu: CpuModel::FREE,
-            cache_pages: 6,
-            ..FsdConfig::default()
-        },
-    )
-    .unwrap();
-    for i in 0..120 {
-        v.create(&format!("dir/file{i:03}"), &vec![(i % 251) as u8; 600])
-            .unwrap();
-    }
-    v.force().unwrap();
-    // Everything is still reachable and correct through the tiny cache.
-    v.verify().unwrap();
-    for i in (0..120).step_by(7) {
-        let mut f = v.open(&format!("dir/file{i:03}"), None).unwrap();
-        assert_eq!(v.read_file(&mut f).unwrap(), vec![(i % 251) as u8; 600]);
-    }
-    // Unpin everything (write homes), then trigger an eviction sweep:
-    // the cache shrinks to capacity and re-reads cost I/O again.
-    v.shutdown().unwrap();
-    v.create("dir/trigger", b"x").unwrap();
-    let before = v.disk_stats();
-    v.list("dir/").unwrap();
-    assert!(
-        v.disk_stats().since(&before).reads > 0,
-        "a 6-page cache cannot hold the whole name table"
-    );
-    // ...and crash recovery still works with a bounded cache.
-    let mut d = v.into_disk();
-    d.crash_now();
-    d.reboot();
-    let (mut v2, _) = FsdVolume::boot(
-        d,
-        FsdConfig {
-            nt_pages: 64,
-            log_sectors: 256,
-            cpu: CpuModel::FREE,
-            cache_pages: 6,
-            ..FsdConfig::default()
-        },
-    )
-    .unwrap();
-    v2.verify().unwrap();
-    assert_eq!(v2.list("dir/").unwrap().len(), 120);
-}
-
-#[test]
-fn bounded_cache_never_evicts_dirty_pages() {
-    let mut v = FsdVolume::format(
-        SimDisk::tiny(),
-        FsdConfig {
-            nt_pages: 64,
-            log_sectors: 256,
-            cpu: CpuModel::FREE,
-            cache_pages: 4,
-            // Never auto-force: dirty pages must survive in the cache.
-            commit_interval_us: u64::MAX / 2,
-            ..FsdConfig::default()
-        },
-    )
-    .unwrap();
-    for i in 0..60 {
-        v.create(&format!("f{i:02}"), b"pin me").unwrap();
-    }
-    // Nothing forced yet: all updates still uncommitted, yet intact.
-    for i in 0..60 {
-        let mut f = v.open(&format!("f{i:02}"), None).unwrap();
-        assert_eq!(v.read_file(&mut f).unwrap(), b"pin me");
-    }
-    v.force().unwrap();
-    v.verify().unwrap();
+fn a_page_range_past_u32_max_is_out_of_range() {
+    // `page + count` wraps past the range check unless it is checked.
+    let mut v = tiny();
+    let data = vec![7u8; 2 * SECTOR_BYTES];
+    v.create("f", &data).unwrap();
+    let mut f = v.open("f", None).unwrap();
+    assert!(matches!(
+        v.read_pages(&mut f, u32::MAX, 2),
+        Err(FsdError::OutOfRange { pages: 2, .. })
+    ));
+    assert!(matches!(
+        v.write_pages(&mut f, u32::MAX, &[0u8; 2 * SECTOR_BYTES]),
+        Err(FsdError::OutOfRange { pages: 2, .. })
+    ));
+    assert_eq!(v.read_file(&mut f).unwrap(), data);
 }
 
 /// A symbolic link has no leader page, so a rung-3 boot — both copies of

@@ -447,9 +447,7 @@ fn engine_replicated_sync_ships_every_ack() {
 
 #[test]
 fn engine_link_failure_is_retryable_and_heals_in_order() {
-    let mut repl = ReplSessionConfig::for_mode(ReplMode::Sync);
-    repl.retry_attempts = 1;
-    repl.backoff_us = 100;
+    let repl = ReplSessionConfig::for_mode(ReplMode::Sync);
     let engine =
         FsdEngine::start_replicated(fresh(), EngineConfig::default(), config(), repl).unwrap();
     engine.create("before", b"contents of before").unwrap();
@@ -531,8 +529,6 @@ fn engine_replicated_semi_sync_round_trip_and_failover() {
 fn engine_async_loss_is_bounded_by_max_lag_frames() {
     let mut repl = ReplSessionConfig::for_mode(ReplMode::Async);
     repl.max_lag_frames = 4;
-    repl.retry_attempts = 1;
-    repl.backoff_us = 100;
     let engine =
         FsdEngine::start_replicated(fresh(), EngineConfig::default(), config(), repl).unwrap();
     for i in 0..5 {
@@ -602,8 +598,6 @@ fn engine_async_partition_past_retention_fails_until_resync() {
     let heal_at = clock.now() + 2_000_000;
     let mut repl = ReplSessionConfig::for_mode(ReplMode::Async);
     repl.retain_frames = 2;
-    repl.retry_attempts = 1;
-    repl.backoff_us = 100;
     // A timed partition: it heals by itself, with no call to `heal`.
     repl.link.partitions = vec![(0, heal_at)];
     let max_lag = repl.max_lag_frames;

@@ -12,9 +12,7 @@
 use cedar_fs_repro::cfs::{CfsConfig, CfsVolume};
 use cedar_fs_repro::disk::{CpuModel, SimDisk};
 use cedar_fs_repro::ffs::{Ffs, FfsConfig};
-use cedar_fs_repro::fsd::{
-    CommitScheduler, EngineConfig, FsdConfig, FsdEngine, FsdVolume, SchedConfig,
-};
+use cedar_fs_repro::fsd::{CommitScheduler, EngineConfig, FsdConfig, FsdEngine, FsdVolume};
 use cedar_vol::fs::{CedarFsError, FileSystem, FsBackend, SyncFs};
 use cedar_workload::steps::{content_for, run, Step};
 use cedar_workload::{makedo_workload, MakeDoParams, MemFs};
@@ -50,7 +48,6 @@ fn ffs() -> Ffs {
         SimDisk::tiny(),
         FfsConfig {
             cpu: CpuModel::FREE,
-            ..Default::default()
         },
     )
     .unwrap()
@@ -135,7 +132,7 @@ fn conformance_script_equivalent_on_all_backends() {
 
     // The scheduler is a fourth backend: same script, batch-committed,
     // same visible state.
-    let sched = SyncFs::new(CommitScheduler::new(fsd2(), SchedConfig::default()));
+    let sched = SyncFs::new(CommitScheduler::new(fsd2()));
     run(&script, &sched).unwrap();
     let vol = SyncFs::new(sched.into_inner().into_volume().unwrap());
     assert_eq!(visible_state(&vol), want, "visible state via scheduler");

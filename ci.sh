@@ -1,5 +1,7 @@
 #!/usr/bin/env sh
-# The CI gate, runnable locally. Mirrors .github/workflows/ci.yml.
+# The CI gate, runnable locally: the workflow's ci job
+# (.github/workflows/ci.yml) runs this script and nothing else but the
+# SARIF upload; ThreadSanitizer is its own job there.
 set -eux
 
 cargo build --release
@@ -122,7 +124,18 @@ cargo run --release -p cedar-bench --bin recovery -- --smoke
 # So must the log force behind a small create (copy n sectors, one seek,
 # one latency, 2n + 5 transfers) — it stops doing so the day the record
 # is written out of platter order and the head waits for the end page.
-cargo run --release -p cedar-bench --bin model_validation
+# Its table is deterministic: the file it prints must be the one checked
+# in.
+cargo run --release -p cedar-bench --bin model_validation > BENCH_model_validation.txt
+git diff --exit-code BENCH_model_validation.txt
+# Table 2 (CFS against FSD, operation by operation) and Table 5 (a 4 MB
+# file streamed on FSD and on the 4.2-style FFS) run on simulated clocks
+# too: every transfer the page verbs issue, and the CPU they charge
+# around it, shows in the files they print.
+cargo run --release -p cedar-bench --bin table2 > BENCH_table2.txt
+git diff --exit-code BENCH_table2.txt
+cargo run --release -p cedar-bench --bin table5 > BENCH_table5.txt
+git diff --exit-code BENCH_table5.txt
 # Log-shipping replication (smoke): per-mode ack/loss contracts — sync
 # and semi-sync failovers lose nothing acknowledged, async stays within
 # its lag bound, and both resync paths converge.

@@ -68,6 +68,25 @@ impl CfsFile {
     pub fn pages(&self) -> u32 {
         self.header.run_table.pages()
     }
+
+    /// The end of pages `page..page + count`, or `OutOfRange` when they
+    /// pass the end of the file (or of `u32`).
+    fn page_range_end(&self, page: u32, count: u32) -> Result<u32> {
+        page.checked_add(count)
+            .filter(|&end| end <= self.pages())
+            .ok_or(CfsError::OutOfRange {
+                page: page.saturating_add(count.saturating_sub(1)),
+                pages: self.pages(),
+            })
+    }
+
+    /// The physical extent holding logical page `page` onwards.
+    fn extent_at(&self, page: u32) -> Result<Run> {
+        self.header
+            .run_table
+            .extent_at(page)
+            .ok_or_else(|| CfsError::Corrupt(format!("page {page} missing from the run table")))
+    }
 }
 
 /// Builds the borrowed name-table store from disjoint volume fields.
@@ -493,7 +512,7 @@ impl CfsVolume {
         }
 
         // (4) Write the header (size still zero).
-        let mut header = FileHeader {
+        let header = FileHeader {
             uid,
             name: fname.clone(),
             keep: 0,
@@ -531,45 +550,38 @@ impl CfsVolume {
         self.flush_boot_if_dirty()?;
 
         // (6) Write the data.
-        self.write_extents(uid, &data_rt, 0, data)?;
-
-        // (7) Rewrite the header with the final byte count.
-        header.byte_size = data.len() as u64;
-        self.disk
-            .write_checked(header_run.start, &header.encode(), &hlabels)?;
-
-        Ok(CfsFile {
+        let mut file = CfsFile {
             name: fname,
             uid,
             header_addr: header_run.start,
             header,
-        })
+        };
+        self.write_walk(&file, 0, file.pages(), data)?;
+
+        // (7) Rewrite the header with the final byte count.
+        file.header.byte_size = data.len() as u64;
+        self.disk
+            .write_checked(file.header_addr, &file.header.encode(), &hlabels)?;
+        Ok(file)
     }
 
-    /// Writes `data` across the extents of `rt` starting at logical page
-    /// `first_page`, one label-checked write per extent.
-    fn write_extents(
-        &mut self,
-        uid: u64,
-        rt: &RunTable,
-        first_page: u32,
-        data: &[u8],
-    ) -> Result<()> {
-        let mut page = 0u32;
-        let mut offset = 0usize;
-        self.cpu.sectors(data.len().div_ceil(SECTOR_BYTES) as u64);
-        for run in rt.runs() {
-            if offset >= data.len() {
-                break;
-            }
-            let sectors = run.len as usize;
-            let want = (data.len() - offset).min(sectors * SECTOR_BYTES);
-            let mut buf = vec![0u8; sectors * SECTOR_BYTES];
-            buf[..want].copy_from_slice(&data[offset..offset + want]);
-            let labels = Self::data_labels(uid, first_page + page, run.len);
-            self.disk.write_checked(run.start, &buf, &labels)?;
-            offset += want;
-            page += run.len;
+    /// The write walker: `data` over pages `page..end` (in range), whole
+    /// sectors with the last one zero-padded, one label-checked transfer
+    /// per extent. The CPU is charged first.
+    fn write_walk(&mut self, file: &CfsFile, page: u32, end: u32, data: &[u8]) -> Result<()> {
+        self.cpu.sectors((end - page) as u64);
+        let mut rest = data;
+        let mut at = page;
+        while at < end {
+            let extent = file.extent_at(at)?;
+            let take = extent.len.min(end - at);
+            let (chunk, tail) = rest.split_at((take as usize * SECTOR_BYTES).min(rest.len()));
+            rest = tail;
+            let mut buf = chunk.to_vec();
+            buf.resize(buf.len().next_multiple_of(SECTOR_BYTES), 0);
+            let labels = Self::data_labels(file.uid, at, take);
+            self.disk.write_checked(extent.start, &buf, &labels)?;
+            at += take;
         }
         Ok(())
     }
@@ -599,44 +611,19 @@ impl CfsVolume {
         })
     }
 
-    /// Reads one page of an open file.
+    /// Reads one page of an open file (label-checked). The CPU is charged
+    /// before the transfer, the order Table 2's "Read page" measures.
     pub fn read_page(&mut self, file: &CfsFile, page: u32) -> Result<Vec<u8>> {
-        let sector = file
-            .header
-            .run_table
-            .sector_of(page)
-            .ok_or(CfsError::OutOfRange {
-                page,
-                pages: file.pages(),
-            })?;
+        let end = file.page_range_end(page, 1)?;
         self.cpu.sectors(1);
-        Ok(self
-            .disk
-            .read_checked(sector, 1, &[Label::new(file.uid, page, PageKind::Data)])?)
+        self.read_walk(file, page, end)
     }
 
     /// Reads `count` consecutive pages, batching transfers along
     /// physical extents (label-checked).
     pub fn read_pages(&mut self, file: &CfsFile, page: u32, count: u32) -> Result<Vec<u8>> {
-        let end = page
-            .checked_add(count)
-            .filter(|&end| end <= file.pages())
-            .ok_or(CfsError::OutOfRange {
-                page: page.saturating_add(count.saturating_sub(1)),
-                pages: file.pages(),
-            })?;
-        let mut out = Vec::with_capacity(count as usize * SECTOR_BYTES);
-        let mut at = page;
-        while at < end {
-            let extent = file.header.run_table.extent_at(at).ok_or_else(|| {
-                CfsError::Corrupt(format!("page {at} missing from the run table"))
-            })?;
-            let take = extent.len.min(end - at);
-            let labels = Self::data_labels(file.uid, at, take);
-            self.disk
-                .read_checked_into(extent.start, take as usize, &labels, &mut out)?;
-            at += take;
-        }
+        let end = file.page_range_end(page, count)?;
+        let out = self.read_walk(file, page, end)?;
         self.cpu.sectors(count as u64);
         Ok(out)
     }
@@ -644,37 +631,35 @@ impl CfsVolume {
     /// Reads a whole file (one label-checked transfer per extent),
     /// truncated to its byte size.
     pub fn read_file(&mut self, file: &CfsFile) -> Result<Vec<u8>> {
-        let mut out = Vec::with_capacity(file.pages() as usize * SECTOR_BYTES);
-        let mut page = 0u32;
-        for run in file.header.run_table.runs() {
-            let labels = Self::data_labels(file.uid, page, run.len);
-            self.disk
-                .read_checked_into(run.start, run.len as usize, &labels, &mut out)?;
-            page += run.len;
-        }
-        self.cpu.sectors(file.pages() as u64);
+        let mut out = self.read_pages(file, 0, file.pages())?;
         out.truncate(file.header.byte_size as usize);
         Ok(out)
     }
 
-    /// Overwrites one page of an open file.
-    pub fn write_page(&mut self, file: &CfsFile, page: u32, data: &[u8]) -> Result<()> {
-        assert!(data.len() <= SECTOR_BYTES);
-        let sector = file
-            .header
-            .run_table
-            .sector_of(page)
-            .ok_or(CfsError::OutOfRange {
-                page,
-                pages: file.pages(),
-            })?;
+    /// The read walker: pages `page..end` (in range), one label-checked
+    /// transfer per extent in run-table order.
+    fn read_walk(&mut self, file: &CfsFile, page: u32, end: u32) -> Result<Vec<u8>> {
+        let mut out = Vec::with_capacity((end - page) as usize * SECTOR_BYTES);
+        let mut at = page;
+        while at < end {
+            let extent = file.extent_at(at)?;
+            let take = extent.len.min(end - at);
+            let labels = Self::data_labels(file.uid, at, take);
+            self.disk
+                .read_checked_into(extent.start, take as usize, &labels, &mut out)?;
+            at += take;
+        }
+        Ok(out)
+    }
+
+    /// Overwrites consecutive pages from `page` with `data`: whole
+    /// sectors, the last one zero-padded, each label-checked.
+    /// `OutOfRange` when the data runs past the file's last page.
+    pub fn write_pages(&mut self, file: &CfsFile, page: u32, data: &[u8]) -> Result<()> {
+        let count = data.len().div_ceil(SECTOR_BYTES);
+        let end = file.page_range_end(page, u32::try_from(count).unwrap_or(u32::MAX))?;
         self.invalidate_vam_hint()?;
-        let mut buf = vec![0u8; SECTOR_BYTES];
-        buf[..data.len()].copy_from_slice(data);
-        self.cpu.sectors(1);
-        self.disk
-            .write_checked(sector, &buf, &[Label::new(file.uid, page, PageKind::Data)])?;
-        Ok(())
+        self.write_walk(file, page, end, data)
     }
 
     /// Deletes a version of `name` (the newest when `version` is `None`).
@@ -873,7 +858,7 @@ mod tests {
         let mut v = tiny_volume();
         v.create("f", &vec![0u8; 1024]).unwrap();
         let f = v.open("f", None).unwrap();
-        v.write_page(&f, 1, &[9u8; 512]).unwrap();
+        v.write_pages(&f, 1, &[9u8; 512]).unwrap();
         assert_eq!(v.read_page(&f, 1).unwrap(), vec![9u8; 512]);
     }
 

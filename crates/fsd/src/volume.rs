@@ -145,6 +145,14 @@ impl FsdFile {
             })
     }
 
+    /// The physical extent holding logical page `page` onwards.
+    fn extent_at(&self, page: u32) -> Result<Run> {
+        self.entry
+            .run_table
+            .extent_at(page)
+            .ok_or_else(|| FsdError::Check(format!("page {page} missing from the run table")))
+    }
+
     /// File length in bytes.
     pub fn byte_size(&self) -> u64 {
         self.entry.byte_size
@@ -1317,32 +1325,12 @@ impl FsdVolume {
     }
 
     /// Reads one page of an open file, verifying the leader on the
-    /// handle's first access.
+    /// handle's first access. The CPU is charged before the transfer, the
+    /// order Table 2's "Read page" measures.
     pub fn read_page(&mut self, file: &mut FsdFile, page: u32) -> Result<Vec<u8>> {
-        let sector = file
-            .entry
-            .run_table
-            .sector_of(page)
-            .ok_or(FsdError::OutOfRange {
-                page,
-                pages: file.pages(),
-            })?;
+        let end = file.page_range_end(page, 1)?;
         self.cpu.sectors(1);
-        let mut out = Vec::new();
-        if !file.leader_verified {
-            file.leader_verified = true;
-            if sector == file.entry.leader_addr + 1 {
-                // The usual case: "the leader page is the previous
-                // physical page on the disk" — one combined transfer.
-                self.verify_leader(file, 1, &mut out)?;
-                self.touched(&[Run::new(sector, 1)]);
-                return Ok(out);
-            }
-            self.verify_leader(file, 0, &mut out)?;
-        }
-        self.disk.read_into(sector, 1, &mut out)?;
-        self.touched(&[Run::new(sector, 1)]);
-        Ok(out)
+        self.read_walk(file, page, end)
     }
 
     /// Reads a whole file, truncated to its byte size: one transfer per
@@ -1353,22 +1341,7 @@ impl FsdVolume {
         if matches!(file.entry.kind, EntryKind::SymLink { .. }) {
             return Err(FsdError::WrongKind("regular file"));
         }
-        // Room for the leader sector `verify_leader` reads along.
-        let mut out = Vec::with_capacity((file.pages() as usize + 1) * SECTOR_BYTES);
-        let runs: Vec<Run> = file.entry.run_table.runs().to_vec();
-        for (i, run) in runs.iter().enumerate() {
-            if i == 0 && !file.leader_verified && run.start == file.entry.leader_addr + 1 {
-                file.leader_verified = true;
-                self.verify_leader(file, run.len as usize, &mut out)?;
-                continue;
-            }
-            self.disk.read_into(run.start, run.len as usize, &mut out)?;
-        }
-        self.touched(&runs);
-        if !file.leader_verified && file.entry.leader_addr != 0 && !runs.is_empty() {
-            file.leader_verified = true;
-            self.verify_leader(file, 0, &mut out)?;
-        }
+        let mut out = self.read_walk(file, 0, file.pages())?;
         self.cpu.sectors(file.pages() as u64);
         out.truncate(file.entry.byte_size as usize);
         Ok(out)
@@ -1378,104 +1351,90 @@ impl FsdVolume {
     /// physical extents (the streaming read path; Table 5 drives this).
     pub fn read_pages(&mut self, file: &mut FsdFile, page: u32, count: u32) -> Result<Vec<u8>> {
         let end = file.page_range_end(page, count)?;
-        let mut out = Vec::with_capacity(count as usize * SECTOR_BYTES);
-        let mut at = page;
-        // The last extent transferred.
-        let mut last = None;
-        if !file.leader_verified && file.entry.leader_addr != 0 {
-            file.leader_verified = true;
-            let piggyback = if page == 0 {
-                // Piggyback the leader check on the first transfer (§5.7).
-                file.entry
-                    .run_table
-                    .extent_at(page)
-                    .filter(|e| e.start == file.entry.leader_addr + 1)
-            } else {
-                None
-            };
-            if let Some(extent) = piggyback {
-                let take = extent.len.min(count);
-                self.verify_leader(file, take as usize, &mut out)?;
-                last = Some(Run::new(extent.start, take));
-                at += take;
-            } else {
-                self.verify_leader(file, 0, &mut out)?;
-            }
-        }
-        while at < end {
-            let extent =
-                file.entry.run_table.extent_at(at).ok_or_else(|| {
-                    FsdError::Check(format!("page {at} missing from the run table"))
-                })?;
-            let take = extent.len.min(end - at);
-            self.disk.read_into(extent.start, take as usize, &mut out)?;
-            last = Some(Run::new(extent.start, take));
-            at += take;
-        }
-        self.touched(last.as_slice());
+        let out = self.read_walk(file, page, end)?;
         self.cpu.sectors(count as u64);
         Ok(out)
     }
 
-    /// Writes `count` consecutive logical pages from `data`, batching
-    /// transfers along physical extents.
-    pub fn write_pages(&mut self, file: &mut FsdFile, page: u32, data: &[u8]) -> Result<()> {
-        assert_eq!(data.len() % SECTOR_BYTES, 0);
-        let count = (data.len() / SECTOR_BYTES) as u32;
-        let end = file.page_range_end(page, count)?;
+    /// The read walker: pages `page..end` (in range), one transfer per
+    /// extent in run-table order. An unverified leader is checked on the
+    /// first transfer when that extent starts right behind it — "the
+    /// leader page is the previous physical page on the disk" — and after
+    /// the data otherwise; a check that fails leaves the handle
+    /// unverified. No pages, no I/O.
+    fn read_walk(&mut self, file: &mut FsdFile, page: u32, end: u32) -> Result<Vec<u8>> {
+        // Room for the leader sector `verify_leader` reads along.
+        let mut out = Vec::with_capacity((end - page) as usize * SECTOR_BYTES + SECTOR_BYTES);
+        let mut check = !file.leader_verified && file.entry.leader_addr != 0;
+        let mut last = None;
         let mut at = page;
-        let mut off = 0usize;
         while at < end {
-            let extent =
-                file.entry.run_table.extent_at(at).ok_or_else(|| {
-                    FsdError::Check(format!("page {at} missing from the run table"))
-                })?;
-            let take = extent.len.min(end - at) as usize;
-            self.disk
-                .write(extent.start, &data[off..off + take * SECTOR_BYTES])?;
-            self.touched(&[Run::new(extent.start, take as u32)]);
-            at += take as u32;
-            off += take * SECTOR_BYTES;
+            let extent = file.extent_at(at)?;
+            let take = extent.len.min(end - at);
+            if std::mem::take(&mut check) && extent.start == file.entry.leader_addr + 1 {
+                self.verify_leader(file, take as usize, &mut out)?;
+                file.leader_verified = true;
+            } else {
+                self.disk.read_into(extent.start, take as usize, &mut out)?;
+            }
+            last = Some(Run::new(extent.start, take));
+            at += take;
         }
+        self.touched(last.as_slice());
+        if last.is_some() && !file.leader_verified && file.entry.leader_addr != 0 {
+            self.verify_leader(file, 0, &mut out)?;
+            file.leader_verified = true;
+        }
+        Ok(out)
+    }
+
+    /// Writes `data` over consecutive logical pages from `page`: whole
+    /// sectors, the last one zero-padded, one transfer per physical
+    /// extent. `OutOfRange` when the data runs past the file's last page.
+    pub fn write_pages(&mut self, file: &mut FsdFile, page: u32, data: &[u8]) -> Result<()> {
+        let count = data.len().div_ceil(SECTOR_BYTES);
+        let end = file.page_range_end(page, u32::try_from(count).unwrap_or(u32::MAX))?;
+        self.write_walk(file, page, end, data)?;
         self.cpu.sectors(count as u64);
         Ok(())
     }
 
-    /// Overwrites one page of an open file.
-    pub fn write_page(&mut self, file: &mut FsdFile, page: u32, data: &[u8]) -> Result<()> {
-        assert!(data.len() <= SECTOR_BYTES);
-        self.maybe_force()?;
-        let sector = file
-            .entry
-            .run_table
-            .sector_of(page)
-            .ok_or(FsdError::OutOfRange {
-                page,
-                pages: file.pages(),
-            })?;
-        let mut buf = vec![0u8; SECTOR_BYTES];
-        buf[..data.len()].copy_from_slice(data);
-        self.cpu.sectors(1);
-        // Piggyback a pending (already logged) leader home write when the
-        // data write passes right by it (§5.3).
+    /// The write walker: `data` over pages `page..end` (in range), one
+    /// transfer per extent. A logged leader image the session has not
+    /// changed since goes home on the first transfer when that extent
+    /// starts right behind it, the data write passing right by it
+    /// (§5.3).
+    fn write_walk(&mut self, file: &mut FsdFile, page: u32, end: u32, data: &[u8]) -> Result<()> {
         let leader_addr = file.entry.leader_addr;
-        if sector == leader_addr + 1 {
-            if let Some(ls) = self.leaders.get_mut(&leader_addr) {
-                if ls.unlogged.is_none() {
-                    if let Some((img, _)) = ls.logged.take() {
-                        let mut combined = img;
-                        combined.extend_from_slice(&buf);
-                        self.disk.write(leader_addr, &combined)?;
-                        self.touched(&[Run::new(sector, 1)]);
-                        self.leaders.remove(&leader_addr);
-                        file.leader_verified = true;
-                        return Ok(());
-                    }
-                }
+        let mut rest = data;
+        let mut last = None;
+        let mut at = page;
+        while at < end {
+            let extent = file.extent_at(at)?;
+            let take = extent.len.min(end - at);
+            let (chunk, tail) = rest.split_at((take as usize * SECTOR_BYTES).min(rest.len()));
+            rest = tail;
+            let leader = match self.leaders.get(&leader_addr) {
+                Some(LeaderState {
+                    unlogged: None,
+                    logged: Some((img, _)),
+                }) if at == page && extent.start == leader_addr + 1 => Some(img.clone()),
+                _ => None,
+            };
+            let carries = leader.is_some();
+            let mut buf = leader.unwrap_or_default();
+            buf.extend_from_slice(chunk);
+            buf.resize(buf.len().next_multiple_of(SECTOR_BYTES), 0);
+            self.disk
+                .write(if carries { leader_addr } else { extent.start }, &buf)?;
+            if carries {
+                self.leaders.remove(&leader_addr);
+                file.leader_verified = true;
             }
+            last = Some(Run::new(extent.start, take));
+            at += take;
         }
-        self.disk.write(sector, &buf)?;
-        self.touched(&[Run::new(sector, 1)]);
+        self.touched(last.as_slice());
         Ok(())
     }
 

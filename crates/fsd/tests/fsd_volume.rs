@@ -237,6 +237,14 @@ fn corrupted_leader_caught_by_software_check() {
     let leader_addr = f.entry.leader_addr;
     v.disk_mut().wild_write(leader_addr, 0x55);
     assert!(matches!(v.read_page(&mut f, 0), Err(FsdError::Check(_))));
+    // A check that failed leaves the handle unverified: the next read,
+    // by any verb, checks again and fails again.
+    assert!(matches!(v.read_page(&mut f, 0), Err(FsdError::Check(_))));
+    assert!(matches!(
+        v.read_pages(&mut f, 0, 1),
+        Err(FsdError::Check(_))
+    ));
+    assert!(matches!(v.read_file(&mut f), Err(FsdError::Check(_))));
 }
 
 #[test]
@@ -244,7 +252,7 @@ fn write_page_persists() {
     let mut v = tiny();
     v.create("f", &vec![0u8; 1024]).unwrap();
     let mut f = v.open("f", None).unwrap();
-    v.write_page(&mut f, 1, &[9u8; 512]).unwrap();
+    v.write_pages(&mut f, 1, &[9u8; 512]).unwrap();
     assert_eq!(v.read_page(&mut f, 1).unwrap(), vec![9u8; 512]);
 }
 
@@ -255,7 +263,7 @@ fn extend_and_truncate_roundtrip() {
     let mut f = v.open("f", None).unwrap();
     v.extend(&mut f, 3).unwrap();
     assert_eq!(f.pages(), 5);
-    v.write_page(&mut f, 4, &[3u8; 512]).unwrap();
+    v.write_pages(&mut f, 4, &[3u8; 512]).unwrap();
     assert_eq!(v.read_page(&mut f, 4).unwrap(), vec![3u8; 512]);
     // Reopen: the entry in the name table reflects the extension.
     let f2 = v.open("f", None).unwrap();

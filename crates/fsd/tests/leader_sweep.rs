@@ -147,14 +147,14 @@ impl OnVolume for Leaders {
         model.committed();
         let rewritten = pages(23, 1);
         model.writing("s/p", rewritten.clone());
-        v.write_page(&mut p, 0, &rewritten)?;
+        v.write_pages(&mut p, 0, &rewritten)?;
         model.written("s/p");
         // So does its tombstone, through the handle kept past the delete.
         model.change("s/p", None);
         v.delete("s/p", None)?;
         v.force()?;
         model.committed();
-        v.write_page(&mut p, 0, &pages(25, 1))?;
+        v.write_pages(&mut p, 0, &pages(25, 1))?;
         // Reading h, which now ends where p began, makes p's sectors the
         // free run nearest the data the volume last touched.
         let end = h.entry.run_table.runs().last().map(|r| r.end());

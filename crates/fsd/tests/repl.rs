@@ -121,7 +121,7 @@ fn replication_carries_unlogged_data_pages_and_deletes() {
     commit_file(&mut p, &mut sh, "doomed").unwrap();
     {
         let mut f = p.open("keep", None).unwrap();
-        p.write_page(&mut f, 0, b"rewritten page zero").unwrap();
+        p.write_pages(&mut f, 0, b"rewritten page zero").unwrap();
         p.delete("doomed", None).unwrap();
     }
     p.force().unwrap();

@@ -3,7 +3,9 @@
 //! not a lost revolution per 4 KB (EXPERIMENTS.md E-STREAM).
 
 use cedar_fs_repro::cfs::{CfsConfig, CfsVolume};
-use cedar_fs_repro::disk::{CpuModel, CrashPlan, DiskTiming, SimClock, SimDisk, SECTOR_BYTES};
+use cedar_fs_repro::disk::{
+    CpuModel, CrashPlan, DiskStats, DiskTiming, SimClock, SimDisk, SECTOR_BYTES,
+};
 use cedar_fs_repro::fsd::volume::MAX_RUNS;
 use cedar_fs_repro::fsd::{FsdConfig, FsdError, FsdVolume};
 use cedar_vol::fs::{CedarFsError, FsBackend, CHUNK_PAGES};
@@ -227,5 +229,75 @@ proptest! {
         prop_assert_eq!(&paged, &data);
         let d = v.disk_stats().since(&s0);
         prop_assert_eq!(d.sectors_read, u64::from(pages) + leader_sectors);
+
+        // As one page range on a fresh handle: the same bytes, the same
+        // requests as the whole-file read.
+        let mut f = v.open("target", None).unwrap();
+        let s0 = v.disk_stats();
+        let mut ranged = v.read_pages(&mut f, 0, pages).unwrap();
+        ranged.truncate(bytes);
+        prop_assert_eq!(&ranged, &data);
+        let d = v.disk_stats().since(&s0);
+        prop_assert_eq!((d.reads, d.sectors_read), (expect_reads, u64::from(pages) + leader_sectors));
     }
+}
+
+/// A file whose first run holds only its leader: every hole is one
+/// sector, so data page 0 lies in a hole of its own. The whole-file read,
+/// the page-range read and the page reads hand back the same bytes and
+/// check the leader once per handle — after the data, there being no
+/// transfer for it to ride on. The whole-file read's disk time is pinned
+/// to the microsecond: the data run by run, then the leader.
+#[test]
+fn a_leader_apart_from_page_zero_is_checked_once_by_every_read() {
+    const PAGES: u32 = 5;
+    let mut v = fragmented(&[1; PAGES as usize + 1]);
+    let data = content_for("target", u64::from(PAGES) * SECTOR_BYTES as u64 - 100);
+    let made = v.create("target", &data).unwrap();
+    let runs = made.entry.run_table.runs();
+    assert_eq!(runs.len(), PAGES as usize);
+    assert_ne!(runs[0].start, made.entry.leader_addr + 1);
+    FsBackend::open(&mut v, "target").unwrap(); // Name-table pages cached.
+
+    let mut f = v.open("target", None).unwrap();
+    let s0 = v.disk_stats();
+    assert_eq!(v.read_file(&mut f).unwrap(), data);
+    assert_eq!(
+        v.disk_stats().since(&s0),
+        DiskStats {
+            reads: 6,
+            sectors_read: 6,
+            short_seeks: 3,
+            seek_us: 18_000,
+            rotation_us: 16_902,
+            transfer_us: 6_246,
+            lost_revolutions: 2,
+            lost_rev_us: 26_517,
+            ..DiskStats::default()
+        }
+    );
+    // The handle checked its leader: a second read moves the data only.
+    let s0 = v.disk_stats();
+    assert_eq!(v.read_file(&mut f).unwrap(), data);
+    let d = v.disk_stats().since(&s0);
+    assert_eq!((d.reads, d.sectors_read), (5, 5));
+
+    let mut f = v.open("target", None).unwrap();
+    let s0 = v.disk_stats();
+    let mut ranged = v.read_pages(&mut f, 0, PAGES).unwrap();
+    ranged.truncate(data.len());
+    assert_eq!(ranged, data);
+    let d = v.disk_stats().since(&s0);
+    assert_eq!((d.reads, d.sectors_read), (6, 6));
+
+    let mut f = v.open("target", None).unwrap();
+    let s0 = v.disk_stats();
+    let mut paged = Vec::new();
+    for page in 0..PAGES {
+        paged.extend(v.read_page(&mut f, page).unwrap());
+    }
+    paged.truncate(data.len());
+    assert_eq!(paged, data);
+    let d = v.disk_stats().since(&s0);
+    assert_eq!((d.reads, d.sectors_read), (6, 6));
 }

@@ -18,6 +18,28 @@ pub struct KnownConst {
     pub defining_files: Vec<&'static str>,
 }
 
+/// The argument of a sink call that steers it (`taint_sink_calls`).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum SinkArg {
+    /// The argument at this index, counting from the first.
+    Nth(usize),
+    /// The argument this many places before the last (`Back(0)` is the
+    /// last). Dropping a leading parameter does not move it, so call
+    /// sites written before and after such a change name the same
+    /// argument.
+    Back(usize),
+}
+
+impl SinkArg {
+    /// Whether argument `i` of a call passing `n` arguments is this one.
+    pub(crate) fn is(self, i: usize, n: usize) -> bool {
+        match self {
+            SinkArg::Nth(p) => i == p,
+            SinkArg::Back(p) => i + 1 + p == n,
+        }
+    }
+}
+
 /// Full rule configuration.
 #[derive(Clone, Debug)]
 pub struct Config {
@@ -158,10 +180,10 @@ pub struct Config {
     pub taint_validator_calls: Vec<&'static str>,
     /// taint: sink calls — panic-prone or region-critical operations a
     /// tainted value must never steer. The second element is the
-    /// dangerous argument position (`None` = any argument); for
-    /// `write_checked` only the address (arg 0) matters — writing
-    /// tainted *bytes* to a validated address is exactly what redo does.
-    pub taint_sink_calls: Vec<(&'static str, Option<usize>)>,
+    /// dangerous argument; for `write_checked` only the address (arg 0)
+    /// matters — writing tainted *bytes* to a validated address is
+    /// exactly what redo does.
+    pub taint_sink_calls: Vec<(&'static str, SinkArg)>,
     /// taint: mutating collection methods that taint their receiver when
     /// the *first* argument is tainted. First-argument-only encodes the
     /// control/data split: `map.insert(addr, img)` taints the map only
@@ -472,27 +494,30 @@ impl Config {
             taint_validator_calls: vec!["runs_sane", "validate", "check_range"],
             taint_sink_calls: vec![
                 // Layout address math asserts on out-of-range pages.
-                ("nt_a_sector", Some(0)),
-                ("nt_b_sector", Some(0)),
-                ("nt_pair", Some(0)),
+                ("nt_a_sector", SinkArg::Nth(0)),
+                ("nt_b_sector", SinkArg::Nth(0)),
+                ("nt_pair", SinkArg::Nth(0)),
                 // VAM bitmap ops panic on out-of-range sectors.
-                ("allocate_run", Some(0)),
-                ("free_run", Some(0)),
+                ("allocate_run", SinkArg::Nth(0)),
+                ("free_run", SinkArg::Nth(0)),
                 // Allocation sized by a tainted length is an OOM.
-                ("with_capacity", Some(0)),
-                ("resize", Some(0)),
-                ("copy_from_slice", Some(0)),
+                ("with_capacity", SinkArg::Nth(0)),
+                ("resize", SinkArg::Nth(0)),
+                ("copy_from_slice", SinkArg::Nth(0)),
                 // Address-steered I/O: the batch/map carries the targets.
-                ("write_checked", Some(0)),
-                ("write_home_batch", Some(3)),
-                ("scrub_batch", Some(3)),
-                ("redo_leaders", Some(3)),
+                // Counted from the end, the batch and the pair are the
+                // same argument whether or not the call still passes the
+                // scheduling policy ahead of them, as older trees do.
+                ("write_checked", SinkArg::Nth(0)),
+                ("write_home_batch", SinkArg::Back(0)),
+                ("scrub_batch", SinkArg::Back(0)),
+                ("redo_leaders", SinkArg::Nth(3)),
                 // The pair steers two reads and the scrub between them.
-                ("read_replicated", Some(3)),
-                ("read_allow_damage", Some(1)),
-                ("with_entries", Some(1)),
-                ("execute", Some(2)),
-                ("execute_partial", Some(2)),
+                ("read_replicated", SinkArg::Back(2)),
+                ("read_allow_damage", SinkArg::Nth(1)),
+                ("with_entries", SinkArg::Nth(1)),
+                ("execute", SinkArg::Back(0)),
+                ("execute_partial", SinkArg::Back(0)),
             ],
             taint_collect_methods: vec![
                 "insert",

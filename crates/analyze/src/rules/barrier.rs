@@ -39,7 +39,7 @@ pub fn check(a: &Analysis<'_>) -> Vec<Finding> {
             must: false,
             direct: |_, args| {
                 // The batch is the last plain-path argument
-                // (`sched::execute(&mut disk, policy, &batch)` → `batch`).
+                // (`sched::execute(&mut disk, &batch)` → `batch`).
                 let batch = args.iter().rev().find_map(|a| a.last_name());
                 let batch = batch.unwrap_or_default();
                 (

@@ -328,7 +328,7 @@ impl<'a> Walker<'a> {
                 .find(|(n, _)| *n == name)
             {
                 for (i, t) in arg_ts.iter().enumerate() {
-                    if pos.is_some_and(|p| p != i) || t.is_clean() {
+                    if !pos.is(i, arg_ts.len()) || t.is_clean() {
                         continue;
                     }
                     self.unsafe_use(

@@ -285,5 +285,20 @@ fn taint_fixture_flags_sink_arith_and_coverage_but_not_sanitized() {
     );
     // The dominating bounds check in `sanitized_ok` launders the taint.
     assert!(f.iter().all(|x| x.item != "sanitized_ok"), "{f:#?}");
-    assert_eq!(f.len(), 3, "{f:#?}");
+    // Each address-steered I/O sink, called without a scheduling policy
+    // (the disk holds it), is steered by its batch or its pair.
+    for (item, snippet) in [
+        ("tainted_home_batch", "write_home_batch(arg 2)"),
+        ("tainted_scrub_batch", "scrub_batch(arg 2)"),
+        ("tainted_pair", "read_replicated(arg 2)"),
+        ("tainted_batch", "execute(arg 1)"),
+        ("tainted_partial_batch", "execute_partial(arg 1)"),
+    ] {
+        assert!(
+            f.iter()
+                .any(|x| x.rule == "disk-taint" && x.item == item && x.snippet == snippet),
+            "{item}: {f:#?}"
+        );
+    }
+    assert_eq!(f.len(), 8, "{f:#?}");
 }

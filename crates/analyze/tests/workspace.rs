@@ -142,7 +142,7 @@ const ENGINE: &str = "crates/fsd/src/engine.rs";
 const MAYBE_FORCE: &str = "fn maybe_force(&mut self) -> Result<()> {";
 const RECOVERY: &str = "crates/fsd/src/recovery.rs";
 const SCAN_PHASE: &str = "fn scan_phase(";
-const READ_META: &str = "let meta = Log::read_meta(disk, policy, &mut spare, layout.log_start)?;";
+const READ_META: &str = "let meta = Log::read_meta(disk, &mut spare, layout.log_start)?;";
 
 /// The mutation table (EXPERIMENTS.md E-LINT). A rule is only
 /// believed once it has a row here: the per-rule fixtures cannot catch a
@@ -262,7 +262,7 @@ const SEEDS: &[Seed] = &[
         edit: Edit::Replace {
             after: SCAN_PHASE,
             anchor: READ_META,
-            with: "let meta = Log::read_meta(disk, policy, &mut spare, layout.log_start)?;\n\
+            with: "let meta = Log::read_meta(disk, &mut spare, layout.log_start)?;\n\
                    let _lint_probe = Vec::<u8>::with_capacity(meta.oldest_offset as usize);",
         },
         expect: &[("disk-taint", "scan_phase", "with_capacity(arg 0)")],
@@ -274,7 +274,7 @@ const SEEDS: &[Seed] = &[
         edit: Edit::Replace {
             after: SCAN_PHASE,
             anchor: READ_META,
-            with: "let meta = Log::read_meta(disk, policy, &mut spare, layout.log_start)?;\n\
+            with: "let meta = Log::read_meta(disk, &mut spare, layout.log_start)?;\n\
                    let live = meta.oldest_offset;\n\
                    let _end = live + layout.log_sectors;",
         },
@@ -288,7 +288,7 @@ const SEEDS: &[Seed] = &[
         edit: Edit::Replace {
             after: SCAN_PHASE,
             anchor: READ_META,
-            with: "let meta = Log::read_meta(disk, policy, &mut spare, layout.log_start)?;\n\
+            with: "let meta = Log::read_meta(disk, &mut spare, layout.log_start)?;\n\
                    for page in 0..meta.oldest_offset { layout.nt_a_sector(page); }",
         },
         expect: &[
@@ -304,7 +304,7 @@ const SEEDS: &[Seed] = &[
         edit: Edit::Replace {
             after: SCAN_PHASE,
             anchor: READ_META,
-            with: "let meta = Log::read_meta(disk, policy, &mut spare, layout.log_start)?;\n\
+            with: "let meta = Log::read_meta(disk, &mut spare, layout.log_start)?;\n\
                    if let Some(page) = meta.oldest_offset.checked_sub(1) {\n\
                    layout.nt_a_sector(page);\n\
                    }",

@@ -48,12 +48,12 @@ fn run_with(commit_interval_us: u64, log_sectors: u32) -> RunResult {
     let mut vol = FsdVolume::format(
         SimDisk::trident_t300(SimClock::new()),
         FsdConfig {
-            commit_interval_us,
             log_sectors,
             ..Default::default()
         },
     )
     .unwrap();
+    vol.set_commit_interval(commit_interval_us);
     let l = *vol.layout();
     vol.disk_mut().set_regions(vec![
         (0, l.small_start, "meta"), // Boot pages + VAM save.

@@ -77,14 +77,13 @@ fn measure_cfs() -> (Vec<(String, u64)>, DiskStats) {
 /// interval keeps the group-commit daemon out of the per-operation
 /// timings: the scripts model the pure operations.
 fn fsd_t300() -> cedar_fsd::FsdVolume {
-    cedar_fsd::FsdVolume::format(
+    let mut vol = cedar_fsd::FsdVolume::format(
         cedar_disk::SimDisk::trident_t300(cedar_disk::SimClock::new()),
-        cedar_fsd::FsdConfig {
-            commit_interval_us: u64::MAX / 2,
-            ..Default::default()
-        },
+        cedar_fsd::FsdConfig::default(),
     )
-    .unwrap()
+    .unwrap();
+    vol.set_commit_interval(u64::MAX / 2);
+    vol
 }
 
 fn measure_fsd() -> (Vec<(String, u64)>, DiskStats) {

@@ -20,7 +20,7 @@ use crate::nametable::{CfsNtStore, NtEntry};
 use crate::volume::CfsVolume;
 use crate::Result;
 use cedar_btree::BTree;
-use cedar_disk::sched::{self, IoBatch, IoOp, IoPolicy};
+use cedar_disk::sched::{self, IoBatch, IoOp};
 use cedar_disk::{clock::Micros, Label, PageKind};
 use cedar_vol::{Run, RunTable, Vam};
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -68,7 +68,7 @@ impl CfsVolume {
             addr += n as u32;
         }
         let mut labels: Vec<Label> = Vec::with_capacity(total as usize);
-        for out in sched::execute(disk, IoPolicy::Satf, &scan)? {
+        for out in sched::execute(disk, &scan)? {
             labels.extend(
                 out.into_labels()
                     .ok_or_else(|| CfsError::Corrupt("label scan output shape".into()))?,
@@ -114,7 +114,7 @@ impl CfsVolume {
                 n: HEADER_SECTORS as usize,
             });
         }
-        let header_raw = sched::execute(disk, IoPolicy::Satf, &fetch)?;
+        let header_raw = sched::execute(disk, &fetch)?;
         let outs: Vec<Option<(Vec<u8>, Vec<bool>)>> = header_raw
             .into_iter()
             .map(|out| out.into_data_mask())
@@ -189,7 +189,7 @@ impl CfsVolume {
             });
             i += len as usize;
         }
-        sched::execute(disk, IoPolicy::Satf, &relabel)?;
+        sched::execute(disk, &relabel)?;
 
         // Rewrite each recovered header (its run table may have been
         // corrected from the labels), then rebuild the name table

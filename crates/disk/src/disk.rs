@@ -36,6 +36,7 @@ use crate::error::DiskError;
 use crate::fault::FaultPlan;
 use crate::geometry::DiskGeometry;
 use crate::label::Label;
+use crate::sched::IoPolicy;
 use crate::stats::DiskStats;
 use crate::timing::DiskTiming;
 use crate::{Result, SectorAddr, SECTOR_BYTES};
@@ -105,6 +106,8 @@ pub struct SimDisk {
     /// is appended here. The replication tap drains this to mirror
     /// unlogged data-area writes to the replica.
     journal: Option<Vec<JournalEntry>>,
+    /// How [`crate::sched`] orders a batch handed to this disk.
+    io_policy: IoPolicy,
 }
 
 /// One durably completed sector write, as recorded by the write journal
@@ -147,6 +150,7 @@ impl SimDisk {
             regions: Vec::new(),
             region_ops: std::collections::HashMap::new(),
             journal: None,
+            io_policy: IoPolicy::default(),
         }
     }
 
@@ -197,6 +201,19 @@ impl SimDisk {
     /// Operations per region since the last reset.
     pub fn region_ops(&self) -> &std::collections::HashMap<&'static str, u64> {
         &self.region_ops
+    }
+
+    /// How [`crate::sched`] orders the batches this disk is handed
+    /// ([`IoPolicy::Satf`] unless [`Self::set_io_policy`] said otherwise).
+    pub fn io_policy(&self) -> IoPolicy {
+        self.io_policy
+    }
+
+    /// Replaces the batch scheduling policy. It is the controller's, not
+    /// the platter's: it survives [`Self::reboot`] and
+    /// [`Self::fork_with_clock`], but a saved image does not record it.
+    pub fn set_io_policy(&mut self, policy: IoPolicy) {
+        self.io_policy = policy;
     }
 
     fn attribute(&mut self, addr: SectorAddr) {
@@ -689,8 +706,10 @@ impl SimDisk {
     /// fresh media driven by an independent `clock`. Media-fault state
     /// (damage, latent and grown defects), pending crash plans, statistics
     /// and the write journal do NOT carry over: a full-state transfer ships
-    /// bytes, not the donor's physical flaws. This is how a replica is
-    /// seeded and how the lapped-log full-transfer fallback works.
+    /// bytes, not the donor's physical flaws. The batch scheduling policy
+    /// does carry over: the fork is driven the way the donor was. This is
+    /// how a replica is seeded and how the lapped-log full-transfer
+    /// fallback works.
     pub fn fork_with_clock(&self, clock: SimClock) -> SimDisk {
         let mut fork = SimDisk::new(self.geometry, self.timing, clock);
         for (i, s) in self.sectors.iter().enumerate() {
@@ -701,6 +720,7 @@ impl SimDisk {
             }
         }
         fork.regions = self.regions.clone();
+        fork.io_policy = self.io_policy;
         fork
     }
 
@@ -729,8 +749,8 @@ impl SimDisk {
     }
 
     /// Brings the disk back online after a crash. Persistent state
-    /// (sector data, labels, damage) survives; the head is left at
-    /// cylinder 0 as after a power cycle.
+    /// (sector data, labels, damage) and the scheduling policy survive;
+    /// the head is left at cylinder 0 as after a power cycle.
     pub fn reboot(&mut self) {
         self.crashed = false;
         self.crash = None;
@@ -1188,6 +1208,37 @@ mod tests {
         let before = d.stats();
         d.read(0, 1).unwrap(); // Head is home: no seek.
         assert_eq!(d.stats().since(&before).seek_us, 0);
+    }
+
+    #[test]
+    fn the_policy_survives_clone_reboot_and_fork() {
+        // Two writes Satf would swap (it takes the lower address first)
+        // and InOrder runs as submitted: the journal tells them apart.
+        let order = |d: &mut SimDisk| {
+            let mut b = crate::IoBatch::new();
+            for start in [40, 20] {
+                b.push(crate::IoOp::Write {
+                    start,
+                    data: sector_of(1),
+                });
+            }
+            d.enable_write_journal();
+            crate::sched::execute(d, &b).unwrap();
+            let journal = d.drain_write_journal();
+            journal.iter().map(|e| e.addr).collect::<Vec<_>>()
+        };
+        assert_eq!(SimDisk::tiny().io_policy(), IoPolicy::Satf);
+        assert_eq!(order(&mut SimDisk::tiny()), vec![20, 40]);
+        let mut d = SimDisk::tiny();
+        d.set_io_policy(IoPolicy::InOrder);
+        let mut copies = vec![d.clone(), d.fork_with_clock(SimClock::new())];
+        d.crash_now();
+        d.reboot();
+        copies.push(d);
+        for mut c in copies {
+            assert_eq!(c.io_policy(), IoPolicy::InOrder);
+            assert_eq!(order(&mut c), vec![40, 20]);
+        }
     }
 
     #[test]

@@ -90,7 +90,8 @@ impl SimDisk {
     }
 
     /// Loads a disk image saved by [`Self::save_image`], attaching it to
-    /// `clock`.
+    /// `clock`. The image holds no scheduling policy: the disk comes up
+    /// [`IoPolicy::Satf`](crate::IoPolicy::Satf).
     pub fn load_image(path: impl AsRef<Path>, clock: SimClock) -> io::Result<SimDisk> {
         let mut r = BufReader::new(std::fs::File::open(path)?);
         let mut magic = [0u8; 8];

@@ -9,9 +9,10 @@
 //!   range with raw bytes and per-sector damage flags.
 //! * [`read_chunks`] turns a list of disjoint ranges into one
 //!   damage-tolerant batch read (a single barrier-free window — reads
-//!   never conflict — so the scheduler can order the whole sweep).
+//!   never conflict — so the scheduler can order the whole sweep, under
+//!   the disk's own [`SimDisk::io_policy`]).
 
-use crate::sched::{self, IoBatch, IoOp, IoPolicy};
+use crate::sched::{self, IoBatch, IoOp};
 use crate::{DiskError, Result, SectorAddr, SimDisk};
 
 /// One contiguous stretch of sectors read by the scan's reader stage.
@@ -37,19 +38,15 @@ impl ScanChunk {
 /// returns one [`ScanChunk`] per range, in submission order.
 ///
 /// Reads never conflict, so the whole batch is a single barrier-free
-/// window: under [`IoPolicy::Satf`] the scheduler coalesces adjacent
-/// ranges and takes the transfers nearest-first, regardless of
-/// submission order.
-pub fn read_chunks(
-    disk: &mut SimDisk,
-    policy: IoPolicy,
-    ranges: &[(SectorAddr, usize)],
-) -> Result<Vec<ScanChunk>> {
+/// window: on a disk scheduling [`IoPolicy::Satf`](crate::IoPolicy::Satf)
+/// the scheduler coalesces adjacent ranges and takes the transfers
+/// nearest-first, regardless of submission order.
+pub fn read_chunks(disk: &mut SimDisk, ranges: &[(SectorAddr, usize)]) -> Result<Vec<ScanChunk>> {
     let mut batch = IoBatch::new();
     for &(start, n) in ranges {
         batch.push(IoOp::ReadAllowDamage { start, n });
     }
-    let outputs = sched::execute(disk, policy, &batch)?;
+    let outputs = sched::execute(disk, &batch)?;
     let mut chunks = Vec::with_capacity(ranges.len());
     for (out, &(start, _)) in outputs.into_iter().zip(ranges) {
         let (bytes, damaged) = out
@@ -73,7 +70,7 @@ mod tests {
         let mut disk = SimDisk::tiny();
         let data = vec![0xA5u8; crate::SECTOR_BYTES * 2];
         disk.write(40, &data).unwrap();
-        let chunks = read_chunks(&mut disk, IoPolicy::Satf, &[(40, 2), (8, 1)]).unwrap();
+        let chunks = read_chunks(&mut disk, &[(40, 2), (8, 1)]).unwrap();
         assert_eq!(chunks.len(), 2);
         assert_eq!(chunks[0].start, 40);
         assert_eq!(chunks[0].sectors(), 2);
@@ -87,7 +84,7 @@ mod tests {
     fn read_chunks_flags_damaged_sectors() {
         let mut disk = SimDisk::tiny();
         disk.damage_sector(41);
-        let chunks = read_chunks(&mut disk, IoPolicy::InOrder, &[(40, 3)]).unwrap();
+        let chunks = read_chunks(&mut disk, &[(40, 3)]).unwrap();
         assert_eq!(chunks[0].damaged, vec![false, true, false]);
     }
 }

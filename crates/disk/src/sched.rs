@@ -15,6 +15,12 @@
 //! another and waits half a revolution for each; choosing by position
 //! takes them in the order they come round.
 //!
+//! The order is the disk's to choose, not the caller's: every batch runs
+//! under its disk's [`SimDisk::io_policy`], so the file systems above
+//! hand batches over and never name a policy. A bench or test that
+//! measures [`IoPolicy::InOrder`], the submission-order baseline, sets it
+//! on the disk it formats.
+//!
 //! A request is one of the four transfers the file systems submit: FSD
 //! writes its log, home pages and replicated structures ([`IoOp::Write`])
 //! and reads them damage-tolerantly ([`IoOp::ReadAllowDamage`]); the CFS
@@ -60,7 +66,8 @@ use crate::label::Label;
 use crate::{Result, SectorAddr, SECTOR_BYTES};
 use std::borrow::Cow;
 
-/// How a batch is executed.
+/// How a disk executes the batches it is handed
+/// ([`SimDisk::set_io_policy`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum IoPolicy {
     /// Execute requests exactly in submission order, one `SimDisk` call
@@ -290,20 +297,17 @@ impl OpResult {
     }
 }
 
-/// Executes a batch under `policy`, returning one [`OpResult`] per
-/// request: failing requests are isolated instead of aborting the batch,
-/// so callers can scrub/remap the named sector and resubmit. Only
-/// [`DiskError::Crashed`] (the machine is gone) aborts the whole call.
+/// Executes a batch under the disk's [`SimDisk::io_policy`], returning
+/// one [`OpResult`] per request: failing requests are isolated instead
+/// of aborting the batch, so callers can scrub/remap the named sector and
+/// resubmit. Only [`DiskError::Crashed`] (the machine is gone) aborts the
+/// whole call.
 ///
 /// A failed coalesced transfer is re-probed one member request at a
 /// time to attribute the damage; data-plane requests are idempotent, so
 /// the re-probe is safe. Remaining requests in the same window still
 /// run; every request in later windows is [`OpResult::Skipped`].
-pub fn execute_partial(
-    disk: &mut SimDisk,
-    policy: IoPolicy,
-    batch: &IoBatch,
-) -> Result<Vec<OpResult>> {
+pub fn execute_partial(disk: &mut SimDisk, batch: &IoBatch) -> Result<Vec<OpResult>> {
     let ops = batch.requests();
     let mut results: Vec<OpResult> = vec![OpResult::Skipped; batch.ops];
     let mut outputs: Vec<Option<IoOutput>> = vec![None; batch.ops];
@@ -312,8 +316,8 @@ pub fn execute_partial(
         if failed {
             break; // Later windows stay Skipped.
         }
-        let mut pending = plan_window(policy, &ops, &window);
-        while let Some(group) = next_group(disk, policy, &ops, &mut pending) {
+        let mut pending = plan_window(disk.io_policy(), &ops, &window);
+        while let Some(group) = next_group(disk, &ops, &mut pending) {
             let mut tries = vec![group];
             while let Some(group) = tries.pop() {
                 match run_group(disk, &ops, &group, &mut outputs) {
@@ -338,14 +342,14 @@ pub fn execute_partial(
     Ok(results)
 }
 
-/// Executes a batch under `policy`, returning one [`IoOutput`] per
-/// request in submission order.
-pub fn execute(disk: &mut SimDisk, policy: IoPolicy, batch: &IoBatch) -> Result<Vec<IoOutput>> {
+/// Executes a batch under the disk's [`SimDisk::io_policy`], returning
+/// one [`IoOutput`] per request in submission order.
+pub fn execute(disk: &mut SimDisk, batch: &IoBatch) -> Result<Vec<IoOutput>> {
     let mut outputs: Vec<Option<IoOutput>> = vec![None; batch.ops];
     let ops = batch.requests();
     for window in windows(batch) {
-        let mut pending = plan_window(policy, &ops, &window);
-        while let Some(group) = next_group(disk, policy, &ops, &mut pending) {
+        let mut pending = plan_window(disk.io_policy(), &ops, &window);
+        while let Some(group) = next_group(disk, &ops, &mut pending) {
             run_group(disk, &ops, &group, &mut outputs)?;
         }
     }
@@ -395,13 +399,8 @@ fn plan_window(policy: IoPolicy, ops: &[&IoOp], window: &[usize]) -> Vec<Vec<usi
 /// address order. The estimate is exact (nothing moves the clock between
 /// two transfers of a batch), and equal costs go to the lower address
 /// (`pending` is address-sorted and `min_by_key` keeps the first).
-fn next_group(
-    disk: &SimDisk,
-    policy: IoPolicy,
-    ops: &[&IoOp],
-    pending: &mut Vec<Vec<usize>>,
-) -> Option<Vec<usize>> {
-    let pick = match policy {
+fn next_group(disk: &SimDisk, ops: &[&IoOp], pending: &mut Vec<Vec<usize>>) -> Option<Vec<usize>> {
+    let pick = match disk.io_policy() {
         IoPolicy::InOrder => 0,
         IoPolicy::Satf => {
             (0..pending.len()).min_by_key(|&g| disk.position_cost_us(ops[pending[g][0]].start()))?
@@ -536,7 +535,7 @@ mod tests {
             start: 22,
             data: sector_of(3),
         });
-        execute(&mut d, IoPolicy::Satf, &b).unwrap();
+        execute(&mut d, &b).unwrap();
         let s = d.stats();
         assert_eq!(s.writes, 1, "three adjacent writes become one transfer");
         assert_eq!(s.sectors_written, 3);
@@ -553,7 +552,7 @@ mod tests {
         let mut b = IoBatch::new();
         let hi = b.push(IoOp::ReadAllowDamage { start: 40, n: 1 });
         let lo = b.push(IoOp::ReadAllowDamage { start: 7, n: 1 });
-        let out = execute(&mut d, IoPolicy::Satf, &b).unwrap();
+        let out = execute(&mut d, &b).unwrap();
         assert_eq!(out[hi].clone().into_data_mask().unwrap().0[0], 4);
         assert_eq!(out[lo].clone().into_data_mask().unwrap().0[0], 7);
     }
@@ -569,7 +568,7 @@ mod tests {
         let r: Vec<usize> = (20..23)
             .map(|a| b.push(IoOp::ReadAllowDamage { start: a, n: 1 }))
             .collect();
-        let out = execute(&mut d, IoPolicy::Satf, &b).unwrap();
+        let out = execute(&mut d, &b).unwrap();
         assert_eq!(d.stats().reads, 1, "three adjacent reads become one");
         let got: Vec<(u8, Vec<bool>)> = r
             .iter()
@@ -609,7 +608,7 @@ mod tests {
             start: 3,
             data: sector_of(8),
         });
-        assert!(execute(&mut d, IoPolicy::Satf, &b).is_err());
+        assert!(execute(&mut d, &b).is_err());
         d.reboot();
         assert_eq!(d.peek_data(100).unwrap()[0], 9, "window 1 durable");
         assert!(d.peek_data(3).is_none(), "window 2 never started");
@@ -628,7 +627,7 @@ mod tests {
             data: sector_of(2),
         });
         assert_eq!(windows(&b).len(), 2);
-        execute(&mut d, IoPolicy::Satf, &b).unwrap();
+        execute(&mut d, &b).unwrap();
         assert_eq!(d.peek_data(5).unwrap()[0], 2, "program order wins");
     }
 
@@ -640,6 +639,7 @@ mod tests {
         // on the fly and comes round to 2.
         let run = |policy: IoPolicy| {
             let mut d = SimDisk::tiny();
+            d.set_io_policy(policy);
             d.read(0, 6).unwrap();
             let mut b = IoBatch::new();
             b.push(IoOp::Write {
@@ -650,7 +650,7 @@ mod tests {
                 start: 8,
                 data: sector_of(2),
             });
-            execute(&mut d, policy, &b).unwrap();
+            execute(&mut d, &b).unwrap();
             d.stats().busy_us()
         };
         assert!(
@@ -669,6 +669,7 @@ mod tests {
         let rev = DiskTiming::TRIDENT_T300.sector_us() * g.sectors_per_track as Micros;
         let run = |policy: IoPolicy| {
             let mut d = SimDisk::trident_t300(SimClock::new());
+            d.set_io_policy(policy);
             let mut b = IoBatch::new();
             let mut nearest = Micros::MAX;
             for head in 0..6 {
@@ -683,7 +684,7 @@ mod tests {
                     data: vec![head as u8; 2 * SECTOR_BYTES],
                 });
             }
-            execute(&mut d, policy, &b).unwrap();
+            execute(&mut d, &b).unwrap();
             (d.stats(), nearest)
         };
         let (satf, nearest) = run(IoPolicy::Satf);
@@ -723,7 +724,7 @@ mod tests {
                 data: sector_of(head as u8),
             });
         }
-        execute(&mut d, IoPolicy::Satf, &b).unwrap();
+        execute(&mut d, &b).unwrap();
         let order: Vec<SectorAddr> = d.drain_write_journal().iter().map(|e| e.addr).collect();
         assert_eq!(order, vec![at(0), at(1)]);
     }
@@ -732,6 +733,7 @@ mod tests {
     fn in_order_policy_matches_direct_calls() {
         let mut direct = SimDisk::tiny();
         let mut batched = SimDisk::tiny();
+        batched.set_io_policy(IoPolicy::InOrder);
         direct.write(10, &sector_of(1)).unwrap();
         direct.write(30, &sector_of(2)).unwrap();
         let d1 = direct.read_allow_damage(10, 1).unwrap();
@@ -745,7 +747,7 @@ mod tests {
             data: sector_of(2),
         });
         let r = b.push(IoOp::ReadAllowDamage { start: 10, n: 1 });
-        let out = execute(&mut batched, IoPolicy::InOrder, &b).unwrap();
+        let out = execute(&mut batched, &b).unwrap();
         assert_eq!(out[r].clone().into_data_mask().unwrap(), d1);
         assert_eq!(direct.stats(), batched.stats());
         assert_eq!(direct.clock().now(), batched.clock().now());
@@ -764,7 +766,7 @@ mod tests {
             labels: vec![Label::FREE],
             expected: None,
         });
-        execute(&mut d, IoPolicy::Satf, &b).unwrap();
+        execute(&mut d, &b).unwrap();
         let s = d.stats();
         assert_eq!(s.writes, 1);
         assert_eq!(s.label_ops, 1);
@@ -778,7 +780,7 @@ mod tests {
         let mut b = IoBatch::new();
         let a = b.push(IoOp::ReadLabels { start: 16, n: 2 });
         let c = b.push(IoOp::ReadLabels { start: 18, n: 2 });
-        let out = execute(&mut d, IoPolicy::Satf, &b).unwrap();
+        let out = execute(&mut d, &b).unwrap();
         assert_eq!(
             d.stats().label_ops,
             2,
@@ -817,7 +819,7 @@ mod tests {
                 })
             })
             .collect();
-        let out = execute_partial(&mut d, IoPolicy::Satf, &b).unwrap();
+        let out = execute_partial(&mut d, &b).unwrap();
         assert_eq!(out[w[0]], OpResult::Ok(IoOutput::Done));
         assert_eq!(out[w[1]].error(), Some(&DiskError::BadSector(21)));
         assert_eq!(out[w[2]], OpResult::Ok(IoOutput::Done));
@@ -858,7 +860,7 @@ mod tests {
             start: 60,
             data: sector_of(3),
         });
-        let out = execute_partial(&mut d, IoPolicy::Satf, &b).unwrap();
+        let out = execute_partial(&mut d, &b).unwrap();
         assert_eq!(out[w0].error(), Some(&DiskError::BadSector(40)));
         // Same window: still attempted.
         assert_eq!(out[w1], OpResult::Ok(IoOutput::Done));
@@ -881,7 +883,7 @@ mod tests {
             start: 31,
             data: sector_of(8),
         });
-        let out = execute_partial(&mut d, IoPolicy::Satf, &b).unwrap();
+        let out = execute_partial(&mut d, &b).unwrap();
         // The coalesced transfer failed at 31; the re-probe shows 30
         // succeeded and is durable.
         assert_eq!(out[w0], OpResult::Ok(IoOutput::Done));
@@ -901,10 +903,7 @@ mod tests {
             start: 5,
             data: sector_of(1),
         });
-        assert_eq!(
-            execute_partial(&mut d, IoPolicy::Satf, &b),
-            Err(DiskError::Crashed)
-        );
+        assert_eq!(execute_partial(&mut d, &b), Err(DiskError::Crashed));
     }
 
     #[test]
@@ -918,8 +917,8 @@ mod tests {
         });
         b.barrier();
         b.push(IoOp::ReadAllowDamage { start: 10, n: 1 });
-        let full = execute(&mut d1, IoPolicy::Satf, &b).unwrap();
-        let partial = execute_partial(&mut d2, IoPolicy::Satf, &b).unwrap();
+        let full = execute(&mut d1, &b).unwrap();
+        let partial = execute_partial(&mut d2, &b).unwrap();
         for (f, p) in full.into_iter().zip(partial) {
             assert_eq!(OpResult::Ok(f), p);
         }
@@ -931,7 +930,7 @@ mod tests {
         let mut d = SimDisk::tiny();
         let b = IoBatch::new();
         assert!(b.is_empty());
-        assert!(execute(&mut d, IoPolicy::Satf, &b).unwrap().is_empty());
+        assert!(execute(&mut d, &b).unwrap().is_empty());
         assert_eq!(d.stats().total_ops(), 0);
     }
 }

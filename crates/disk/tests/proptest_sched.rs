@@ -158,9 +158,10 @@ proptest! {
     ) {
         let (batch, _) = build(&items);
         let mut a = populated_disk();
+        a.set_io_policy(IoPolicy::InOrder);
         let mut b = populated_disk();
-        let out_a = execute(&mut a, IoPolicy::InOrder, &batch).unwrap();
-        let out_b = execute(&mut b, IoPolicy::Satf, &batch).unwrap();
+        let out_a = execute(&mut a, &batch).unwrap();
+        let out_b = execute(&mut b, &batch).unwrap();
         prop_assert_eq!(&out_a, &out_b, "per-request results must match");
         prop_assert_eq!(snapshot(&a), snapshot(&b), "disk images must match");
         for addr in 0..TOTAL {
@@ -181,7 +182,7 @@ proptest! {
         let mut d = populated_disk();
         let pre = snapshot(&d);
         d.schedule_crash(CrashPlan { after_sector_writes: budget, damaged_tail: tail });
-        let result = execute(&mut d, IoPolicy::Satf, &batch);
+        let result = execute(&mut d, &batch);
         d.reboot();
 
         // Replay the batch on the model, window by window: states[w] is
@@ -259,7 +260,7 @@ proptest! {
         d.clock().advance(spin);
         d.enable_write_journal();
         let before = d.stats();
-        execute(&mut d, IoPolicy::Satf, &batch).unwrap();
+        execute(&mut d, &batch).unwrap();
         let delta = d.stats().since(&before);
 
         // Writes: the journal holds one entry per sector pass, data and

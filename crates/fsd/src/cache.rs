@@ -26,7 +26,6 @@ use crate::spare::{self, SpareMap};
 use crate::{NT_PAGE_BYTES, NT_PAGE_SECTORS};
 use cedar_btree::{PageId, PageStore, StoreError};
 use cedar_disk::scan;
-use cedar_disk::sched::IoPolicy;
 use cedar_disk::{Cpu, DiskError, SectorAddr, SimDisk, SECTOR_BYTES};
 use cedar_vol::codec::{Reader, Writer};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -277,8 +276,6 @@ pub struct FsdNtStore<'a> {
     pub cpu: &'a Cpu,
     /// Volume layout.
     pub layout: &'a FsdLayout,
-    /// I/O policy for scrub rewrites.
-    pub policy: IoPolicy,
     /// Bad-sector remap table: reads translate through it, and a scrub
     /// whose rewrite fails grows it.
     pub spare: &'a mut SpareMap,
@@ -306,7 +303,6 @@ impl FsdNtStore<'_> {
         // the page's next home write.
         let (image, needs_home) = spare::read_replicated(
             self.disk,
-            self.policy,
             self.spare,
             self.layout.nt_pair(id),
             Some(&self.cache.owed),
@@ -392,7 +388,7 @@ impl FsdNtStore<'_> {
                 n * NT_PAGE_SECTORS as usize,
             ));
         }
-        let chunks = scan::read_chunks(self.disk, self.policy, &ranges).map_err(to_store_err)?;
+        let chunks = scan::read_chunks(self.disk, &ranges).map_err(to_store_err)?;
         let (a_chunks, b_chunks) = chunks.split_at(runs.len());
         for (ri, &(s, n)) in runs.iter().enumerate() {
             let (a, b) = (&a_chunks[ri], &b_chunks[ri]);
@@ -513,7 +509,8 @@ mod tests {
     use cedar_disk::{CpuModel, DiskGeometry};
 
     fn setup() -> (SimDisk, Cpu, FsdLayout) {
-        let disk = SimDisk::tiny();
+        let mut disk = SimDisk::tiny();
+        disk.set_io_policy(cedar_disk::IoPolicy::InOrder);
         let cpu = Cpu::new(disk.clock(), CpuModel::FREE);
         let layout = FsdLayout::compute(&DiskGeometry::TINY, 16, 128);
         (disk, cpu, layout)
@@ -584,7 +581,6 @@ mod tests {
             disk: &mut disk,
             cpu: &cpu,
             layout: &layout,
-            policy: IoPolicy::InOrder,
             spare: &mut spare,
             cache: &mut cache,
             pending: &mut pending,
@@ -614,7 +610,6 @@ mod tests {
             disk: &mut disk,
             cpu: &cpu,
             layout: &layout,
-            policy: IoPolicy::InOrder,
             spare: &mut spare,
             cache: &mut cache,
             pending: &mut pending,
@@ -646,7 +641,6 @@ mod tests {
             disk: &mut disk,
             cpu: &cpu,
             layout: &layout,
-            policy: IoPolicy::InOrder,
             spare: &mut spare,
             cache: &mut cache,
             pending: &mut pending,
@@ -682,7 +676,6 @@ mod tests {
             disk: &mut disk,
             cpu: &cpu,
             layout: &layout,
-            policy: IoPolicy::InOrder,
             spare: &mut spare,
             cache: &mut cache,
             pending: &mut pending,
@@ -723,7 +716,6 @@ mod tests {
             disk: &mut disk,
             cpu: &cpu,
             layout: &layout,
-            policy: IoPolicy::InOrder,
             spare: &mut spare,
             cache: &mut cache,
             pending: &mut pending,
@@ -746,7 +738,6 @@ mod tests {
             disk: &mut disk,
             cpu: &cpu,
             layout: &layout,
-            policy: IoPolicy::InOrder,
             spare: &mut spare,
             cache: &mut cache,
             pending: &mut pending,
@@ -764,7 +755,6 @@ mod tests {
             disk: &mut disk,
             cpu: &cpu,
             layout: &layout,
-            policy: IoPolicy::InOrder,
             spare: &mut spare,
             cache: &mut cache,
             pending: &mut pending,

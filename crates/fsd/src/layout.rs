@@ -32,7 +32,7 @@
 //! can be served from it before the name-table walk has rebuilt the map
 //! (`volume.rs` has the rules for keeping that true).
 
-use cedar_disk::sched::{self, IoBatch, IoOp, IoPolicy, OpResult};
+use cedar_disk::sched::{self, IoBatch, IoOp, OpResult};
 use cedar_disk::{DiskGeometry, SectorAddr, SimDisk, SECTOR_BYTES};
 use cedar_vol::codec::{Reader, Writer};
 use cedar_vol::{Run, Vam};
@@ -272,7 +272,6 @@ impl FsdLayout {
 /// booting falls back to the other copy.
 pub(crate) fn write_replicas(
     disk: &mut SimDisk,
-    policy: IoPolicy,
     pair: Replicated,
     bytes: Vec<u8>,
 ) -> crate::Result<()> {
@@ -298,7 +297,7 @@ pub(crate) fn write_replicas(
         if slots.is_empty() {
             break;
         }
-        let results = sched::execute_partial(disk, policy, &batch)?;
+        let results = sched::execute_partial(disk, &batch)?;
         for (r, &i) in results.iter().zip(&slots) {
             match r {
                 OpResult::Ok(_) => durable[i] = true,

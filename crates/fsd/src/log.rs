@@ -79,7 +79,7 @@ use crate::error::FsdError;
 use crate::layout::{FsdLayout, Replicated};
 use crate::spare::{self, SpareMap};
 use crate::Result;
-use cedar_disk::sched::{self, IoBatch, IoOp, IoPolicy};
+use cedar_disk::sched::{self, IoBatch, IoOp};
 use cedar_disk::{SectorAddr, SimDisk, SECTOR_BYTES};
 use cedar_vol::codec::{fnv1a, Reader, Writer};
 use cedar_vol::Run;
@@ -293,7 +293,6 @@ pub struct Log {
     live: VecDeque<LiveRecord>,
     oldest: (u32, u64),
     max_images: usize,
-    policy: IoPolicy,
 }
 
 impl Log {
@@ -321,7 +320,6 @@ impl Log {
             live: VecDeque::new(),
             oldest: (DATA_START, 1),
             max_images,
-            policy: IoPolicy::default(),
         })
     }
 
@@ -363,11 +361,6 @@ impl Log {
     pub(crate) fn live_thirds(&self) -> Vec<(u32, u8)> {
         let third = |r: &LiveRecord| (r.offset, self.third_of(r.offset));
         self.live.iter().map(third).collect()
-    }
-
-    /// Sets the I/O scheduling policy used for record and meta writes.
-    pub fn set_policy(&mut self, policy: IoPolicy) {
-        self.policy = policy;
     }
 
     /// Largest number of images a single record may carry on this log.
@@ -434,7 +427,7 @@ impl Log {
             boot_count: self.boot_count,
         };
         let writes = Replicated::log_meta(self.start).both(meta.encode());
-        spare::scrub_batch(disk, self.policy, spare, writes.into())
+        spare::scrub_batch(disk, spare, writes.into())
     }
 
     /// Reads the meta page: both copies, through
@@ -443,14 +436,12 @@ impl Log {
     /// cannot strand the volume with a single copy.
     pub fn read_meta(
         disk: &mut SimDisk,
-        policy: IoPolicy,
         spare: &mut SpareMap,
         log_start: SectorAddr,
     ) -> Result<LogMeta> {
         let pair = Replicated::log_meta(log_start);
-        let (meta, _) = spare::read_replicated(disk, policy, spare, pair, None, |bytes| {
-            LogMeta::decode(bytes).ok()
-        })?;
+        let (meta, _) =
+            spare::read_replicated(disk, spare, pair, None, |bytes| LogMeta::decode(bytes).ok())?;
         Ok(meta)
     }
 
@@ -577,7 +568,7 @@ impl Log {
             } else {
                 push(&mut batch, 3 + n, 5 + 2 * n)
             };
-            let results = sched::execute_partial(disk, self.policy, &batch)?;
+            let results = sched::execute_partial(disk, &batch)?;
             if spare.absorb(&results, &first)? {
                 copies_first = true;
             } else {
@@ -947,7 +938,6 @@ pub(crate) fn peek_record(
 /// served from memory. Chunks load lazily, so the scan still reads only
 /// as far as the live chain reaches (plus one chunk of slack).
 struct ScanBuffer {
-    policy: IoPolicy,
     log_start: SectorAddr,
     log_size: u32,
     chunk: u32,
@@ -957,11 +947,10 @@ struct ScanBuffer {
 }
 
 impl ScanBuffer {
-    fn new(disk: &SimDisk, policy: IoPolicy, log_start: SectorAddr, log_size: u32) -> Self {
+    fn new(disk: &SimDisk, log_start: SectorAddr, log_size: u32) -> Self {
         let chunk = disk.geometry().sectors_per_track.max(1);
         let chunks = log_size.div_ceil(chunk) as usize;
         Self {
-            policy,
             log_start,
             log_size,
             chunk,
@@ -1000,7 +989,7 @@ impl ScanBuffer {
         if batch.is_empty() {
             return Ok(());
         }
-        let mut out = sched::execute(disk, self.policy, &batch)?;
+        let mut out = sched::execute(disk, &batch)?;
         for (s, idx) in pending.into_iter().rev() {
             let (bytes, dmg) = std::mem::replace(&mut out[idx], cedar_disk::IoOutput::Done)
                 .into_data_mask()
@@ -1078,16 +1067,15 @@ fn read_record_at(
 /// crash stopped that force, and the resumed chain writes over it from
 /// its first record on. Such a record joins only a group that never
 /// terminates, which is dropped. The read-ahead is submitted under the
-/// caller's `policy`, like every other batch of the volume.
+/// disk's policy, like every other batch of the volume.
 pub fn scan_records(
     disk: &mut SimDisk,
-    policy: IoPolicy,
     log_start: SectorAddr,
     log_size: u32,
     spare: &SpareMap,
     meta: &LogMeta,
 ) -> Result<Vec<LogRecord>> {
-    let mut buf = ScanBuffer::new(disk, policy, log_start, log_size);
+    let mut buf = ScanBuffer::new(disk, log_start, log_size);
     let mut records = Vec::new();
     // The meta page is disk input: a corrupted offset must fail typed
     // here, not seed the record-stride arithmetic below.
@@ -1145,7 +1133,7 @@ pub(crate) fn strip_lists(disk: &mut SimDisk, log_start: SectorAddr, log_size: u
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cedar_disk::{CrashPlan, DiskGeometry, DiskTiming, SimClock};
+    use cedar_disk::{CrashPlan, DiskGeometry, DiskTiming, IoPolicy, SimClock};
 
     const LOG_START: u32 = 100;
     const LOG_SIZE: u32 = 303; // Thirds of 100 sectors each.
@@ -1429,9 +1417,8 @@ mod tests {
                 )
             };
         }
-        let meta = Log::read_meta(&mut d, IoPolicy::InOrder, &mut sp, LOG_START).unwrap();
-        let scanned =
-            scan_records(&mut d, IoPolicy::default(), LOG_START, LOG_SIZE, &sp, &meta).unwrap();
+        let meta = Log::read_meta(&mut d, &mut sp, LOG_START).unwrap();
+        let scanned = scan_records(&mut d, LOG_START, LOG_SIZE, &sp, &meta).unwrap();
         assert_eq!(scanned.len(), 4);
         for ((rec, bytes), (images, group_end, listed)) in scanned.iter().zip(&sealed).zip(&records)
         {
@@ -1468,9 +1455,8 @@ mod tests {
             no_flush,
         )
         .unwrap();
-        let meta = Log::read_meta(&mut d, IoPolicy::InOrder, &mut sp, LOG_START).unwrap();
-        let recs =
-            scan_records(&mut d, IoPolicy::default(), LOG_START, LOG_SIZE, &sp, &meta).unwrap();
+        let meta = Log::read_meta(&mut d, &mut sp, LOG_START).unwrap();
+        let recs = scan_records(&mut d, LOG_START, LOG_SIZE, &sp, &meta).unwrap();
         assert_eq!(recs.len(), 2);
         assert_eq!(recs[0].seq, 1);
         assert_eq!(recs[0].images.len(), 2);
@@ -1487,8 +1473,8 @@ mod tests {
         for policy in [IoPolicy::InOrder, IoPolicy::Satf] {
             let mut d = disk();
             let mut sp = SpareMap::disabled();
+            d.set_io_policy(policy);
             let mut log = Log::fresh(LOG_START, LOG_SIZE, 1).unwrap();
-            log.set_policy(policy);
             log.write_meta(&mut d, &mut sp).unwrap();
             for n in [1u32, 7, 20] {
                 let images: Vec<_> = (0..n).map(|i| nt(i, 0, i as u8)).collect();
@@ -1516,7 +1502,7 @@ mod tests {
     }
 
     #[test]
-    fn scan_reads_under_the_callers_policy() {
+    fn scan_reads_under_the_disks_policy() {
         // One 20-image record spans three tracks of the tiny disk: the
         // scheduler coalesces the read-ahead chunks into one transfer,
         // in-order submission reads them one by one.
@@ -1528,9 +1514,10 @@ mod tests {
             let images: Vec<_> = (0..20).map(|i| nt(i, 0, i as u8)).collect();
             log.append(&mut d, &mut sp, &images, true, &[], no_flush)
                 .unwrap();
-            let meta = Log::read_meta(&mut d, policy, &mut sp, LOG_START).unwrap();
+            d.set_io_policy(policy);
+            let meta = Log::read_meta(&mut d, &mut sp, LOG_START).unwrap();
             let before = d.stats();
-            let recs = scan_records(&mut d, policy, LOG_START, LOG_SIZE, &sp, &meta).unwrap();
+            let recs = scan_records(&mut d, LOG_START, LOG_SIZE, &sp, &meta).unwrap();
             assert_eq!(recs.len(), 1);
             d.stats().since(&before).reads
         };
@@ -1543,12 +1530,10 @@ mod tests {
         let mut sp = SpareMap::disabled();
         let log = Log::fresh(LOG_START, LOG_SIZE, 1).unwrap();
         log.write_meta(&mut d, &mut sp).unwrap();
-        let meta = Log::read_meta(&mut d, IoPolicy::InOrder, &mut sp, LOG_START).unwrap();
-        assert!(
-            scan_records(&mut d, IoPolicy::default(), LOG_START, LOG_SIZE, &sp, &meta)
-                .unwrap()
-                .is_empty()
-        );
+        let meta = Log::read_meta(&mut d, &mut sp, LOG_START).unwrap();
+        assert!(scan_records(&mut d, LOG_START, LOG_SIZE, &sp, &meta)
+            .unwrap()
+            .is_empty());
     }
 
     #[test]
@@ -1558,7 +1543,7 @@ mod tests {
         let log = Log::fresh(LOG_START, LOG_SIZE, 1).unwrap();
         log.write_meta(&mut d, &mut sp).unwrap();
         d.damage_sector(LOG_START);
-        let meta = Log::read_meta(&mut d, IoPolicy::InOrder, &mut sp, LOG_START).unwrap();
+        let meta = Log::read_meta(&mut d, &mut sp, LOG_START).unwrap();
         assert_eq!(meta.oldest_offset, DATA_START);
     }
 
@@ -1569,7 +1554,7 @@ mod tests {
         let log = Log::fresh(LOG_START, LOG_SIZE, 1).unwrap();
         log.write_meta(&mut d, &mut sp).unwrap();
         d.damage_sector(LOG_START);
-        Log::read_meta(&mut d, IoPolicy::InOrder, &mut sp, LOG_START).unwrap();
+        Log::read_meta(&mut d, &mut sp, LOG_START).unwrap();
         // The damaged copy A was rewritten from copy B: both copies now
         // read clean, so a follow-on fault on copy B is survivable.
         assert_eq!(sp.scrubbed, 1);
@@ -1585,7 +1570,7 @@ mod tests {
         log.write_meta(&mut d, &mut sp).unwrap();
         d.hard_damage_sector(LOG_START);
         d.hard_damage_sector(LOG_START + 2);
-        let err = Log::read_meta(&mut d, IoPolicy::InOrder, &mut sp, LOG_START).unwrap_err();
+        let err = Log::read_meta(&mut d, &mut sp, LOG_START).unwrap_err();
         assert!(matches!(err, FsdError::Check(_)), "{err}");
     }
 
@@ -1610,9 +1595,8 @@ mod tests {
         .unwrap();
         assert_eq!(sp.remapped, 1);
         // The record replays whole through the remap table.
-        let meta = Log::read_meta(&mut d, IoPolicy::InOrder, &mut sp, LOG_START).unwrap();
-        let recs =
-            scan_records(&mut d, IoPolicy::default(), LOG_START, LOG_SIZE, &sp, &meta).unwrap();
+        let meta = Log::read_meta(&mut d, &mut sp, LOG_START).unwrap();
+        let recs = scan_records(&mut d, LOG_START, LOG_SIZE, &sp, &meta).unwrap();
         assert_eq!(recs.len(), 1);
         assert_eq!(recs[0].images[0].1, img(0x5A));
     }
@@ -1638,9 +1622,8 @@ mod tests {
         .unwrap();
         assert_eq!(sp.scrubbed, 1);
         assert_eq!(sp.remapped, 0);
-        let meta = Log::read_meta(&mut d, IoPolicy::InOrder, &mut sp, LOG_START).unwrap();
-        let recs =
-            scan_records(&mut d, IoPolicy::default(), LOG_START, LOG_SIZE, &sp, &meta).unwrap();
+        let meta = Log::read_meta(&mut d, &mut sp, LOG_START).unwrap();
+        let recs = scan_records(&mut d, LOG_START, LOG_SIZE, &sp, &meta).unwrap();
         assert_eq!(recs.len(), 1);
     }
 
@@ -1661,9 +1644,8 @@ mod tests {
         .unwrap();
         // Damage the first data original (record at offset 3; D₁ at +3).
         d.damage_sector(LOG_START + DATA_START + 3);
-        let meta = Log::read_meta(&mut d, IoPolicy::InOrder, &mut sp, LOG_START).unwrap();
-        let recs =
-            scan_records(&mut d, IoPolicy::default(), LOG_START, LOG_SIZE, &sp, &meta).unwrap();
+        let meta = Log::read_meta(&mut d, &mut sp, LOG_START).unwrap();
+        let recs = scan_records(&mut d, LOG_START, LOG_SIZE, &sp, &meta).unwrap();
         assert_eq!(recs.len(), 1);
         assert_eq!(recs[0].images[0].1, img(0x11));
     }
@@ -1687,9 +1669,8 @@ mod tests {
         // D₂ and E (offsets +4 and +5 of the record at 3).
         d.damage_sector(LOG_START + DATA_START + 4);
         d.damage_sector(LOG_START + DATA_START + 5);
-        let meta = Log::read_meta(&mut d, IoPolicy::InOrder, &mut sp, LOG_START).unwrap();
-        let recs =
-            scan_records(&mut d, IoPolicy::default(), LOG_START, LOG_SIZE, &sp, &meta).unwrap();
+        let meta = Log::read_meta(&mut d, &mut sp, LOG_START).unwrap();
+        let recs = scan_records(&mut d, LOG_START, LOG_SIZE, &sp, &meta).unwrap();
         assert_eq!(recs.len(), 1);
         assert_eq!(recs[0].images[1].1, img(0x22));
     }
@@ -1703,9 +1684,9 @@ mod tests {
         log.append(&mut d, &mut sp, &[nt(1, 0, 3)], true, &[], no_flush)
             .unwrap();
         d.damage_sector(LOG_START + DATA_START); // H
-        let meta = Log::read_meta(&mut d, IoPolicy::InOrder, &mut sp, LOG_START).unwrap();
+        let meta = Log::read_meta(&mut d, &mut sp, LOG_START).unwrap();
         assert_eq!(
-            scan_records(&mut d, IoPolicy::default(), LOG_START, LOG_SIZE, &sp, &meta)
+            scan_records(&mut d, LOG_START, LOG_SIZE, &sp, &meta)
                 .unwrap()
                 .len(),
             1
@@ -1738,9 +1719,8 @@ mod tests {
             .unwrap_err();
         assert!(err.is_crash());
         d.reboot();
-        let meta = Log::read_meta(&mut d, IoPolicy::InOrder, &mut sp, LOG_START).unwrap();
-        let recs =
-            scan_records(&mut d, IoPolicy::default(), LOG_START, LOG_SIZE, &sp, &meta).unwrap();
+        let meta = Log::read_meta(&mut d, &mut sp, LOG_START).unwrap();
+        let recs = scan_records(&mut d, LOG_START, LOG_SIZE, &sp, &meta).unwrap();
         assert_eq!(recs.len(), 1, "only the first record survives");
         assert_eq!(recs[0].seq, 1);
     }
@@ -1758,9 +1738,8 @@ mod tests {
             log.append(&mut d, &mut sp, &images, true, &[], no_flush)
                 .unwrap();
         }
-        let meta = Log::read_meta(&mut d, IoPolicy::InOrder, &mut sp, LOG_START).unwrap();
-        let recs =
-            scan_records(&mut d, IoPolicy::default(), LOG_START, LOG_SIZE, &sp, &meta).unwrap();
+        let meta = Log::read_meta(&mut d, &mut sp, LOG_START).unwrap();
+        let recs = scan_records(&mut d, LOG_START, LOG_SIZE, &sp, &meta).unwrap();
         assert!(!recs.is_empty());
         // The chain is consecutive and ends at the newest record.
         for w in recs.windows(2) {
@@ -1827,9 +1806,8 @@ mod tests {
             log.append(&mut d, &mut sp, &images, true, &[], no_flush)
                 .unwrap();
         }
-        let meta = Log::read_meta(&mut d, IoPolicy::InOrder, &mut sp, LOG_START).unwrap();
-        let recs =
-            scan_records(&mut d, IoPolicy::default(), LOG_START, LOG_SIZE, &sp, &meta).unwrap();
+        let meta = Log::read_meta(&mut d, &mut sp, LOG_START).unwrap();
+        let recs = scan_records(&mut d, LOG_START, LOG_SIZE, &sp, &meta).unwrap();
         // Every replayed record must carry a seq >= the meta pointer's.
         assert!(recs.iter().all(|r| r.seq >= meta.oldest_seq));
         // And the newest record is present.
@@ -1868,17 +1846,16 @@ mod tests {
             no_flush,
         )
         .unwrap();
-        let meta = Log::read_meta(&mut d, IoPolicy::InOrder, &mut sp, LOG_START).unwrap();
-        let recs =
-            scan_records(&mut d, IoPolicy::default(), LOG_START, LOG_SIZE, &sp, &meta).unwrap();
+        let meta = Log::read_meta(&mut d, &mut sp, LOG_START).unwrap();
+        let recs = scan_records(&mut d, LOG_START, LOG_SIZE, &sp, &meta).unwrap();
         let chain: Vec<(u64, u32)> = recs.iter().map(|r| (r.seq, r.boot_count)).collect();
         assert_eq!(chain, [(1, 2)]);
     }
 
     /// The log a restart resumes: the chain on `d`, carried on.
     fn resumed(d: &mut SimDisk, sp: &mut SpareMap) -> (Log, Vec<LogRecord>) {
-        let meta = Log::read_meta(d, IoPolicy::InOrder, sp, LOG_START).unwrap();
-        let recs = scan_records(d, IoPolicy::default(), LOG_START, LOG_SIZE, sp, &meta).unwrap();
+        let meta = Log::read_meta(d, sp, LOG_START).unwrap();
+        let recs = scan_records(d, LOG_START, LOG_SIZE, sp, &meta).unwrap();
         (
             Log::resume(LOG_START, LOG_SIZE, &meta, &recs).unwrap(),
             recs,

@@ -123,7 +123,6 @@ use crate::volume::{collect_home_writes, nt_store, FsdConfig, FsdVolume, LeaderS
 use crate::{FsdError, Result};
 use cedar_btree::BTree;
 use cedar_disk::clock::Micros;
-use cedar_disk::sched::IoPolicy;
 use cedar_disk::{Cpu, SectorAddr, SimDisk};
 use cedar_vol::{Run, Vam};
 use std::collections::BTreeMap;
@@ -292,14 +291,13 @@ impl FsdVolume {
         let cpu = Cpu::new(disk.clock(), config.cpu);
         let mut report = RecoveryReport::default();
 
-        let (boot, spare, resumed) =
-            match scan_phase(&mut disk, &layout, &cpu, config.io_policy, &mut report) {
-                Ok(x) => x,
-                Err(e) if e.is_crash() => return Err((e, disk)),
-                // Rung 3: the log chain (or a structure it needs) is
-                // beyond replica repair — rebuild from leader pages.
-                Err(e) => return scavenge::scavenge_boot(disk, config, report, e),
-            };
+        let (boot, spare, resumed) = match scan_phase(&mut disk, &layout, &cpu, &mut report) {
+            Ok(x) => x,
+            Err(e) if e.is_crash() => return Err((e, disk)),
+            // Rung 3: the log chain (or a structure it needs) is
+            // beyond replica repair — rebuild from leader pages.
+            Err(e) => return scavenge::scavenge_boot(disk, config, report, e),
+        };
         let vam_was_valid = boot.saved_vam == SavedVam::Valid;
 
         let mut vol = FsdVolume::assemble(disk, cpu, layout, boot, resumed.log, spare, &config);
@@ -334,12 +332,7 @@ impl FsdVolume {
         let t1 = self.clock().now();
         self.vam_owed = !vam_was_valid;
         if vam_was_valid {
-            match read_saved_vam(
-                &mut self.disk,
-                &self.layout,
-                self.io_policy,
-                &mut self.spare,
-            ) {
+            match read_saved_vam(&mut self.disk, &self.layout, &mut self.spare) {
                 Ok(vam) => self.vam = vam,
                 Err(e) if e.is_crash() => return Err(e),
                 // §5.8, error class 4: "the VAM can have disk errors;
@@ -484,8 +477,7 @@ impl FsdVolume {
             );
             let (writes, _) =
                 collect_home_writes(&self.layout, &mut self.cache, &mut self.leaders, None)?;
-            let (disk, policy) = (&mut self.disk, self.io_policy);
-            if let Err(e) = spare::write_home_batch(disk, policy, &mut self.spare, writes) {
+            if let Err(e) = spare::write_home_batch(&mut self.disk, &mut self.spare, writes) {
                 (self.cache.owed, self.cache.freed, self.leaders) = books;
                 return Err(e);
             }
@@ -612,7 +604,6 @@ fn scan_phase(
     disk: &mut SimDisk,
     layout: &FsdLayout,
     cpu: &Cpu,
-    policy: IoPolicy,
     report: &mut RecoveryReport,
 ) -> Result<(FsdBootPage, SpareMap, Resumed)> {
     let t0 = disk.clock().now();
@@ -620,7 +611,7 @@ fn scan_phase(
     // Boot page: copy A, falling back to copy B (§5.8, error class 5),
     // scrubbing a damaged copy back from the survivor. The remap table
     // lives here, so it is available before any other structure is read.
-    let mut boot = read_boot_page(disk, layout, policy, report)?;
+    let mut boot = read_boot_page(disk, layout, report)?;
     boot.validate(layout);
     if boot.saved_vam == SavedVam::SettleFailed {
         // The last session could not finish recovery for a reason other
@@ -638,15 +629,8 @@ fn scan_phase(
     // image of every touched sector in memory (records are in sequence
     // order, so the last image of a sector wins), tagged with the third
     // of the record that holds it: the third whose entry writes it home.
-    let meta = Log::read_meta(disk, policy, &mut spare, layout.log_start)?;
-    let mut records = log::scan_records(
-        disk,
-        policy,
-        layout.log_start,
-        layout.log_sectors,
-        &spare,
-        &meta,
-    )?;
+    let meta = Log::read_meta(disk, &mut spare, layout.log_start)?;
+    let mut records = log::scan_records(disk, layout.log_start, layout.log_sectors, &spare, &meta)?;
     let log = Log::resume(layout.log_start, layout.log_sectors, &meta, &records)?;
     let mut owed = OwedImages::new();
     // Newest image of every leader: the image, its third, its group.
@@ -732,18 +716,13 @@ fn book_leaders(
 fn read_boot_page(
     disk: &mut SimDisk,
     layout: &FsdLayout,
-    policy: IoPolicy,
     report: &mut RecoveryReport,
 ) -> Result<FsdBootPage> {
     let mut unmapped = SpareMap::disabled();
-    let (boot, _) = spare::read_replicated(
-        disk,
-        policy,
-        &mut unmapped,
-        layout.boot_pair(),
-        None,
-        |bytes| FsdBootPage::decode(bytes).ok(),
-    )?;
+    let (boot, _) =
+        spare::read_replicated(disk, &mut unmapped, layout.boot_pair(), None, |bytes| {
+            FsdBootPage::decode(bytes).ok()
+        })?;
     report.scrubbed_sectors += unmapped.scrubbed;
     Ok(boot)
 }
@@ -754,13 +733,8 @@ fn read_boot_page(
 /// committed image). A scrub that cannot stick leaves the damage in
 /// place: the map is in hand, and the caller can still rebuild it if the
 /// save area worsens.
-fn read_saved_vam(
-    disk: &mut SimDisk,
-    layout: &FsdLayout,
-    policy: IoPolicy,
-    spare: &mut SpareMap,
-) -> Result<Vam> {
-    let (vam, _) = spare::read_replicated(disk, policy, spare, layout.vam_pair(), None, |bytes| {
+fn read_saved_vam(disk: &mut SimDisk, layout: &FsdLayout, spare: &mut SpareMap) -> Result<Vam> {
+    let (vam, _) = spare::read_replicated(disk, spare, layout.vam_pair(), None, |bytes| {
         Vam::from_bytes(bytes).ok()
     })?;
     Ok(vam)
@@ -908,9 +882,9 @@ mod tests {
     fn lists_of(disk: &mut SimDisk, config: FsdConfig) -> Result<Vec<Vec<Run>>> {
         let layout = FsdLayout::compute(disk.geometry(), config.nt_pages, config.log_sectors);
         let mut spare = SpareMap::for_layout(&layout);
-        let meta = Log::read_meta(disk, config.io_policy, &mut spare, layout.log_start)?;
+        let meta = Log::read_meta(disk, &mut spare, layout.log_start)?;
         let (start, sectors) = (layout.log_start, layout.log_sectors);
-        let records = log::scan_records(disk, config.io_policy, start, sectors, &spare, &meta)?;
+        let records = log::scan_records(disk, start, sectors, &spare, &meta)?;
         let (mut lists, mut listed) = (Vec::new(), Vec::new());
         for mut rec in records {
             listed.append(&mut rec.reallocated);
@@ -974,11 +948,11 @@ mod tests {
         let config = FsdConfig {
             nt_pages: 24,
             log_sectors: 300,
-            commit_interval_us: Micros::MAX,
             ..FsdConfig::default()
         };
         for (files, records) in [(log::LISTED_RUNS_MAX + 1, 2), (log::LISTED_RUNS_MAX, 1)] {
             let mut v = FsdVolume::format(SimDisk::tiny(), config).unwrap();
+            v.set_commit_interval(Micros::MAX);
             for name in ["o/a", "o/b", "o/c"] {
                 v.create(name, &[3u8; 1000]).unwrap();
             }
@@ -1046,10 +1020,10 @@ mod tests {
         let config = FsdConfig {
             nt_pages: 24,
             log_sectors: 300,
-            commit_interval_us: Micros::MAX,
             ..FsdConfig::default()
         };
         let mut v = FsdVolume::format(SimDisk::tiny(), config).unwrap();
+        v.set_commit_interval(Micros::MAX);
         v.create("f", &[1u8; 600]).unwrap();
         v.force().unwrap();
         let mut f = v.open("f", None).unwrap();
@@ -1108,7 +1082,6 @@ mod tests {
             log_sectors: 160,
             cpu: CpuModel::DORADO,
             scavenge_workers: workers,
-            ..FsdConfig::default()
         }
     }
 

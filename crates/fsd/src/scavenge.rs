@@ -37,7 +37,6 @@ use crate::volume::{nt_store, FsdConfig, FsdVolume, MAX_RUNS};
 use crate::{FsdError, Result};
 use cedar_btree::BTree;
 use cedar_disk::scan::{self, ScanChunk};
-use cedar_disk::sched::IoPolicy;
 use cedar_disk::{Cpu, DiskError, SectorAddr, SimDisk, SECTOR_BYTES};
 use cedar_vol::{FileName, Run, Vam};
 use std::collections::{BTreeMap, HashSet};
@@ -95,7 +94,6 @@ pub(crate) fn scavenge_boot(
         &mut disk,
         &cpu,
         &layout,
-        config.io_policy,
         config.scavenge_workers,
         &mut summary,
         &mut found,
@@ -317,7 +315,6 @@ fn scan_leaders(
     disk: &mut SimDisk,
     cpu: &Cpu,
     layout: &FsdLayout,
-    policy: IoPolicy,
     workers: usize,
     summary: &mut ScavengeSummary,
     found: &mut BTreeMap<Vec<u8>, LeaderPage>,
@@ -331,7 +328,7 @@ fn scan_leaders(
     let mut k = 0usize;
     for (lo, hi) in build_windows(layout, track * TRACKS_PER_WINDOW) {
         let ranges = window_ranges(&skip, lo, hi, track);
-        let chunks = scan::read_chunks(disk, policy, &ranges).map_err(FsdError::Disk)?;
+        let chunks = scan::read_chunks(disk, &ranges).map_err(FsdError::Disk)?;
         let mut results = Vec::with_capacity(chunks.len());
         for chunk in &chunks {
             let r = decode_chunk(layout, chunk);

@@ -33,7 +33,7 @@
 
 use std::collections::HashMap;
 
-use cedar_disk::sched::{self, IoBatch, IoOp, IoPolicy, OpResult};
+use cedar_disk::sched::{self, IoBatch, IoOp, OpResult};
 use cedar_disk::{DiskError, SectorAddr, SimDisk, SECTOR_BYTES};
 
 use crate::cache::OwedImages;
@@ -330,11 +330,10 @@ impl SpareMap {
 /// not yet durable.
 pub(crate) fn write_home_batch(
     disk: &mut SimDisk,
-    policy: IoPolicy,
     spare: &mut SpareMap,
     writes: Vec<(SectorAddr, Vec<u8>)>,
 ) -> Result<()> {
-    run_spared_writes(disk, policy, spare, &writes)
+    run_spared_writes(disk, spare, &writes)
 }
 
 /// Read-path repair: rewrites replica sectors that a read found damaged
@@ -344,11 +343,10 @@ pub(crate) fn write_home_batch(
 /// `write_home_batch` name for writes that must follow one).
 pub(crate) fn scrub_batch(
     disk: &mut SimDisk,
-    policy: IoPolicy,
     spare: &mut SpareMap,
     writes: Vec<(SectorAddr, Vec<u8>)>,
 ) -> Result<()> {
-    run_spared_writes(disk, policy, spare, &writes)
+    run_spared_writes(disk, spare, &writes)
 }
 
 /// Reads a replicated structure: both copies, checked, and whichever is
@@ -380,7 +378,6 @@ pub(crate) fn scrub_batch(
 /// platters.
 pub(crate) fn read_replicated<T>(
     disk: &mut SimDisk,
-    policy: IoPolicy,
     spare: &mut SpareMap,
     pair: Replicated,
     logged: Option<&OwedImages>,
@@ -457,7 +454,7 @@ pub(crate) fn read_replicated<T>(
             }
         }
     }
-    match scrub_batch(disk, policy, spare, writes) {
+    match scrub_batch(disk, spare, writes) {
         Ok(()) => Ok((value, false)),
         Err(e) if e.is_crash() => Err(e),
         Err(_) => Ok((value, true)),
@@ -466,7 +463,6 @@ pub(crate) fn read_replicated<T>(
 
 fn run_spared_writes(
     disk: &mut SimDisk,
-    policy: IoPolicy,
     spare: &mut SpareMap,
     writes: &[(SectorAddr, Vec<u8>)],
 ) -> Result<()> {
@@ -479,7 +475,7 @@ fn run_spared_writes(
         if batch.is_empty() {
             return Ok(());
         }
-        let results = sched::execute_partial(disk, policy, &batch)?;
+        let results = sched::execute_partial(disk, &batch)?;
         if !spare.absorb(&results, &tags)? {
             return Ok(());
         }
@@ -492,6 +488,7 @@ fn run_spared_writes(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cedar_disk::IoPolicy;
     use cedar_disk::{DiskGeometry, DiskTiming, FaultPlan, SimClock};
     use std::collections::BTreeMap;
 
@@ -500,7 +497,9 @@ mod tests {
     }
 
     fn disk() -> SimDisk {
-        SimDisk::new(DiskGeometry::TINY, DiskTiming::TINY, SimClock::new())
+        let mut d = SimDisk::new(DiskGeometry::TINY, DiskTiming::TINY, SimClock::new());
+        d.set_io_policy(IoPolicy::InOrder);
+        d
     }
 
     #[test]
@@ -527,13 +526,7 @@ mod tests {
         let mut map = SpareMap::for_layout(&l);
         d.set_fault_plan(&FaultPlan::none().with_latent(l.nt_a_start + 1));
         let data = vec![7u8; 2 * SECTOR_BYTES];
-        write_home_batch(
-            &mut d,
-            IoPolicy::InOrder,
-            &mut map,
-            vec![(l.nt_a_start, data)],
-        )
-        .unwrap();
+        write_home_batch(&mut d, &mut map, vec![(l.nt_a_start, data)]).unwrap();
         assert_eq!(map.scrubbed, 1);
         assert_eq!(map.remapped, 0);
         assert!(map.entries().is_empty());
@@ -551,13 +544,7 @@ mod tests {
         let bad = l.nt_a_start + 1;
         d.set_fault_plan(&FaultPlan::none().with_grown(bad));
         let data: Vec<u8> = (0..2 * SECTOR_BYTES).map(|i| i as u8).collect();
-        write_home_batch(
-            &mut d,
-            IoPolicy::InOrder,
-            &mut map,
-            vec![(l.nt_a_start, data.clone())],
-        )
-        .unwrap();
+        write_home_batch(&mut d, &mut map, vec![(l.nt_a_start, data.clone())]).unwrap();
         assert_eq!(map.remapped, 1);
         assert_eq!(map.entries(), &[(bad, l.spare_start)]);
         assert!(map.take_dirty());
@@ -576,13 +563,8 @@ mod tests {
         // A data sector in the big-file area: outside every remappable range.
         let bad = l.central_end + 5;
         d.set_fault_plan(&FaultPlan::none().with_grown(bad));
-        let err = write_home_batch(
-            &mut d,
-            IoPolicy::InOrder,
-            &mut map,
-            vec![(bad, vec![1u8; SECTOR_BYTES])],
-        )
-        .unwrap_err();
+        let err =
+            write_home_batch(&mut d, &mut map, vec![(bad, vec![1u8; SECTOR_BYTES])]).unwrap_err();
         assert!(matches!(err, FsdError::Check(_)), "got {err:?}");
     }
 
@@ -596,13 +578,7 @@ mod tests {
         // A read found the sector damaged; the scrub write then fails once
         // and the sector goes straight to the spare region.
         map.note_damaged(bad);
-        scrub_batch(
-            &mut d,
-            IoPolicy::InOrder,
-            &mut map,
-            vec![(bad, vec![9u8; SECTOR_BYTES])],
-        )
-        .unwrap();
+        scrub_batch(&mut d, &mut map, vec![(bad, vec![9u8; SECTOR_BYTES])]).unwrap();
         assert_eq!(map.remapped, 1);
         assert_eq!(map.translate(bad), l.spare_start);
     }
@@ -615,7 +591,6 @@ mod tests {
         map.note_damaged(l.nt_a_start);
         scrub_batch(
             &mut d,
-            IoPolicy::InOrder,
             &mut map,
             vec![(l.nt_a_start, vec![3u8; SECTOR_BYTES])],
         )
@@ -637,7 +612,6 @@ mod tests {
         );
         let err = write_home_batch(
             &mut d,
-            IoPolicy::InOrder,
             &mut map,
             vec![(l.nt_a_start, vec![0u8; 2 * SECTOR_BYTES])],
         )
@@ -692,6 +666,7 @@ mod tests {
         /// The platters in this state, and what the log holds.
         fn build(&self) -> (SimDisk, Option<OwedImages>) {
             let mut d = disk();
+            d.set_io_policy(self.policy);
             for (at, bad) in [(COPY_A, self.a_bad), (COPY_B, self.b_bad)] {
                 for i in 0..self.sectors {
                     let home = if self.in_log == Some(i) {
@@ -755,7 +730,7 @@ mod tests {
             map: &mut SpareMap,
             logged: Option<&OwedImages>,
         ) -> Result<(Vec<u8>, bool)> {
-            read_replicated(d, self.policy, map, self.pair(), logged, is_committed)
+            read_replicated(d, map, self.pair(), logged, is_committed)
         }
 
         /// A read that must succeed, repair everything and leave nothing

@@ -57,7 +57,6 @@ use crate::spare::{self, SpareMap};
 use crate::{Result, NT_PAGE_SECTORS};
 use cedar_btree::{BTree, PageId};
 use cedar_disk::clock::Micros;
-use cedar_disk::sched::IoPolicy;
 use cedar_disk::{
     Cpu, CpuModel, DiskStats, SectorAddr, SimClock, SimDisk, SECTOR_BYTES, SECTOR_BYTES_U64,
 };
@@ -84,14 +83,6 @@ pub struct FsdConfig {
     pub log_sectors: u32,
     /// CPU cost table.
     pub cpu: CpuModel,
-    /// Group-commit force interval in simulated microseconds (default
-    /// [`COMMIT_INTERVAL_US`]).
-    pub commit_interval_us: Micros,
-    /// I/O submission policy for multi-sector batch paths (log forces,
-    /// home-page writeback, recovery scans). [`IoPolicy::InOrder`] is the
-    /// measurement baseline; the default, shortest positioning time first,
-    /// is what a controller that sees the whole queue can do.
-    pub io_policy: IoPolicy,
     /// Simulated decode/verify CPUs for the recovery-scan paths
     /// (scavenge and VAM reconstruction). `1` (or `0`) is the serial
     /// pipeline; larger values model pFSCK-style parallel checking: the
@@ -109,8 +100,6 @@ impl Default for FsdConfig {
             nt_pages: 0,
             log_sectors: 0,
             cpu: CpuModel::DORADO,
-            commit_interval_us: COMMIT_INTERVAL_US,
-            io_policy: IoPolicy::default(),
             scavenge_workers: 1,
         }
     }
@@ -202,7 +191,6 @@ macro_rules! nt_store {
             disk: &mut $self.disk,
             cpu: &$self.cpu,
             layout: &$self.layout,
-            policy: $self.io_policy,
             spare: &mut $self.spare,
             cache: &mut $self.cache,
             pending: &mut $self.pending_pages,
@@ -258,8 +246,6 @@ pub struct FsdVolume {
     /// Simulated decode CPUs for that walk ([`FsdConfig::scavenge_workers`]).
     pub(crate) scavenge_workers: usize,
     pub(crate) commit_stats: CommitStats,
-    /// Submission order for batched I/O (log forces, home writeback).
-    pub(crate) io_policy: IoPolicy,
     /// Bad-sector remap table (persisted on the boot page) plus the
     /// strike ledger deciding when a flaky sector gets remapped.
     pub(crate) spare: SpareMap,
@@ -282,11 +268,10 @@ impl FsdVolume {
         cpu: Cpu,
         layout: FsdLayout,
         boot: FsdBootPage,
-        mut log: Log,
+        log: Log,
         spare: SpareMap,
         config: &FsdConfig,
     ) -> FsdVolume {
-        log.set_policy(config.io_policy);
         let (dlo, dhi) = layout.data_area();
         FsdVolume {
             log,
@@ -309,7 +294,7 @@ impl FsdVolume {
             handed_out: Vec::new(),
             vam: Vam::new_all_allocated(layout.total_sectors),
             uid_counter: 0,
-            commit_interval: config.commit_interval_us,
+            commit_interval: COMMIT_INTERVAL_US,
             boot_page_owed: false,
             epoch_owed: false,
             redo_owed: false,
@@ -318,7 +303,6 @@ impl FsdVolume {
             vam_walk: None,
             scavenge_workers: config.scavenge_workers,
             commit_stats: CommitStats::default(),
-            io_policy: config.io_policy,
             spare,
             repl: None,
         }
@@ -414,9 +398,10 @@ impl FsdVolume {
         self.commit_stats
     }
 
-    /// Replaces the commit-daemon interval. A scheduler layered above the
-    /// volume (see [`crate::sched::CommitScheduler`]) sets this to
-    /// `Micros::MAX` to take ownership of all forcing.
+    /// Replaces the commit-daemon interval, which every format, boot and
+    /// scavenge starts at [`COMMIT_INTERVAL_US`]. A scheduler layered
+    /// above the volume (see [`crate::sched::CommitScheduler`]) sets this
+    /// to `Micros::MAX` to take ownership of all forcing.
     pub fn set_commit_interval(&mut self, us: Micros) {
         self.commit_interval = us;
     }
@@ -671,7 +656,6 @@ impl FsdVolume {
             .max(self.handed_out.len().div_ceil(LISTED_RUNS_MAX));
         let start = |k: usize| (k * max).min((n + k).saturating_sub(records));
         let mut shares = self.handed_out.chunks(LISTED_RUNS_MAX);
-        let policy = self.io_policy;
         let mut thirds: Vec<u8> = vec![0; n];
         let mut repl_records: Vec<(u32, Vec<u8>)> = Vec::new();
         for k in 0..records {
@@ -700,7 +684,7 @@ impl FsdVolume {
                 log.append(disk, spare, chunk, is_last, share, |disk, spare, t| {
                     let (writes, pages) = collect_home_writes(layout, cache, leaders, Some(t))?;
                     commit_stats.third_flush_pages += pages;
-                    spare::write_home_batch(disk, policy, spare, writes)?;
+                    spare::write_home_batch(disk, spare, writes)?;
                     #[cfg(debug_assertions)]
                     crate::audit::third_entry(
                         disk, spare, layout, &live, t, &images, handed_out, cache,
@@ -797,7 +781,7 @@ impl FsdVolume {
     pub(crate) fn sync_home_all(&mut self) -> Result<()> {
         let (writes, _) =
             collect_home_writes(&self.layout, &mut self.cache, &mut self.leaders, None)?;
-        spare::write_home_batch(&mut self.disk, self.io_policy, &mut self.spare, writes)?;
+        spare::write_home_batch(&mut self.disk, &mut self.spare, writes)?;
         if self.spare.take_dirty() {
             self.write_boot_pages()?;
         }
@@ -814,12 +798,7 @@ impl FsdVolume {
         let mut bytes = self.vam.to_bytes();
         bytes.resize(self.layout.vam_sectors as usize * SECTOR_BYTES, 0);
         let writes = self.layout.vam_pair().both(bytes);
-        spare::write_home_batch(
-            &mut self.disk,
-            self.io_policy,
-            &mut self.spare,
-            writes.into(),
-        )?;
+        spare::write_home_batch(&mut self.disk, &mut self.spare, writes.into())?;
         self.boot.saved_vam = SavedVam::Valid;
         self.write_boot_pages()?;
         self.boot_page_owed = true;
@@ -829,12 +808,7 @@ impl FsdVolume {
     pub(crate) fn write_boot_pages(&mut self) -> Result<()> {
         self.boot.spare_map = self.spare.entries().to_vec();
         self.spare.take_dirty();
-        crate::layout::write_replicas(
-            &mut self.disk,
-            self.io_policy,
-            self.layout.boot_pair(),
-            self.boot.encode(),
-        )
+        crate::layout::write_replicas(&mut self.disk, self.layout.boot_pair(), self.boot.encode())
     }
 
     /// Called by every operation about to change which sectors the name

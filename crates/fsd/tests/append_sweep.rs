@@ -110,8 +110,8 @@ fn two_committed(policy: IoPolicy, n: usize, remap: Remap) -> (SimDisk, Log, Spa
     let mut spare = SpareMap::with_entries(&l, &entries);
     assert_eq!(spare.entries().len(), entries.len());
     let mut disk = SimDisk::tiny();
+    disk.set_io_policy(policy);
     let mut log = Log::fresh(l.log_start, l.log_sectors, 1).unwrap();
-    log.set_policy(policy);
     log.write_meta(&mut disk, &mut spare).unwrap();
     for images in old_records() {
         log.append(&mut disk, &mut spare, &images, true, &[], no_flush)
@@ -126,15 +126,14 @@ fn two_committed(policy: IoPolicy, n: usize, remap: Remap) -> (SimDisk, Log, Spa
 /// certain once its append was acknowledged.
 fn assert_old_log_or_whole_record(
     disk: &mut SimDisk,
-    policy: IoPolicy,
     spare: &mut SpareMap,
     new: &[(PageTarget, Vec<u8>)],
     acknowledged: bool,
     ctx: &str,
 ) {
     let l = layout();
-    let meta = Log::read_meta(disk, policy, spare, l.log_start).unwrap();
-    let records = scan_records(disk, policy, l.log_start, l.log_sectors, spare, &meta)
+    let meta = Log::read_meta(disk, spare, l.log_start).unwrap();
+    let records = scan_records(disk, l.log_start, l.log_sectors, spare, &meta)
         .unwrap_or_else(|e| panic!("{ctx}: {e}"));
     let [old1, old2] = old_records();
     let mut expected: Vec<&[(PageTarget, Vec<u8>)]> = vec![&old1, &old2];
@@ -191,9 +190,9 @@ impl Script for Append {
         (disk, spare.clone(), spare)
     }
 
-    fn session(&self, (mut disk, mut spare): State, policy: IoPolicy, _: usize) -> State {
+    fn session(&self, (mut disk, mut spare): State, _: usize) -> State {
         // `Log` is not `Clone`: the fixture's running log, built again.
-        let (_, mut log, _) = self.committed(policy);
+        let (_, mut log, _) = self.committed(disk.io_policy());
         let new = new_record(self.n);
         if let Err(e) = log.append(&mut disk, &mut spare, &new, true, &[], no_flush) {
             assert!(e.is_crash(), "{e}");
@@ -225,7 +224,7 @@ impl Script for Append {
         };
         for mut map in maps {
             let (disk, new) = (&mut disk.clone(), new_record(self.n));
-            assert_old_log_or_whole_record(disk, point.policy, &mut map, &new, appended, &ctx);
+            assert_old_log_or_whole_record(disk, &mut map, &new, appended, &ctx);
         }
     }
 }
@@ -274,9 +273,7 @@ fn a_completed_record_survives_any_one_or_two_adjacent_bad_sectors() {
                         for s in first..first + width {
                             disk.damage_sector(spare.translate(pos + s));
                         }
-                        assert_old_log_or_whole_record(
-                            &mut disk, policy, &mut spare, &new, true, &ctx,
-                        );
+                        assert_old_log_or_whole_record(&mut disk, &mut spare, &new, true, &ctx);
                     }
                 }
             }

@@ -14,27 +14,25 @@
 
 mod support;
 
+use cedar_disk::clock::Micros;
 use cedar_disk::{CpuModel, IoPolicy, SimDisk};
-use cedar_fsd::{FsdConfig, FsdError, FsdVolume, RecoveryReport};
+use cedar_fsd::{FsdConfig, FsdError, FsdVolume, RecoveryReport, COMMIT_INTERVAL_US};
 use cedar_vol::Vam;
 use support::{Model, OnVolume, Point, Sweep};
 
-fn config_with(io_policy: IoPolicy) -> FsdConfig {
+fn config() -> FsdConfig {
     FsdConfig {
         nt_pages: 16,
         log_sectors: 128,
         cpu: CpuModel::FREE,
-        io_policy,
         ..FsdConfig::default()
     }
 }
 
-fn config() -> FsdConfig {
-    config_with(IoPolicy::default())
-}
-
 fn tiny_with(io_policy: IoPolicy) -> FsdVolume {
-    FsdVolume::format(SimDisk::tiny(), config_with(io_policy)).unwrap()
+    let mut disk = SimDisk::tiny();
+    disk.set_io_policy(io_policy);
+    FsdVolume::format(disk, config()).unwrap()
 }
 
 fn tiny() -> FsdVolume {
@@ -179,8 +177,12 @@ impl OnVolume for Burst {
         format!("{} after {} ", self.burst, self.seeds)
     }
 
-    fn config(&self, policy: IoPolicy) -> FsdConfig {
-        config_with(policy)
+    fn config(&self) -> FsdConfig {
+        config()
+    }
+
+    fn interval(&self) -> Micros {
+        COMMIT_INTERVAL_US
     }
 
     fn fixture(&self, policy: IoPolicy) -> (SimDisk, Model, u32) {
@@ -254,8 +256,12 @@ fn round(r: usize) -> Vec<String> {
 impl OnVolume for HomeFlush {
     type Want = ();
 
-    fn config(&self, policy: IoPolicy) -> FsdConfig {
-        config_with(policy)
+    fn config(&self) -> FsdConfig {
+        config()
+    }
+
+    fn interval(&self) -> Micros {
+        COMMIT_INTERVAL_US
     }
 
     fn fixture(&self, policy: IoPolicy) -> (SimDisk, Model, ()) {
@@ -298,8 +304,12 @@ impl OnVolume for InRecovery {
     type Want = ();
     const RESTARTS: bool = true;
 
-    fn config(&self, policy: IoPolicy) -> FsdConfig {
-        config_with(policy)
+    fn config(&self) -> FsdConfig {
+        config()
+    }
+
+    fn interval(&self) -> Micros {
+        COMMIT_INTERVAL_US
     }
 
     fn fixture(&self, policy: IoPolicy) -> (SimDisk, Model, ()) {

@@ -17,7 +17,7 @@ mod support;
 use cedar_disk::{CpuModel, IoPolicy, SimDisk, SECTOR_BYTES};
 use cedar_fsd::{
     EngineConfig, EntryKind, FsdConfig, FsdEngine, FsdError, FsdVolume, RecoveryRung, Replica,
-    NT_PAGE_SECTORS,
+    COMMIT_INTERVAL_US, NT_PAGE_SECTORS,
 };
 use cedar_vol::fs::FileSystem;
 use cedar_vol::FileName;
@@ -31,13 +31,6 @@ fn config() -> FsdConfig {
         log_sectors: 160,
         cpu: CpuModel::DORADO,
         ..FsdConfig::default()
-    }
-}
-
-fn config_as(policy: IoPolicy) -> FsdConfig {
-    FsdConfig {
-        io_policy: policy,
-        ..config()
     }
 }
 
@@ -61,7 +54,9 @@ fn crashed() -> SimDisk {
 }
 
 fn crashed_as(policy: IoPolicy) -> SimDisk {
-    let mut v = FsdVolume::format(SimDisk::tiny(), config_as(policy)).unwrap();
+    let mut disk = SimDisk::tiny();
+    disk.set_io_policy(policy);
+    let mut v = FsdVolume::format(disk, config()).unwrap();
     for i in 0..FILES - 3 {
         v.create(&name(i), &content(i)).unwrap();
     }
@@ -79,12 +74,8 @@ fn crashed_as(policy: IoPolicy) -> SimDisk {
 }
 
 fn boot(disk: &SimDisk) -> FsdVolume {
-    boot_as(disk, IoPolicy::default())
-}
-
-fn boot_as(disk: &SimDisk, policy: IoPolicy) -> FsdVolume {
     let before = disk.stats();
-    let (v, report) = FsdVolume::boot(disk.clone(), config_as(policy)).unwrap();
+    let (v, report) = FsdVolume::boot(disk.clone(), config()).unwrap();
     assert!(report.vam_reconstructed, "a crash boot owes the walk");
     assert_eq!((report.files_scanned, report.vam_us), (0, 0));
     assert_eq!(v.vam_walk(), None);
@@ -388,14 +379,14 @@ impl Script for FirstCreate {
 
     fn fixture(&self, policy: IoPolicy) -> (SimDisk, Model, Self::Want) {
         let disk = crashed_as(policy);
-        let mut reference = boot_as(&disk, policy);
+        let mut reference = boot(&disk);
         assert!(reference.settle_vam().unwrap().is_some());
         let want = (listing(&mut reference), reference.free_sectors());
         (disk, Model::of(&mut reference), want)
     }
 
-    fn session(&self, state: (SimDisk, Model), policy: IoPolicy, _: usize) -> (SimDisk, Model) {
-        support::session(state, config_as(policy), |v, _, _| {
+    fn session(&self, state: (SimDisk, Model), _: usize) -> (SimDisk, Model) {
+        support::session(state, config(), COMMIT_INTERVAL_US, |v, _, _| {
             let mut f = v.open(&name(3), None)?;
             v.read_file(&mut f)?;
             v.create("doomed", &[1u8; 2000]).map(drop)
@@ -403,12 +394,13 @@ impl Script for FirstCreate {
     }
 
     fn check(&self, (d, model): (SimDisk, Model), (expected, free): &Self::Want, point: &Point) {
-        let mut v = boot_as(&d, point.policy);
+        let mut v = boot(&d);
         assert_eq!(listing(&mut v), *expected);
         assert_eq!(v.settle_vam().unwrap().unwrap().files_scanned, FILES as u64);
         assert_eq!(v.free_sectors(), *free);
         v.verify().unwrap();
-        support::oracles(&mut v, config_as(point.policy), &model, &point.to_string());
+        let ctx = &point.to_string();
+        support::oracles(&mut v, config(), COMMIT_INTERVAL_US, &model, ctx);
     }
 }
 

@@ -15,7 +15,7 @@ mod support;
 
 use cedar_disk::{IoPolicy, SimDisk};
 use cedar_fsd::{FsdError, FsdVolume, RecoveryReport};
-use support::{config, content, Model, OnVolume, Sweep};
+use support::{content, Model, OnVolume, Sweep};
 
 /// Sorts after every other name, so its entry is the leaf's last.
 const HOT: &str = "z/hot";
@@ -27,7 +27,7 @@ impl OnVolume for HotPage {
     const RESTARTS: bool = true;
 
     fn fixture(&self, policy: IoPolicy) -> (SimDisk, Model, ()) {
-        let mut v = FsdVolume::format(SimDisk::tiny(), config(policy)).unwrap();
+        let mut v = support::format(policy);
         for i in 0..6 {
             v.create(&format!("a/f{i}"), &content(i, 700)).unwrap();
         }

@@ -45,7 +45,7 @@ use cedar_disk::{IoPolicy, SimDisk, SECTOR_BYTES};
 use cedar_fsd::{FsdError, FsdVolume, RecoveryReport};
 use cedar_vol::Vam;
 use std::collections::BTreeMap;
-use support::{config, pages, Model, OnVolume, Point, Sweep};
+use support::{pages, Model, OnVolume, Point, Sweep};
 
 /// The fixture's files in allocation order, with their pages: first fit
 /// lays them back to back from the front of the small-file area.
@@ -67,7 +67,7 @@ impl OnVolume for Leaders {
     type Want = ();
 
     fn fixture(&self, policy: IoPolicy) -> (SimDisk, Model, ()) {
-        let mut v = FsdVolume::format(SimDisk::tiny(), config(policy)).unwrap();
+        let mut v = support::format(policy);
         let mut next = None;
         for (i, (name, n)) in FIXTURE.into_iter().enumerate() {
             let data = pages(i, n);

@@ -24,12 +24,11 @@ use cedar_fsd::{FsdConfig, FsdVolume};
 const FILES: usize = 24;
 const PAGES: u32 = 4;
 
-fn config(io_policy: IoPolicy) -> FsdConfig {
+fn config() -> FsdConfig {
     FsdConfig {
         nt_pages: 48,
         log_sectors: 183, // Thirds of exactly 60 sectors.
         cpu: CpuModel::FREE,
-        io_policy,
         ..FsdConfig::default()
     }
 }
@@ -41,7 +40,9 @@ fn body(i: usize) -> Vec<u8> {
 /// `files` files under `dir`, each created and forced on its own: every
 /// leader is home (create writes it) and nothing is staged.
 fn populate(dir: &str, files: usize, policy: IoPolicy) -> FsdVolume {
-    let mut v = FsdVolume::format(SimDisk::tiny(), config(policy)).unwrap();
+    let mut disk = SimDisk::tiny();
+    disk.set_io_policy(policy);
+    let mut v = FsdVolume::format(disk, config()).unwrap();
     for i in 0..files {
         v.create(&format!("{dir}/f{i:02}"), &body(i)).unwrap();
         v.force().unwrap();
@@ -60,7 +61,7 @@ fn lap_reboot_and_check(mut v: FsdVolume, policy: IoPolicy, dir: &str, files: us
     }
     v.shutdown().unwrap();
 
-    let (mut v, _) = FsdVolume::boot(v.into_disk(), config(policy)).unwrap();
+    let (mut v, _) = FsdVolume::boot(v.into_disk(), config()).unwrap();
     let what = format!("{policy:?}, {files} files");
     for i in 0..files {
         let name = format!("{dir}/f{i:02}");

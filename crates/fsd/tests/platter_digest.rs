@@ -16,9 +16,9 @@
 
 mod support;
 
-use cedar_disk::{CrashPlan, IoPolicy, SimDisk};
+use cedar_disk::{CrashPlan, IoPolicy};
 use cedar_fsd::FsdVolume;
-use support::{config, pages};
+use support::{config, pages, OFF};
 
 /// `(policy, [formatted, shut down, crashed mid-force])`. The session
 /// boots the formatted disk, so its log carries on behind format's
@@ -77,10 +77,10 @@ fn session(v: &mut FsdVolume) {
 
 /// The three digests of one run.
 fn digests(policy: IoPolicy) -> [u64; 3] {
-    let formatted = FsdVolume::format(SimDisk::tiny(), config(policy)).unwrap();
-    let fresh = formatted.into_disk();
+    let fresh = support::format(policy).into_disk();
 
-    let (mut v, _) = FsdVolume::boot(fresh.clone(), config(policy)).unwrap();
+    let (mut v, _) = FsdVolume::boot(fresh.clone(), config()).unwrap();
+    v.set_commit_interval(OFF);
     session(&mut v);
     let before = v.disk_mut().stats().sectors_written;
     v.force().unwrap();
@@ -89,7 +89,8 @@ fn digests(policy: IoPolicy) -> [u64; 3] {
     v.shutdown().unwrap();
     let shut = v.into_disk();
 
-    let (mut v, _) = FsdVolume::boot(fresh.clone(), config(policy)).unwrap();
+    let (mut v, _) = FsdVolume::boot(fresh.clone(), config()).unwrap();
+    v.set_commit_interval(OFF);
     session(&mut v);
     v.disk_mut().schedule_crash(CrashPlan {
         after_sector_writes: force / 2,

@@ -17,12 +17,11 @@ use cedar_fsd::{FsdConfig, FsdVolume};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
-fn config_with(io_policy: IoPolicy) -> FsdConfig {
+fn config() -> FsdConfig {
     FsdConfig {
         nt_pages: 24,
         log_sectors: 160,
         cpu: CpuModel::FREE,
-        io_policy,
         ..FsdConfig::default()
     }
 }
@@ -147,7 +146,9 @@ proptest! {
         } else {
             IoPolicy::InOrder
         };
-        let mut v = FsdVolume::format(SimDisk::tiny(), config_with(policy)).unwrap();
+        let mut disk = SimDisk::tiny();
+        disk.set_io_policy(policy);
+        let mut v = FsdVolume::format(disk, config()).unwrap();
         // Media flaws develop under the workload and under recovery; the
         // flags persist across the crash, so whichever path touches the
         // sector first discovers the fault.
@@ -208,7 +209,7 @@ proptest! {
 
         let mut disk = v.into_disk();
         disk.reboot();
-        let (mut v2, report) = FsdVolume::boot(disk, config_with(policy)).unwrap();
+        let (mut v2, report) = FsdVolume::boot(disk, config()).unwrap();
         // The VAM is reconstructed unless the crash beat the very first
         // mutation's hint-invalidation write to the disk — in which case
         // the saved VAM is still accurate and loading it is correct.

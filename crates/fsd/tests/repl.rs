@@ -12,7 +12,7 @@
 //! without losing frame order, and a resync after a partition that
 //! outlived the retained frames.
 
-use cedar_disk::{CpuModel, CrashPlan, FaultPlan, LinkPlan, SimDisk, SECTOR_BYTES};
+use cedar_disk::{CpuModel, CrashPlan, FaultPlan, IoPolicy, LinkPlan, SimDisk, SECTOR_BYTES};
 use cedar_fsd::log::{encode_record, PageTarget, DATA_START};
 use cedar_fsd::{
     DataWrite, EngineConfig, FsdConfig, FsdEngine, FsdVolume, ReplFrame, ReplMode,
@@ -340,6 +340,24 @@ fn a_record_remapped_after_install_reaches_the_replica_through_the_spare() {
     let mut promoted = sh.failover().unwrap().volume;
     assert_has(&mut promoted, "remapped");
     promoted.verify().unwrap();
+}
+
+/// The scheduling policy is the disk's, and a replica's disk is a fork
+/// of its primary's: promoted, the replica schedules as the primary did.
+#[test]
+fn a_promoted_replica_schedules_as_its_primary_did() {
+    let mut disk = SimDisk::tiny();
+    disk.set_io_policy(IoPolicy::InOrder);
+    let mut p = FsdVolume::format(disk, config()).unwrap();
+    let mut replica = Replica::install(&mut p, config()).unwrap();
+    p.create("after", b"contents of after").unwrap();
+    p.force().unwrap();
+    for frame in p.take_repl_frames() {
+        replica.receive_apply(frame).unwrap();
+    }
+    let (mut promoted, _) = replica.promote().unwrap();
+    assert_eq!(promoted.disk_mut().io_policy(), IoPolicy::InOrder);
+    assert_has(&mut promoted, "after");
 }
 
 /// A frame whose record fails validation is refused whole: the data

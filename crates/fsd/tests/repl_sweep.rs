@@ -22,11 +22,10 @@
 
 mod support;
 
-use cedar_disk::clock::Micros;
 use cedar_disk::{CpuModel, IoPolicy, SimDisk, SECTOR_BYTES};
 use cedar_fsd::repl::replica::ReplicaApplyError;
 use cedar_fsd::{FsdConfig, FsdVolume, ReplFrame, Replica};
-use support::{content, oracles, Model, Point, Script, Sweep};
+use support::{content, oracles, Model, Point, Script, Sweep, OFF};
 
 /// The files committed before the replica is installed.
 const FILES: usize = 6;
@@ -34,15 +33,12 @@ const FILES: usize = 6;
 /// The creates the frame carries.
 const BURST: usize = 30;
 
-/// The replication tests' volume, with the commit interval off so the
-/// fixture's force is its only commit point.
-fn config(io_policy: IoPolicy) -> FsdConfig {
+/// The replication tests' volume.
+fn config() -> FsdConfig {
     FsdConfig {
         nt_pages: 16,
         log_sectors: 128,
         cpu: CpuModel::FREE,
-        io_policy,
-        commit_interval_us: Micros::MAX,
         ..FsdConfig::default()
     }
 }
@@ -77,12 +73,17 @@ impl Script for ReplicaApply {
     /// The replica's disk; the model holds the six files committed and
     /// the thirty in flight.
     fn fixture(&self, policy: IoPolicy) -> (SimDisk, Memory, ()) {
-        let mut primary = FsdVolume::format(SimDisk::tiny(), config(policy)).unwrap();
+        let mut disk = SimDisk::tiny();
+        disk.set_io_policy(policy);
+        let mut primary = FsdVolume::format(disk, config()).unwrap();
+        // The commit interval off: the fixture's force is its only
+        // commit point.
+        primary.set_commit_interval(OFF);
         for i in 0..FILES {
             let name = format!("base/f{i}");
             primary.create(&name, &content(i, 700)).unwrap();
         }
-        let mut replica = Replica::install(&mut primary, config(policy)).unwrap();
+        let mut replica = Replica::install(&mut primary, config()).unwrap();
         let mut model = Model::of(&mut primary);
         assert_eq!(model.states.len(), FILES);
         for i in 0..BURST {
@@ -102,12 +103,7 @@ impl Script for ReplicaApply {
         (disk, (replica, model, frame, false), ())
     }
 
-    fn session(
-        &self,
-        (disk, memory): (SimDisk, Memory),
-        _: IoPolicy,
-        _: usize,
-    ) -> (SimDisk, Memory) {
+    fn session(&self, (disk, memory): (SimDisk, Memory), _: usize) -> (SimDisk, Memory) {
         let (mut replica, model, frame, _) = memory;
         let (disk, applied) = match self.0 {
             Ship::Sync => {
@@ -140,7 +136,7 @@ impl Script for ReplicaApply {
     /// Boots the disk as `promote` does, then the frame's atomicity and
     /// the shared oracles.
     fn check(&self, (disk, (_, model, frame, applied)): (SimDisk, Memory), _: &(), point: &Point) {
-        let (ctx, config) = (&point.to_string(), config(point.policy));
+        let (ctx, config) = (&point.to_string(), config());
         if point.k.is_none() {
             let record: usize = frame.records.iter().map(|(_, r)| r.len()).sum();
             let w = frame.data.len() + record / SECTOR_BYTES;
@@ -149,7 +145,7 @@ impl Script for ReplicaApply {
                 "{ctx}: the journal's writes and the record, no home"
             );
         }
-        let mut v = support::boot(disk, config, ctx);
+        let mut v = support::boot(disk, config, OFF, ctx);
         let listing = v.list("").unwrap_or_else(|e| panic!("{ctx}: list: {e}"));
         let landed = listing
             .iter()
@@ -162,7 +158,7 @@ impl Script for ReplicaApply {
         if applied {
             assert_eq!(landed, BURST, "{ctx}: a frame applied is not there");
         }
-        oracles(&mut v, config, &model, ctx);
+        oracles(&mut v, config, OFF, &model, ctx);
     }
 }
 

@@ -29,7 +29,7 @@ mod support;
 use cedar_disk::{IoPolicy, SimDisk, SECTOR_BYTES};
 use cedar_fsd::{FsdError, FsdVolume, RecoveryReport};
 use cedar_vol::{Run, Vam};
-use support::{base, claims, config, content, tear_last_force, Model, OnVolume, Point, Sweep};
+use support::{base, claims, config, content, tear_last_force, Model, OnVolume, Point, Sweep, OFF};
 
 const PROBE: &str = "base/f11";
 
@@ -39,7 +39,7 @@ const PROBE: &str = "base/f11";
 /// the small-file area than the script's last create asks for, and a
 /// force torn by the crash over a create and a delete it loses.
 fn crashed(policy: IoPolicy) -> SimDisk {
-    let mut v = FsdVolume::format(SimDisk::tiny(), config(policy)).unwrap();
+    let mut v = support::format(policy);
     for i in 0..30 {
         v.create(&base(i), &content(i, 600 + (i * 211) % 1500))
             .unwrap();
@@ -77,7 +77,8 @@ impl OnVolume for Reserve {
     /// off a settled boot.
     fn fixture(&self, policy: IoPolicy) -> (SimDisk, Model, ()) {
         let crashed = crashed(policy);
-        let (mut v, report) = FsdVolume::boot(crashed.clone(), config(policy)).unwrap();
+        let (mut v, report) = FsdVolume::boot(crashed.clone(), config()).unwrap();
+        v.set_commit_interval(OFF);
         assert!(report.records_replayed > 0 && report.vam_reconstructed);
         v.settle_vam().unwrap();
         let listing = v.list("").unwrap();
@@ -203,7 +204,8 @@ fn a_boot_that_wrote_nothing_leaves_the_reserve_intact() {
     let mut written = None;
     let mut recorded = None;
     for _ in 0..3 {
-        let (mut v, report) = FsdVolume::boot(disk, config(IoPolicy::Satf)).unwrap();
+        let (mut v, report) = FsdVolume::boot(disk, config()).unwrap();
+        v.set_commit_interval(OFF);
         let reserve = report.reserve.expect("the fixture was formatted with one");
         assert_eq!(reserve.len, v.layout().reserve_sectors);
         assert_eq!(reserve.end(), v.layout().nt_a_start, "nothing came near it");
@@ -225,7 +227,7 @@ fn a_boot_that_wrote_nothing_leaves_the_reserve_intact() {
 /// move it — until the volume has nothing else left to give.
 #[test]
 fn steady_state_never_allocates_inside_the_reserve_until_nothing_else_is_left() {
-    let mut v = FsdVolume::format(SimDisk::tiny(), config(IoPolicy::Satf)).unwrap();
+    let mut v = support::format(IoPolicy::Satf);
     let reserve = v.reserve().expect("format sets one aside");
     let outside = |v: &mut FsdVolume, what: &str| {
         for (name, entry) in v.list("").unwrap() {
@@ -264,7 +266,8 @@ fn steady_state_never_allocates_inside_the_reserve_until_nothing_else_is_left() 
     v.force().unwrap();
     outside(&mut v, "big files");
     v.shutdown().unwrap();
-    let (mut v, report) = FsdVolume::boot(v.into_disk(), config(IoPolicy::Satf)).unwrap();
+    let (mut v, report) = FsdVolume::boot(v.into_disk(), config()).unwrap();
+    v.set_commit_interval(OFF);
     assert_eq!(
         (report.reserve, report.vam_reconstructed),
         (Some(reserve), false)

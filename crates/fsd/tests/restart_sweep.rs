@@ -33,7 +33,7 @@ use cedar_disk::{IoPolicy, SimDisk, SECTOR_BYTES};
 use cedar_fsd::FsdVolume;
 use cedar_vol::FileName;
 use std::collections::BTreeMap;
-use support::{base, claimed, config, content, crashed_restart, oracles};
+use support::{base, claimed, config, content, crashed_restart, oracles, OFF};
 use support::{Listing, Model, Point, Script, Sweep};
 
 const NEW: &str = "restart/new";
@@ -83,7 +83,8 @@ impl Script for Restart {
     /// deletes the fixture committed.
     fn fixture(&self, policy: IoPolicy) -> (SimDisk, Model, Reference) {
         let crashed = crashed_restart(policy, 0);
-        let (mut v, report) = FsdVolume::boot(crashed.clone(), config(policy)).unwrap();
+        let (mut v, report) = FsdVolume::boot(crashed.clone(), config()).unwrap();
+        v.set_commit_interval(OFF);
         assert!(report.records_replayed > 0 && report.images_redone > 0);
         v.settle_vam().unwrap().expect("a crash boot owes the walk");
         let listing = v.list("").unwrap();
@@ -108,8 +109,8 @@ impl Script for Restart {
     }
 
     /// `boot → read three files → list → create → force`.
-    fn session(&self, state: (SimDisk, Model), policy: IoPolicy, _: usize) -> (SimDisk, Model) {
-        support::session(state, config(policy), |v, _, model| {
+    fn session(&self, state: (SimDisk, Model), _: usize) -> (SimDisk, Model) {
+        support::session(state, config(), OFF, |v, _, model| {
             for name in PROBES {
                 let mut f = v.open(name, None)?;
                 v.read_file(&mut f)?;
@@ -128,7 +129,7 @@ impl Script for Restart {
     /// a damaged sector for a read to scrub.
     fn check(&self, (disk, model): (SimDisk, Model), want: &Reference, point: &Point) {
         let (acked, undamaged) = (point.acked, point.tail == 0);
-        let (ctx, policy) = (&point.to_string(), point.policy);
+        let ctx = &point.to_string();
         if point.k.is_none() {
             let w = point.w;
             // Boot pages (two), the create's leader and data, its
@@ -136,7 +137,7 @@ impl Script for Restart {
             assert_eq!(w, 15, "the first write pays the epoch, not the sweep");
         }
         let power_on = disk.stats().sectors_written;
-        let mut v = support::boot(disk, config(policy), ctx);
+        let mut v = support::boot(disk, config(), OFF, ctx);
         let listing = v.list("").unwrap_or_else(|e| panic!("{ctx}: {e}"));
         let new_versions = listing.iter().filter(|(n, _)| n.name == NEW).count() as u32;
         assert!(
@@ -155,7 +156,7 @@ impl Script for Restart {
             assert_eq!(written, 0, "{ctx}: boot and reads wrote");
         }
 
-        oracles(&mut v, config(policy), &model, ctx);
+        oracles(&mut v, config(), OFF, &model, ctx);
         assert_eq!(
             v.free_sectors() + claimed(&listing),
             want.data_sectors,

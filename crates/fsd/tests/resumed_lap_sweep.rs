@@ -22,7 +22,7 @@ use cedar_disk::{IoPolicy, SimDisk};
 use cedar_fsd::log::{scan_records, Log, PageTarget, DATA_START};
 use cedar_fsd::{FsdLayout, FsdVolume, SpareMap};
 use std::collections::{BTreeMap, BTreeSet};
-use support::{base, claimed, config, content, crashed_restart, oracles, Listing, Model};
+use support::{base, claimed, config, content, crashed_restart, oracles, Listing, Model, OFF};
 use support::{Point, Script, Sweep};
 
 /// Forces in the session: enough to lap the log once from wherever the
@@ -66,12 +66,12 @@ impl Script for ResumedLap {
         let mut crashed = crashed_restart(policy, 20);
         // The chain the restart owes: records in every third, name-table
         // sectors and leaders among their images.
-        let c = config(policy);
+        let c = config();
         let layout = FsdLayout::compute(crashed.geometry(), c.nt_pages, c.log_sectors);
         let mut spare = SpareMap::for_layout(&layout);
-        let meta = Log::read_meta(&mut crashed, policy, &mut spare, layout.log_start).unwrap();
+        let meta = Log::read_meta(&mut crashed, &mut spare, layout.log_start).unwrap();
         let (start, sectors) = (layout.log_start, layout.log_sectors);
-        let chain = scan_records(&mut crashed, policy, start, sectors, &spare, &meta).unwrap();
+        let chain = scan_records(&mut crashed, start, sectors, &spare, &meta).unwrap();
         let len = (sectors - DATA_START) / 3;
         let thirds: BTreeSet<u32> = chain
             .iter()
@@ -82,7 +82,7 @@ impl Script for ResumedLap {
         let leaders = images.filter(|(t, _)| matches!(t, PageTarget::Leader { .. }));
         assert!(leaders.count() > 0, "leaders owed");
 
-        let (mut v, _) = FsdVolume::boot(crashed.clone(), config(policy)).unwrap();
+        let mut v = support::boot(crashed.clone(), config(), OFF, "reference");
         v.settle_vam().unwrap().expect("a crash boot owes the walk");
         let model = Model::of(&mut v);
         let listing = v.list("").unwrap();
@@ -93,8 +93,8 @@ impl Script for ResumedLap {
     /// Boot, then forces of two creates and a delete each — the creates
     /// next to the fixture's files, the deletes of fixture files that are
     /// still there — until the log has lapped.
-    fn session(&self, state: (SimDisk, Model), policy: IoPolicy, round: usize) -> (SimDisk, Model) {
-        support::session(state, config(policy), |v, _, model| {
+    fn session(&self, state: (SimDisk, Model), round: usize) -> (SimDisk, Model) {
+        support::session(state, config(), OFF, |v, _, model| {
             let mut entered = BTreeSet::new();
             let mut wrapped = false;
             for f in 0..FORCES {
@@ -122,11 +122,11 @@ impl Script for ResumedLap {
     }
 
     fn check(&self, (disk, model): (SimDisk, Model), data_sectors: &u32, point: &Point) {
-        let (ctx, policy) = (&point.to_string(), point.policy);
+        let ctx = &point.to_string();
         if point.k.is_none() {
             assert_eq!(point.w, 291, "{ctx}: the session's sector writes moved");
         }
-        let mut v = support::boot(disk, config(policy), ctx);
+        let mut v = support::boot(disk, config(), OFF, ctx);
         // Before anything settles: what the owed images and the homes
         // show together is a state the model allows.
         let (listing, mut bytes) = snapshot(&mut v, ctx);
@@ -139,7 +139,7 @@ impl Script for ResumedLap {
             );
         }
         assert!(bytes.is_empty(), "{ctx}: unknown files {:?}", bytes.keys());
-        oracles(&mut v, config(policy), &model, ctx);
+        oracles(&mut v, config(), OFF, &model, ctx);
         assert_eq!(
             snapshot(&mut v, ctx).0,
             listing,

@@ -18,7 +18,6 @@ fn config_with(workers: usize) -> FsdConfig {
         log_sectors: 160,
         cpu: CpuModel::FREE,
         scavenge_workers: workers,
-        ..FsdConfig::default()
     }
 }
 

@@ -5,13 +5,14 @@
 //!
 //! A [`Script`] is a fixture, a session run on it until it ends or an
 //! armed crash fires, and the checks after the last session. For each
-//! policy, [`Sweep::run`] replays the uncrashed session to count its
-//! sector writes `W` (a replay from a second fixture must end on the same
-//! platter digest), then crashes it at every `k ∈ 0..=W` with torn tails
-//! 0–2: the crash must fire exactly when `k < W`. A session that boots
-//! whatever disk it is handed ([`Script::RESTARTS`]) also has the restart
-//! of each crashed restart with `k % 5 == tail` crashed, at `0` and
-//! `W/2`. A failing point neither stops the sweep nor skips its restarts:
+//! policy, set on the disk the fixture formats (the disk keeps it
+//! through every clone, crash and reboot), [`Sweep::run`] replays the
+//! uncrashed session to count its sector writes `W` (a replay from a
+//! second fixture must end on the same platter digest), then crashes it
+//! at every `k ∈ 0..=W` with torn tails 0–2: the crash must fire exactly
+//! when `k < W`. A session that boots whatever disk it is handed
+//! ([`Script::RESTARTS`]) also has the restart of each crashed restart
+//! with `k % 5 == tail` crashed, at `0` and `W/2`. A failing point neither stops the sweep nor skips its restarts:
 //! [`Sweep::finish`] panics once, with the count, the first few and the
 //! replay command. [`oracles`] are the checks every volume-level script
 //! shares, and [`OnVolume`] is the volume-level script itself: boot, the
@@ -35,18 +36,30 @@ use std::{fmt, sync::Once};
 /// protocol must not depend on which one the disk runs.
 pub const POLICIES: [IoPolicy; 2] = [IoPolicy::InOrder, IoPolicy::Satf];
 
-/// The sweeps' tiny volume. The commit interval is switched off, so a
-/// script's own forces are its only commit points and the in-flight
-/// windows are as wide as they can be.
-pub fn config(policy: IoPolicy) -> FsdConfig {
+/// The sweeps' tiny volume.
+pub fn config() -> FsdConfig {
     FsdConfig {
         nt_pages: 24,
         log_sectors: 183,
         cpu: CpuModel::DORADO,
-        io_policy: policy,
-        commit_interval_us: Micros::MAX,
         ..FsdConfig::default()
     }
+}
+
+/// The sweeps' commit interval: switched off, so a script's own forces
+/// are its only commit points and the in-flight windows are as wide as
+/// they can be. A volume comes up from every format and boot at the
+/// default interval; [`format`], [`session`] and [`boot`] set this one.
+pub const OFF: Micros = Micros::MAX;
+
+/// The sweeps' tiny volume on a blank disk scheduling under `policy`,
+/// its commit interval [`OFF`].
+pub fn format(policy: IoPolicy) -> FsdVolume {
+    let mut disk = SimDisk::tiny();
+    disk.set_io_policy(policy);
+    let mut v = FsdVolume::format(disk, config()).unwrap();
+    v.set_commit_interval(OFF);
+    v
 }
 
 /// `len` bytes of file content, distinct per `tag`.
@@ -93,7 +106,7 @@ pub const RESTART_PROBES: [&str; 3] = ["base/f31", "base/f32", "reuse/big"];
 /// ([`tear_last_force`]), torn at least `into_third` sectors into the
 /// third the writer is in (0: wherever there is room for it).
 pub fn crashed_restart(policy: IoPolicy, into_third: u32) -> SimDisk {
-    let mut v = FsdVolume::format(SimDisk::tiny(), config(policy)).unwrap();
+    let mut v = format(policy);
     let mut laps = 0;
     let mut force = |v: &mut FsdVolume| {
         let before = v.next_log_sector();
@@ -221,16 +234,13 @@ pub trait Script {
         String::new()
     }
 
+    /// The platters the sessions start from, on a disk scheduling under
+    /// `policy`.
     fn fixture(&self, policy: IoPolicy) -> (SimDisk, Self::Memory, Self::Want);
 
     /// Runs session `round` (`1`: the restart of a crashed restart) until
     /// it ends or the armed crash fires; any error must be the crash's.
-    fn session(
-        &self,
-        state: (SimDisk, Self::Memory),
-        policy: IoPolicy,
-        round: usize,
-    ) -> (SimDisk, Self::Memory);
+    fn session(&self, state: (SimDisk, Self::Memory), round: usize) -> (SimDisk, Self::Memory);
 
     /// Checks the state once the plug was pulled and the power is back.
     fn check(&self, state: (SimDisk, Self::Memory), want: &Self::Want, point: &Point);
@@ -252,9 +262,14 @@ pub trait OnVolume {
         String::new()
     }
 
-    /// The volume's configuration under `policy`.
-    fn config(&self, policy: IoPolicy) -> FsdConfig {
-        config(policy)
+    /// The volume's configuration.
+    fn config(&self) -> FsdConfig {
+        config()
+    }
+
+    /// The commit interval a session runs at.
+    fn interval(&self) -> Micros {
+        OFF
     }
 
     fn fixture(&self, policy: IoPolicy) -> (SimDisk, Model, Self::Want);
@@ -295,16 +310,16 @@ impl<S: OnVolume> Script for S {
         OnVolume::fixture(self, policy)
     }
 
-    fn session(&self, state: (SimDisk, Model), policy: IoPolicy, round: usize) -> (SimDisk, Model) {
-        session(state, self.config(policy), |v, report, model| {
+    fn session(&self, state: (SimDisk, Model), round: usize) -> (SimDisk, Model) {
+        session(state, self.config(), self.interval(), |v, report, model| {
             self.run(v, report, model, round)
         })
     }
 
     fn check(&self, (disk, model): (SimDisk, Model), want: &S::Want, point: &Point) {
-        let (ctx, config) = (&point.to_string(), self.config(point.policy));
-        let mut v = boot(disk, config, ctx);
-        let free = oracles(&mut v, config, &model, ctx);
+        let (ctx, config) = (&point.to_string(), self.config());
+        let mut v = boot(disk, config, self.interval(), ctx);
+        let free = oracles(&mut v, config, self.interval(), &model, ctx);
         self.also(&mut v, &model, want, free, point);
     }
 }
@@ -354,6 +369,11 @@ impl Sweep {
     pub fn run<S: Script>(&mut self, script: &S) -> &mut Self {
         for policy in POLICIES {
             let (disk, memory, want) = script.fixture(policy);
+            assert_eq!(
+                disk.io_policy(),
+                policy,
+                "the fixture formats under the sweep's policy"
+            );
             // One session with `plan` armed, the plug pulled, the power
             // back; and whether the crash fired.
             let session = |disk: &SimDisk, memory: &S::Memory, round, plan| {
@@ -361,7 +381,7 @@ impl Sweep {
                 if let Some(plan) = plan {
                     disk.schedule_crash(plan);
                 }
-                let (mut disk, memory) = script.session((disk, memory.clone()), policy, round);
+                let (mut disk, memory) = script.session((disk, memory.clone()), round);
                 let fired = disk.is_crashed();
                 disk.crash_now();
                 disk.reboot();
@@ -532,11 +552,12 @@ impl Model {
 }
 
 /// A volume-level session: boots the disk (the crash may fire inside
-/// boot) and runs `script` on the volume. What was in flight when it
-/// stopped stays undecided in the model.
+/// boot) and runs `script` on the volume at commit `interval`. What was
+/// in flight when it stopped stays undecided in the model.
 pub fn session(
     (disk, mut model): (SimDisk, Model),
     config: FsdConfig,
+    interval: Micros,
     script: impl FnOnce(&mut FsdVolume, &RecoveryReport, &mut Model) -> Result<(), FsdError>,
 ) -> (SimDisk, Model) {
     let disk = match FsdVolume::try_boot(disk, config) {
@@ -545,6 +566,7 @@ pub fn session(
             disk
         }
         Ok((mut v, report)) => {
+            v.set_commit_interval(interval);
             if let Err(e) = script(&mut v, &report, &mut model) {
                 assert!(e.is_crash(), "script: {e}");
             }
@@ -555,8 +577,10 @@ pub fn session(
     (disk, model)
 }
 
-pub fn boot(disk: SimDisk, config: FsdConfig, ctx: &str) -> FsdVolume {
-    let (v, _) = FsdVolume::boot(disk, config).unwrap_or_else(|e| panic!("{ctx}: {e}"));
+/// Boots `disk`, which must boot, at commit `interval`.
+pub fn boot(disk: SimDisk, config: FsdConfig, interval: Micros, ctx: &str) -> FsdVolume {
+    let (mut v, _) = FsdVolume::boot(disk, config).unwrap_or_else(|e| panic!("{ctx}: {e}"));
+    v.set_commit_interval(interval);
     v
 }
 
@@ -564,8 +588,14 @@ pub fn boot(disk: SimDisk, config: FsdConfig, ctx: &str) -> FsdVolume {
 /// free + claimed is the layout's constant; every file holds a state it
 /// was acknowledged or in flight with; the tree checks out; and a rung-3
 /// scavenge of a clone brings back no committed delete. Returns the free
-/// map built from the listing.
-pub fn oracles(v: &mut FsdVolume, config: FsdConfig, model: &Model, ctx: &str) -> Vam {
+/// map built from the listing. The clone runs at `v`'s commit `interval`.
+pub fn oracles(
+    v: &mut FsdVolume,
+    config: FsdConfig,
+    interval: Micros,
+    model: &Model,
+    ctx: &str,
+) -> Vam {
     v.settle_vam().unwrap_or_else(|e| panic!("{ctx}: {e}"));
     let listing: Listing = v.list("").unwrap_or_else(|e| panic!("{ctx}: {e}"));
     let layout = *v.layout();
@@ -630,6 +660,7 @@ pub fn oracles(v: &mut FsdVolume, config: FsdConfig, model: &Model, ctx: &str) -
     clone.reboot();
     let (mut s, report) =
         FsdVolume::boot(clone, config).unwrap_or_else(|e| panic!("{ctx}: scavenge: {e}"));
+    s.set_commit_interval(interval);
     assert_eq!(report.rung, RecoveryRung::Scavenge, "{ctx}");
     for (name, _) in s.list("").unwrap() {
         assert!(

@@ -149,14 +149,8 @@ fn group_commit_reduces_metadata_io() {
     // §5.4 in miniature: the same updates cost several times more I/O
     // when every operation commits alone.
     let run = |interval: u64| -> u64 {
-        let mut vol = FsdVolume::format(
-            t300(),
-            FsdConfig {
-                commit_interval_us: interval,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let mut vol = FsdVolume::format(t300(), FsdConfig::default()).unwrap();
+        vol.set_commit_interval(interval);
         for i in 0..60 {
             vol.create_cached(&format!("c/f{i:02}"), b"cached").unwrap();
         }

@@ -129,12 +129,12 @@ fn fragmented(holes: &[u32]) -> FsdVolume {
             nt_pages: 48,
             log_sectors: 128,
             cpu: CpuModel::FREE,
-            // The half-second daemon stays out of the I/O counts.
-            commit_interval_us: u64::MAX / 2,
             ..Default::default()
         },
     )
     .unwrap();
+    // The half-second daemon stays out of the I/O counts.
+    v.set_commit_interval(u64::MAX / 2);
     // Small files fill the area front to back, so wall / hole / wall /
     // hole ... lie side by side; a hole file of `h - 1` pages plus its
     // leader is `h` sectors.

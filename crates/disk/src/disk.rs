@@ -30,6 +30,20 @@
 //! two trailing sectors detectably damaged; everything earlier in the write
 //! is durable, everything later never happened. Reading a damaged sector
 //! fails; rewriting it repairs it.
+//!
+//! # Storage
+//!
+//! Sector data lives in chunks of [`CHUNK_SECTORS`] consecutive sectors,
+//! each allocated zeroed on its first write and held by an [`Arc`]: a
+//! clone and a [`SimDisk::fork_with_clock`] replica share every chunk
+//! (a reboot keeps the store as it is), and a write copies a chunk only
+//! while another disk still shares it. A `written` bitmap tells a
+//! never-written sector from one written with zeros. The label plane
+//! exists once a label other than [`Label::FREE`] is written (FSD never
+//! writes one), and the damage and fault marks are sparse sets. A
+//! transfer is still charged sector by sector — seek, rotation, cylinder
+//! crossings, faults and crash points fire exactly where they did — and
+//! then its data moves with one copy per chunk it touches.
 
 use crate::clock::{Micros, SimClock};
 use crate::error::DiskError;
@@ -40,36 +54,39 @@ use crate::sched::IoPolicy;
 use crate::stats::DiskStats;
 use crate::timing::DiskTiming;
 use crate::{Result, SectorAddr, SECTOR_BYTES};
+use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Range;
+use std::sync::Arc;
 
-/// One sector's persistent state.
-#[derive(Clone, Debug)]
-struct SectorState {
-    /// Sector contents; `None` means never written (reads as zeros).
-    data: Option<Box<[u8; SECTOR_BYTES]>>,
-    /// The Trident label plane.
-    label: Label,
-    /// Detectably damaged (torn write or injected flaw).
-    damaged: bool,
-    /// Latent flaw: fails on first touch, then behaves like `damaged`
-    /// (a rewrite repairs it). See [`crate::fault::FaultPlan`].
-    latent: bool,
-    /// Pending transient read retries (each costs a revolution).
-    transient_fails: u8,
-    /// Grown defect: permanently dead; rewriting does not repair.
-    hard_bad: bool,
+/// Sectors per chunk of the data plane: one word of the `written`
+/// bitmap, 32 KiB of sector bytes.
+pub const CHUNK_SECTORS: usize = 64;
+const CHUNK_BYTES: usize = CHUNK_SECTORS * SECTOR_BYTES;
+
+/// The bytes of [`CHUNK_SECTORS`] consecutive sectors; a sector never
+/// written holds zeros.
+type Chunk = [u8; CHUNK_BYTES];
+
+/// What a chunk never written reads as.
+static ZEROS: Chunk = [0; CHUNK_BYTES];
+
+/// `(chunk, first sector within it, sectors)` for each chunk the range
+/// `start..start + n` touches, in address order.
+fn chunk_runs(start: SectorAddr, n: usize) -> impl Iterator<Item = (usize, usize, usize)> {
+    let (mut addr, end) = (start as usize, start as usize + n);
+    std::iter::from_fn(move || {
+        (addr < end).then(|| {
+            let (chunk, off) = (addr / CHUNK_SECTORS, addr % CHUNK_SECTORS);
+            let run = (CHUNK_SECTORS - off).min(end - addr);
+            addr += run;
+            (chunk, off, run)
+        })
+    })
 }
 
-impl Default for SectorState {
-    fn default() -> Self {
-        Self {
-            data: None,
-            label: Label::FREE,
-            damaged: false,
-            latent: false,
-            transient_fails: 0,
-            hard_bad: false,
-        }
-    }
+/// The bits `off..off + run` of a `written` word.
+fn run_mask(off: usize, run: usize) -> u64 {
+    (u64::MAX >> (64 - run)) << off
 }
 
 /// A scheduled machine crash.
@@ -93,7 +110,25 @@ pub struct SimDisk {
     geometry: DiskGeometry,
     timing: DiskTiming,
     clock: SimClock,
-    sectors: Vec<SectorState>,
+    /// Sector data, [`CHUNK_SECTORS`] to a chunk, allocated zeroed on the
+    /// chunk's first write. Clones share chunks; a write copies one only
+    /// while it is shared.
+    chunks: Vec<Option<Arc<Chunk>>>,
+    /// One bit per sector, one word per chunk: the data field has been
+    /// written (a sector written with zeros is not a blank one).
+    written: Vec<u64>,
+    /// The Trident label plane, allocated on the first non-free label
+    /// (only CFS and FFS pay for it) and shared by clones until written.
+    labels: Option<Arc<Vec<Label>>>,
+    /// Detectably damaged sectors (torn write or injected flaw).
+    damaged: BTreeSet<SectorAddr>,
+    /// Latent flaws: each fails on first touch, then behaves like
+    /// `damaged` (a rewrite repairs it). See [`crate::fault::FaultPlan`].
+    latent: BTreeSet<SectorAddr>,
+    /// Pending transient read retries (each costs a revolution).
+    transient: BTreeMap<SectorAddr, u8>,
+    /// Grown defects: permanently dead; rewriting does not repair.
+    hard_bad: BTreeSet<SectorAddr>,
     current_cylinder: u32,
     stats: DiskStats,
     crash: Option<CrashPlan>,
@@ -137,12 +172,18 @@ impl SimDisk {
             geometry.sectors_per_track, timing.sectors_per_track,
             "geometry and timing disagree on sectors per track"
         );
-        let n = geometry.total_sectors() as usize;
+        let chunks = (geometry.total_sectors() as usize).div_ceil(CHUNK_SECTORS);
         Self {
             geometry,
             timing,
             clock,
-            sectors: vec![SectorState::default(); n],
+            chunks: vec![None; chunks],
+            written: vec![0; chunks],
+            labels: None,
+            damaged: BTreeSet::new(),
+            latent: BTreeSet::new(),
+            transient: BTreeMap::new(),
+            hard_bad: BTreeSet::new(),
             current_cylinder: 0,
             stats: DiskStats::default(),
             crash: None,
@@ -327,23 +368,79 @@ impl SimDisk {
         Ok(())
     }
 
-    /// Returns `true` if the crash plan fired; damages up to
-    /// `damaged_tail` sectors starting at `addr` (bounded by `op_end`).
-    fn maybe_crash(&mut self, addr: SectorAddr, op_end: SectorAddr) -> bool {
+    /// Fails with [`DiskError::Crashed`] if the crash plan fires at
+    /// `addr`, damaging up to `damaged_tail` sectors from there (bounded
+    /// by `op_end`).
+    fn maybe_crash(&mut self, addr: SectorAddr, op_end: SectorAddr) -> Result<()> {
         let Some(plan) = &mut self.crash else {
-            return false;
+            return Ok(());
         };
         if plan.after_sector_writes > 0 {
             plan.after_sector_writes -= 1;
-            return false;
+            return Ok(());
         }
         let tail = plan.damaged_tail.min(2) as u32;
-        for a in addr..(addr + tail).min(op_end) {
-            self.sectors[a as usize].damaged = true;
-        }
+        self.damaged.extend(addr..(addr + tail).min(op_end));
         self.crash = None;
         self.crashed = true;
-        true
+        Err(DiskError::Crashed)
+    }
+
+    /// Fails with [`DiskError::LabelMismatch`] unless sector `addr`
+    /// carries `want` (no check when `want` is `None`).
+    fn check_label(&self, addr: SectorAddr, want: Option<Label>) -> Result<()> {
+        let found = self.peek_label(addr);
+        match want {
+            Some(expected) if expected != found => Err(DiskError::LabelMismatch {
+                addr,
+                expected,
+                found,
+            }),
+            _ => Ok(()),
+        }
+    }
+
+    /// Passes sectors `start..start + n` under the head in order: charges
+    /// each one's transfer, then runs `each` on it (its index in the
+    /// request, its address), and stops at the first sector `each` fails.
+    /// Returns how many sectors passed, and the failure.
+    fn pass_under_head(
+        &mut self,
+        start: SectorAddr,
+        n: usize,
+        mut each: impl FnMut(&mut Self, usize, SectorAddr) -> Result<()>,
+    ) -> (usize, Result<()>) {
+        for i in 0..n {
+            let addr = start + i as u32;
+            self.charge_transfer(addr, i == 0);
+            if let Err(e) = each(self, i, addr) {
+                return (i, Err(e));
+            }
+        }
+        (n, Ok(()))
+    }
+
+    /// Books the first `done` sectors from `start` as durably written:
+    /// their new labels, the count, and the journal (with `data`'s sector
+    /// images when the data field was written).
+    fn book_written(
+        &mut self,
+        start: SectorAddr,
+        done: usize,
+        data: Option<&[u8]>,
+        labels: Option<&[Label]>,
+    ) {
+        for (i, &label) in labels.into_iter().flatten().take(done).enumerate() {
+            self.set_label(start + i as u32, label);
+        }
+        self.stats.sectors_written += done as u64;
+        if let Some(journal) = &mut self.journal {
+            journal.extend((0..done).map(|i| JournalEntry {
+                addr: start + i as u32,
+                data: data.map(|d| d[i * SECTOR_BYTES..(i + 1) * SECTOR_BYTES].to_vec()),
+                label: labels.map(|l| l[i]),
+            }));
+        }
     }
 
     // ----- fault internals ---------------------------------------------------
@@ -352,11 +449,10 @@ impl SimDisk {
     /// rereads the sector on the next revolution(s), so each retry costs
     /// one full revolution, charged as a lost revolution.
     fn retry_transient(&mut self, addr: SectorAddr) {
-        let fails = self.sectors[addr as usize].transient_fails.min(2);
+        let fails = self.transient.remove(&addr).unwrap_or(0).min(2);
         if fails == 0 {
             return;
         }
-        self.sectors[addr as usize].transient_fails = 0;
         let rev = self.timing.sector_us() * self.timing.sectors_per_track as Micros;
         for _ in 0..fails {
             self.stats.lost_revolutions += 1;
@@ -370,38 +466,34 @@ impl SimDisk {
     /// a read: fires latent flaws, charges transient retries. Returns
     /// `true` if the sector must be treated as damaged.
     fn fault_on_read(&mut self, addr: SectorAddr) -> bool {
-        if self.sectors[addr as usize].hard_bad {
+        if self.hard_bad.contains(&addr) {
             self.stats.media_faults += 1;
             return true;
         }
-        if self.sectors[addr as usize].latent {
-            let s = &mut self.sectors[addr as usize];
-            s.latent = false;
-            s.damaged = true;
+        if self.latent.remove(&addr) {
+            self.damaged.insert(addr);
             self.stats.media_faults += 1;
             return true;
         }
         self.retry_transient(addr);
-        self.sectors[addr as usize].damaged
+        self.damaged.contains(&addr)
     }
 
     /// Applies fault semantics for a write to sector `addr`: a grown
     /// defect rejects the write outright; a latent flaw is discovered by
     /// the write's verify pass (the write fails) but cleared, so a retry
     /// repairs the sector.
-    fn fault_on_write(&mut self, addr: SectorAddr) -> Option<DiskError> {
-        let s = &mut self.sectors[addr as usize];
-        if s.hard_bad {
+    fn fault_on_write(&mut self, addr: SectorAddr) -> Result<()> {
+        if self.hard_bad.contains(&addr) {
             self.stats.media_faults += 1;
-            return Some(DiskError::BadSector(addr));
+            return Err(DiskError::BadSector(addr));
         }
-        if s.latent {
-            s.latent = false;
-            s.damaged = true;
+        if self.latent.remove(&addr) {
+            self.damaged.insert(addr);
             self.stats.media_faults += 1;
-            return Some(DiskError::BadSector(addr));
+            return Err(DiskError::BadSector(addr));
         }
-        None
+        Ok(())
     }
 
     // ----- data I/O ---------------------------------------------------------
@@ -424,7 +516,8 @@ impl SimDisk {
     }
 
     /// One read request: position, then per sector charge the transfer,
-    /// apply faults, check the label when `expected` is given, copy.
+    /// apply faults and check the label when `expected` is given; then
+    /// copy the sectors that passed, one copy per chunk.
     fn transfer_in(
         &mut self,
         start: SectorAddr,
@@ -436,30 +529,15 @@ impl SimDisk {
         self.stats.reads += 1;
         self.attribute(start);
         self.position_to(start);
-        out.reserve(n * SECTOR_BYTES);
-        for i in 0..n {
-            let addr = start + i as u32;
-            self.charge_transfer(addr, i == 0);
-            self.stats.sectors_read += 1;
-            if self.fault_on_read(addr) {
+        let (done, passed) = self.pass_under_head(start, n, |d, i, addr| {
+            d.stats.sectors_read += 1;
+            if d.fault_on_read(addr) {
                 return Err(DiskError::BadSector(addr));
             }
-            let s = &self.sectors[addr as usize];
-            if let Some(want) = expected.map(|e| e[i]) {
-                if s.label != want {
-                    return Err(DiskError::LabelMismatch {
-                        addr,
-                        expected: want,
-                        found: s.label,
-                    });
-                }
-            }
-            match &s.data {
-                Some(d) => out.extend_from_slice(&d[..]),
-                None => out.extend_from_slice(&[0u8; SECTOR_BYTES]),
-            }
-        }
-        Ok(())
+            d.check_label(addr, expected.map(|e| e[i]))
+        });
+        self.copy_out(start, done, out);
+        passed
     }
 
     /// Reads `n` sectors, tolerating damage: damaged sectors read as zeros
@@ -474,18 +552,21 @@ impl SimDisk {
         self.stats.reads += 1;
         self.attribute(start);
         self.position_to(start);
-        let mut out = Vec::with_capacity(n * SECTOR_BYTES);
         let mut mask = Vec::with_capacity(n);
-        for i in 0..n {
-            let addr = start + i as u32;
-            self.charge_transfer(addr, i == 0);
-            self.stats.sectors_read += 1;
-            let dmg = self.fault_on_read(addr);
-            mask.push(dmg);
-            match (&self.sectors[addr as usize].data, dmg) {
-                (Some(d), false) => out.extend_from_slice(&d[..]),
-                _ => out.extend_from_slice(&[0u8; SECTOR_BYTES]),
-            }
+        self.pass_under_head(start, n, |d, _, addr| {
+            d.stats.sectors_read += 1;
+            mask.push(d.fault_on_read(addr));
+            Ok(())
+        })
+        .1?;
+        let mut out = Vec::with_capacity(n * SECTOR_BYTES);
+        self.copy_out(start, n, &mut out);
+        for (sector, _) in out
+            .chunks_exact_mut(SECTOR_BYTES)
+            .zip(&mask)
+            .filter(|(_, &d)| d)
+        {
+            sector.fill(0);
         }
         Ok((out, mask))
     }
@@ -546,47 +627,22 @@ impl SimDisk {
         self.attribute(start);
         self.position_to(start);
         let op_end = start + n as u32;
-        for i in 0..n {
-            let addr = start + i as u32;
-            self.charge_transfer(addr, i == 0);
-            // The label check happens as the sector passes under the head,
-            // before its data field is rewritten.
-            if let Some(exp) = expected {
-                let found = self.sectors[addr as usize].label;
-                if found != exp[i] {
-                    return Err(DiskError::LabelMismatch {
-                        addr,
-                        expected: exp[i],
-                        found,
-                    });
-                }
-            }
-            if let Some(e) = self.fault_on_write(addr) {
-                // The write fails at the bad sector; everything before it
-                // in this transfer is already durable.
-                return Err(e);
-            }
-            if self.maybe_crash(addr, op_end) {
-                return Err(DiskError::Crashed);
-            }
-            let s = &mut self.sectors[addr as usize];
-            let mut buf = [0u8; SECTOR_BYTES];
-            buf.copy_from_slice(&data[i * SECTOR_BYTES..(i + 1) * SECTOR_BYTES]);
-            s.data = Some(Box::new(buf));
-            s.damaged = false;
-            if let Some(labels) = new_labels {
-                s.label = labels[i];
-            }
-            self.stats.sectors_written += 1;
-            if let Some(journal) = &mut self.journal {
-                journal.push(JournalEntry {
-                    addr,
-                    data: Some(buf.to_vec()),
-                    label: new_labels.map(|l| l[i]),
-                });
-            }
+        // Each label is checked as its sector passes under the head,
+        // before the data field is rewritten. A bad sector fails the
+        // write there, and a crash stops it there; everything before it
+        // in this transfer is durable.
+        let (done, passed) = self.pass_under_head(start, n, |d, i, addr| {
+            d.check_label(addr, expected.map(|e| e[i]))?;
+            d.fault_on_write(addr)?;
+            d.maybe_crash(addr, op_end)
+        });
+        let data = &data[..done * SECTOR_BYTES];
+        self.copy_in(start, data);
+        for addr in start..start + done as u32 {
+            self.damaged.remove(&addr);
         }
-        Ok(())
+        self.book_written(start, done, Some(data), new_labels);
+        passed
     }
 
     /// Writes whole sectors starting at `start`. Labels are untouched.
@@ -627,11 +683,11 @@ impl SimDisk {
         self.attribute(start);
         self.position_to(start);
         let mut out = Vec::with_capacity(n);
-        for i in 0..n {
-            let addr = start + i as u32;
-            self.charge_transfer(addr, i == 0);
-            out.push(self.sectors[addr as usize].label);
-        }
+        self.pass_under_head(start, n, |d, _, addr| {
+            out.push(d.peek_label(addr));
+            Ok(())
+        })
+        .1?;
         Ok(out)
     }
 
@@ -653,33 +709,12 @@ impl SimDisk {
         self.attribute(start);
         self.position_to(start);
         let op_end = start + n as u32;
-        for i in 0..n {
-            let addr = start + i as u32;
-            self.charge_transfer(addr, i == 0);
-            if let Some(exp) = expected {
-                let found = self.sectors[addr as usize].label;
-                if found != exp[i] {
-                    return Err(DiskError::LabelMismatch {
-                        addr,
-                        expected: exp[i],
-                        found,
-                    });
-                }
-            }
-            if self.maybe_crash(addr, op_end) {
-                return Err(DiskError::Crashed);
-            }
-            self.sectors[addr as usize].label = labels[i];
-            self.stats.sectors_written += 1;
-            if let Some(journal) = &mut self.journal {
-                journal.push(JournalEntry {
-                    addr,
-                    data: None,
-                    label: Some(labels[i]),
-                });
-            }
-        }
-        Ok(())
+        let (done, passed) = self.pass_under_head(start, n, |d, i, addr| {
+            d.check_label(addr, expected.map(|e| e[i]))?;
+            d.maybe_crash(addr, op_end)
+        });
+        self.book_written(start, done, None, Some(labels));
+        passed
     }
 
     // ----- write journal and replica forking ----------------------------------
@@ -711,23 +746,20 @@ impl SimDisk {
     /// how a replica is seeded and how the lapped-log full-transfer
     /// fallback works.
     pub fn fork_with_clock(&self, clock: SimClock) -> SimDisk {
-        let mut fork = SimDisk::new(self.geometry, self.timing, clock);
-        for (i, s) in self.sectors.iter().enumerate() {
-            if s.data.is_some() || s.label != Label::FREE {
-                let t = &mut fork.sectors[i];
-                t.data = s.data.clone();
-                t.label = s.label;
-            }
+        SimDisk {
+            chunks: self.chunks.clone(),
+            written: self.written.clone(),
+            labels: self.labels.clone(),
+            regions: self.regions.clone(),
+            io_policy: self.io_policy,
+            ..SimDisk::new(self.geometry, self.timing, clock)
         }
-        fork.regions = self.regions.clone();
-        fork.io_policy = self.io_policy;
-        fork
     }
 
     /// Number of sectors whose data field has ever been written (the
     /// payload a full-state transfer must ship).
     pub fn materialized_sectors(&self) -> u32 {
-        self.sectors.iter().filter(|s| s.data.is_some()).count() as u32
+        self.written.iter().map(|w| w.count_ones()).sum()
     }
 
     // ----- faults and crashes -------------------------------------------------
@@ -759,41 +791,41 @@ impl SimDisk {
 
     /// Marks a sector as detectably damaged (media flaw injection).
     pub fn damage_sector(&mut self, addr: SectorAddr) {
-        self.sectors[addr as usize].damaged = true;
+        assert!(
+            addr < self.geometry.total_sectors(),
+            "sector {addr} out of range"
+        );
+        self.damaged.insert(addr);
     }
 
     /// Marks a sector as a grown defect: permanently dead, rewriting does
     /// not repair it (the remap-to-spare case).
     pub fn hard_damage_sector(&mut self, addr: SectorAddr) {
-        self.sectors[addr as usize].hard_bad = true;
+        assert!(
+            addr < self.geometry.total_sectors(),
+            "sector {addr} out of range"
+        );
+        self.hard_bad.insert(addr);
     }
 
     /// Installs a media [`FaultPlan`]. Out-of-range addresses are ignored
     /// rather than rejected, so campaign generators can over-approximate.
     pub fn set_fault_plan(&mut self, plan: &FaultPlan) {
-        for &a in &plan.latent {
-            if let Some(s) = self.sectors.get_mut(a as usize) {
-                s.latent = true;
-            }
+        let total = self.geometry.total_sectors();
+        self.latent
+            .extend(plan.latent.iter().filter(|&&a| a < total));
+        for &(a, n) in plan.transient.iter().filter(|(a, _)| *a < total) {
+            self.transient.insert(a, n.min(2));
         }
-        for &(a, n) in &plan.transient {
-            if let Some(s) = self.sectors.get_mut(a as usize) {
-                s.transient_fails = n.min(2);
-            }
-        }
-        for &a in &plan.grown {
-            if let Some(s) = self.sectors.get_mut(a as usize) {
-                s.hard_bad = true;
-            }
-        }
+        self.hard_bad
+            .extend(plan.grown.iter().filter(|&&a| a < total));
     }
 
     /// Simulates a wild write: sector data is overwritten out-of-band
     /// (no timing, no stats, label untouched) — the kind of memory-smash
     /// corruption the label plane exists to catch.
     pub fn wild_write(&mut self, addr: SectorAddr, byte: u8) {
-        let s = &mut self.sectors[addr as usize];
-        s.data = Some(Box::new([byte; SECTOR_BYTES]));
+        self.copy_in(addr, &[byte; SECTOR_BYTES]);
     }
 
     /// Flips one payload byte out-of-band (no timing, no stats, label and
@@ -801,10 +833,12 @@ impl SimDisk {
     /// campaigns. A sector that was never written has no payload to rot;
     /// the call is then a no-op.
     pub fn corrupt_byte(&mut self, addr: SectorAddr, offset: usize, xor: u8) {
-        if let Some(s) = self.sectors.get_mut(addr as usize) {
-            if let Some(d) = s.data.as_mut() {
-                d[offset % SECTOR_BYTES] ^= xor;
-            }
+        if addr >= self.geometry.total_sectors() || !self.is_written(addr) {
+            return;
+        }
+        let a = addr as usize;
+        if let Some(chunk) = &mut self.chunks[a / CHUNK_SECTORS] {
+            Arc::make_mut(chunk)[a % CHUNK_SECTORS * SECTOR_BYTES + offset % SECTOR_BYTES] ^= xor;
         }
     }
 
@@ -812,23 +846,98 @@ impl SimDisk {
     /// campaigns): the self-certifying plane itself goes bad, the case
     /// the scavenger must survive without trusting anything else.
     pub fn corrupt_label(&mut self, addr: SectorAddr, label: Label) {
-        if let Some(s) = self.sectors.get_mut(addr as usize) {
-            s.label = label;
+        if addr < self.geometry.total_sectors() {
+            self.set_label(addr, label);
         }
+    }
+
+    // ----- the chunk store ------------------------------------------------------
+
+    fn is_written(&self, addr: SectorAddr) -> bool {
+        let a = addr as usize;
+        self.written[a / CHUNK_SECTORS] >> (a % CHUNK_SECTORS) & 1 != 0
+    }
+
+    /// Appends sectors `start..start + n` to `out`, one copy per chunk
+    /// (zeros where no chunk was ever written).
+    fn copy_out(&self, start: SectorAddr, n: usize, out: &mut Vec<u8>) {
+        out.reserve(n * SECTOR_BYTES);
+        for (c, off, run) in chunk_runs(start, n) {
+            match &self.chunks[c] {
+                Some(chunk) => {
+                    out.extend_from_slice(&chunk[off * SECTOR_BYTES..(off + run) * SECTOR_BYTES])
+                }
+                None => out.extend_from_slice(&ZEROS[..run * SECTOR_BYTES]),
+            }
+        }
+    }
+
+    /// Stores `data` (whole sectors) from `start` on and marks those
+    /// sectors written, one copy per chunk. A chunk's first write
+    /// allocates it zeroed; a chunk a clone still shares is copied first.
+    fn copy_in(&mut self, start: SectorAddr, data: &[u8]) {
+        let mut rest = data;
+        for (c, off, run) in chunk_runs(start, data.len() / SECTOR_BYTES) {
+            let (now, later) = rest.split_at(run * SECTOR_BYTES);
+            rest = later;
+            let chunk = self.chunks[c].get_or_insert_with(|| Arc::new([0; CHUNK_BYTES]));
+            Arc::make_mut(chunk)[off * SECTOR_BYTES..(off + run) * SECTOR_BYTES]
+                .copy_from_slice(now);
+            self.written[c] |= run_mask(off, run);
+        }
+    }
+
+    /// Sets one sector's label, allocating the label plane for the first
+    /// label that is not [`Label::FREE`].
+    fn set_label(&mut self, addr: SectorAddr, label: Label) {
+        if self.labels.is_none() && label.is_free() {
+            return;
+        }
+        let total = self.geometry.total_sectors() as usize;
+        let plane = self
+            .labels
+            .get_or_insert_with(|| Arc::new(vec![Label::FREE; total]));
+        Arc::make_mut(plane)[addr as usize] = label;
+    }
+
+    /// The sectors of every chunk that holds data, a non-free label or
+    /// damage, in address order: the walks over what was written skip
+    /// the rest of the platter a chunk at a time.
+    pub(crate) fn nonblank_chunks(&self) -> impl Iterator<Item = Range<SectorAddr>> + '_ {
+        let total = self.geometry.total_sectors();
+        (0..self.chunks.len()).filter_map(move |c| {
+            let first = (c * CHUNK_SECTORS) as SectorAddr;
+            let sectors = first..(first + CHUNK_SECTORS as SectorAddr).min(total);
+            let labelled = self.labels.as_ref().is_some_and(|plane| {
+                plane[sectors.start as usize..sectors.end as usize]
+                    .iter()
+                    .any(|l| !l.is_free())
+            });
+            let nonblank = self.written[c] != 0
+                || labelled
+                || self.damaged.range(sectors.clone()).next().is_some();
+            nonblank.then_some(sectors)
+        })
     }
 
     // ----- test/peek helpers ---------------------------------------------------
 
     /// Reads a sector's contents without timing or stats (test helper).
     pub fn peek_data(&self, addr: SectorAddr) -> Option<&[u8]> {
-        self.sectors[addr as usize].data.as_deref().map(|d| &d[..])
+        let a = addr as usize;
+        let chunk = self.chunks[a / CHUNK_SECTORS].as_ref()?;
+        let off = a % CHUNK_SECTORS * SECTOR_BYTES;
+        self.is_written(addr)
+            .then(|| &chunk[off..off + SECTOR_BYTES])
     }
 
     /// Reads a sector's label without timing or stats (test helper, and
     /// the scavenger's per-track bulk scan uses it via
     /// [`Self::read_labels`] instead).
     pub fn peek_label(&self, addr: SectorAddr) -> Label {
-        self.sectors[addr as usize].label
+        self.labels
+            .as_ref()
+            .map_or(Label::FREE, |plane| plane[addr as usize])
     }
 
     /// A 64-bit FNV-1a digest of everything written to the platter: the
@@ -843,7 +952,7 @@ impl SimDisk {
                 .fold(h, |h, &b| (h ^ b as u64).wrapping_mul(PRIME))
         };
         let mut h = 0xcbf29ce484222325;
-        for addr in 0..self.sectors.len() as SectorAddr {
+        for addr in self.nonblank_chunks().flatten() {
             let (data, label) = (self.peek_data(addr), self.peek_label(addr));
             if data.is_none() && label.is_free() {
                 continue;
@@ -860,10 +969,11 @@ impl SimDisk {
 
     /// Returns whether a sector is damaged, without timing or stats.
     pub fn peek_damaged(&self, addr: SectorAddr) -> bool {
-        self.sectors[addr as usize].damaged
+        self.damaged.contains(&addr)
     }
 
-    /// Restores one sector's persistent state (image loading).
+    /// Restores one sector's persistent state onto a blank disk (image
+    /// loading).
     pub(crate) fn restore_sector(
         &mut self,
         addr: SectorAddr,
@@ -871,14 +981,13 @@ impl SimDisk {
         label: Label,
         damaged: bool,
     ) {
-        let s = &mut self.sectors[addr as usize];
-        s.data = data.map(|d| {
-            let mut buf = [0u8; SECTOR_BYTES];
-            buf.copy_from_slice(&d);
-            Box::new(buf)
-        });
-        s.label = label;
-        s.damaged = damaged;
+        if let Some(d) = data {
+            self.copy_in(addr, &d);
+        }
+        self.set_label(addr, label);
+        if damaged {
+            self.damaged.insert(addr);
+        }
     }
 }
 
@@ -1325,7 +1434,7 @@ mod tests {
         ));
         assert!(matches!(d.read(40, 1), Err(DiskError::BadSector(40))));
         // A grown defect, not the damage a rewrite repairs.
-        assert!(d.sectors[40].hard_bad && !d.peek_damaged(40));
+        assert!(d.hard_bad.contains(&40) && !d.peek_damaged(40));
         // Damage-tolerant reads mask it instead of failing.
         let (_, mask) = d.read_allow_damage(40, 1).unwrap();
         assert!(mask[0]);

@@ -66,7 +66,7 @@ impl SimDisk {
         put_u64(&mut w, t.seek_per_sqrt_cyl_us)?;
         put_u64(&mut w, 0)?; // Reserved: a head-switch time nothing charged.
 
-        for addr in 0..g.total_sectors() {
+        for addr in self.nonblank_chunks().flatten() {
             let data = self.peek_data(addr);
             let label = self.peek_label(addr);
             let damaged = self.peek_damaged(addr);

@@ -275,10 +275,10 @@ fn extend_and_truncate_roundtrip() {
     assert_eq!(f3.byte_size(), 512);
 }
 
-/// An extend writes none of its new pages. One that takes the leader
-/// sector of a deleted file whose tombstone has not gone home must not
-/// leave that file's live leader there: a scavenge would read it as the
-/// file's and bring a committed delete back.
+/// An extend that takes the leader sector of a deleted file whose
+/// tombstone has not gone home must not leave that file's live leader
+/// there: a scavenge would read it as the file's and bring a committed
+/// delete back.
 #[test]
 fn an_unwritten_extend_over_a_deleted_leader_leaves_it_dead() {
     let mut v = tiny();
@@ -308,6 +308,28 @@ fn an_unwritten_extend_over_a_deleted_leader_leaves_it_dead() {
         .map(|(n, _)| n.name)
         .collect();
     assert_eq!(names, ["h"]);
+}
+
+/// The pages an extend hands out read as zeros, even where they held a
+/// deleted file's data.
+#[test]
+fn an_extend_over_a_deleted_file_reads_as_zeros() {
+    let mut v = tiny();
+    v.create("h", &[1u8; 512]).unwrap();
+    v.create("f", &[0xABu8; 4 * 512]).unwrap();
+    v.force().unwrap();
+    v.delete("f", None).unwrap();
+    v.force().unwrap();
+    let mut h = v.open("h", None).unwrap();
+    v.extend(&mut h, 3).unwrap();
+    let data = v.read_file(&mut h).unwrap();
+    assert_eq!(data.len(), 4 * 512);
+    assert!(data[..512].iter().all(|&b| b == 1));
+    let stale = data[512..].iter().filter(|&&b| b == 0xAB).count();
+    assert!(
+        data[512..].iter().all(|&b| b == 0),
+        "{stale} bytes of the deleted file showed through the extended pages"
+    );
 }
 
 #[test]

@@ -21,10 +21,9 @@
 //! truncates another file → force
 //! ```
 //!
-//! staying short of a log lap. A page extended and never written holds
-//! whatever the extend left in its sector, so its bytes are not checked;
-//! what is checked is that the deleted neighbour's own leader is not
-//! among them, live, for a scavenge to read as that file's.
+//! staying short of a log lap. A page extended and never written reads as
+//! zeros: the extend wrote them over the deleted neighbour's own leader,
+//! which must not be left live for a scavenge to read as that file's.
 //!
 //! The script runs over the crash-sweep harness (`support`), and every
 //! point is held to the shared oracles: a file is read whole, leader
@@ -126,7 +125,6 @@ impl OnVolume for Leaders {
         // One grown over a deleted neighbour's leader and never written.
         let mut k0 = v.open("s/k0", None)?;
         let mut grown = v.read_file(&mut k0)?;
-        model.unwritten.insert("s/k0".into(), grown.len());
         v.extend(&mut k0, 1)?;
         grown.resize(grown.len() + SECTOR_BYTES, 0);
         model.change("s/k0", Some(grown));

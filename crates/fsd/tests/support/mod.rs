@@ -486,9 +486,6 @@ pub struct Model {
     /// Names whose unlogged data write the crash may have torn: they may
     /// also read back as a media error.
     pub torn_ok: BTreeSet<String>,
-    /// Names grown by pages nothing wrote: their bytes from this offset
-    /// on may be anything.
-    pub unwritten: BTreeMap<String, usize>,
 }
 
 impl Model {
@@ -540,14 +537,7 @@ impl Model {
 
     /// Whether `found` is one of the states `name` may be in.
     pub fn allows(&self, name: &str, found: &Option<Vec<u8>>) -> bool {
-        let written = self.unwritten.get(name).copied().unwrap_or(usize::MAX);
-        self.states[name].iter().any(|state| match (state, found) {
-            (Some(state), Some(found)) if state.len() == found.len() => {
-                let n = written.min(state.len());
-                state[..n] == found[..n]
-            }
-            (state, found) => state == found,
-        })
+        self.states[name].contains(found)
     }
 }
 

@@ -14,9 +14,8 @@
 //! volume; the script shape (names, versions, deletes, recreation
 //! order) is unchanged.
 //!
-//! `--smoke` runs a reduced grid for CI. The full run writes
-//! `BENCH_fault_campaign.json` and enforces the campaign gates:
-//! at least 200 scenarios, zero failures, and every rung of the
+//! The run writes `BENCH_fault_campaign.json` and enforces the campaign
+//! gates: at least 200 scenarios, zero failures, and every rung of the
 //! escalation ladder (redo, replica scrub, scavenge) exercised.
 
 use cedar_bench::campaign::{matches_model, setup_volume, tiny_config, tiny_makedo};
@@ -590,7 +589,6 @@ fn run_repl_scenario(
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
     let (setup, measured) = tiny_makedo(2, 11);
 
     // The grid. Crash points are measured in sector writes from the
@@ -598,35 +596,16 @@ fn main() {
     // around 45–132 land inside forces on this script, so some crashes
     // tear the in-flight commit record (matching `previous`) or cut it
     // exactly at the group boundary (matching `live`).
-    let (kinds, crash_afters, tails): (Vec<&FaultKind>, Vec<u64>, Vec<u8>) = if smoke {
-        let keep = [
-            "clean",
-            "latent-boot",
-            "latent-nt",
-            "latent-log-meta",
-            "grown-log-next",
-        ];
-        (
-            KINDS.iter().filter(|k| keep.contains(&k.name)).collect(),
-            vec![10, 91],
-            vec![0, 1, 2],
-        )
-    } else {
-        (
-            KINDS.iter().collect(),
-            vec![3, 10, 25, 45, 70, 91, 117, 150],
-            vec![0, 1, 2],
-        )
-    };
+    let crash_afters = [3, 10, 25, 45, 70, 91, 117, 150];
 
     let mut tallies: Vec<(&str, KindTally)> = Vec::new();
     let mut failures: Vec<String> = Vec::new();
     let mut overall = KindTally::default();
 
-    for kind in &kinds {
+    for kind in KINDS {
         let mut tally = KindTally::default();
-        for &crash_after in &crash_afters {
-            for &tail in &tails {
+        for crash_after in crash_afters {
+            for tail in 0..=2 {
                 match run_crash_scenario(kind, crash_after, tail, &setup, &measured) {
                     Ok(o) => {
                         tally.absorb(&o);
@@ -678,18 +657,14 @@ fn main() {
     // Replication failover block: primary media faults + crashes per
     // acknowledgement mode, promoted replica checked against the acked
     // commit boundaries (loss bound per mode).
-    let repl_keep = if smoke {
-        vec!["clean", "latent-nt"]
-    } else {
-        vec![
-            "clean",
-            "latent-nt",
-            "latent-log-meta",
-            "grown-nt",
-            "transient-nt",
-        ]
-    };
-    let repl_crashes: Vec<u64> = if smoke { vec![45] } else { vec![25, 70, 117] };
+    let repl_keep = [
+        "clean",
+        "latent-nt",
+        "latent-log-meta",
+        "grown-nt",
+        "transient-nt",
+    ];
+    let repl_crashes = [25, 70, 117];
     let repl_kinds: Vec<&FaultKind> = KINDS
         .iter()
         .filter(|k| repl_keep.contains(&k.name))
@@ -698,7 +673,7 @@ fn main() {
     for mode in ReplMode::ALL {
         let mut tally = KindTally::default();
         for kind in &repl_kinds {
-            for &crash_after in &repl_crashes {
+            for crash_after in repl_crashes {
                 for tail in [0u8, 1] {
                     repl_scenarios += 1;
                     match run_repl_scenario(mode, kind, crash_after, tail, &setup, &measured) {
@@ -822,19 +797,11 @@ fn main() {
         repl_scenarios >= 12,
         "replication block too small: {repl_scenarios} scenarios"
     );
-    if smoke {
-        println!(
-            "\nsmoke OK: {} scenarios, all rungs exercised, zero failures",
-            overall.scenarios
-        );
-    } else {
-        assert!(
-            overall.scenarios >= 200,
-            "campaign too small: {} scenarios",
-            overall.scenarios
-        );
-        std::fs::write("BENCH_fault_campaign.json", &json)
-            .expect("write BENCH_fault_campaign.json");
-        println!("\nwrote BENCH_fault_campaign.json");
-    }
+    assert!(
+        overall.scenarios >= 200,
+        "campaign too small: {} scenarios",
+        overall.scenarios
+    );
+    std::fs::write("BENCH_fault_campaign.json", &json).expect("write BENCH_fault_campaign.json");
+    println!("\nwrote BENCH_fault_campaign.json");
 }

@@ -20,12 +20,11 @@
 //! one small create forced to the log, which pays the new epoch and is
 //! served from the restart reserve.
 //!
-//! `--smoke` runs the 250- and 4000-file rows only and gates on
-//! relations, not floors: time to first read and to first write follow
-//! the log, not the population (the first write scans no file at all and
-//! writes no name-table home), while full recovery follows the name table
-//! and is its phases and nothing more; and boot writes nothing and costs
-//! less than the redo it leaves owed.
+//! The population sweep gates on relations, not floors: time to first
+//! read and to first write follow the log, not the population (the first
+//! write scans no file at all and writes no name-table home), while full
+//! recovery follows the name table and is its phases and nothing more;
+//! and boot writes nothing and costs less than the redo it leaves owed.
 
 use cedar_bench::{cfs_t300, disk_breakdown, ffs_t300, populate, Table};
 use cedar_disk::{DiskStats, SimClock, SimDisk};
@@ -146,23 +145,8 @@ fn fsd_recovery(files: usize) -> FsdRecovery {
     }
 }
 
-/// The CI gate: two populations, eight relations.
-fn smoke() {
-    let small = fsd_recovery(250);
-    let large = fsd_recovery(4000);
-    for (files, r) in [(250, &small), (4000, &large)] {
-        let pass = r.report.leaders;
-        println!(
-            "{files:>5} files: first read {:.2} s, first write {:.2} s, full recovery {:.2} s; \
-             leaders {} kept, {} reallocated and skipped; platters {:016x}",
-            secs(r.first_read_us()),
-            secs(r.first_write_us),
-            secs(r.full_us()),
-            pass.kept,
-            pass.reallocated,
-            r.platter
-        );
-    }
+/// The gate's three relations between two populations of the sweep.
+fn check_growth(small: &FsdRecovery, large: &FsdRecovery) {
     assert!(
         2 * large.first_write_us <= 5 * small.first_write_us,
         "time to first write grew with the population: {} µs at 4000 files vs {} µs at 250",
@@ -181,38 +165,36 @@ fn smoke() {
         large.full_us(),
         large.first_read_us()
     );
-    for r in [&small, &large] {
-        assert_eq!(
-            r.first_write_scanned, 0,
-            "the first write after the crash walked the name table"
-        );
-        assert!(
-            !r.first_write_homed,
-            "the first write after the crash boot wrote a name-table home sector: its record \
-             entered a third of the resumed log (neither fixture's first record did), which \
-             sends that third's owed images home"
-        );
-        assert_eq!(
-            r.settled_us,
-            r.settle.us() + r.walk.us(),
-            "what boot leaves owed is more than the settle and the walk: \
-             the reserve has begun to cost full recovery a write"
-        );
-        assert_eq!(
-            r.boot_disk.sectors_written, 0,
-            "the crash boot of an undamaged volume wrote to it"
-        );
-        assert!(
-            r.first_read_us() < r.redo_us(),
-            "boot's share ({} µs) is not less than the whole of redo ({} µs): \
-             the home writes are back inside boot",
-            r.first_read_us(),
-            r.redo_us()
-        );
-    }
-    println!(
-        "smoke OK: first read and first write follow the log, full recovery follows the \
-         name table, boot writes nothing"
+}
+
+/// The gate's five relations within one population.
+fn check_row(files: usize, r: &FsdRecovery) {
+    assert_eq!(
+        r.first_write_scanned, 0,
+        "{files} files: the first write after the crash walked the name table"
+    );
+    assert!(
+        !r.first_write_homed,
+        "{files} files: the first write after the crash boot wrote a name-table home sector: \
+         its record entered a third of the resumed log (no fixture's first record does), \
+         which sends that third's owed images home"
+    );
+    assert_eq!(
+        r.settled_us,
+        r.settle.us() + r.walk.us(),
+        "{files} files: what boot leaves owed is more than the settle and the walk: \
+         the reserve has begun to cost full recovery a write"
+    );
+    assert_eq!(
+        r.boot_disk.sectors_written, 0,
+        "{files} files: the crash boot of an undamaged volume wrote to it"
+    );
+    assert!(
+        r.first_read_us() < r.redo_us(),
+        "{files} files: boot's share ({} µs) is not less than the whole of redo ({} µs): \
+         the home writes are back inside boot",
+        r.first_read_us(),
+        r.redo_us()
     );
 }
 
@@ -245,9 +227,6 @@ fn ffs_fsck(files: usize) -> (cedar_ffs::FsckReport, DiskStats) {
 }
 
 fn main() {
-    if std::env::args().any(|a| a == "--smoke") {
-        return smoke();
-    }
     println!("Reproducing the recovery-time comparison ({FILES} files on a 300 MB volume)");
 
     let fsd = fsd_recovery(FILES);
@@ -347,9 +326,10 @@ fn main() {
             "first write (s)",
         ],
     );
+    let mut rows = Vec::new();
     for files in [250, 1000, 2000, 4000] {
         let r = fsd_recovery(files);
-        assert_eq!(r.first_write_scanned, 0, "{files} files");
+        check_row(files, &r);
         t.row(&[
             files.to_string(),
             format!("{:.2}", secs(r.redo_us())),
@@ -358,6 +338,16 @@ fn main() {
             format!("{:.2}", secs(r.first_read_us())),
             format!("{:.2}", secs(r.first_write_us)),
         ]);
+        rows.push((files, r));
     }
     t.print();
+    for (files, r) in &rows {
+        println!("{files:>5} files: platters {:016x}", r.platter);
+    }
+    // 250 files against 4000.
+    check_growth(&rows[0].1, &rows[3].1);
+    println!(
+        "relations hold: first read and first write follow the log (250 vs 4000 files), \
+         full recovery follows the name table, boot writes nothing (every row)"
+    );
 }

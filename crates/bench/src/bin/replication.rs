@@ -20,8 +20,7 @@
 //! lose **zero** acknowledged commits in every trial; async loses at
 //! most `max_lag_frames` commit boundaries; both resync legs converge.
 //!
-//! `--smoke` runs a reduced grid for CI. The full run writes
-//! `BENCH_replication.json`.
+//! The run writes `BENCH_replication.json`.
 
 use cedar_bench::campaign::{matches_model, setup_volume, tiny_config, tiny_makedo};
 use cedar_bench::report::platter_json;
@@ -357,16 +356,11 @@ fn resync_scenarios(
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let (setup, measured) = tiny_makedo(if smoke { 1 } else { 2 }, 17);
+    let (setup, measured) = tiny_makedo(2, 17);
 
     // Crash points for the failover trials, as measured-step prefixes.
     let n = measured.len();
-    let crash_points: Vec<usize> = if smoke {
-        vec![n / 2, n]
-    } else {
-        vec![n / 4, n / 2, 3 * n / 4, n - 10, n]
-    };
+    let crash_points = [n / 4, n / 2, 3 * n / 4, n - 10, n];
 
     let mut failures: Vec<String> = Vec::new();
     let mut reports: Vec<(ReplMode, ModeReport)> = Vec::new();
@@ -376,7 +370,7 @@ fn main() {
         if let Err(e) = steady_state(mode, &setup, &measured, &mut rep) {
             failures.push(format!("{} steady-state: {e}", mode.name()));
         }
-        for &upto in &crash_points {
+        for upto in crash_points {
             for partition in [false, true] {
                 if let Err(e) = failover_trial(mode, &setup, &measured, upto, partition, &mut rep) {
                     failures.push(format!(
@@ -512,10 +506,6 @@ fn main() {
         );
     }
 
-    if smoke {
-        println!("\nsmoke OK: all modes within loss bounds, both resync legs converged");
-    } else {
-        std::fs::write("BENCH_replication.json", &json).expect("write BENCH_replication.json");
-        println!("\nwrote BENCH_replication.json");
-    }
+    std::fs::write("BENCH_replication.json", &json).expect("write BENCH_replication.json");
+    println!("\nwrote BENCH_replication.json");
 }

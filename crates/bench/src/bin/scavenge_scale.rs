@@ -18,10 +18,8 @@
 //! the recovered state is identical before trusting the times. CFS
 //! rows show the same effect on the label-interpretation scavenger.
 //!
-//! `--smoke` runs one small row per file system (equality asserts
-//! only); the full run writes `BENCH_scavenge_scale.json` and gates
-//! ≥2× combined speedup at the largest file count. `--full` adds the
-//! million-file row.
+//! The run writes `BENCH_scavenge_scale.json` and gates ≥2× combined
+//! speedup at the largest file count.
 
 use cedar_bench::report::platter_json;
 use cedar_bench::{ms, FsBackend, Table};
@@ -226,18 +224,6 @@ fn cfs_row(files: usize) -> CfsRow {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let full = std::env::args().any(|a| a == "--full");
-
-    let fsd_counts: &[usize] = if smoke {
-        &[400]
-    } else if full {
-        &[1_000, 10_000, 100_000, 1_000_000]
-    } else {
-        &[1_000, 10_000, 100_000]
-    };
-    let cfs_counts: &[usize] = if smoke { &[200] } else { &[1_000, 5_000] };
-
     println!(
         "Scavenge & VAM-rebuild scaling, serial vs {WORKERS} workers \
          (single simulated spindle; times are simulated)"
@@ -256,7 +242,7 @@ fn main() {
             "host s",
         ],
     );
-    for &files in fsd_counts {
+    for files in [1_000, 10_000, 100_000] {
         let row = fsd_row(files);
         t.row(&[
             row.files.to_string(),
@@ -276,7 +262,7 @@ fn main() {
         "CFS label-interpretation scavenge",
         &["files", "serial", "parallel", "speedup"],
     );
-    for &files in cfs_counts {
+    for files in [1_000, 5_000] {
         let row = cfs_row(files);
         t.row(&[
             row.files.to_string(),
@@ -290,11 +276,6 @@ fn main() {
         cfs_rows.push(row);
     }
     t.print();
-
-    if smoke {
-        println!("\nsmoke OK: parallel recovery scans match serial at every row");
-        return;
-    }
 
     let largest = fsd_rows.last().expect("rows");
     let gate = largest.speedup_x100();

@@ -20,6 +20,7 @@ use crate::nametable::{CfsNtStore, NtEntry};
 use crate::volume::CfsVolume;
 use crate::Result;
 use cedar_btree::BTree;
+use cedar_disk::scan::{read_chunks, ScanChunk};
 use cedar_disk::sched::{self, IoBatch, IoOp};
 use cedar_disk::{clock::Micros, Label, PageKind};
 use cedar_vol::{Run, RunTable, Vam};
@@ -107,18 +108,11 @@ impl CfsVolume {
                 false
             }
         });
-        let mut fetch = IoBatch::new();
-        for &(_, haddr) in &headers {
-            fetch.push(IoOp::ReadAllowDamage {
-                start: haddr,
-                n: HEADER_SECTORS as usize,
-            });
-        }
-        let header_raw = sched::execute(disk, &fetch)?;
-        let outs: Vec<Option<(Vec<u8>, Vec<bool>)>> = header_raw
-            .into_iter()
-            .map(|out| out.into_data_mask())
+        let fetch: Vec<_> = headers
+            .iter()
+            .map(|&(_, haddr)| (haddr, HEADER_SECTORS as usize))
             .collect();
+        let outs = read_chunks(disk, &fetch)?;
         // Decode/verify each header against the label snapshot — pure
         // per-header work, sharded across workers like the label pass.
         // The cross-file steps (run-table rebuild, liveness) stay in the
@@ -129,7 +123,7 @@ impl CfsVolume {
                     .iter()
                     .zip(&outs[range])
                     .map(|(&(uid, haddr), out)| {
-                        let h = decode_header(&labels, uid, haddr, out.as_ref());
+                        let h = decode_header(&labels, uid, haddr, out);
                         if h.is_some() {
                             wcpu.entries(1);
                         }
@@ -277,19 +271,13 @@ fn interpret_labels(labels: &[Label], base: u32) -> LabelShard {
 
 /// Pure per-header validation and decode against the label snapshot:
 /// every header sector's label must match and read clean.
-fn decode_header(
-    labels: &[Label],
-    uid: u64,
-    haddr: u32,
-    out: Option<&(Vec<u8>, Vec<bool>)>,
-) -> Option<FileHeader> {
-    let (raw, mask) = out?;
+fn decode_header(labels: &[Label], uid: u64, haddr: u32, out: &ScanChunk) -> Option<FileHeader> {
     let labels_ok = (0..HEADER_SECTORS)
         .all(|i| labels.get((haddr + i) as usize) == Some(&Label::new(uid, i, PageKind::Header)));
-    if !labels_ok || mask.iter().any(|&damaged| damaged) {
+    if !labels_ok || out.damaged.iter().any(|&damaged| damaged) {
         return None;
     }
-    FileHeader::decode(raw).ok()
+    FileHeader::decode(&out.bytes).ok()
 }
 
 /// Builds the free map and orphan list for the data area `lo..hi`:

@@ -42,7 +42,7 @@ fn churn(policy: AllocPolicy) -> FragResult {
     let mut failures = 0;
     for i in 0..30_000 {
         let pages = (sizes.sample() as u32).div_ceil(SECTOR_BYTES as u32).max(1);
-        if matches!(policy, AllocPolicy::SplitAreas { .. }) && !live.is_empty() {
+        if matches!(policy, AllocPolicy::SplitAreas) && !live.is_empty() {
             touch = touch.wrapping_mul(6364136223846793005).wrapping_add(1);
             let read = &live[(touch >> 33) as usize % live.len()];
             alloc.set_cursor(read.runs().last().map_or(0, |r| r.end()));
@@ -109,9 +109,7 @@ fn main() {
 
     // The ablation.
     let single = churn(AllocPolicy::SingleArea);
-    let split = churn(AllocPolicy::SplitAreas {
-        small_threshold: 32,
-    });
+    let split = churn(AllocPolicy::SplitAreas);
     let mut t = Table::new(
         "Fragmentation after churn at 40% occupancy (ablation: §5.6 policy)",
         &["measure", "single area (CFS)", "split areas (FSD)"],

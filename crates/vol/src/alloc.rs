@@ -38,22 +38,22 @@ impl fmt::Display for AllocError {
 
 impl std::error::Error for AllocError {}
 
+/// Largest file, in pages, the split policy still counts as small. The
+/// paper measures 50 % of files under 4000 bytes (8 pages); 32 pages
+/// (16 KB) keeps cached remote copies and other small files in the front
+/// area (§5.6).
+pub const SMALL_FILE_PAGES: u32 = 32;
+
 /// Which allocation policy to use.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AllocPolicy {
     /// CFS style: one area, rotating first fit. Fragments under churn.
     SingleArea,
-    /// FSD style: files of at most `small_threshold` pages take the free
-    /// run nearest the cursor — where the volume last moved file data,
-    /// the front of the data area until it has — and larger files
+    /// FSD style: files of at most [`SMALL_FILE_PAGES`] pages take the
+    /// free run nearest the cursor — where the volume last moved file
+    /// data, the front of the data area until it has — and larger files
     /// allocate from the back, growing toward the front.
-    SplitAreas {
-        /// Largest file (in pages) still considered "small". The paper
-        /// measures 50 % of files under 4000 bytes (8 pages); the default
-        /// threshold of 32 pages (16 KB) keeps cached remote copies and
-        /// other small files in the front area.
-        small_threshold: u32,
-    },
+    SplitAreas,
 }
 
 /// A run allocator over a data area `[lo, hi)` of a [`Vam`].
@@ -110,8 +110,8 @@ impl Allocator {
         }
         let runs = match self.policy {
             AllocPolicy::SingleArea => self.allocate_forward(vam, pages, self.lo, self.hi),
-            AllocPolicy::SplitAreas { small_threshold } => {
-                if pages <= small_threshold {
+            AllocPolicy::SplitAreas => {
+                if pages <= SMALL_FILE_PAGES {
                     // "Dynamic storage is grown starting from small
                     // addresses", and the next one beside the last data
                     // the owner touched: the create's one synchronous
@@ -258,13 +258,7 @@ mod tests {
     #[test]
     fn split_areas_separate_small_and_big() {
         let mut vam = open_vam(1000);
-        let mut a = Allocator::new(
-            AllocPolicy::SplitAreas {
-                small_threshold: 32,
-            },
-            0,
-            1000,
-        );
+        let mut a = Allocator::new(AllocPolicy::SplitAreas, 0, 1000);
         let small = a.allocate(&mut vam, 4).unwrap();
         let big = a.allocate(&mut vam, 200).unwrap();
         assert_eq!(small.runs(), &[Run::new(0, 4)]);
@@ -281,13 +275,7 @@ mod tests {
         for hole in [Run::new(10, 4), Run::new(100, 4), Run::new(120, 4)] {
             vam.free_run(hole);
         }
-        let mut a = Allocator::new(
-            AllocPolicy::SplitAreas {
-                small_threshold: 32,
-            },
-            0,
-            1000,
-        );
+        let mut a = Allocator::new(AllocPolicy::SplitAreas, 0, 1000);
         a.set_cursor(108); // 4 sectors above one hole's end, 12 below the next.
         assert_eq!(a.allocate(&mut vam, 4).unwrap().runs(), &[Run::new(100, 4)]);
         a.set_cursor(116); // 4 from each: the lower wins.
@@ -397,9 +385,7 @@ mod tests {
             a.allocate(&mut vam, 256).unwrap().runs().len()
         };
         let single = frag_with(AllocPolicy::SingleArea);
-        let split = frag_with(AllocPolicy::SplitAreas {
-            small_threshold: 32,
-        });
+        let split = frag_with(AllocPolicy::SplitAreas);
         assert!(
             split < single,
             "split areas should fragment less: split={split} single={single}"

@@ -3,6 +3,7 @@
 //! the runs a sector-by-sector walk finds, and run tables agree with
 //! their flattened form under every operation sequence.
 
+use cedar_vol::alloc::SMALL_FILE_PAGES;
 use cedar_vol::{AllocPolicy, Allocator, Run, RunTable, Vam};
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -28,10 +29,7 @@ fn arb_ops() -> impl Strategy<Value = Vec<AllocOp>> {
 }
 
 fn arb_policy() -> impl Strategy<Value = AllocPolicy> {
-    prop_oneof![
-        Just(AllocPolicy::SingleArea),
-        (4u32..64).prop_map(|t| AllocPolicy::SplitAreas { small_threshold: t }),
-    ]
+    prop_oneof![Just(AllocPolicy::SingleArea), Just(AllocPolicy::SplitAreas),]
 }
 
 proptest! {
@@ -563,7 +561,7 @@ proptest! {
             match *op {
                 HistOp::Alloc(pages) => {
                     let small = match policy {
-                        AllocPolicy::SplitAreas { small_threshold } => pages <= small_threshold,
+                        AllocPolicy::SplitAreas => pages <= SMALL_FILE_PAGES,
                         AllocPolicy::SingleArea => false,
                     };
                     let nearest = bitwise::find_nearest_free_run(&vam, pages, 0, sectors, alloc.cursor());

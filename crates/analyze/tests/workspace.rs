@@ -322,9 +322,9 @@ const SEEDS: &[Seed] = &[
         rule: "disk-taint",
         file: "crates/fsd/src/log.rs",
         edit: Edit::Replace {
-            after: "let (bytes, dmg) = std::mem::replace(",
+            after: "let (bytes, dmg) = (piece.bytes, piece.damaged);",
             anchor: "if bytes.len() != dmg.len() * SECTOR_BYTES\n                \
-                     || dmg.len() > self.mask.len().saturating_sub(s as usize)\n            {",
+                     || dmg.len() > self.mask.len().saturating_sub(s)\n            {",
             with: "if false {",
         },
         expect: &[

@@ -16,6 +16,7 @@
 
 use cedar_bench::Table;
 use cedar_disk::SECTOR_BYTES;
+use cedar_vol::codec::fnv1a;
 use cedar_vol::{AllocPolicy, Allocator, Run, RunTable, Vam};
 use cedar_workload::sizes::{small_file_shares, SizeDistribution};
 
@@ -26,6 +27,8 @@ struct FragResult {
     largest_extent: u32,
     big_file_runs: f64,
     failures: u32,
+    /// FNV-1a of the final free map ([`Vam::to_bytes`]).
+    free_map: u64,
 }
 
 fn churn(policy: AllocPolicy) -> FragResult {
@@ -82,6 +85,7 @@ fn churn(policy: AllocPolicy) -> FragResult {
         largest_extent,
         big_file_runs: total_runs as f64 / bigs.max(1) as f64,
         failures,
+        free_map: fnv1a(&vam.to_bytes()),
     }
 }
 
@@ -139,4 +143,6 @@ fn main() {
         "\nThe split policy keeps the big-file area contiguous: large files\n\
          allocate in one run where the single-area allocator scatters them."
     );
+    println!("\nsingle area: free map {:016x}", single.free_map);
+    println!("split areas: free map {:016x}", split.free_map);
 }

@@ -38,6 +38,8 @@ struct RunResult {
     avg_record: f64,
     max_record: u64,
     disk: DiskStats,
+    /// [`SimDisk::platter_digest`] of the disk the run ends on.
+    platter: u64,
 }
 
 fn run_with_interval(commit_interval_us: u64) -> RunResult {
@@ -119,6 +121,7 @@ fn run_with(commit_interval_us: u64, log_sectors: u32) -> RunResult {
             / records.max(1) as f64,
         max_record: stats.max_record_sectors,
         disk: vol.disk_stats(),
+        platter: vol.disk_mut().platter_digest(),
     }
 }
 
@@ -166,6 +169,8 @@ fn main() {
     println!();
     println!("{}", disk_breakdown("per-op commit", &ungrouped.disk));
     println!("{}", disk_breakdown("group commit ", &grouped.disk));
+    println!("per-op commit: platters {:016x}", ungrouped.platter);
+    println!("group commit : platters {:016x}", grouped.platter);
 
     let mut t = Table::new(
         "Log record sizes (sectors; a record with n pages is 2n + 5 sectors)",
@@ -200,6 +205,7 @@ fn main() {
         "Ablation: commit interval x log size (metadata I/Os for the same workload)",
         &["interval", "log", "metadata I/Os", "records"],
     );
+    let mut platters = Vec::new();
     for (interval, label_i) in [
         (250_000u64, "0.25 s"),
         (500_000, "0.5 s"),
@@ -213,9 +219,11 @@ fn main() {
                 r.metadata_ops.to_string(),
                 r.records.to_string(),
             ]);
+            platters.push(format!("{label_i}, {label_l}: platters {:016x}", r.platter));
         }
     }
     t.print();
+    println!("\n{}", platters.join("\n"));
     println!(
         "
 Longer intervals batch more updates per record; a bigger log defers

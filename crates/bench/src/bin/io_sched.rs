@@ -19,18 +19,11 @@
 //! improvement the design is sized for.
 
 use cedar_bench::driver::{drive_clients, MultiClientRun};
-use cedar_bench::report::{disk_breakdown, disk_breakdown_json, f2, platter_json};
+use cedar_bench::report::{disk_breakdown, disk_breakdown_json, f2, platter_json, Json};
 use cedar_bench::Table;
 use cedar_disk::{DiskStats, IoPolicy, SimClock, SimDisk};
 use cedar_fsd::{FsdConfig, FsdVolume};
 use cedar_workload::{multi_client_workload, MultiClientParams};
-
-fn policy_name(policy: IoPolicy) -> &'static str {
-    match policy {
-        IoPolicy::InOrder => "in_order",
-        IoPolicy::Satf => "satf",
-    }
-}
 
 /// One measured run of a policy.
 struct PolicyRun {
@@ -142,32 +135,31 @@ fn main() {
         f2(total_improvement)
     );
 
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"bench\": \"io_sched\",\n",
-            "  \"workload\": \"makedo\",\n",
-            "  \"clients\": {},\n",
-            "  \"ops\": {},\n",
-            "  \"commit_writeback_improvement_pct\": {:.2},\n",
-            "  \"whole_run_improvement_pct\": {:.2},\n",
-            "  \"{}\": {{\"whole_run\": {}, \"commit_writeback\": {}, \"platter_digest\": {}}},\n",
-            "  \"{}\": {{\"whole_run\": {}, \"commit_writeback\": {}, \"platter_digest\": {}}}\n",
-            "}}\n"
-        ),
-        clients,
-        base.run.report.ops,
-        improvement,
-        total_improvement,
-        policy_name(IoPolicy::InOrder),
-        disk_breakdown_json(&base.total),
-        disk_breakdown_json(&base.commit_writeback),
-        platter_json(&[base.platter]),
-        policy_name(IoPolicy::Satf),
-        disk_breakdown_json(&sched.total),
-        disk_breakdown_json(&sched.commit_writeback),
-        platter_json(&[sched.platter]),
-    );
+    let policy = |run: &PolicyRun| {
+        Json::inline()
+            .field("whole_run", disk_breakdown_json(&run.total))
+            .field(
+                "commit_writeback",
+                disk_breakdown_json(&run.commit_writeback),
+            )
+            .field("platter_digest", platter_json(&[run.platter]))
+    };
+    let json = Json::block()
+        .field("bench", "io_sched")
+        .field("workload", "makedo")
+        .field("clients", clients)
+        .field("ops", base.run.report.ops)
+        .field(
+            "commit_writeback_improvement_pct",
+            Json::fixed(improvement, 2),
+        )
+        .field(
+            "whole_run_improvement_pct",
+            Json::fixed(total_improvement, 2),
+        )
+        .field("in_order", policy(&base))
+        .field("satf", policy(&sched))
+        .render();
     print!("\nJSON:\n{json}");
 
     std::fs::write("BENCH_io_sched.json", &json).expect("write BENCH_io_sched.json");

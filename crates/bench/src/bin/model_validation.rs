@@ -9,8 +9,8 @@
 //! lost revolutions, transfer time, CPU) are compared against the full
 //! simulator for the steady-state operations of Table 2, for a 1 MB
 //! file read whole and read in 4 KB requests (E-STREAM), and for the log
-//! force behind a small create (E-ROT). The `--scripts` flag prints every
-//! script in the paper's §6 style.
+//! force behind a small create (E-ROT). Every script is printed first,
+//! in the paper's §6 style.
 //!
 //! Exits non-zero when the whole-file read, the log force or the FSD
 //! open is more than five percent from its script: relations to the
@@ -174,13 +174,9 @@ fn measure_fsd_force(params: &ModelParams) -> (u64, u64) {
 }
 
 fn main() {
-    let show_scripts = std::env::args().any(|a| a == "--scripts");
     let params = ModelParams::dorado_t300();
-
-    if show_scripts {
-        for p in cfs_ops(&params).iter().chain(fsd_ops(&params).iter()) {
-            println!("{}", p.script.render(&params.timing, params.cylinders));
-        }
+    for p in cfs_ops(&params).iter().chain(fsd_ops(&params).iter()) {
+        println!("{}", p.script.render(&params.timing, params.cylinders));
     }
 
     println!("Validating the §6 analytic model against the simulator");
@@ -231,8 +227,7 @@ fn main() {
     println!("{}", disk_breakdown("FSD", &fsd_disk));
     println!(
         "\nWorst-case error {worst:.1}% (the paper reports \"almost always\n\
-         within five percent\" for its simple operations).\n\
-         Run with --scripts to print every script in the §6 style."
+         within five percent\" for its simple operations)."
     );
     if !outside.is_empty() {
         eprintln!("{}", outside.join("\n"));

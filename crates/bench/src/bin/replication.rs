@@ -1,9 +1,9 @@
 //! `replication` — log-shipping replication bench (E-REPL).
 //!
-//! Drives a primary and its [`Shipper`] (simulated link + replica)
-//! under the MakeDo workload in each acknowledgement mode, committing
-//! as the engine's log-writer does (force, then ship), and reports, per
-//! mode:
+//! Drives a primary and its [`cedar_fsd::Shipper`] (simulated link +
+//! replica) under the MakeDo workload in each acknowledgement mode,
+//! committing as the engine's log-writer does (force, then ship), and
+//! reports, per mode:
 //!
 //! * **replication lag** percentiles (commit-seal to replica-apply, in
 //!   simulated µs);
@@ -11,7 +11,7 @@
 //!   the mode's durability point);
 //! * **failover time** percentiles across crash trials at varying
 //!   points of the script, with the promoted replica checked against
-//!   the acknowledged commit-boundary [`MemFs`] models;
+//!   the acknowledged commit-boundary [`cedar_workload::MemFs`] models;
 //! * **catch-up resync** outcomes: a partition healed by cursor replay
 //!   and a longer one (tiny retention) forced onto the full-state
 //!   transfer fallback.
@@ -22,117 +22,25 @@
 //!
 //! The run writes `BENCH_replication.json`.
 
-use cedar_bench::campaign::{matches_model, setup_volume, tiny_config, tiny_makedo};
-use cedar_bench::report::platter_json;
-use cedar_bench::{CedarFsError, FsBackend, Table};
+use cedar_bench::campaign::{tiny_makedo, ReplicatedTrial};
+use cedar_bench::report::{platter_json, Json};
+use cedar_bench::Table;
 use cedar_disk::Micros;
-use cedar_fsd::{FsdVolume, ReplMode, ReplSessionConfig, ResyncKind, Shipper};
-use cedar_workload::steps::{run_step_backend, Step, WorkloadStats};
-use cedar_workload::MemFs;
-use std::collections::VecDeque;
+use cedar_fsd::{LatencyStats, ReplMode, ReplSessionConfig, ResyncKind, ResyncOutcome};
+use cedar_workload::steps::Step;
 
-/// Measured steps between commits (the acknowledged boundaries).
-const COMMIT_EVERY: usize = 7;
-
-/// Commit-boundary snapshots kept for the failover oracle; must exceed
+/// Acknowledged boundaries kept for the failover oracle; must exceed
 /// the async lag bound so the matched boundary is always retained.
 const KEEP_BOUNDARIES: usize = 16;
-
-fn pct(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
-
-/// Installs a replica of the set-up primary `v` and starts shipping.
-fn install(v: &mut FsdVolume, cfg: ReplSessionConfig) -> Result<Shipper, String> {
-    let mode = cfg.mode;
-    Shipper::new(v, tiny_config(), cfg).map_err(|e| format!("install ({mode:?}): {e}"))
-}
-
-/// Runs `measured[..upto]` on the primary `v` and the model, committing
-/// (force, then ship through `sh`) every [`COMMIT_EVERY`] steps.
-/// Snapshots each *acknowledged* boundary `(id, model)` into
-/// `boundaries`. Commit errors on a downed link are tolerated (the
-/// boundary just is not acknowledged); any other failure is fatal.
-#[allow(clippy::too_many_arguments)]
-fn drive(
-    v: &mut FsdVolume,
-    sh: &mut Shipper,
-    live: &mut MemFs,
-    measured: &[Step],
-    upto: usize,
-    boundaries: &mut VecDeque<(u64, MemFs)>,
-    acked: &mut u64,
-    ack_samples: &mut Vec<Micros>,
-    link_errors: &mut u64,
-) -> Result<(), String> {
-    let mut stats = WorkloadStats::default();
-    for (i, step) in measured.iter().take(upto).enumerate() {
-        match run_step_backend(step, v, &mut stats) {
-            Ok(()) => {
-                run_step_backend(step, live, &mut stats)
-                    .map_err(|e| format!("model diverged on {step:?}: {e}"))?;
-            }
-            Err(CedarFsError::NoSpace) => {}
-            Err(CedarFsError::NotFound(n)) if live.read(&n).is_err() => {}
-            Err(e) => return Err(format!("step {step:?}: {e}")),
-        }
-        if i % COMMIT_EVERY == COMMIT_EVERY - 1 {
-            let t0 = v.clock().now();
-            match v
-                .force()
-                .map_err(CedarFsError::from)
-                .and_then(|()| sh.ship(v))
-            {
-                Ok(()) => {
-                    ack_samples.push(v.clock().now() - t0);
-                    *acked += 1;
-                    boundaries.push_back((*acked, live.clone()));
-                    while boundaries.len() > KEEP_BOUNDARIES {
-                        boundaries.pop_front();
-                    }
-                }
-                Err(e) if e.is_retryable() => {
-                    // Durable on the primary, not acknowledged: the
-                    // loss-bound oracle must not count it.
-                    *link_errors += 1;
-                }
-                Err(e) => return Err(format!("commit: {e}")),
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Finds which acknowledged boundary the promoted volume matches and
-/// returns the loss in boundaries behind the newest acknowledged one.
-fn promoted_loss(
-    promoted: &mut FsdVolume,
-    boundaries: &VecDeque<(u64, MemFs)>,
-    acked: u64,
-) -> Result<u64, String> {
-    if acked == 0 {
-        return Ok(0);
-    }
-    for (id, model) in boundaries.iter().rev() {
-        if matches_model(promoted, model) {
-            return Ok(acked - id);
-        }
-    }
-    Err("promoted replica matches no acknowledged boundary".into())
-}
 
 /// Per-mode aggregate for the table and the JSON.
 #[derive(Default)]
 struct ModeReport {
     commits: u64,
     link_errors: u64,
-    lag: Vec<u64>,
-    ack: Vec<u64>,
-    failover: Vec<u64>,
+    lag: Vec<Micros>,
+    ack: Vec<Micros>,
+    failover: Vec<Micros>,
     trials: u64,
     max_loss: u64,
     resync_replay_us: u64,
@@ -143,6 +51,28 @@ struct ModeReport {
     platters: Vec<u64>,
 }
 
+impl ModeReport {
+    /// Books `trial`'s commits, fails it over, verifies the promoted
+    /// volume and returns its loss. A failover `trial` counts toward the
+    /// failover times and the worst loss; a resync leg's does not.
+    fn promote(&mut self, trial: ReplicatedTrial, is_trial: bool) -> Result<u64, String> {
+        self.commits += trial.acked();
+        self.ack.extend(&trial.ack_us);
+        self.link_errors += trial.link_errors;
+        let (out, acked) = trial.failover()?;
+        let mut v = out.volume;
+        v.verify().map_err(|e| format!("promoted verify: {e}"))?;
+        let loss = acked.loss(&mut v)?;
+        if is_trial {
+            self.failover.push(out.failover_us);
+            self.trials += 1;
+            self.max_loss = self.max_loss.max(loss);
+        }
+        self.platters.push(v.disk_mut().platter_digest());
+        Ok(loss)
+    }
+}
+
 /// Steady-state run: full script, healthy link; collects lag and ack
 /// percentile samples, then one failover trial at the end.
 fn steady_state(
@@ -150,38 +80,15 @@ fn steady_state(
     setup: &[Step],
     measured: &[Step],
     rep: &mut ModeReport,
-) -> Result<(), String> {
-    let (mut v, mut live) = setup_volume(setup)?;
-    let mut sh = install(&mut v, ReplSessionConfig::for_mode(mode))?;
-    let mut boundaries = VecDeque::new();
-    let mut acked = 0;
-    drive(
-        &mut v,
-        &mut sh,
-        &mut live,
-        measured,
-        measured.len(),
-        &mut boundaries,
-        &mut acked,
-        &mut rep.ack,
-        &mut rep.link_errors,
-    )?;
-    // Final commit so the tail of the script is acknowledged too.
-    if v.force().is_ok() && sh.ship(&mut v).is_ok() {
-        acked += 1;
-        boundaries.push_back((acked, live.clone()));
-    }
-    rep.commits += acked;
-    rep.lag.extend(sh.lag_samples().iter().copied());
-    let out = sh.failover().map_err(|(e, _)| format!("failover: {e}"))?;
-    rep.failover.push(out.failover_us);
-    rep.trials += 1;
-    let mut v = out.volume;
-    v.verify().map_err(|e| format!("promoted verify: {e}"))?;
-    let loss = promoted_loss(&mut v, &boundaries, acked)?;
-    rep.max_loss = rep.max_loss.max(loss);
-    rep.platters.push(v.disk_mut().platter_digest());
-    Ok(())
+) -> Result<u64, String> {
+    let cfg = ReplSessionConfig::for_mode(mode);
+    let mut trial = ReplicatedTrial::new(setup, cfg, KEEP_BOUNDARIES)?;
+    trial.run(measured)?;
+    // Final commit so the tail of the script is acknowledged too (its
+    // ack time is not sampled; unacknowledged, it is no boundary).
+    let _ = trial.commit();
+    rep.lag.extend(trial.shipper.lag_samples());
+    rep.promote(trial, true)
 }
 
 /// Crash trial: run a prefix of the script, then fail the primary over
@@ -194,54 +101,61 @@ fn failover_trial(
     upto: usize,
     partition: bool,
     rep: &mut ModeReport,
-) -> Result<(), String> {
+) -> Result<u64, String> {
     let mut cfg = ReplSessionConfig::for_mode(mode);
     cfg.max_lag_frames = 4;
-    let (mut v, mut live) = setup_volume(setup)?;
-    let mut sh = install(&mut v, cfg)?;
-    let mut boundaries = VecDeque::new();
-    let mut acked = 0;
+    let mut trial = ReplicatedTrial::new(setup, cfg, KEEP_BOUNDARIES)?;
     let split = if partition {
         upto.saturating_sub(20)
     } else {
         upto
     };
-    drive(
-        &mut v,
-        &mut sh,
-        &mut live,
-        measured,
-        split,
-        &mut boundaries,
-        &mut acked,
-        &mut rep.ack,
-        &mut rep.link_errors,
-    )?;
+    trial.run(&measured[..split])?;
     if partition {
-        sh.link_mut().force_down();
-        let rest: Vec<Step> = measured[split..upto].to_vec();
-        drive(
-            &mut v,
-            &mut sh,
-            &mut live,
-            &rest,
-            rest.len(),
-            &mut boundaries,
-            &mut acked,
-            &mut rep.ack,
-            &mut rep.link_errors,
-        )?;
+        trial.shipper.link_mut().force_down();
+        trial.run(&measured[split..upto])?;
     }
-    rep.commits += acked;
-    let out = sh.failover().map_err(|(e, _)| format!("failover: {e}"))?;
-    rep.failover.push(out.failover_us);
-    rep.trials += 1;
-    let mut v = out.volume;
-    v.verify().map_err(|e| format!("promoted verify: {e}"))?;
-    let loss = promoted_loss(&mut v, &boundaries, acked)?;
-    rep.max_loss = rep.max_loss.max(loss);
-    rep.platters.push(v.disk_mut().platter_digest());
-    Ok(())
+    rep.promote(trial, true)
+}
+
+/// One partition-and-heal leg: `before` runs on a healthy link and
+/// `during` with it down; the replica then resyncs, which it must do by
+/// `want`, converge, and fail over losslessly.
+fn resync_leg(
+    mode: ReplMode,
+    retain_frames: usize,
+    setup: &[Step],
+    (before, during): (&[Step], &[Step]),
+    want: ResyncKind,
+    rep: &mut ModeReport,
+) -> Result<ResyncOutcome, String> {
+    let mut cfg = ReplSessionConfig::for_mode(mode);
+    cfg.max_lag_frames = 64;
+    cfg.retain_frames = retain_frames;
+    let mut trial = ReplicatedTrial::new(setup, cfg, KEEP_BOUNDARIES)?;
+    trial.run(before)?;
+    trial.shipper.link_mut().force_down();
+    trial.run(during)?;
+    if want == ResyncKind::FullTransfer && !trial.shipper.needs_full_transfer() {
+        return Err("retention bound never lapped the cursor".into());
+    }
+    let out = trial
+        .shipper
+        .resync(&mut trial.primary)
+        .map_err(|e| format!("resync: {e}"))?;
+    if out.kind != want {
+        return Err(format!("expected {want:?}, got {:?}", out.kind));
+    }
+    if trial.shipper.frames_behind() != 0 {
+        return Err(format!("{want:?} did not converge"));
+    }
+    // Everything durable on the primary has now shipped.
+    trial.acknowledge();
+    let loss = rep.promote(trial, false)?;
+    if loss != 0 {
+        return Err(format!("loss {loss} after a converged {want:?}"));
+    }
+    Ok(out)
 }
 
 /// Partition + heal: cursor replay resync, then a lapped-log partition
@@ -254,104 +168,20 @@ fn resync_scenarios(
     rep: &mut ModeReport,
 ) -> Result<(), String> {
     // Leg 1: short partition, cursor replay.
-    let mut cfg = ReplSessionConfig::for_mode(mode);
-    cfg.max_lag_frames = 64;
-    cfg.retain_frames = 64;
-    let (mut v, mut live) = setup_volume(setup)?;
-    let mut sh = install(&mut v, cfg)?;
-    let mut boundaries = VecDeque::new();
-    let mut acked = 0;
     let mid = measured.len() / 2;
-    drive(
-        &mut v,
-        &mut sh,
-        &mut live,
-        measured,
-        mid,
-        &mut boundaries,
-        &mut acked,
-        &mut rep.ack,
-        &mut rep.link_errors,
-    )?;
-    sh.link_mut().force_down();
-    let during: Vec<Step> = measured[mid..mid + 21.min(measured.len() - mid)].to_vec();
-    drive(
-        &mut v,
-        &mut sh,
-        &mut live,
-        &during,
-        during.len(),
-        &mut boundaries,
-        &mut acked,
-        &mut rep.ack,
-        &mut rep.link_errors,
-    )?;
-    let out = sh.resync(&mut v).map_err(|e| format!("resync: {e}"))?;
-    if out.kind != ResyncKind::CursorReplay {
-        return Err(format!("expected cursor replay, got {:?}", out.kind));
-    }
-    if sh.frames_behind() != 0 {
-        return Err("cursor replay did not converge".into());
-    }
+    let legs = (
+        &measured[..mid],
+        &measured[mid..mid + 21.min(measured.len() - mid)],
+    );
+    let out = resync_leg(mode, 64, setup, legs, ResyncKind::CursorReplay, rep)?;
     rep.resync_replay_us = rep.resync_replay_us.max(out.resync_us);
     rep.resync_replay_frames += out.frames;
-    // Everything durable on the primary has now shipped: snapshot.
-    acked += 1;
-    boundaries.push_back((acked, live.clone()));
-    rep.commits += acked;
-    let out = sh.failover().map_err(|(e, _)| format!("failover: {e}"))?;
-    let mut v = out.volume;
-    v.verify().map_err(|e| format!("verify: {e}"))?;
-    let loss = promoted_loss(&mut v, &boundaries, acked)?;
-    if loss != 0 {
-        return Err(format!("loss {loss} after converged resync"));
-    }
-    rep.platters.push(v.disk_mut().platter_digest());
-
     // Leg 2: retention of 2 frames, long partition — the log laps the
     // replica's cursor and only a full-state transfer reconverges.
-    let mut cfg = ReplSessionConfig::for_mode(mode);
-    cfg.max_lag_frames = 64;
-    cfg.retain_frames = 2;
-    let (mut v, mut live) = setup_volume(setup)?;
-    let mut sh = install(&mut v, cfg)?;
-    let mut boundaries = VecDeque::new();
-    let mut acked = 0;
-    sh.link_mut().force_down();
-    drive(
-        &mut v,
-        &mut sh,
-        &mut live,
-        measured,
-        measured.len().min(63),
-        &mut boundaries,
-        &mut acked,
-        &mut rep.ack,
-        &mut rep.link_errors,
-    )?;
-    if !sh.needs_full_transfer() {
-        return Err("retention bound never lapped the cursor".into());
-    }
-    let out = sh.resync(&mut v).map_err(|e| format!("full resync: {e}"))?;
-    if out.kind != ResyncKind::FullTransfer {
-        return Err(format!("expected full transfer, got {:?}", out.kind));
-    }
-    if sh.frames_behind() != 0 {
-        return Err("full transfer did not converge".into());
-    }
+    let legs = (&[][..], &measured[..measured.len().min(63)]);
+    let out = resync_leg(mode, 2, setup, legs, ResyncKind::FullTransfer, rep)?;
     rep.resync_full_us = rep.resync_full_us.max(out.resync_us);
     rep.resync_full_sectors += out.sectors;
-    acked += 1;
-    boundaries.push_back((acked, live.clone()));
-    rep.commits += acked;
-    let out = sh.failover().map_err(|(e, _)| format!("failover: {e}"))?;
-    let mut v = out.volume;
-    v.verify().map_err(|e| format!("verify: {e}"))?;
-    let loss = promoted_loss(&mut v, &boundaries, acked)?;
-    if loss != 0 {
-        return Err(format!("loss {loss} after full-transfer resync"));
-    }
-    rep.platters.push(v.disk_mut().platter_digest());
     Ok(())
 }
 
@@ -383,9 +213,6 @@ fn main() {
         if let Err(e) = resync_scenarios(mode, &setup, &measured, &mut rep) {
             failures.push(format!("{} resync: {e}", mode.name()));
         }
-        rep.lag.sort_unstable();
-        rep.ack.sort_unstable();
-        rep.failover.sort_unstable();
         reports.push((mode, rep));
     }
 
@@ -405,78 +232,56 @@ fn main() {
             "full-xfer µs",
         ],
     );
+    let pcts = |l: &LatencyStats| {
+        Json::inline()
+            .field("p50", l.p50_us)
+            .field("p90", l.p90_us)
+            .field("p99", l.p99_us)
+    };
+    let mut modes = Json::block();
     for (mode, r) in &reports {
+        let [lag, ack, failover] =
+            [&r.lag, &r.ack, &r.failover].map(|s| LatencyStats::from_samples(s));
         t.row(&[
             mode.name().to_string(),
             r.commits.to_string(),
-            pct(&r.lag, 0.5).to_string(),
-            pct(&r.lag, 0.99).to_string(),
-            pct(&r.ack, 0.5).to_string(),
-            pct(&r.ack, 0.99).to_string(),
-            pct(&r.failover, 0.5).to_string(),
-            pct(&r.failover, 0.99).to_string(),
+            lag.p50_us.to_string(),
+            lag.p99_us.to_string(),
+            ack.p50_us.to_string(),
+            ack.p99_us.to_string(),
+            failover.p50_us.to_string(),
+            failover.p99_us.to_string(),
             r.max_loss.to_string(),
             r.resync_replay_us.to_string(),
             r.resync_full_us.to_string(),
         ]);
+        let resync = Json::inline()
+            .field("replay_us", r.resync_replay_us)
+            .field("replay_frames", r.resync_replay_frames)
+            .field("full_us", r.resync_full_us)
+            .field("full_sectors", r.resync_full_sectors);
+        let report = Json::block()
+            .field("commits", r.commits)
+            .field("link_errors", r.link_errors)
+            .field("lag_us", pcts(&lag))
+            .field("ack_us", pcts(&ack))
+            .field("failover_us", pcts(&failover).field("trials", r.trials))
+            .field("max_loss_boundaries", r.max_loss)
+            .field("resync", resync)
+            .field("platter_digest", platter_json(&r.platters));
+        modes = modes.field(mode.name(), report);
     }
     println!();
     t.print();
     for f in &failures {
         println!("FAIL {f}");
     }
-
-    let mut modes_json = String::new();
-    for (i, (mode, r)) in reports.iter().enumerate() {
-        if i > 0 {
-            modes_json.push_str(",\n");
-        }
-        modes_json.push_str(&format!(
-            concat!(
-                "    \"{}\": {{\n",
-                "      \"commits\": {},\n",
-                "      \"link_errors\": {},\n",
-                "      \"lag_us\": {{\"p50\": {}, \"p90\": {}, \"p99\": {}}},\n",
-                "      \"ack_us\": {{\"p50\": {}, \"p90\": {}, \"p99\": {}}},\n",
-                "      \"failover_us\": {{\"p50\": {}, \"p90\": {}, \"p99\": {}, \"trials\": {}}},\n",
-                "      \"max_loss_boundaries\": {},\n",
-                "      \"resync\": {{\"replay_us\": {}, \"replay_frames\": {}, \"full_us\": {}, \"full_sectors\": {}}},\n",
-                "      \"platter_digest\": {}\n",
-                "    }}"
-            ),
-            mode.name(),
-            r.commits,
-            r.link_errors,
-            pct(&r.lag, 0.5),
-            pct(&r.lag, 0.9),
-            pct(&r.lag, 0.99),
-            pct(&r.ack, 0.5),
-            pct(&r.ack, 0.9),
-            pct(&r.ack, 0.99),
-            pct(&r.failover, 0.5),
-            pct(&r.failover, 0.9),
-            pct(&r.failover, 0.99),
-            r.trials,
-            r.max_loss,
-            r.resync_replay_us,
-            r.resync_replay_frames,
-            r.resync_full_us,
-            r.resync_full_sectors,
-            platter_json(&r.platters),
-        ));
-    }
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"bench\": \"replication\",\n",
-            "  \"workload\": \"makedo\",\n",
-            "  \"failures\": {},\n",
-            "  \"modes\": {{\n{}\n  }}\n",
-            "}}\n"
-        ),
-        failures.len(),
-        modes_json,
-    );
+    let json = Json::block()
+        .field("bench", "replication")
+        .field("workload", "makedo")
+        .field("failures", failures.len())
+        .field("modes", modes)
+        .render();
     print!("\nJSON:\n{json}");
 
     // The gates: every scenario passes; the per-mode loss bounds hold

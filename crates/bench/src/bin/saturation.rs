@@ -24,8 +24,8 @@
 //!    256 threads must match the simulated 64-client amortization
 //!    (≤ 0.021).
 //!
-//! Output: human tables plus machine-readable JSON (hand-rolled — the
-//! build environment has no serde). Every run writes the simulated
+//! Output: human tables plus machine-readable JSON (rendered by
+//! [`cedar_bench::report::Json`]). Every run writes the simulated
 //! sweep to `BENCH_saturation_sim.json`; the full run also writes
 //! `BENCH_saturation_mt.json`; `--smoke` (CI) runs the full simulated
 //! sweep plus a reduced threaded slice.
@@ -33,7 +33,7 @@
 use cedar_bench::driver::{
     drive_clients, drive_threads, populate_setup, MultiClientRun, ThreadedRun,
 };
-use cedar_bench::report::{disk_breakdown, disk_breakdown_json, f2};
+use cedar_bench::report::{disk_breakdown, disk_breakdown_json, f2, Json};
 use cedar_bench::Table;
 use cedar_disk::{CpuModel, DiskStats, SimClock, SimDisk};
 use cedar_fsd::{EngineConfig, FsdConfig, FsdEngine, FsdVolume, COMMIT_INTERVAL_US};
@@ -134,61 +134,51 @@ fn mt_run_for(threads: usize) -> ThreadedRun {
     run
 }
 
-fn sim_json_row(clients: usize, r: &MultiClientRun, disk: &DiskStats) -> String {
+fn sim_json_row(clients: usize, r: &MultiClientRun, disk: &DiskStats) -> Json {
     let rep = &r.report;
-    format!(
-        concat!(
-            "    {{\"clients\": {}, \"ops\": {}, \"log_forces\": {}, ",
-            "\"forces_per_op\": {:.6}, ",
-            "\"window_settles\": {}, \"backpressure_settles\": {}, ",
-            "\"internal_settles\": {}, \"empty_windows\": {}, ",
-            "\"batch_mean\": {:.3}, \"batch_max\": {}, ",
-            "\"latency_us\": {{\"mean\": {:.1}, \"p50\": {}, \"p90\": {}, ",
-            "\"p99\": {}, \"max\": {}}}, \"duration_s\": {:.3}, \"disk\": {}}}"
-        ),
-        clients,
-        rep.ops,
-        rep.log_forces,
-        rep.forces_per_op,
-        rep.window_settles,
-        rep.backpressure_settles,
-        rep.internal_settles,
-        rep.empty_windows,
-        rep.batch_mean,
-        rep.batch_max,
-        rep.latency.mean_us,
-        rep.latency.p50_us,
-        rep.latency.p90_us,
-        rep.latency.p99_us,
-        rep.latency.max_us,
-        r.duration_us as f64 / 1e6,
-        disk_breakdown_json(disk),
-    )
+    let lat = &rep.latency;
+    Json::inline()
+        .field("clients", clients)
+        .field("ops", rep.ops)
+        .field("log_forces", rep.log_forces)
+        .field("forces_per_op", Json::fixed(rep.forces_per_op, 6))
+        .field("window_settles", rep.window_settles)
+        .field("backpressure_settles", rep.backpressure_settles)
+        .field("internal_settles", rep.internal_settles)
+        .field("empty_windows", rep.empty_windows)
+        .field("batch_mean", Json::fixed(rep.batch_mean, 3))
+        .field("batch_max", rep.batch_max)
+        .field(
+            "latency_us",
+            Json::inline()
+                .field("mean", Json::fixed(lat.mean_us, 1))
+                .field("p50", lat.p50_us)
+                .field("p90", lat.p90_us)
+                .field("p99", lat.p99_us)
+                .field("max", lat.max_us),
+        )
+        .field("duration_s", Json::fixed(r.duration_us as f64 / 1e6, 3))
+        .field("disk", disk_breakdown_json(disk))
 }
 
-fn mt_json_row(threads: usize, r: &ThreadedRun) -> String {
-    format!(
-        concat!(
-            "    {{\"threads\": {}, \"ops\": {}, \"log_forces\": {}, ",
-            "\"forces_per_op\": {:.6}, \"epochs\": {}, \"batch_max\": {}, ",
-            "\"read_hits\": {}, \"read_misses\": {}, \"retries\": {}, ",
-            "\"wall_s\": {:.3}, \"ops_per_sec\": {:.1}, ",
-            "\"disk_busy_us\": {}, \"busy_frac\": {:.3}}}"
-        ),
-        threads,
-        r.engine.ops,
-        r.engine.log_forces,
-        r.engine.forces_per_op(),
-        r.engine.epochs,
-        r.engine.batch_max,
-        r.engine.read_hits,
-        r.engine.read_misses,
-        r.retries,
-        r.wall.as_secs_f64(),
-        r.ops_per_sec(),
-        r.disk_busy_us(),
-        r.disk_busy_fraction(PACE_SCALE),
-    )
+fn mt_json_row(threads: usize, r: &ThreadedRun) -> Json {
+    Json::inline()
+        .field("threads", threads)
+        .field("ops", r.engine.ops)
+        .field("log_forces", r.engine.log_forces)
+        .field("forces_per_op", Json::fixed(r.engine.forces_per_op(), 6))
+        .field("epochs", r.engine.epochs)
+        .field("batch_max", r.engine.batch_max)
+        .field("read_hits", r.engine.read_hits)
+        .field("read_misses", r.engine.read_misses)
+        .field("retries", r.retries)
+        .field("wall_s", Json::fixed(r.wall.as_secs_f64(), 3))
+        .field("ops_per_sec", Json::fixed(r.ops_per_sec(), 1))
+        .field("disk_busy_us", r.disk_busy_us())
+        .field(
+            "busy_frac",
+            Json::fixed(r.disk_busy_fraction(PACE_SCALE), 3),
+        )
 }
 
 /// The simulated sweep and its §5.4 monotonicity assertion. Returns
@@ -236,15 +226,12 @@ fn simulated_sweep() -> f64 {
         println!("{}", disk_breakdown(&format!("{n:>2} clients"), disk));
     }
 
-    let mut json = String::from("{\n  \"bench\": \"saturation\",\n");
-    json.push_str(&format!(
-        "  \"window_us\": {COMMIT_INTERVAL_US},\n  \"rows\": [\n"
-    ));
-    for (i, (n, r, disk)) in runs.iter().enumerate() {
-        let comma = if i + 1 < runs.len() { "," } else { "" };
-        json.push_str(&format!("{}{}\n", sim_json_row(*n, r, disk), comma));
-    }
-    json.push_str("  ]\n}\n");
+    let rows = runs.iter().map(|(n, r, disk)| sim_json_row(*n, r, disk));
+    let json = Json::block()
+        .field("bench", "saturation")
+        .field("window_us", COMMIT_INTERVAL_US)
+        .field("rows", Json::rows(rows))
+        .render();
     println!("\nJSON:\n{json}");
     std::fs::write(SIM_JSON, &json).expect("write BENCH_saturation_sim.json");
     println!("wrote {SIM_JSON}");
@@ -321,34 +308,19 @@ fn threaded_sweep(threads: &[usize], sim_64_forces_per_op: Option<f64>, smoke: b
         .iter()
         .position(|(_, r)| r.disk_busy_fraction(PACE_SCALE) >= SATURATED_BUSY_FRAC);
 
-    let json = {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str("  \"bench\": \"saturation_mt\",\n");
-        s.push_str(&format!("  \"pace_scale\": {PACE_SCALE},\n"));
-        s.push_str(&format!(
-            "  \"saturated_busy_frac\": {SATURATED_BUSY_FRAC},\n"
-        ));
-        s.push_str(&format!(
-            "  \"saturated_at_threads\": {},\n",
-            saturated_at.map_or("null".to_string(), |i| runs[i].0.to_string())
-        ));
-        s.push_str(&format!(
-            "  \"sim_64_forces_per_op\": {},\n",
-            sim_64_forces_per_op.map_or("null".to_string(), |f| format!("{f:.6}"))
-        ));
-        s.push_str(&format!(
-            "  \"forces_per_op_gate\": {MT_FORCES_PER_OP_GATE},\n"
-        ));
-        s.push_str("  \"rows\": [\n");
-        for (i, (n, r)) in runs.iter().enumerate() {
-            let comma = if i + 1 < runs.len() { "," } else { "" };
-            s.push_str(&format!("{}{}\n", mt_json_row(*n, r), comma));
-        }
-        s.push_str("  ]\n");
-        s.push_str("}\n");
-        s
-    };
+    let rows = runs.iter().map(|(n, r)| mt_json_row(*n, r));
+    let json = Json::block()
+        .field("bench", "saturation_mt")
+        .field("pace_scale", Json::num(PACE_SCALE))
+        .field("saturated_busy_frac", Json::num(SATURATED_BUSY_FRAC))
+        .field("saturated_at_threads", saturated_at.map(|i| runs[i].0))
+        .field(
+            "sim_64_forces_per_op",
+            sim_64_forces_per_op.map(|f| Json::fixed(f, 6)),
+        )
+        .field("forces_per_op_gate", Json::num(MT_FORCES_PER_OP_GATE))
+        .field("rows", Json::rows(rows))
+        .render();
     println!("\nJSON:\n{json}");
 
     // Gate 1: throughput climbs with thread count until the disk — not

@@ -21,7 +21,7 @@
 //! The run writes `BENCH_scavenge_scale.json` and gates ≥2× combined
 //! speedup at the largest file count.
 
-use cedar_bench::report::platter_json;
+use cedar_bench::report::{platter_json, Json};
 use cedar_bench::{ms, FsBackend, Table};
 use cedar_cfs::{CfsConfig, CfsVolume};
 use cedar_disk::{DiskGeometry, DiskTiming, SimClock, SimDisk};
@@ -288,42 +288,37 @@ fn main() {
         gate % 100,
     );
 
-    let mut json = String::from("{\n  \"bench\": \"scavenge_scale\",\n");
-    json.push_str(&format!("  \"workers\": {WORKERS},\n"));
-    json.push_str("  \"fsd\": [\n");
-    for (i, r) in fsd_rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"files\": {}, \"serial_scavenge_us\": {}, \
-             \"parallel_scavenge_us\": {}, \"serial_vam_us\": {}, \
-             \"parallel_vam_us\": {}, \"speedup_x100\": {}, \"platter_digest\": {}}}{}\n",
-            r.files,
-            r.serial_scavenge_us,
-            r.parallel_scavenge_us,
-            r.serial_vam_us,
-            r.parallel_vam_us,
-            r.speedup_x100(),
-            platter_json(&r.platters),
-            if i + 1 == fsd_rows.len() { "" } else { "," },
-        ));
-    }
-    json.push_str("  ],\n  \"cfs\": [\n");
-    for (i, r) in cfs_rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"files\": {}, \"serial_us\": {}, \"parallel_us\": {}, \
-             \"speedup_x100\": {}, \"platter_digest\": {}}}{}\n",
-            r.files,
-            r.serial_us,
-            r.parallel_us,
-            r.serial_us * 100 / r.parallel_us.max(1),
-            platter_json(&r.platters),
-            if i + 1 == cfs_rows.len() { "" } else { "," },
-        ));
-    }
-    json.push_str(&format!(
-        "  ],\n  \"gate\": {{\"largest_files\": {}, \"speedup_x100\": {}, \
-         \"floor_x100\": {SPEEDUP_FLOOR_X100}}}\n}}\n",
-        largest.files, gate,
-    ));
+    let fsd = fsd_rows.iter().map(|r| {
+        Json::inline()
+            .field("files", r.files)
+            .field("serial_scavenge_us", r.serial_scavenge_us)
+            .field("parallel_scavenge_us", r.parallel_scavenge_us)
+            .field("serial_vam_us", r.serial_vam_us)
+            .field("parallel_vam_us", r.parallel_vam_us)
+            .field("speedup_x100", r.speedup_x100())
+            .field("platter_digest", platter_json(&r.platters))
+    });
+    let cfs = cfs_rows.iter().map(|r| {
+        Json::inline()
+            .field("files", r.files)
+            .field("serial_us", r.serial_us)
+            .field("parallel_us", r.parallel_us)
+            .field("speedup_x100", r.serial_us * 100 / r.parallel_us.max(1))
+            .field("platter_digest", platter_json(&r.platters))
+    });
+    let json = Json::block()
+        .field("bench", "scavenge_scale")
+        .field("workers", WORKERS)
+        .field("fsd", Json::rows(fsd))
+        .field("cfs", Json::rows(cfs))
+        .field(
+            "gate",
+            Json::inline()
+                .field("largest_files", largest.files)
+                .field("speedup_x100", gate)
+                .field("floor_x100", SPEEDUP_FLOOR_X100),
+        )
+        .render();
     std::fs::write("BENCH_scavenge_scale.json", json).expect("write BENCH_scavenge_scale.json");
     println!(
         "\nwrote BENCH_scavenge_scale.json (largest row: {} files, {:.2}x)",

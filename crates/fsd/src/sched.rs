@@ -66,6 +66,27 @@ pub struct LatencyStats {
     pub max_us: Micros,
 }
 
+impl LatencyStats {
+    /// The distribution of `samples`, in any order: the mean, the
+    /// nearest-rank percentiles (index `p × (n − 1)`, rounded) and the
+    /// worst case. All zero when there are no samples.
+    pub fn from_samples(samples: &[Micros]) -> Self {
+        let mut sorted = samples.to_vec();
+        sorted.sort_unstable();
+        let Some(&max_us) = sorted.last() else {
+            return Self::default();
+        };
+        let pct = |p: f64| sorted[(p * (sorted.len() - 1) as f64).round() as usize];
+        Self {
+            mean_us: sorted.iter().sum::<Micros>() as f64 / sorted.len() as f64,
+            p50_us: pct(0.50),
+            p90_us: pct(0.90),
+            p99_us: pct(0.99),
+            max_us,
+        }
+    }
+}
+
 /// What the scheduler did, aggregated — the group-commit extension of
 /// [`CommitStats`].
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -254,14 +275,6 @@ impl CommitScheduler {
     /// operations; call [`Self::drain`] first to include the tail.)
     pub fn report(&self) -> SchedReport {
         let log_forces = self.vol.commit_stats().forces - self.baseline.forces;
-        let mut sorted = self.latencies.clone();
-        sorted.sort_unstable();
-        let pct = |p: f64| -> Micros {
-            if sorted.is_empty() {
-                return 0;
-            }
-            sorted[((p * (sorted.len() - 1) as f64).round() as usize).min(sorted.len() - 1)]
-        };
         SchedReport {
             ops: self.ops,
             log_forces,
@@ -281,17 +294,7 @@ impl CommitScheduler {
                 self.batch_sizes.iter().sum::<u64>() as f64 / self.batch_sizes.len() as f64
             },
             batch_max: self.batch_sizes.iter().copied().max().unwrap_or(0),
-            latency: LatencyStats {
-                mean_us: if sorted.is_empty() {
-                    0.0
-                } else {
-                    sorted.iter().sum::<Micros>() as f64 / sorted.len() as f64
-                },
-                p50_us: pct(0.50),
-                p90_us: pct(0.90),
-                p99_us: pct(0.99),
-                max_us: sorted.last().copied().unwrap_or(0),
-            },
+            latency: LatencyStats::from_samples(&self.latencies),
         }
     }
 }
@@ -496,5 +499,15 @@ mod tests {
         assert!(r.latency.p90_us <= r.latency.p99_us);
         assert!(r.latency.p99_us <= r.latency.max_us);
         assert!(r.batch_mean >= 1.0);
+    }
+
+    #[test]
+    fn latency_stats_take_nearest_rank_percentiles() {
+        assert_eq!(LatencyStats::from_samples(&[]), LatencyStats::default());
+        let samples: Vec<Micros> = (1..=100).rev().collect();
+        let l = LatencyStats::from_samples(&samples);
+        assert_eq!(l.mean_us, 50.5);
+        // Indices 49.5, 89.1 and 98.01 round to 50, 89 and 98.
+        assert_eq!((l.p50_us, l.p90_us, l.p99_us, l.max_us), (51, 90, 99, 100));
     }
 }
